@@ -3,7 +3,10 @@
 //! brute-force oracle, plus the ε-granularity ablation.
 //!
 //! These anchor the paper's complexity claims (§4.2.1): DirSol ~ m²
-//! pairs, DynPgm ~ |B|²·H per bound, DynPgmP a single separable pass.
+//! pairs, DynPgm ~ |B|²·H per surviving bound, DynPgmP a single
+//! separable pass. `strata_service` times the shapes the service
+//! actually designs over, which the regular-grid shapes above it do
+//! not resemble.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lts_strata::{
@@ -11,14 +14,19 @@ use lts_strata::{
 };
 use std::hint::black_box;
 
-fn pilot(n_objects: usize, m: usize, seed: u64) -> PilotIndex {
+/// Uniform draws from `[0, 1)`, fixed by `seed`.
+fn unit_rng(seed: u64) -> impl FnMut() -> f64 {
     let mut state = seed;
-    let mut next = || {
+    move || {
         state = state
             .wrapping_mul(6364136223846793005)
             .wrapping_add(1442695040888963407);
         (state >> 11) as f64 / (1u64 << 53) as f64
-    };
+    }
+}
+
+fn pilot(n_objects: usize, m: usize, seed: u64) -> PilotIndex {
+    let mut next = unit_rng(seed);
     let entries: Vec<(usize, bool)> = (0..m)
         .map(|k| {
             let pos = k * n_objects / m;
@@ -97,6 +105,49 @@ fn bench_algorithms(c: &mut Criterion) {
     group.finish();
 }
 
+/// What the service's LSS hands the design on an 8 000-row dataset:
+/// pilots at random positions of the score order whose labels follow a
+/// sigmoid of the position, `H = 4`, `m⊔ = 5`, and `N⊔` one above the
+/// stage-2 budget. `(m, stage 2)` = (65, 35) and (98, 52) are the
+/// service's split of a 200- and a 300-label budget (`bench_suite`'s
+/// requests); (450, 242) is the same split of about 1 400 labels.
+fn bench_service_shapes(c: &mut Criterion) {
+    let mut group = c.benchmark_group("strata_service");
+    group.sample_size(10);
+    let n = 8_000usize;
+    for &(m, stage2) in &[(65usize, 35usize), (98, 52), (450, 242)] {
+        let mut unit = unit_rng(11);
+        let mut positions = std::collections::BTreeSet::new();
+        while positions.len() < m {
+            positions.insert((unit() * n as f64) as usize);
+        }
+        let entries = positions
+            .into_iter()
+            .map(|pos| {
+                let p_true = 1.0 / (1.0 + (-(pos as f64 / n as f64 - 0.6) * 12.0).exp());
+                (pos, unit() < p_true)
+            })
+            .collect();
+        let p = PilotIndex::new(n, entries).unwrap();
+        let params = DesignParams {
+            n_strata: 4,
+            budget: stage2,
+            min_stratum_size: stage2 + 1,
+            min_pilots_per_stratum: 5,
+            epsilon: 1.0,
+        };
+        group.bench_with_input(
+            BenchmarkId::new("dynpgm_pruned6", format!("m{m}")),
+            &p,
+            |b, p| b.iter(|| dynpgm(black_box(p), &params, TSelection::Pruned(6)).unwrap()),
+        );
+        group.bench_with_input(BenchmarkId::new("dynpgmp", format!("m{m}")), &p, |b, p| {
+            b.iter(|| dynpgmp(black_box(p), &params).unwrap())
+        });
+    }
+    group.finish();
+}
+
 fn bench_epsilon_ablation(c: &mut Criterion) {
     let mut group = c.benchmark_group("strata_epsilon");
     group.sample_size(10);
@@ -115,5 +166,10 @@ fn bench_epsilon_ablation(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_algorithms, bench_epsilon_ablation);
+criterion_group!(
+    benches,
+    bench_algorithms,
+    bench_service_shapes,
+    bench_epsilon_ablation
+);
 criterion_main!(benches);

@@ -1,12 +1,21 @@
 //! Cold-start speedup curve of the sharded estimation layer.
 //!
-//! LSS's cold start is dominated at scale by the stratification-design
-//! dynamic program, whose cost grows superlinearly in the pilot count.
-//! Sharding a population `k` ways runs `k` independent designs on
-//! pilots of size `m/k`, cutting that cost by ≈ `k` even on one core —
-//! *before* any thread-level parallelism. This bench measures cold
-//! `prepare + estimate` wall time for LSS and LWS at shard counts
-//! {1, 2, 4, 8} on a scaled Sports tier and records the speedup curve.
+//! Sharding a population `k` ways runs `k` independent pipelines on
+//! `1/k` of the rows and pilots of size `m/k`. Every superlinear phase
+//! shrinks by more than `k` — above all the stratification-design DP,
+//! `O(H·|B|²)` with `|B| = O(m log N)` — so `k` shards are faster than
+//! one *even on one core*, before any thread-level parallelism. This
+//! bench measures cold `prepare + estimate` wall time for LSS and LWS
+//! at shard counts {1, 2, 4, 8} on a scaled Sports tier and records the
+//! speedup curve.
+//!
+//! The curve used to be steep because the unsharded DP was slow: at the
+//! x30 tier (24 000 rows, budget 2 000, `m` = 450) the unsharded cold
+//! start took 1.6–2.0 s, and 8 shards read 5.7× on one worker, 12× on
+//! two. With the class-blocked DP it takes 0.37–0.43 s, and 8 shards
+//! read 2.6–3.0× with `RAYON_NUM_THREADS=1` and 2.5–4.6× with two
+//! workers (2-vCPU host, `--scale 0.3 --trials 2`, three runs per leg).
+//! Sharding still pays; it no longer hides a defect.
 //!
 //! `BENCH_shard.json` rows (schema in `docs/benchmarks.md`):
 //!
@@ -21,8 +30,10 @@
 //!   speedup factor over `@1`, carried in `wall_seconds` (wall-derived,
 //!   so the CI determinism diff masks it with the other wall fields).
 //!
-//! The ≥ 3× acceptance bar applies to LSS at 8 shards on the scaled
-//! tier (`--scale ≥ 0.3`); smaller smoke runs skip the assertion.
+//! The in-binary bar is ≥ 1.5× for LSS at 8 shards on the scaled tier
+//! (`--scale ≥ 0.3`; smaller smoke runs skip the assertion) — every
+//! measured leg clears it by at least 1.6×, so host noise cannot trip
+//! it, and a change that makes sharding stop paying still does.
 //!
 //! Usage: `cargo run --release -p lts-bench --bin bench_shard --
 //! [--scale F] [--trials N] [--seed S] [--out DIR]`
@@ -34,6 +45,9 @@ use lts_data::{scaled_scenario, DatasetKind, ScaledTier, SelectivityLevel};
 use std::time::Instant;
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
+
+/// Least cold-LSS speedup at the largest shard count on the scaled tier.
+const LSS_SPEEDUP_BAR: f64 = 1.5;
 
 /// Fold a u64 digest into the f64-exact 53-bit range.
 fn digest_f64(d: u64) -> f64 {
@@ -191,18 +205,21 @@ fn main() {
     }
 
     print!("{}", table.render());
+    let max_shards = SHARD_COUNTS.last().expect("non-empty");
     if config.scale >= 0.3 {
         assert!(
-            lss_speedup_at_max >= 3.0,
-            "cold LSS at {} shards must be >= 3x faster than unsharded on the scaled tier, \
-             got {lss_speedup_at_max:.2}x",
-            SHARD_COUNTS.last().expect("non-empty")
+            lss_speedup_at_max >= LSS_SPEEDUP_BAR,
+            "cold LSS at {max_shards} shards must be >= {LSS_SPEEDUP_BAR}x faster than \
+             unsharded on the scaled tier, got {lss_speedup_at_max:.2}x"
         );
-        println!("\ncold LSS speedup at 8 shards: {lss_speedup_at_max:.2}x (bar: >= 3x)");
+        println!(
+            "\ncold LSS speedup at {max_shards} shards: {lss_speedup_at_max:.2}x \
+             (bar: >= {LSS_SPEEDUP_BAR}x)"
+        );
     } else {
         println!(
-            "\ncold LSS speedup at 8 shards: {lss_speedup_at_max:.2}x \
-             (smoke scale; >= 3x bar enforced at --scale >= 0.3)"
+            "\ncold LSS speedup at {max_shards} shards: {lss_speedup_at_max:.2}x \
+             (smoke scale; >= {LSS_SPEEDUP_BAR}x bar enforced at --scale >= 0.3)"
         );
     }
     emit_records_json(&config.out_dir, "shard", "sequential", &records);

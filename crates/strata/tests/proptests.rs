@@ -1,11 +1,122 @@
 //! Property-based tests for the stratification substrate.
 
+mod dynpgm_oracle;
+
 use lts_strata::{
-    evaluate_cuts, fixed_height_cuts, pilot_index_from_scores, pilot_positions_argsort,
-    pilot_positions_bucket, pilot_positions_bucket_partitioned, Allocation, DesignParams,
-    PilotIndex,
+    dynpgm, dynpgmp, evaluate_cuts, fixed_height_cuts, pilot_index_from_scores,
+    pilot_positions_argsort, pilot_positions_bucket, pilot_positions_bucket_partitioned,
+    Allocation, DesignParams, PilotIndex, StrataResult, Stratification, TSelection,
 };
 use proptest::prelude::*;
+
+/// `m` distinct random positions — spread over the population, or
+/// bunched into a window of `2m` — with labels that are all false, all
+/// true, or follow a sigmoid of the position with random midpoint and
+/// slope.
+fn random_pilot(seed: u64, n: usize, m: usize, shape: usize) -> PilotIndex {
+    let mut state = seed;
+    let mut unit = move || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 11) as f64 / (1u64 << 53) as f64
+    };
+    let span = if shape == 3 { (2 * m).min(n) } else { n };
+    let lo = (unit() * (n - span + 1) as f64) as usize;
+    let mut positions = std::collections::BTreeSet::new();
+    while positions.len() < m {
+        positions.insert(lo + (unit() * span as f64) as usize);
+    }
+    let (mid, slope) = (unit(), 2.0 + 20.0 * unit());
+    let entries = positions
+        .into_iter()
+        .map(|p| {
+            let label = match shape {
+                1 => false,
+                2 => true,
+                _ => unit() < 1.0 / (1.0 + (-(p as f64 / n as f64 - mid) * slope).exp()),
+            };
+            (p, label)
+        })
+        .collect();
+    PilotIndex::new(n, entries).unwrap()
+}
+
+/// Same cuts and the same variance *bits*, or both errors.
+fn assert_same_design(
+    got: &StrataResult<Stratification>,
+    want: &StrataResult<Stratification>,
+) -> Result<(), TestCaseError> {
+    match (got, want) {
+        (Ok(got), Ok(want)) => {
+            prop_assert_eq!(&got.cuts, &want.cuts);
+            prop_assert_eq!(
+                got.estimated_variance.to_bits(),
+                want.estimated_variance.to_bits(),
+                "variance {} vs oracle {}",
+                got.estimated_variance,
+                want.estimated_variance
+            );
+        }
+        (Err(_), Err(_)) => {}
+        _ => prop_assert!(false, "got {:?}, oracle {:?}", got, want),
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(160))]
+
+    /// The class-blocked DP returns exactly what the triple-loop oracle
+    /// returns — cuts, variance bits, and infeasibility — and what it
+    /// reports re-evaluates to the objective of its cuts.
+    #[test]
+    fn dynpgm_matches_triple_loop_oracle(
+        seed in any::<u64>(),
+        n in 40usize..1600,
+        m in 4usize..64,
+        shape in 0usize..4,
+        h in 2usize..7,
+        min_pilots in 2usize..6,
+        size_share in 0.0f64..1.0,
+        budget_share in 0.0f64..1.2,
+        epsilon in prop_oneof![Just(0.25f64), Just(0.5), Just(1.0), Just(2.0)],
+        selection in prop_oneof![
+            Just(TSelection::Full),
+            Just(TSelection::Unconstrained),
+            (1usize..10).prop_map(TSelection::Pruned),
+        ],
+    ) {
+        let pilot = random_pilot(seed, n, m.min(n / 2), shape);
+        let params = DesignParams {
+            n_strata: h,
+            budget: 1 + (budget_share * n as f64) as usize,
+            min_stratum_size: 1 + (size_share * (n / h) as f64) as usize,
+            min_pilots_per_stratum: min_pilots,
+            epsilon,
+        };
+
+        let neyman = dynpgm(&pilot, &params, selection);
+        assert_same_design(&neyman, &dynpgm_oracle::dynpgm(&pilot, &params, selection))?;
+        let proportional = dynpgmp(&pilot, &params);
+        assert_same_design(&proportional, &dynpgm_oracle::dynpgmp(&pilot, &params))?;
+
+        for (design, allocation) in [
+            (neyman, Allocation::Neyman),
+            (proportional, Allocation::Proportional),
+        ] {
+            let Ok(design) = design else { continue };
+            let v = evaluate_cuts(&pilot, &design.cuts, &params, allocation);
+            prop_assert!(v.is_some(), "{:?} cuts {:?} violate the minima", allocation, design.cuts);
+            let v = v.unwrap();
+            prop_assert!(
+                (v - design.estimated_variance).abs() <= 1e-6 * (1.0 + v.abs()),
+                "{:?}: DP reported {} but its cuts evaluate to {}",
+                allocation, design.estimated_variance, v
+            );
+        }
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
