@@ -13,9 +13,13 @@
 //! label-identical before timing anything.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use lts_data::{neighbors_scenario, sports_scenario, QueryParam, SelectivityLevel};
 use lts_table::table::table_of_floats;
 use lts_table::vector::eval_bool_columnar;
-use lts_table::{AggThresholdPredicate, CmpOp, Expr, ObjectPredicate, RowCtx, Table};
+use lts_table::{
+    parse_condition, AggThresholdPredicate, CmpOp, Expr, ExprPredicate, ObjectPredicate, RowCtx,
+    Table, TableRegistry,
+};
 use std::hint::black_box;
 use std::sync::Arc;
 
@@ -116,11 +120,63 @@ fn bench_subquery_predicate(c: &mut Criterion) {
     g.finish();
 }
 
+/// The service's oracle: the two query shapes `bench_suite` asks, parsed
+/// from the same condition text, over its 8 000-row populations, labelling
+/// one 200-object batch through `ExprPredicate::eval_batch` — what a cold
+/// op does 200–250 times. Skyband at the scenario's calibrated `k`,
+/// neighbours at `k` ∈ {5, 10, 30}. One iteration is 200 evaluations, so
+/// µs per evaluation is the reported time / 200. Run with
+/// `RAYON_NUM_THREADS=1` to read the kernel, not the split rule.
+fn bench_subquery_oracle(c: &mut Criterion) {
+    const ROWS: usize = 8_000;
+    let sports = sports_scenario(ROWS, SelectivityLevel::M, 1).unwrap();
+    let neighbors = neighbors_scenario(ROWS, SelectivityLevel::M, 1).unwrap();
+    let (QueryParam::K(k), QueryParam::D(d)) = (sports.param, neighbors.param) else {
+        unreachable!("sports calibrates k, neighbors calibrates d")
+    };
+    let registry = TableRegistry::new()
+        .register("sports", sports.table.clone())
+        .register("neighbors", neighbors.table.clone());
+    let skyband = format!(
+        "(SELECT COUNT(*) FROM sports WHERE strikeouts >= o.strikeouts AND \
+         wins >= o.wins AND (strikeouts > o.strikeouts OR wins > o.wins)) < {k}"
+    );
+    let near = |k: u32| {
+        format!(
+            "(SELECT COUNT(*) FROM neighbors WHERE SQRT(POWER(o.src_rate - src_rate, 2) + \
+             POWER(o.dst_rate - dst_rate, 2)) <= {d}) < {k}"
+        )
+    };
+    let objects: Vec<usize> = (0..200).map(|i| (i * 7919) % ROWS).collect();
+    let mut g = c.benchmark_group("subquery_oracle");
+    g.sample_size(10);
+    for (name, table, condition) in [
+        ("skyband".to_string(), &sports.table, skyband),
+        ("neighbors_k5".to_string(), &neighbors.table, near(5)),
+        ("neighbors_k10".to_string(), &neighbors.table, near(10)),
+        ("neighbors_k30".to_string(), &neighbors.table, near(30)),
+    ] {
+        let q = ExprPredicate::new("q", parse_condition(&condition, &registry).unwrap());
+        // Correctness gate: the batch equals the interpreted nested loop.
+        let row_wise: Vec<bool> = objects.iter().map(|&i| q.eval(table, i).unwrap()).collect();
+        assert_eq!(
+            row_wise,
+            q.eval_batch(table, &objects).unwrap(),
+            "{name}: engines disagree"
+        );
+        g.bench_function(name.as_str(), |b| {
+            b.iter(|| q.eval_batch(black_box(table), &objects).unwrap())
+        });
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_numeric_cmp,
     bench_compound_mask,
     bench_arith_cmp,
-    bench_subquery_predicate
+    bench_subquery_predicate,
+    bench_subquery_oracle
 );
 criterion_main!(benches);

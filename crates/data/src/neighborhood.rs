@@ -7,8 +7,9 @@
 //! * [`neighbors_sql_predicate`] — the paper's
 //!   `SQRT(POWER(o.x−x,2)+POWER(o.y−y,2)) <= d … COUNT(*) <= k`
 //!   correlated subquery (row-wise `eval` is the faithful interpreted
-//!   nested loop; batched `eval_batch` runs one *vectorized* inner scan
-//!   per object through `lts_table::vector`);
+//!   nested loop; batched `eval_batch` binds the subquery once and
+//!   scans it per object in tiles that stop past `k` neighbours,
+//!   through `lts_table::vector`);
 //! * [`neighbors_fast_predicate`] — grid-accelerated count with early
 //!   exit past `k` (semantically identical).
 //!

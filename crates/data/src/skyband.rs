@@ -6,8 +6,9 @@
 //!
 //! * [`skyband_sql_predicate`] — the literal correlated aggregate
 //!   subquery from the paper (row-wise `eval` is the faithful
-//!   interpreted nested loop; batched `eval_batch` runs one
-//!   *vectorized* inner scan per object through `lts_table::vector`);
+//!   interpreted nested loop; batched `eval_batch` binds the
+//!   subquery once and scans it per object in tiles that stop at `k`
+//!   dominators, through `lts_table::vector`);
 //! * [`skyband_fast_predicate`] — a compiled closure with early exit at
 //!   `k` dominators (semantically identical, used where experiment
 //!   throughput matters).

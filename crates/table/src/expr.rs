@@ -100,6 +100,18 @@ impl CmpOp {
             CmpOp::Ge => ord != Ordering::Less,
         }
     }
+
+    /// The comparison with its operands swapped: `a op b` is
+    /// `b op.mirrored() a`.
+    pub(crate) fn mirrored(self) -> CmpOp {
+        match self {
+            CmpOp::Lt => CmpOp::Gt,
+            CmpOp::Le => CmpOp::Ge,
+            CmpOp::Gt => CmpOp::Lt,
+            CmpOp::Ge => CmpOp::Le,
+            CmpOp::Eq | CmpOp::Ne => self,
+        }
+    }
 }
 
 /// Unary operators.
@@ -505,7 +517,7 @@ fn eval_call(f: Func, args: &[Expr], ctx: RowCtx<'_>) -> TableResult<Value> {
     }
 }
 
-fn eval_subquery(sq: &AggSubquery, ctx: RowCtx<'_>) -> TableResult<Value> {
+pub(crate) fn eval_subquery(sq: &AggSubquery, ctx: RowCtx<'_>) -> TableResult<Value> {
     // The row we were called for becomes the *outer* row inside the
     // subquery. One level of correlation is supported.
     let outer = Some((ctx.table, ctx.row));

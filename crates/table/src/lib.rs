@@ -38,6 +38,7 @@
 
 #![warn(missing_docs)]
 
+mod bound;
 pub mod column;
 pub mod csv;
 pub mod decompose;

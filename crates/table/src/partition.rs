@@ -243,17 +243,69 @@ impl PartitionedTable {
     }
 }
 
-/// Does the expression contain a correlated aggregate subquery
-/// anywhere? Subquery rows cost a full inner-table scan each, so even
-/// small batches are worth parallelizing.
-fn has_subquery(expr: &Expr) -> bool {
+/// Inner-table rows one object's evaluation of `expr` scans: the summed
+/// lengths of the tables of its correlated aggregate subqueries (0 for
+/// a subquery-free expression).
+fn subquery_rows(expr: &Expr) -> usize {
     match expr {
-        Expr::Subquery(_) => true,
-        Expr::Literal(_) | Expr::Column(_) | Expr::Outer(_) => false,
-        Expr::Unary(_, e) => has_subquery(e),
-        Expr::Binary(_, l, r) => has_subquery(l) || has_subquery(r),
-        Expr::Call(_, args) => args.iter().any(has_subquery),
+        Expr::Subquery(sq) => {
+            let nested = sq.filter.iter().chain(&sq.arg).map(subquery_rows);
+            sq.table.len().saturating_add(nested.sum())
+        }
+        Expr::Literal(_) | Expr::Column(_) | Expr::Outer(_) => 0,
+        Expr::Unary(_, e) => subquery_rows(e),
+        Expr::Binary(_, l, r) => subquery_rows(l).saturating_add(subquery_rows(r)),
+        Expr::Call(_, args) => args.iter().map(subquery_rows).sum(),
     }
+}
+
+/// Scanned inner rows (`ids × inner rows`) a worker must be handed
+/// before a subquery batch is split. A scoped-thread spawn costs
+/// 85–125 µs here (`rayon.par_call_us`) and the bound kernel scans the
+/// cheapest service filter (skyband) at ≈ 1.6 ns per row, so 2¹⁸ rows
+/// are ≈ 420 µs — four spawn costs — per worker at the least, and a
+/// `POWER`-bound filter is ten times that. At 8 000 inner rows a batch
+/// splits from 66 objects up: measured on two threads, 100 objects read
+/// 13.0 → 7.4 µs per evaluation (skyband) and 128 → 69 (neighbours,
+/// k = 10) when the second core is free, 14 and 95–131 when it is not;
+/// under the old rule (8 ids per chunk) two threads read *more* than
+/// one, 17.4 against 14.5.
+const MIN_SUBQUERY_ROWS_PER_WORKER: usize = 1 << 18;
+
+/// How many contiguous chunks a batch of `n_ids` objects, each scanning
+/// `inner_rows` subquery rows, is split into — the one rule behind
+/// [`par_eval_bool_ids`] and
+/// [`AggThresholdPredicate`](crate::query::AggThresholdPredicate).
+pub(crate) fn subquery_chunks(n_ids: usize, inner_rows: usize) -> usize {
+    let volume = n_ids.saturating_mul(inner_rows);
+    rayon::current_num_threads()
+        .min(volume / MIN_SUBQUERY_ROWS_PER_WORKER)
+        .min(n_ids)
+}
+
+/// Evaluate `eval` over `n_chunks` near-equal contiguous chunks of
+/// `idxs` on parallel workers (inline for one chunk or fewer) and
+/// concatenate the labels in chunk order, surfacing the first error in
+/// id order.
+pub(crate) fn par_chunks_in_order<F>(
+    idxs: &[usize],
+    n_chunks: usize,
+    eval: F,
+) -> TableResult<Vec<bool>>
+where
+    F: Fn(&[usize]) -> TableResult<Vec<bool>> + Sync,
+{
+    if n_chunks <= 1 {
+        return eval(idxs);
+    }
+    let bounds = partition_bounds(idxs.len(), n_chunks);
+    let chunks: Vec<&[usize]> = bounds.windows(2).map(|w| &idxs[w[0]..w[1]]).collect();
+    let results: Vec<TableResult<Vec<bool>>> = chunks.into_par_iter().map(eval).collect();
+    let mut out = Vec::with_capacity(idxs.len());
+    for r in results {
+        out.extend(r?);
+    }
+    Ok(out)
 }
 
 /// `Some(start..end)` when `ids` is exactly the contiguous ascending
@@ -283,39 +335,26 @@ fn contiguous_run(ids: &[usize]) -> Option<Range<usize>> {
 ///
 /// Returns the first failing row's error, in id order.
 pub fn par_eval_bool_ids(expr: &Expr, table: &Table, idxs: &[usize]) -> TableResult<Vec<bool>> {
-    let threads = rayon::current_num_threads();
     // Subquery-free expressions are cheap per row: only chunk when
-    // every worker gets a full quantum. Subquery rows are each a full
-    // inner scan, so tiny batches already amortize a thread.
-    let min_chunk = if has_subquery(expr) {
-        8
-    } else {
-        MIN_PARTITION_ROWS
+    // every worker gets a full quantum. Subquery rows are each an inner
+    // scan, so they split on scanned volume instead.
+    let n_chunks = match subquery_rows(expr) {
+        0 => rayon::current_num_threads().min(idxs.len() / MIN_PARTITION_ROWS),
+        inner_rows => subquery_chunks(idxs.len(), inner_rows),
     };
-    let n_chunks = threads.min(idxs.len() / min_chunk);
-    if threads <= 1 || n_chunks <= 1 {
+    if n_chunks <= 1 {
         return eval_bool_columnar(expr, table, Some(idxs));
     }
-    let bounds = partition_bounds(idxs.len(), n_chunks);
-    let chunks: Vec<&[usize]> = bounds.windows(2).map(|w| &idxs[w[0]..w[1]]).collect();
-    let results: Vec<TableResult<Vec<bool>>> = chunks
-        .into_par_iter()
-        .map(|chunk| {
-            let sel = match contiguous_run(chunk) {
-                Some(r) => RowSel::Range {
-                    start: r.start,
-                    end: r.end,
-                },
-                None => RowSel::Ids(chunk),
-            };
-            eval_columnar_sel(expr, table, sel).truthy()
-        })
-        .collect();
-    let mut out = Vec::with_capacity(idxs.len());
-    for r in results {
-        out.extend(r?);
-    }
-    Ok(out)
+    par_chunks_in_order(idxs, n_chunks, |chunk| {
+        let sel = match contiguous_run(chunk) {
+            Some(r) => RowSel::Range {
+                start: r.start,
+                end: r.end,
+            },
+            None => RowSel::Ids(chunk),
+        };
+        eval_columnar_sel(expr, table, sel).truthy()
+    })
 }
 
 #[cfg(test)]
@@ -436,6 +475,55 @@ mod tests {
             par_eval_bool_ids(&e, &table, &ids),
             eval_bool_columnar(&e, &table, Some(&ids))
         );
+    }
+
+    #[test]
+    fn subquery_batches_split_on_scanned_volume_and_merge_in_order() {
+        let threads = rayon::current_num_threads();
+        // A worker's share is 2¹⁸ scanned rows: the service's 35–100
+        // object batches over 8 000 rows stay whole or halve, a handful
+        // of objects never splits, and ids bound the chunk count.
+        assert_eq!(subquery_chunks(8, 8_000), 0);
+        assert_eq!(subquery_chunks(65, 8_000), threads.min(1));
+        assert_eq!(subquery_chunks(100, 8_000), threads.min(3));
+        assert_eq!(subquery_chunks(3, 1 << 20), threads.min(3));
+        assert_eq!(subquery_chunks(usize::MAX, usize::MAX), threads);
+
+        // 300 objects over 4 099 inner rows is four shares: the batch
+        // is chunked wherever there are workers, and must read exactly
+        // like the serial scan — labels, and the first error in id
+        // order when an object meets the NaN planted in the last tile.
+        let n = 4_099;
+        let xs: Vec<f64> = (0..n).map(|i| (i % 101) as f64).collect();
+        let mut ys: Vec<f64> = (0..n).map(|i| (i % 53) as f64).collect();
+        let clean = Arc::new(table_of_floats(&[("x", &xs), ("y", &ys)]).unwrap());
+        ys[n - 3] = f64::NAN;
+        let dirty = Arc::new(table_of_floats(&[("x", &xs), ("y", &ys)]).unwrap());
+        let mut ids: Vec<usize> = (0..300).map(|i| (i * 7919) % n).collect();
+        ids[17] = ids[4]; // duplicates are fine
+        for (table, oob) in [(&clean, None), (&dirty, None), (&clean, Some(n + 5))] {
+            let mut ids = ids.clone();
+            ids.extend(oob);
+            let dominated = Expr::col("x")
+                .ge(Expr::outer("x"))
+                .and(Expr::col("y").gt(Expr::outer("y")));
+            let e = Expr::count_where(Arc::clone(table), dominated.clone()).lt(Expr::lit(40.0));
+            let serial = eval_bool_columnar(&e, table, Some(&ids));
+            assert_eq!(
+                serial.is_err(),
+                !Arc::ptr_eq(table, &clean) || oob.is_some()
+            );
+            assert_eq!(par_eval_bool_ids(&e, table, &ids), serial);
+            let p = crate::query::AggThresholdPredicate::count(
+                "dominated",
+                Arc::clone(table),
+                dominated,
+                crate::expr::CmpOp::Lt,
+                40,
+            );
+            use crate::predicate::ObjectPredicate;
+            assert_eq!(p.eval_batch(table, &ids), serial);
+        }
     }
 
     #[test]

@@ -15,11 +15,14 @@
 //! [`CountQuery`] ties the two together and can compute the exact count
 //! by brute force — the expensive path every estimator is trying to avoid.
 
+use crate::bound::CountTest;
 use crate::error::TableResult;
-use crate::expr::{AggFunc, CmpOp, Expr, RowCtx};
+use crate::expr::{eval_subquery, AggFunc, AggSubquery, CmpOp, Expr, RowCtx};
+use crate::partition::{par_chunks_in_order, subquery_chunks};
 use crate::predicate::ObjectPredicate;
 use crate::table::{Table, TableBuilder};
 use crate::value::Value;
+use crate::vector::{subquery_value, CountScan};
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -111,18 +114,15 @@ impl ObjectPredicate for ExprPredicate {
 /// `(SELECT func(arg) FROM inner WHERE filter) cmp threshold`.
 ///
 /// `filter` and `arg` may reference the object row through
-/// [`Expr::Outer`]. Evaluation is a nested-loop scan of `inner` — the
-/// "no better plan" baseline the paper assumes for such predicates.
+/// [`Expr::Outer`]. A single [`eval`](ObjectPredicate::eval) is the
+/// interpreted nested-loop scan of `inner` — the "no better plan"
+/// baseline the paper assumes for such predicates; a batch goes through
+/// the same subquery evaluator as [`ExprPredicate`] (see
+/// [`eval_batch`](ObjectPredicate::eval_batch)).
 #[derive(Debug, Clone)]
 pub struct AggThresholdPredicate {
-    /// Table scanned by the inner aggregate.
-    pub inner: Arc<Table>,
-    /// WHERE clause of the inner query (references `Outer` for o).
-    pub filter: Expr,
-    /// Aggregate function.
-    pub func: AggFunc,
-    /// Aggregate argument (None for COUNT(*)).
-    pub arg: Option<Expr>,
+    /// The subquery, built once.
+    sub: AggSubquery,
     /// Comparison between the aggregate and the threshold.
     pub cmp: CmpOp,
     /// Threshold value.
@@ -139,15 +139,15 @@ impl AggThresholdPredicate {
         cmp: CmpOp,
         k: i64,
     ) -> Self {
-        Self {
+        Self::new(
+            name,
             inner,
             filter,
-            func: AggFunc::Count,
-            arg: None,
+            AggFunc::Count,
+            None,
             cmp,
-            threshold: Value::Int(k),
-            name: name.into(),
-        }
+            Value::Int(k),
+        )
     }
 
     /// Build a general aggregate-threshold predicate.
@@ -162,10 +162,12 @@ impl AggThresholdPredicate {
         threshold: Value,
     ) -> Self {
         Self {
-            inner,
-            filter,
-            func,
-            arg,
+            sub: AggSubquery {
+                table: inner,
+                filter: Some(filter),
+                func,
+                arg,
+            },
             cmp,
             threshold,
             name: name.into(),
@@ -174,28 +176,11 @@ impl AggThresholdPredicate {
 
     /// The equivalent boolean expression (used for cross-checking).
     pub fn as_expr(&self) -> Expr {
-        let sub = Expr::subquery(
-            Arc::clone(&self.inner),
-            Some(self.filter.clone()),
-            self.func,
-            self.arg.clone(),
-        );
         Expr::Binary(
             crate::expr::BinaryOp::Cmp(self.cmp),
-            Box::new(sub),
+            Box::new(Expr::Subquery(Box::new(self.sub.clone()))),
             Box::new(Expr::Literal(self.threshold.clone())),
         )
-    }
-}
-
-impl AggThresholdPredicate {
-    fn as_subquery(&self) -> crate::expr::AggSubquery {
-        crate::expr::AggSubquery {
-            table: Arc::clone(&self.inner),
-            filter: Some(self.filter.clone()),
-            func: self.func,
-            arg: self.arg.clone(),
-        }
     }
 
     fn test_aggregate(&self, agg: &Value) -> bool {
@@ -208,44 +193,29 @@ impl AggThresholdPredicate {
 
 impl ObjectPredicate for AggThresholdPredicate {
     fn eval(&self, objects: &Table, idx: usize) -> TableResult<bool> {
-        let sub = self.as_subquery();
-        let agg = Expr::Subquery(Box::new(sub)).eval(RowCtx::top(objects, idx))?;
+        let agg = eval_subquery(&self.sub, RowCtx::top(objects, idx))?;
         Ok(self.test_aggregate(&agg))
     }
-    /// Batched evaluation: each object's aggregate runs as one
-    /// *vectorized* scan of the inner table ([`crate::vector`]) instead
-    /// of the interpreted nested loop, which is where exact ground
-    /// truth for SQL-form predicates spends all of its time — and the
-    /// objects are partitioned across parallel workers when the batch
-    /// carries enough inner-scan work to amortize them. Chunks merge
-    /// back in id order, so results (and the first surfaced error) are
-    /// identical to the sequential loop at every thread count.
+    /// Batched evaluation through the one subquery evaluator
+    /// ([`crate::vector`]): a `COUNT(*)` against a numeric threshold binds
+    /// once per chunk, scans the inner table in tiles and stops at the
+    /// tile that decides `cmp threshold`; every other shape takes the
+    /// generic vectorized scan per object. Objects are split across
+    /// workers by [`crate::partition`]'s rule for subquery batches and
+    /// merged back in id order, so results (and the first surfaced
+    /// error) are identical to the sequential loop at every thread count.
     fn eval_batch(&self, objects: &Table, idxs: &[usize]) -> TableResult<Vec<bool>> {
-        use rayon::prelude::*;
-        let sub = self.as_subquery();
-        let eval_one = |i: usize| -> TableResult<bool> {
-            let agg = crate::vector::subquery_value(&sub, objects, i)?;
-            Ok(self.test_aggregate(&agg))
-        };
-        let threads = rayon::current_num_threads();
-        // Each object costs a full inner scan; parallelize once the
-        // total scanned-row volume clears a small quantum.
-        let work = idxs.len().saturating_mul(self.inner.len().max(1));
-        if threads <= 1 || idxs.len() < 2 || work < 1 << 13 {
-            return idxs.iter().map(|&i| eval_one(i)).collect();
-        }
-        let n_chunks = threads.min(idxs.len());
-        let bounds = crate::partition::partition_bounds(idxs.len(), n_chunks);
-        let chunks: Vec<&[usize]> = bounds.windows(2).map(|w| &idxs[w[0]..w[1]]).collect();
-        let results: Vec<TableResult<Vec<bool>>> = chunks
-            .into_par_iter()
-            .map(|chunk| chunk.iter().map(|&i| eval_one(i)).collect())
-            .collect();
-        let mut out = Vec::with_capacity(idxs.len());
-        for r in results {
-            out.extend(r?);
-        }
-        Ok(out)
+        let test = CountTest::new(self.cmp, &self.threshold, false);
+        let n_chunks = subquery_chunks(idxs.len(), self.sub.table.len());
+        par_chunks_in_order(idxs, n_chunks, |chunk| {
+            if let (Some(test), Some(mut scan)) = (&test, CountScan::bind(&self.sub, objects)) {
+                return chunk.iter().map(|&i| scan.test(test, i)).collect();
+            }
+            chunk
+                .iter()
+                .map(|&i| Ok(self.test_aggregate(&subquery_value(&self.sub, objects, i)?)))
+                .collect()
+        })
     }
     fn name(&self) -> &str {
         &self.name

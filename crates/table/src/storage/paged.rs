@@ -649,17 +649,6 @@ enum ConjunctSpec {
     Opaque,
 }
 
-/// Mirror a comparison for `literal CMP col → col CMP' literal`.
-fn flip(op: CmpOp) -> CmpOp {
-    match op {
-        CmpOp::Lt => CmpOp::Gt,
-        CmpOp::Le => CmpOp::Ge,
-        CmpOp::Gt => CmpOp::Lt,
-        CmpOp::Ge => CmpOp::Le,
-        CmpOp::Eq | CmpOp::Ne => op,
-    }
-}
-
 fn analyze_conjuncts(expr: &Expr, schema: &Schema) -> Vec<ConjunctSpec> {
     split_conjuncts(expr)
         .into_iter()
@@ -673,7 +662,7 @@ fn classify_conjunct(e: &Expr, schema: &Schema) -> ConjunctSpec {
     };
     let (name, lit, op) = match (l.as_ref(), r.as_ref()) {
         (Expr::Column(n), Expr::Literal(v)) => (n, v, *op),
-        (Expr::Literal(v), Expr::Column(n)) => (n, v, flip(*op)),
+        (Expr::Literal(v), Expr::Column(n)) => (n, v, op.mirrored()),
         _ => return ConjunctSpec::Opaque,
     };
     let Ok(col) = schema.index_of(name) else {

@@ -15,9 +15,14 @@
 //! counting, stratification setup — must be as close to free as
 //! possible. This engine is that free path: the batched labeling
 //! pipeline (`ObjectPredicate::eval_batch` → `Labeler::label_batch`)
-//! bottoms out here for expression predicates, and correlated aggregate
-//! subqueries run one *vectorized* inner scan per outer row instead of a
-//! fully interpreted nested loop.
+//! bottoms out here for expression predicates. A correlated `COUNT(*)`
+//! subquery — the oracle itself — is bound once per batch and scanned
+//! per outer row in fused tiles that stop as soon as an enclosing
+//! `COUNT(*) cmp k` is decided (the private `bound` module; its doc
+//! states what binds and why the early exit is exact); every other
+//! subquery shape runs one vectorized inner scan per outer row through
+//! the kernels below (`subquery_value`), which is also what an object
+//! the bound kernel gives up on is re-evaluated with.
 //!
 //! # Semantics
 //!
@@ -57,6 +62,7 @@
 //! );
 //! ```
 
+use crate::bound::{BoundCount, CountTest};
 use crate::column::Column;
 use crate::error::{TableError, TableResult};
 use crate::expr::{
@@ -444,9 +450,13 @@ pub fn eval_bool_columnar_sel(
     eval_columnar_sel(expr, table, sel).truthy()
 }
 
-/// Evaluate a correlated aggregate subquery for one outer row using a
-/// vectorized scan of the inner table. Result-identical to the
-/// interpreted nested loop in `expr.rs`, including error order.
+/// Evaluate a correlated aggregate subquery for one outer row with the
+/// generic kernels: one whole-inner-table [`Batch`] per AST node.
+/// Result-identical to the interpreted nested loop in `expr.rs`,
+/// including error order. This is the path for every shape the bound
+/// kernel ([`crate::bound`]) declines, and the re-evaluation target for
+/// an object it gives up on (a NaN met by a comparison, an outer row out
+/// of range) — which is how the exact value or error is reproduced.
 pub(crate) fn subquery_value(
     sq: &AggSubquery,
     outer_table: &Table,
@@ -521,6 +531,60 @@ pub(crate) fn subquery_value(
     })
 }
 
+/// A `COUNT(*)` subquery bound for a batch of outer rows, with the
+/// generic path behind it: the one subquery evaluator, shared by
+/// [`eval_vec`]'s `Subquery` and `Cmp` arms and by
+/// [`AggThresholdPredicate`](crate::query::AggThresholdPredicate).
+pub(crate) struct CountScan<'a> {
+    sq: &'a AggSubquery,
+    outer: &'a Table,
+    bound: BoundCount<'a>,
+}
+
+impl<'a> CountScan<'a> {
+    /// Bind `sq` once for every row of `outer` it will be asked about;
+    /// `None` when the bound kernel declines the shape.
+    pub(crate) fn bind(sq: &'a AggSubquery, outer: &'a Table) -> Option<Self> {
+        let bound = BoundCount::bind(sq, outer)?;
+        Some(Self { sq, outer, bound })
+    }
+
+    /// The count for `outer_row`, exactly as `subquery_value` gives it.
+    fn count(&mut self, outer_row: usize) -> TableResult<Value> {
+        match self.bound.count(outer_row, None) {
+            Some(c) => Ok(Value::Int(c.count)),
+            None => subquery_value(self.sq, self.outer, outer_row),
+        }
+    }
+
+    /// Truth of `test` on the count for `outer_row`, scanning no further
+    /// than the tile that decides it.
+    pub(crate) fn test(&mut self, test: &CountTest, outer_row: usize) -> TableResult<bool> {
+        let count = match self.bound.count(outer_row, test.stop()) {
+            Some(c) => c.count,
+            None => subquery_value(self.sq, self.outer, outer_row)?.as_i64()?,
+        };
+        Ok(test.test(count))
+    }
+}
+
+/// `(SELECT COUNT(*) …) cmp literal`, in either operand order, as a
+/// boolean batch — `None` when the operands are not that shape, the
+/// literal is not a number a count always orders against, or the
+/// subquery does not bind; the caller then takes the generic kernels.
+fn count_threshold<'a>(cmp: CmpOp, l: &Expr, r: &Expr, ctx: &VecCtx<'a>) -> Option<Batch<'a>> {
+    let (sq, test) = match (l, r) {
+        (Expr::Subquery(sq), Expr::Literal(k)) => (sq, CountTest::new(cmp, k, false)?),
+        (Expr::Literal(k), Expr::Subquery(sq)) => (sq, CountTest::new(cmp, k, true)?),
+        _ => return None,
+    };
+    let mut scan = CountScan::bind(sq, ctx.table)?;
+    let rows = (0..ctx.len)
+        .map(|k| scan.test(&test, ctx.row_at(k)).map(Value::Bool))
+        .collect();
+    Some(Batch::from_rows(rows))
+}
+
 // ---------------------------------------------------------------------
 // Evaluation
 // ---------------------------------------------------------------------
@@ -562,6 +626,11 @@ fn eval_vec<'a>(expr: &Expr, ctx: &VecCtx<'a>) -> Batch<'a> {
         },
         Expr::Unary(op, e) => unary_kernel(*op, eval_vec(e, ctx), len),
         Expr::Binary(op, l, r) => {
+            if let BinaryOp::Cmp(c) = op {
+                if let Some(b) = count_threshold(*c, l, r, ctx) {
+                    return b;
+                }
+            }
             let lb = eval_vec(l, ctx);
             let rb = eval_vec(r, ctx);
             match op {
@@ -573,8 +642,12 @@ fn eval_vec<'a>(expr: &Expr, ctx: &VecCtx<'a>) -> Batch<'a> {
         }
         Expr::Call(f, args) => call_kernel(*f, args, ctx),
         Expr::Subquery(sq) => {
+            let mut scan = CountScan::bind(sq, ctx.table);
             let rows = (0..len)
-                .map(|k| subquery_value(sq, ctx.table, ctx.row_at(k)))
+                .map(|k| match &mut scan {
+                    Some(scan) => scan.count(ctx.row_at(k)),
+                    None => subquery_value(sq, ctx.table, ctx.row_at(k)),
+                })
                 .collect();
             Batch::from_rows(rows)
         }

@@ -9,7 +9,8 @@
 use lts_table::partition::{par_eval_bool_ids, PartitionedTable};
 use lts_table::vector::{eval_bool_columnar, eval_columnar};
 use lts_table::{
-    AggFunc, DataType, Expr, Field, RowCtx, Schema, Table, TableBuilder, TableResult, Value,
+    AggFunc, AggThresholdPredicate, BinaryOp, CmpOp, DataType, Expr, ExprPredicate, Field,
+    ObjectPredicate, RowCtx, Schema, Table, TableBuilder, TableResult, Value,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -107,6 +108,176 @@ fn arb_expr() -> impl Strategy<Value = Expr> {
             (inner.clone(), inner).prop_map(|(a, b)| a.power(b)),
         ]
     })
+}
+
+// ---------------------------------------------------------------------
+// Generators for the bound subquery kernel
+// ---------------------------------------------------------------------
+
+/// A numeric table `f, g: Float`, `i, j: Int` of 1–3 000 rows (mostly
+/// small, often two or three kernel tiles, sometimes a dozen), values
+/// from a coarse grid so every comparison goes both ways and ties
+/// happen, with a few NaN / ±inf / -0.0 and f64-inexact ints planted
+/// at random positions — in a long table, mostly after the tile that
+/// decides a small threshold.
+fn arb_numeric_table(max_rows: usize) -> impl Strategy<Value = Table> {
+    let rows = prop_oneof![
+        4 => 1usize..40,
+        3 => 200usize..800,
+        1 => 800usize..3001,
+    ]
+    .prop_map(move |n| n.min(max_rows));
+    let grid = || (-4i64..5).prop_map(|q| q as f64 * 0.5);
+    let special = prop_oneof![
+        Just(f64::NAN),
+        Just(f64::INFINITY),
+        Just(f64::NEG_INFINITY),
+        Just(-0.0f64),
+    ];
+    let big = prop_oneof![Just((1i64 << 53) + 1), Just(i64::MAX), Just(i64::MIN)];
+    (
+        rows,
+        any::<u64>(),
+        proptest::collection::vec((any::<u64>(), special), 0..3),
+        proptest::collection::vec((any::<u64>(), big), 0..2),
+        grid(),
+    )
+        .prop_map(|(n, seed, specials, bigs, shift)| {
+            // Cheap per-row values from one seed (a 3 000-element vec
+            // strategy per column would dominate the test's run time).
+            let mut state = seed | 1;
+            let mut next = move || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state
+            };
+            let mut f: Vec<f64> = (0..n).map(|_| (next() % 9) as f64 * 0.5 - 2.0).collect();
+            let mut g: Vec<f64> = (0..n).map(|_| (next() % 9) as f64 * 0.5 + shift).collect();
+            let mut i: Vec<i64> = (0..n).map(|_| (next() % 7) as i64 - 3).collect();
+            let j: Vec<i64> = (0..n).map(|_| (next() % 3) as i64).collect();
+            for (k, (at, v)) in specials.into_iter().enumerate() {
+                let col = if k % 2 == 0 { &mut f } else { &mut g };
+                col[at as usize % n] = v;
+            }
+            for (at, v) in bigs {
+                i[at as usize % n] = v;
+            }
+            let schema = Schema::new(vec![
+                Field::new("f", DataType::Float),
+                Field::new("g", DataType::Float),
+                Field::new("i", DataType::Int),
+                Field::new("j", DataType::Int),
+            ])
+            .unwrap();
+            let mut b = TableBuilder::new(schema);
+            for r in 0..n {
+                b.push_row(vec![
+                    Value::Float(f[r]),
+                    Value::Float(g[r]),
+                    Value::Int(i[r]),
+                    Value::Int(j[r]),
+                ])
+                .unwrap();
+            }
+            b.finish().unwrap()
+        })
+}
+
+/// A well-typed numeric expression over the inner row and the outer
+/// object: the shapes the kernel binds, plus a few (`*`, `/`, unary
+/// minus, `Int ± Int`) it must decline.
+fn arb_numeric() -> BoxedStrategy<Expr> {
+    let leaf = prop_oneof![
+        4 => prop_oneof![Just("f"), Just("g")].prop_map(Expr::col),
+        2 => prop_oneof![Just("i"), Just("j")].prop_map(Expr::col),
+        4 => prop_oneof![Just("f"), Just("g")].prop_map(Expr::outer),
+        1 => prop_oneof![Just("i"), Just("j")].prop_map(Expr::outer),
+        3 => (-4i64..5).prop_map(|q| Expr::lit(q as f64 * 0.5)),
+        1 => (-3i64..4).prop_map(Expr::lit),
+        1 => prop_oneof![Just(f64::NAN), Just(f64::INFINITY), Just(-0.0f64)].prop_map(Expr::lit),
+    ];
+    leaf.prop_recursive(3, 16, 2, |inner| {
+        prop_oneof![
+            4 => (inner.clone(), inner.clone()).prop_map(|(a, b)| a.sub(b)),
+            3 => (inner.clone(), inner.clone()).prop_map(|(a, b)| a.add(b)),
+            3 => (inner.clone(), prop_oneof![Just(2.0f64), Just(3.0), Just(0.5), Just(-2.0)])
+                .prop_map(|(a, e)| a.power(Expr::lit(e))),
+            1 => (inner.clone(), inner.clone()).prop_map(|(a, b)| a.power(b)),
+            2 => inner.clone().prop_map(|a| a.sqrt()),
+            2 => inner.clone().prop_map(|a| a.abs()),
+            1 => (inner.clone(), inner.clone()).prop_map(|(a, b)| a.mul(b)),
+            1 => (inner.clone(), inner.clone()).prop_map(|(a, b)| a.div(b)),
+            1 => inner.prop_map(|a| a.neg()),
+        ]
+    })
+}
+
+fn arb_cmp_op() -> BoxedStrategy<CmpOp> {
+    prop_oneof![
+        Just(CmpOp::Eq),
+        Just(CmpOp::Ne),
+        Just(CmpOp::Lt),
+        Just(CmpOp::Le),
+        Just(CmpOp::Gt),
+        Just(CmpOp::Ge),
+    ]
+    .boxed()
+}
+
+fn cmp_expr(op: CmpOp, l: Expr, r: Expr) -> Expr {
+    Expr::Binary(BinaryOp::Cmp(op), Box::new(l), Box::new(r))
+}
+
+/// A boolean filter over [`arb_numeric`] operands — random comparison
+/// trees, and the two shapes the service asks (skyband dominance, a
+/// Euclidean ball).
+fn arb_numeric_filter() -> BoxedStrategy<Expr> {
+    let cmp = (arb_cmp_op(), arb_numeric(), arb_numeric())
+        .prop_map(|(op, l, r)| cmp_expr(op, l, r))
+        .boxed();
+    let tree = cmp.prop_recursive(2, 8, 2, |inner| {
+        prop_oneof![
+            3 => (inner.clone(), inner.clone()).prop_map(|(a, b)| a.and(b)),
+            2 => (inner.clone(), inner.clone()).prop_map(|(a, b)| a.or(b)),
+            1 => inner.prop_map(|a| a.not()),
+        ]
+    });
+    let skyband = Just(
+        Expr::col("f")
+            .ge(Expr::outer("f"))
+            .and(Expr::col("g").ge(Expr::outer("g")))
+            .and(
+                Expr::col("f")
+                    .gt(Expr::outer("f"))
+                    .or(Expr::col("g").gt(Expr::outer("g"))),
+            ),
+    );
+    let ball = (0i64..7).prop_map(|d| {
+        Expr::outer("f")
+            .sub(Expr::col("f"))
+            .power(Expr::lit(2.0))
+            .add(Expr::outer("g").sub(Expr::col("g")).power(Expr::lit(2.0)))
+            .sqrt()
+            .le(Expr::lit(d as f64 * 0.5))
+    });
+    prop_oneof![6 => tree, 2 => skyband, 2 => ball].boxed()
+}
+
+/// The thresholds of `COUNT(*) cmp k` on an `n`-row inner table: below,
+/// at and between the possible counts, at and past `n`, NaN.
+fn thresholds(n: usize) -> [Value; 9] {
+    [
+        Value::Float(-1.0),
+        Value::Float(0.0),
+        Value::Float(1.0),
+        Value::Int(1),
+        Value::Float(2.5),
+        Value::Float(n as f64),
+        Value::Int(n as i64),
+        Value::Float(n as f64 + 1.0),
+        Value::Float(f64::NAN),
+    ]
 }
 
 // ---------------------------------------------------------------------
@@ -270,5 +441,72 @@ proptest! {
         let sub = Expr::subquery(Arc::clone(&shared), Some(filter), func, arg);
         let e = sub.ge(Expr::lit(k));
         assert_rows_agree(&e, &shared)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The bound, tiled subquery kernel: `COUNT(*) cmp k` over numeric
+    /// filters with outer references, inner tables that span several
+    /// tiles, NaN / ±inf / -0.0 in storage and in the object row, every
+    /// comparison with the literal on either side. Per outer row the
+    /// value or error must equal row-wise `Expr::eval` — through the
+    /// columnar engine, `ExprPredicate`, the chunked id scan and
+    /// `AggThresholdPredicate`, over ids with duplicates and ids past
+    /// the object table.
+    #[test]
+    fn bound_subquery_kernel_agrees_with_row_wise(
+        inner in arb_numeric_table(3000),
+        outer in arb_numeric_table(6),
+        filter in arb_numeric_filter(),
+        op in arb_cmp_op(),
+        literal_left in any::<bool>(),
+        k_pick in 0usize..9,
+        picks in proptest::collection::vec(0usize..9, 1..14),
+    ) {
+        let n = inner.len();
+        let inner = Arc::new(inner);
+        let k = thresholds(n)[k_pick].clone();
+        let sub = Expr::count_where(Arc::clone(&inner), filter.clone());
+        let e = if literal_left {
+            cmp_expr(op, Expr::Literal(k.clone()), sub.clone())
+        } else {
+            cmp_expr(op, sub.clone(), Expr::Literal(k.clone()))
+        };
+        // Values and errors, row by row, for the threshold form and for
+        // the bare count.
+        for expr in [&e, &sub] {
+            let batch = eval_columnar(expr, &outer, Some(&picks));
+            for (at, &row) in picks.iter().enumerate() {
+                let rw = expr.eval(RowCtx::top(&outer, row));
+                let vc = batch.value_at(at);
+                prop_assert!(
+                    same_result(&rw, &vc),
+                    "pick {} (outer row {}, {} inner rows): `{}`\n  row-wise:   {:?}\n  vectorized: {:?}",
+                    at, row, n, expr, rw, vc
+                );
+            }
+        }
+        // Labels with the first error in id order.
+        let row_wise: TableResult<Vec<bool>> = picks
+            .iter()
+            .map(|&row| e.eval_bool(RowCtx::top(&outer, row)))
+            .collect();
+        let p = ExprPredicate::new("q", e.clone());
+        prop_assert_eq!(&p.eval_batch(&outer, &picks), &row_wise, "`{}`", e);
+        prop_assert_eq!(&par_eval_bool_ids(&e, &outer, &picks), &row_wise, "`{}`", e);
+        // The threshold predicate's batch equals its own interpreted
+        // loop (a NaN threshold is `false` there, not an error) and,
+        // wherever a count orders against `k`, the expression form.
+        let agg = AggThresholdPredicate::new(
+            "agg", Arc::clone(&inner), filter, AggFunc::Count, None, op, k.clone(),
+        );
+        let agg_row_wise: TableResult<Vec<bool>> =
+            picks.iter().map(|&row| agg.eval(&outer, row)).collect();
+        prop_assert_eq!(&agg.eval_batch(&outer, &picks), &agg_row_wise, "`{}`", agg.as_expr());
+        if !literal_left && !matches!(k, Value::Float(x) if x.is_nan()) {
+            prop_assert_eq!(&agg_row_wise, &row_wise, "`{}`", e);
+        }
     }
 }
