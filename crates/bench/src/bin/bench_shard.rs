@@ -40,7 +40,7 @@
 //! (tier: `--scale < 0.3` → x10, `< 1.0` → x30, else x100).
 
 use lts_bench::{emit_records_json, BenchRecord, RunConfig, TextTable};
-use lts_core::{CountingProblem, Lss, Lws, ShardPlan};
+use lts_core::{CountingProblem, Lss, Lws, ShardPlan, Shardable};
 use lts_data::{scaled_scenario, DatasetKind, ScaledTier, SelectivityLevel};
 use std::time::Instant;
 
@@ -60,6 +60,26 @@ struct ColdRun {
     evals: usize,
     digest: u64,
     wall: f64,
+}
+
+/// One cold sharded run of either family: prepare, then resume.
+fn run_cold<E: Shardable>(
+    est: &E,
+    problem: &CountingProblem,
+    plan: &ShardPlan,
+    budget: usize,
+    seed: u64,
+) -> ColdRun {
+    let t0 = Instant::now();
+    let warm = est.prepare_sharded(problem, plan, budget, seed).unwrap();
+    let report = est.estimate_prepared_sharded(problem, &warm, seed).unwrap();
+    ColdRun {
+        estimate: report.estimate.count,
+        halfwidth: report.estimate.interval.width() / 2.0,
+        evals: warm.prepare_evals + report.evals,
+        digest: warm.digest(),
+        wall: t0.elapsed().as_secs_f64(),
+    }
 }
 
 fn main() {
@@ -106,44 +126,17 @@ fn main() {
     ]);
     let mut lss_speedup_at_max = 0.0f64;
 
-    for (family, run_cold) in [
-        (
-            "lss",
-            Box::new(|problem: &CountingProblem, plan: &ShardPlan, seed: u64| {
-                let t0 = Instant::now();
-                let warm = lss.prepare_sharded(problem, plan, budget, seed).unwrap();
-                let report = lss.estimate_prepared_sharded(problem, &warm, seed).unwrap();
-                ColdRun {
-                    estimate: report.estimate.count,
-                    halfwidth: report.estimate.interval.width() / 2.0,
-                    evals: warm.prepare_evals + report.evals,
-                    digest: warm.digest(),
-                    wall: t0.elapsed().as_secs_f64(),
-                }
-            }) as Box<dyn Fn(&CountingProblem, &ShardPlan, u64) -> ColdRun>,
-        ),
-        (
-            "lws",
-            Box::new(|problem: &CountingProblem, plan: &ShardPlan, seed: u64| {
-                let t0 = Instant::now();
-                let warm = lws.prepare_sharded(problem, plan, budget, seed).unwrap();
-                let report = lws.estimate_prepared_sharded(problem, &warm, seed).unwrap();
-                ColdRun {
-                    estimate: report.estimate.count,
-                    halfwidth: report.estimate.interval.width() / 2.0,
-                    evals: warm.prepare_evals + report.evals,
-                    digest: warm.digest(),
-                    wall: t0.elapsed().as_secs_f64(),
-                }
-            }),
-        ),
-    ] {
+    let cold_lss = |plan: &ShardPlan| run_cold(&lss, problem, plan, budget, config.seed);
+    let cold_lws = |plan: &ShardPlan| run_cold(&lws, problem, plan, budget, config.seed);
+    type ColdFn<'a> = &'a dyn Fn(&ShardPlan) -> ColdRun;
+    let families: [(&str, ColdFn<'_>); 2] = [("lss", &cold_lss), ("lws", &cold_lws)];
+    for (family, run_cold) in families {
         let mut base_wall = f64::NAN;
         for k in SHARD_COUNTS {
             let plan = ShardPlan::uniform(rows, k).expect("plan");
             let mut best: Option<ColdRun> = None;
             for _ in 0..repeats {
-                let run = run_cold(problem, &plan, config.seed);
+                let run = run_cold(&plan);
                 if let Some(b) = &best {
                     // Estimates are deterministic; repeats only tighten
                     // the wall-time measurement.

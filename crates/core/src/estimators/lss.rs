@@ -22,15 +22,12 @@
 //! construction); [`PilotHandling::Textbook`] reproduces the paper's
 //! simpler description (strata weighted by their full sizes).
 
-use super::{check_budget, CountEstimator};
 use crate::error::{CoreError, CoreResult};
-use crate::learnphase::{run_learn_phase, LearnPhaseConfig};
-use crate::problem::{CountingProblem, Labeler};
-use crate::report::{EstimateReport, Phase, PhaseTimer, QualityForecast};
-use crate::scoring::{OrderedPopulation, ScoredPopulation};
-use lts_sampling::{
-    allocate, draw_stratified, sample_without_replacement, stratified_count_estimate, StratumSample,
-};
+use crate::learnphase::LearnPhaseConfig;
+use crate::problem::Labeler;
+use crate::report::QualityForecast;
+use crate::warm::LssWarm;
+use lts_sampling::{allocate, draw_stratified, stratified_count_estimate, StratumSample};
 use lts_strata::{
     design, fixed_height_cuts, fixed_width_cuts, Allocation, DesignAlgorithm, DesignParams,
     PilotIndex, Stratification, TSelection,
@@ -184,9 +181,8 @@ impl Lss {
     }
 
     /// Split a total labeling budget into the train / pilot / stage-2
-    /// shares this configuration implies (the arithmetic both the
-    /// one-shot [`CountEstimator::estimate`] path and the warm-start
-    /// [`Lss::prepare`] path use).
+    /// shares this configuration implies (what the prepare body of
+    /// [`crate::warm`] spends per phase, one-shot or warm-started).
     ///
     /// # Errors
     ///
@@ -309,175 +305,22 @@ impl Lss {
     }
 }
 
-impl CountEstimator for Lss {
-    fn name(&self) -> &'static str {
-        "LSS"
-    }
-
-    fn estimate(
-        &self,
-        problem: &CountingProblem,
-        budget: usize,
-        rng: &mut StdRng,
-    ) -> CoreResult<EstimateReport> {
-        check_budget(problem, budget)?;
-        self.validate()?;
-        let mut notes = Vec::new();
-        let mut timer = PhaseTimer::new();
-        let mut labeler = Labeler::new(problem);
-
-        // ------------------------------------------------------ phase 1
-        let split = self.budget_split(budget)?;
-        let (train_budget, pilot_budget, stage2_budget) = (split.train, split.pilot, split.stage2);
-
-        let lm = timer.phase(Phase::Learn, || {
-            run_learn_phase(problem, &mut labeler, train_budget, &self.learn, rng)
-        })?;
-
-        // ------------------------------------------- score + order rest
-        //
-        // With PilotSource::Fresh the ordering covers O' = O \ S_L (the
-        // paper's description); with ReuseLearning it covers all of O so
-        // the S_L labels can serve as design pilots at their own
-        // positions. `train_positions` are the positions of S_L within
-        // the ordering (empty in Fresh mode). Scoring and ordering run
-        // through the shared pipeline: partition-parallel batch scoring,
-        // then the stable (score, id) total order.
-        let reuse = self.pilot_source == PilotSource::ReuseLearning;
-        let (ordered, train_positions) = timer.phase(Phase::Phase2, || -> CoreResult<_> {
-            let scored = if reuse {
-                ScoredPopulation::score_all(problem, lm.model.as_ref())?
-            } else {
-                ScoredPopulation::score_rest(problem, lm.model.as_ref(), &lm.labeled)?
-            };
-            let ordered = scored.into_ordered();
-            let mut in_train = vec![false; problem.n()];
-            for &i in &lm.labeled {
-                in_train[i] = true;
-            }
-            let train_positions = ordered.positions_marked(&in_train);
-            Ok((ordered, train_positions))
-        })?;
-        let n_rest = ordered.n();
-        let n_drawable = n_rest - train_positions.len();
-        if pilot_budget + stage2_budget > n_drawable {
-            return Err(CoreError::BudgetTooSmall {
-                budget,
-                required: lm.labeled.len() + n_drawable,
-                reason: "sampling budget exceeds remaining objects".into(),
-            });
-        }
-
-        // --------------------------------------------- stage 1 (design)
-        let (pilot_positions, _pilot_index, stratification) =
-            timer.phase(Phase::Design, || -> CoreResult<_> {
-                // Draw SI uniformly over *positions* of the ordering
-                // (equivalent to uniform over objects). In reuse mode the
-                // S_L positions are excluded from the draw and injected
-                // afterwards with their already-known labels.
-                let mut positions = if reuse {
-                    let mut is_train = vec![false; n_rest];
-                    for &pos in &train_positions {
-                        is_train[pos] = true;
-                    }
-                    let candidates: Vec<usize> = (0..n_rest).filter(|&p| !is_train[p]).collect();
-                    sample_without_replacement(rng, pilot_budget, candidates.len())?
-                        .into_iter()
-                        .map(|i| candidates[i])
-                        .collect()
-                } else {
-                    sample_without_replacement(rng, pilot_budget, n_rest)?
-                };
-                positions.extend_from_slice(&train_positions);
-                // One batched oracle call for the pilot; S_L labels are
-                // already cached by the labeler, so the reused entries
-                // cost no extra q evaluations.
-                let pilot_objs = ordered.objects_at(&positions);
-                let labels = labeler.label_batch(&pilot_objs)?;
-                let entries: Vec<(usize, bool)> = positions.iter().copied().zip(labels).collect();
-                // Partition-aligned pilot assembly (per-partition
-                // splits merged by `merge_partition_pilots`),
-                // bit-identical to direct PilotIndex construction from
-                // the drawn positions.
-                let pilot = ordered.pilot_index(&entries)?;
-                let strat = self.layout_cuts(
-                    &pilot,
-                    ordered.sorted_scores(),
-                    n_rest,
-                    stage2_budget,
-                    &mut notes,
-                )?;
-                let sorted_positions = pilot.positions().to_vec();
-                Ok((sorted_positions, pilot, strat))
-            })?;
-
-        // --------------------------------------------- stage 2 (sample)
-        let estimate = timer.phase(Phase::Phase2, || -> CoreResult<_> {
-            let outcome = stage2_estimate(
-                self,
-                &ordered,
-                &pilot_positions,
-                &stratification,
-                stage2_budget,
-                problem.level(),
-                &mut labeler,
-                rng,
-            )?;
-            // In reuse mode the S_L positions are members of the pilot,
-            // so their positives are already inside the outcome's pilot
-            // positives.
-            let shift = match (self.pilot_handling, reuse) {
-                (PilotHandling::ExactRemainder, true) => outcome.pilot_positives as f64,
-                (PilotHandling::ExactRemainder, false) => {
-                    (lm.positives() + outcome.pilot_positives) as f64
-                }
-                (PilotHandling::Textbook, _) => lm.positives() as f64,
-            };
-            Ok((outcome.base.shifted(shift), outcome.forecast))
-        })?;
-        let (estimate, forecast) = estimate;
-
-        Ok(EstimateReport {
-            estimate,
-            has_interval: true,
-            evals: labeler.unique_evals(),
-            timings: timer.finish(),
-            estimator: self.name().into(),
-            notes,
-            forecast: Some(forecast),
-        })
-    }
-}
-
-/// The product of one stage-2 run, before the exact-count shift.
-pub(crate) struct Stage2Outcome {
-    /// Stratified estimate of the strata populations (remainders under
-    /// `ExactRemainder`, full sizes under `Textbook`), unshifted.
-    pub(crate) base: lts_sampling::CountEstimate,
-    /// Design-time quality forecast (Eq. 4 with pilot deviations and
-    /// the chosen allocation).
-    pub(crate) forecast: QualityForecast,
-    /// Exact positives among the pilot members.
-    pub(crate) pilot_positives: usize,
-}
-
-/// LSS stage 2, shared by the one-shot estimate path and the warm-start
-/// resume path: allocate the stage-2 budget over the designed strata
-/// from the pilot variances, draw, label, and run the stratified
-/// estimator. All pilot labels must already be in the labeler's cache
-/// (they are after stage 1, or after a warm-start preload), so only the
-/// fresh stage-2 draws touch the oracle.
-#[allow(clippy::too_many_arguments)]
+/// LSS stage 2: allocate the stage-2 budget over the state's designed
+/// strata from the pilot variances, draw, label, run the stratified
+/// estimator, and add the exactly-known positives. Returns the estimate
+/// with the design-time quality forecast (Eq. 4 with pilot deviations
+/// and the chosen allocation). All pilot labels must already be in the
+/// labeler's cache (they are after stage 1, or after a warm-start
+/// preload), so only the fresh stage-2 draws touch the oracle.
 pub(crate) fn stage2_estimate(
     lss: &Lss,
-    ordered: &OrderedPopulation,
-    pilot_positions: &[usize],
-    stratification: &Stratification,
-    stage2_budget: usize,
+    warm: &LssWarm,
     level: f64,
     labeler: &mut Labeler<'_>,
     rng: &mut StdRng,
-) -> CoreResult<Stage2Outcome> {
+) -> CoreResult<(lts_sampling::CountEstimate, QualityForecast)> {
+    let (ordered, pilot_positions) = (&warm.ordered, &warm.pilot_positions);
+    let (stratification, stage2_budget) = (&warm.stratification, warm.split.stage2);
     let n_rest = ordered.n();
     let sizes = stratification.stratum_sizes(n_rest);
     let n_strata_eff = sizes.len();
@@ -586,17 +429,23 @@ pub(crate) fn stage2_estimate(
             positives,
         });
     }
+    // The strata estimate covers remainders under `ExactRemainder`
+    // (full sizes under `Textbook`); S_L and SI labels are exact and
+    // counted as such. In reuse mode the S_L positions are members of
+    // the pilot, so their positives are already in `pilot_positives`.
+    let shift = match (lss.pilot_handling, warm.reuse) {
+        (PilotHandling::ExactRemainder, true) => pilot_positives,
+        (PilotHandling::ExactRemainder, false) => warm.proxy.positives() + pilot_positives,
+        (PilotHandling::Textbook, _) => warm.proxy.positives(),
+    };
     let base = stratified_count_estimate(&samples, level)?;
-    Ok(Stage2Outcome {
-        base,
-        forecast,
-        pilot_positives,
-    })
+    Ok((base.shifted(shift as f64), forecast))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::estimators::CountEstimator;
     use crate::problem::tests_support::{line_problem, noisy_problem};
     use crate::spec::ClassifierSpec;
     use rand::SeedableRng;

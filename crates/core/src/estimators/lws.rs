@@ -7,12 +7,10 @@
 //! objects — and feeds the draws to the Des Raj ordered estimator
 //! (Eq. 3), which stays unbiased no matter how wrong the weights are.
 
-use super::{check_budget, CountEstimator};
 use crate::error::{CoreError, CoreResult};
-use crate::learnphase::{run_learn_phase, LearnPhaseConfig};
-use crate::problem::{CountingProblem, Labeler};
-use crate::report::{EstimateReport, Phase, PhaseTimer};
-use crate::scoring::ScoredPopulation;
+use crate::learnphase::LearnPhaseConfig;
+use crate::problem::Labeler;
+use crate::warm::LwsWarm;
 use lts_sampling::{weighted_sample_es, DesRaj};
 use rand::rngs::StdRng;
 
@@ -54,8 +52,7 @@ impl Lws {
     }
 
     /// Split a total labeling budget into (training, sampling) shares —
-    /// the arithmetic shared by the one-shot estimate path and the
-    /// warm-start [`Lws::prepare`] path.
+    /// what the prepare and resume bodies of [`crate::warm`] spend.
     ///
     /// # Errors
     ///
@@ -82,29 +79,22 @@ impl Lws {
     }
 }
 
-/// LWS phase 2, shared by the one-shot estimate path and the warm-start
-/// resume path: weight the scored rest population by `max(g, ε)`, draw
-/// `sample_budget` objects PPS without replacement, label them as one
-/// batch, and run the Des Raj ordered estimator (unshifted — callers
-/// add the exact positives of the training sample).
+/// LWS phase 2: weight the state's scored rest population by
+/// `max(g, ε)`, draw its `sample_budget` objects PPS without
+/// replacement, label them as one batch, run the Des Raj ordered
+/// estimator, and add the exact positives of the training sample.
+/// Prepare has already checked that the population holds at least
+/// `sample_budget` objects.
 pub(crate) fn lws_phase2(
     lws: &Lws,
-    scored: &crate::scoring::ScoredPopulation,
-    sample_budget: usize,
-    labeled_len: usize,
+    warm: &LwsWarm,
     level: f64,
     labeler: &mut Labeler<'_>,
     rng: &mut StdRng,
 ) -> CoreResult<lts_sampling::CountEstimate> {
-    if scored.len() < sample_budget {
-        return Err(CoreError::BudgetTooSmall {
-            budget: labeled_len + sample_budget,
-            required: labeled_len + sample_budget,
-            reason: "sampling budget exceeds remaining objects".into(),
-        });
-    }
+    let scored = &warm.scored;
     let weights = scored.weights(lws.epsilon);
-    let draws = weighted_sample_es(rng, &weights, sample_budget)?;
+    let draws = weighted_sample_es(rng, &weights, warm.sample_budget)?;
     // One batched oracle call for the whole phase-2 sample; the
     // Des Raj pushes then replay the draw order exactly.
     let objs: Vec<usize> = draws.iter().map(|d| scored.members()[d.index]).collect();
@@ -113,62 +103,14 @@ pub(crate) fn lws_phase2(
     for (d, label) in draws.iter().zip(labels) {
         desraj.push(label, d.initial_probability)?;
     }
-    Ok(desraj.count_estimate(level)?)
-}
-
-impl CountEstimator for Lws {
-    fn name(&self) -> &'static str {
-        "LWS"
-    }
-
-    fn estimate(
-        &self,
-        problem: &CountingProblem,
-        budget: usize,
-        rng: &mut StdRng,
-    ) -> CoreResult<EstimateReport> {
-        check_budget(problem, budget)?;
-        self.validate()?;
-        let (train_budget, sample_budget) = self.budget_split(budget)?;
-
-        let mut timer = PhaseTimer::new();
-        let mut labeler = Labeler::new(problem);
-
-        // Phase 1: learn.
-        let lm = timer.phase(Phase::Learn, || {
-            run_learn_phase(problem, &mut labeler, train_budget, &self.learn, rng)
-        })?;
-
-        // Phase 2: score the rest through the shared pipeline
-        // (partition-parallel batch scoring), weight, draw, estimate.
-        let estimate = timer.phase(Phase::Phase2, || -> CoreResult<_> {
-            let scored = ScoredPopulation::score_rest(problem, lm.model.as_ref(), &lm.labeled)?;
-            lws_phase2(
-                self,
-                &scored,
-                sample_budget,
-                lm.labeled.len(),
-                problem.level(),
-                &mut labeler,
-                rng,
-            )
-        })?;
-
-        Ok(EstimateReport {
-            estimate: estimate.shifted(lm.positives() as f64),
-            has_interval: true,
-            evals: labeler.unique_evals(),
-            timings: timer.finish(),
-            estimator: self.name().into(),
-            notes: Vec::new(),
-            forecast: None,
-        })
-    }
+    let base = desraj.count_estimate(level)?;
+    Ok(base.shifted(warm.proxy.positives() as f64))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::estimators::CountEstimator;
     use crate::problem::tests_support::{line_problem, noisy_problem};
     use crate::spec::ClassifierSpec;
     use rand::SeedableRng;

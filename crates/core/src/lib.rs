@@ -56,8 +56,8 @@ pub use problem::{CountingProblem, Labeler};
 pub use report::{EstimateReport, PhaseTimings, QualityForecast};
 pub use runner::{run_trials, run_trials_with, TrialExecution, TrialStats};
 pub use scoring::{feature_column, surrogate_grid_strata, OrderedPopulation, ScoredPopulation};
-pub use shard::{
-    shard_problems, shard_seed, ShardPlan, ShardedLssWarm, ShardedLwsWarm, SALT_SHARD,
-};
+pub use shard::{shard_problems, shard_seed, ShardPlan, Shardable, Sharded, SALT_SHARD};
 pub use spec::ClassifierSpec;
-pub use warm::{fnv1a, mix_seed, LssWarm, LwsWarm, ModelSnapshot, TrainedProxy};
+pub use warm::{
+    fnv1a, mix_seed, LssWarm, LwsWarm, ModelSnapshot, Resumable, Run, TrainedProxy, WarmEstimator,
+};

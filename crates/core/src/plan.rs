@@ -11,12 +11,13 @@
 //!    yields the surviving row ids in ascending order, bit-identical at
 //!    every partition and thread count.
 //! 2. **Restriction** ([`restrict_problem`]): the residual becomes a
-//!    [`CountingProblem`] over just the survivors. Its predicate
-//!    delegates every evaluation to the **parent** problem's metered
-//!    predicate at the *global* row id (the [`crate::shard`] delegation
-//!    pattern with an id map instead of an offset), so predicates that
-//!    capture per-row state keyed by global id stay correct and the
-//!    parent's meter keeps pricing the oracle.
+//!    [`CountingProblem`] over just the survivors — the same
+//!    sub-population view a shard is ([`crate::shard`]), with the
+//!    survivor list as its id map instead of an offset: every
+//!    evaluation goes to the **parent** problem's metered predicate at
+//!    the *global* row id, so predicates that capture per-row state
+//!    keyed by global id stay correct and the parent's meter keeps
+//!    pricing the oracle.
 //! 3. **Counting**: because the full query accepts a row iff the
 //!    prefilter accepts it *and* the residual accepts it, the residual
 //!    count over the `M` survivors **is** the full-population count —
@@ -40,9 +41,9 @@
 //! Kleene/error-shadowing contract of the split itself.
 
 use crate::error::{CoreError, CoreResult};
-use crate::problem::CountingProblem;
+use crate::problem::{CountingProblem, IdMap};
 use lts_table::{
-    decompose, Expr, Metered, ObjectPredicate, PagedTable, PartitionedTable, Table, TableResult,
+    decompose, Expr, ObjectPredicate, PagedTable, PartitionedTable, Table, TableResult,
 };
 use std::sync::Arc;
 
@@ -107,17 +108,28 @@ fn conjunct_count(e: &Expr) -> u64 {
     }
 }
 
-/// Report a completed prefilter scan onto the calling thread's trace
-/// collector, if any. Population/survivor/conjunct counts are pure
-/// functions of table content and the prefilter expression, so these
-/// fields are asserted in trace goldens.
-fn emit_prefilter_span(prefilter: &Expr, population: usize, survivors: usize) {
+/// Turn a completed scan's mask into the selection (survivor ids,
+/// ascending) and report it onto the calling thread's trace collector,
+/// if any. Population/survivor/conjunct counts are pure functions of
+/// table content and the prefilter expression, so these fields are
+/// asserted in trace goldens.
+fn selection_of(mask: Vec<bool>, prefilter: &Expr) -> PrefilterSelection {
+    let population = mask.len();
+    let survivors: Vec<usize> = mask
+        .into_iter()
+        .enumerate()
+        .filter_map(|(i, keep)| keep.then_some(i))
+        .collect();
     if lts_obs::trace::collecting() {
         lts_obs::trace::emit(lts_obs::TraceEvent::Prefilter {
             conjuncts: conjunct_count(prefilter),
             population: population as u64,
-            survivors: survivors as u64,
+            survivors: survivors.len() as u64,
         });
+    }
+    PrefilterSelection {
+        survivors,
+        population,
     }
 }
 
@@ -135,17 +147,7 @@ pub fn select_prefilter(
     prefilter: &Expr,
 ) -> CoreResult<PrefilterSelection> {
     let mask = table.par_eval_bool(prefilter).map_err(CoreError::Table)?;
-    let population = mask.len();
-    let survivors: Vec<usize> = mask
-        .into_iter()
-        .enumerate()
-        .filter_map(|(i, keep)| keep.then_some(i))
-        .collect();
-    emit_prefilter_span(prefilter, population, survivors.len());
-    Ok(PrefilterSelection {
-        survivors,
-        population,
-    })
+    Ok(selection_of(mask, prefilter))
 }
 
 /// Run `prefilter` as a page-parallel scan over an out-of-core
@@ -163,17 +165,7 @@ pub fn select_prefilter_paged(
     prefilter: &Expr,
 ) -> CoreResult<PrefilterSelection> {
     let mask = paged.par_eval_bool(prefilter).map_err(CoreError::Table)?;
-    let population = mask.len();
-    let survivors: Vec<usize> = mask
-        .into_iter()
-        .enumerate()
-        .filter_map(|(i, keep)| keep.then_some(i))
-        .collect();
-    emit_prefilter_span(prefilter, population, survivors.len());
-    Ok(PrefilterSelection {
-        survivors,
-        population,
-    })
+    Ok(selection_of(mask, prefilter))
 }
 
 /// An [`ObjectPredicate`] evaluated against an out-of-core
@@ -240,35 +232,6 @@ pub fn paged_problem(
     CountingProblem::new(objects, predicate, feature_columns)
 }
 
-/// The restricted problem's view of the parent predicate: local index
-/// `i` evaluates at global id `ids[i]` against the **parent** table
-/// through the parent's meter — same contract as the shard delegation
-/// ([`crate::shard`]), with an arbitrary id map instead of a contiguous
-/// offset.
-struct RestrictedPredicate {
-    parent_objects: Arc<Table>,
-    parent_predicate: Arc<Metered<Arc<dyn ObjectPredicate>>>,
-    ids: Vec<usize>,
-    name: String,
-}
-
-impl ObjectPredicate for RestrictedPredicate {
-    fn eval(&self, _objects: &Table, idx: usize) -> TableResult<bool> {
-        self.parent_predicate
-            .eval(&self.parent_objects, self.ids[idx])
-    }
-
-    fn eval_batch(&self, _objects: &Table, idxs: &[usize]) -> TableResult<Vec<bool>> {
-        let global: Vec<usize> = idxs.iter().map(|&i| self.ids[i]).collect();
-        self.parent_predicate
-            .eval_batch(&self.parent_objects, &global)
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-}
-
 /// Restrict `parent` to the given surviving global row ids: gathered
 /// object rows, gathered feature rows, a delegating predicate (global
 /// ids through the parent meter), and the parent's confidence level.
@@ -286,6 +249,12 @@ pub fn restrict_problem(
     parent: &CountingProblem,
     survivors: &[usize],
 ) -> CoreResult<CountingProblem> {
+    restrict_to(parent, survivors.to_vec())
+}
+
+/// [`restrict_problem`] taking the survivor list by value (it becomes
+/// the sub-population's id map).
+fn restrict_to(parent: &CountingProblem, mut survivors: Vec<usize>) -> CoreResult<CountingProblem> {
     if survivors.is_empty() {
         return Err(CoreError::InvalidConfig {
             message: "cannot restrict a counting problem to zero survivors \
@@ -293,26 +262,22 @@ pub fn restrict_problem(
                 .into(),
         });
     }
-    let parent_objects = Arc::clone(parent.objects());
-    let objects = Arc::new(parent_objects.take(survivors).map_err(CoreError::Table)?);
-    let features = parent.features().gather(survivors);
-    let parent_predicate = parent.metered_predicate();
-    let name = format!("{}|prefiltered", parent_predicate.name());
-    let predicate: Arc<dyn ObjectPredicate> = Arc::new(RestrictedPredicate {
-        parent_objects,
-        parent_predicate,
-        ids: survivors.to_vec(),
-        name,
-    });
-    Ok(CountingProblem::with_features(objects, predicate, features)?.with_level(parent.level()))
+    // The list lives as long as the problem: return `collect`'s slack.
+    survivors.shrink_to_fit();
+    let objects = parent
+        .objects()
+        .take(&survivors)
+        .map_err(CoreError::Table)?;
+    let features = parent.features().gather(&survivors);
+    parent.sub_population(objects, features, IdMap::Ids(survivors), "|prefiltered")
 }
 
-/// A fully materialized plan: the analyzed query, the prefilter scan
-/// result, and (when any rows survive) the restricted residual problem.
+/// A fully materialized plan: the prefilter scan's survivor count and
+/// (when any rows survive) the restricted residual problem, which owns
+/// the survivor list as its id map.
 pub struct PhysicalPlan {
-    logical: LogicalPlan,
     problem: Arc<CountingProblem>,
-    selection: Option<PrefilterSelection>,
+    survivors: Option<usize>,
     restricted: Option<Arc<CountingProblem>>,
 }
 
@@ -340,29 +305,24 @@ impl PhysicalPlan {
                 ),
             });
         }
-        let (selection, restricted) = match &logical.prefilter {
+        let (survivors, restricted) = match &logical.prefilter {
             None => (None, None),
             Some(p) => {
-                let sel = select_prefilter(table, p)?;
-                let restricted = if sel.survivors.is_empty() {
+                let survivors = select_prefilter(table, p)?.survivors;
+                let m = survivors.len();
+                let restricted = if m == 0 {
                     None
                 } else {
-                    Some(Arc::new(restrict_problem(&problem, &sel.survivors)?))
+                    Some(Arc::new(restrict_to(&problem, survivors)?))
                 };
-                (Some(sel), restricted)
+                (Some(m), restricted)
             }
         };
         Ok(Self {
-            logical,
             problem,
-            selection,
+            survivors,
             restricted,
         })
-    }
-
-    /// The analyzed query.
-    pub fn logical(&self) -> &LogicalPlan {
-        &self.logical
     }
 
     /// The full (unrestricted) problem.
@@ -377,12 +337,12 @@ impl PhysicalPlan {
 
     /// Prefilter survivor count `M`, when a prefilter ran.
     pub fn survivors(&self) -> Option<usize> {
-        self.selection.as_ref().map(|s| s.survivors.len())
+        self.survivors
     }
 
     /// Observed prefilter selectivity `M/N`, when a prefilter ran.
     pub fn selectivity(&self) -> Option<f64> {
-        self.selection.as_ref().map(PrefilterSelection::selectivity)
+        self.survivors.map(|m| m as f64 / self.population() as f64)
     }
 
     /// The restricted residual problem (`None` when the query did not
@@ -401,7 +361,7 @@ impl PhysicalPlan {
     ///
     /// Propagates predicate evaluation errors.
     pub fn exact_count(&self) -> CoreResult<usize> {
-        match (&self.logical.prefilter, &self.restricted) {
+        match (self.survivors, &self.restricted) {
             (None, _) => self.problem.exact_count(),
             (Some(_), None) => Ok(0),
             (Some(_), Some(r)) => r.exact_count(),
@@ -479,8 +439,9 @@ mod tests {
     #[test]
     fn planned_exact_count_equals_monolithic() {
         let (problem, pt, expr) = scenario();
-        let plan = PhysicalPlan::build(Arc::clone(&problem), &pt, LogicalPlan::of(&expr)).unwrap();
-        assert!(plan.logical().is_decomposed());
+        let logical = LogicalPlan::of(&expr);
+        assert!(logical.is_decomposed());
+        let plan = PhysicalPlan::build(Arc::clone(&problem), &pt, logical).unwrap();
         assert_eq!(plan.survivors(), Some(24));
         assert_eq!(plan.exact_count().unwrap(), problem.exact_count().unwrap());
     }
@@ -568,8 +529,9 @@ mod tests {
     fn undecomposed_plan_is_the_monolithic_problem() {
         let (problem, pt, _) = scenario();
         let expr = Expr::col("x").lt(Expr::lit(24.0));
-        let plan = PhysicalPlan::build(Arc::clone(&problem), &pt, LogicalPlan::of(&expr)).unwrap();
-        assert!(!plan.logical().is_decomposed());
+        let logical = LogicalPlan::of(&expr);
+        assert!(!logical.is_decomposed());
+        let plan = PhysicalPlan::build(Arc::clone(&problem), &pt, logical).unwrap();
         assert!(plan.survivors().is_none());
         // Census over the full population (counts the problem's own
         // predicate, not `expr` — the logical plan only carries the

@@ -3,7 +3,7 @@
 use crate::error::{CoreError, CoreResult};
 use crate::feature::features_from_columns;
 use lts_learn::Matrix;
-use lts_table::{Metered, ObjectPredicate, PredicateStats, Table};
+use lts_table::{Metered, ObjectPredicate, PredicateStats, Table, TableError, TableResult};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -89,12 +89,31 @@ impl CountingProblem {
         &self.objects
     }
 
-    /// The metered predicate, shared. Shard sub-problems delegate their
-    /// labeling here so `q` always sees the parent table and global row
-    /// ids (predicates may capture per-row state indexed by global id),
-    /// and so the parent's meter keeps counting across shards.
-    pub(crate) fn metered_predicate(&self) -> Arc<Metered<Arc<dyn ObjectPredicate>>> {
-        Arc::clone(&self.predicate)
+    /// A sub-population of this problem: `objects` and `features` are
+    /// the member rows (local order), `ids` maps a local row to its
+    /// global id here, and the predicate is a [`SubPopulation`] that
+    /// labels through **this** problem's metered predicate, named
+    /// `<q>` + `suffix`. The confidence level carries over.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error for an empty member set or a feature/row count
+    /// mismatch.
+    pub(crate) fn sub_population(
+        &self,
+        objects: Table,
+        features: Matrix,
+        ids: IdMap,
+        suffix: &str,
+    ) -> CoreResult<CountingProblem> {
+        let predicate: Arc<dyn ObjectPredicate> = Arc::new(SubPopulation {
+            parent_objects: Arc::clone(&self.objects),
+            parent_predicate: Arc::clone(&self.predicate),
+            ids,
+            len: objects.len(),
+            name: format!("{}{suffix}", self.predicate.name()),
+        });
+        Ok(Self::with_features(Arc::new(objects), predicate, features)?.with_level(self.level))
     }
 
     /// Per-object features.
@@ -143,6 +162,66 @@ impl CountingProblem {
     pub fn exact_count(&self) -> CoreResult<usize> {
         let all: Vec<usize> = (0..self.n()).collect();
         Ok(self.label_batch(&all)?.into_iter().filter(|&l| l).count())
+    }
+}
+
+/// How a sub-population's local row ids map to its parent's global ids.
+pub(crate) enum IdMap {
+    /// Contiguous members: local `i` is global `offset + i` (a shard).
+    Offset(usize),
+    /// Listed members: local `i` is global `ids[i]` (prefilter
+    /// survivors).
+    Ids(Vec<usize>),
+}
+
+/// The one parent-delegating predicate: a sub-population (shard,
+/// prefilter survivors) evaluates local row `i` at its **global** id
+/// against the **parent** table through the parent's meter — predicates
+/// may capture per-row state indexed by global id, so a sub-problem
+/// must never label through local ids against its own sliced table, and
+/// the parent problem keeps counting every oracle evaluation. A local
+/// id past the member count is an error raised before the parent is
+/// called.
+struct SubPopulation {
+    parent_objects: Arc<Table>,
+    parent_predicate: Arc<Metered<Arc<dyn ObjectPredicate>>>,
+    ids: IdMap,
+    len: usize,
+    name: String,
+}
+
+impl SubPopulation {
+    fn global(&self, idx: usize) -> TableResult<usize> {
+        if idx >= self.len {
+            return Err(TableError::RowIndexOutOfRange {
+                index: idx,
+                len: self.len,
+            });
+        }
+        Ok(match &self.ids {
+            IdMap::Offset(offset) => offset + idx,
+            IdMap::Ids(ids) => ids[idx],
+        })
+    }
+}
+
+impl ObjectPredicate for SubPopulation {
+    fn eval(&self, _objects: &Table, idx: usize) -> TableResult<bool> {
+        self.parent_predicate
+            .eval(&self.parent_objects, self.global(idx)?)
+    }
+
+    fn eval_batch(&self, _objects: &Table, idxs: &[usize]) -> TableResult<Vec<bool>> {
+        let global: Vec<usize> = idxs
+            .iter()
+            .map(|&i| self.global(i))
+            .collect::<TableResult<_>>()?;
+        self.parent_predicate
+            .eval_batch(&self.parent_objects, &global)
+    }
+
+    fn name(&self) -> &str {
+        &self.name
     }
 }
 

@@ -6,12 +6,22 @@
 //! either near-equal ([`ShardPlan::uniform`]) or unions of whole storage
 //! partitions ([`ShardPlan::aligned`], via
 //! [`lts_strata::shard_bounds_aligned`]). Each shard becomes its own
-//! [`CountingProblem`] (sliced table + gathered feature rows) whose
-//! predicate **delegates to the parent problem's metered predicate at
-//! the global row id** — predicates may capture per-row state indexed by
-//! global id, so shard sub-problems must never label through local ids
-//! against a sliced table. The per-shard pilot, design, and stage-2
-//! phases then run fully independently (in parallel on the rayon shim).
+//! [`CountingProblem`] (sliced table + gathered feature rows): a
+//! sub-population of the parent whose predicate **delegates to the
+//! parent problem's metered predicate at the global row id** — the same
+//! view [`crate::plan::restrict_problem`] builds over prefilter
+//! survivors, with an offset for its id map instead of a list. The
+//! per-shard pilot, design, and stage-2 phases then run fully
+//! independently (in parallel on the rayon shim).
+//!
+//! **Written once.** Sharded prepare and sharded resume are the
+//! methods of [`Shardable`], which every [`WarmEstimator`] family
+//! ([`crate::Lss`], [`crate::Lws`]) gets for free: they fan the
+//! family's own `prepare_with_known` / `estimate_prepared` out per
+//! shard; the reusable state is one [`Sharded<W>`] over the family's
+//! warm state. An unsharded run is **not** the `k = 1` case: a
+//! one-shard plan still salts its seed, composes through
+//! Welch–Satterthwaite, reports as `LSS@1` and emits a fan-out span.
 //!
 //! **Seed salting.** Shard `s` of a run with canonical seed `seed` uses
 //! `shard_seed(seed, s) = mix_seed(mix_seed(seed, SALT_SHARD), s)`. The
@@ -28,14 +38,12 @@
 //! returned CI half-width is pinned to the composed-variance formula.
 
 use crate::error::{CoreError, CoreResult};
-use crate::estimators::{Lss, Lws};
-use crate::problem::CountingProblem;
+use crate::problem::{CountingProblem, IdMap};
 use crate::report::{EstimateReport, PhaseTimings, QualityForecast};
-use crate::warm::{fnv1a, mix_seed, LssWarm, LwsWarm};
+use crate::warm::{fnv1a, mix_seed, Resumable, WarmEstimator};
 use lts_sampling::{proportional_allocation, CountEstimate};
 use lts_stats::{compose_independent, z_critical, Component};
 use lts_strata::{shard_bounds, shard_bounds_aligned};
-use lts_table::{Metered, ObjectPredicate, Table, TableResult};
 use rayon::prelude::*;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -158,34 +166,6 @@ impl ShardPlan {
     }
 }
 
-/// A shard's view of the parent predicate: evaluates at
-/// `offset + local_idx` against the **parent** table through the
-/// parent's meter, so global-id-indexed predicate state stays correct
-/// and the parent problem keeps counting oracle evaluations.
-struct ShardPredicate {
-    parent_objects: Arc<Table>,
-    parent_predicate: Arc<Metered<Arc<dyn ObjectPredicate>>>,
-    offset: usize,
-    name: String,
-}
-
-impl ObjectPredicate for ShardPredicate {
-    fn eval(&self, _objects: &Table, idx: usize) -> TableResult<bool> {
-        self.parent_predicate
-            .eval(&self.parent_objects, self.offset + idx)
-    }
-
-    fn eval_batch(&self, _objects: &Table, idxs: &[usize]) -> TableResult<Vec<bool>> {
-        let global: Vec<usize> = idxs.iter().map(|&i| self.offset + i).collect();
-        self.parent_predicate
-            .eval_batch(&self.parent_objects, &global)
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-}
-
 /// Build the per-shard sub-problems of `problem` under `plan`: sliced
 /// object table, gathered feature rows, delegating predicate, parent
 /// confidence level.
@@ -207,26 +187,21 @@ pub fn shard_problems(
             ),
         });
     }
-    let parent_objects = Arc::clone(problem.objects());
-    let parent_predicate = problem.metered_predicate();
-    let base_name = parent_predicate.name().to_string();
-    let mut out = Vec::with_capacity(plan.k());
-    for s in 0..plan.k() {
-        let (lo, hi) = plan.range(s);
-        let table = Arc::new(parent_objects.slice(lo, hi)?);
-        let ids: Vec<usize> = (lo..hi).collect();
-        let features = problem.features().gather(&ids);
-        let predicate: Arc<dyn ObjectPredicate> = Arc::new(ShardPredicate {
-            parent_objects: Arc::clone(&parent_objects),
-            parent_predicate: Arc::clone(&parent_predicate),
-            offset: lo,
-            name: format!("{base_name}#shard{s}"),
-        });
-        let sub =
-            CountingProblem::with_features(table, predicate, features)?.with_level(problem.level());
-        out.push(Arc::new(sub));
-    }
-    Ok(out)
+    (0..plan.k())
+        .map(|s| {
+            let (lo, hi) = plan.range(s);
+            let objects = problem.objects().slice(lo, hi)?;
+            let ids: Vec<usize> = (lo..hi).collect();
+            let features = problem.features().gather(&ids);
+            let sub = problem.sub_population(
+                objects,
+                features,
+                IdMap::Offset(lo),
+                &format!("#shard{s}"),
+            )?;
+            Ok(Arc::new(sub))
+        })
+        .collect()
 }
 
 /// Split globally-indexed known labels into per-shard locally-indexed
@@ -238,12 +213,6 @@ fn split_known(plan: &ShardPlan, known: &[(usize, bool)]) -> CoreResult<Vec<Vec<
         by_shard[s].push((id - plan.bounds[s], label));
     }
     Ok(by_shard)
-}
-
-/// Per-shard labeling budgets: proportional to shard size with a
-/// per-shard floor of `min_budget` (capped at shard size).
-fn shard_budgets(plan: &ShardPlan, budget: usize, min_budget: usize) -> CoreResult<Vec<usize>> {
-    Ok(proportional_allocation(&plan.sizes(), budget, min_budget)?)
 }
 
 /// Merge per-shard reports into one: count and variance summed exactly,
@@ -321,30 +290,30 @@ fn merge_shard_reports(
     })
 }
 
-/// Reusable state of a sharded LSS run: the plan plus one [`LssWarm`]
-/// per shard. Holds no table data — estimate calls re-derive the shard
+/// Reusable state of a sharded run: the plan plus one warm state per
+/// shard. Holds no table data — estimate calls re-derive the shard
 /// sub-problems from the problem they are given.
-pub struct ShardedLssWarm {
+pub struct Sharded<W> {
     plan: ShardPlan,
-    shards: Vec<LssWarm>,
+    shards: Vec<W>,
     /// Total oracle evaluations spent preparing (the cold-start cost).
     pub prepare_evals: usize,
 }
 
-impl ShardedLssWarm {
+impl<W: Resumable> Sharded<W> {
     /// The shard plan the state was prepared under.
     pub fn plan(&self) -> &ShardPlan {
         &self.plan
     }
 
     /// Per-shard warm states, in shard order.
-    pub fn shards(&self) -> &[LssWarm] {
+    pub fn shards(&self) -> &[W] {
         &self.shards
     }
 
     /// Content digest: plan bounds mixed with every shard digest.
     pub fn digest(&self) -> u64 {
-        let mut d = fnv1a(b"sharded-lss");
+        let mut d = fnv1a(W::SHARDED_SALT);
         for &b in self.plan.bounds() {
             d = mix_seed(d, b as u64);
         }
@@ -366,96 +335,59 @@ impl ShardedLssWarm {
         out
     }
 
-    /// Fresh labels each resume spends (sum of per-shard stage-2
+    /// Fresh labels each resume spends (sum of per-shard resume
     /// budgets).
     pub fn resume_evals(&self) -> usize {
-        self.shards.iter().map(|w| w.split.stage2).sum()
+        self.shards.iter().map(Resumable::resume_evals).sum()
     }
 }
 
-/// Reusable state of a sharded LWS run.
-pub struct ShardedLwsWarm {
-    plan: ShardPlan,
-    shards: Vec<LwsWarm>,
-    /// Total oracle evaluations spent preparing (the cold-start cost).
-    pub prepare_evals: usize,
-}
-
-impl ShardedLwsWarm {
-    /// The shard plan the state was prepared under.
-    pub fn plan(&self) -> &ShardPlan {
-        &self.plan
-    }
-
-    /// Per-shard warm states, in shard order.
-    pub fn shards(&self) -> &[LwsWarm] {
-        &self.shards
-    }
-
-    /// Content digest: plan bounds mixed with every shard digest.
-    pub fn digest(&self) -> u64 {
-        let mut d = fnv1a(b"sharded-lws");
-        for &b in self.plan.bounds() {
-            d = mix_seed(d, b as u64);
-        }
-        for w in &self.shards {
-            d = mix_seed(d, w.digest());
-        }
-        d
-    }
-
-    /// All exactly-known `(global object id, label)` pairs across
-    /// shards.
-    pub fn known_labels(&self) -> Vec<(usize, bool)> {
-        let mut out = Vec::new();
-        for (s, w) in self.shards.iter().enumerate() {
-            let offset = self.plan.bounds[s];
-            out.extend(w.known_labels().into_iter().map(|(id, l)| (id + offset, l)));
-        }
-        out
-    }
-
-    /// Fresh labels each resume spends (sum of per-shard phase-2
-    /// budgets).
-    pub fn resume_evals(&self) -> usize {
-        self.shards.iter().map(|w| w.sample_budget).sum()
-    }
-}
-
-/// Emit a shard fan-out span (one `shard_fanout` event plus one
-/// `shard` event per shard, in shard order) onto the calling thread's
-/// trace collector, if one is installed. The per-shard closures run on
-/// rayon workers that do not carry the collector, so emission happens
-/// after the join — which also keeps event order a pure function of
+/// Run `job` once per shard in parallel and emit the fan-out span (one
+/// `shard_fanout` event plus one `shard` event per shard, in shard
+/// order, carrying `evals_of` the shard's result) onto the calling
+/// thread's trace collector, if one is installed. The per-shard jobs
+/// run [`lts_obs::trace::suppressed`] — a work-stealing thread may run
+/// one while carrying another request's collector — so emission happens
+/// here after the join, which also keeps event order a pure function of
 /// the plan, independent of execution interleaving.
-fn emit_shard_span(k: usize, per_shard: &[(u64, std::time::Duration)]) {
-    if !lts_obs::trace::collecting() {
-        return;
+fn fan_out<T: Send>(
+    k: usize,
+    job: impl Fn(usize) -> CoreResult<T> + Sync,
+    evals_of: impl Fn(&T) -> usize,
+) -> CoreResult<Vec<T>> {
+    let timed: Vec<(CoreResult<T>, Duration)> = (0..k)
+        .into_par_iter()
+        .map(|s| {
+            let t0 = Instant::now();
+            let r = lts_obs::trace::suppressed(|| job(s));
+            (r, t0.elapsed())
+        })
+        .collect();
+    let mut out = Vec::with_capacity(k);
+    let mut spans = Vec::with_capacity(k);
+    for (r, wall) in timed {
+        let r = r?;
+        spans.push((evals_of(&r) as u64, wall));
+        out.push(r);
     }
-    lts_obs::trace::emit(lts_obs::TraceEvent::ShardFanout { shards: k as u64 });
-    for (i, (evals, wall)) in per_shard.iter().enumerate() {
-        lts_obs::trace::emit(lts_obs::TraceEvent::Shard {
-            index: i as u64,
-            evals: *evals,
-            wall_nanos: u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX),
-        });
+    if lts_obs::trace::collecting() {
+        lts_obs::trace::emit(lts_obs::TraceEvent::ShardFanout { shards: k as u64 });
+        for (i, (evals, wall)) in spans.into_iter().enumerate() {
+            lts_obs::trace::emit(lts_obs::TraceEvent::Shard {
+                index: i as u64,
+                evals,
+                wall_nanos: u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX),
+            });
+        }
     }
+    Ok(out)
 }
 
-impl Lss {
-    /// The smallest per-shard budget this configuration can split
-    /// (searched from the structural floor `2 + 3H`; returns `budget`
-    /// itself when nothing below it is feasible, so the allocation —
-    /// not the search — reports infeasibility).
-    fn min_shard_budget(&self, budget: usize) -> usize {
-        let mut b = (2 + 3 * self.n_strata).min(budget);
-        while b < budget && self.budget_split(b).is_err() {
-            b += 1;
-        }
-        b
-    }
-
-    /// Prepare LSS independently on every shard of `plan`: budgets
+/// Sharded prepare and sharded resume, written once for every
+/// [`WarmEstimator`] family: the family's own `prepare_with_known` /
+/// `estimate_prepared` fanned out per shard.
+pub trait Shardable: WarmEstimator {
+    /// Prepare independently on every shard of `plan`: budgets
     /// proportional to shard size, seeds salted per shard, shards run
     /// in parallel.
     ///
@@ -463,242 +395,96 @@ impl Lss {
     ///
     /// Returns an error for an invalid plan, an infeasible budget, or
     /// any shard's prepare failure.
-    pub fn prepare_sharded(
+    fn prepare_sharded(
         &self,
         problem: &CountingProblem,
         plan: &ShardPlan,
         budget: usize,
         seed: u64,
-    ) -> CoreResult<ShardedLssWarm> {
+    ) -> CoreResult<Sharded<Self::Warm>> {
         self.prepare_sharded_with_known(problem, plan, budget, seed, &[])
     }
 
-    /// [`Lss::prepare_sharded`] with globally-indexed known labels
-    /// preloaded (free) on their shards — the snapshot-restore path.
+    /// [`Shardable::prepare_sharded`] with globally-indexed known
+    /// labels preloaded (free) on their shards — the snapshot-restore
+    /// path.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Lss::prepare_sharded`], plus out-of-range
-    /// known-label ids.
-    pub fn prepare_sharded_with_known(
+    /// Same conditions as [`Shardable::prepare_sharded`], plus
+    /// out-of-range known-label ids.
+    fn prepare_sharded_with_known(
         &self,
         problem: &CountingProblem,
         plan: &ShardPlan,
         budget: usize,
         seed: u64,
         known: &[(usize, bool)],
-    ) -> CoreResult<ShardedLssWarm> {
+    ) -> CoreResult<Sharded<Self::Warm>> {
         let problems = shard_problems(problem, plan)?;
-        let budgets = shard_budgets(plan, budget, self.min_shard_budget(budget))?;
+        // Budgets proportional to shard size, floored at the smallest
+        // budget this configuration can split (`budget` itself when
+        // nothing below it is feasible, so the allocation — not the
+        // search — reports infeasibility).
+        let min_budget = (1..budget).find(|&b| self.splits(b)).unwrap_or(budget);
+        let budgets = proportional_allocation(&plan.sizes(), budget, min_budget)?;
         let known_by_shard = split_known(plan, known)?;
-        let jobs: Vec<usize> = (0..plan.k()).collect();
-        let prepared: Vec<(CoreResult<LssWarm>, std::time::Duration)> = jobs
-            .into_par_iter()
-            .map(|s| {
-                let t0 = Instant::now();
-                // Suppressed: a work-stealing thread may run this
-                // closure while carrying another request's collector.
-                let r = lts_obs::trace::suppressed(|| {
-                    self.prepare_with_known(
-                        &problems[s],
-                        budgets[s],
-                        shard_seed(seed, s),
-                        &known_by_shard[s],
-                    )
-                });
-                (r, t0.elapsed())
-            })
-            .collect();
-        let mut shards = Vec::with_capacity(plan.k());
-        let mut spans = Vec::with_capacity(plan.k());
-        let mut prepare_evals = 0;
-        for (w, wall) in prepared {
-            let w = w?;
-            prepare_evals += w.prepare_evals;
-            spans.push((w.prepare_evals as u64, wall));
-            shards.push(w);
-        }
-        emit_shard_span(plan.k(), &spans);
-        Ok(ShardedLssWarm {
+        let shards = fan_out(
+            plan.k(),
+            |s| {
+                self.prepare_with_known(
+                    &problems[s],
+                    budgets[s],
+                    shard_seed(seed, s),
+                    &known_by_shard[s],
+                )
+            },
+            Resumable::prepare_evals,
+        )?;
+        Ok(Sharded {
             plan: plan.clone(),
+            prepare_evals: shards.iter().map(Resumable::prepare_evals).sum(),
             shards,
-            prepare_evals,
         })
     }
 
-    /// Run stage 2 on every shard of a prepared sharded state and merge
-    /// the shard estimators as strata of one stratified estimator.
+    /// Run the final sampling stage on every shard of a prepared
+    /// sharded state and merge the shard estimators as strata of one
+    /// stratified estimator.
     ///
     /// # Errors
     ///
     /// Returns an error when the state's plan does not cover the
     /// problem, or any shard's estimate fails.
-    pub fn estimate_prepared_sharded(
+    fn estimate_prepared_sharded(
         &self,
         problem: &CountingProblem,
-        warm: &ShardedLssWarm,
+        warm: &Sharded<Self::Warm>,
         seed: u64,
     ) -> CoreResult<EstimateReport> {
         let start = Instant::now();
         let problems = shard_problems(problem, &warm.plan)?;
-        let jobs: Vec<usize> = (0..warm.plan.k()).collect();
-        let results: Vec<(CoreResult<EstimateReport>, std::time::Duration)> = jobs
-            .into_par_iter()
-            .map(|s| {
-                let t0 = Instant::now();
-                // Suppressed: see prepare_sharded_with_known.
-                let r = lts_obs::trace::suppressed(|| {
-                    self.estimate_prepared(&problems[s], &warm.shards[s], shard_seed(seed, s))
-                });
-                (r, t0.elapsed())
-            })
-            .collect();
-        let mut reports = Vec::with_capacity(warm.plan.k());
-        let mut spans = Vec::with_capacity(warm.plan.k());
-        for (r, wall) in results {
-            let r = r?;
-            spans.push((r.evals as u64, wall));
-            reports.push(r);
-        }
-        emit_shard_span(warm.plan.k(), &spans);
+        let reports = fan_out(
+            warm.plan.k(),
+            |s| self.estimate_prepared(&problems[s], &warm.shards[s], shard_seed(seed, s)),
+            |r| r.evals,
+        )?;
         merge_shard_reports(
             &reports,
             problem.n(),
             problem.level(),
-            format!("LSS@{}", warm.plan.k()),
+            format!("{}@{}", Self::NAME, warm.plan.k()),
             start.elapsed(),
         )
     }
 }
 
-impl Lws {
-    /// The smallest per-shard budget this configuration can split.
-    fn min_shard_budget(&self, budget: usize) -> usize {
-        let mut b = 4.min(budget);
-        while b < budget && self.budget_split(b).is_err() {
-            b += 1;
-        }
-        b
-    }
-
-    /// Prepare LWS independently on every shard of `plan` (see
-    /// [`Lss::prepare_sharded`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for an invalid plan, an infeasible budget, or
-    /// any shard's prepare failure.
-    pub fn prepare_sharded(
-        &self,
-        problem: &CountingProblem,
-        plan: &ShardPlan,
-        budget: usize,
-        seed: u64,
-    ) -> CoreResult<ShardedLwsWarm> {
-        self.prepare_sharded_with_known(problem, plan, budget, seed, &[])
-    }
-
-    /// [`Lws::prepare_sharded`] with globally-indexed known labels
-    /// preloaded (free) on their shards.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Lws::prepare_sharded`], plus out-of-range
-    /// known-label ids.
-    pub fn prepare_sharded_with_known(
-        &self,
-        problem: &CountingProblem,
-        plan: &ShardPlan,
-        budget: usize,
-        seed: u64,
-        known: &[(usize, bool)],
-    ) -> CoreResult<ShardedLwsWarm> {
-        let problems = shard_problems(problem, plan)?;
-        let budgets = shard_budgets(plan, budget, self.min_shard_budget(budget))?;
-        let known_by_shard = split_known(plan, known)?;
-        let jobs: Vec<usize> = (0..plan.k()).collect();
-        let prepared: Vec<(CoreResult<LwsWarm>, std::time::Duration)> = jobs
-            .into_par_iter()
-            .map(|s| {
-                let t0 = Instant::now();
-                // Suppressed: a work-stealing thread may run this
-                // closure while carrying another request's collector.
-                let r = lts_obs::trace::suppressed(|| {
-                    self.prepare_with_known(
-                        &problems[s],
-                        budgets[s],
-                        shard_seed(seed, s),
-                        &known_by_shard[s],
-                    )
-                });
-                (r, t0.elapsed())
-            })
-            .collect();
-        let mut shards = Vec::with_capacity(plan.k());
-        let mut spans = Vec::with_capacity(plan.k());
-        let mut prepare_evals = 0;
-        for (w, wall) in prepared {
-            let w = w?;
-            prepare_evals += w.prepare_evals;
-            spans.push((w.prepare_evals as u64, wall));
-            shards.push(w);
-        }
-        emit_shard_span(plan.k(), &spans);
-        Ok(ShardedLwsWarm {
-            plan: plan.clone(),
-            shards,
-            prepare_evals,
-        })
-    }
-
-    /// Run phase 2 on every shard of a prepared sharded state and merge
-    /// (see [`Lss::estimate_prepared_sharded`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the state's plan does not cover the
-    /// problem, or any shard's estimate fails.
-    pub fn estimate_prepared_sharded(
-        &self,
-        problem: &CountingProblem,
-        warm: &ShardedLwsWarm,
-        seed: u64,
-    ) -> CoreResult<EstimateReport> {
-        let start = Instant::now();
-        let problems = shard_problems(problem, &warm.plan)?;
-        let jobs: Vec<usize> = (0..warm.plan.k()).collect();
-        let results: Vec<(CoreResult<EstimateReport>, std::time::Duration)> = jobs
-            .into_par_iter()
-            .map(|s| {
-                let t0 = Instant::now();
-                // Suppressed: see prepare_sharded_with_known.
-                let r = lts_obs::trace::suppressed(|| {
-                    self.estimate_prepared(&problems[s], &warm.shards[s], shard_seed(seed, s))
-                });
-                (r, t0.elapsed())
-            })
-            .collect();
-        let mut reports = Vec::with_capacity(warm.plan.k());
-        let mut spans = Vec::with_capacity(warm.plan.k());
-        for (r, wall) in results {
-            let r = r?;
-            spans.push((r.evals as u64, wall));
-            reports.push(r);
-        }
-        emit_shard_span(warm.plan.k(), &spans);
-        merge_shard_reports(
-            &reports,
-            problem.n(),
-            problem.level(),
-            format!("LWS@{}", warm.plan.k()),
-            start.elapsed(),
-        )
-    }
-}
+impl<E: WarmEstimator> Shardable for E {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::estimators::{Lss, Lws};
     use crate::problem::tests_support::{line_problem, ramp_problem};
 
     #[test]
@@ -774,52 +560,54 @@ mod tests {
         assert!(shard_problems(&problem, &mismatched).is_err());
     }
 
-    #[test]
-    fn sharded_lss_is_deterministic_and_merges_honestly() {
-        let problem = ramp_problem(3000, 0.25, 0.75, 11);
+    /// The sharded contract, checked for one family: digest stability,
+    /// deterministic merge, zero-eval replay from global known labels,
+    /// and a merge equal bit for bit to the composed-variance formula
+    /// rebuilt by hand from per-shard runs at the same salted seeds.
+    fn check_sharded_family<E: Shardable>(
+        est: &E,
+        problem: &CountingProblem,
+        k: usize,
+        budget: usize,
+        seed: u64,
+    ) -> Sharded<E::Warm> {
         let truth = problem.exact_count().unwrap() as f64;
-        let lss = Lss {
-            min_pilots_per_stratum: 2,
-            ..Lss::default()
-        };
-        let plan = ShardPlan::uniform(3000, 4).unwrap();
-        let (budget, seed) = (600, 99);
+        let nf = problem.n() as f64;
+        let plan = ShardPlan::uniform(problem.n(), k).unwrap();
 
-        let warm = lss.prepare_sharded(&problem, &plan, budget, seed).unwrap();
-        let warm2 = lss.prepare_sharded(&problem, &plan, budget, seed).unwrap();
+        let warm = est.prepare_sharded(problem, &plan, budget, seed).unwrap();
+        let warm2 = est.prepare_sharded(problem, &plan, budget, seed).unwrap();
         assert_eq!(warm.digest(), warm2.digest());
         assert!(warm.prepare_evals > 0 && warm.prepare_evals <= budget);
         assert_eq!(
             warm.resume_evals(),
-            warm.shards().iter().map(|w| w.split.stage2).sum::<usize>()
+            warm.shards()
+                .iter()
+                .map(|w| w.resume_evals())
+                .sum::<usize>()
         );
 
-        let r = lss
-            .estimate_prepared_sharded(&problem, &warm, seed)
-            .unwrap();
-        let r2 = lss
-            .estimate_prepared_sharded(&problem, &warm, seed)
-            .unwrap();
+        let r = est.estimate_prepared_sharded(problem, &warm, seed).unwrap();
+        let r2 = est.estimate_prepared_sharded(problem, &warm, seed).unwrap();
         assert_eq!(r.estimate.count.to_bits(), r2.estimate.count.to_bits());
         assert_eq!(
             r.estimate.std_error.to_bits(),
             r2.estimate.std_error.to_bits()
         );
-        assert_eq!(r.estimator, "LSS@4");
+        assert_eq!(r.estimator, format!("{}@{k}", E::NAME));
         assert!(r.has_interval);
         assert!(r.estimate.interval.contains(r.estimate.count));
         assert!(
-            (r.estimate.count - truth).abs() < 0.25 * 3000.0,
+            (r.estimate.count - truth).abs() < 0.25 * nf,
             "merged estimate {} vs truth {truth}",
             r.estimate.count
         );
 
-        // The merge is exactly the composed-variance formula: rebuild it
-        // by hand from per-shard runs at the same salted seeds.
-        let subs = shard_problems(&problem, &plan).unwrap();
+        // The merge is exactly the composed-variance formula.
+        let subs = shard_problems(problem, &plan).unwrap();
         let mut parts = Vec::new();
         for (s, sub) in subs.iter().enumerate() {
-            let sr = lss
+            let sr = est
                 .estimate_prepared(sub, &warm.shards()[s], shard_seed(seed, s))
                 .unwrap();
             parts.push(Component {
@@ -831,53 +619,50 @@ mod tests {
         let composed = compose_independent(&parts, problem.level()).unwrap();
         assert_eq!(r.estimate.count.to_bits(), composed.value.to_bits());
         assert_eq!(r.estimate.std_error.to_bits(), composed.std_error.to_bits());
-        let clamped = composed.interval.clamped(0.0, 3000.0);
+        let clamped = composed.interval.clamped(0.0, nf);
         assert_eq!(r.estimate.interval.lo.to_bits(), clamped.lo.to_bits());
         assert_eq!(r.estimate.interval.hi.to_bits(), clamped.hi.to_bits());
+
+        // Known ids are global: every one labels identically on the
+        // parent problem, and replaying them never touches the oracle.
+        let known = warm.known_labels();
+        assert_eq!(known.len(), warm.prepare_evals);
+        for &(id, label) in known.iter().take(20) {
+            assert_eq!(problem.label(id).unwrap(), label);
+        }
+        let replay = est
+            .prepare_sharded_with_known(problem, &plan, budget, seed, &known)
+            .unwrap();
+        assert_eq!(replay.prepare_evals, 0, "replay must not touch the oracle");
+        assert_eq!(replay.digest(), warm.digest());
+        warm
+    }
+
+    fn lss_two_pilots() -> Lss {
+        Lss {
+            min_pilots_per_stratum: 2,
+            ..Lss::default()
+        }
+    }
+
+    #[test]
+    fn sharded_lss_is_deterministic_and_merges_honestly() {
+        let problem = ramp_problem(3000, 0.25, 0.75, 11);
+        check_sharded_family(&lss_two_pilots(), &problem, 4, 600, 99);
     }
 
     #[test]
     fn sharded_known_labels_replay_at_zero_oracle_cost() {
         let problem = ramp_problem(1200, 0.3, 0.7, 5);
-        let lss = Lss {
-            min_pilots_per_stratum: 2,
-            ..Lss::default()
-        };
-        let plan = ShardPlan::uniform(1200, 3).unwrap();
-        let warm = lss.prepare_sharded(&problem, &plan, 300, 17).unwrap();
-        let known = warm.known_labels();
-        assert_eq!(known.len(), warm.prepare_evals);
-        // Known ids are global: every one labels identically on the
-        // parent problem.
-        for &(id, label) in known.iter().take(20) {
-            assert_eq!(problem.label(id).unwrap(), label);
-        }
-        let replay = lss
-            .prepare_sharded_with_known(&problem, &plan, 300, 17, &known)
-            .unwrap();
-        assert_eq!(replay.prepare_evals, 0, "replay must not touch the oracle");
-        assert_eq!(replay.digest(), warm.digest());
+        check_sharded_family(&lss_two_pilots(), &problem, 3, 300, 17);
     }
 
     #[test]
     fn sharded_lws_is_deterministic_and_replayable() {
         let problem = ramp_problem(1500, 0.3, 0.7, 23);
-        let truth = problem.exact_count().unwrap() as f64;
-        let lws = Lws::default();
-        let plan = ShardPlan::uniform(1500, 4).unwrap();
-        let warm = lws.prepare_sharded(&problem, &plan, 400, 7).unwrap();
-        let r = lws.estimate_prepared_sharded(&problem, &warm, 7).unwrap();
-        let r2 = lws.estimate_prepared_sharded(&problem, &warm, 7).unwrap();
-        assert_eq!(r.estimate.count.to_bits(), r2.estimate.count.to_bits());
-        assert_eq!(r.estimator, "LWS@4");
-        assert!((r.estimate.count - truth).abs() < 0.25 * 1500.0);
+        let warm = check_sharded_family(&Lws::default(), &problem, 4, 400, 7);
+        // Equal shards get equal phase-2 budgets.
         assert_eq!(warm.resume_evals(), 4 * warm.shards()[0].sample_budget);
-
-        let replay = lws
-            .prepare_sharded_with_known(&problem, &plan, 400, 7, &warm.known_labels())
-            .unwrap();
-        assert_eq!(replay.prepare_evals, 0);
-        assert_eq!(replay.digest(), warm.digest());
     }
 
     #[test]

@@ -1,20 +1,35 @@
 //! Warm-start support: snapshottable, resumable estimator state.
 //!
-//! A one-shot [`CountEstimator::estimate`](crate::CountEstimator) run
-//! spends most of its labeling budget and wall time on assets that are
-//! *reusable across runs of the same query*: the trained proxy
-//! classifier, the scored-and-ordered population, and (for LSS) the
-//! labeled design pilot with its optimized stratification. This module
-//! splits the learned estimators into an expensive, cacheable
-//! **prepare** phase and a cheap, repeatable **resume** phase:
+//! A one-shot [`CountEstimator::estimate`] run spends most of its
+//! labeling budget and wall time on assets that are *reusable across
+//! runs of the same query*: the trained proxy classifier, the
+//! scored-and-ordered population, and (for LSS) the labeled design
+//! pilot with its optimized stratification. This module splits the
+//! learned estimators into an expensive, cacheable **prepare** phase
+//! and a cheap, repeatable **resume** phase, and says each **once**: a
+//! family ([`Lss`], [`Lws`]) implements [`WarmEstimator`] by writing
+//! its prepare body and its resume body over a [`Run`] — the labeler,
+//! RNG stream and phase timer of one run — and everything else is
+//! provided from those two:
 //!
-//! * [`Lss::prepare`] / [`Lws::prepare`] run phase 1 + the design and
-//!   return a warm state ([`LssWarm`] / [`LwsWarm`]);
-//! * [`Lss::estimate_prepared`] / [`Lws::estimate_prepared`] run only
-//!   the final sampling stage against a warm state, with a **fresh
-//!   seed** — producing a new, independent draw (and therefore a new
-//!   unbiased estimate) while spending only the stage-2 share of the
-//!   budget.
+//! * [`WarmEstimator::prepare`] / [`WarmEstimator::prepare_with_known`]
+//!   run phase 1 + the design and return a warm state ([`LssWarm`] /
+//!   [`LwsWarm`]);
+//! * [`WarmEstimator::estimate_prepared`] runs only the final sampling
+//!   stage against a warm state, with a **fresh seed** — producing a
+//!   new, independent draw (and therefore a new unbiased estimate)
+//!   while spending only the stage-2 share of the budget;
+//! * the one-shot [`CountEstimator::estimate`] of every family **is**
+//!   prepare ∘ resume over the caller's single RNG stream and one
+//!   labeler, where the seeded entry points above start the stream
+//!   afresh per phase from `mix_seed(seed, SALT_*)` — so "cold =
+//!   prepare + resume" holds for the library path as well as the served
+//!   one;
+//! * the sharded wrappers ([`crate::shard::Shardable`]) fan the same
+//!   two entry points out per shard.
+//!
+//! ([`Lss`] also keeps inherent `prepare` / `prepare_with_known` /
+//! `estimate_prepared` forwards, so its callers need no trait import.)
 //!
 //! Both phases are **deterministic functions of their seed**: preparing
 //! twice with the same seed yields bit-identical states, and resuming a
@@ -36,7 +51,7 @@
 use crate::error::{CoreError, CoreResult};
 use crate::estimators::lss::{stage2_estimate, LssBudgetSplit};
 use crate::estimators::lws::lws_phase2;
-use crate::estimators::{check_budget, Lss, Lws, PilotSource};
+use crate::estimators::{check_budget, CountEstimator, Lss, Lws, PilotSource};
 use crate::learnphase::{run_learn_phase, LearnPhaseConfig};
 use crate::problem::{CountingProblem, Labeler};
 use crate::report::{EstimateReport, Phase, PhaseTimer};
@@ -129,6 +144,12 @@ impl TrainedProxy {
         self.labels.iter().filter(|&&b| b).count()
     }
 
+    /// The training sample as `(object id, label)` pairs.
+    fn known_labels(&self) -> Vec<(usize, bool)> {
+        let ids = self.labeled.iter().copied();
+        ids.zip(self.labels.iter().copied()).collect()
+    }
+
     /// The portable snapshot of this proxy: spec + effective seed +
     /// training set. [`ModelSnapshot::rebuild`] refits bit-identically.
     pub fn snapshot(&self) -> ModelSnapshot {
@@ -155,8 +176,24 @@ pub fn train_proxy(
     seed: u64,
     labeler: &mut Labeler<'_>,
 ) -> CoreResult<TrainedProxy> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let lm = run_learn_phase(problem, labeler, train_budget, config, &mut rng)?;
+    train_proxy_on(
+        problem,
+        config,
+        train_budget,
+        labeler,
+        &mut StdRng::seed_from_u64(seed),
+    )
+}
+
+/// [`train_proxy`] over a caller-supplied RNG stream.
+fn train_proxy_on(
+    problem: &CountingProblem,
+    config: &LearnPhaseConfig,
+    train_budget: usize,
+    labeler: &mut Labeler<'_>,
+    rng: &mut StdRng,
+) -> CoreResult<TrainedProxy> {
+    let lm = run_learn_phase(problem, labeler, train_budget, config, rng)?;
     Ok(TrainedProxy {
         config: *config,
         model_seed: lm.model_seed,
@@ -213,6 +250,201 @@ impl ModelSnapshot {
     }
 }
 
+// ------------------------------------------------- the warm interface
+
+/// What the generic layers (resume, sharding) read off a warm state.
+pub trait Resumable: Send + Sync {
+    /// Domain-separation salt of a sharded state's digest.
+    const SHARDED_SALT: &'static [u8];
+    /// All exactly-known `(object id, label)` pairs of this state — the
+    /// free labels a resume preloads, and the payload a snapshot needs
+    /// to restore without re-touching the oracle.
+    fn known_labels(&self) -> Vec<(usize, bool)>;
+    /// Content digest of the reusable state, used as the result-cache
+    /// model-version stamp.
+    fn digest(&self) -> u64;
+    /// Oracle evaluations spent preparing (the cold-start cost).
+    fn prepare_evals(&self) -> usize;
+    /// Fresh labels each resume spends.
+    fn resume_evals(&self) -> usize;
+}
+
+/// What one prepare or resume body runs over: the labeler (its cache
+/// carries labels from phase to phase), the RNG stream, and the phase
+/// timer. The one-shot path hands one `Run` from prepare to resume;
+/// each seeded entry point builds its own.
+pub struct Run<'p, 'r> {
+    labeler: Labeler<'p>,
+    rng: &'r mut StdRng,
+    /// Where the stream restarts before the stage-1 pilot draw (the
+    /// seeded prepare's own design stream; `None` continues `rng`).
+    pilot_seed: Option<u64>,
+    timer: PhaseTimer,
+}
+
+impl<'p, 'r> Run<'p, 'r> {
+    fn new(problem: &'p CountingProblem, rng: &'r mut StdRng, known: &[(usize, bool)]) -> Self {
+        let timer = PhaseTimer::new();
+        let mut labeler = Labeler::new(problem);
+        if !known.is_empty() {
+            let (ids, labels): (Vec<usize>, Vec<bool>) = known.iter().copied().unzip();
+            labeler.preload(&ids, &labels);
+        }
+        Self {
+            labeler,
+            rng,
+            pilot_seed: None,
+            timer,
+        }
+    }
+
+    /// The learning phase every family starts with.
+    fn train(
+        &mut self,
+        problem: &CountingProblem,
+        config: &LearnPhaseConfig,
+        train_budget: usize,
+    ) -> CoreResult<TrainedProxy> {
+        self.timer.phase(Phase::Learn, || {
+            observed_phase(lts_obs::Phase::Train, || {
+                train_proxy_on(problem, config, train_budget, &mut self.labeler, self.rng)
+            })
+        })
+    }
+}
+
+/// A learned estimator family split into a cacheable prepare and a
+/// repeatable resume. An implementor writes the two bodies; the seeded
+/// entry points, the one-shot [`CountEstimator`] and (through
+/// [`crate::shard::Shardable`]) the sharded entry points come from
+/// them.
+pub trait WarmEstimator: Send + Sync {
+    /// The family's warm state.
+    type Warm: Resumable;
+    /// Display name matching the paper ("LSS", "LWS").
+    const NAME: &'static str;
+
+    /// Whether `budget` splits into this family's phases.
+    fn splits(&self, budget: usize) -> bool;
+
+    /// The prepare body: the expensive, reusable phases.
+    ///
+    /// # Errors
+    ///
+    /// Returns configuration/budget errors or propagated substrate
+    /// errors.
+    fn prepare_on(
+        &self,
+        problem: &CountingProblem,
+        budget: usize,
+        run: &mut Run<'_, '_>,
+    ) -> CoreResult<Self::Warm>;
+
+    /// The resume body: the final sampling stage, over a labeler that
+    /// already holds the state's known labels — so only the fresh draws
+    /// touch the oracle.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when the state does not match the problem, or
+    /// on sampling/labeling failures.
+    fn resume_on(
+        &self,
+        problem: &CountingProblem,
+        warm: &Self::Warm,
+        run: Run<'_, '_>,
+    ) -> CoreResult<EstimateReport>;
+
+    /// Run the prepare body with a deterministic per-phase seed stream,
+    /// returning a warm state [`WarmEstimator::estimate_prepared`] can
+    /// resume any number of times.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as the one-shot estimate path.
+    fn prepare(
+        &self,
+        problem: &CountingProblem,
+        budget: usize,
+        seed: u64,
+    ) -> CoreResult<Self::Warm> {
+        self.prepare_with_known(problem, budget, seed, &[])
+    }
+
+    /// [`WarmEstimator::prepare`] resuming from already-known labels
+    /// (snapshot restore): `known` pairs are preloaded, so re-preparing
+    /// a state whose labels are all known costs **zero** oracle
+    /// evaluations and reproduces the original state bit-identically
+    /// (same seed).
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`WarmEstimator::prepare`].
+    fn prepare_with_known(
+        &self,
+        problem: &CountingProblem,
+        budget: usize,
+        seed: u64,
+        known: &[(usize, bool)],
+    ) -> CoreResult<Self::Warm> {
+        let mut rng = StdRng::seed_from_u64(mix_seed(seed, SALT_LEARN));
+        let mut run = Run::new(problem, &mut rng, known);
+        run.pilot_seed = Some(mix_seed(seed, SALT_DESIGN));
+        self.prepare_on(problem, budget, &mut run)
+    }
+
+    /// Resume a prepared state: a fresh final-stage draw with the given
+    /// seed, spending only the resume share of the budget (the state's
+    /// known labels are preloaded for free).
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`WarmEstimator::resume_on`].
+    fn estimate_prepared(
+        &self,
+        problem: &CountingProblem,
+        warm: &Self::Warm,
+        seed: u64,
+    ) -> CoreResult<EstimateReport> {
+        let mut rng = StdRng::seed_from_u64(mix_seed(seed, SALT_SAMPLE));
+        let run = Run::new(problem, &mut rng, &warm.known_labels());
+        self.resume_on(problem, warm, run)
+    }
+}
+
+/// One-shot = prepare ∘ resume over the caller's single RNG stream and
+/// one labeler, so `evals` and the timings cover the whole run.
+impl<E: WarmEstimator> CountEstimator for E {
+    fn name(&self) -> &'static str {
+        E::NAME
+    }
+
+    fn estimate(
+        &self,
+        problem: &CountingProblem,
+        budget: usize,
+        rng: &mut StdRng,
+    ) -> CoreResult<EstimateReport> {
+        let mut run = Run::new(problem, rng, &[]);
+        let warm = self.prepare_on(problem, budget, &mut run)?;
+        self.resume_on(problem, &warm, run)
+    }
+}
+
+/// A warm state resumes only against the population it was prepared
+/// for.
+fn check_same_population(prepared_n: usize, problem: &CountingProblem) -> CoreResult<()> {
+    if prepared_n != problem.n() {
+        return Err(CoreError::InvalidConfig {
+            message: format!(
+                "warm state was prepared for N = {prepared_n}, problem has N = {}",
+                problem.n()
+            ),
+        });
+    }
+    Ok(())
+}
+
 // ---------------------------------------------------------------- LWS
 
 /// The reusable state of an LWS run: trained proxy + scored rest
@@ -220,7 +452,7 @@ impl ModelSnapshot {
 pub struct LwsWarm {
     /// The phase-1 proxy.
     pub proxy: TrainedProxy,
-    scored: ScoredPopulation,
+    pub(crate) scored: ScoredPopulation,
     /// Labels each resume spends (the phase-2 share of the budget).
     pub sample_budget: usize,
     /// Oracle evaluations spent preparing (the cold-start cost).
@@ -228,77 +460,53 @@ pub struct LwsWarm {
     n: usize,
 }
 
-impl LwsWarm {
-    /// All exactly-known `(object id, label)` pairs of this state — the
-    /// free labels a resume preloads, and the payload a snapshot needs
-    /// to restore without re-touching the oracle.
-    pub fn known_labels(&self) -> Vec<(usize, bool)> {
-        self.proxy
-            .labeled
-            .iter()
-            .copied()
-            .zip(self.proxy.labels.iter().copied())
-            .collect()
+impl Resumable for LwsWarm {
+    const SHARDED_SALT: &'static [u8] = b"sharded-lws";
+
+    fn known_labels(&self) -> Vec<(usize, bool)> {
+        self.proxy.known_labels()
     }
 
-    /// Content digest of the reusable state (model + member set), used
-    /// as the result-cache model-version stamp.
-    pub fn digest(&self) -> u64 {
+    /// Model + member set.
+    fn digest(&self) -> u64 {
         mix_seed(
             self.proxy.snapshot().digest(),
             fnv1a(&(self.scored.len() as u64).to_le_bytes()) ^ self.sample_budget as u64,
         )
     }
-}
 
-impl Lws {
-    /// Run the expensive, reusable phases (train + score) with a
-    /// deterministic seed stream, returning a warm state that
-    /// [`Lws::estimate_prepared`] can resume any number of times.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as the one-shot estimate path.
-    pub fn prepare(
-        &self,
-        problem: &CountingProblem,
-        budget: usize,
-        seed: u64,
-    ) -> CoreResult<LwsWarm> {
-        self.prepare_with_known(problem, budget, seed, &[])
+    fn prepare_evals(&self) -> usize {
+        self.prepare_evals
     }
 
-    /// [`Lws::prepare`] resuming from already-known labels (snapshot
-    /// restore): `known` pairs are preloaded, so re-preparing a state
-    /// whose labels are all known costs **zero** oracle evaluations and
-    /// reproduces the original state bit-identically (same seed).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Lws::prepare`].
-    pub fn prepare_with_known(
+    fn resume_evals(&self) -> usize {
+        self.sample_budget
+    }
+}
+
+impl WarmEstimator for Lws {
+    type Warm = LwsWarm;
+    const NAME: &'static str = "LWS";
+
+    fn splits(&self, budget: usize) -> bool {
+        self.budget_split(budget).is_ok()
+    }
+
+    /// Train + score.
+    fn prepare_on(
         &self,
         problem: &CountingProblem,
         budget: usize,
-        seed: u64,
-        known: &[(usize, bool)],
+        run: &mut Run<'_, '_>,
     ) -> CoreResult<LwsWarm> {
         check_budget(problem, budget)?;
         self.validate()?;
         let (train_budget, sample_budget) = self.budget_split(budget)?;
-        let mut labeler = Labeler::new(problem);
-        preload_pairs(&mut labeler, known);
-        let proxy = observed_phase(lts_obs::Phase::Train, || {
-            train_proxy(
-                problem,
-                &self.learn,
-                train_budget,
-                mix_seed(seed, SALT_LEARN),
-                &mut labeler,
-            )
-        })?;
-        let scored = observed_phase(lts_obs::Phase::Score, || {
-            ScoredPopulation::score_rest(problem, proxy.model.as_ref(), &proxy.labeled)
+        let proxy = run.train(problem, &self.learn, train_budget)?;
+        let scored = run.timer.phase(Phase::Phase2, || {
+            observed_phase(lts_obs::Phase::Score, || {
+                ScoredPopulation::score_rest(problem, proxy.model.as_ref(), &proxy.labeled)
+            })
         })?;
         if scored.len() < sample_budget {
             return Err(CoreError::BudgetTooSmall {
@@ -311,64 +519,33 @@ impl Lws {
             proxy,
             scored,
             sample_budget,
-            prepare_evals: labeler.unique_evals(),
+            prepare_evals: run.labeler.unique_evals(),
             n: problem.n(),
         })
     }
 
-    /// Resume a prepared state: draw a fresh PPS sample with the given
-    /// seed and produce a new unbiased estimate, spending only the
-    /// stage-2 budget (training labels are preloaded for free).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the state does not match the problem, or
-    /// on sampling/labeling failures.
-    pub fn estimate_prepared(
+    /// Phase 2: a fresh PPS sample.
+    fn resume_on(
         &self,
         problem: &CountingProblem,
         warm: &LwsWarm,
-        seed: u64,
+        mut run: Run<'_, '_>,
     ) -> CoreResult<EstimateReport> {
-        if warm.n != problem.n() {
-            return Err(CoreError::InvalidConfig {
-                message: format!(
-                    "warm state was prepared for N = {}, problem has N = {}",
-                    warm.n,
-                    problem.n()
-                ),
-            });
-        }
-        let mut timer = PhaseTimer::new();
-        let mut labeler = Labeler::new(problem);
-        labeler.preload(&warm.proxy.labeled, &warm.proxy.labels);
-        let mut rng = StdRng::seed_from_u64(mix_seed(seed, SALT_SAMPLE));
+        check_same_population(warm.n, problem)?;
         let estimate = observed_phase(lts_obs::Phase::Stage2, || {
-            timer.phase(Phase::Phase2, || {
-                lws_phase2(
-                    self,
-                    &warm.scored,
-                    warm.sample_budget,
-                    warm.proxy.labeled.len(),
-                    problem.level(),
-                    &mut labeler,
-                    &mut rng,
-                )
+            run.timer.phase(Phase::Phase2, || {
+                lws_phase2(self, warm, problem.level(), &mut run.labeler, run.rng)
             })
         })?;
         Ok(EstimateReport {
-            estimate: estimate.shifted(warm.proxy.positives() as f64),
+            estimate,
             has_interval: true,
-            evals: labeler.unique_evals(),
-            timings: timer.finish(),
-            estimator: self.name_static().into(),
+            evals: run.labeler.unique_evals(),
+            timings: run.timer.finish(),
+            estimator: Self::NAME.into(),
             notes: Vec::new(),
             forecast: None,
         })
-    }
-
-    fn name_static(&self) -> &'static str {
-        "LWS"
     }
 }
 
@@ -379,12 +556,12 @@ impl Lws {
 pub struct LssWarm {
     /// The phase-1 proxy.
     pub proxy: TrainedProxy,
-    ordered: OrderedPopulation,
+    pub(crate) ordered: OrderedPopulation,
     /// Pilot positions within the ordering (ascending).
-    pilot_positions: Vec<usize>,
+    pub(crate) pilot_positions: Vec<usize>,
     /// Pilot labels aligned with `pilot_positions`.
     pilot_labels: Vec<bool>,
-    stratification: Stratification,
+    pub(crate) stratification: Stratification,
     /// The budget split the state was prepared under; each resume
     /// spends `split.stage2` fresh labels.
     pub split: LssBudgetSplit,
@@ -393,7 +570,7 @@ pub struct LssWarm {
     /// Oracle evaluations spent preparing (the cold-start cost).
     pub prepare_evals: usize,
     n: usize,
-    reuse: bool,
+    pub(crate) reuse: bool,
 }
 
 impl LssWarm {
@@ -402,13 +579,7 @@ impl LssWarm {
     /// payload a snapshot restore needs to avoid re-touching the
     /// oracle.
     pub fn known_labels(&self) -> Vec<(usize, bool)> {
-        let mut pairs: Vec<(usize, bool)> = self
-            .proxy
-            .labeled
-            .iter()
-            .copied()
-            .zip(self.proxy.labels.iter().copied())
-            .collect();
+        let mut pairs = self.proxy.known_labels();
         for (&pos, &label) in self.pilot_positions.iter().zip(&self.pilot_labels) {
             pairs.push((self.ordered.object_at(pos), label));
         }
@@ -441,11 +612,30 @@ impl LssWarm {
     }
 }
 
+impl Resumable for LssWarm {
+    const SHARDED_SALT: &'static [u8] = b"sharded-lss";
+
+    fn known_labels(&self) -> Vec<(usize, bool)> {
+        LssWarm::known_labels(self)
+    }
+
+    fn digest(&self) -> u64 {
+        LssWarm::digest(self)
+    }
+
+    fn prepare_evals(&self) -> usize {
+        self.prepare_evals
+    }
+
+    fn resume_evals(&self) -> usize {
+        self.split.stage2
+    }
+}
+
+/// The [`WarmEstimator`] entry points as inherent methods, so callers
+/// of the flagship estimator need no trait import.
 impl Lss {
-    /// Run the expensive, reusable phases (train + score + order +
-    /// pilot + design) with a deterministic per-phase seed stream,
-    /// returning a warm state [`Lss::estimate_prepared`] can resume any
-    /// number of times.
+    /// [`WarmEstimator::prepare`].
     ///
     /// # Errors
     ///
@@ -456,13 +646,10 @@ impl Lss {
         budget: usize,
         seed: u64,
     ) -> CoreResult<LssWarm> {
-        self.prepare_with_known(problem, budget, seed, &[])
+        WarmEstimator::prepare(self, problem, budget, seed)
     }
 
-    /// [`Lss::prepare`] resuming from already-known labels (snapshot
-    /// restore): `known` pairs are preloaded, so re-preparing a state
-    /// whose labels are all known costs **zero** oracle evaluations and
-    /// reproduces the original state bit-identically (same seed).
+    /// [`WarmEstimator::prepare_with_known`].
     ///
     /// # Errors
     ///
@@ -474,37 +661,68 @@ impl Lss {
         seed: u64,
         known: &[(usize, bool)],
     ) -> CoreResult<LssWarm> {
+        WarmEstimator::prepare_with_known(self, problem, budget, seed, known)
+    }
+
+    /// [`WarmEstimator::estimate_prepared`]; the report carries the
+    /// state's design-time quality forecast.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when the state does not match the problem, or
+    /// on sampling/labeling failures.
+    pub fn estimate_prepared(
+        &self,
+        problem: &CountingProblem,
+        warm: &LssWarm,
+        seed: u64,
+    ) -> CoreResult<EstimateReport> {
+        WarmEstimator::estimate_prepared(self, problem, warm, seed)
+    }
+}
+
+impl WarmEstimator for Lss {
+    type Warm = LssWarm;
+    const NAME: &'static str = "LSS";
+
+    fn splits(&self, budget: usize) -> bool {
+        self.budget_split(budget).is_ok()
+    }
+
+    /// Train, score + order, stage-1 pilot, design.
+    fn prepare_on(
+        &self,
+        problem: &CountingProblem,
+        budget: usize,
+        run: &mut Run<'_, '_>,
+    ) -> CoreResult<LssWarm> {
         check_budget(problem, budget)?;
         self.validate()?;
         let split = self.budget_split(budget)?;
-        let mut labeler = Labeler::new(problem);
-        preload_pairs(&mut labeler, known);
+        let proxy = run.train(problem, &self.learn, split.train)?;
 
-        let proxy = observed_phase(lts_obs::Phase::Train, || {
-            train_proxy(
-                problem,
-                &self.learn,
-                split.train,
-                mix_seed(seed, SALT_LEARN),
-                &mut labeler,
-            )
-        })?;
-
-        // Score + order (mirrors the one-shot path).
+        // With PilotSource::Fresh the ordering covers O' = O \ S_L (the
+        // paper's description); with ReuseLearning it covers all of O so
+        // the S_L labels can serve as design pilots at their own
+        // positions. `train_positions` are the positions of S_L within
+        // the ordering (empty in Fresh mode).
         let reuse = self.pilot_source == PilotSource::ReuseLearning;
-        let scored = observed_phase(lts_obs::Phase::Score, || {
-            if reuse {
-                ScoredPopulation::score_all(problem, proxy.model.as_ref())
-            } else {
-                ScoredPopulation::score_rest(problem, proxy.model.as_ref(), &proxy.labeled)
+        let (ordered, train_positions) = run.timer.phase(Phase::Phase2, || -> CoreResult<_> {
+            let scored = observed_phase(lts_obs::Phase::Score, || {
+                if reuse {
+                    ScoredPopulation::score_all(problem, proxy.model.as_ref())
+                } else {
+                    ScoredPopulation::score_rest(problem, proxy.model.as_ref(), &proxy.labeled)
+                }
+            })?;
+            let ordered = scored.into_ordered();
+            let mut in_train = vec![false; problem.n()];
+            for &i in &proxy.labeled {
+                in_train[i] = true;
             }
+            let train_positions = ordered.positions_marked(&in_train);
+            Ok((ordered, train_positions))
         })?;
-        let ordered = scored.into_ordered();
-        let mut in_train = vec![false; problem.n()];
-        for &i in &proxy.labeled {
-            in_train[i] = true;
-        }
-        let train_positions = ordered.positions_marked(&in_train);
         let n_rest = ordered.n();
         let n_drawable = n_rest - train_positions.len();
         if split.pilot + split.stage2 > n_drawable {
@@ -515,38 +733,39 @@ impl Lss {
             });
         }
 
-        // Stage-1 pilot draw + design, on its own seed stream.
-        let (positions, labels) = observed_phase(lts_obs::Phase::Pilot, || -> CoreResult<_> {
-            let mut rng = StdRng::seed_from_u64(mix_seed(seed, SALT_DESIGN));
-            let mut positions = if reuse {
+        let mut design_notes = Vec::new();
+        let (entries, stratification) = run.timer.phase(Phase::Design, || -> CoreResult<_> {
+            // Draw SI uniformly over *positions* of the ordering
+            // (equivalent to uniform over objects). The S_L positions
+            // (reuse mode only) are excluded from the draw and injected
+            // afterwards with their already-known labels, which the
+            // labeler has cached — they cost no extra q evaluations.
+            let entries = observed_phase(lts_obs::Phase::Pilot, || -> CoreResult<_> {
+                if let Some(seed) = run.pilot_seed {
+                    *run.rng = StdRng::seed_from_u64(seed);
+                }
                 let mut is_train = vec![false; n_rest];
                 for &pos in &train_positions {
                     is_train[pos] = true;
                 }
                 let candidates: Vec<usize> = (0..n_rest).filter(|&p| !is_train[p]).collect();
-                sample_without_replacement(&mut rng, split.pilot, candidates.len())?
-                    .into_iter()
-                    .map(|i| candidates[i])
-                    .collect()
-            } else {
-                sample_without_replacement(&mut rng, split.pilot, n_rest)?
-            };
-            positions.extend_from_slice(&train_positions);
-            let pilot_objs = ordered.objects_at(&positions);
-            let labels = labeler.label_batch(&pilot_objs)?;
-            Ok((positions, labels))
-        })?;
-        let entries: Vec<(usize, bool)> = positions.iter().copied().zip(labels).collect();
-        let pilot = ordered.pilot_index(&entries)?;
-        let mut design_notes = Vec::new();
-        let stratification = observed_phase(lts_obs::Phase::Design, || {
-            self.layout_cuts(
-                &pilot,
-                ordered.sorted_scores(),
-                n_rest,
-                split.stage2,
-                &mut design_notes,
-            )
+                let draws = sample_without_replacement(run.rng, split.pilot, candidates.len())?;
+                let mut positions: Vec<usize> = draws.into_iter().map(|i| candidates[i]).collect();
+                positions.extend_from_slice(&train_positions);
+                let labels = run.labeler.label_batch(&ordered.objects_at(&positions))?;
+                Ok(positions.into_iter().zip(labels).collect::<Vec<_>>())
+            })?;
+            let pilot = ordered.pilot_index(&entries)?;
+            let stratification = observed_phase(lts_obs::Phase::Design, || {
+                self.layout_cuts(
+                    &pilot,
+                    ordered.sorted_scores(),
+                    n_rest,
+                    split.stage2,
+                    &mut design_notes,
+                )
+            })?;
+            Ok((entries, stratification))
         })?;
 
         // Store the pilot sorted by position with aligned labels.
@@ -563,86 +782,35 @@ impl Lss {
             stratification,
             split,
             design_notes,
-            prepare_evals: labeler.unique_evals(),
+            prepare_evals: run.labeler.unique_evals(),
             n: problem.n(),
             reuse,
         })
     }
 
-    /// Resume a prepared state: allocate and draw a fresh stage-2
-    /// stratified sample with the given seed, spending only the
-    /// stage-2 budget (training + pilot labels are preloaded for free).
-    /// The report carries the state's design-time quality forecast.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the state does not match the problem, or
-    /// on sampling/labeling failures.
-    pub fn estimate_prepared(
+    /// Stage 2: allocate and draw a fresh stratified sample.
+    fn resume_on(
         &self,
         problem: &CountingProblem,
         warm: &LssWarm,
-        seed: u64,
+        mut run: Run<'_, '_>,
     ) -> CoreResult<EstimateReport> {
-        if warm.n != problem.n() {
-            return Err(CoreError::InvalidConfig {
-                message: format!(
-                    "warm state was prepared for N = {}, problem has N = {}",
-                    warm.n,
-                    problem.n()
-                ),
-            });
-        }
-        let mut timer = PhaseTimer::new();
-        let mut labeler = Labeler::new(problem);
-        labeler.preload(&warm.proxy.labeled, &warm.proxy.labels);
-        let pilot_objs = warm.ordered.objects_at(&warm.pilot_positions);
-        labeler.preload(&pilot_objs, &warm.pilot_labels);
-        let mut rng = StdRng::seed_from_u64(mix_seed(seed, SALT_SAMPLE));
+        check_same_population(warm.n, problem)?;
         let (estimate, forecast) = observed_phase(lts_obs::Phase::Stage2, || {
-            timer.phase(Phase::Phase2, || -> CoreResult<_> {
-                let outcome = stage2_estimate(
-                    self,
-                    &warm.ordered,
-                    &warm.pilot_positions,
-                    &warm.stratification,
-                    warm.split.stage2,
-                    problem.level(),
-                    &mut labeler,
-                    &mut rng,
-                )?;
-                let shift = match (self.pilot_handling, warm.reuse) {
-                    (crate::estimators::PilotHandling::ExactRemainder, true) => {
-                        outcome.pilot_positives as f64
-                    }
-                    (crate::estimators::PilotHandling::ExactRemainder, false) => {
-                        (warm.proxy.positives() + outcome.pilot_positives) as f64
-                    }
-                    (crate::estimators::PilotHandling::Textbook, _) => {
-                        warm.proxy.positives() as f64
-                    }
-                };
-                Ok((outcome.base.shifted(shift), outcome.forecast))
+            run.timer.phase(Phase::Phase2, || {
+                stage2_estimate(self, warm, problem.level(), &mut run.labeler, run.rng)
             })
         })?;
         Ok(EstimateReport {
             estimate,
             has_interval: true,
-            evals: labeler.unique_evals(),
-            timings: timer.finish(),
-            estimator: "LSS".into(),
+            evals: run.labeler.unique_evals(),
+            timings: run.timer.finish(),
+            estimator: Self::NAME.into(),
             notes: warm.design_notes.clone(),
             forecast: Some(forecast),
         })
     }
-}
-
-fn preload_pairs(labeler: &mut Labeler<'_>, known: &[(usize, bool)]) {
-    if known.is_empty() {
-        return;
-    }
-    let (ids, labels): (Vec<usize>, Vec<bool>) = known.iter().copied().unzip();
-    labeler.preload(&ids, &labels);
 }
 
 #[cfg(test)]

@@ -17,7 +17,7 @@
 mod common;
 
 use common::band_problem;
-use lts_core::{shard_problems, shard_seed, Lss, ShardPlan};
+use lts_core::{shard_problems, shard_seed, Lss, ShardPlan, Shardable};
 use lts_stats::{compose_independent, Component};
 
 #[test]

@@ -10,12 +10,12 @@
 //!
 //! An entry also carries the query's **conjunctive decomposition**
 //! (when it usefully splits, see `lts_table::decompose`) and, once a
-//! prefilter scan has run, the memoized **plan state** — survivor
+//! prefilter scan has run, the memoized [`PhysicalPlan`] — survivor
 //! count and the restricted residual problem — so repeat requests of a
 //! decomposed query never re-scan or rebuild the restricted problem.
-//! Plan state is version-bound: a table-version rebuild drops it.
+//! The plan is version-bound: a table-version rebuild drops it.
 
-use lts_core::CountingProblem;
+use lts_core::{CountingProblem, PhysicalPlan};
 use lts_table::Expr;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -45,30 +45,6 @@ pub struct QueryDecomposition {
     pub residual_canonical: String,
 }
 
-/// Memoized result of a prefilter scan: how many rows survived and the
-/// restricted residual problem built over them (`None` when nothing
-/// survived — the exact count is 0 and no problem exists).
-pub struct PlanState {
-    /// Prefilter survivor count `M`.
-    pub survivors: usize,
-    /// Population `N` the scan ran over.
-    pub population: usize,
-    /// The restricted residual problem (survivor rows, delegating
-    /// predicate, gathered features).
-    pub restricted: Option<Arc<CountingProblem>>,
-}
-
-impl PlanState {
-    /// Observed selectivity `M/N` (0 for an empty population).
-    pub fn selectivity(&self) -> f64 {
-        if self.population == 0 {
-            0.0
-        } else {
-            self.survivors as f64 / self.population as f64
-        }
-    }
-}
-
 /// One distinct query the service knows.
 pub struct QueryEntry {
     /// Compact id (hash of dataset, table version, canonical string).
@@ -83,9 +59,10 @@ pub struct QueryEntry {
     /// Conjunctive decomposition, present iff the query splits into
     /// both a cheap prefilter and an expensive residual.
     pub decomposition: Option<Arc<QueryDecomposition>>,
-    /// Memoized prefilter-scan state, populated lazily by the first
-    /// planned execution ([`QueryCatalog::set_plan`]).
-    pub plan: Option<Arc<PlanState>>,
+    /// Memoized physical plan (prefilter scan + restricted problem),
+    /// populated lazily by the first planned execution
+    /// ([`QueryCatalog::set_plan`]).
+    pub plan: Option<Arc<PhysicalPlan>>,
 }
 
 /// The service's query catalog.
@@ -167,9 +144,9 @@ impl QueryCatalog {
         }
     }
 
-    /// Memoize the plan state of an entry (no-op for unknown keys —
+    /// Memoize the physical plan of an entry (no-op for unknown keys —
     /// the entry was invalidated between resolve and scan).
-    pub fn set_plan(&mut self, key: &QueryKey, plan: Arc<PlanState>) {
+    pub fn set_plan(&mut self, key: &QueryKey, plan: Arc<PhysicalPlan>) {
         if let Some(e) = self.entries.get_mut(key) {
             e.plan = Some(plan);
         }
@@ -186,7 +163,8 @@ impl QueryCatalog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lts_table::{table_of_floats, FnPredicate, ObjectPredicate, Table};
+    use lts_core::LogicalPlan;
+    use lts_table::{table_of_floats, Expr, FnPredicate, ObjectPredicate, PartitionedTable, Table};
 
     fn problem() -> Arc<CountingProblem> {
         let t = Arc::new(table_of_floats(&[("x", &[1.0, 2.0, 3.0])]).unwrap());
@@ -194,6 +172,17 @@ mod tests {
             Ok(t.floats("x")?[i] > 1.5)
         }));
         Arc::new(CountingProblem::new(t, p, &["x"]).unwrap())
+    }
+
+    /// The plan of `x < below AND <residual>` over [`problem`]'s table.
+    fn plan(below: f64) -> Arc<PhysicalPlan> {
+        let problem = problem();
+        let table = PartitionedTable::new(Arc::clone(problem.objects()), 1);
+        let logical = LogicalPlan {
+            prefilter: Some(Expr::col("x").lt(Expr::lit(below))),
+            residual: Expr::col("x").gt(Expr::lit(1.5)),
+        };
+        Arc::new(PhysicalPlan::build(problem, &table, logical).unwrap())
     }
 
     fn key(ds: &str, canon: &str) -> QueryKey {
@@ -226,15 +215,8 @@ mod tests {
         let mut cat = QueryCatalog::new();
         cat.resolve::<()>(key("d", "q"), 1, 0, || Ok((problem(), None)))
             .unwrap();
-        // Memoized plan state from the old version…
-        cat.set_plan(
-            &key("d", "q"),
-            Arc::new(PlanState {
-                survivors: 2,
-                population: 3,
-                restricted: None,
-            }),
-        );
+        // A memoized plan from the old version…
+        cat.set_plan(&key("d", "q"), plan(2.5));
         let mut rebuilt = false;
         let e = cat
             .resolve::<()>(key("d", "q"), 2, 1, || {
@@ -266,26 +248,12 @@ mod tests {
         let mut cat = QueryCatalog::new();
         cat.resolve::<()>(key("d", "q"), 1, 0, || Ok((problem(), None)))
             .unwrap();
-        cat.set_plan(
-            &key("d", "q"),
-            Arc::new(PlanState {
-                survivors: 1,
-                population: 3,
-                restricted: None,
-            }),
-        );
-        let plan = cat.get(&key("d", "q")).unwrap().plan.as_ref().unwrap();
-        assert_eq!(plan.survivors, 1);
-        assert!((plan.selectivity() - 1.0 / 3.0).abs() < 1e-12);
+        cat.set_plan(&key("d", "q"), plan(1.5));
+        let memo = cat.get(&key("d", "q")).unwrap().plan.as_ref().unwrap();
+        assert_eq!(memo.survivors(), Some(1));
+        assert!((memo.selectivity().unwrap() - 1.0 / 3.0).abs() < 1e-12);
         // Unknown keys are a no-op, not a panic.
-        cat.set_plan(
-            &key("d", "missing"),
-            Arc::new(PlanState {
-                survivors: 0,
-                population: 0,
-                restricted: None,
-            }),
-        );
+        cat.set_plan(&key("d", "missing"), plan(0.0));
         assert_eq!(cat.len(), 1);
     }
 }

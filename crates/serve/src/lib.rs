@@ -42,7 +42,7 @@ pub mod state;
 pub mod store;
 
 pub use cache::{CachedResult, ResultCache, ResultKey, StalenessPolicy};
-pub use catalog::{PlanState, QueryCatalog, QueryDecomposition, QueryEntry, QueryKey};
+pub use catalog::{QueryCatalog, QueryDecomposition, QueryEntry, QueryKey};
 pub use error::{ServeError, ServeResult};
 pub use fingerprint::{canonical, fingerprint, normalize};
 pub use net::{NetConfig, NetServer};
@@ -54,6 +54,6 @@ pub use service::{
     ServiceStats,
 };
 pub use state::{RestoreSummary, StateError, STATE_FILE};
-pub use store::{ModelStore, StoreKey, StoredModel, WarmState};
+pub use store::{EstimatorTag, ModelStore, StoreKey, StoredModel, WarmState};
 
 pub use lts_obs::{MetricsRegistry, MetricsSnapshot, Observability, SlowLog, Trace, TraceRing};

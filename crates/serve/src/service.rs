@@ -6,7 +6,7 @@
 //! condition ──parse──► Expr ──normalize──► canonical ──► fingerprint
 //!     │                                         │
 //!     │                              QueryCatalog (problem, meter,
-//!     │                                 decomposition, plan state)
+//!     │                                 decomposition, physical plan)
 //!     │                                         │
 //!     ├── decomposed? exact prefilter scan ─► restricted residual plan
 //!     ├── ResultCache hit? ──────────────► respond (0 evals, "cached")
@@ -19,9 +19,10 @@
 //!
 //! A conjunctive query that splits into a subquery-free prefilter and
 //! an oracle-bearing residual (`lts_table::decompose`) is planned in
-//! two stages: the prefilter runs as a vectorized exact scan
-//! (`lts_core::plan::select_prefilter`), and the planner then chooses
-//! — census, exact residual census over the survivors, restricted
+//! two stages: the prefilter runs as a vectorized exact scan and the
+//! survivors become a restricted problem (one memoized
+//! `lts_core::PhysicalPlan` per catalog entry), and the planner then
+//! chooses — census, exact residual census over the survivors, restricted
 //! estimate, or fall back to the monolithic plan when the prefilter is
 //! unselective ([`BudgetPlanner::choose`]). Scan outcomes feed a
 //! [`SelectivityFeedback`] ledger keyed by canonical prefilter, so a
@@ -55,14 +56,14 @@
 //! streams with wall times masked.
 
 use crate::cache::{CachedResult, ResultCache, ResultKey, StalenessPolicy};
-use crate::catalog::{PlanState, QueryCatalog, QueryDecomposition, QueryKey};
+use crate::catalog::{QueryCatalog, QueryDecomposition, QueryKey};
 use crate::error::{ServeError, ServeResult};
 use crate::fingerprint;
 use crate::planner::{BudgetPlanner, QueryRoute, Route, SelectivityFeedback, Target};
 use crate::store::{ModelStore, StoreKey, StoredModel, WarmState};
 use lts_core::{
-    fnv1a, mix_seed, restrict_problem, select_prefilter, CountEstimator, CountingProblem, Lss, Lws,
-    ShardPlan, Srs,
+    fnv1a, mix_seed, CountEstimator, CountingProblem, LogicalPlan, Lss, PhysicalPlan, ShardPlan,
+    Shardable, Srs,
 };
 use lts_obs::{
     Counter, Gauge, Histogram, MetricsRegistry, Observability, SlowEntry, Trace, TraceEvent,
@@ -108,8 +109,6 @@ pub struct ServiceConfig {
     pub staleness: StalenessPolicy,
     /// LSS profile for learned estimates (see [`serve_lss_profile`]).
     pub lss: Lss,
-    /// LWS profile (used only for imported `lws` store entries).
-    pub lws: Lws,
     /// Shards for cold estimates (1 = unsharded). With more than one
     /// shard, cold prepares run the full pipeline independently per
     /// shard of a [`ShardPlan::uniform`] layout — pure arithmetic over
@@ -132,7 +131,6 @@ impl Default for ServiceConfig {
             planner: BudgetPlanner::default(),
             staleness: StalenessPolicy::default(),
             lss: serve_lss_profile(),
-            lws: Lws::default(),
             shards: 1,
             trace: false,
         }
@@ -523,12 +521,10 @@ struct ResolvedQuery {
 /// Execution route after planning (the physical analogue of
 /// [`Route`]): which problem to run, under what store identity.
 enum PlannedRoute {
-    /// Census over `exec_problem` (the full population, or the
-    /// prefilter survivors — whichever the plan restricted to).
-    Exact,
-    /// The prefilter kept no rows: the count is exactly 0 and nothing
-    /// executes (zero oracle evaluations).
-    ExactEmpty,
+    /// Exact count: through `plan` when the prefilter route chose it
+    /// (residual census over the survivors; zero oracle evaluations
+    /// when none survived), else a census over `exec_problem`.
+    Exact { plan: Option<Arc<PhysicalPlan>> },
     /// Estimate over `exec_problem` under this budget.
     Estimate { budget: usize },
 }
@@ -563,8 +559,7 @@ struct Admitted {
 }
 
 enum ComputeKind {
-    Exact,
-    ExactEmpty,
+    Exact { plan: Option<Arc<PhysicalPlan>> },
     Resume { store_key: StoreKey },
     SrsFallback,
 }
@@ -893,7 +888,7 @@ impl Service {
 
         for adm in &admitted {
             let budget = match adm.planned.route {
-                PlannedRoute::Exact | PlannedRoute::ExactEmpty => 0,
+                PlannedRoute::Exact { .. } => 0,
                 PlannedRoute::Estimate { budget } => budget,
             };
             // The result cache keys on the FULL canonical query, so a
@@ -933,7 +928,7 @@ impl Service {
                     if tracing {
                         let mut events = vec![TraceEvent::Route {
                             route: response.route,
-                            kind: plan_kind(&adm.planned),
+                            kind: plan_kind(&adm.planned).to_string(),
                         }];
                         events.extend(spans.remove(&adm.pos).unwrap_or_default());
                         events.push(TraceEvent::Cache { outcome: "hit" });
@@ -967,10 +962,9 @@ impl Service {
                 });
             }
 
-            let (kind, is_cold) = match adm.planned.route {
-                PlannedRoute::Exact => (ComputeKind::Exact, false),
-                PlannedRoute::ExactEmpty => (ComputeKind::ExactEmpty, false),
-                PlannedRoute::Estimate { budget } => {
+            let (kind, is_cold) = match &adm.planned.route {
+                PlannedRoute::Exact { plan } => (ComputeKind::Exact { plan: plan.clone() }, false),
+                &PlannedRoute::Estimate { budget } => {
                     let store_key = StoreKey {
                         dataset: adm.dataset.clone(),
                         canonical: adm.planned.store_canonical.clone(),
@@ -1081,14 +1075,14 @@ impl Service {
 
         // ------------------------------------ wave 2: execute (par)
         let store = &self.store;
-        let lws = self.config.lws;
         let mut computed: Vec<(Computed, Vec<TraceEvent>)> = compute
             .iter()
             .map(|item| ExecItem {
                 pos: item.pos,
                 kind: match &item.kind {
-                    ComputeKind::Exact => ExecKind::Exact,
-                    ComputeKind::ExactEmpty => ExecKind::ExactEmpty,
+                    ComputeKind::Exact { plan } => ExecKind::Exact {
+                        plan: plan.as_deref(),
+                    },
                     ComputeKind::SrsFallback => ExecKind::Srs,
                     ComputeKind::Resume { store_key } => ExecKind::Resume {
                         stored: store.get(store_key),
@@ -1103,9 +1097,9 @@ impl Service {
             .into_par_iter()
             .map(|item| {
                 if tracing {
-                    lts_obs::trace::collect(|| execute(item, lss, lws))
+                    lts_obs::trace::collect(|| execute(item, lss))
                 } else {
-                    (execute(item, lss, lws), Vec::new())
+                    (execute(item, lss), Vec::new())
                 }
             })
             .collect();
@@ -1137,7 +1131,7 @@ impl Service {
                 }
                 Ok(ok) => {
                     let served = match (&item.kind, item.is_cold) {
-                        (ComputeKind::Exact | ComputeKind::ExactEmpty, _) => "exact",
+                        (ComputeKind::Exact { .. }, _) => "exact",
                         (_, true) => "cold",
                         (_, false) => "warm",
                     };
@@ -1219,7 +1213,7 @@ impl Service {
             if tracing {
                 let mut events = vec![TraceEvent::Route {
                     route: response.route,
-                    kind: plan_kind(&adm.planned),
+                    kind: plan_kind(&adm.planned).to_string(),
                 }];
                 events.extend(spans.remove(&item.pos).unwrap_or_default());
                 match &item.kind {
@@ -1240,7 +1234,7 @@ impl Service {
                         outcome: "unpreparable",
                         key: String::new(),
                     }),
-                    ComputeKind::Exact | ComputeKind::ExactEmpty => {}
+                    ComputeKind::Exact { .. } => {}
                 }
                 events.extend(exec_events);
                 events.push(TraceEvent::Served {
@@ -1280,7 +1274,7 @@ impl Service {
                 if let Some(adm) = admitted.iter().find(|a| a.pos == pos) {
                     events.push(TraceEvent::Route {
                         route: response.route,
-                        kind: plan_kind(&adm.planned),
+                        kind: plan_kind(&adm.planned).to_string(),
                     });
                 }
                 events.extend(spans.remove(&pos).unwrap_or_default());
@@ -1370,7 +1364,7 @@ impl Service {
 
     /// Run (or reuse) the exact prefilter scan of a decomposed query:
     /// survivors, the restricted residual problem, and the feedback
-    /// record all come from one memoized [`PlanState`] per catalog
+    /// record all come from one memoized [`PhysicalPlan`] per catalog
     /// entry, so repeat requests never re-scan.
     fn ensure_plan_state(
         &mut self,
@@ -1379,7 +1373,7 @@ impl Service {
         table_version: u64,
         problem: &Arc<CountingProblem>,
         decomp: &QueryDecomposition,
-    ) -> ServeResult<Arc<PlanState>> {
+    ) -> ServeResult<Arc<PhysicalPlan>> {
         let key = QueryKey {
             dataset: dataset.to_string(),
             canonical: canonical.to_string(),
@@ -1397,24 +1391,22 @@ impl Service {
             .ok_or_else(|| ServeError::UnknownDataset {
                 name: dataset.to_string(),
             })?;
-        let selection = select_prefilter(&ds.table, &decomp.prefilter)?;
-        let restricted = if selection.survivors.is_empty() {
-            None
-        } else {
-            Some(Arc::new(restrict_problem(problem, &selection.survivors)?))
+        let logical = LogicalPlan {
+            prefilter: Some(decomp.prefilter.clone()),
+            residual: decomp.residual.clone(),
         };
-        let plan = Arc::new(PlanState {
-            survivors: selection.survivors.len(),
-            population: selection.population,
-            restricted,
-        });
+        let plan = Arc::new(PhysicalPlan::build(
+            Arc::clone(problem),
+            &ds.table,
+            logical,
+        )?);
         self.catalog.set_plan(&key, Arc::clone(&plan));
         self.feedback.record(
             dataset,
             &decomp.prefilter_canonical,
             table_version,
-            plan.survivors,
-            plan.population,
+            plan.survivors().expect("the plan ran its prefilter"),
+            plan.population(),
         );
         Ok(plan)
     }
@@ -1439,7 +1431,7 @@ impl Service {
         let planner = self.config.planner;
         let monolithic = |route: Route, summary: Option<PlanSummary>| PlannedQuery {
             route: match route {
-                Route::Exact => PlannedRoute::Exact,
+                Route::Exact => PlannedRoute::Exact { plan: None },
                 Route::Estimate { budget } => PlannedRoute::Estimate { budget },
             },
             exec_problem: Arc::clone(problem),
@@ -1452,70 +1444,53 @@ impl Service {
             _ => return Ok(monolithic(planner.plan(problem.n(), target)?, None)),
         };
         let n = problem.n();
-        let mono_summary = |route: &Route| {
+        // Monolithic routes report no survivors whether or not a scan
+        // ran (see [`PlanSummary::survivors`]).
+        let summary = |kind: &'static str, plan: Option<&PhysicalPlan>| {
             Some(PlanSummary {
-                kind: match route {
-                    Route::Exact => "census",
-                    Route::Estimate { .. } => "monolithic",
-                },
+                kind,
                 prefilter: decomp.prefilter_canonical.clone(),
                 residual: decomp.residual_canonical.clone(),
                 population: n,
-                survivors: None,
-                selectivity: None,
+                survivors: plan.and_then(PhysicalPlan::survivors),
+                selectivity: plan.and_then(PhysicalPlan::selectivity),
             })
+        };
+        let mono = |route: Route| {
+            let kind = match route {
+                Route::Exact => "census",
+                Route::Estimate { .. } => "monolithic",
+            };
+            monolithic(route, summary(kind, None))
         };
         if let Some(predicted) =
             self.feedback
                 .predict(dataset, &decomp.prefilter_canonical, table_version)
         {
             if predicted >= planner.monolithic_selectivity {
-                let route = planner.plan(n, target)?;
-                return Ok(monolithic(route, mono_summary(&route)));
+                return Ok(mono(planner.plan(n, target)?));
             }
         }
         let plan = self.ensure_plan_state(dataset, canonical, table_version, problem, decomp)?;
-        let summary = |kind: &'static str| {
-            Some(PlanSummary {
-                kind,
-                prefilter: decomp.prefilter_canonical.clone(),
-                residual: decomp.residual_canonical.clone(),
-                population: n,
-                survivors: Some(plan.survivors),
-                selectivity: Some(plan.selectivity()),
-            })
-        };
-        Ok(match planner.choose(n, Some(plan.survivors), target)? {
-            QueryRoute::Monolithic(route) => monolithic(route, mono_summary(&route)),
-            QueryRoute::PrefilterExact => match &plan.restricted {
-                None => PlannedQuery {
-                    route: PlannedRoute::ExactEmpty,
-                    exec_problem: Arc::clone(problem),
-                    store_canonical: canonical.to_string(),
-                    store_scope: String::new(),
-                    summary: summary("exact_prefilter"),
+        Ok(match planner.choose(n, plan.survivors(), target)? {
+            QueryRoute::Monolithic(route) => mono(route),
+            QueryRoute::PrefilterExact => PlannedQuery {
+                route: PlannedRoute::Exact {
+                    plan: Some(Arc::clone(&plan)),
                 },
-                Some(restricted) => PlannedQuery {
-                    route: PlannedRoute::Exact,
-                    exec_problem: Arc::clone(restricted),
-                    store_canonical: canonical.to_string(),
-                    store_scope: String::new(),
-                    summary: summary("exact_prefilter"),
-                },
+                summary: summary("exact_prefilter", Some(&plan)),
+                ..monolithic(Route::Exact, None)
             },
-            QueryRoute::PrefilterEstimate { budget } => {
-                let restricted = plan
-                    .restricted
-                    .clone()
-                    .expect("an estimate plan implies survivors");
-                PlannedQuery {
-                    route: PlannedRoute::Estimate { budget },
-                    exec_problem: restricted,
-                    store_canonical: decomp.residual_canonical.clone(),
-                    store_scope: decomp.prefilter_canonical.clone(),
-                    summary: summary("prefilter_estimate"),
-                }
-            }
+            QueryRoute::PrefilterEstimate { budget } => PlannedQuery {
+                route: PlannedRoute::Estimate { budget },
+                exec_problem: Arc::clone(
+                    plan.restricted()
+                        .expect("an estimate plan implies survivors"),
+                ),
+                store_canonical: decomp.residual_canonical.clone(),
+                store_scope: decomp.prefilter_canonical.clone(),
+                summary: summary("prefilter_estimate", Some(&plan)),
+            },
         })
     }
 
@@ -1585,17 +1560,10 @@ impl Service {
                 canonical: resolved.canonical.clone(),
             })
             .and_then(|e| e.plan.as_deref())
-            .map(|p| (p.survivors, p.selectivity()));
-        let kind = planned.summary.as_ref().map_or(
-            match planned.route {
-                PlannedRoute::Exact => "census",
-                PlannedRoute::ExactEmpty => "exact_prefilter",
-                PlannedRoute::Estimate { .. } => "monolithic",
-            },
-            |s| s.kind,
-        );
+            .and_then(|p| p.survivors().zip(p.selectivity()));
+        let kind = plan_kind(&planned);
         let budget = match planned.route {
-            PlannedRoute::Exact | PlannedRoute::ExactEmpty => 0,
+            PlannedRoute::Exact { .. } => 0,
             PlannedRoute::Estimate { budget } => budget,
         };
         let esc = json_escape;
@@ -1681,14 +1649,7 @@ impl Service {
                 _ => continue,
             }
             let resolved = self.resolve_query(&entry.dataset, &entry.condition)?;
-            let (family, shard_k, prefiltered) =
-                parse_estimator_tag(&entry.estimator).ok_or_else(|| ServeError::Invalid {
-                    message: format!(
-                        "unknown estimator tag `{}` in store export",
-                        entry.estimator
-                    ),
-                })?;
-            let (problem, store_canonical, store_scope) = if prefiltered {
+            let (problem, store_canonical, store_scope) = if entry.estimator.prefiltered {
                 let decomp = resolved
                     .decomposition
                     .clone()
@@ -1705,12 +1666,15 @@ impl Service {
                     &resolved.problem,
                     &decomp,
                 )?;
-                let restricted = plan.restricted.clone().ok_or_else(|| ServeError::Invalid {
-                    message: format!(
-                        "prefiltered store entry for `{}` but the prefilter keeps no rows",
-                        entry.condition
-                    ),
-                })?;
+                let restricted = plan
+                    .restricted()
+                    .cloned()
+                    .ok_or_else(|| ServeError::Invalid {
+                        message: format!(
+                            "prefiltered store entry for `{}` but the prefilter keeps no rows",
+                            entry.condition
+                        ),
+                    })?;
                 (
                     restricted,
                     decomp.residual_canonical.clone(),
@@ -1723,46 +1687,23 @@ impl Service {
                     String::new(),
                 )
             };
-            let state = match (family, shard_k) {
-                ("lss", None) => WarmState::Lss(self.config.lss.prepare_with_known(
+            let lss = self.config.lss;
+            let state = match entry.estimator.shards {
+                None => WarmState::Lss(lss.prepare_with_known(
                     &problem,
                     entry.budget,
                     entry.prepare_seed,
                     &entry.labels,
                 )?),
-                ("lws", None) => WarmState::Lws(self.config.lws.prepare_with_known(
-                    &problem,
-                    entry.budget,
-                    entry.prepare_seed,
-                    &entry.labels,
-                )?),
-                ("lss", Some(k)) => {
-                    let plan = ShardPlan::uniform(problem.n(), k)?;
-                    WarmState::LssSharded(self.config.lss.prepare_sharded_with_known(
+                Some(k) => {
+                    let plan = ShardPlan::uniform(problem.n(), k.get())?;
+                    WarmState::LssSharded(lss.prepare_sharded_with_known(
                         &problem,
                         &plan,
                         entry.budget,
                         entry.prepare_seed,
                         &entry.labels,
                     )?)
-                }
-                ("lws", Some(k)) => {
-                    let plan = ShardPlan::uniform(problem.n(), k)?;
-                    WarmState::LwsSharded(self.config.lws.prepare_sharded_with_known(
-                        &problem,
-                        &plan,
-                        entry.budget,
-                        entry.prepare_seed,
-                        &entry.labels,
-                    )?)
-                }
-                _ => {
-                    return Err(ServeError::Invalid {
-                        message: format!(
-                            "unknown estimator tag `{}` in store export",
-                            entry.estimator
-                        ),
-                    })
                 }
             };
             self.store.insert(
@@ -1838,15 +1779,16 @@ impl Service {
     }
 }
 
-/// Plan kind echoed in a [`TraceEvent::Route`]: the summary's kind
-/// when the query decomposed, otherwise inferred from the route.
-fn plan_kind(planned: &PlannedQuery) -> String {
-    planned.summary.as_ref().map_or_else(
-        || match planned.route {
-            PlannedRoute::Exact | PlannedRoute::ExactEmpty => "census".to_string(),
-            PlannedRoute::Estimate { .. } => "monolithic".to_string(),
+/// Plan kind echoed in a [`TraceEvent::Route`] and by `explain`: the
+/// summary's kind when the query decomposed, otherwise inferred from
+/// the route.
+fn plan_kind(planned: &PlannedQuery) -> &'static str {
+    planned.summary.as_ref().map_or(
+        match planned.route {
+            PlannedRoute::Exact { .. } => "census",
+            PlannedRoute::Estimate { .. } => "monolithic",
         },
-        |s| s.kind.to_string(),
+        |s| s.kind,
     )
 }
 
@@ -1877,15 +1819,14 @@ struct ExecItem<'a> {
 }
 
 enum ExecKind<'a> {
-    Exact,
-    ExactEmpty,
+    Exact { plan: Option<&'a PhysicalPlan> },
     Srs,
     Resume { stored: Option<&'a StoredModel> },
 }
 
-fn execute(item: ExecItem<'_>, lss: Lss, lws: Lws) -> Computed {
+fn execute(item: ExecItem<'_>, lss: Lss) -> Computed {
     let start = Instant::now();
-    let result = execute_inner(&item, lss, lws);
+    let result = execute_inner(&item, lss);
     Computed {
         pos: item.pos,
         result,
@@ -1893,31 +1834,27 @@ fn execute(item: ExecItem<'_>, lss: Lss, lws: Lws) -> Computed {
     }
 }
 
-fn execute_inner(item: &ExecItem<'_>, lss: Lss, lws: Lws) -> ServeResult<ComputedOk> {
+fn execute_inner(item: &ExecItem<'_>, lss: Lss) -> ServeResult<ComputedOk> {
     match &item.kind {
-        ExecKind::Exact => {
-            let count = item.problem.exact_count()? as f64;
+        ExecKind::Exact { plan } => {
+            // Through the physical plan, the census runs over the
+            // prefilter survivors only — and costs nothing when none
+            // survived (a zero-width interval at zero oracle cost).
+            let (count, evals) = match plan {
+                Some(p) => (
+                    p.exact_count()?,
+                    p.survivors().unwrap_or_else(|| p.population()),
+                ),
+                None => (item.problem.exact_count()?, item.problem.n()),
+            };
+            let count = count as f64;
             Ok(ComputedOk {
                 estimate: count,
                 std_error: 0.0,
                 lo: count,
                 hi: count,
                 level: item.problem.level(),
-                evals: item.problem.n(),
-                route: "exact",
-                model_version: 0,
-            })
-        }
-        ExecKind::ExactEmpty => {
-            // No prefilter survivor: the count is exactly 0 — a
-            // zero-width interval at zero oracle cost.
-            Ok(ComputedOk {
-                estimate: 0.0,
-                std_error: 0.0,
-                lo: 0.0,
-                hi: 0.0,
-                level: item.problem.level(),
-                evals: 0,
+                evals,
                 route: "exact",
                 model_version: 0,
             })
@@ -1942,12 +1879,8 @@ fn execute_inner(item: &ExecItem<'_>, lss: Lss, lws: Lws) -> ServeResult<Compute
             })?;
             let report = match &stored.state {
                 WarmState::Lss(w) => lss.estimate_prepared(&item.problem, w, item.seed)?,
-                WarmState::Lws(w) => lws.estimate_prepared(&item.problem, w, item.seed)?,
                 WarmState::LssSharded(w) => {
                     lss.estimate_prepared_sharded(&item.problem, w, item.seed)?
-                }
-                WarmState::LwsSharded(w) => {
-                    lws.estimate_prepared_sharded(&item.problem, w, item.seed)?
                 }
             };
             let prepare_evals = if item.is_cold {
@@ -1962,28 +1895,9 @@ fn execute_inner(item: &ExecItem<'_>, lss: Lss, lws: Lws) -> ServeResult<Compute
                 hi: report.estimate.interval.hi,
                 level: item.problem.level(),
                 evals: report.evals + prepare_evals,
-                route: stored.state.tag(),
+                route: "lss",
                 model_version: stored.state.digest(),
             })
-        }
-    }
-}
-
-/// Split a store-export estimator tag into family, optional shard
-/// count, and the prefiltered marker: `lss` → `("lss", None, false)`,
-/// `lss@4` → `("lss", Some(4), false)`, `lss@4+pf` →
-/// `("lss", Some(4), true)`. Returns `None` for malformed shard
-/// suffixes (`lss@0`, `lss@x`).
-fn parse_estimator_tag(tag: &str) -> Option<(&str, Option<usize>, bool)> {
-    let (tag, prefiltered) = match tag.strip_suffix("+pf") {
-        Some(t) => (t, true),
-        None => (tag, false),
-    };
-    match tag.split_once('@') {
-        None => Some((tag, None, prefiltered)),
-        Some((family, k)) => {
-            let k: usize = k.parse().ok()?;
-            (k > 0).then_some((family, Some(k), prefiltered))
         }
     }
 }

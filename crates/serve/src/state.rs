@@ -128,7 +128,6 @@ fn route_static(s: &str) -> Option<&'static str> {
     match s {
         "exact" => Some("exact"),
         "lss" => Some("lss"),
-        "lws" => Some("lws"),
         "srs" => Some("srs"),
         _ => None,
     }
@@ -441,14 +440,17 @@ mod tests {
 
     #[test]
     fn unknown_route_is_rejected() {
-        let body = format!(
-            "lts-state/v1\ncache\td\tq\t10\t0\t{z}\t{z}\t{z}\t{z}\t{z}\t5\t0\tbogus\n",
-            z = f64_hex(0.0)
-        );
-        let text = format!("{body}checksum\t{:016x}\n", fnv1a(body.as_bytes()));
-        assert!(matches!(
-            parse_snapshot(&text),
-            Err(StateError::Corrupt { message }) if message.contains("unknown route")
-        ));
+        // `lws`: no served route since the service prepares LSS only.
+        for route in ["bogus", "lws"] {
+            let body = format!(
+                "lts-state/v1\ncache\td\tq\t10\t0\t{z}\t{z}\t{z}\t{z}\t{z}\t5\t0\t{route}\n",
+                z = f64_hex(0.0)
+            );
+            let text = format!("{body}checksum\t{:016x}\n", fnv1a(body.as_bytes()));
+            assert!(matches!(
+                parse_snapshot(&text),
+                Err(StateError::Corrupt { message }) if message.contains("unknown route")
+            ));
+        }
     }
 }

@@ -16,10 +16,17 @@
 //! preloaded, which touches the oracle zero times and reproduces the
 //! exact state. (Weight-level classifier persistence exists separately
 //! in `lts_learn::persist` for the families with flat parameter sets.)
+//!
+//! The service prepares LSS only, unsharded or sharded, so a
+//! [`WarmState`] has those two shapes; how a state was laid out travels
+//! in the export as a typed [`EstimatorTag`] (`lss`, `lss@4`, `lss+pf`,
+//! `lss@4+pf`), whose grammar lives here and nowhere else.
 
-use lts_core::{LssWarm, LwsWarm, ShardedLssWarm, ShardedLwsWarm};
+use lts_core::{LssWarm, Sharded};
 use std::collections::HashMap;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
+use std::num::NonZeroUsize;
+use std::str::FromStr;
 
 /// Identity of one stored warm state.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -41,17 +48,17 @@ pub struct StoreKey {
     pub budget: usize,
 }
 
-/// A warm estimator state (the estimator the planner routed to).
+/// A warm estimator state: learned stratified sampling, prepared over
+/// the whole population or per shard.
+// The large variant is the default one and a state is built once and
+// then only borrowed, so boxing it would buy nothing.
+#[allow(clippy::large_enum_variant)]
 pub enum WarmState {
-    /// Learned stratified sampling (the service default).
+    /// Unsharded LSS (the service default).
     Lss(LssWarm),
-    /// Learned weighted sampling.
-    Lws(LwsWarm),
     /// Sharded LSS: one [`LssWarm`] per shard (the cold path when the
     /// service is configured with more than one shard).
-    LssSharded(ShardedLssWarm),
-    /// Sharded LWS.
-    LwsSharded(ShardedLwsWarm),
+    LssSharded(Sharded<LssWarm>),
 }
 
 impl WarmState {
@@ -60,9 +67,7 @@ impl WarmState {
     pub fn digest(&self) -> u64 {
         match self {
             WarmState::Lss(w) => w.digest(),
-            WarmState::Lws(w) => w.digest(),
             WarmState::LssSharded(w) => w.digest(),
-            WarmState::LwsSharded(w) => w.digest(),
         }
     }
 
@@ -71,19 +76,7 @@ impl WarmState {
     pub fn prepare_evals(&self) -> usize {
         match self {
             WarmState::Lss(w) => w.prepare_evals,
-            WarmState::Lws(w) => w.prepare_evals,
             WarmState::LssSharded(w) => w.prepare_evals,
-            WarmState::LwsSharded(w) => w.prepare_evals,
-        }
-    }
-
-    /// Fresh oracle evaluations one resume spends.
-    pub fn resume_evals(&self) -> usize {
-        match self {
-            WarmState::Lss(w) => w.split.stage2,
-            WarmState::Lws(w) => w.sample_budget,
-            WarmState::LssSharded(w) => w.resume_evals(),
-            WarmState::LwsSharded(w) => w.resume_evals(),
         }
     }
 
@@ -93,29 +86,65 @@ impl WarmState {
     pub fn known_labels(&self) -> Vec<(usize, bool)> {
         match self {
             WarmState::Lss(w) => w.known_labels(),
-            WarmState::Lws(w) => w.known_labels(),
             WarmState::LssSharded(w) => w.known_labels(),
-            WarmState::LwsSharded(w) => w.known_labels(),
         }
     }
 
-    /// Estimator-family tag for responses (`lss` / `lws`, sharded or
-    /// not — the route names the estimator, not the execution layout).
-    pub fn tag(&self) -> &'static str {
+    /// Shard count of a sharded state (`None` when unsharded), so
+    /// restore rebuilds the same plan.
+    pub fn shards(&self) -> Option<NonZeroUsize> {
         match self {
-            WarmState::Lss(_) | WarmState::LssSharded(_) => "lss",
-            WarmState::Lws(_) | WarmState::LwsSharded(_) => "lws",
+            WarmState::Lss(_) => None,
+            WarmState::LssSharded(w) => NonZeroUsize::new(w.plan().k()),
         }
     }
+}
 
-    /// Full tag for store exports: the family plus the shard count for
-    /// sharded states (`lss@4`), so restore rebuilds the same plan.
-    pub fn export_tag(&self) -> String {
-        match self {
-            WarmState::Lss(_) | WarmState::Lws(_) => self.tag().to_string(),
-            WarmState::LssSharded(w) => format!("lss@{}", w.plan().k()),
-            WarmState::LwsSharded(w) => format!("lws@{}", w.plan().k()),
+/// The estimator tag of one store-export line: `lss`, an optional
+/// shard suffix (`lss@4`), and an optional `+pf` suffix marking a state
+/// prepared over a prefiltered (restricted) population — the importer
+/// re-decomposes the raw condition to rebuild that population, so the
+/// scope string itself needs no field.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EstimatorTag {
+    /// Shard count of a sharded state.
+    pub shards: Option<NonZeroUsize>,
+    /// Whether the state was prepared over prefilter survivors.
+    pub prefiltered: bool,
+}
+
+impl fmt::Display for EstimatorTag {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("lss")?;
+        if let Some(k) = self.shards {
+            write!(f, "@{k}")?;
         }
+        if self.prefiltered {
+            f.write_str("+pf")?;
+        }
+        Ok(())
+    }
+}
+
+impl FromStr for EstimatorTag {
+    type Err = String;
+
+    fn from_str(tag: &str) -> Result<Self, String> {
+        let (body, prefiltered) = match tag.strip_suffix("+pf") {
+            Some(body) => (body, true),
+            None => (tag, false),
+        };
+        let unknown = || format!("unknown estimator tag `{tag}` in store export");
+        let rest = body.strip_prefix("lss").ok_or_else(unknown)?;
+        let shards = match rest.strip_prefix('@') {
+            Some(k) => Some(k.parse().map_err(|_| unknown())?),
+            None if rest.is_empty() => None,
+            None => return Err(unknown()),
+        };
+        Ok(Self {
+            shards,
+            prefiltered,
+        })
     }
 }
 
@@ -183,10 +212,8 @@ pub struct StoreExportEntry {
     pub prepare_seed: u64,
     /// Table version the state was prepared against.
     pub table_version: u64,
-    /// Estimator tag: the family (`lss` / `lws`), an optional shard
-    /// suffix (`lss@4`), and an optional `+pf` suffix marking a state
-    /// prepared over a prefiltered (restricted) population.
-    pub estimator: String,
+    /// How the state was laid out.
+    pub estimator: EstimatorTag,
     /// The known `(object id, label)` pairs.
     pub labels: Vec<(usize, bool)>,
 }
@@ -262,18 +289,16 @@ impl ModelStore {
                     }
                     let _ = write!(labels, "{id}:{}", u8::from(*l));
                 }
-                // Prefiltered states carry a `+pf` tag suffix; the
-                // importer re-decomposes the raw condition to rebuild
-                // the restricted population, so the scope string itself
-                // needs no extra field.
-                let tag_suffix = if k.scope.is_empty() { "" } else { "+pf" };
+                let tag = EstimatorTag {
+                    shards: e.state.shards(),
+                    prefiltered: !k.scope.is_empty(),
+                };
                 format!(
-                    "entry\t{}\t{}\t{}\t{}\t{}{tag_suffix}\t{}\t{labels}",
+                    "entry\t{}\t{}\t{}\t{}\t{tag}\t{}\t{labels}",
                     enc_text(&k.dataset),
                     k.budget,
                     e.prepare_seed,
                     e.table_version,
-                    e.state.export_tag(),
                     enc_text(&e.raw_condition),
                 )
             })
@@ -326,7 +351,7 @@ impl ModelStore {
                 budget: fields[2].parse().map_err(|_| bad("bad budget"))?,
                 prepare_seed: fields[3].parse().map_err(|_| bad("bad seed"))?,
                 table_version: fields[4].parse().map_err(|_| bad("bad version"))?,
-                estimator: fields[5].to_string(),
+                estimator: fields[5].parse().map_err(|e: String| bad(&e))?,
                 condition: dec_text(fields[6]).ok_or_else(|| bad("bad condition encoding"))?,
                 labels,
             });
@@ -368,7 +393,7 @@ mod tests {
         assert_eq!(e.dataset, "ds");
         assert_eq!(e.budget, 200);
         assert_eq!(e.prepare_seed, 7);
-        assert_eq!(e.estimator, "lss");
+        assert_eq!(e.estimator.to_string(), "lss");
         assert_eq!(e.condition, "(x < 1)");
         assert_eq!(e.labels, vec![(3, true), (9, false)]);
     }

@@ -4,8 +4,9 @@
 //! the store export round-trips sharded states (`lss@k` tags) at zero
 //! oracle cost.
 
-use lts_serve::{Request, Response, Service, ServiceConfig, Target};
+use lts_serve::{EstimatorTag, Request, Response, Service, ServiceConfig, Target};
 use lts_table::table_of_floats;
+use std::num::NonZeroUsize;
 use std::sync::Arc;
 
 fn linear_table(n: usize) -> Arc<lts_table::Table> {
@@ -136,13 +137,34 @@ fn sharded_store_export_roundtrips_at_zero_oracle_cost() {
 }
 
 #[test]
+fn estimator_tags_roundtrip_through_their_text_form() {
+    for (text, shards, prefiltered) in [
+        ("lss", None, false),
+        ("lss@4", NonZeroUsize::new(4), false),
+        ("lss+pf", None, true),
+        ("lss@4+pf", NonZeroUsize::new(4), true),
+    ] {
+        let tag: EstimatorTag = text.parse().unwrap();
+        let expected = EstimatorTag {
+            shards,
+            prefiltered,
+        };
+        assert_eq!(tag, expected);
+        assert_eq!(tag.to_string(), text);
+    }
+    for bad in ["lss@", "lss4", "LSS", ""] {
+        assert!(bad.parse::<EstimatorTag>().is_err(), "`{bad}`");
+    }
+}
+
+#[test]
 fn malformed_shard_tags_are_rejected_on_import() {
     let mut s = sharded_service(1_000, 2);
-    for tag in ["lss@0", "lss@x", "nope@4"] {
+    // `lws` tags parse nowhere: the service prepares LSS only.
+    for tag in ["lss@0", "lss@x", "nope@4", "lss+pf@4", "lws", "lws@4"] {
         let text = format!("lts-store/v1\nentry\td\t200\t7\t0\t{tag}\tx %3c 100\t\n");
-        assert!(
-            s.import_store(&text).is_err(),
-            "tag `{tag}` must be rejected"
-        );
+        let err = s.import_store(&text).expect_err(tag).to_string();
+        assert!(err.contains("unknown estimator tag"), "tag `{tag}`: {err}");
     }
+    assert_eq!(s.store_len(), 0);
 }

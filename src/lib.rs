@@ -115,7 +115,7 @@ pub mod prelude {
     pub use lts_core::{
         run_trials, run_trials_with, shard_seed, ClassifierSpec, CountingProblem, EstimateReport,
         LearnPhaseConfig, OrderedPopulation, QualityForecast, ScoredPopulation, ShardPlan,
-        ShardedLssWarm, ShardedLwsWarm, TrialExecution, TrialStats,
+        Shardable, Sharded, TrialExecution, TrialStats,
     };
     pub use lts_obs::{MetricsRegistry, Observability, Trace, TraceEvent};
     pub use lts_sampling::CountEstimate;
