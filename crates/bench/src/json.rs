@@ -11,6 +11,7 @@
 //! the schema here is flat enough that formatting beats a dependency).
 
 use crate::harness::Cell;
+use lts_obs::json_escape as esc;
 use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -49,23 +50,6 @@ impl BenchRecord {
             wall_seconds: cell.stats.mean_timings.total.as_secs_f64(),
         }
     }
-}
-
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 fn num(v: f64) -> String {

@@ -9,6 +9,7 @@
 //! long / how often one estimate may be re-served before the service
 //! recomputes it from the (still warm) model store.
 
+use crate::service::Answer;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
@@ -28,25 +29,11 @@ pub struct StalenessPolicy {
 /// A finished estimate, ready to re-serve.
 #[derive(Debug, Clone)]
 pub struct CachedResult {
-    /// Point estimate.
-    pub count: f64,
-    /// Standard error.
-    pub std_error: f64,
-    /// Interval bounds and level.
-    pub lo: f64,
-    /// Upper interval bound.
-    pub hi: f64,
-    /// Confidence level of the interval.
-    pub level: f64,
-    /// Oracle evaluations the original computation spent (a cache hit
-    /// spends zero; this field is what it *saved*).
-    pub evals_spent: usize,
-    /// Digest of the warm state (model + design) that produced it.
-    pub model_version: u64,
+    /// The estimate as computed. A cache hit spends zero oracle
+    /// evaluations; `answer.evals` is what it *saved*.
+    pub answer: Answer,
     /// Table version it was computed against.
     pub table_version: u64,
-    /// Route that produced it (`"exact"`, `"lss"`, `"srs"`).
-    pub route: &'static str,
     served: u64,
     created: Instant,
 }
@@ -58,8 +45,9 @@ impl CachedResult {
     }
 }
 
-/// Key of one cacheable computation.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// Key of one cacheable computation (ordered dataset, canonical,
+/// budget: the order a state snapshot lists them in).
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ResultKey {
     /// Dataset name.
     pub dataset: String,
@@ -95,32 +83,12 @@ impl ResultCache {
     }
 
     /// Insert (or replace) the result of a finished computation.
-    #[allow(clippy::too_many_arguments)]
-    pub fn insert(
-        &mut self,
-        key: ResultKey,
-        count: f64,
-        std_error: f64,
-        lo: f64,
-        hi: f64,
-        level: f64,
-        evals_spent: usize,
-        model_version: u64,
-        table_version: u64,
-        route: &'static str,
-    ) {
+    pub fn insert(&mut self, key: ResultKey, answer: Answer, table_version: u64) {
         self.entries.insert(
             key,
             CachedResult {
-                count,
-                std_error,
-                lo,
-                hi,
-                level,
-                evals_spent,
-                model_version,
+                answer,
                 table_version,
-                route,
                 served: 0,
                 created: Instant::now(),
             },
@@ -177,7 +145,17 @@ mod tests {
     }
 
     fn insert(cache: &mut ResultCache, c: &str, version: u64) {
-        cache.insert(key(c), 10.0, 1.0, 8.0, 12.0, 0.95, 100, 7, version, "lss");
+        let answer = Answer {
+            estimate: 10.0,
+            std_error: 1.0,
+            lo: 8.0,
+            hi: 12.0,
+            level: 0.95,
+            evals: 100,
+            route: "lss",
+            model_version: 7,
+        };
+        cache.insert(key(c), answer, version);
     }
 
     #[test]

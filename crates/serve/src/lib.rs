@@ -50,7 +50,7 @@ pub use planner::{BudgetPlanner, QueryRoute, Route, SelectivityFeedback, Target}
 pub use protocol::{handle_line, LineOutcome, SessionState};
 pub use repl::{run_repl, ReplOptions};
 pub use service::{
-    serve_lss_profile, DatasetSpec, PlanSummary, Request, Response, Service, ServiceConfig,
+    serve_lss_profile, Answer, DatasetSpec, PlanSummary, Request, Response, Service, ServiceConfig,
     ServiceStats,
 };
 pub use state::{RestoreSummary, StateError, STATE_FILE};

@@ -48,6 +48,30 @@ pub enum Target {
     AbsWidth(f64),
 }
 
+impl Target {
+    /// Reject a malformed target: a zero budget, a relative width
+    /// outside `(0, 1)`, a non-positive or non-finite absolute width.
+    /// Both planning entry points run this first, so a bad target is an
+    /// error whatever the population or survivor count.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`lts_core::CoreError::InvalidConfig`] naming the value.
+    pub fn validate(self) -> CoreResult<()> {
+        let message = match self {
+            Target::Budget(0) => "explicit budget must be positive".into(),
+            Target::RelWidth(frac) if !(frac > 0.0 && frac < 1.0) => {
+                format!("relative width must be in (0, 1), got {frac}")
+            }
+            Target::AbsWidth(w) if !(w.is_finite() && w > 0.0) => {
+                format!("halfwidth target must be positive, got {w}")
+            }
+            _ => return Ok(()),
+        };
+        Err(lts_core::CoreError::InvalidConfig { message })
+    }
+}
+
 /// Where a request is routed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Route {
@@ -123,11 +147,7 @@ impl BudgetPlanner {
         n_objects: usize,
         halfwidth_counts: f64,
     ) -> CoreResult<usize> {
-        if !halfwidth_counts.is_finite() || halfwidth_counts <= 0.0 {
-            return Err(lts_core::CoreError::InvalidConfig {
-                message: format!("halfwidth target must be positive, got {halfwidth_counts}"),
-            });
-        }
+        Target::AbsWidth(halfwidth_counts).validate()?;
         if n_objects == 0 {
             return Err(lts_core::CoreError::InvalidConfig {
                 message: "cannot size a sample for an empty population".into(),
@@ -148,24 +168,13 @@ impl BudgetPlanner {
     /// Returns an error for malformed targets (non-positive widths,
     /// zero budgets).
     pub fn plan(&self, n_objects: usize, target: Target) -> CoreResult<Route> {
+        target.validate()?;
         if n_objects <= self.exact_cutoff {
             return Ok(Route::Exact);
         }
         let budget = match target {
-            Target::Budget(b) => {
-                if b == 0 {
-                    return Err(lts_core::CoreError::InvalidConfig {
-                        message: "explicit budget must be positive".into(),
-                    });
-                }
-                b.min(n_objects)
-            }
+            Target::Budget(b) => b.min(n_objects),
             Target::RelWidth(frac) => {
-                if !(frac > 0.0 && frac < 1.0) {
-                    return Err(lts_core::CoreError::InvalidConfig {
-                        message: format!("relative width must be in (0, 1), got {frac}"),
-                    });
-                }
                 self.srs_budget_for_halfwidth(n_objects, frac * n_objects as f64)?
             }
             Target::AbsWidth(w) => self.srs_budget_for_halfwidth(n_objects, w)?,
@@ -194,6 +203,7 @@ impl BudgetPlanner {
         survivors: Option<usize>,
         target: Target,
     ) -> CoreResult<QueryRoute> {
+        target.validate()?;
         let Some(m) = survivors else {
             return Ok(QueryRoute::Monolithic(self.plan(n_objects, target)?));
         };
@@ -204,16 +214,8 @@ impl BudgetPlanner {
             return Ok(QueryRoute::PrefilterExact);
         }
         let restricted_target = match target {
-            Target::Budget(b) => Target::Budget(b),
-            Target::RelWidth(frac) => {
-                if !(frac > 0.0 && frac < 1.0) {
-                    return Err(lts_core::CoreError::InvalidConfig {
-                        message: format!("relative width must be in (0, 1), got {frac}"),
-                    });
-                }
-                Target::AbsWidth(frac * n_objects as f64)
-            }
-            Target::AbsWidth(w) => Target::AbsWidth(w),
+            Target::RelWidth(frac) => Target::AbsWidth(frac * n_objects as f64),
+            other => other,
         };
         Ok(match self.plan(m, restricted_target)? {
             Route::Exact => QueryRoute::PrefilterExact,
@@ -526,12 +528,34 @@ mod tests {
 
     #[test]
     fn invalid_targets_error() {
+        // A malformed target is an error whatever the population and
+        // the survivor count — including where a census would win.
         let p = BudgetPlanner::default();
-        assert!(p.plan(1_000, Target::Budget(0)).is_err());
-        assert!(p.plan(1_000, Target::RelWidth(0.0)).is_err());
-        assert!(p.plan(1_000, Target::RelWidth(1.5)).is_err());
-        assert!(p.plan(1_000, Target::AbsWidth(-3.0)).is_err());
-        assert!(p.plan(1_000, Target::AbsWidth(f64::NAN)).is_err());
+        let bad = [
+            Target::Budget(0),
+            Target::RelWidth(0.0),
+            Target::RelWidth(1.0),
+            Target::RelWidth(f64::NAN),
+            Target::RelWidth(7.0),
+            Target::AbsWidth(0.0),
+            Target::AbsWidth(-1.0),
+            Target::AbsWidth(f64::NAN),
+            Target::AbsWidth(f64::INFINITY),
+        ];
+        for n in [10usize, 10_000] {
+            for survivors in [None, Some(0), Some(n / 10)] {
+                for target in bad {
+                    assert!(p.plan(n, target).is_err(), "plan({n}, {target:?})");
+                    assert!(
+                        p.choose(n, survivors, target).is_err(),
+                        "choose({n}, {survivors:?}, {target:?})"
+                    );
+                }
+                let all = Target::Budget(usize::MAX);
+                assert!(p.plan(n, all).is_ok());
+                assert!(p.choose(n, survivors, all).is_ok());
+            }
+        }
         // Empty population errors rather than panicking in clamp.
         assert!(p.srs_budget_for_halfwidth(0, 10.0).is_err());
     }

@@ -62,7 +62,7 @@ pub enum LineOutcome {
 pub(crate) fn json_err(message: &str) -> String {
     format!(
         "{{\"ok\": false, \"error\": \"{}\"}}",
-        crate::service::json_escape(message)
+        lts_obs::json_escape(message)
     )
 }
 
@@ -75,6 +75,19 @@ pub(crate) fn shutting_down_line() -> String {
 
 fn kv<'a>(tok: &'a str, key: &str) -> Option<&'a str> {
     tok.strip_prefix(key).and_then(|r| r.strip_prefix('='))
+}
+
+/// Parse a `width=` / `abswidth=` / `budget=` token into the target it
+/// names (`None` for any other token) — the option `count` and
+/// `explain` share.
+fn target_option(tok: &str) -> Option<Result<Target, &'static str>> {
+    let (key, v) = tok.split_once('=')?;
+    Some(match key {
+        "width" => v.parse().map(Target::RelWidth).map_err(|_| "bad width"),
+        "abswidth" => v.parse().map(Target::AbsWidth).map_err(|_| "bad abswidth"),
+        "budget" => v.parse().map(Target::Budget).map_err(|_| "bad budget"),
+        _ => return None,
+    })
 }
 
 fn stats_json(service: &Service) -> String {
@@ -120,7 +133,7 @@ fn handle_metrics(service: &Service, rest: &str, opts: ReplOptions) -> String {
         ),
         "prom" => format!(
             "{{\"ok\": true, \"prometheus\": \"{}\"}}",
-            crate::service::json_escape(&snapshot.to_prometheus(opts.deterministic))
+            lts_obs::json_escape(&snapshot.to_prometheus(opts.deterministic))
         ),
         other => json_err(&format!("unknown metrics option `{other}`")),
     }
@@ -190,8 +203,9 @@ fn handle_register(service: &mut Service, rest: &str) -> String {
     };
     match service.register_generated(name, &spec) {
         Ok(()) => format!(
-            "{{\"ok\": true, \"registered\": \"{name}\", \"rows\": {rows}, \
+            "{{\"ok\": true, \"registered\": \"{}\", \"rows\": {rows}, \
              \"version\": {}}}",
+            lts_obs::json_escape(name),
             service.dataset_version(name).unwrap_or(0)
         ),
         // `Invalid` carries the protocol-facing message verbatim
@@ -214,20 +228,10 @@ fn handle_count(service: &mut Service, rest: &str, next_id: &mut u64, opts: Repl
     let mut fresh = false;
     let mut id: Option<u64> = None;
     for tok in &toks[1..] {
-        if let Some(v) = kv(tok, "width") {
-            match v.parse() {
-                Ok(w) => target = Target::RelWidth(w),
-                Err(_) => return json_err("bad width"),
-            }
-        } else if let Some(v) = kv(tok, "abswidth") {
-            match v.parse() {
-                Ok(w) => target = Target::AbsWidth(w),
-                Err(_) => return json_err("bad abswidth"),
-            }
-        } else if let Some(v) = kv(tok, "budget") {
-            match v.parse() {
-                Ok(b) => target = Target::Budget(b),
-                Err(_) => return json_err("bad budget"),
+        if let Some(parsed) = target_option(tok) {
+            match parsed {
+                Ok(t) => target = t,
+                Err(e) => return json_err(e),
             }
         } else if *tok == "fresh" {
             fresh = true;
@@ -266,23 +270,10 @@ fn handle_explain(service: &mut Service, rest: &str) -> String {
     let dataset = toks[0];
     let mut target = Target::RelWidth(0.05);
     for tok in &toks[1..] {
-        if let Some(v) = kv(tok, "width") {
-            match v.parse() {
-                Ok(w) => target = Target::RelWidth(w),
-                Err(_) => return json_err("bad width"),
-            }
-        } else if let Some(v) = kv(tok, "abswidth") {
-            match v.parse() {
-                Ok(w) => target = Target::AbsWidth(w),
-                Err(_) => return json_err("bad abswidth"),
-            }
-        } else if let Some(v) = kv(tok, "budget") {
-            match v.parse() {
-                Ok(b) => target = Target::Budget(b),
-                Err(_) => return json_err("bad budget"),
-            }
-        } else {
-            return json_err(&format!("unknown explain option `{tok}`"));
+        match target_option(tok) {
+            Some(Ok(t)) => target = t,
+            Some(Err(e)) => return json_err(e),
+            None => return json_err(&format!("unknown explain option `{tok}`")),
         }
     }
     match service.explain(dataset, condition.trim(), target) {
@@ -314,7 +305,7 @@ pub fn handle_line(
         "invalidate" => LineOutcome::Reply(match service.invalidate(rest.trim()) {
             Ok(()) => format!(
                 "{{\"ok\": true, \"invalidated\": \"{}\", \"version\": {}}}",
-                rest.trim(),
+                lts_obs::json_escape(rest.trim()),
                 service.dataset_version(rest.trim()).unwrap_or(0)
             ),
             Err(e) => json_err(&e.to_string()),

@@ -1,0 +1,809 @@
+//! The stages of the request path and the typed values handed between
+//! them (diagram in the [`super`] module doc). Trace events travel *in*
+//! these values and each value owns the one before it, so `seal` never
+//! looks anything up by position.
+
+use super::{Answer, PlanSummary, Request, Response, Service};
+use crate::cache::ResultKey;
+use crate::catalog::{QueryDecomposition, QueryKey};
+use crate::error::{ServeError, ServeResult};
+use crate::fingerprint;
+use crate::planner::{QueryRoute, Route, Target};
+use crate::store::{ModelStore, StoreKey, StoredModel, WarmState};
+use lts_core::{
+    fnv1a, mix_seed, CountEstimator, CountingProblem, LogicalPlan, Lss, PhysicalPlan, Srs,
+};
+use lts_obs::{SlowEntry, Trace, TraceEvent};
+use lts_table::{decompose, parse_condition, DecomposedQuery, ExprPredicate, ObjectPredicate};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use rayon::prelude::*;
+use std::collections::{HashMap, HashSet};
+use std::num::NonZeroUsize;
+use std::sync::Arc;
+use std::time::Instant;
+
+/// A resolved query: the catalog entry's artifacts, cloned out so the
+/// borrow on the catalog ends before planning mutates other state.
+pub(super) struct Resolved {
+    pub(super) dataset: String,
+    pub(super) canonical: String,
+    pub(super) fingerprint: u64,
+    pub(super) table_version: u64,
+    pub(super) problem: Arc<CountingProblem>,
+    pub(super) decomposition: Option<Arc<QueryDecomposition>>,
+}
+
+impl Resolved {
+    /// The population a warm state of this query is prepared over and
+    /// the key it is stored under — decided here for live plans and
+    /// store imports alike. Monolithic states cover the catalog problem
+    /// under the full canonical; a state over `restricted` (the
+    /// prefilter's survivors) keys on the **residual** canonical scoped
+    /// by the **prefilter** canonical ([`StoreKey::scope`]).
+    pub(super) fn warm_identity(
+        &self,
+        restricted: Option<&Arc<CountingProblem>>,
+        budget: usize,
+    ) -> (Arc<CountingProblem>, StoreKey) {
+        let (problem, canonical, scope) = match restricted {
+            None => (&self.problem, self.canonical.clone(), String::new()),
+            Some(restricted) => {
+                let d = self
+                    .decomposition
+                    .as_ref()
+                    .expect("a restricted population implies a decomposition");
+                (
+                    restricted,
+                    d.residual_canonical.clone(),
+                    d.prefilter_canonical.clone(),
+                )
+            }
+        };
+        let key = StoreKey {
+            dataset: self.dataset.clone(),
+            canonical,
+            scope,
+            budget,
+        };
+        (Arc::clone(problem), key)
+    }
+}
+
+/// What wave 2 runs for one request.
+pub(super) enum Task {
+    /// Exact count: through `plan` when the prefilter route chose it
+    /// (residual census over the survivors; zero oracle evaluations
+    /// when none survived), else a census over the problem.
+    Exact { plan: Option<Arc<PhysicalPlan>> },
+    /// Resume the warm state stored under `key`, preparing it first
+    /// when the store does not hold it.
+    Resume { key: StoreKey },
+    /// Plain SRS under the planned budget: what a `Resume` is demoted
+    /// to when its state cannot be prepared.
+    Srs,
+}
+
+/// The physical plan of one query under one target.
+pub(super) struct Planned {
+    pub(super) task: Task,
+    /// The problem execution runs against: the catalog problem for
+    /// monolithic plans, the restricted residual problem for prefilter
+    /// plans.
+    pub(super) problem: Arc<CountingProblem>,
+    /// Planned labeling budget (0 on the exact route).
+    pub(super) budget: usize,
+    /// Plan echo for the response (`None` for undecomposed queries).
+    pub(super) summary: Option<PlanSummary>,
+}
+
+impl Planned {
+    fn monolithic(resolved: &Resolved, route: Route, summary: Option<PlanSummary>) -> Self {
+        match route {
+            Route::Exact => Planned {
+                task: Task::Exact { plan: None },
+                problem: Arc::clone(&resolved.problem),
+                budget: 0,
+                summary,
+            },
+            Route::Estimate { budget } => {
+                let (problem, key) = resolved.warm_identity(None, budget);
+                Planned {
+                    task: Task::Resume { key },
+                    problem,
+                    budget,
+                    summary,
+                }
+            }
+        }
+    }
+
+    /// Plan kind echoed in a [`TraceEvent::Route`] and by `explain`:
+    /// the summary's kind when the query decomposed, otherwise inferred
+    /// from the task.
+    pub(super) fn kind(&self) -> &'static str {
+        match (&self.summary, &self.task) {
+            (Some(s), _) => s.kind,
+            (None, Task::Exact { .. }) => "census",
+            (None, _) => "monolithic",
+        }
+    }
+}
+
+/// One request past the queue bound, resolved and planned.
+pub(super) struct Admitted {
+    pos: usize,
+    id: u64,
+    fresh: bool,
+    /// The condition text as sent (a prepared state records it, so a
+    /// store export can be re-parsed).
+    raw: String,
+    fingerprint: u64,
+    table_version: u64,
+    /// Result-cache identity. It keys on the FULL canonical query, so a
+    /// decomposed spelling aliases its monolithic twin.
+    key: ResultKey,
+    planned: Planned,
+    /// Events emitted while resolving and planning (the prefilter scan).
+    events: Vec<TraceEvent>,
+}
+
+/// A request the cache could not answer: the unit of waves 1 and 2.
+pub(super) struct WorkItem {
+    adm: Admitted,
+    seed: u64,
+    /// This request pays for the state it resumes: it claimed the
+    /// prepare of an absent state, or fell back to SRS.
+    cold: bool,
+    /// Wall micros and trace events of the wave-1 prepare this request
+    /// claimed, once it succeeded.
+    prepared: Option<(u64, Vec<TraceEvent>)>,
+}
+
+/// What became of one request: everything `seal` needs to answer it.
+pub(super) enum Outcome {
+    /// Refused at the queue bound, or failed to resolve or plan.
+    Refused {
+        pos: usize,
+        id: u64,
+        error: ServeError,
+    },
+    /// Answered from the result cache; `answer.evals` is the saving.
+    Hit { adm: Admitted, answer: Answer },
+    /// Coalesced onto the identical request sealed at position `leader`.
+    Follower { adm: Admitted, leader: usize },
+    /// Ran in wave 2.
+    Executed {
+        item: WorkItem,
+        result: ServeResult<Answer>,
+        wall_micros: u64,
+        events: Vec<TraceEvent>,
+    },
+}
+
+/// Run `f`, under a trace collector when `tracing`: emissions deep in
+/// the pipeline land in the events of the unit of work that ran them.
+fn traced<T>(tracing: bool, f: impl FnOnce() -> T) -> (T, Vec<TraceEvent>) {
+    if tracing {
+        lts_obs::trace::collect(f)
+    } else {
+        (f(), Vec::new())
+    }
+}
+
+fn micros_since(start: Instant) -> u64 {
+    u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX)
+}
+
+impl Service {
+    /// **resolve** — parse a condition against a dataset, canonicalize
+    /// it, and resolve the catalog entry (building the
+    /// `CountingProblem` — and the query's conjunctive decomposition —
+    /// on first sight or version change). The single problem-assembly
+    /// path shared by live admission, store import, and `explain`.
+    pub(super) fn resolve(&mut self, dataset: String, condition: &str) -> ServeResult<Resolved> {
+        let Some(ds) = self.datasets.get(&dataset) else {
+            return Err(ServeError::UnknownDataset { name: dataset });
+        };
+        let table_version = ds.table.version();
+        let expr = parse_condition(condition, &ds.registry).map_err(|e| ServeError::Parse {
+            message: e.to_string(),
+        })?;
+        let canonical = fingerprint::canonical(&expr);
+        let fp = fingerprint::fingerprint(&dataset, table_version, &canonical);
+        let level = self.config.planner.level;
+        let key = QueryKey {
+            dataset: dataset.clone(),
+            canonical: canonical.clone(),
+        };
+        let entry = self
+            .catalog
+            .resolve(key, fp, table_version, || -> ServeResult<_> {
+                let cols: Vec<&str> = ds.feature_cols.iter().map(String::as_str).collect();
+                let table = Arc::clone(ds.table.table());
+                let predicate: Arc<dyn ObjectPredicate> =
+                    Arc::new(ExprPredicate::new("q", expr.clone()));
+                let problem =
+                    Arc::new(CountingProblem::new(table, predicate, &cols)?.with_level(level));
+                // Decompose the NORMALIZED expression, so commuted
+                // spellings of one query share one decomposition and
+                // the part canonicals are stable keys.
+                let normalized = fingerprint::normalize(&expr);
+                let DecomposedQuery {
+                    exact_prefilter,
+                    residual,
+                } = decompose(&normalized);
+                let decomposition = exact_prefilter.map(|prefilter| {
+                    Arc::new(QueryDecomposition {
+                        prefilter_canonical: fingerprint::canonical(&prefilter),
+                        residual_canonical: fingerprint::canonical(&residual),
+                        prefilter,
+                        residual,
+                    })
+                });
+                Ok((problem, decomposition))
+            })?;
+        Ok(Resolved {
+            fingerprint: fp,
+            table_version,
+            problem: Arc::clone(&entry.problem),
+            decomposition: entry.decomposition.clone(),
+            dataset,
+            canonical,
+        })
+    }
+
+    /// Run (or reuse) the exact prefilter scan of a decomposed query:
+    /// survivors, the restricted residual problem, and the feedback
+    /// record all come from one memoized [`PhysicalPlan`] per catalog
+    /// entry, so repeat requests never re-scan.
+    pub(super) fn plan_state(
+        &mut self,
+        resolved: &Resolved,
+        decomp: &QueryDecomposition,
+    ) -> ServeResult<Arc<PhysicalPlan>> {
+        let key = QueryKey {
+            dataset: resolved.dataset.clone(),
+            canonical: resolved.canonical.clone(),
+        };
+        if let Some(entry) = self.catalog.get(&key) {
+            if entry.table_version == resolved.table_version {
+                if let Some(plan) = &entry.plan {
+                    return Ok(Arc::clone(plan));
+                }
+            }
+        }
+        let ds =
+            self.datasets
+                .get(&resolved.dataset)
+                .ok_or_else(|| ServeError::UnknownDataset {
+                    name: resolved.dataset.clone(),
+                })?;
+        let logical = LogicalPlan {
+            prefilter: Some(decomp.prefilter.clone()),
+            residual: decomp.residual.clone(),
+        };
+        let plan = Arc::new(PhysicalPlan::build(
+            Arc::clone(&resolved.problem),
+            &ds.table,
+            logical,
+        )?);
+        self.catalog.set_plan(&key, Arc::clone(&plan));
+        self.feedback.record(
+            &resolved.dataset,
+            &decomp.prefilter_canonical,
+            resolved.table_version,
+            plan.survivors().expect("the plan ran its prefilter"),
+            plan.population(),
+        );
+        Ok(plan)
+    }
+
+    /// **plan** — turn a resolved query and its target into a physical
+    /// plan: monolithic for queries that do not decompose (or when the
+    /// planner disables decomposition), otherwise the route chosen by
+    /// [`crate::BudgetPlanner::choose`] over the observed survivor
+    /// count. A prefilter whose recorded selectivity already exceeds
+    /// the monolithic threshold skips the scan — provably the same
+    /// route the scan would pick, since feedback replays the exact
+    /// `M/N` observed at this table version.
+    pub(super) fn plan(&mut self, resolved: &Resolved, target: Target) -> ServeResult<Planned> {
+        let planner = self.config.planner;
+        let n = resolved.problem.n();
+        let decomp = match &resolved.decomposition {
+            Some(d) if planner.monolithic_selectivity > 0.0 => d,
+            _ => {
+                return Ok(Planned::monolithic(
+                    resolved,
+                    planner.plan(n, target)?,
+                    None,
+                ))
+            }
+        };
+        // Monolithic routes report no survivors whether or not a scan
+        // ran (see [`PlanSummary::survivors`]).
+        let summary = |kind: &'static str, plan: Option<&PhysicalPlan>| {
+            Some(PlanSummary {
+                kind,
+                prefilter: decomp.prefilter_canonical.clone(),
+                residual: decomp.residual_canonical.clone(),
+                population: n,
+                survivors: plan.and_then(PhysicalPlan::survivors),
+                selectivity: plan.and_then(PhysicalPlan::selectivity),
+            })
+        };
+        let mono = |route: Route| {
+            let kind = match route {
+                Route::Exact => "census",
+                Route::Estimate { .. } => "monolithic",
+            };
+            Planned::monolithic(resolved, route, summary(kind, None))
+        };
+        let predicted = self.feedback.predict(
+            &resolved.dataset,
+            &decomp.prefilter_canonical,
+            resolved.table_version,
+        );
+        if predicted.is_some_and(|p| p >= planner.monolithic_selectivity) {
+            return Ok(mono(planner.plan(n, target)?));
+        }
+        let plan = self.plan_state(resolved, decomp)?;
+        Ok(match planner.choose(n, plan.survivors(), target)? {
+            QueryRoute::Monolithic(route) => mono(route),
+            QueryRoute::PrefilterExact => Planned {
+                task: Task::Exact {
+                    plan: Some(Arc::clone(&plan)),
+                },
+                summary: summary("exact_prefilter", Some(&plan)),
+                ..Planned::monolithic(resolved, Route::Exact, None)
+            },
+            QueryRoute::PrefilterEstimate { budget } => {
+                let restricted = plan
+                    .restricted()
+                    .expect("an estimate plan implies survivors");
+                let (problem, key) = resolved.warm_identity(Some(restricted), budget);
+                Planned {
+                    task: Task::Resume { key },
+                    problem,
+                    budget,
+                    summary: summary("prefilter_estimate", Some(&plan)),
+                }
+            }
+        })
+    }
+
+    /// The queue bound, then resolve ∘ plan, for the request at arrival
+    /// position `pos`.
+    fn plan_request(&mut self, pos: usize, req: Request) -> ServeResult<Admitted> {
+        let capacity = self.config.queue_capacity;
+        if pos >= capacity {
+            return Err(ServeError::Overloaded { capacity });
+        }
+        // Under a collector, so planning-time emissions (the prefilter
+        // scan) land in this request's span.
+        let (planned, events) = traced(self.obs.is_enabled(), || {
+            let resolved = self.resolve(req.dataset, &req.condition)?;
+            let planned = self.plan(&resolved, req.target)?;
+            Ok::<_, ServeError>((resolved, planned))
+        });
+        let (resolved, planned) = planned?;
+        Ok(Admitted {
+            pos,
+            id: req.id,
+            fresh: req.fresh,
+            raw: req.condition,
+            fingerprint: resolved.fingerprint,
+            table_version: resolved.table_version,
+            key: ResultKey {
+                dataset: resolved.dataset,
+                canonical: resolved.canonical,
+                budget: planned.budget,
+            },
+            planned,
+            events,
+        })
+    }
+
+    /// **admit** — sequential. Requests resolve and plan in arrival
+    /// order (the bounded queue refuses the overflow); then, in
+    /// `(id, pos)` order so that no verdict depends on arrival order,
+    /// each probes the result cache, coalesces onto an identical
+    /// request of the batch, or becomes a work item with its seed —
+    /// the first to resume an absent state claims its prepare. Returns
+    /// the requests answered without work (refusals, then cache hits),
+    /// the work items, and the followers — each in that order.
+    pub(super) fn admit(
+        &mut self,
+        requests: Vec<Request>,
+    ) -> (Vec<Outcome>, Vec<WorkItem>, Vec<Outcome>) {
+        let (mut answered, mut work, mut followers) = (Vec::new(), Vec::new(), Vec::new());
+        let mut admitted = Vec::new();
+        for (pos, req) in requests.into_iter().enumerate() {
+            let id = req.id;
+            match self.plan_request(pos, req) {
+                Ok(adm) => admitted.push(adm),
+                Err(error) => answered.push(Outcome::Refused { pos, id, error }),
+            }
+        }
+        admitted.sort_by_key(|a| (a.id, a.pos));
+        // Cacheable computations already claimed in this batch: cache
+        // key → position of the computing request.
+        let mut in_flight: HashMap<ResultKey, usize> = HashMap::new();
+        // Absent states an earlier request of this batch will prepare.
+        let mut claimed: HashSet<StoreKey> = HashSet::new();
+        for adm in admitted {
+            if !adm.fresh {
+                if let Some(hit) = self.cache.lookup(&adm.key, adm.table_version) {
+                    let answer = hit.answer;
+                    answered.push(Outcome::Hit { adm, answer });
+                    continue;
+                }
+                // In-batch coalescing: identical cacheable requests are
+                // computed once (single-flight); the rest are "cached".
+                if let Some(&leader) = in_flight.get(&adm.key) {
+                    followers.push(Outcome::Follower { adm, leader });
+                    continue;
+                }
+                in_flight.insert(adm.key.clone(), adm.pos);
+            }
+            let cold = match &adm.planned.task {
+                // The lookup evicts a stale state now, so the parallel
+                // waves read the store immutably.
+                Task::Resume { key } => {
+                    self.store.lookup(key, adm.table_version).is_none()
+                        && claimed.insert(key.clone())
+                }
+                _ => false,
+            };
+            let seed = if adm.fresh {
+                mix_seed(self.config.seed, mix_seed(adm.id, 0x0046_5245_5348))
+            } else {
+                mix_seed(self.config.seed, result_key_hash(&adm.key))
+            };
+            work.push(WorkItem {
+                adm,
+                seed,
+                cold,
+                prepared: None,
+            });
+        }
+        (answered, work, followers)
+    }
+
+    /// **prepare** — wave 1, parallel: every claimed state is prepared
+    /// under a seed derived from its store key and inserted into the
+    /// store; the claimant keeps the prepare's wall time and events. A
+    /// state that cannot be prepared demotes every request resuming it
+    /// to SRS.
+    pub(super) fn prepare(&mut self, work: &mut [WorkItem]) {
+        let (lss, service_seed, tracing) =
+            (self.config.lss, self.config.seed, self.obs.is_enabled());
+        let shards = NonZeroUsize::new(self.config.shards).filter(|k| k.get() > 1);
+        let claims: Vec<(usize, &StoreKey)> = work
+            .iter()
+            .enumerate()
+            .filter_map(|(i, item)| match &item.adm.planned.task {
+                Task::Resume { key } if item.cold => Some((i, key)),
+                _ => None,
+            })
+            .collect();
+        let prepared: Vec<_> = claims
+            .into_par_iter()
+            .map(|(i, key)| {
+                let adm = &work[i].adm;
+                let start = Instant::now();
+                let (stored, events) = traced(tracing, || {
+                    let prepare_seed =
+                        mix_seed(service_seed, store_key_hash(key, adm.table_version));
+                    let problem = &adm.planned.problem;
+                    WarmState::prepare(lss, problem, shards, key.budget, prepare_seed, &[]).map(
+                        |state| StoredModel {
+                            state,
+                            table_version: adm.table_version,
+                            prepare_seed,
+                            raw_condition: adm.raw.clone(),
+                        },
+                    )
+                });
+                (i, key.clone(), stored, micros_since(start), events)
+            })
+            .collect();
+        let mut unpreparable: HashSet<StoreKey> = HashSet::new();
+        for (i, key, stored, wall_micros, events) in prepared {
+            match stored {
+                Ok(stored) => {
+                    self.store.insert(key, stored);
+                    work[i].prepared = Some((wall_micros, events));
+                }
+                Err(_) => {
+                    unpreparable.insert(key);
+                }
+            }
+        }
+        for item in work.iter_mut() {
+            if matches!(&item.adm.planned.task, Task::Resume { key } if unpreparable.contains(key))
+            {
+                item.adm.planned.task = Task::Srs;
+                item.cold = true;
+            }
+        }
+    }
+
+    /// **execute** — wave 2, parallel: every work item runs its task
+    /// against the (now immutable) store.
+    pub(super) fn execute(&self, work: Vec<WorkItem>) -> Vec<Outcome> {
+        let (store, lss, tracing) = (&self.store, self.config.lss, self.obs.is_enabled());
+        work.into_par_iter()
+            .map(|item| {
+                let ((result, wall_micros), events) = traced(tracing, || {
+                    let start = Instant::now();
+                    let result = item.run(store, lss);
+                    (result, micros_since(start))
+                });
+                Outcome::Executed {
+                    item,
+                    result,
+                    wall_micros,
+                    events,
+                }
+            })
+            .collect()
+    }
+
+    /// **seal** — sequential, the one place a response is built: turn
+    /// an outcome into its [`Response`], book it, cache a fresh
+    /// computation, and close the request's trace span. `sealed` holds
+    /// the responses sealed so far, by arrival position (a follower
+    /// copies its leader's). Returns the position the response answers.
+    pub(super) fn seal(
+        &mut self,
+        outcome: Outcome,
+        sealed: &[Option<Response>],
+    ) -> (usize, Response) {
+        let tracing = self.obs.is_enabled();
+        // The span's events between the cache probe and `served`.
+        let mut tail = Vec::new();
+        let (adm, mut response, cache, store, saved) = match outcome {
+            Outcome::Refused { pos, id, error } => {
+                let response = Response::failed(id, &error);
+                self.metrics.book(&response, "", "", 0);
+                return (pos, response);
+            }
+            Outcome::Hit { adm, answer } => {
+                let free = Answer { evals: 0, ..answer };
+                let response = Response::answered(&adm, "cached", &free, 0);
+                (adm, response, "hit", "", answer.evals as u64)
+            }
+            Outcome::Follower { adm, leader } => {
+                let leader = sealed[leader].clone().expect("leader position settled");
+                let saved = leader.evals as u64;
+                let response = Response {
+                    id: adm.id,
+                    served: if leader.ok { "cached" } else { leader.served },
+                    evals: 0,
+                    wall_micros: 0,
+                    trace: None,
+                    ..leader
+                };
+                (adm, response, "follower", "", saved)
+            }
+            Outcome::Executed {
+                item,
+                result,
+                wall_micros,
+                events,
+            } => {
+                let WorkItem {
+                    adm,
+                    cold,
+                    prepared,
+                    ..
+                } = item;
+                let (prepare_micros, prepare_events) = prepared.unwrap_or_default();
+                // The request charged a prepare's evals is charged its
+                // wall time too.
+                let wall_micros = wall_micros.saturating_add(prepare_micros);
+                let (served, store, store_key) = match (&adm.planned.task, cold) {
+                    (Task::Exact { .. }, _) => ("exact", "", None),
+                    (Task::Srs, _) => ("cold", "unpreparable", None),
+                    (Task::Resume { key }, true) => ("cold", "cold-prepare", Some(key)),
+                    (Task::Resume { key }, false) => ("warm", "warm-resume", Some(key)),
+                };
+                if tracing && !store.is_empty() {
+                    tail.push(TraceEvent::Store {
+                        outcome: store,
+                        key: store_key.map_or_else(String::new, |key| {
+                            format!("{:016x}", store_key_hash(key, adm.table_version))
+                        }),
+                    });
+                    tail.extend(prepare_events);
+                }
+                tail.extend(events);
+                let mut saved = 0;
+                let response = match result {
+                    Err(e) => Response {
+                        fingerprint: adm.fingerprint,
+                        table_version: adm.table_version,
+                        budget: adm.planned.budget,
+                        wall_micros,
+                        ..Response::failed(adm.id, &e)
+                    },
+                    Ok(answer) => {
+                        // A warm resume re-uses the prepared phases a
+                        // cold start would have paid for: that prepare
+                        // cost is the saving.
+                        if let Some(stored) = store_key.and_then(|k| self.store.get(k)) {
+                            if !cold {
+                                saved = stored.state.prepare_evals() as u64;
+                            }
+                        }
+                        if !adm.fresh {
+                            self.cache
+                                .insert(adm.key.clone(), answer, adm.table_version);
+                        }
+                        Response::answered(&adm, served, &answer, wall_micros)
+                    }
+                };
+                let cache = if adm.fresh { "bypass-fresh" } else { "miss" };
+                (adm, response, cache, store, saved)
+            }
+        };
+        self.metrics.book(&response, cache, store, saved);
+        if tracing {
+            let mut events = vec![TraceEvent::Route {
+                route: response.route,
+                kind: adm.planned.kind().to_string(),
+            }];
+            events.extend(adm.events);
+            events.push(TraceEvent::Cache { outcome: cache });
+            events.extend(tail);
+            events.push(TraceEvent::Served {
+                served: response.served,
+                evals: response.evals as u64,
+                wall_micros: response.wall_micros,
+            });
+            self.finish_span(&mut response, events);
+        }
+        (adm.pos, response)
+    }
+
+    /// Close a request's trace span: feed the per-phase registry
+    /// counters from its events, attach it to the response when
+    /// [`super::ServiceConfig::trace`] is on, offer the request to the
+    /// slow log, and retain the span in the trace ring.
+    fn finish_span(&self, response: &mut Response, events: Vec<TraceEvent>) {
+        self.metrics.attribute(response, &events);
+        let trace = Trace {
+            id: response.id,
+            events,
+        };
+        if response.ok && response.evals > 0 {
+            self.obs.slow.offer(SlowEntry {
+                evals: response.evals as u64,
+                id: response.id,
+                fingerprint: response.fingerprint,
+                route: response.route,
+            });
+        }
+        if self.config.trace {
+            response.trace = Some(trace.clone());
+        }
+        self.obs.ring.push(trace);
+    }
+}
+
+impl Response {
+    /// The one place an answered response is built.
+    fn answered(adm: &Admitted, served: &'static str, answer: &Answer, wall_micros: u64) -> Self {
+        Response {
+            id: adm.id,
+            ok: true,
+            error: None,
+            fingerprint: adm.fingerprint,
+            route: answer.route,
+            served,
+            estimate: answer.estimate,
+            std_error: answer.std_error,
+            lo: answer.lo,
+            hi: answer.hi,
+            level: answer.level,
+            evals: answer.evals,
+            budget: adm.planned.budget,
+            model_version: answer.model_version,
+            table_version: adm.table_version,
+            wall_micros,
+            plan: adm.planned.summary.clone(),
+            trace: None,
+        }
+    }
+}
+
+impl WorkItem {
+    /// Run this item's task.
+    fn run(&self, store: &ModelStore, lss: Lss) -> ServeResult<Answer> {
+        let problem = &self.adm.planned.problem;
+        let sampled =
+            |report: lts_core::EstimateReport, route, extra_evals, model_version| Answer {
+                estimate: report.count(),
+                std_error: report.estimate.std_error,
+                lo: report.estimate.interval.lo,
+                hi: report.estimate.interval.hi,
+                level: problem.level(),
+                evals: report.evals + extra_evals,
+                route,
+                model_version,
+            };
+        match &self.adm.planned.task {
+            Task::Exact { plan } => {
+                // Through the physical plan, the census runs over the
+                // prefilter survivors only — and costs nothing when none
+                // survived (a zero-width interval at zero oracle cost).
+                let (count, evals) = match plan {
+                    Some(p) => (
+                        p.exact_count()?,
+                        p.survivors().unwrap_or_else(|| p.population()),
+                    ),
+                    None => (problem.exact_count()?, problem.n()),
+                };
+                let count = count as f64;
+                Ok(Answer {
+                    estimate: count,
+                    std_error: 0.0,
+                    lo: count,
+                    hi: count,
+                    level: problem.level(),
+                    evals,
+                    route: "exact",
+                    model_version: 0,
+                })
+            }
+            Task::Srs => {
+                let mut rng = StdRng::seed_from_u64(self.seed);
+                let report = Srs::default().estimate(problem, self.adm.planned.budget, &mut rng)?;
+                Ok(sampled(report, "srs", 0, 0))
+            }
+            Task::Resume { key } => {
+                let stored = store.get(key).ok_or_else(|| ServeError::Invalid {
+                    message: "warm state vanished between waves".into(),
+                })?;
+                let report = stored.state.resume(lss, problem, self.seed)?;
+                // The claimant of a fresh state is charged its prepare.
+                let prepare_evals = if self.cold {
+                    stored.state.prepare_evals()
+                } else {
+                    0
+                };
+                Ok(sampled(report, "lss", prepare_evals, stored.state.digest()))
+            }
+        }
+    }
+}
+
+fn result_key_hash(key: &ResultKey) -> u64 {
+    let mut bytes = Vec::with_capacity(key.dataset.len() + key.canonical.len() + 10);
+    bytes.extend_from_slice(key.dataset.as_bytes());
+    bytes.push(0);
+    bytes.extend_from_slice(key.canonical.as_bytes());
+    bytes.push(0);
+    bytes.extend_from_slice(&(key.budget as u64).to_le_bytes());
+    fnv1a(&bytes)
+}
+
+fn store_key_hash(key: &StoreKey, table_version: u64) -> u64 {
+    let mut bytes =
+        Vec::with_capacity(key.dataset.len() + key.canonical.len() + key.scope.len() + 19);
+    bytes.extend_from_slice(key.dataset.as_bytes());
+    bytes.push(0);
+    bytes.extend_from_slice(key.canonical.as_bytes());
+    bytes.push(0);
+    bytes.extend_from_slice(&(key.budget as u64).to_le_bytes());
+    bytes.extend_from_slice(&table_version.to_le_bytes());
+    // Scoped (prefiltered) keys extend the layout; the empty scope
+    // keeps the legacy byte stream exactly, so monolithic prepare
+    // seeds — and every existing golden — are unchanged.
+    if !key.scope.is_empty() {
+        bytes.push(0);
+        bytes.extend_from_slice(key.scope.as_bytes());
+    }
+    fnv1a(&bytes)
+}

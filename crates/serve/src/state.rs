@@ -33,7 +33,7 @@
 
 use crate::cache::ResultKey;
 use crate::error::ServeError;
-use crate::service::{DatasetSpec, Service};
+use crate::service::{Answer, DatasetSpec, Service};
 use crate::store::{dec_text, enc_text};
 use lts_core::fnv1a;
 use std::fmt;
@@ -163,6 +163,7 @@ pub fn render_snapshot(service: &Service) -> String {
         out.push('\n');
     }
     for (key, e) in service.cache_entries() {
+        let a = &e.answer;
         let _ = writeln!(
             out,
             "cache\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
@@ -170,14 +171,14 @@ pub fn render_snapshot(service: &Service) -> String {
             enc_text(&key.canonical),
             key.budget,
             e.table_version,
-            f64_hex(e.count),
-            f64_hex(e.std_error),
-            f64_hex(e.lo),
-            f64_hex(e.hi),
-            f64_hex(e.level),
-            e.evals_spent,
-            e.model_version,
-            e.route,
+            f64_hex(a.estimate),
+            f64_hex(a.std_error),
+            f64_hex(a.lo),
+            f64_hex(a.hi),
+            f64_hex(a.level),
+            a.evals,
+            a.model_version,
+            a.route,
         );
     }
     out
@@ -207,23 +208,12 @@ struct DatasetLine {
     version: u64,
 }
 
-struct CacheLine {
-    key: ResultKey,
-    table_version: u64,
-    count: f64,
-    std_error: f64,
-    lo: f64,
-    hi: f64,
-    level: f64,
-    evals_spent: usize,
-    model_version: u64,
-    route: &'static str,
-}
-
 struct Parsed {
     datasets: Vec<DatasetLine>,
     store_text: String,
-    caches: Vec<CacheLine>,
+    /// `(key, answer, table version)`, as [`Service::restore_cached`]
+    /// takes them.
+    caches: Vec<(ResultKey, Answer, u64)>,
 }
 
 /// Verify the checksum trailer and parse the snapshot body, touching
@@ -292,22 +282,23 @@ fn parse_snapshot(text: &str) -> Result<Parsed, StateError> {
                     return Err(bad("cache line needs 12 fields"));
                 }
                 let fx = |s: &str, what: &'static str| f64_from_hex(s).ok_or_else(|| bad(what));
-                parsed.caches.push(CacheLine {
-                    key: ResultKey {
-                        dataset: dec_text(f[0]).ok_or_else(|| bad("bad dataset encoding"))?,
-                        canonical: dec_text(f[1]).ok_or_else(|| bad("bad canonical encoding"))?,
-                        budget: f[2].parse().map_err(|_| bad("bad budget"))?,
-                    },
-                    table_version: f[3].parse().map_err(|_| bad("bad table version"))?,
-                    count: fx(f[4], "bad count bits")?,
+                let key = ResultKey {
+                    dataset: dec_text(f[0]).ok_or_else(|| bad("bad dataset encoding"))?,
+                    canonical: dec_text(f[1]).ok_or_else(|| bad("bad canonical encoding"))?,
+                    budget: f[2].parse().map_err(|_| bad("bad budget"))?,
+                };
+                let table_version = f[3].parse().map_err(|_| bad("bad table version"))?;
+                let answer = Answer {
+                    estimate: fx(f[4], "bad count bits")?,
                     std_error: fx(f[5], "bad std_error bits")?,
                     lo: fx(f[6], "bad lo bits")?,
                     hi: fx(f[7], "bad hi bits")?,
                     level: fx(f[8], "bad level bits")?,
-                    evals_spent: f[9].parse().map_err(|_| bad("bad evals"))?,
+                    evals: f[9].parse().map_err(|_| bad("bad evals"))?,
                     model_version: f[10].parse().map_err(|_| bad("bad model version"))?,
                     route: route_static(f[11]).ok_or_else(|| bad("unknown route"))?,
-                });
+                };
+                parsed.caches.push((key, answer, table_version));
             }
             other => return Err(bad(&format!("unknown line tag `{other}`"))),
         }
@@ -362,19 +353,8 @@ pub fn load(service: &mut Service, dir: &Path) -> Result<Option<RestoreSummary>,
             .map_err(restore_err)?
     };
     let cached = parsed.caches.len();
-    for c in parsed.caches {
-        service.restore_cached(
-            c.key,
-            c.count,
-            c.std_error,
-            c.lo,
-            c.hi,
-            c.level,
-            c.evals_spent,
-            c.model_version,
-            c.table_version,
-            c.route,
-        );
+    for (key, answer, table_version) in parsed.caches {
+        service.restore_cached(key, answer, table_version);
     }
     Ok(Some(RestoreSummary {
         datasets: parsed.datasets.len(),

@@ -22,7 +22,9 @@
 //! in the export as a typed [`EstimatorTag`] (`lss`, `lss@4`, `lss+pf`,
 //! `lss@4+pf`), whose grammar lives here and nowhere else.
 
-use lts_core::{LssWarm, Sharded};
+use lts_core::{
+    CoreResult, CountingProblem, EstimateReport, Lss, LssWarm, ShardPlan, Shardable, Sharded,
+};
 use std::collections::HashMap;
 use std::fmt::{self, Write as _};
 use std::num::NonZeroUsize;
@@ -62,6 +64,54 @@ pub enum WarmState {
 }
 
 impl WarmState {
+    /// Prepare a state over `problem`: per shard of a
+    /// [`ShardPlan::uniform`] layout when `shards` is given, over the
+    /// whole population otherwise. `known` preloads labels — a restore
+    /// passes the exported ones and touches the oracle zero times; a
+    /// live prepare passes none.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error for an infeasible budget or layout, or any
+    /// prepare failure.
+    pub fn prepare(
+        lss: Lss,
+        problem: &CountingProblem,
+        shards: Option<NonZeroUsize>,
+        budget: usize,
+        seed: u64,
+        known: &[(usize, bool)],
+    ) -> CoreResult<Self> {
+        Ok(match shards {
+            None => WarmState::Lss(lss.prepare_with_known(problem, budget, seed, known)?),
+            Some(k) => {
+                let plan = ShardPlan::uniform(problem.n(), k.get())?;
+                WarmState::LssSharded(
+                    lss.prepare_sharded_with_known(problem, &plan, budget, seed, known)?,
+                )
+            }
+        })
+    }
+
+    /// Resume the state: a fresh stage-2 draw under `seed`, in whatever
+    /// layout the state was prepared under.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when the state does not match the problem, or
+    /// on sampling/labeling failures.
+    pub fn resume(
+        &self,
+        lss: Lss,
+        problem: &CountingProblem,
+        seed: u64,
+    ) -> CoreResult<EstimateReport> {
+        match self {
+            WarmState::Lss(w) => lss.estimate_prepared(problem, w, seed),
+            WarmState::LssSharded(w) => lss.estimate_prepared_sharded(problem, w, seed),
+        }
+    }
+
     /// Content digest — the "model version" stamp carried by results
     /// computed from this state.
     pub fn digest(&self) -> u64 {
@@ -159,8 +209,6 @@ pub struct StoredModel {
     /// The raw condition text that first created the entry (restores
     /// re-parse this; the canonical string is not a parser input).
     pub raw_condition: String,
-    /// Times this state has been resumed.
-    pub resumes: u64,
 }
 
 /// The service's model store.

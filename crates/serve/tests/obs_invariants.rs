@@ -1,20 +1,24 @@
-//! Counter-silo reconciliation: the metrics registry, the service's
-//! own `ServiceStats`, and the per-response `evals` fields are three
-//! independently-maintained views of the same work. This battery pins
-//! the drift invariants between them:
+//! Counter reconciliation: the metrics registry is the service's one
+//! book — `ServiceStats` is read off it — and the per-response fields
+//! are the independent view it must agree with. This battery pins the
+//! invariants between them:
 //!
-//! * the registry mirrors `ServiceStats` exactly (requests, errors,
-//!   route counters, oracle evaluations);
-//! * `oracle_evals_total` equals the sum of `evals` over *executed*
-//!   responses (cache hits and followers spend nothing);
+//! * folding the returned responses reproduces `stats()` exactly
+//!   (requests, rejections, errors, route counters, oracle evaluations
+//!   spent per route and saved by the cache), and the per-route eval
+//!   counters sum to `oracle_evals_total`;
 //! * the per-phase eval counters **partition** the total: every oracle
 //!   evaluation is attributed to exactly one of train / score / pilot
 //!   / design / stage2 / exact / srs / sharded;
 //! * `spent + saved == cold-equivalent`: what a warm or cached answer
 //!   avoided is exactly what a cold start of the same request costs on
-//!   a fresh service.
+//!   a fresh service;
+//! * a service on a disabled registry answers bit-identically and
+//!   reports all-zero `stats`; services sharing a registry share them.
 
-use lts_serve::{Request, Service, ServiceConfig, Target};
+use lts_serve::{
+    BudgetPlanner, Observability, Request, Response, Service, ServiceConfig, ServiceStats, Target,
+};
 use lts_table::table_of_floats;
 use std::sync::Arc;
 
@@ -66,72 +70,184 @@ fn phase_partition_total(s: &Service) -> u64 {
     .sum()
 }
 
+/// `ServiceStats` as the responses alone imply it. A cached answer's
+/// saving is what the computation it repeats spent: the first executed
+/// response with the same fingerprint and budget.
+fn fold(responses: &[Response]) -> ServiceStats {
+    let mut st = ServiceStats::default();
+    for r in responses {
+        if r.served == "rejected" {
+            st.rejected += 1;
+            continue;
+        }
+        st.requests += 1;
+        let evals = r.evals as u64;
+        st.oracle_evals += evals;
+        match r.served {
+            "error" => st.errors += 1,
+            "exact" => {
+                st.exact += 1;
+                st.oracle_evals_exact += evals;
+            }
+            "cold" => {
+                st.cold += 1;
+                st.oracle_evals_cold += evals;
+            }
+            "warm" => {
+                st.warm += 1;
+                st.oracle_evals_warm += evals;
+            }
+            "cached" => {
+                st.cached += 1;
+                let computed = responses
+                    .iter()
+                    .find(|c| {
+                        c.ok && c.served != "cached"
+                            && (c.fingerprint, c.budget) == (r.fingerprint, r.budget)
+                    })
+                    .expect("a cached answer repeats an executed one");
+                st.oracle_evals_saved += computed.evals as u64;
+            }
+            other => panic!("unknown served class `{other}`"),
+        }
+    }
+    st
+}
+
 #[test]
-fn registry_mirrors_stats_and_phases_partition_the_total() {
-    let mut s = service_with(ServiceConfig::default(), 5_000);
-    // A mixed workload: cold estimate, cache hit, fresh warm resume, a
-    // second distinct query, an exact census (tiny population after
-    // the prefilter is not needed — small budget vs n decides), and an
-    // error.
-    let responses = [
-        s.run(req(1, "x < 2000", 300, false)), // cold
-        s.run(req(2, "x < 2000", 300, false)), // cached
-        s.run(req(3, "x < 2000", 300, true)),  // fresh → warm resume
-        s.run(req(4, "y < 1000", 300, false)), // cold, second key
-        s.run(req(5, "x < 2000", 300, true)),  // fresh again → warm
-        s.run(req(6, "x <", 300, false)),      // parse error
-    ];
-    let stats = s.stats();
-
-    // Route bookkeeping agrees between the response stream and stats.
+fn folded_responses_equal_stats_and_phases_partition_the_total() {
+    // `min_budget = 1` lets `Budget(4)` through the planner; no `Lss`
+    // profile can split 4 labels, so that state is unpreparable and
+    // its requests fall back to SRS.
+    let config = ServiceConfig {
+        queue_capacity: 3,
+        planner: BudgetPlanner {
+            min_budget: 1,
+            ..BudgetPlanner::default()
+        },
+        ..ServiceConfig::default()
+    };
+    let mut s = service_with(config, 5_000);
+    let mut responses = s.run_batch(vec![
+        req(1, "x < 2000", 300, false), // cold leader
+        req(2, "x < 2000", 300, false), // follower
+        req(3, "x < 2000", 300, false), // follower
+        req(4, "x < 2000", 300, false), // past the queue bound
+    ]);
+    responses.extend(s.run_batch(vec![
+        req(5, "x <", 300, false),        // parse error
+        req(6, "x < 2000", 300, true),    // fresh → warm resume
+        req(7, "y < 1000", 4_000, false), // budget ≥ N/2 → exact census
+    ]));
+    responses.extend(s.run_batch(vec![
+        req(8, "y < 1000", 4, false),   // unpreparable → SRS fallback
+        req(9, "x < 2000", 300, false), // cache hit
+    ]));
     let served: Vec<&str> = responses.iter().map(|r| r.served).collect();
-    assert_eq!(served[0], "cold");
-    assert_eq!(served[1], "cached");
-    assert_eq!(served[2], "warm");
-    assert_eq!(served[3], "cold");
-    assert_eq!(served[4], "warm");
-    assert!(!responses[5].ok);
-
-    // Silo 1 vs silo 2: the registry mirrors ServiceStats exactly.
-    assert_eq!(counter(&s, "requests_total"), stats.requests);
-    assert_eq!(counter(&s, "requests_rejected"), stats.rejected);
-    assert_eq!(counter(&s, "requests_errors"), stats.errors);
-    assert_eq!(counter(&s, "served_exact"), stats.exact);
-    assert_eq!(counter(&s, "served_cold"), stats.cold);
-    assert_eq!(counter(&s, "served_warm"), stats.warm);
-    assert_eq!(counter(&s, "served_cached"), stats.cached);
-    assert_eq!(counter(&s, "oracle_evals_total"), stats.oracle_evals);
-    // `ServiceStats` only tracks cache savings; the registry splits
-    // out the additional warm-resume savings (skipped re-prepares).
     assert_eq!(
-        counter(&s, "oracle_evals_saved_cache"),
-        stats.oracle_evals_saved
+        served,
+        ["cold", "cached", "cached", "rejected", "error", "warm", "exact", "cold", "cached"]
+    );
+    assert_eq!(responses[7].route, "srs");
+
+    // The responses alone reproduce the stats.
+    let stats = s.stats();
+    assert_eq!(format!("{:?}", fold(&responses)), format!("{stats:?}"));
+    assert_eq!(
+        counter(&s, "oracle_evals_cold")
+            + counter(&s, "oracle_evals_warm")
+            + counter(&s, "oracle_evals_exact"),
+        counter(&s, "oracle_evals_total")
     );
     assert!(counter(&s, "oracle_evals_saved_warm") > 0);
-
-    // Silo 2 vs silo 3: stats total == sum of executed responses'
-    // evals (the cached hit's evals echo the original cost but were
-    // not re-spent).
-    let executed_evals: u64 = responses
-        .iter()
-        .filter(|r| r.ok && r.served != "cached")
-        .map(|r| r.evals as u64)
-        .sum();
-    assert_eq!(stats.oracle_evals, executed_evals);
 
     // Phase attribution partitions the total: nothing double-counted,
     // nothing dropped.
     assert_eq!(phase_partition_total(&s), stats.oracle_evals);
-    // Unsharded, no fallback: the sharded/srs buckets must be empty.
+    // Unsharded: the sharded bucket is empty, and the SRS bucket holds
+    // exactly the fallback's evals.
     assert_eq!(counter(&s, "evals_sharded"), 0);
-    assert_eq!(counter(&s, "evals_srs"), 0);
+    assert_eq!(counter(&s, "evals_srs"), responses[7].evals as u64);
 
-    // Store/cache counters line up with the store itself (silo 4).
-    assert_eq!(counter(&s, "store_prepares"), stats.cold);
+    // Store/cache counters line up with the routes and the stores.
+    assert_eq!(counter(&s, "served_fallback"), 1);
+    assert_eq!(counter(&s, "store_prepares"), stats.cold - 1);
     assert_eq!(counter(&s, "store_resumes"), stats.warm);
-    assert_eq!(counter(&s, "cache_hits"), stats.cached);
+    assert_eq!(
+        counter(&s, "cache_hits") + counter(&s, "served_followers"),
+        stats.cached
+    );
     assert_eq!(counter(&s, "store_entries"), s.store_len() as u64);
     assert_eq!(counter(&s, "cache_entries"), s.cache_len() as u64);
+}
+
+#[test]
+fn stats_live_in_the_registry_disabled_is_zero_and_shared_is_summed() {
+    let config = ServiceConfig::default();
+    let session = |s: &mut Service| -> Vec<String> {
+        s.register_dataset("d", linear_table(5_000), &["x", "y"])
+            .unwrap();
+        let batch = vec![
+            req(1, "x < 2000", 300, false),
+            req(2, "x < 2000", 300, false),
+            req(3, "x < 2000", 300, true),
+            req(4, "x <", 300, false),
+        ];
+        let responses = s.run_batch(batch);
+        responses.iter().map(|r| r.to_json(true)).collect()
+    };
+
+    // Disabled: the same answers, and nothing counted.
+    let mut enabled = Service::new(config);
+    let mut disabled = Service::with_observability(config, Observability::disabled());
+    assert_eq!(session(&mut enabled), session(&mut disabled));
+    assert_eq!(
+        format!("{:?}", disabled.stats()),
+        format!("{:?}", ServiceStats::default())
+    );
+    let one = enabled.stats();
+    assert_eq!(
+        (one.requests, one.cold, one.cached, one.errors),
+        (4, 1, 1, 1)
+    );
+
+    // Shared: two services over one registry report one summed book.
+    let obs = Observability::default();
+    let mut a = Service::with_observability(config, obs.clone());
+    let mut b = Service::with_observability(config, obs);
+    session(&mut a);
+    session(&mut b);
+    assert_eq!(format!("{:?}", a.stats()), format!("{:?}", b.stats()));
+    assert_eq!(a.stats().requests, 2 * one.requests);
+    assert_eq!(a.stats().oracle_evals, 2 * one.oracle_evals);
+    assert_eq!(a.stats().oracle_evals_saved, 2 * one.oracle_evals_saved);
+}
+
+#[test]
+fn a_cold_response_is_charged_the_wall_time_of_its_prepare() {
+    let config = ServiceConfig {
+        trace: true,
+        ..ServiceConfig::default()
+    };
+    let mut s = service_with(config, 5_000);
+    let cold = s.run(req(1, "x < 2000", 300, false));
+    assert_eq!(cold.served, "cold");
+    let span = cold.trace.as_ref().expect("trace is on");
+    let prepare_nanos: u64 = span
+        .events
+        .iter()
+        .map(|e| match e {
+            lts_obs::TraceEvent::Phase { wall_nanos, .. } => *wall_nanos,
+            _ => 0,
+        })
+        .sum();
+    assert!(prepare_nanos > 0, "the prepare phases were timed");
+    assert!(
+        cold.wall_micros >= prepare_nanos / 1_000,
+        "wall_micros {} must cover the prepare phases' {} ns",
+        cold.wall_micros,
+        prepare_nanos
+    );
 }
 
 #[test]

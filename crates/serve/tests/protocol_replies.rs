@@ -1,0 +1,53 @@
+//! Protocol replies over `handle_line` that no golden transcript
+//! reaches: dataset names that need escaping, and malformed targets on
+//! a population small enough for a census.
+
+use lts_serve::{handle_line, LineOutcome, ReplOptions, Service, ServiceConfig, SessionState};
+
+fn reply(service: &mut Service, line: &str) -> String {
+    let mut session = SessionState::default();
+    match handle_line(service, &mut session, ReplOptions::default(), line) {
+        LineOutcome::Reply(reply) => reply,
+        other => panic!("`{line}` yielded {other:?}"),
+    }
+}
+
+#[test]
+fn hostile_dataset_names_are_escaped_in_replies() {
+    let mut s = Service::new(ServiceConfig::default());
+    for (name, escaped) in [
+        ("a\"b", "a\\\"b"),
+        ("a\\b", "a\\\\b"),
+        ("a\u{1}b", "a\\u0001b"),
+    ] {
+        let registered = reply(
+            &mut s,
+            &format!("register sports {name} rows=300 level=M seed=3"),
+        );
+        assert_eq!(
+            registered,
+            format!(
+                "{{\"ok\": true, \"registered\": \"{escaped}\", \"rows\": 300, \"version\": 0}}"
+            )
+        );
+        assert_eq!(
+            reply(&mut s, &format!("invalidate {name}")),
+            format!("{{\"ok\": true, \"invalidated\": \"{escaped}\", \"version\": 1}}")
+        );
+    }
+}
+
+#[test]
+fn a_malformed_target_is_refused_on_a_population_small_enough_for_a_census() {
+    let mut s = Service::new(ServiceConfig::default());
+    reply(&mut s, "register sports t rows=60 level=M seed=3");
+    for option in ["budget=0", "width=NaN", "width=7", "abswidth=-1"] {
+        for command in ["count", "explain"] {
+            let line = format!("{command} t {option} :: strikeouts < 120");
+            let got = reply(&mut s, &line);
+            assert!(got.contains("\"ok\": false"), "`{line}` answered {got}");
+        }
+    }
+    let served = reply(&mut s, "count t budget=10 :: strikeouts < 120");
+    assert!(served.contains("\"served\": \"exact\""), "{served}");
+}
