@@ -205,59 +205,37 @@ fn main() {
     }
 
     // Design-side stage: locate m pilots in the score order *without*
-    // sorting the population — the partitioned bucket pass
-    // (`pilot_index_from_scores`, O(N log m)) against the O(N log N)
-    // argsort oracle. `median` = sum of pilot positions (exact in f64
-    // at these sizes; identical across partition and thread counts).
+    // sorting the population — the paper's bucket pass
+    // (`pilot_positions_bucket`, O(N log m)) against the O(N log N)
+    // argsort reference. `median` = sum of pilot positions (exact in
+    // f64 at these sizes; identical across thread counts).
     let scores = ScoredPopulation::score_members(&problem, &forest, members.clone())
         .expect("scoring succeeds")
         .scores()
         .to_vec();
-    let pilots: Vec<(usize, bool)> = (0..rows)
-        .step_by((rows / 1000).max(1))
-        .map(|id| (id, id % 2 == 0))
-        .collect();
-    let ids: Vec<usize> = pilots.iter().map(|&(id, _)| id).collect();
+    let ids: Vec<usize> = (0..rows).step_by((rows / 1000).max(1)).collect();
     let (oracle, argsort_s) = time_best(|| lts_strata::pilot_positions_argsort(&scores, &ids));
+    let (bucket, bucket_s) = time_best(|| lts_strata::pilot_positions_bucket(&scores, &ids));
+    assert_eq!(
+        bucket, oracle,
+        "bucket pass diverged from the argsort reference"
+    );
     let position_sum = oracle.iter().sum::<usize>() as f64;
-    out.row(vec![
-        "pilot".into(),
-        "argsort".into(),
-        format!("{position_sum:.0}"),
-        format!("{argsort_s:.4}"),
-        "1.00x".into(),
-    ]);
-    records.push(BenchRecord {
-        label: "pilot".into(),
-        cell: "argsort".into(),
-        median: position_sum,
-        iqr: 0.0,
-        mean_evals: rows as f64,
-        wall_seconds: argsort_s,
-    });
-    for parts in [1usize, 8] {
-        let (pilot, bucket_s) = time_best(|| {
-            lts_strata::pilot_index_from_scores(&scores, &pilots, parts).expect("valid pilots")
-        });
-        assert_eq!(
-            pilot.positions(),
-            oracle.as_slice(),
-            "bucket pass diverged from the argsort oracle at {parts} partitions"
-        );
+    for (cell, wall_seconds) in [("argsort", argsort_s), ("bucket", bucket_s)] {
         out.row(vec![
             "pilot".into(),
-            format!("bucket_p{parts}"),
+            cell.into(),
             format!("{position_sum:.0}"),
-            format!("{bucket_s:.4}"),
-            format!("{:.2}x", argsort_s / bucket_s.max(1e-12)),
+            format!("{wall_seconds:.4}"),
+            format!("{:.2}x", argsort_s / wall_seconds.max(1e-12)),
         ]);
         records.push(BenchRecord {
             label: "pilot".into(),
-            cell: format!("bucket_p{parts}"),
+            cell: cell.into(),
             median: position_sum,
             iqr: 0.0,
             mean_evals: rows as f64,
-            wall_seconds: bucket_s,
+            wall_seconds,
         });
     }
 

@@ -87,10 +87,6 @@ pub enum PilotSource {
 }
 
 /// Learned stratified sampling.
-///
-/// Setting the `LSS_DEBUG` environment variable prints the per-run
-/// stratification internals (stratum sizes, pilot counts, allocation)
-/// to stderr — useful when diagnosing a surprising estimate.
 #[derive(Debug, Clone, Copy)]
 pub struct Lss {
     /// Learning-phase configuration.
@@ -401,13 +397,6 @@ pub(crate) fn stage2_estimate(
             stage2_samples: alloc.iter().sum(),
         }
     };
-    if std::env::var_os("LSS_DEBUG").is_some() {
-        eprintln!(
-            "LSS debug: sizes={sizes:?} pilots={:?} s_hats={s_hats:?} alloc={alloc:?} cuts={:?}",
-            pilot_in.iter().map(Vec::len).collect::<Vec<_>>(),
-            stratification.cuts,
-        );
-    }
 
     let draws = draw_stratified(rng, &remainder, &alloc)?;
     let mut samples = Vec::with_capacity(n_strata_eff);

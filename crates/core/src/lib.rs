@@ -20,7 +20,7 @@
 //! uncertainty-sampling augmentation, §3.2) is shared by QL/LWS/LSS and
 //! lives in [`learnphase`]. The proxy-scoring hot path every learned
 //! estimator then runs — features → vectorized batch score → stable
-//! `(score, id)` order → partition-aligned design pilot — is the shared
+//! `(score, id)` order → design pilot — is the shared
 //! [`scoring`] pipeline ([`scoring::ScoredPopulation`]), scored
 //! partition-parallel and bit-identical at every partition and thread
 //! count. Every estimator reports phase timings compatible with the

@@ -1,5 +1,5 @@
 //! The shared proxy-scoring pipeline: features → batch score → stable
-//! order → partition-aligned design.
+//! order → design pilot.
 //!
 //! Every learned estimator shares one structural hot path: score each
 //! object of a population with the proxy `g`, optionally order the
@@ -21,13 +21,10 @@
 //!   scan engine.
 //! * [`OrderedPopulation`] — the `(score, id)` **stable total order**
 //!   over a scored population (LSS's ordering), with helpers to map
-//!   positions back to objects and to assemble the stage-1 design
-//!   pilot **partition-aligned**: labeled positions split by partition
-//!   bounds and merged through `lts_strata`'s
-//!   `merge_partition_pilots`. (Callers that hold raw scores but no
-//!   ordering locate pilots with
-//!   [`lts_strata::pilot_index_from_scores`] instead — the parallel
-//!   bucket pass, `O(N log m)` with no population sort.)
+//!   positions back to objects and to index the stage-1 design pilot
+//!   ([`OrderedPopulation::pilot_index`]: the ordering already knows
+//!   every pilot's position, so the index is built from the labeled
+//!   positions directly).
 //! * [`surrogate_grid_strata`] — the §3.1 surrogate-attribute grid used
 //!   by SSP/SSN, built from **column-at-a-time** feature extraction
 //!   instead of per-row feature walks.
@@ -266,25 +263,14 @@ impl OrderedPopulation {
             .collect()
     }
 
-    /// Assemble the stage-1 design pilot **partition-aligned**: the
-    /// labeled `(position, label)` entries are split by the same
-    /// partition-bound arithmetic the scoring pass uses and merged into
-    /// one global [`PilotIndex`] by `lts_strata`'s
-    /// `merge_partition_pilots` — bit-identical to constructing the
-    /// index directly from `entries`, for every partition count. (When
-    /// positions are *not* already known — raw scores, no ordering —
-    /// use [`lts_strata::pilot_index_from_scores`], the parallel bucket
-    /// pass, instead.)
-    ///
-    /// `entries` are `(position, label)` pairs over this ordering.
+    /// Index the stage-1 design pilot: `entries` are `(position,
+    /// label)` pairs over this ordering.
     ///
     /// # Errors
     ///
     /// Returns an error for empty/duplicate/out-of-range pilots.
     pub fn pilot_index(&self, entries: &[(usize, bool)]) -> CoreResult<PilotIndex> {
-        let n = self.order.len();
-        let bounds = partition_bounds(n, auto_partitions(n));
-        Ok(lts_strata::pilot_index_from_positions(&bounds, entries)?)
+        Ok(PilotIndex::new(self.n(), entries.to_vec())?)
     }
 }
 
@@ -453,10 +439,11 @@ mod tests {
             .unwrap()
             .into_ordered();
         let entries: Vec<(usize, bool)> = (0..120).step_by(11).map(|p| (p, p % 2 == 0)).collect();
-        let via_pass = ordered.pilot_index(&entries).unwrap();
         let direct = PilotIndex::new(120, entries.clone()).unwrap();
-        assert_eq!(via_pass, direct);
-        // Out-of-range position is rejected.
+        assert_eq!(ordered.pilot_index(&entries).unwrap(), direct);
+        // Empty pilot, duplicate position, position >= n are rejected.
+        assert!(ordered.pilot_index(&[]).is_err());
+        assert!(ordered.pilot_index(&[(7, true), (7, false)]).is_err());
         assert!(ordered.pilot_index(&[(120, true)]).is_err());
     }
 

@@ -2,10 +2,8 @@
 //! `k` contiguous shards of the population and merge the shard
 //! estimators as strata of one stratified estimator.
 //!
-//! A [`ShardPlan`] splits `0..N` into `k` contiguous, non-empty ranges —
-//! either near-equal ([`ShardPlan::uniform`]) or unions of whole storage
-//! partitions ([`ShardPlan::aligned`], via
-//! [`lts_strata::shard_bounds_aligned`]). Each shard becomes its own
+//! A [`ShardPlan`] splits `0..N` into `k` contiguous, non-empty,
+//! near-equal ranges ([`ShardPlan::uniform`]). Each shard becomes its own
 //! [`CountingProblem`] (sliced table + gathered feature rows): a
 //! sub-population of the parent whose predicate **delegates to the
 //! parent problem's metered predicate at the global row id** — the same
@@ -43,7 +41,7 @@ use crate::report::{EstimateReport, PhaseTimings, QualityForecast};
 use crate::warm::{fnv1a, mix_seed, Resumable, WarmEstimator};
 use lts_sampling::{proportional_allocation, CountEstimate};
 use lts_stats::{compose_independent, z_critical, Component};
-use lts_strata::{shard_bounds, shard_bounds_aligned};
+use lts_table::partition_bounds;
 use rayon::prelude::*;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -56,6 +54,21 @@ pub const SALT_SHARD: u64 = 0x5348_4152_4453; // "SHARDS"
 /// shard index, never on thread count or execution order.
 pub fn shard_seed(seed: u64, shard: usize) -> u64 {
     mix_seed(mix_seed(seed, SALT_SHARD), shard as u64)
+}
+
+/// Bounds of `n` items split into at most `k` near-equal contiguous
+/// shards: [`partition_bounds`] with duplicate boundaries (from
+/// `k > n`) collapsed, so every shard is non-empty. A pure function of
+/// `(n, k)` — independent of thread count and execution order — which
+/// is what makes sharded estimates reproducible across hosts. Always
+/// at least two bounds: `n == 0` yields `[0, 0]`.
+fn shard_bounds(n: usize, k: usize) -> Vec<usize> {
+    let mut bounds = partition_bounds(n, k);
+    bounds.dedup();
+    if bounds.len() < 2 {
+        bounds.push(n);
+    }
+    bounds
 }
 
 /// A partition of `0..N` into `k` contiguous, non-empty shards, stored
@@ -71,9 +84,8 @@ impl ShardPlan {
     /// shards than rows collapses to `n` singleton shards; `k = 0` and
     /// `n = 0` are rejected.
     ///
-    /// This layout is pure arithmetic — independent of thread count and
-    /// storage partitioning — and is what the serving layer uses so
-    /// shard layouts (and therefore estimates) are reproducible
+    /// This layout is pure arithmetic — independent of thread count —
+    /// so shard layouts (and therefore estimates) are reproducible
     /// everywhere.
     ///
     /// # Errors
@@ -91,23 +103,6 @@ impl ShardPlan {
             });
         }
         Self::from_bounds(shard_bounds(n, k))
-    }
-
-    /// Shards as unions of whole storage partitions: ideal uniform cuts
-    /// snapped to the given partition bounds
-    /// (via [`lts_strata::shard_bounds_aligned`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for invalid partition bounds or an empty
-    /// population.
-    pub fn aligned(partition_bounds: &[usize], k: usize) -> CoreResult<Self> {
-        if k == 0 {
-            return Err(CoreError::InvalidConfig {
-                message: "shard count must be at least 1".into(),
-            });
-        }
-        Self::from_bounds(shard_bounds_aligned(partition_bounds, k)?)
     }
 
     /// Build a plan from explicit bounds.
@@ -524,11 +519,24 @@ mod tests {
         assert!(ShardPlan::from_bounds(vec![0, 5, 5, 10]).is_err());
         assert!(ShardPlan::from_bounds(vec![1, 5]).is_err());
         assert!(ShardPlan::from_bounds(vec![0]).is_err());
+    }
 
-        // Aligned plans are unions of whole partitions.
-        let aligned = ShardPlan::aligned(&[0, 30, 60, 90, 120], 2).unwrap();
-        assert_eq!(aligned.bounds(), &[0, 60, 120]);
-        assert!(ShardPlan::aligned(&[0, 0], 2).is_err(), "empty population");
+    #[test]
+    fn shard_bounds_collapse_excess_shards() {
+        assert_eq!(shard_bounds(100, 4), vec![0, 25, 50, 75, 100]);
+        // k > n: one shard per row, no empty shard survives.
+        assert_eq!(shard_bounds(3, 8), vec![0, 1, 2, 3]);
+        assert_eq!(shard_bounds(1, 8), vec![0, 1]);
+        // k = 0 behaves as 1.
+        assert_eq!(shard_bounds(10, 0), vec![0, 10]);
+        // Empty population keeps the two-bound shape.
+        assert_eq!(shard_bounds(0, 4), vec![0, 0]);
+        // Every shard non-empty whenever n > 0.
+        for (n, k) in [(7usize, 3usize), (100, 7), (13, 13), (13, 64)] {
+            let b = shard_bounds(n, k);
+            assert!(b.windows(2).all(|w| w[0] < w[1]), "n={n} k={k}: {b:?}");
+            assert!(b.len() - 1 <= k.max(1));
+        }
     }
 
     #[test]

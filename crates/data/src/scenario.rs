@@ -12,7 +12,7 @@ use crate::neighborhood::{knn_radii, neighbors_fast_predicate, neighbors_sql_pre
 use crate::neighbors::{neighbors_table, NeighborsConfig};
 use crate::skyband::{dominator_counts, skyband_fast_predicate, skyband_sql_predicate};
 use crate::sports::{sports_table, SportsConfig};
-use lts_core::{CoreResult, CountingProblem};
+use lts_core::{CoreError, CoreResult, CountingProblem};
 use lts_table::{ObjectPredicate, Table};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -179,14 +179,27 @@ impl Scenario {
     }
 }
 
+/// Calibration takes an order statistic of the population, so a scenario
+/// needs at least one row.
+fn require_rows(rows: usize) -> CoreResult<()> {
+    if rows == 0 {
+        return Err(CoreError::InvalidConfig {
+            message: "a scenario needs at least one row".into(),
+        });
+    }
+    Ok(())
+}
+
 /// Build the Sports scenario: generate the table, calibrate `k` to the
 /// level's target selectivity via the exact dominator-count
 /// distribution, and assemble the problem.
 ///
 /// # Errors
 ///
-/// Propagates generation or problem-construction errors.
+/// Returns an error for `rows == 0`; propagates generation or
+/// problem-construction errors.
 pub fn sports_scenario(rows: usize, level: SelectivityLevel, seed: u64) -> CoreResult<Scenario> {
+    require_rows(rows)?;
     let table = Arc::new(sports_table(&SportsConfig { rows, seed })?);
     let xs = table.floats("strikeouts")?;
     let ys = table.floats("wins")?;
@@ -227,8 +240,10 @@ pub fn sports_scenario(rows: usize, level: SelectivityLevel, seed: u64) -> CoreR
 ///
 /// # Errors
 ///
-/// Propagates generation or problem-construction errors.
+/// Returns an error for `rows == 0`; propagates generation or
+/// problem-construction errors.
 pub fn neighbors_scenario(rows: usize, level: SelectivityLevel, seed: u64) -> CoreResult<Scenario> {
+    require_rows(rows)?;
     let table = Arc::new(neighbors_table(&NeighborsConfig {
         rows,
         features: 41,
@@ -311,6 +326,16 @@ mod tests {
         let sc = neighbors_scenario(300, SelectivityLevel::S, 9).unwrap();
         let sql = sc.sql_problem().unwrap();
         assert_eq!(sql.exact_count().unwrap(), sc.truth);
+    }
+
+    #[test]
+    fn an_empty_scenario_is_an_error_and_a_single_row_is_not() {
+        for level in [SelectivityLevel::XS, SelectivityLevel::XXL] {
+            assert!(sports_scenario(0, level, 3).is_err());
+            assert!(neighbors_scenario(0, level, 3).is_err());
+            assert_eq!(sports_scenario(1, level, 3).unwrap().table.len(), 1);
+            assert_eq!(neighbors_scenario(1, level, 3).unwrap().table.len(), 1);
+        }
     }
 
     #[test]

@@ -51,7 +51,7 @@ pub use protocol::{handle_line, LineOutcome, SessionState};
 pub use repl::{run_repl, ReplOptions};
 pub use service::{
     serve_lss_profile, Answer, DatasetSpec, PlanSummary, Request, Response, Service, ServiceConfig,
-    ServiceStats,
+    ServiceStats, MAX_REGISTER_ROWS,
 };
 pub use state::{RestoreSummary, StateError, STATE_FILE};
 pub use store::{EstimatorTag, ModelStore, StoreKey, StoredModel, WarmState};

@@ -114,6 +114,13 @@ impl Default for NetConfig {
     }
 }
 
+/// Stack of the dispatcher thread: a main thread's 8 MiB, which is what
+/// the REPL runs the same parse-and-evaluate code on. A condition at
+/// `lts_table::parser::MAX_CONDITION_DEPTH` needs about 0.5 MiB of it
+/// in an optimized build and up to 3 MiB in an unoptimized one — more
+/// than a spawned thread's default 2 MiB.
+const DISPATCH_STACK_BYTES: usize = 8 << 20;
+
 // ------------------------------------------------------------ write queue
 
 /// Outcome of a non-blocking push into a connection's write queue.
@@ -349,7 +356,10 @@ impl NetServer {
         let dispatch = {
             let shared = Arc::clone(&shared);
             let obs = obs.clone();
-            std::thread::spawn(move || dispatch_loop(service_config, state_dir, obs, &rx, &shared))
+            std::thread::Builder::new()
+                .name("lts-dispatch".into())
+                .stack_size(DISPATCH_STACK_BYTES)
+                .spawn(move || dispatch_loop(service_config, state_dir, obs, &rx, &shared))?
         };
         let metrics = metrics_listener.map(|l| {
             let shared = Arc::clone(&shared);

@@ -18,6 +18,13 @@
 //! shutdown      (ack, then drain the whole server and exit)
 //! ```
 //!
+//! `rows` must lie in `1..=`[`crate::service::MAX_REGISTER_ROWS`]
+//! (default 4 000). A `<condition>` may nest at most
+//! `lts_table::parser::MAX_CONDITION_DEPTH` (256) levels — open
+//! parentheses around any point, and nodes of the parsed tree above any
+//! leaf (an `a AND b AND …` chain is one level per link); past that it
+//! is a parse error like any other.
+//!
 //! Every command yields exactly one JSON response line, except `quit`
 //! (silent close) and blank/`#` lines (skipped). Request ids not given
 //! explicitly are assigned from a per-session counter starting at 0 —
@@ -203,9 +210,10 @@ fn handle_register(service: &mut Service, rest: &str) -> String {
     };
     match service.register_generated(name, &spec) {
         Ok(()) => format!(
-            "{{\"ok\": true, \"registered\": \"{}\", \"rows\": {rows}, \
+            "{{\"ok\": true, \"registered\": \"{}\", \"rows\": {}, \
              \"version\": {}}}",
             lts_obs::json_escape(name),
+            service.dataset_len(name).unwrap_or(0),
             service.dataset_version(name).unwrap_or(0)
         ),
         // `Invalid` carries the protocol-facing message verbatim

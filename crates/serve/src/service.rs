@@ -307,6 +307,12 @@ pub struct ServiceStats {
     pub oracle_evals_saved: u64,
 }
 
+/// Largest population [`Service::register_generated`] (the protocol's
+/// `register … rows=<n>`) will generate: the request is refused before
+/// anything is allocated. The paper's largest dataset has 73 000 rows
+/// (a generated `neighbors` row is 41 feature columns wide).
+pub const MAX_REGISTER_ROWS: usize = 100_000;
+
 /// Recipe of a generated dataset (the `register` protocol command):
 /// enough to re-generate the identical table on restart, which is what
 /// the durable-state snapshot persists instead of raw rows.
@@ -415,10 +421,17 @@ impl Service {
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::Invalid`] for an unknown kind or level, or
-    /// a generator/registration failure.
+    /// Returns [`ServeError::Invalid`] for `rows` outside
+    /// `1..=`[`MAX_REGISTER_ROWS`], an unknown kind or level, or a
+    /// generator/registration failure.
     pub fn register_generated(&mut self, name: &str, spec: &DatasetSpec) -> ServeResult<()> {
         let invalid = |message: String| ServeError::Invalid { message };
+        if !(1..=MAX_REGISTER_ROWS).contains(&spec.rows) {
+            return Err(invalid(format!(
+                "rows must be between 1 and {MAX_REGISTER_ROWS}, got {}",
+                spec.rows
+            )));
+        }
         let level = match spec.level.as_str() {
             "XS" => lts_data::SelectivityLevel::XS,
             "S" => lts_data::SelectivityLevel::S,

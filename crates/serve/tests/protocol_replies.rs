@@ -51,3 +51,35 @@ fn a_malformed_target_is_refused_on_a_population_small_enough_for_a_census() {
     let served = reply(&mut s, "count t budget=10 :: strikeouts < 120");
     assert!(served.contains("\"served\": \"exact\""), "{served}");
 }
+
+/// `register … rows=0` used to panic the dispatcher (sports) or report a
+/// population the table did not have (neighbors); `rows=<usize::MAX>`
+/// panicked with `capacity overflow`. Both are refused before anything
+/// is generated, the reply's `rows` is the table's length, and the
+/// service answers the next line.
+#[test]
+fn register_rows_out_of_range_is_refused_and_the_reply_reports_the_table() {
+    let mut s = Service::new(ServiceConfig::default());
+    for kind in ["sports", "neighbors"] {
+        for rows in [0, usize::MAX] {
+            assert_eq!(
+                reply(&mut s, &format!("register {kind} t rows={rows} level=M seed=3")),
+                format!(
+                    "{{\"ok\": false, \"error\": \"rows must be between 1 and 100000, got {rows}\"}}"
+                )
+            );
+            let stats = reply(&mut s, "stats");
+            assert!(stats.starts_with("{\"ok\": true"), "{stats}");
+        }
+        assert_eq!(
+            reply(&mut s, &format!("register {kind} t rows=60 level=M seed=3")),
+            format!(
+                "{{\"ok\": true, \"registered\": \"t\", \"rows\": 60, \"version\": {}}}",
+                u64::from(kind == "neighbors")
+            )
+        );
+        assert_eq!(s.dataset_len("t"), Some(60));
+        let stats = reply(&mut s, "stats");
+        assert!(stats.starts_with("{\"ok\": true"), "{stats}");
+    }
+}

@@ -191,38 +191,6 @@ pub fn design(
     }
 }
 
-/// Run a design straight from id-keyed proxy scores and labeled
-/// pilots, for callers that hold raw scores but no population
-/// ordering: the stage-1 pilot is located and indexed by the
-/// partition-aligned pilot pass
-/// ([`crate::partitioned::pilot_index_from_scores`]: parallel bucket
-/// pass + `merge_partition_pilots`, `O(N log m)` — no `O(N log N)`
-/// argsort), then handed to [`design`]. Returns the pilot index
-/// alongside the stratification so callers can reuse its positions for
-/// stage-2 bookkeeping. (Estimators that already hold the score
-/// ordering assemble their pilot via `merge_partition_pilots`
-/// directly.)
-///
-/// The result is bit-identical for every `n_partitions` (and thread
-/// count): pilot location merges integer histograms and the design
-/// algorithms are deterministic in the pilot.
-///
-/// # Errors
-///
-/// Propagates pilot-construction and algorithm errors.
-pub fn design_from_scores(
-    scores: &[f64],
-    pilots: &[(usize, bool)],
-    params: &DesignParams,
-    allocation: Allocation,
-    algorithm: DesignAlgorithm,
-    n_partitions: usize,
-) -> StrataResult<(PilotIndex, Stratification)> {
-    let pilot = crate::partitioned::pilot_index_from_scores(scores, pilots, n_partitions)?;
-    let stratification = design(&pilot, params, allocation, algorithm)?;
-    Ok((pilot, stratification))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -268,79 +236,6 @@ mod tests {
             ..params
         };
         assert!(too_big_strata.check_feasible(&pilot).is_err());
-    }
-
-    #[test]
-    fn design_from_scores_equals_design_on_prebuilt_pilot() {
-        // Deterministic scores with ties; pilots every 10th object.
-        let n = 400usize;
-        let scores: Vec<f64> = (0..n).map(|i| ((i * 7) % 23) as f64 / 23.0).collect();
-        let pilots: Vec<(usize, bool)> = (0..n).step_by(10).map(|id| (id, id % 3 == 0)).collect();
-        let params = DesignParams {
-            n_strata: 3,
-            budget: 30,
-            min_stratum_size: 20,
-            min_pilots_per_stratum: 3,
-            epsilon: 1.0,
-        };
-        // Oracle: argsort-located pilot + the plain dispatcher.
-        let ids: Vec<usize> = pilots.iter().map(|&(id, _)| id).collect();
-        let positions = crate::pilot::pilot_positions_argsort(&scores, &ids);
-        let mut sorted = pilots.clone();
-        sorted.sort_by(|a, b| scores[a.0].total_cmp(&scores[b.0]).then(a.0.cmp(&b.0)));
-        let oracle_pilot = PilotIndex::new(
-            n,
-            positions
-                .iter()
-                .zip(&sorted)
-                .map(|(&p, &(_, l))| (p, l))
-                .collect(),
-        )
-        .unwrap();
-        for algorithm in [
-            DesignAlgorithm::DynPgm,
-            DesignAlgorithm::DynPgmP,
-            DesignAlgorithm::LogBdr,
-            DesignAlgorithm::DirSol,
-        ] {
-            let want = design(&oracle_pilot, &params, Allocation::Neyman, algorithm).unwrap();
-            for parts in [1usize, 4, 64] {
-                let (pilot, got) = design_from_scores(
-                    &scores,
-                    &pilots,
-                    &params,
-                    Allocation::Neyman,
-                    algorithm,
-                    parts,
-                )
-                .unwrap();
-                assert_eq!(pilot, oracle_pilot, "{algorithm:?} parts={parts}");
-                assert_eq!(got, want, "{algorithm:?} parts={parts}");
-            }
-        }
-        // Errors propagate from both stages.
-        assert!(design_from_scores(
-            &scores,
-            &[],
-            &params,
-            Allocation::Neyman,
-            DesignAlgorithm::DynPgm,
-            2
-        )
-        .is_err());
-        let starved = DesignParams {
-            min_pilots_per_stratum: 100,
-            ..params
-        };
-        assert!(design_from_scores(
-            &scores,
-            &pilots,
-            &starved,
-            Allocation::Neyman,
-            DesignAlgorithm::DynPgm,
-            2
-        )
-        .is_err());
     }
 
     #[test]

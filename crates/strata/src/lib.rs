@@ -16,27 +16,13 @@
 //!   DP with approximation ratio 2 (Theorem 4);
 //! * [`fixed`] — the fixed-width / fixed-height baselines of §5.4.1;
 //! * [`bruteforce`] — exact enumeration over all cut positions, the
-//!   reference oracle the property tests compare against;
-//! * [`partitioned`] — partition-aligned stratification: the pilot
-//!   bucket pass run per partition in parallel (bit-identical to the
-//!   serial pass), per-partition pilot sets merged into one global
-//!   [`PilotIndex`], and design cuts snapped to partition boundaries so
-//!   strata are unions of whole partitions.
+//!   reference oracle the property tests compare against.
 //!
 //! The shared vocabulary lives in [`pilot`] (the prefix-sum index `Γ` and
 //! the `O(N log m)` bucket pass that locates pilot positions without
-//! sorting the population) and [`objective`] (equations (5) and (6)).
-//!
-//! **Production pilot paths.** The estimator suite in `lts-core`
-//! assembles its design pilots partition-aligned through
-//! [`merge_partition_pilots`] (positions are known from the score
-//! ordering). Callers that hold raw scores but *no* ordering locate
-//! pilots with [`pilot_index_from_scores`] (parallel bucket pass +
-//! merge, `O(N log m)` with no population sort — benchmarked against
-//! the argsort in `bench_score_pipeline`) or the one-call
-//! [`design_from_scores`]. The serial [`pilot_positions_bucket`] and
-//! the argsort [`pilot_positions_argsort`] are kept as test oracles;
-//! the proptests pin every path to identical positions, ties included.
+//! sorting the population — §4.2.1, pinned to its argsort reference,
+//! ties included, by unit and property tests) and [`objective`]
+//! (equations (5) and (6)).
 
 #![warn(missing_docs)]
 
@@ -48,22 +34,14 @@ pub mod error;
 pub mod fixed;
 pub mod logbdr;
 pub mod objective;
-pub mod partitioned;
 pub mod pilot;
 
 pub use bruteforce::brute_force;
-pub use design::{
-    design, design_from_scores, Allocation, DesignAlgorithm, DesignParams, Stratification,
-};
+pub use design::{design, Allocation, DesignAlgorithm, DesignParams, Stratification};
 pub use dirsol::dirsol;
 pub use dynpgm::{dynpgm, dynpgmp, TSelection};
 pub use error::{StrataError, StrataResult};
 pub use fixed::{fixed_height_cuts, fixed_width_cuts};
 pub use logbdr::logbdr;
 pub use objective::{evaluate_cuts, neyman_variance, proportional_variance, StratumStat};
-pub use partitioned::{
-    align_cuts_to_partitions, merge_partition_pilots, pilot_index_from_positions,
-    pilot_index_from_scores, pilot_positions_bucket_partitioned, shard_bounds,
-    shard_bounds_aligned,
-};
 pub use pilot::{pilot_positions_argsort, pilot_positions_bucket, PilotIndex};

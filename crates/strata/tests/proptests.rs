@@ -3,9 +3,9 @@
 mod dynpgm_oracle;
 
 use lts_strata::{
-    dynpgm, dynpgmp, evaluate_cuts, fixed_height_cuts, pilot_index_from_scores,
-    pilot_positions_argsort, pilot_positions_bucket, pilot_positions_bucket_partitioned,
-    Allocation, DesignParams, PilotIndex, StrataResult, Stratification, TSelection,
+    dynpgm, dynpgmp, evaluate_cuts, fixed_height_cuts, pilot_positions_argsort,
+    pilot_positions_bucket, Allocation, DesignParams, PilotIndex, StrataResult, Stratification,
+    TSelection,
 };
 use proptest::prelude::*;
 
@@ -121,14 +121,13 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The serial bucket pass, the argsort oracle, and the partitioned
-    /// bucket pass agree, including with heavy score ties (duplicate
-    /// scores: only up to 6 distinct values).
+    /// The bucket pass and the argsort oracle agree, including with
+    /// heavy score ties (duplicate scores: only up to 6 distinct
+    /// values).
     #[test]
     fn bucket_positions_match_argsort(
         scores in proptest::collection::vec(0u8..6, 10..200),
         pick_every in 2usize..7,
-        parts in 1usize..12,
     ) {
         let scores: Vec<f64> = scores.into_iter().map(|s| f64::from(s) / 6.0).collect();
         let pilot_ids: Vec<usize> = (0..scores.len()).step_by(pick_every).collect();
@@ -136,38 +135,6 @@ proptest! {
         let a = pilot_positions_argsort(&scores, &pilot_ids);
         let b = pilot_positions_bucket(&scores, &pilot_ids);
         prop_assert_eq!(&a, &b);
-        let c = pilot_positions_bucket_partitioned(&scores, &pilot_ids, parts);
-        prop_assert_eq!(&a, &c);
-    }
-
-    /// The production pilot path (partitioned bucket pass + merge)
-    /// equals direct construction from argsort positions — labels
-    /// stay attached to the right pilots even under total ties.
-    #[test]
-    fn pilot_index_from_scores_matches_oracle(
-        scores in proptest::collection::vec(0u8..4, 10..150),
-        labels in proptest::collection::vec(any::<bool>(), 1..40),
-        parts in 1usize..10,
-    ) {
-        let scores: Vec<f64> = scores.into_iter().map(|s| f64::from(s) / 4.0).collect();
-        let pilots: Vec<(usize, bool)> = labels
-            .iter()
-            .enumerate()
-            .take_while(|(k, _)| k * 3 < scores.len())
-            .map(|(k, &l)| (k * 3, l))
-            .collect();
-        prop_assume!(!pilots.is_empty());
-        let ids: Vec<usize> = pilots.iter().map(|&(id, _)| id).collect();
-        let positions = pilot_positions_argsort(&scores, &ids);
-        let mut sorted = pilots.clone();
-        sorted.sort_by(|a, b| scores[a.0].total_cmp(&scores[b.0]).then(a.0.cmp(&b.0)));
-        let direct = PilotIndex::new(
-            scores.len(),
-            positions.iter().zip(&sorted).map(|(&p, &(_, l))| (p, l)).collect(),
-        )
-        .unwrap();
-        let merged = pilot_index_from_scores(&scores, &pilots, parts).unwrap();
-        prop_assert_eq!(merged, direct);
     }
 
     /// Positions are strictly increasing and within range.

@@ -21,10 +21,11 @@
 //!   selection vector) in typed branch-free kernels, result-identical
 //!   to the row-wise interpreter — the fast path behind every batched
 //!   predicate scan,
-//! * a partitioned table layer with a parallel scan executor
-//!   ([`partition`]): zero-copy row-range partitions over `Arc`-shared
-//!   columns, driven in parallel with results bit-identical to the
-//!   serial scan at every partition and thread count,
+//! * the parallel scan driver for in-RAM tables ([`partition`]): one
+//!   function splits a row selection into zero-copy contiguous chunks
+//!   over `Arc`-shared columns, one rule picks the chunk count, and
+//!   results are bit-identical to the serial scan at every chunk and
+//!   thread count,
 //! * instrumented predicates ([`predicate::Metered`]) that meter the
 //!   number and wall time of expensive `q` evaluations — the budget
 //!   currency of every estimator in the paper,

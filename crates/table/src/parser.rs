@@ -33,7 +33,7 @@
 //!
 //! Keywords are case-insensitive; `o.` is the outer-row qualifier the
 //! paper uses. Subquery `FROM` names resolve through a caller-supplied
-//! [`TableRegistry`].
+//! [`TableRegistry`]. Nesting is bounded by [`MAX_CONDITION_DEPTH`].
 
 use crate::error::{TableError, TableResult};
 use crate::expr::{AggFunc, AggSubquery, Expr, Func};
@@ -65,12 +65,24 @@ impl TableRegistry {
     }
 }
 
+/// How deep a condition may nest: the parser recurses at most this far
+/// (once per open `(` — grouping, function call or subquery), and the
+/// tree it returns is at most this many nodes high (an operator chain
+/// `a AND b AND …` is one node taller per link, `NOT` / unary `-` one
+/// per application). Every pass behind the parser — `normalize`,
+/// `decompose`, the evaluators, `Display`, `Drop` — recurses over that
+/// tree, so this one bound keeps a hostile line (a few KB of `(` or of
+/// `x>1 AND `) from overflowing a server thread's stack; real
+/// conditions are a handful of levels deep.
+pub const MAX_CONDITION_DEPTH: usize = 256;
+
 /// Parse a condition string into an [`Expr`].
 ///
 /// # Errors
 ///
 /// Returns [`TableError::Parse`] with a byte position and message for
-/// any lexical or syntactic problem, including unknown `FROM` names.
+/// any lexical or syntactic problem, including unknown `FROM` names and
+/// nesting past [`MAX_CONDITION_DEPTH`].
 ///
 /// # Examples
 ///
@@ -84,6 +96,8 @@ pub fn parse_condition(input: &str, registry: &TableRegistry) -> TableResult<Exp
         tokens,
         pos: 0,
         registry,
+        depth: 0,
+        height: 0,
     };
     let expr = p.expr()?;
     if let Some(tok) = p.peek() {
@@ -284,6 +298,10 @@ struct Parser<'a> {
     tokens: Vec<Token>,
     pos: usize,
     registry: &'a TableRegistry,
+    /// Open `(` the grammar functions are currently recursing under.
+    depth: usize,
+    /// Height of the tree the last grammar function returned.
+    height: usize,
 }
 
 impl Parser<'_> {
@@ -358,12 +376,46 @@ impl Parser<'_> {
         }
     }
 
+    // -- the nesting bound --------------------------------------------
+
+    /// The error for the token just consumed taking the nest too deep.
+    fn too_deep(&self) -> TableError {
+        let last = self.tokens.get(self.pos.wrapping_sub(1));
+        err_at(
+            last.map_or(0, |t| t.pos),
+            format!("condition nests deeper than {MAX_CONDITION_DEPTH} levels"),
+        )
+    }
+
+    /// Parse what follows a just-consumed `(` one recursion level down.
+    fn nested<T>(&mut self, f: impl FnOnce(&mut Self) -> TableResult<T>) -> TableResult<T> {
+        if self.depth == MAX_CONDITION_DEPTH {
+            return Err(self.too_deep());
+        }
+        self.depth += 1;
+        let out = f(self)?;
+        self.depth -= 1;
+        Ok(out)
+    }
+
+    /// Account for a node built over the subtree just parsed and a
+    /// sibling subtree of height `sibling` (0 for a unary node).
+    fn grow(&mut self, sibling: usize) -> TableResult<()> {
+        self.height = self.height.max(sibling) + 1;
+        if self.height > MAX_CONDITION_DEPTH {
+            return Err(self.too_deep());
+        }
+        Ok(())
+    }
+
     // -- grammar ------------------------------------------------------
 
     fn expr(&mut self) -> TableResult<Expr> {
         let mut lhs = self.and_expr()?;
         while self.eat_keyword("OR") {
+            let lhs_height = self.height;
             let rhs = self.and_expr()?;
+            self.grow(lhs_height)?;
             lhs = lhs.or(rhs);
         }
         Ok(lhs)
@@ -372,18 +424,25 @@ impl Parser<'_> {
     fn and_expr(&mut self) -> TableResult<Expr> {
         let mut lhs = self.not_expr()?;
         while self.eat_keyword("AND") {
+            let lhs_height = self.height;
             let rhs = self.not_expr()?;
+            self.grow(lhs_height)?;
             lhs = lhs.and(rhs);
         }
         Ok(lhs)
     }
 
     fn not_expr(&mut self) -> TableResult<Expr> {
-        if self.eat_keyword("NOT") {
-            Ok(self.not_expr()?.not())
-        } else {
-            self.cmp_expr()
+        let mut nots = 0usize;
+        while self.eat_keyword("NOT") {
+            nots += 1;
         }
+        let mut e = self.cmp_expr()?;
+        for _ in 0..nots {
+            self.grow(0)?;
+            e = e.not();
+        }
+        Ok(e)
     }
 
     fn cmp_expr(&mut self) -> TableResult<Expr> {
@@ -404,7 +463,9 @@ impl Parser<'_> {
         };
         let Some(op) = op else { return Ok(lhs) };
         self.pos += 1;
+        let lhs_height = self.height;
         let rhs = self.add_expr()?;
+        self.grow(lhs_height)?;
         Ok(match op {
             "=" => lhs.eq(rhs),
             "<>" => lhs.ne(rhs),
@@ -418,56 +479,69 @@ impl Parser<'_> {
     fn add_expr(&mut self) -> TableResult<Expr> {
         let mut lhs = self.mul_expr()?;
         loop {
-            if self.eat_sym("+") {
-                lhs = lhs.add(self.mul_expr()?);
+            let build = if self.eat_sym("+") {
+                Expr::add
             } else if self.eat_sym("-") {
-                lhs = lhs.sub(self.mul_expr()?);
+                Expr::sub
             } else {
                 return Ok(lhs);
-            }
+            };
+            let lhs_height = self.height;
+            let rhs = self.mul_expr()?;
+            self.grow(lhs_height)?;
+            lhs = build(lhs, rhs);
         }
     }
 
     fn mul_expr(&mut self) -> TableResult<Expr> {
         let mut lhs = self.unary()?;
         loop {
-            if self.eat_sym("*") {
-                lhs = lhs.mul(self.unary()?);
+            let build = if self.eat_sym("*") {
+                Expr::mul
             } else if self.eat_sym("/") {
-                lhs = lhs.div(self.unary()?);
+                Expr::div
             } else {
                 return Ok(lhs);
-            }
+            };
+            let lhs_height = self.height;
+            let rhs = self.unary()?;
+            self.grow(lhs_height)?;
+            lhs = build(lhs, rhs);
         }
     }
 
     fn unary(&mut self) -> TableResult<Expr> {
-        if self.eat_sym("-") {
-            Ok(self.unary()?.neg())
-        } else {
-            self.primary()
+        let mut negs = 0usize;
+        while self.eat_sym("-") {
+            negs += 1;
         }
+        let mut e = self.primary()?;
+        for _ in 0..negs {
+            self.grow(0)?;
+            e = e.neg();
+        }
+        Ok(e)
     }
 
     fn primary(&mut self) -> TableResult<Expr> {
         let Some(token) = self.next() else {
             return Err(err_at(self.end_pos(), "unexpected end of input"));
         };
+        // A leaf; the compound arms below overwrite it.
+        self.height = 1;
         match token.tok {
             Tok::Number(n) => Ok(Expr::lit(n)),
             Tok::Str(s) => Ok(Expr::Literal(Value::str(s))),
-            Tok::Sym("(") => {
-                // Either a subquery or a parenthesized expression.
-                if self.at_keyword("SELECT") {
-                    let sub = self.subquery(token.pos)?;
-                    self.expect_sym(")")?;
-                    Ok(sub)
+            // Either a subquery or a parenthesized expression.
+            Tok::Sym("(") => self.nested(|p| {
+                let inner = if p.at_keyword("SELECT") {
+                    p.subquery()?
                 } else {
-                    let inner = self.expr()?;
-                    self.expect_sym(")")?;
-                    Ok(inner)
-                }
-            }
+                    p.expr()?
+                };
+                p.expect_sym(")")?;
+                Ok(inner)
+            }),
             Tok::Ident(name) => self.ident_expr(name, token.pos),
             Tok::Sym(s) => Err(err_at(token.pos, format!("unexpected `{s}`"))),
         }
@@ -497,11 +571,17 @@ impl Parser<'_> {
         };
         if let Some((func, arity)) = func {
             self.expect_sym("(")?;
-            let mut args = vec![self.expr()?];
-            while self.eat_sym(",") {
-                args.push(self.expr()?);
-            }
-            self.expect_sym(")")?;
+            let args = self.nested(|p| {
+                let mut args = vec![p.expr()?];
+                let mut tallest = p.height;
+                while p.eat_sym(",") {
+                    args.push(p.expr()?);
+                    tallest = tallest.max(p.height);
+                }
+                p.expect_sym(")")?;
+                p.grow(tallest)?;
+                Ok(args)
+            })?;
             if args.len() != arity {
                 return Err(err_at(
                     pos,
@@ -524,7 +604,7 @@ impl Parser<'_> {
 
     /// Parse `SELECT agg FROM name [WHERE expr]`; the opening `(` is
     /// already consumed and the closing `)` is left for the caller.
-    fn subquery(&mut self, open_pos: usize) -> TableResult<Expr> {
+    fn subquery(&mut self) -> TableResult<Expr> {
         self.expect_keyword("SELECT")?;
 
         // Aggregate function.
@@ -554,12 +634,14 @@ impl Parser<'_> {
             ));
         };
         self.expect_sym("(")?;
+        self.height = 0;
         let arg = if func == AggFunc::Count {
             self.expect_sym("*")?;
             None
         } else {
             Some(self.expr()?)
         };
+        let arg_height = self.height;
         self.expect_sym(")")?;
 
         self.expect_keyword("FROM")?;
@@ -579,13 +661,13 @@ impl Parser<'_> {
             ));
         };
 
+        self.height = 0;
         let filter = if self.eat_keyword("WHERE") {
             Some(self.expr()?)
         } else {
             None
         };
-
-        let _ = open_pos;
+        self.grow(arg_height)?;
         Ok(Expr::Subquery(Box::new(AggSubquery {
             table,
             filter,
@@ -780,6 +862,79 @@ mod tests {
                 other => panic!("`{bad}` should fail to parse, got {other:?}"),
             }
         }
+    }
+
+    /// Every recursion site and every chain-building loop, at the
+    /// tallest condition [`MAX_CONDITION_DEPTH`] admits (which must
+    /// still evaluate, row-wise and vectorized), one level past it, and
+    /// at a size that used to overflow the stack.
+    #[test]
+    fn nesting_is_bounded_at_every_recursion_site_and_chain() {
+        // On the stack the REPL and the server's dispatcher parse on:
+        // unoptimized frames are six times the optimized ones, and the
+        // deepest admitted nest of subqueries needs 2.8 MiB of them.
+        std::thread::Builder::new()
+            .stack_size(8 << 20)
+            .spawn(nesting_bound_cases)
+            .unwrap()
+            .join()
+            .unwrap();
+    }
+
+    fn nesting_bound_cases() {
+        let one = Arc::new(table_of_floats(&[("x", &[2.0])]).unwrap());
+        let reg = TableRegistry::new().register("one", Arc::clone(&one));
+        let max = MAX_CONDITION_DEPTH;
+        let wrap = |open: &str, k: usize, leaf: &str, close: &str| {
+            format!("{}{leaf}{}", open.repeat(k), close.repeat(k))
+        };
+        let chain = |k: usize, term: &str, ops: [&str; 2]| {
+            let mut s = term.to_string();
+            for i in 1..k {
+                s += ops[i % 2];
+                s += term;
+            }
+            s
+        };
+        // `build(k)` nests or chains `k` levels at one site and
+        // `at_bound` is the largest `k` admitted: a `(` costs one
+        // recursion level, every node one level of height above its
+        // tallest child.
+        let check = |site: &str, at_bound: usize, build: &dyn Fn(usize) -> String| {
+            let e = parse_condition(&build(at_bound), &reg)
+                .unwrap_or_else(|e| panic!("{site} at the bound: {e}"));
+            let row_wise = e.eval_bool(RowCtx::top(&one, 0)).unwrap();
+            let batch = crate::vector::eval_bool_columnar(&e, &one, None).unwrap();
+            assert_eq!(batch, vec![row_wise], "{site}");
+            for k in [at_bound + 1, 20_000] {
+                match parse_condition(&build(k), &reg) {
+                    Err(TableError::Parse { message, .. }) => {
+                        assert!(
+                            message.contains("nests deeper than 256"),
+                            "{site}: {message}"
+                        )
+                    }
+                    other => panic!("{site} at {k} levels should not parse, got {other:?}"),
+                }
+            }
+        };
+        check("parentheses", max, &|k| wrap("(", k, "x > 1", ")"));
+        let sum = |k| wrap("(SELECT SUM(", k, "x", ") FROM one)") + " > 0";
+        check("subqueries", max - 2, &sum);
+        check("calls", max - 2, &|k| wrap("ABS(", k, "x", ")") + " > 0");
+        check("NOT", max - 1, &|k| wrap("NOT ", k, "FALSE", ""));
+        check("unary minus", max - 2, &|k| wrap("-", k, "x", "") + " < 9");
+        check("OR chain", max, &|k| chain(k, "FALSE", [" OR ", " OR "]));
+        check("AND chain", max - 1, &|k| chain(k, "x>1", [" AND "; 2]));
+        check("+/- chain", max - 1, &|k| {
+            chain(k, "x", [" + ", " - "]) + " < 9"
+        });
+        check("*// chain", max - 1, &|k| {
+            chain(k, "x", [" * ", " / "]) + " < 9"
+        });
+        // The error points at the token that went one level too far.
+        let err = parse_condition(&"(".repeat(max + 1), &reg).unwrap_err();
+        assert!(matches!(err, TableError::Parse { position, .. } if position == max));
     }
 
     #[test]

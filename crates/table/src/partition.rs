@@ -1,40 +1,44 @@
-//! Partitioned tables and the parallel scan executor.
+//! The parallel scan driver for in-RAM tables.
 //!
-//! Every scan in this workspace used to be one serial pass over one
-//! monolithic [`Table`]. This module splits a table into `N` contiguous
-//! row-range **partitions** — zero-copy: partitions share the table's
-//! column storage through an [`Arc`] and each holds only a row range —
-//! and drives the vectorized kernels of [`crate::vector`] over the
-//! partitions in parallel (via the vendored rayon shim). It is the
-//! substrate for partition-parallel predicate evaluation (the
-//! `eval_batch` of [`crate::query::ExprPredicate`],
-//! [`crate::query::CountQuery::exact_count`]) and for partition-aligned
-//! stratification in `lts_strata`.
+//! A scan covers a row selection ([`RowSel`]: the whole table, a row
+//! range, or an id list). **One driver** splits the selection into `n`
+//! near-equal contiguous chunks by [`partition_bounds`], evaluates each
+//! chunk with the vectorized kernels of [`crate::vector`] on a worker
+//! (via the vendored rayon shim; contiguous chunks borrow column
+//! storage zero-copy as [`RowSel::Range`]) and merges the labels in
+//! chunk order. **One rule** (`chunks_for`) picks `n` from the
+//! expression and the number of rows scanned. Every entry point —
+//! [`PartitionedTable::par_eval_bool`] / [`par_count`](PartitionedTable::par_count)
+//! over a whole table, [`par_eval_bool_ids`] behind the `eval_batch` of
+//! [`crate::query::ExprPredicate`] and
+//! [`crate::query::CountQuery::exact_count`] — is that driver called
+//! with that rule's answer; [`PartitionedTable::new`] pins `n` instead,
+//! for tests and benchmarks that sweep it.
 //!
 //! # Determinism contract
 //!
-//! A partitioned scan is **bit-identical** to the single-partition
-//! serial scan, for every partition count and every thread count:
+//! A chunked scan is **bit-identical** to the one-chunk serial scan,
+//! for every chunk count and every thread count:
 //!
 //! * each row's value/NULL/error is computed by the same per-row-pure
-//!   kernels regardless of which partition evaluates it;
-//! * per-partition results are merged back **in partition order**, so
-//!   the concatenated output equals the serial output element for
-//!   element, and the error surfaced by a boolean collapse is the first
-//!   failing row *in row order* — exactly the serial semantics;
+//!   kernels regardless of which chunk evaluates it;
+//! * per-chunk results are merged back **in chunk order**, so the
+//!   concatenated output equals the serial output element for element,
+//!   and the error surfaced is the first failing row *in row order* —
+//!   exactly the serial semantics;
 //! * nothing here consumes randomness, so estimators built on top
-//!   produce per-seed bit-identical estimates at any partition/thread
+//!   produce per-seed bit-identical estimates at any chunk/thread
 //!   count (the same guarantee the parallel trial runner established).
 //!
 //! The contract is enforced by property tests over random schemas,
-//! expressions, and partition counts (`tests/vector_agreement.rs`) and
-//! by a CI step diffing `BENCH_partitioned_scan.json` estimate fields
+//! expressions, and chunk counts (`tests/vector_agreement.rs`) and by a
+//! CI step diffing `BENCH_partitioned_scan.json` estimate fields
 //! between `RAYON_NUM_THREADS=1` and default-thread runs.
 
-use crate::error::{TableError, TableResult};
+use crate::error::TableResult;
 use crate::expr::Expr;
 use crate::table::Table;
-use crate::vector::{eval_bool_columnar, eval_columnar_sel, Batch, RowSel};
+use crate::vector::{eval_columnar_sel, RowSel};
 use rayon::prelude::*;
 use std::ops::Range;
 use std::sync::Arc;
@@ -55,71 +59,46 @@ pub fn partition_bounds(n_rows: usize, n_partitions: usize) -> Vec<usize> {
         .collect()
 }
 
-/// A [`Table`] split into contiguous row-range partitions that share
-/// the table's column storage (`Arc`, zero-copy).
+/// A shared [`Table`] (`Arc`, zero-copy) with a version stamp and,
+/// optionally, a pinned scan chunk count.
 ///
-/// Carries a **version stamp**: a monotone counter owners bump whenever
+/// The **version stamp** is a monotone counter owners bump whenever
 /// they swap or mutate the backing data. Derived artifacts (fitted
 /// proxy models, sampling designs, cached estimates — see the serving
 /// layer in `lts-serve`) record the version they were built against and
 /// treat a mismatch as a cache invalidation signal. The stamp is pure
-/// metadata; it never affects scan results.
+/// metadata; it never affects scan results — and neither does the chunk
+/// count (see the module's determinism contract).
 #[derive(Debug, Clone)]
 pub struct PartitionedTable {
     table: Arc<Table>,
-    bounds: Vec<usize>,
+    /// `Some(n)`: every scan runs in `n` chunks; `None`: `chunks_for`
+    /// decides per scan.
+    pinned_chunks: Option<usize>,
     version: u64,
 }
 
 impl PartitionedTable {
-    /// Split `table` into `n_partitions` near-equal row ranges
-    /// (clamped to at least 1; empty tables get one empty partition).
+    /// Scan `table` in exactly `n_partitions` near-equal row ranges
+    /// (clamped to at least 1), whatever the host — the constructor of
+    /// the tests and benchmarks that sweep the chunk count.
     pub fn new(table: Arc<Table>, n_partitions: usize) -> Self {
-        let bounds = partition_bounds(table.len(), n_partitions);
         Self {
             table,
-            bounds,
+            pinned_chunks: Some(n_partitions),
             version: 0,
         }
     }
 
-    /// Split `table` by a machine-derived heuristic: one partition per
-    /// worker thread, but never fewer than [`MIN_PARTITION_ROWS`] rows
-    /// per partition. **Note:** the partition count (and therefore any
-    /// per-partition artifact layout) depends on the host; for
-    /// bit-reproducible artifacts across hosts, fix the count with
-    /// [`PartitionedTable::new`] (scan *results* are identical either
-    /// way — see the module's determinism contract).
+    /// Scan `table` in as many chunks as the module's split rule gives
+    /// each scan: for a subquery-free expression one per worker thread,
+    /// but never fewer than [`MIN_PARTITION_ROWS`] rows each.
     pub fn auto(table: Arc<Table>) -> Self {
-        let parts = (table.len() / MIN_PARTITION_ROWS).clamp(1, rayon::current_num_threads());
-        Self::new(table, parts)
-    }
-
-    /// Build from explicit bounds (`bounds[0] == 0`, ascending, last
-    /// element `== table.len()`).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the bounds are not a monotone cover of
-    /// `0..table.len()`.
-    pub fn from_bounds(table: Arc<Table>, bounds: Vec<usize>) -> TableResult<Self> {
-        let ok = bounds.len() >= 2
-            && bounds[0] == 0
-            && *bounds.last().expect("len >= 2") == table.len()
-            && bounds.windows(2).all(|w| w[0] <= w[1]);
-        if !ok {
-            return Err(TableError::InvalidExpression {
-                message: format!(
-                    "partition bounds {bounds:?} do not cover 0..{}",
-                    table.len()
-                ),
-            });
-        }
-        Ok(Self {
+        Self {
             table,
-            bounds,
+            pinned_chunks: None,
             version: 0,
-        })
+        }
     }
 
     /// The shared underlying table.
@@ -127,7 +106,7 @@ impl PartitionedTable {
         &self.table
     }
 
-    /// The version stamp of the backing data (0 for a fresh split).
+    /// The version stamp of the backing data (0 for a fresh table).
     pub fn version(&self) -> u64 {
         self.version
     }
@@ -139,43 +118,13 @@ impl PartitionedTable {
         self
     }
 
-    /// Replace the backing table and bump the version stamp, preserving
-    /// the partition count. Callers holding artifacts derived from the
-    /// previous version must discard them (the serving layer's model
-    /// and result caches key on this stamp).
-    pub fn replace_table(&mut self, table: Arc<Table>) {
-        let parts = self.n_partitions();
-        self.bounds = partition_bounds(table.len(), parts);
-        self.table = table;
-        self.version += 1;
-    }
-
     /// Bump the version stamp in place (e.g. after external mutation of
     /// the data the columns were derived from).
     pub fn bump_version(&mut self) {
         self.version += 1;
     }
 
-    /// Number of partitions.
-    pub fn n_partitions(&self) -> usize {
-        self.bounds.len() - 1
-    }
-
-    /// The partition bounds (`n_partitions() + 1` entries).
-    pub fn bounds(&self) -> &[usize] {
-        &self.bounds
-    }
-
-    /// Row range of partition `p`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `p >= n_partitions()`.
-    pub fn range(&self, p: usize) -> Range<usize> {
-        self.bounds[p]..self.bounds[p + 1]
-    }
-
-    /// Total rows across all partitions (= the table's length).
+    /// Number of rows of the table.
     pub fn len(&self) -> usize {
         self.table.len()
     }
@@ -185,61 +134,32 @@ impl PartitionedTable {
         self.table.is_empty()
     }
 
-    /// Evaluate `expr` over every partition in parallel, returning one
-    /// [`Batch`] per partition, in partition order. Row `k` of
-    /// partition `p` is table row `self.range(p).start + k`.
-    ///
-    /// Each partition scan borrows its column sub-slices zero-copy
-    /// ([`RowSel::Range`]) and runs the same branch-free kernels as a
-    /// whole-table scan.
-    pub fn par_eval_batches(&self, expr: &Expr) -> Vec<Batch<'_>> {
-        let table: &Table = &self.table;
-        (0..self.n_partitions())
-            .into_par_iter()
-            .map(|p| {
-                let r = self.range(p);
-                eval_columnar_sel(
-                    expr,
-                    table,
-                    RowSel::Range {
-                        start: r.start,
-                        end: r.end,
-                    },
-                )
-            })
-            .collect()
+    /// Chunks a whole-table scan of `expr` runs in.
+    fn n_chunks(&self, expr: &Expr) -> usize {
+        self.pinned_chunks
+            .unwrap_or_else(|| chunks_for(expr, self.len()))
     }
 
-    /// Evaluate `expr` as a predicate over the whole table via the
-    /// parallel partition scan: the concatenated labels are
-    /// element-identical to
-    /// [`eval_bool_columnar`]`(expr, table, None)`.
+    /// Evaluate `expr` as a predicate over the whole table: the labels
+    /// are element-identical to
+    /// [`eval_bool_columnar`](crate::vector::eval_bool_columnar)`(expr, table, None)`.
     ///
     /// # Errors
     ///
-    /// Returns the first failing row's error, in row order (partitions
-    /// are merged in order, so this matches the serial scan exactly).
+    /// Returns the first failing row's error, in row order (chunks are
+    /// merged in order, so this matches the serial scan exactly).
     pub fn par_eval_bool(&self, expr: &Expr) -> TableResult<Vec<bool>> {
-        let mut out = Vec::with_capacity(self.len());
-        for batch in self.par_eval_batches(expr) {
-            out.extend(batch.truthy()?);
-        }
-        Ok(out)
+        par_scan(expr, &self.table, RowSel::All, self.n_chunks(expr))
     }
 
-    /// Count the rows satisfying `expr`, scanning partitions in
-    /// parallel. Identical (value and error) to counting the serial
-    /// scan's labels.
+    /// Count the rows satisfying `expr`. Identical (value and error) to
+    /// counting the serial scan's labels.
     ///
     /// # Errors
     ///
     /// Returns the first failing row's error, in row order.
     pub fn par_count(&self, expr: &Expr) -> TableResult<usize> {
-        let mut total = 0usize;
-        for batch in self.par_eval_batches(expr) {
-            total += batch.truthy()?.into_iter().filter(|&l| l).count();
-        }
-        Ok(total)
+        Ok(self.par_eval_bool(expr)?.into_iter().filter(|&l| l).count())
     }
 }
 
@@ -273,9 +193,10 @@ fn subquery_rows(expr: &Expr) -> usize {
 const MIN_SUBQUERY_ROWS_PER_WORKER: usize = 1 << 18;
 
 /// How many contiguous chunks a batch of `n_ids` objects, each scanning
-/// `inner_rows` subquery rows, is split into — the one rule behind
-/// [`par_eval_bool_ids`] and
-/// [`AggThresholdPredicate`](crate::query::AggThresholdPredicate).
+/// `inner_rows` subquery rows, is split into — the subquery arm of
+/// [`chunks_for`], which
+/// [`AggThresholdPredicate`](crate::query::AggThresholdPredicate) (it
+/// holds a subquery, not an [`Expr`]) asks directly.
 pub(crate) fn subquery_chunks(n_ids: usize, inner_rows: usize) -> usize {
     let volume = n_ids.saturating_mul(inner_rows);
     rayon::current_num_threads()
@@ -283,25 +204,33 @@ pub(crate) fn subquery_chunks(n_ids: usize, inner_rows: usize) -> usize {
         .min(n_ids)
 }
 
-/// Evaluate `eval` over `n_chunks` near-equal contiguous chunks of
-/// `idxs` on parallel workers (inline for one chunk or fewer) and
+/// The split rule: how many chunks a scan of `expr` over `n_rows` rows
+/// runs in (0 and 1 both mean "inline"). A subquery-free expression is
+/// cheap per row, so it is only split when every worker gets a full
+/// quantum of [`MIN_PARTITION_ROWS`]; a row of a subquery-bearing one is
+/// itself an inner scan, so those split on scanned volume instead.
+fn chunks_for(expr: &Expr, n_rows: usize) -> usize {
+    match subquery_rows(expr) {
+        0 => rayon::current_num_threads().min(n_rows / MIN_PARTITION_ROWS),
+        inner_rows => subquery_chunks(n_rows, inner_rows),
+    }
+}
+
+/// Evaluate `eval` over `n_chunks` near-equal contiguous sub-ranges of
+/// `0..n` on parallel workers (inline for one chunk or fewer) and
 /// concatenate the labels in chunk order, surfacing the first error in
-/// id order.
-pub(crate) fn par_chunks_in_order<F>(
-    idxs: &[usize],
-    n_chunks: usize,
-    eval: F,
-) -> TableResult<Vec<bool>>
+/// that order.
+pub(crate) fn par_chunks_in_order<F>(n: usize, n_chunks: usize, eval: F) -> TableResult<Vec<bool>>
 where
-    F: Fn(&[usize]) -> TableResult<Vec<bool>> + Sync,
+    F: Fn(Range<usize>) -> TableResult<Vec<bool>> + Sync,
 {
     if n_chunks <= 1 {
-        return eval(idxs);
+        return eval(0..n);
     }
-    let bounds = partition_bounds(idxs.len(), n_chunks);
-    let chunks: Vec<&[usize]> = bounds.windows(2).map(|w| &idxs[w[0]..w[1]]).collect();
+    let bounds = partition_bounds(n, n_chunks);
+    let chunks: Vec<Range<usize>> = bounds.windows(2).map(|w| w[0]..w[1]).collect();
     let results: Vec<TableResult<Vec<bool>>> = chunks.into_par_iter().map(eval).collect();
-    let mut out = Vec::with_capacity(idxs.len());
+    let mut out = Vec::with_capacity(n);
     for r in results {
         out.extend(r?);
     }
@@ -322,46 +251,51 @@ fn contiguous_run(ids: &[usize]) -> Option<Range<usize>> {
     Some(first..end)
 }
 
-/// Evaluate `expr` as a predicate over the listed row ids with
-/// partition-parallel chunking: the id list is split into contiguous
-/// chunks, each chunk is evaluated by a worker (contiguous ascending
-/// runs — e.g. a full-population scan — take the zero-copy
-/// [`RowSel::Range`] path), and results are merged back in chunk
-/// order. Element- and error-identical to
-/// [`eval_bool_columnar`]`(expr, table, Some(idxs))` for every thread
-/// count.
+/// The scan driver: evaluate `expr` as a predicate over the rows of
+/// `sel`, split into `n_chunks` contiguous chunks of the selection.
+/// Chunks of [`RowSel::All`] / [`RowSel::Range`], and chunks of an id
+/// list that are an ascending contiguous run, are scanned zero-copy as
+/// a [`RowSel::Range`].
+fn par_scan(
+    expr: &Expr,
+    table: &Table,
+    sel: RowSel<'_>,
+    n_chunks: usize,
+) -> TableResult<Vec<bool>> {
+    par_chunks_in_order(sel.len(table.len()), n_chunks, |chunk| {
+        let range = |r: Range<usize>| RowSel::Range {
+            start: r.start,
+            end: r.end,
+        };
+        let sel = match sel {
+            RowSel::All => range(chunk),
+            RowSel::Range { start, .. } => range(start + chunk.start..start + chunk.end),
+            RowSel::Ids(ids) => {
+                let ids = &ids[chunk];
+                contiguous_run(ids).map_or(RowSel::Ids(ids), range)
+            }
+        };
+        eval_columnar_sel(expr, table, sel).truthy()
+    })
+}
+
+/// Evaluate `expr` as a predicate over the listed row ids. Element- and
+/// error-identical to
+/// [`eval_bool_columnar`](crate::vector::eval_bool_columnar)`(expr, table, Some(idxs))`
+/// for every thread count.
 ///
 /// # Errors
 ///
 /// Returns the first failing row's error, in id order.
 pub fn par_eval_bool_ids(expr: &Expr, table: &Table, idxs: &[usize]) -> TableResult<Vec<bool>> {
-    // Subquery-free expressions are cheap per row: only chunk when
-    // every worker gets a full quantum. Subquery rows are each an inner
-    // scan, so they split on scanned volume instead.
-    let n_chunks = match subquery_rows(expr) {
-        0 => rayon::current_num_threads().min(idxs.len() / MIN_PARTITION_ROWS),
-        inner_rows => subquery_chunks(idxs.len(), inner_rows),
-    };
-    if n_chunks <= 1 {
-        return eval_bool_columnar(expr, table, Some(idxs));
-    }
-    par_chunks_in_order(idxs, n_chunks, |chunk| {
-        let sel = match contiguous_run(chunk) {
-            Some(r) => RowSel::Range {
-                start: r.start,
-                end: r.end,
-            },
-            None => RowSel::Ids(chunk),
-        };
-        eval_columnar_sel(expr, table, sel).truthy()
-    })
+    par_scan(expr, table, RowSel::Ids(idxs), chunks_for(expr, idxs.len()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::table::table_of_floats;
-    use crate::value::Value;
+    use crate::vector::eval_bool_columnar;
 
     fn t(n: usize) -> Arc<Table> {
         let xs: Vec<f64> = (0..n).map(|i| (i % 101) as f64 / 101.0).collect();
@@ -377,12 +311,6 @@ mod tests {
         assert_eq!(stamped.version(), 7);
         pt.bump_version();
         assert_eq!(pt.version(), 1);
-        // Swapping the backing table bumps the stamp and re-derives the
-        // bounds for the new length at the same partition count.
-        pt.replace_table(t(60));
-        assert_eq!(pt.version(), 2);
-        assert_eq!(pt.n_partitions(), 4);
-        assert_eq!(*pt.bounds().last().unwrap(), 60);
         // The stamp is metadata only: scan results are unaffected.
         let expr = Expr::col("x").lt(Expr::lit(0.5));
         assert_eq!(
@@ -421,24 +349,6 @@ mod tests {
                 pt.par_count(&e).unwrap(),
                 serial.iter().filter(|&&l| l).count()
             );
-        }
-    }
-
-    #[test]
-    fn batches_expose_partition_local_rows() {
-        let table = t(100);
-        let pt = PartitionedTable::new(Arc::clone(&table), 3);
-        assert_eq!(pt.n_partitions(), 3);
-        let e = Expr::col("x").mul(Expr::lit(2.0));
-        let batches = pt.par_eval_batches(&e);
-        assert_eq!(batches.len(), 3);
-        for (p, b) in batches.iter().enumerate() {
-            let r = pt.range(p);
-            assert_eq!(b.len(), r.len());
-            for k in 0..b.len() {
-                let want = table.floats("x").unwrap()[r.start + k] * 2.0;
-                assert_eq!(b.value_at(k).unwrap(), Value::Float(want));
-            }
         }
     }
 
@@ -527,22 +437,46 @@ mod tests {
     }
 
     #[test]
-    fn from_bounds_validates() {
-        let table = t(10);
-        assert!(PartitionedTable::from_bounds(Arc::clone(&table), vec![0, 4, 10]).is_ok());
-        assert!(PartitionedTable::from_bounds(Arc::clone(&table), vec![0, 11]).is_err());
-        assert!(PartitionedTable::from_bounds(Arc::clone(&table), vec![1, 10]).is_err());
-        assert!(PartitionedTable::from_bounds(Arc::clone(&table), vec![0, 7, 4, 10]).is_err());
-        assert!(PartitionedTable::from_bounds(Arc::clone(&table), vec![0]).is_err());
-    }
-
-    #[test]
     fn auto_respects_minimum_rows() {
-        let small = PartitionedTable::auto(t(100));
-        assert_eq!(small.n_partitions(), 1);
-        let big = PartitionedTable::auto(t(MIN_PARTITION_ROWS * 64));
-        assert!(big.n_partitions() >= 1);
-        assert!(big.n_partitions() <= rayon::current_num_threads());
+        let threads = rayon::current_num_threads();
+        let cheap = Expr::col("x").gt(Expr::lit(0.5));
+        // Subquery-free: a worker per full quantum of rows, at most one
+        // per thread (0 and 1 both scan inline).
+        assert_eq!(chunks_for(&cheap, 100), 0);
+        assert_eq!(chunks_for(&cheap, MIN_PARTITION_ROWS * 2), threads.min(2));
+        assert_eq!(chunks_for(&cheap, MIN_PARTITION_ROWS * 64), threads.min(64));
+        // Subquery-bearing: the scanned-volume arm, nested subqueries
+        // summed.
+        let inner = t(8_000);
+        let sub = Expr::count_where(Arc::clone(&inner), Expr::col("x").ge(Expr::outer("x")));
+        let e = sub.clone().lt(Expr::lit(40.0)).and(cheap.clone());
+        for n in [8, 65, 100] {
+            assert_eq!(chunks_for(&e, n), subquery_chunks(n, 8_000), "n={n}");
+        }
+        let twice = e.clone().or(sub.gt(Expr::lit(3.0)));
+        assert_eq!(chunks_for(&twice, 100), subquery_chunks(100, 16_000));
+
+        // A whole-table scan asks the rule the same question through an
+        // `auto` table and through `par_eval_bool_ids`, and reads alike;
+        // `new` pins its count instead. (1 200 × 1 200 scanned rows are
+        // five workers' shares.)
+        let small = t(1_200);
+        let sub = Expr::count_where(Arc::clone(&small), Expr::col("x").ge(Expr::outer("x")));
+        let e = sub.lt(Expr::lit(40.0));
+        let all: Vec<usize> = (0..small.len()).collect();
+        let auto = PartitionedTable::auto(Arc::clone(&small));
+        assert_eq!(auto.n_chunks(&e), threads.min(5));
+        for expr in [&cheap, &e] {
+            assert_eq!(auto.n_chunks(expr), chunks_for(expr, all.len()));
+            assert_eq!(
+                auto.par_eval_bool(expr),
+                par_eval_bool_ids(expr, &small, &all)
+            );
+            assert_eq!(
+                PartitionedTable::new(Arc::clone(&small), 5).n_chunks(expr),
+                5
+            );
+        }
     }
 
     #[test]

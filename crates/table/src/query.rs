@@ -96,7 +96,7 @@ impl ObjectPredicate for ExprPredicate {
         self.expr.eval_bool(RowCtx::top(objects, idx))
     }
     /// Batched evaluation through the vectorized engine
-    /// ([`crate::vector`]), partition-parallel for large batches
+    /// ([`crate::vector`]) and the scan driver
     /// ([`crate::partition::par_eval_bool_ids`]): the id list is split
     /// into contiguous chunks scanned by parallel workers (contiguous
     /// runs — e.g. a full-population scan — borrow column sub-slices
@@ -207,7 +207,8 @@ impl ObjectPredicate for AggThresholdPredicate {
     fn eval_batch(&self, objects: &Table, idxs: &[usize]) -> TableResult<Vec<bool>> {
         let test = CountTest::new(self.cmp, &self.threshold, false);
         let n_chunks = subquery_chunks(idxs.len(), self.sub.table.len());
-        par_chunks_in_order(idxs, n_chunks, |chunk| {
+        par_chunks_in_order(idxs.len(), n_chunks, |chunk| {
+            let chunk = &idxs[chunk];
             if let (Some(test), Some(mut scan)) = (&test, CountScan::bind(&self.sub, objects)) {
                 return chunk.iter().map(|&i| scan.test(test, i)).collect();
             }

@@ -3,9 +3,12 @@
 //!
 //! A paged table is opened from a directory written by
 //! [`PagedTable::create`] and scanned through a bounded
-//! [`BufferManager`]. Partitions map to **pages**: each page is an
-//! independent work unit of the parallel scan, merged back in page
-//! order, so every scan is bit-identical to the in-RAM partitioned
+//! [`BufferManager`]. The unit of work is the **page**, not a chunk of
+//! the in-RAM driver ([`crate::partition`]): a page is a physical unit
+//! with its own fault and skip accounting, so this scan keeps its own
+//! fan-out — one private page step (`eval_page`) behind every entry
+//! point, calling the same [`eval_columnar_sel`] kernels, merged back
+//! in page order. Every scan is therefore bit-identical to the in-RAM
 //! scan — values, NULL handling, and first-error-in-row-order alike
 //! (property-tested in `tests/storage_agreement.rs`).
 //!
@@ -54,7 +57,7 @@ use crate::expr::{BinaryOp, CmpOp, Expr};
 use crate::schema::Schema;
 use crate::table::Table;
 use crate::value::{DataType, Value};
-use crate::vector::{eval_bool_columnar, eval_columnar_sel, RowSel};
+use crate::vector::{eval_columnar_sel, RowSel};
 use crate::Column;
 use rayon::prelude::*;
 use std::collections::BTreeSet;
@@ -398,27 +401,45 @@ impl PagedTable {
         Table::new(schema, columns)
     }
 
-    /// Evaluate `expr` page-parallel, one result per page in page
-    /// order.
-    fn eval_pages(&self, expr: &Expr) -> Vec<TableResult<Vec<bool>>> {
-        let cols = self.referenced_columns(expr);
+    /// What every scan of `expr` needs before its first page: the
+    /// columns it reads and, when zone skipping is on, its analyzed
+    /// conjuncts (none otherwise, so no page is ever skippable).
+    fn scan_plan(&self, expr: &Expr) -> (Vec<usize>, Vec<ConjunctSpec>) {
         let specs = if self.zone_skipping {
             analyze_conjuncts(expr, &self.manifest.schema)
         } else {
             Vec::new()
         };
+        (self.referenced_columns(expr), specs)
+    }
+
+    /// The page step of every scan: labels of the rows `sel` picks from
+    /// page `p` — all `false`, without touching the page, when the zone
+    /// maps prove it so.
+    fn eval_page(
+        &self,
+        expr: &Expr,
+        p: usize,
+        (cols, specs): &(Vec<usize>, Vec<ConjunctSpec>),
+        sel: RowSel<'_>,
+    ) -> TableResult<Vec<bool>> {
+        if self.page_skippable(specs, p) {
+            self.pages_skipped.fetch_add(1, Ordering::Relaxed);
+            let rows = self.manifest.page_row_range(p).len();
+            return Ok(vec![false; sel.len(rows)]);
+        }
+        self.pages_evaluated.fetch_add(1, Ordering::Relaxed);
+        let t = self.page_table(p, cols)?;
+        eval_columnar_sel(expr, &t, sel).truthy()
+    }
+
+    /// Evaluate `expr` page-parallel, one result per page in page
+    /// order.
+    fn eval_pages(&self, expr: &Expr) -> Vec<TableResult<Vec<bool>>> {
+        let plan = self.scan_plan(expr);
         (0..self.n_pages())
             .into_par_iter()
-            .map(|p| {
-                let rows = self.manifest.page_row_range(p).len();
-                if self.zone_skipping && self.page_skippable(&specs, p) {
-                    self.pages_skipped.fetch_add(1, Ordering::Relaxed);
-                    return Ok(vec![false; rows]);
-                }
-                self.pages_evaluated.fetch_add(1, Ordering::Relaxed);
-                let t = self.page_table(p, &cols)?;
-                eval_bool_columnar(expr, &t, None)
-            })
+            .map(|p| self.eval_page(expr, p, &plan, RowSel::All))
             .collect()
     }
 
@@ -430,7 +451,7 @@ impl PagedTable {
                 ConjunctSpec::Opaque => return false,
                 ConjunctSpec::IntCmp { col, op, lit } => {
                     let (mn, mx) = self.manifest.pages[col][p].zone.int_bounds();
-                    if provably_false_int(op, lit, mn, mx) {
+                    if provably_false(op, lit, mn, mx) {
                         return true;
                     }
                 }
@@ -451,7 +472,7 @@ impl PagedTable {
                         let (a, b) = zone.int_bounds();
                         (a as f64, b as f64)
                     };
-                    if provably_false_f64(op, lit, mn, mx) {
+                    if provably_false(op, lit, mn, mx) {
                         return true;
                     }
                 }
@@ -518,13 +539,7 @@ impl PagedTable {
     /// Returns the first failing row's error in row order, or
     /// [`TableError::Storage`] for an I/O/integrity fault.
     pub fn par_count(&self, expr: &Expr) -> TableResult<usize> {
-        let span = self.observe_scan_start();
-        let mut total = 0usize;
-        for r in self.eval_pages(expr) {
-            total += r?.into_iter().filter(|&l| l).count();
-        }
-        self.observe_scan_end(span);
-        Ok(total)
+        Ok(self.par_eval_bool(expr)?.into_iter().filter(|&l| l).count())
     }
 
     /// Evaluate `expr` over the listed row ids, faulting in only the
@@ -544,12 +559,7 @@ impl PagedTable {
             return Err(TableError::RowIndexOutOfRange { index: bad, len: n });
         }
         let span = self.observe_scan_start();
-        let cols = self.referenced_columns(expr);
-        let specs = if self.zone_skipping {
-            analyze_conjuncts(expr, &self.manifest.schema)
-        } else {
-            Vec::new()
-        };
+        let plan = self.scan_plan(expr);
         let mut out = Vec::with_capacity(ids.len());
         let mut i = 0usize;
         while i < ids.len() {
@@ -558,16 +568,9 @@ impl PagedTable {
             while j < ids.len() && ids[j] / self.manifest.page_rows == p {
                 j += 1;
             }
-            if self.zone_skipping && self.page_skippable(&specs, p) {
-                self.pages_skipped.fetch_add(1, Ordering::Relaxed);
-                out.extend(std::iter::repeat_n(false, j - i));
-            } else {
-                self.pages_evaluated.fetch_add(1, Ordering::Relaxed);
-                let base = p * self.manifest.page_rows;
-                let local: Vec<usize> = ids[i..j].iter().map(|&id| id - base).collect();
-                let t = self.page_table(p, &cols)?;
-                out.extend(eval_columnar_sel(expr, &t, RowSel::Ids(&local)).truthy()?);
-            }
+            let base = p * self.manifest.page_rows;
+            let local: Vec<usize> = ids[i..j].iter().map(|&id| id - base).collect();
+            out.extend(self.eval_page(expr, p, &plan, RowSel::Ids(&local))?);
             i = j;
         }
         self.observe_scan_end(span);
@@ -695,20 +698,11 @@ fn classify_conjunct(e: &Expr, schema: &Schema) -> ConjunctSpec {
     }
 }
 
-fn provably_false_int(op: CmpOp, lit: i64, mn: i64, mx: i64) -> bool {
-    match op {
-        CmpOp::Lt => mn >= lit,
-        CmpOp::Le => mn > lit,
-        CmpOp::Gt => mx <= lit,
-        CmpOp::Ge => mx < lit,
-        CmpOp::Eq => lit < mn || lit > mx,
-        CmpOp::Ne => mn == mx && mn == lit,
-    }
-}
-
-fn provably_false_f64(op: CmpOp, lit: f64, mn: f64, mx: f64) -> bool {
-    // `mn > mx` (the all-NaN sentinel) only reaches here for int
-    // columns' converted bounds, which are always ordered; float
+/// Whether `col op lit` is false on every row of a page whose values
+/// lie in `mn..=mx`.
+fn provably_false<T: PartialOrd + Copy>(op: CmpOp, lit: T, mn: T, mx: T) -> bool {
+    // `mn > mx` (the all-NaN sentinel) never reaches here: int bounds
+    // (and their `f64` conversions) are always ordered, and float
     // columns with NaN rows bail on `error_count` first.
     match op {
         CmpOp::Lt => mn >= lit,
@@ -726,6 +720,7 @@ mod tests {
     use crate::partition::PartitionedTable;
     use crate::table::{table_of_floats, TableBuilder};
     use crate::value::Value;
+    use crate::vector::eval_bool_columnar;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("lts_paged_{tag}_{}", std::process::id()));

@@ -355,10 +355,10 @@ impl<'a> Batch<'a> {
 
 /// Which rows of a table a columnar evaluation covers.
 ///
-/// [`RowSel::Range`] is the partitioned-scan fast path: a contiguous
-/// row range borrows column storage by sub-slicing (zero-copy), so a
-/// per-partition scan runs the same branch-free kernels as a whole
-/// table without a gather. [`RowSel::Ids`] is the general selection
+/// [`RowSel::Range`] is the chunked-scan fast path: a contiguous row
+/// range borrows column storage by sub-slicing (zero-copy), so a
+/// per-chunk scan runs the same branch-free kernels as a whole table
+/// without a gather. [`RowSel::Ids`] is the general selection
 /// vector (duplicates allowed, out-of-range ids become per-row errors).
 #[derive(Debug, Clone, Copy)]
 pub enum RowSel<'a> {
@@ -408,7 +408,7 @@ pub fn eval_columnar<'a>(expr: &Expr, table: &'a Table, rows: Option<&'a [usize]
 /// Evaluate `expr` over the rows selected by `sel` — the generalized
 /// entry point behind [`eval_columnar`]. Contiguous ranges
 /// ([`RowSel::Range`]) borrow column storage zero-copy, which is what
-/// the partitioned scan executor ([`crate::partition`]) is built on.
+/// the scan driver ([`crate::partition`]) is built on.
 pub fn eval_columnar_sel<'a>(expr: &Expr, table: &'a Table, sel: RowSel<'a>) -> Batch<'a> {
     let ctx = VecCtx {
         table,
@@ -435,19 +435,6 @@ pub fn eval_bool_columnar(
     rows: Option<&[usize]>,
 ) -> TableResult<Vec<bool>> {
     eval_columnar(expr, table, rows).truthy()
-}
-
-/// [`eval_bool_columnar`] over a generalized [`RowSel`].
-///
-/// # Errors
-///
-/// Returns the first failing row's error, in selection order.
-pub fn eval_bool_columnar_sel(
-    expr: &Expr,
-    table: &Table,
-    sel: RowSel<'_>,
-) -> TableResult<Vec<bool>> {
-    eval_columnar_sel(expr, table, sel).truthy()
 }
 
 /// Evaluate a correlated aggregate subquery for one outer row with the

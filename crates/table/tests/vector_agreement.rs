@@ -6,8 +6,8 @@
 //! (`lts_table::partition`) must agree row-for-row with both, for
 //! every partition count.
 
-use lts_table::partition::{par_eval_bool_ids, PartitionedTable};
-use lts_table::vector::{eval_bool_columnar, eval_columnar};
+use lts_table::partition::{par_eval_bool_ids, partition_bounds, PartitionedTable};
+use lts_table::vector::{eval_bool_columnar, eval_columnar, eval_columnar_sel, RowSel};
 use lts_table::{
     AggFunc, AggThresholdPredicate, BinaryOp, CmpOp, DataType, Expr, ExprPredicate, Field,
     ObjectPredicate, RowCtx, Schema, Table, TableBuilder, TableResult, Value,
@@ -361,49 +361,57 @@ proptest! {
         prop_assert_eq!(&vectorized, &row_wise, "`{}`", e);
     }
 
-    /// The partitioned parallel scan agrees row-for-row — values, NULL
-    /// rows, and error rows — with both the single-partition vectorized
-    /// path and the interpreted evaluator, for every partition count
-    /// (including degenerate ones: more partitions than rows).
+    /// A chunked scan agrees row-for-row — values, NULL rows, and error
+    /// rows — with both the one-chunk vectorized path and the
+    /// interpreted evaluator, for every chunk count (including
+    /// degenerate ones: more chunks than rows), and the pinned-count
+    /// driver collapses to the same labels, count and first error — on
+    /// a random expression and on the oracle's own shape, a correlated
+    /// `COUNT(*) … < k` over the same table.
     #[test]
     fn partitioned_scan_agrees_with_serial_and_interpreted(
         table in arb_table(),
         e in arb_expr(),
         parts in 1usize..9,
+        k in 0i64..6,
     ) {
         let shared = Arc::new(table);
-        let serial = eval_columnar(&e, &shared, None);
-        let pt = PartitionedTable::new(Arc::clone(&shared), parts);
-        prop_assert_eq!(pt.n_partitions(), parts);
-        let batches = pt.par_eval_batches(&e);
-        let mut row = 0usize;
-        for (p, batch) in batches.iter().enumerate() {
-            let range = pt.range(p);
-            prop_assert_eq!(batch.len(), range.len(), "partition {} length", p);
-            for k in 0..batch.len() {
-                let rw = e.eval(RowCtx::top(&shared, row));
-                let vc = serial.value_at(row);
-                let pc = batch.value_at(k);
-                prop_assert!(
-                    same_result(&rw, &pc),
-                    "parts {} partition {} local row {} (global {}): `{}`\n  row-wise:    {:?}\n  partitioned: {:?}",
-                    parts, p, k, row, e, rw, pc
-                );
-                prop_assert!(
-                    same_result(&vc, &pc),
-                    "parts {} global row {}: `{}`\n  serial:      {:?}\n  partitioned: {:?}",
-                    parts, row, e, vc, pc
-                );
-                row += 1;
+        let dominated = Expr::col("f").ge(Expr::outer("f"));
+        let counted = Expr::count_where(Arc::clone(&shared), dominated).lt(Expr::lit(k));
+        for e in [&e, &counted] {
+            let serial = eval_columnar(e, &shared, None);
+            let bounds = partition_bounds(shared.len(), parts);
+            prop_assert_eq!(bounds.len(), parts + 1);
+            prop_assert_eq!((bounds[0], bounds[parts]), (0, shared.len()));
+            for (p, w) in bounds.windows(2).enumerate() {
+                let sel = RowSel::Range { start: w[0], end: w[1] };
+                let batch = eval_columnar_sel(e, &shared, sel);
+                prop_assert_eq!(batch.len(), w[1] - w[0], "partition {} length", p);
+                for k in 0..batch.len() {
+                    let row = w[0] + k;
+                    let rw = e.eval(RowCtx::top(&shared, row));
+                    let vc = serial.value_at(row);
+                    let pc = batch.value_at(k);
+                    prop_assert!(
+                        same_result(&rw, &pc),
+                        "parts {} partition {} local row {} (global {}): `{}`\n  row-wise:    {:?}\n  partitioned: {:?}",
+                        parts, p, k, row, e, rw, pc
+                    );
+                    prop_assert!(
+                        same_result(&vc, &pc),
+                        "parts {} global row {}: `{}`\n  serial:      {:?}\n  partitioned: {:?}",
+                        parts, row, e, vc, pc
+                    );
+                }
             }
+            // Boolean collapse: identical labels and identical first error.
+            let pt = PartitionedTable::new(Arc::clone(&shared), parts);
+            let serial_bool = eval_bool_columnar(e, &shared, None);
+            prop_assert_eq!(&pt.par_eval_bool(e), &serial_bool, "`{}`", e);
+            // Count: identical value and identical error.
+            let serial_count = serial_bool.map(|m| m.iter().filter(|&&l| l).count());
+            prop_assert_eq!(pt.par_count(e), serial_count, "`{}`", e);
         }
-        prop_assert_eq!(row, shared.len(), "partitions must cover every row exactly once");
-        // Boolean collapse: identical labels and identical first error.
-        let serial_bool = eval_bool_columnar(&e, &shared, None);
-        prop_assert_eq!(&pt.par_eval_bool(&e), &serial_bool, "`{}`", e);
-        // Count: identical value and identical error.
-        let serial_count = serial_bool.map(|m| m.iter().filter(|&&l| l).count());
-        prop_assert_eq!(pt.par_count(&e), serial_count, "`{}`", e);
     }
 
     /// The chunked id-list scan (the `ExprPredicate::eval_batch` fast

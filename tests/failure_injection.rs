@@ -362,6 +362,40 @@ mod net_faults {
         srv.join();
     }
 
+    /// Two lines far under `max_line_bytes` that used to overflow the
+    /// dispatcher's stack and abort the process for every client: 3 000
+    /// nested parentheses (parser recursion) and a flat chain of 4 000
+    /// conjuncts (a 4 000-high tree for every pass behind the parser).
+    #[test]
+    fn condition_nested_or_chained_past_the_bound_is_a_parse_error() {
+        let srv = server(64 * 1024);
+        let addr = srv.local_addr();
+        let (mut stream, mut reader) = connect(addr);
+        let resp = roundtrip(
+            &mut stream,
+            &mut reader,
+            "register sports s rows=60 level=M seed=3",
+        );
+        assert!(resp.contains("\"ok\": true"), "{resp}");
+        let nested = format!("{}strikeouts < 120{}", "(".repeat(3_000), ")".repeat(3_000));
+        let chained = vec!["wins>1"; 4_000].join(" AND ");
+        for condition in [nested, chained] {
+            let line = format!("count s budget=50 :: {condition}");
+            assert!(line.len() < 64 * 1024);
+            let resp = roundtrip(&mut stream, &mut reader, &line);
+            assert!(
+                resp.contains("\"ok\": false") && resp.contains("nests deeper than 256"),
+                "a too-deep condition must be a structured parse error: {resp}"
+            );
+            // The same connection's next command is answered.
+            let resp = roundtrip(&mut stream, &mut reader, "stats");
+            assert!(resp.contains("\"ok\": true"), "{resp}");
+        }
+        assert_still_serving(addr);
+        srv.shutdown();
+        srv.join();
+    }
+
     #[test]
     fn oversized_garbage_without_newline_then_eof_is_survived() {
         let srv = server(512);
