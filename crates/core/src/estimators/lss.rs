@@ -315,9 +315,11 @@ pub(crate) fn stage2_estimate(
     labeler: &mut Labeler<'_>,
     rng: &mut StdRng,
 ) -> CoreResult<(lts_sampling::CountEstimate, QualityForecast)> {
-    let (ordered, pilot_positions) = (&warm.ordered, &warm.pilot_positions);
+    let (order, pilot_positions) = (&warm.order, &warm.pilot_positions);
+    let objects_at =
+        |positions: &[usize]| -> Vec<usize> { positions.iter().map(|&p| order[p]).collect() };
     let (stratification, stage2_budget) = (&warm.stratification, warm.split.stage2);
-    let n_rest = ordered.n();
+    let n_rest = order.len();
     let sizes = stratification.stratum_sizes(n_rest);
     let n_strata_eff = sizes.len();
 
@@ -347,7 +349,7 @@ pub(crate) fn stage2_estimate(
     let mut s_hats = Vec::with_capacity(n_strata_eff);
     for members in &pilot_in {
         // All pilot labels are cached, so this batch is free.
-        let objs = ordered.objects_at(members);
+        let objs = objects_at(members);
         let positives = labeler.count_positives(&objs)?;
         let sample = StratumSample {
             population: members.len().max(1),
@@ -404,9 +406,9 @@ pub(crate) fn stage2_estimate(
     for (s, drawn) in draws.iter().enumerate() {
         // One batched oracle call per stratum's stage-2 draw;
         // the pilot recount below hits only cached labels.
-        let drawn_objs = ordered.objects_at(drawn);
+        let drawn_objs = objects_at(drawn);
         let positives = labeler.count_positives(&drawn_objs)?;
-        let pilot_objs = ordered.objects_at(&pilot_in[s]);
+        let pilot_objs = objects_at(&pilot_in[s]);
         pilot_positives += labeler.count_positives(&pilot_objs)?;
         let population = match lss.pilot_handling {
             PilotHandling::ExactRemainder => available[s],

@@ -13,7 +13,8 @@
 //! 2. **Restriction** ([`restrict_problem`]): the residual becomes a
 //!    [`CountingProblem`] over just the survivors — the same
 //!    sub-population view a shard is ([`crate::shard`]), with the
-//!    survivor list as its id map instead of an offset: every
+//!    survivor list as its id map instead of a range, sharing the
+//!    parent's table and owning only that list and its feature rows: every
 //!    evaluation goes to the **parent** problem's metered predicate at
 //!    the *global* row id, so predicates that capture per-row state
 //!    keyed by global id stay correct and the parent's meter keeps
@@ -232,9 +233,10 @@ pub fn paged_problem(
     CountingProblem::new(objects, predicate, feature_columns)
 }
 
-/// Restrict `parent` to the given surviving global row ids: gathered
-/// object rows, gathered feature rows, a delegating predicate (global
-/// ids through the parent meter), and the parent's confidence level.
+/// Restrict `parent` to the given surviving global row ids: the
+/// parent's table (shared, not copied), gathered feature rows, a
+/// delegating predicate (global ids through the parent meter), and the
+/// parent's confidence level.
 ///
 /// The restricted problem's count *is* the full-query count when the
 /// survivors came from [`select_prefilter`] over the query's own
@@ -244,7 +246,7 @@ pub fn paged_problem(
 ///
 /// Returns an error for an empty survivor set (a [`CountingProblem`]
 /// cannot be empty — callers answer exactly 0 without building one) or
-/// out-of-range ids.
+/// out-of-range ids ([`lts_table::TableError::RowIndexOutOfRange`]).
 pub fn restrict_problem(
     parent: &CountingProblem,
     survivors: &[usize],
@@ -264,12 +266,7 @@ fn restrict_to(parent: &CountingProblem, mut survivors: Vec<usize>) -> CoreResul
     }
     // The list lives as long as the problem: return `collect`'s slack.
     survivors.shrink_to_fit();
-    let objects = parent
-        .objects()
-        .take(&survivors)
-        .map_err(CoreError::Table)?;
-    let features = parent.features().gather(&survivors);
-    parent.sub_population(objects, features, IdMap::Ids(survivors), "|prefiltered")
+    parent.sub_population(IdMap::Ids(survivors), "|prefiltered")
 }
 
 /// A fully materialized plan: the prefilter scan's survivor count and

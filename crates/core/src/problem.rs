@@ -7,13 +7,17 @@ use lts_table::{Metered, ObjectPredicate, PredicateStats, Table, TableError, Tab
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// A counting problem: the object set `O` (paper Q2), the expensive
-/// predicate `q` (paper Q3) behind a metering wrapper, and a feature row
-/// per object for the learning-based estimators.
+/// A counting problem: the table `q` evaluates against, the population
+/// being counted (`n` objects, one feature row each — paper Q2), and the
+/// expensive predicate `q` (paper Q3) behind a metering wrapper. The two
+/// coincide for a whole-table problem; a sub-population
+/// ([`crate::plan::restrict_problem`], [`crate::shard::shard_problems`])
+/// shares its parent's table and owns only its id map and feature rows.
 pub struct CountingProblem {
     objects: Arc<Table>,
+    n: usize,
     predicate: Arc<Metered<Arc<dyn ObjectPredicate>>>,
-    features: Matrix,
+    features: Arc<Matrix>,
     level: f64,
 }
 
@@ -34,7 +38,8 @@ impl CountingProblem {
         Self::with_features(objects, predicate, features)
     }
 
-    /// Build a problem from a pre-computed feature matrix.
+    /// Build a problem from a pre-computed feature matrix — owned, or an
+    /// `Arc` shared by every problem over the same table.
     ///
     /// # Errors
     ///
@@ -43,24 +48,33 @@ impl CountingProblem {
     pub fn with_features(
         objects: Arc<Table>,
         predicate: Arc<dyn ObjectPredicate>,
-        features: Matrix,
+        features: impl Into<Arc<Matrix>>,
     ) -> CoreResult<Self> {
-        if objects.is_empty() {
+        let n = objects.len();
+        Self::over(objects, n, predicate, features.into())
+    }
+
+    /// A problem counting `n` objects whose predicate evaluates against
+    /// `objects` (the same `n` rows, or a sub-population's parent).
+    fn over(
+        objects: Arc<Table>,
+        n: usize,
+        predicate: Arc<dyn ObjectPredicate>,
+        features: Arc<Matrix>,
+    ) -> CoreResult<Self> {
+        if n == 0 {
             return Err(CoreError::InvalidConfig {
                 message: "object set is empty".into(),
             });
         }
-        if features.rows() != objects.len() {
+        if features.rows() != n {
             return Err(CoreError::InvalidConfig {
-                message: format!(
-                    "feature rows ({}) != objects ({})",
-                    features.rows(),
-                    objects.len()
-                ),
+                message: format!("feature rows ({}) != objects ({n})", features.rows()),
             });
         }
         Ok(Self {
             objects,
+            n,
             predicate: Arc::new(Metered::new(predicate)),
             features,
             level: 0.95,
@@ -76,7 +90,7 @@ impl CountingProblem {
 
     /// Number of objects `N`.
     pub fn n(&self) -> usize {
-        self.objects.len()
+        self.n
     }
 
     /// Confidence level for intervals.
@@ -84,36 +98,47 @@ impl CountingProblem {
         self.level
     }
 
-    /// The object table.
+    /// The table `q` evaluates against: the `N` objects themselves, or
+    /// — for a sub-population — the parent's table, shared.
     pub fn objects(&self) -> &Arc<Table> {
         &self.objects
     }
 
-    /// A sub-population of this problem: `objects` and `features` are
-    /// the member rows (local order), `ids` maps a local row to its
-    /// global id here, and the predicate is a [`SubPopulation`] that
+    /// The sub-population of this problem whose local row `i` is global
+    /// row `ids[i]`: it shares this problem's table, owns the gathered
+    /// feature rows, and its predicate is a [`SubPopulation`] that
     /// labels through **this** problem's metered predicate, named
     /// `<q>` + `suffix`. The confidence level carries over.
     ///
     /// # Errors
     ///
-    /// Returns an error for an empty member set or a feature/row count
-    /// mismatch.
-    pub(crate) fn sub_population(
-        &self,
-        objects: Table,
-        features: Matrix,
-        ids: IdMap,
-        suffix: &str,
-    ) -> CoreResult<CountingProblem> {
+    /// Returns an error for an empty member set, or
+    /// [`TableError::RowIndexOutOfRange`] for the first member id
+    /// outside this problem's population.
+    pub(crate) fn sub_population(&self, ids: IdMap, suffix: &str) -> CoreResult<CountingProblem> {
+        let range: Vec<usize>;
+        let members: &[usize] = match &ids {
+            IdMap::Range(lo, hi) => {
+                range = (*lo..*hi).collect();
+                &range
+            }
+            IdMap::Ids(ids) => ids,
+        };
+        // `Matrix::gather` panics on a bad index: reject it here.
+        if let Some(&index) = members.iter().find(|&&i| i >= self.n) {
+            let len = self.n;
+            return Err(TableError::RowIndexOutOfRange { index, len }.into());
+        }
+        let features = Arc::new(self.features.gather(members));
+        let n = features.rows();
         let predicate: Arc<dyn ObjectPredicate> = Arc::new(SubPopulation {
-            parent_objects: Arc::clone(&self.objects),
             parent_predicate: Arc::clone(&self.predicate),
             ids,
-            len: objects.len(),
+            len: n,
             name: format!("{}{suffix}", self.predicate.name()),
         });
-        Ok(Self::with_features(Arc::new(objects), predicate, features)?.with_level(self.level))
+        let objects = Arc::clone(&self.objects);
+        Ok(Self::over(objects, n, predicate, features)?.with_level(self.level))
     }
 
     /// Per-object features.
@@ -165,10 +190,12 @@ impl CountingProblem {
     }
 }
 
-/// How a sub-population's local row ids map to its parent's global ids.
+/// A sub-population's members: how its local row ids map to its
+/// parent's global ids.
 pub(crate) enum IdMap {
-    /// Contiguous members: local `i` is global `offset + i` (a shard).
-    Offset(usize),
+    /// Contiguous members `lo..hi`: local `i` is global `lo + i` (a
+    /// shard).
+    Range(usize, usize),
     /// Listed members: local `i` is global `ids[i]` (prefilter
     /// survivors).
     Ids(Vec<usize>),
@@ -176,14 +203,12 @@ pub(crate) enum IdMap {
 
 /// The one parent-delegating predicate: a sub-population (shard,
 /// prefilter survivors) evaluates local row `i` at its **global** id
-/// against the **parent** table through the parent's meter — predicates
-/// may capture per-row state indexed by global id, so a sub-problem
-/// must never label through local ids against its own sliced table, and
-/// the parent problem keeps counting every oracle evaluation. A local
-/// id past the member count is an error raised before the parent is
-/// called.
+/// against the table it shares with its parent, through the parent's
+/// meter — predicates may capture per-row state indexed by global id,
+/// and the parent problem keeps counting every oracle evaluation. A
+/// local id past the member count is an error raised before the parent
+/// is called.
 struct SubPopulation {
-    parent_objects: Arc<Table>,
     parent_predicate: Arc<Metered<Arc<dyn ObjectPredicate>>>,
     ids: IdMap,
     len: usize,
@@ -199,25 +224,23 @@ impl SubPopulation {
             });
         }
         Ok(match &self.ids {
-            IdMap::Offset(offset) => offset + idx,
+            IdMap::Range(lo, _) => lo + idx,
             IdMap::Ids(ids) => ids[idx],
         })
     }
 }
 
 impl ObjectPredicate for SubPopulation {
-    fn eval(&self, _objects: &Table, idx: usize) -> TableResult<bool> {
-        self.parent_predicate
-            .eval(&self.parent_objects, self.global(idx)?)
+    fn eval(&self, objects: &Table, idx: usize) -> TableResult<bool> {
+        self.parent_predicate.eval(objects, self.global(idx)?)
     }
 
-    fn eval_batch(&self, _objects: &Table, idxs: &[usize]) -> TableResult<Vec<bool>> {
+    fn eval_batch(&self, objects: &Table, idxs: &[usize]) -> TableResult<Vec<bool>> {
         let global: Vec<usize> = idxs
             .iter()
             .map(|&i| self.global(i))
             .collect::<TableResult<_>>()?;
-        self.parent_predicate
-            .eval_batch(&self.parent_objects, &global)
+        self.parent_predicate.eval_batch(objects, &global)
     }
 
     fn name(&self) -> &str {

@@ -242,6 +242,12 @@ impl OrderedPopulation {
         &self.sorted_scores
     }
 
+    /// Keep the ordering, drop the scores: all a warm state resumes
+    /// from.
+    pub fn into_order(self) -> Vec<usize> {
+        self.order
+    }
+
     /// Object id at a position of the ordering.
     pub fn object_at(&self, position: usize) -> usize {
         self.order[position]

@@ -4,11 +4,11 @@
 //!
 //! A [`ShardPlan`] splits `0..N` into `k` contiguous, non-empty,
 //! near-equal ranges ([`ShardPlan::uniform`]). Each shard becomes its own
-//! [`CountingProblem`] (sliced table + gathered feature rows): a
-//! sub-population of the parent whose predicate **delegates to the
-//! parent problem's metered predicate at the global row id** — the same
-//! view [`crate::plan::restrict_problem`] builds over prefilter
-//! survivors, with an offset for its id map instead of a list. The
+//! [`CountingProblem`] (the parent's table, shared, + its own feature
+//! rows): a sub-population of the parent whose predicate **delegates to
+//! the parent problem's metered predicate at the global row id** — the
+//! same view [`crate::plan::restrict_problem`] builds over prefilter
+//! survivors, with a range for its id map instead of a list. The
 //! per-shard pilot, design, and stage-2 phases then run fully
 //! independently (in parallel on the rayon shim).
 //!
@@ -161,9 +161,9 @@ impl ShardPlan {
     }
 }
 
-/// Build the per-shard sub-problems of `problem` under `plan`: sliced
-/// object table, gathered feature rows, delegating predicate, parent
-/// confidence level.
+/// Build the per-shard sub-problems of `problem` under `plan`: the
+/// parent's table (shared), the shard's feature rows, delegating
+/// predicate, parent confidence level.
 ///
 /// # Errors
 ///
@@ -185,15 +185,7 @@ pub fn shard_problems(
     (0..plan.k())
         .map(|s| {
             let (lo, hi) = plan.range(s);
-            let objects = problem.objects().slice(lo, hi)?;
-            let ids: Vec<usize> = (lo..hi).collect();
-            let features = problem.features().gather(&ids);
-            let sub = problem.sub_population(
-                objects,
-                features,
-                IdMap::Offset(lo),
-                &format!("#shard{s}"),
-            )?;
+            let sub = problem.sub_population(IdMap::Range(lo, hi), &format!("#shard{s}"))?;
             Ok(Arc::new(sub))
         })
         .collect()

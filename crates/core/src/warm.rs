@@ -55,7 +55,7 @@ use crate::estimators::{check_budget, CountEstimator, Lss, Lws, PilotSource};
 use crate::learnphase::{run_learn_phase, LearnPhaseConfig};
 use crate::problem::{CountingProblem, Labeler};
 use crate::report::{EstimateReport, Phase, PhaseTimer};
-use crate::scoring::{OrderedPopulation, ScoredPopulation};
+use crate::scoring::ScoredPopulation;
 use crate::spec::ClassifierSpec;
 use lts_learn::Classifier;
 use lts_sampling::sample_without_replacement;
@@ -556,7 +556,9 @@ impl WarmEstimator for Lws {
 pub struct LssWarm {
     /// The phase-1 proxy.
     pub proxy: TrainedProxy,
-    pub(crate) ordered: OrderedPopulation,
+    /// The score ordering, position → object id. The sorted scores are
+    /// read once, by the design, and not retained.
+    pub(crate) order: Vec<usize>,
     /// Pilot positions within the ordering (ascending).
     pub(crate) pilot_positions: Vec<usize>,
     /// Pilot labels aligned with `pilot_positions`.
@@ -581,7 +583,7 @@ impl LssWarm {
     pub fn known_labels(&self) -> Vec<(usize, bool)> {
         let mut pairs = self.proxy.known_labels();
         for (&pos, &label) in self.pilot_positions.iter().zip(&self.pilot_labels) {
-            pairs.push((self.ordered.object_at(pos), label));
+            pairs.push((self.order[pos], label));
         }
         pairs.sort_unstable();
         pairs.dedup();
@@ -776,7 +778,7 @@ impl WarmEstimator for Lss {
 
         Ok(LssWarm {
             proxy,
-            ordered,
+            order: ordered.into_order(),
             pilot_positions,
             pilot_labels,
             stratification,

@@ -20,7 +20,9 @@
 //!
 //! The closed form (Wald with finite-population correction, `p = ½`):
 //! `w = z·N/(2√n) · √((N−n)/(N−1))`, solved for `n`:
-//! `n = aN/(N−1+a)` with `a = (zN/2w)²`.
+//! `n = aN/(N−1+a)` with `a = (zN/2w)²` — computed as `N/(1+(N−1)/a)`,
+//! the form that has its limit: `a` overflows to `∞` for a narrow
+//! enough `w`, and the narrowest request must size the census, `n = N`.
 //!
 //! **Decomposed queries.** When a query splits into a cheap exact
 //! prefilter and an expensive residual (`lts_table::decompose`), the
@@ -156,7 +158,7 @@ impl BudgetPlanner {
         let z = lts_stats::z_critical(self.level).map_err(lts_core::CoreError::Stats)?;
         let nf = n_objects as f64;
         let a = (z * nf / (2.0 * halfwidth_counts)).powi(2);
-        let n = (a * nf / (nf - 1.0 + a)).ceil() as usize;
+        let n = (nf / (1.0 + (nf - 1.0) / a)).ceil() as usize;
         Ok(n.clamp(1, n_objects))
     }
 
@@ -377,6 +379,13 @@ mod tests {
     #[test]
     fn tight_targets_route_to_exact() {
         let p = BudgetPlanner::default();
+        // Widths so narrow that `a` overflows still size the census.
+        for w in [1e-300, f64::MIN_POSITIVE] {
+            assert_eq!(p.srs_budget_for_halfwidth(2_000, w).unwrap(), 2_000);
+            for target in [Target::RelWidth(w), Target::AbsWidth(w)] {
+                assert_eq!(p.plan(2_000, target).unwrap(), Route::Exact, "{target:?}");
+            }
+        }
         // ±0.1% of N needs a near-census sample: exact wins.
         assert_eq!(
             p.plan(2_000, Target::RelWidth(0.001)).unwrap(),

@@ -83,7 +83,8 @@ use crate::catalog::{QueryCatalog, QueryKey};
 use crate::error::{ServeError, ServeResult};
 use crate::planner::{BudgetPlanner, SelectivityFeedback, Target};
 use crate::store::{ModelStore, StoredModel, WarmState};
-use lts_core::Lss;
+use lts_core::{features_from_columns, Lss};
+use lts_learn::Matrix;
 use lts_obs::{Observability, Trace};
 use lts_table::{PartitionedTable, Table, TableRegistry};
 use metrics::ServeMetrics;
@@ -330,7 +331,9 @@ pub struct DatasetSpec {
 
 struct DatasetState {
     table: PartitionedTable,
-    feature_cols: Vec<String>,
+    /// The dataset's feature matrix, built once per registered version
+    /// and shared by every catalog problem over it.
+    features: Arc<Matrix>,
     registry: TableRegistry,
     /// Present for datasets registered through a generator recipe;
     /// `None` for tables handed in directly (those cannot be
@@ -383,11 +386,13 @@ impl Service {
     }
 
     /// Register (or replace) a dataset. Replacing bumps the version and
-    /// invalidates every derived artifact.
+    /// invalidates every derived artifact. The feature matrix every
+    /// query over the dataset shares is built here, once.
     ///
     /// # Errors
     ///
-    /// Returns an error for unknown/non-numeric feature columns.
+    /// Returns an error for unknown/non-numeric feature columns or an
+    /// empty feature list; nothing is registered.
     pub fn register_dataset(
         &mut self,
         name: &str,
@@ -397,13 +402,14 @@ impl Service {
         for c in feature_cols {
             table.floats(c)?;
         }
+        let features = Arc::new(features_from_columns(&table, feature_cols)?);
         // A replacement keeps the version lineage and bumps it once
         // (via the shared invalidation path below).
         let existing = self.datasets.get(name).map(|ds| ds.table.version());
         let registry = TableRegistry::new().register(name, Arc::clone(&table));
         let state = DatasetState {
             table: PartitionedTable::auto(table).with_version(existing.unwrap_or(0)),
-            feature_cols: feature_cols.iter().map(|s| s.to_string()).collect(),
+            features,
             registry,
             spec: None,
         };
@@ -682,5 +688,39 @@ impl Service {
             restored += 1;
         }
         Ok(restored)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn sports(rows: usize) -> Arc<Table> {
+        let level = lts_data::SelectivityLevel::M;
+        lts_data::sports_scenario(rows, level, 3).unwrap().table
+    }
+
+    #[test]
+    fn an_empty_feature_list_is_refused_at_registration() {
+        let mut s = Service::new(ServiceConfig::default());
+        assert!(s.register_dataset("s", sports(80), &[]).is_err());
+        assert_eq!(s.dataset_len("s"), None, "nothing was registered");
+    }
+
+    #[test]
+    fn catalog_problems_share_the_datasets_feature_matrix() {
+        let mut s = Service::new(ServiceConfig::default());
+        let table = sports(80);
+        let cols = ["strikeouts", "wins"];
+        s.register_dataset("s", Arc::clone(&table), &cols).unwrap();
+        let a = s.resolve("s".into(), "strikeouts < 120").unwrap().problem;
+        let b = s.resolve("s".into(), "wins > 4").unwrap().problem;
+        assert!(std::ptr::eq(a.features(), b.features()));
+        assert!(std::ptr::eq(a.features(), &*s.datasets["s"].features));
+        // Re-registering swaps the matrix; new entries see the new one.
+        s.register_dataset("s", table, &cols).unwrap();
+        let c = s.resolve("s".into(), "wins > 4").unwrap().problem;
+        assert!(!std::ptr::eq(a.features(), c.features()));
+        assert!(std::ptr::eq(c.features(), &*s.datasets["s"].features));
     }
 }

@@ -219,12 +219,13 @@ impl Service {
         let entry = self
             .catalog
             .resolve(key, fp, table_version, || -> ServeResult<_> {
-                let cols: Vec<&str> = ds.feature_cols.iter().map(String::as_str).collect();
                 let table = Arc::clone(ds.table.table());
                 let predicate: Arc<dyn ObjectPredicate> =
                     Arc::new(ExprPredicate::new("q", expr.clone()));
-                let problem =
-                    Arc::new(CountingProblem::new(table, predicate, &cols)?.with_level(level));
+                let features = Arc::clone(&ds.features);
+                let problem = Arc::new(
+                    CountingProblem::with_features(table, predicate, features)?.with_level(level),
+                );
                 // Decompose the NORMALIZED expression, so commuted
                 // spellings of one query share one decomposition and
                 // the part canonicals are stable keys.

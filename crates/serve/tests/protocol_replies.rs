@@ -52,6 +52,23 @@ fn a_malformed_target_is_refused_on_a_population_small_enough_for_a_census() {
     assert!(served.contains("\"served\": \"exact\""), "{served}");
 }
 
+/// The narrowest width a client can write used to size the *smallest*
+/// budget (the closed form overflowed to NaN); it is a census, like any
+/// width no sample can meet.
+#[test]
+fn a_vanishing_width_routes_to_the_census() {
+    let mut s = Service::new(ServiceConfig::default());
+    reply(&mut s, "register sports s rows=2000 level=M seed=3");
+    for option in ["width=1e-300", "abswidth=1e-300", "width=1e-100"] {
+        let line = format!("count s {option} fresh :: hits > 3");
+        let got = reply(&mut s, &line);
+        assert!(
+            got.contains("\"served\": \"exact\"") && got.contains("\"evals\": 2000"),
+            "`{line}` answered {got}"
+        );
+    }
+}
+
 /// `register … rows=0` used to panic the dispatcher (sports) or report a
 /// population the table did not have (neighbors); `rows=<usize::MAX>`
 /// panicked with `capacity overflow`. Both are refused before anything

@@ -16,7 +16,6 @@
 
 pub mod compose;
 pub mod error;
-pub mod histogram;
 pub mod interval;
 pub mod normal;
 pub mod special;
@@ -25,7 +24,6 @@ pub mod summary;
 
 pub use compose::{compose_independent, welch_satterthwaite, Component, Composed};
 pub use error::{StatsError, StatsResult};
-pub use histogram::Histogram;
 pub use interval::{
     normal_interval, t_interval, wald_proportion, wilson_proportion, ConfidenceInterval,
     IntervalKind,

@@ -33,15 +33,12 @@
 //!   stratification (the paper's SSP baseline) and for fast exact ground
 //!   truth,
 //! * a SQL-ish condition [`parser`] (the paper's textual predicate form,
-//!   correlated subqueries included) with a round-trippable `Display`,
-//! * [`csv`] reading/writing with per-column type inference, so
-//!   populations come from real files the way the paper's datasets did.
+//!   correlated subqueries included) with a round-trippable `Display`.
 
 #![warn(missing_docs)]
 
 mod bound;
 pub mod column;
-pub mod csv;
 pub mod decompose;
 pub mod error;
 pub mod expr;
@@ -57,7 +54,6 @@ pub mod value;
 pub mod vector;
 
 pub use column::Column;
-pub use csv::{read_csv_path, read_csv_str, write_csv_string, CsvOptions};
 pub use decompose::{contains_subquery, decompose, split_conjuncts, DecomposedQuery};
 pub use error::{TableError, TableResult};
 pub use expr::{AggFunc, AggSubquery, BinaryOp, CmpOp, Expr, Func, RowCtx, UnaryOp};

@@ -138,61 +138,6 @@ impl Table {
         }
         self.columns.iter().map(|c| c.get(row)).collect()
     }
-
-    /// Build a new table containing only the rows at `indices`
-    /// (in the given order).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if any index is out of range.
-    pub fn take(&self, indices: &[usize]) -> TableResult<Table> {
-        let mut cols: Vec<Column> = self
-            .schema
-            .fields()
-            .iter()
-            .map(|f| Column::with_capacity(f.data_type, indices.len()))
-            .collect();
-        for &i in indices {
-            if i >= self.len {
-                return Err(TableError::RowIndexOutOfRange {
-                    index: i,
-                    len: self.len,
-                });
-            }
-            for (c, src) in cols.iter_mut().zip(&self.columns) {
-                c.push(src.get(i)?)?;
-            }
-        }
-        Table::new(self.schema.clone(), cols)
-    }
-
-    /// Build a new table containing the contiguous row range
-    /// `lo..hi` — the shard sub-table constructor. Columns are copied
-    /// as whole sub-slices (no per-row gather), so slicing a table
-    /// into `k` shards costs one pass over the data total.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when `lo > hi` or `hi` exceeds the row count.
-    pub fn slice(&self, lo: usize, hi: usize) -> TableResult<Table> {
-        if lo > hi || hi > self.len {
-            return Err(TableError::RowIndexOutOfRange {
-                index: hi.max(lo),
-                len: self.len,
-            });
-        }
-        let cols: Vec<Column> = self
-            .columns
-            .iter()
-            .map(|c| match c {
-                Column::Bool(v) => Column::Bool(v[lo..hi].to_vec()),
-                Column::Int(v) => Column::Int(v[lo..hi].to_vec()),
-                Column::Float(v) => Column::Float(v[lo..hi].to_vec()),
-                Column::Str(v) => Column::Str(v[lo..hi].to_vec()),
-            })
-            .collect();
-        Table::new(self.schema.clone(), cols)
-    }
 }
 
 /// Row-oriented builder for [`Table`].
@@ -324,16 +269,6 @@ mod tests {
     }
 
     #[test]
-    fn take_selects_rows_in_order() {
-        let t = sample_table();
-        let sub = t.take(&[2, 0]).unwrap();
-        assert_eq!(sub.len(), 2);
-        assert_eq!(sub.get_by_name(0, "id").unwrap(), Value::Int(3));
-        assert_eq!(sub.get_by_name(1, "id").unwrap(), Value::Int(1));
-        assert!(t.take(&[9]).is_err());
-    }
-
-    #[test]
     fn builder_rejects_ragged_rows() {
         let schema = Schema::from_pairs(&[("a", DataType::Int)]).unwrap();
         let mut b = TableBuilder::new(schema);
@@ -361,25 +296,5 @@ mod tests {
         let t = table_of_floats(&[("x", &[1.0, 2.0]), ("y", &[3.0, 4.0])]).unwrap();
         assert_eq!(t.len(), 2);
         assert_eq!(t.floats("y").unwrap(), &[3.0, 4.0]);
-    }
-
-    #[test]
-    fn slice_matches_take_of_the_same_range() {
-        let t = table_of_floats(&[
-            ("x", &[0.0, 1.0, 2.0, 3.0, 4.0]),
-            ("y", &[5.0, 6.0, 7.0, 8.0, 9.0]),
-        ])
-        .unwrap();
-        let s = t.slice(1, 4).unwrap();
-        assert_eq!(s.len(), 3);
-        assert_eq!(s.floats("x").unwrap(), &[1.0, 2.0, 3.0]);
-        let gathered = t.take(&[1, 2, 3]).unwrap();
-        assert_eq!(s, gathered);
-        // Empty and full slices.
-        assert_eq!(t.slice(2, 2).unwrap().len(), 0);
-        assert_eq!(t.slice(0, 5).unwrap(), t);
-        // Out-of-range and inverted bounds error.
-        assert!(t.slice(0, 6).is_err());
-        assert!(t.slice(3, 2).is_err());
     }
 }

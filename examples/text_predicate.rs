@@ -7,14 +7,12 @@
 //! cargo run --release --example text_predicate
 //! cargo run --release --example text_predicate -- \
 //!     "(SELECT COUNT(*) FROM D WHERE x >= o.x AND y >= o.y AND (x > o.x OR y > o.y)) < 25" 0.05
-//! cargo run --release --example text_predicate -- "x > 10 AND y < 90" 0.05 mydata.csv
 //! ```
 //!
 //! The first argument is the condition (`o.` marks the object row;
 //! subqueries scan the registered table `D`), the second the budget as
-//! a fraction of the population, the optional third a CSV file to use
-//! as the population instead of the built-in synthetic points (its
-//! float columns become the classifier features).
+//! a fraction of the population — 3 000 synthetic clustered points whose
+//! float columns are the classifier features.
 
 use learning_to_sample::prelude::*;
 use lts_table::ExprPredicate;
@@ -28,13 +26,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let budget_frac: f64 = args.get(2).map(|s| s.parse()).transpose()?.unwrap_or(0.05);
 
-    // Population: a CSV file if given, else 3 000 clustered 2-d points.
-    let d = if let Some(path) = args.get(3) {
-        Arc::new(lts_table::read_csv_path(
-            path,
-            lts_table::CsvOptions::default(),
-        )?)
-    } else {
+    // Population: 3 000 clustered 2-d points.
+    let d = {
         let n = 3_000usize;
         let mut state = 77u64;
         let mut uniform = move || {
