@@ -38,6 +38,12 @@ pub enum CoreError {
         /// Description.
         message: String,
     },
+    /// Plain data that does not describe a warm state of the problem and
+    /// profile it is being rebuilt for (see `LssWarm::from_parts`).
+    InvalidState {
+        /// The first failed check.
+        message: String,
+    },
 }
 
 impl fmt::Display for CoreError {
@@ -58,6 +64,7 @@ impl fmt::Display for CoreError {
                 "budget {budget} exceeds population size {population} (a census is cheaper)"
             ),
             CoreError::InvalidConfig { message } => write!(f, "invalid configuration: {message}"),
+            CoreError::InvalidState { message } => write!(f, "invalid warm state: {message}"),
         }
     }
 }

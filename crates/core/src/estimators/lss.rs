@@ -26,7 +26,7 @@ use crate::error::{CoreError, CoreResult};
 use crate::learnphase::LearnPhaseConfig;
 use crate::problem::Labeler;
 use crate::report::QualityForecast;
-use crate::warm::LssWarm;
+use crate::warm::{fnv1a, LssWarm};
 use lts_sampling::{allocate, draw_stratified, stratified_count_estimate, StratumSample};
 use lts_strata::{
     design, fixed_height_cuts, fixed_width_cuts, Allocation, DesignAlgorithm, DesignParams,
@@ -174,6 +174,14 @@ impl Lss {
             });
         }
         Ok(())
+    }
+
+    /// Digest of the whole profile. A warm state records the one it was
+    /// prepared under, and [`LssWarm::from_parts`] refuses to rebuild it
+    /// under another: the split, the pilot source and the pilot handling
+    /// all change what the stored data means.
+    pub fn profile_digest(&self) -> u64 {
+        fnv1a(format!("{self:?}").as_bytes())
     }
 
     /// Split a total labeling budget into the train / pilot / stage-2

@@ -59,5 +59,6 @@ pub use scoring::{feature_column, surrogate_grid_strata, OrderedPopulation, Scor
 pub use shard::{shard_problems, shard_seed, ShardPlan, Shardable, Sharded, SALT_SHARD};
 pub use spec::ClassifierSpec;
 pub use warm::{
-    fnv1a, mix_seed, LssWarm, LwsWarm, ModelSnapshot, Resumable, Run, TrainedProxy, WarmEstimator,
+    fnv1a, mix_seed, LssParts, LssWarm, LwsWarm, ModelSnapshot, Resumable, Run, TrainedProxy,
+    WarmEstimator,
 };

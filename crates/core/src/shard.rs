@@ -15,11 +15,13 @@
 //! **Written once.** Sharded prepare and sharded resume are the
 //! methods of [`Shardable`], which every [`WarmEstimator`] family
 //! ([`crate::Lss`], [`crate::Lws`]) gets for free: they fan the
-//! family's own `prepare_with_known` / `estimate_prepared` out per
-//! shard; the reusable state is one [`Sharded<W>`] over the family's
-//! warm state. An unsharded run is **not** the `k = 1` case: a
-//! one-shard plan still salts its seed, composes through
-//! Welch–Satterthwaite, reports as `LSS@1` and emits a fan-out span.
+//! family's own `prepare` / `estimate_prepared` out per shard; the
+//! reusable state is one [`Sharded<W>`] over the family's warm state
+//! (for LSS with the same plain-data form as the unsharded state:
+//! [`Sharded::to_parts`] / [`Sharded::from_parts`]). An unsharded run
+//! is **not** the `k = 1` case: a one-shard plan still salts its seed,
+//! composes through Welch–Satterthwaite, reports as `LSS@1` and emits a
+//! fan-out span.
 //!
 //! **Seed salting.** Shard `s` of a run with canonical seed `seed` uses
 //! `shard_seed(seed, s) = mix_seed(mix_seed(seed, SALT_SHARD), s)`. The
@@ -36,9 +38,10 @@
 //! returned CI half-width is pinned to the composed-variance formula.
 
 use crate::error::{CoreError, CoreResult};
+use crate::estimators::Lss;
 use crate::problem::{CountingProblem, IdMap};
 use crate::report::{EstimateReport, PhaseTimings, QualityForecast};
-use crate::warm::{fnv1a, mix_seed, Resumable, WarmEstimator};
+use crate::warm::{fnv1a, mix_seed, LssParts, LssWarm, Resumable, WarmEstimator};
 use lts_sampling::{proportional_allocation, CountEstimate};
 use lts_stats::{compose_independent, z_critical, Component};
 use lts_table::partition_bounds;
@@ -145,20 +148,6 @@ impl ShardPlan {
     pub fn sizes(&self) -> Vec<usize> {
         self.bounds.windows(2).map(|w| w[1] - w[0]).collect()
     }
-
-    /// Which shard holds global row `id`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when `id >= N`.
-    pub fn shard_of(&self, id: usize) -> CoreResult<usize> {
-        if id >= self.n() {
-            return Err(CoreError::InvalidConfig {
-                message: format!("row {id} outside sharded population of {}", self.n()),
-            });
-        }
-        Ok(self.bounds.partition_point(|&b| b <= id) - 1)
-    }
 }
 
 /// Build the per-shard sub-problems of `problem` under `plan`: the
@@ -191,15 +180,17 @@ pub fn shard_problems(
         .collect()
 }
 
-/// Split globally-indexed known labels into per-shard locally-indexed
-/// lists.
-fn split_known(plan: &ShardPlan, known: &[(usize, bool)]) -> CoreResult<Vec<Vec<(usize, bool)>>> {
-    let mut by_shard: Vec<Vec<(usize, bool)>> = vec![Vec::new(); plan.k()];
-    for &(id, label) in known {
-        let s = plan.shard_of(id)?;
-        by_shard[s].push((id - plan.bounds[s], label));
-    }
-    Ok(by_shard)
+/// Per-shard budgets of a sharded run: proportional to shard size,
+/// floored at the smallest budget `est` can split (`budget` itself when
+/// nothing below it is feasible, so the allocation — not the search —
+/// reports infeasibility).
+fn shard_budgets<E: WarmEstimator + ?Sized>(
+    est: &E,
+    plan: &ShardPlan,
+    budget: usize,
+) -> CoreResult<Vec<usize>> {
+    let min_budget = (1..budget).find(|&b| est.splits(b)).unwrap_or(budget);
+    Ok(proportional_allocation(&plan.sizes(), budget, min_budget)?)
 }
 
 /// Merge per-shard reports into one: count and variance summed exactly,
@@ -311,8 +302,7 @@ impl<W: Resumable> Sharded<W> {
     }
 
     /// All exactly-known `(global object id, label)` pairs across
-    /// shards — the payload a snapshot restore replays at zero oracle
-    /// cost.
+    /// shards.
     pub fn known_labels(&self) -> Vec<(usize, bool)> {
         let mut out = Vec::new();
         for (s, w) in self.shards.iter().enumerate() {
@@ -326,6 +316,47 @@ impl<W: Resumable> Sharded<W> {
     /// budgets).
     pub fn resume_evals(&self) -> usize {
         self.shards.iter().map(Resumable::resume_evals).sum()
+    }
+}
+
+impl Sharded<LssWarm> {
+    /// Every shard's state as plain data, in shard order.
+    pub fn to_parts(&self) -> Vec<LssParts> {
+        self.shards.iter().map(LssWarm::to_parts).collect()
+    }
+
+    /// Rebuild a state prepared under `lss` at `budget` over `problem`
+    /// sharded by `plan`: per-shard budgets are re-derived as a prepare
+    /// derives them, and each shard is checked by
+    /// [`LssWarm::from_parts`] against its own sub-population.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when the plan does not cover the problem, the
+    /// part count is not the shard count, the budget does not allocate,
+    /// or any shard's parts fail their checks.
+    pub fn from_parts(
+        parts: Vec<LssParts>,
+        plan: &ShardPlan,
+        budget: usize,
+        problem: &CountingProblem,
+        lss: &Lss,
+    ) -> CoreResult<Self> {
+        if parts.len() != plan.k() {
+            return Err(CoreError::InvalidState {
+                message: format!("{} shard states for {} shards", parts.len(), plan.k()),
+            });
+        }
+        let problems = shard_problems(problem, plan)?;
+        let budgets = shard_budgets(lss, plan, budget)?;
+        let shards = (parts.into_iter().zip(budgets).zip(&problems))
+            .map(|((parts, budget), problem)| LssWarm::from_parts(parts, budget, problem, lss))
+            .collect::<CoreResult<Vec<_>>>()?;
+        Ok(Sharded {
+            plan: plan.clone(),
+            prepare_evals: shards.iter().map(Resumable::prepare_evals).sum(),
+            shards,
+        })
     }
 }
 
@@ -371,7 +402,7 @@ fn fan_out<T: Send>(
 }
 
 /// Sharded prepare and sharded resume, written once for every
-/// [`WarmEstimator`] family: the family's own `prepare_with_known` /
+/// [`WarmEstimator`] family: the family's own `prepare` /
 /// `estimate_prepared` fanned out per shard.
 pub trait Shardable: WarmEstimator {
     /// Prepare independently on every shard of `plan`: budgets
@@ -389,43 +420,11 @@ pub trait Shardable: WarmEstimator {
         budget: usize,
         seed: u64,
     ) -> CoreResult<Sharded<Self::Warm>> {
-        self.prepare_sharded_with_known(problem, plan, budget, seed, &[])
-    }
-
-    /// [`Shardable::prepare_sharded`] with globally-indexed known
-    /// labels preloaded (free) on their shards — the snapshot-restore
-    /// path.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Shardable::prepare_sharded`], plus
-    /// out-of-range known-label ids.
-    fn prepare_sharded_with_known(
-        &self,
-        problem: &CountingProblem,
-        plan: &ShardPlan,
-        budget: usize,
-        seed: u64,
-        known: &[(usize, bool)],
-    ) -> CoreResult<Sharded<Self::Warm>> {
         let problems = shard_problems(problem, plan)?;
-        // Budgets proportional to shard size, floored at the smallest
-        // budget this configuration can split (`budget` itself when
-        // nothing below it is feasible, so the allocation — not the
-        // search — reports infeasibility).
-        let min_budget = (1..budget).find(|&b| self.splits(b)).unwrap_or(budget);
-        let budgets = proportional_allocation(&plan.sizes(), budget, min_budget)?;
-        let known_by_shard = split_known(plan, known)?;
+        let budgets = shard_budgets(self, plan, budget)?;
         let shards = fan_out(
             plan.k(),
-            |s| {
-                self.prepare_with_known(
-                    &problems[s],
-                    budgets[s],
-                    shard_seed(seed, s),
-                    &known_by_shard[s],
-                )
-            },
+            |s| self.prepare(&problems[s], budgets[s], shard_seed(seed, s)),
             Resumable::prepare_evals,
         )?;
         Ok(Sharded {
@@ -471,7 +470,7 @@ impl<E: WarmEstimator> Shardable for E {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::estimators::{Lss, Lws};
+    use crate::estimators::Lws;
     use crate::problem::tests_support::{line_problem, ramp_problem};
 
     #[test]
@@ -495,11 +494,6 @@ mod tests {
         assert_eq!(p.n(), 100);
         assert_eq!(p.sizes(), vec![25; 4]);
         assert_eq!(p.range(2), (50, 75));
-        assert_eq!(p.shard_of(0).unwrap(), 0);
-        assert_eq!(p.shard_of(24).unwrap(), 0);
-        assert_eq!(p.shard_of(25).unwrap(), 1);
-        assert_eq!(p.shard_of(99).unwrap(), 3);
-        assert!(p.shard_of(100).is_err());
 
         // More shards than rows collapses to singleton shards.
         let tiny = ShardPlan::uniform(3, 8).unwrap();
@@ -561,9 +555,10 @@ mod tests {
     }
 
     /// The sharded contract, checked for one family: digest stability,
-    /// deterministic merge, zero-eval replay from global known labels,
-    /// and a merge equal bit for bit to the composed-variance formula
-    /// rebuilt by hand from per-shard runs at the same salted seeds.
+    /// deterministic merge, global known labels that a resume replays at
+    /// zero oracle cost, and a merge equal bit for bit to the
+    /// composed-variance formula rebuilt by hand from per-shard runs at
+    /// the same salted seeds.
     fn check_sharded_family<E: Shardable>(
         est: &E,
         problem: &CountingProblem,
@@ -624,17 +619,16 @@ mod tests {
         assert_eq!(r.estimate.interval.hi.to_bits(), clamped.hi.to_bits());
 
         // Known ids are global: every one labels identically on the
-        // parent problem, and replaying them never touches the oracle.
+        // parent problem, and a resume replays them without touching the
+        // oracle — it pays for its fresh draws only.
         let known = warm.known_labels();
         assert_eq!(known.len(), warm.prepare_evals);
         for &(id, label) in known.iter().take(20) {
             assert_eq!(problem.label(id).unwrap(), label);
         }
-        let replay = est
-            .prepare_sharded_with_known(problem, &plan, budget, seed, &known)
-            .unwrap();
-        assert_eq!(replay.prepare_evals, 0, "replay must not touch the oracle");
-        assert_eq!(replay.digest(), warm.digest());
+        problem.reset_meter();
+        est.estimate_prepared_sharded(problem, &warm, seed).unwrap();
+        assert_eq!(problem.predicate_stats().evals, warm.resume_evals() as u64);
         warm
     }
 

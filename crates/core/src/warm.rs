@@ -35,18 +35,21 @@
 //! twice with the same seed yields bit-identical states, and resuming a
 //! given state twice with the same seed yields bit-identical reports —
 //! regardless of thread count or of whether the state was freshly
-//! prepared or restored from a snapshot. This is the contract the
+//! prepared or decoded from a snapshot. This is the contract the
 //! `lts-serve` service builds its model store and replayable request
 //! streams on.
 //!
-//! Persistence does **not** serialize model weights. Every classifier
-//! family re-seeds its RNG from its construction seed on each `fit`, so
-//! a fitted model is fully determined by `(spec, effective seed,
-//! training set)` — that triple *is* the snapshot ([`ModelSnapshot`]),
-//! and [`ModelSnapshot::rebuild`] refits bit-identically. Likewise a
-//! whole warm state is reproducible from `(estimator config, prepare
-//! seed, known labels)`, which is what the serving layer's store
-//! export/import carries.
+//! A warm state is **plain data**: what a resume reads — the score
+//! ordering, the labelled pilot, the cuts, the training labels — and
+//! nothing else. The fitted classifier lives inside the prepare body
+//! until the population is scored and is dropped there; the state keeps
+//! its *record* ([`ModelSnapshot`]: spec, effective seed, training
+//! set), from which [`ModelSnapshot::rebuild`] refits bit-identically
+//! because every family re-seeds from its construction seed on each
+//! `fit`. Being data, an [`LssWarm`] has one validated plain form,
+//! [`LssParts`] ([`LssWarm::to_parts`] / [`LssWarm::from_parts`]), which
+//! is what the serving layer writes to disk and decodes at restart —
+//! no fit, no scoring pass, no sort, no design run.
 
 use crate::error::{CoreError, CoreResult};
 use crate::estimators::lss::{stage2_estimate, LssBudgetSplit};
@@ -139,25 +142,15 @@ pub struct TrainedProxy {
 }
 
 impl TrainedProxy {
-    /// Exact positive count within the training sample.
-    pub fn positives(&self) -> usize {
-        self.labels.iter().filter(|&&b| b).count()
-    }
-
-    /// The training sample as `(object id, label)` pairs.
-    fn known_labels(&self) -> Vec<(usize, bool)> {
-        let ids = self.labeled.iter().copied();
-        ids.zip(self.labels.iter().copied()).collect()
-    }
-
-    /// The portable snapshot of this proxy: spec + effective seed +
-    /// training set. [`ModelSnapshot::rebuild`] refits bit-identically.
-    pub fn snapshot(&self) -> ModelSnapshot {
+    /// Drop the fitted model and keep its record — spec, effective seed
+    /// and training set: what a warm state retains once the population
+    /// is scored. [`ModelSnapshot::rebuild`] refits bit-identically.
+    pub fn into_snapshot(self) -> ModelSnapshot {
         ModelSnapshot {
             spec: self.config.spec,
             model_seed: self.model_seed,
-            labeled: self.labeled.clone(),
-            labels: self.labels.clone(),
+            labeled: self.labeled,
+            labels: self.labels,
         }
     }
 }
@@ -203,10 +196,11 @@ fn train_proxy_on(
     })
 }
 
-/// The portable form of a fitted classifier: the spec, the effective
-/// construction seed, and the exact training set. Rebuilding is a
-/// single deterministic refit — bit-identical to the original because
-/// every model family re-seeds from its construction seed on `fit`.
+/// The record of a fitted classifier: the spec, the effective
+/// construction seed, and the exact training set — what a warm state
+/// keeps of its proxy. Rebuilding is a single deterministic refit —
+/// bit-identical to the original because every model family re-seeds
+/// from its construction seed on `fit`.
 #[derive(Debug, Clone)]
 pub struct ModelSnapshot {
     /// Classifier family + hyperparameters.
@@ -220,6 +214,17 @@ pub struct ModelSnapshot {
 }
 
 impl ModelSnapshot {
+    /// Exact positive count within the training sample.
+    pub fn positives(&self) -> usize {
+        self.labels.iter().filter(|&&b| b).count()
+    }
+
+    /// The training sample as `(object id, label)` pairs.
+    fn known_labels(&self) -> Vec<(usize, bool)> {
+        let ids = self.labeled.iter().copied();
+        ids.zip(self.labels.iter().copied()).collect()
+    }
+
     /// Refit the classifier from the snapshot against the problem's
     /// feature matrix.
     ///
@@ -257,8 +262,7 @@ pub trait Resumable: Send + Sync {
     /// Domain-separation salt of a sharded state's digest.
     const SHARDED_SALT: &'static [u8];
     /// All exactly-known `(object id, label)` pairs of this state — the
-    /// free labels a resume preloads, and the payload a snapshot needs
-    /// to restore without re-touching the oracle.
+    /// free labels a resume preloads.
     fn known_labels(&self) -> Vec<(usize, bool)>;
     /// Content digest of the reusable state, used as the result-cache
     /// model-version stamp.
@@ -371,11 +375,12 @@ pub trait WarmEstimator: Send + Sync {
         self.prepare_with_known(problem, budget, seed, &[])
     }
 
-    /// [`WarmEstimator::prepare`] resuming from already-known labels
-    /// (snapshot restore): `known` pairs are preloaded, so re-preparing
-    /// a state whose labels are all known costs **zero** oracle
-    /// evaluations and reproduces the original state bit-identically
-    /// (same seed).
+    /// [`WarmEstimator::prepare`] with already-known labels preloaded:
+    /// re-preparing a state whose labels are all known costs **zero**
+    /// oracle evaluations and reproduces the original state
+    /// bit-identically (same seed) — the proof that a state is a pure
+    /// function of its seed and labels. (A snapshot restore does not
+    /// come through here: it decodes, see [`LssWarm::from_parts`].)
     ///
     /// # Errors
     ///
@@ -447,11 +452,12 @@ fn check_same_population(prepared_n: usize, problem: &CountingProblem) -> CoreRe
 
 // ---------------------------------------------------------------- LWS
 
-/// The reusable state of an LWS run: trained proxy + scored rest
+/// The reusable state of an LWS run: the proxy's record + scored rest
 /// population + the sampling-budget share.
 pub struct LwsWarm {
-    /// The phase-1 proxy.
-    pub proxy: TrainedProxy,
+    /// The record of the phase-1 proxy (the model itself is dropped
+    /// once the population is scored).
+    pub proxy: ModelSnapshot,
     pub(crate) scored: ScoredPopulation,
     /// Labels each resume spends (the phase-2 share of the budget).
     pub sample_budget: usize,
@@ -470,7 +476,7 @@ impl Resumable for LwsWarm {
     /// Model + member set.
     fn digest(&self) -> u64 {
         mix_seed(
-            self.proxy.snapshot().digest(),
+            self.proxy.digest(),
             fnv1a(&(self.scored.len() as u64).to_le_bytes()) ^ self.sample_budget as u64,
         )
     }
@@ -516,7 +522,7 @@ impl WarmEstimator for Lws {
             });
         }
         Ok(LwsWarm {
-            proxy,
+            proxy: proxy.into_snapshot(),
             scored,
             sample_budget,
             prepare_evals: run.labeler.unique_evals(),
@@ -551,11 +557,12 @@ impl WarmEstimator for Lws {
 
 // ---------------------------------------------------------------- LSS
 
-/// The reusable state of an LSS run: trained proxy, score ordering,
-/// labeled design pilot, and the optimized stratification.
+/// The reusable state of an LSS run: the proxy's record, score
+/// ordering, labeled design pilot, and the optimized stratification.
 pub struct LssWarm {
-    /// The phase-1 proxy.
-    pub proxy: TrainedProxy,
+    /// The record of the phase-1 proxy (the model itself is dropped
+    /// once the population is scored).
+    pub proxy: ModelSnapshot,
     /// The score ordering, position → object id. The sorted scores are
     /// read once, by the design, and not retained.
     pub(crate) order: Vec<usize>,
@@ -573,13 +580,163 @@ pub struct LssWarm {
     pub prepare_evals: usize,
     n: usize,
     pub(crate) reuse: bool,
+    /// [`Lss::profile_digest`] of the profile the state was prepared
+    /// under.
+    profile: u64,
+}
+
+/// The plain-data form of an [`LssWarm`]: exactly what cannot be
+/// recomputed without the oracle, a fit, a scoring pass, a sort or a
+/// design run. The budget split, the pilot source, `N` and the
+/// classifier spec are re-derived by [`LssWarm::from_parts`] from the
+/// profile, the budget and the problem.
+#[derive(Debug, Clone)]
+pub struct LssParts {
+    /// [`Lss::profile_digest`] of the profile the state was prepared
+    /// under.
+    pub profile: u64,
+    /// Effective construction seed of the proxy.
+    pub model_seed: u64,
+    /// Training-set object ids, in training order.
+    pub labeled: Vec<usize>,
+    /// Labels aligned with `labeled`.
+    pub labels: Vec<bool>,
+    /// The score ordering, position → object id.
+    pub order: Vec<usize>,
+    /// Pilot positions within the ordering (ascending).
+    pub pilot_positions: Vec<usize>,
+    /// Labels aligned with `pilot_positions`.
+    pub pilot_labels: Vec<bool>,
+    /// The stratification's cut points.
+    pub cuts: Vec<usize>,
+    /// The design objective at those cuts (NaN for fixed layouts).
+    pub estimated_variance: f64,
+    /// Notes emitted by the design stage.
+    pub design_notes: Vec<String>,
+    /// Oracle evaluations the prepare spent.
+    pub prepare_evals: usize,
 }
 
 impl LssWarm {
+    /// The state as plain data (see [`LssParts`]).
+    pub fn to_parts(&self) -> LssParts {
+        LssParts {
+            profile: self.profile,
+            model_seed: self.proxy.model_seed,
+            labeled: self.proxy.labeled.clone(),
+            labels: self.proxy.labels.clone(),
+            order: self.order.clone(),
+            pilot_positions: self.pilot_positions.clone(),
+            pilot_labels: self.pilot_labels.clone(),
+            cuts: self.stratification.cuts.clone(),
+            estimated_variance: self.stratification.estimated_variance,
+            design_notes: self.design_notes.clone(),
+            prepare_evals: self.prepare_evals,
+        }
+    }
+
+    /// Rebuild a state prepared under `lss` at `budget` over `problem`
+    /// from its plain data. Nothing is fitted, scored, sorted or
+    /// designed — so everything a prepare guarantees by construction is
+    /// **checked** here: the profile digest matches `lss`; training ids
+    /// are distinct and `< N`; the ordering is a permutation of exactly
+    /// the ids it must cover (all of `0..N`, or `0..N` minus the
+    /// training ids under [`PilotSource::Fresh`]); pilot positions are
+    /// strictly ascending inside the ordering, carry aligned labels and
+    /// number what the budget split says — which, `budget ≤ N` being
+    /// checked, leaves stage 2 its draws (under
+    /// [`PilotSource::ReuseLearning`] the training sample sits in the
+    /// pilot under its own labels); cuts are strictly ascending inside
+    /// the ordering.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::InvalidState`] naming the first failed
+    /// check, or the budget/configuration errors of a prepare.
+    pub fn from_parts(
+        parts: LssParts,
+        budget: usize,
+        problem: &CountingProblem,
+        lss: &Lss,
+    ) -> CoreResult<Self> {
+        let bad = |message: String| Err(CoreError::InvalidState { message });
+        check_budget(problem, budget)?;
+        lss.validate()?;
+        let split = lss.budget_split(budget)?;
+        if parts.profile != lss.profile_digest() {
+            return bad("the state was prepared under a different LSS profile".into());
+        }
+        let n = problem.n();
+        let reuse = lss.pilot_source == PilotSource::ReuseLearning;
+        let (labeled, order, pilot) = (&parts.labeled, &parts.order, &parts.pilot_positions);
+        if parts.labels.len() != labeled.len() || parts.pilot_labels.len() != pilot.len() {
+            return bad("a label list is not aligned with its ids".into());
+        }
+        // Per object: its training label, if it is a training member.
+        let mut train_label: Vec<Option<bool>> = vec![None; n];
+        for (&i, &label) in labeled.iter().zip(&parts.labels) {
+            match train_label.get_mut(i) {
+                Some(slot @ None) => *slot = Some(label),
+                _ => return bad(format!("training id {i} is repeated or beyond N = {n}")),
+            }
+        }
+        let covered = if reuse { n } else { n - labeled.len() };
+        let mut seen = vec![false; n];
+        let is_permutation = order.len() == covered
+            && order.iter().all(|&i| {
+                i < n
+                    && (reuse || train_label[i].is_none())
+                    && !std::mem::replace(&mut seen[i], true)
+            });
+        if !is_permutation {
+            return bad(format!(
+                "the ordering is not a permutation of the {covered} objects it must cover"
+            ));
+        }
+        let ascending = |v: &[usize]| v.windows(2).all(|w| w[0] < w[1]);
+        let inside = |v: &[usize]| v.last().is_none_or(|&p| p < order.len());
+        let pilots = split.pilot + if reuse { labeled.len() } else { 0 };
+        if pilot.len() != pilots || !ascending(pilot) || !inside(pilot) {
+            return bad(format!(
+                "the pilot is not {pilots} ascending positions inside the ordering"
+            ));
+        }
+        if reuse {
+            let in_pilot = |&(&p, &l): &(&usize, &bool)| train_label[order[p]] == Some(l);
+            let reused = pilot.iter().zip(&parts.pilot_labels).filter(in_pilot);
+            if reused.count() != labeled.len() {
+                return bad("the reused training sample is not in the pilot as labelled".into());
+            }
+        }
+        let cuts = &parts.cuts;
+        if !ascending(cuts) || cuts.first() == Some(&0) || !inside(cuts) {
+            return bad("cuts are not strictly ascending inside the ordering".into());
+        }
+        Ok(LssWarm {
+            proxy: ModelSnapshot {
+                spec: lss.learn.spec,
+                model_seed: parts.model_seed,
+                labeled: parts.labeled,
+                labels: parts.labels,
+            },
+            order: parts.order,
+            pilot_positions: parts.pilot_positions,
+            pilot_labels: parts.pilot_labels,
+            stratification: Stratification {
+                cuts: parts.cuts,
+                estimated_variance: parts.estimated_variance,
+            },
+            split,
+            design_notes: parts.design_notes,
+            prepare_evals: parts.prepare_evals,
+            n,
+            reuse,
+            profile: parts.profile,
+        })
+    }
+
     /// All exactly-known `(object id, label)` pairs (training sample ∪
-    /// design pilot) — preloaded for free on every resume, and the
-    /// payload a snapshot restore needs to avoid re-touching the
-    /// oracle.
+    /// design pilot) — preloaded for free on every resume.
     pub fn known_labels(&self) -> Vec<(usize, bool)> {
         let mut pairs = self.proxy.known_labels();
         for (&pos, &label) in self.pilot_positions.iter().zip(&self.pilot_labels) {
@@ -594,7 +751,7 @@ impl LssWarm {
     /// used as the result-cache model-version stamp.
     pub fn digest(&self) -> u64 {
         let mut bytes = Vec::with_capacity(16 * (self.pilot_positions.len() + 2));
-        bytes.extend_from_slice(&self.proxy.snapshot().digest().to_le_bytes());
+        bytes.extend_from_slice(&self.proxy.digest().to_le_bytes());
         for (&p, &l) in self.pilot_positions.iter().zip(&self.pilot_labels) {
             bytes.extend_from_slice(&(p as u64).to_le_bytes());
             bytes.push(u8::from(l));
@@ -725,6 +882,9 @@ impl WarmEstimator for Lss {
             let train_positions = ordered.positions_marked(&in_train);
             Ok((ordered, train_positions))
         })?;
+        // Scoring was the model's last use: it is dropped here, and the
+        // state keeps its record.
+        let proxy = proxy.into_snapshot();
         let n_rest = ordered.n();
         let n_drawable = n_rest - train_positions.len();
         if split.pilot + split.stage2 > n_drawable {
@@ -787,6 +947,7 @@ impl WarmEstimator for Lss {
             prepare_evals: run.labeler.unique_evals(),
             n: problem.n(),
             reuse,
+            profile: self.profile_digest(),
         })
     }
 
@@ -938,8 +1099,8 @@ mod tests {
                 &mut labeler,
             )
             .unwrap();
-            let rebuilt = proxy.snapshot().rebuild(&problem).unwrap();
             let original = proxy.model.score_batch(problem.features()).unwrap();
+            let rebuilt = proxy.into_snapshot().rebuild(&problem).unwrap();
             let restored = rebuilt.score_batch(problem.features()).unwrap();
             let same = original
                 .iter()

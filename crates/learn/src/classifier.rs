@@ -68,17 +68,6 @@ pub trait Classifier: Send + Sync {
 
     /// Short display name ("knn", "rf", "nn", "random", …).
     fn name(&self) -> &'static str;
-
-    /// Export the fitted parameters as a portable string
-    /// ([`crate::persist`] format), when the family supports
-    /// weight-level persistence and the model is fitted. The default is
-    /// `None`; restoring via [`crate::persist::import_params`] yields a
-    /// model that scores **bit-identically**. Families without direct
-    /// export (tree ensembles, kNN, MLP) persist as refit snapshots
-    /// instead — see `lts_core::warm::ModelSnapshot`.
-    fn export_params(&self) -> Option<String> {
-        None
-    }
 }
 
 /// Enum of the classifier families evaluated in the paper, used by the

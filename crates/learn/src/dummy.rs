@@ -27,13 +27,6 @@ impl RandomScores {
             fitted: false,
         }
     }
-
-    /// Rebuild a fitted instance from its persisted seed (the
-    /// [`crate::persist`] import path; scores are a pure function of
-    /// seed + features, so the seed is the whole state).
-    pub(crate) fn restore(seed: u64) -> Self {
-        Self { seed, fitted: true }
-    }
 }
 
 impl Classifier for RandomScores {
@@ -73,11 +66,6 @@ impl Classifier for RandomScores {
     fn name(&self) -> &'static str {
         "random"
     }
-
-    fn export_params(&self) -> Option<String> {
-        self.fitted
-            .then(|| format!("{} random seed={}", crate::persist::MAGIC, self.seed))
-    }
 }
 
 /// Classifier returning one constant score (edge-case testing: all
@@ -111,14 +99,6 @@ impl Classifier for ConstantScore {
 
     fn name(&self) -> &'static str {
         "constant"
-    }
-
-    fn export_params(&self) -> Option<String> {
-        Some(format!(
-            "{} const value={}",
-            crate::persist::MAGIC,
-            crate::persist::enc_f64(self.value)
-        ))
     }
 }
 

@@ -37,11 +37,6 @@ pub enum LearnError {
         /// Column of the offending value.
         col: usize,
     },
-    /// A model persistence (export/import) failure.
-    Persist {
-        /// Description of the violation.
-        message: String,
-    },
 }
 
 impl fmt::Display for LearnError {
@@ -60,9 +55,6 @@ impl fmt::Display for LearnError {
             }
             LearnError::NonFiniteFeature { row, col } => {
                 write!(f, "non-finite feature at row {row}, column {col}")
-            }
-            LearnError::Persist { message } => {
-                write!(f, "model persistence failure: {message}")
             }
         }
     }

@@ -41,7 +41,6 @@ pub mod matrix;
 pub mod metrics;
 pub mod mlp;
 pub mod nb;
-pub mod persist;
 pub mod scaler;
 pub mod tree;
 
@@ -58,6 +57,5 @@ pub use matrix::Matrix;
 pub use metrics::{accuracy, confusion, ConfusionMatrix};
 pub use mlp::Mlp;
 pub use nb::{GaussianNb, GaussianNbConfig};
-pub use persist::import_params;
 pub use scaler::StandardScaler;
 pub use tree::{DecisionTree, TreeConfig};

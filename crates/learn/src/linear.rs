@@ -55,18 +55,6 @@ impl Logistic {
     pub fn weights(&self) -> &[f64] {
         &self.weights
     }
-
-    /// Rebuild a fitted model from persisted parameters (the
-    /// [`crate::persist`] import path).
-    pub(crate) fn restore(weights: Vec<f64>, bias: f64, means: Vec<f64>, stds: Vec<f64>) -> Self {
-        Self {
-            config: LogisticConfig::default(),
-            scaler: Some(crate::scaler::StandardScaler::restore(means, stds)),
-            weights,
-            bias,
-            fitted: true,
-        }
-    }
 }
 
 #[inline]
@@ -110,22 +98,6 @@ impl Classifier for Logistic {
         self.scaler = Some(scaler);
         self.fitted = true;
         Ok(())
-    }
-
-    fn export_params(&self) -> Option<String> {
-        let scaler = self.scaler.as_ref()?;
-        if !self.fitted {
-            return None;
-        }
-        let (means, stds) = scaler.params();
-        Some(format!(
-            "{} logit bias={} weights={} means={} stds={}",
-            crate::persist::MAGIC,
-            crate::persist::enc_f64(self.bias),
-            crate::persist::enc_f64s(&self.weights),
-            crate::persist::enc_f64s(means),
-            crate::persist::enc_f64s(stds),
-        ))
     }
 
     fn score(&self, row: &[f64]) -> LearnResult<f64> {

@@ -72,42 +72,6 @@ impl GaussianNb {
     pub fn positive_means(&self) -> Option<&[f64]> {
         self.pos.as_ref().map(|s| s.means.as_slice())
     }
-
-    /// Rebuild a fitted model from persisted per-class moments (the
-    /// [`crate::persist`] import path). Each class is
-    /// `(log_prior, means, vars)` or `None` when absent from training.
-    pub(crate) fn restore(
-        dims: usize,
-        pos: Option<(f64, Vec<f64>, Vec<f64>)>,
-        neg: Option<(f64, Vec<f64>, Vec<f64>)>,
-    ) -> Self {
-        let stats = |c: Option<(f64, Vec<f64>, Vec<f64>)>| {
-            c.map(|(log_prior, means, vars)| ClassStats {
-                log_prior,
-                means,
-                vars,
-            })
-        };
-        Self {
-            config: GaussianNbConfig::default(),
-            pos: stats(pos),
-            neg: stats(neg),
-            dims,
-            fitted: true,
-        }
-    }
-
-    fn export_class(stats: &Option<ClassStats>) -> String {
-        match stats {
-            None => "none".to_string(),
-            Some(s) => format!(
-                "{};{};{}",
-                crate::persist::enc_f64(s.log_prior),
-                crate::persist::enc_f64s(&s.means),
-                crate::persist::enc_f64s(&s.vars),
-            ),
-        }
-    }
 }
 
 /// Mean and (population) variance per column over the selected rows.
@@ -177,19 +141,6 @@ impl Classifier for GaussianNb {
         self.neg = stats_for(&neg_idx);
         self.fitted = true;
         Ok(())
-    }
-
-    fn export_params(&self) -> Option<String> {
-        if !self.fitted {
-            return None;
-        }
-        Some(format!(
-            "{} gnb dims={} pos={} neg={}",
-            crate::persist::MAGIC,
-            self.dims,
-            Self::export_class(&self.pos),
-            Self::export_class(&self.neg),
-        ))
     }
 
     fn score(&self, row: &[f64]) -> LearnResult<f64> {

@@ -58,17 +58,6 @@ impl StandardScaler {
         self.means.len()
     }
 
-    /// The fitted per-column `(means, stds)` — the scaler's entire
-    /// state, for weight-level persistence.
-    pub(crate) fn params(&self) -> (&[f64], &[f64]) {
-        (&self.means, &self.stds)
-    }
-
-    /// Rebuild from persisted moments.
-    pub(crate) fn restore(means: Vec<f64>, stds: Vec<f64>) -> Self {
-        Self { means, stds }
-    }
-
     /// Standardize one row into a new vector.
     ///
     /// # Errors

@@ -31,7 +31,7 @@
 //! ```
 //!
 //! `explain` is resolve ∘ plan ∘ render, and `import_store` is resolve ∘
-//! (plan state) ∘ prepare with the exported labels known, over the same
+//! (plan state) ∘ decode (`WarmState::from_parts`), over the same
 //! functions.
 //!
 //! # Query planning
@@ -84,6 +84,7 @@ use crate::error::{ServeError, ServeResult};
 use crate::planner::{BudgetPlanner, SelectivityFeedback, Target};
 use crate::store::{ModelStore, StoredModel, WarmState};
 use lts_core::{features_from_columns, Lss};
+use lts_data::{neighbors::NeighborsConfig, sports::SportsConfig};
 use lts_learn::Matrix;
 use lts_obs::{Observability, Trace};
 use lts_table::{PartitionedTable, Table, TableRegistry};
@@ -438,30 +439,31 @@ impl Service {
                 spec.rows
             )));
         }
-        let level = match spec.level.as_str() {
-            "XS" => lts_data::SelectivityLevel::XS,
-            "S" => lts_data::SelectivityLevel::S,
-            "M" => lts_data::SelectivityLevel::M,
-            "L" => lts_data::SelectivityLevel::L,
-            "XL" => lts_data::SelectivityLevel::XL,
-            "XXL" => lts_data::SelectivityLevel::XXL,
-            other => return Err(invalid(format!("unknown selectivity level `{other}`"))),
-        };
+        // The level calibrates a scenario's query parameter, never its
+        // rows: it is checked and recorded, and only the table generated.
+        if !(lts_data::SelectivityLevel::ALL.iter()).any(|l| l.label() == spec.level) {
+            return Err(invalid(format!(
+                "unknown selectivity level `{}`",
+                spec.level
+            )));
+        }
+        let (rows, seed) = (spec.rows, spec.seed);
         let (table, cols) = match spec.kind.as_str() {
             "sports" => (
-                lts_data::sports_scenario(spec.rows, level, spec.seed)
-                    .map_err(|e| invalid(e.to_string()))?
-                    .table,
+                lts_data::sports::sports_table(&SportsConfig { rows, seed }),
                 ["strikeouts", "wins"],
             ),
             "neighbors" => (
-                lts_data::neighbors_scenario(spec.rows, level, spec.seed)
-                    .map_err(|e| invalid(e.to_string()))?
-                    .table,
+                lts_data::neighbors::neighbors_table(&NeighborsConfig {
+                    rows,
+                    seed,
+                    ..NeighborsConfig::default()
+                }),
                 ["src_rate", "dst_rate"],
             ),
             other => return Err(invalid(format!("unknown dataset kind `{other}`"))),
         };
+        let table = Arc::new(table.map_err(|e| invalid(e.to_string()))?);
         self.register_dataset(name, table, &cols)?;
         if let Some(ds) = self.datasets.get_mut(name) {
             ds.spec = Some(spec.clone());
@@ -511,13 +513,35 @@ impl Service {
     ///
     /// # Errors
     ///
-    /// Returns an error for an unknown dataset.
+    /// Returns an error for an unknown dataset, or one whose version
+    /// lineage is exhausted (`u64::MAX`).
     pub fn invalidate(&mut self, name: &str) -> ServeResult<()> {
+        let version = self
+            .dataset_version(name)
+            .ok_or_else(|| ServeError::UnknownDataset { name: name.into() })?;
+        let next = version.checked_add(1).ok_or_else(|| ServeError::Invalid {
+            message: format!("dataset `{name}` has exhausted its version lineage"),
+        })?;
+        self.advance_version(name, next)
+    }
+
+    /// Move a dataset's version stamp forward to `version` **in one
+    /// step** and drop every artifact derived from it — what a restore
+    /// does to re-create a recorded lineage, whatever its length. A
+    /// dataset already at or past `version` is left as it is.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error for an unknown dataset.
+    pub fn advance_version(&mut self, name: &str, version: u64) -> ServeResult<()> {
         let ds = self
             .datasets
             .get_mut(name)
             .ok_or_else(|| ServeError::UnknownDataset { name: name.into() })?;
-        ds.table.bump_version();
+        if ds.table.version() >= version {
+            return Ok(());
+        }
+        ds.table = ds.table.clone().with_version(version);
         self.catalog.invalidate_dataset(name);
         self.store.invalidate_dataset(name);
         self.cache.invalidate_dataset(name);
@@ -622,24 +646,26 @@ impl Service {
         ))
     }
 
-    /// Render the model store as a portable export (labels + seeds; see
-    /// [`ModelStore::export`]).
+    /// Render the model store as a portable export (every state as
+    /// plain data; see [`ModelStore::export`]).
     pub fn export_store(&self) -> String {
         self.store.export()
     }
 
-    /// Rebuild warm states from a store export: each entry re-runs
-    /// `prepare` with its original seed and its labels preloaded —
-    /// zero oracle evaluations, bit-identical states. A `+pf` entry is
-    /// re-decomposed and its restricted residual problem rebuilt (the
-    /// prefilter scan is deterministic, so the restored state sees the
-    /// same population it was prepared over). Entries for unknown
+    /// Rebuild warm states from a store export: each entry's problem is
+    /// resolved — a `+pf` entry is re-decomposed and its restricted
+    /// residual problem rebuilt by the zero-oracle prefilter scan, which
+    /// is deterministic, so the state meets the population it was
+    /// prepared over — and its state is **decoded and checked**
+    /// ([`WarmState::from_parts`]): nothing is fitted, scored, sorted or
+    /// designed, and the oracle is not called. Entries for unknown
     /// datasets or mismatched table versions are skipped. Returns the
     /// number of states restored.
     ///
     /// # Errors
     ///
-    /// Returns an error for a malformed export, a failed prepare, or a
+    /// Returns an error for a malformed export, a state that fails a
+    /// check against its problem or this service's LSS profile, or a
     /// `+pf` entry whose query does not decompose.
     pub fn import_store(&mut self, text: &str) -> ServeResult<usize> {
         let entries =
@@ -668,20 +694,18 @@ impl Service {
                 None
             };
             let (problem, key) = resolved.warm_identity(restricted.as_ref(), entry.budget);
-            let state = WarmState::prepare(
+            let state = WarmState::from_parts(
                 self.config.lss,
                 &problem,
                 entry.estimator.shards,
                 entry.budget,
-                entry.prepare_seed,
-                &entry.labels,
+                entry.states,
             )?;
             self.store.insert(
                 key,
                 StoredModel {
                     state,
                     table_version: entry.table_version,
-                    prepare_seed: entry.prepare_seed,
                     raw_condition: entry.condition,
                 },
             );
@@ -705,6 +729,49 @@ mod tests {
         let mut s = Service::new(ServiceConfig::default());
         assert!(s.register_dataset("s", sports(80), &[]).is_err());
         assert_eq!(s.dataset_len("s"), None, "nothing was registered");
+    }
+
+    #[test]
+    fn a_registered_table_is_the_scenarios_table_bit_for_bit() {
+        use lts_table::Column;
+        let level = lts_data::SelectivityLevel::S;
+        let mut s = Service::new(ServiceConfig::default());
+        for (kind, seed) in [
+            ("sports", 3),
+            ("sports", 11),
+            ("neighbors", 3),
+            ("neighbors", 11),
+        ] {
+            let spec = DatasetSpec {
+                kind: kind.into(),
+                rows: 120,
+                level: "S".into(),
+                seed,
+            };
+            s.register_generated("d", &spec).unwrap();
+            let want = match kind {
+                "sports" => lts_data::sports_scenario(120, level, seed),
+                _ => lts_data::neighbors_scenario(120, level, seed),
+            };
+            let (got, want) = (s.datasets["d"].table.table(), want.unwrap().table);
+            assert_eq!(got.schema(), want.schema(), "{kind} {seed}");
+            for c in 0..want.schema().len() {
+                match (got.column(c).unwrap(), want.column(c).unwrap()) {
+                    (Column::Float(a), Column::Float(b)) => {
+                        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(bits(a), bits(b), "{kind} {seed} column {c}");
+                    }
+                    (a, b) => assert_eq!(a, b, "{kind} {seed} column {c}"),
+                }
+            }
+            // The level never reaches the generator, but is still checked.
+            let unknown = DatasetSpec {
+                level: "XXS".into(),
+                ..spec
+            };
+            let err = s.register_generated("e", &unknown).unwrap_err().to_string();
+            assert!(err.contains("unknown selectivity level `XXS`"), "{err}");
+        }
     }
 
     #[test]

@@ -497,11 +497,10 @@ impl Service {
                     let prepare_seed =
                         mix_seed(service_seed, store_key_hash(key, adm.table_version));
                     let problem = &adm.planned.problem;
-                    WarmState::prepare(lss, problem, shards, key.budget, prepare_seed, &[]).map(
+                    WarmState::prepare(lss, problem, shards, key.budget, prepare_seed).map(
                         |state| StoredModel {
                             state,
                             table_version: adm.table_version,
-                            prepare_seed,
                             raw_condition: adm.raw.clone(),
                         },
                     )

@@ -1,20 +1,21 @@
 //! Durable warm state: snapshot the service's reusable assets to disk
-//! and replay them at startup, so a restarted `lts-served` is warm from
+//! and decode them at startup, so a restarted `lts-served` is warm from
 //! its first request.
 //!
 //! # What is persisted
 //!
-//! The snapshot carries **recipes, not rows or weights** — everything
-//! in it replays bit-identically because the service is deterministic:
+//! **Recipes for rows, data for states, weights nowhere:**
 //!
 //! * **dataset lines** — the generator recipe ([`DatasetSpec`]) and the
 //!   table version of every re-generatable dataset. Restore re-runs the
-//!   generator (same rows/level/seed ⇒ same bytes) and bumps the
-//!   version back to the recorded lineage.
-//! * **store lines** — the model store's portable export (labels +
-//!   seeds; see [`crate::store::ModelStore::export`]). Restore replays
-//!   `prepare_with_known`: zero oracle evaluations, bit-identical warm
-//!   states.
+//!   generator (same rows/seed ⇒ same bytes) and sets the version to
+//!   the recorded lineage in one step.
+//! * **store lines** — the model store's portable export (see
+//!   [`crate::store`]): per warm state, the ordering, the labelled
+//!   pilot, the cuts and the training labels a resume reads. Restore
+//!   resolves each entry's problem and **decodes** — no fit, no scoring
+//!   pass, no sort, no design run, zero oracle evaluations — and checks
+//!   what it decoded against the problem (`LssWarm::from_parts`).
 //! * **cache lines** — finished estimates with every `f64` spelled as
 //!   its IEEE-754 bit pattern in hex, so a restored cached response is
 //!   byte-identical to the one served before the restart.
@@ -25,8 +26,11 @@
 //!   renamed over `state.lts`; a crash mid-save leaves the previous
 //!   snapshot (or nothing) — never a half file under the final name.
 //! * **Verified load**: the file ends in a `checksum` trailer (FNV-1a
-//!   over everything before it). A torn tail, flipped byte, or
-//!   version-mismatched header yields a structured [`StateError`]; the
+//!   over everything before it — a torn-write detector, not a MAC). A
+//!   torn tail, flipped byte, or version-mismatched header (a
+//!   `lts-state/v1` file of an earlier build included) yields a
+//!   structured [`StateError`], and so does a well-sealed file whose
+//!   numbers do not describe a state of the problem they name; the
 //!   caller ([`crate::net`]'s dispatcher) logs it and starts cold —
 //!   never a panic, never silently wrong counts.
 //! * **Missing file is not an error**: first boot returns `Ok(None)`.
@@ -43,7 +47,7 @@ use std::path::{Path, PathBuf};
 
 /// Snapshot file name inside the `--state-dir` directory.
 pub const STATE_FILE: &str = "state.lts";
-const HEADER: &str = "lts-state/v1";
+const HEADER: &str = "lts-state/v2";
 
 /// Errors loading or saving a state snapshot.
 #[derive(Debug)]
@@ -68,7 +72,7 @@ pub enum StateError {
         /// Description of the first malformed element.
         message: String,
     },
-    /// The snapshot parsed but replaying it against the service failed.
+    /// The snapshot parsed but the service refused what it describes.
     Restore {
         /// The underlying service error.
         message: String,
@@ -104,7 +108,7 @@ impl std::error::Error for StateError {}
 pub struct RestoreSummary {
     /// Datasets re-generated.
     pub datasets: usize,
-    /// Warm model states rebuilt (zero oracle evaluations).
+    /// Warm model states decoded (zero oracle evaluations).
     pub models: usize,
     /// Cached results re-inserted.
     pub cached: usize,
@@ -269,7 +273,9 @@ fn parse_snapshot(text: &str) -> Result<Parsed, StateError> {
                         level: dec_text(f[3]).ok_or_else(|| bad("bad level encoding"))?,
                         seed: f[4].parse().map_err(|_| bad("bad seed"))?,
                     },
-                    version: f[5].parse().map_err(|_| bad("bad version"))?,
+                    // `u64::MAX` has no successor for the next invalidation.
+                    version: (f[5].parse().ok().filter(|&v| v != u64::MAX))
+                        .ok_or_else(|| bad("bad version"))?,
                 });
             }
             "store" => {
@@ -307,8 +313,8 @@ fn parse_snapshot(text: &str) -> Result<Parsed, StateError> {
 }
 
 /// Load the snapshot under `dir` into `service`: re-generate datasets
-/// (restoring their version lineage), replay the model store with the
-/// persisted labels (zero oracle evaluations), and re-insert cached
+/// (restoring their version lineage), decode the model store (zero
+/// oracle evaluations, nothing re-trained), and re-insert cached
 /// results bit-exactly. `Ok(None)` when no snapshot exists (first
 /// boot).
 ///
@@ -321,7 +327,7 @@ fn parse_snapshot(text: &str) -> Result<Parsed, StateError> {
 /// [`StateError::Io`] on read failure, [`StateError::BadVersion`] /
 /// [`StateError::ChecksumMismatch`] / [`StateError::Corrupt`] for a
 /// version-mismatched, torn, or malformed snapshot, and
-/// [`StateError::Restore`] when replay against the service fails.
+/// [`StateError::Restore`] when the service refuses what was decoded.
 pub fn load(service: &mut Service, dir: &Path) -> Result<Option<RestoreSummary>, StateError> {
     let path = dir.join(STATE_FILE);
     let bytes = match fs::read(&path) {
@@ -341,9 +347,9 @@ pub fn load(service: &mut Service, dir: &Path) -> Result<Option<RestoreSummary>,
         service
             .register_generated(&d.name, &d.spec)
             .map_err(restore_err)?;
-        while service.dataset_version(&d.name).unwrap_or(0) < d.version {
-            service.invalidate(&d.name).map_err(restore_err)?;
-        }
+        service
+            .advance_version(&d.name, d.version)
+            .map_err(restore_err)?;
     }
     let models = if parsed.store_text.is_empty() {
         0
@@ -382,7 +388,7 @@ mod tests {
     fn empty_service_snapshot_parses() {
         let svc = Service::new(crate::service::ServiceConfig::default());
         let body = render_snapshot(&svc);
-        assert!(body.starts_with("lts-state/v1\n"));
+        assert!(body.starts_with("lts-state/v2\n"));
         let text = format!("{body}checksum\t{:016x}\n", fnv1a(body.as_bytes()));
         let parsed = parse_snapshot(&text).unwrap();
         assert!(parsed.datasets.is_empty());
@@ -393,12 +399,12 @@ mod tests {
     fn structural_corruption_is_structured() {
         // No trailing newline.
         assert!(matches!(
-            parse_snapshot("lts-state/v1"),
+            parse_snapshot("lts-state/v2"),
             Err(StateError::Corrupt { .. })
         ));
         // Missing checksum trailer.
         assert!(matches!(
-            parse_snapshot("lts-state/v1\ndataset\tx\n"),
+            parse_snapshot("lts-state/v2\ndataset\tx\n"),
             Err(StateError::Corrupt { .. })
         ));
         // Version-mismatched header (checksum valid for the body).
@@ -409,9 +415,9 @@ mod tests {
             Err(StateError::BadVersion { found }) if found == "lts-state/v9"
         ));
         // Flipped byte under a stale checksum.
-        let body = "lts-state/v1\n";
+        let body = "lts-state/v2\n";
         let mut text = format!("{body}checksum\t{:016x}\n", fnv1a(body.as_bytes()));
-        text = text.replacen("v1", "v2", 1);
+        text = text.replacen("v2", "v3", 1);
         assert!(matches!(
             parse_snapshot(&text),
             Err(StateError::ChecksumMismatch)
@@ -423,7 +429,7 @@ mod tests {
         // `lws`: no served route since the service prepares LSS only.
         for route in ["bogus", "lws"] {
             let body = format!(
-                "lts-state/v1\ncache\td\tq\t10\t0\t{z}\t{z}\t{z}\t{z}\t{z}\t5\t0\t{route}\n",
+                "lts-state/v2\ncache\td\tq\t10\t0\t{z}\t{z}\t{z}\t{z}\t{z}\t5\t0\t{route}\n",
                 z = f64_hex(0.0)
             );
             let text = format!("{body}checksum\t{:016x}\n", fnv1a(body.as_bytes()));

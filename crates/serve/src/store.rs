@@ -2,20 +2,26 @@
 //!
 //! A **cold** request pays for the reusable assets — proxy training,
 //! population scoring/ordering, pilot labeling, stratification design
-//! (`lts_core::warm`). The store keeps those assets; every later
-//! request for the same canonical query **warm-starts**: it resumes the
-//! stored state with a fresh per-request seed and spends only the
-//! stage-2 share of the budget. Entries record the table version they
-//! were prepared against and are dropped when it bumps.
+//! (`lts_core::warm`). The store keeps what a resume reads of them — the
+//! ordering, the labelled pilot, the cuts, the training labels; never
+//! the classifier — and every later request for the same canonical query
+//! **warm-starts**: it resumes the stored state with a fresh per-request
+//! seed and spends only the stage-2 share of the budget. Entries record
+//! the table version they were prepared against and are dropped when it
+//! bumps.
 //!
-//! Persistence: a warm state is a deterministic function of
-//! `(estimator profile, prepare seed, known labels)` — every `fit` and
-//! every design pass replays bit-identically from the same seed once
-//! the labels are free. The export format therefore carries *labels
-//! and seeds, not weights*: restoring re-runs `prepare` with the labels
-//! preloaded, which touches the oracle zero times and reproduces the
-//! exact state. (Weight-level classifier persistence exists separately
-//! in `lts_learn::persist` for the families with flat parameter sets.)
+//! Persistence: a warm state is plain data, so the export writes it
+//! down — **data for states, weights nowhere**. One `entry` line names
+//! the query (dataset, budget, table version, estimator tag, raw
+//! condition); one `state` line per shard (one in all when unsharded)
+//! carries an [`LssParts`]: profile digest, effective model seed,
+//! prepare evals, the design objective's bits, training ids + labels,
+//! the ordering, pilot positions + labels, cuts, design notes. The
+//! budget split, the pilot source, `N` and the classifier spec are
+//! re-derived from the service's profile, the entry's budget and the
+//! resolved problem; importing decodes and **checks**
+//! (`LssWarm::from_parts`) — no fit, no scoring pass, no sort, no
+//! design run, no oracle call.
 //!
 //! The service prepares LSS only, unsharded or sharded, so a
 //! [`WarmState`] has those two shapes; how a state was laid out travels
@@ -23,7 +29,8 @@
 //! `lss@4+pf`), whose grammar lives here and nowhere else.
 
 use lts_core::{
-    CoreResult, CountingProblem, EstimateReport, Lss, LssWarm, ShardPlan, Shardable, Sharded,
+    CoreError, CoreResult, CountingProblem, EstimateReport, Lss, LssParts, LssWarm, ShardPlan,
+    Shardable, Sharded,
 };
 use std::collections::HashMap;
 use std::fmt::{self, Write as _};
@@ -66,9 +73,7 @@ pub enum WarmState {
 impl WarmState {
     /// Prepare a state over `problem`: per shard of a
     /// [`ShardPlan::uniform`] layout when `shards` is given, over the
-    /// whole population otherwise. `known` preloads labels — a restore
-    /// passes the exported ones and touches the oracle zero times; a
-    /// live prepare passes none.
+    /// whole population otherwise.
     ///
     /// # Errors
     ///
@@ -80,15 +85,52 @@ impl WarmState {
         shards: Option<NonZeroUsize>,
         budget: usize,
         seed: u64,
-        known: &[(usize, bool)],
     ) -> CoreResult<Self> {
         Ok(match shards {
-            None => WarmState::Lss(lss.prepare_with_known(problem, budget, seed, known)?),
+            None => WarmState::Lss(lss.prepare(problem, budget, seed)?),
             Some(k) => {
                 let plan = ShardPlan::uniform(problem.n(), k.get())?;
-                WarmState::LssSharded(
-                    lss.prepare_sharded_with_known(problem, &plan, budget, seed, known)?,
-                )
+                WarmState::LssSharded(lss.prepare_sharded(problem, &plan, budget, seed)?)
+            }
+        })
+    }
+
+    /// The state as plain data: one [`LssParts`] per shard, one in all
+    /// when unsharded.
+    pub fn to_parts(&self) -> Vec<LssParts> {
+        match self {
+            WarmState::Lss(w) => vec![w.to_parts()],
+            WarmState::LssSharded(w) => w.to_parts(),
+        }
+    }
+
+    /// Rebuild the state [`WarmState::prepare`] produced under the same
+    /// `lss`, `shards` and `budget` over `problem` from its plain data
+    /// — decoded and checked, nothing recomputed.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when the parts fail a check of
+    /// `LssWarm::from_parts` / `Sharded::from_parts`, or there is not
+    /// exactly one per shard.
+    pub fn from_parts(
+        lss: Lss,
+        problem: &CountingProblem,
+        shards: Option<NonZeroUsize>,
+        budget: usize,
+        parts: Vec<LssParts>,
+    ) -> CoreResult<Self> {
+        Ok(match shards {
+            None => {
+                let [only] = <[LssParts; 1]>::try_from(parts).map_err(|parts| {
+                    let message = format!("{} states for an unsharded entry", parts.len());
+                    CoreError::InvalidState { message }
+                })?;
+                WarmState::Lss(LssWarm::from_parts(only, budget, problem, &lss)?)
+            }
+            Some(k) => {
+                let plan = ShardPlan::uniform(problem.n(), k.get())?;
+                WarmState::LssSharded(Sharded::from_parts(parts, &plan, budget, problem, &lss)?)
             }
         })
     }
@@ -127,16 +169,6 @@ impl WarmState {
         match self {
             WarmState::Lss(w) => w.prepare_evals,
             WarmState::LssSharded(w) => w.prepare_evals,
-        }
-    }
-
-    /// All exactly-known `(object id, label)` pairs — the persistence
-    /// payload. Sharded states report **global** object ids, so export
-    /// and restore are shard-layout-transparent.
-    pub fn known_labels(&self) -> Vec<(usize, bool)> {
-        match self {
-            WarmState::Lss(w) => w.known_labels(),
-            WarmState::LssSharded(w) => w.known_labels(),
         }
     }
 
@@ -204,8 +236,6 @@ pub struct StoredModel {
     pub state: WarmState,
     /// Table version it was prepared against.
     pub table_version: u64,
-    /// The seed `prepare` ran under (restoring replays it).
-    pub prepare_seed: u64,
     /// The raw condition text that first created the entry (restores
     /// re-parse this; the canonical string is not a parser input).
     pub raw_condition: String,
@@ -247,8 +277,8 @@ pub(crate) fn dec_text(s: &str) -> Option<String> {
     Some(out)
 }
 
-/// One line of the portable store export, parsed.
-#[derive(Debug, Clone, PartialEq)]
+/// One entry of the portable store export, parsed.
+#[derive(Debug, Clone)]
 pub struct StoreExportEntry {
     /// Dataset name.
     pub dataset: String,
@@ -256,14 +286,46 @@ pub struct StoreExportEntry {
     pub condition: String,
     /// Budget the state was prepared under.
     pub budget: usize,
-    /// Prepare seed to replay.
-    pub prepare_seed: u64,
     /// Table version the state was prepared against.
     pub table_version: u64,
     /// How the state was laid out.
     pub estimator: EstimatorTag,
-    /// The known `(object id, label)` pairs.
-    pub labels: Vec<(usize, bool)>,
+    /// The state's plain data, one per `state` line.
+    pub states: Vec<LssParts>,
+}
+
+/// `3,1,4` — the id lists of a `state` line.
+fn enc_ids(ids: &[usize]) -> String {
+    let mut out = String::with_capacity(6 * ids.len());
+    for (i, id) in ids.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(out, "{id}");
+    }
+    out
+}
+
+fn dec_ids(s: &str) -> Option<Vec<usize>> {
+    if s.is_empty() {
+        return Some(Vec::new());
+    }
+    s.split(',').map(|id| id.parse().ok()).collect()
+}
+
+/// `0110` — the label lists of a `state` line.
+fn enc_labels(labels: &[bool]) -> String {
+    labels.iter().map(|&l| if l { '1' } else { '0' }).collect()
+}
+
+fn dec_labels(s: &str) -> Option<Vec<bool>> {
+    s.chars()
+        .map(|c| match c {
+            '0' => Some(false),
+            '1' => Some(true),
+            _ => None,
+        })
+        .collect()
 }
 
 impl ModelStore {
@@ -322,46 +384,58 @@ impl ModelStore {
         before - self.entries.len()
     }
 
-    /// Render the portable export: one `entry` line per state —
-    /// dataset, budget, seeds, versions, estimator tag, raw condition,
-    /// and the known labels. Lines are sorted for stable diffs.
+    /// Render the portable export (format in the module doc): per
+    /// state one `entry` line followed by its `state` lines, entries
+    /// sorted for stable diffs.
     pub fn export(&self) -> String {
-        let mut lines: Vec<String> = self
+        let mut blocks: Vec<String> = self
             .entries
             .iter()
             .map(|(k, e)| {
-                let mut labels = String::new();
-                for (i, (id, l)) in e.state.known_labels().iter().enumerate() {
-                    if i > 0 {
-                        labels.push(',');
-                    }
-                    let _ = write!(labels, "{id}:{}", u8::from(*l));
-                }
                 let tag = EstimatorTag {
                     shards: e.state.shards(),
                     prefiltered: !k.scope.is_empty(),
                 };
-                format!(
-                    "entry\t{}\t{}\t{}\t{}\t{tag}\t{}\t{labels}",
+                let mut block = format!(
+                    "entry\t{}\t{}\t{}\t{tag}\t{}\n",
                     enc_text(&k.dataset),
                     k.budget,
-                    e.prepare_seed,
                     e.table_version,
                     enc_text(&e.raw_condition),
-                )
+                );
+                for p in e.state.to_parts() {
+                    let _ = write!(
+                        block,
+                        "state\t{:016x}\t{}\t{}\t{:016x}\t{}\t{}\t{}\t{}\t{}\t{}",
+                        p.profile,
+                        p.model_seed,
+                        p.prepare_evals,
+                        p.estimated_variance.to_bits(),
+                        enc_ids(&p.labeled),
+                        enc_labels(&p.labels),
+                        enc_ids(&p.order),
+                        enc_ids(&p.pilot_positions),
+                        enc_labels(&p.pilot_labels),
+                        enc_ids(&p.cuts),
+                    );
+                    for note in &p.design_notes {
+                        block.push('\t');
+                        block.push_str(&enc_text(note));
+                    }
+                    block.push('\n');
+                }
+                block
             })
             .collect();
-        lines.sort();
-        let mut out = String::from("lts-store/v1\n");
-        for l in lines {
-            out.push_str(&l);
-            out.push('\n');
-        }
+        blocks.sort();
+        let mut out = String::from("lts-store/v2\n");
+        out.extend(blocks);
         out
     }
 
-    /// Parse a store export into its entries (the service replays each
-    /// through `prepare_with_known` to rebuild live states).
+    /// Parse a store export into its entries. Only the line grammar is
+    /// checked here; what the numbers must satisfy is checked where a
+    /// state is rebuilt from them ([`WarmState::from_parts`]).
     ///
     /// # Errors
     ///
@@ -369,40 +443,51 @@ impl ModelStore {
     pub fn parse_export(text: &str) -> Result<Vec<StoreExportEntry>, String> {
         let mut lines = text.lines();
         match lines.next() {
-            Some("lts-store/v1") => {}
-            other => return Err(format!("expected lts-store/v1 header, found {other:?}")),
+            Some("lts-store/v2") => {}
+            other => return Err(format!("expected lts-store/v2 header, found {other:?}")),
         }
-        let mut out = Vec::new();
+        let mut out: Vec<StoreExportEntry> = Vec::new();
         for (no, line) in lines.enumerate() {
             if line.trim().is_empty() {
                 continue;
             }
-            let fields: Vec<&str> = line.split('\t').collect();
+            let f: Vec<&str> = line.split('\t').collect();
             let bad = |what: &str| format!("line {}: {what}", no + 2);
-            if fields.len() != 8 || fields[0] != "entry" {
-                return Err(bad("expected 8 tab-separated fields starting with `entry`"));
+            match f[0] {
+                "entry" if f.len() == 6 => out.push(StoreExportEntry {
+                    dataset: dec_text(f[1]).ok_or_else(|| bad("bad dataset encoding"))?,
+                    budget: f[2].parse().map_err(|_| bad("bad budget"))?,
+                    table_version: f[3].parse().map_err(|_| bad("bad version"))?,
+                    estimator: f[4].parse().map_err(|e: String| bad(&e))?,
+                    condition: dec_text(f[5]).ok_or_else(|| bad("bad condition encoding"))?,
+                    states: Vec::new(),
+                }),
+                "state" if f.len() >= 11 => {
+                    let entry = out
+                        .last_mut()
+                        .ok_or_else(|| bad("state before any entry"))?;
+                    let hex =
+                        |s: &str, what: &str| u64::from_str_radix(s, 16).map_err(|_| bad(what));
+                    let ids = |s: &str, what: &str| dec_ids(s).ok_or_else(|| bad(what));
+                    let labels = |s: &str, what: &str| dec_labels(s).ok_or_else(|| bad(what));
+                    entry.states.push(LssParts {
+                        profile: hex(f[1], "bad profile digest")?,
+                        model_seed: f[2].parse().map_err(|_| bad("bad model seed"))?,
+                        prepare_evals: f[3].parse().map_err(|_| bad("bad prepare evals"))?,
+                        estimated_variance: f64::from_bits(hex(f[4], "bad variance bits")?),
+                        labeled: ids(f[5], "bad training ids")?,
+                        labels: labels(f[6], "bad training labels")?,
+                        order: ids(f[7], "bad ordering")?,
+                        pilot_positions: ids(f[8], "bad pilot positions")?,
+                        pilot_labels: labels(f[9], "bad pilot labels")?,
+                        cuts: ids(f[10], "bad cuts")?,
+                        design_notes: (f[11..].iter())
+                            .map(|n| dec_text(n).ok_or_else(|| bad("bad note encoding")))
+                            .collect::<Result<_, _>>()?,
+                    });
+                }
+                _ => return Err(bad("expected an `entry` of 6 fields or a `state` of ≥ 11")),
             }
-            let labels = if fields[7].is_empty() {
-                Vec::new()
-            } else {
-                fields[7]
-                    .split(',')
-                    .map(|kv| {
-                        let (id, l) = kv.split_once(':')?;
-                        Some((id.parse().ok()?, l == "1"))
-                    })
-                    .collect::<Option<Vec<(usize, bool)>>>()
-                    .ok_or_else(|| bad("malformed label pair"))?
-            };
-            out.push(StoreExportEntry {
-                dataset: dec_text(fields[1]).ok_or_else(|| bad("bad dataset encoding"))?,
-                budget: fields[2].parse().map_err(|_| bad("bad budget"))?,
-                prepare_seed: fields[3].parse().map_err(|_| bad("bad seed"))?,
-                table_version: fields[4].parse().map_err(|_| bad("bad version"))?,
-                estimator: fields[5].parse().map_err(|e: String| bad(&e))?,
-                condition: dec_text(fields[6]).ok_or_else(|| bad("bad condition encoding"))?,
-                labels,
-            });
         }
         Ok(out)
     }
@@ -424,25 +509,54 @@ mod tests {
     fn export_header_and_parse_errors() {
         let store = ModelStore::new();
         let text = store.export();
-        assert!(text.starts_with("lts-store/v1\n"));
+        assert!(text.starts_with("lts-store/v2\n"));
         assert!(ModelStore::parse_export(&text).unwrap().is_empty());
         assert!(ModelStore::parse_export("garbage").is_err());
-        assert!(ModelStore::parse_export("lts-store/v1\nentry\tonly-two").is_err());
-        assert!(ModelStore::parse_export("lts-store/v1\nentry\td\t1\t2\t3\tlss\tc\tx:y").is_err());
+        // The previous format is not read.
+        assert!(ModelStore::parse_export("lts-store/v1\n").is_err());
+        assert!(ModelStore::parse_export("lts-store/v2\nentry\tonly-two").is_err());
+        let state = "state\t0\t1\t2\t0\t3\t1\t4,5\t0\t1\t1";
+        let orphan = format!("lts-store/v2\n{state}");
+        assert!(ModelStore::parse_export(&orphan)
+            .unwrap_err()
+            .contains("before any entry"));
+        let entry = "lts-store/v2\nentry\td\t1\t3\tlss\tc\n";
+        assert!(ModelStore::parse_export(&format!("{entry}{state}")).is_ok());
+        for (good, broken) in [
+            ("4,5", "4,x"),
+            ("\t1\t4", "\t2\t4"),
+            ("state\t0", "state\tg"),
+        ] {
+            let text = format!("{entry}{}", state.replacen(good, broken, 1));
+            assert!(ModelStore::parse_export(&text).is_err(), "{broken}");
+        }
     }
 
     #[test]
     fn parse_export_reads_labels() {
-        let text = "lts-store/v1\nentry\tds\t200\t7\t0\tlss\t(x%20%3c%201)\t3:1,9:0\n";
+        let text = "lts-store/v2\nentry\tds\t200\t0\tlss@2+pf\t(x%20%3c%201)\n\
+                    state\t00000000000000ff\t7\t12\t7ff8000000000000\t3,9\t10\t9,3,4\t0,2\t01\t1\tsome%09note\n\
+                    state\t00000000000000ff\t8\t0\t0000000000000000\t\t\t\t\t\t\n";
         // %20/%3c decode as space and '<'.
         let entries = ModelStore::parse_export(text).unwrap();
         assert_eq!(entries.len(), 1);
         let e = &entries[0];
-        assert_eq!(e.dataset, "ds");
-        assert_eq!(e.budget, 200);
-        assert_eq!(e.prepare_seed, 7);
-        assert_eq!(e.estimator.to_string(), "lss");
+        assert_eq!(
+            (e.dataset.as_str(), e.budget, e.table_version),
+            ("ds", 200, 0)
+        );
+        assert_eq!(e.estimator.to_string(), "lss@2+pf");
         assert_eq!(e.condition, "(x < 1)");
-        assert_eq!(e.labels, vec![(3, true), (9, false)]);
+        let p = &e.states[0];
+        assert_eq!((p.profile, p.model_seed, p.prepare_evals), (0xff, 7, 12));
+        assert!(p.estimated_variance.is_nan());
+        assert_eq!((&p.labeled, &p.labels), (&vec![3, 9], &vec![true, false]));
+        assert_eq!((&p.order, &p.cuts), (&vec![9, 3, 4], &vec![1]));
+        assert_eq!(
+            (&p.pilot_positions, &p.pilot_labels),
+            (&vec![0, 2], &vec![false, true])
+        );
+        assert_eq!(p.design_notes, vec!["some\tnote".to_string()]);
+        assert!(e.states[1].order.is_empty() && e.states[1].design_notes.is_empty());
     }
 }

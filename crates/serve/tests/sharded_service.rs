@@ -162,7 +162,7 @@ fn malformed_shard_tags_are_rejected_on_import() {
     let mut s = sharded_service(1_000, 2);
     // `lws` tags parse nowhere: the service prepares LSS only.
     for tag in ["lss@0", "lss@x", "nope@4", "lss+pf@4", "lws", "lws@4"] {
-        let text = format!("lts-store/v1\nentry\td\t200\t7\t0\t{tag}\tx %3c 100\t\n");
+        let text = format!("lts-store/v2\nentry\td\t200\t0\t{tag}\tx %3c 100\n");
         let err = s.import_store(&text).expect_err(tag).to_string();
         assert!(err.contains("unknown estimator tag"), "tag `{tag}`: {err}");
     }

@@ -1,12 +1,16 @@
-//! Durable warm state: restore = bit-identical replay.
+//! Durable warm state: a restored service is indistinguishable from
+//! the one that saved.
 //!
 //! * A snapshot saved by one service and loaded into a fresh one must
 //!   answer the first repeat request from the restored result cache —
 //!   **zero oracle evaluations, byte-identical response** — and replay
-//!   `fresh` requests bit-identically from the restored model store.
-//! * A version-mismatched, torn, or corrupted snapshot yields a
-//!   structured error and a clean cold start — never a panic, never a
-//!   silently different count.
+//!   `fresh` requests bit-identically from the decoded model store, for
+//!   monolithic, `+pf` and 4-shard states.
+//! * A version-mismatched, torn, or corrupted snapshot — or a
+//!   well-sealed one whose numbers do not describe a warm state of the
+//!   problem they name — yields a structured error and a clean cold
+//!   start — never a panic, never a silently different count.
+//! * A dataset's version lineage is restored in one step, however long.
 //! * The TCP server (`--state-dir`) round-trips the same contract
 //!   across a real restart.
 
@@ -36,6 +40,64 @@ fn spec() -> DatasetSpec {
         rows: 600,
         level: "M".to_string(),
         seed: 3,
+    }
+}
+
+fn sharded(shards: usize) -> Service {
+    Service::new(ServiceConfig {
+        shards,
+        ..ServiceConfig::default()
+    })
+}
+
+/// `snapshot` with its checksum trailer recomputed: what any writer —
+/// not only this crate — can produce.
+fn resealed(snapshot: &str) -> String {
+    let body: String = (snapshot.lines())
+        .filter(|l| !l.starts_with("checksum\t"))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    format!(
+        "{body}checksum\t{:016x}\n",
+        lts_core::fnv1a(body.as_bytes())
+    )
+}
+
+/// `snapshot` with the tab-separated fields of its first `store state`
+/// line edited, resealed.
+fn with_state_fields(snapshot: &str, edit: impl Fn(&mut Vec<String>)) -> String {
+    let mut done = false;
+    let lines: Vec<String> = (snapshot.lines())
+        .map(|line| {
+            if done || !line.starts_with("store\tstate\t") {
+                return line.to_string();
+            }
+            done = true;
+            let mut fields: Vec<String> = line.split('\t').map(str::to_string).collect();
+            edit(&mut fields);
+            fields.join("\t")
+        })
+        .collect();
+    assert!(done, "the snapshot holds a warm state");
+    resealed(&lines.join("\n"))
+}
+
+/// The comma-separated id list of one `state` field, and back.
+fn ids(field: &str) -> Vec<usize> {
+    field.split(',').map(|i| i.parse().unwrap()).collect()
+}
+
+fn list(ids: Vec<usize>) -> String {
+    let strings: Vec<String> = ids.iter().map(usize::to_string).collect();
+    strings.join(",")
+}
+
+/// The edit setting entry `i` of id-list field `at` to `to`.
+fn set(at: usize, i: usize, to: usize) -> impl Fn(&mut Vec<String>) {
+    move |f| {
+        let mut v = ids(&f[at]);
+        v[i] = to;
+        f[at] = list(v);
     }
 }
 
@@ -72,12 +134,19 @@ fn assert_bits_equal(a: &Response, b: &Response, what: &str) {
 
 #[test]
 fn snapshot_roundtrip_replays_bit_identically() {
-    let dir = temp_dir("roundtrip");
+    for shards in [1, 4] {
+        roundtrip(shards);
+    }
+}
+
+fn roundtrip(shards: usize) {
+    let dir = temp_dir(&format!("roundtrip{shards}"));
 
     // Service A: cold-start two queries (one of which decomposes into
     // prefilter + residual, exercising the `+pf` store lineage), cache
-    // their results, and take one `fresh` warm replay as a reference.
-    let mut a = Service::new(ServiceConfig::default());
+    // their results, and take one `fresh` warm replay of each as a
+    // reference.
+    let mut a = sharded(shards);
     a.register_generated("s", &spec()).unwrap();
     let a_cold_plain = count(&mut a, 0, PLAIN, false);
     assert_eq!(a_cold_plain.served, "cold");
@@ -86,11 +155,13 @@ fn snapshot_roundtrip_replays_bit_identically() {
     assert_eq!(a_cached_plain.served, "cached");
     let a_fresh = count(&mut a, 42, PLAIN, true);
     assert_eq!(a_fresh.served, "warm");
+    let a_fresh_decomp = count(&mut a, 43, DECOMPOSED, true);
+    assert_eq!(a_fresh_decomp.served, "warm");
     let saved_to = state::save(&a, &dir).unwrap();
     assert!(saved_to.ends_with(lts_serve::STATE_FILE));
 
     // Service B: load the snapshot and serve.
-    let mut b = Service::new(ServiceConfig::default());
+    let mut b = sharded(shards);
     let summary = state::load(&mut b, &dir)
         .unwrap()
         .expect("snapshot present");
@@ -112,12 +183,17 @@ fn snapshot_roundtrip_replays_bit_identically() {
     assert_eq!(b_decomp.evals, 0);
     assert_bits_equal(&b_decomp, &a_cold_decomp, "restored cached (decomposed)");
 
-    // `fresh` replay: the restored model store reproduces the exact
+    // `fresh` replay: the decoded model store reproduces the exact
     // warm estimate (same per-id seed stream, same state digest).
     let b_fresh = count(&mut b, 42, PLAIN, true);
     assert_eq!(b_fresh.served, "warm");
     assert_eq!(b_fresh.evals, a_fresh.evals, "stage-2-only budget");
     assert_bits_equal(&b_fresh, &a_fresh, "fresh warm replay");
+    let b_fresh_decomp = count(&mut b, 43, DECOMPOSED, true);
+    assert_eq!(b_fresh_decomp.served, "warm");
+    assert_eq!(b_fresh_decomp.evals, a_fresh_decomp.evals);
+    assert_bits_equal(&b_fresh_decomp, &a_fresh_decomp, "fresh warm replay (+pf)");
+    assert_eq!(b.stats().oracle_evals_cold, 0, "nothing was re-prepared");
 
     let _ = fs::remove_dir_all(&dir);
 }
@@ -144,23 +220,17 @@ fn corrupt_snapshots_error_structurally_and_cold_start_cleanly() {
     let path = dir.join(lts_serve::STATE_FILE);
     let good = fs::read_to_string(&path).unwrap();
 
-    // (a) Version-mismatched snapshot: future header, valid checksum.
-    let body = good
-        .replacen("lts-state/v1", "lts-state/v2", 1)
-        .lines()
-        .filter(|l| !l.starts_with("checksum\t"))
-        .map(|l| format!("{l}\n"))
-        .collect::<String>();
-    let reseal = format!(
-        "{body}checksum\t{:016x}\n",
-        lts_core::fnv1a(body.as_bytes())
-    );
-    fs::write(&path, reseal).unwrap();
-    let mut svc = Service::new(ServiceConfig::default());
-    assert!(matches!(
-        state::load(&mut svc, &dir),
-        Err(StateError::BadVersion { found }) if found == "lts-state/v2"
-    ));
+    // (a) Version-mismatched snapshot, valid checksum: the previous
+    // format (there is no `v1` reader — it cold-starts once) and a
+    // future one.
+    for header in ["lts-state/v1", "lts-state/v3"] {
+        fs::write(&path, resealed(&good.replacen("lts-state/v2", header, 1))).unwrap();
+        let mut svc = Service::new(ServiceConfig::default());
+        assert!(matches!(
+            state::load(&mut svc, &dir),
+            Err(StateError::BadVersion { found }) if found == header
+        ));
+    }
 
     // (b) Torn write: the file ends mid-line, before the trailer.
     fs::write(&path, &good[..good.len() / 2]).unwrap();
@@ -184,6 +254,92 @@ fn corrupt_snapshots_error_structurally_and_cold_start_cleanly() {
         Err(StateError::ChecksumMismatch)
     ));
 
+    // (d) Well-sealed, ill-formed: every check `from_parts` makes in
+    // place of the replay that used to guarantee it, tripped through
+    // the file. Fields of a `store state` line: 2 profile, 6 training
+    // ids, 7 training labels, 8 ordering, 9 pilot positions, 10 pilot
+    // labels, 11 cuts.
+    let first_of = |at: usize| {
+        let line = good.lines().find(|l| l.starts_with("store\tstate\t"));
+        ids(line.unwrap().split('\t').nth(at).unwrap())[0]
+    };
+    let (train0, order0) = (first_of(6), first_of(8));
+    type Edit = Box<dyn Fn(&mut Vec<String>)>;
+    let cases: Vec<(&str, Edit)> = vec![
+        ("duplicate id in the ordering", Box::new(set(8, 1, order0))),
+        (
+            "missing id",
+            Box::new(|f| f[8] = f[8][..f[8].rfind(',').unwrap()].to_string()),
+        ),
+        (
+            "training id inside the ordering",
+            Box::new(set(8, 0, train0)),
+        ),
+        ("ordered id ≥ N", Box::new(set(8, 0, 600))),
+        ("pilot position out of range", Box::new(set(9, 0, 600))),
+        (
+            "descending cuts",
+            Box::new(|f| f[11] = list(ids(&f[11]).into_iter().rev().collect())),
+        ),
+        (
+            "training labels one short",
+            Box::new(|f| {
+                f[7].pop();
+            }),
+        ),
+        (
+            "pilot labels one short",
+            Box::new(|f| {
+                f[10].pop();
+            }),
+        ),
+        ("training id ≥ N", Box::new(set(6, 0, 600))),
+        ("repeated training id", Box::new(set(6, 1, train0))),
+        (
+            "another profile's digest",
+            Box::new(|f| f[2] = format!("{:016x}", 7)),
+        ),
+        (
+            "a second state under an unsharded entry",
+            Box::new(|f| {
+                let again = f[1..].join("\t");
+                f.push(format!("\nstore\tstate\t{again}"));
+            }),
+        ),
+    ];
+    for (what, edit) in &cases {
+        fs::write(&path, with_state_fields(&good, edit)).unwrap();
+        let mut svc = Service::new(ServiceConfig::default());
+        let refused = state::load(&mut svc, &dir);
+        assert!(
+            matches!(refused, Err(StateError::Restore { .. })),
+            "{what}: {refused:?}"
+        );
+    }
+    // The same refusal for real: a service whose LSS profile differs
+    // from the one the state was prepared under.
+    fs::write(&path, &good).unwrap();
+    let mut other = Service::new(ServiceConfig {
+        lss: lts_core::Lss {
+            n_strata: 5,
+            ..lts_serve::serve_lss_profile()
+        },
+        ..ServiceConfig::default()
+    });
+    assert!(matches!(
+        state::load(&mut other, &dir),
+        Err(StateError::Restore { message }) if message.contains("different LSS profile")
+    ));
+    // A version with no successor is refused before anything is built.
+    let maxed = good.replacen("\tM\t3\t0\n", &format!("\tM\t3\t{}\n", u64::MAX), 1);
+    assert_ne!(maxed, good);
+    fs::write(&path, resealed(&maxed)).unwrap();
+    let mut svc = Service::new(ServiceConfig::default());
+    assert!(matches!(
+        state::load(&mut svc, &dir),
+        Err(StateError::Corrupt { message }) if message.contains("bad version")
+    ));
+
     // After every rejected restore: a clean cold start serves the same
     // bits as a never-snapshotted service — corruption can delay
     // warmth, never change a count.
@@ -193,6 +349,86 @@ fn corrupt_snapshots_error_structurally_and_cold_start_cleanly() {
     assert_eq!(cold_resp.served, "cold");
     assert_bits_equal(&cold_resp, &ref_cold, "cold start after rejected restore");
 
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// The parent re-created a lineage by bumping the version once per step
+/// — `1 << 40` steps here — before serving anything.
+#[test]
+fn a_long_version_lineage_is_restored_in_one_step() {
+    let dir = temp_dir("lineage");
+    const VERSION: u64 = 1 << 40;
+    let mut a = Service::new(ServiceConfig::default());
+    a.register_generated("s", &spec()).unwrap();
+    a.advance_version("s", VERSION).unwrap();
+    let a_cold = count(&mut a, 0, PLAIN, false);
+    assert_eq!((a_cold.served, a_cold.table_version), ("cold", VERSION));
+    let a_fresh = count(&mut a, 42, PLAIN, true);
+    state::save(&a, &dir).unwrap();
+
+    let mut b = Service::new(ServiceConfig::default());
+    let summary = state::load(&mut b, &dir).unwrap().unwrap();
+    assert_eq!(
+        (summary.datasets, summary.models, summary.cached),
+        (1, 1, 1)
+    );
+    assert_eq!(b.dataset_version("s"), Some(VERSION));
+    let b_fresh = count(&mut b, 42, PLAIN, true);
+    assert_eq!((b_fresh.served, b_fresh.table_version), ("warm", VERSION));
+    assert_bits_equal(
+        &b_fresh,
+        &a_fresh,
+        "first warm request at the restored version",
+    );
+    assert_eq!(b.stats().oracle_evals, a_fresh.evals as u64);
+    // An invalidation still moves the lineage on by one.
+    b.invalidate("s").unwrap();
+    assert_eq!(b.dataset_version("s"), Some(VERSION + 1));
+    assert_eq!(b.store_len(), 0);
+
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A well-sealed snapshot the decoder refuses must not take the server
+/// down: the dispatcher logs it, starts cold and keeps serving.
+#[test]
+fn tcp_server_cold_starts_over_a_snapshot_it_refuses() {
+    let dir = temp_dir("tcp_refused");
+    let mut a = Service::new(ServiceConfig::default());
+    a.register_generated("s", &spec()).unwrap();
+    count(&mut a, 0, PLAIN, false);
+    let path = state::save(&a, &dir).unwrap();
+    let good = fs::read_to_string(&path).unwrap();
+    let broken = with_state_fields(&good, |f| f[8] = f[8].replacen(',', ",,", 1));
+    for snapshot in [
+        with_state_fields(&good, |f| f[11] = "9,9,9".into()),
+        broken,
+        resealed(&good.replacen("lts-state/v2", "lts-state/v1", 1)),
+    ] {
+        fs::write(&path, snapshot).unwrap();
+        let config = NetConfig {
+            repl: ReplOptions {
+                deterministic: true,
+            },
+            state_dir: Some(dir.clone()),
+            ..NetConfig::default()
+        };
+        let server = NetServer::bind("127.0.0.1:0", config).expect("bind");
+        let mut c = Client::connect(server.local_addr());
+        let unknown = c.roundtrip(&format!("count s budget=150 id=7 :: {PLAIN}"));
+        assert!(
+            unknown.contains("\"ok\": false"),
+            "nothing restored: {unknown}"
+        );
+        let resp = c.roundtrip("register sports s rows=600 level=M seed=3");
+        assert!(resp.contains("\"registered\""), "{resp}");
+        let cold = c.roundtrip(&format!("count s budget=150 id=7 :: {PLAIN}"));
+        assert!(cold.contains("\"served\": \"cold\""), "{cold}");
+        let ack = c.roundtrip("shutdown");
+        assert!(ack.contains("\"shutting_down\": true"), "{ack}");
+        drop(c);
+        server.join();
+    }
     let _ = fs::remove_dir_all(&dir);
 }
 
