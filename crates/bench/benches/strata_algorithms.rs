@@ -106,11 +106,15 @@ fn bench_algorithms(c: &mut Criterion) {
 }
 
 /// What the service's LSS hands the design on an 8 000-row dataset:
-/// pilots at random positions of the score order whose labels follow a
-/// sigmoid of the position, `H = 4`, `m⊔ = 5`, and `N⊔` one above the
-/// stage-2 budget. `(m, stage 2)` = (65, 35) and (98, 52) are the
-/// service's split of a 200- and a 300-label budget (`bench_suite`'s
-/// requests); (450, 242) is the same split of about 1 400 labels.
+/// pilots at random positions of the score order, `H = 4`, `m⊔ = 5`,
+/// and `N⊔` one above the stage-2 budget. `(m, stage 2)` = (65, 35) and
+/// (98, 52) are the service's split of a 200- and a 300-label budget
+/// (`bench_suite`'s requests); (450, 242) is the same split of about
+/// 1 400 labels. Two label shapes, because the DP's cost is the share of
+/// class pairs that are *not* unanimous: `sigmoid` (midpoint 0.6, slope
+/// 12 — a weak proxy, the neighbours queries) and `sharp` (a step at
+/// 0.85 of the pilots behind a 3-pilot mixed band — what the sports
+/// proxy hands over).
 fn bench_service_shapes(c: &mut Criterion) {
     let mut group = c.benchmark_group("strata_service");
     group.sample_size(10);
@@ -121,14 +125,19 @@ fn bench_service_shapes(c: &mut Criterion) {
         while positions.len() < m {
             positions.insert((unit() * n as f64) as usize);
         }
-        let entries = positions
-            .into_iter()
-            .map(|pos| {
+        let sigmoid: Vec<(usize, bool)> = positions
+            .iter()
+            .map(|&pos| {
                 let p_true = 1.0 / (1.0 + (-(pos as f64 / n as f64 - 0.6) * 12.0).exp());
                 (pos, unit() < p_true)
             })
             .collect();
-        let p = PilotIndex::new(n, entries).unwrap();
+        let step = m * 17 / 20;
+        let sharp: Vec<(usize, bool)> = positions
+            .iter()
+            .enumerate()
+            .map(|(k, &pos)| (pos, k >= step && k != step + 1))
+            .collect();
         let params = DesignParams {
             n_strata: 4,
             budget: stage2,
@@ -136,14 +145,19 @@ fn bench_service_shapes(c: &mut Criterion) {
             min_pilots_per_stratum: 5,
             epsilon: 1.0,
         };
-        group.bench_with_input(
-            BenchmarkId::new("dynpgm_pruned6", format!("m{m}")),
-            &p,
-            |b, p| b.iter(|| dynpgm(black_box(p), &params, TSelection::Pruned(6)).unwrap()),
-        );
-        group.bench_with_input(BenchmarkId::new("dynpgmp", format!("m{m}")), &p, |b, p| {
-            b.iter(|| dynpgmp(black_box(p), &params).unwrap())
-        });
+        for (shape, entries) in [("sigmoid", sigmoid), ("sharp", sharp)] {
+            let p = PilotIndex::new(n, entries).unwrap();
+            group.bench_with_input(
+                BenchmarkId::new("dynpgm_pruned6", format!("{shape}_m{m}")),
+                &p,
+                |b, p| b.iter(|| dynpgm(black_box(p), &params, TSelection::Pruned(6)).unwrap()),
+            );
+            group.bench_with_input(
+                BenchmarkId::new("dynpgmp", format!("{shape}_m{m}")),
+                &p,
+                |b, p| b.iter(|| dynpgmp(black_box(p), &params).unwrap()),
+            );
+        }
     }
     group.finish();
 }

@@ -19,11 +19,10 @@
 //! loop, and is a plain optimal DP over the same boundary set
 //! (approximation ratio 2, Theorem 4).
 //!
-//! **Cost.** `O(H·|B|²)` per *surviving* bound and `O(|B|·H + m)` memory.
-//! Both programs share one loop (`run_dp`) that differs only in the
-//! per-stratum term (`StratumCost`), and every shortcut in it is exact
+//! **Cost.** Both programs share one loop (`run_dp`) that differs only
+//! in the per-stratum term (`StratumCost`); every shortcut in it is exact
 //! — cuts and variance bits equal the plain triple loop's, which the
-//! tests keep as an oracle:
+//! tests keep as an oracle (`tests/dynpgm_oracle`):
 //!
 //! * rows of `B` with the same pilot prefix form `m + 1` contiguous
 //!   *classes*; `s²` and `√s²` depend only on the class pair, so they are
@@ -33,8 +32,21 @@
 //!   final cell (in particular, level `H` only at `b = N`);
 //! * a finite bound `t ≥ ns_max` — an upper bound on every stratum's
 //!   `N_h·s_h` — repeats the unconstrained pass cell for cell and is
-//!   skipped; under a small `t`, a class pair whose *smallest* admissible
-//!   stratum already exceeds `t` is skipped whole.
+//!   dropped; the surviving bounds `T'` advance **in lockstep**, row by
+//!   row, each over its own `A` / `X` / parent arrays, so what a
+//!   candidate takes from its stratum alone (`size²·s²/n`, `size·s²`,
+//!   `(2/n)·size·s`) is computed once per pair `(j, i)` and read by every
+//!   level and every bound; under a small `t`, a class pair whose
+//!   *smallest* admissible stratum already exceeds `t` is skipped whole;
+//! * a class pair whose pilots are **unanimous** (`s² = 0`) is not
+//!   walked: each of its candidates is its predecessor's `A[h−1][j]`, so
+//!   the class offers its first minimum of `A[h−1]`, kept as a running
+//!   argmin — `O(1)` per (row, class, level, bound). With a sharp proxy,
+//!   the paper's good case, most pairs are unanimous.
+//!
+//! Time is `O(|B|²)` term evaluations plus, per surviving bound and
+//! level, the mixed pairs' share of `|B|²` candidates and `O(|B|·m)`
+//! class minima; memory is `O(|T'|·H·(|B| + m))`.
 
 use crate::design::{DesignParams, Stratification};
 use crate::error::{StrataError, StrataResult};
@@ -143,116 +155,171 @@ fn class_pair_s2(pilot: &PilotIndex, l_j: usize, l_i: usize) -> f64 {
 }
 
 /// `s` from `s²` — one definition, so that `ns_max` bounds exactly the
-/// products the passes form.
+/// products the loop forms.
 fn std_dev(s2: f64) -> f64 {
     s2.max(0.0).sqrt()
 }
 
 /// The per-stratum term of a DP objective: all that DynPgm and DynPgmP
-/// do not share. Both methods return `(objective, N_h·s_h)` of the
-/// extended solution's last stratum, or `None` when it is inadmissible.
+/// do not share.
 trait StratumCost {
-    /// What one class pair contributes, derived once from its `s²`.
-    type Pair: Copy;
-    /// `None` when no stratum of at least `N⊔` objects with this `s²`
-    /// is admissible.
-    fn pair(&self, s2: f64) -> Option<Self::Pair>;
-    /// The single stratum `(0, size]`. Not `extend` from a zero prefix:
-    /// `0.0 + v` would turn a `−0.0` term into `+0.0`.
-    fn first(&self, pair: Self::Pair, size: f64) -> Option<(f64, f64)>;
-    /// A stratum of `size` objects appended to a prefix with objective
-    /// `a` and auxiliary sum `x`.
-    fn extend(&self, pair: Self::Pair, size: f64, a: f64, x: f64) -> Option<(f64, f64)>;
+    /// What a candidate takes from its last stratum alone — the pair
+    /// `(j, i)` — whatever the level and the bound.
+    type Terms: Copy;
+    /// Of a stratum of `size` objects over a class pair with `s²`, `s`.
+    fn terms(&self, s2: f64, s: f64, size: f64) -> Self::Terms;
+    /// `N_h·s_h`: what a bound `t` caps and `X` sums.
+    fn ns(terms: &Self::Terms) -> f64;
+    /// The objective of the single stratum `(0, size]`. Not `extend`
+    /// from a zero prefix: `0.0 + v` would turn a `−0.0` term into `+0.0`.
+    fn first(terms: &Self::Terms) -> f64;
+    /// The objective of a prefix `(a, x)` extended by the stratum.
+    fn extend(terms: &Self::Terms, a: f64, x: f64) -> f64;
 }
 
-/// Eq. 5 under the auxiliary-sum bound `N_h·s_h ≤ t`.
+/// Eq. 5.
 struct Neyman {
     budget: f64,
-    min_size: f64,
-    t: f64,
+}
+
+/// `size²·s²/n`, `size·s²`, `(2/n)·size·s` and `size·s`.
+#[derive(Clone, Copy)]
+struct NeymanTerms {
+    quad: f64,
+    lin: f64,
+    cross: f64,
+    ns: f64,
 }
 
 impl StratumCost for Neyman {
-    /// `(s², s)`.
-    type Pair = (f64, f64);
+    type Terms = NeymanTerms;
 
-    fn pair(&self, s2: f64) -> Option<Self::Pair> {
-        let s = std_dev(s2);
-        // fl(size·s) is monotone in size, so if the smallest admissible
-        // stratum already breaks the bound, all of this pair's do.
-        (self.min_size * s <= self.t).then_some((s2, s))
+    fn terms(&self, s2: f64, s: f64, size: f64) -> NeymanTerms {
+        let ns = size * s;
+        NeymanTerms {
+            quad: size * size * s2 / self.budget,
+            lin: size * s2,
+            cross: 2.0 / self.budget * ns,
+            ns,
+        }
     }
 
-    fn first(&self, (s2, s): Self::Pair, size: f64) -> Option<(f64, f64)> {
-        let ns = size * s;
-        (ns <= self.t).then(|| (size * size * s2 / self.budget - size * s2, ns))
+    fn ns(terms: &NeymanTerms) -> f64 {
+        terms.ns
     }
 
-    fn extend(&self, (s2, s): Self::Pair, size: f64, a: f64, x: f64) -> Option<(f64, f64)> {
-        let ns = size * s;
-        (ns <= self.t).then(|| {
-            let cand = a + size * size * s2 / self.budget - size * s2 + 2.0 / self.budget * ns * x;
-            (cand, ns)
-        })
+    fn first(terms: &NeymanTerms) -> f64 {
+        terms.quad - terms.lin
+    }
+
+    /// `a + size*size*s2/budget - size*s2 + 2.0/budget*ns*x`, operation
+    /// for operation: the three sub-terms are the operands that
+    /// expression forms before it touches `a` or `x`.
+    fn extend(terms: &NeymanTerms, a: f64, x: f64) -> f64 {
+        a + terms.quad - terms.lin + terms.cross * x
     }
 }
 
-/// Eq. 6: separable, no auxiliary sum.
+/// Eq. 6: separable, no auxiliary sum. Its one term keeps its own
+/// expression — through Eq. 5's `quad − lin` a `−0.0` (a unanimous
+/// stratum when the budget exceeds `N`) would come out `+0.0`.
 struct Proportional {
     /// `(N − n) / n`.
     factor: f64,
 }
 
 impl StratumCost for Proportional {
-    /// `s²`.
-    type Pair = f64;
+    /// `factor·size·s²`.
+    type Terms = f64;
 
-    fn pair(&self, s2: f64) -> Option<f64> {
-        Some(s2)
+    fn terms(&self, s2: f64, _s: f64, size: f64) -> f64 {
+        self.factor * size * s2
     }
 
-    fn first(&self, s2: f64, size: f64) -> Option<(f64, f64)> {
-        Some((self.factor * size * s2, 0.0))
+    fn ns(_terms: &f64) -> f64 {
+        0.0
     }
 
-    fn extend(&self, s2: f64, size: f64, a: f64, _x: f64) -> Option<(f64, f64)> {
-        Some((a + self.factor * size * s2, 0.0))
+    fn first(terms: &f64) -> f64 {
+        *terms
+    }
+
+    fn extend(terms: &f64, a: f64, _x: f64) -> f64 {
+        a + terms
     }
 }
 
-/// One DP over the boundary rows: the best `H`-stratum solution ending
-/// at `N`, its first minimum in ascending predecessor order.
+/// The first minimum of one level of `A` over rows `class_start..upto`
+/// of one class. Target rows ask for it over ranges that only grow
+/// (`j_end` is monotone in `i`), so it advances and never restarts.
+#[derive(Clone, Copy)]
+struct ClassMin {
+    upto: u32,
+    arg: u32,
+}
+
+/// One DP over the boundary rows, every bound of `bounds` in lockstep:
+/// per bound the best `H`-stratum solution ending at `N`, its first
+/// minimum in ascending predecessor order; of those, the first minimum
+/// in `bounds` order.
 ///
 /// Rows are visited class by class. For a target row `i` of class `l_i`
 /// the admissible predecessors are a prefix of the rows — classes
 /// `0..=l_i − m⊔` (pilot minimum), cut off at `b_j ≤ b_i − N⊔` (size
-/// minimum) — so neither minimum is tested per pair, and the class-pair
-/// statistics come from `O(m)` scratch refilled once per target class.
+/// minimum) — so neither minimum is tested per pair. A suffix of those
+/// classes is *unanimous* with `l_i` (`s² = 0`; a sub-range of same-label
+/// pilots is same-label): there a candidate is its predecessor's `A`
+/// (up to the sign of a zero, which `<` does not see), so the class's
+/// first minimum of `A[h−1]` — a [`ClassMin`] — is its one contender,
+/// priced by the same expression as any other. The classes before it are
+/// walked, over [`StratumCost::Terms`] computed once per target row.
 fn run_dp<C: StratumCost>(
     pilot: &PilotIndex,
     params: &DesignParams,
     rows: &Rows,
     cost: &C,
+    bounds: &[f64],
 ) -> Option<Stratification> {
     let nb = rows.b.len();
     let h_max = params.n_strata;
     let nu = params.min_stratum_size;
     let mu = params.min_pilots_per_stratum;
     let n_objects = pilot.n_objects();
+    let n_classes = pilot.m() + 1;
     let last = nb - 1; // b = N
 
-    // a[h][i]: best exact partial objective for h strata over [0, b_i).
-    // x[h][i]: auxiliary sum Σ N s of that solution.
-    // parent[h][i]: predecessor row.
-    let mut a = vec![vec![f64::INFINITY; nb]; h_max + 1];
-    let mut x = vec![vec![0.0f64; nb]; h_max + 1];
-    let mut parent = vec![vec![usize::MAX; nb]; h_max + 1];
-    // pairs[l_j] for the current target class.
-    let mut pairs: Vec<Option<C::Pair>> = Vec::new();
+    // Per bound `t` and level `h ∈ 1..=H` (no level 0), at `cell(t, h) + i`:
+    // a: best exact partial objective for h strata over [0, b_i).
+    // x: auxiliary sum Σ N s of that solution.
+    // parent: predecessor row.
+    let cell = |t: usize, h: usize| (t * h_max + h - 1) * nb;
+    let mut a = vec![f64::INFINITY; bounds.len() * h_max * nb];
+    let mut x = vec![0.0f64; a.len()];
+    let mut parent = vec![u32::MAX; a.len()];
+    // The same layout over classes.
+    let mut mins: Vec<ClassMin> = (0..bounds.len() * h_max * n_classes)
+        .map(|k| rows.class_start[k % n_classes] as u32)
+        .map(|start| ClassMin {
+            upto: start,
+            arg: start,
+        })
+        .collect();
+    // Per target class: `(s², s)` of the pair with each class `l_j`.
+    let mut pairs: Vec<(f64, f64)> = Vec::new();
+    // Per target row: the terms of the stratum `(b_j, b_i]`, walked rows only.
+    let mut terms: Vec<C::Terms> = Vec::new();
 
     for l_i in mu..=pilot.m() {
         pairs.clear();
-        pairs.extend((0..=l_i - mu).map(|l_j| cost.pair(class_pair_s2(pilot, l_j, l_i))));
+        pairs.extend((0..=l_i - mu).map(|l_j| {
+            let s2 = class_pair_s2(pilot, l_j, l_i);
+            (s2, std_dev(s2))
+        }));
+        // Classes `walked..=l_i − m⊔` are unanimous with `l_i`.
+        let walked = pairs
+            .iter()
+            .rposition(|&(s2, _)| s2 != 0.0)
+            .map_or(0, |l_j| l_j + 1);
         let pilots_end = rows.class_start[l_i - mu + 1];
 
         for i in rows.class_start[l_i]..rows.class_start[l_i + 1] {
@@ -261,11 +328,24 @@ fn run_dp<C: StratumCost>(
                 continue;
             }
             // The origin shares pilot prefix 0 with class 0.
-            if let Some((obj, ns)) = pairs[0].and_then(|pair| cost.first(pair, b_i as f64)) {
-                a[1][i] = obj;
-                x[1][i] = ns;
+            let first = cost.terms(pairs[0].0, pairs[0].1, b_i as f64);
+            for (t, &bound) in bounds.iter().enumerate() {
+                if C::ns(&first) <= bound {
+                    a[cell(t, 1) + i] = C::first(&first);
+                    x[cell(t, 1) + i] = C::ns(&first);
+                }
             }
             let j_end = pilots_end.min(rows.b.partition_point(|&b_j| b_j <= b_i - nu));
+            terms.clear();
+            for (l_j, &(s2, s)) in pairs[..walked].iter().enumerate() {
+                let lo = rows.class_start[l_j].min(j_end);
+                let hi = rows.class_start[l_j + 1].min(j_end);
+                terms.extend(
+                    rows.b[lo..hi]
+                        .iter()
+                        .map(|&b_j| cost.terms(s2, s, (b_i - b_j) as f64)),
+                );
+            }
 
             // Row i's cells need only rows j < i, all levels of which
             // are final, so the levels can run innermost. A level-h cell
@@ -275,51 +355,76 @@ fn run_dp<C: StratumCost>(
             let fit_before = (l_i / mu).min(b_i / nu);
             let fit_behind = ((pilot.m() - l_i) / mu).min((n_objects - b_i) / nu);
             let top = if i == last { h_max } else { h_max - 1 };
-            for h in h_max.saturating_sub(fit_behind).max(2)..=top.min(fit_before) {
-                let (mut best_a, mut best_x, mut best_j) = (f64::INFINITY, 0.0f64, usize::MAX);
-                for (l_j, pair) in pairs.iter().enumerate() {
-                    let lo = rows.class_start[l_j];
-                    if lo >= j_end {
-                        break;
-                    }
-                    let Some(pair) = *pair else { continue };
-                    let hi = rows.class_start[l_j + 1].min(j_end);
-                    for j in lo..hi {
-                        let (a_j, x_j) = (a[h - 1][j], x[h - 1][j]);
-                        if a_j.is_infinite() {
-                            continue;
+            for (t, &bound) in bounds.iter().enumerate() {
+                for h in h_max.saturating_sub(fit_behind).max(2)..=top.min(fit_before) {
+                    let below = cell(t, h - 1);
+                    let (a_below, x_below) = (&a[below..below + nb], &x[below..below + nb]);
+                    let mins = &mut mins[(t * h_max + h - 2) * n_classes..][..n_classes];
+                    let (mut best_a, mut best_x, mut best_j) = (f64::INFINITY, 0.0f64, u32::MAX);
+                    let mut offer = |j: usize, terms: &C::Terms| {
+                        let (a_j, ns) = (a_below[j], C::ns(terms));
+                        if a_j.is_infinite() || ns > bound {
+                            return;
                         }
-                        let size = (b_i - rows.b[j]) as f64;
-                        let Some((cand, ns)) = cost.extend(pair, size, a_j, x_j) else {
-                            continue;
-                        };
+                        let cand = C::extend(terms, a_j, x_below[j]);
                         if cand < best_a {
-                            best_a = cand;
-                            best_x = x_j + ns;
-                            best_j = j;
+                            (best_a, best_x, best_j) = (cand, x_below[j] + ns, j as u32);
+                        }
+                    };
+                    for (l_j, &(s2, s)) in pairs.iter().enumerate() {
+                        let lo = rows.class_start[l_j];
+                        if lo >= j_end {
+                            break;
+                        }
+                        let hi = rows.class_start[l_j + 1].min(j_end);
+                        if l_j < walked {
+                            // fl(size·s) is monotone in size, so if the
+                            // smallest admissible stratum already breaks
+                            // the bound, all of this pair's do.
+                            if nu as f64 * s <= bound {
+                                (lo..hi).for_each(|j| offer(j, &terms[j]));
+                            }
+                        } else if lo < hi {
+                            // (Class 0 is empty when a pilot sits at 0.)
+                            let min = &mut mins[l_j];
+                            for j in min.upto as usize..hi {
+                                if a_below[j] < a_below[min.arg as usize] {
+                                    min.arg = j as u32;
+                                }
+                            }
+                            min.upto = min.upto.max(hi as u32);
+                            let j = min.arg as usize;
+                            offer(j, &cost.terms(s2, s, (b_i - rows.b[j]) as f64));
                         }
                     }
+                    a[cell(t, h) + i] = best_a;
+                    x[cell(t, h) + i] = best_x;
+                    parent[cell(t, h) + i] = best_j;
                 }
-                a[h][i] = best_a;
-                x[h][i] = best_x;
-                parent[h][i] = best_j;
             }
         }
     }
 
-    if a[h_max][last].is_infinite() {
-        return None;
-    }
+    // Strict `<` from +∞: the first bound with the least variance, and
+    // none when every bound is infeasible.
+    let top = |t: usize| a[cell(t, h_max) + last];
+    let t = (0..bounds.len()).fold(None, |best: Option<usize>, t| {
+        if top(t) < best.map_or(f64::INFINITY, top) {
+            Some(t)
+        } else {
+            best
+        }
+    })?;
     let mut cuts = Vec::with_capacity(h_max - 1);
     let mut i = last;
-    for level in parent[2..].iter().rev() {
-        i = level[i];
-        debug_assert_ne!(i, usize::MAX);
+    for h in (2..=h_max).rev() {
+        i = parent[cell(t, h) + i] as usize;
+        debug_assert_ne!(i, u32::MAX as usize);
         cuts.push(rows.b[i]);
     }
     cuts.reverse();
     Some(Stratification {
-        estimated_variance: a[h_max][last],
+        estimated_variance: top(t),
         cuts,
     })
 }
@@ -399,23 +504,10 @@ pub fn dynpgm(
         skip_repeated_passes(&mut t_values, ns_max(pilot, params, &rows));
     }
 
-    let mut best: Option<Stratification> = None;
-    for &t in &t_values {
-        let cost = Neyman {
-            budget: params.budget as f64,
-            min_size: params.min_stratum_size as f64,
-            t,
-        };
-        if let Some(s) = run_dp(pilot, params, &rows, &cost) {
-            if best
-                .as_ref()
-                .is_none_or(|b| s.estimated_variance < b.estimated_variance)
-            {
-                best = Some(s);
-            }
-        }
-    }
-    best.ok_or_else(|| StrataError::Infeasible {
+    let cost = Neyman {
+        budget: params.budget as f64,
+    };
+    run_dp(pilot, params, &rows, &cost, &t_values).ok_or_else(|| StrataError::Infeasible {
         message: "DynPgm found no feasible stratification over candidate boundaries".into(),
     })
 }
@@ -435,7 +527,7 @@ pub fn dynpgmp(pilot: &PilotIndex, params: &DesignParams) -> StrataResult<Strati
     let cost = Proportional {
         factor: (nn - n_budget) / n_budget,
     };
-    run_dp(pilot, params, &rows, &cost).ok_or_else(|| StrataError::Infeasible {
+    run_dp(pilot, params, &rows, &cost, &[f64::INFINITY]).ok_or_else(|| StrataError::Infeasible {
         message: "DynPgmP found no feasible stratification over candidate boundaries".into(),
     })
 }
@@ -584,14 +676,10 @@ mod tests {
 
         // The skip is exact: a pass under t = ns_max is the
         // unconstrained pass.
-        let pass = |t: f64| {
-            let cost = Neyman {
-                budget: p.budget as f64,
-                min_size: p.min_stratum_size as f64,
-                t,
-            };
-            run_dp(&pilot, &p, &rows, &cost)
+        let cost = Neyman {
+            budget: p.budget as f64,
         };
+        let pass = |t: f64| run_dp(&pilot, &p, &rows, &cost, &[t]);
         assert!(pass(cap).is_some());
         assert_eq!(pass(cap), pass(f64::INFINITY));
 

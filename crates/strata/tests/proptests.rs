@@ -11,9 +11,20 @@ use proptest::prelude::*;
 
 /// `m` distinct random positions — spread over the population, or
 /// bunched into a window of `2m` — with labels that are all false, all
-/// true, or follow a sigmoid of the position with random midpoint and
-/// slope.
-fn random_pilot(seed: u64, n: usize, m: usize, shape: usize) -> PilotIndex {
+/// true, one step at a random pilot, or follow a sigmoid of the position
+/// with random midpoint and slope. The three unanimous-run shapes then
+/// get `flips` labels inverted at random pilots: few mixed class pairs
+/// among many unanimous ones, which is where the DP's class-minimum
+/// shortcut does its work. `pin_zero` moves the first pilot to position
+/// 0, which empties class 0.
+fn random_pilot(
+    seed: u64,
+    n: usize,
+    m: usize,
+    shape: usize,
+    flips: usize,
+    pin_zero: bool,
+) -> PilotIndex {
     let mut state = seed;
     let mut unit = move || {
         state = state
@@ -27,18 +38,31 @@ fn random_pilot(seed: u64, n: usize, m: usize, shape: usize) -> PilotIndex {
     while positions.len() < m {
         positions.insert(lo + (unit() * span as f64) as usize);
     }
+    if pin_zero {
+        positions.pop_first();
+        positions.insert(0);
+    }
     let (mid, slope) = (unit(), 2.0 + 20.0 * unit());
-    let entries = positions
+    let step = (unit() * m as f64) as usize;
+    let mut entries: Vec<(usize, bool)> = positions
         .into_iter()
-        .map(|p| {
+        .enumerate()
+        .map(|(k, p)| {
             let label = match shape {
                 1 => false,
                 2 => true,
+                4 => k >= step,
                 _ => unit() < 1.0 / (1.0 + (-(p as f64 / n as f64 - mid) * slope).exp()),
             };
             (p, label)
         })
         .collect();
+    if matches!(shape, 1 | 2 | 4) {
+        for _ in 0..flips {
+            let k = (unit() * m as f64) as usize;
+            entries[k].1 ^= true;
+        }
+    }
     PilotIndex::new(n, entries).unwrap()
 }
 
@@ -65,17 +89,21 @@ fn assert_same_design(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(160))]
+    #![proptest_config(ProptestConfig::with_cases(320))]
 
-    /// The class-blocked DP returns exactly what the triple-loop oracle
+    /// The lockstep DP returns exactly what the triple-loop oracle
     /// returns — cuts, variance bits, and infeasibility — and what it
-    /// reports re-evaluates to the objective of its cuts.
+    /// reports re-evaluates to the objective of its cuts. `size_share`
+    /// reaches `N⊔ = N / H`, so the size minimum regularly cuts the
+    /// predecessor range inside a (unanimous) class.
     #[test]
     fn dynpgm_matches_triple_loop_oracle(
         seed in any::<u64>(),
         n in 40usize..1600,
         m in 4usize..64,
-        shape in 0usize..4,
+        shape in 0usize..5,
+        flips in 0usize..4,
+        pin_zero in any::<bool>(),
         h in 2usize..7,
         min_pilots in 2usize..6,
         size_share in 0.0f64..1.0,
@@ -87,7 +115,7 @@ proptest! {
             (1usize..10).prop_map(TSelection::Pruned),
         ],
     ) {
-        let pilot = random_pilot(seed, n, m.min(n / 2), shape);
+        let pilot = random_pilot(seed, n, m.min(n / 2), shape, flips, pin_zero);
         let params = DesignParams {
             n_strata: h,
             budget: 1 + (budget_share * n as f64) as usize,
@@ -114,6 +142,68 @@ proptest! {
                 "{:?}: DP reported {} but its cuts evaluate to {}",
                 allocation, design.estimated_variance, v
             );
+        }
+    }
+}
+
+/// The proptest's `n < 1 600`, `m < 64` never reaches what the service
+/// designs over: 8 000 objects, the pilot of a 200- or a 300-label
+/// budget (`m` = 65 / 98, stage 2 = 35 / 52), `H = 4`, `m⊔ = 5`, `N⊔`
+/// one above stage 2 — and the label shapes a proxy hands it, from
+/// useless (all one label) through sharp (one step, a step behind a
+/// 3-pilot mixed band) to blurry (a sigmoid).
+#[test]
+fn dynpgm_matches_triple_loop_oracle_at_service_size() {
+    let n = 8_000usize;
+    for (m, stage2) in [(65usize, 35usize), (98, 52)] {
+        let mut state = 11u64;
+        let mut unit = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let mut positions = std::collections::BTreeSet::new();
+        while positions.len() < m {
+            positions.insert((unit() * n as f64) as usize);
+        }
+        let positions: Vec<usize> = positions.into_iter().collect();
+        let step = m * 17 / 20;
+        let sigmoid = positions
+            .iter()
+            .map(|&p| unit() < 1.0 / (1.0 + (-(p as f64 / n as f64 - 0.6) * 12.0).exp()));
+        let shapes: [(&str, Vec<bool>); 5] = [
+            ("all false", vec![false; m]),
+            ("all true", vec![true; m]),
+            ("step", (0..m).map(|k| k >= step).collect()),
+            // false … false, true, false, true, true … true
+            (
+                "mixed band",
+                (0..m).map(|k| k >= step && k != step + 1).collect(),
+            ),
+            ("sigmoid", sigmoid.collect()),
+        ];
+        let params = DesignParams {
+            n_strata: 4,
+            budget: stage2,
+            min_stratum_size: stage2 + 1,
+            min_pilots_per_stratum: 5,
+            epsilon: 1.0,
+        };
+        for (name, labels) in shapes {
+            let entries = positions.iter().copied().zip(labels).collect();
+            let pilot = PilotIndex::new(n, entries).unwrap();
+            let selection = TSelection::default();
+            assert_same_design(
+                &dynpgm(&pilot, &params, selection),
+                &dynpgm_oracle::dynpgm(&pilot, &params, selection),
+            )
+            .unwrap_or_else(|e| panic!("DynPgm, m = {m}, {name}: {e:?}"));
+            assert_same_design(
+                &dynpgmp(&pilot, &params),
+                &dynpgm_oracle::dynpgmp(&pilot, &params),
+            )
+            .unwrap_or_else(|e| panic!("DynPgmP, m = {m}, {name}: {e:?}"));
         }
     }
 }

@@ -39,12 +39,12 @@
 //!    per object; a set flag returns `None`. An object whose outer row is
 //!    out of range returns `None` too.
 //! 3. **Early exit only under a proof that no row can raise.** One pass
-//!    per referenced inner `Float` column per bind establishes "all
-//!    finite" (`Int` columns always are). Given finite outer scalars —
-//!    checked per object; otherwise every comparison checks and the scan
-//!    is full — each numeric node carries three facts:
-//!    *finite*, *NaN-free*, *non-negative* (`>= 0`, which implies
-//!    NaN-free):
+//!    per inner `Float` column per bind (however often the filter names
+//!    it) establishes "all finite" (`Int` columns always are). Given
+//!    finite outer scalars — checked per object; otherwise every
+//!    comparison checks and the scan is full — each numeric node carries
+//!    three facts: *finite*, *NaN-free*, *non-negative* (`>= 0`, which
+//!    implies NaN-free):
 //!    * finite column, `Int` column, outer scalar: finite; a literal: as
 //!      it is;
 //!    * `a ± b` is NaN only for a NaN operand or two infinities, so it is
@@ -62,10 +62,58 @@
 //!    NaN-free. Unproven means a full scan, never a guess.
 //! 4. **The stop bound** is the caller's ([`CountTest`]): the smallest
 //!    count at which the comparison is fixed for all larger counts.
+//! 5. **`POWER(a, 2)` is `a·a` where that provably cannot change a
+//!    label.** libm's `pow` is ≥ 90 % of a distance filter's cost, the
+//!    product is not always the same bits, and a label only asks on which
+//!    side of a comparison a row falls. So every numeric node gets a
+//!    fourth fact, its **gap** `g`: with every `POWER(·, 2)` below it
+//!    (literal exponent exactly 2, `Int` or `Float`) taken as a multiply,
+//!    its value lies within `g·2⁻⁵²·|v| + α` of its row-wise value `v` —
+//!    `α` an absolute slack, 0 unless a square underflowed — or `g` is
+//!    *unbounded*:
+//!    * a leaf, and any operation over gap-0 operands (the same operation
+//!      on the same bits): 0;
+//!    * `POWER(a, 2)` over a gap-0 `a`: [`SQUARE_GAP`] = 2. **The libm
+//!      assumption:** `f64::powf(a, 2.0)` is within 1 ulp of `a²` (glibc
+//!      documents < 1 ulp; `powf_of_two_is_within_the_band` in
+//!      `tests/vector_agreement.rs` checks 10⁶ draws on the build host);
+//!      the product is within ½. Below the normal range an ulp is 2⁻¹⁰⁷⁴
+//!      whatever the value: there `α ≤ 2⁻¹⁰⁷³` instead. Both are NaN
+//!      exactly for a NaN `a`;
+//!    * `a + b` of two non-negatives: `max(gₐ, g_b) + 1` — without
+//!      cancellation relative gaps do not add, each mode's rounding of the
+//!      sum does (½ + ½); slacks add;
+//!    * `SQRT(a)` of a non-negative `a` not itself over a gapped `SQRT`:
+//!      `⌈g/2⌉ + 1`, the slack becomes `√α ≤ 2⁻⁵⁰⁴` (a filter has fewer
+//!      than 2⁶⁴ squares). Once only: a second root makes it 2⁻²⁵², a
+//!      third 2⁻¹²⁶, and no floor holds;
+//!    * `ABS(a)` keeps it;
+//!    * `a − b`, a sum with a possibly negative operand, any other `POWER`,
+//!      over an operand of non-zero gap: unbounded (cancellation).
 //!
-//! Arithmetic is the same `f64` operation on the same operands as the
-//! generic kernels (`POWER` still calls `f64::powf`), so surviving rows
-//! are bit-identical.
+//!    A comparison with an unbounded side, or whose two gaps exceed
+//!    [`GAP_MAX`] = 2¹⁰ together, leaves the **whole filter** on row-wise
+//!    arithmetic; so does an object with a non-finite outer scalar (the
+//!    *non-negative* facts rest on it). Otherwise a tile is evaluated with
+//!    the multiply first, and a comparison of non-zero gap marks it
+//!    **uncertain** when on any row `|l − r| ≤ 2⁻⁴⁰·max(|l|, |r|)`
+//!    ([`BAND`]), an operand is not finite (a sum that overflows in one
+//!    mode may be `f64::MAX` in the other; NaN lands here too), or
+//!    `max(|l|, |r|) < 2⁻⁴⁰⁰` ([`FLOOR`]). An uncertain tile is evaluated
+//!    again with `f64::powf` before anything reads its mask, so every
+//!    mask, tile count, early-exit decision and NaN flag is the row-wise
+//!    one. A certain row is right because its fast operands differ by
+//!    more than 2⁻⁴⁰·m, `m` the larger magnitude, while the two modes'
+//!    `l − r` are within `(g_l + g_r)·2⁻⁵²·m + α_l + α_r ≤ 2⁻⁴²·m + 2⁻⁵⁰³`
+//!    of each other — the band is four times the widest gap and, from the
+//!    floor up, 2⁶² times the slack — so the row-wise difference has the
+//!    same sign and is not zero: `<`, `=` and their kin agree.
+//!
+//! Apart from rule 5's multiply — whose results reach a label only
+//! through a comparison that cleared the band — arithmetic is the same
+//! `f64` operation on the same operands as the generic kernels: `POWER`
+//! calls `f64::powf` for every exponent but a literal 2, and for that one
+//! too in a filter rule 5 declines and in every uncertain tile.
 
 use crate::column::Column;
 use crate::expr::{AggFunc, AggSubquery, BinaryOp, CmpOp, Expr, Func, UnaryOp};
@@ -88,12 +136,30 @@ use crate::value::Value;
 /// | 8 192 | 17.9    | —    | 260   | 263    | 270    |
 ///
 /// The full scan does not care (per-tile dispatch is noise from 256 up;
-/// 64 and 128 read no better), the stopped scans gain down to 256.
+/// 64 and 128 read no better), the stopped scans gain down to 256. (The
+/// neighbours columns predate rule 5: with the multiply they read 7–10 /
+/// 9–13 / 15–16 from 128 through 2 048, inside one host's run-to-run
+/// spread — the tile no longer decides them, and an uncertain tile costs
+/// one tile of `powf`, so small stays right.)
 const TILE: usize = 256;
 
 /// Largest magnitude below which `i64 → f64` is exact (and so preserves
 /// `<` and `=`).
 const F64_EXACT_INT: u64 = 1 << 53;
+
+// Rule 5's constants (derivation in the module doc).
+/// The gap of `POWER(a, 2)` over a gap-0 `a`: `pow` within 1 ulp, the
+/// product within ½.
+const SQUARE_GAP: u32 = 2;
+/// The widest gap, both operands of a comparison together, the multiply
+/// is taken for, in units of 2⁻⁵² relative.
+const GAP_MAX: u32 = 1 << 10;
+/// Half-width of the guard band around a tie, relative to the larger
+/// operand: 2⁻⁴⁰ — 2¹² units, four times [`GAP_MAX`].
+const BAND: f64 = 1.0 / (1u64 << 40) as f64;
+/// 2⁻⁴⁰⁰: with both operands below it, an underflowed square's absolute
+/// error is no longer negligible against the band.
+const FLOOR: f64 = f64::from_bits((1023 - 400) << 52);
 
 // ---------------------------------------------------------------------
 // The caller's comparison
@@ -159,12 +225,16 @@ impl CountTest {
 // ---------------------------------------------------------------------
 
 /// What is known of every value a numeric node can take, on any inner
-/// row, given finite outer scalars (module doc, rule 3).
+/// row, given finite outer scalars (module doc, rules 3 and 5).
 #[derive(Debug, Clone, Copy)]
 struct Facts {
     finite: bool,
     nan_free: bool,
     nonneg: bool,
+    /// Units of 2⁻⁵² relative; 0 is "the same bits", [`UNBOUNDED`] no bound.
+    gap: u32,
+    /// A `SQRT` sits between a squared node and here.
+    rooted: bool,
 }
 
 impl Facts {
@@ -172,11 +242,13 @@ impl Facts {
         finite: false,
         nan_free: false,
         nonneg: false,
+        gap: 0,
+        rooted: false,
     };
     const FINITE: Facts = Facts {
         finite: true,
         nan_free: true,
-        nonneg: false,
+        ..Facts::UNKNOWN
     };
 
     fn of_scalar(x: f64) -> Facts {
@@ -184,7 +256,20 @@ impl Facts {
             finite: x.is_finite(),
             nan_free: !x.is_nan(),
             nonneg: x >= 0.0,
+            ..Facts::UNKNOWN
         }
+    }
+}
+
+/// The gap of a node no bound is known for.
+const UNBOUNDED: u32 = u32::MAX;
+
+/// `gap` one rounding wider, or [`UNBOUNDED`] once past [`GAP_MAX`].
+fn widened(gap: u32) -> u32 {
+    if gap < GAP_MAX {
+        gap + 1
+    } else {
+        UNBOUNDED
     }
 }
 
@@ -231,6 +316,9 @@ enum Pred<'a> {
         r: Num<'a>,
         /// Both operands NaN-free given finite outer scalars.
         proven: bool,
+        /// An operand has a non-zero gap: in fast mode the comparison
+        /// looks for rows inside the guard band.
+        guarded: bool,
     },
     And(Box<Pred<'a>>, Box<Pred<'a>>),
     Or(Box<Pred<'a>>, Box<Pred<'a>>),
@@ -238,14 +326,6 @@ enum Pred<'a> {
 }
 
 impl Pred<'_> {
-    fn all_proven(&self) -> bool {
-        match self {
-            Pred::Cmp { proven, .. } => *proven,
-            Pred::And(a, b) | Pred::Or(a, b) => a.all_proven() && b.all_proven(),
-            Pred::Not(a) => a.all_proven(),
-        }
-    }
-
     /// `(numeric lanes, masks)` the node needs.
     fn depth(&self) -> (usize, usize) {
         match self {
@@ -280,6 +360,12 @@ struct Binder<'a> {
     inner: &'a Table,
     outer: &'a Table,
     outers: Vec<OuterCol<'a>>,
+    /// "All finite", per inner `Float` column the filter has named.
+    finite: Vec<(&'a [f64], bool)>,
+    /// Every comparison so far has NaN-free operands.
+    proven: bool,
+    /// The widest gap of a comparison so far.
+    gap: u32,
 }
 
 impl<'a> Binder<'a> {
@@ -292,9 +378,17 @@ impl<'a> Binder<'a> {
             }
             Expr::Column(name) => match self.inner.column_by_name(name).ok()? {
                 Column::Float(v) => {
-                    // Not `all(is_finite)`: without the short circuit the
-                    // pass vectorizes (≈ 2 µs at 8 000 rows).
-                    let finite = v.iter().fold(true, |ok, x| ok & x.is_finite());
+                    let seen = self.finite.iter().find(|(col, _)| std::ptr::eq(*col, &**v));
+                    let finite = match seen {
+                        Some(&(_, finite)) => finite,
+                        None => {
+                            // Not `all(is_finite)`: without the short circuit
+                            // the pass vectorizes (≈ 2 µs at 8 000 rows).
+                            let finite = v.iter().fold(true, |ok, x| ok & x.is_finite());
+                            self.finite.push((v, finite));
+                            finite
+                        }
+                    };
                     let facts = if finite {
                         Facts::FINITE
                     } else {
@@ -329,6 +423,14 @@ impl<'a> Binder<'a> {
                     finite: false,
                     nan_free: one_finite || nonneg,
                     nonneg,
+                    // Without cancellation the relative gaps do not add;
+                    // each mode's own rounding of the sum does.
+                    gap: match lf.gap.max(rf.gap) {
+                        0 => 0,
+                        gap if nonneg => widened(gap),
+                        _ => UNBOUNDED,
+                    },
+                    rooted: lf.rooted || rf.rooted,
                 };
                 (Num::Binary(op, Box::new(l), Box::new(r)), Ty::Float, facts)
             }
@@ -338,6 +440,14 @@ impl<'a> Binder<'a> {
                     finite: af.finite && af.nonneg,
                     nan_free: af.nonneg,
                     nonneg: af.nonneg,
+                    // √ halves a relative gap, but turns the absolute slack
+                    // of an underflowed square into its root: once only.
+                    gap: match af.gap {
+                        0 => 0,
+                        gap if af.nonneg && !af.rooted => widened(gap.div_ceil(2)),
+                        _ => UNBOUNDED,
+                    },
+                    rooted: af.gap != 0,
                 };
                 (Num::Unary(NumFn::Sqrt, Box::new(a)), Ty::Float, facts)
             }
@@ -347,22 +457,24 @@ impl<'a> Binder<'a> {
                     return None; // checked i64 abs, Int result
                 }
                 let facts = Facts {
-                    finite: af.finite,
-                    nan_free: af.nan_free,
                     nonneg: af.nan_free,
+                    ..af
                 };
                 (Num::Unary(NumFn::Abs, Box::new(a)), Ty::Float, facts)
             }
             Expr::Call(Func::Power, args) if args.len() == 2 => {
                 let (a, _, af) = self.num(&args[0])?;
-                let (b, _, _) = self.num(&args[1])?;
-                let facts = match b {
-                    Num::Lit(e) if e.is_finite() && e % 2.0 == 0.0 => Facts {
-                        finite: false,
-                        nan_free: af.nan_free,
-                        nonneg: af.nan_free,
+                let (b, _, bf) = self.num(&args[1])?;
+                let even = matches!(b, Num::Lit(e) if e.is_finite() && e % 2.0 == 0.0);
+                let facts = Facts {
+                    nan_free: even && af.nan_free,
+                    nonneg: even && af.nan_free,
+                    gap: match af.gap.max(bf.gap) {
+                        0 if is_square(&b) => SQUARE_GAP,
+                        0 => 0,
+                        _ => UNBOUNDED,
                     },
-                    _ => Facts::UNKNOWN,
+                    ..Facts::UNKNOWN
                 };
                 (
                     Num::Binary(NumOp::Pow, Box::new(a), Box::new(b)),
@@ -396,11 +508,15 @@ impl<'a> Binder<'a> {
                 if lt == Ty::Int && rt == Ty::Int && !(self.int_exact(&l) && self.int_exact(&r)) {
                     return None; // compared in i64 row-wise
                 }
+                let (proven, gap) = (lf.nan_free && rf.nan_free, lf.gap.saturating_add(rf.gap));
+                self.proven &= proven;
+                self.gap = self.gap.max(gap);
                 Pred::Cmp {
                     op: *op,
                     l,
                     r,
-                    proven: lf.nan_free && rf.nan_free,
+                    proven,
+                    guarded: gap > 0,
                 }
             }
             Expr::Binary(BinaryOp::And, l, r) => {
@@ -427,6 +543,10 @@ pub(crate) struct BoundCount<'a> {
     /// No comparison can meet NaN on any inner row, for any object whose
     /// outer scalars are finite.
     proven: bool,
+    /// Tiles are evaluated with `POWER(·, 2)` as a multiply first (for
+    /// any object whose outer scalars are finite): every comparison's
+    /// gap is bounded, and one at least is not zero.
+    fast: bool,
     /// Numeric lanes and byte masks, [`TILE`] entries each.
     lanes: Vec<f64>,
     masks: Vec<u8>,
@@ -441,6 +561,8 @@ pub(crate) struct Counted {
     pub(crate) count: i64,
     /// Inner rows visited (all of them unless the scan stopped early).
     pub(crate) visited: usize,
+    /// Tiles the fast mode left uncertain, re-evaluated with `powf`.
+    pub(crate) refined: usize,
 }
 
 impl<'a> BoundCount<'a> {
@@ -453,11 +575,15 @@ impl<'a> BoundCount<'a> {
             inner: &sq.table,
             outer,
             outers: Vec::new(),
+            finite: Vec::new(),
+            proven: true,
+            gap: 0,
         };
         let filter = binder.pred(sq.filter.as_ref()?)?;
         let (lanes, masks) = filter.depth();
         Some(Self {
-            proven: filter.all_proven(),
+            proven: binder.proven,
+            fast: (1..=GAP_MAX).contains(&binder.gap),
             lanes: vec![0.0; lanes * TILE],
             masks: vec![0; masks * TILE],
             scalars: vec![0.0; binder.outers.len()],
@@ -488,17 +614,29 @@ impl<'a> BoundCount<'a> {
         let stop = stop
             .filter(|_| self.proven && outers_finite)
             .unwrap_or(usize::MAX);
+        // The gaps rest on the same bind-time facts as the proof.
+        let fast = self.fast && outers_finite;
         let mut tile = Tile {
             scalars: &self.scalars,
             lo: 0,
             len: 0,
             check_all: !outers_finite,
             saw_nan: false,
+            fast,
+            unsure: false,
         };
-        let mut count = 0usize;
+        let (mut count, mut refined) = (0usize, 0usize);
         while tile.lo < self.inner_rows && count < stop {
             tile.len = TILE.min(self.inner_rows - tile.lo);
             tile.pred(&self.filter, &mut self.lanes, &mut self.masks);
+            if tile.unsure {
+                // A row too close to call: this tile again, row-wise
+                // arithmetic, before anything reads its mask.
+                (tile.fast, tile.unsure) = (false, false);
+                tile.pred(&self.filter, &mut self.lanes, &mut self.masks);
+                tile.fast = fast;
+                refined += 1;
+            }
             if tile.saw_nan {
                 return None;
             }
@@ -511,6 +649,7 @@ impl<'a> BoundCount<'a> {
         Some(Counted {
             count: count as i64,
             visited: tile.lo,
+            refined,
         })
     }
 }
@@ -555,6 +694,10 @@ struct Tile<'s> {
     /// An outer scalar is not finite: the bind-time facts do not hold.
     check_all: bool,
     saw_nan: bool,
+    /// `POWER(·, 2)` is a multiply and guarded comparisons watch the band.
+    fast: bool,
+    /// A guarded comparison met a row it cannot call.
+    unsure: bool,
 }
 
 impl Tile<'_> {
@@ -578,6 +721,10 @@ impl Tile<'_> {
                     NumFn::Abs => map1(a, &mut lanes[..len], f64::abs),
                 }
             }
+            Num::Binary(NumOp::Pow, a, b) if self.fast && is_square(b) => {
+                let a = self.num(a, lanes);
+                map1(a, &mut lanes[..len], |x| x * x)
+            }
             Num::Binary(op, a, b) => {
                 let a = self.num(a, lanes);
                 let (dst, rest) = lanes.split_at_mut(TILE);
@@ -596,18 +743,26 @@ impl Tile<'_> {
     fn pred(&mut self, node: &Pred<'_>, lanes: &mut [f64], masks: &mut [u8]) {
         let len = self.len;
         match node {
-            Pred::Cmp { op, l, r, proven } => {
+            Pred::Cmp {
+                op,
+                l,
+                r,
+                proven,
+                guarded,
+            } => {
                 let l = self.num(l, lanes);
                 let (first, rest) = lanes.split_at_mut(TILE);
                 let r = self.num(r, rest);
                 let (a, b) = (l.src(&first[..len]), r.src(&rest[..len]));
                 let out = &mut masks[..len];
-                let nan = if *proven && !self.check_all {
-                    cmp::<false>(*op, a, b, out)
+                if self.fast && *guarded {
+                    // A NaN is inside every band: the exact pass finds it.
+                    self.unsure |= cmp(*op, a, b, out, too_close);
+                } else if *proven && !self.check_all {
+                    cmp(*op, a, b, out, |_, _| false);
                 } else {
-                    cmp::<true>(*op, a, b, out)
-                };
-                self.saw_nan |= nan;
+                    self.saw_nan |= cmp(*op, a, b, out, |x, y| x.is_nan() | y.is_nan());
+                }
             }
             Pred::And(a, b) | Pred::Or(a, b) => {
                 self.pred(a, lanes, masks);
@@ -660,54 +815,69 @@ fn map2<'a>(a: Loc<'a>, b: Src<'_>, dst: &mut [f64], f: impl Fn(f64, f64) -> f64
     Loc::Lane
 }
 
+/// Whether the exponent node is the literal 2 (`Int` or `Float`).
+fn is_square(exponent: &Num<'_>) -> bool {
+    matches!(exponent, Num::Lit(e) if *e == 2.0)
+}
+
+/// Whether fast-mode operands `x`, `y` are too close for their
+/// comparison to be trusted: inside the band, both under the floor, or
+/// not finite (an infinite side makes both sides of the test infinite
+/// or NaN, a NaN makes it false).
+#[inline]
+fn too_close(x: f64, y: f64) -> bool {
+    let (ax, ay) = (x.abs(), y.abs());
+    let larger = if ax > ay { ax } else { ay };
+    !((x - y).abs() > BAND * larger && larger >= FLOOR)
+}
+
 /// `out = a op b` with the operator chosen outside the loop; returns
-/// whether an operand was NaN (looked for only when `CHECK`).
-fn cmp<const CHECK: bool>(op: CmpOp, a: Src<'_>, b: Src<'_>, out: &mut [u8]) -> bool {
+/// whether `flag` held for any pair of operands.
+fn cmp(op: CmpOp, a: Src<'_>, b: Src<'_>, out: &mut [u8], flag: impl Fn(f64, f64) -> bool) -> bool {
     match op {
-        CmpOp::Eq => cmp_with::<CHECK>(a, b, out, |x, y| x == y),
-        CmpOp::Ne => cmp_with::<CHECK>(a, b, out, |x, y| x != y),
-        CmpOp::Lt => cmp_with::<CHECK>(a, b, out, |x, y| x < y),
-        CmpOp::Le => cmp_with::<CHECK>(a, b, out, |x, y| x <= y),
-        CmpOp::Gt => cmp_with::<CHECK>(a, b, out, |x, y| x > y),
-        CmpOp::Ge => cmp_with::<CHECK>(a, b, out, |x, y| x >= y),
+        CmpOp::Eq => cmp_with(a, b, out, |x, y| x == y, flag),
+        CmpOp::Ne => cmp_with(a, b, out, |x, y| x != y, flag),
+        CmpOp::Lt => cmp_with(a, b, out, |x, y| x < y, flag),
+        CmpOp::Le => cmp_with(a, b, out, |x, y| x <= y, flag),
+        CmpOp::Gt => cmp_with(a, b, out, |x, y| x > y, flag),
+        CmpOp::Ge => cmp_with(a, b, out, |x, y| x >= y, flag),
     }
 }
 
 #[inline]
-fn cmp_with<const CHECK: bool>(
+fn cmp_with(
     a: Src<'_>,
     b: Src<'_>,
     out: &mut [u8],
     f: impl Fn(f64, f64) -> bool,
+    flag: impl Fn(f64, f64) -> bool,
 ) -> bool {
-    let mut nan = false;
+    let mut any = false;
     match (a, b) {
         (Src::Scalar(x), Src::Scalar(y)) => {
-            nan = x.is_nan() || y.is_nan();
+            any = flag(x, y);
             out.fill(u8::from(f(x, y)));
         }
         (Src::Slice(xs), Src::Scalar(y)) => {
-            nan = y.is_nan();
             for (o, x) in out.iter_mut().zip(xs) {
                 *o = u8::from(f(*x, y));
-                nan |= CHECK && x.is_nan();
+                any |= flag(*x, y);
             }
         }
         (Src::Scalar(x), Src::Slice(ys)) => {
-            nan = x.is_nan();
             for (o, y) in out.iter_mut().zip(ys) {
                 *o = u8::from(f(x, *y));
-                nan |= CHECK && y.is_nan();
+                any |= flag(x, *y);
             }
         }
         (Src::Slice(xs), Src::Slice(ys)) => {
             for (o, (x, y)) in out.iter_mut().zip(xs.iter().zip(ys)) {
                 *o = u8::from(f(*x, *y));
-                nan |= CHECK && (x.is_nan() || y.is_nan());
+                any |= flag(*x, *y);
             }
         }
     }
-    CHECK && nan
+    any
 }
 
 #[cfg(test)]
@@ -818,6 +988,53 @@ mod tests {
     }
 
     #[test]
+    fn squaring_with_a_multiply_counts_what_powf_counts() {
+        // The service's neighbours filter: 8 000 points in the unit square
+        // (a fixed LCG) at about 10 to a ball, 200 objects, k = 5 / 10 / 30
+        // and the bare count.
+        let (n, d) = (8_000usize, 0.02);
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut coords = [vec![0.0; n], vec![0.0; n]];
+        for x in coords.iter_mut().flatten() {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            *x = (state >> 11) as f64 / (1u64 << 53) as f64;
+        }
+        let square = |c: &str| Expr::outer(c).sub(Expr::col(c)).power(Expr::lit(2i64));
+        let filter = square("x").add(square("y")).sqrt().le(Expr::lit(d));
+        let objects: Vec<usize> = (0..200).map(|i| (i * 7919) % n).collect();
+        // Tiles refined over every object and stop bound, the multiply's
+        // counts held against a `powf`-only evaluation on the way.
+        let refined = |[xs, ys]: &[Vec<f64>; 2]| {
+            let t = Arc::new(table_of_floats(&[("x", xs), ("y", ys)]).unwrap());
+            let sq = count_sq(&t, filter.clone());
+            let mut fast = BoundCount::bind(&sq, &t).unwrap();
+            let mut exact = BoundCount::bind(&sq, &t).unwrap();
+            assert!(fast.proven && fast.fast);
+            exact.fast = false;
+            let mut refined = 0;
+            for k in [Some(5.0), Some(10.0), Some(30.0), None] {
+                let stop =
+                    k.and_then(|k| CountTest::new(CmpOp::Lt, &Value::Float(k), false)?.stop());
+                for &o in &objects {
+                    let got = fast.count(o, stop).unwrap();
+                    let want = Counted { refined: 0, ..got };
+                    assert_eq!(exact.count(o, stop), Some(want), "object {o}, k = {k:?}");
+                    refined += got.refined;
+                }
+            }
+            refined
+        };
+        // No generated row comes within 2⁻⁴⁰ of a radius (about one in
+        // 10¹² would).
+        assert_eq!(refined(&coords), 0);
+        // A row a rounding error from object 0's radius, in the first tile:
+        // that tile is evaluated again, at every stop bound.
+        let o = objects[0];
+        (coords[0][1], coords[1][1]) = (coords[0][o] + d, coords[1][o]);
+        assert!(refined(&coords) >= 4);
+    }
+
+    #[test]
     fn binder_takes_the_service_shapes_and_declines_the_rest() {
         let schema = Schema::from_pairs(&[
             ("x", DataType::Float),
@@ -844,6 +1061,10 @@ mod tests {
             let sq = count_sq(&t, filter);
             BoundCount::bind(&sq, &t).map(|b| b.proven)
         };
+        let fast = |filter: Expr| {
+            let sq = count_sq(&t, filter);
+            BoundCount::bind(&sq, &t).unwrap().fast
+        };
         let dist = Expr::outer("x")
             .sub(Expr::col("x"))
             .power(Expr::lit(2.0))
@@ -858,7 +1079,7 @@ mod tests {
             )
             .and(Expr::col("i").eq(Expr::outer("i")).not());
         assert_eq!(binds(dist.clone().le(Expr::lit(0.7))), Some(true));
-        assert_eq!(binds(dominate), Some(true));
+        assert_eq!(binds(dominate.clone()), Some(true));
         // Bound, but not provably NaN-free: odd power under a root, a
         // difference of squares, a NaN literal.
         let cube = Expr::col("x").power(Expr::lit(3.0)).sqrt();
@@ -866,8 +1087,47 @@ mod tests {
         let diff = Expr::col("x")
             .power(Expr::lit(2.0))
             .sub(Expr::col("y").power(Expr::lit(2.0)));
-        assert_eq!(binds(diff.lt(Expr::lit(0.0))), Some(false));
+        assert_eq!(binds(diff.clone().lt(Expr::lit(0.0))), Some(false));
         assert_eq!(binds(Expr::col("x").lt(Expr::lit(f64::NAN))), Some(false));
+        // The multiply for `POWER(·, 2)`: taken where every gap is bounded
+        // (rule 5) and there is a square to take it for.
+        let square = |e: Expr| Expr::col("x").sub(Expr::outer("x")).power(e);
+        let ball = |e: Expr| square(e.clone()).add(square(e)).sqrt().le(Expr::lit(0.7));
+        assert!(fast(dist.clone().le(Expr::lit(0.7))));
+        assert!(fast(ball(Expr::lit(2i64))));
+        assert!(fast(square(Expr::lit(2.0)).lt(Expr::col("y").abs())));
+        assert!(fast(dist.clone().le(dist.clone().abs())));
+        for exact_only in [
+            // No square; an exponent that is not 2.
+            dominate.clone(),
+            ball(Expr::lit(2.0000000000000004)),
+            ball(Expr::lit(-2.0)),
+            ball(Expr::col("y")),
+            // Cancellation: under `−`, or `+` with a possibly negative side.
+            diff.clone().lt(Expr::lit(0.0)),
+            square(Expr::lit(2.0))
+                .add(Expr::col("y"))
+                .lt(Expr::lit(1.0)),
+            // A gapped base, a second root, and an unbounded comparison
+            // beside a bounded one.
+            square(Expr::lit(2.0))
+                .power(Expr::lit(2.0))
+                .lt(Expr::lit(1.0)),
+            dist.clone().sqrt().le(Expr::lit(0.7)),
+            dist.clone()
+                .le(Expr::lit(0.7))
+                .and(diff.clone().lt(Expr::lit(0.0))),
+        ] {
+            assert!(!fast(exact_only.clone()), "{exact_only}");
+        }
+        // Gaps grow by one per sum, up to the ceiling (a filter that deep
+        // would not fit this thread's stack, so the ceiling is asked directly).
+        let sum = (1..40).fold(square(Expr::lit(2.0)), |s, _| s.add(square(Expr::lit(2.0))));
+        assert!(fast(sum.lt(Expr::lit(1.0))));
+        assert_eq!(
+            (widened(GAP_MAX - 1), widened(GAP_MAX)),
+            (GAP_MAX, UNBOUNDED)
+        );
         // Int vs Float compares in f64 either way; Int vs Int only when
         // every value is f64-exact.
         assert_eq!(binds(Expr::col("big").lt(Expr::col("x"))), Some(true));

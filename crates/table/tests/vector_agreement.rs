@@ -163,25 +163,80 @@ fn arb_numeric_table(max_rows: usize) -> impl Strategy<Value = Table> {
             for (at, v) in bigs {
                 i[at as usize % n] = v;
             }
-            let schema = Schema::new(vec![
-                Field::new("f", DataType::Float),
-                Field::new("g", DataType::Float),
-                Field::new("i", DataType::Int),
-                Field::new("j", DataType::Int),
-            ])
-            .unwrap();
-            let mut b = TableBuilder::new(schema);
-            for r in 0..n {
-                b.push_row(vec![
-                    Value::Float(f[r]),
-                    Value::Float(g[r]),
-                    Value::Int(i[r]),
-                    Value::Int(j[r]),
-                ])
-                .unwrap();
-            }
-            b.finish().unwrap()
+            numeric_table(&f, &g, &i, &j)
         })
+}
+
+/// The `f, g: Float`, `i, j: Int` table over the given columns.
+fn numeric_table(f: &[f64], g: &[f64], i: &[i64], j: &[i64]) -> Table {
+    let schema = Schema::new(vec![
+        Field::new("f", DataType::Float),
+        Field::new("g", DataType::Float),
+        Field::new("i", DataType::Int),
+        Field::new("j", DataType::Int),
+    ])
+    .unwrap();
+    let mut b = TableBuilder::new(schema);
+    for r in 0..f.len() {
+        b.push_row(vec![
+            Value::Float(f[r]),
+            Value::Float(g[r]),
+            Value::Int(i[r]),
+            Value::Int(j[r]),
+        ])
+        .unwrap();
+    }
+    b.finish().unwrap()
+}
+
+/// `x` moved `k` representable values up (`k > 0`) or down.
+fn step_ulps(x: f64, k: i64) -> f64 {
+    (0..k.abs()).fold(x, |x, _| if k > 0 { x.next_up() } else { x.next_down() })
+}
+
+/// `inner` with rows overwritten (at positions drawn from `seed`) by the
+/// cases a multiply-for-`POWER` kernel can get wrong around object
+/// `(of, og)` and radius `r`: along the `f` axis (`g = og`, so the
+/// distance is the `f` difference alone) at `r` and `r ± {1, 2, 8}` ulps
+/// on either side; and, each in some cases only, differences whose
+/// square overflows, is subnormal or is `±0`, and NaN and `±∞`
+/// coordinates.
+fn plant_around(inner: &Table, (of, og): (f64, f64), r: f64, seed: u64) -> Table {
+    let n = inner.len();
+    let mut f = inner.floats("f").unwrap().to_vec();
+    let mut g = inner.floats("g").unwrap().to_vec();
+    let mut planted: Vec<(f64, f64)> = Vec::new();
+    for k in [0i64, 1, -1, 2, -2, 8, -8] {
+        let d = step_ulps(r, k);
+        planted.push((of - d, og));
+        planted.push((of + d, og));
+    }
+    // Not every case gets every kind: a non-finite value costs the
+    // filter its proof, an overflow costs its tile the fast mode.
+    if seed & 1 == 0 {
+        planted.extend([(1e200, og), (of, -1e200)]);
+    }
+    if seed & 2 == 0 {
+        planted.extend([(of + 1e-160, og), (of, og - 3e-162), (of, og), (-0.0, -0.0)]);
+    }
+    if seed & 12 == 0 {
+        planted.extend([(f64::NAN, og), (of, f64::INFINITY), (f64::NEG_INFINITY, og)]);
+    }
+    let mut state = seed | 1;
+    for (pf, pg) in planted {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        // Mostly early rows: inside the tile that decides a small threshold.
+        let at = if state.is_multiple_of(3) {
+            state >> 8
+        } else {
+            (state >> 8) % 64
+        } as usize
+            % n;
+        (f[at], g[at]) = (pf, pg);
+    }
+    numeric_table(&f, &g, inner.ints("i").unwrap(), inner.ints("j").unwrap())
 }
 
 /// A well-typed numeric expression over the inner row and the outer
@@ -231,8 +286,13 @@ fn cmp_expr(op: CmpOp, l: Expr, r: Expr) -> Expr {
 
 /// A boolean filter over [`arb_numeric`] operands — random comparison
 /// trees, and the two shapes the service asks (skyband dominance, a
-/// Euclidean ball).
-fn arb_numeric_filter() -> BoxedStrategy<Expr> {
+/// Euclidean ball) — with the radius when it is ball-shaped. The ball
+/// comes with every exponent the kernel must tell apart (a `Float` or an
+/// `Int` 2 it may square; the next `f64` after 2 and `−2`, which stay on
+/// `powf`), with radii from 0 through the grid to ones whose squares
+/// underflow or overflow, and as a difference of squares, whose
+/// cancellation rules the multiply out altogether.
+fn arb_numeric_filter() -> BoxedStrategy<(Expr, Option<f64>)> {
     let cmp = (arb_cmp_op(), arb_numeric(), arb_numeric())
         .prop_map(|(op, l, r)| cmp_expr(op, l, r))
         .boxed();
@@ -253,15 +313,34 @@ fn arb_numeric_filter() -> BoxedStrategy<Expr> {
                     .or(Expr::col("g").gt(Expr::outer("g"))),
             ),
     );
-    let ball = (0i64..7).prop_map(|d| {
-        Expr::outer("f")
-            .sub(Expr::col("f"))
-            .power(Expr::lit(2.0))
-            .add(Expr::outer("g").sub(Expr::col("g")).power(Expr::lit(2.0)))
-            .sqrt()
-            .le(Expr::lit(d as f64 * 0.5))
+    let exponent = prop_oneof![
+        4 => Just(Expr::lit(2.0)),
+        2 => Just(Expr::lit(2i64)),
+        1 => Just(Expr::lit(2.0000000000000004)),
+        1 => Just(Expr::lit(-2.0)),
+    ];
+    let radius = prop_oneof![
+        6 => (0i64..7).prop_map(|d| d as f64 * 0.5),
+        1 => Just(1e-160),
+        1 => Just(1e200),
+    ];
+    let ball = (exponent, radius, arb_cmp_op(), 0usize..8).prop_map(|(e, r, op, shape)| {
+        let df = Expr::outer("f").sub(Expr::col("f")).power(e.clone());
+        let dg = Expr::outer("g").sub(Expr::col("g")).power(e);
+        let filter = match shape {
+            0 => cmp_expr(op, df.sub(dg), Expr::lit(r)),
+            1 => cmp_expr(op, df.add(dg), Expr::lit(r * r)),
+            2 => cmp_expr(op, Expr::lit(r), df.add(dg).sqrt()),
+            _ => df.add(dg).sqrt().le(Expr::lit(r)),
+        };
+        (filter, Some(r))
     });
-    prop_oneof![6 => tree, 2 => skyband, 2 => ball].boxed()
+    prop_oneof![
+        6 => tree.prop_map(|e| (e, None)),
+        2 => skyband.prop_map(|e| (e, None)),
+        3 => ball,
+    ]
+    .boxed()
 }
 
 /// The thresholds of `COUNT(*) cmp k` on an `n`-row inner table: below,
@@ -458,7 +537,9 @@ proptest! {
     /// The bound, tiled subquery kernel: `COUNT(*) cmp k` over numeric
     /// filters with outer references, inner tables that span several
     /// tiles, NaN / ±inf / -0.0 in storage and in the object row, every
-    /// comparison with the literal on either side. Per outer row the
+    /// comparison with the literal on either side; under a ball-shaped
+    /// filter, inner rows planted on and within ulps of the radius and
+    /// where a square leaves the normal range. Per outer row the
     /// value or error must equal row-wise `Expr::eval` — through the
     /// columnar engine, `ExprPredicate`, the chunked id scan and
     /// `AggThresholdPredicate`, over ids with duplicates and ids past
@@ -467,13 +548,22 @@ proptest! {
     fn bound_subquery_kernel_agrees_with_row_wise(
         inner in arb_numeric_table(3000),
         outer in arb_numeric_table(6),
-        filter in arb_numeric_filter(),
+        (filter, radius) in arb_numeric_filter(),
         op in arb_cmp_op(),
         literal_left in any::<bool>(),
         k_pick in 0usize..9,
         picks in proptest::collection::vec(0usize..9, 1..14),
+        plant_seed in any::<u64>(),
     ) {
         let n = inner.len();
+        let inner = match radius {
+            Some(r) => {
+                let o = picks[0] % outer.len();
+                let at = (outer.floats("f").unwrap()[o], outer.floats("g").unwrap()[o]);
+                plant_around(&inner, at, r, plant_seed)
+            }
+            None => inner,
+        };
         let inner = Arc::new(inner);
         let k = thresholds(n)[k_pick].clone();
         let sub = Expr::count_where(Arc::clone(&inner), filter.clone());
@@ -517,4 +607,32 @@ proptest! {
             prop_assert_eq!(&agg_row_wise, &row_wise, "`{}`", e);
         }
     }
+}
+
+/// The libm assumption behind the bound kernel's multiply for
+/// `POWER(·, 2)` (`lts_table::bound`, rule 5: `SQUARE_GAP` = 2), on this
+/// host: `powf(x, 2.0)` is within 2 ulps of `x·x` — mantissas from an
+/// LCG, exponents across ±500 (squares stay normal), the exponent opaque
+/// so that `powf` is the library call the kernel makes and not a
+/// compile-time `x * x`.
+#[test]
+fn powf_of_two_is_within_the_band() {
+    let two = std::hint::black_box(2.0f64);
+    let mut state = 0x9e37_79b9_7f4a_7c15u64;
+    let (mut worst, mut differ) = (0u64, 0u32);
+    for _ in 0..1_000_000 {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let mantissa = 1.0 + (state >> 12) as f64 / (1u64 << 52) as f64;
+        let exponent = ((state >> 3) % 1001) as i32 - 500;
+        let x = mantissa * f64::from(exponent).exp2() * if state & 1 == 0 { 1.0 } else { -1.0 };
+        let ulps = x.powf(two).to_bits().abs_diff((x * x).to_bits());
+        worst = worst.max(ulps);
+        differ += u32::from(ulps != 0);
+    }
+    // (0.09 % of draws differ on glibc 2.3x, by one ulp: the band is not
+    // there for nothing.)
+    println!("powf(x, 2) != x*x for {differ} of 1 000 000 draws, at most {worst} ulp(s)");
+    assert!(worst <= 2, "powf(x, 2) is {worst} ulps from x·x");
 }
