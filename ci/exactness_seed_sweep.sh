@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
-# Re-run the two exactness proptests — the design DP against its
+# Re-run the three exactness proptests — the design DP against its
 # triple-loop oracle, the bound subquery kernel against row-wise
-# `Expr::eval` — in eight other universes of cases (`PROPTEST_SEED`
-# 1…8; the plain test runs cover the unseeded one), each at the default
-# worker count and at one rayon worker. Both kernels take shortcuts that
-# are exact by argument (class minima for unanimous strata; a multiply
-# for POWER(·, 2) under a guard band): this is the argument's test.
+# `Expr::eval`, the forest's score table against its node walk — in
+# eight other universes of cases (`PROPTEST_SEED` 1…8; the plain test
+# runs cover the unseeded one), each at the default worker count and at
+# one rayon worker. All three kernels take shortcuts that are exact by
+# argument (class minima for unanimous strata; a multiply for
+# POWER(·, 2) under a guard band; a lookup over the threshold grid):
+# this is the argument's test.
 #
 # usage: ci/exactness_seed_sweep.sh   (from anywhere inside the repository)
 set -euo pipefail
@@ -16,6 +18,7 @@ sweep() { # <label>; runs under whatever RAYON_NUM_THREADS the caller set
         echo "PROPTEST_SEED=$seed ($1)"
         PROPTEST_SEED=$seed cargo test --release --offline -q -p lts-strata --test proptests dynpgm_matches
         PROPTEST_SEED=$seed cargo test --release --offline -q -p lts-table --test vector_agreement bound_subquery
+        PROPTEST_SEED=$seed cargo test --release --offline -q -p lts-learn --test proptests forest_table
     done
 }
 

@@ -1,7 +1,11 @@
 //! Criterion benches for the ML substrate: classifier training and
-//! whole-population scoring (the dominant LSS phase-2 overhead).
+//! whole-population scoring (the dominant LSS phase-2 overhead), and
+//! the service's own proxy (`forest_service`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use lts_core::warm::train_proxy;
+use lts_core::Labeler;
+use lts_data::{neighbors_scenario, sports_scenario, SelectivityLevel};
 use lts_learn::{Classifier, GaussianNb, Gbm, Knn, Logistic, Matrix, Mlp, RandomForest};
 use std::hint::black_box;
 
@@ -104,5 +108,53 @@ fn bench_score_population(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_fit, bench_score_population);
+/// The proxy a cold prepare fits and scores with: 100 trees on 100 / 150
+/// labelled rows of an 8 000-row scenario (seed 1), then the whole
+/// population — `fit` (which ends in the table build), `score_batch`
+/// over 8 000 rows, and the table build alone.
+fn bench_forest_service(c: &mut Criterion) {
+    let mut group = c.benchmark_group("forest_service");
+    group.sample_size(10);
+    let scenarios = [
+        ("sports", sports_scenario(8_000, SelectivityLevel::M, 1)),
+        (
+            "neighbors",
+            neighbors_scenario(8_000, SelectivityLevel::M, 1),
+        ),
+    ];
+    for (name, scenario) in scenarios {
+        let problem = scenario.unwrap().problem;
+        let population = problem.features();
+        for train in [100, 150] {
+            let mut labeler = Labeler::new(&problem);
+            let proxy = train_proxy(&problem, &Default::default(), train, 1, &mut labeler).unwrap();
+            let x = population.gather(&proxy.labeled);
+            let y = proxy.labels;
+            let tag = format!("{name}_train{train}");
+            group.bench_function(format!("fit/{tag}"), |b| {
+                b.iter(|| {
+                    let mut m = RandomForest::with_trees(100, 1);
+                    m.fit(black_box(&x), &y).unwrap();
+                    m
+                })
+            });
+            let mut forest = RandomForest::with_trees(100, 1);
+            forest.fit(&x, &y).unwrap();
+            group.bench_function(format!("score_batch_8000/{tag}"), |b| {
+                b.iter(|| forest.score_batch(black_box(population)).unwrap())
+            });
+            group.bench_function(format!("table_build/{tag}"), |b| {
+                b.iter(|| forest.rebuild_table())
+            });
+        }
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_fit,
+    bench_score_population,
+    bench_forest_service
+);
 criterion_main!(benches);

@@ -61,6 +61,11 @@ fn auto_partitions(n_members: usize) -> usize {
     (n_members / MIN_SCORE_ROWS).clamp(1, rayon::current_num_threads())
 }
 
+/// Members gathered into one feature matrix per `score_batch` call: the
+/// gathered copy stays `8·d·GATHER_ROWS` bytes per worker at any
+/// population size, and per-row purity makes the blocks invisible.
+const GATHER_ROWS: usize = 1024;
+
 /// A population subset scored by a proxy classifier `g`.
 ///
 /// `members` are ascending object ids; `scores[k] = g(members[k])`.
@@ -111,12 +116,19 @@ impl ScoredPopulation {
         let features = problem.features();
         // Contiguous member ranges, mirroring PartitionedTable's
         // row-range arithmetic; each worker gathers and batch-scores
-        // only its own range, results concatenate in partition order.
+        // only its own range, `GATHER_ROWS` members at a time, and
+        // results concatenate in partition order.
         let bounds = partition_bounds(members.len(), n_partitions.max(1));
         let ranges: Vec<(usize, usize)> = bounds.windows(2).map(|w| (w[0], w[1])).collect();
         let chunks: Vec<lts_learn::LearnResult<Vec<f64>>> = ranges
             .into_par_iter()
-            .map(|(lo, hi)| model.score_batch(&features.gather(&members[lo..hi])))
+            .map(|(lo, hi)| {
+                let mut out = Vec::with_capacity(hi - lo);
+                for block in members[lo..hi].chunks(GATHER_ROWS) {
+                    out.extend(model.score_batch(&features.gather(block))?);
+                }
+                Ok(out)
+            })
             .collect();
         let mut scores = Vec::with_capacity(members.len());
         for chunk in chunks {
@@ -215,12 +227,19 @@ pub struct OrderedPopulation {
 
 impl OrderedPopulation {
     fn new(sp: ScoredPopulation) -> Self {
-        let mut idx: Vec<usize> = (0..sp.members.len()).collect();
-        // Stable sort by the composite key; `members` is ascending, so
-        // local-index ties equal object-id ties.
-        idx.sort_by(|&a, &b| sp.scores[a].total_cmp(&sp.scores[b]).then(a.cmp(&b)));
-        let order: Vec<usize> = idx.iter().map(|&k| sp.members[k]).collect();
-        let sorted_scores: Vec<f64> = idx.iter().map(|&k| sp.scores[k]).collect();
+        // One `u128` per member: the score's bits, flipped so that
+        // unsigned order is `total_cmp` order, above the local index
+        // (`members` ascend, so index ties are id ties). Unique keys: an
+        // unstable sort gives the stable composite order.
+        let key = |(s, k): (&f64, u128)| {
+            let b = s.to_bits();
+            u128::from(b ^ ((b as i64 >> 63) as u64 | 1 << 63)) << 64 | k
+        };
+        let mut keys: Vec<u128> = sp.scores.iter().zip(0..).map(key).collect();
+        keys.sort_unstable();
+        let idx = keys.iter().map(|&key| key as u64 as usize);
+        let order: Vec<usize> = idx.clone().map(|k| sp.members[k]).collect();
+        let sorted_scores: Vec<f64> = idx.map(|k| sp.scores[k]).collect();
         Self {
             order,
             sorted_scores,
@@ -423,6 +442,19 @@ mod tests {
                 "order not (score, id)-sorted at {p}"
             );
         }
+    }
+
+    #[test]
+    fn ordering_keys_match_the_stable_composite_sort() {
+        let mut scores = vec![f64::NAN, -f64::NAN, f64::INFINITY, -f64::INFINITY];
+        scores.extend([-0.0, 0.0, 5e-324]);
+        scores.extend((0..300).map(|i| f64::from(i * 37 % 11) / 10.0 - 0.3));
+        let mut idx: Vec<usize> = (0..scores.len()).collect();
+        idx.sort_by(|&a, &b| scores[a].total_cmp(&scores[b]).then(a.cmp(&b)));
+        let want: Vec<usize> = idx.iter().map(|&k| 3 * k + 1).collect();
+        let members = (0..scores.len()).map(|i| 3 * i + 1).collect();
+        let ordered = ScoredPopulation { members, scores }.into_ordered();
+        assert_eq!(ordered.order(), want.as_slice());
     }
 
     #[test]

@@ -866,7 +866,7 @@ impl WarmEstimator for Lss {
         // positions. `train_positions` are the positions of S_L within
         // the ordering (empty in Fresh mode).
         let reuse = self.pilot_source == PilotSource::ReuseLearning;
-        let (ordered, train_positions) = run.timer.phase(Phase::Phase2, || -> CoreResult<_> {
+        let (ordered, train_positions, proxy) = run.timer.phase(Phase::Phase2, || {
             let scored = observed_phase(lts_obs::Phase::Score, || {
                 if reuse {
                     ScoredPopulation::score_all(problem, proxy.model.as_ref())
@@ -874,17 +874,18 @@ impl WarmEstimator for Lss {
                     ScoredPopulation::score_rest(problem, proxy.model.as_ref(), &proxy.labeled)
                 }
             })?;
+            // Scoring was the model's last use: it (and a forest's score
+            // table) is dropped before the ordering allocates, and the
+            // state keeps its record.
+            let proxy = proxy.into_snapshot();
             let ordered = scored.into_ordered();
             let mut in_train = vec![false; problem.n()];
             for &i in &proxy.labeled {
                 in_train[i] = true;
             }
             let train_positions = ordered.positions_marked(&in_train);
-            Ok((ordered, train_positions))
+            CoreResult::Ok((ordered, train_positions, proxy))
         })?;
-        // Scoring was the model's last use: it is dropped here, and the
-        // state keeps its record.
-        let proxy = proxy.into_snapshot();
         let n_rest = ordered.n();
         let n_drawable = n_rest - train_positions.len();
         if split.pilot + split.stage2 > n_drawable {

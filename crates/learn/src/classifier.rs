@@ -38,11 +38,11 @@ pub trait Classifier: Send + Sync {
 
     /// Scores for every row of a matrix.
     ///
-    /// The default maps [`Classifier::score`] over the rows. Every
-    /// model in this crate overrides it with a vectorized batch kernel
-    /// (fused scaling, reused buffers, per-tree accumulation, batched
-    /// kd-tree queries) under one contract, enforced by
-    /// `tests/score_batch_agreement.rs`:
+    /// The default maps [`Classifier::score`] over the rows; the tree
+    /// and the forest (a table lookup) keep it, the other models
+    /// override it with a vectorized kernel (fused scaling, reused
+    /// buffers, per-tree accumulation, batched kd-tree queries). One
+    /// contract, enforced by `tests/score_batch_agreement.rs`:
     ///
     /// * **bit-identical** to the per-row path — same values (to the
     ///   bit, including NaN propagation) and same first error;

@@ -3,11 +3,35 @@
 //! The paper's default classifier (`n = 100` estimators). The score
 //! `g(o)` is the mean of the trees' leaf probabilities — naturally spread
 //! over `[0, 1]`, which is exactly what LSS's score-ordering relies on.
+//!
+//! # Scoring by table
+//!
+//! A forest is constant on each cell of the grid its own split thresholds
+//! cut, so `fit` ends by tabulating it and `score` / `score_batch` answer
+//! by lookup, the same bits as the walk (ARCHITECTURE.md, "Proxy cost
+//! model"). `T_f` are the distinct thresholds on feature `f`, sorted and
+//! deduplicated by `==` (`−0.0` ≡ `+0.0`); finite or `±∞`, never NaN
+//! ([`crate::tree`]). A row's code is `c_f(x) = #{t ∈ T_f : t < x}`, and
+//! `|T_f|` for NaN: then `x ≤ T_f[k]` iff `c_f(x) ≤ k`, and NaN goes right
+//! at every node under both. Tree by tree, in index order, a descent
+//! narrows a box of codes per feature and adds each leaf's `p` to every
+//! cell of its box (the inner run is one slice add); a tree's boxes
+//! partition the grid, so each cell sums `0.0 + p₁ + … + p_n` in the walk's
+//! order, and is divided once by `n`. A row then costs `d` binary searches
+//! and one load.
+//!
+//! **The cap**, [`MAX_TABLE_CELLS`] = 2¹⁸ cells (2 MiB): painting costs
+//! ≈ 0.3 ns per (tree, cell), ≈ 8 ms for 100 trees at the cap, and a
+//! 2-feature forest reaches the cap at ≈ 400 training rows, whose fit
+//! costs ≈ 16 ms — so a build costs at most about half its fit. The
+//! served forests cut 75–350 cells (sports) and 8 000–24 000 (neighbours).
+//! Above the cap the forest walks its trees per row: the only other
+//! kernel, chosen by the cell count alone, and the tests' oracle.
 
 use crate::classifier::{validate_training, Classifier};
 use crate::error::{LearnError, LearnResult};
 use crate::matrix::Matrix;
-use crate::tree::{DecisionTree, TreeConfig};
+use crate::tree::{DecisionTree, Node, TreeConfig};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -33,12 +57,20 @@ impl Default for ForestConfig {
     }
 }
 
+/// Largest score table a forest builds: 2¹⁸ cells, 2 MiB of `f64`
+/// (derivation in the module doc). A forest whose threshold grid has
+/// more cells scores by walking its trees.
+pub const MAX_TABLE_CELLS: usize = 1 << 18;
+
 /// A fitted random forest.
 #[derive(Debug, Clone)]
 pub struct RandomForest {
     config: ForestConfig,
     trees: Vec<DecisionTree>,
     dims: usize,
+    /// The trees tabulated over their threshold grid; `None` above
+    /// [`MAX_TABLE_CELLS`] (and before `fit`).
+    table: Option<ScoreTable>,
 }
 
 impl RandomForest {
@@ -48,6 +80,7 @@ impl RandomForest {
             config,
             trees: Vec::new(),
             dims: 0,
+            table: None,
         }
     }
 
@@ -68,6 +101,124 @@ impl RandomForest {
     /// Whether no trees have been fitted.
     pub fn is_empty(&self) -> bool {
         self.trees.is_empty()
+    }
+
+    /// The fitted trees, in the order the score sums them.
+    pub fn trees(&self) -> &[DecisionTree] {
+        &self.trees
+    }
+
+    /// Cells of the score table `score` and `score_batch` read, or
+    /// `None` when they walk the trees (unfitted, or a threshold grid
+    /// above [`MAX_TABLE_CELLS`]).
+    pub fn table_cells(&self) -> Option<usize> {
+        self.table.as_ref().map(|t| t.cells.len())
+    }
+
+    /// Tabulate the fitted trees again — the last step of `fit`, giving
+    /// the same table — and return [`RandomForest::table_cells`]. Public
+    /// so that the build can be timed on its own.
+    pub fn rebuild_table(&mut self) -> Option<usize> {
+        self.table = ScoreTable::build(&self.trees, self.dims);
+        self.table_cells()
+    }
+}
+
+/// A forest tabulated over its threshold grid (module doc): cells are
+/// row-major over the features' codes, the last feature contiguous.
+#[derive(Debug, Clone)]
+struct ScoreTable {
+    /// `T_f` per feature: the sorted distinct split thresholds.
+    thresholds: Vec<Vec<f64>>,
+    /// The forest's mean score per cell.
+    cells: Vec<f64>,
+}
+
+impl ScoreTable {
+    /// Tabulate `trees` over `dims` features; `None` without trees or
+    /// when the grid has more than [`MAX_TABLE_CELLS`] cells.
+    fn build(trees: &[DecisionTree], dims: usize) -> Option<Self> {
+        let mut thresholds = vec![Vec::new(); dims];
+        for node in trees.iter().flat_map(DecisionTree::nodes) {
+            if let Node::Split { feat, thr, .. } = *node {
+                thresholds[feat].push(thr);
+            }
+        }
+        for t in &mut thresholds {
+            t.sort_unstable_by(f64::total_cmp);
+            t.dedup_by(|a, b| a == b);
+        }
+        let n_cells = thresholds
+            .iter()
+            .try_fold(1usize, |n, t| n.checked_mul(t.len() + 1))
+            .filter(|&n| n <= MAX_TABLE_CELLS && !trees.is_empty())?;
+        let mut table = Self {
+            cells: vec![0.0; n_cells],
+            thresholds,
+        };
+        let mut lo = vec![0; dims];
+        let mut hi: Vec<usize> = table.thresholds.iter().map(Vec::len).collect();
+        for tree in trees {
+            table.paint(tree.nodes(), tree.nodes().len() - 1, &mut lo, &mut hi);
+        }
+        let n_trees = trees.len() as f64;
+        table.cells.iter_mut().for_each(|c| *c /= n_trees);
+        Some(table)
+    }
+
+    /// Add the leaves below `node` over their boxes of codes, `lo..=hi`
+    /// being the box that reaches `node`.
+    fn paint(&mut self, nodes: &[Node], node: usize, lo: &mut [usize], hi: &mut [usize]) {
+        match nodes[node] {
+            Node::Leaf { p } => add_box(&mut self.cells, &self.thresholds, lo, hi, p),
+            Node::Split {
+                feat,
+                thr,
+                left,
+                right,
+            } => {
+                let k = self.thresholds[feat].partition_point(|&t| t < thr);
+                let (l, h) = (lo[feat], hi[feat]);
+                if l <= k {
+                    hi[feat] = h.min(k);
+                    self.paint(nodes, left, lo, hi);
+                    hi[feat] = h;
+                }
+                if k < h {
+                    lo[feat] = l.max(k + 1);
+                    self.paint(nodes, right, lo, hi);
+                    lo[feat] = l;
+                }
+            }
+        }
+    }
+
+    fn score(&self, row: &[f64]) -> f64 {
+        let mut cell = 0;
+        for (&x, t) in row.iter().zip(&self.thresholds) {
+            let code = if x.is_nan() {
+                t.len()
+            } else {
+                t.partition_point(|&t| t < x)
+            };
+            cell = cell * (t.len() + 1) + code;
+        }
+        self.cells[cell]
+    }
+}
+
+/// Add `p` to every cell of the box `lo..=hi` of a block of cells over
+/// the codes of `thresholds`' features.
+fn add_box(cells: &mut [f64], thresholds: &[Vec<f64>], lo: &[usize], hi: &[usize], p: f64) {
+    match thresholds {
+        [] => cells[0] += p,
+        [_] => cells[lo[0]..=hi[0]].iter_mut().for_each(|c| *c += p),
+        [t, inner @ ..] => {
+            let blocks = cells.chunks_exact_mut(cells.len() / (t.len() + 1));
+            for block in blocks.take(hi[0] + 1).skip(lo[0]) {
+                add_box(block, inner, &lo[1..], &hi[1..], p);
+            }
+        }
     }
 }
 
@@ -120,9 +271,13 @@ impl Classifier for RandomForest {
             tree.fit(&boot_x, &boot_y)?;
             self.trees.push(tree);
         }
+        self.rebuild_table();
         Ok(())
     }
 
+    /// A table lookup, or under no table the walk summed in tree order.
+    /// `score_batch` is the trait's loop over this: a lookup leaves no
+    /// work to share across rows.
     fn score(&self, row: &[f64]) -> LearnResult<f64> {
         if self.trees.is_empty() {
             return Err(LearnError::NotFitted);
@@ -133,48 +288,13 @@ impl Classifier for RandomForest {
                 found: row.len(),
             });
         }
-        let mut sum = 0.0;
-        for t in &self.trees {
-            sum += t.score(row)?;
-        }
-        Ok(sum / self.trees.len() as f64)
-    }
-
-    /// Batch scoring by per-tree accumulation over row blocks: each
-    /// tree's nodes stay cache-hot across a block of rows instead of
-    /// all trees being walked per row. Every row still accumulates its
-    /// trees in index order, so the mean is bit-identical to the
-    /// per-row path.
-    fn score_batch(&self, x: &Matrix) -> LearnResult<Vec<f64>> {
-        if x.is_empty() {
-            return Ok(Vec::new());
-        }
-        if self.trees.is_empty() {
-            return Err(LearnError::NotFitted);
-        }
-        if x.cols() != self.dims {
-            return Err(LearnError::DimensionMismatch {
-                expected: self.dims,
-                found: x.cols(),
-            });
-        }
-        // Block size balances feature-row locality against re-reading
-        // each tree once per block.
-        const BLOCK: usize = 512;
-        let n = x.rows();
-        let mut acc = vec![0.0f64; n];
-        let mut start = 0usize;
-        while start < n {
-            let end = (start + BLOCK).min(n);
-            for tree in &self.trees {
-                for (i, slot) in (start..end).zip(&mut acc[start..end]) {
-                    *slot += tree.score_unchecked(x.row(i));
-                }
+        Ok(match &self.table {
+            Some(table) => table.score(row),
+            None => {
+                let walk = |sum, tree: &DecisionTree| sum + tree.score_unchecked(row);
+                self.trees.iter().fold(0.0, walk) / self.trees.len() as f64
             }
-            start = end;
-        }
-        let count = self.trees.len() as f64;
-        Ok(acc.into_iter().map(|sum| sum / count).collect())
+        })
     }
 
     fn name(&self) -> &'static str {

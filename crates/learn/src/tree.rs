@@ -4,6 +4,14 @@
 //! subsampling at every split (the forest's decorrelation device) and the
 //! usual depth/leaf-size stopping rules. Leaf scores are the positive
 //! fraction of training labels reaching the leaf.
+//!
+//! **Split search** sorts a node's `(value, label)` pairs per candidate
+//! feature (`sort_unstable_by(total_cmp)` into one buffer per node)
+//! and prices every cut between unequal neighbours from a running positive
+//! count. No cut falls inside a run of equal values, so tie order changes
+//! no cut, gain or threshold. Thresholds are midpoints of finite training
+//! values: finite, or `±∞` on overflow, never NaN — what the forest's
+//! score table relies on.
 
 use crate::classifier::{validate_training, Classifier};
 use crate::error::{LearnError, LearnResult};
@@ -41,7 +49,7 @@ impl Default for TreeConfig {
 }
 
 #[derive(Debug, Clone)]
-enum Node {
+pub(crate) enum Node {
     Leaf {
         p: f64,
     },
@@ -78,9 +86,13 @@ impl DecisionTree {
         self.nodes.len()
     }
 
-    /// Leaf probability for a row without the per-call fitted/dimension
-    /// checks — the batch-traversal kernel the forest accumulates over
-    /// (callers validate once per batch).
+    /// The fitted nodes; the root is the last one.
+    pub(crate) fn nodes(&self) -> &[Node] {
+        &self.nodes
+    }
+
+    /// Leaf probability for a row without the fitted/dimension checks
+    /// (the forest checks a row once for all its trees).
     pub(crate) fn score_unchecked(&self, row: &[f64]) -> f64 {
         let mut node = self.nodes.len() - 1; // root is last
         loop {
@@ -124,19 +136,19 @@ impl DecisionTree {
 
         let parent_gini = gini(p);
         let mut best: Option<(usize, f64, f64)> = None; // (feat, thr, gain)
-        let mut sorted: Vec<usize> = Vec::with_capacity(n);
+        let mut pairs: Vec<(f64, bool)> = Vec::with_capacity(n);
         for &feat in &feats {
-            sorted.clear();
-            sorted.extend_from_slice(idx);
-            sorted.sort_by(|&a, &b| x.row(a)[feat].total_cmp(&x.row(b)[feat]));
+            pairs.clear();
+            pairs.extend(idx.iter().map(|&i| (x.row(i)[feat], y[i])));
+            pairs.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
             // Prefix positives for O(1) impurity at every cut.
             let mut pos_left = 0usize;
             for cut in 1..n {
-                let prev = sorted[cut - 1];
-                if y[prev] {
+                let (a, positive) = pairs[cut - 1];
+                if positive {
                     pos_left += 1;
                 }
-                let (a, b) = (x.row(prev)[feat], x.row(sorted[cut])[feat]);
+                let b = pairs[cut].0;
                 if a == b {
                     continue; // can't cut between equal values
                 }
@@ -214,24 +226,6 @@ impl Classifier for DecisionTree {
             });
         }
         Ok(self.score_unchecked(row))
-    }
-
-    /// Batch traversal: validity checked once, then the unchecked
-    /// traversal per row (identical node walk → bit-identical scores).
-    fn score_batch(&self, x: &Matrix) -> LearnResult<Vec<f64>> {
-        if x.is_empty() {
-            return Ok(Vec::new());
-        }
-        if !self.fitted {
-            return Err(LearnError::NotFitted);
-        }
-        if x.cols() != self.dims {
-            return Err(LearnError::DimensionMismatch {
-                expected: self.dims,
-                found: x.cols(),
-            });
-        }
-        Ok(x.iter_rows().map(|row| self.score_unchecked(row)).collect())
     }
 
     fn name(&self) -> &'static str {

@@ -1,5 +1,6 @@
 //! Property-based tests for the ML substrate.
 
+use lts_learn::forest::MAX_TABLE_CELLS;
 use lts_learn::kdtree::KdTree;
 use lts_learn::{
     accuracy, confusion, k_fold_indices, Classifier, Knn, Matrix, RandomForest, StandardScaler,
@@ -94,6 +95,164 @@ proptest! {
             let correct = tpr * p + (1.0 - fpr) * n;
             prop_assert!((correct - (m.tp + m.tn) as f64).abs() < 1e-9);
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The forest's score table against the walk it replaces.
+// ---------------------------------------------------------------------
+
+/// The node walk summed in tree order: what the score table must equal
+/// bit for bit.
+fn walk(forest: &RandomForest, row: &[f64]) -> f64 {
+    let mut sum = 0.0;
+    for tree in forest.trees() {
+        sum += tree.score(row).unwrap();
+    }
+    sum / forest.trees().len() as f64
+}
+
+/// Signed zeros and the smallest subnormals: both `−0.0` and `+0.0`
+/// become thresholds (`0.5·(−5e-324 + −0.0) = −0.0`).
+const TINY: [f64; 4] = [-5e-324, -0.0, 0.0, 5e-324];
+/// Values whose sums overflow, so that midpoints become `±∞`.
+const HUGE: [f64; 6] = [-1.7e308, -1.5e308, -1e308, 1e308, 1.5e308, 1.7e308];
+
+/// Feature value of kind `kind` from one random draw: 0 integer-valued
+/// (sports-like), 1 continuous, 2 [`TINY`], 3 [`HUGE`].
+fn feature_value(kind: u8, draw: u64) -> f64 {
+    match kind {
+        0 => (draw % 6) as f64,
+        1 => (draw >> 11) as f64 / (1u64 << 53) as f64 * 100.0 - 50.0,
+        2 => TINY[(draw % 4) as usize],
+        _ => HUGE[(draw % 6) as usize],
+    }
+}
+
+/// Query values for one feature: the non-finite and signed-zero edges,
+/// subnormals, every training value, and every midpoint of two training
+/// values (a superset of the trees' thresholds) with its neighbours.
+fn query_values(train: &[f64]) -> Vec<f64> {
+    let mut out = vec![
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        0.0,
+        -0.0,
+        5e-324,
+        -5e-324,
+        f64::MIN_POSITIVE / 2.0,
+        -f64::MIN_POSITIVE / 2.0,
+        f64::MAX,
+        f64::MIN,
+    ];
+    for (i, &a) in train.iter().enumerate() {
+        out.push(a);
+        for &b in &train[i + 1..] {
+            let t = 0.5 * (a + b);
+            out.extend([t, t.next_up(), t.next_down()]);
+        }
+    }
+    out
+}
+
+/// Fit a forest and hold `score` and `score_batch` to the walk on every
+/// query row; returns the forest for path assertions.
+fn check_table_against_walk(
+    rows: &[Vec<f64>],
+    labels: &[bool],
+    n_trees: usize,
+    seed: u64,
+) -> Result<RandomForest, TestCaseError> {
+    let d = rows[0].len();
+    let x = Matrix::from_rows(rows).unwrap();
+    let mut forest = RandomForest::with_trees(n_trees, seed);
+    forest.fit(&x, labels).unwrap();
+    // Per feature, vary one coordinate over its query values; the other
+    // coordinates cycle through the training rows and the query values
+    // of their own features.
+    let values: Vec<Vec<f64>> = (0..d)
+        .map(|f| query_values(&rows.iter().map(|r| r[f]).collect::<Vec<_>>()))
+        .collect();
+    let mut queries = Vec::new();
+    for (f, vals) in values.iter().enumerate() {
+        for (i, &v) in vals.iter().enumerate() {
+            let mut row = rows[i % rows.len()].clone();
+            if i % 3 == 0 {
+                for (g, other) in values.iter().enumerate() {
+                    row[g] = other[(i / 3 + g) % other.len()];
+                }
+            }
+            row[f] = v;
+            queries.push(row);
+        }
+    }
+    let q = Matrix::from_rows(&queries).unwrap();
+    let batch = forest.score_batch(&q).unwrap();
+    for (row, b) in queries.iter().zip(&batch) {
+        let want = walk(&forest, row).to_bits();
+        prop_assert_eq!(b.to_bits(), want, "score_batch at {:?}", row);
+        prop_assert_eq!(
+            forest.score(row).unwrap().to_bits(),
+            want,
+            "score at {:?}",
+            row
+        );
+    }
+    Ok(forest)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The table answers what the walk answers, bit for bit, including
+    /// NaN / ±∞ / signed-zero / subnormal queries, `±∞` thresholds and
+    /// `−0.0` ≡ `+0.0` thresholds — and it is the path taken whenever
+    /// the grid provably fits under the cap.
+    #[test]
+    fn forest_table_matches_walk(
+        d in 1usize..=4,
+        kinds in proptest::collection::vec(0u8..4, 4),
+        draws in proptest::collection::vec(any::<u64>(), 4 * 40),
+        n_base in 2usize..30,
+        dups in proptest::collection::vec(any::<u64>(), 0..10),
+        labels in proptest::collection::vec(any::<bool>(), 40),
+        n_trees in 1usize..16,
+        seed in any::<u64>(),
+    ) {
+        let mut rows: Vec<Vec<f64>> = (0..n_base)
+            .map(|i| (0..d).map(|f| feature_value(kinds[f], draws[4 * i + f])).collect())
+            .collect();
+        for &k in &dups {
+            rows.push(rows[(k % n_base as u64) as usize].clone());
+        }
+        let forest = check_table_against_walk(&rows, &labels[..rows.len()], n_trees, seed)?;
+        // A tree of n rows has at most n − 1 splits, so the grid has at
+        // most (S/d + 1)^d cells for S = n_trees·(n − 1) (AM–GM).
+        let splits = (n_trees * (rows.len() - 1)) as f64;
+        let bound = (splits / d as f64 + 1.0).powi(d as i32);
+        if bound <= MAX_TABLE_CELLS as f64 {
+            prop_assert!(forest.table_cells().is_some(), "bound {} but no table", bound);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// A forest whose grid is above the cap keeps no table, walks, and
+    /// still agrees.
+    #[test]
+    fn forest_table_over_the_cap_walks(
+        draws in proptest::collection::vec(any::<u64>(), 6 * 60),
+        seed in any::<u64>(),
+    ) {
+        let rows: Vec<Vec<f64>> = draws.chunks(6)
+            .map(|c| c.iter().map(|&u| feature_value(1, u)).collect())
+            .collect();
+        let labels: Vec<bool> = draws.chunks(6).map(|c| c[0] & 1 == 0).collect();
+        let forest = check_table_against_walk(&rows, &labels, 30, seed)?;
+        prop_assert_eq!(forest.table_cells(), None);
     }
 }
 
