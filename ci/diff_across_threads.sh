@@ -6,7 +6,7 @@
 # across thread counts. The binary's own in-binary bars run both times.
 #
 # usage: ci/diff_across_threads.sh <bin> <artifact> [bin args...]
-#   e.g. ci/diff_across_threads.sh bench_shard shard --scale 0.3 --trials 2
+#   e.g. ci/diff_across_threads.sh bench_plan plan --scale 0.5 --trials 3
 set -euo pipefail
 
 bin=$1

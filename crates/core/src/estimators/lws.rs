@@ -7,10 +7,13 @@
 //! objects — and feeds the draws to the Des Raj ordered estimator
 //! (Eq. 3), which stays unbiased no matter how wrong the weights are.
 
+use super::{check_budget, CountEstimator};
 use crate::error::{CoreError, CoreResult};
-use crate::learnphase::LearnPhaseConfig;
-use crate::problem::Labeler;
-use crate::warm::LwsWarm;
+use crate::learnphase::{run_learn_phase, LearnPhaseConfig};
+use crate::problem::{CountingProblem, Labeler};
+use crate::report::{EstimateReport, Phase, PhaseTimer};
+use crate::scoring::ScoredPopulation;
+use crate::warm::observed_phase;
 use lts_sampling::{weighted_sample_es, DesRaj};
 use rand::rngs::StdRng;
 
@@ -37,7 +40,7 @@ impl Default for Lws {
 }
 
 impl Lws {
-    pub(crate) fn validate(&self) -> CoreResult<()> {
+    fn validate(&self) -> CoreResult<()> {
         if !(0.0..1.0).contains(&self.train_frac) || self.train_frac <= 0.0 {
             return Err(CoreError::InvalidConfig {
                 message: format!("train_frac must be in (0, 1), got {}", self.train_frac),
@@ -51,8 +54,7 @@ impl Lws {
         Ok(())
     }
 
-    /// Split a total labeling budget into (training, sampling) shares —
-    /// what the prepare and resume bodies of [`crate::warm`] spend.
+    /// Split a total labeling budget into (training, sampling) shares.
     ///
     /// # Errors
     ///
@@ -79,38 +81,72 @@ impl Lws {
     }
 }
 
-/// LWS phase 2: weight the state's scored rest population by
-/// `max(g, ε)`, draw its `sample_budget` objects PPS without
-/// replacement, label them as one batch, run the Des Raj ordered
-/// estimator, and add the exact positives of the training sample.
-/// Prepare has already checked that the population holds at least
-/// `sample_budget` objects.
-pub(crate) fn lws_phase2(
-    lws: &Lws,
-    warm: &LwsWarm,
-    level: f64,
-    labeler: &mut Labeler<'_>,
-    rng: &mut StdRng,
-) -> CoreResult<lts_sampling::CountEstimate> {
-    let scored = &warm.scored;
-    let weights = scored.weights(lws.epsilon);
-    let draws = weighted_sample_es(rng, &weights, warm.sample_budget)?;
-    // One batched oracle call for the whole phase-2 sample; the
-    // Des Raj pushes then replay the draw order exactly.
-    let objs: Vec<usize> = draws.iter().map(|d| scored.members()[d.index]).collect();
-    let labels = labeler.label_batch(&objs)?;
-    let mut desraj = DesRaj::new(scored.len())?;
-    for (d, label) in draws.iter().zip(labels) {
-        desraj.push(label, d.initial_probability)?;
+/// Train → score the rest → PPS phase 2, over one labeler and the
+/// caller's RNG stream.
+impl CountEstimator for Lws {
+    fn name(&self) -> &'static str {
+        "LWS"
     }
-    let base = desraj.count_estimate(level)?;
-    Ok(base.shifted(warm.proxy.positives() as f64))
+
+    fn estimate(
+        &self,
+        problem: &CountingProblem,
+        budget: usize,
+        rng: &mut StdRng,
+    ) -> CoreResult<EstimateReport> {
+        check_budget(problem, budget)?;
+        self.validate()?;
+        let (train_budget, sample_budget) = self.budget_split(budget)?;
+        let mut timer = PhaseTimer::new();
+        let mut labeler = Labeler::new(problem);
+        let lm = timer.phase(Phase::Learn, || {
+            observed_phase(lts_obs::Phase::Train, || {
+                run_learn_phase(problem, &mut labeler, train_budget, &self.learn, rng)
+            })
+        })?;
+        let scored = timer.phase(Phase::Phase2, || {
+            observed_phase(lts_obs::Phase::Score, || {
+                ScoredPopulation::score_rest(problem, lm.model.as_ref(), &lm.labeled)
+            })
+        })?;
+        if scored.len() < sample_budget {
+            return Err(CoreError::BudgetTooSmall {
+                budget,
+                required: lm.labeled.len() + sample_budget,
+                reason: "sampling budget exceeds remaining objects".into(),
+            });
+        }
+        // Weight the rest by `max(g, ε)`, draw PPS without replacement,
+        // label the draws as one batched oracle call, and replay them
+        // through Des Raj in draw order.
+        let estimate = observed_phase(lts_obs::Phase::Stage2, || {
+            timer.phase(Phase::Phase2, || -> CoreResult<_> {
+                let weights = scored.weights(self.epsilon);
+                let draws = weighted_sample_es(rng, &weights, sample_budget)?;
+                let objs: Vec<usize> = draws.iter().map(|d| scored.members()[d.index]).collect();
+                let labels = labeler.label_batch(&objs)?;
+                let mut desraj = DesRaj::new(scored.len())?;
+                for (d, label) in draws.iter().zip(labels) {
+                    desraj.push(label, d.initial_probability)?;
+                }
+                Ok(desraj.count_estimate(problem.level())?)
+            })
+        })?;
+        Ok(EstimateReport {
+            estimate: estimate.shifted(lm.positives() as f64),
+            has_interval: true,
+            evals: labeler.unique_evals(),
+            timings: timer.finish(),
+            estimator: self.name().into(),
+            notes: Vec::new(),
+            forecast: None,
+        })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::estimators::CountEstimator;
     use crate::problem::tests_support::{line_problem, noisy_problem};
     use crate::spec::ClassifierSpec;
     use rand::SeedableRng;

@@ -1,7 +1,7 @@
 //! The estimator suite behind one trait.
 
 pub(crate) mod lss;
-pub(crate) mod lws;
+mod lws;
 mod lws_ht;
 mod lws_seq;
 mod ql;

@@ -37,7 +37,6 @@ pub mod problem;
 pub mod report;
 pub mod runner;
 pub mod scoring;
-pub mod shard;
 pub mod spec;
 pub mod warm;
 
@@ -56,9 +55,5 @@ pub use problem::{CountingProblem, Labeler};
 pub use report::{EstimateReport, PhaseTimings, QualityForecast};
 pub use runner::{run_trials, run_trials_with, TrialExecution, TrialStats};
 pub use scoring::{feature_column, surrogate_grid_strata, OrderedPopulation, ScoredPopulation};
-pub use shard::{shard_problems, shard_seed, ShardPlan, Shardable, Sharded, SALT_SHARD};
 pub use spec::ClassifierSpec;
-pub use warm::{
-    fnv1a, mix_seed, LssParts, LssWarm, LwsWarm, ModelSnapshot, Resumable, Run, TrainedProxy,
-    WarmEstimator,
-};
+pub use warm::{fnv1a, mix_seed, LssParts, LssWarm, ModelSnapshot, TrainedProxy};

@@ -11,14 +11,12 @@
 //!    yields the surviving row ids in ascending order, bit-identical at
 //!    every partition and thread count.
 //! 2. **Restriction** ([`restrict_problem`]): the residual becomes a
-//!    [`CountingProblem`] over just the survivors — the same
-//!    sub-population view a shard is ([`crate::shard`]), with the
-//!    survivor list as its id map instead of a range, sharing the
-//!    parent's table and owning only that list and its feature rows: every
-//!    evaluation goes to the **parent** problem's metered predicate at
-//!    the *global* row id, so predicates that capture per-row state
-//!    keyed by global id stay correct and the parent's meter keeps
-//!    pricing the oracle.
+//!    [`CountingProblem`] over just the survivors — a sub-population
+//!    view sharing the parent's table and owning only the survivor id
+//!    list and its feature rows: every evaluation goes to the
+//!    **parent** problem's metered predicate at the *global* row id, so
+//!    predicates that capture per-row state keyed by global id stay
+//!    correct and the parent's meter keeps pricing the oracle.
 //! 3. **Counting**: because the full query accepts a row iff the
 //!    prefilter accepts it *and* the residual accepts it, the residual
 //!    count over the `M` survivors **is** the full-population count —
@@ -42,7 +40,7 @@
 //! Kleene/error-shadowing contract of the split itself.
 
 use crate::error::{CoreError, CoreResult};
-use crate::problem::{CountingProblem, IdMap};
+use crate::problem::CountingProblem;
 use lts_table::{
     decompose, Expr, ObjectPredicate, PagedTable, PartitionedTable, Table, TableResult,
 };
@@ -255,7 +253,7 @@ pub fn restrict_problem(
 }
 
 /// [`restrict_problem`] taking the survivor list by value (it becomes
-/// the sub-population's id map).
+/// the sub-population's id list).
 fn restrict_to(parent: &CountingProblem, mut survivors: Vec<usize>) -> CoreResult<CountingProblem> {
     if survivors.is_empty() {
         return Err(CoreError::InvalidConfig {
@@ -266,12 +264,12 @@ fn restrict_to(parent: &CountingProblem, mut survivors: Vec<usize>) -> CoreResul
     }
     // The list lives as long as the problem: return `collect`'s slack.
     survivors.shrink_to_fit();
-    parent.sub_population(IdMap::Ids(survivors), "|prefiltered")
+    parent.sub_population(survivors, "|prefiltered")
 }
 
 /// A fully materialized plan: the prefilter scan's survivor count and
 /// (when any rows survive) the restricted residual problem, which owns
-/// the survivor list as its id map.
+/// the survivor id list.
 pub struct PhysicalPlan {
     problem: Arc<CountingProblem>,
     survivors: Option<usize>,

@@ -11,8 +11,8 @@ use std::sync::Arc;
 /// being counted (`n` objects, one feature row each — paper Q2), and the
 /// expensive predicate `q` (paper Q3) behind a metering wrapper. The two
 /// coincide for a whole-table problem; a sub-population
-/// ([`crate::plan::restrict_problem`], [`crate::shard::shard_problems`])
-/// shares its parent's table and owns only its id map and feature rows.
+/// ([`crate::plan::restrict_problem`]) shares its parent's table and
+/// owns only its id list and feature rows.
 pub struct CountingProblem {
     objects: Arc<Table>,
     n: usize,
@@ -115,26 +115,21 @@ impl CountingProblem {
     /// Returns an error for an empty member set, or
     /// [`TableError::RowIndexOutOfRange`] for the first member id
     /// outside this problem's population.
-    pub(crate) fn sub_population(&self, ids: IdMap, suffix: &str) -> CoreResult<CountingProblem> {
-        let range: Vec<usize>;
-        let members: &[usize] = match &ids {
-            IdMap::Range(lo, hi) => {
-                range = (*lo..*hi).collect();
-                &range
-            }
-            IdMap::Ids(ids) => ids,
-        };
+    pub(crate) fn sub_population(
+        &self,
+        ids: Vec<usize>,
+        suffix: &str,
+    ) -> CoreResult<CountingProblem> {
         // `Matrix::gather` panics on a bad index: reject it here.
-        if let Some(&index) = members.iter().find(|&&i| i >= self.n) {
+        if let Some(&index) = ids.iter().find(|&&i| i >= self.n) {
             let len = self.n;
             return Err(TableError::RowIndexOutOfRange { index, len }.into());
         }
-        let features = Arc::new(self.features.gather(members));
+        let features = Arc::new(self.features.gather(&ids));
         let n = features.rows();
         let predicate: Arc<dyn ObjectPredicate> = Arc::new(SubPopulation {
             parent_predicate: Arc::clone(&self.predicate),
             ids,
-            len: n,
             name: format!("{}{suffix}", self.predicate.name()),
         });
         let objects = Arc::clone(&self.objects);
@@ -190,19 +185,8 @@ impl CountingProblem {
     }
 }
 
-/// A sub-population's members: how its local row ids map to its
-/// parent's global ids.
-pub(crate) enum IdMap {
-    /// Contiguous members `lo..hi`: local `i` is global `lo + i` (a
-    /// shard).
-    Range(usize, usize),
-    /// Listed members: local `i` is global `ids[i]` (prefilter
-    /// survivors).
-    Ids(Vec<usize>),
-}
-
-/// The one parent-delegating predicate: a sub-population (shard,
-/// prefilter survivors) evaluates local row `i` at its **global** id
+/// The one parent-delegating predicate: a sub-population (prefilter
+/// survivors) evaluates local row `i` at its **global** id `ids[i]`
 /// against the table it shares with its parent, through the parent's
 /// meter — predicates may capture per-row state indexed by global id,
 /// and the parent problem keeps counting every oracle evaluation. A
@@ -210,23 +194,19 @@ pub(crate) enum IdMap {
 /// is called.
 struct SubPopulation {
     parent_predicate: Arc<Metered<Arc<dyn ObjectPredicate>>>,
-    ids: IdMap,
-    len: usize,
+    ids: Vec<usize>,
     name: String,
 }
 
 impl SubPopulation {
     fn global(&self, idx: usize) -> TableResult<usize> {
-        if idx >= self.len {
-            return Err(TableError::RowIndexOutOfRange {
+        self.ids
+            .get(idx)
+            .copied()
+            .ok_or(TableError::RowIndexOutOfRange {
                 index: idx,
-                len: self.len,
-            });
-        }
-        Ok(match &self.ids {
-            IdMap::Range(lo, _) => lo + idx,
-            IdMap::Ids(ids) => ids[idx],
-        })
+                len: self.ids.len(),
+            })
     }
 }
 

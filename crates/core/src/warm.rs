@@ -1,35 +1,25 @@
-//! Warm-start support: snapshottable, resumable estimator state.
+//! Warm-start support: snapshottable, resumable LSS state.
 //!
 //! A one-shot [`CountEstimator::estimate`] run spends most of its
 //! labeling budget and wall time on assets that are *reusable across
 //! runs of the same query*: the trained proxy classifier, the
-//! scored-and-ordered population, and (for LSS) the labeled design
-//! pilot with its optimized stratification. This module splits the
-//! learned estimators into an expensive, cacheable **prepare** phase
-//! and a cheap, repeatable **resume** phase, and says each **once**: a
-//! family ([`Lss`], [`Lws`]) implements [`WarmEstimator`] by writing
-//! its prepare body and its resume body over a [`Run`] — the labeler,
-//! RNG stream and phase timer of one run — and everything else is
-//! provided from those two:
+//! scored-and-ordered population, and the labeled design pilot with
+//! its optimized stratification. This module splits [`Lss`] into an
+//! expensive, cacheable **prepare** phase and a cheap, repeatable
+//! **resume** phase, each written once as a body over a `Run` — the
+//! labeler, RNG stream and phase timer of one run:
 //!
-//! * [`WarmEstimator::prepare`] / [`WarmEstimator::prepare_with_known`]
-//!   run phase 1 + the design and return a warm state ([`LssWarm`] /
-//!   [`LwsWarm`]);
-//! * [`WarmEstimator::estimate_prepared`] runs only the final sampling
-//!   stage against a warm state, with a **fresh seed** — producing a
-//!   new, independent draw (and therefore a new unbiased estimate)
-//!   while spending only the stage-2 share of the budget;
-//! * the one-shot [`CountEstimator::estimate`] of every family **is**
-//!   prepare ∘ resume over the caller's single RNG stream and one
-//!   labeler, where the seeded entry points above start the stream
-//!   afresh per phase from `mix_seed(seed, SALT_*)` — so "cold =
-//!   prepare + resume" holds for the library path as well as the served
-//!   one;
-//! * the sharded wrappers ([`crate::shard::Shardable`]) fan the same
-//!   two entry points out per shard.
-//!
-//! ([`Lss`] also keeps inherent `prepare` / `prepare_with_known` /
-//! `estimate_prepared` forwards, so its callers need no trait import.)
+//! * [`Lss::prepare`] / [`Lss::prepare_with_known`] run phase 1 + the
+//!   design and return an [`LssWarm`];
+//! * [`Lss::estimate_prepared`] runs only the final sampling stage
+//!   against a warm state, with a **fresh seed** — producing a new,
+//!   independent draw (and therefore a new unbiased estimate) while
+//!   spending only the stage-2 share of the budget;
+//! * the one-shot [`CountEstimator::estimate`] **is** prepare ∘ resume
+//!   over the caller's single RNG stream and one labeler, where the
+//!   seeded entry points above start the stream afresh per phase from
+//!   `mix_seed(seed, SALT_*)` — so "cold = prepare + resume" holds for
+//!   the library path as well as the served one.
 //!
 //! Both phases are **deterministic functions of their seed**: preparing
 //! twice with the same seed yields bit-identical states, and resuming a
@@ -53,8 +43,7 @@
 
 use crate::error::{CoreError, CoreResult};
 use crate::estimators::lss::{stage2_estimate, LssBudgetSplit};
-use crate::estimators::lws::lws_phase2;
-use crate::estimators::{check_budget, CountEstimator, Lss, Lws, PilotSource};
+use crate::estimators::{check_budget, CountEstimator, Lss, PilotSource};
 use crate::learnphase::{run_learn_phase, LearnPhaseConfig};
 use crate::problem::{CountingProblem, Labeler};
 use crate::report::{EstimateReport, Phase, PhaseTimer};
@@ -255,29 +244,11 @@ impl ModelSnapshot {
     }
 }
 
-// ------------------------------------------------- the warm interface
-
-/// What the generic layers (resume, sharding) read off a warm state.
-pub trait Resumable: Send + Sync {
-    /// Domain-separation salt of a sharded state's digest.
-    const SHARDED_SALT: &'static [u8];
-    /// All exactly-known `(object id, label)` pairs of this state — the
-    /// free labels a resume preloads.
-    fn known_labels(&self) -> Vec<(usize, bool)>;
-    /// Content digest of the reusable state, used as the result-cache
-    /// model-version stamp.
-    fn digest(&self) -> u64;
-    /// Oracle evaluations spent preparing (the cold-start cost).
-    fn prepare_evals(&self) -> usize;
-    /// Fresh labels each resume spends.
-    fn resume_evals(&self) -> usize;
-}
-
 /// What one prepare or resume body runs over: the labeler (its cache
 /// carries labels from phase to phase), the RNG stream, and the phase
 /// timer. The one-shot path hands one `Run` from prepare to resume;
 /// each seeded entry point builds its own.
-pub struct Run<'p, 'r> {
+struct Run<'p, 'r> {
     labeler: Labeler<'p>,
     rng: &'r mut StdRng,
     /// Where the stream restarts before the stage-1 pilot draw (the
@@ -301,261 +272,7 @@ impl<'p, 'r> Run<'p, 'r> {
             timer,
         }
     }
-
-    /// The learning phase every family starts with.
-    fn train(
-        &mut self,
-        problem: &CountingProblem,
-        config: &LearnPhaseConfig,
-        train_budget: usize,
-    ) -> CoreResult<TrainedProxy> {
-        self.timer.phase(Phase::Learn, || {
-            observed_phase(lts_obs::Phase::Train, || {
-                train_proxy_on(problem, config, train_budget, &mut self.labeler, self.rng)
-            })
-        })
-    }
 }
-
-/// A learned estimator family split into a cacheable prepare and a
-/// repeatable resume. An implementor writes the two bodies; the seeded
-/// entry points, the one-shot [`CountEstimator`] and (through
-/// [`crate::shard::Shardable`]) the sharded entry points come from
-/// them.
-pub trait WarmEstimator: Send + Sync {
-    /// The family's warm state.
-    type Warm: Resumable;
-    /// Display name matching the paper ("LSS", "LWS").
-    const NAME: &'static str;
-
-    /// Whether `budget` splits into this family's phases.
-    fn splits(&self, budget: usize) -> bool;
-
-    /// The prepare body: the expensive, reusable phases.
-    ///
-    /// # Errors
-    ///
-    /// Returns configuration/budget errors or propagated substrate
-    /// errors.
-    fn prepare_on(
-        &self,
-        problem: &CountingProblem,
-        budget: usize,
-        run: &mut Run<'_, '_>,
-    ) -> CoreResult<Self::Warm>;
-
-    /// The resume body: the final sampling stage, over a labeler that
-    /// already holds the state's known labels — so only the fresh draws
-    /// touch the oracle.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the state does not match the problem, or
-    /// on sampling/labeling failures.
-    fn resume_on(
-        &self,
-        problem: &CountingProblem,
-        warm: &Self::Warm,
-        run: Run<'_, '_>,
-    ) -> CoreResult<EstimateReport>;
-
-    /// Run the prepare body with a deterministic per-phase seed stream,
-    /// returning a warm state [`WarmEstimator::estimate_prepared`] can
-    /// resume any number of times.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as the one-shot estimate path.
-    fn prepare(
-        &self,
-        problem: &CountingProblem,
-        budget: usize,
-        seed: u64,
-    ) -> CoreResult<Self::Warm> {
-        self.prepare_with_known(problem, budget, seed, &[])
-    }
-
-    /// [`WarmEstimator::prepare`] with already-known labels preloaded:
-    /// re-preparing a state whose labels are all known costs **zero**
-    /// oracle evaluations and reproduces the original state
-    /// bit-identically (same seed) — the proof that a state is a pure
-    /// function of its seed and labels. (A snapshot restore does not
-    /// come through here: it decodes, see [`LssWarm::from_parts`].)
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`WarmEstimator::prepare`].
-    fn prepare_with_known(
-        &self,
-        problem: &CountingProblem,
-        budget: usize,
-        seed: u64,
-        known: &[(usize, bool)],
-    ) -> CoreResult<Self::Warm> {
-        let mut rng = StdRng::seed_from_u64(mix_seed(seed, SALT_LEARN));
-        let mut run = Run::new(problem, &mut rng, known);
-        run.pilot_seed = Some(mix_seed(seed, SALT_DESIGN));
-        self.prepare_on(problem, budget, &mut run)
-    }
-
-    /// Resume a prepared state: a fresh final-stage draw with the given
-    /// seed, spending only the resume share of the budget (the state's
-    /// known labels are preloaded for free).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`WarmEstimator::resume_on`].
-    fn estimate_prepared(
-        &self,
-        problem: &CountingProblem,
-        warm: &Self::Warm,
-        seed: u64,
-    ) -> CoreResult<EstimateReport> {
-        let mut rng = StdRng::seed_from_u64(mix_seed(seed, SALT_SAMPLE));
-        let run = Run::new(problem, &mut rng, &warm.known_labels());
-        self.resume_on(problem, warm, run)
-    }
-}
-
-/// One-shot = prepare ∘ resume over the caller's single RNG stream and
-/// one labeler, so `evals` and the timings cover the whole run.
-impl<E: WarmEstimator> CountEstimator for E {
-    fn name(&self) -> &'static str {
-        E::NAME
-    }
-
-    fn estimate(
-        &self,
-        problem: &CountingProblem,
-        budget: usize,
-        rng: &mut StdRng,
-    ) -> CoreResult<EstimateReport> {
-        let mut run = Run::new(problem, rng, &[]);
-        let warm = self.prepare_on(problem, budget, &mut run)?;
-        self.resume_on(problem, &warm, run)
-    }
-}
-
-/// A warm state resumes only against the population it was prepared
-/// for.
-fn check_same_population(prepared_n: usize, problem: &CountingProblem) -> CoreResult<()> {
-    if prepared_n != problem.n() {
-        return Err(CoreError::InvalidConfig {
-            message: format!(
-                "warm state was prepared for N = {prepared_n}, problem has N = {}",
-                problem.n()
-            ),
-        });
-    }
-    Ok(())
-}
-
-// ---------------------------------------------------------------- LWS
-
-/// The reusable state of an LWS run: the proxy's record + scored rest
-/// population + the sampling-budget share.
-pub struct LwsWarm {
-    /// The record of the phase-1 proxy (the model itself is dropped
-    /// once the population is scored).
-    pub proxy: ModelSnapshot,
-    pub(crate) scored: ScoredPopulation,
-    /// Labels each resume spends (the phase-2 share of the budget).
-    pub sample_budget: usize,
-    /// Oracle evaluations spent preparing (the cold-start cost).
-    pub prepare_evals: usize,
-    n: usize,
-}
-
-impl Resumable for LwsWarm {
-    const SHARDED_SALT: &'static [u8] = b"sharded-lws";
-
-    fn known_labels(&self) -> Vec<(usize, bool)> {
-        self.proxy.known_labels()
-    }
-
-    /// Model + member set.
-    fn digest(&self) -> u64 {
-        mix_seed(
-            self.proxy.digest(),
-            fnv1a(&(self.scored.len() as u64).to_le_bytes()) ^ self.sample_budget as u64,
-        )
-    }
-
-    fn prepare_evals(&self) -> usize {
-        self.prepare_evals
-    }
-
-    fn resume_evals(&self) -> usize {
-        self.sample_budget
-    }
-}
-
-impl WarmEstimator for Lws {
-    type Warm = LwsWarm;
-    const NAME: &'static str = "LWS";
-
-    fn splits(&self, budget: usize) -> bool {
-        self.budget_split(budget).is_ok()
-    }
-
-    /// Train + score.
-    fn prepare_on(
-        &self,
-        problem: &CountingProblem,
-        budget: usize,
-        run: &mut Run<'_, '_>,
-    ) -> CoreResult<LwsWarm> {
-        check_budget(problem, budget)?;
-        self.validate()?;
-        let (train_budget, sample_budget) = self.budget_split(budget)?;
-        let proxy = run.train(problem, &self.learn, train_budget)?;
-        let scored = run.timer.phase(Phase::Phase2, || {
-            observed_phase(lts_obs::Phase::Score, || {
-                ScoredPopulation::score_rest(problem, proxy.model.as_ref(), &proxy.labeled)
-            })
-        })?;
-        if scored.len() < sample_budget {
-            return Err(CoreError::BudgetTooSmall {
-                budget,
-                required: proxy.labeled.len() + sample_budget,
-                reason: "sampling budget exceeds remaining objects".into(),
-            });
-        }
-        Ok(LwsWarm {
-            proxy: proxy.into_snapshot(),
-            scored,
-            sample_budget,
-            prepare_evals: run.labeler.unique_evals(),
-            n: problem.n(),
-        })
-    }
-
-    /// Phase 2: a fresh PPS sample.
-    fn resume_on(
-        &self,
-        problem: &CountingProblem,
-        warm: &LwsWarm,
-        mut run: Run<'_, '_>,
-    ) -> CoreResult<EstimateReport> {
-        check_same_population(warm.n, problem)?;
-        let estimate = observed_phase(lts_obs::Phase::Stage2, || {
-            run.timer.phase(Phase::Phase2, || {
-                lws_phase2(self, warm, problem.level(), &mut run.labeler, run.rng)
-            })
-        })?;
-        Ok(EstimateReport {
-            estimate,
-            has_interval: true,
-            evals: run.labeler.unique_evals(),
-            timings: run.timer.finish(),
-            estimator: Self::NAME.into(),
-            notes: Vec::new(),
-            forecast: None,
-        })
-    }
-}
-
-// ---------------------------------------------------------------- LSS
 
 /// The reusable state of an LSS run: the proxy's record, score
 /// ordering, labeled design pilot, and the optimized stratification.
@@ -771,30 +488,12 @@ impl LssWarm {
     }
 }
 
-impl Resumable for LssWarm {
-    const SHARDED_SALT: &'static [u8] = b"sharded-lss";
-
-    fn known_labels(&self) -> Vec<(usize, bool)> {
-        LssWarm::known_labels(self)
-    }
-
-    fn digest(&self) -> u64 {
-        LssWarm::digest(self)
-    }
-
-    fn prepare_evals(&self) -> usize {
-        self.prepare_evals
-    }
-
-    fn resume_evals(&self) -> usize {
-        self.split.stage2
-    }
-}
-
-/// The [`WarmEstimator`] entry points as inherent methods, so callers
-/// of the flagship estimator need no trait import.
+/// The warm entry points: prepare and resume, each with its own
+/// deterministic seed stream.
 impl Lss {
-    /// [`WarmEstimator::prepare`].
+    /// Run the prepare body with a deterministic per-phase seed stream,
+    /// returning a warm state [`Lss::estimate_prepared`] can resume any
+    /// number of times.
     ///
     /// # Errors
     ///
@@ -805,10 +504,15 @@ impl Lss {
         budget: usize,
         seed: u64,
     ) -> CoreResult<LssWarm> {
-        WarmEstimator::prepare(self, problem, budget, seed)
+        self.prepare_with_known(problem, budget, seed, &[])
     }
 
-    /// [`WarmEstimator::prepare_with_known`].
+    /// [`Lss::prepare`] with already-known labels preloaded:
+    /// re-preparing a state whose labels are all known costs **zero**
+    /// oracle evaluations and reproduces the original state
+    /// bit-identically (same seed) — the proof that a state is a pure
+    /// function of its seed and labels. (A snapshot restore does not
+    /// come through here: it decodes, see [`LssWarm::from_parts`].)
     ///
     /// # Errors
     ///
@@ -820,11 +524,16 @@ impl Lss {
         seed: u64,
         known: &[(usize, bool)],
     ) -> CoreResult<LssWarm> {
-        WarmEstimator::prepare_with_known(self, problem, budget, seed, known)
+        let mut rng = StdRng::seed_from_u64(mix_seed(seed, SALT_LEARN));
+        let mut run = Run::new(problem, &mut rng, known);
+        run.pilot_seed = Some(mix_seed(seed, SALT_DESIGN));
+        self.prepare_on(problem, budget, &mut run)
     }
 
-    /// [`WarmEstimator::estimate_prepared`]; the report carries the
-    /// state's design-time quality forecast.
+    /// Resume a prepared state: a fresh stage-2 draw with the given
+    /// seed, spending only `split.stage2` labels (the state's known
+    /// labels are preloaded for free). The report carries the state's
+    /// design-time quality forecast.
     ///
     /// # Errors
     ///
@@ -836,19 +545,12 @@ impl Lss {
         warm: &LssWarm,
         seed: u64,
     ) -> CoreResult<EstimateReport> {
-        WarmEstimator::estimate_prepared(self, problem, warm, seed)
-    }
-}
-
-impl WarmEstimator for Lss {
-    type Warm = LssWarm;
-    const NAME: &'static str = "LSS";
-
-    fn splits(&self, budget: usize) -> bool {
-        self.budget_split(budget).is_ok()
+        let mut rng = StdRng::seed_from_u64(mix_seed(seed, SALT_SAMPLE));
+        let run = Run::new(problem, &mut rng, &warm.known_labels());
+        self.resume_on(problem, warm, run)
     }
 
-    /// Train, score + order, stage-1 pilot, design.
+    /// The prepare body: train, score + order, stage-1 pilot, design.
     fn prepare_on(
         &self,
         problem: &CountingProblem,
@@ -858,7 +560,11 @@ impl WarmEstimator for Lss {
         check_budget(problem, budget)?;
         self.validate()?;
         let split = self.budget_split(budget)?;
-        let proxy = run.train(problem, &self.learn, split.train)?;
+        let proxy = run.timer.phase(Phase::Learn, || {
+            observed_phase(lts_obs::Phase::Train, || {
+                train_proxy_on(problem, &self.learn, split.train, &mut run.labeler, run.rng)
+            })
+        })?;
 
         // With PilotSource::Fresh the ordering covers O' = O \ S_L (the
         // paper's description); with ReuseLearning it covers all of O so
@@ -952,14 +658,26 @@ impl WarmEstimator for Lss {
         })
     }
 
-    /// Stage 2: allocate and draw a fresh stratified sample.
+    /// The resume body — stage 2: allocate and draw a fresh stratified
+    /// sample, over a labeler that already holds the state's known
+    /// labels, so only the fresh draws touch the oracle.
     fn resume_on(
         &self,
         problem: &CountingProblem,
         warm: &LssWarm,
         mut run: Run<'_, '_>,
     ) -> CoreResult<EstimateReport> {
-        check_same_population(warm.n, problem)?;
+        // A warm state resumes only against the population it was
+        // prepared for.
+        if warm.n != problem.n() {
+            return Err(CoreError::InvalidConfig {
+                message: format!(
+                    "warm state was prepared for N = {}, problem has N = {}",
+                    warm.n,
+                    problem.n()
+                ),
+            });
+        }
         let (estimate, forecast) = observed_phase(lts_obs::Phase::Stage2, || {
             run.timer.phase(Phase::Phase2, || {
                 stage2_estimate(self, warm, problem.level(), &mut run.labeler, run.rng)
@@ -970,10 +688,29 @@ impl WarmEstimator for Lss {
             has_interval: true,
             evals: run.labeler.unique_evals(),
             timings: run.timer.finish(),
-            estimator: Self::NAME.into(),
+            estimator: self.name().into(),
             notes: warm.design_notes.clone(),
             forecast: Some(forecast),
         })
+    }
+}
+
+/// One-shot = prepare ∘ resume over the caller's single RNG stream and
+/// one labeler, so `evals` and the timings cover the whole run.
+impl CountEstimator for Lss {
+    fn name(&self) -> &'static str {
+        "LSS"
+    }
+
+    fn estimate(
+        &self,
+        problem: &CountingProblem,
+        budget: usize,
+        rng: &mut StdRng,
+    ) -> CoreResult<EstimateReport> {
+        let mut run = Run::new(problem, rng, &[]);
+        let warm = self.prepare_on(problem, budget, &mut run)?;
+        self.resume_on(problem, &warm, run)
     }
 }
 
@@ -991,16 +728,6 @@ mod tests {
             },
             min_pilots_per_stratum: 2,
             ..Lss::default()
-        }
-    }
-
-    fn lws_knn() -> Lws {
-        Lws {
-            learn: LearnPhaseConfig {
-                spec: ClassifierSpec::Knn { k: 3 },
-                ..LearnPhaseConfig::default()
-            },
-            ..Lws::default()
         }
     }
 
@@ -1137,34 +864,11 @@ mod tests {
     }
 
     #[test]
-    fn lws_warm_replays_and_saves_budget() {
-        let problem = line_problem(500, 0.25);
-        let lws = lws_knn();
-        let warm = lws.prepare(&problem, 120, 13).unwrap();
-        let r1 = lws.estimate_prepared(&problem, &warm, 501).unwrap();
-        let r2 = lws.estimate_prepared(&problem, &warm, 501).unwrap();
-        assert_eq!(r1.count().to_bits(), r2.count().to_bits());
-        assert_eq!(r1.evals, warm.sample_budget);
-        assert!(warm.prepare_evals > 0);
-        // Restore from known labels is free and bit-identical.
-        let restored = lws
-            .prepare_with_known(&problem, 120, 13, &warm.known_labels())
-            .unwrap();
-        assert_eq!(restored.prepare_evals, 0);
-        assert_eq!(restored.digest(), warm.digest());
-        let r3 = lws.estimate_prepared(&problem, &restored, 501).unwrap();
-        assert_eq!(r1.count().to_bits(), r3.count().to_bits());
-    }
-
-    #[test]
     fn warm_state_rejects_mismatched_problem() {
         let problem = line_problem(400, 0.3);
         let other = line_problem(300, 0.3);
         let lss = lss_knn();
         let warm = lss.prepare(&problem, 100, 1).unwrap();
         assert!(lss.estimate_prepared(&other, &warm, 2).is_err());
-        let lws = lws_knn();
-        let warm = lws.prepare(&problem, 100, 1).unwrap();
-        assert!(lws.estimate_prepared(&other, &warm, 2).is_err());
     }
 }

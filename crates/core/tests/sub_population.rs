@@ -1,23 +1,22 @@
-//! A sub-population (shard or prefilter survivors) checks its local
-//! ids: one past its end is an error raised before the parent problem
-//! is touched — never a panic, never a neighbouring shard's label.
+//! A sub-population (prefilter survivors) checks its local ids: one
+//! past its end is an error raised before the parent problem is
+//! touched — never a panic, never a neighbouring row's label.
 
 mod common;
 
 use common::band_problem;
-use lts_core::{restrict_problem, shard_problems, CoreError, CoreResult, ShardPlan};
+use lts_core::{restrict_problem, CoreError, CoreResult};
 use lts_table::TableError;
 use std::sync::Arc;
 
 #[test]
-fn shard_and_survivor_local_ids_past_the_end_are_errors_not_neighbours() {
+fn survivor_local_ids_past_the_end_are_errors_not_neighbours() {
     let problem = band_problem(200, 5);
-    let plan = ShardPlan::uniform(200, 4).unwrap();
-    let shards = shard_problems(&problem, &plan).unwrap();
-    let survivors = restrict_problem(&problem, &[3, 10, 17, 40]).unwrap();
-    // Both id maps. The first shard's next row exists in the parent (it
-    // is shard 1's row 0); the last shard's does not.
-    for sub in [&*shards[0], &*shards[3], &survivors] {
+    let sparse = restrict_problem(&problem, &[3, 10, 17, 40]).unwrap();
+    // A contiguous prefix: its next local id is a row the parent has.
+    let prefix: Vec<usize> = (0..50).collect();
+    let prefix = restrict_problem(&problem, &prefix).unwrap();
+    for sub in [&sparse, &prefix] {
         let len = sub.n();
         problem.reset_meter();
         let expect_oob = |r: CoreResult<()>, index: usize| match r {
@@ -37,8 +36,7 @@ fn shard_and_survivor_local_ids_past_the_end_are_errors_not_neighbours() {
 }
 
 /// A member id outside the parent is an error when the sub-population
-/// is built — the feature gather never sees it — and a shard plan over
-/// a different population is refused whole.
+/// is built — the feature gather never sees it.
 #[test]
 fn out_of_range_members_are_errors_at_construction_not_panics() {
     let problem = band_problem(200, 5);
@@ -51,17 +49,10 @@ fn out_of_range_members_are_errors_at_construction_not_panics() {
             other => panic!("expected RowIndexOutOfRange, got {other:?}"),
         }
     }
-    for n in [199, 201] {
-        let plan = ShardPlan::uniform(n, 4).unwrap();
-        assert!(
-            shard_problems(&problem, &plan).is_err(),
-            "plan over {n} rows"
-        );
-    }
 }
 
 /// Sub-populations share their parent's table: nothing is copied but
-/// the id map and the members' feature rows.
+/// the id list and the members' feature rows.
 #[test]
 fn sub_populations_share_the_parents_table() {
     let problem = band_problem(200, 5);
@@ -69,16 +60,13 @@ fn sub_populations_share_the_parents_table() {
     assert!(Arc::ptr_eq(survivors.objects(), problem.objects()));
     assert_eq!(survivors.n(), 4);
     assert_eq!(survivors.features().row(2), problem.features().row(17));
-    // A shard of a sub-population still evaluates against the root.
-    let plan = ShardPlan::uniform(4, 2).unwrap();
-    for (s, shard) in shard_problems(&survivors, &plan)
-        .unwrap()
-        .iter()
-        .enumerate()
-    {
-        assert!(Arc::ptr_eq(shard.objects(), problem.objects()));
-        assert_eq!(shard.n(), 2);
-        let global = [3, 10, 17, 40][2 * s + 1];
-        assert_eq!(shard.label(1).unwrap(), problem.label(global).unwrap());
+    // A restriction of a restriction still evaluates against the root,
+    // and labels as the root does at the global id.
+    let nested = restrict_problem(&survivors, &[1, 3]).unwrap();
+    assert!(Arc::ptr_eq(nested.objects(), problem.objects()));
+    assert_eq!(nested.n(), 2);
+    for (local, global) in [(0, 10), (1, 40)] {
+        assert_eq!(nested.features().row(local), problem.features().row(global));
+        assert_eq!(nested.label(local).unwrap(), problem.label(global).unwrap());
     }
 }

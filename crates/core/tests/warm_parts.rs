@@ -6,7 +6,7 @@
 mod common;
 
 use common::band_problem;
-use lts_core::{CoreError, Lss, LssParts, LssWarm, PilotSource, ShardPlan, Shardable, Sharded};
+use lts_core::{CoreError, Lss, LssParts, LssWarm, PilotSource};
 
 fn lss_two_pilots() -> Lss {
     Lss {
@@ -92,38 +92,4 @@ fn from_parts_round_trips_and_refuses_every_broken_invariant() {
         let other = band_problem(500, 11);
         assert!(LssWarm::from_parts(warm.to_parts(), 150, &other, &lss).is_err());
     }
-}
-
-#[test]
-fn sharded_parts_round_trip_and_are_checked_per_shard() {
-    let problem = band_problem(1200, 5);
-    let (lss, plan) = (lss_two_pilots(), ShardPlan::uniform(1200, 3).unwrap());
-    let warm = lss.prepare_sharded(&problem, &plan, 300, 17).unwrap();
-    let back = Sharded::from_parts(warm.to_parts(), &plan, 300, &problem, &lss).unwrap();
-    assert_eq!(back.digest(), warm.digest());
-    assert_eq!(back.known_labels(), warm.known_labels());
-    assert_eq!(back.prepare_evals, warm.prepare_evals);
-    let a = lss.estimate_prepared_sharded(&problem, &warm, 9).unwrap();
-    let b = lss.estimate_prepared_sharded(&problem, &back, 9).unwrap();
-    assert_eq!(a.estimate.count.to_bits(), b.estimate.count.to_bits());
-    assert_eq!(a.notes, b.notes);
-
-    let rebuild = |parts, plan: &ShardPlan| Sharded::from_parts(parts, plan, 300, &problem, &lss);
-    // One state short; a shard whose ordering belongs to another
-    // shard's population; a plan the states were not prepared under.
-    let mut parts = warm.to_parts();
-    parts.pop();
-    assert!(matches!(
-        rebuild(parts, &plan),
-        Err(CoreError::InvalidState { .. })
-    ));
-    let mut parts = warm.to_parts();
-    parts.swap(0, 2);
-    parts[0].order.push(400);
-    assert!(matches!(
-        rebuild(parts, &plan),
-        Err(CoreError::InvalidState { .. })
-    ));
-    let other = ShardPlan::from_bounds(vec![0, 300, 800, 1200]).unwrap();
-    assert!(rebuild(warm.to_parts(), &other).is_err());
 }

@@ -1,11 +1,11 @@
 //! The scaled synthetic tier: 10–100× the quick-test row counts.
 //!
-//! Shard-level experiments (the `bench_shard` speedup curve, the shard
-//! agreement tests) need populations large enough that the design
-//! phase's superlinear cost is visible, while staying deterministic:
-//! the same `(dataset, tier, level, seed)` tuple must generate the same
-//! table, the same calibrated query parameter, and the same ground
-//! truth on every machine and thread count. Tier seeds are salted by
+//! Scale experiments (`bench_storage`'s paged scans, the benchmark's
+//! scaled-tier probes) need populations up to 100× the quick-test
+//! scale while staying deterministic: the same `(dataset, tier, level,
+//! seed)` tuple must generate the same table, the same calibrated query
+//! parameter, and the same ground truth on every machine and thread
+//! count. Tier seeds are salted by
 //! the tier's row count so different tiers are genuinely different
 //! populations, not prefixes of one another.
 

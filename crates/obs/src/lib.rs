@@ -6,8 +6,8 @@
 //! the repo's bit-identity contract. It is **std-only** (no
 //! dependencies at all) and sits below every other workspace crate, so
 //! any layer — the metered labeler, the warm-prepare pipeline, the
-//! shard fan-out, the paged storage scanner, the serving front-end —
-//! can report through it.
+//! paged storage scanner, the serving front-end — can report through
+//! it.
 //!
 //! Three pillars:
 //!
@@ -18,9 +18,9 @@
 //! | trace spans | [`trace`] | typed per-request [`TraceEvent`]s gathered by a thread-local collector, a bounded [`TraceRing`] for `trace <id>` replay, and a deterministic top-K [`SlowLog`] |
 //!
 //! **Determinism contract.** Every *asserted* field of a trace or
-//! metric — event kinds, eval counts, page counts, shard indices,
-//! routes, outcomes — must be a pure function of (seed, dataset
-//! version, canonical query, budget, request id). Wall-clock time is
+//! metric — event kinds, eval counts, page counts, routes, outcomes —
+//! must be a pure function of (seed, dataset version, canonical query,
+//! budget, request id). Wall-clock time is
 //! allowed, but only inside fields whose name contains `wall`
 //! (`wall_nanos`, `wall_micros`, …); every exposition function takes a
 //! `mask_wall` flag that zeroes exactly those fields, which is what CI

@@ -119,12 +119,11 @@ pub fn thread_evals() -> [u64; NUM_PHASES] {
 
 /// Run `f` with the calling thread's phase state (current tag and
 /// per-phase counters) swapped out for a fresh one, restoring the
-/// previous state afterwards. [`crate::trace::collect`] and
-/// [`crate::trace::suppressed`] wrap their closures in this: a
-/// work-stealing thread blocked in a join can run *another* request's
-/// unit of work inline, and without isolation that work's
-/// [`record_evals`] calls would leak into the phase delta an enclosing
-/// span on this thread is measuring.
+/// previous state afterwards. [`crate::trace::collect`] wraps its
+/// closure in this: a work-stealing thread blocked in a join can run
+/// *another* request's unit of work inline, and without isolation that
+/// work's [`record_evals`] calls would leak into the phase delta an
+/// enclosing span on this thread is measuring.
 pub fn isolated<T>(f: impl FnOnce() -> T) -> T {
     let prev_current = CURRENT.with(|c| c.replace(Phase::Other as usize));
     let prev_evals = EVALS.with(|e| e.replace([0; NUM_PHASES]));

@@ -4,7 +4,7 @@
 //! Subsystems expose point-in-time counter structs (the buffer
 //! manager's `BufferSnapshot`, the paged scanner's `ScanSnapshot`).
 //! Reporting a *span* of work needs `after − before`; merging sibling
-//! spans (per-shard, per-partition) needs component-wise addition.
+//! spans needs component-wise addition.
 //! Implementors provide both under one algebra: `merge` is
 //! component-wise saturating addition and `delta` its (saturating)
 //! inverse, so for monotone counters
@@ -13,7 +13,7 @@
 /// A bundle of monotone counters with component-wise merge and delta.
 pub trait Snapshot: Sized {
     /// Component-wise saturating sum of two snapshots (e.g. combining
-    /// per-shard counters into a fan-out total).
+    /// sibling spans into a total).
     fn merge(&self, other: &Self) -> Self;
 
     /// Component-wise saturating difference `self − before`: the

@@ -3,8 +3,8 @@
 //! A [`Trace`] is the ordered list of typed [`TraceEvent`]s one
 //! request generated on its way through the service: the route the
 //! planner chose, the prefilter scan, each preparation phase
-//! (train / score / pilot / design), the stage-2 draw, the shard
-//! fan-out, cache and store outcomes, page counts. Events are gathered
+//! (train / score / pilot / design), the stage-2 draw, cache and store
+//! outcomes, page counts. Events are gathered
 //! by a **thread-local collector** ([`collect`]): the service installs
 //! one around each unit of per-request work (sequential admission, a
 //! wave-1 prepare closure, a wave-2 execute closure), so emission
@@ -79,20 +79,6 @@ pub enum TraceEvent {
         /// Wall time of the draw (masked in goldens).
         wall_nanos: u64,
     },
-    /// A sharded prepare/estimate fanned out over `shards` shards.
-    ShardFanout {
-        /// Number of shards.
-        shards: u64,
-    },
-    /// Per-shard summary, emitted in shard order after the join.
-    Shard {
-        /// Shard index in `0..shards`.
-        index: u64,
-        /// Oracle evaluations spent inside this shard.
-        evals: u64,
-        /// Wall time of the shard's work (masked in goldens).
-        wall_nanos: u64,
-    },
     /// Paged-storage scan outcome: zone-map skipping is content-pure,
     /// so these counts are deterministic and asserted.
     Pages {
@@ -131,8 +117,6 @@ impl TraceEvent {
             TraceEvent::Store { .. } => "store",
             TraceEvent::Phase { .. } => "phase",
             TraceEvent::Stage2 { .. } => "stage2",
-            TraceEvent::ShardFanout { .. } => "shard_fanout",
-            TraceEvent::Shard { .. } => "shard",
             TraceEvent::Pages { .. } => "pages",
             TraceEvent::Buffer { .. } => "buffer",
             TraceEvent::Served { .. } => "served",
@@ -178,19 +162,6 @@ impl TraceEvent {
             ),
             TraceEvent::Stage2 { evals, wall_nanos } => format!(
                 "{{\"event\": \"stage2\", \"evals\": {}, \"wall_nanos\": {}}}",
-                evals,
-                wall(*wall_nanos)
-            ),
-            TraceEvent::ShardFanout { shards } => {
-                format!("{{\"event\": \"shard_fanout\", \"shards\": {shards}}}")
-            }
-            TraceEvent::Shard {
-                index,
-                evals,
-                wall_nanos,
-            } => format!(
-                "{{\"event\": \"shard\", \"index\": {}, \"evals\": {}, \"wall_nanos\": {}}}",
-                index,
                 evals,
                 wall(*wall_nanos)
             ),
@@ -276,19 +247,6 @@ pub fn collect<T>(f: impl FnOnce() -> T) -> (T, Vec<TraceEvent>) {
         events
     });
     (out, events)
-}
-
-/// Run `f` with trace collection disabled on the calling thread,
-/// restoring any suspended collector afterwards. Fan-out sites use
-/// this around closures that run on work-stealing threads: a worker
-/// blocked in a join can steal another request's task, and without
-/// suppression that task's instrumented interior would emit into the
-/// stealer's collector — nondeterministic cross-request pollution.
-pub fn suppressed<T>(f: impl FnOnce() -> T) -> T {
-    let prev = SINK.with(|s| s.borrow_mut().take());
-    let out = crate::phase::isolated(f);
-    SINK.with(|s| *s.borrow_mut() = prev);
-    out
 }
 
 /// A bounded ring of recently completed traces, oldest evicted first.
@@ -471,22 +429,6 @@ mod tests {
         assert_eq!(outer_events, vec![ev(1), ev(3)]);
         assert!(!collecting());
         emit(ev(4)); // dropped silently
-    }
-
-    #[test]
-    fn suppressed_hides_emissions_from_the_active_collector() {
-        let (out, events) = collect(|| {
-            emit(ev(1));
-            let inner = suppressed(|| {
-                emit(ev(2)); // dropped: no collector while suppressed
-                assert!(!collecting());
-                "done"
-            });
-            emit(ev(3));
-            inner
-        });
-        assert_eq!(out, "done");
-        assert_eq!(events, vec![ev(1), ev(3)]);
     }
 
     #[test]

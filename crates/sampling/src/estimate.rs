@@ -21,7 +21,7 @@ pub struct CountEstimate {
     /// t-interval (stratified, Des Raj); `None` for normal/Wald/Wilson
     /// constructions and exact counts. Carried so independent
     /// estimates can be composed with honest Welch–Satterthwaite df
-    /// (the sharded merge) instead of guessing.
+    /// (`lts_stats::compose_independent`) instead of guessing.
     pub df: Option<f64>,
 }
 

@@ -187,18 +187,19 @@ proptest! {
         prop_assert!(est.interval.lo <= est.interval.hi);
     }
 
-    /// **Shard-merge agreement.** Split the strata of one stratified
-    /// design into contiguous shards, estimate each shard with the same
-    /// stratified estimator, and compose the shard estimators as
-    /// independent components: the merged count and standard error
+    /// **Grouped-strata agreement.** Split the strata of one stratified
+    /// design into contiguous groups, estimate each group with the same
+    /// stratified estimator, and compose the group estimators as
+    /// independent components: the composed count and standard error
     /// equal the global stratified estimator over all strata (float
-    /// summation order aside). This is the algebra the sharded LSS path
-    /// relies on: count variance decomposes additively across strata,
-    /// so grouping strata by shard changes nothing. (Degrees of freedom
-    /// legitimately differ: the composition uses Welch–Satterthwaite,
-    /// the global estimator uses Σ(n_h − 1).)
+    /// summation order aside). This is the algebra
+    /// `lts_stats::compose_independent` rests on: count variance
+    /// decomposes additively across strata, so grouping them changes
+    /// nothing. (Degrees of freedom legitimately differ: the
+    /// composition uses Welch–Satterthwaite, the global estimator uses
+    /// Σ(n_h − 1).)
     #[test]
-    fn shard_merged_stratified_estimate_matches_global(
+    fn grouped_strata_compose_to_the_global_estimate(
         raw in proptest::collection::vec((1usize..150, any::<u32>(), any::<u32>()), 2..16),
         k in 1usize..8,
     ) {
@@ -215,8 +216,8 @@ proptest! {
             .collect();
         let global = stratified_count_estimate(&strata, 0.95).unwrap();
 
-        // Contiguous shard grouping (strata are score-ordered in LSS;
-        // shards take whole runs of them).
+        // Contiguous groups (strata are score-ordered in LSS; a group
+        // takes a whole run of them).
         let k = k.min(strata.len());
         let per = strata.len().div_ceil(k);
         let parts: Vec<Component> = strata

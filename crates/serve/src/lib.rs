@@ -54,6 +54,6 @@ pub use service::{
     ServiceStats, MAX_REGISTER_ROWS,
 };
 pub use state::{RestoreSummary, StateError, STATE_FILE};
-pub use store::{EstimatorTag, ModelStore, StoreKey, StoredModel, WarmState};
+pub use store::{EstimatorTag, ModelStore, StoreKey, StoredModel};
 
 pub use lts_obs::{MetricsRegistry, MetricsSnapshot, Observability, SlowLog, Trace, TraceRing};

@@ -31,7 +31,7 @@
 //! ```
 //!
 //! `explain` is resolve ∘ plan ∘ render, and `import_store` is resolve ∘
-//! (plan state) ∘ decode (`WarmState::from_parts`), over the same
+//! (plan state) ∘ decode (`LssWarm::from_parts`), over the same
 //! functions.
 //!
 //! # Query planning
@@ -82,8 +82,8 @@ use crate::cache::{CachedResult, ResultCache, ResultKey, StalenessPolicy};
 use crate::catalog::{QueryCatalog, QueryKey};
 use crate::error::{ServeError, ServeResult};
 use crate::planner::{BudgetPlanner, SelectivityFeedback, Target};
-use crate::store::{ModelStore, StoredModel, WarmState};
-use lts_core::{features_from_columns, Lss};
+use crate::store::{ModelStore, StoredModel};
+use lts_core::{features_from_columns, Lss, LssParts, LssWarm};
 use lts_data::{neighbors::NeighborsConfig, sports::SportsConfig};
 use lts_learn::Matrix;
 use lts_obs::{Observability, Trace};
@@ -122,13 +122,6 @@ pub struct ServiceConfig {
     pub staleness: StalenessPolicy,
     /// LSS profile for learned estimates (see [`serve_lss_profile`]).
     pub lss: Lss,
-    /// Shards for cold estimates (1 = unsharded). With more than one
-    /// shard, cold prepares run the full pipeline independently per
-    /// shard of a [`lts_core::ShardPlan::uniform`] layout — pure arithmetic over
-    /// `N`, never thread- or partition-dependent — and merge the shard
-    /// estimators with composed variance. Warm resumes replay whatever
-    /// layout their state was prepared under.
-    pub shards: usize,
     /// Echo each response's trace span as a `"trace"` field on the
     /// response JSON. Off by default, so existing response lines stay
     /// byte-identical; the span is still collected into the trace ring
@@ -144,7 +137,6 @@ impl Default for ServiceConfig {
             planner: BudgetPlanner::default(),
             staleness: StalenessPolicy::default(),
             lss: serve_lss_profile(),
-            shards: 1,
             trace: false,
         }
     }
@@ -656,8 +648,8 @@ impl Service {
     /// resolved — a `+pf` entry is re-decomposed and its restricted
     /// residual problem rebuilt by the zero-oracle prefilter scan, which
     /// is deterministic, so the state meets the population it was
-    /// prepared over — and its state is **decoded and checked**
-    /// ([`WarmState::from_parts`]): nothing is fitted, scored, sorted or
+    /// prepared over — and its one state is **decoded and checked**
+    /// ([`LssWarm::from_parts`]): nothing is fitted, scored, sorted or
     /// designed, and the oracle is not called. Entries for unknown
     /// datasets or mismatched table versions are skipped. Returns the
     /// number of states restored.
@@ -694,13 +686,11 @@ impl Service {
                 None
             };
             let (problem, key) = resolved.warm_identity(restricted.as_ref(), entry.budget);
-            let state = WarmState::from_parts(
-                self.config.lss,
-                &problem,
-                entry.estimator.shards,
-                entry.budget,
-                entry.states,
-            )?;
+            let [parts] = <[LssParts; 1]>::try_from(entry.states).map_err(|states| {
+                let message = format!("{} states for one store entry", states.len());
+                ServeError::Invalid { message }
+            })?;
+            let state = LssWarm::from_parts(parts, entry.budget, &problem, &self.config.lss)?;
             self.store.insert(
                 key,
                 StoredModel {

@@ -9,7 +9,7 @@ use crate::catalog::{QueryDecomposition, QueryKey};
 use crate::error::{ServeError, ServeResult};
 use crate::fingerprint;
 use crate::planner::{QueryRoute, Route, Target};
-use crate::store::{ModelStore, StoreKey, StoredModel, WarmState};
+use crate::store::{ModelStore, StoreKey, StoredModel};
 use lts_core::{
     fnv1a, mix_seed, CountEstimator, CountingProblem, LogicalPlan, Lss, PhysicalPlan, Srs,
 };
@@ -19,7 +19,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rayon::prelude::*;
 use std::collections::{HashMap, HashSet};
-use std::num::NonZeroUsize;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -479,7 +478,6 @@ impl Service {
     pub(super) fn prepare(&mut self, work: &mut [WorkItem]) {
         let (lss, service_seed, tracing) =
             (self.config.lss, self.config.seed, self.obs.is_enabled());
-        let shards = NonZeroUsize::new(self.config.shards).filter(|k| k.get() > 1);
         let claims: Vec<(usize, &StoreKey)> = work
             .iter()
             .enumerate()
@@ -497,13 +495,12 @@ impl Service {
                     let prepare_seed =
                         mix_seed(service_seed, store_key_hash(key, adm.table_version));
                     let problem = &adm.planned.problem;
-                    WarmState::prepare(lss, problem, shards, key.budget, prepare_seed).map(
-                        |state| StoredModel {
+                    lss.prepare(problem, key.budget, prepare_seed)
+                        .map(|state| StoredModel {
                             state,
                             table_version: adm.table_version,
                             raw_condition: adm.raw.clone(),
-                        },
-                    )
+                        })
                 });
                 (i, key.clone(), stored, micros_since(start), events)
             })
@@ -634,7 +631,7 @@ impl Service {
                         // cost is the saving.
                         if let Some(stored) = store_key.and_then(|k| self.store.get(k)) {
                             if !cold {
-                                saved = stored.state.prepare_evals() as u64;
+                                saved = stored.state.prepare_evals as u64;
                             }
                         }
                         if !adm.fresh {
@@ -766,10 +763,10 @@ impl WorkItem {
                 let stored = store.get(key).ok_or_else(|| ServeError::Invalid {
                     message: "warm state vanished between waves".into(),
                 })?;
-                let report = stored.state.resume(lss, problem, self.seed)?;
+                let report = lss.estimate_prepared(problem, &stored.state, self.seed)?;
                 // The claimant of a fresh state is charged its prepare.
                 let prepare_evals = if self.cold {
-                    stored.state.prepare_evals()
+                    stored.state.prepare_evals
                 } else {
                     0
                 };

@@ -13,8 +13,8 @@
 //! Persistence: a warm state is plain data, so the export writes it
 //! down — **data for states, weights nowhere**. One `entry` line names
 //! the query (dataset, budget, table version, estimator tag, raw
-//! condition); one `state` line per shard (one in all when unsharded)
-//! carries an [`LssParts`]: profile digest, effective model seed,
+//! condition); the one `state` line after it carries an [`LssParts`]:
+//! profile digest, effective model seed,
 //! prepare evals, the design objective's bits, training ids + labels,
 //! the ordering, pilot positions + labels, cuts, design notes. The
 //! budget split, the pilot source, `N` and the classifier spec are
@@ -23,18 +23,14 @@
 //! (`LssWarm::from_parts`) — no fit, no scoring pass, no sort, no
 //! design run, no oracle call.
 //!
-//! The service prepares LSS only, unsharded or sharded, so a
-//! [`WarmState`] has those two shapes; how a state was laid out travels
-//! in the export as a typed [`EstimatorTag`] (`lss`, `lss@4`, `lss+pf`,
-//! `lss@4+pf`), whose grammar lives here and nowhere else.
+//! The service prepares LSS only, so every entry holds an [`LssWarm`];
+//! which population it was prepared over travels in the export as a
+//! typed [`EstimatorTag`] (`lss`, `lss+pf`), whose grammar lives here
+//! and nowhere else.
 
-use lts_core::{
-    CoreError, CoreResult, CountingProblem, EstimateReport, Lss, LssParts, LssWarm, ShardPlan,
-    Shardable, Sharded,
-};
+use lts_core::{LssParts, LssWarm};
 use std::collections::HashMap;
 use std::fmt::{self, Write as _};
-use std::num::NonZeroUsize;
 use std::str::FromStr;
 
 /// Identity of one stored warm state.
@@ -57,154 +53,19 @@ pub struct StoreKey {
     pub budget: usize,
 }
 
-/// A warm estimator state: learned stratified sampling, prepared over
-/// the whole population or per shard.
-// The large variant is the default one and a state is built once and
-// then only borrowed, so boxing it would buy nothing.
-#[allow(clippy::large_enum_variant)]
-pub enum WarmState {
-    /// Unsharded LSS (the service default).
-    Lss(LssWarm),
-    /// Sharded LSS: one [`LssWarm`] per shard (the cold path when the
-    /// service is configured with more than one shard).
-    LssSharded(Sharded<LssWarm>),
-}
-
-impl WarmState {
-    /// Prepare a state over `problem`: per shard of a
-    /// [`ShardPlan::uniform`] layout when `shards` is given, over the
-    /// whole population otherwise.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for an infeasible budget or layout, or any
-    /// prepare failure.
-    pub fn prepare(
-        lss: Lss,
-        problem: &CountingProblem,
-        shards: Option<NonZeroUsize>,
-        budget: usize,
-        seed: u64,
-    ) -> CoreResult<Self> {
-        Ok(match shards {
-            None => WarmState::Lss(lss.prepare(problem, budget, seed)?),
-            Some(k) => {
-                let plan = ShardPlan::uniform(problem.n(), k.get())?;
-                WarmState::LssSharded(lss.prepare_sharded(problem, &plan, budget, seed)?)
-            }
-        })
-    }
-
-    /// The state as plain data: one [`LssParts`] per shard, one in all
-    /// when unsharded.
-    pub fn to_parts(&self) -> Vec<LssParts> {
-        match self {
-            WarmState::Lss(w) => vec![w.to_parts()],
-            WarmState::LssSharded(w) => w.to_parts(),
-        }
-    }
-
-    /// Rebuild the state [`WarmState::prepare`] produced under the same
-    /// `lss`, `shards` and `budget` over `problem` from its plain data
-    /// — decoded and checked, nothing recomputed.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the parts fail a check of
-    /// `LssWarm::from_parts` / `Sharded::from_parts`, or there is not
-    /// exactly one per shard.
-    pub fn from_parts(
-        lss: Lss,
-        problem: &CountingProblem,
-        shards: Option<NonZeroUsize>,
-        budget: usize,
-        parts: Vec<LssParts>,
-    ) -> CoreResult<Self> {
-        Ok(match shards {
-            None => {
-                let [only] = <[LssParts; 1]>::try_from(parts).map_err(|parts| {
-                    let message = format!("{} states for an unsharded entry", parts.len());
-                    CoreError::InvalidState { message }
-                })?;
-                WarmState::Lss(LssWarm::from_parts(only, budget, problem, &lss)?)
-            }
-            Some(k) => {
-                let plan = ShardPlan::uniform(problem.n(), k.get())?;
-                WarmState::LssSharded(Sharded::from_parts(parts, &plan, budget, problem, &lss)?)
-            }
-        })
-    }
-
-    /// Resume the state: a fresh stage-2 draw under `seed`, in whatever
-    /// layout the state was prepared under.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the state does not match the problem, or
-    /// on sampling/labeling failures.
-    pub fn resume(
-        &self,
-        lss: Lss,
-        problem: &CountingProblem,
-        seed: u64,
-    ) -> CoreResult<EstimateReport> {
-        match self {
-            WarmState::Lss(w) => lss.estimate_prepared(problem, w, seed),
-            WarmState::LssSharded(w) => lss.estimate_prepared_sharded(problem, w, seed),
-        }
-    }
-
-    /// Content digest — the "model version" stamp carried by results
-    /// computed from this state.
-    pub fn digest(&self) -> u64 {
-        match self {
-            WarmState::Lss(w) => w.digest(),
-            WarmState::LssSharded(w) => w.digest(),
-        }
-    }
-
-    /// Oracle evaluations the prepare phase spent (the cold-start
-    /// premium this state amortizes).
-    pub fn prepare_evals(&self) -> usize {
-        match self {
-            WarmState::Lss(w) => w.prepare_evals,
-            WarmState::LssSharded(w) => w.prepare_evals,
-        }
-    }
-
-    /// Shard count of a sharded state (`None` when unsharded), so
-    /// restore rebuilds the same plan.
-    pub fn shards(&self) -> Option<NonZeroUsize> {
-        match self {
-            WarmState::Lss(_) => None,
-            WarmState::LssSharded(w) => NonZeroUsize::new(w.plan().k()),
-        }
-    }
-}
-
-/// The estimator tag of one store-export line: `lss`, an optional
-/// shard suffix (`lss@4`), and an optional `+pf` suffix marking a state
-/// prepared over a prefiltered (restricted) population — the importer
-/// re-decomposes the raw condition to rebuild that population, so the
-/// scope string itself needs no field.
+/// The estimator tag of one store-export line: `lss`, with a `+pf`
+/// suffix marking a state prepared over a prefiltered (restricted)
+/// population — the importer re-decomposes the raw condition to rebuild
+/// that population, so the scope string itself needs no field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EstimatorTag {
-    /// Shard count of a sharded state.
-    pub shards: Option<NonZeroUsize>,
     /// Whether the state was prepared over prefilter survivors.
     pub prefiltered: bool,
 }
 
 impl fmt::Display for EstimatorTag {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("lss")?;
-        if let Some(k) = self.shards {
-            write!(f, "@{k}")?;
-        }
-        if self.prefiltered {
-            f.write_str("+pf")?;
-        }
-        Ok(())
+        f.write_str(if self.prefiltered { "lss+pf" } else { "lss" })
     }
 }
 
@@ -212,28 +73,18 @@ impl FromStr for EstimatorTag {
     type Err = String;
 
     fn from_str(tag: &str) -> Result<Self, String> {
-        let (body, prefiltered) = match tag.strip_suffix("+pf") {
-            Some(body) => (body, true),
-            None => (tag, false),
-        };
-        let unknown = || format!("unknown estimator tag `{tag}` in store export");
-        let rest = body.strip_prefix("lss").ok_or_else(unknown)?;
-        let shards = match rest.strip_prefix('@') {
-            Some(k) => Some(k.parse().map_err(|_| unknown())?),
-            None if rest.is_empty() => None,
-            None => return Err(unknown()),
-        };
-        Ok(Self {
-            shards,
-            prefiltered,
-        })
+        match tag {
+            "lss" => Ok(Self { prefiltered: false }),
+            "lss+pf" => Ok(Self { prefiltered: true }),
+            _ => Err(format!("unknown estimator tag `{tag}` in store export")),
+        }
     }
 }
 
 /// One store entry.
 pub struct StoredModel {
     /// The resumable state.
-    pub state: WarmState,
+    pub state: LssWarm,
     /// Table version it was prepared against.
     pub table_version: u64,
     /// The raw condition text that first created the entry (restores
@@ -288,9 +139,10 @@ pub struct StoreExportEntry {
     pub budget: usize,
     /// Table version the state was prepared against.
     pub table_version: u64,
-    /// How the state was laid out.
+    /// Which population the state was prepared over.
     pub estimator: EstimatorTag,
-    /// The state's plain data, one per `state` line.
+    /// The state's plain data, one per `state` line (an importable
+    /// entry has exactly one).
     pub states: Vec<LssParts>,
 }
 
@@ -385,7 +237,7 @@ impl ModelStore {
     }
 
     /// Render the portable export (format in the module doc): per
-    /// state one `entry` line followed by its `state` lines, entries
+    /// state one `entry` line followed by its `state` line, entries
     /// sorted for stable diffs.
     pub fn export(&self) -> String {
         let mut blocks: Vec<String> = self
@@ -393,9 +245,9 @@ impl ModelStore {
             .iter()
             .map(|(k, e)| {
                 let tag = EstimatorTag {
-                    shards: e.state.shards(),
                     prefiltered: !k.scope.is_empty(),
                 };
+                let p = e.state.to_parts();
                 let mut block = format!(
                     "entry\t{}\t{}\t{}\t{tag}\t{}\n",
                     enc_text(&k.dataset),
@@ -403,27 +255,25 @@ impl ModelStore {
                     e.table_version,
                     enc_text(&e.raw_condition),
                 );
-                for p in e.state.to_parts() {
-                    let _ = write!(
-                        block,
-                        "state\t{:016x}\t{}\t{}\t{:016x}\t{}\t{}\t{}\t{}\t{}\t{}",
-                        p.profile,
-                        p.model_seed,
-                        p.prepare_evals,
-                        p.estimated_variance.to_bits(),
-                        enc_ids(&p.labeled),
-                        enc_labels(&p.labels),
-                        enc_ids(&p.order),
-                        enc_ids(&p.pilot_positions),
-                        enc_labels(&p.pilot_labels),
-                        enc_ids(&p.cuts),
-                    );
-                    for note in &p.design_notes {
-                        block.push('\t');
-                        block.push_str(&enc_text(note));
-                    }
-                    block.push('\n');
+                let _ = write!(
+                    block,
+                    "state\t{:016x}\t{}\t{}\t{:016x}\t{}\t{}\t{}\t{}\t{}\t{}",
+                    p.profile,
+                    p.model_seed,
+                    p.prepare_evals,
+                    p.estimated_variance.to_bits(),
+                    enc_ids(&p.labeled),
+                    enc_labels(&p.labels),
+                    enc_ids(&p.order),
+                    enc_ids(&p.pilot_positions),
+                    enc_labels(&p.pilot_labels),
+                    enc_ids(&p.cuts),
+                );
+                for note in &p.design_notes {
+                    block.push('\t');
+                    block.push_str(&enc_text(note));
                 }
+                block.push('\n');
                 block
             })
             .collect();
@@ -435,7 +285,7 @@ impl ModelStore {
 
     /// Parse a store export into its entries. Only the line grammar is
     /// checked here; what the numbers must satisfy is checked where a
-    /// state is rebuilt from them ([`WarmState::from_parts`]).
+    /// state is rebuilt from them (`LssWarm::from_parts`).
     ///
     /// # Errors
     ///
@@ -534,7 +384,7 @@ mod tests {
 
     #[test]
     fn parse_export_reads_labels() {
-        let text = "lts-store/v2\nentry\tds\t200\t0\tlss@2+pf\t(x%20%3c%201)\n\
+        let text = "lts-store/v2\nentry\tds\t200\t0\tlss+pf\t(x%20%3c%201)\n\
                     state\t00000000000000ff\t7\t12\t7ff8000000000000\t3,9\t10\t9,3,4\t0,2\t01\t1\tsome%09note\n\
                     state\t00000000000000ff\t8\t0\t0000000000000000\t\t\t\t\t\t\n";
         // %20/%3c decode as space and '<'.
@@ -545,7 +395,7 @@ mod tests {
             (e.dataset.as_str(), e.budget, e.table_version),
             ("ds", 200, 0)
         );
-        assert_eq!(e.estimator.to_string(), "lss@2+pf");
+        assert_eq!(e.estimator.to_string(), "lss+pf");
         assert_eq!(e.condition, "(x < 1)");
         let p = &e.states[0];
         assert_eq!((p.profile, p.model_seed, p.prepare_evals), (0xff, 7, 12));
@@ -558,5 +408,60 @@ mod tests {
         );
         assert_eq!(p.design_notes, vec!["some\tnote".to_string()]);
         assert!(e.states[1].order.is_empty() && e.states[1].design_notes.is_empty());
+    }
+
+    #[test]
+    fn estimator_tags_roundtrip_through_their_text_form() {
+        for (text, prefiltered) in [("lss", false), ("lss+pf", true)] {
+            let tag: EstimatorTag = text.parse().unwrap();
+            assert_eq!(tag, EstimatorTag { prefiltered });
+            assert_eq!(tag.to_string(), text);
+        }
+        for bad in ["lss@4", "lss@4+pf", "lss@", "lss4", "LSS", ""] {
+            assert!(bad.parse::<EstimatorTag>().is_err(), "`{bad}`");
+        }
+    }
+
+    #[test]
+    fn malformed_tags_are_rejected_on_import() {
+        use crate::{Request, Service, ServiceConfig, Target};
+        let service = || {
+            let xs: Vec<f64> = (0..2_000).map(f64::from).collect();
+            let table = lts_table::table_of_floats(&[("x", &xs)]).unwrap();
+            let mut s = Service::new(ServiceConfig::default());
+            s.register_dataset("d", std::sync::Arc::new(table), &["x"])
+                .unwrap();
+            s
+        };
+        let mut s = service();
+        // `lws` tags parse nowhere: the service prepares LSS only. Nor
+        // does a shard count (`lss@k`): this build reads no sharded state.
+        for tag in [
+            "lss@4", "lss@0", "lss@x", "nope@4", "lss+pf@4", "lws", "lws@4",
+        ] {
+            let text = format!("lts-store/v2\nentry\td\t200\t0\t{tag}\tx %3c 100\n");
+            let err = s.import_store(&text).expect_err(tag).to_string();
+            assert!(err.contains("unknown estimator tag"), "tag `{tag}`: {err}");
+        }
+        assert_eq!(s.store_len(), 0);
+
+        // A real export with its entry re-tagged `lss@4` is refused
+        // whole; the export as written imports.
+        let cold = s.run(Request {
+            id: 1,
+            dataset: "d".into(),
+            condition: "x < 800".into(),
+            target: Target::Budget(300),
+            fresh: false,
+        });
+        assert_eq!((cold.served, cold.route), ("cold", "lss"));
+        let export = s.export_store();
+        let retagged = export.replacen("\tlss\t", "\tlss@4\t", 1);
+        assert_ne!(retagged, export);
+        let mut restored = service();
+        let err = restored.import_store(&retagged).unwrap_err().to_string();
+        assert!(err.contains("unknown estimator tag `lss@4`"), "{err}");
+        assert_eq!(restored.store_len(), 0);
+        assert_eq!(restored.import_store(&export).unwrap(), 1);
     }
 }

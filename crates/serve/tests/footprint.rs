@@ -18,7 +18,7 @@
 //! One `#[test]` on purpose: the allocator counts the whole process, so
 //! nothing else may run beside the measured sections.
 
-use lts_core::{shard_problems, CountingProblem, LogicalPlan, PhysicalPlan, ShardPlan};
+use lts_core::{restrict_problem, CountingProblem, LogicalPlan, PhysicalPlan};
 use lts_data::{sports_scenario, SelectivityLevel};
 use lts_serve::{Request, Service, ServiceConfig, Target};
 use lts_table::{parse_condition, ExprPredicate, PartitionedTable, TableRegistry};
@@ -152,8 +152,9 @@ fn a_distinct_query_retains_its_delta_not_a_copy_of_the_table() {
         assert!(bound < 20 * (PER_ROW_MONOLITHIC + 8 * FEATURES.len()) * N);
     }
 
-    // The sharing behind the numbers: a plan's restricted problem and
-    // every shard of it evaluate against the parent's table.
+    // The sharing behind the numbers: a plan's restricted problem, and
+    // any restriction of it, evaluate against the parent's table and
+    // label as their parent does.
     let registry = TableRegistry::new().register("s", Arc::clone(&table));
     let text = format!("strikeouts > {} AND {}", cut(0.2), skyband(20));
     let expr = parse_condition(&text, &registry).unwrap();
@@ -167,8 +168,13 @@ fn a_distinct_query_retains_its_delta_not_a_copy_of_the_table() {
     .unwrap();
     let restricted = plan.restricted().expect("rows survive");
     assert!(Arc::ptr_eq(restricted.objects(), &table));
-    let shards = ShardPlan::uniform(restricted.n(), 4).unwrap();
-    for shard in shard_problems(restricted, &shards).unwrap() {
-        assert!(Arc::ptr_eq(shard.objects(), &table));
+    let last = restricted.n() - 1;
+    let nested = restrict_problem(restricted, &[0, last]).unwrap();
+    assert!(Arc::ptr_eq(nested.objects(), &table));
+    for (local, parent) in [(0, 0), (1, last)] {
+        assert_eq!(
+            nested.label(local).unwrap(),
+            restricted.label(parent).unwrap()
+        );
     }
 }

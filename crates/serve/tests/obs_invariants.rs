@@ -9,7 +9,7 @@
 //!   counters sum to `oracle_evals_total`;
 //! * the per-phase eval counters **partition** the total: every oracle
 //!   evaluation is attributed to exactly one of train / score / pilot
-//!   / design / stage2 / exact / srs / sharded;
+//!   / design / stage2 / exact / srs;
 //! * `spent + saved == cold-equivalent`: what a warm or cached answer
 //!   avoided is exactly what a cold start of the same request costs on
 //!   a fresh service;
@@ -63,7 +63,6 @@ fn phase_partition_total(s: &Service) -> u64 {
         "evals_stage2",
         "evals_exact",
         "evals_srs",
-        "evals_sharded",
     ]
     .iter()
     .map(|n| counter(s, n))
@@ -164,9 +163,7 @@ fn folded_responses_equal_stats_and_phases_partition_the_total() {
     // Phase attribution partitions the total: nothing double-counted,
     // nothing dropped.
     assert_eq!(phase_partition_total(&s), stats.oracle_evals);
-    // Unsharded: the sharded bucket is empty, and the SRS bucket holds
-    // exactly the fallback's evals.
-    assert_eq!(counter(&s, "evals_sharded"), 0);
+    // The SRS bucket holds exactly the fallback's evals.
     assert_eq!(counter(&s, "evals_srs"), responses[7].evals as u64);
 
     // Store/cache counters line up with the routes and the stores.
@@ -251,27 +248,13 @@ fn a_cold_response_is_charged_the_wall_time_of_its_prepare() {
 }
 
 #[test]
-fn exact_and_sharded_routes_fill_their_partition_buckets() {
+fn the_exact_route_fills_its_partition_bucket() {
     // Census route: a population small enough that exact wins.
     let mut s = service_with(ServiceConfig::default(), 120);
     let r = s.run(req(1, "x < 60", 500, false));
     assert!(r.ok, "{:?}", r.error);
     assert_eq!(r.served, "exact");
     assert_eq!(counter(&s, "evals_exact"), r.evals as u64);
-    assert_eq!(phase_partition_total(&s), counter(&s, "oracle_evals_total"));
-
-    // Sharded service: estimate evals land in `evals_sharded`.
-    let mut s = service_with(
-        ServiceConfig {
-            shards: 4,
-            ..ServiceConfig::default()
-        },
-        5_000,
-    );
-    let r = s.run(req(1, "x < 2000", 300, false));
-    assert!(r.ok, "{:?}", r.error);
-    assert_eq!(r.served, "cold");
-    assert!(counter(&s, "evals_sharded") > 0);
     assert_eq!(phase_partition_total(&s), counter(&s, "oracle_evals_total"));
 }
 

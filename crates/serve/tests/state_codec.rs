@@ -1,24 +1,23 @@
 //! The `lts-store/v2` / `lts-state/v2` codec: a warm state written down
 //! and decoded is the state that was written.
 //!
-//! * **Round trip** — for the four served shapes (`lss`, `lss+pf`,
-//!   `lss@4`, `lss@4+pf`) on both datasets, a state exported by
-//!   [`ModelStore::export`], parsed back and rebuilt by
-//!   [`WarmState::from_parts`] has the same digest, known labels and
+//! * **Round trip** — for the two served shapes (`lss`, `lss+pf`) on
+//!   both datasets, a state exported by [`ModelStore::export`], parsed
+//!   back and rebuilt by [`LssWarm::from_parts`] has the same digest,
+//!   known labels and
 //!   prepare evals, resumes to bit-identical reports, and exports to
 //!   the same bytes — with the oracle never called.
 //! * **Golden snapshot** — one small committed `state.lts` pins the
 //!   format byte for byte; CI runs this file at one rayon worker and at
 //!   the default count, so the bytes do not depend on the thread count.
 
-use lts_core::{CountingProblem, EstimateReport, LogicalPlan, PhysicalPlan};
+use lts_core::{CountingProblem, EstimateReport, LogicalPlan, LssWarm, PhysicalPlan};
 use lts_data::{neighbors_scenario, sports_scenario, QueryParam, SelectivityLevel};
 use lts_serve::{
     serve_lss_profile, state, BudgetPlanner, DatasetSpec, ModelStore, Request, Service,
-    ServiceConfig, StoreKey, StoredModel, Target, WarmState,
+    ServiceConfig, StoreKey, StoredModel, Target,
 };
 use lts_table::{parse_condition, ExprPredicate, PartitionedTable, Table, TableRegistry};
-use std::num::NonZeroUsize;
 use std::sync::Arc;
 
 fn skyband(k: usize) -> String {
@@ -53,13 +52,6 @@ fn problems(
     )
     .unwrap();
     (problem, plan.restricted().cloned())
-}
-
-fn known_labels(state: &WarmState) -> Vec<(usize, bool)> {
-    match state {
-        WarmState::Lss(w) => w.known_labels(),
-        WarmState::LssSharded(w) => w.known_labels(),
-    }
 }
 
 fn assert_same_report(a: &EstimateReport, b: &EstimateReport, what: &str) {
@@ -115,64 +107,51 @@ fn every_served_shape_round_trips_through_the_export() {
             (&subquery, &monolithic, false),
             (&planned, &restricted, true),
         ] {
-            for shards in [None, NonZeroUsize::new(4)] {
-                let seed = 0xC0DE ^ problem.n() as u64;
-                let state = WarmState::prepare(lss, problem, shards, BUDGET, seed).unwrap();
-                let tag = match (shards, prefiltered) {
-                    (None, false) => "lss",
-                    (None, true) => "lss+pf",
-                    (Some(_), false) => "lss@4",
-                    (Some(_), true) => "lss@4+pf",
+            let seed = 0xC0DE ^ problem.n() as u64;
+            let state = lss.prepare(problem, BUDGET, seed).unwrap();
+            let tag = if prefiltered { "lss+pf" } else { "lss" };
+            let what = format!("{name} {tag}");
+            let export = |state: LssWarm| {
+                let mut store = ModelStore::new();
+                let key = StoreKey {
+                    dataset: name.into(),
+                    canonical: text.clone(),
+                    scope: if prefiltered {
+                        "pf".into()
+                    } else {
+                        String::new()
+                    },
+                    budget: BUDGET,
                 };
-                let what = format!("{name} {tag}");
-                let export = |state: WarmState| {
-                    let mut store = ModelStore::new();
-                    let key = StoreKey {
-                        dataset: name.into(),
-                        canonical: text.clone(),
-                        scope: if prefiltered {
-                            "pf".into()
-                        } else {
-                            String::new()
-                        },
-                        budget: BUDGET,
-                    };
-                    let stored = StoredModel {
-                        state,
-                        table_version: 7,
-                        raw_condition: text.clone(),
-                    };
-                    store.insert(key.clone(), stored);
-                    (store.export(), store, key)
+                let stored = StoredModel {
+                    state,
+                    table_version: 7,
+                    raw_condition: text.clone(),
                 };
-                let (text_out, store, key) = export(state);
-                let state = &store.get(&key).unwrap().state;
-                assert!(text_out.contains(&format!("\t{tag}\t")), "{what}");
+                store.insert(key.clone(), stored);
+                (store.export(), store, key)
+            };
+            let (text_out, store, key) = export(state);
+            let state = &store.get(&key).unwrap().state;
+            assert!(text_out.contains(&format!("\t{tag}\t")), "{what}");
 
-                let mut entries = ModelStore::parse_export(&text_out).unwrap();
-                let entry = entries.pop().expect("one entry");
-                assert_eq!(entry.estimator.to_string(), tag);
-                assert_eq!((entry.budget, entry.table_version), (BUDGET, 7));
-                problem.reset_meter();
-                let back = WarmState::from_parts(
-                    lss,
-                    problem,
-                    entry.estimator.shards,
-                    entry.budget,
-                    entry.states,
-                )
-                .unwrap();
-                assert_eq!(problem.predicate_stats().evals, 0, "{what}: decode is free");
-                assert_eq!(back.digest(), state.digest(), "{what}");
-                assert_eq!(back.prepare_evals(), state.prepare_evals(), "{what}");
-                assert_eq!(known_labels(&back), known_labels(state), "{what}");
-                for seed in [1, 2, 3] {
-                    let a = state.resume(lss, problem, seed).unwrap();
-                    let b = back.resume(lss, problem, seed).unwrap();
-                    assert_same_report(&a, &b, &what);
-                }
-                assert_eq!(export(back).0, text_out, "{what}: re-export");
+            let mut entries = ModelStore::parse_export(&text_out).unwrap();
+            let entry = entries.pop().expect("one entry");
+            assert_eq!(entry.estimator.to_string(), tag);
+            assert_eq!((entry.budget, entry.table_version), (BUDGET, 7));
+            let [parts] = <[_; 1]>::try_from(entry.states).expect("one state line");
+            problem.reset_meter();
+            let back = LssWarm::from_parts(parts, entry.budget, problem, &lss).unwrap();
+            assert_eq!(problem.predicate_stats().evals, 0, "{what}: decode is free");
+            assert_eq!(back.digest(), state.digest(), "{what}");
+            assert_eq!(back.prepare_evals, state.prepare_evals, "{what}");
+            assert_eq!(back.known_labels(), state.known_labels(), "{what}");
+            for seed in [1, 2, 3] {
+                let a = lss.estimate_prepared(problem, state, seed).unwrap();
+                let b = lss.estimate_prepared(problem, &back, seed).unwrap();
+                assert_same_report(&a, &b, &what);
             }
+            assert_eq!(export(back).0, text_out, "{what}: re-export");
         }
     }
 }

@@ -5,7 +5,7 @@
 //!   answer the first repeat request from the restored result cache —
 //!   **zero oracle evaluations, byte-identical response** — and replay
 //!   `fresh` requests bit-identically from the decoded model store, for
-//!   monolithic, `+pf` and 4-shard states.
+//!   monolithic and `+pf` states.
 //! * A version-mismatched, torn, or corrupted snapshot — or a
 //!   well-sealed one whose numbers do not describe a warm state of the
 //!   problem they name — yields a structured error and a clean cold
@@ -43,13 +43,6 @@ fn spec() -> DatasetSpec {
     }
 }
 
-fn sharded(shards: usize) -> Service {
-    Service::new(ServiceConfig {
-        shards,
-        ..ServiceConfig::default()
-    })
-}
-
 /// `snapshot` with its checksum trailer recomputed: what any writer —
 /// not only this crate — can produce.
 fn resealed(snapshot: &str) -> String {
@@ -80,6 +73,14 @@ fn with_state_fields(snapshot: &str, edit: impl Fn(&mut Vec<String>)) -> String 
         .collect();
     assert!(done, "the snapshot holds a warm state");
     resealed(&lines.join("\n"))
+}
+
+/// `snapshot` with its first store entry re-tagged `lss@4` — what a
+/// build that still sharded wrote for a 4-shard state — resealed.
+fn legacy_lss_at_4(snapshot: &str) -> String {
+    let tagged = snapshot.replacen("\tlss\t", "\tlss@4\t", 1);
+    assert_ne!(tagged, snapshot, "the snapshot holds an `lss` entry");
+    resealed(&tagged)
 }
 
 /// The comma-separated id list of one `state` field, and back.
@@ -134,19 +135,13 @@ fn assert_bits_equal(a: &Response, b: &Response, what: &str) {
 
 #[test]
 fn snapshot_roundtrip_replays_bit_identically() {
-    for shards in [1, 4] {
-        roundtrip(shards);
-    }
-}
-
-fn roundtrip(shards: usize) {
-    let dir = temp_dir(&format!("roundtrip{shards}"));
+    let dir = temp_dir("roundtrip");
 
     // Service A: cold-start two queries (one of which decomposes into
     // prefilter + residual, exercising the `+pf` store lineage), cache
     // their results, and take one `fresh` warm replay of each as a
     // reference.
-    let mut a = sharded(shards);
+    let mut a = Service::new(ServiceConfig::default());
     a.register_generated("s", &spec()).unwrap();
     let a_cold_plain = count(&mut a, 0, PLAIN, false);
     assert_eq!(a_cold_plain.served, "cold");
@@ -161,7 +156,7 @@ fn roundtrip(shards: usize) {
     assert!(saved_to.ends_with(lts_serve::STATE_FILE));
 
     // Service B: load the snapshot and serve.
-    let mut b = sharded(shards);
+    let mut b = Service::new(ServiceConfig::default());
     let summary = state::load(&mut b, &dir)
         .unwrap()
         .expect("snapshot present");
@@ -300,7 +295,7 @@ fn corrupt_snapshots_error_structurally_and_cold_start_cleanly() {
             Box::new(|f| f[2] = format!("{:016x}", 7)),
         ),
         (
-            "a second state under an unsharded entry",
+            "a second state under one entry",
             Box::new(|f| {
                 let again = f[1..].join("\t");
                 f.push(format!("\nstore\tstate\t{again}"));
@@ -329,6 +324,15 @@ fn corrupt_snapshots_error_structurally_and_cold_start_cleanly() {
     assert!(matches!(
         state::load(&mut other, &dir),
         Err(StateError::Restore { message }) if message.contains("different LSS profile")
+    ));
+    // (e) A sharded entry of an earlier build: `lss@k` is no tag this
+    // build reads, so the restore is refused whole and starts cold.
+    let legacy = legacy_lss_at_4(&good);
+    fs::write(&path, &legacy).unwrap();
+    let mut svc = Service::new(ServiceConfig::default());
+    assert!(matches!(
+        state::load(&mut svc, &dir),
+        Err(StateError::Restore { message }) if message.contains("unknown estimator tag `lss@4`")
     ));
     // A version with no successor is refused before anything is built.
     let maxed = good.replacen("\tM\t3\t0\n", &format!("\tM\t3\t{}\n", u64::MAX), 1);
@@ -402,6 +406,7 @@ fn tcp_server_cold_starts_over_a_snapshot_it_refuses() {
     let broken = with_state_fields(&good, |f| f[8] = f[8].replacen(',', ",,", 1));
     for snapshot in [
         with_state_fields(&good, |f| f[11] = "9,9,9".into()),
+        legacy_lss_at_4(&good),
         broken,
         resealed(&good.replacen("lts-state/v2", "lts-state/v1", 1)),
     ] {

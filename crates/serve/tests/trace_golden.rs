@@ -3,13 +3,11 @@
 //! lookups, the masked `metrics` exposition, and the `slow` log — must
 //! reproduce its golden transcript byte-for-byte.
 //!
-//! Two goldens pin both execution shapes: the monolithic single-shard
-//! service and a 4-shard fan-out (whose spans carry `ShardFanout` /
-//! `Shard` events instead of phase events). Deterministic mode masks
-//! every `wall_*` field; all remaining fields are pure functions of
-//! (seed, dataset version, canonical query, budget, id), so each
-//! transcript is identical at any `RAYON_NUM_THREADS` (CI runs this
-//! test under 1 worker and default workers) and on any host.
+//! Deterministic mode masks every `wall_*` field; all remaining fields
+//! are pure functions of (seed, dataset version, canonical query,
+//! budget, id), so the transcript is identical at any
+//! `RAYON_NUM_THREADS` (CI runs this test under 1 worker and default
+//! workers) and on any host.
 //!
 //! Regenerate after an intentional trace-format change with
 //! `UPDATE_GOLDENS=1 cargo test -p lts-serve --test trace_golden`.
@@ -68,14 +66,4 @@ fn traced_session_matches_golden_transcript() {
         ..ServiceConfig::default()
     };
     check("trace_responses.golden", &run_script(config));
-}
-
-#[test]
-fn traced_sharded_session_matches_golden_transcript() {
-    let config = ServiceConfig {
-        trace: true,
-        shards: 4,
-        ..ServiceConfig::default()
-    };
-    check("trace_responses_s4.golden", &run_script(config));
 }

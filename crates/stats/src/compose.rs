@@ -1,10 +1,9 @@
 //! Variance composition for sums of independent estimators.
 //!
-//! The sharded estimation layer runs one full estimator per shard and
-//! reports their **sum**. Because the shards partition the population
-//! and every shard runs on its own seed stream, the per-shard
-//! estimators are independent, so the variance of the sum is exactly
-//! the sum of the variances:
+//! A count assembled from parts — one estimator per disjoint
+//! sub-population, each on its own seed stream — is their **sum**.
+//! The parts being independent, the variance of the sum is exactly the
+//! sum of the variances:
 //!
 //! ```text
 //! X = Σ_k X_k        Var(X) = Σ_k Var(X_k)
@@ -12,7 +11,7 @@
 //!
 //! In proportion units this is the familiar stratified form
 //! `Var(p̂) = Σ_k w_k² Var(p̂_k)` with `w_k = N_k / N` — multiplying
-//! through by `N²` turns each `w_k² Var(p̂_k)` term into the shard's
+//! through by `N²` turns each `w_k² Var(p̂_k)` term into the part's
 //! count-unit variance, so summing count-unit variances **is** the
 //! weighted composition (no separate weighting step, no post-hoc
 //! widening).

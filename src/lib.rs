@@ -113,9 +113,9 @@ pub mod prelude {
         Qlac, Qlcc, Srs, Ssn, Ssp,
     };
     pub use lts_core::{
-        run_trials, run_trials_with, shard_seed, ClassifierSpec, CountingProblem, EstimateReport,
-        LearnPhaseConfig, OrderedPopulation, QualityForecast, ScoredPopulation, ShardPlan,
-        Shardable, Sharded, TrialExecution, TrialStats,
+        run_trials, run_trials_with, ClassifierSpec, CountingProblem, EstimateReport,
+        LearnPhaseConfig, LssWarm, OrderedPopulation, QualityForecast, ScoredPopulation,
+        TrialExecution, TrialStats,
     };
     pub use lts_obs::{MetricsRegistry, Observability, Trace, TraceEvent};
     pub use lts_sampling::CountEstimate;
