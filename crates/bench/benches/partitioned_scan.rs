@@ -14,7 +14,7 @@
 //! the inline serial scan; expect ≈ 1×). The setup asserts the
 //! partitioned labels are identical to the serial labels at every
 //! partition count before timing anything — the determinism contract
-//! the `bench_partitioned_scan` binary re-checks across thread counts.
+//! `lts-table`'s `vector_agreement` tests hold at every thread count.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use lts_table::partition::PartitionedTable;

@@ -1,11 +1,11 @@
 //! Machine-readable benchmark artifacts.
 //!
-//! Every harness run can drop a `BENCH_<name>.json` file into the
-//! output directory: one record per estimator/cell with the median,
-//! IQR, mean unique evals, and mean wall time. Future PRs diff these
-//! files to track the perf trajectory without re-parsing stdout tables.
-//! The full schema (fields, units, execution-mode caveats) is
-//! documented in `docs/benchmarks.md` at the repository root.
+//! `repro_fig2` drops `BENCH_fig2.json` into the output directory: one
+//! record per estimator/cell with the median, IQR, mean unique evals,
+//! and mean wall time, so the estimator trajectory can be diffed
+//! without re-parsing stdout tables. The full schema (fields, units,
+//! execution-mode caveats) is documented in `docs/benchmarks.md` at
+//! the repository root.
 //!
 //! The JSON is hand-formatted (the workspace's serde is a no-op shim;
 //! the schema here is flat enough that formatting beats a dependency).
@@ -61,7 +61,7 @@ fn num(v: f64) -> String {
     }
 }
 
-/// Render records as a `BENCH_*.json` document. `trial_execution`
+/// Render records as a `BENCH_<name>.json` document. `trial_execution`
 /// names the mode wall times were measured under (`"parallel"` /
 /// `"sequential"`), so trajectory diffs compare like with like.
 pub fn render_bench_json(name: &str, trial_execution: &str, records: &[BenchRecord]) -> String {
@@ -110,21 +110,16 @@ pub fn write_bench_json(
     Ok(path)
 }
 
-/// Write records and log the outcome, never failing the experiment
-/// (benchmark artifacts are best-effort by design).
-pub fn emit_records_json(dir: &str, name: &str, trial_execution: &str, records: &[BenchRecord]) {
-    match write_bench_json(dir, name, trial_execution, records) {
+/// Write cells as `BENCH_<name>.json` and log the outcome, never
+/// failing the experiment (benchmark artifacts are best-effort by
+/// design). Harness cells are measured by `run_trials`, whose default
+/// is parallel execution.
+pub fn emit_cells_json(dir: &str, name: &str, cells: &[Cell]) {
+    let records: Vec<BenchRecord> = cells.iter().map(BenchRecord::from_cell).collect();
+    match write_bench_json(dir, name, "parallel", &records) {
         Ok(path) => println!("   perf artifact: {}", path.display()),
         Err(e) => eprintln!("   [warn] could not write BENCH_{name}.json: {e}"),
     }
-}
-
-/// Convenience: convert cells and [`emit_records_json`] them.
-/// Harness cells are measured by `run_trials`, whose default is
-/// parallel execution.
-pub fn emit_cells_json(dir: &str, name: &str, cells: &[Cell]) {
-    let records: Vec<BenchRecord> = cells.iter().map(BenchRecord::from_cell).collect();
-    emit_records_json(dir, name, "parallel", &records);
 }
 
 #[cfg(test)]
@@ -172,9 +167,9 @@ mod tests {
     fn writes_file() {
         let dir = std::env::temp_dir().join("lts_bench_json_test");
         let dir = dir.to_str().unwrap();
-        let path = write_bench_json(dir, "smoke", "parallel", &[record("SRS", 1.0)]).unwrap();
+        let path = write_bench_json(dir, "fig2", "parallel", &[record("SRS", 1.0)]).unwrap();
         let content = std::fs::read_to_string(&path).unwrap();
-        assert!(path.file_name().unwrap().to_str().unwrap() == "BENCH_smoke.json");
+        assert!(path.file_name().unwrap().to_str().unwrap() == "BENCH_fig2.json");
         assert!(content.contains("\"schema_version\": 1"));
     }
 }

@@ -16,7 +16,7 @@
 //! paper's own comparison metric (§5: "we commonly use interquartile
 //! range").
 //!
-//! Runs also drop machine-readable `BENCH_<name>.json` perf artifacts
+//! `repro_fig2` also drops a machine-readable `BENCH_fig2.json`
 //! (module [`json`]); the schema — fields, units, and the
 //! execution-mode caveats for comparing wall times — is documented in
 //! `docs/benchmarks.md` at the repository root.
@@ -30,4 +30,3 @@ pub mod json;
 
 pub use cli::RunConfig;
 pub use harness::{Cell, TextTable};
-pub use json::{emit_cells_json, emit_records_json, write_bench_json, BenchRecord};

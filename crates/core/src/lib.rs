@@ -47,10 +47,7 @@ pub use estimators::{
 };
 pub use feature::features_from_columns;
 pub use learnphase::{LearnPhaseConfig, LearnedModel};
-pub use plan::{
-    paged_problem, restrict_problem, select_prefilter, select_prefilter_paged, LogicalPlan,
-    PagedPredicate, PhysicalPlan, PrefilterSelection,
-};
+pub use plan::{restrict_problem, select_prefilter, LogicalPlan, PhysicalPlan, PrefilterSelection};
 pub use problem::{CountingProblem, Labeler};
 pub use report::{EstimateReport, PhaseTimings, QualityForecast};
 pub use runner::{run_trials, run_trials_with, TrialExecution, TrialStats};

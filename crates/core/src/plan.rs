@@ -41,9 +41,7 @@
 
 use crate::error::{CoreError, CoreResult};
 use crate::problem::CountingProblem;
-use lts_table::{
-    decompose, Expr, ObjectPredicate, PagedTable, PartitionedTable, Table, TableResult,
-};
+use lts_table::{decompose, Expr, PartitionedTable};
 use std::sync::Arc;
 
 /// A query analyzed for planning: optional exact prefilter plus the
@@ -107,12 +105,23 @@ fn conjunct_count(e: &Expr) -> u64 {
     }
 }
 
-/// Turn a completed scan's mask into the selection (survivor ids,
-/// ascending) and report it onto the calling thread's trace collector,
-/// if any. Population/survivor/conjunct counts are pure functions of
-/// table content and the prefilter expression, so these fields are
-/// asserted in trace goldens.
-fn selection_of(mask: Vec<bool>, prefilter: &Expr) -> PrefilterSelection {
+/// Run `prefilter` as one vectorized partition-parallel scan and
+/// collect the surviving row ids (ascending — bit-identical at every
+/// partition and thread count, per [`lts_table::partition`]'s
+/// determinism contract), reporting the selection onto the calling
+/// thread's trace collector, if any. Population/survivor/conjunct
+/// counts are pure functions of table content and the prefilter
+/// expression, so these fields are asserted in trace goldens.
+///
+/// # Errors
+///
+/// Propagates expression evaluation errors; the first error in row
+/// order surfaces, exactly as a serial scan would.
+pub fn select_prefilter(
+    table: &PartitionedTable,
+    prefilter: &Expr,
+) -> CoreResult<PrefilterSelection> {
+    let mask = table.par_eval_bool(prefilter).map_err(CoreError::Table)?;
     let population = mask.len();
     let survivors: Vec<usize> = mask
         .into_iter()
@@ -126,109 +135,10 @@ fn selection_of(mask: Vec<bool>, prefilter: &Expr) -> PrefilterSelection {
             survivors: survivors.len() as u64,
         });
     }
-    PrefilterSelection {
+    Ok(PrefilterSelection {
         survivors,
         population,
-    }
-}
-
-/// Run `prefilter` as one vectorized partition-parallel scan and
-/// collect the surviving row ids (ascending — bit-identical at every
-/// partition and thread count, per [`lts_table::partition`]'s
-/// determinism contract).
-///
-/// # Errors
-///
-/// Propagates expression evaluation errors; the first error in row
-/// order surfaces, exactly as a serial scan would.
-pub fn select_prefilter(
-    table: &PartitionedTable,
-    prefilter: &Expr,
-) -> CoreResult<PrefilterSelection> {
-    let mask = table.par_eval_bool(prefilter).map_err(CoreError::Table)?;
-    Ok(selection_of(mask, prefilter))
-}
-
-/// Run `prefilter` as a page-parallel scan over an out-of-core
-/// [`PagedTable`] — the paged twin of [`select_prefilter`]. Survivor
-/// ids are bit-identical to the in-RAM scan over the same data;
-/// pages whose zone maps prove the prefilter false are never read
-/// (see `lts_table::storage` for the skip rule).
-///
-/// # Errors
-///
-/// Propagates expression evaluation errors (first error in row order)
-/// and storage faults ([`lts_table::TableError::Storage`]).
-pub fn select_prefilter_paged(
-    paged: &PagedTable,
-    prefilter: &Expr,
-) -> CoreResult<PrefilterSelection> {
-    let mask = paged.par_eval_bool(prefilter).map_err(CoreError::Table)?;
-    Ok(selection_of(mask, prefilter))
-}
-
-/// An [`ObjectPredicate`] evaluated against an out-of-core
-/// [`PagedTable`]: each (batched) evaluation faults in only the pages
-/// containing the requested row ids, via
-/// [`PagedTable::eval_bool_ids`]. Results are bit-identical to
-/// evaluating the same expression on the materialized table, so an
-/// estimator run against a paged problem reproduces the in-RAM
-/// estimate exactly (same labels, same draws, same interval).
-pub struct PagedPredicate {
-    paged: Arc<PagedTable>,
-    expr: Expr,
-    name: String,
-}
-
-impl PagedPredicate {
-    /// Wrap `expr` as a predicate over `paged`.
-    pub fn new(name: impl Into<String>, paged: Arc<PagedTable>, expr: Expr) -> Self {
-        Self {
-            paged,
-            expr,
-            name: name.into(),
-        }
-    }
-}
-
-impl ObjectPredicate for PagedPredicate {
-    fn eval(&self, _objects: &Table, idx: usize) -> TableResult<bool> {
-        Ok(self.paged.eval_bool_ids(&self.expr, &[idx])?[0])
-    }
-
-    fn eval_batch(&self, _objects: &Table, idxs: &[usize]) -> TableResult<Vec<bool>> {
-        self.paged.eval_bool_ids(&self.expr, idxs)
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-}
-
-/// Build a [`CountingProblem`] whose predicate pages: the object table
-/// holds **only the feature columns** (materialized once, the part the
-/// learned estimators keep hot in RAM), while every oracle evaluation
-/// reads just the pages of `paged` containing the sampled rows. The
-/// result of any estimator on this problem is bit-identical to the
-/// same estimator on the fully materialized table.
-///
-/// # Errors
-///
-/// Returns an error for unknown feature columns, storage faults, or an
-/// empty table.
-pub fn paged_problem(
-    name: &str,
-    paged: Arc<PagedTable>,
-    expr: Expr,
-    feature_columns: &[&str],
-) -> CoreResult<CountingProblem> {
-    let objects = Arc::new(
-        paged
-            .to_table_of(feature_columns)
-            .map_err(CoreError::Table)?,
-    );
-    let predicate: Arc<dyn ObjectPredicate> = Arc::new(PagedPredicate::new(name, paged, expr));
-    CountingProblem::new(objects, predicate, feature_columns)
+    })
 }
 
 /// Restrict `parent` to the given surviving global row ids: the
@@ -455,69 +365,6 @@ mod tests {
         assert_eq!(plan.survivors(), Some(0));
         assert!(plan.restricted().is_none());
         assert_eq!(plan.exact_count().unwrap(), 0);
-    }
-
-    #[test]
-    fn paged_prefilter_selects_identically_without_reading_cold_pages() {
-        let (_, pt, _) = scenario();
-        let dir = std::env::temp_dir().join(format!("lts_plan_paged_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        PagedTable::create(&dir, pt.table(), 8).unwrap();
-        let paged = PagedTable::open(&dir, 4).unwrap();
-        let prefilter = Expr::col("x").lt(Expr::lit(24.0));
-        let ram = select_prefilter(&pt, &prefilter).unwrap();
-        let disk = select_prefilter_paged(&paged, &prefilter).unwrap();
-        assert_eq!(disk.survivors, ram.survivors);
-        assert_eq!(disk.population, ram.population);
-        // x is sorted, so pages past the threshold are zone-skipped.
-        assert!(paged.scan_snapshot().pages_skipped >= 4);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn paged_problem_reproduces_in_ram_estimates_bit_for_bit() {
-        use crate::estimators::{CountEstimator, Lws, Srs};
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-
-        let (problem, pt, expr) = scenario();
-        let dir = std::env::temp_dir().join(format!("lts_plan_est_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        PagedTable::create(&dir, pt.table(), 8).unwrap();
-        // Adversarially small pool: estimation must survive constant
-        // eviction.
-        let paged = Arc::new(PagedTable::open(&dir, 1).unwrap());
-        let sub = paged_problem("q", Arc::clone(&paged), expr, &["x", "y"]).unwrap();
-        assert_eq!(sub.n(), problem.n());
-        assert_eq!(sub.features(), problem.features());
-        assert_eq!(sub.exact_count().unwrap(), problem.exact_count().unwrap());
-
-        let srs = Srs::default();
-        let lws = Lws::default();
-        for est in [&srs as &dyn CountEstimator, &lws] {
-            let a = est
-                .estimate(&problem, 32, &mut StdRng::seed_from_u64(7))
-                .unwrap();
-            let b = est
-                .estimate(&sub, 32, &mut StdRng::seed_from_u64(7))
-                .unwrap();
-            assert_eq!(
-                a.estimate.count.to_bits(),
-                b.estimate.count.to_bits(),
-                "{} point estimate",
-                est.name()
-            );
-            assert_eq!(
-                a.estimate.interval.lo.to_bits(),
-                b.estimate.interval.lo.to_bits()
-            );
-            assert_eq!(
-                a.estimate.interval.hi.to_bits(),
-                b.estimate.interval.hi.to_bits()
-            );
-            assert_eq!(a.evals, b.evals, "{} evals", est.name());
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

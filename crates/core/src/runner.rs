@@ -10,8 +10,8 @@
 //! — so [`run_trials`] fans them out across threads. Because each
 //! trial's randomness is fully determined by its seed and results are
 //! collected in trial order, the parallel path is **bit-identical** to
-//! [`TrialExecution::Sequential`] (asserted by tests and the
-//! `bench_parallel_runner` harness).
+//! [`TrialExecution::Sequential`] (asserted by
+//! `tests/scoring_thread_sweep.rs`).
 //!
 //! [`Labeler`]: crate::problem::Labeler
 

@@ -36,9 +36,9 @@
 //! partition count and every `RAYON_NUM_THREADS`. Ties in the ordering
 //! are broken by ascending object id, so the order is a *total* order
 //! and downstream position-indexed sampling is unambiguous. This is
-//! asserted by `crates/core/tests/scoring_determinism.rs` and by the CI
-//! diff of `BENCH_score_pipeline.json` between 1-thread and
-//! default-thread runs.
+//! asserted by `crates/core/tests/scoring_determinism.rs` and
+//! `scoring_thread_sweep.rs`, which CI runs at 1 thread and at the
+//! default thread count.
 
 use crate::error::{CoreError, CoreResult};
 use crate::problem::CountingProblem;

@@ -1,13 +1,12 @@
 //! The scaled synthetic tier: 10–100× the quick-test row counts.
 //!
-//! Scale experiments (`bench_storage`'s paged scans, the benchmark's
-//! scaled-tier probes) need populations up to 100× the quick-test
-//! scale while staying deterministic: the same `(dataset, tier, level,
-//! seed)` tuple must generate the same table, the same calibrated query
-//! parameter, and the same ground truth on every machine and thread
-//! count. Tier seeds are salted by
-//! the tier's row count so different tiers are genuinely different
-//! populations, not prefixes of one another.
+//! Scale experiments (`bench_suite`'s paged-scan probe) need
+//! populations up to 100× the quick-test scale while staying
+//! deterministic: the same `(dataset, tier, level, seed)` tuple must
+//! generate the same table, the same calibrated query parameter, and
+//! the same ground truth on every machine and thread count. Tier seeds
+//! are salted by the tier's row count so different tiers are genuinely
+//! different populations, not prefixes of one another.
 
 use crate::scenario::{
     neighbors_scenario, sports_scenario, DatasetKind, Scenario, SelectivityLevel,

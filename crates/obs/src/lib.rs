@@ -6,8 +6,7 @@
 //! the repo's bit-identity contract. It is **std-only** (no
 //! dependencies at all) and sits below every other workspace crate, so
 //! any layer — the metered labeler, the warm-prepare pipeline, the
-//! paged storage scanner, the serving front-end — can report through
-//! it.
+//! serving front-end — can report through it.
 //!
 //! Three pillars:
 //!
@@ -18,16 +17,13 @@
 //! | trace spans | [`trace`] | typed per-request [`TraceEvent`]s gathered by a thread-local collector, a bounded [`TraceRing`] for `trace <id>` replay, and a deterministic top-K [`SlowLog`] |
 //!
 //! **Determinism contract.** Every *asserted* field of a trace or
-//! metric — event kinds, eval counts, page counts, routes, outcomes —
+//! metric — event kinds, eval counts, routes, outcomes —
 //! must be a pure function of (seed, dataset version, canonical query,
 //! budget, request id). Wall-clock time is
 //! allowed, but only inside fields whose name contains `wall`
 //! (`wall_nanos`, `wall_micros`, …); every exposition function takes a
 //! `mask_wall` flag that zeroes exactly those fields, which is what CI
-//! diffs across `RAYON_NUM_THREADS` settings. Buffer-pool hit/miss
-//! counts under a *shared* pool are interleaving-dependent and are
-//! therefore never part of golden assertions (see
-//! [`trace::TraceEvent::Buffer`]).
+//! diffs across `RAYON_NUM_THREADS` settings.
 
 #![warn(missing_docs)]
 
@@ -67,7 +63,8 @@ impl Observability {
     }
 
     /// Everything off: no-op registry handles, zero-capacity ring and
-    /// slow log. This is the `bench_obs` overhead baseline.
+    /// slow log. This is the baseline `bench_suite`'s
+    /// `obs.overhead_share` measures telemetry against.
     pub fn disabled() -> Self {
         Observability {
             registry: MetricsRegistry::disabled(),

@@ -5,8 +5,8 @@
 //! clones; recording through one is a single atomic RMW with no lock.
 //! A registry created with [`MetricsRegistry::disabled`] hands out
 //! no-op handles whose recording compiles down to a branch on a
-//! `None` — that is the baseline `bench_obs` measures instrumentation
-//! overhead against.
+//! `None` — that is the baseline `bench_suite`'s `obs.overhead_share`
+//! measures instrumentation overhead against.
 //!
 //! [`MetricsRegistry::snapshot`] takes a point-in-time
 //! [`MetricsSnapshot`] sorted by metric name; the snapshot renders as

@@ -4,7 +4,7 @@
 //! request generated on its way through the service: the route the
 //! planner chose, the prefilter scan, each preparation phase
 //! (train / score / pilot / design), the stage-2 draw, cache and store
-//! outcomes, page counts. Events are gathered
+//! outcomes. Events are gathered
 //! by a **thread-local collector** ([`collect`]): the service installs
 //! one around each unit of per-request work (sequential admission, a
 //! wave-1 prepare closure, a wave-2 execute closure), so emission
@@ -14,10 +14,7 @@
 //! **Determinism contract.** Every asserted field of an event is a
 //! pure function of (seed, dataset version, canonical query, budget,
 //! request id). Wall-clock time lives only in fields named `wall_*`,
-//! which [`Trace::to_json`] zeroes under `mask_wall`. Shared
-//! buffer-pool hit/miss counts are interleaving-dependent, so
-//! [`TraceEvent::Buffer`] is treated like a wall field: masked, never
-//! asserted in goldens.
+//! which [`Trace::to_json`] zeroes under `mask_wall`.
 //!
 //! Completed traces land in a bounded [`TraceRing`] (replayed by the
 //! `trace <id>` protocol command) and feed a deterministic top-K
@@ -79,23 +76,6 @@ pub enum TraceEvent {
         /// Wall time of the draw (masked in goldens).
         wall_nanos: u64,
     },
-    /// Paged-storage scan outcome: zone-map skipping is content-pure,
-    /// so these counts are deterministic and asserted.
-    Pages {
-        /// Pages whose rows were actually evaluated.
-        evaluated: u64,
-        /// Pages skipped by a zone-map proof.
-        skipped: u64,
-    },
-    /// Buffer-pool outcome. **Not deterministic** under a shared pool
-    /// (hit/miss depends on interleaving), so rendered as `wall_*`
-    /// fields and masked in goldens.
-    Buffer {
-        /// Page requests served from the pool.
-        hits: u64,
-        /// Page requests that went to disk.
-        misses: u64,
-    },
     /// Terminal event: how the request was served.
     Served {
         /// `cold`, `warm`, `cached`, `coalesced`, `exact`, `fallback`, …
@@ -117,14 +97,11 @@ impl TraceEvent {
             TraceEvent::Store { .. } => "store",
             TraceEvent::Phase { .. } => "phase",
             TraceEvent::Stage2 { .. } => "stage2",
-            TraceEvent::Pages { .. } => "pages",
-            TraceEvent::Buffer { .. } => "buffer",
             TraceEvent::Served { .. } => "served",
         }
     }
 
-    /// Render as one JSON object. `mask_wall` zeroes `wall_*` fields
-    /// and the (interleaving-dependent) buffer counts.
+    /// Render as one JSON object. `mask_wall` zeroes `wall_*` fields.
     pub fn to_json(&self, mask_wall: bool) -> String {
         let wall = |v: u64| if mask_wall { 0 } else { v };
         match self {
@@ -164,14 +141,6 @@ impl TraceEvent {
                 "{{\"event\": \"stage2\", \"evals\": {}, \"wall_nanos\": {}}}",
                 evals,
                 wall(*wall_nanos)
-            ),
-            TraceEvent::Pages { evaluated, skipped } => format!(
-                "{{\"event\": \"pages\", \"evaluated\": {evaluated}, \"skipped\": {skipped}}}"
-            ),
-            TraceEvent::Buffer { hits, misses } => format!(
-                "{{\"event\": \"buffer\", \"wall_hits\": {}, \"wall_misses\": {}}}",
-                wall(*hits),
-                wall(*misses)
             ),
             TraceEvent::Served {
                 served,
@@ -441,7 +410,11 @@ mod tests {
                     kind: "monolithic".into(),
                 },
                 ev(42),
-                TraceEvent::Buffer { hits: 3, misses: 1 },
+                TraceEvent::Phase {
+                    phase: "train",
+                    evals: 5,
+                    wall_nanos: 3,
+                },
             ],
         };
         let masked = t.to_json(true);
@@ -450,11 +423,11 @@ mod tests {
             "{\"id\": 7, \"events\": [\
              {\"event\": \"route\", \"route\": \"lss\", \"kind\": \"monolithic\"}, \
              {\"event\": \"stage2\", \"evals\": 42, \"wall_nanos\": 0}, \
-             {\"event\": \"buffer\", \"wall_hits\": 0, \"wall_misses\": 0}]}"
+             {\"event\": \"phase\", \"phase\": \"train\", \"evals\": 5, \"wall_nanos\": 0}]}"
         );
         let unmasked = t.to_json(false);
         assert!(unmasked.contains("\"wall_nanos\": 99"));
-        assert!(unmasked.contains("\"wall_hits\": 3"));
+        assert!(unmasked.contains("\"wall_nanos\": 3"));
     }
 
     #[test]

@@ -356,7 +356,7 @@ impl Service {
     /// Create a service with an explicit observability bundle — share
     /// one registry across services, or pass
     /// [`Observability::disabled`] to make every telemetry touchpoint
-    /// a no-op (the overhead baseline `bench_obs` measures against).
+    /// a no-op (the baseline of `bench_suite`'s `obs.overhead_share`).
     pub fn with_observability(config: ServiceConfig, obs: Observability) -> Self {
         let metrics = ServeMetrics::new(&obs.registry);
         Self {

@@ -62,7 +62,6 @@ serve_metrics! {
         oracle_evals_total oracle_evals_cold oracle_evals_warm oracle_evals_exact
         oracle_evals_saved_cache oracle_evals_saved_warm
         evals_train evals_score evals_pilot evals_design evals_stage2 evals_exact evals_srs
-        pages_evaluated pages_skipped
         store_prepares store_resumes cache_hits cache_misses;
     gauges: store_entries cache_entries datasets;
 }
@@ -148,10 +147,6 @@ impl ServeMetrics {
             match ev {
                 TraceEvent::Phase { phase, evals, .. } => self.add_phase_evals(phase, *evals),
                 TraceEvent::Stage2 { evals, .. } => self.evals_stage2.add(*evals),
-                TraceEvent::Pages { evaluated, skipped } => {
-                    self.pages_evaluated.add(*evaluated);
-                    self.pages_skipped.add(*skipped);
-                }
                 _ => {}
             }
         }

@@ -6,6 +6,8 @@
 //! * warm starts replay bit-identically against cold starts at the
 //!   same request seed and spend ≥ 5× fewer oracle evaluations at the
 //!   same designed CI width;
+//! * a planned prefilter spends ≥ 3× fewer oracle evaluations than the
+//!   monolithic plan at the same requested CI width;
 //! * shuffled arrival order and worker interleaving never change any
 //!   per-request response.
 
@@ -404,6 +406,64 @@ fn planned_census_matches_forced_monolithic_census_with_fewer_evals() {
     assert_eq!(rp.estimate, rm.estimate, "same exact count either way");
     assert_eq!(rp.evals, 500, "restricted census labels only survivors");
     assert_eq!(rm.evals, 1_000, "monolithic census labels everything");
+}
+
+#[test]
+fn planned_prefilter_spends_3x_fewer_evals_than_monolithic_at_equal_width() {
+    // Sports skyband (2 000 rows, seed 7) behind a cheap conjunct at
+    // the 70th percentile of `strikeouts`: the prefilter keeps ~30 %.
+    let scenario =
+        lts_data::sports_scenario(2_000, lts_data::SelectivityLevel::M, 7).expect("sports");
+    let lts_data::QueryParam::K(k) = scenario.param else {
+        unreachable!("sports calibrates k")
+    };
+    let mut strikeouts = scenario.table.floats("strikeouts").unwrap().to_vec();
+    strikeouts.sort_by(f64::total_cmp);
+    let t70 = strikeouts[((strikeouts.len() - 1) as f64 * 0.70).round() as usize];
+    let condition = format!(
+        "strikeouts > {t70:.3} AND (SELECT COUNT(*) FROM sports WHERE \
+         strikeouts >= o.strikeouts AND wins >= o.wins AND \
+         (strikeouts > o.strikeouts OR wins > o.wins)) < {k}"
+    );
+    let cold = |planner: lts_serve::BudgetPlanner| {
+        let mut s = Service::new(ServiceConfig {
+            seed: 7,
+            planner,
+            ..ServiceConfig::default()
+        });
+        s.register_dataset(
+            "sports",
+            Arc::clone(&scenario.table),
+            &["strikeouts", "wins"],
+        )
+        .unwrap();
+        let r = s.run(Request {
+            id: 1,
+            dataset: "sports".into(),
+            condition: condition.clone(),
+            target: Target::RelWidth(0.05),
+            fresh: false,
+        });
+        assert!(r.ok, "{:?}", r.error);
+        assert_eq!(r.served, "cold");
+        r
+    };
+    let planned = cold(lts_serve::BudgetPlanner::default());
+    let mono = cold(lts_serve::BudgetPlanner {
+        monolithic_selectivity: 0.0,
+        ..lts_serve::BudgetPlanner::default()
+    });
+    assert_eq!(planned.plan.as_ref().unwrap().kind, "prefilter_estimate");
+    assert!(
+        mono.plan.is_none(),
+        "forced-monolithic carries no plan echo"
+    );
+    assert!(
+        mono.evals >= 3 * planned.evals,
+        "planned {} vs monolithic {} evals at the same requested width",
+        planned.evals,
+        mono.evals
+    );
 }
 
 #[test]

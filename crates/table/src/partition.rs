@@ -31,9 +31,8 @@
 //!   count (the same guarantee the parallel trial runner established).
 //!
 //! The contract is enforced by property tests over random schemas,
-//! expressions, and chunk counts (`tests/vector_agreement.rs`) and by a
-//! CI step diffing `BENCH_partitioned_scan.json` estimate fields
-//! between `RAYON_NUM_THREADS=1` and default-thread runs.
+//! expressions, and chunk counts (`tests/vector_agreement.rs`), which
+//! CI runs at `RAYON_NUM_THREADS=1` and at the default thread count.
 
 use crate::error::TableResult;
 use crate::expr::Expr;

@@ -5,25 +5,19 @@
 //! format** ([`page`]), a bounded **buffer manager** with clock
 //! eviction and pin/unpin accounting ([`buffer`]), and a
 //! [`PagedTable`] ([`paged`]) that implements the same scan surface as
-//! [`crate::PartitionedTable`] — `par_eval_bool` / `par_count` /
-//! `eval_bool_ids` — over fixed-row-count column pages faulted in on
-//! demand.
+//! [`crate::PartitionedTable`] — `par_eval_bool` / `par_count` — over
+//! fixed-row-count column pages faulted in on demand.
 //!
-//! Two properties make the layer more than a cache:
-//!
-//! * **Zone maps.** Every `(column, page)` chunk records min/max,
-//!   null-count and error-count at write time. A top-level conjunct of
-//!   the form `col CMP literal` whose range provably misses a page's
-//!   zone map lets the scan emit `false` for the whole page without
-//!   faulting it in — the same eval-budget economics the paper applies
-//!   to oracle calls, applied to I/O. The skip rule is
-//!   **Kleene-sound**: a page is skipped only when the provably-false
-//!   conjunct comes *before* (in source order) any conjunct that might
-//!   error on that page, so error surfacing stays bit-identical to the
-//!   in-RAM scan (see [`paged`] for the proof sketch).
-//! * **Targeted reads.** Stage-2 stratified draws evaluate the
-//!   predicate on sampled row ids only; `eval_bool_ids` faults in only
-//!   the pages containing those ids.
+//! **Zone maps** make the layer more than a cache. Every `(column,
+//! page)` chunk records min/max, null-count and error-count at write
+//! time. A top-level conjunct of the form `col CMP literal` whose range
+//! provably misses a page's zone map lets the scan emit `false` for the
+//! whole page without faulting it in — the same eval-budget economics
+//! the paper applies to oracle calls, applied to I/O. The skip rule is
+//! **Kleene-sound**: a page is skipped only when the provably-false
+//! conjunct comes *before* (in source order) any conjunct that might
+//! error on that page, so error surfacing stays bit-identical to the
+//! in-RAM scan (see [`paged`] for the proof sketch).
 //!
 //! Scans return [`crate::TableResult`] exactly like the in-RAM
 //! executor; storage faults (truncation, checksum mismatch, I/O

@@ -6,11 +6,11 @@
 //! [`BufferManager`]. The unit of work is the **page**, not a chunk of
 //! the in-RAM driver ([`crate::partition`]): a page is a physical unit
 //! with its own fault and skip accounting, so this scan keeps its own
-//! fan-out — one private page step (`eval_page`) behind every entry
-//! point, calling the same [`eval_columnar_sel`] kernels, merged back
-//! in page order. Every scan is therefore bit-identical to the in-RAM
-//! scan — values, NULL handling, and first-error-in-row-order alike
-//! (property-tested in `tests/storage_agreement.rs`).
+//! fan-out — one private page step (`eval_page`) calling the same
+//! [`eval_bool_columnar`] kernels, merged back in page order. Every
+//! scan is therefore bit-identical to the in-RAM scan — values, NULL
+//! handling, and first-error-in-row-order alike (property-tested in
+//! `tests/storage_agreement.rs`).
 //!
 //! # Zone-map page skipping — the Kleene-sound rule
 //!
@@ -39,25 +39,17 @@
 //! checked in `f64` — the same monotone `i64 → f64` promotion the
 //! comparison kernel itself uses — so the bounds test is never less
 //! conservative than the engine.
-//!
-//! # Targeted reads
-//!
-//! [`PagedTable::eval_bool_ids`] — the stage-2 stratified-draw entry
-//! point — groups consecutive ids by page and faults in only the
-//! pages containing sampled rows. Ids must be in range: unlike the
-//! lazily-gathering in-RAM path it reports the first out-of-range id
-//! up front as [`TableError::RowIndexOutOfRange`].
 
 use super::buffer::{BufferManager, BufferSnapshot};
 use super::page::{decode_page, encode_page, PageMeta, TableManifest, ZoneMap};
 use super::{StorageError, StorageResult};
 use crate::decompose::split_conjuncts;
-use crate::error::{TableError, TableResult};
+use crate::error::TableResult;
 use crate::expr::{BinaryOp, CmpOp, Expr};
 use crate::schema::Schema;
 use crate::table::Table;
 use crate::value::{DataType, Value};
-use crate::vector::{eval_columnar_sel, RowSel};
+use crate::vector::eval_bool_columnar;
 use crate::Column;
 use rayon::prelude::*;
 use std::collections::BTreeSet;
@@ -114,7 +106,6 @@ pub struct PagedTable {
     dir: PathBuf,
     manifest: TableManifest,
     buffer: BufferManager,
-    version: u64,
     zone_skipping: bool,
     pages_evaluated: AtomicU64,
     pages_skipped: AtomicU64,
@@ -211,7 +202,6 @@ impl PagedTable {
             dir: dir.into(),
             manifest,
             buffer: BufferManager::new(pool_pages),
-            version: 0,
             zone_skipping: true,
             pages_evaluated: AtomicU64::new(0),
             pages_skipped: AtomicU64::new(0),
@@ -253,27 +243,10 @@ impl PagedTable {
         self.manifest.page_row_range(p)
     }
 
-    /// The version stamp (same contract as
-    /// [`crate::PartitionedTable::version`]).
-    pub fn version(&self) -> u64 {
-        self.version
-    }
-
-    /// Set the version stamp (builder style).
-    #[must_use]
-    pub fn with_version(mut self, version: u64) -> Self {
-        self.version = version;
-        self
-    }
-
-    /// Bump the version stamp in place.
-    pub fn bump_version(&mut self) {
-        self.version += 1;
-    }
-
     /// Enable/disable zone-map page skipping (builder style; on by
     /// default). With skipping off every page is faulted and
-    /// evaluated — the unskipped baseline of `bench_storage`.
+    /// evaluated — the unskipped baseline a skip rate is measured
+    /// against.
     #[must_use]
     pub fn with_zone_skipping(mut self, on: bool) -> Self {
         self.zone_skipping = on;
@@ -296,12 +269,6 @@ impl PagedTable {
             pages_evaluated: self.pages_evaluated.load(Ordering::Relaxed),
             pages_skipped: self.pages_skipped.load(Ordering::Relaxed),
         }
-    }
-
-    /// Zero the page-skip counters.
-    pub fn reset_scan_counters(&self) {
-        self.pages_evaluated.store(0, Ordering::Relaxed);
-        self.pages_skipped.store(0, Ordering::Relaxed);
     }
 
     /// Fault in one column page (cache hit or verified disk read).
@@ -413,24 +380,22 @@ impl PagedTable {
         (self.referenced_columns(expr), specs)
     }
 
-    /// The page step of every scan: labels of the rows `sel` picks from
-    /// page `p` — all `false`, without touching the page, when the zone
-    /// maps prove it so.
+    /// The page step of every scan: labels of page `p`'s rows — all
+    /// `false`, without touching the page, when the zone maps prove it
+    /// so.
     fn eval_page(
         &self,
         expr: &Expr,
         p: usize,
         (cols, specs): &(Vec<usize>, Vec<ConjunctSpec>),
-        sel: RowSel<'_>,
     ) -> TableResult<Vec<bool>> {
         if self.page_skippable(specs, p) {
             self.pages_skipped.fetch_add(1, Ordering::Relaxed);
-            let rows = self.manifest.page_row_range(p).len();
-            return Ok(vec![false; sel.len(rows)]);
+            return Ok(vec![false; self.manifest.page_row_range(p).len()]);
         }
         self.pages_evaluated.fetch_add(1, Ordering::Relaxed);
         let t = self.page_table(p, cols)?;
-        eval_columnar_sel(expr, &t, sel).truthy()
+        eval_bool_columnar(expr, &t, None)
     }
 
     /// Evaluate `expr` page-parallel, one result per page in page
@@ -439,7 +404,7 @@ impl PagedTable {
         let plan = self.scan_plan(expr);
         (0..self.n_pages())
             .into_par_iter()
-            .map(|p| self.eval_page(expr, p, &plan, RowSel::All))
+            .map(|p| self.eval_page(expr, p, &plan))
             .collect()
     }
 
@@ -481,39 +446,6 @@ impl PagedTable {
         false
     }
 
-    /// Start of an observed scan span: counter snapshots, taken only
-    /// when a trace collector is installed on the calling thread so
-    /// the uninstrumented path pays one thread-local branch.
-    fn observe_scan_start(&self) -> Option<(ScanSnapshot, super::BufferSnapshot)> {
-        if lts_obs::trace::collecting() {
-            Some((self.scan_snapshot(), self.buffer.snapshot()))
-        } else {
-            None
-        }
-    }
-
-    /// End of an observed scan span: emit `pages` / `buffer` trace
-    /// events carrying the counter deltas. The deltas come from the
-    /// table-wide atomics, so concurrent scans of the same table can
-    /// cross-talk; page counts are content-pure under a single scan
-    /// (and asserted in goldens), while buffer hit/miss counts are
-    /// interleaving-dependent and masked like wall time.
-    fn observe_scan_end(&self, start: Option<(ScanSnapshot, super::BufferSnapshot)>) {
-        use lts_obs::Snapshot as _;
-        if let Some((scan0, buf0)) = start {
-            let scan = self.scan_snapshot().delta(&scan0);
-            let buf = self.buffer.snapshot().delta(&buf0);
-            lts_obs::trace::emit(lts_obs::TraceEvent::Pages {
-                evaluated: scan.pages_evaluated,
-                skipped: scan.pages_skipped,
-            });
-            lts_obs::trace::emit(lts_obs::TraceEvent::Buffer {
-                hits: buf.hits,
-                misses: buf.misses,
-            });
-        }
-    }
-
     /// Evaluate `expr` as a predicate over the whole table via the
     /// page-parallel scan — element- and error-identical to
     /// [`crate::PartitionedTable::par_eval_bool`] over the same data.
@@ -521,14 +453,13 @@ impl PagedTable {
     /// # Errors
     ///
     /// Returns the first failing row's error in row order, or
-    /// [`TableError::Storage`] for an I/O/integrity fault.
+    /// [`TableError::Storage`](crate::TableError::Storage) for an
+    /// I/O/integrity fault.
     pub fn par_eval_bool(&self, expr: &Expr) -> TableResult<Vec<bool>> {
-        let span = self.observe_scan_start();
         let mut out = Vec::with_capacity(self.len());
         for r in self.eval_pages(expr) {
             out.extend(r?);
         }
-        self.observe_scan_end(span);
         Ok(out)
     }
 
@@ -537,89 +468,32 @@ impl PagedTable {
     /// # Errors
     ///
     /// Returns the first failing row's error in row order, or
-    /// [`TableError::Storage`] for an I/O/integrity fault.
+    /// [`TableError::Storage`](crate::TableError::Storage) for an
+    /// I/O/integrity fault.
     pub fn par_count(&self, expr: &Expr) -> TableResult<usize> {
         Ok(self.par_eval_bool(expr)?.into_iter().filter(|&l| l).count())
-    }
-
-    /// Evaluate `expr` over the listed row ids, faulting in only the
-    /// pages containing them — the stage-2 stratified-draw read path.
-    /// Consecutive ids on the same page share one page fault;
-    /// results and errors come back in id order, element-identical to
-    /// [`crate::par_eval_bool_ids`] on the materialized table.
-    ///
-    /// # Errors
-    ///
-    /// Reports the first out-of-range id up front as
-    /// [`TableError::RowIndexOutOfRange`]; otherwise the first failing
-    /// row's error in id order, or [`TableError::Storage`].
-    pub fn eval_bool_ids(&self, expr: &Expr, ids: &[usize]) -> TableResult<Vec<bool>> {
-        let n = self.len();
-        if let Some(&bad) = ids.iter().find(|&&i| i >= n) {
-            return Err(TableError::RowIndexOutOfRange { index: bad, len: n });
-        }
-        let span = self.observe_scan_start();
-        let plan = self.scan_plan(expr);
-        let mut out = Vec::with_capacity(ids.len());
-        let mut i = 0usize;
-        while i < ids.len() {
-            let p = ids[i] / self.manifest.page_rows;
-            let mut j = i + 1;
-            while j < ids.len() && ids[j] / self.manifest.page_rows == p {
-                j += 1;
-            }
-            let base = p * self.manifest.page_rows;
-            let local: Vec<usize> = ids[i..j].iter().map(|&id| id - base).collect();
-            out.extend(self.eval_page(expr, p, &plan, RowSel::Ids(&local))?);
-            i = j;
-        }
-        self.observe_scan_end(span);
-        Ok(out)
     }
 
     /// Materialize the whole table in RAM (page-sequential read).
     ///
     /// # Errors
     ///
-    /// Returns [`TableError::Storage`] for an I/O/integrity fault.
+    /// Returns [`TableError::Storage`](crate::TableError::Storage) for
+    /// an I/O/integrity fault.
     pub fn to_table(&self) -> TableResult<Table> {
-        self.materialize_columns(&(0..self.manifest.schema.len()).collect::<Vec<_>>())
-            .map(|(schema, cols)| Table::new(schema, cols))?
-    }
-
-    /// Materialize only the named columns (e.g. the feature columns a
-    /// scoring pipeline keeps hot in RAM while the predicate pages).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TableError::UnknownColumn`] for a bad name and
-    /// [`TableError::Storage`] for an I/O/integrity fault.
-    pub fn to_table_of(&self, names: &[&str]) -> TableResult<Table> {
-        let cols: Vec<usize> = names
+        let schema = &self.manifest.schema;
+        let mut columns: Vec<Column> = schema
+            .fields()
             .iter()
-            .map(|n| self.manifest.schema.index_of(n))
-            .collect::<TableResult<_>>()?;
-        self.materialize_columns(&cols)
-            .map(|(schema, cols)| Table::new(schema, cols))?
-    }
-
-    fn materialize_columns(&self, cols: &[usize]) -> TableResult<(Schema, Vec<Column>)> {
-        let fields = cols
-            .iter()
-            .map(|&c| self.manifest.schema.fields()[c].clone())
-            .collect();
-        let schema = Schema::new(fields)?;
-        let mut out: Vec<Column> = cols
-            .iter()
-            .map(|&c| Column::with_capacity(self.manifest.schema.fields()[c].data_type, self.len()))
+            .map(|f| Column::with_capacity(f.data_type, self.len()))
             .collect();
         for p in 0..self.n_pages() {
-            for (slot, &c) in out.iter_mut().zip(cols) {
+            for (c, slot) in columns.iter_mut().enumerate() {
                 let page = self.fetch_page(c, p)?;
                 append_column(slot, &page);
             }
         }
-        Ok((schema, out))
+        Table::new(schema.clone(), columns)
     }
 }
 
@@ -717,10 +591,10 @@ fn provably_false<T: PartialOrd + Copy>(op: CmpOp, lit: T, mn: T, mx: T) -> bool
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::TableError;
     use crate::partition::PartitionedTable;
     use crate::table::{table_of_floats, TableBuilder};
     use crate::value::Value;
-    use crate::vector::eval_bool_columnar;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("lts_paged_{tag}_{}", std::process::id()));
@@ -832,30 +706,6 @@ mod tests {
         let before = paged.buffer_snapshot().misses;
         assert_eq!(paged.par_eval_bool(&shadowed).unwrap(), vec![false; 20]);
         assert_eq!(paged.buffer_snapshot().misses, before);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn eval_bool_ids_faults_only_needed_pages() {
-        let dir = tmp_dir("ids");
-        let table = mixed_table(1000);
-        PagedTable::create(&dir, &table, 50).unwrap();
-        let paged = PagedTable::open(&dir, 8).unwrap();
-        let e = Expr::col("x").lt(Expr::lit(0.5));
-        // Ids confined to two pages.
-        let ids: Vec<usize> = vec![3, 7, 8, 903, 950, 955];
-        let want = eval_bool_columnar(&e, &table, Some(&ids)).unwrap();
-        assert_eq!(paged.eval_bool_ids(&e, &ids).unwrap(), want);
-        // Pages 0, 18, 19 → 3 faults of the one referenced column.
-        assert_eq!(paged.buffer_snapshot().misses, 3);
-        // Out-of-range ids error up front.
-        assert_eq!(
-            paged.eval_bool_ids(&e, &[5, 2000]),
-            Err(TableError::RowIndexOutOfRange {
-                index: 2000,
-                len: 1000
-            })
-        );
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -86,28 +86,6 @@ fn zone_skips_partition_the_page_count() {
 }
 
 #[test]
-fn observed_scans_emit_page_and_buffer_deltas() {
-    let t = open_table("observed", 4);
-    let expr = parse_condition("x < 10", &TableRegistry::new()).unwrap();
-    // Uninstrumented scans emit nothing; under a collector each scan
-    // emits its span's counter deltas as trace events. Page counts are
-    // content-pure (zone-map proofs) and thus asserted; buffer hits
-    // and misses are interleaving-dependent `wall_*` fields.
-    let (count, events) = lts_obs::trace::collect(|| t.par_count(&expr).unwrap());
-    assert_eq!(count, 10);
-    assert!(events.iter().any(|e| matches!(
-        e,
-        lts_obs::TraceEvent::Pages {
-            evaluated: 1,
-            skipped: 9
-        }
-    )));
-    assert!(events
-        .iter()
-        .any(|e| matches!(e, lts_obs::TraceEvent::Buffer { .. })));
-}
-
-#[test]
 fn concurrent_scan_deltas_total_exactly() {
     const THREADS: usize = 8;
     const SCANS_PER_THREAD: usize = 5;

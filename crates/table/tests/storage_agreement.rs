@@ -5,7 +5,6 @@
 //! adversarially tiny pool that forces an eviction on nearly every
 //! fault), with zone-map skipping on or off.
 
-use lts_table::vector::eval_bool_columnar;
 use lts_table::{
     AggFunc, DataType, Expr, Field, PagedTable, PartitionedTable, Schema, Table, TableBuilder,
     Value,
@@ -148,30 +147,6 @@ proptest! {
         // A second scan over the now-warm (or still-thrashing) pool
         // must not diverge from the first.
         prop_assert_eq!(&paged.par_eval_bool(&e), &pt.par_eval_bool(&e), "rescan `{}`", e);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    /// Targeted reads: `eval_bool_ids` (the stage-2 sampled-draw entry
-    /// point) agrees with the serial selection-vector scan for random
-    /// in-range id lists with duplicates and arbitrary order.
-    #[test]
-    fn paged_id_scan_matches_serial(
-        table in arb_table(),
-        e in arb_expr(),
-        page_rows in 1usize..17,
-        picks in proptest::collection::vec(0usize..1024, 0..48),
-    ) {
-        let n = table.len();
-        let ids: Vec<usize> = picks.into_iter().map(|p| p % n).collect();
-        let dir = fresh_dir();
-        PagedTable::create(&dir, &table, page_rows).unwrap();
-        let paged = PagedTable::open(&dir, 2).unwrap(); // tiny pool
-        prop_assert_eq!(
-            paged.eval_bool_ids(&e, &ids),
-            eval_bool_columnar(&e, &table, Some(&ids)),
-            "page_rows {}: `{}`",
-            page_rows, e
-        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
