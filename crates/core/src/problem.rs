@@ -189,9 +189,11 @@ impl CountingProblem {
 /// survivors) evaluates local row `i` at its **global** id `ids[i]`
 /// against the table it shares with its parent, through the parent's
 /// meter — predicates may capture per-row state indexed by global id,
-/// and the parent problem keeps counting every oracle evaluation. A
-/// local id past the member count is an error raised before the parent
-/// is called.
+/// and the parent problem keeps counting every oracle evaluation. The
+/// sub-population's own meter charges the thread's labeling clock and
+/// phase; the parent's counts without charging them again. A local id
+/// past the member count is an error raised before the parent is
+/// called.
 struct SubPopulation {
     parent_predicate: Arc<Metered<Arc<dyn ObjectPredicate>>>,
     ids: Vec<usize>,
@@ -212,7 +214,8 @@ impl SubPopulation {
 
 impl ObjectPredicate for SubPopulation {
     fn eval(&self, objects: &Table, idx: usize) -> TableResult<bool> {
-        self.parent_predicate.eval(objects, self.global(idx)?)
+        self.parent_predicate
+            .eval_nested(objects, self.global(idx)?)
     }
 
     fn eval_batch(&self, objects: &Table, idxs: &[usize]) -> TableResult<Vec<bool>> {
@@ -220,7 +223,7 @@ impl ObjectPredicate for SubPopulation {
             .iter()
             .map(|&i| self.global(i))
             .collect::<TableResult<_>>()?;
-        self.parent_predicate.eval_batch(objects, &global)
+        self.parent_predicate.eval_batch_nested(objects, &global)
     }
 
     fn name(&self) -> &str {

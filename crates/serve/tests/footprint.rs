@@ -13,7 +13,11 @@
 //! * a **monolithic** query keeps the ordering over the population
 //!   (`8·N`) plus the same fixed part — no feature matrix of its own;
 //! * **no** query keeps its classifier: the fixed part has no room for
-//!   a forest, at either budget measured.
+//!   a forest, at either budget measured;
+//! * the dataset version keeps **one** zone index, whatever the number
+//!   of queries over it: `16·N` bytes of clustered filter columns plus
+//!   the kd boxes, built by the first subquery that can use it and
+//!   dropped with the table when the dataset is registered again.
 //!
 //! One `#[test]` on purpose: the allocator counts the whole process, so
 //! nothing else may run beside the measured sections.
@@ -72,6 +76,9 @@ const BUDGETS: [usize; 2] = [150, 250];
 const PER_SURVIVOR: usize = 32;
 /// The ordering of a monolithic warm state.
 const PER_ROW_MONOLITHIC: usize = 8;
+/// The zone index: the two filter columns clustered (`16·N`) plus one
+/// 56-byte kd node per at least 64 rows.
+const ZONES_PER_ROW: usize = 17;
 
 fn skyband(k: usize) -> String {
     format!(
@@ -101,8 +108,17 @@ fn a_distinct_query_retains_its_delta_not_a_copy_of_the_table() {
     service
         .register_dataset("s", Arc::clone(&table), &FEATURES)
         .unwrap();
-    // Lazy one-time state (thread-locals, registry cells) is not growth.
+    // Lazy one-time state (thread-locals, registry cells, the zone
+    // index) is not growth. The first subquery builds the index.
+    assert_eq!(table.zone_bytes(), 0);
+    let before = LIVE_BYTES.load(Ordering::Relaxed);
     assert!(service.run(request(0, skyband(5), 150)).ok);
+    let zones = table.zone_bytes();
+    assert!(
+        (16 * N..=ZONES_PER_ROW * N).contains(&zones),
+        "zone index of {zones} B"
+    );
+    assert!(LIVE_BYTES.load(Ordering::Relaxed) - before >= zones);
     let warm_up = format!("strikeouts > {} AND {}", cut(0.5), skyband(5));
     assert!(service.run(request(1, warm_up, 150)).ok);
 
@@ -148,33 +164,54 @@ fn a_distinct_query_retains_its_delta_not_a_copy_of_the_table() {
             grown <= bound,
             "budget {budget}: 20 monolithic queries retain {grown} B > {bound} B"
         );
-        // … nor this one for a feature matrix (8·d·N) beside each ordering.
+        // … nor this one for a feature matrix (8·d·N) or a zone index
+        // beside each ordering: the table still holds the one it built.
         assert!(bound < 20 * (PER_ROW_MONOLITHIC + 8 * FEATURES.len()) * N);
+        assert!(bound < 20 * (PER_ROW_MONOLITHIC * N + zones));
+        assert_eq!(table.zone_bytes(), zones);
     }
 
     // The sharing behind the numbers: a plan's restricted problem, and
     // any restriction of it, evaluate against the parent's table and
     // label as their parent does.
-    let registry = TableRegistry::new().register("s", Arc::clone(&table));
-    let text = format!("strikeouts > {} AND {}", cut(0.2), skyband(20));
-    let expr = parse_condition(&text, &registry).unwrap();
-    let predicate = Arc::new(ExprPredicate::new("q", expr.clone()));
-    let problem = CountingProblem::new(Arc::clone(&table), predicate, &FEATURES);
-    let plan = PhysicalPlan::build(
-        Arc::new(problem.unwrap()),
-        &PartitionedTable::auto(Arc::clone(&table)),
-        LogicalPlan::of(&expr),
-    )
-    .unwrap();
-    let restricted = plan.restricted().expect("rows survive");
-    assert!(Arc::ptr_eq(restricted.objects(), &table));
-    let last = restricted.n() - 1;
-    let nested = restrict_problem(restricted, &[0, last]).unwrap();
-    assert!(Arc::ptr_eq(nested.objects(), &table));
-    for (local, parent) in [(0, 0), (1, last)] {
-        assert_eq!(
-            nested.label(local).unwrap(),
-            restricted.label(parent).unwrap()
-        );
+    {
+        let registry = TableRegistry::new().register("s", Arc::clone(&table));
+        let text = format!("strikeouts > {} AND {}", cut(0.2), skyband(20));
+        let expr = parse_condition(&text, &registry).unwrap();
+        let predicate = Arc::new(ExprPredicate::new("q", expr.clone()));
+        let problem = CountingProblem::new(Arc::clone(&table), predicate, &FEATURES);
+        let plan = PhysicalPlan::build(
+            Arc::new(problem.unwrap()),
+            &PartitionedTable::auto(Arc::clone(&table)),
+            LogicalPlan::of(&expr),
+        )
+        .unwrap();
+        let restricted = plan.restricted().expect("rows survive");
+        assert!(Arc::ptr_eq(restricted.objects(), &table));
+        let last = restricted.n() - 1;
+        let nested = restrict_problem(restricted, &[0, last]).unwrap();
+        assert!(Arc::ptr_eq(nested.objects(), &table));
+        for (local, parent) in [(0, 0), (1, last)] {
+            assert_eq!(
+                nested.label(local).unwrap(),
+                restricted.label(parent).unwrap()
+            );
+        }
     }
+
+    // A new version of the dataset: the old table goes, and its zone
+    // index with it, once nothing derived from it is left.
+    let fresh = sports_scenario(N, SelectivityLevel::M, 4).unwrap().table;
+    let old = Arc::downgrade(&table);
+    drop(table);
+    let before = LIVE_BYTES.load(Ordering::Relaxed);
+    service
+        .register_dataset("s", Arc::clone(&fresh), &FEATURES)
+        .unwrap();
+    assert!(
+        old.upgrade().is_none(),
+        "the old table outlives its version"
+    );
+    assert!(before - LIVE_BYTES.load(Ordering::Relaxed) >= zones);
+    assert_eq!(fresh.zone_bytes(), 0);
 }

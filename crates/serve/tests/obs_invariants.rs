@@ -10,6 +10,9 @@
 //! * the per-phase eval counters **partition** the total: every oracle
 //!   evaluation is attributed to exactly one of train / score / pilot
 //!   / design / stage2 / exact / srs;
+//! * a traced response's phase and stage-2 events sum to the evals it
+//!   was served with, on the planned route too, whose sub-population
+//!   labels through its parent's meter;
 //! * `spent + saved == cold-equivalent`: what a warm or cached answer
 //!   avoided is exactly what a cold start of the same request costs on
 //!   a fresh service;
@@ -218,6 +221,53 @@ fn stats_live_in_the_registry_disabled_is_zero_and_shared_is_summed() {
     assert_eq!(a.stats().requests, 2 * one.requests);
     assert_eq!(a.stats().oracle_evals, 2 * one.oracle_evals);
     assert_eq!(a.stats().oracle_evals_saved, 2 * one.oracle_evals_saved);
+}
+
+#[test]
+fn every_traced_eval_is_charged_to_one_phase_once_on_every_route() {
+    // A planned route (prefilter, then an estimate over the survivors
+    // through a sub-population of the dataset's problem) beside the
+    // monolithic one, cold and warm.
+    let config = ServiceConfig {
+        trace: true,
+        ..ServiceConfig::default()
+    };
+    let mut s = service_with(config, 5_000);
+    let dominated = "(SELECT COUNT(*) FROM d WHERE x >= o.x AND y >= o.y) < 500";
+    let planned = format!("x > 3000 AND {dominated}");
+    let responses = s.run_batch(vec![
+        req(1, &planned, 200, false),
+        req(2, dominated, 200, false),
+        req(3, &planned, 200, true),
+        req(4, "x < 2000", 300, false),
+    ]);
+    let kinds: Vec<(&str, Option<&str>)> = responses
+        .iter()
+        .map(|r| (r.served, r.plan.as_ref().map(|p| p.kind)))
+        .collect();
+    assert_eq!(
+        kinds,
+        [
+            ("cold", Some("prefilter_estimate")),
+            ("cold", None),
+            ("warm", Some("prefilter_estimate")),
+            ("cold", None)
+        ]
+    );
+    for r in &responses {
+        let span = r.trace.as_ref().expect("trace is on");
+        let charged: u64 = span
+            .events
+            .iter()
+            .map(|e| match e {
+                lts_obs::TraceEvent::Phase { evals, .. }
+                | lts_obs::TraceEvent::Stage2 { evals, .. } => *evals,
+                _ => 0,
+            })
+            .sum();
+        assert_eq!(charged, r.evals as u64, "response {}: {span:?}", r.id);
+    }
+    assert_eq!(phase_partition_total(&s), counter(&s, "oracle_evals_total"));
 }
 
 #[test]

@@ -13,6 +13,9 @@
 //! in the [`BoundCount`], reused across tiles and objects), adds the tile's
 //! `COUNT(*)`, and — when the caller's comparison is monotone in the
 //! count — **stops at the first tile boundary where it is decided**.
+//! Where the inner table's kd-zones can bound the filter, whole zones
+//! are counted or skipped from their boxes and only the leaves the boxes
+//! leave open are scanned (rule 6).
 //!
 //! # Exactness
 //!
@@ -108,6 +111,39 @@
 //!    of each other — the band is four times the widest gap and, from the
 //!    floor up, 2⁶² times the slack — so the row-wise difference has the
 //!    same sign and is not zero: `<`, `=` and their kin agree.
+//! 6. **A zone whose box settles the filter is counted or skipped whole.**
+//!    When the filter is proven (rule 3), reads one or two inner columns,
+//!    all `Float` and finite, and every `POWER` in it is a square, the bind
+//!    asks the inner table for its kd-zones over those columns
+//!    (`crate::zones`: built once per table, leaves of at most [`TILE`]
+//!    rows, a min/max box per node) and binds the filter a second time
+//!    over the clustered copies. An object with finite outer scalars then
+//!    walks the tree: each node's box gives every numeric node a closed
+//!    range holding its row-wise value on every row of the node —
+//!    * a column: the box's range; an outer scalar or a literal: itself;
+//!    * `a + b`, `a − b`: the operation on the ends (`lo + lo`, `hi +
+//!      hi`; `lo − hi`, `hi − lo`); `SQRT`: on the ends; `ABS`: the
+//!      magnitude range. IEEE `+`, `−` and `√` are correctly rounded, and
+//!      rounding is monotone, so the rounded ends bound every row's
+//!      rounded value;
+//!    * `POWER(a, 2)`: the squared magnitude range, each end moved out by
+//!      2⁻⁴⁸ relative plus 2⁻¹⁰⁶⁰ — sixteen times rule 5's 1-ulp libm
+//!      assumption, and more than an ulp below the normal range — so the
+//!      range holds `powf` whatever the multiply rounds to;
+//!
+//!    and a comparison is settled only when every pair of values from its
+//!    two ranges answers it alike (`l < r` when `l.hi < r.lo`, not when
+//!    `l.lo >= r.hi`; `=` when both ranges are the same single value, `≠`
+//!    when they are disjoint, …; a NaN end settles nothing), then combined
+//!    through `AND` / `OR` / `NOT` three-valued. A node every row passes
+//!    adds its row count, one no row passes is skipped, the others are
+//!    opened; the leaves left open are scanned last, one tile each, by
+//!    the tile interpreter over the clustered copies (rules 2 and 5
+//!    unchanged), and the stop bound is checked before every node and
+//!    leaf. The proof rules out NaN on every row, so the count is exact or
+//!    has reached the stop bound, as on the tile path. Any other filter
+//!    or object, and every object of a table whose index is over other
+//!    columns, takes the tile scan.
 //!
 //! Apart from rule 5's multiply — whose results reach a label only
 //! through a comparison that cleared the band — arithmetic is the same
@@ -119,6 +155,7 @@ use crate::column::Column;
 use crate::expr::{AggFunc, AggSubquery, BinaryOp, CmpOp, Expr, Func, UnaryOp};
 use crate::table::Table;
 use crate::value::Value;
+use crate::zones::{Zone, ZoneIndex};
 
 /// Rows per tile: the granularity of the early exit, and small enough
 /// that a tile's lanes (2 KB each), mask and column windows stay in L1
@@ -141,7 +178,7 @@ use crate::value::Value;
 /// 9–13 / 15–16 from 128 through 2 048, inside one host's run-to-run
 /// spread — the tile no longer decides them, and an uncertain tile costs
 /// one tile of `powf`, so small stays right.)
-const TILE: usize = 256;
+pub(crate) const TILE: usize = 256;
 
 /// Largest magnitude below which `i64 → f64` is exact (and so preserves
 /// `<` and `=`).
@@ -366,15 +403,35 @@ struct Binder<'a> {
     proven: bool,
     /// The widest gap of a comparison so far.
     gap: u32,
+    /// Inner columns resolve to the clustered copies of this index.
+    zones: Option<&'a ZoneIndex>,
 }
 
 impl<'a> Binder<'a> {
+    fn new(inner: &'a Table, outer: &'a Table, zones: Option<&'a ZoneIndex>) -> Self {
+        Binder {
+            inner,
+            outer,
+            outers: Vec::new(),
+            finite: Vec::new(),
+            proven: true,
+            gap: 0,
+            zones,
+        }
+    }
+
     fn num(&mut self, e: &Expr) -> Option<(Num<'a>, Ty, Facts)> {
         Some(match e {
             Expr::Literal(Value::Float(x)) => (Num::Lit(*x), Ty::Float, Facts::of_scalar(*x)),
             Expr::Literal(Value::Int(i)) => {
                 let x = *i as f64;
                 (Num::Lit(x), Ty::Int, Facts::of_scalar(x))
+            }
+            // The index is only built over columns a proven bind found
+            // finite (`BoundCount::bind`).
+            Expr::Column(name) if self.zones.is_some() => {
+                let clustered = self.zones?.column(name)?;
+                (Num::Floats(clustered), Ty::Float, Facts::FINITE)
             }
             Expr::Column(name) => match self.inner.column_by_name(name).ok()? {
                 Column::Float(v) => {
@@ -537,6 +594,9 @@ impl<'a> Binder<'a> {
 #[derive(Debug)]
 pub(crate) struct BoundCount<'a> {
     filter: Pred<'a>,
+    /// The filter again over the inner table's zone index, when one can
+    /// settle it (module doc, rule 6).
+    zoned: Option<(&'a ZoneIndex, Pred<'a>)>,
     outers: Vec<OuterCol<'a>>,
     inner_rows: usize,
     outer_rows: usize,
@@ -552,14 +612,17 @@ pub(crate) struct BoundCount<'a> {
     masks: Vec<u8>,
     /// The current object's value per entry of `outers`.
     scalars: Vec<f64>,
+    /// The current object's mixed leaves.
+    mixed: Vec<usize>,
 }
 
 /// The outcome of one object's scan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Counted {
-    /// Rows passing the filter among the visited ones.
+    /// Rows passing the filter among the counted ones.
     pub(crate) count: i64,
-    /// Inner rows visited (all of them unless the scan stopped early).
+    /// Inner rows the tile interpreter scanned: all of them unless the
+    /// scan stopped early or zones were counted or skipped whole.
     pub(crate) visited: usize,
     /// Tiles the fast mode left uncertain, re-evaluated with `powf`.
     pub(crate) refined: usize,
@@ -571,23 +634,31 @@ impl<'a> BoundCount<'a> {
         if sq.func != AggFunc::Count {
             return None;
         }
-        let mut binder = Binder {
-            inner: &sq.table,
-            outer,
-            outers: Vec::new(),
-            finite: Vec::new(),
-            proven: true,
-            gap: 0,
-        };
-        let filter = binder.pred(sq.filter.as_ref()?)?;
+        let expr = sq.filter.as_ref()?;
+        let mut binder = Binder::new(&sq.table, outer, None);
+        let filter = binder.pred(expr)?;
         let (lanes, masks) = filter.depth();
+        // Rule 6: zones only serve a proven filter, so they are only built
+        // for one — over columns it found finite.
+        let mut names = Vec::new();
+        let zoned = (binder.proven
+            && binder.finite.iter().all(|&(_, finite)| finite)
+            && zone_columns(expr, &mut names))
+        .then(|| sq.table.zones(&names))
+        .flatten()
+        .and_then(|index| {
+            let filter = Binder::new(&sq.table, outer, Some(index)).pred(expr)?;
+            Some((index, filter))
+        });
         Some(Self {
             proven: binder.proven,
             fast: (1..=GAP_MAX).contains(&binder.gap),
             lanes: vec![0.0; lanes * TILE],
             masks: vec![0; masks * TILE],
             scalars: vec![0.0; binder.outers.len()],
+            mixed: Vec::new(),
             filter,
+            zoned,
             outers: binder.outers,
             inner_rows: sq.table.len(),
             outer_rows: outer.len(),
@@ -595,9 +666,9 @@ impl<'a> BoundCount<'a> {
     }
 
     /// Count the inner rows passing the filter for object `outer_row`,
-    /// stopping at the first tile boundary where the count has reached
-    /// `stop` if the filter is proven for this object. `None`: the
-    /// object needs the generic path (module doc, rule 2).
+    /// stopping at the first tile or zone boundary where the count has
+    /// reached `stop` if the filter is proven for this object. `None`:
+    /// the object needs the generic path (module doc, rule 2).
     pub(crate) fn count(&mut self, outer_row: usize, stop: Option<usize>) -> Option<Counted> {
         if outer_row >= self.outer_rows {
             return None;
@@ -610,47 +681,284 @@ impl<'a> BoundCount<'a> {
             };
             outers_finite &= slot.is_finite();
         }
-        // A count never reaches `usize::MAX`: no early exit.
-        let stop = stop
-            .filter(|_| self.proven && outers_finite)
-            .unwrap_or(usize::MAX);
-        // The gaps rest on the same bind-time facts as the proof.
-        let fast = self.fast && outers_finite;
-        let mut tile = Tile {
-            scalars: &self.scalars,
-            lo: 0,
-            len: 0,
-            check_all: !outers_finite,
-            saw_nan: false,
-            fast,
-            unsure: false,
+        let proven = self.proven && outers_finite;
+        let mut scan = Scan {
+            tile: Tile {
+                scalars: &self.scalars,
+                lo: 0,
+                len: 0,
+                check_all: !outers_finite,
+                saw_nan: false,
+                // The gaps rest on the same bind-time facts as the proof.
+                fast: self.fast && outers_finite,
+                unsure: false,
+            },
+            lanes: &mut self.lanes,
+            masks: &mut self.masks,
+            mixed: &mut self.mixed,
+            // A count never reaches `usize::MAX`: no early exit.
+            stop: stop.filter(|_| proven).unwrap_or(usize::MAX),
+            count: 0,
+            visited: 0,
+            refined: 0,
         };
-        let (mut count, mut refined) = (0usize, 0usize);
-        while tile.lo < self.inner_rows && count < stop {
-            tile.len = TILE.min(self.inner_rows - tile.lo);
-            tile.pred(&self.filter, &mut self.lanes, &mut self.masks);
-            if tile.unsure {
-                // A row too close to call: this tile again, row-wise
-                // arithmetic, before anything reads its mask.
-                (tile.fast, tile.unsure) = (false, false);
-                tile.pred(&self.filter, &mut self.lanes, &mut self.masks);
-                tile.fast = fast;
-                refined += 1;
+        match &self.zoned {
+            Some((index, filter)) if proven => scan.zones(index, filter)?,
+            _ => {
+                let mut lo = 0;
+                while lo < self.inner_rows && scan.count < scan.stop {
+                    let len = TILE.min(self.inner_rows - lo);
+                    scan.tile(&self.filter, lo, len)?;
+                    lo += len;
+                }
             }
-            if tile.saw_nan {
-                return None;
-            }
-            count += self.masks[..tile.len]
-                .iter()
-                .map(|&m| usize::from(m))
-                .sum::<usize>();
-            tile.lo += tile.len;
         }
         Some(Counted {
-            count: count as i64,
-            visited: tile.lo,
-            refined,
+            count: scan.count as i64,
+            visited: scan.visited,
+            refined: scan.refined,
         })
+    }
+}
+
+/// Collect into `names` the inner columns `filter` reads; `false` unless
+/// they are one or two and every `POWER` is a square — the filters whose
+/// value range over a box rule 6 bounds.
+fn zone_columns<'e>(filter: &'e Expr, names: &mut Vec<&'e str>) -> bool {
+    fn walk<'e>(e: &'e Expr, names: &mut Vec<&'e str>) -> bool {
+        match e {
+            Expr::Column(name) => {
+                if !names.contains(&name.as_str()) {
+                    names.push(name);
+                }
+                true
+            }
+            Expr::Literal(_) | Expr::Outer(_) => true,
+            Expr::Unary(_, a) => walk(a, names),
+            Expr::Binary(_, l, r) => walk(l, names) && walk(r, names),
+            Expr::Call(Func::Power, args) => {
+                let square = match args.get(1) {
+                    Some(Expr::Literal(Value::Int(e))) => *e == 2,
+                    Some(Expr::Literal(Value::Float(e))) => *e == 2.0,
+                    _ => false,
+                };
+                square && args.iter().all(|a| walk(a, names))
+            }
+            Expr::Call(_, args) => args.iter().all(|a| walk(a, names)),
+            Expr::Subquery(_) => false,
+        }
+    }
+    walk(filter, names) && (1..=2).contains(&names.len())
+}
+
+/// One object's scan in progress: the tile it evaluates, the scratch,
+/// and what it has counted.
+struct Scan<'s> {
+    tile: Tile<'s>,
+    lanes: &'s mut [f64],
+    masks: &'s mut [u8],
+    /// Leaves whose boxes leave the filter open, in kd order.
+    mixed: &'s mut Vec<usize>,
+    stop: usize,
+    count: usize,
+    visited: usize,
+    refined: usize,
+}
+
+impl Scan<'_> {
+    /// Count the rows `lo..lo + len` (at most a [`TILE`]) passing
+    /// `filter`; `None` when one meets NaN.
+    fn tile(&mut self, filter: &Pred<'_>, lo: usize, len: usize) -> Option<()> {
+        let tile = &mut self.tile;
+        (tile.lo, tile.len) = (lo, len);
+        tile.pred(filter, self.lanes, self.masks);
+        if tile.unsure {
+            // A row too close to call: this tile again, row-wise
+            // arithmetic, before anything reads its mask.
+            let fast = tile.fast;
+            (tile.fast, tile.unsure) = (false, false);
+            tile.pred(filter, self.lanes, self.masks);
+            tile.fast = fast;
+            self.refined += 1;
+        }
+        if tile.saw_nan {
+            return None;
+        }
+        self.count += self.masks[..len]
+            .iter()
+            .map(|&m| usize::from(m))
+            .sum::<usize>();
+        self.visited += len;
+        Some(())
+    }
+
+    /// Count the rows passing `filter` (bound over `index`'s clustered
+    /// columns) zone by zone, until the stop bound: every zone whose box
+    /// settles the filter is counted or skipped whole first, then the
+    /// mixed leaves are scanned, a tile each.
+    fn zones(&mut self, index: &ZoneIndex, filter: &Pred<'_>) -> Option<()> {
+        self.mixed.clear();
+        self.walk(index, filter, 0);
+        for at in 0..self.mixed.len() {
+            if self.count >= self.stop {
+                break;
+            }
+            let leaf = &index.nodes()[self.mixed[at]];
+            self.tile(filter, leaf.start, leaf.end - leaf.start)?;
+        }
+        Some(())
+    }
+
+    /// Count or skip the zones under kd node `node` that their boxes
+    /// settle, and list its mixed leaves.
+    fn walk(&mut self, index: &ZoneIndex, filter: &Pred<'_>, node: usize) {
+        if self.count >= self.stop {
+            return;
+        }
+        let zone = &index.nodes()[node];
+        match filter.settle(index, zone, self.tile.scalars) {
+            Some(true) => self.count += zone.end - zone.start,
+            Some(false) => {}
+            None if zone.right == 0 => self.mixed.push(node),
+            None => {
+                self.walk(index, filter, node + 1);
+                self.walk(index, filter, zone.right);
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Zone boxes
+// ---------------------------------------------------------------------
+
+/// A range nothing is known of: NaN ends.
+const ANY: (f64, f64) = (f64::NAN, f64::NAN);
+
+/// 2⁻⁴⁸: the relative widening of a square's ends, sixteen times the
+/// 1 ulp rule 5 allows `powf`.
+const SQUARE_SLACK: f64 = 1.0 / (1u64 << 48) as f64;
+/// 2⁻¹⁰⁶⁰: the absolute widening, for squares below the normal range
+/// (where an ulp is 2⁻¹⁰⁷⁴).
+const SQUARE_FLOOR: f64 = f64::from_bits(1 << 14);
+
+impl Num<'_> {
+    /// A closed range holding this node's row-wise value on every row of
+    /// `zone` (module doc, rule 6), or ends that are NaN.
+    fn span(&self, index: &ZoneIndex, zone: &Zone, scalars: &[f64]) -> (f64, f64) {
+        match self {
+            Num::Lit(x) => (*x, *x),
+            Num::Outer(slot) => (scalars[*slot], scalars[*slot]),
+            Num::Floats(v) => index.slot_of(v).map_or(ANY, |c| zone.bounds[c]),
+            Num::Ints(_) => ANY,
+            Num::Unary(f, a) => {
+                let (lo, hi) = a.span(index, zone, scalars);
+                match f {
+                    NumFn::Sqrt => (lo.sqrt(), hi.sqrt()),
+                    NumFn::Abs => magnitude(lo, hi),
+                }
+            }
+            Num::Binary(NumOp::Pow, a, b) if is_square(b) => {
+                let (lo, hi) = a.span(index, zone, scalars);
+                let (lo, hi) = magnitude(lo, hi);
+                // An overflowing square is still at least `f64::MAX`
+                // less its ulp; a NaN stays NaN.
+                let lo = if lo * lo > f64::MAX {
+                    f64::MAX
+                } else {
+                    lo * lo
+                };
+                let lo = lo - (lo * SQUARE_SLACK + SQUARE_FLOOR);
+                let hi = hi * hi;
+                (
+                    if lo < 0.0 { 0.0 } else { lo },
+                    hi + (hi * SQUARE_SLACK + SQUARE_FLOOR),
+                )
+            }
+            Num::Binary(NumOp::Pow, ..) => ANY,
+            Num::Binary(op, a, b) => {
+                let ((al, ah), (bl, bh)) =
+                    (a.span(index, zone, scalars), b.span(index, zone, scalars));
+                match op {
+                    NumOp::Add => (al + bl, ah + bh),
+                    _ => (al - bh, ah - bl),
+                }
+            }
+        }
+    }
+}
+
+/// The range of `|x|` for `x` in `[lo, hi]`.
+fn magnitude(lo: f64, hi: f64) -> (f64, f64) {
+    if lo >= 0.0 {
+        (lo, hi)
+    } else if hi <= 0.0 {
+        (-hi, -lo)
+    } else if lo.is_nan() || hi.is_nan() {
+        ANY
+    } else {
+        (0.0, if -lo > hi { -lo } else { hi })
+    }
+}
+
+impl Pred<'_> {
+    /// `Some(answer)` when every row of `zone` gives the filter the same
+    /// answer, as its box proves (module doc, rule 6).
+    fn settle(&self, index: &ZoneIndex, zone: &Zone, scalars: &[f64]) -> Option<bool> {
+        match self {
+            Pred::Cmp { op, l, r, .. } => settled(
+                *op,
+                l.span(index, zone, scalars),
+                r.span(index, zone, scalars),
+            ),
+            Pred::And(a, b) => match a.settle(index, zone, scalars) {
+                Some(false) => Some(false),
+                first => match (first, b.settle(index, zone, scalars)) {
+                    (_, Some(false)) => Some(false),
+                    (Some(true), Some(true)) => Some(true),
+                    _ => None,
+                },
+            },
+            Pred::Or(a, b) => match a.settle(index, zone, scalars) {
+                Some(true) => Some(true),
+                first => match (first, b.settle(index, zone, scalars)) {
+                    (_, Some(true)) => Some(true),
+                    (Some(false), Some(false)) => Some(false),
+                    _ => None,
+                },
+            },
+            Pred::Not(a) => a.settle(index, zone, scalars).map(|b| !b),
+        }
+    }
+}
+
+/// The answer `x op y` gives for every `x` in `l` and `y` in `r`, if
+/// they all give one; `None` for a range with a NaN end.
+fn settled(op: CmpOp, l: (f64, f64), r: (f64, f64)) -> Option<bool> {
+    if [l.0, l.1, r.0, r.1].iter().any(|x| x.is_nan()) {
+        return None;
+    }
+    let fixed = |always: bool, never: bool| {
+        if always {
+            Some(true)
+        } else if never {
+            Some(false)
+        } else {
+            None
+        }
+    };
+    match op {
+        CmpOp::Lt => fixed(l.1 < r.0, l.0 >= r.1),
+        CmpOp::Le => fixed(l.1 <= r.0, l.0 > r.1),
+        CmpOp::Gt => fixed(l.0 > r.1, l.1 <= r.0),
+        CmpOp::Ge => fixed(l.0 >= r.1, l.1 < r.0),
+        CmpOp::Eq | CmpOp::Ne => {
+            let equal = fixed(
+                l.0 == l.1 && r.0 == r.1 && l.0 == r.0,
+                l.1 < r.0 || r.1 < l.0,
+            );
+            equal.map(|e| e == (op == CmpOp::Eq))
+        }
     }
 }
 
@@ -914,6 +1222,14 @@ mod tests {
         let sq = count_sq(&inner, filter.clone());
         let mut bound = BoundCount::bind(&sq, &outer).unwrap();
         assert!(bound.proven);
+        // The root zone's box (every `x` is 1) settles the filter: the
+        // whole table counts without a row scanned, stop bound or not.
+        for stop in [test.stop(), None] {
+            let zoned = bound.count(0, stop).unwrap();
+            assert_eq!((zoned.count, zoned.visited), (n as i64, 0));
+        }
+        // The tile scan, as every filter the zones cannot serve takes it.
+        bound.zoned = None;
         let stopped = bound.count(0, test.stop()).unwrap();
         assert_eq!(stopped.visited, TILE);
         assert!(!test.test(stopped.count));
@@ -1027,11 +1343,91 @@ mod tests {
         // No generated row comes within 2⁻⁴⁰ of a radius (about one in
         // 10¹² would).
         assert_eq!(refined(&coords), 0);
-        // A row a rounding error from object 0's radius, in the first tile:
-        // that tile is evaluated again, at every stop bound.
+        // A row a rounding error from object 0's radius: the tile or zone
+        // leaf holding it is evaluated again, at every stop bound.
         let o = objects[0];
         (coords[0][1], coords[1][1]) = (coords[0][o] + d, coords[1][o]);
         assert!(refined(&coords) >= 4);
+    }
+
+    #[test]
+    fn zones_count_or_skip_what_their_boxes_settle_and_scan_the_rest() {
+        // The skyband over 8 000 integer-valued points of an 80 × 100 grid
+        // (every object on box edges), against the tile scan: the same
+        // counts for every object, stop bound or not, from a fraction of
+        // the rows.
+        let (xs, ys): (Vec<f64>, Vec<f64>) = (0..8_000)
+            .map(|i| ((i % 80) as f64, ((i * 7) % 100) as f64))
+            .unzip();
+        let t = Arc::new(table_of_floats(&[("x", &xs), ("y", &ys)]).unwrap());
+        let dominate = Expr::col("x")
+            .ge(Expr::outer("x"))
+            .and(Expr::col("y").ge(Expr::outer("y")))
+            .and(
+                Expr::col("x")
+                    .gt(Expr::outer("x"))
+                    .or(Expr::col("y").gt(Expr::outer("y"))),
+            );
+        let sq = count_sq(&t, dominate);
+        let mut zoned = BoundCount::bind(&sq, &t).unwrap();
+        let mut tiled = BoundCount::bind(&sq, &t).unwrap();
+        tiled.zoned = None;
+        assert!(zoned.zoned.is_some() && t.zone_bytes() >= 16 * t.len());
+        let (mut scanned, mut full) = (0, 0);
+        for stop in [None, Some(1), Some(40), Some(2_000)] {
+            for o in (0..t.len()).step_by(29) {
+                let (z, p) = (zoned.count(o, stop).unwrap(), tiled.count(o, stop).unwrap());
+                match stop {
+                    Some(s) => assert_eq!(z.count >= s as i64, p.count >= s as i64, "object {o}"),
+                    None => assert_eq!(z.count, p.count, "object {o}"),
+                }
+                scanned += z.visited;
+                full += p.visited;
+            }
+        }
+        assert!(scanned * 4 < full, "{scanned} of {full} rows");
+    }
+
+    #[test]
+    fn a_square_on_a_box_edge_is_left_to_the_rows() {
+        // An `x` whose `powf(x, 2)` is not `x·x` (about one in a thousand):
+        // every row sits at distance exactly `x` from the object, so the
+        // one zone's box has the square as both ends. Rule 6 widens them,
+        // the box settles nothing, and the rows (rule 5's guard band, then
+        // `powf`) give the row-wise answer either way round.
+        let two = std::hint::black_box(2.0f64);
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let x = std::iter::from_fn(|| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            Some(1.0 + (state >> 12) as f64 / (1u64 << 52) as f64)
+        })
+        .find(|x| x.powf(two) != x * x)
+        .unwrap();
+        let n = 600;
+        let inner = Arc::new(table_of_floats(&[("x", &vec![-x; n])]).unwrap());
+        let outer = table_of_floats(&[("x", &[0.0])]).unwrap();
+        let square = Expr::outer("x").sub(Expr::col("x")).power(Expr::lit(2.0));
+        for op in [CmpOp::Le, CmpOp::Ge] {
+            let filter = Expr::Binary(
+                BinaryOp::Cmp(op),
+                Box::new(square.clone()),
+                Box::new(Expr::lit(x * x)),
+            );
+            let sq = count_sq(&inner, filter.clone());
+            let mut bound = BoundCount::bind(&sq, &outer).unwrap();
+            assert!(bound.zoned.is_some());
+            let got = bound.count(0, None).unwrap();
+            let row = RowCtx {
+                table: &inner,
+                row: 0,
+                outer: Some((&outer, 0)),
+            };
+            let passes = filter.eval_bool(row).unwrap();
+            assert_eq!(got.count, if passes { n as i64 } else { 0 }, "{op:?}");
+            assert_eq!(got.visited, n, "{op:?}");
+        }
     }
 
     #[test]

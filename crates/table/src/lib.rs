@@ -52,6 +52,7 @@ pub mod storage;
 pub mod table;
 pub mod value;
 pub mod vector;
+mod zones;
 
 pub use column::Column;
 pub use decompose::{contains_subquery, decompose, split_conjuncts, DecomposedQuery};

@@ -180,16 +180,27 @@ fn subquery_rows(expr: &Expr) -> usize {
 
 /// Scanned inner rows (`ids × inner rows`) a worker must be handed
 /// before a subquery batch is split. A scoped-thread spawn costs
-/// 85–125 µs here (`rayon.par_call_us`) and the bound kernel scans the
-/// cheapest service filter (skyband) at ≈ 1.6 ns per row, so 2¹⁸ rows
-/// are ≈ 420 µs — four spawn costs — per worker at the least, and a
-/// `POWER`-bound filter is ten times that. At 8 000 inner rows a batch
-/// splits from 66 objects up: measured on two threads, 100 objects read
-/// 13.0 → 7.4 µs per evaluation (skyband) and 128 → 69 (neighbours,
-/// k = 10) when the second core is free, 14 and 95–131 when it is not;
-/// under the old rule (8 ids per chunk) two threads read *more* than
-/// one, 17.4 against 14.5.
-const MIN_SUBQUERY_ROWS_PER_WORKER: usize = 1 << 18;
+/// ≈ 45 µs here (`rayon.par_call_us`), and since the bound kernel counts
+/// whole kd-zones from their boxes (`bound`, rule 6) an object of the
+/// service's shapes costs 1–2 µs over 8 000 inner rows, not the 13 µs
+/// of a full tile scan. Median µs per evaluation on a 2-vCPU host,
+/// sports skyband at its level-M `k` / neighbours at `k` = 10, the batch
+/// inline on one worker or split in two, with the second core free or
+/// spinning:
+///
+/// | objects | inline      | split, free | split, busy |
+/// |---------|-------------|-------------|-------------|
+/// | 100     | 1.93 / 1.84 | 1.44 / 1.65 | 2.65 / 2.27 |
+/// | 200     | 1.93 / 1.72 | 1.09 / 1.34 | 2.23 / 1.95 |
+/// | 400     | 1.92 / 1.69 | 1.08 / 1.20 | 2.07 / 1.77 |
+/// | 800     | 1.88 / 1.79 | 1.05 / 1.18 | 1.96 / 1.76 |
+///
+/// A split pays only on a free core, and costs up to a third on a busy
+/// one below a few hundred objects. So a worker gets 2²⁰ rows: 131
+/// objects at 8 000 rows, ≈ 250 µs, five spawn costs. The service's
+/// 35–150-object batches stay inline; a census splits; a filter the
+/// zones cannot serve (≈ 1.6 ns per row) hands each worker ≈ 1.7 ms.
+const MIN_SUBQUERY_ROWS_PER_WORKER: usize = 1 << 20;
 
 /// How many contiguous chunks a batch of `n_ids` objects, each scanning
 /// `inner_rows` subquery rows, is split into — the subquery arm of
@@ -389,16 +400,17 @@ mod tests {
     #[test]
     fn subquery_batches_split_on_scanned_volume_and_merge_in_order() {
         let threads = rayon::current_num_threads();
-        // A worker's share is 2¹⁸ scanned rows: the service's 35–100
-        // object batches over 8 000 rows stay whole or halve, a handful
-        // of objects never splits, and ids bound the chunk count.
+        // A worker's share is 2²⁰ scanned rows: the service's 35–150
+        // object batches over 8 000 rows stay whole, a census of them
+        // splits, and ids bound the chunk count.
         assert_eq!(subquery_chunks(8, 8_000), 0);
-        assert_eq!(subquery_chunks(65, 8_000), threads.min(1));
-        assert_eq!(subquery_chunks(100, 8_000), threads.min(3));
-        assert_eq!(subquery_chunks(3, 1 << 20), threads.min(3));
+        assert_eq!(subquery_chunks(150, 8_000), threads.min(1));
+        assert_eq!(subquery_chunks(300, 8_000), threads.min(2));
+        assert_eq!(subquery_chunks(8_000, 8_000), threads.min(61));
+        assert_eq!(subquery_chunks(3, 1 << 22), threads.min(3));
         assert_eq!(subquery_chunks(usize::MAX, usize::MAX), threads);
 
-        // 300 objects over 4 099 inner rows is four shares: the batch
+        // 1 100 objects over 4 099 inner rows is four shares: the batch
         // is chunked wherever there are workers, and must read exactly
         // like the serial scan — labels, and the first error in id
         // order when an object meets the NaN planted in the last tile.
@@ -408,7 +420,7 @@ mod tests {
         let clean = Arc::new(table_of_floats(&[("x", &xs), ("y", &ys)]).unwrap());
         ys[n - 3] = f64::NAN;
         let dirty = Arc::new(table_of_floats(&[("x", &xs), ("y", &ys)]).unwrap());
-        let mut ids: Vec<usize> = (0..300).map(|i| (i * 7919) % n).collect();
+        let mut ids: Vec<usize> = (0..1_100).map(|i| (i * 7919) % n).collect();
         ids[17] = ids[4]; // duplicates are fine
         for (table, oob) in [(&clean, None), (&dirty, None), (&clean, Some(n + 5))] {
             let mut ids = ids.clone();
@@ -457,9 +469,9 @@ mod tests {
 
         // A whole-table scan asks the rule the same question through an
         // `auto` table and through `par_eval_bool_ids`, and reads alike;
-        // `new` pins its count instead. (1 200 × 1 200 scanned rows are
+        // `new` pins its count instead. (2 400 × 2 400 scanned rows are
         // five workers' shares.)
-        let small = t(1_200);
+        let small = t(2_400);
         let sub = Expr::count_where(Arc::clone(&small), Expr::col("x").ge(Expr::outer("x")));
         let e = sub.lt(Expr::lit(40.0));
         let all: Vec<usize> = (0..small.len()).collect();

@@ -189,7 +189,7 @@ impl<P: ObjectPredicate + ?Sized> Metered<P> {
     }
 
     #[inline]
-    fn record(&self, evals: u64, dt: Duration) {
+    fn record(&self, evals: u64, dt: Duration, charge_thread: bool) {
         // One saturating RMW per counter: counts stay exact under
         // concurrent single-row and batch evaluations (each batch
         // contributes its length exactly once, atomically), and a
@@ -199,12 +199,56 @@ impl<P: ObjectPredicate + ?Sized> Metered<P> {
         saturating_fetch_add(&self.calls, 1);
         let nanos = u64::try_from(dt.as_nanos()).unwrap_or(u64::MAX);
         saturating_fetch_add(&self.nanos, nanos);
-        THREAD_LABEL_NANOS.with(|c| c.set(c.get().saturating_add(nanos)));
-        // Attribute the batch to whatever pipeline phase is in scope
-        // on this thread (train / pilot / stage-2 / …). The labeler
-        // records once per batch on the calling thread, so the
-        // per-phase split is exact, not sampled.
-        lts_obs::phase::record_evals(evals);
+        if charge_thread {
+            THREAD_LABEL_NANOS.with(|c| c.set(c.get().saturating_add(nanos)));
+            // Attribute the batch to whatever pipeline phase is in scope
+            // on this thread (train / pilot / stage-2 / …). The labeler
+            // records once per batch on the calling thread, so the
+            // per-phase split is exact, not sampled.
+            lts_obs::phase::record_evals(evals);
+        }
+    }
+
+    /// Meter one evaluation or batch of `evals` made by `eval`.
+    fn metered<T>(&self, evals: u64, charge_thread: bool, eval: impl FnOnce() -> T) -> T {
+        let start = Instant::now();
+        let result = eval();
+        // An errored batch is charged in full even though the inner
+        // implementation may have stopped at the first failing row: the
+        // meter cannot observe how far a batch got, and its
+        // budget-enforcement role prefers an upper bound over
+        // under-counting. Estimation aborts on error, so the
+        // overcharge never skews a completed run's statistics.
+        self.record(evals, start.elapsed(), charge_thread);
+        result
+    }
+
+    /// [`ObjectPredicate::eval_batch`] on behalf of another meter that
+    /// charges the same evaluations — a sub-population labelling through
+    /// its parent's predicate: this meter's counters count them, but the
+    /// thread's labeling clock ([`thread_labeling_nanos`]) and pipeline
+    /// phase are left to the caller's meter, so they are charged once.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first row's evaluation error.
+    pub fn eval_batch_nested(&self, objects: &Table, idxs: &[usize]) -> TableResult<Vec<bool>> {
+        if idxs.is_empty() {
+            return Ok(Vec::new());
+        }
+        self.metered(idxs.len() as u64, false, || {
+            self.inner.eval_batch(objects, idxs)
+        })
+    }
+
+    /// [`ObjectPredicate::eval`] on behalf of another meter, as
+    /// [`eval_batch_nested`](Self::eval_batch_nested).
+    ///
+    /// # Errors
+    ///
+    /// Propagates the evaluation error.
+    pub fn eval_nested(&self, objects: &Table, idx: usize) -> TableResult<bool> {
+        self.metered(1, false, || self.inner.eval(objects, idx))
     }
 
     /// Force the raw counters to specific values — a test hook for
@@ -236,25 +280,15 @@ fn saturating_fetch_add(counter: &AtomicU64, delta: u64) -> u64 {
 
 impl<P: ObjectPredicate + ?Sized> ObjectPredicate for Metered<P> {
     fn eval(&self, objects: &Table, idx: usize) -> TableResult<bool> {
-        let start = Instant::now();
-        let result = self.inner.eval(objects, idx);
-        self.record(1, start.elapsed());
-        result
+        self.metered(1, true, || self.inner.eval(objects, idx))
     }
     fn eval_batch(&self, objects: &Table, idxs: &[usize]) -> TableResult<Vec<bool>> {
         if idxs.is_empty() {
             return Ok(Vec::new());
         }
-        let start = Instant::now();
-        let result = self.inner.eval_batch(objects, idxs);
-        // An errored batch is charged in full even though the inner
-        // implementation may have stopped at the first failing row: the
-        // meter cannot observe how far a batch got, and its
-        // budget-enforcement role prefers an upper bound over
-        // under-counting. Estimation aborts on error, so the
-        // overcharge never skews a completed run's statistics.
-        self.record(idxs.len() as u64, start.elapsed());
-        result
+        self.metered(idxs.len() as u64, true, || {
+            self.inner.eval_batch(objects, idxs)
+        })
     }
     fn name(&self) -> &str {
         self.inner.name()

@@ -4,6 +4,7 @@ use crate::column::Column;
 use crate::error::{TableError, TableResult};
 use crate::schema::Schema;
 use crate::value::{DataType, Value};
+use crate::zones::{ZoneCell, ZoneIndex};
 use serde::{Deserialize, Serialize};
 
 /// An immutable-after-build, columnar, in-memory table.
@@ -12,6 +13,10 @@ pub struct Table {
     schema: Schema,
     columns: Vec<Column>,
     len: usize,
+    /// Derived from the columns on demand: shared by clones, skipped by
+    /// equality and serde.
+    #[serde(skip)]
+    zones: ZoneCell,
 }
 
 impl Table {
@@ -47,6 +52,7 @@ impl Table {
             schema,
             columns,
             len,
+            zones: ZoneCell::default(),
         })
     }
 
@@ -137,6 +143,25 @@ impl Table {
             });
         }
         self.columns.iter().map(|c| c.get(row)).collect()
+    }
+
+    /// The table's zone index over the `Float` columns `names` (one or
+    /// two, all finite), built now if the table has none yet; `None` when
+    /// a name is not a `Float` column or the index is over other columns.
+    pub(crate) fn zones(&self, names: &[&str]) -> Option<&ZoneIndex> {
+        let columns: Vec<&[f64]> = names
+            .iter()
+            .map(|n| self.floats(n).ok())
+            .collect::<Option<_>>()?;
+        self.zones.get_or_build(names, &columns)
+    }
+
+    /// Heap bytes of the table's zone index (the oracle's count
+    /// structure, built by the first subquery over this table that can
+    /// use it): `8` per row and indexed column plus the kd nodes, or 0
+    /// while none is built.
+    pub fn zone_bytes(&self) -> usize {
+        self.zones.bytes()
     }
 }
 

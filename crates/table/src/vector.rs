@@ -16,10 +16,11 @@
 //! possible. This engine is that free path: the batched labeling
 //! pipeline (`ObjectPredicate::eval_batch` → `Labeler::label_batch`)
 //! bottoms out here for expression predicates. A correlated `COUNT(*)`
-//! subquery — the oracle itself — is bound once per batch and scanned
-//! per outer row in fused tiles that stop as soon as an enclosing
-//! `COUNT(*) cmp k` is decided (the private `bound` module; its doc
-//! states what binds and why the early exit is exact); every other
+//! subquery — the oracle itself — is bound once per batch and, per
+//! outer row, counts or skips the inner table's kd-zones whose boxes
+//! settle the filter and scans the rest in fused tiles that stop as soon
+//! as an enclosing `COUNT(*) cmp k` is decided (the private `bound`
+//! module; its doc states what binds and why both are exact); every other
 //! subquery shape runs one vectorized inner scan per outer row through
 //! the kernels below (`subquery_value`), which is also what an object
 //! the bound kernel gives up on is re-evaluated with.

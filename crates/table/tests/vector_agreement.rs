@@ -284,60 +284,78 @@ fn cmp_expr(op: CmpOp, l: Expr, r: Expr) -> Expr {
     Expr::Binary(BinaryOp::Cmp(op), Box::new(l), Box::new(r))
 }
 
-/// A boolean filter over [`arb_numeric`] operands — random comparison
-/// trees, and the two shapes the service asks (skyband dominance, a
-/// Euclidean ball) — with the radius when it is ball-shaped. The ball
-/// comes with every exponent the kernel must tell apart (a `Float` or an
-/// `Int` 2 it may square; the next `f64` after 2 and `−2`, which stay on
-/// `powf`), with radii from 0 through the grid to ones whose squares
-/// underflow or overflow, and as a difference of squares, whose
-/// cancellation rules the multiply out altogether.
-fn arb_numeric_filter() -> BoxedStrategy<(Expr, Option<f64>)> {
+/// A random comparison tree over [`arb_numeric`] operands.
+fn arb_cmp_tree() -> BoxedStrategy<Expr> {
     let cmp = (arb_cmp_op(), arb_numeric(), arb_numeric())
         .prop_map(|(op, l, r)| cmp_expr(op, l, r))
         .boxed();
-    let tree = cmp.prop_recursive(2, 8, 2, |inner| {
+    cmp.prop_recursive(2, 8, 2, |inner| {
         prop_oneof![
             3 => (inner.clone(), inner.clone()).prop_map(|(a, b)| a.and(b)),
             2 => (inner.clone(), inner.clone()).prop_map(|(a, b)| a.or(b)),
             1 => inner.prop_map(|a| a.not()),
         ]
-    });
-    let skyband = Just(
-        Expr::col("f")
-            .ge(Expr::outer("f"))
-            .and(Expr::col("g").ge(Expr::outer("g")))
-            .and(
-                Expr::col("f")
-                    .gt(Expr::outer("f"))
-                    .or(Expr::col("g").gt(Expr::outer("g"))),
-            ),
-    );
+    })
+    .boxed()
+}
+
+/// The skyband's dominance filter over `f, g`.
+fn skyband() -> Expr {
+    Expr::col("f")
+        .ge(Expr::outer("f"))
+        .and(Expr::col("g").ge(Expr::outer("g")))
+        .and(
+            Expr::col("f")
+                .gt(Expr::outer("f"))
+                .or(Expr::col("g").gt(Expr::outer("g"))),
+        )
+}
+
+/// A ball of radius `r` around the object over `f, g`, with exponent `e`
+/// for the squares, in one of four shapes: a difference of squares
+/// (`0`), the sum of squares against `r²` (`1`), `r` against the root on
+/// the left (`2`), the root `<= r` (any other).
+fn ball(e: Expr, r: f64, op: CmpOp, shape: usize) -> Expr {
+    let df = Expr::outer("f").sub(Expr::col("f")).power(e.clone());
+    let dg = Expr::outer("g").sub(Expr::col("g")).power(e);
+    match shape {
+        0 => cmp_expr(op, df.sub(dg), Expr::lit(r)),
+        1 => cmp_expr(op, df.add(dg), Expr::lit(r * r)),
+        2 => cmp_expr(op, Expr::lit(r), df.add(dg).sqrt()),
+        _ => df.add(dg).sqrt().le(Expr::lit(r)),
+    }
+}
+
+/// Ball radii from 0 through the grid to ones whose squares underflow
+/// or overflow.
+fn arb_radius() -> BoxedStrategy<f64> {
+    prop_oneof![
+        6 => (0i64..7).prop_map(|d| d as f64 * 0.5),
+        1 => Just(1e-160),
+        1 => Just(1e200),
+    ]
+    .boxed()
+}
+
+/// A boolean filter over [`arb_numeric`] operands — random comparison
+/// trees, and the two shapes the service asks (skyband dominance, a
+/// Euclidean ball) — with the radius when it is ball-shaped. The ball
+/// comes with every exponent the kernel must tell apart (a `Float` or an
+/// `Int` 2 it may square; the next `f64` after 2 and `−2`, which stay on
+/// `powf`), and as a difference of squares, whose cancellation rules the
+/// multiply out altogether.
+fn arb_numeric_filter() -> BoxedStrategy<(Expr, Option<f64>)> {
     let exponent = prop_oneof![
         4 => Just(Expr::lit(2.0)),
         2 => Just(Expr::lit(2i64)),
         1 => Just(Expr::lit(2.0000000000000004)),
         1 => Just(Expr::lit(-2.0)),
     ];
-    let radius = prop_oneof![
-        6 => (0i64..7).prop_map(|d| d as f64 * 0.5),
-        1 => Just(1e-160),
-        1 => Just(1e200),
-    ];
-    let ball = (exponent, radius, arb_cmp_op(), 0usize..8).prop_map(|(e, r, op, shape)| {
-        let df = Expr::outer("f").sub(Expr::col("f")).power(e.clone());
-        let dg = Expr::outer("g").sub(Expr::col("g")).power(e);
-        let filter = match shape {
-            0 => cmp_expr(op, df.sub(dg), Expr::lit(r)),
-            1 => cmp_expr(op, df.add(dg), Expr::lit(r * r)),
-            2 => cmp_expr(op, Expr::lit(r), df.add(dg).sqrt()),
-            _ => df.add(dg).sqrt().le(Expr::lit(r)),
-        };
-        (filter, Some(r))
-    });
+    let ball = (exponent, arb_radius(), arb_cmp_op(), 0usize..8)
+        .prop_map(|(e, r, op, shape)| (ball(e, r, op, shape), Some(r)));
     prop_oneof![
-        6 => tree.prop_map(|e| (e, None)),
-        2 => skyband.prop_map(|e| (e, None)),
+        6 => arb_cmp_tree().prop_map(|e| (e, None)),
+        2 => Just((skyband(), None)),
         3 => ball,
     ]
     .boxed()
@@ -357,6 +375,65 @@ fn thresholds(n: usize) -> [Value; 9] {
         Value::Float(n as f64 + 1.0),
         Value::Float(f64::NAN),
     ]
+}
+
+/// A table for the zone path: `f, g` integer-valued half-steps from a
+/// grid of random width with both zeros (`-0.0` and `0.0`), so rows
+/// repeat and the objects — rows of the same table — sit on kd-box
+/// edges; `i, j` small ints. Mostly 200–3 000 rows: several kd levels.
+fn arb_zoned_table() -> impl Strategy<Value = Table> {
+    let rows = prop_oneof![1 => 1usize..200, 3 => 200usize..3001];
+    (rows, any::<u64>(), 1u64..12).prop_map(|(n, seed, width)| {
+        let mut state = seed | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut half = || {
+            let r = next();
+            let x = (r % (2 * width + 1)) as f64 * 0.5 - width as f64 * 0.5;
+            if x == 0.0 && r & (1 << 40) != 0 {
+                -0.0
+            } else {
+                x
+            }
+        };
+        let f: Vec<f64> = (0..n).map(|_| half()).collect();
+        let g: Vec<f64> = (0..n).map(|_| half()).collect();
+        let i: Vec<i64> = (0..n).map(|k| (k % 7) as i64 - 3).collect();
+        let j: Vec<i64> = (0..n).map(|k| (k % 3) as i64).collect();
+        numeric_table(&f, &g, &i, &j)
+    })
+}
+
+/// A filter for the zone path, and whether the zones must serve it on a
+/// finite table: the skyband and the balls the kd boxes can bound (a
+/// square exponent, no difference of squares) must; of a random tree
+/// or another ball nothing is promised.
+fn arb_zoned_filter() -> BoxedStrategy<(Expr, Option<f64>, bool)> {
+    let square = prop_oneof![Just(Expr::lit(2.0)), Just(Expr::lit(2i64))];
+    let round = (square, arb_radius(), arb_cmp_op(), 1usize..8)
+        .prop_map(|(e, r, op, shape)| (ball(e, r, op, shape), Some(r), true));
+    let other = (
+        prop_oneof![
+            Just(Expr::lit(2.0)),
+            Just(Expr::lit(-2.0)),
+            Just(Expr::lit(0.5))
+        ],
+        arb_radius(),
+        arb_cmp_op(),
+        0usize..2,
+    )
+        .prop_map(|(e, r, op, shape)| (ball(e, r, op, shape), Some(r), false));
+    prop_oneof![
+        3 => Just((skyband(), None, true)),
+        4 => round,
+        1 => other,
+        3 => arb_cmp_tree().prop_map(|e| (e, None, false)),
+    ]
+    .boxed()
 }
 
 // ---------------------------------------------------------------------
@@ -605,6 +682,94 @@ proptest! {
         prop_assert_eq!(&agg.eval_batch(&outer, &picks), &agg_row_wise, "`{}`", agg.as_expr());
         if !literal_left && !matches!(k, Value::Float(x) if x.is_nan()) {
             prop_assert_eq!(&agg_row_wise, &row_wise, "`{}`", e);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(160))]
+
+    /// The kernel's zone path (`lts_table::bound`, rule 6): `COUNT(*) cmp
+    /// k` over a self-join whose inner table is finite, full of duplicates,
+    /// both zeros and integer-valued floats, the objects on kd-box edges,
+    /// rows planted on and within ulps of a ball's radius (inside the
+    /// guard band of rule 5's multiply); every comparison, the literal
+    /// on either side, thresholds that stop the scan early and ones that
+    /// never do (`=`, `<>`, the bare count). Counts and labels must equal
+    /// row-wise `Expr::eval` — and the zones must have been built for the
+    /// skyband and the square balls. With a NaN or an infinity in both
+    /// columns no zone index is built, and the kernel still agrees.
+    #[test]
+    fn bound_subquery_zones_agree_with_row_wise(
+        table in arb_zoned_table(),
+        (filter, radius, zoned) in arb_zoned_filter(),
+        op in arb_cmp_op(),
+        literal_left in any::<bool>(),
+        k_pick in 0usize..9,
+        picks in proptest::collection::vec(any::<usize>(), 1..12),
+        plant_seed in any::<u64>(),
+        special in prop_oneof![
+            3 => Just(None),
+            1 => prop_oneof![Just(f64::NAN), Just(f64::INFINITY), Just(f64::NEG_INFINITY)]
+                .prop_map(Some),
+        ],
+    ) {
+        let n = table.len();
+        let picks: Vec<usize> = picks.iter().map(|p| p % n).collect();
+        let table = match radius {
+            // `| 4`: no non-finite value among the planted rows.
+            Some(r) => {
+                let o = picks[0];
+                let at = (table.floats("f").unwrap()[o], table.floats("g").unwrap()[o]);
+                plant_around(&table, at, r, plant_seed | 4)
+            }
+            None => table,
+        };
+        let table = match special {
+            Some(v) => {
+                let (mut f, mut g) = (table.floats("f").unwrap().to_vec(), table.floats("g").unwrap().to_vec());
+                f[plant_seed as usize % n] = v;
+                g[(plant_seed >> 32) as usize % n] = v;
+                numeric_table(&f, &g, table.ints("i").unwrap(), table.ints("j").unwrap())
+            }
+            None => table,
+        };
+        let inner = Arc::new(table);
+        let k = thresholds(n)[k_pick].clone();
+        let sub = Expr::count_where(Arc::clone(&inner), filter.clone());
+        let e = if literal_left {
+            cmp_expr(op, Expr::Literal(k.clone()), sub.clone())
+        } else {
+            cmp_expr(op, sub.clone(), Expr::Literal(k.clone()))
+        };
+        for expr in [&e, &sub] {
+            let batch = eval_columnar(expr, &inner, Some(&picks));
+            for (at, &row) in picks.iter().enumerate() {
+                let rw = expr.eval(RowCtx::top(&inner, row));
+                let vc = batch.value_at(at);
+                prop_assert!(
+                    same_result(&rw, &vc),
+                    "pick {} (object {}, {} rows): `{}`\n  row-wise:   {:?}\n  vectorized: {:?}",
+                    at, row, n, expr, rw, vc
+                );
+            }
+        }
+        let row_wise: TableResult<Vec<bool>> = picks
+            .iter()
+            .map(|&row| e.eval_bool(RowCtx::top(&inner, row)))
+            .collect();
+        prop_assert_eq!(&par_eval_bool_ids(&e, &inner, &picks), &row_wise, "`{}`", e);
+        let agg = AggThresholdPredicate::new(
+            "agg", Arc::clone(&inner), filter, AggFunc::Count, None, op, k.clone(),
+        );
+        let agg_row_wise: TableResult<Vec<bool>> =
+            picks.iter().map(|&row| agg.eval(&inner, row)).collect();
+        prop_assert_eq!(&agg.eval_batch(&inner, &picks), &agg_row_wise, "`{}`", agg.as_expr());
+        // Which path answered.
+        if special.is_some() {
+            prop_assert_eq!(inner.zone_bytes(), 0, "`{}`", e);
+        } else if zoned {
+            prop_assert!(inner.zone_bytes() >= 16 * n, "`{}`", e);
         }
     }
 }
