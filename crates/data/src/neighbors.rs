@@ -7,6 +7,15 @@
 //! informative dimensions (`src_rate`, `dst_rate`), which are also the
 //! features the classifiers see — the paper's "attributes referenced in
 //! q" heuristic.
+//!
+//! No served query reads the padding, so it is not generated with the
+//! table: the 39 columns `f02..f40` are one deferred block
+//! ([`Table::deferred`]), drawn on the first read of any of them. Until
+//! then a table holds `3·8·N` bytes of columns (`src_rate`, `dst_rate`,
+//! `label`) instead of `42·8·N`. The block draws from a clone of the RNG
+//! as the informative loop left it, with the same loop in the same
+//! column order, so its bits are exactly those of drawing it eagerly
+//! (`tests/generated_bits.rs` pins them).
 
 use lts_table::{Column, DataType, Field, Schema, Table, TableResult};
 use rand::rngs::StdRng;
@@ -46,9 +55,9 @@ struct Cluster {
 /// Generate the synthetic Neighbors table.
 ///
 /// Columns: `src_rate`, `dst_rate` (informative), then
-/// `f02..f{features}` (correlated/noise padding), then `label`
-/// (0 = normal, 1 = attack; *not* used by the estimators, provided for
-/// realism and for classifier sanity checks).
+/// `f02..f{features − 1}` (correlated/noise padding, deferred: made on
+/// first read), then `label` (0 = normal, 1 = attack; *not* used by the
+/// estimators, provided for realism and for classifier sanity checks).
 ///
 /// # Errors
 ///
@@ -128,40 +137,51 @@ pub fn neighbors_table(config: &NeighborsConfig) -> TableResult<Table> {
         labels.push(i64::from(attack));
     }
 
-    // Assemble columns: 2 informative + (d − 2) padding + label.
+    // Columns: 2 informative + (d − 2) padding + label. The padding is
+    // one deferred block: drawn, from the stream as the loop above left
+    // it, only when a padding column is first read.
     let mut fields = vec![
         Field::new("src_rate", DataType::Float),
         Field::new("dst_rate", DataType::Float),
     ];
-    // Padding columns are derived from borrowed `xs`/`ys`, so build
-    // them first; the informative columns are then *moved* into the
-    // table (cloning them would copy two full columns per build).
-    let mut padding = Vec::with_capacity(d.saturating_sub(2));
-    for j in 2..d {
-        let name = format!("f{j:02}");
-        fields.push(Field::new(name, DataType::Float));
-        let col: Vec<f64> = match j % 3 {
-            // Correlated with src_rate.
-            0 => xs
-                .iter()
-                .map(|&x| 0.8 * x + 0.6 * randn(&mut rng))
-                .collect(),
-            // Correlated with dst_rate.
-            1 => ys
-                .iter()
-                .map(|&y| -0.5 * y + 0.9 * randn(&mut rng))
-                .collect(),
-            // Pure noise.
-            _ => (0..n).map(|_| randn(&mut rng) * 1.5).collect(),
-        };
-        padding.push(Column::Float(col));
-    }
-    let mut columns = vec![Column::Float(xs), Column::Float(ys)];
-    columns.extend(padding);
+    fields.extend((2..d).map(|j| Field::new(format!("f{j:02}"), DataType::Float)));
     fields.push(Field::new("label", DataType::Int));
-    columns.push(Column::Int(labels));
+    let mut columns = vec![Some(Column::Float(xs)), Some(Column::Float(ys))];
+    columns.extend((2..d).map(|_| None));
+    columns.push(Some(Column::Int(labels)));
+    Table::deferred(Schema::new(fields)?, columns, move |table| {
+        padding(table, rng.clone(), d)
+    })
+}
 
-    Table::new(Schema::new(fields)?, columns)
+/// The padding columns `f02..f{d−1}` of `table`, drawn in column order
+/// from `rng`: correlated with `src_rate` or `dst_rate`, or pure noise.
+fn padding(table: &Table, mut rng: StdRng, d: usize) -> Vec<Column> {
+    let stored = |name| {
+        table
+            .floats(name)
+            .expect("the informative columns are stored")
+    };
+    let (xs, ys) = (stored("src_rate"), stored("dst_rate"));
+    (2..d)
+        .map(|j| {
+            let col: Vec<f64> = match j % 3 {
+                // Correlated with src_rate.
+                0 => xs
+                    .iter()
+                    .map(|&x| 0.8 * x + 0.6 * randn(&mut rng))
+                    .collect(),
+                // Correlated with dst_rate.
+                1 => ys
+                    .iter()
+                    .map(|&y| -0.5 * y + 0.9 * randn(&mut rng))
+                    .collect(),
+                // Pure noise.
+                _ => (0..table.len()).map(|_| randn(&mut rng) * 1.5).collect(),
+            };
+            Column::Float(col)
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -551,6 +551,11 @@ impl Service {
         self.datasets.get(name).map(|d| d.table.len())
     }
 
+    /// The table behind a dataset's current version.
+    pub fn dataset_table(&self, name: &str) -> Option<&Arc<Table>> {
+        self.datasets.get(name).map(|d| d.table.table())
+    }
+
     /// Aggregate counters: a projection of the metrics registry (see
     /// [`ServiceStats`]).
     pub fn stats(&self) -> ServiceStats {

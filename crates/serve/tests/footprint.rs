@@ -17,18 +17,22 @@
 //! * the dataset version keeps **one** zone index, whatever the number
 //!   of queries over it: `16·N` bytes of clustered filter columns plus
 //!   the kd boxes, built by the first subquery that can use it and
-//!   dropped with the table when the dataset is registered again.
+//!   dropped with the table when the dataset is registered again;
+//! * a **neighbors** dataset keeps its three read columns (`3·8·N`) and
+//!   no padding through everything the benchmark does with it, restore
+//!   included; the first query that names a padding column makes all 39
+//!   of them, once.
 //!
-//! One `#[test]` on purpose: the allocator counts the whole process, so
+//! The tests take one lock: the allocator counts the whole process, so
 //! nothing else may run beside the measured sections.
 
 use lts_core::{restrict_problem, CountingProblem, LogicalPlan, PhysicalPlan};
-use lts_data::{sports_scenario, SelectivityLevel};
-use lts_serve::{Request, Service, ServiceConfig, Target};
+use lts_data::{neighbors_scenario, sports_scenario, QueryParam, SelectivityLevel};
+use lts_serve::{DatasetSpec, Request, Service, ServiceConfig, Target, MAX_REGISTER_ROWS};
 use lts_table::{parse_condition, ExprPredicate, PartitionedTable, TableRegistry};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
 
@@ -60,6 +64,16 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+/// Held by each test for its whole run.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn live_bytes() -> usize {
+    LIVE_BYTES.load(Ordering::Relaxed)
+}
 
 const N: usize = 8_000;
 const FEATURES: [&str; 2] = ["strikeouts", "wins"];
@@ -99,6 +113,7 @@ fn request(id: u64, condition: String, budget: usize) -> Request {
 
 #[test]
 fn a_distinct_query_retains_its_delta_not_a_copy_of_the_table() {
+    let _serial = serial();
     let table = sports_scenario(N, SelectivityLevel::M, 3).unwrap().table;
     let mut sorted = table.floats("strikeouts").unwrap().to_vec();
     sorted.sort_by(f64::total_cmp);
@@ -214,4 +229,145 @@ fn a_distinct_query_retains_its_delta_not_a_copy_of_the_table() {
     );
     assert!(before - LIVE_BYTES.load(Ordering::Relaxed) >= zones);
     assert_eq!(fresh.zone_bytes(), 0);
+}
+
+/// Bytes of a neighbors table's read columns: `src_rate`, `dst_rate`,
+/// `label`.
+const fn read_columns(rows: usize) -> usize {
+    3 * 8 * rows
+}
+
+/// The eager table's response to `f05 > 1.0 AND <disk>` (id 900, budget
+/// 200, seed-1 neighbors at 8 000 rows), wall time masked.
+const F05_LINE: &str = concat!(
+    r#"{"id": 900, "ok": true, "served": "cold", "route": "lss", "fingerprint": "d9978989d70470a8", "#,
+    r#""estimate": 405.35, "std_error": 85.18719513099204, "lo": 231.60957006954817, "#,
+    r#""hi": 579.0904299304518, "level": 0.95, "evals": 200, "budget": 200, "#,
+    r#""model_version": "d9df87ef56fd7c3c", "table_version": 0, "wall_micros": 0, "#,
+    r#""plan": {"kind": "prefilter_estimate", "prefilter": "(1.0 < f05)", "residual": "#,
+    r#""((SELECT Count(*) FROM [src_rate:Float,dst_rate:Float,f02:Float,f03:Float,f04:Float,"#,
+    r#"f05:Float,f06:Float,f07:Float,f08:Float,f09:Float,f10:Float,f11:Float,f12:Float,f13:Float,"#,
+    r#"f14:Float,f15:Float,f16:Float,f17:Float,f18:Float,f19:Float,f20:Float,f21:Float,f22:Float,"#,
+    r#"f23:Float,f24:Float,f25:Float,f26:Float,f27:Float,f28:Float,f29:Float,f30:Float,f31:Float,"#,
+    r#"f32:Float,f33:Float,f34:Float,f35:Float,f36:Float,f37:Float,f38:Float,f39:Float,f40:Float,"#,
+    r#"label:Int;rows=8000] WHERE (Sqrt((Power((o.src_rate - src_rate), 2.0) + "#,
+    r#"Power((o.dst_rate - dst_rate), 2.0))) <= 0.21945161881089598)) < 10.0)", "#,
+    r#""population": 8000, "survivors": 1969, "selectivity": 0.246125}}"#,
+);
+
+#[test]
+fn neighbors_padding_is_made_only_by_a_query_that_names_it() {
+    let _serial = serial();
+    let spec = |rows| DatasetSpec {
+        kind: "neighbors".into(),
+        rows,
+        level: "M".into(),
+        seed: 1,
+    };
+    let mut service = Service::new(ServiceConfig::default());
+    service.register_generated("n", &spec(N)).unwrap();
+    let table = Arc::clone(service.dataset_table("n").unwrap());
+    assert_eq!(table.column_bytes(), read_columns(N));
+    // The benchmark's radius, calibrated on its own copy of the table.
+    let scenario = neighbors_scenario(N, SelectivityLevel::M, 1).unwrap();
+    let QueryParam::D(d) = scenario.param else {
+        panic!("neighbors calibrates d")
+    };
+    assert_eq!(scenario.table.column_bytes(), read_columns(N));
+    let disk = |k: usize| {
+        format!(
+            "(SELECT COUNT(*) FROM n WHERE SQRT(POWER(o.src_rate - src_rate, 2) + \
+             POWER(o.dst_rate - dst_rate, 2)) <= {d}) < {k}"
+        )
+    };
+    let skyband = |k: usize| {
+        format!(
+            "(SELECT COUNT(*) FROM n WHERE src_rate >= o.src_rate AND dst_rate >= o.dst_rate \
+             AND (src_rate > o.src_rate OR dst_rate > o.dst_rate)) < {k}"
+        )
+    };
+    let run = |service: &mut Service, id: u64, condition: String, budget: usize, fresh: bool| {
+        let response = service.run(Request {
+            id,
+            dataset: "n".into(),
+            condition,
+            target: Target::Budget(budget),
+            fresh,
+        });
+        assert!(response.ok, "{:?}", response.error);
+        response
+    };
+
+    // Monolithic ops at the benchmark's budgets, each resumed fresh.
+    for (i, budget) in [200, 250, 300].into_iter().enumerate() {
+        for (j, condition) in [disk(10 + i), skyband(5 + i)].into_iter().enumerate() {
+            let id = 10 * (i + 1) as u64 + 2 * j as u64;
+            let cold = run(&mut service, id, condition.clone(), budget, false);
+            assert_eq!((cold.served, cold.plan.is_none()), ("cold", true));
+            assert_eq!(
+                run(&mut service, id + 1, condition, budget, true).served,
+                "warm"
+            );
+        }
+    }
+    // A planned op: a cheap conjunct on a read column.
+    let mut xs = table.floats("src_rate").unwrap().to_vec();
+    xs.sort_by(f64::total_cmp);
+    let planned = format!("src_rate > {} AND {}", xs[N * 4 / 5], disk(12));
+    let response = run(&mut service, 100, planned, 200, false);
+    assert_eq!(
+        response.plan.expect("it decomposes").kind,
+        "prefilter_estimate"
+    );
+    assert_eq!(table.column_bytes(), read_columns(N));
+
+    // Save and restore: the restored dataset is generated without it too.
+    let dir = std::env::temp_dir().join(format!("lts_footprint_{}", std::process::id()));
+    lts_serve::state::save(&service, &dir).unwrap();
+    let mut restored = Service::new(ServiceConfig::default());
+    let summary = lts_serve::state::load(&mut restored, &dir).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert_eq!(summary.map(|s| (s.datasets, s.models)), Some((1, 7)));
+    assert_eq!(run(&mut restored, 200, disk(10), 200, true).served, "warm");
+    let again = restored.dataset_table("n").unwrap();
+    assert_eq!(again.column_bytes(), read_columns(N));
+    drop(restored);
+
+    // The largest registration holds its three columns and the feature
+    // matrix (`16` bytes a row); 39 padding columns would not fit.
+    let before = live_bytes();
+    service
+        .register_generated("big", &spec(MAX_REGISTER_ROWS))
+        .unwrap();
+    let grown = live_bytes().saturating_sub(before);
+    let big = service.dataset_table("big").unwrap();
+    assert_eq!(big.column_bytes(), read_columns(MAX_REGISTER_ROWS));
+    assert!(
+        grown < 6 * 8 * MAX_REGISTER_ROWS,
+        "registration kept {grown} B"
+    );
+
+    // A query naming `f05` makes the padding once, and answers as the
+    // eagerly generated table did.
+    let before = live_bytes();
+    let f05 = run(
+        &mut service,
+        900,
+        format!("f05 > 1.0 AND {}", disk(10)),
+        200,
+        false,
+    );
+    assert_eq!(table.column_bytes(), 42 * 8 * N);
+    assert!(live_bytes() - before >= 39 * 8 * N);
+    assert_eq!(f05.to_json(true), F05_LINE);
+    let before = live_bytes();
+    run(
+        &mut service,
+        901,
+        format!("f05 > 1.5 AND {}", disk(10)),
+        200,
+        false,
+    );
+    assert!(live_bytes().saturating_sub(before) < 39 * 8 * N);
+    assert_eq!(table.column_bytes(), 42 * 8 * N);
 }

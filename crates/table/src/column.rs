@@ -68,6 +68,17 @@ impl Column {
         self.len() == 0
     }
 
+    /// Heap bytes of the column's buffer (a string column's `Arc`s, not
+    /// the text they point at).
+    pub(crate) fn heap_bytes(&self) -> usize {
+        match self {
+            Column::Bool(v) => v.capacity(),
+            Column::Int(v) => v.capacity() * 8,
+            Column::Float(v) => v.capacity() * 8,
+            Column::Str(v) => v.capacity() * std::mem::size_of::<Arc<str>>(),
+        }
+    }
+
     /// Value at `row`.
     ///
     /// # Errors

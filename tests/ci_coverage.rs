@@ -273,3 +273,49 @@ fn lws_interval_covers_end_to_end() {
         "end-to-end LWS coverage {coverage} too low"
     );
 }
+
+/// ROADMAP item 1's separable fixture, through the service: the ten
+/// objects with the largest `f05` are exactly the ones with fewer than
+/// ten rows above them, so a proxy on `f05` separates the classes and
+/// the serve profile's strata come back unanimous. Most replies are
+/// then a zero-width interval around a wrong count where an honest one
+/// must cover: over fresh ids 0..20, 18 zero-width and 2 covering at
+/// budget 200 (id 0 replies `[1, 1]`), 11 and 9 at budget 500 (id 0:
+/// `[2, 2]`).
+#[test]
+#[ignore = "fails until ROADMAP item 1(b)"]
+fn served_intervals_cover_a_separable_count() {
+    let mut service = Service::new(ServiceConfig::default());
+    let spec = learning_to_sample::serve::DatasetSpec {
+        kind: "neighbors".into(),
+        rows: 2_000,
+        level: "M".into(),
+        seed: 3,
+    };
+    service.register_generated("n", &spec).unwrap();
+    let truth = {
+        let f05 = service.dataset_table("n").unwrap().floats("f05").unwrap();
+        let above = |o: f64| f05.iter().filter(|&&x| x > o).count();
+        f05.iter().filter(|&&o| above(o) < 10).count() as f64
+    };
+    assert_eq!(truth, 10.0);
+    for budget in [200, 500] {
+        let (mut covered, mut zero_width) = (0, 0);
+        for id in 0..20 {
+            let r = service.run(Request {
+                id,
+                dataset: "n".into(),
+                condition: "(SELECT COUNT(*) FROM n WHERE f05 > o.f05) < 10".into(),
+                target: Target::Budget(budget),
+                fresh: true,
+            });
+            assert!(r.ok, "{:?}", r.error);
+            covered += usize::from(r.lo <= truth && truth <= r.hi);
+            zero_width += usize::from(r.lo == r.hi);
+        }
+        assert!(
+            covered >= 18 && zero_width == 0,
+            "budget {budget}: {covered} of 20 intervals cover {truth}, {zero_width} have zero width"
+        );
+    }
+}
