@@ -143,7 +143,7 @@ impl CountEstimator for Qlac {
         let spec = self.learn.spec;
         let cv_seed = rng.random::<u64>();
         let rates = run.timer.phase(Phase::Phase2, || {
-            let x = problem.features().gather(&run.labeled);
+            let x = problem.feature_view().gather(&run.labeled);
             cross_validated_rates(&x, &run.labels, folds, cv_seed, || spec.build(cv_seed))
         })?;
 

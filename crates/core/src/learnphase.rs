@@ -99,7 +99,7 @@ pub fn run_learn_phase(
     let mut labels = labeler.label_batch(&labeled)?;
     let model_seed = config.model_seed ^ rng.random::<u64>();
     let mut model = config.spec.build(model_seed);
-    let features = problem.features();
+    let features = problem.feature_view();
     model.fit(&features.gather(&labeled), &labels)?;
 
     if let Some((a, mut reserved)) = augment {
@@ -125,7 +125,14 @@ pub fn run_learn_phase(
                 }
                 pool.truncate(a.pool_size);
             }
-            let picks = select_uncertain(model.as_ref(), features, &pool, step_size)?;
+            // `select_uncertain` breaks ties by candidate index. With the
+            // pool ascending, positions in its gathered rows order as its
+            // ids do, so the picks are those the ids themselves would get.
+            pool.sort_unstable();
+            let positions: Vec<usize> = (0..pool.len()).collect();
+            let rows = features.gather(&pool);
+            let picked = select_uncertain(model.as_ref(), &rows, &positions, step_size)?;
+            let picks: Vec<usize> = picked.into_iter().map(|k| pool[k]).collect();
             if picks.is_empty() {
                 break;
             }

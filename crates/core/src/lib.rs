@@ -45,7 +45,7 @@ pub use estimators::{
     CountEstimator, Lss, LssLayout, Lws, LwsHt, LwsSequential, PilotHandling, PilotSource, Qlac,
     Qlcc, Srs, Ssn, Ssp,
 };
-pub use feature::features_from_columns;
+pub use feature::{features_from_columns, FeatureView};
 pub use learnphase::{LearnPhaseConfig, LearnedModel};
 pub use plan::{restrict_problem, select_prefilter, LogicalPlan, PhysicalPlan, PrefilterSelection};
 pub use problem::{CountingProblem, Labeler};

@@ -12,8 +12,9 @@
 //!    every partition and thread count.
 //! 2. **Restriction** ([`restrict_problem`]): the residual becomes a
 //!    [`CountingProblem`] over just the survivors — a sub-population
-//!    view sharing the parent's table and owning only the survivor id
-//!    list and its feature rows: every evaluation goes to the
+//!    view sharing the parent's table and feature matrix and owning
+//!    only the survivor id list (`u32`, read by its feature view and its
+//!    predicate alike): every evaluation goes to the
 //!    **parent** problem's metered predicate at the *global* row id, so
 //!    predicates that capture per-row state keyed by global id stay
 //!    correct and the parent's meter keeps pricing the oracle.
@@ -40,7 +41,7 @@
 //! Kleene/error-shadowing contract of the split itself.
 
 use crate::error::{CoreError, CoreResult};
-use crate::problem::CountingProblem;
+use crate::problem::{narrow_ids, CountingProblem};
 use lts_table::{decompose, Expr, PartitionedTable};
 use std::sync::Arc;
 
@@ -142,9 +143,10 @@ pub fn select_prefilter(
 }
 
 /// Restrict `parent` to the given surviving global row ids: the
-/// parent's table (shared, not copied), gathered feature rows, a
-/// delegating predicate (global ids through the parent meter), and the
-/// parent's confidence level.
+/// parent's table and feature matrix (shared, not copied), one `u32` id
+/// list that the delegating predicate (global ids through the parent
+/// meter) and the feature view both read, and the parent's confidence
+/// level.
 ///
 /// The restricted problem's count *is* the full-query count when the
 /// survivors came from [`select_prefilter`] over the query's own
@@ -153,18 +155,13 @@ pub fn select_prefilter(
 /// # Errors
 ///
 /// Returns an error for an empty survivor set (a [`CountingProblem`]
-/// cannot be empty — callers answer exactly 0 without building one) or
-/// out-of-range ids ([`lts_table::TableError::RowIndexOutOfRange`]).
+/// cannot be empty — callers answer exactly 0 without building one), an
+/// id that does not fit in 32 bits, or out-of-range ids
+/// ([`lts_table::TableError::RowIndexOutOfRange`]).
 pub fn restrict_problem(
     parent: &CountingProblem,
     survivors: &[usize],
 ) -> CoreResult<CountingProblem> {
-    restrict_to(parent, survivors.to_vec())
-}
-
-/// [`restrict_problem`] taking the survivor list by value (it becomes
-/// the sub-population's id list).
-fn restrict_to(parent: &CountingProblem, mut survivors: Vec<usize>) -> CoreResult<CountingProblem> {
     if survivors.is_empty() {
         return Err(CoreError::InvalidConfig {
             message: "cannot restrict a counting problem to zero survivors \
@@ -172,9 +169,10 @@ fn restrict_to(parent: &CountingProblem, mut survivors: Vec<usize>) -> CoreResul
                 .into(),
         });
     }
-    // The list lives as long as the problem: return `collect`'s slack.
-    survivors.shrink_to_fit();
-    parent.sub_population(survivors, "|prefiltered")
+    let ids = narrow_ids(survivors).map_err(|id| CoreError::InvalidConfig {
+        message: format!("survivor id {id} does not fit in 32 bits"),
+    })?;
+    parent.sub_population(Arc::from(ids), "|prefiltered")
 }
 
 /// A fully materialized plan: the prefilter scan's survivor count and
@@ -218,7 +216,7 @@ impl PhysicalPlan {
                 let restricted = if m == 0 {
                     None
                 } else {
-                    Some(Arc::new(restrict_to(&problem, survivors)?))
+                    Some(Arc::new(restrict_problem(&problem, &survivors)?))
                 };
                 (Some(m), restricted)
             }
@@ -339,6 +337,21 @@ mod tests {
     fn restricting_to_zero_survivors_is_an_error() {
         let (problem, _, _) = scenario();
         assert!(restrict_problem(&problem, &[]).is_err());
+    }
+
+    #[test]
+    fn a_survivor_id_past_32_bits_is_refused_not_wrapped() {
+        let (problem, _, _) = scenario();
+        // `as u32` would make these rows 3 and 0, both in range.
+        for id in [(1 << 32) + 3, 1 << 32, usize::MAX] {
+            match restrict_problem(&problem, &[1, id]).map(|_| ()) {
+                Err(CoreError::InvalidConfig { message }) => {
+                    assert_eq!(message, format!("survivor id {id} does not fit in 32 bits"));
+                }
+                other => panic!("{id}: expected a 32-bit refusal, got {other:?}"),
+            }
+        }
+        assert!(restrict_problem(&problem, &[1, u32::MAX as usize]).is_err());
     }
 
     #[test]

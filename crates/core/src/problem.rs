@@ -1,24 +1,41 @@
 //! The counting problem and the budget-tracking labeler.
 
 use crate::error::{CoreError, CoreResult};
-use crate::feature::features_from_columns;
+use crate::feature::{features_from_columns, FeatureView};
 use lts_learn::Matrix;
 use lts_table::{Metered, ObjectPredicate, PredicateStats, Table, TableError, TableResult};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A counting problem: the table `q` evaluates against, the population
 /// being counted (`n` objects, one feature row each — paper Q2), and the
 /// expensive predicate `q` (paper Q3) behind a metering wrapper. The two
 /// coincide for a whole-table problem; a sub-population
 /// ([`crate::plan::restrict_problem`]) shares its parent's table and
-/// owns only its id list and feature rows.
+/// feature matrix and owns only its `u32` id list, which its predicate
+/// and its feature view share.
 pub struct CountingProblem {
     objects: Arc<Table>,
-    n: usize,
     predicate: Arc<Metered<Arc<dyn ObjectPredicate>>>,
+    /// The dataset's feature matrix, shared by every problem over it.
     features: Arc<Matrix>,
+    /// Local row `i` is row `rows[i]` of `features`; `None` for a
+    /// whole-table problem.
+    rows: Option<Arc<[u32]>>,
+    /// A sub-population's [`CountingProblem::features`], gathered on
+    /// first call.
+    gathered: OnceLock<Matrix>,
     level: f64,
+}
+
+/// Narrow ids to `u32`, checked — the one way an id list enters 32
+/// bits. Returns the first id that does not fit.
+pub(crate) fn narrow_ids(ids: &[usize]) -> Result<Vec<u32>, usize> {
+    let mut out = Vec::with_capacity(ids.len());
+    for &id in ids {
+        out.push(u32::try_from(id).map_err(|_| id)?);
+    }
+    Ok(out)
 }
 
 impl CountingProblem {
@@ -50,18 +67,7 @@ impl CountingProblem {
         predicate: Arc<dyn ObjectPredicate>,
         features: impl Into<Arc<Matrix>>,
     ) -> CoreResult<Self> {
-        let n = objects.len();
-        Self::over(objects, n, predicate, features.into())
-    }
-
-    /// A problem counting `n` objects whose predicate evaluates against
-    /// `objects` (the same `n` rows, or a sub-population's parent).
-    fn over(
-        objects: Arc<Table>,
-        n: usize,
-        predicate: Arc<dyn ObjectPredicate>,
-        features: Arc<Matrix>,
-    ) -> CoreResult<Self> {
+        let (n, features) = (objects.len(), features.into());
         if n == 0 {
             return Err(CoreError::InvalidConfig {
                 message: "object set is empty".into(),
@@ -72,13 +78,25 @@ impl CountingProblem {
                 message: format!("feature rows ({}) != objects ({n})", features.rows()),
             });
         }
-        Ok(Self {
+        Ok(Self::over(objects, predicate, features, None))
+    }
+
+    /// A problem whose predicate evaluates against `objects` and whose
+    /// rows are `features`, read through `rows` when given.
+    fn over(
+        objects: Arc<Table>,
+        predicate: Arc<dyn ObjectPredicate>,
+        features: Arc<Matrix>,
+        rows: Option<Arc<[u32]>>,
+    ) -> Self {
+        Self {
             objects,
-            n,
             predicate: Arc::new(Metered::new(predicate)),
             features,
+            rows,
+            gathered: OnceLock::new(),
             level: 0.95,
-        })
+        }
     }
 
     /// Set the confidence level for intervals (default 0.95).
@@ -90,7 +108,7 @@ impl CountingProblem {
 
     /// Number of objects `N`.
     pub fn n(&self) -> usize {
-        self.n
+        self.feature_view().rows()
     }
 
     /// Confidence level for intervals.
@@ -104,41 +122,63 @@ impl CountingProblem {
         &self.objects
     }
 
-    /// The sub-population of this problem whose local row `i` is global
-    /// row `ids[i]`: it shares this problem's table, owns the gathered
-    /// feature rows, and its predicate is a [`SubPopulation`] that
-    /// labels through **this** problem's metered predicate, named
-    /// `<q>` + `suffix`. The confidence level carries over.
+    /// The sub-population of this problem whose local row `i` is row
+    /// `ids[i]` of this one (`ids` non-empty): it shares this problem's
+    /// table and feature matrix, and its predicate is a
+    /// [`SubPopulation`] that labels through **this** problem's metered
+    /// predicate, named `<q>` + `suffix`. Its feature view reads the
+    /// matrix through `ids` — the same list the predicate holds — or,
+    /// when this problem is itself a sub-population, through `ids`
+    /// composed with this problem's own list. The confidence level
+    /// carries over.
     ///
     /// # Errors
     ///
-    /// Returns an error for an empty member set, or
-    /// [`TableError::RowIndexOutOfRange`] for the first member id
-    /// outside this problem's population.
+    /// Returns [`TableError::RowIndexOutOfRange`] for the first member
+    /// id outside this problem's population.
     pub(crate) fn sub_population(
         &self,
-        ids: Vec<usize>,
+        ids: Arc<[u32]>,
         suffix: &str,
     ) -> CoreResult<CountingProblem> {
-        // `Matrix::gather` panics on a bad index: reject it here.
-        if let Some(&index) = ids.iter().find(|&&i| i >= self.n) {
-            let len = self.n;
+        // The views index the matrix with these: reject a bad one here.
+        let len = self.n();
+        if let Some(&index) = ids.iter().find(|&&i| i as usize >= len) {
+            let index = index as usize;
             return Err(TableError::RowIndexOutOfRange { index, len }.into());
         }
-        let features = Arc::new(self.features.gather(&ids));
-        let n = features.rows();
+        let rows = match &self.rows {
+            None => Arc::clone(&ids),
+            Some(parent) => ids.iter().map(|&i| parent[i as usize]).collect(),
+        };
         let predicate: Arc<dyn ObjectPredicate> = Arc::new(SubPopulation {
             parent_predicate: Arc::clone(&self.predicate),
             ids,
             name: format!("{}{suffix}", self.predicate.name()),
         });
-        let objects = Arc::clone(&self.objects);
-        Ok(Self::over(objects, n, predicate, features)?.with_level(self.level))
+        let (objects, features) = (Arc::clone(&self.objects), Arc::clone(&self.features));
+        Ok(Self::over(objects, predicate, features, Some(rows)).with_level(self.level))
     }
 
-    /// Per-object features.
+    /// The per-object feature rows, as every reader in this crate sees
+    /// them: the dataset's matrix, through the id list of a
+    /// sub-population.
+    pub fn feature_view(&self) -> FeatureView<'_> {
+        FeatureView::new(&self.features, self.rows.as_ref())
+    }
+
+    /// Per-object features as one matrix. A whole-table problem returns
+    /// the dataset's; a sub-population gathers its rows on the first
+    /// call and keeps them — `8·d` bytes per member, which is why no
+    /// estimator or served path calls this (they read
+    /// [`CountingProblem::feature_view`]).
     pub fn features(&self) -> &Matrix {
-        &self.features
+        match &self.rows {
+            None => &self.features,
+            Some(rows) => self
+                .gathered
+                .get_or_init(|| self.features.gather_iter(rows.iter().map(|&i| i as usize))),
+        }
     }
 
     /// Evaluate `q` on one object (metered).
@@ -196,7 +236,7 @@ impl CountingProblem {
 /// called.
 struct SubPopulation {
     parent_predicate: Arc<Metered<Arc<dyn ObjectPredicate>>>,
-    ids: Vec<usize>,
+    ids: Arc<[u32]>,
     name: String,
 }
 
@@ -204,7 +244,7 @@ impl SubPopulation {
     fn global(&self, idx: usize) -> TableResult<usize> {
         self.ids
             .get(idx)
-            .copied()
+            .map(|&id| id as usize)
             .ok_or(TableError::RowIndexOutOfRange {
                 index: idx,
                 len: self.ids.len(),

@@ -41,7 +41,7 @@
 //! default thread count.
 
 use crate::error::{CoreError, CoreResult};
-use crate::problem::CountingProblem;
+use crate::problem::{narrow_ids, CountingProblem};
 use lts_learn::Classifier;
 use lts_strata::PilotIndex;
 use lts_table::partition::partition_bounds;
@@ -113,7 +113,7 @@ impl ScoredPopulation {
                 message: "scored members must be strictly ascending object ids".into(),
             });
         }
-        let features = problem.features();
+        let features = problem.feature_view();
         // Contiguous member ranges, mirroring PartitionedTable's
         // row-range arithmetic; each worker gathers and batch-scores
         // only its own range, `GATHER_ROWS` members at a time, and
@@ -261,10 +261,16 @@ impl OrderedPopulation {
         &self.sorted_scores
     }
 
-    /// Keep the ordering, drop the scores: all a warm state resumes
-    /// from.
-    pub fn into_order(self) -> Vec<usize> {
-        self.order
+    /// Keep the ordering as `u32` ids, drop the scores: all a warm
+    /// state resumes from.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error for an id that does not fit in 32 bits.
+    pub fn into_order(self) -> CoreResult<Vec<u32>> {
+        narrow_ids(&self.order).map_err(|id| CoreError::InvalidConfig {
+            message: format!("ordered id {id} does not fit in 32 bits"),
+        })
     }
 
     /// Object id at a position of the ordering.
@@ -299,15 +305,15 @@ impl OrderedPopulation {
     }
 }
 
-/// Extract feature column `dim` **column-at-a-time** from the problem's
-/// feature matrix (one strided pass over the row-major buffer; no
-/// per-row slicing).
+/// Extract feature column `dim` from the problem's feature rows in one
+/// pass (strided over the row-major buffer, through a sub-population's
+/// ids).
 ///
 /// # Errors
 ///
 /// Returns an error when `dim` is out of range.
 pub fn feature_column(problem: &CountingProblem, dim: usize) -> CoreResult<Vec<f64>> {
-    let features = problem.features();
+    let features = problem.feature_view();
     if dim >= features.cols() {
         return Err(CoreError::InvalidConfig {
             message: format!(
@@ -316,7 +322,7 @@ pub fn feature_column(problem: &CountingProblem, dim: usize) -> CoreResult<Vec<f
             ),
         });
     }
-    Ok(features.column(dim))
+    Ok((0..features.rows()).map(|i| features.row(i)[dim]).collect())
 }
 
 /// Build the §3.1 surrogate-attribute strata: a `grid.0 × grid.1` grid
@@ -332,7 +338,7 @@ pub fn surrogate_grid_strata(
     grid: (usize, usize),
     dims: (usize, usize),
 ) -> CoreResult<Vec<Vec<usize>>> {
-    let d = problem.features().cols();
+    let d = problem.feature_view().cols();
     let (dx, dy) = dims;
     if dx >= d || dy >= d {
         return Err(CoreError::InvalidConfig {
@@ -359,7 +365,7 @@ mod tests {
         let ids: Vec<usize> = (0..problem.n()).step_by(7).collect();
         let labels: Vec<bool> = ids.iter().map(|&i| problem.label(i).unwrap()).collect();
         model
-            .fit(&problem.features().gather(&ids), &labels)
+            .fit(&problem.feature_view().gather(&ids), &labels)
             .unwrap();
         model
     }
@@ -371,7 +377,7 @@ mod tests {
         let members: Vec<usize> = (0..230).filter(|i| i % 3 != 0).collect();
         let per_row: Vec<f64> = members
             .iter()
-            .map(|&i| model.score(problem.features().row(i)).unwrap())
+            .map(|&i| model.score(problem.feature_view().row(i)).unwrap())
             .collect();
         for parts in [1usize, 2, 3, 8, 64, 500] {
             let sp = ScoredPopulation::score_members_partitioned(

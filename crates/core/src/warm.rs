@@ -45,7 +45,7 @@ use crate::error::{CoreError, CoreResult};
 use crate::estimators::lss::{stage2_estimate, LssBudgetSplit};
 use crate::estimators::{check_budget, CountEstimator, Lss, PilotSource};
 use crate::learnphase::{run_learn_phase, LearnPhaseConfig};
-use crate::problem::{CountingProblem, Labeler};
+use crate::problem::{narrow_ids, CountingProblem, Labeler};
 use crate::report::{EstimateReport, Phase, PhaseTimer};
 use crate::scoring::ScoredPopulation;
 use crate::spec::ClassifierSpec;
@@ -228,7 +228,7 @@ impl ModelSnapshot {
             });
         }
         let mut model = self.spec.build(self.model_seed);
-        model.fit(&problem.features().gather(&self.labeled), &self.labels)?;
+        model.fit(&problem.feature_view().gather(&self.labeled), &self.labels)?;
         Ok(model)
     }
 
@@ -280,9 +280,9 @@ pub struct LssWarm {
     /// The record of the phase-1 proxy (the model itself is dropped
     /// once the population is scored).
     pub proxy: ModelSnapshot,
-    /// The score ordering, position → object id. The sorted scores are
-    /// read once, by the design, and not retained.
-    pub(crate) order: Vec<usize>,
+    /// The score ordering, position → object id, 4 bytes an object.
+    /// The sorted scores are read once, by the design, and not retained.
+    pub(crate) order: Vec<u32>,
     /// Pilot positions within the ordering (ascending).
     pub(crate) pilot_positions: Vec<usize>,
     /// Pilot labels aligned with `pilot_positions`.
@@ -342,7 +342,7 @@ impl LssWarm {
             model_seed: self.proxy.model_seed,
             labeled: self.proxy.labeled.clone(),
             labels: self.proxy.labels.clone(),
-            order: self.order.clone(),
+            order: self.order.iter().map(|&i| i as usize).collect(),
             pilot_positions: self.pilot_positions.clone(),
             pilot_labels: self.pilot_labels.clone(),
             cuts: self.stratification.cuts.clone(),
@@ -429,6 +429,12 @@ impl LssWarm {
         if !ascending(cuts) || cuts.first() == Some(&0) || !inside(cuts) {
             return bad("cuts are not strictly ascending inside the ordering".into());
         }
+        // Every id is below `N` now; narrowing is still checked.
+        let Ok(order) = narrow_ids(order) else {
+            return bad(format!(
+                "the ordering's ids do not fit in 32 bits (N = {n})"
+            ));
+        };
         Ok(LssWarm {
             proxy: ModelSnapshot {
                 spec: lss.learn.spec,
@@ -436,7 +442,7 @@ impl LssWarm {
                 labeled: parts.labeled,
                 labels: parts.labels,
             },
-            order: parts.order,
+            order,
             pilot_positions: parts.pilot_positions,
             pilot_labels: parts.pilot_labels,
             stratification: Stratification {
@@ -457,7 +463,7 @@ impl LssWarm {
     pub fn known_labels(&self) -> Vec<(usize, bool)> {
         let mut pairs = self.proxy.known_labels();
         for (&pos, &label) in self.pilot_positions.iter().zip(&self.pilot_labels) {
-            pairs.push((self.order[pos], label));
+            pairs.push((self.order[pos] as usize, label));
         }
         pairs.sort_unstable();
         pairs.dedup();
@@ -645,7 +651,7 @@ impl Lss {
 
         Ok(LssWarm {
             proxy,
-            order: ordered.into_order(),
+            order: ordered.into_order()?,
             pilot_positions,
             pilot_labels,
             stratification,

@@ -86,10 +86,50 @@ fn from_parts_round_trips_and_refuses_every_broken_invariant() {
                 p.pilot_labels[i] ^= true;
             });
         }
+        // Ids are `u32` once decoded, and narrowed only after the
+        // permutation check: an id `2³²` past a real one would wrap onto
+        // it and make a valid permutation.
+        refused("ordered id + 2³²", &|p| p.order[0] += 1 << 32);
+        refused("ordered id 2³²", &|p| {
+            let at = p.order.iter().position(|&i| i == 0);
+            p.order[at.unwrap_or(0)] = 1 << 32;
+        });
         // A budget the state was not prepared under changes the split.
         assert!(LssWarm::from_parts(warm.to_parts(), 140, &problem, &lss).is_err());
         // Another population does not hold the ids.
         let other = band_problem(500, 11);
         assert!(LssWarm::from_parts(warm.to_parts(), 150, &other, &lss).is_err());
+    }
+}
+
+/// A state over a sub-population holds local ids below its `N′`: an
+/// ordering entry at `N′`, at an id plus `2³²` (which `as u32` would
+/// wrap back onto that id) or repeated is refused, and the unedited
+/// state decodes to the one prepared.
+#[test]
+fn a_restricted_states_ordering_is_checked_before_it_is_narrowed() {
+    let problem = band_problem(600, 11);
+    let survivors: Vec<usize> = (0..600).filter(|i| i % 3 != 1).collect();
+    let sub = lts_core::restrict_problem(&problem, &survivors).unwrap();
+    let n_sub = sub.n();
+    let lss = lss_two_pilots();
+    let warm = lss.prepare(&sub, 150, 5).unwrap();
+    let back = LssWarm::from_parts(warm.to_parts(), 150, &sub, &lss).unwrap();
+    assert_eq!(back.digest(), warm.digest());
+    assert_eq!(back.to_parts().order, warm.to_parts().order);
+    type Edit<'a> = &'a dyn Fn(&mut LssParts);
+    let edits: [(&str, Edit); 3] = [
+        ("ordered id N′", &|p| p.order[0] = n_sub),
+        ("ordered id + 2³²", &|p| p.order[0] += 1 << 32),
+        ("duplicate id", &|p| p.order[1] = p.order[0]),
+    ];
+    for (what, edit) in edits {
+        let mut parts = warm.to_parts();
+        edit(&mut parts);
+        let got = LssWarm::from_parts(parts, 150, &sub, &lss);
+        assert!(
+            matches!(got, Err(CoreError::InvalidState { .. })),
+            "{what} must be refused"
+        );
     }
 }

@@ -116,13 +116,24 @@ impl Matrix {
     ///
     /// Panics if any index is out of range.
     pub fn gather(&self, indices: &[usize]) -> Matrix {
-        let mut data = Vec::with_capacity(indices.len() * self.cols);
-        for &i in indices {
+        self.gather_iter(indices.iter().copied())
+    }
+
+    /// [`Matrix::gather`] over any exact-size sequence of row indices —
+    /// e.g. a local selection read through an id map.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any index is out of range.
+    pub fn gather_iter(&self, indices: impl ExactSizeIterator<Item = usize>) -> Matrix {
+        let rows = indices.len();
+        let mut data = Vec::with_capacity(rows * self.cols);
+        for i in indices {
             data.extend_from_slice(self.row(i));
         }
         Matrix {
             data,
-            rows: indices.len(),
+            rows,
             cols: self.cols,
         }
     }
@@ -205,6 +216,7 @@ mod tests {
         let g = m.gather(&[2, 0]);
         assert_eq!(g.row(0), &[7.0, 8.0, 9.0]);
         assert_eq!(g.row(1), &[1.0, 2.0, 3.0]);
+        assert_eq!(m.gather_iter([2, 0].into_iter()), g);
     }
 
     #[test]

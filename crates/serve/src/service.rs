@@ -307,6 +307,9 @@ pub struct ServiceStats {
 /// (a generated `neighbors` row is 41 feature columns wide).
 pub const MAX_REGISTER_ROWS: usize = 100_000;
 
+// Warm states and sub-populations hold row ids as `u32`.
+const _: () = assert!(MAX_REGISTER_ROWS <= u32::MAX as usize);
+
 /// Recipe of a generated dataset (the `register` protocol command):
 /// enough to re-generate the identical table on restart, which is what
 /// the durable-state snapshot persists instead of raw rows.

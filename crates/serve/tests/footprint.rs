@@ -4,14 +4,16 @@
 //! With `N` rows, `M` prefilter survivors and `d` feature columns
 //! (ARCHITECTURE.md, "What a distinct query retains"):
 //!
-//! * a **planned** query keeps its survivor id map (`8·M`), the
-//!   survivors' feature rows (`8·d·M`) and the warm state's score
-//!   ordering (`8` per ordered survivor) — `(16 + 8d)·M` plus a fixed
-//!   part (parsed predicate, training and pilot labels, cuts, cache
-//!   entry: `O(budget)` and a few KiB), and nothing proportional to
-//!   `N × columns`;
+//! * a **planned** query keeps its survivor id list (`4·M`: `u32` ids,
+//!   one list that the restricted problem's predicate and its feature
+//!   view share) and the warm state's score ordering (`4` per ordered
+//!   survivor) — `8·M` plus a fixed part (parsed predicate, training
+//!   and pilot labels, cuts, cache entry: `O(budget)` and a few KiB).
+//!   It keeps no feature rows: the view reads the dataset's one matrix
+//!   through the id list, and no served path forces
+//!   `CountingProblem::features`, which would gather `8·d·M` bytes;
 //! * a **monolithic** query keeps the ordering over the population
-//!   (`8·N`) plus the same fixed part — no feature matrix of its own;
+//!   (`4·N`) plus the same fixed part — no feature matrix of its own;
 //! * **no** query keeps its classifier: the fixed part has no room for
 //!   a forest, at either budget measured;
 //! * the dataset version keeps **one** zone index, whatever the number
@@ -26,7 +28,9 @@
 //! The tests take one lock: the allocator counts the whole process, so
 //! nothing else may run beside the measured sections.
 
-use lts_core::{restrict_problem, CountingProblem, LogicalPlan, PhysicalPlan};
+use lts_core::{
+    features_from_columns, restrict_problem, CountingProblem, LogicalPlan, PhysicalPlan,
+};
 use lts_data::{neighbors_scenario, sports_scenario, QueryParam, SelectivityLevel};
 use lts_serve::{DatasetSpec, Request, Service, ServiceConfig, Target, MAX_REGISTER_ROWS};
 use lts_table::{parse_condition, ExprPredicate, PartitionedTable, TableRegistry};
@@ -79,17 +83,17 @@ const N: usize = 8_000;
 const FEATURES: [&str; 2] = ["strikeouts", "wins"];
 /// Fixed part of one distinct query: everything that does not grow with
 /// `N` or `M` — parsed predicate, training and pilot ids + labels, cuts,
-/// catalog / store / cache entries. Measured 6.2 KB per query at a
-/// 150-label budget and 6.5 KB at 250; the slack absorbs hash-map
+/// catalog / store / cache entries. Measured 5.5–6.5 KB per query at a
+/// 150-label budget and 6.1–8.0 KB at 250; the slack absorbs hash-map
 /// growth steps. A retained proxy does not fit: the 100-tree forest
 /// over 75 labels alone is ≈ 43 KiB, and larger at 250.
-const FIXED_PER_QUERY: usize = 12 * 1024;
+const FIXED_PER_QUERY: usize = 10 * 1024;
 /// The budgets the bounds are held at.
 const BUDGETS: [usize; 2] = [150, 250];
-/// `(16 + 8d)` at `d = 2`.
-const PER_SURVIVOR: usize = 32;
-/// The ordering of a monolithic warm state.
-const PER_ROW_MONOLITHIC: usize = 8;
+/// A `u32` survivor id and a `u32` ordering entry.
+const PER_SURVIVOR: usize = 8;
+/// The `u32` ordering of a monolithic warm state.
+const PER_ROW_MONOLITHIC: usize = 4;
 /// The zone index: the two filter columns clustered (`16·N`) plus one
 /// 56-byte kd node per at least 64 rows.
 const ZONES_PER_ROW: usize = 17;
@@ -159,8 +163,14 @@ fn a_distinct_query_retains_its_delta_not_a_copy_of_the_table() {
             "budget {budget}: 40 planned queries over {survivors} survivors retain \
              {grown} B > {bound} B"
         );
-        // The bound has no room for a copy of the survivors' columns.
+        // The bound has no room for a copy of the survivors' columns, nor
+        // for their feature rows — which a `features()` forced on a
+        // catalog plan's restricted problem would keep — nor for 8-byte
+        // ids: an id list of `8·M` and an ordering of `8` per survivor
+        // outside the training sample.
         assert!(bound < 8 * table.schema().len() * survivors);
+        assert!(bound < 8 * FEATURES.len() * survivors);
+        assert!(bound < 16 * survivors - 8 * 40 * budget);
 
         // 20 distinct monolithic queries.
         let before = LIVE_BYTES.load(Ordering::Relaxed);
@@ -179,22 +189,26 @@ fn a_distinct_query_retains_its_delta_not_a_copy_of_the_table() {
             grown <= bound,
             "budget {budget}: 20 monolithic queries retain {grown} B > {bound} B"
         );
-        // … nor this one for a feature matrix (8·d·N) or a zone index
-        // beside each ordering: the table still holds the one it built.
+        // … nor this one for an 8-byte ordering, a feature matrix
+        // (8·d·N) or a zone index beside each ordering: the table still
+        // holds the one it built.
+        assert!(bound < 20 * 8 * (N - budget));
         assert!(bound < 20 * (PER_ROW_MONOLITHIC + 8 * FEATURES.len()) * N);
         assert!(bound < 20 * (PER_ROW_MONOLITHIC * N + zones));
         assert_eq!(table.zone_bytes(), zones);
     }
 
     // The sharing behind the numbers: a plan's restricted problem, and
-    // any restriction of it, evaluate against the parent's table and
-    // label as their parent does.
+    // any restriction of it, evaluate against the parent's table, read
+    // the dataset's feature matrix and label as their parent does.
     {
         let registry = TableRegistry::new().register("s", Arc::clone(&table));
         let text = format!("strikeouts > {} AND {}", cut(0.2), skyband(20));
         let expr = parse_condition(&text, &registry).unwrap();
         let predicate = Arc::new(ExprPredicate::new("q", expr.clone()));
-        let problem = CountingProblem::new(Arc::clone(&table), predicate, &FEATURES);
+        let matrix = Arc::new(features_from_columns(&table, &FEATURES).unwrap());
+        let problem =
+            CountingProblem::with_features(Arc::clone(&table), predicate, Arc::clone(&matrix));
         let plan = PhysicalPlan::build(
             Arc::new(problem.unwrap()),
             &PartitionedTable::auto(Arc::clone(&table)),
@@ -203,15 +217,40 @@ fn a_distinct_query_retains_its_delta_not_a_copy_of_the_table() {
         .unwrap();
         let restricted = plan.restricted().expect("rows survive");
         assert!(Arc::ptr_eq(restricted.objects(), &table));
+        let view = restricted.feature_view();
+        assert!(Arc::ptr_eq(view.matrix(), &matrix));
+        // One id list, held by the view and by the predicate that labels
+        // through it.
+        let ids = view.ids().expect("a restriction reads through its ids");
+        assert_eq!(ids.len(), restricted.n());
+        assert_eq!(Arc::strong_count(ids), 2);
         let last = restricted.n() - 1;
         let nested = restrict_problem(restricted, &[0, last]).unwrap();
         assert!(Arc::ptr_eq(nested.objects(), &table));
+        assert!(Arc::ptr_eq(nested.feature_view().matrix(), &matrix));
         for (local, parent) in [(0, 0), (1, last)] {
             assert_eq!(
                 nested.label(local).unwrap(),
                 restricted.label(parent).unwrap()
             );
         }
+
+        // What the service runs on a restricted problem — prepare and
+        // resume under its profile — keeps nothing once the state goes:
+        // no path forces `features()`, whose rows this would see.
+        let rows = 8 * FEATURES.len() * restricted.n();
+        let lss = lts_serve::serve_lss_profile();
+        let before = live_bytes();
+        let warm = lss.prepare(restricted, 150, 7).unwrap();
+        lss.estimate_prepared(restricted, &warm, 8).unwrap();
+        drop(warm);
+        assert!(live_bytes().saturating_sub(before) < rows);
+        let gathered = restricted.features();
+        assert_eq!(
+            *gathered,
+            matrix.gather(&ids.iter().map(|&i| i as usize).collect::<Vec<_>>())
+        );
+        assert!(live_bytes().saturating_sub(before) >= rows);
     }
 
     // A new version of the dataset: the old table goes, and its zone

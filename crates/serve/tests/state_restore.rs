@@ -271,6 +271,7 @@ fn corrupt_snapshots_error_structurally_and_cold_start_cleanly() {
             Box::new(set(8, 0, train0)),
         ),
         ("ordered id ≥ N", Box::new(set(8, 0, 600))),
+        ("ordered id + 2³²", Box::new(set(8, 0, order0 + (1 << 32)))),
         ("pilot position out of range", Box::new(set(9, 0, 600))),
         (
             "descending cuts",
@@ -353,6 +354,49 @@ fn corrupt_snapshots_error_structurally_and_cold_start_cleanly() {
     assert_eq!(cold_resp.served, "cold");
     assert_bits_equal(&cold_resp, &ref_cold, "cold start after rejected restore");
 
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A `+pf` state's ordering holds ids local to the survivors, below
+/// their count `N′`, and is held as `u32` once decoded: an entry at
+/// `N′`, at a real id plus `2³²` (which a wrapping narrow would take
+/// back onto that id) or repeated is a [`StateError`], never a restored
+/// state.
+#[test]
+fn a_prefiltered_states_ordering_is_checked_not_wrapped() {
+    let dir = temp_dir("pf_ids");
+    let mut a = Service::new(ServiceConfig::default());
+    a.register_generated("s", &spec()).unwrap();
+    let planned = "strikeouts < 60 AND (SELECT COUNT(*) FROM s WHERE wins >= o.wins) < 300";
+    let cold = count(&mut a, 1, planned, false);
+    let survivors = cold.plan.and_then(|p| p.survivors);
+    let n_sub = survivors.expect("the planned op reports its survivors");
+    let path = state::save(&a, &dir).unwrap();
+    let good = fs::read_to_string(&path).unwrap();
+    assert_eq!(good.matches("\tlss+pf\t").count(), 1, "one `+pf` entry");
+    let order0 = {
+        let line = good.lines().find(|l| l.starts_with("store\tstate\t"));
+        ids(line.unwrap().split('\t').nth(8).unwrap())[0]
+    };
+    type Edit = Box<dyn Fn(&mut Vec<String>)>;
+    let cases: [(&str, Edit); 3] = [
+        ("ordered id N′", Box::new(set(8, 0, n_sub))),
+        ("ordered id + 2³²", Box::new(set(8, 0, order0 + (1 << 32)))),
+        ("duplicate id", Box::new(set(8, 1, order0))),
+    ];
+    for (what, edit) in &cases {
+        fs::write(&path, with_state_fields(&good, edit)).unwrap();
+        let mut svc = Service::new(ServiceConfig::default());
+        let refused = state::load(&mut svc, &dir);
+        assert!(
+            matches!(refused, Err(StateError::Restore { .. })),
+            "{what}: {refused:?}"
+        );
+    }
+    fs::write(&path, &good).unwrap();
+    let mut b = Service::new(ServiceConfig::default());
+    let summary = state::load(&mut b, &dir).unwrap().unwrap();
+    assert_eq!(summary.models, 1);
     let _ = fs::remove_dir_all(&dir);
 }
 
