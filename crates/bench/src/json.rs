@@ -11,7 +11,7 @@
 //! the schema here is flat enough that formatting beats a dependency).
 
 use crate::harness::Cell;
-use lts_obs::json_escape as esc;
+use lts_obs::{json_escape as esc, json_num as num};
 use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -49,15 +49,6 @@ impl BenchRecord {
             mean_evals: cell.stats.mean_evals,
             wall_seconds: cell.stats.mean_timings.total.as_secs_f64(),
         }
-    }
-}
-
-fn num(v: f64) -> String {
-    // JSON has no NaN/inf; encode them as null.
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
     }
 }
 

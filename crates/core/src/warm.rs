@@ -34,7 +34,7 @@
 //! nothing else. The fitted classifier lives inside the prepare body
 //! until the population is scored and is dropped there; the state keeps
 //! its *record* ([`ModelSnapshot`]: spec, effective seed, training
-//! set), from which [`ModelSnapshot::rebuild`] refits bit-identically
+//! set), from which `spec.build(model_seed)` refits bit-identically
 //! because every family re-seeds from its construction seed on each
 //! `fit`. Being data, an [`LssWarm`] has one validated plain form,
 //! [`LssParts`] ([`LssWarm::to_parts`] / [`LssWarm::from_parts`]), which
@@ -133,7 +133,8 @@ pub struct TrainedProxy {
 impl TrainedProxy {
     /// Drop the fitted model and keep its record — spec, effective seed
     /// and training set: what a warm state retains once the population
-    /// is scored. [`ModelSnapshot::rebuild`] refits bit-identically.
+    /// is scored: `spec.build(model_seed)` fitted on the training set
+    /// refits bit-identically.
     pub fn into_snapshot(self) -> ModelSnapshot {
         ModelSnapshot {
             spec: self.config.spec,
@@ -212,24 +213,6 @@ impl ModelSnapshot {
     fn known_labels(&self) -> Vec<(usize, bool)> {
         let ids = self.labeled.iter().copied();
         ids.zip(self.labels.iter().copied()).collect()
-    }
-
-    /// Refit the classifier from the snapshot against the problem's
-    /// feature matrix.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for out-of-range training ids or fit failures.
-    pub fn rebuild(&self, problem: &CountingProblem) -> CoreResult<Box<dyn Classifier>> {
-        let n = problem.n();
-        if self.labeled.iter().any(|&i| i >= n) {
-            return Err(CoreError::InvalidConfig {
-                message: format!("model snapshot references object ids beyond N = {n}"),
-            });
-        }
-        let mut model = self.spec.build(self.model_seed);
-        model.fit(&problem.feature_view().gather(&self.labeled), &self.labels)?;
-        Ok(model)
     }
 
     /// Stable content digest (spec, seed, training set) — the "model
@@ -834,7 +817,12 @@ mod tests {
             )
             .unwrap();
             let original = proxy.model.score_batch(problem.features()).unwrap();
-            let rebuilt = proxy.into_snapshot().rebuild(&problem).unwrap();
+            // The record refits bit-identically: every family re-seeds
+            // from its construction seed on `fit`.
+            let snapshot = proxy.into_snapshot();
+            let mut rebuilt = snapshot.spec.build(snapshot.model_seed);
+            let training = problem.feature_view().gather(&snapshot.labeled);
+            rebuilt.fit(&training, &snapshot.labels).unwrap();
             let restored = rebuilt.score_batch(problem.features()).unwrap();
             let same = original
                 .iter()
@@ -859,14 +847,6 @@ mod tests {
         let mut other = base.clone();
         other.model_seed = 6;
         assert_ne!(base.digest(), other.digest());
-        // Out-of-range snapshot is rejected at rebuild.
-        let problem = line_problem(3, 0.5);
-        let bad = ModelSnapshot {
-            labeled: vec![0, 9],
-            labels: vec![true, false],
-            ..base
-        };
-        assert!(bad.rebuild(&problem).is_err());
     }
 
     #[test]

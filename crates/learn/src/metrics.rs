@@ -82,17 +82,6 @@ impl ConfusionMatrix {
             Some(self.tp as f64 / pred_pos as f64)
         }
     }
-
-    /// F1 score; `None` when undefined.
-    pub fn f1(&self) -> Option<f64> {
-        let p = self.precision()?;
-        let r = self.tpr()?;
-        if p + r == 0.0 {
-            None
-        } else {
-            Some(2.0 * p * r / (p + r))
-        }
-    }
 }
 
 /// Build a confusion matrix from aligned prediction/truth slices.
@@ -214,7 +203,6 @@ mod tests {
         assert!((m.tpr().unwrap() - 2.0 / 3.0).abs() < 1e-12);
         assert!((m.fpr().unwrap() - 0.5).abs() < 1e-12);
         assert!((m.precision().unwrap() - 2.0 / 3.0).abs() < 1e-12);
-        assert!(m.f1().unwrap() > 0.0);
     }
 
     #[test]

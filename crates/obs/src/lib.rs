@@ -108,3 +108,43 @@ pub fn json_escape(s: &str) -> String {
     }
     out
 }
+
+/// Format a number as a JSON value: a finite `v` as `format!("{v}")`
+/// (the shortest text that parses back to the same bits), anything else
+/// as `null` — JSON has no NaN or infinity.
+pub fn json_num(v: f64) -> String {
+    if v.is_finite() {
+        format!("{v}")
+    } else {
+        "null".to_string()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::json_num;
+
+    #[test]
+    fn json_num_prints_finite_values_exactly_and_the_rest_as_null() {
+        // Display never switches to exponent notation: a subnormal and
+        // 1e300 print every digit up to the shortest round-trip form.
+        let subnormal = format!("0.{}11125369292536007", "0".repeat(307));
+        let huge = format!("1{}", "0".repeat(300));
+        for (v, text) in [
+            (0.0, "0"),
+            (-0.0, "-0"),
+            (f64::MIN_POSITIVE / 2.0, subnormal.as_str()),
+            (0.1, "0.1"),
+            (1e300, huge.as_str()),
+            (f64::NAN, "null"),
+            (f64::INFINITY, "null"),
+            (f64::NEG_INFINITY, "null"),
+        ] {
+            assert_eq!(json_num(v), text, "{v:?}");
+            if v.is_finite() {
+                let back: f64 = text.parse().unwrap();
+                assert_eq!(back.to_bits(), v.to_bits(), "{v:?} reads back");
+            }
+        }
+    }
+}

@@ -1,259 +1,158 @@
-//! The query catalog: every distinct canonical query the service has
-//! seen, with its ready-to-run [`CountingProblem`].
+//! The per-dataset query table: everything the service derives from one
+//! version of a dataset, owned by that dataset and replaced whole when
+//! its version moves (`Service::advance_version`).
 //!
-//! The catalog is the dedup point of the pipeline: requests are
-//! canonicalized ([`mod@crate::fingerprint`]) at admission and equivalent
-//! requests resolve to one entry — one problem (one metered predicate,
-//! one feature matrix), one model-store lineage, one result-cache
-//! lineage. Entries key on the **canonical string** (collision-proof);
-//! the 64-bit fingerprint is the compact id responses carry.
-//!
-//! An entry also carries the query's **conjunctive decomposition**
-//! (when it usefully splits, see `lts_table::decompose`) and, once a
-//! prefilter scan has run, the memoized [`PhysicalPlan`] — survivor
-//! count and the restricted residual problem — so repeat requests of a
-//! decomposed query never re-scan or rebuild the restricted problem.
-//! The plan is version-bound: a table-version rebuild drops it.
+//! Requests are canonicalized ([`mod@crate::fingerprint`]) at admission
+//! and equivalent requests resolve to one [`QueryEntry`], keyed by the
+//! **canonical string** (collision-proof; the 64-bit fingerprint is the
+//! compact id responses carry). The entry holds every artifact a repeat
+//! reuses: one problem (one metered predicate over the dataset's one
+//! feature matrix), the query's conjunctive decomposition, the memoized
+//! [`PhysicalPlan`], its warm states and its finished answers. Nothing
+//! in it carries a table version: an entry only ever exists for the
+//! version its dataset is at.
 
-use lts_core::{CountingProblem, PhysicalPlan};
+use crate::service::Answer;
+use lts_core::{CountingProblem, LssWarm, PhysicalPlan};
 use lts_table::Expr;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Identity of a catalog entry.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct QueryKey {
-    /// Dataset name.
-    pub dataset: String,
-    /// Canonical predicate string.
-    pub canonical: String,
-}
-
 /// A query's conjunctive split into a cheap exact prefilter and an
 /// expensive residual, both derived from the **normalized** expression
 /// (so commuted spellings of one query share one decomposition, and
-/// the part canonicals are stable cache/store keys).
+/// the part canonicals are stable keys).
 #[derive(Debug, Clone)]
-pub struct QueryDecomposition {
+pub(crate) struct QueryDecomposition {
     /// The subquery-free prefilter conjunction.
-    pub prefilter: Expr,
+    pub(crate) prefilter: Expr,
     /// The oracle-bearing residual conjunction.
-    pub residual: Expr,
-    /// Canonical form of the prefilter (feedback/seed key).
-    pub prefilter_canonical: String,
-    /// Canonical form of the residual (model-store key).
-    pub residual_canonical: String,
+    pub(crate) residual: Expr,
+    /// Canonical form of the prefilter (selectivity and seed key).
+    pub(crate) prefilter_canonical: String,
+    /// Canonical form of the residual (a prefiltered state's seed key).
+    pub(crate) residual_canonical: String,
 }
 
-/// One distinct query the service knows.
-pub struct QueryEntry {
-    /// Compact id (hash of dataset, table version, canonical string).
-    pub fingerprint: u64,
-    /// The assembled problem: metered predicate + features, shared by
-    /// every request that resolves here.
-    pub problem: Arc<CountingProblem>,
-    /// Table version the problem was assembled against.
-    pub table_version: u64,
-    /// Requests that resolved to this entry so far.
-    pub hits: u64,
-    /// Conjunctive decomposition, present iff the query splits into
-    /// both a cheap prefilter and an expensive residual.
-    pub decomposition: Option<Arc<QueryDecomposition>>,
-    /// Memoized physical plan (prefilter scan + restricted problem),
-    /// populated lazily by the first planned execution
-    /// ([`QueryCatalog::set_plan`]).
-    pub plan: Option<Arc<PhysicalPlan>>,
+/// A warm estimator state and the condition text that prepared it.
+pub(crate) struct WarmState {
+    /// The resumable state.
+    pub(crate) state: LssWarm,
+    /// The raw condition text of the request that prepared it (a store
+    /// export writes it down and a restore re-parses it; the canonical
+    /// string is not a parser input).
+    pub(crate) raw_condition: String,
 }
 
-/// The service's query catalog.
+/// One distinct canonical query of a dataset version.
 #[derive(Default)]
-pub struct QueryCatalog {
-    entries: HashMap<QueryKey, QueryEntry>,
+pub(crate) struct QueryEntry {
+    /// The assembled problem — metered predicate and the dataset's
+    /// feature matrix, shared by every request that resolves here — and
+    /// the decomposition, present iff the query splits into both a cheap
+    /// prefilter and an expensive residual. Built by the first
+    /// `resolve`; `None` only on an entry a snapshot restore made to
+    /// hold cached answers.
+    pub(crate) problem: Option<(Arc<CountingProblem>, Option<Arc<QueryDecomposition>>)>,
+    /// Memoized physical plan (prefilter scan + restricted problem),
+    /// built by the first planned execution.
+    pub(crate) plan: Option<Arc<PhysicalPlan>>,
+    /// Warm states by `(prefiltered, budget)`: a prefiltered state was
+    /// prepared over the prefilter's survivors, a monolithic one over
+    /// the whole population.
+    pub(crate) states: HashMap<(bool, usize), WarmState>,
+    /// Finished answers by planned budget (0 for the exact route).
+    pub(crate) answers: HashMap<usize, Answer>,
 }
 
-impl QueryCatalog {
-    /// Create an empty catalog.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of distinct queries seen.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the catalog is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Look up an entry.
-    pub fn get(&self, key: &QueryKey) -> Option<&QueryEntry> {
-        self.entries.get(key)
-    }
-
-    /// Resolve a key, building the entry with `build` on first sight
-    /// and counting the hit. `build` returns the assembled problem plus
-    /// the query's decomposition (if it splits). An entry assembled
-    /// against an older table version is rebuilt — its problem captured
-    /// stale column data, and any memoized plan state is dropped with
-    /// it.
-    ///
-    /// # Errors
-    ///
-    /// Propagates `build` failures (unknown feature columns etc.).
-    pub fn resolve<E>(
-        &mut self,
-        key: QueryKey,
-        fingerprint: u64,
-        table_version: u64,
-        build: impl FnOnce() -> Result<(Arc<CountingProblem>, Option<Arc<QueryDecomposition>>), E>,
-    ) -> Result<&QueryEntry, E> {
-        use std::collections::hash_map::Entry;
-        match self.entries.entry(key) {
-            Entry::Occupied(mut o) => {
-                if o.get().table_version != table_version {
-                    let (problem, decomposition) = build()?;
-                    let hits = o.get().hits;
-                    o.insert(QueryEntry {
-                        fingerprint,
-                        problem,
-                        table_version,
-                        hits,
-                        decomposition,
-                        plan: None,
-                    });
-                }
-                let e = o.into_mut();
-                e.hits += 1;
-                Ok(e)
-            }
-            Entry::Vacant(v) => {
-                let (problem, decomposition) = build()?;
-                let e = v.insert(QueryEntry {
-                    fingerprint,
-                    problem,
-                    table_version,
-                    hits: 0,
-                    decomposition,
-                    plan: None,
-                });
-                e.hits += 1;
-                Ok(e)
-            }
-        }
-    }
-
-    /// Memoize the physical plan of an entry (no-op for unknown keys —
-    /// the entry was invalidated between resolve and scan).
-    pub fn set_plan(&mut self, key: &QueryKey, plan: Arc<PhysicalPlan>) {
-        if let Some(e) = self.entries.get_mut(key) {
-            e.plan = Some(plan);
-        }
-    }
-
-    /// Drop every entry of a dataset.
-    pub fn invalidate_dataset(&mut self, dataset: &str) -> usize {
-        let before = self.entries.len();
-        self.entries.retain(|k, _| k.dataset != dataset);
-        before - self.entries.len()
-    }
+/// Everything derived from one dataset version.
+#[derive(Default)]
+pub(crate) struct Derived {
+    /// One entry per canonical query.
+    pub(crate) queries: HashMap<String, QueryEntry>,
+    /// Observed prefilter selectivity `M/N` by canonical prefilter,
+    /// recorded by every prefilter scan: a later query sharing the
+    /// prefilter routes monolithically without re-scanning when it is
+    /// already known to be unselective.
+    pub(crate) selectivity: HashMap<String, f64>,
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use lts_core::LogicalPlan;
-    use lts_table::{table_of_floats, Expr, FnPredicate, ObjectPredicate, PartitionedTable, Table};
+    use crate::{Request, Service, ServiceConfig, Target};
+    use std::sync::Arc;
 
-    fn problem() -> Arc<CountingProblem> {
-        let t = Arc::new(table_of_floats(&[("x", &[1.0, 2.0, 3.0])]).unwrap());
-        let p: Arc<dyn ObjectPredicate> = Arc::new(FnPredicate::new("p", |t: &Table, i| {
-            Ok(t.floats("x")?[i] > 1.5)
-        }));
-        Arc::new(CountingProblem::new(t, p, &["x"]).unwrap())
-    }
-
-    /// The plan of `x < below AND <residual>` over [`problem`]'s table.
-    fn plan(below: f64) -> Arc<PhysicalPlan> {
-        let problem = problem();
-        let table = PartitionedTable::new(Arc::clone(problem.objects()), 1);
-        let logical = LogicalPlan {
-            prefilter: Some(Expr::col("x").lt(Expr::lit(below))),
-            residual: Expr::col("x").gt(Expr::lit(1.5)),
-        };
-        Arc::new(PhysicalPlan::build(problem, &table, logical).unwrap())
-    }
-
-    fn key(ds: &str, canon: &str) -> QueryKey {
-        QueryKey {
-            dataset: ds.into(),
-            canonical: canon.into(),
-        }
-    }
-
-    #[test]
-    fn resolve_builds_once_and_counts_hits() {
-        let mut cat = QueryCatalog::new();
-        let mut builds = 0;
-        for _ in 0..3 {
-            let e = cat
-                .resolve::<()>(key("d", "q"), 1, 0, || {
-                    builds += 1;
-                    Ok((problem(), None))
-                })
-                .unwrap();
-            assert_eq!(e.fingerprint, 1);
-        }
-        assert_eq!(builds, 1, "one build for three hits");
-        assert_eq!(cat.get(&key("d", "q")).unwrap().hits, 3);
-        assert_eq!(cat.len(), 1);
+    fn service() -> Service {
+        let xs: Vec<f64> = (0..1_000).map(f64::from).collect();
+        let ys: Vec<f64> = (0..1_000).map(|i| f64::from((i * 37) % 1_000)).collect();
+        let table = lts_table::table_of_floats(&[("x", &xs), ("y", &ys)]).unwrap();
+        let mut s = Service::new(ServiceConfig::default());
+        s.register_dataset("d", Arc::new(table), &["x", "y"])
+            .unwrap();
+        s
     }
 
     #[test]
     fn version_bump_rebuilds_but_keeps_hit_lineage() {
-        let mut cat = QueryCatalog::new();
-        cat.resolve::<()>(key("d", "q"), 1, 0, || Ok((problem(), None)))
-            .unwrap();
-        // A memoized plan from the old version…
-        cat.set_plan(&key("d", "q"), plan(2.5));
-        let mut rebuilt = false;
-        let e = cat
-            .resolve::<()>(key("d", "q"), 2, 1, || {
-                rebuilt = true;
-                Ok((problem(), None))
-            })
-            .unwrap();
-        assert!(rebuilt);
-        assert_eq!(e.table_version, 1);
-        assert_eq!(e.hits, 2);
-        // …does not survive the rebuild: the scan must rerun.
-        assert!(e.plan.is_none());
+        let mut s = service();
+        let serve = |s: &mut Service, id: u64| {
+            let request = Request {
+                id,
+                dataset: "d".into(),
+                condition: "x < 300".into(),
+                target: Target::Budget(200),
+                fresh: false,
+            };
+            s.run(request).served
+        };
+        assert_eq!(serve(&mut s, 1), "cold");
+        assert_eq!(serve(&mut s, 2), "cached");
+        assert_eq!((s.catalog_len(), s.stats().cached), (1, 1));
+        // A new version drops the entry; the next request rebuilds it…
+        s.invalidate("d").unwrap();
+        assert_eq!(s.catalog_len(), 0);
+        assert_eq!(serve(&mut s, 3), "cold");
+        assert_eq!(s.catalog_len(), 1);
+        // …while the service's hit count carries on across versions.
+        assert_eq!(serve(&mut s, 4), "cached");
+        assert_eq!(s.stats().cached, 2);
     }
 
     #[test]
     fn distinct_canonicals_stay_distinct() {
-        let mut cat = QueryCatalog::new();
-        cat.resolve::<()>(key("d", "a"), 1, 0, || Ok((problem(), None)))
-            .unwrap();
-        cat.resolve::<()>(key("d", "b"), 1, 0, || Ok((problem(), None)))
-            .unwrap();
-        assert_eq!(cat.len(), 2);
-        assert_eq!(cat.invalidate_dataset("d"), 2);
-        assert!(cat.is_empty());
+        let mut s = service();
+        for condition in ["x < 300 AND y < 300", "y < 300 AND x < 300", "x <= 300"] {
+            s.explain("d", condition, Target::Budget(200)).unwrap();
+        }
+        // The commuted spelling resolves to the first entry.
+        assert_eq!(s.catalog_len(), 2);
+        s.invalidate("d").unwrap();
+        assert_eq!(s.catalog_len(), 0);
     }
 
     #[test]
     fn set_plan_memoizes_until_invalidation() {
-        let mut cat = QueryCatalog::new();
-        cat.resolve::<()>(key("d", "q"), 1, 0, || Ok((problem(), None)))
-            .unwrap();
-        cat.set_plan(&key("d", "q"), plan(1.5));
-        let memo = cat.get(&key("d", "q")).unwrap().plan.as_ref().unwrap();
-        assert_eq!(memo.survivors(), Some(1));
-        assert!((memo.selectivity().unwrap() - 1.0 / 3.0).abs() < 1e-12);
-        // Unknown keys are a no-op, not a panic.
-        cat.set_plan(&key("d", "missing"), plan(0.0));
-        assert_eq!(cat.len(), 1);
+        let mut s = service();
+        // `y` is a permutation of 0..1 000: the prefilter keeps half.
+        let query = "y < 500 AND (SELECT COUNT(*) FROM d WHERE x < o.x) > 700";
+        let selectivities = |s: &mut Service| {
+            let line = s.explain("d", query, Target::Budget(200)).unwrap();
+            let field = |name: &str| {
+                let value = line.split(&format!("\"{name}\": ")).nth(1).unwrap();
+                value.split([',', '}']).next().unwrap().to_string()
+            };
+            (
+                field("predicted_selectivity"),
+                field("observed_selectivity"),
+            )
+        };
+        let (unknown, half) = ("null".to_string(), "0.5".to_string());
+        // The first plan scans; the next reads the recorded selectivity
+        // and the memoized plan.
+        assert_eq!(selectivities(&mut s), (unknown.clone(), half.clone()));
+        assert_eq!(selectivities(&mut s), (half.clone(), half.clone()));
+        // A new version forgets both, and scans again.
+        s.invalidate("d").unwrap();
+        assert_eq!(selectivities(&mut s), (unknown, half));
     }
 }

@@ -1,7 +1,7 @@
 //! Canonical query fingerprints.
 //!
-//! Equivalent count requests must hit the same catalog entry, model,
-//! and cached result. A request's *identity* is its canonical form:
+//! Equivalent count requests must hit the same query entry, warm state,
+//! and cached answer. A request's *identity* is its canonical form:
 //!
 //! 1. the predicate [`Expr`] is **normalized** ([`normalize`]) —
 //!    comparisons are flipped to `<`/`<=`/`=`/`<>` form and the

@@ -10,27 +10,25 @@
 //! | Piece | Module | Job |
 //! |---|---|---|
 //! | canonical fingerprints | [`mod@fingerprint`] | equivalent requests hit the same entry |
-//! | [`QueryCatalog`] | [`catalog`] | one problem (meter + features) per distinct query |
-//! | [`ModelStore`] | [`store`] | warm estimator states: trained proxy + ordering + pilot + design (`lts_core::warm`), invalidated on table-version bumps |
-//! | [`ResultCache`] | [`cache`] | finished estimates with a staleness policy |
-//! | [`BudgetPlanner`] | [`planner`] | admission control: census for small `N`, else the cheapest budget meeting the requested CI width; routes decomposed queries among census / prefilter + residual / monolithic plans using a [`SelectivityFeedback`] ledger |
+//! | query table | `catalog` | per dataset version, one entry per distinct query — its problem (meter + features), memoized plan, warm estimator states (ordering + pilot + design, `lts_core::warm`) and cached answers — plus observed prefilter selectivities; dropped whole when the version moves |
+//! | `lts-store/v2` codec | [`store`] | warm states written down as plain data and decoded at restore |
+//! | [`BudgetPlanner`] | [`planner`] | admission control: census for small `N`, else the cheapest budget meeting the requested CI width; routes decomposed queries among census / prefilter + residual / monolithic plans |
 //! | [`Service`] | [`service`] | bounded queue, parallel execution waves, deterministic per-request seed streams |
 //! | protocol | [`mod@protocol`] | the line-in/JSON-out command grammar, shared by every front-end |
 //! | REPL | [`repl`] | the `lts-serve` binary's stdin/stdout front-end |
 //! | [`NetServer`] | [`net`] | the `lts-served` binary's multi-client TCP front-end: bounded admission, per-client backpressure, graceful shutdown |
 //!
 //! A **cold** request pays for everything; a repeat of the same
-//! canonical query either comes straight from the result cache (zero
+//! canonical query either comes straight from its cached answer (zero
 //! oracle evaluations) or — when a fresh, independent estimate is
-//! requested — **warm-starts** from the model store and spends only
+//! requested — **warm-starts** from its warm state and spends only
 //! the stage-2 share of the budget (≥ 5× fewer oracle evaluations at
 //! the same designed CI width under the serve profile). Every response
 //! is bit-replayable: see the determinism contract in [`service`].
 
 #![warn(missing_docs)]
 
-pub mod cache;
-pub mod catalog;
+mod catalog;
 pub mod error;
 pub mod fingerprint;
 pub mod net;
@@ -41,19 +39,17 @@ pub mod service;
 pub mod state;
 pub mod store;
 
-pub use cache::{CachedResult, ResultCache, ResultKey, StalenessPolicy};
-pub use catalog::{QueryCatalog, QueryDecomposition, QueryEntry, QueryKey};
 pub use error::{ServeError, ServeResult};
 pub use fingerprint::{canonical, fingerprint, normalize};
 pub use net::{NetConfig, NetServer};
-pub use planner::{BudgetPlanner, QueryRoute, Route, SelectivityFeedback, Target};
+pub use planner::{BudgetPlanner, QueryRoute, Route, Target};
 pub use protocol::{handle_line, LineOutcome, SessionState};
 pub use repl::{run_repl, ReplOptions};
 pub use service::{
-    serve_lss_profile, Answer, DatasetSpec, PlanSummary, Request, Response, Service, ServiceConfig,
-    ServiceStats, MAX_REGISTER_ROWS,
+    serve_lss_profile, Answer, DatasetSpec, PlanSummary, Request, Response, ResultKey, Service,
+    ServiceConfig, ServiceStats, MAX_REGISTER_ROWS,
 };
 pub use state::{RestoreSummary, StateError, STATE_FILE};
-pub use store::{EstimatorTag, ModelStore, StoreKey, StoredModel};
+pub use store::{EstimatorTag, StoreExportEntry};
 
 pub use lts_obs::{MetricsRegistry, MetricsSnapshot, Observability, SlowLog, Trace, TraceRing};

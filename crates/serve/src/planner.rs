@@ -32,11 +32,10 @@
 //! budget is sized for the *restricted* population `M` — width targets
 //! keep their full-population meaning (±1% of `N` stays ±1% of `N`),
 //! which is why shrinking the population shrinks the budget so
-//! sharply. Observed selectivities are recorded per canonical prefilter
-//! in a [`SelectivityFeedback`] ledger and reused on the next plan.
+//! sharply. The service records each prefilter scan's selectivity per
+//! canonical prefilter and reuses it on the next plan.
 
 use lts_core::CoreResult;
-use std::collections::HashMap;
 
 /// What a request asks for.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -255,91 +254,6 @@ impl BudgetPlanner {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct FeedbackEntry {
-    survivors: usize,
-    population: usize,
-    table_version: u64,
-}
-
-/// Realized prefilter selectivities, keyed by `(dataset, canonical
-/// prefilter)`, recorded after every exact prefilter scan and consulted
-/// on the next plan: a prefilter already known to be unselective routes
-/// monolithically without re-proving it. A recorded entry is only
-/// trusted for the table version it was observed against — a version
-/// bump drops it (the data changed; yesterday's selectivity is
-/// evidence about nothing).
-#[derive(Debug, Default)]
-pub struct SelectivityFeedback {
-    entries: HashMap<(String, String), FeedbackEntry>,
-}
-
-impl SelectivityFeedback {
-    /// Empty ledger.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of recorded prefilters.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the ledger is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Record an observed scan: `survivors` of `population` rows passed
-    /// the prefilter at `table_version`. Replaces any prior observation
-    /// of the same prefilter (later scans are never less current).
-    /// Empty populations are not recorded — there is no selectivity to
-    /// learn from zero rows.
-    pub fn record(
-        &mut self,
-        dataset: &str,
-        prefilter_canonical: &str,
-        table_version: u64,
-        survivors: usize,
-        population: usize,
-    ) {
-        if population == 0 {
-            return;
-        }
-        self.entries.insert(
-            (dataset.to_string(), prefilter_canonical.to_string()),
-            FeedbackEntry {
-                survivors,
-                population,
-                table_version,
-            },
-        );
-    }
-
-    /// Predicted selectivity of a prefilter, if observed against the
-    /// *current* table version. Version mismatches return `None` — the
-    /// caller re-scans (and re-records).
-    pub fn predict(
-        &self,
-        dataset: &str,
-        prefilter_canonical: &str,
-        table_version: u64,
-    ) -> Option<f64> {
-        let e = self
-            .entries
-            .get(&(dataset.to_string(), prefilter_canonical.to_string()))?;
-        (e.table_version == table_version).then(|| e.survivors as f64 / e.population as f64)
-    }
-
-    /// Drop every observation of a dataset (explicit invalidation),
-    /// returning how many were dropped.
-    pub fn invalidate_dataset(&mut self, dataset: &str) -> usize {
-        let before = self.entries.len();
-        self.entries.retain(|(d, _), _| d != dataset);
-        before - self.entries.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -508,31 +422,42 @@ mod tests {
 
     #[test]
     fn feedback_edge_cases() {
-        let mut fb = SelectivityFeedback::new();
-        assert!(fb.is_empty());
-        // Zero hits: a valid observation, predicting 0.0.
-        fb.record("d", "p", 1, 0, 1_000);
-        assert_eq!(fb.predict("d", "p", 1), Some(0.0));
-        // Full-population hits: predicts 1.0.
-        fb.record("d", "q", 1, 1_000, 1_000);
-        assert_eq!(fb.predict("d", "q", 1), Some(1.0));
-        assert_eq!(fb.len(), 2);
-        // Stale version bump drops the feedback (predict refuses it).
-        assert_eq!(fb.predict("d", "p", 2), None);
-        // Re-recording at the new version replaces the observation.
-        fb.record("d", "p", 2, 500, 1_000);
-        assert_eq!(fb.predict("d", "p", 2), Some(0.5));
-        assert_eq!(fb.predict("d", "p", 1), None);
-        // Unknown prefilter / dataset.
-        assert_eq!(fb.predict("d", "r", 1), None);
-        assert_eq!(fb.predict("other", "p", 1), None);
-        // Empty populations are never recorded.
-        fb.record("d", "z", 1, 0, 0);
-        assert_eq!(fb.predict("d", "z", 1), None);
-        // Invalidation is dataset-scoped.
-        fb.record("e", "p", 1, 10, 100);
-        assert_eq!(fb.invalidate_dataset("d"), 2);
-        assert_eq!(fb.predict("e", "p", 1), Some(0.1));
+        use crate::{Service, ServiceConfig};
+        use std::sync::Arc;
+        // `y` is a permutation of 0..1 000, so `y < k` keeps k rows.
+        let xs: Vec<f64> = (0..1_000).map(f64::from).collect();
+        let ys: Vec<f64> = (0..1_000).map(|i| f64::from((i * 37) % 1_000)).collect();
+        let table = Arc::new(lts_table::table_of_floats(&[("x", &xs), ("y", &ys)]).unwrap());
+        let mut s = Service::new(ServiceConfig::default());
+        for name in ["d", "e"] {
+            s.register_dataset(name, Arc::clone(&table), &["x", "y"])
+                .unwrap();
+        }
+        let query = |dataset: &str, prefilter: &str| {
+            format!("{prefilter} AND (SELECT COUNT(*) FROM {dataset} WHERE x < o.x) > 700")
+        };
+        let predicted = |s: &mut Service, dataset: &str, prefilter: &str| {
+            let condition = query(dataset, prefilter);
+            let line = s.explain(dataset, &condition, Target::Budget(200)).unwrap();
+            let field = line.split("\"predicted_selectivity\": ").nth(1).unwrap();
+            field.split([',', '}']).next().unwrap().to_string()
+        };
+        // Zero survivors: a valid observation, predicting 0.
+        assert_eq!(predicted(&mut s, "d", "y < 0"), "null");
+        assert_eq!(predicted(&mut s, "d", "y < 0"), "0");
+        // Full-population survivors: predicts 1.
+        assert_eq!(predicted(&mut s, "d", "y < 1000"), "null");
+        assert_eq!(predicted(&mut s, "d", "y < 1000"), "1");
+        // Unknown prefilter, and a known one on another dataset.
+        assert_eq!(predicted(&mut s, "d", "y < 500"), "null");
+        assert_eq!(predicted(&mut s, "e", "y < 0"), "null");
+        // Invalidation is dataset-scoped: `d` forgets, `e` remembers.
+        s.invalidate("d").unwrap();
+        assert_eq!(predicted(&mut s, "d", "y < 1000"), "null");
+        assert_eq!(predicted(&mut s, "e", "y < 0"), "0");
+        // The new version records afresh, one prefilter per scan.
+        assert_eq!(predicted(&mut s, "d", "y < 1000"), "1");
+        assert_eq!(predicted(&mut s, "d", "y < 0"), "null");
     }
 
     #[test]

@@ -10,15 +10,15 @@
 //!
 //! ```text
 //! Request
-//!   │ resolve   parse, canonical, fingerprint, catalog entry
+//!   │ resolve   parse, canonical, fingerprint, the query's entry
 //!   ▼ Resolved
-//!   │ plan      feedback, memoized PhysicalPlan, BudgetPlanner; owns the store identity
-//!   ▼ Planned   Task::Exact { plan } | Resume { key: StoreKey }
-//!   │ admit     sequential — queue bound; then by (id, pos): cache probe,
-//!   │           in-batch coalescing, store probe, seeds    ← 2(d) probe on the reader thread
+//!   │ plan      observed selectivity, memoized PhysicalPlan, BudgetPlanner; owns the state identity
+//!   ▼ Planned   Task::Exact { plan } | Resume { key: StateKey }
+//!   │ admit     sequential — queue bound; then by (id, pos): cached-answer probe,
+//!   │           in-batch coalescing, warm-state probe, seeds  ← 2(d) probe on the reader thread
 //!   ├─► Outcome::Refused | Hit | Follower ──────────────┐
 //!   ▼ WorkItem                                          │
-//!   │ prepare   wave 1, parallel — absent states into the ModelStore;
+//!   │ prepare   wave 1, parallel — absent states into their entries;
 //!   │           unpreparable ⇒ Task::Srs                 │  ← 4(a) catch_unwind per closure
 //!   │ execute   wave 2, parallel — run the Task ─► Answer │
 //!   ▼ Outcome::Executed                                 │
@@ -34,22 +34,32 @@
 //! (plan state) ∘ decode (`LssWarm::from_parts`), over the same
 //! functions.
 //!
+//! # What a dataset owns
+//!
+//! Everything derived from a dataset version lives in that dataset's
+//! state (`crate::catalog`): one entry per canonical query — problem,
+//! decomposition, memoized plan, warm states by (prefiltered, budget),
+//! cached answers by budget — and the observed prefilter selectivities.
+//! [`Service::advance_version`] replaces all of it in one assignment,
+//! so no entry stores or checks a table version, and a cached answer
+//! stays servable until its dataset's version moves.
+//!
 //! # Query planning
 //!
 //! A conjunctive query that splits into a subquery-free prefilter and
 //! an oracle-bearing residual (`lts_table::decompose`) is planned in
 //! two stages: the prefilter runs as a vectorized exact scan and the
 //! survivors become a restricted problem (one memoized
-//! `lts_core::PhysicalPlan` per catalog entry), and the planner then
+//! `lts_core::PhysicalPlan` per query entry), and the planner then
 //! chooses — census, exact residual census over the survivors, restricted
 //! estimate, or fall back to the monolithic plan when the prefilter is
-//! unselective ([`BudgetPlanner::choose`]). Scan outcomes feed a
-//! [`SelectivityFeedback`] ledger keyed by canonical prefilter, so a
-//! prefilter already known to be unselective routes monolithically
-//! without re-scanning. Restricted warm states are stored under the
-//! **residual** canonical scoped by the **prefilter** canonical
-//! ([`crate::StoreKey::scope`]); the result cache keys on the full
-//! canonical, so decomposed spellings alias their monolithic twin.
+//! unselective ([`BudgetPlanner::choose`]). Every scan records its
+//! selectivity under the canonical prefilter, so a prefilter already
+//! known to be unselective routes monolithically without re-scanning.
+//! A restricted warm state sits in the full query's entry but takes its
+//! seed from the **residual** canonical scoped by the **prefilter**
+//! canonical; answers are cached under the full canonical, so
+//! decomposed spellings alias their monolithic twin.
 //!
 //! # Determinism
 //!
@@ -78,17 +88,17 @@ mod metrics;
 mod render;
 mod stages;
 
-use crate::cache::{CachedResult, ResultCache, ResultKey, StalenessPolicy};
-use crate::catalog::{QueryCatalog, QueryKey};
+use crate::catalog::{Derived, QueryEntry, WarmState};
 use crate::error::{ServeError, ServeResult};
-use crate::planner::{BudgetPlanner, SelectivityFeedback, Target};
-use crate::store::{ModelStore, StoredModel};
+use crate::planner::{BudgetPlanner, Target};
+use crate::store::{self, EstimatorTag, StoreExportEntry};
 use lts_core::{features_from_columns, Lss, LssParts, LssWarm};
 use lts_data::{neighbors::NeighborsConfig, sports::SportsConfig};
 use lts_learn::Matrix;
 use lts_obs::{Observability, Trace};
 use lts_table::{PartitionedTable, Table, TableRegistry};
 use metrics::ServeMetrics;
+use stages::StateKey;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -118,8 +128,6 @@ pub struct ServiceConfig {
     pub queue_capacity: usize,
     /// The admission planner.
     pub planner: BudgetPlanner,
-    /// Result-cache staleness policy.
-    pub staleness: StalenessPolicy,
     /// LSS profile for learned estimates (see [`serve_lss_profile`]).
     pub lss: Lss,
     /// Echo each response's trace span as a `"trace"` field on the
@@ -135,7 +143,6 @@ impl Default for ServiceConfig {
             seed: 0x5345_5256_4531,
             queue_capacity: 64,
             planner: BudgetPlanner::default(),
-            staleness: StalenessPolicy::default(),
             lss: serve_lss_profile(),
             trace: false,
         }
@@ -154,8 +161,8 @@ pub struct Request {
     pub condition: String,
     /// Accuracy target or explicit budget.
     pub target: Target,
-    /// `true` forces a fresh estimate (bypasses the result cache but
-    /// still warm-starts from the model store).
+    /// `true` forces a fresh estimate (bypasses the cached answer but
+    /// still warm-starts from the query's warm state).
     pub fresh: bool,
 }
 
@@ -177,7 +184,7 @@ pub struct PlanSummary {
     /// Prefilter survivor count `M` — reported only on prefilter
     /// routes. Monolithic routes report `None` whether or not a scan
     /// ran, so the response never depends on which request arrived
-    /// first (a selectivity-feedback hit skips the scan).
+    /// first (a recorded selectivity skips the scan).
     pub survivors: Option<usize>,
     /// Observed selectivity `M/N`, under the same rule as `survivors`.
     pub selectivity: Option<f64>,
@@ -249,7 +256,7 @@ impl Response {
 }
 
 /// The eight values of a finished estimate: what executing a request
-/// returns, what the result cache holds and a state snapshot persists,
+/// returns, what a query entry caches and a state snapshot persists,
 /// and what fills a [`Response`].
 #[derive(Debug, Clone, Copy)]
 pub struct Answer {
@@ -270,6 +277,18 @@ pub struct Answer {
     /// Digest of the warm state (model + design) that produced it (0
     /// for exact/srs).
     pub model_version: u64,
+}
+
+/// Key of one cacheable computation (ordered dataset, canonical,
+/// budget: the order a state snapshot lists them in).
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct ResultKey {
+    /// Dataset name.
+    pub dataset: String,
+    /// Canonical predicate string.
+    pub canonical: String,
+    /// Planned budget (0 for the exact route).
+    pub budget: usize,
 }
 
 /// Aggregate service counters (all deterministic).
@@ -328,23 +347,22 @@ pub struct DatasetSpec {
 struct DatasetState {
     table: PartitionedTable,
     /// The dataset's feature matrix, built once per registered version
-    /// and shared by every catalog problem over it.
+    /// and shared by every query problem over it.
     features: Arc<Matrix>,
     registry: TableRegistry,
     /// Present for datasets registered through a generator recipe;
     /// `None` for tables handed in directly (those cannot be
     /// re-generated and are not persisted by the state snapshot).
     spec: Option<DatasetSpec>,
+    /// Everything derived from the current version: replaced whole when
+    /// the version moves.
+    derived: Derived,
 }
 
 /// The in-process concurrent counting service.
 pub struct Service {
     config: ServiceConfig,
     datasets: HashMap<String, DatasetState>,
-    catalog: QueryCatalog,
-    store: ModelStore,
-    cache: ResultCache,
-    feedback: SelectivityFeedback,
     obs: Observability,
     metrics: ServeMetrics,
 }
@@ -365,10 +383,6 @@ impl Service {
         Self {
             config,
             datasets: HashMap::new(),
-            catalog: QueryCatalog::new(),
-            store: ModelStore::new(),
-            cache: ResultCache::new(config.staleness),
-            feedback: SelectivityFeedback::new(),
             obs,
             metrics,
         }
@@ -408,6 +422,7 @@ impl Service {
             features,
             registry,
             spec: None,
+            derived: Derived::default(),
         };
         self.datasets.insert(name.to_string(), state);
         if existing.is_some() {
@@ -483,28 +498,44 @@ impl Service {
         out
     }
 
-    /// Every live result-cache entry, sorted by key — the cache section
-    /// of a state snapshot.
-    pub fn cache_entries(&self) -> Vec<(ResultKey, CachedResult)> {
-        let mut out: Vec<(ResultKey, CachedResult)> = self
-            .cache
-            .entries()
-            .map(|(k, e)| (k.clone(), e.clone()))
-            .collect();
+    /// Every cached answer with the table version it answers for,
+    /// sorted by key — the cache section of a state snapshot.
+    pub fn cache_entries(&self) -> Vec<(ResultKey, u64, Answer)> {
+        let mut out = Vec::new();
+        for (dataset, ds) in &self.datasets {
+            for (canonical, entry) in &ds.derived.queries {
+                for (&budget, &answer) in &entry.answers {
+                    let key = ResultKey {
+                        dataset: dataset.clone(),
+                        canonical: canonical.clone(),
+                        budget,
+                    };
+                    out.push((key, ds.table.version(), answer));
+                }
+            }
+        }
         out.sort_by(|a, b| a.0.cmp(&b.0));
         out
     }
 
-    /// Re-insert a cached result restored from a state snapshot (the
-    /// serve counter restarts at zero; the staleness clock restarts
-    /// now).
-    pub fn restore_cached(&mut self, key: ResultKey, answer: Answer, table_version: u64) {
-        self.cache.insert(key, answer, table_version);
+    /// Re-insert a cached answer restored from a state snapshot. An
+    /// answer for an unregistered dataset, or for a version other than
+    /// the dataset's current one, answers nothing this service can be
+    /// asked: it is dropped. Returns whether the answer was kept.
+    pub fn restore_cached(&mut self, key: ResultKey, answer: Answer, table_version: u64) -> bool {
+        match self.datasets.get_mut(&key.dataset) {
+            Some(ds) if ds.table.version() == table_version => {
+                let entry = ds.derived.queries.entry(key.canonical).or_default();
+                entry.answers.insert(key.budget, answer);
+                true
+            }
+            _ => false,
+        }
     }
 
     /// Bump a dataset's version and drop every artifact derived from it
-    /// (catalog problems, warm states, cached results). Use after
-    /// mutating the backing data out-of-band.
+    /// (query problems and plans, warm states, cached answers, observed
+    /// selectivities). Use after mutating the backing data out-of-band.
     ///
     /// # Errors
     ///
@@ -537,10 +568,7 @@ impl Service {
             return Ok(());
         }
         ds.table = ds.table.clone().with_version(version);
-        self.catalog.invalidate_dataset(name);
-        self.store.invalidate_dataset(name);
-        self.cache.invalidate_dataset(name);
-        self.feedback.invalidate_dataset(name);
+        ds.derived = Derived::default();
         Ok(())
     }
 
@@ -565,19 +593,60 @@ impl Service {
         self.metrics.stats()
     }
 
-    /// Distinct queries seen.
+    /// Distinct queries resolved at the datasets' current versions.
     pub fn catalog_len(&self) -> usize {
-        self.catalog.len()
+        self.entries().filter(|e| e.problem.is_some()).count()
     }
 
     /// Warm states held.
     pub fn store_len(&self) -> usize {
-        self.store.len()
+        self.entries().map(|e| e.states.len()).sum()
     }
 
-    /// Cached results held.
+    /// Cached answers held.
     pub fn cache_len(&self) -> usize {
-        self.cache.len()
+        self.entries().map(|e| e.answers.len()).sum()
+    }
+
+    /// Every query entry of every dataset.
+    fn entries(&self) -> impl Iterator<Item = &QueryEntry> {
+        self.datasets
+            .values()
+            .flat_map(|ds| ds.derived.queries.values())
+    }
+
+    /// The entry of a canonical query over a dataset's current version.
+    fn query(&self, dataset: &str, canonical: &str) -> Option<&QueryEntry> {
+        self.datasets.get(dataset)?.derived.queries.get(canonical)
+    }
+
+    /// [`Service::query`], mutably.
+    fn query_mut(&mut self, dataset: &str, canonical: &str) -> Option<&mut QueryEntry> {
+        (self.datasets.get_mut(dataset)?.derived.queries).get_mut(canonical)
+    }
+
+    /// The warm state at `key`, once prepared or decoded.
+    fn warm(&self, key: &StateKey) -> Option<&WarmState> {
+        let entry = self.query(&key.dataset, &key.canonical)?;
+        entry.states.get(&(key.prefiltered, key.budget))
+    }
+
+    /// Keep a prepared or decoded warm state in its query's entry.
+    fn insert_warm(&mut self, key: &StateKey, warm: WarmState) {
+        if let Some(entry) = self.query_mut(&key.dataset, &key.canonical) {
+            entry.states.insert((key.prefiltered, key.budget), warm);
+        }
+    }
+
+    /// The observed selectivity of a canonical prefilter over a
+    /// dataset's current version.
+    fn selectivity(&self, dataset: &str, prefilter: &str) -> Option<f64> {
+        self.datasets
+            .get(dataset)?
+            .derived
+            .selectivity
+            .get(prefilter)
+            .copied()
     }
 
     /// Serve one request (a batch of one).
@@ -602,7 +671,7 @@ impl Service {
             responses[pos] = Some(response);
         }
         self.metrics
-            .set_levels(self.store.len(), self.cache.len(), self.datasets.len());
+            .set_levels(self.store_len(), self.cache_len(), self.datasets.len());
         responses
             .into_iter()
             .map(|r| r.expect("every position settled"))
@@ -612,9 +681,9 @@ impl Service {
     /// Resolve and plan a query **without executing it**: one JSON
     /// line describing the chosen physical plan — route kind, planned
     /// budget, decomposition parts with their own fingerprints, and
-    /// predicted (pre-plan feedback) vs observed (post-scan)
+    /// predicted (recorded before planning) vs observed (post-scan)
     /// selectivity. Planning side effects are real (the prefilter scan
-    /// runs and is memoized; feedback is recorded) but no oracle
+    /// runs and is memoized; its selectivity is recorded) but no oracle
     /// evaluation is spent and the service counters do not move.
     ///
     /// # Errors
@@ -628,17 +697,10 @@ impl Service {
         target: Target,
     ) -> ServeResult<String> {
         let resolved = self.resolve(dataset.to_string(), condition)?;
-        let predicted = resolved.decomposition.as_ref().and_then(|d| {
-            self.feedback
-                .predict(dataset, &d.prefilter_canonical, resolved.table_version)
-        });
+        let predicted = (resolved.decomposition.as_ref())
+            .and_then(|d| self.selectivity(dataset, &d.prefilter_canonical));
         let planned = self.plan(&resolved, target)?;
-        let observed = self
-            .catalog
-            .get(&QueryKey {
-                dataset: dataset.to_string(),
-                canonical: resolved.canonical.clone(),
-            })
+        let observed = (self.query(dataset, &resolved.canonical))
             .and_then(|e| e.plan.as_deref())
             .and_then(|p| p.survivors().zip(p.selectivity()));
         Ok(render::explain_line(
@@ -646,10 +708,25 @@ impl Service {
         ))
     }
 
-    /// Render the model store as a portable export (every state as
-    /// plain data; see [`ModelStore::export`]).
+    /// Render every warm state as a portable export (plain data; see
+    /// [`store::export`]).
     pub fn export_store(&self) -> String {
-        self.store.export()
+        let mut entries = Vec::new();
+        for (dataset, ds) in &self.datasets {
+            for entry in ds.derived.queries.values() {
+                for (&(prefiltered, budget), warm) in &entry.states {
+                    entries.push(StoreExportEntry {
+                        dataset: dataset.clone(),
+                        condition: warm.raw_condition.clone(),
+                        budget,
+                        table_version: ds.table.version(),
+                        estimator: EstimatorTag { prefiltered },
+                        states: vec![warm.state.to_parts()],
+                    });
+                }
+            }
+        }
+        store::export(&entries)
     }
 
     /// Rebuild warm states from a store export: each entry's problem is
@@ -669,7 +746,7 @@ impl Service {
     /// `+pf` entry whose query does not decompose.
     pub fn import_store(&mut self, text: &str) -> ServeResult<usize> {
         let entries =
-            ModelStore::parse_export(text).map_err(|message| ServeError::Invalid { message })?;
+            store::parse_export(text).map_err(|message| ServeError::Invalid { message })?;
         let mut restored = 0usize;
         for entry in entries {
             if self.dataset_version(&entry.dataset) != Some(entry.table_version) {
@@ -699,12 +776,12 @@ impl Service {
                 ServeError::Invalid { message }
             })?;
             let state = LssWarm::from_parts(parts, entry.budget, &problem, &self.config.lss)?;
-            self.store.insert(
-                key,
-                StoredModel {
+            let raw_condition = entry.condition;
+            self.insert_warm(
+                &key,
+                WarmState {
                     state,
-                    table_version: entry.table_version,
-                    raw_condition: entry.condition,
+                    raw_condition,
                 },
             );
             restored += 1;

@@ -2,21 +2,13 @@
 //!
 //! The last stage of the request path. Both renderings are stable-key,
 //! hand-formatted one-line JSON; strings pass through the workspace's
-//! one escaper, [`lts_obs::json_escape`].
+//! one escaper, [`lts_obs::json_escape`], and numbers through its one
+//! number writer, [`lts_obs::json_num`].
 
 use super::stages::{Planned, Resolved};
 use super::Response;
 use crate::fingerprint;
-use lts_obs::json_escape as esc;
-
-/// A finite number, or `null` (JSON has no NaN/inf).
-fn num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
+use lts_obs::{json_escape as esc, json_num as num};
 
 impl Response {
     /// Render as one JSON object (stable key order). `mask_wall`
@@ -73,7 +65,7 @@ impl Response {
 
 /// The `explain` line: the chosen physical plan — route kind, planned
 /// budget, decomposition parts with their own fingerprints, and
-/// predicted (pre-plan feedback) vs observed (post-scan, as
+/// predicted (recorded before planning) vs observed (post-scan, as
 /// `(survivors, selectivity)`) prefilter selectivity.
 pub(super) fn explain_line(
     resolved: &Resolved,

@@ -3,13 +3,11 @@
 //! these values and each value owns the one before it, so `seal` never
 //! looks anything up by position.
 
-use super::{Answer, PlanSummary, Request, Response, Service};
-use crate::cache::ResultKey;
-use crate::catalog::{QueryDecomposition, QueryKey};
+use super::{Answer, PlanSummary, Request, Response, ResultKey, Service};
+use crate::catalog::{QueryDecomposition, WarmState};
 use crate::error::{ServeError, ServeResult};
 use crate::fingerprint;
 use crate::planner::{QueryRoute, Route, Target};
-use crate::store::{ModelStore, StoreKey, StoredModel};
 use lts_core::{
     fnv1a, mix_seed, CountEstimator, CountingProblem, LogicalPlan, Lss, PhysicalPlan, Srs,
 };
@@ -22,8 +20,8 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// A resolved query: the catalog entry's artifacts, cloned out so the
-/// borrow on the catalog ends before planning mutates other state.
+/// A resolved query: its entry's artifacts, cloned out so the borrow on
+/// the dataset ends before planning mutates other state.
 pub(super) struct Resolved {
     pub(super) dataset: String,
     pub(super) canonical: String,
@@ -33,36 +31,51 @@ pub(super) struct Resolved {
     pub(super) decomposition: Option<Arc<QueryDecomposition>>,
 }
 
+/// Where a warm state lives — its query's entry and its slot there —
+/// and its 64-bit identity.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub(super) struct StateKey {
+    pub(super) dataset: String,
+    /// The full canonical query: the entry holding the state.
+    pub(super) canonical: String,
+    /// Whether the state covers the prefilter's survivors (`+pf`)
+    /// rather than the whole population.
+    pub(super) prefiltered: bool,
+    /// Budget the state is prepared under (requests planned at a
+    /// different budget prepare their own state).
+    pub(super) budget: usize,
+    /// [`state_id`]: the prepare seed's input and the trace's `Store`
+    /// key.
+    pub(super) id: u64,
+}
+
 impl Resolved {
     /// The population a warm state of this query is prepared over and
-    /// the key it is stored under — decided here for live plans and
-    /// store imports alike. Monolithic states cover the catalog problem
-    /// under the full canonical; a state over `restricted` (the
-    /// prefilter's survivors) keys on the **residual** canonical scoped
-    /// by the **prefilter** canonical ([`StoreKey::scope`]).
+    /// where it lives — decided here for live plans and store imports
+    /// alike. Monolithic states cover the query's problem; a state over
+    /// `restricted` (the prefilter's survivors) takes its identity from
+    /// the **residual** canonical scoped by the **prefilter** canonical.
     pub(super) fn warm_identity(
         &self,
         restricted: Option<&Arc<CountingProblem>>,
         budget: usize,
-    ) -> (Arc<CountingProblem>, StoreKey) {
-        let (problem, canonical, scope) = match restricted {
-            None => (&self.problem, self.canonical.clone(), String::new()),
+    ) -> (Arc<CountingProblem>, StateKey) {
+        let (problem, estimated, scope) = match restricted {
+            None => (&self.problem, self.canonical.as_str(), ""),
             Some(restricted) => {
                 let d = self
                     .decomposition
                     .as_ref()
                     .expect("a restricted population implies a decomposition");
-                (
-                    restricted,
-                    d.residual_canonical.clone(),
-                    d.prefilter_canonical.clone(),
-                )
+                let (residual, prefilter) = (&d.residual_canonical, &d.prefilter_canonical);
+                (restricted, residual.as_str(), prefilter.as_str())
             }
         };
-        let key = StoreKey {
+        let key = StateKey {
+            id: state_id(&self.dataset, estimated, scope, budget, self.table_version),
             dataset: self.dataset.clone(),
-            canonical,
-            scope,
+            canonical: self.canonical.clone(),
+            prefiltered: restricted.is_some(),
             budget,
         };
         (Arc::clone(problem), key)
@@ -75,9 +88,9 @@ pub(super) enum Task {
     /// (residual census over the survivors; zero oracle evaluations
     /// when none survived), else a census over the problem.
     Exact { plan: Option<Arc<PhysicalPlan>> },
-    /// Resume the warm state stored under `key`, preparing it first
-    /// when the store does not hold it.
-    Resume { key: StoreKey },
+    /// Resume the warm state at `key`, preparing it first when the
+    /// query's entry does not hold it.
+    Resume { key: StateKey },
     /// Plain SRS under the planned budget: what a `Resume` is demoted
     /// to when its state cannot be prepared.
     Srs,
@@ -86,7 +99,7 @@ pub(super) enum Task {
 /// The physical plan of one query under one target.
 pub(super) struct Planned {
     pub(super) task: Task,
-    /// The problem execution runs against: the catalog problem for
+    /// The problem execution runs against: the query's problem for
     /// monolithic plans, the restricted residual problem for prefilter
     /// plans.
     pub(super) problem: Arc<CountingProblem>,
@@ -167,7 +180,8 @@ pub(super) enum Outcome {
         id: u64,
         error: ServeError,
     },
-    /// Answered from the result cache; `answer.evals` is the saving.
+    /// Answered from the query's cached answer; `answer.evals` is the
+    /// saving.
     Hit { adm: Admitted, answer: Answer },
     /// Coalesced onto the identical request sealed at position `leader`.
     Follower { adm: Admitted, leader: usize },
@@ -196,12 +210,13 @@ fn micros_since(start: Instant) -> u64 {
 
 impl Service {
     /// **resolve** — parse a condition against a dataset, canonicalize
-    /// it, and resolve the catalog entry (building the
-    /// `CountingProblem` — and the query's conjunctive decomposition —
-    /// on first sight or version change). The single problem-assembly
-    /// path shared by live admission, store import, and `explain`.
+    /// it, and resolve its query entry (building the `CountingProblem`
+    /// — and the query's conjunctive decomposition — on first sight).
+    /// The single problem-assembly path shared by live admission, store
+    /// import, and `explain`.
     pub(super) fn resolve(&mut self, dataset: String, condition: &str) -> ServeResult<Resolved> {
-        let Some(ds) = self.datasets.get(&dataset) else {
+        let level = self.config.planner.level;
+        let Some(ds) = self.datasets.get_mut(&dataset) else {
             return Err(ServeError::UnknownDataset { name: dataset });
         };
         let table_version = ds.table.version();
@@ -210,14 +225,10 @@ impl Service {
         })?;
         let canonical = fingerprint::canonical(&expr);
         let fp = fingerprint::fingerprint(&dataset, table_version, &canonical);
-        let level = self.config.planner.level;
-        let key = QueryKey {
-            dataset: dataset.clone(),
-            canonical: canonical.clone(),
-        };
-        let entry = self
-            .catalog
-            .resolve(key, fp, table_version, || -> ServeResult<_> {
+        let built = (ds.derived.queries.get(&canonical)).and_then(|e| e.problem.clone());
+        let (problem, decomposition) = match built {
+            Some(built) => built,
+            None => {
                 let table = Arc::clone(ds.table.table());
                 let predicate: Arc<dyn ObjectPredicate> =
                     Arc::new(ExprPredicate::new("q", expr.clone()));
@@ -241,44 +252,41 @@ impl Service {
                         residual,
                     })
                 });
-                Ok((problem, decomposition))
-            })?;
+                let built = (problem, decomposition);
+                let entry = ds.derived.queries.entry(canonical.clone()).or_default();
+                entry.problem = Some(built.clone());
+                built
+            }
+        };
         Ok(Resolved {
             fingerprint: fp,
             table_version,
-            problem: Arc::clone(&entry.problem),
-            decomposition: entry.decomposition.clone(),
+            problem,
+            decomposition,
             dataset,
             canonical,
         })
     }
 
     /// Run (or reuse) the exact prefilter scan of a decomposed query:
-    /// survivors, the restricted residual problem, and the feedback
-    /// record all come from one memoized [`PhysicalPlan`] per catalog
-    /// entry, so repeat requests never re-scan.
+    /// survivors and the restricted residual problem come from one
+    /// [`PhysicalPlan`] memoized in the query's entry, so repeat
+    /// requests never re-scan, and the scan's selectivity is recorded
+    /// for every query sharing the prefilter.
     pub(super) fn plan_state(
         &mut self,
         resolved: &Resolved,
         decomp: &QueryDecomposition,
     ) -> ServeResult<Arc<PhysicalPlan>> {
-        let key = QueryKey {
-            dataset: resolved.dataset.clone(),
-            canonical: resolved.canonical.clone(),
-        };
-        if let Some(entry) = self.catalog.get(&key) {
-            if entry.table_version == resolved.table_version {
-                if let Some(plan) = &entry.plan {
-                    return Ok(Arc::clone(plan));
-                }
+        let ds = (self.datasets.get_mut(&resolved.dataset)).ok_or_else(|| {
+            ServeError::UnknownDataset {
+                name: resolved.dataset.clone(),
             }
+        })?;
+        let memo = ds.derived.queries.get(&resolved.canonical);
+        if let Some(plan) = memo.and_then(|e| e.plan.clone()) {
+            return Ok(plan);
         }
-        let ds =
-            self.datasets
-                .get(&resolved.dataset)
-                .ok_or_else(|| ServeError::UnknownDataset {
-                    name: resolved.dataset.clone(),
-                })?;
         let logical = LogicalPlan {
             prefilter: Some(decomp.prefilter.clone()),
             residual: decomp.residual.clone(),
@@ -288,14 +296,14 @@ impl Service {
             &ds.table,
             logical,
         )?);
-        self.catalog.set_plan(&key, Arc::clone(&plan));
-        self.feedback.record(
-            &resolved.dataset,
-            &decomp.prefilter_canonical,
-            resolved.table_version,
-            plan.survivors().expect("the plan ran its prefilter"),
-            plan.population(),
-        );
+        if let Some(entry) = ds.derived.queries.get_mut(&resolved.canonical) {
+            entry.plan = Some(Arc::clone(&plan));
+        }
+        // An empty population has no selectivity to learn from.
+        if plan.population() > 0 {
+            let observed = plan.selectivity().expect("the plan ran its prefilter");
+            (ds.derived.selectivity).insert(decomp.prefilter_canonical.clone(), observed);
+        }
         Ok(plan)
     }
 
@@ -305,7 +313,7 @@ impl Service {
     /// [`crate::BudgetPlanner::choose`] over the observed survivor
     /// count. A prefilter whose recorded selectivity already exceeds
     /// the monolithic threshold skips the scan — provably the same
-    /// route the scan would pick, since feedback replays the exact
+    /// route the scan would pick, since the record replays the exact
     /// `M/N` observed at this table version.
     pub(super) fn plan(&mut self, resolved: &Resolved, target: Target) -> ServeResult<Planned> {
         let planner = self.config.planner;
@@ -339,11 +347,7 @@ impl Service {
             };
             Planned::monolithic(resolved, route, summary(kind, None))
         };
-        let predicted = self.feedback.predict(
-            &resolved.dataset,
-            &decomp.prefilter_canonical,
-            resolved.table_version,
-        );
+        let predicted = self.selectivity(&resolved.dataset, &decomp.prefilter_canonical);
         if predicted.is_some_and(|p| p >= planner.monolithic_selectivity) {
             return Ok(mono(planner.plan(n, target)?));
         }
@@ -407,7 +411,7 @@ impl Service {
     /// **admit** — sequential. Requests resolve and plan in arrival
     /// order (the bounded queue refuses the overflow); then, in
     /// `(id, pos)` order so that no verdict depends on arrival order,
-    /// each probes the result cache, coalesces onto an identical
+    /// each probes its query's cached answers, coalesces onto an identical
     /// request of the batch, or becomes a work item with its seed —
     /// the first to resume an absent state claims its prepare. Returns
     /// the requests answered without work (refusals, then cache hits),
@@ -430,11 +434,12 @@ impl Service {
         // key → position of the computing request.
         let mut in_flight: HashMap<ResultKey, usize> = HashMap::new();
         // Absent states an earlier request of this batch will prepare.
-        let mut claimed: HashSet<StoreKey> = HashSet::new();
+        let mut claimed: HashSet<StateKey> = HashSet::new();
         for adm in admitted {
             if !adm.fresh {
-                if let Some(hit) = self.cache.lookup(&adm.key, adm.table_version) {
-                    let answer = hit.answer;
+                let key = &adm.key;
+                let cached = self.query(&key.dataset, &key.canonical);
+                if let Some(&answer) = cached.and_then(|e| e.answers.get(&key.budget)) {
                     answered.push(Outcome::Hit { adm, answer });
                     continue;
                 }
@@ -447,12 +452,7 @@ impl Service {
                 in_flight.insert(adm.key.clone(), adm.pos);
             }
             let cold = match &adm.planned.task {
-                // The lookup evicts a stale state now, so the parallel
-                // waves read the store immutably.
-                Task::Resume { key } => {
-                    self.store.lookup(key, adm.table_version).is_none()
-                        && claimed.insert(key.clone())
-                }
+                Task::Resume { key } => self.warm(key).is_none() && claimed.insert(key.clone()),
                 _ => false,
             };
             let seed = if adm.fresh {
@@ -471,14 +471,14 @@ impl Service {
     }
 
     /// **prepare** — wave 1, parallel: every claimed state is prepared
-    /// under a seed derived from its store key and inserted into the
-    /// store; the claimant keeps the prepare's wall time and events. A
-    /// state that cannot be prepared demotes every request resuming it
-    /// to SRS.
+    /// under a seed derived from its identity and inserted into its
+    /// query's entry; the claimant keeps the prepare's wall time and
+    /// events. A state that cannot be prepared demotes every request
+    /// resuming it to SRS.
     pub(super) fn prepare(&mut self, work: &mut [WorkItem]) {
         let (lss, service_seed, tracing) =
             (self.config.lss, self.config.seed, self.obs.is_enabled());
-        let claims: Vec<(usize, &StoreKey)> = work
+        let claims: Vec<(usize, &StateKey)> = work
             .iter()
             .enumerate()
             .filter_map(|(i, item)| match &item.adm.planned.task {
@@ -491,25 +491,23 @@ impl Service {
             .map(|(i, key)| {
                 let adm = &work[i].adm;
                 let start = Instant::now();
-                let (stored, events) = traced(tracing, || {
-                    let prepare_seed =
-                        mix_seed(service_seed, store_key_hash(key, adm.table_version));
-                    let problem = &adm.planned.problem;
-                    lss.prepare(problem, key.budget, prepare_seed)
-                        .map(|state| StoredModel {
+                let (warm, events) = traced(tracing, || {
+                    let prepare_seed = mix_seed(service_seed, key.id);
+                    (lss.prepare(&adm.planned.problem, key.budget, prepare_seed)).map(|state| {
+                        WarmState {
                             state,
-                            table_version: adm.table_version,
                             raw_condition: adm.raw.clone(),
-                        })
+                        }
+                    })
                 });
-                (i, key.clone(), stored, micros_since(start), events)
+                (i, key.clone(), warm, micros_since(start), events)
             })
             .collect();
-        let mut unpreparable: HashSet<StoreKey> = HashSet::new();
-        for (i, key, stored, wall_micros, events) in prepared {
-            match stored {
-                Ok(stored) => {
-                    self.store.insert(key, stored);
+        let mut unpreparable: HashSet<StateKey> = HashSet::new();
+        for (i, key, warm, wall_micros, events) in prepared {
+            match warm {
+                Ok(warm) => {
+                    self.insert_warm(&key, warm);
                     work[i].prepared = Some((wall_micros, events));
                 }
                 Err(_) => {
@@ -527,14 +525,14 @@ impl Service {
     }
 
     /// **execute** — wave 2, parallel: every work item runs its task
-    /// against the (now immutable) store.
+    /// against the (now immutable) warm states.
     pub(super) fn execute(&self, work: Vec<WorkItem>) -> Vec<Outcome> {
-        let (store, lss, tracing) = (&self.store, self.config.lss, self.obs.is_enabled());
+        let (lss, tracing) = (self.config.lss, self.obs.is_enabled());
         work.into_par_iter()
             .map(|item| {
                 let ((result, wall_micros), events) = traced(tracing, || {
                     let start = Instant::now();
-                    let result = item.run(store, lss);
+                    let result = item.run(self, lss);
                     (result, micros_since(start))
                 });
                 Outcome::Executed {
@@ -609,9 +607,7 @@ impl Service {
                 if tracing && !store.is_empty() {
                     tail.push(TraceEvent::Store {
                         outcome: store,
-                        key: store_key.map_or_else(String::new, |key| {
-                            format!("{:016x}", store_key_hash(key, adm.table_version))
-                        }),
+                        key: store_key.map_or_else(String::new, |key| format!("{:016x}", key.id)),
                     });
                     tail.extend(prepare_events);
                 }
@@ -629,14 +625,16 @@ impl Service {
                         // A warm resume re-uses the prepared phases a
                         // cold start would have paid for: that prepare
                         // cost is the saving.
-                        if let Some(stored) = store_key.and_then(|k| self.store.get(k)) {
+                        if let Some(warm) = store_key.and_then(|k| self.warm(k)) {
                             if !cold {
-                                saved = stored.state.prepare_evals as u64;
+                                saved = warm.state.prepare_evals as u64;
                             }
                         }
                         if !adm.fresh {
-                            self.cache
-                                .insert(adm.key.clone(), answer, adm.table_version);
+                            let key = &adm.key;
+                            if let Some(entry) = self.query_mut(&key.dataset, &key.canonical) {
+                                entry.answers.insert(key.budget, answer);
+                            }
                         }
                         Response::answered(&adm, served, &answer, wall_micros)
                     }
@@ -717,7 +715,7 @@ impl Response {
 
 impl WorkItem {
     /// Run this item's task.
-    fn run(&self, store: &ModelStore, lss: Lss) -> ServeResult<Answer> {
+    fn run(&self, service: &Service, lss: Lss) -> ServeResult<Answer> {
         let problem = &self.adm.planned.problem;
         let sampled =
             |report: lts_core::EstimateReport, route, extra_evals, model_version| Answer {
@@ -760,17 +758,17 @@ impl WorkItem {
                 Ok(sampled(report, "srs", 0, 0))
             }
             Task::Resume { key } => {
-                let stored = store.get(key).ok_or_else(|| ServeError::Invalid {
+                let warm = service.warm(key).ok_or_else(|| ServeError::Invalid {
                     message: "warm state vanished between waves".into(),
                 })?;
-                let report = lss.estimate_prepared(problem, &stored.state, self.seed)?;
+                let report = lss.estimate_prepared(problem, &warm.state, self.seed)?;
                 // The claimant of a fresh state is charged its prepare.
                 let prepare_evals = if self.cold {
-                    stored.state.prepare_evals
+                    warm.state.prepare_evals
                 } else {
                     0
                 };
-                Ok(sampled(report, "lss", prepare_evals, stored.state.digest()))
+                Ok(sampled(report, "lss", prepare_evals, warm.state.digest()))
             }
         }
     }
@@ -786,21 +784,23 @@ fn result_key_hash(key: &ResultKey) -> u64 {
     fnv1a(&bytes)
 }
 
-fn store_key_hash(key: &StoreKey, table_version: u64) -> u64 {
-    let mut bytes =
-        Vec::with_capacity(key.dataset.len() + key.canonical.len() + key.scope.len() + 19);
-    bytes.extend_from_slice(key.dataset.as_bytes());
+/// The identity of a warm state estimating `canonical` (the full query,
+/// or a prefiltered state's residual) under `scope` (empty, or the
+/// prefilter canonical) at `budget` and `table_version`.
+fn state_id(dataset: &str, canonical: &str, scope: &str, budget: usize, table_version: u64) -> u64 {
+    let mut bytes = Vec::with_capacity(dataset.len() + canonical.len() + scope.len() + 19);
+    bytes.extend_from_slice(dataset.as_bytes());
     bytes.push(0);
-    bytes.extend_from_slice(key.canonical.as_bytes());
+    bytes.extend_from_slice(canonical.as_bytes());
     bytes.push(0);
-    bytes.extend_from_slice(&(key.budget as u64).to_le_bytes());
+    bytes.extend_from_slice(&(budget as u64).to_le_bytes());
     bytes.extend_from_slice(&table_version.to_le_bytes());
-    // Scoped (prefiltered) keys extend the layout; the empty scope
-    // keeps the legacy byte stream exactly, so monolithic prepare
+    // Scoped (prefiltered) identities extend the layout; the empty
+    // scope keeps the legacy byte stream exactly, so monolithic prepare
     // seeds — and every existing golden — are unchanged.
-    if !key.scope.is_empty() {
+    if !scope.is_empty() {
         bytes.push(0);
-        bytes.extend_from_slice(key.scope.as_bytes());
+        bytes.extend_from_slice(scope.as_bytes());
     }
     fnv1a(&bytes)
 }

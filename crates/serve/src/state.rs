@@ -10,7 +10,7 @@
 //!   table version of every re-generatable dataset. Restore re-runs the
 //!   generator (same rows/seed ⇒ same bytes) and sets the version to
 //!   the recorded lineage in one step.
-//! * **store lines** — the model store's portable export (see
+//! * **store lines** — the warm states' portable export (see
 //!   [`crate::store`]): per warm state, the ordering, the labelled
 //!   pilot, the cuts and the training labels a resume reads. Restore
 //!   resolves each entry's problem and **decodes** — no fit, no scoring
@@ -35,9 +35,8 @@
 //!   never a panic, never silently wrong counts.
 //! * **Missing file is not an error**: first boot returns `Ok(None)`.
 
-use crate::cache::ResultKey;
 use crate::error::ServeError;
-use crate::service::{Answer, DatasetSpec, Service};
+use crate::service::{Answer, DatasetSpec, ResultKey, Service};
 use crate::store::{dec_text, enc_text};
 use lts_core::fnv1a;
 use std::fmt;
@@ -110,7 +109,8 @@ pub struct RestoreSummary {
     pub datasets: usize,
     /// Warm model states decoded (zero oracle evaluations).
     pub models: usize,
-    /// Cached results re-inserted.
+    /// Cached answers re-inserted: those for a registered dataset at
+    /// its restored version (any other line is dropped).
     pub cached: usize,
 }
 
@@ -166,15 +166,14 @@ pub fn render_snapshot(service: &Service) -> String {
         out.push_str(line);
         out.push('\n');
     }
-    for (key, e) in service.cache_entries() {
-        let a = &e.answer;
+    for (key, table_version, a) in service.cache_entries() {
         let _ = writeln!(
             out,
             "cache\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
             enc_text(&key.dataset),
             enc_text(&key.canonical),
             key.budget,
-            e.table_version,
+            table_version,
             f64_hex(a.estimate),
             f64_hex(a.std_error),
             f64_hex(a.lo),
@@ -313,10 +312,11 @@ fn parse_snapshot(text: &str) -> Result<Parsed, StateError> {
 }
 
 /// Load the snapshot under `dir` into `service`: re-generate datasets
-/// (restoring their version lineage), decode the model store (zero
+/// (restoring their version lineage), decode the warm states (zero
 /// oracle evaluations, nothing re-trained), and re-insert cached
-/// results bit-exactly. `Ok(None)` when no snapshot exists (first
-/// boot).
+/// answers bit-exactly — each only for a registered dataset at its
+/// restored version, as the store import does. `Ok(None)` when no
+/// snapshot exists (first boot).
 ///
 /// On `Err` the service may hold partial restored state; the caller
 /// should discard it and start from a fresh `Service` (the dispatcher
@@ -341,7 +341,7 @@ pub fn load(service: &mut Service, dir: &Path) -> Result<Option<RestoreSummary>,
         message: e.to_string(),
     };
     // Datasets first: registering resets derived state, and the version
-    // must match the recorded lineage before store/cache entries (which
+    // must match the recorded lineage before store/cache lines (which
     // carry table versions) are replayed.
     for d in &parsed.datasets {
         service
@@ -358,9 +358,9 @@ pub fn load(service: &mut Service, dir: &Path) -> Result<Option<RestoreSummary>,
             .import_store(&parsed.store_text)
             .map_err(restore_err)?
     };
-    let cached = parsed.caches.len();
+    let mut cached = 0;
     for (key, answer, table_version) in parsed.caches {
-        service.restore_cached(key, answer, table_version);
+        cached += usize::from(service.restore_cached(key, answer, table_version));
     }
     Ok(Some(RestoreSummary {
         datasets: parsed.datasets.len(),

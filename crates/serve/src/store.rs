@@ -1,14 +1,14 @@
-//! The model store: warm estimator states keyed by canonical query.
+//! The `lts-store/v2` codec: warm estimator states written down as
+//! plain data.
 //!
 //! A **cold** request pays for the reusable assets — proxy training,
 //! population scoring/ordering, pilot labeling, stratification design
-//! (`lts_core::warm`). The store keeps what a resume reads of them — the
-//! ordering, the labelled pilot, the cuts, the training labels; never
-//! the classifier — and every later request for the same canonical query
-//! **warm-starts**: it resumes the stored state with a fresh per-request
-//! seed and spends only the stage-2 share of the budget. Entries record
-//! the table version they were prepared against and are dropped when it
-//! bumps.
+//! (`lts_core::warm`). A query's entry (`crate::catalog`) keeps what a
+//! resume reads of them — the ordering, the labelled pilot, the cuts,
+//! the training labels; never the classifier — and every later request
+//! for the same canonical query **warm-starts**: it resumes the state
+//! with a fresh per-request seed and spends only the stage-2 share of
+//! the budget.
 //!
 //! Persistence: a warm state is plain data, so the export writes it
 //! down — **data for states, weights nowhere**. One `entry` line names
@@ -23,35 +23,14 @@
 //! (`LssWarm::from_parts`) — no fit, no scoring pass, no sort, no
 //! design run, no oracle call.
 //!
-//! The service prepares LSS only, so every entry holds an [`LssWarm`];
+//! The service prepares LSS only, so every state is an `LssWarm`;
 //! which population it was prepared over travels in the export as a
 //! typed [`EstimatorTag`] (`lss`, `lss+pf`), whose grammar lives here
 //! and nowhere else.
 
-use lts_core::{LssParts, LssWarm};
-use std::collections::HashMap;
+use lts_core::LssParts;
 use std::fmt::{self, Write as _};
 use std::str::FromStr;
-
-/// Identity of one stored warm state.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct StoreKey {
-    /// Dataset name.
-    pub dataset: String,
-    /// Canonical predicate string the state estimates: the full query
-    /// for monolithic plans, the **residual** for prefiltered plans —
-    /// so every decomposed spelling of a query shares one warm lineage.
-    pub canonical: String,
-    /// Plan scope: empty for monolithic states; the canonical
-    /// **prefilter** string for states prepared over a prefiltered
-    /// (restricted) population. The same residual estimated under
-    /// different prefilters samples different populations — the states
-    /// are not interchangeable.
-    pub scope: String,
-    /// Budget the state was prepared under (requests planned at a
-    /// different budget prepare their own state).
-    pub budget: usize,
-}
 
 /// The estimator tag of one store-export line: `lss`, with a `+pf`
 /// suffix marking a state prepared over a prefiltered (restricted)
@@ -79,23 +58,6 @@ impl FromStr for EstimatorTag {
             _ => Err(format!("unknown estimator tag `{tag}` in store export")),
         }
     }
-}
-
-/// One store entry.
-pub struct StoredModel {
-    /// The resumable state.
-    pub state: LssWarm,
-    /// Table version it was prepared against.
-    pub table_version: u64,
-    /// The raw condition text that first created the entry (restores
-    /// re-parse this; the canonical string is not a parser input).
-    pub raw_condition: String,
-}
-
-/// The service's model store.
-#[derive(Default)]
-pub struct ModelStore {
-    entries: HashMap<StoreKey, StoredModel>,
 }
 
 /// Percent-encode the characters that would break the line format.
@@ -180,81 +142,21 @@ fn dec_labels(s: &str) -> Option<Vec<bool>> {
         .collect()
 }
 
-impl ModelStore {
-    /// Create an empty store.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of stored states.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the store is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Look up a state servable at `table_version` (a stale entry is
-    /// evicted and `None` returned).
-    pub fn lookup(&mut self, key: &StoreKey, table_version: u64) -> Option<&mut StoredModel> {
-        if self
-            .entries
-            .get(key)
-            .is_some_and(|e| e.table_version != table_version)
-        {
-            self.entries.remove(key);
-            return None;
-        }
-        self.entries.get_mut(key)
-    }
-
-    /// Read-only access to an entry (the parallel execution wave reads
-    /// through this; staleness eviction happens in the sequential
-    /// planning pass via [`ModelStore::lookup`]).
-    pub fn get(&self, key: &StoreKey) -> Option<&StoredModel> {
-        self.entries.get(key)
-    }
-
-    /// Whether a current entry exists (no eviction, no counting).
-    pub fn contains(&self, key: &StoreKey, table_version: u64) -> bool {
-        self.entries
-            .get(key)
-            .is_some_and(|e| e.table_version == table_version)
-    }
-
-    /// Insert a freshly prepared state.
-    pub fn insert(&mut self, key: StoreKey, stored: StoredModel) {
-        self.entries.insert(key, stored);
-    }
-
-    /// Drop every state of a dataset (version bump / explicit flush).
-    pub fn invalidate_dataset(&mut self, dataset: &str) -> usize {
-        let before = self.entries.len();
-        self.entries.retain(|k, _| k.dataset != dataset);
-        before - self.entries.len()
-    }
-
-    /// Render the portable export (format in the module doc): per
-    /// state one `entry` line followed by its `state` line, entries
-    /// sorted for stable diffs.
-    pub fn export(&self) -> String {
-        let mut blocks: Vec<String> = self
-            .entries
-            .iter()
-            .map(|(k, e)| {
-                let tag = EstimatorTag {
-                    prefiltered: !k.scope.is_empty(),
-                };
-                let p = e.state.to_parts();
-                let mut block = format!(
-                    "entry\t{}\t{}\t{}\t{tag}\t{}\n",
-                    enc_text(&k.dataset),
-                    k.budget,
-                    e.table_version,
-                    enc_text(&e.raw_condition),
-                );
+/// Render the portable export (format in the module doc): per entry
+/// its `entry` line followed by its `state` lines, entries sorted for
+/// stable diffs.
+pub fn export(entries: &[StoreExportEntry]) -> String {
+    let mut blocks: Vec<String> = (entries.iter())
+        .map(|e| {
+            let mut block = format!(
+                "entry\t{}\t{}\t{}\t{}\t{}\n",
+                enc_text(&e.dataset),
+                e.budget,
+                e.table_version,
+                e.estimator,
+                enc_text(&e.condition),
+            );
+            for p in &e.states {
                 let _ = write!(
                     block,
                     "state\t{:016x}\t{}\t{}\t{:016x}\t{}\t{}\t{}\t{}\t{}\t{}",
@@ -274,73 +176,72 @@ impl ModelStore {
                     block.push_str(&enc_text(note));
                 }
                 block.push('\n');
-                block
-            })
-            .collect();
-        blocks.sort();
-        let mut out = String::from("lts-store/v2\n");
-        out.extend(blocks);
-        out
-    }
+            }
+            block
+        })
+        .collect();
+    blocks.sort();
+    let mut out = String::from("lts-store/v2\n");
+    out.extend(blocks);
+    out
+}
 
-    /// Parse a store export into its entries. Only the line grammar is
-    /// checked here; what the numbers must satisfy is checked where a
-    /// state is rebuilt from them (`LssWarm::from_parts`).
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first malformed line.
-    pub fn parse_export(text: &str) -> Result<Vec<StoreExportEntry>, String> {
-        let mut lines = text.lines();
-        match lines.next() {
-            Some("lts-store/v2") => {}
-            other => return Err(format!("expected lts-store/v2 header, found {other:?}")),
-        }
-        let mut out: Vec<StoreExportEntry> = Vec::new();
-        for (no, line) in lines.enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let f: Vec<&str> = line.split('\t').collect();
-            let bad = |what: &str| format!("line {}: {what}", no + 2);
-            match f[0] {
-                "entry" if f.len() == 6 => out.push(StoreExportEntry {
-                    dataset: dec_text(f[1]).ok_or_else(|| bad("bad dataset encoding"))?,
-                    budget: f[2].parse().map_err(|_| bad("bad budget"))?,
-                    table_version: f[3].parse().map_err(|_| bad("bad version"))?,
-                    estimator: f[4].parse().map_err(|e: String| bad(&e))?,
-                    condition: dec_text(f[5]).ok_or_else(|| bad("bad condition encoding"))?,
-                    states: Vec::new(),
-                }),
-                "state" if f.len() >= 11 => {
-                    let entry = out
-                        .last_mut()
-                        .ok_or_else(|| bad("state before any entry"))?;
-                    let hex =
-                        |s: &str, what: &str| u64::from_str_radix(s, 16).map_err(|_| bad(what));
-                    let ids = |s: &str, what: &str| dec_ids(s).ok_or_else(|| bad(what));
-                    let labels = |s: &str, what: &str| dec_labels(s).ok_or_else(|| bad(what));
-                    entry.states.push(LssParts {
-                        profile: hex(f[1], "bad profile digest")?,
-                        model_seed: f[2].parse().map_err(|_| bad("bad model seed"))?,
-                        prepare_evals: f[3].parse().map_err(|_| bad("bad prepare evals"))?,
-                        estimated_variance: f64::from_bits(hex(f[4], "bad variance bits")?),
-                        labeled: ids(f[5], "bad training ids")?,
-                        labels: labels(f[6], "bad training labels")?,
-                        order: ids(f[7], "bad ordering")?,
-                        pilot_positions: ids(f[8], "bad pilot positions")?,
-                        pilot_labels: labels(f[9], "bad pilot labels")?,
-                        cuts: ids(f[10], "bad cuts")?,
-                        design_notes: (f[11..].iter())
-                            .map(|n| dec_text(n).ok_or_else(|| bad("bad note encoding")))
-                            .collect::<Result<_, _>>()?,
-                    });
-                }
-                _ => return Err(bad("expected an `entry` of 6 fields or a `state` of ≥ 11")),
-            }
-        }
-        Ok(out)
+/// Parse a store export into its entries. Only the line grammar is
+/// checked here; what the numbers must satisfy is checked where a
+/// state is rebuilt from them (`LssWarm::from_parts`).
+///
+/// # Errors
+///
+/// Returns a description of the first malformed line.
+pub fn parse_export(text: &str) -> Result<Vec<StoreExportEntry>, String> {
+    let mut lines = text.lines();
+    match lines.next() {
+        Some("lts-store/v2") => {}
+        other => return Err(format!("expected lts-store/v2 header, found {other:?}")),
     }
+    let mut out: Vec<StoreExportEntry> = Vec::new();
+    for (no, line) in lines.enumerate() {
+        if line.trim().is_empty() {
+            continue;
+        }
+        let f: Vec<&str> = line.split('\t').collect();
+        let bad = |what: &str| format!("line {}: {what}", no + 2);
+        match f[0] {
+            "entry" if f.len() == 6 => out.push(StoreExportEntry {
+                dataset: dec_text(f[1]).ok_or_else(|| bad("bad dataset encoding"))?,
+                budget: f[2].parse().map_err(|_| bad("bad budget"))?,
+                table_version: f[3].parse().map_err(|_| bad("bad version"))?,
+                estimator: f[4].parse().map_err(|e: String| bad(&e))?,
+                condition: dec_text(f[5]).ok_or_else(|| bad("bad condition encoding"))?,
+                states: Vec::new(),
+            }),
+            "state" if f.len() >= 11 => {
+                let entry = out
+                    .last_mut()
+                    .ok_or_else(|| bad("state before any entry"))?;
+                let hex = |s: &str, what: &str| u64::from_str_radix(s, 16).map_err(|_| bad(what));
+                let ids = |s: &str, what: &str| dec_ids(s).ok_or_else(|| bad(what));
+                let labels = |s: &str, what: &str| dec_labels(s).ok_or_else(|| bad(what));
+                entry.states.push(LssParts {
+                    profile: hex(f[1], "bad profile digest")?,
+                    model_seed: f[2].parse().map_err(|_| bad("bad model seed"))?,
+                    prepare_evals: f[3].parse().map_err(|_| bad("bad prepare evals"))?,
+                    estimated_variance: f64::from_bits(hex(f[4], "bad variance bits")?),
+                    labeled: ids(f[5], "bad training ids")?,
+                    labels: labels(f[6], "bad training labels")?,
+                    order: ids(f[7], "bad ordering")?,
+                    pilot_positions: ids(f[8], "bad pilot positions")?,
+                    pilot_labels: labels(f[9], "bad pilot labels")?,
+                    cuts: ids(f[10], "bad cuts")?,
+                    design_notes: (f[11..].iter())
+                        .map(|n| dec_text(n).ok_or_else(|| bad("bad note encoding")))
+                        .collect::<Result<_, _>>()?,
+                });
+            }
+            _ => return Err(bad("expected an `entry` of 6 fields or a `state` of ≥ 11")),
+        }
+    }
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -357,28 +258,27 @@ mod tests {
 
     #[test]
     fn export_header_and_parse_errors() {
-        let store = ModelStore::new();
-        let text = store.export();
+        let text = export(&[]);
         assert!(text.starts_with("lts-store/v2\n"));
-        assert!(ModelStore::parse_export(&text).unwrap().is_empty());
-        assert!(ModelStore::parse_export("garbage").is_err());
+        assert!(parse_export(&text).unwrap().is_empty());
+        assert!(parse_export("garbage").is_err());
         // The previous format is not read.
-        assert!(ModelStore::parse_export("lts-store/v1\n").is_err());
-        assert!(ModelStore::parse_export("lts-store/v2\nentry\tonly-two").is_err());
+        assert!(parse_export("lts-store/v1\n").is_err());
+        assert!(parse_export("lts-store/v2\nentry\tonly-two").is_err());
         let state = "state\t0\t1\t2\t0\t3\t1\t4,5\t0\t1\t1";
         let orphan = format!("lts-store/v2\n{state}");
-        assert!(ModelStore::parse_export(&orphan)
+        assert!(parse_export(&orphan)
             .unwrap_err()
             .contains("before any entry"));
         let entry = "lts-store/v2\nentry\td\t1\t3\tlss\tc\n";
-        assert!(ModelStore::parse_export(&format!("{entry}{state}")).is_ok());
+        assert!(parse_export(&format!("{entry}{state}")).is_ok());
         for (good, broken) in [
             ("4,5", "4,x"),
             ("\t1\t4", "\t2\t4"),
             ("state\t0", "state\tg"),
         ] {
             let text = format!("{entry}{}", state.replacen(good, broken, 1));
-            assert!(ModelStore::parse_export(&text).is_err(), "{broken}");
+            assert!(parse_export(&text).is_err(), "{broken}");
         }
     }
 
@@ -388,7 +288,7 @@ mod tests {
                     state\t00000000000000ff\t7\t12\t7ff8000000000000\t3,9\t10\t9,3,4\t0,2\t01\t1\tsome%09note\n\
                     state\t00000000000000ff\t8\t0\t0000000000000000\t\t\t\t\t\t\n";
         // %20/%3c decode as space and '<'.
-        let entries = ModelStore::parse_export(text).unwrap();
+        let entries = parse_export(text).unwrap();
         assert_eq!(entries.len(), 1);
         let e = &entries[0];
         assert_eq!(

@@ -1,8 +1,9 @@
 //! Cache-semantics contract of the serving layer:
 //!
 //! * structurally different queries never alias (fingerprints or
-//!   catalog entries);
-//! * table-version bumps invalidate models and results;
+//!   query entries);
+//! * table-version bumps invalidate models and results — of that
+//!   dataset only;
 //! * warm starts replay bit-identically against cold starts at the
 //!   same request seed and spend ≥ 5× fewer oracle evaluations at the
 //!   same designed CI width;
@@ -11,7 +12,7 @@
 //! * shuffled arrival order and worker interleaving never change any
 //!   per-request response.
 
-use lts_serve::{Request, Response, Service, ServiceConfig, StalenessPolicy, Target};
+use lts_serve::{Request, Response, Service, ServiceConfig, Target};
 use lts_table::table_of_floats;
 use std::sync::Arc;
 
@@ -223,29 +224,6 @@ fn shuffled_arrival_order_yields_identical_per_request_responses() {
 }
 
 #[test]
-fn staleness_policy_bounds_reserves() {
-    let mut s = Service::new(ServiceConfig {
-        staleness: StalenessPolicy {
-            max_serves: Some(2),
-            max_age: None,
-        },
-        ..ServiceConfig::default()
-    });
-    s.register_dataset("d", linear_table(900), &["x", "y"])
-        .unwrap();
-    let cold = s.run(req(1, "x < 300", 150, false));
-    assert_eq!(cold.served, "cold");
-    assert_eq!(s.run(req(2, "x < 300", 150, false)).served, "cached");
-    assert_eq!(s.run(req(3, "x < 300", 150, false)).served, "cached");
-    // Policy exhausted: recomputed from the (still warm) model store.
-    let recomputed = s.run(req(4, "x < 300", 150, false));
-    assert_eq!(recomputed.served, "warm");
-    assert!(recomputed.evals > 0);
-    // The recomputation refreshed the cache.
-    assert_eq!(s.run(req(5, "x < 300", 150, false)).served, "cached");
-}
-
-#[test]
 fn store_export_restores_warm_states_without_oracle_work() {
     let mut a = service(1_000);
     let cold = a.run(req(1, "x < 350", 200, false));
@@ -291,7 +269,7 @@ fn decomposed_spellings_alias_their_monolithic_twin() {
     assert_eq!(plan.selectivity, Some(0.5));
 
     // The commuted spelling canonicalizes to the same query: result
-    // cache hit, same fingerprint, no new catalog entry.
+    // cache hit, same fingerprint, no new query entry.
     let commuted = s.run(req(
         2,
         "(SELECT COUNT(*) FROM d WHERE x < o.x) > 700 AND y < 500",
@@ -486,6 +464,45 @@ fn version_bump_drops_plan_state_and_selectivity_feedback() {
     let plan = recold.plan.as_ref().unwrap();
     assert_eq!(plan.kind, "prefilter_estimate");
     assert_eq!(plan.survivors, Some(500));
+}
+
+#[test]
+fn invalidation_stays_within_one_dataset() {
+    let mut s = service(1_000);
+    s.register_dataset("e", linear_table(1_000), &["x", "y"])
+        .unwrap();
+    let on = |dataset: &str, id: u64, condition: &str, fresh: bool| Request {
+        dataset: dataset.into(),
+        ..req(id, condition, 200, fresh)
+    };
+    let held = |s: &Service| (s.catalog_len(), s.store_len(), s.cache_len());
+    let e_decomposed = DECOMPOSABLE.replace("FROM d", "FROM e");
+    for (id, condition) in [(1, "x < 400"), (2, e_decomposed.as_str())] {
+        assert_eq!(s.run(on("e", id, condition, false)).served, "cold");
+    }
+    let e_only = held(&s);
+    assert_eq!(e_only, (2, 2, 2), "queries, warm states, cached answers");
+    for (id, condition) in [(3, "x < 400"), (4, DECOMPOSABLE)] {
+        assert_eq!(s.run(on("d", id, condition, false)).served, "cold");
+    }
+    assert_eq!(held(&s), (4, 4, 4));
+
+    s.invalidate("d").unwrap();
+    assert_eq!(held(&s), e_only, "`d` keeps nothing, `e` keeps everything");
+    let predicted = |s: &mut Service, dataset: &str, condition: &str| {
+        let line = s.explain(dataset, condition, Target::Budget(200)).unwrap();
+        let field = line.split("\"predicted_selectivity\": ").nth(1).unwrap();
+        field.split(',').next().unwrap().to_string()
+    };
+    assert_eq!(predicted(&mut s, "d", DECOMPOSABLE), "null");
+    assert_eq!(s.run(on("d", 5, "x < 400", false)).served, "cold");
+
+    // The other dataset's repeat is still cached, its fresh repeat warm,
+    // and its prefilter's selectivity still known.
+    assert_eq!(s.run(on("e", 6, "x < 400", false)).served, "cached");
+    assert_eq!(s.run(on("e", 7, "x < 400", true)).served, "warm");
+    assert_eq!(s.run(on("e", 8, &e_decomposed, false)).served, "cached");
+    assert_eq!(predicted(&mut s, "e", &e_decomposed), "0.5");
 }
 
 #[test]

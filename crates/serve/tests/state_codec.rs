@@ -2,7 +2,7 @@
 //! and decoded is the state that was written.
 //!
 //! * **Round trip** — for the two served shapes (`lss`, `lss+pf`) on
-//!   both datasets, a state exported by [`ModelStore::export`], parsed
+//!   both datasets, a state exported by [`store::export`], parsed
 //!   back and rebuilt by [`LssWarm::from_parts`] has the same digest,
 //!   known labels and
 //!   prepare evals, resumes to bit-identical reports, and exports to
@@ -14,8 +14,8 @@
 use lts_core::{CountingProblem, EstimateReport, LogicalPlan, LssWarm, PhysicalPlan};
 use lts_data::{neighbors_scenario, sports_scenario, QueryParam, SelectivityLevel};
 use lts_serve::{
-    serve_lss_profile, state, BudgetPlanner, DatasetSpec, ModelStore, Request, Service,
-    ServiceConfig, StoreKey, StoredModel, Target,
+    serve_lss_profile, state, store, BudgetPlanner, DatasetSpec, EstimatorTag, Request, Service,
+    ServiceConfig, StoreExportEntry, Target,
 };
 use lts_table::{parse_condition, ExprPredicate, PartitionedTable, Table, TableRegistry};
 use std::sync::Arc;
@@ -111,31 +111,20 @@ fn every_served_shape_round_trips_through_the_export() {
             let state = lss.prepare(problem, BUDGET, seed).unwrap();
             let tag = if prefiltered { "lss+pf" } else { "lss" };
             let what = format!("{name} {tag}");
-            let export = |state: LssWarm| {
-                let mut store = ModelStore::new();
-                let key = StoreKey {
+            let export = |state: &LssWarm| {
+                store::export(&[StoreExportEntry {
                     dataset: name.into(),
-                    canonical: text.clone(),
-                    scope: if prefiltered {
-                        "pf".into()
-                    } else {
-                        String::new()
-                    },
+                    condition: text.clone(),
                     budget: BUDGET,
-                };
-                let stored = StoredModel {
-                    state,
                     table_version: 7,
-                    raw_condition: text.clone(),
-                };
-                store.insert(key.clone(), stored);
-                (store.export(), store, key)
+                    estimator: EstimatorTag { prefiltered },
+                    states: vec![state.to_parts()],
+                }])
             };
-            let (text_out, store, key) = export(state);
-            let state = &store.get(&key).unwrap().state;
+            let text_out = export(&state);
             assert!(text_out.contains(&format!("\t{tag}\t")), "{what}");
 
-            let mut entries = ModelStore::parse_export(&text_out).unwrap();
+            let mut entries = store::parse_export(&text_out).unwrap();
             let entry = entries.pop().expect("one entry");
             assert_eq!(entry.estimator.to_string(), tag);
             assert_eq!((entry.budget, entry.table_version), (BUDGET, 7));
@@ -147,11 +136,11 @@ fn every_served_shape_round_trips_through_the_export() {
             assert_eq!(back.prepare_evals, state.prepare_evals, "{what}");
             assert_eq!(back.known_labels(), state.known_labels(), "{what}");
             for seed in [1, 2, 3] {
-                let a = lss.estimate_prepared(problem, state, seed).unwrap();
+                let a = lss.estimate_prepared(problem, &state, seed).unwrap();
                 let b = lss.estimate_prepared(problem, &back, seed).unwrap();
                 assert_same_report(&a, &b, &what);
             }
-            assert_eq!(export(back).0, text_out, "{what}: re-export");
+            assert_eq!(export(&back), text_out, "{what}: re-export");
         }
     }
 }

@@ -437,6 +437,40 @@ fn a_long_version_lineage_is_restored_in_one_step() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// A cached answer for a dataset the snapshot does not register, or for
+/// another version than the one it restores, answers nothing: it is not
+/// counted, not held, and not written back by the next save.
+#[test]
+fn cache_lines_for_unknown_datasets_or_stale_versions_are_dropped() {
+    let dir = temp_dir("stale_cache");
+    let mut a = Service::new(ServiceConfig::default());
+    a.register_generated("s", &spec()).unwrap();
+    count(&mut a, 0, PLAIN, false);
+    let path = state::save(&a, &dir).unwrap();
+    let good = fs::read_to_string(&path).unwrap();
+    let line = good.lines().find(|l| l.starts_with("cache\t")).unwrap();
+    let with_field = |at: usize, to: &str| {
+        let mut fields: Vec<&str> = line.split('\t').collect();
+        fields[at] = to;
+        fields.join("\t")
+    };
+    // Fields of a `cache` line: 1 dataset, 4 table version.
+    let (unknown, stale) = (with_field(1, "ghost"), with_field(4, "7"));
+    let planted = good.replacen(line, &format!("{line}\n{unknown}\n{stale}"), 1);
+    fs::write(&path, resealed(&planted)).unwrap();
+
+    let mut b = Service::new(ServiceConfig::default());
+    let summary = state::load(&mut b, &dir).unwrap().unwrap();
+    assert_eq!((summary.models, summary.cached), (1, 1));
+    assert_eq!(b.cache_len(), 1);
+    let again = temp_dir("stale_cache_again");
+    let saved = fs::read_to_string(state::save(&b, &again).unwrap()).unwrap();
+    assert_eq!(saved, good, "neither planted line is written back");
+
+    let _ = fs::remove_dir_all(&dir);
+    let _ = fs::remove_dir_all(&again);
+}
+
 /// A well-sealed snapshot the decoder refuses must not take the server
 /// down: the dispatcher logs it, starts cold and keeps serving.
 #[test]

@@ -83,7 +83,7 @@
 //! | [`lts_table`] | mini table engine: correlated aggregate subqueries, metered predicates, vectorized kernels ([`lts_table::vector`]) |
 //! | [`lts_stats`] | distributions, confidence intervals, summaries |
 //! | [`lts_data`] | synthetic Sports/Neighbors datasets + the paper's two queries |
-//! | [`lts_serve`] | the serving layer: query catalog + fingerprints, model store (warm starts), result cache, budget planner, one line protocol behind the `lts-serve` REPL and the `lts-served` TCP server |
+//! | [`lts_serve`] | the serving layer: fingerprints, a per-dataset query table (problems, warm states, cached answers), budget planner, one line protocol behind the `lts-serve` REPL and the `lts-served` TCP server |
 //! | [`lts_obs`] | the observability layer: metrics registry, per-phase eval attribution, deterministic per-request trace spans, Prometheus exposition |
 //!
 //! (`lts-bench`, not re-exported here, holds a repro binary per paper
@@ -122,7 +122,7 @@ pub mod prelude {
     pub use lts_sampling::CountEstimate;
     pub use lts_serve::{
         serve_lss_profile, BudgetPlanner, NetConfig, NetServer, Request, Response, Route, Service,
-        ServiceConfig, StalenessPolicy, Target,
+        ServiceConfig, Target,
     };
     pub use lts_stats::{ConfidenceInterval, IntervalKind};
     pub use lts_strata::{Allocation, DesignAlgorithm, TSelection};
