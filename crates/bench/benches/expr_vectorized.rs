@@ -17,8 +17,7 @@ use lts_data::{neighbors_scenario, sports_scenario, QueryParam, SelectivityLevel
 use lts_table::table::table_of_floats;
 use lts_table::vector::eval_bool_columnar;
 use lts_table::{
-    parse_condition, AggThresholdPredicate, CmpOp, Expr, ExprPredicate, ObjectPredicate, RowCtx,
-    Table, TableRegistry,
+    parse_condition, Expr, ExprPredicate, ObjectPredicate, RowCtx, Table, TableRegistry,
 };
 use std::hint::black_box;
 use std::sync::Arc;
@@ -101,7 +100,10 @@ fn bench_subquery_predicate(c: &mut Criterion) {
                 .gt(Expr::outer("x"))
                 .or(Expr::col("y").gt(Expr::outer("y"))),
         );
-    let q = AggThresholdPredicate::count("skyband", Arc::clone(&t), dominate, CmpOp::Lt, 8);
+    let q = ExprPredicate::new(
+        "skyband",
+        Expr::count_where(Arc::clone(&t), dominate).lt(Expr::lit(8i64)),
+    );
     let all: Vec<usize> = (0..n).collect();
     let row: Vec<bool> = all.iter().map(|&i| q.eval(&t, i).unwrap()).collect();
     assert_eq!(row, q.eval_batch(&t, &all).unwrap(), "engines disagree");

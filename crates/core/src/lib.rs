@@ -47,7 +47,7 @@ pub use estimators::{
 };
 pub use feature::{features_from_columns, FeatureView};
 pub use learnphase::{LearnPhaseConfig, LearnedModel};
-pub use plan::{restrict_problem, select_prefilter, LogicalPlan, PhysicalPlan, PrefilterSelection};
+pub use plan::{restrict_problem, select_prefilter, PhysicalPlan, PrefilterSelection};
 pub use problem::{CountingProblem, Labeler};
 pub use report::{EstimateReport, PhaseTimings, QualityForecast};
 pub use runner::{run_trials, run_trials_with, TrialExecution, TrialStats};

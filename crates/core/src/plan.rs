@@ -42,38 +42,8 @@
 
 use crate::error::{CoreError, CoreResult};
 use crate::problem::{narrow_ids, CountingProblem};
-use lts_table::{decompose, Expr, PartitionedTable};
+use lts_table::{Expr, PartitionedTable};
 use std::sync::Arc;
-
-/// A query analyzed for planning: optional exact prefilter plus the
-/// residual that still needs the oracle (or the whole query when it
-/// does not usefully split).
-#[derive(Debug, Clone)]
-pub struct LogicalPlan {
-    /// Subquery-free conjunction to run as an exact scan, if the query
-    /// decomposed.
-    pub prefilter: Option<Expr>,
-    /// The oracle-bearing remainder (the whole expression when
-    /// `prefilter` is `None`).
-    pub residual: Expr,
-}
-
-impl LogicalPlan {
-    /// Analyze an expression (see [`fn@lts_table::decompose`] for the
-    /// split rule and semantic contract).
-    pub fn of(expr: &Expr) -> Self {
-        let d = decompose(expr);
-        Self {
-            prefilter: d.exact_prefilter,
-            residual: d.residual,
-        }
-    }
-
-    /// Whether the plan has a prefilter stage.
-    pub fn is_decomposed(&self) -> bool {
-        self.prefilter.is_some()
-    }
-}
 
 /// The result of running a prefilter scan: surviving global row ids in
 /// ascending order, plus the population they were selected from.
@@ -179,25 +149,25 @@ pub fn restrict_problem(
 /// (when any rows survive) the restricted residual problem, which owns
 /// the survivor id list.
 pub struct PhysicalPlan {
-    problem: Arc<CountingProblem>,
-    survivors: Option<usize>,
+    population: usize,
+    survivors: usize,
     restricted: Option<Arc<CountingProblem>>,
 }
 
 impl PhysicalPlan {
-    /// Build the plan: run the prefilter scan (when the query
-    /// decomposed) and restrict the problem to the survivors.
-    /// `table` must partition the same object table `problem` counts
-    /// over.
+    /// Build the plan: run the exact `prefilter` scan (the
+    /// `exact_prefilter` of [`fn@lts_table::decompose`]) and restrict the
+    /// problem to the survivors. `table` must partition the same object
+    /// table `problem` counts over.
     ///
     /// # Errors
     ///
     /// Returns an error when `table` and `problem` disagree on the
     /// population, or on scan/restriction failures.
     pub fn build(
-        problem: Arc<CountingProblem>,
+        problem: &CountingProblem,
         table: &PartitionedTable,
-        logical: LogicalPlan,
+        prefilter: &Expr,
     ) -> CoreResult<Self> {
         if table.len() != problem.n() {
             return Err(CoreError::InvalidConfig {
@@ -208,74 +178,52 @@ impl PhysicalPlan {
                 ),
             });
         }
-        let (survivors, restricted) = match &logical.prefilter {
-            None => (None, None),
-            Some(p) => {
-                let survivors = select_prefilter(table, p)?.survivors;
-                let m = survivors.len();
-                let restricted = if m == 0 {
-                    None
-                } else {
-                    Some(Arc::new(restrict_problem(&problem, &survivors)?))
-                };
-                (Some(m), restricted)
-            }
+        let survivors = select_prefilter(table, prefilter)?.survivors;
+        let restricted = if survivors.is_empty() {
+            None
+        } else {
+            Some(Arc::new(restrict_problem(problem, &survivors)?))
         };
         Ok(Self {
-            problem,
-            survivors,
+            population: problem.n(),
+            survivors: survivors.len(),
             restricted,
         })
     }
 
-    /// The full (unrestricted) problem.
-    pub fn problem(&self) -> &Arc<CountingProblem> {
-        &self.problem
-    }
-
-    /// Population size `N`.
-    pub fn population(&self) -> usize {
-        self.problem.n()
-    }
-
-    /// Prefilter survivor count `M`, when a prefilter ran.
-    pub fn survivors(&self) -> Option<usize> {
+    /// Prefilter survivor count `M`.
+    pub fn survivors(&self) -> usize {
         self.survivors
     }
 
-    /// Observed prefilter selectivity `M/N`, when a prefilter ran.
-    pub fn selectivity(&self) -> Option<f64> {
-        self.survivors.map(|m| m as f64 / self.population() as f64)
+    /// Observed prefilter selectivity `M/N`.
+    pub fn selectivity(&self) -> f64 {
+        self.survivors as f64 / self.population as f64
     }
 
-    /// The restricted residual problem (`None` when the query did not
-    /// decompose or no rows survived the prefilter).
+    /// The restricted residual problem (`None` when no rows survived
+    /// the prefilter).
     pub fn restricted(&self) -> Option<&Arc<CountingProblem>> {
         self.restricted.as_ref()
     }
 
     /// Exact count through the plan: residual census over the
-    /// survivors when a prefilter ran (0 oracle evaluations when
-    /// nothing survived), full census otherwise. Equal to the
-    /// monolithic [`CountingProblem::exact_count`] whenever both
+    /// survivors (0 oracle evaluations when nothing survived). Equal to
+    /// the monolithic [`CountingProblem::exact_count`] whenever both
     /// succeed (the decomposition contract).
     ///
     /// # Errors
     ///
     /// Propagates predicate evaluation errors.
     pub fn exact_count(&self) -> CoreResult<usize> {
-        match (self.survivors, &self.restricted) {
-            (None, _) => self.problem.exact_count(),
-            (Some(_), None) => Ok(0),
-            (Some(_), Some(r)) => r.exact_count(),
-        }
+        self.restricted.as_ref().map_or(Ok(0), |r| r.exact_count())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lts_table::{table_of_floats, ExprPredicate};
+    use lts_table::{decompose, table_of_floats, ExprPredicate};
 
     fn scenario() -> (Arc<CountingProblem>, PartitionedTable, Expr) {
         // 64 rows, x = 0..64, y alternating; inner table for the
@@ -357,40 +305,20 @@ mod tests {
     #[test]
     fn planned_exact_count_equals_monolithic() {
         let (problem, pt, expr) = scenario();
-        let logical = LogicalPlan::of(&expr);
-        assert!(logical.is_decomposed());
-        let plan = PhysicalPlan::build(Arc::clone(&problem), &pt, logical).unwrap();
-        assert_eq!(plan.survivors(), Some(24));
+        let prefilter = decompose(&expr).exact_prefilter.unwrap();
+        let plan = PhysicalPlan::build(&problem, &pt, &prefilter).unwrap();
+        assert_eq!(plan.survivors(), 24);
+        assert!((plan.selectivity() - 24.0 / 64.0).abs() < 1e-12);
         assert_eq!(plan.exact_count().unwrap(), problem.exact_count().unwrap());
     }
 
     #[test]
     fn empty_prefilter_answers_zero_without_a_problem() {
         let (problem, pt, _) = scenario();
-        let expr = Expr::col("x").lt(Expr::lit(-1.0)).and(
-            Expr::count_where(
-                Arc::clone(problem.objects()),
-                Expr::col("x").lt(Expr::outer("y")),
-            )
-            .ge(Expr::lit(1.0)),
-        );
-        let plan = PhysicalPlan::build(Arc::clone(&problem), &pt, LogicalPlan::of(&expr)).unwrap();
-        assert_eq!(plan.survivors(), Some(0));
+        let prefilter = Expr::col("x").lt(Expr::lit(-1.0));
+        let plan = PhysicalPlan::build(&problem, &pt, &prefilter).unwrap();
+        assert_eq!(plan.survivors(), 0);
         assert!(plan.restricted().is_none());
         assert_eq!(plan.exact_count().unwrap(), 0);
-    }
-
-    #[test]
-    fn undecomposed_plan_is_the_monolithic_problem() {
-        let (problem, pt, _) = scenario();
-        let expr = Expr::col("x").lt(Expr::lit(24.0));
-        let logical = LogicalPlan::of(&expr);
-        assert!(!logical.is_decomposed());
-        let plan = PhysicalPlan::build(Arc::clone(&problem), &pt, logical).unwrap();
-        assert!(plan.survivors().is_none());
-        // Census over the full population (counts the problem's own
-        // predicate, not `expr` — the logical plan only carries the
-        // residual).
-        assert_eq!(plan.exact_count().unwrap(), problem.exact_count().unwrap());
     }
 }

@@ -3,7 +3,7 @@
 //! of cheap and subquery-bearing conjuncts, the decomposed plan's
 //! exact count must agree with a row-by-row reference model of the
 //! two-pass pipeline, and — whenever both succeed — with the
-//! monolithic [`CountQuery::exact_count`].
+//! monolithic [`CountingProblem::exact_count`].
 //!
 //! Error semantics are asymmetric by design (see
 //! `lts_table::decompose`): the monolithic evaluation short-circuits
@@ -14,10 +14,10 @@
 //! `Ok`/`Ok` diagonal and pin the decomposed pipeline's error-ness to
 //! the reference model, which replays its exact evaluation order.
 
-use lts_core::{CountingProblem, LogicalPlan, PhysicalPlan};
+use lts_core::{CountingProblem, PhysicalPlan};
 use lts_table::{
-    contains_subquery, decompose, table_of_floats, CountQuery, Expr, ExprPredicate,
-    PartitionedTable, RowCtx, Table,
+    contains_subquery, decompose, table_of_floats, Expr, ExprPredicate, PartitionedTable, RowCtx,
+    Table,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -141,35 +141,39 @@ proptest! {
         let reference = reference_count(&table, d.exact_prefilter.as_ref(), &expr);
         let predicate = Arc::new(ExprPredicate::new("q", expr.clone()));
         let problem = Arc::new(
-            CountingProblem::new(Arc::clone(&table), Arc::clone(&predicate) as _, &["a", "b"])
-                .unwrap(),
+            CountingProblem::new(Arc::clone(&table), predicate, &["a", "b"]).unwrap(),
         );
         let pt = PartitionedTable::new(Arc::clone(&table), parts);
+        let mono = problem.exact_count();
 
-        match PhysicalPlan::build(Arc::clone(&problem), &pt, LogicalPlan::of(&expr)) {
-            // Building the plan fails only when the prefilter scan
-            // errors — which the reference's pass 1 must replay.
-            Err(_) => prop_assert!(reference.is_err()),
-            Ok(plan) => {
-                let planned = plan.exact_count();
-                match (&planned, &reference) {
-                    (Ok(got), Ok(want)) => prop_assert_eq!(got, want),
-                    (Err(_), Err(())) => {}
-                    other => {
-                        return Err(TestCaseError::fail(format!(
-                            "plan/reference disagree on error-ness: {other:?}"
-                        )));
-                    }
+        let planned = match &d.exact_prefilter {
+            Some(prefilter) => match PhysicalPlan::build(&problem, &pt, prefilter) {
+                // Building the plan fails only when the prefilter scan
+                // errors — which the reference's pass 1 must replay.
+                Err(_) => {
+                    prop_assert!(reference.is_err());
+                    return Ok(());
                 }
-                // Monolithic agreement on the Ok/Ok diagonal. (The
-                // monolithic path may error where the planned one does
-                // not, and vice versa — error shadowing is the one
-                // freedom the decomposition contract grants.)
-                let mono = CountQuery::new(Arc::clone(&table), predicate as _).exact_count();
-                if let (Ok(got), Ok(want)) = (&planned, &mono) {
-                    prop_assert_eq!(got, want);
-                }
+                Ok(plan) => plan.exact_count(),
+            },
+            // A query that does not split is counted whole.
+            None => problem.exact_count(),
+        };
+        match (&planned, &reference) {
+            (Ok(got), Ok(want)) => prop_assert_eq!(got, want),
+            (Err(_), Err(())) => {}
+            other => {
+                return Err(TestCaseError::fail(format!(
+                    "plan/reference disagree on error-ness: {other:?}"
+                )));
             }
+        }
+        // Monolithic agreement on the Ok/Ok diagonal. (The monolithic
+        // path may error where the planned one does not, and vice versa
+        // — error shadowing is the one freedom the decomposition
+        // contract grants.)
+        if let (Ok(got), Ok(want)) = (&planned, &mono) {
+            prop_assert_eq!(got, want);
         }
     }
 }

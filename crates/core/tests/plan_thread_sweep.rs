@@ -15,8 +15,8 @@
 //!   across all thread-count × partition-count legs, and equal to the
 //!   leg pinned to one worker (the forced-serial plan).
 
-use lts_core::{CountingProblem, LogicalPlan, Lss, PhysicalPlan};
-use lts_table::{table_of_floats, Expr, ExprPredicate, PartitionedTable, RowCtx};
+use lts_core::{CountingProblem, Lss, PhysicalPlan};
+use lts_table::{decompose, table_of_floats, Expr, ExprPredicate, PartitionedTable, RowCtx};
 use std::sync::Arc;
 
 /// A decomposable conjunctive query over a 900-row table: a cheap
@@ -49,8 +49,9 @@ fn planned_estimates_identical_across_threads_partitions_and_serial() {
 
     // Forced-serial reference: row-by-row prefilter scan plus a
     // row-by-row residual census over the survivors.
-    let logical = LogicalPlan::of(&expr);
-    let prefilter = logical.prefilter.clone().expect("query must decompose");
+    let prefilter = decompose(&expr)
+        .exact_prefilter
+        .expect("query must decompose");
     let serial_survivors: Vec<usize> = (0..table.len())
         .filter(|&i| prefilter.eval_bool(RowCtx::top(&table, i)).unwrap())
         .collect();
@@ -74,11 +75,10 @@ fn planned_estimates_identical_across_threads_partitions_and_serial() {
         }
         for parts in [1usize, 3, 8] {
             let pt = PartitionedTable::new(Arc::clone(&table), parts);
-            let plan =
-                PhysicalPlan::build(Arc::clone(&problem), &pt, LogicalPlan::of(&expr)).unwrap();
+            let plan = PhysicalPlan::build(&problem, &pt, &prefilter).unwrap();
             assert_eq!(
                 plan.survivors(),
-                Some(serial_survivors.len()),
+                serial_survivors.len(),
                 "threads={threads:?} parts={parts}: selection diverged from serial"
             );
             assert_eq!(plan.exact_count().unwrap(), monolithic);
@@ -86,7 +86,7 @@ fn planned_estimates_identical_across_threads_partitions_and_serial() {
             let warm = lss.prepare(restricted, budget, seed).unwrap();
             let r = lss.estimate_prepared(restricted, &warm, seed).unwrap();
             runs.push((
-                plan.survivors().unwrap(),
+                plan.survivors(),
                 warm.digest(),
                 r.estimate.count.to_bits(),
                 r.estimate.std_error.to_bits(),

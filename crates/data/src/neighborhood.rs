@@ -6,7 +6,8 @@
 //!
 //! * [`neighbors_sql_predicate`] — the paper's
 //!   `SQRT(POWER(o.x−x,2)+POWER(o.y−y,2)) <= d … COUNT(*) <= k`
-//!   correlated subquery (row-wise `eval` is the faithful interpreted
+//!   correlated subquery, as the [`Expr`] the condition parser builds
+//!   from that text (row-wise `eval` is the faithful interpreted
 //!   nested loop; batched `eval_batch` binds the subquery once and
 //!   scans it per object in tiles that stop past `k` neighbours,
 //!   through `lts_table::vector`);
@@ -20,7 +21,7 @@
 
 use lts_learn::kdtree::KdTree;
 use lts_learn::Matrix;
-use lts_table::{AggThresholdPredicate, CmpOp, Expr, FnPredicate, GridIndex, Table, TableResult};
+use lts_table::{Expr, ExprPredicate, FnPredicate, GridIndex, Table, TableResult};
 use std::sync::Arc;
 
 /// Distance to the `(k+1)`-th nearest neighbour (self included) for
@@ -79,7 +80,7 @@ pub fn neighbors_sql_predicate(
     y_col: &str,
     d: f64,
     k: i64,
-) -> AggThresholdPredicate {
+) -> ExprPredicate {
     let dist = Expr::outer(x_col)
         .sub(Expr::col(x_col))
         .power(Expr::lit(2.0))
@@ -89,7 +90,9 @@ pub fn neighbors_sql_predicate(
                 .power(Expr::lit(2.0)),
         )
         .sqrt();
-    AggThresholdPredicate::count("few-neighbors", table, dist.le(Expr::lit(d)), CmpOp::Le, k)
+    // A float threshold, as the condition parser reads every number.
+    let within = Expr::count_where(table, dist.le(Expr::lit(d)));
+    ExprPredicate::new("few-neighbors", within.le(Expr::lit(k as f64)))
 }
 
 /// Grid-accelerated predicate with early exit: counts candidates in

@@ -5,7 +5,8 @@
 //! forms are provided:
 //!
 //! * [`skyband_sql_predicate`] — the literal correlated aggregate
-//!   subquery from the paper (row-wise `eval` is the faithful
+//!   subquery from the paper, as the [`Expr`] the condition parser
+//!   builds from that text (row-wise `eval` is the faithful
 //!   interpreted nested loop; batched `eval_batch` binds the
 //!   subquery once and scans it per object in tiles that stop at `k`
 //!   dominators, through `lts_table::vector`);
@@ -18,7 +19,7 @@
 //! "specialized algorithm" the paper notes a generic system lacks; we
 //! use it for ground truth and selectivity calibration only.
 
-use lts_table::{AggThresholdPredicate, CmpOp, Expr, FnPredicate, Table, TableResult};
+use lts_table::{Expr, ExprPredicate, FnPredicate, Table, TableResult};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -128,12 +129,7 @@ pub fn exact_skyband_count(xs: &[f64], ys: &[f64], k: usize) -> usize {
 /// (SELECT COUNT(*) FROM D
 ///   WHERE x >= o.x AND y >= o.y AND (x > o.x OR y > o.y)) < k
 /// ```
-pub fn skyband_sql_predicate(
-    table: Arc<Table>,
-    x_col: &str,
-    y_col: &str,
-    k: i64,
-) -> AggThresholdPredicate {
+pub fn skyband_sql_predicate(table: Arc<Table>, x_col: &str, y_col: &str, k: i64) -> ExprPredicate {
     let dominate = Expr::col(x_col)
         .ge(Expr::outer(x_col))
         .and(Expr::col(y_col).ge(Expr::outer(y_col)))
@@ -142,7 +138,9 @@ pub fn skyband_sql_predicate(
                 .gt(Expr::outer(x_col))
                 .or(Expr::col(y_col).gt(Expr::outer(y_col))),
         );
-    AggThresholdPredicate::count("skyband", table, dominate, CmpOp::Lt, k)
+    // A float threshold, as the condition parser reads every number.
+    let dominators = Expr::count_where(table, dominate);
+    ExprPredicate::new("skyband", dominators.lt(Expr::lit(k as f64)))
 }
 
 /// Compiled-equivalent predicate: scans the coordinate slices directly

@@ -19,9 +19,7 @@ pub struct CountEstimate {
     pub interval: ConfidenceInterval,
     /// Degrees of freedom behind `std_error` when `interval` is a
     /// t-interval (stratified, Des Raj); `None` for normal/Wald/Wilson
-    /// constructions and exact counts. Carried so independent
-    /// estimates can be composed with honest Welch–Satterthwaite df
-    /// (`lts_stats::compose_independent`) instead of guessing.
+    /// constructions and exact counts.
     pub df: Option<f64>,
 }
 

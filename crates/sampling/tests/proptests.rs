@@ -4,7 +4,6 @@ use lts_sampling::{
     allocate, proportional_allocation, sample_without_replacement, stratified_count_estimate,
     weighted_sample_es, weighted_sample_fenwick, DesRaj, Fenwick, StratumSample,
 };
-use lts_stats::{compose_independent, Component};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -188,16 +187,11 @@ proptest! {
     }
 
     /// **Grouped-strata agreement.** Split the strata of one stratified
-    /// design into contiguous groups, estimate each group with the same
-    /// stratified estimator, and compose the group estimators as
-    /// independent components: the composed count and standard error
-    /// equal the global stratified estimator over all strata (float
-    /// summation order aside). This is the algebra
-    /// `lts_stats::compose_independent` rests on: count variance
-    /// decomposes additively across strata, so grouping them changes
-    /// nothing. (Degrees of freedom legitimately differ: the
-    /// composition uses Welch–Satterthwaite, the global estimator uses
-    /// Σ(n_h − 1).)
+    /// design into contiguous groups and estimate each group with the
+    /// same stratified estimator: the group counts and count variances
+    /// sum to the global stratified estimator's over all strata (float
+    /// summation order aside). Count variance decomposes additively
+    /// across strata, so grouping them changes nothing.
     #[test]
     fn grouped_strata_compose_to_the_global_estimate(
         raw in proptest::collection::vec((1usize..150, any::<u32>(), any::<u32>()), 2..16),
@@ -220,31 +214,20 @@ proptest! {
         // takes a whole run of them).
         let k = k.min(strata.len());
         let per = strata.len().div_ceil(k);
-        let parts: Vec<Component> = strata
+        let (count, variance) = strata
             .chunks(per)
-            .map(|chunk| {
-                let e = stratified_count_estimate(chunk, 0.95).unwrap();
-                Component {
-                    value: e.count,
-                    variance: e.std_error * e.std_error,
-                    df: e.df,
-                }
-            })
-            .collect();
-        let merged = compose_independent(&parts, 0.95).unwrap();
+            .map(|chunk| stratified_count_estimate(chunk, 0.95).unwrap())
+            .fold((0.0, 0.0), |(c, v), e| (c + e.count, v + e.std_error * e.std_error));
 
         let scale = global.count.abs().max(1.0);
         prop_assert!(
-            (merged.value - global.count).abs() <= 1e-9 * scale,
-            "count: merged {} vs global {}", merged.value, global.count
+            (count - global.count).abs() <= 1e-9 * scale,
+            "count: summed {} vs global {}", count, global.count
         );
-        let var_scale = (global.std_error * global.std_error).max(1.0);
+        let global_variance = global.std_error * global.std_error;
         prop_assert!(
-            (merged.std_error * merged.std_error
-                - global.std_error * global.std_error).abs() <= 1e-9 * var_scale,
-            "variance: merged {} vs global {}",
-            merged.std_error * merged.std_error,
-            global.std_error * global.std_error
+            (variance - global_variance).abs() <= 1e-9 * global_variance.max(1.0),
+            "variance: summed {} vs global {}", variance, global_variance
         );
     }
 }

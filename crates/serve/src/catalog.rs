@@ -26,8 +26,6 @@ use std::sync::Arc;
 pub(crate) struct QueryDecomposition {
     /// The subquery-free prefilter conjunction.
     pub(crate) prefilter: Expr,
-    /// The oracle-bearing residual conjunction.
-    pub(crate) residual: Expr,
     /// Canonical form of the prefilter (selectivity and seed key).
     pub(crate) prefilter_canonical: String,
     /// Canonical form of the residual (a prefiltered state's seed key).

@@ -702,7 +702,7 @@ impl Service {
         let planned = self.plan(&resolved, target)?;
         let observed = (self.query(dataset, &resolved.canonical))
             .and_then(|e| e.plan.as_deref())
-            .and_then(|p| p.survivors().zip(p.selectivity()));
+            .map(|p| (p.survivors(), p.selectivity()));
         Ok(render::explain_line(
             &resolved, &planned, predicted, observed,
         ))

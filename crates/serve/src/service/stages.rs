@@ -8,9 +8,7 @@ use crate::catalog::{QueryDecomposition, WarmState};
 use crate::error::{ServeError, ServeResult};
 use crate::fingerprint;
 use crate::planner::{QueryRoute, Route, Target};
-use lts_core::{
-    fnv1a, mix_seed, CountEstimator, CountingProblem, LogicalPlan, Lss, PhysicalPlan, Srs,
-};
+use lts_core::{fnv1a, mix_seed, CountEstimator, CountingProblem, Lss, PhysicalPlan, Srs};
 use lts_obs::{SlowEntry, Trace, TraceEvent};
 use lts_table::{decompose, parse_condition, DecomposedQuery, ExprPredicate, ObjectPredicate};
 use rand::rngs::StdRng;
@@ -249,7 +247,6 @@ impl Service {
                         prefilter_canonical: fingerprint::canonical(&prefilter),
                         residual_canonical: fingerprint::canonical(&residual),
                         prefilter,
-                        residual,
                     })
                 });
                 let built = (problem, decomposition);
@@ -287,23 +284,15 @@ impl Service {
         if let Some(plan) = memo.and_then(|e| e.plan.clone()) {
             return Ok(plan);
         }
-        let logical = LogicalPlan {
-            prefilter: Some(decomp.prefilter.clone()),
-            residual: decomp.residual.clone(),
-        };
         let plan = Arc::new(PhysicalPlan::build(
-            Arc::clone(&resolved.problem),
+            &resolved.problem,
             &ds.table,
-            logical,
+            &decomp.prefilter,
         )?);
         if let Some(entry) = ds.derived.queries.get_mut(&resolved.canonical) {
             entry.plan = Some(Arc::clone(&plan));
         }
-        // An empty population has no selectivity to learn from.
-        if plan.population() > 0 {
-            let observed = plan.selectivity().expect("the plan ran its prefilter");
-            (ds.derived.selectivity).insert(decomp.prefilter_canonical.clone(), observed);
-        }
+        (ds.derived.selectivity).insert(decomp.prefilter_canonical.clone(), plan.selectivity());
         Ok(plan)
     }
 
@@ -336,8 +325,8 @@ impl Service {
                 prefilter: decomp.prefilter_canonical.clone(),
                 residual: decomp.residual_canonical.clone(),
                 population: n,
-                survivors: plan.and_then(PhysicalPlan::survivors),
-                selectivity: plan.and_then(PhysicalPlan::selectivity),
+                survivors: plan.map(PhysicalPlan::survivors),
+                selectivity: plan.map(PhysicalPlan::selectivity),
             })
         };
         let mono = |route: Route| {
@@ -352,7 +341,7 @@ impl Service {
             return Ok(mono(planner.plan(n, target)?));
         }
         let plan = self.plan_state(resolved, decomp)?;
-        Ok(match planner.choose(n, plan.survivors(), target)? {
+        Ok(match planner.choose(n, Some(plan.survivors()), target)? {
             QueryRoute::Monolithic(route) => mono(route),
             QueryRoute::PrefilterExact => Planned {
                 task: Task::Exact {
@@ -734,10 +723,7 @@ impl WorkItem {
                 // prefilter survivors only — and costs nothing when none
                 // survived (a zero-width interval at zero oracle cost).
                 let (count, evals) = match plan {
-                    Some(p) => (
-                        p.exact_count()?,
-                        p.survivors().unwrap_or_else(|| p.population()),
-                    ),
+                    Some(p) => (p.exact_count()?, p.survivors()),
                     None => (problem.exact_count()?, problem.n()),
                 };
                 let count = count as f64;

@@ -28,12 +28,10 @@
 //! The tests take one lock: the allocator counts the whole process, so
 //! nothing else may run beside the measured sections.
 
-use lts_core::{
-    features_from_columns, restrict_problem, CountingProblem, LogicalPlan, PhysicalPlan,
-};
+use lts_core::{features_from_columns, restrict_problem, CountingProblem, PhysicalPlan};
 use lts_data::{neighbors_scenario, sports_scenario, QueryParam, SelectivityLevel};
 use lts_serve::{DatasetSpec, Request, Service, ServiceConfig, Target, MAX_REGISTER_ROWS};
-use lts_table::{parse_condition, ExprPredicate, PartitionedTable, TableRegistry};
+use lts_table::{decompose, parse_condition, ExprPredicate, PartitionedTable, TableRegistry};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -210,9 +208,9 @@ fn a_distinct_query_retains_its_delta_not_a_copy_of_the_table() {
         let problem =
             CountingProblem::with_features(Arc::clone(&table), predicate, Arc::clone(&matrix));
         let plan = PhysicalPlan::build(
-            Arc::new(problem.unwrap()),
+            &problem.unwrap(),
             &PartitionedTable::auto(Arc::clone(&table)),
-            LogicalPlan::of(&expr),
+            &decompose(&expr).exact_prefilter.unwrap(),
         )
         .unwrap();
         let restricted = plan.restricted().expect("rows survive");

@@ -11,13 +11,15 @@
 //!   format byte for byte; CI runs this file at one rayon worker and at
 //!   the default count, so the bytes do not depend on the thread count.
 
-use lts_core::{CountingProblem, EstimateReport, LogicalPlan, LssWarm, PhysicalPlan};
+use lts_core::{CountingProblem, EstimateReport, LssWarm, PhysicalPlan};
 use lts_data::{neighbors_scenario, sports_scenario, QueryParam, SelectivityLevel};
 use lts_serve::{
     serve_lss_profile, state, store, BudgetPlanner, DatasetSpec, EstimatorTag, Request, Service,
     ServiceConfig, StoreExportEntry, Target,
 };
-use lts_table::{parse_condition, ExprPredicate, PartitionedTable, Table, TableRegistry};
+use lts_table::{
+    decompose, parse_condition, ExprPredicate, PartitionedTable, Table, TableRegistry,
+};
 use std::sync::Arc;
 
 fn skyband(k: usize) -> String {
@@ -45,13 +47,12 @@ fn problems(
     let expr = parse_condition(text, &registry).unwrap();
     let predicate = Arc::new(ExprPredicate::new("q", expr.clone()));
     let problem = Arc::new(CountingProblem::new(Arc::clone(table), predicate, cols).unwrap());
-    let plan = PhysicalPlan::build(
-        Arc::clone(&problem),
-        &PartitionedTable::auto(Arc::clone(table)),
-        LogicalPlan::of(&expr),
-    )
-    .unwrap();
-    (problem, plan.restricted().cloned())
+    let restricted = decompose(&expr).exact_prefilter.and_then(|prefilter| {
+        let pt = PartitionedTable::auto(Arc::clone(table));
+        let plan = PhysicalPlan::build(&problem, &pt, &prefilter).unwrap();
+        plan.restricted().cloned()
+    });
+    (problem, restricted)
 }
 
 fn assert_same_report(a: &EstimateReport, b: &EstimateReport, what: &str) {

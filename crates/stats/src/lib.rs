@@ -14,7 +14,6 @@
 
 #![warn(missing_docs)]
 
-pub mod compose;
 pub mod error;
 pub mod interval;
 pub mod normal;
@@ -22,7 +21,6 @@ pub mod special;
 pub mod student;
 pub mod summary;
 
-pub use compose::{compose_independent, welch_satterthwaite, Component, Composed};
 pub use error::{StatsError, StatsResult};
 pub use interval::{
     normal_interval, t_interval, wald_proportion, wilson_proportion, ConfidenceInterval,

@@ -14,8 +14,8 @@
 //! aggregate subquery anywhere ([`contains_subquery`]): such an
 //! expression is a pure column computation the vectorized engine
 //! ([`crate::vector`] / [`crate::partition`]) evaluates without oracle
-//! cost. A conjunct containing [`Expr::Subquery`] — the
-//! [`crate::AggThresholdPredicate`] shape — is *expensive*: each
+//! cost. A conjunct containing [`Expr::Subquery`] — the paper's
+//! `(SELECT COUNT(*) …) cmp k` shape — is *expensive*: each
 //! evaluation scans the inner table, which is exactly the cost the
 //! estimators meter.
 //!

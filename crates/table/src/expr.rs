@@ -517,7 +517,7 @@ fn eval_call(f: Func, args: &[Expr], ctx: RowCtx<'_>) -> TableResult<Value> {
     }
 }
 
-pub(crate) fn eval_subquery(sq: &AggSubquery, ctx: RowCtx<'_>) -> TableResult<Value> {
+fn eval_subquery(sq: &AggSubquery, ctx: RowCtx<'_>) -> TableResult<Value> {
     // The row we were called for becomes the *outer* row inside the
     // subquery. One level of correlation is supported.
     let outer = Some((ctx.table, ctx.row));

@@ -12,7 +12,7 @@
 //!   subqueries** evaluated by nested-loop scan — the evaluation strategy
 //!   the paper argues a generic system falls back to,
 //! * the Q1 → (Q2, Q3) decomposition ([`query`]): distinct projection for
-//!   the object set and an aggregate-threshold predicate,
+//!   the object set and an expression predicate for the per-object test,
 //! * conjunctive plan analysis ([`mod@decompose`]): split a parsed predicate
 //!   into a cheap exact prefilter and an expensive subquery-bearing
 //!   residual, feeding the planning layer upstream,
@@ -62,7 +62,7 @@ pub use grid::GridIndex;
 pub use parser::{parse_condition, TableRegistry};
 pub use partition::{par_eval_bool_ids, partition_bounds, PartitionedTable};
 pub use predicate::{thread_labeling_nanos, FnPredicate, Metered, ObjectPredicate, PredicateStats};
-pub use query::{distinct_project, AggThresholdPredicate, CountQuery, ExprPredicate};
+pub use query::{distinct_project, ExprPredicate};
 pub use schema::{Field, Schema};
 pub use storage::{
     BufferManager, BufferSnapshot, PagedTable, ScanSnapshot, Snapshot, StorageError, StorageResult,

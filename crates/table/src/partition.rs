@@ -10,9 +10,8 @@
 //! expression and the number of rows scanned. Every entry point —
 //! [`PartitionedTable::par_eval_bool`] / [`par_count`](PartitionedTable::par_count)
 //! over a whole table, [`par_eval_bool_ids`] behind the `eval_batch` of
-//! [`crate::query::ExprPredicate`] and
-//! [`crate::query::CountQuery::exact_count`] — is that driver called
-//! with that rule's answer; [`PartitionedTable::new`] pins `n` instead,
+//! [`crate::query::ExprPredicate`] — is that driver called with that
+//! rule's answer; [`PartitionedTable::new`] pins `n` instead,
 //! for tests and benchmarks that sweep it.
 //!
 //! # Determinism contract
@@ -204,10 +203,8 @@ const MIN_SUBQUERY_ROWS_PER_WORKER: usize = 1 << 20;
 
 /// How many contiguous chunks a batch of `n_ids` objects, each scanning
 /// `inner_rows` subquery rows, is split into — the subquery arm of
-/// [`chunks_for`], which
-/// [`AggThresholdPredicate`](crate::query::AggThresholdPredicate) (it
-/// holds a subquery, not an [`Expr`]) asks directly.
-pub(crate) fn subquery_chunks(n_ids: usize, inner_rows: usize) -> usize {
+/// [`chunks_for`].
+fn subquery_chunks(n_ids: usize, inner_rows: usize) -> usize {
     let volume = n_ids.saturating_mul(inner_rows);
     rayon::current_num_threads()
         .min(volume / MIN_SUBQUERY_ROWS_PER_WORKER)
@@ -230,7 +227,7 @@ fn chunks_for(expr: &Expr, n_rows: usize) -> usize {
 /// `0..n` on parallel workers (inline for one chunk or fewer) and
 /// concatenate the labels in chunk order, surfacing the first error in
 /// that order.
-pub(crate) fn par_chunks_in_order<F>(n: usize, n_chunks: usize, eval: F) -> TableResult<Vec<bool>>
+fn par_chunks_in_order<F>(n: usize, n_chunks: usize, eval: F) -> TableResult<Vec<bool>>
 where
     F: Fn(Range<usize>) -> TableResult<Vec<bool>> + Sync,
 {
@@ -428,22 +425,13 @@ mod tests {
             let dominated = Expr::col("x")
                 .ge(Expr::outer("x"))
                 .and(Expr::col("y").gt(Expr::outer("y")));
-            let e = Expr::count_where(Arc::clone(table), dominated.clone()).lt(Expr::lit(40.0));
+            let e = Expr::count_where(Arc::clone(table), dominated).lt(Expr::lit(40.0));
             let serial = eval_bool_columnar(&e, table, Some(&ids));
             assert_eq!(
                 serial.is_err(),
                 !Arc::ptr_eq(table, &clean) || oob.is_some()
             );
             assert_eq!(par_eval_bool_ids(&e, table, &ids), serial);
-            let p = crate::query::AggThresholdPredicate::count(
-                "dominated",
-                Arc::clone(table),
-                dominated,
-                crate::expr::CmpOp::Lt,
-                40,
-            );
-            use crate::predicate::ObjectPredicate;
-            assert_eq!(p.eval_batch(table, &ids), serial);
         }
     }
 

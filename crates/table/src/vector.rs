@@ -445,11 +445,7 @@ pub fn eval_bool_columnar(
 /// kernel ([`crate::bound`]) declines, and the re-evaluation target for
 /// an object it gives up on (a NaN met by a comparison, an outer row out
 /// of range) — which is how the exact value or error is reproduced.
-pub(crate) fn subquery_value(
-    sq: &AggSubquery,
-    outer_table: &Table,
-    outer_row: usize,
-) -> TableResult<Value> {
+fn subquery_value(sq: &AggSubquery, outer_table: &Table, outer_row: usize) -> TableResult<Value> {
     let inner: &Table = sq.table.as_ref();
     let n = inner.len();
     let ictx = VecCtx {
@@ -521,9 +517,8 @@ pub(crate) fn subquery_value(
 
 /// A `COUNT(*)` subquery bound for a batch of outer rows, with the
 /// generic path behind it: the one subquery evaluator, shared by
-/// [`eval_vec`]'s `Subquery` and `Cmp` arms and by
-/// [`AggThresholdPredicate`](crate::query::AggThresholdPredicate).
-pub(crate) struct CountScan<'a> {
+/// [`eval_vec`]'s `Subquery` and `Cmp` arms.
+struct CountScan<'a> {
     sq: &'a AggSubquery,
     outer: &'a Table,
     bound: BoundCount<'a>,
@@ -532,7 +527,7 @@ pub(crate) struct CountScan<'a> {
 impl<'a> CountScan<'a> {
     /// Bind `sq` once for every row of `outer` it will be asked about;
     /// `None` when the bound kernel declines the shape.
-    pub(crate) fn bind(sq: &'a AggSubquery, outer: &'a Table) -> Option<Self> {
+    fn bind(sq: &'a AggSubquery, outer: &'a Table) -> Option<Self> {
         let bound = BoundCount::bind(sq, outer)?;
         Some(Self { sq, outer, bound })
     }
@@ -547,7 +542,7 @@ impl<'a> CountScan<'a> {
 
     /// Truth of `test` on the count for `outer_row`, scanning no further
     /// than the tile that decides it.
-    pub(crate) fn test(&mut self, test: &CountTest, outer_row: usize) -> TableResult<bool> {
+    fn test(&mut self, test: &CountTest, outer_row: usize) -> TableResult<bool> {
         let count = match self.bound.count(outer_row, test.stop()) {
             Some(c) => c.count,
             None => subquery_value(self.sq, self.outer, outer_row)?.as_i64()?,

@@ -9,8 +9,8 @@
 use lts_table::partition::{par_eval_bool_ids, partition_bounds, PartitionedTable};
 use lts_table::vector::{eval_bool_columnar, eval_columnar, eval_columnar_sel, RowSel};
 use lts_table::{
-    AggFunc, AggThresholdPredicate, BinaryOp, CmpOp, DataType, Expr, ExprPredicate, Field,
-    ObjectPredicate, RowCtx, Schema, Table, TableBuilder, TableResult, Value,
+    AggFunc, BinaryOp, CmpOp, DataType, Expr, ExprPredicate, Field, ObjectPredicate, RowCtx,
+    Schema, Table, TableBuilder, TableResult, Value,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -618,9 +618,8 @@ proptest! {
     /// filter, inner rows planted on and within ulps of the radius and
     /// where a square leaves the normal range. Per outer row the
     /// value or error must equal row-wise `Expr::eval` — through the
-    /// columnar engine, `ExprPredicate`, the chunked id scan and
-    /// `AggThresholdPredicate`, over ids with duplicates and ids past
-    /// the object table.
+    /// columnar engine, `ExprPredicate` and the chunked id scan, over
+    /// ids with duplicates and ids past the object table.
     #[test]
     fn bound_subquery_kernel_agrees_with_row_wise(
         inner in arb_numeric_table(3000),
@@ -643,11 +642,11 @@ proptest! {
         };
         let inner = Arc::new(inner);
         let k = thresholds(n)[k_pick].clone();
-        let sub = Expr::count_where(Arc::clone(&inner), filter.clone());
+        let sub = Expr::count_where(Arc::clone(&inner), filter);
         let e = if literal_left {
-            cmp_expr(op, Expr::Literal(k.clone()), sub.clone())
+            cmp_expr(op, Expr::Literal(k), sub.clone())
         } else {
-            cmp_expr(op, sub.clone(), Expr::Literal(k.clone()))
+            cmp_expr(op, sub.clone(), Expr::Literal(k))
         };
         // Values and errors, row by row, for the threshold form and for
         // the bare count.
@@ -671,18 +670,6 @@ proptest! {
         let p = ExprPredicate::new("q", e.clone());
         prop_assert_eq!(&p.eval_batch(&outer, &picks), &row_wise, "`{}`", e);
         prop_assert_eq!(&par_eval_bool_ids(&e, &outer, &picks), &row_wise, "`{}`", e);
-        // The threshold predicate's batch equals its own interpreted
-        // loop (a NaN threshold is `false` there, not an error) and,
-        // wherever a count orders against `k`, the expression form.
-        let agg = AggThresholdPredicate::new(
-            "agg", Arc::clone(&inner), filter, AggFunc::Count, None, op, k.clone(),
-        );
-        let agg_row_wise: TableResult<Vec<bool>> =
-            picks.iter().map(|&row| agg.eval(&outer, row)).collect();
-        prop_assert_eq!(&agg.eval_batch(&outer, &picks), &agg_row_wise, "`{}`", agg.as_expr());
-        if !literal_left && !matches!(k, Value::Float(x) if x.is_nan()) {
-            prop_assert_eq!(&agg_row_wise, &row_wise, "`{}`", e);
-        }
     }
 }
 
@@ -736,11 +723,11 @@ proptest! {
         };
         let inner = Arc::new(table);
         let k = thresholds(n)[k_pick].clone();
-        let sub = Expr::count_where(Arc::clone(&inner), filter.clone());
+        let sub = Expr::count_where(Arc::clone(&inner), filter);
         let e = if literal_left {
-            cmp_expr(op, Expr::Literal(k.clone()), sub.clone())
+            cmp_expr(op, Expr::Literal(k), sub.clone())
         } else {
-            cmp_expr(op, sub.clone(), Expr::Literal(k.clone()))
+            cmp_expr(op, sub.clone(), Expr::Literal(k))
         };
         for expr in [&e, &sub] {
             let batch = eval_columnar(expr, &inner, Some(&picks));
@@ -759,12 +746,8 @@ proptest! {
             .map(|&row| e.eval_bool(RowCtx::top(&inner, row)))
             .collect();
         prop_assert_eq!(&par_eval_bool_ids(&e, &inner, &picks), &row_wise, "`{}`", e);
-        let agg = AggThresholdPredicate::new(
-            "agg", Arc::clone(&inner), filter, AggFunc::Count, None, op, k.clone(),
-        );
-        let agg_row_wise: TableResult<Vec<bool>> =
-            picks.iter().map(|&row| agg.eval(&inner, row)).collect();
-        prop_assert_eq!(&agg.eval_batch(&inner, &picks), &agg_row_wise, "`{}`", agg.as_expr());
+        let p = ExprPredicate::new("q", e.clone());
+        prop_assert_eq!(&p.eval_batch(&inner, &picks), &row_wise, "`{}`", e);
         // Which path answered.
         if special.is_some() {
             prop_assert_eq!(inner.zone_bytes(), 0, "`{}`", e);

@@ -8,7 +8,7 @@
 //! ```
 
 use learning_to_sample::prelude::*;
-use lts_table::{distinct_project, AggThresholdPredicate, CmpOp};
+use lts_table::{distinct_project, ExprPredicate};
 use std::sync::Arc;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -48,7 +48,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .gt(Expr::outer("x"))
                 .or(Expr::col("y").gt(Expr::outer("y"))),
         );
-    let q3 = AggThresholdPredicate::count("q3-skyband", Arc::clone(&d), dominate, CmpOp::Lt, 40);
+    let q3 = ExprPredicate::new(
+        "q3-skyband",
+        Expr::count_where(Arc::clone(&d), dominate).lt(Expr::lit(40i64)),
+    );
 
     // The same predicate can be written as text — the paper's native
     // SQL-condition form — and parsed into an identical expression tree.
@@ -58,7 +61,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          WHERE x >= o.x AND y >= o.y AND (x > o.x OR y > o.y)) < 40",
         &registry,
     )?;
-    let parsed_q3 = lts_table::ExprPredicate::new("q3-parsed", parsed);
+    let parsed_q3 = ExprPredicate::new("q3-parsed", parsed);
     for idx in (0..objects.len()).step_by(objects.len() / 16) {
         assert_eq!(
             ObjectPredicate::eval(&parsed_q3, &objects, idx)?,
