@@ -280,6 +280,12 @@ pub fn draw_stratified<R: Rng + ?Sized>(
 /// that may contain positives (the `min_per_stratum` constraint exists
 /// for exactly this reason).
 ///
+/// A stratum whose draws are unanimous (every `n_h = 1` stratum is) has
+/// `s²_h = 0`, which would claim its count exactly from a sample; its
+/// variance term uses the Jeffreys-smoothed `p̃_h = (x_h + ½)/(n_h + 1)`
+/// in place of `pˆ_h`, as `s²_h = p̃_h(1 − p̃_h)`. The point estimate
+/// keeps `pˆ_h`.
+///
 /// # Errors
 ///
 /// Returns an error if no stratum was sampled or the level is invalid.
@@ -308,11 +314,17 @@ pub fn stratified_count_estimate(
         }
         let w = s.population as f64 / nf;
         p_hat += w * s.p_hat();
-        if s.sampled >= 2 {
-            let s2 = s.s2();
-            var += w * w * s2 / s.sampled as f64 - w * s2 / nf;
-            df += (s.sampled - 1) as f64;
+        if s.sampled == 0 {
+            continue;
         }
+        let s2 = if s.positives == 0 || s.positives == s.sampled {
+            let p = (s.positives as f64 + 0.5) / (s.sampled as f64 + 1.0);
+            p * (1.0 - p)
+        } else {
+            s.s2()
+        };
+        var += w * w * s2 / s.sampled as f64 - w * s2 / nf;
+        df += (s.sampled - 1) as f64;
     }
     let var = var.max(0.0);
     let se = var.sqrt();
@@ -465,22 +477,29 @@ mod tests {
     }
 
     #[test]
-    fn homogeneous_strata_give_zero_variance() {
-        let strata = [
-            StratumSample {
-                population: 50,
-                sampled: 5,
-                positives: 0,
-            },
-            StratumSample {
-                population: 50,
-                sampled: 5,
-                positives: 5,
-            },
-        ];
-        let e = stratified_count_estimate(&strata, 0.95).unwrap();
+    fn unanimous_strata_keep_a_jeffreys_variance() {
+        let stratum = |sampled, positives| StratumSample {
+            population: 50,
+            sampled,
+            positives,
+        };
+        let e = stratified_count_estimate(&[stratum(5, 0), stratum(5, 5)], 0.95).unwrap();
         assert!((e.count - 50.0).abs() < 1e-9);
-        assert!(e.std_error.abs() < 1e-12);
+        // p̃ = ½/6 and 5½/6 give the same p̃(1 − p̃) = 11/144; each
+        // stratum adds w²·s²/n_h − w·s²/N with w = ½, n_h = 5, N = 100.
+        let s2: f64 = 11.0 / 144.0;
+        let var = 2.0 * (0.25 * s2 / 5.0 - 0.5 * s2 / 100.0);
+        assert!((e.std_error - var.sqrt() * 100.0).abs() < 1e-9, "{e:?}");
+        assert_eq!(e.df, Some(8.0));
+        assert!(e.interval.lo < 50.0 && e.interval.hi > 50.0);
+
+        // One draw per stratum: still a variance, and df = 0 → 1.
+        let e = stratified_count_estimate(&[stratum(1, 0), stratum(1, 1)], 0.95).unwrap();
+        assert!(e.std_error > 0.0);
+        assert_eq!(e.df, Some(1.0));
+        // A census of a unanimous stratum is exact.
+        let e = stratified_count_estimate(&[stratum(50, 0), stratum(50, 50)], 0.95).unwrap();
+        assert!(e.std_error < 1e-9, "{e:?}");
     }
 
     #[test]

@@ -10,6 +10,7 @@ use crate::fingerprint;
 use crate::planner::{QueryRoute, Route, Target};
 use lts_core::{fnv1a, mix_seed, CountEstimator, CountingProblem, Lss, PhysicalPlan, Srs};
 use lts_obs::{SlowEntry, Trace, TraceEvent};
+use lts_stats::IntervalKind;
 use lts_table::{decompose, parse_condition, DecomposedQuery, ExprPredicate, ObjectPredicate};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -739,8 +740,13 @@ impl WorkItem {
                 })
             }
             Task::Srs => {
+                // Wilson, not the paper's Wald: a sample with no (or
+                // only) positives still gets a nonzero width.
+                let srs = Srs {
+                    interval: IntervalKind::Wilson,
+                };
                 let mut rng = StdRng::seed_from_u64(self.seed);
-                let report = Srs::default().estimate(problem, self.adm.planned.budget, &mut rng)?;
+                let report = srs.estimate(problem, self.adm.planned.budget, &mut rng)?;
                 Ok(sampled(report, "srs", 0, 0))
             }
             Task::Resume { key } => {

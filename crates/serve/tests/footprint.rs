@@ -278,8 +278,8 @@ const fn read_columns(rows: usize) -> usize {
 /// 200, seed-1 neighbors at 8 000 rows), wall time masked.
 const F05_LINE: &str = concat!(
     r#"{"id": 900, "ok": true, "served": "cold", "route": "lss", "fingerprint": "d9978989d70470a8", "#,
-    r#""estimate": 405.35, "std_error": 85.18719513099204, "lo": 231.60957006954817, "#,
-    r#""hi": 579.0904299304518, "level": 0.95, "evals": 200, "budget": 200, "#,
+    r#""estimate": 405.35, "std_error": 96.26797918382606, "lo": 209.01016199717844, "#,
+    r#""hi": 601.6898380028215, "level": 0.95, "evals": 200, "budget": 200, "#,
     r#""model_version": "d9df87ef56fd7c3c", "table_version": 0, "wall_micros": 0, "#,
     r#""plan": {"kind": "prefilter_estimate", "prefilter": "(1.0 < f05)", "residual": "#,
     r#""((SELECT Count(*) FROM [src_rate:Float,dst_rate:Float,f02:Float,f03:Float,f04:Float,"#,

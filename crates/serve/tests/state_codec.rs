@@ -1,4 +1,4 @@
-//! The `lts-store/v2` / `lts-state/v2` codec: a warm state written down
+//! The `lts-store/v2` / `lts-state/v3` codec: a warm state written down
 //! and decoded is the state that was written.
 //!
 //! * **Round trip** — for the two served shapes (`lss`, `lss+pf`) on
@@ -201,7 +201,7 @@ fn the_snapshot_format_is_pinned_byte_for_byte() {
     let _ = std::fs::remove_dir_all(&dir);
     let path = state::save(&golden_service(), &dir).unwrap();
     let got = std::fs::read_to_string(path).unwrap();
-    let golden = include_str!("data/state_v2.golden");
+    let golden = include_str!("data/state_v3.golden");
     for (i, (g, w)) in golden.lines().zip(got.lines()).enumerate() {
         assert_eq!(g, w, "snapshot diverges from the golden at line {}", i + 1);
     }

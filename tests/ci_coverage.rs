@@ -274,16 +274,13 @@ fn lws_interval_covers_end_to_end() {
     );
 }
 
-/// ROADMAP item 1's separable fixture, through the service: the ten
-/// objects with the largest `f05` are exactly the ones with fewer than
-/// ten rows above them, so a proxy on `f05` separates the classes and
-/// the serve profile's strata come back unanimous. Most replies are
-/// then a zero-width interval around a wrong count where an honest one
-/// must cover: over fresh ids 0..20, 18 zero-width and 2 covering at
-/// budget 200 (id 0 replies `[1, 1]`), 11 and 9 at budget 500 (id 0:
-/// `[2, 2]`).
+/// A separable count through the service: the ten objects with the
+/// largest `f05` are exactly the ones with fewer than ten rows above
+/// them, so a proxy on `f05` separates the classes and the serve
+/// profile's strata come back unanimous. Unanimous draws must still
+/// leave a variance: no reply may be a zero-width interval, and at
+/// least 18 of 20 fresh ids must cover.
 #[test]
-#[ignore = "fails until ROADMAP item 1(b)"]
 fn served_intervals_cover_a_separable_count() {
     let mut service = Service::new(ServiceConfig::default());
     let spec = learning_to_sample::serve::DatasetSpec {
