@@ -21,17 +21,19 @@
 //! and one load.
 //!
 //! **The cap**, [`MAX_TABLE_CELLS`] = 2¹⁸ cells (2 MiB): painting costs
-//! ≈ 0.3 ns per (tree, cell), ≈ 8 ms for 100 trees at the cap, and a
-//! 2-feature forest reaches the cap at ≈ 400 training rows, whose fit
-//! costs ≈ 16 ms — so a build costs at most about half its fit. The
-//! served forests cut 75–350 cells (sports) and 8 000–24 000 (neighbours).
+//! ≈ 0.5 ns per (tree, cell), 12–16 ms for 100 trees at the cap, which a
+//! continuous 2-feature forest reaches at a few hundred training rows
+//! (≈ 270 with 5 % label noise). Its trees grow in 3–6 ms, so there a
+//! build costs 2–4× the trees — and a quarter of one walked scoring pass
+//! over 8 000 objects (≈ 50 ms), which a cold prepare makes. The served
+//! forests cut 75–350 cells (sports) and 8 000–24 000 (neighbours).
 //! Above the cap the forest walks its trees per row: the only other
 //! kernel, chosen by the cell count alone, and the tests' oracle.
 
 use crate::classifier::{validate_training, Classifier};
 use crate::error::{LearnError, LearnResult};
 use crate::matrix::Matrix;
-use crate::tree::{DecisionTree, Node, TreeConfig};
+use crate::tree::{DecisionTree, Grower, Node, TreeConfig};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -246,18 +248,14 @@ impl Classifier for RandomForest {
             .unwrap_or_else(|| ((x.cols() as f64).sqrt().round() as usize).max(1));
         self.trees = Vec::with_capacity(self.config.n_trees);
         let mut rng = StdRng::seed_from_u64(self.config.seed);
-        let mut boot_idx = Vec::with_capacity(n);
-        let mut boot_y = Vec::with_capacity(n);
+        let mut grower = Grower::new(x, y);
+        let mut counts = vec![0u32; n];
         for t in 0..self.config.n_trees {
-            // Bootstrap resample.
-            boot_idx.clear();
-            boot_y.clear();
+            // Bootstrap resample, as the count of each row.
+            counts.fill(0);
             for _ in 0..n {
-                let i = rng.random_range(0..n);
-                boot_idx.push(i);
-                boot_y.push(y[i]);
+                counts[rng.random_range(0..n)] += 1;
             }
-            let boot_x = x.gather(&boot_idx);
             let cfg = TreeConfig {
                 max_features: Some(max_features),
                 seed: self
@@ -267,9 +265,7 @@ impl Classifier for RandomForest {
                     .wrapping_mul(0x9E37_79B9_7F4A_7C15),
                 ..self.config.tree
             };
-            let mut tree = DecisionTree::new(cfg);
-            tree.fit(&boot_x, &boot_y)?;
-            self.trees.push(tree);
+            self.trees.push(grower.grow(cfg, &counts));
         }
         self.rebuild_table();
         Ok(())

@@ -5,13 +5,20 @@
 //! usual depth/leaf-size stopping rules. Leaf scores are the positive
 //! fraction of training labels reaching the leaf.
 //!
-//! **Split search** sorts a node's `(value, label)` pairs per candidate
-//! feature (`sort_unstable_by(total_cmp)` into one buffer per node)
-//! and prices every cut between unequal neighbours from a running positive
-//! count. No cut falls inside a run of equal values, so tie order changes
-//! no cut, gain or threshold. Thresholds are midpoints of finite training
-//! values: finite, or `±∞` on overflow, never NaN — what the forest's
-//! score table relies on.
+//! **Split search** prices every cut between unequal neighbours of a
+//! node's rows in value order, from a running positive count. No cut
+//! falls inside a run of equal values, so a node's search depends only on
+//! the multiset of its rows, never on their order within a tie. That is
+//! what lets the order be made once: each feature's training rows are
+//! sorted once (`total_cmp`) per fit — once per forest — and a tree's
+//! sample, as per-row counts, repeats each row in place. A node owns the
+//! same range of every feature's list; its split marks each row's side
+//! and partitions every list stably, so both children stay sorted and a
+//! node costs `O(d·n)` — no gather, no sort. The nodes, the RNG calls and
+//! their order are those of the per-node sort it replaced (kept as the
+//! oracle of `forest_matches_per_node_sort_oracle`). Thresholds are
+//! midpoints of finite training values: finite, or `±∞` on overflow,
+//! never NaN — what the forest's score table relies on.
 
 use crate::classifier::{validate_training, Classifier};
 use crate::error::{LearnError, LearnResult};
@@ -48,15 +55,23 @@ impl Default for TreeConfig {
     }
 }
 
+/// One node of a fitted tree; children are indices into the same list.
 #[derive(Debug, Clone)]
-pub(crate) enum Node {
+pub enum Node {
+    /// The positive fraction of the training labels reaching it.
     Leaf {
+        /// Leaf score.
         p: f64,
     },
+    /// Rows with `row[feat] <= thr` go `left`, the rest `right`.
     Split {
+        /// Feature index.
         feat: usize,
+        /// Threshold.
         thr: f64,
+        /// Left child's index.
         left: usize,
+        /// Right child's index.
         right: usize,
     },
 }
@@ -86,8 +101,9 @@ impl DecisionTree {
         self.nodes.len()
     }
 
-    /// The fitted nodes; the root is the last one.
-    pub(crate) fn nodes(&self) -> &[Node] {
+    /// The fitted nodes in the order they were made (children before
+    /// their parent); the root is the last one.
+    pub fn nodes(&self) -> &[Node] {
         &self.nodes
     }
 
@@ -109,52 +125,145 @@ impl DecisionTree {
             }
         }
     }
+}
 
-    fn build(
+/// Grows trees over one training set whose features are sorted once
+/// (module doc, "Split search"): the forest's shared start for every
+/// tree, and a lone tree's with unit counts.
+pub(crate) struct Grower<'a> {
+    x: &'a Matrix,
+    y: &'a [bool],
+    /// Feature `f`'s training rows in `total_cmp` order of their value,
+    /// at `f·n..(f + 1)·n`.
+    sorted: Vec<u32>,
+    /// Per feature, at `f·len..(f + 1)·len`: `sorted` with each row
+    /// repeated by its count. A node owns the same range of each.
+    lists: Vec<u32>,
+    len: usize,
+    /// Per training row: whether the split being applied sends it left.
+    goes_left: Vec<bool>,
+    scratch: Vec<u32>,
+    feats: Vec<usize>,
+    /// The tree being grown.
+    config: TreeConfig,
+    nodes: Vec<Node>,
+}
+
+impl<'a> Grower<'a> {
+    /// Sort every feature of a validated training set once.
+    pub(crate) fn new(x: &'a Matrix, y: &'a [bool]) -> Self {
+        let (n, d) = (x.rows(), x.cols());
+        let rows = u32::try_from(n).expect("fewer than 2³² training rows");
+        let xs = x.as_slice();
+        let mut sorted = Vec::with_capacity(n * d);
+        for f in 0..d {
+            let start = sorted.len();
+            sorted.extend(0..rows);
+            sorted[start..].sort_unstable_by(|&a, &b| {
+                xs[a as usize * d + f].total_cmp(&xs[b as usize * d + f])
+            });
+        }
+        Self {
+            x,
+            y,
+            sorted,
+            lists: Vec::new(),
+            len: 0,
+            goes_left: vec![false; n],
+            scratch: Vec::new(),
+            feats: Vec::new(),
+            config: TreeConfig::default(),
+            nodes: Vec::new(),
+        }
+    }
+
+    /// Fit a tree to the multiset holding training row `r` `counts[r]`
+    /// times (a bootstrap sample, or every row once); `counts` sums to
+    /// at least 1.
+    pub(crate) fn grow(&mut self, config: TreeConfig, counts: &[u32]) -> DecisionTree {
+        self.config = config;
+        self.nodes.clear();
+        let n = counts.iter().map(|&c| c as usize).sum();
+        let positives = (counts.iter().zip(self.y))
+            .filter(|&(_, &y)| y)
+            .map(|(&c, _)| c as usize)
+            .sum();
+        // A leaf root reads no list (a one-label sample, say).
+        if !self.stops(n, positives, 0) {
+            self.lists.clear();
+            for &row in &self.sorted {
+                for _ in 0..counts[row as usize] {
+                    self.lists.push(row);
+                }
+            }
+        }
+        self.len = n;
+        self.node(0, n, positives, 0, &mut StdRng::seed_from_u64(config.seed));
+        DecisionTree {
+            config,
+            nodes: self.nodes.clone(),
+            dims: self.x.cols(),
+            fitted: true,
+        }
+    }
+
+    /// Push a node; returns its index.
+    fn push(&mut self, node: Node) -> usize {
+        self.nodes.push(node);
+        self.nodes.len() - 1
+    }
+
+    /// Whether a node of `n` rows, `positives` of them positive, at
+    /// `depth` is a leaf.
+    fn stops(&self, n: usize, positives: usize, depth: usize) -> bool {
+        let pure = positives == 0 || positives == n;
+        pure || depth >= self.config.max_depth || n < self.config.min_samples_split
+    }
+
+    /// Grow the subtree over `lo..hi` of every list, `positives` of its
+    /// rows positive; returns its root.
+    fn node(
         &mut self,
-        x: &Matrix,
-        y: &[bool],
-        idx: &mut [usize],
+        lo: usize,
+        hi: usize,
+        positives: usize,
         depth: usize,
         rng: &mut StdRng,
     ) -> usize {
-        let positives = idx.iter().filter(|&&i| y[i]).count();
-        let n = idx.len();
+        let config = self.config;
+        let (xs, y, d) = (self.x.as_slice(), self.y, self.x.cols());
+        let n = hi - lo;
         let p = positives as f64 / n as f64;
-        let pure = positives == 0 || positives == n;
-        if pure || depth >= self.config.max_depth || n < self.config.min_samples_split {
-            self.nodes.push(Node::Leaf { p });
-            return self.nodes.len() - 1;
+        if self.stops(n, positives, depth) {
+            return self.push(Node::Leaf { p });
         }
 
         // Candidate features (subsampled for forests).
-        let mut feats: Vec<usize> = (0..x.cols()).collect();
-        if let Some(m) = self.config.max_features {
-            feats.shuffle(rng);
-            feats.truncate(m.max(1).min(x.cols()));
+        self.feats.clear();
+        self.feats.extend(0..d);
+        if let Some(m) = config.max_features {
+            self.feats.shuffle(rng);
+            self.feats.truncate(m.max(1).min(d));
         }
 
         let parent_gini = gini(p);
         let mut best: Option<(usize, f64, f64)> = None; // (feat, thr, gain)
-        let mut pairs: Vec<(f64, bool)> = Vec::with_capacity(n);
-        for &feat in &feats {
-            pairs.clear();
-            pairs.extend(idx.iter().map(|&i| (x.row(i)[feat], y[i])));
-            pairs.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+        for &feat in &self.feats {
+            let list = &self.lists[feat * self.len..][lo..hi];
+            let value = |k: usize| xs[list[k] as usize * d + feat];
             // Prefix positives for O(1) impurity at every cut.
             let mut pos_left = 0usize;
             for cut in 1..n {
-                let (a, positive) = pairs[cut - 1];
-                if positive {
+                if y[list[cut - 1] as usize] {
                     pos_left += 1;
                 }
-                let b = pairs[cut].0;
+                let (a, b) = (value(cut - 1), value(cut));
                 if a == b {
                     continue; // can't cut between equal values
                 }
                 let n_l = cut;
                 let n_r = n - cut;
-                if n_l < self.config.min_samples_leaf || n_r < self.config.min_samples_leaf {
+                if n_l < config.min_samples_leaf || n_r < config.min_samples_leaf {
                     continue;
                 }
                 let p_l = pos_left as f64 / n_l as f64;
@@ -166,34 +275,44 @@ impl DecisionTree {
                 }
             }
         }
-
         let Some((feat, thr, _)) = best else {
-            self.nodes.push(Node::Leaf { p });
-            return self.nodes.len() - 1;
+            return self.push(Node::Leaf { p });
         };
 
-        // Partition indices.
-        let (mut l, mut r): (Vec<usize>, Vec<usize>) = (Vec::new(), Vec::new());
-        for &i in idx.iter() {
-            if x.row(i)[feat] <= thr {
-                l.push(i);
-            } else {
-                r.push(i);
+        // Mark each row's side, then split every list stably.
+        let (mut n_left, mut pos_left) = (0, 0);
+        for &row in &self.lists[feat * self.len..][lo..hi] {
+            let left = xs[row as usize * d + feat] <= thr;
+            self.goes_left[row as usize] = left;
+            n_left += usize::from(left);
+            pos_left += usize::from(left && y[row as usize]);
+        }
+        if n_left == 0 || n_left == n {
+            return self.push(Node::Leaf { p });
+        }
+        for list in self.lists.chunks_exact_mut(self.len) {
+            let list = &mut list[lo..hi];
+            self.scratch.clear();
+            let mut kept = 0;
+            for k in 0..n {
+                let row = list[k];
+                if self.goes_left[row as usize] {
+                    list[kept] = row;
+                    kept += 1;
+                } else {
+                    self.scratch.push(row);
+                }
             }
+            list[kept..].copy_from_slice(&self.scratch);
         }
-        if l.is_empty() || r.is_empty() {
-            self.nodes.push(Node::Leaf { p });
-            return self.nodes.len() - 1;
-        }
-        let left = self.build(x, y, &mut l, depth + 1, rng);
-        let right = self.build(x, y, &mut r, depth + 1, rng);
-        self.nodes.push(Node::Split {
+        let left = self.node(lo, lo + n_left, pos_left, depth + 1, rng);
+        let right = self.node(lo + n_left, hi, positives - pos_left, depth + 1, rng);
+        self.push(Node::Split {
             feat,
             thr,
             left,
             right,
-        });
-        self.nodes.len() - 1
+        })
     }
 }
 
@@ -205,13 +324,7 @@ fn gini(p: f64) -> f64 {
 impl Classifier for DecisionTree {
     fn fit(&mut self, x: &Matrix, y: &[bool]) -> LearnResult<()> {
         validate_training(x, y)?;
-        self.nodes.clear();
-        self.dims = x.cols();
-        let mut idx: Vec<usize> = (0..x.rows()).collect();
-        let mut rng = StdRng::seed_from_u64(self.config.seed);
-        let root = self.build(x, y, &mut idx, 0, &mut rng);
-        debug_assert_eq!(root, self.nodes.len() - 1, "root is last node");
-        self.fitted = true;
+        *self = Grower::new(x, y).grow(self.config, &vec![1; x.rows()]);
         Ok(())
     }
 

@@ -1,9 +1,13 @@
 //! Property-based tests for the ML substrate.
 
-use lts_learn::forest::MAX_TABLE_CELLS;
+mod forest_oracle;
+
+use lts_learn::forest::{ForestConfig, MAX_TABLE_CELLS};
 use lts_learn::kdtree::KdTree;
+use lts_learn::tree::Node;
 use lts_learn::{
-    accuracy, confusion, k_fold_indices, Classifier, Knn, Matrix, RandomForest, StandardScaler,
+    accuracy, confusion, k_fold_indices, Classifier, DecisionTree, Knn, Matrix, RandomForest,
+    StandardScaler, TreeConfig,
 };
 use proptest::prelude::*;
 
@@ -253,6 +257,153 @@ proptest! {
         let labels: Vec<bool> = draws.chunks(6).map(|c| c[0] & 1 == 0).collect();
         let forest = check_table_against_walk(&rows, &labels, 30, seed)?;
         prop_assert_eq!(forest.table_cells(), None);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Trees grown over orders sorted once against the per-node-sort oracle.
+// ---------------------------------------------------------------------
+
+/// The same nodes in the same order: features, children, and the bits
+/// of every threshold and leaf score.
+fn assert_same_nodes(got: &[Node], want: &[forest_oracle::Node]) -> Result<(), TestCaseError> {
+    use forest_oracle::Node as Want;
+    prop_assert_eq!(got.len(), want.len(), "node counts");
+    for (k, pair) in got.iter().zip(want).enumerate() {
+        match pair {
+            (Node::Leaf { p }, Want::Leaf { p: q }) => {
+                prop_assert_eq!(p.to_bits(), q.to_bits(), "leaf {}", k);
+            }
+            (
+                &Node::Split {
+                    feat,
+                    thr,
+                    left,
+                    right,
+                },
+                &Want::Split {
+                    feat: f,
+                    thr: t,
+                    left: l,
+                    right: r,
+                },
+            ) => prop_assert_eq!((feat, thr.to_bits(), left, right), (f, t.to_bits(), l, r)),
+            (g, w) => prop_assert!(false, "node {}: {:?} vs oracle {:?}", k, g, w),
+        }
+    }
+    Ok(())
+}
+
+/// `n` rows of `d` features, `distinct` of them drawn — each feature of
+/// a kind: 0 integers in 0..6 (long runs of ties), 1 continuous, 2
+/// signed zeros and subnormals, 3 overflowing midpoints, 4 constant,
+/// 5 and 6 continuous — and the rest copies of earlier rows.
+fn oracle_rows(n: usize, d: usize, kinds: &[u8], distinct: usize, seed: u64) -> Vec<Vec<f64>> {
+    let mut state = seed;
+    let mut next = move || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        state ^ (state >> 29)
+    };
+    let mut rows: Vec<Vec<f64>> = Vec::with_capacity(n);
+    for i in 0..n {
+        let row = if i < distinct {
+            (0..d)
+                .map(|f| match kinds[f] {
+                    4 => 7.0,
+                    kind @ 0..=3 => feature_value(kind, next()),
+                    _ => feature_value(1, next()),
+                })
+                .collect()
+        } else {
+            rows[(next() % i as u64) as usize].clone()
+        };
+        rows.push(row);
+    }
+    rows
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A lone tree and a forest grown over presorted feature orders
+    /// equal the oracle's per-node-sort trees node for node, and the
+    /// forest scores what the oracle's walk scores, bit for bit — on
+    /// duplicate rows, ties, `±0.0`, `±∞` thresholds and constant
+    /// columns, at every stopping rule and feature subsample.
+    #[test]
+    fn forest_matches_per_node_sort_oracle(
+        n in prop_oneof![Just(1usize), Just(2), Just(37), Just(150), Just(400)],
+        d in prop_oneof![Just(1usize), Just(2), Just(5)],
+        kinds in proptest::collection::vec(0u8..7, 5),
+        distinct_share in 0.0f64..1.0,
+        label_shape in 0u8..10,
+        max_depth in prop_oneof![Just(0usize), Just(1), Just(12)],
+        min_samples_leaf in prop_oneof![Just(1usize), 2usize..6],
+        min_samples_split in prop_oneof![Just(2usize), 3usize..9],
+        max_features in 0usize..3,
+        n_trees in prop_oneof![Just(1usize), Just(100)],
+        seed in any::<u64>(),
+    ) {
+        let distinct = (1 + (distinct_share * n as f64) as usize).min(n);
+        let rows = oracle_rows(n, d, &kinds, distinct, seed);
+        // One label throughout (0, 1), a random share (2…5), or a noisy
+        // step in the first feature (6…9).
+        let mut state = seed ^ 0x5DEE_CE66;
+        let mut unit = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let mid = rows[n / 2][0];
+        let labels: Vec<bool> = rows
+            .iter()
+            .map(|row| match label_shape {
+                0 | 1 => label_shape == 1,
+                2..=5 => unit() < f64::from(label_shape - 1) / 5.0,
+                _ => (row[0] > mid) != (unit() < f64::from(label_shape - 5) / 10.0),
+            })
+            .collect();
+        let x = Matrix::from_rows(&rows).unwrap();
+        let tree = TreeConfig {
+            max_depth,
+            min_samples_split,
+            min_samples_leaf,
+            max_features: [None, Some(1), Some(d)][max_features],
+            seed: seed.rotate_left(17),
+        };
+
+        let mut lone = DecisionTree::new(tree);
+        lone.fit(&x, &labels).unwrap();
+        assert_same_nodes(lone.nodes(), &forest_oracle::fit_tree(tree, &x, &labels))?;
+
+        let mut forest = RandomForest::new(ForestConfig { n_trees, tree, seed });
+        forest.fit(&x, &labels).unwrap();
+        let want = forest_oracle::fit_forest(n_trees, tree, seed, &x, &labels);
+        prop_assert_eq!(forest.len(), want.len());
+        for (got, want) in forest.trees().iter().zip(&want) {
+            assert_same_nodes(got.nodes(), want)?;
+        }
+        // Every training row, and row 0 moved onto each threshold of
+        // the first tree and just past it.
+        let mut queries = rows.clone();
+        for node in &want[0] {
+            if let forest_oracle::Node::Split { feat, thr, .. } = *node {
+                for v in [thr, thr.next_up()] {
+                    let mut row = rows[0].clone();
+                    row[feat] = v;
+                    queries.push(row);
+                }
+            }
+        }
+        for row in &queries {
+            prop_assert_eq!(
+                forest.score(row).unwrap().to_bits(),
+                forest_oracle::score(&want, row).to_bits(),
+                "score at {:?}",
+                row
+            );
+        }
     }
 }
 

@@ -26,7 +26,9 @@ use std::fs;
 use std::path::PathBuf;
 
 const PLAIN: &str = "strikeouts < 120";
-const DECOMPOSED: &str = "strikeouts < 150 AND (SELECT COUNT(*) FROM s WHERE wins >= o.wins) < 300";
+/// Few enough survivors of its cheap conjunct over [`spec`]'s 600 rows
+/// that the planner routes it as prefilter + estimate (a `+pf` state).
+const DECOMPOSED: &str = "strikeouts < 60 AND (SELECT COUNT(*) FROM s WHERE wins >= o.wins) < 300";
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("lts_state_restore_{tag}_{}", std::process::id()));
@@ -146,6 +148,8 @@ fn snapshot_roundtrip_replays_bit_identically() {
     let a_cold_plain = count(&mut a, 0, PLAIN, false);
     assert_eq!(a_cold_plain.served, "cold");
     let a_cold_decomp = count(&mut a, 1, DECOMPOSED, false);
+    let kind = a_cold_decomp.plan.as_ref().map(|p| p.kind);
+    assert_eq!(kind, Some("prefilter_estimate"), "the `+pf` lineage");
     let a_cached_plain = count(&mut a, 2, PLAIN, false);
     assert_eq!(a_cached_plain.served, "cached");
     let a_fresh = count(&mut a, 42, PLAIN, true);
@@ -368,8 +372,7 @@ fn a_prefiltered_states_ordering_is_checked_not_wrapped() {
     let dir = temp_dir("pf_ids");
     let mut a = Service::new(ServiceConfig::default());
     a.register_generated("s", &spec()).unwrap();
-    let planned = "strikeouts < 60 AND (SELECT COUNT(*) FROM s WHERE wins >= o.wins) < 300";
-    let cold = count(&mut a, 1, planned, false);
+    let cold = count(&mut a, 1, DECOMPOSED, false);
     let survivors = cold.plan.and_then(|p| p.survivors);
     let n_sub = survivors.expect("the planned op reports its survivors");
     let path = state::save(&a, &dir).unwrap();

@@ -36,17 +36,41 @@
 //!   row, each over its own `A` / `X` / parent arrays, so what a
 //!   candidate takes from its stratum alone (`size²·s²/n`, `size·s²`,
 //!   `(2/n)·size·s`) is computed once per pair `(j, i)` and read by every
-//!   level and every bound; under a small `t`, a class pair whose
-//!   *smallest* admissible stratum already exceeds `t` is skipped whole;
+//!   level and every bound;
+//! * **bound pointers**: `fl(size·s)` is monotone in the size, so under a
+//!   finite `t` the rows of a walked class whose stratum breaks `t` are a
+//!   prefix of the class, and a row that breaks it for target `i` breaks
+//!   it for every later target. One start row per (bound, class) moves
+//!   forward over a target class and is never re-tested;
 //! * a class pair whose pilots are **unanimous** (`s² = 0`) is not
 //!   walked: each of its candidates is its predecessor's `A[h−1][j]`, so
 //!   the class offers its first minimum of `A[h−1]`, kept as a running
-//!   argmin — `O(1)` per (row, class, level, bound). With a sharp proxy,
-//!   the paper's good case, most pairs are unanimous.
+//!   argmin. A unanimous pair's `s²` is `+0` exactly, so its terms are
+//!   the same zeros at every size and are computed **once per DP**; and
+//!   as the unanimous classes of a target class are a suffix, their
+//!   minima are folded a class at a time, as `j_end` passes a class, into
+//!   one running first minimum per (bound, level): one offer per cell,
+//!   `O(1)` amortised. With a sharp proxy, the paper's good case, most
+//!   pairs are unanimous;
+//! * **class floors and a warm start**: a walked class's candidates are
+//!   `((a + quad) − lin) + cross·x` with `a ≥ a_min` (the class's
+//!   `ClassMin`), `x ≥ x_min` (the least `X` of its finite rows),
+//!   `quad` and `cross` least at its smallest stratum and `lin` greatest
+//!   at its largest; every floating-point step is monotone in its
+//!   operands, so the same expression over those extremes bounds every
+//!   candidate from below. A class whose floor cannot win is skipped,
+//!   and its terms are computed only when a class is first walked for a
+//!   target row. Each cell starts from the previous row's choice at the
+//!   same (bound, level) — still admissible, its stratum only grew — and
+//!   a candidate wins on `(value, row)`: a lesser value, or an equal one
+//!   from an earlier row, so the result is the first minimum in row
+//!   order whatever order the candidates come in. (Not the
+//!   divide-and-conquer argmin, which cannot keep that tie-break.)
 //!
-//! Time is `O(|B|²)` term evaluations plus, per surviving bound and
-//! level, the mixed pairs' share of `|B|²` candidates and `O(|B|·m)`
-//! class minima; memory is `O(|T'|·H·(|B| + m))`.
+//! Time is, per target row, `O(m)` term evaluations for the classes'
+//! extremes and the terms of the classes walked, and per surviving bound
+//! and level `O(m)` class floors and the candidates of the classes whose
+//! floor can win; memory is `O(|T'|·H·(|B| + m))`.
 
 use crate::design::{DesignParams, Stratification};
 use crate::error::{StrataError, StrataResult};
@@ -170,11 +194,18 @@ trait StratumCost {
     fn terms(&self, s2: f64, s: f64, size: f64) -> Self::Terms;
     /// `N_h·s_h`: what a bound `t` caps and `X` sums.
     fn ns(terms: &Self::Terms) -> f64;
+    /// The same `N_h·s_h` from `s` and the size alone, as `terms` forms it.
+    fn ns_of(s: f64, size: f64) -> f64;
     /// The objective of the single stratum `(0, size]`. Not `extend`
     /// from a zero prefix: `0.0 + v` would turn a `−0.0` term into `+0.0`.
     fn first(terms: &Self::Terms) -> f64;
     /// The objective of a prefix `(a, x)` extended by the stratum.
     fn extend(terms: &Self::Terms, a: f64, x: f64) -> f64;
+    /// A lower bound on `extend(terms, a, x)` over `a ≥ a_min`,
+    /// `x ≥ x_min ≥ 0` and the strata of one class pair with sizes
+    /// between those of `small` and `large`: each term is monotone in the
+    /// size, and each floating-point step in its operands.
+    fn floor(small: &Self::Terms, large: &Self::Terms, a_min: f64, x_min: f64) -> f64;
 }
 
 /// Eq. 5.
@@ -195,7 +226,7 @@ impl StratumCost for Neyman {
     type Terms = NeymanTerms;
 
     fn terms(&self, s2: f64, s: f64, size: f64) -> NeymanTerms {
-        let ns = size * s;
+        let ns = Self::ns_of(s, size);
         NeymanTerms {
             quad: size * size * s2 / self.budget,
             lin: size * s2,
@@ -208,6 +239,10 @@ impl StratumCost for Neyman {
         terms.ns
     }
 
+    fn ns_of(s: f64, size: f64) -> f64 {
+        size * s
+    }
+
     fn first(terms: &NeymanTerms) -> f64 {
         terms.quad - terms.lin
     }
@@ -217,6 +252,11 @@ impl StratumCost for Neyman {
     /// expression forms before it touches `a` or `x`.
     fn extend(terms: &NeymanTerms, a: f64, x: f64) -> f64 {
         a + terms.quad - terms.lin + terms.cross * x
+    }
+
+    fn floor(small: &NeymanTerms, large: &NeymanTerms, a_min: f64, x_min: f64) -> f64 {
+        let cross = small.cross.min(large.cross);
+        a_min + small.quad.min(large.quad) - small.lin.max(large.lin) + cross * x_min
     }
 }
 
@@ -240,12 +280,22 @@ impl StratumCost for Proportional {
         0.0
     }
 
+    fn ns_of(_s: f64, _size: f64) -> f64 {
+        0.0
+    }
+
     fn first(terms: &f64) -> f64 {
         *terms
     }
 
     fn extend(terms: &f64, a: f64, _x: f64) -> f64 {
         a + terms
+    }
+
+    /// The factor may be negative (a budget above `N`), so the least
+    /// term sits at either end.
+    fn floor(small: &f64, large: &f64, a_min: f64, _x_min: f64) -> f64 {
+        a_min + small.min(*large)
     }
 }
 
@@ -256,6 +306,33 @@ impl StratumCost for Proportional {
 struct ClassMin {
     upto: u32,
     arg: u32,
+    /// The least `X` over the rows with a finite `A`.
+    x_min: f64,
+}
+
+impl ClassMin {
+    /// Extend over rows up to `hi` of the level `(a, x)`; the first
+    /// minimum.
+    fn advance(&mut self, a: &[f64], x: &[f64], hi: usize) -> usize {
+        for j in self.upto as usize..hi {
+            if a[j] < a[self.arg as usize] {
+                self.arg = j as u32;
+            }
+            if a[j] < f64::INFINITY {
+                self.x_min = self.x_min.min(x[j]);
+            }
+        }
+        self.upto = self.upto.max(hi as u32);
+        self.arg as usize
+    }
+}
+
+/// Whether the candidate `(v, j)` displaces the best so far `(best,
+/// best_j)`: a lesser value, or an equal finite one from an earlier row.
+/// Offered in any order, the candidates leave their first minimum in row
+/// order — what a strict `<` over ascending rows keeps.
+fn precedes(v: f64, j: u32, best: f64, best_j: u32) -> bool {
+    v < best || (v == best && j < best_j && v < f64::INFINITY)
 }
 
 /// One DP over the boundary rows, every bound of `bounds` in lockstep:
@@ -272,7 +349,9 @@ struct ClassMin {
 /// (up to the sign of a zero, which `<` does not see), so the class's
 /// first minimum of `A[h−1]` — a [`ClassMin`] — is its one contender,
 /// priced by the same expression as any other. The classes before it are
-/// walked, over [`StratumCost::Terms`] computed once per target row.
+/// walked, from a per-bound start row and only when their floor can win,
+/// over [`StratumCost::Terms`] computed for a target row when a class is
+/// first walked (module doc, "Cost").
 fn run_dp<C: StratumCost>(
     pilot: &PilotIndex,
     params: &DesignParams,
@@ -302,12 +381,28 @@ fn run_dp<C: StratumCost>(
         .map(|start| ClassMin {
             upto: start,
             arg: start,
+            x_min: f64::INFINITY,
         })
         .collect();
+    // Per bound and class: the first row whose stratum keeps `N_h·s_h`
+    // within the bound, for the current target class.
+    let mut starts = vec![0usize; bounds.len() * n_classes];
+    // Per bound and level: the first minimum of `A[h−1]` over the
+    // unanimous classes wholly below `j_end` (`u32::MAX`: none yet), and
+    // the next class to fold in, for the current target class.
+    let mut unanimous_min = vec![(0usize, u32::MAX); bounds.len() * h_max];
     // Per target class: `(s², s)` of the pair with each class `l_j`.
     let mut pairs: Vec<(f64, f64)> = Vec::new();
-    // Per target row: the terms of the stratum `(b_j, b_i]`, walked rows only.
+    // Per target row: the terms of the stratum `(b_j, b_i]` over the
+    // walked rows, filled a class at a time when first walked (`filled`),
+    // and per walked class those of its smallest and its largest stratum.
     let mut terms: Vec<C::Terms> = Vec::new();
+    let mut filled: Vec<bool> = Vec::new();
+    let mut edges: Vec<(C::Terms, C::Terms)> = Vec::new();
+    // A unanimous pair's `s²` is `+0` exactly, and its terms are the same
+    // zeros at every size.
+    let unanimous = cost.terms(0.0, 0.0, 1.0);
+    terms.resize(nb, unanimous);
 
     for l_i in mu..=pilot.m() {
         pairs.clear();
@@ -321,6 +416,10 @@ fn run_dp<C: StratumCost>(
             .rposition(|&(s2, _)| s2 != 0.0)
             .map_or(0, |l_j| l_j + 1);
         let pilots_end = rows.class_start[l_i - mu + 1];
+        for (k, start) in starts.iter_mut().enumerate() {
+            *start = rows.class_start[k % n_classes];
+        }
+        unanimous_min.fill((walked, u32::MAX));
 
         for i in rows.class_start[l_i]..rows.class_start[l_i + 1] {
             let b_i = rows.b[i];
@@ -336,16 +435,23 @@ fn run_dp<C: StratumCost>(
                 }
             }
             let j_end = pilots_end.min(rows.b.partition_point(|&b_j| b_j <= b_i - nu));
-            terms.clear();
-            for (l_j, &(s2, s)) in pairs[..walked].iter().enumerate() {
-                let lo = rows.class_start[l_j].min(j_end);
-                let hi = rows.class_start[l_j + 1].min(j_end);
-                terms.extend(
-                    rows.b[lo..hi]
-                        .iter()
-                        .map(|&b_j| cost.terms(s2, s, (b_i - b_j) as f64)),
-                );
-            }
+            let walked_end = rows.class_start[walked].min(j_end);
+            let size = |j: usize| (b_i - rows.b[j]) as f64;
+            filled.clear();
+            filled.resize(walked, false);
+            edges.clear();
+            edges.extend(
+                pairs[..walked]
+                    .iter()
+                    .enumerate()
+                    .take_while(|&(l_j, _)| rows.class_start[l_j] < j_end)
+                    .map(|(l_j, &(s2, s))| {
+                        // (An empty class 0 gets a stand-in; it is never walked.)
+                        let lo = rows.class_start[l_j];
+                        let hi = rows.class_start[l_j + 1].min(walked_end).max(lo + 1);
+                        (cost.terms(s2, s, size(hi - 1)), cost.terms(s2, s, size(lo)))
+                    }),
+            );
 
             // Row i's cells need only rows j < i, all levels of which
             // are final, so the levels can run innermost. A level-h cell
@@ -356,50 +462,99 @@ fn run_dp<C: StratumCost>(
             let fit_behind = ((pilot.m() - l_i) / mu).min((n_objects - b_i) / nu);
             let top = if i == last { h_max } else { h_max - 1 };
             for (t, &bound) in bounds.iter().enumerate() {
+                // fl(size·s) is monotone in size: the rows of a walked
+                // class whose stratum breaks the bound are a prefix of
+                // it, and a longer one for every later target row.
+                let starts = &mut starts[t * n_classes..][..n_classes];
+                for (l_j, start) in starts[..walked].iter_mut().enumerate() {
+                    let hi = rows.class_start[l_j + 1].min(walked_end);
+                    while *start < hi && C::ns_of(pairs[l_j].1, size(*start)) > bound {
+                        *start += 1;
+                    }
+                }
                 for h in h_max.saturating_sub(fit_behind).max(2)..=top.min(fit_before) {
                     let below = cell(t, h - 1);
                     let (a_below, x_below) = (&a[below..below + nb], &x[below..below + nb]);
                     let mins = &mut mins[(t * h_max + h - 2) * n_classes..][..n_classes];
-                    let (mut best_a, mut best_x, mut best_j) = (f64::INFINITY, 0.0f64, u32::MAX);
-                    let mut offer = |j: usize, terms: &C::Terms| {
-                        let (a_j, ns) = (a_below[j], C::ns(terms));
-                        if a_j.is_infinite() || ns > bound {
+                    // (A, X, parent) of the best candidate so far.
+                    let mut best = (f64::INFINITY, 0.0f64, u32::MAX);
+                    let offer = |best: &mut (f64, f64, u32), j: usize, terms: &C::Terms| {
+                        let a_j = a_below[j];
+                        if a_j.is_infinite() {
                             return;
                         }
                         let cand = C::extend(terms, a_j, x_below[j]);
-                        if cand < best_a {
-                            (best_a, best_x, best_j) = (cand, x_below[j] + ns, j as u32);
+                        if precedes(cand, j as u32, best.0, best.2) {
+                            *best = (cand, x_below[j] + C::ns(terms), j as u32);
                         }
                     };
-                    for (l_j, &(s2, s)) in pairs.iter().enumerate() {
+                    // Warm start: the previous row's choice at this cell,
+                    // still admissible here (its stratum only grew; `i ≥ 1`
+                    // as class 1 is never empty).
+                    let j = parent[cell(t, h) + i - 1] as usize;
+                    if j != u32::MAX as usize {
+                        let l_j = rows.class_start.partition_point(|&c| c <= j) - 1;
+                        let terms_j = if l_j < walked {
+                            cost.terms(pairs[l_j].0, pairs[l_j].1, size(j))
+                        } else {
+                            unanimous
+                        };
+                        if C::ns(&terms_j) <= bound {
+                            offer(&mut best, j, &terms_j);
+                        }
+                    }
+                    for (l_j, &start) in starts[..walked].iter().enumerate() {
                         let lo = rows.class_start[l_j];
                         if lo >= j_end {
                             break;
                         }
                         let hi = rows.class_start[l_j + 1].min(j_end);
-                        if l_j < walked {
-                            // fl(size·s) is monotone in size, so if the
-                            // smallest admissible stratum already breaks
-                            // the bound, all of this pair's do.
-                            if nu as f64 * s <= bound {
-                                (lo..hi).for_each(|j| offer(j, &terms[j]));
-                            }
-                        } else if lo < hi {
-                            // (Class 0 is empty when a pilot sits at 0.)
-                            let min = &mut mins[l_j];
-                            for j in min.upto as usize..hi {
-                                if a_below[j] < a_below[min.arg as usize] {
-                                    min.arg = j as u32;
-                                }
-                            }
-                            min.upto = min.upto.max(hi as u32);
-                            let j = min.arg as usize;
-                            offer(j, &cost.terms(s2, s, (b_i - rows.b[j]) as f64));
+                        if start >= hi {
+                            continue; // every stratum breaks the bound
                         }
+                        let min = &mut mins[l_j];
+                        let a_min = a_below[min.advance(a_below, x_below, hi)];
+                        let (small, large) = &edges[l_j];
+                        let floor = C::floor(small, large, a_min, min.x_min);
+                        if !precedes(floor, start as u32, best.0, best.2) {
+                            continue; // no candidate of the class can win
+                        }
+                        if !filled[l_j] {
+                            let (s2, s) = pairs[l_j];
+                            for (j, terms) in (lo..hi).zip(&mut terms[lo..hi]) {
+                                *terms = cost.terms(s2, s, size(j));
+                            }
+                            filled[l_j] = true;
+                        }
+                        (start..hi).for_each(|j| offer(&mut best, j, &terms[j]));
                     }
-                    a[cell(t, h) + i] = best_a;
-                    x[cell(t, h) + i] = best_x;
-                    parent[cell(t, h) + i] = best_j;
+                    // The unanimous classes offer one row: the first
+                    // minimum of A[h−1] over all of them, folded a whole
+                    // class at a time, the one `j_end` cuts read last.
+                    let (next, arg) = &mut unanimous_min[t * h_max + h - 2];
+                    let first_min = |j: usize, arg: u32| {
+                        if arg == u32::MAX || a_below[j] < a_below[arg as usize] {
+                            j as u32
+                        } else {
+                            arg
+                        }
+                    };
+                    while *next < pairs.len() && rows.class_start[*next + 1] <= j_end {
+                        let (lo, hi) = (rows.class_start[*next], rows.class_start[*next + 1]);
+                        if lo < hi {
+                            // (Class 0 is empty when a pilot sits at 0.)
+                            *arg = first_min(mins[*next].advance(a_below, x_below, hi), *arg);
+                        }
+                        *next += 1;
+                    }
+                    let mut j = *arg;
+                    if *next < pairs.len() && rows.class_start[*next] < j_end {
+                        j = first_min(mins[*next].advance(a_below, x_below, j_end), j);
+                    }
+                    if j != u32::MAX {
+                        offer(&mut best, j as usize, &unanimous);
+                    }
+                    (a[cell(t, h) + i], x[cell(t, h) + i], parent[cell(t, h) + i]) = best;
                 }
             }
         }

@@ -146,65 +146,87 @@ proptest! {
     }
 }
 
-/// The proptest's `n < 1 600`, `m < 64` never reaches what the service
-/// designs over: 8 000 objects, the pilot of a 200- or a 300-label
-/// budget (`m` = 65 / 98, stage 2 = 35 / 52), `H = 4`, `m⊔ = 5`, `N⊔`
-/// one above stage 2 — and the label shapes a proxy hands it, from
-/// useless (all one label) through sharp (one step, a step behind a
-/// 3-pilot mixed band) to blurry (a sigmoid).
+/// DynPgm and DynPgmP against the oracle on the pilots the service
+/// designs over: 8 000 objects, `H = 4`, `N⊔` one above stage 2, `m`
+/// pilots — with the label shapes a proxy hands it, from useless (all
+/// one label) through sharp (one step, a step behind a 3-pilot mixed
+/// band) to blurry (a sigmoid), plus labels alternating in runs of 2 and
+/// of 3 pilots, whose strata repeat the same few `s²` and so tie in `A`
+/// over many predecessors: ties for the warm start's first-minimum rule
+/// to break (a tie kept by the later row fails both profiles).
+fn check_service_shapes(min_pilots: usize, m: usize, stage2: usize) {
+    let n = 8_000usize;
+    let mut state = 11u64;
+    let mut unit = move || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 11) as f64 / (1u64 << 53) as f64
+    };
+    let mut positions = std::collections::BTreeSet::new();
+    while positions.len() < m {
+        positions.insert((unit() * n as f64) as usize);
+    }
+    let positions: Vec<usize> = positions.into_iter().collect();
+    let step = m * 17 / 20;
+    let sigmoid = positions
+        .iter()
+        .map(|&p| unit() < 1.0 / (1.0 + (-(p as f64 / n as f64 - 0.6) * 12.0).exp()));
+    let shapes: [(&str, Vec<bool>); 7] = [
+        ("all false", vec![false; m]),
+        ("all true", vec![true; m]),
+        ("step", (0..m).map(|k| k >= step).collect()),
+        // false … false, true, false, true, true … true
+        (
+            "mixed band",
+            (0..m).map(|k| k >= step && k != step + 1).collect(),
+        ),
+        ("sigmoid", sigmoid.collect()),
+        ("runs of 2", (0..m).map(|k| k / 2 % 2 == 1).collect()),
+        ("runs of 3", (0..m).map(|k| k / 3 % 2 == 1).collect()),
+    ];
+    let params = DesignParams {
+        n_strata: 4,
+        budget: stage2,
+        min_stratum_size: stage2 + 1,
+        min_pilots_per_stratum: min_pilots,
+        epsilon: 1.0,
+    };
+    for (name, labels) in shapes {
+        let entries = positions.iter().copied().zip(labels).collect();
+        let pilot = PilotIndex::new(n, entries).unwrap();
+        let selection = TSelection::default();
+        let case = format!("m⊔ = {min_pilots}, m = {m}, {name}");
+        assert_same_design(
+            &dynpgm(&pilot, &params, selection),
+            &dynpgm_oracle::dynpgm(&pilot, &params, selection),
+        )
+        .unwrap_or_else(|e| panic!("DynPgm, {case}: {e:?}"));
+        assert_same_design(
+            &dynpgmp(&pilot, &params),
+            &dynpgm_oracle::dynpgmp(&pilot, &params),
+        )
+        .unwrap_or_else(|e| panic!("DynPgmP, {case}: {e:?}"));
+    }
+}
+
+/// The proptest's `n < 1 600`, `m < 64` never reaches the service's
+/// sizes: here the pilots of a 200- and a 300-label budget (`m` = 65 /
+/// 98, stage 2 = 35 / 52) under `Lss::default()`'s `m⊔ = 5`.
 #[test]
 fn dynpgm_matches_triple_loop_oracle_at_service_size() {
-    let n = 8_000usize;
-    for (m, stage2) in [(65usize, 35usize), (98, 52)] {
-        let mut state = 11u64;
-        let mut unit = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 11) as f64 / (1u64 << 53) as f64
-        };
-        let mut positions = std::collections::BTreeSet::new();
-        while positions.len() < m {
-            positions.insert((unit() * n as f64) as usize);
-        }
-        let positions: Vec<usize> = positions.into_iter().collect();
-        let step = m * 17 / 20;
-        let sigmoid = positions
-            .iter()
-            .map(|&p| unit() < 1.0 / (1.0 + (-(p as f64 / n as f64 - 0.6) * 12.0).exp()));
-        let shapes: [(&str, Vec<bool>); 5] = [
-            ("all false", vec![false; m]),
-            ("all true", vec![true; m]),
-            ("step", (0..m).map(|k| k >= step).collect()),
-            // false … false, true, false, true, true … true
-            (
-                "mixed band",
-                (0..m).map(|k| k >= step && k != step + 1).collect(),
-            ),
-            ("sigmoid", sigmoid.collect()),
-        ];
-        let params = DesignParams {
-            n_strata: 4,
-            budget: stage2,
-            min_stratum_size: stage2 + 1,
-            min_pilots_per_stratum: 5,
-            epsilon: 1.0,
-        };
-        for (name, labels) in shapes {
-            let entries = positions.iter().copied().zip(labels).collect();
-            let pilot = PilotIndex::new(n, entries).unwrap();
-            let selection = TSelection::default();
-            assert_same_design(
-                &dynpgm(&pilot, &params, selection),
-                &dynpgm_oracle::dynpgm(&pilot, &params, selection),
-            )
-            .unwrap_or_else(|e| panic!("DynPgm, m = {m}, {name}: {e:?}"));
-            assert_same_design(
-                &dynpgmp(&pilot, &params),
-                &dynpgm_oracle::dynpgmp(&pilot, &params),
-            )
-            .unwrap_or_else(|e| panic!("DynPgmP, m = {m}, {name}: {e:?}"));
-        }
+    for (m, stage2) in [(65, 35), (98, 52)] {
+        check_service_shapes(5, m, stage2);
+    }
+}
+
+/// What `serve_lss_profile` designs over: `m⊔ = 3` and the pilots of a
+/// 200-, 250- and 300-label budget (`m` = 65 / 81 / 97, stage 2 = 35 /
+/// 44 / 53).
+#[test]
+fn dynpgm_matches_triple_loop_oracle_at_served_profile() {
+    for (m, stage2) in [(65, 35), (81, 44), (97, 53)] {
+        check_service_shapes(3, m, stage2);
     }
 }
 
