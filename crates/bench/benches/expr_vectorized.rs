@@ -84,9 +84,9 @@ fn bench_arith_cmp(c: &mut Criterion) {
 }
 
 /// The SQL-form correlated-subquery predicate (skyband): interpreted
-/// nested loop (`eval` per object) vs one vectorized inner scan per
-/// object (`eval_batch`). Small N — the row-wise path is quadratic in
-/// interpreted row visits.
+/// nested loop (`Expr::eval_bool` per object) vs one vectorized inner
+/// scan per object (`eval_batch`). Small N — the row-wise path is
+/// quadratic in interpreted row visits.
 fn bench_subquery_predicate(c: &mut Criterion) {
     let n = 1_500usize;
     let xs: Vec<f64> = (0..n).map(|i| (i % 89) as f64).collect();
@@ -105,16 +105,12 @@ fn bench_subquery_predicate(c: &mut Criterion) {
         Expr::count_where(Arc::clone(&t), dominate).lt(Expr::lit(8i64)),
     );
     let all: Vec<usize> = (0..n).collect();
-    let row: Vec<bool> = all.iter().map(|&i| q.eval(&t, i).unwrap()).collect();
+    let row = row_wise_mask(q.expr(), &t);
     assert_eq!(row, q.eval_batch(&t, &all).unwrap(), "engines disagree");
     let mut g = c.benchmark_group("sql_subquery_skyband_1500");
     g.sample_size(10);
     g.bench_function("row_wise", |b| {
-        b.iter(|| -> Vec<bool> {
-            all.iter()
-                .map(|&i| q.eval(black_box(&t), i).unwrap())
-                .collect()
-        })
+        b.iter(|| row_wise_mask(q.expr(), black_box(&t)))
     });
     g.bench_function("vectorized_batch", |b| {
         b.iter(|| q.eval_batch(black_box(&t), &all).unwrap())
@@ -160,7 +156,10 @@ fn bench_subquery_oracle(c: &mut Criterion) {
     ] {
         let q = ExprPredicate::new("q", parse_condition(&condition, &registry).unwrap());
         // Correctness gate: the batch equals the interpreted nested loop.
-        let row_wise: Vec<bool> = objects.iter().map(|&i| q.eval(table, i).unwrap()).collect();
+        let row_wise: Vec<bool> = objects
+            .iter()
+            .map(|&i| q.expr().eval_bool(RowCtx::top(table, i)).unwrap())
+            .collect();
         assert_eq!(
             row_wise,
             q.eval_batch(table, &objects).unwrap(),

@@ -2,10 +2,11 @@
 //! into the paper's three phases — P1 Learning, P1 Sample Design, and
 //! P2 Overhead — against total runtime.
 //!
-//! This experiment uses the **SQL-expression predicate** (nested-loop
-//! evaluation over the table engine), so per-label cost is realistic and
-//! the paper's headline observation — overhead is a tiny fraction
-//! (≈0.2%) of total runtime — can be checked directly.
+//! Labels cost what the service pays for them: the scenario's oracle
+//! is the paper's SQL predicate, a correlated `COUNT(*)` subquery run
+//! by the table engine's subquery kernel, so the paper's headline
+//! observation — overhead is a tiny fraction (≈0.2%) of total runtime —
+//! can be checked directly.
 
 use super::build_scenario;
 use crate::cli::RunConfig;
@@ -23,17 +24,17 @@ use rand::SeedableRng;
 /// Propagates scenario/estimator errors.
 pub fn run(cfg: &RunConfig) -> CoreResult<()> {
     println!("== Figure 3: LSS overhead by phase vs sample size ==");
-    // The SQL predicate is orders of magnitude slower per label, so this
-    // figure runs on a reduced dataset and few trials by design.
+    // Every label is a subquery over the whole table, so this figure
+    // runs on a reduced dataset and few trials by design.
     let fig_cfg = RunConfig {
         scale: cfg.scale.min(0.1),
         trials: cfg.trials.min(3),
         ..cfg.clone()
     };
     let sc = build_scenario(&fig_cfg, DatasetKind::Sports, SelectivityLevel::M)?;
-    let sql_problem = sc.sql_problem()?;
+    let problem = &sc.problem;
     println!(
-        "   scenario: {} with SQL predicate (nested-loop), {} trials",
+        "   scenario: {} with SQL predicate (subquery kernel), {} trials",
         sc.describe(),
         fig_cfg.trials
     );
@@ -53,7 +54,7 @@ pub fn run(cfg: &RunConfig) -> CoreResult<()> {
         ..Lss::default()
     };
     for frac in [0.005f64, 0.01, 0.02, 0.04] {
-        let budget = ((sql_problem.n() as f64 * frac) as usize).max(60);
+        let budget = ((problem.n() as f64 * frac) as usize).max(60);
         // Average over trials.
         let mut learn = 0.0;
         let mut design = 0.0;
@@ -61,9 +62,9 @@ pub fn run(cfg: &RunConfig) -> CoreResult<()> {
         let mut labeling = 0.0;
         let mut total = 0.0;
         for t in 0..fig_cfg.trials {
-            sql_problem.reset_meter();
+            problem.reset_meter();
             let mut rng = StdRng::seed_from_u64(fig_cfg.seed + t as u64);
-            let report = lss.estimate(&sql_problem, budget, &mut rng)?;
+            let report = lss.estimate(problem, budget, &mut rng)?;
             learn += report.timings.learn.as_secs_f64();
             design += report.timings.design.as_secs_f64();
             phase2 += report.timings.phase2.as_secs_f64();

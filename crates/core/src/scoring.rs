@@ -348,8 +348,7 @@ pub fn surrogate_grid_strata(
     let xs = feature_column(problem, dx)?;
     let ys = feature_column(problem, dy)?;
     let grid = lts_table::GridIndex::build(&xs, &ys, grid.0.max(1), grid.1.max(1))?;
-    let assignments = grid.assignments();
-    let mut strata = lts_sampling::group_by_stratum(&assignments, grid.num_cells());
+    let mut strata = lts_sampling::group_by_stratum(grid.assignments(), grid.num_cells());
     strata.retain(|s| !s.is_empty());
     Ok(strata)
 }

@@ -12,12 +12,12 @@
 //!   paper scale, 41 features). Query: **few-neighbors count** — records
 //!   with at most `k` records within distance `d` (Example 1).
 //!
-//! For each query we provide the expensive predicate in two equivalent
-//! forms — a nested-loop SQL expression over the table engine (the
-//! faithful "no better plan" path) and a compiled closure with early
-//! exit (for experiment throughput) — plus **exact ground-truth
-//! algorithms** ([`skyband`]: Fenwick dominance sweep; [`neighborhood`]:
-//! kd-tree (k+1)-NN radii) used for calibration and error measurement.
+//! For each query we provide the expensive predicate once — the paper's
+//! correlated `COUNT(*)` subquery as the SQL expression the service
+//! parses, evaluated by the table engine's subquery kernel — plus
+//! **exact ground-truth algorithms** ([`skyband`]: Fenwick dominance
+//! sweep; [`neighborhood`]: kd-tree (k+1)-NN radii) used for
+//! calibration and error measurement.
 //!
 //! [`scenario`] assembles everything into the paper's Table-1 grid:
 //! selectivity levels XS…XXL with calibrated query parameters.

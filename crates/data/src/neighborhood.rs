@@ -2,17 +2,15 @@
 //!
 //! `q(o)` holds when at most `k` records lie within Euclidean distance
 //! `d` of `o` in the informative 2-d space (counts include the record
-//! itself, matching the paper's self-join SQL). Forms:
-//!
-//! * [`neighbors_sql_predicate`] — the paper's
-//!   `SQRT(POWER(o.x−x,2)+POWER(o.y−y,2)) <= d … COUNT(*) <= k`
-//!   correlated subquery, as the [`Expr`] the condition parser builds
-//!   from that text (row-wise `eval` is the faithful interpreted
-//!   nested loop; batched `eval_batch` binds the subquery once and
-//!   scans it per object in tiles that stop past `k` neighbours,
-//!   through `lts_table::vector`);
-//! * [`neighbors_fast_predicate`] — grid-accelerated count with early
-//!   exit past `k` (semantically identical).
+//! itself, matching the paper's self-join SQL).
+//! [`neighbors_sql_predicate`] is the paper's
+//! `SQRT(POWER(o.x−x,2)+POWER(o.y−y,2)) <= d … COUNT(*) <= k`
+//! correlated subquery, as the [`Expr`] the condition parser builds
+//! from that text — the one oracle for this query: scenarios, examples
+//! and the service all label through it, and `ExprPredicate` runs it
+//! through the bound subquery kernel of `lts_table::vector`, which
+//! visits only the kd-zones the disk's box meets and stops past `k`
+//! neighbours.
 //!
 //! Ground truth and calibration use [`knn_radii`]: the distance to each
 //! record's `(k+1)`-th nearest neighbour (self included); a record
@@ -21,7 +19,7 @@
 
 use lts_learn::kdtree::KdTree;
 use lts_learn::Matrix;
-use lts_table::{Expr, ExprPredicate, FnPredicate, GridIndex, Table, TableResult};
+use lts_table::{Expr, ExprPredicate, Table};
 use std::sync::Arc;
 
 /// Distance to the `(k+1)`-th nearest neighbour (self included) for
@@ -65,7 +63,18 @@ pub fn exact_neighbors_count(xs: &[f64], ys: &[f64], d: f64, k: usize) -> usize 
     }
     // #within(d) <= k  ⟺  the (k+1)-th nearest (self included) is
     // farther than d.
-    knn_radii(xs, ys, k).iter().filter(|&&r| r > d).count()
+    knn_radii(xs, ys, k)
+        .into_iter()
+        .filter(|&r| qualifies(r, d))
+        .count()
+}
+
+/// Whether a record whose [`knn_radii`] entry is `radius` qualifies at
+/// radius `d`: its `(k+1)`-th nearest neighbour lies farther than `d`,
+/// or it has none — a population of at most `k` records qualifies
+/// whole at every `d`, `∞` included.
+pub(crate) fn qualifies(radius: f64, d: f64) -> bool {
+    radius > d || radius == f64::INFINITY
 }
 
 /// The paper's SQL-form predicate (Example 1 / §2):
@@ -95,56 +104,11 @@ pub fn neighbors_sql_predicate(
     ExprPredicate::new("few-neighbors", within.le(Expr::lit(k as f64)))
 }
 
-/// Grid-accelerated predicate with early exit: counts candidates in
-/// cells intersecting the query disk and stops past `k`.
-///
-/// # Errors
-///
-/// Returns an error if the named columns are missing or non-float.
-pub fn neighbors_fast_predicate(
-    table: &Arc<Table>,
-    x_col: &str,
-    y_col: &str,
-    d: f64,
-    k: i64,
-) -> TableResult<FnPredicate<impl Fn(&Table, usize) -> TableResult<bool> + Send + Sync>> {
-    let xs: Vec<f64> = table.floats(x_col)?.to_vec();
-    let ys: Vec<f64> = table.floats(y_col)?.to_vec();
-    // Cell size on the order of the query radius keeps candidate lists
-    // tight; grid dims capped for memory sanity.
-    let side = ((table.len() as f64).sqrt() as usize).clamp(8, 256);
-    let grid = GridIndex::build(&xs, &ys, side, side)?;
-    let k = k.max(0);
-    Ok(FnPredicate::new(
-        "few-neighbors-fast",
-        move |_t: &Table, i| {
-            let (x, y) = (xs[i], ys[i]);
-            let d2 = d * d;
-            let mut count: i64 = 0;
-            let mut exceeded = false;
-            grid.for_each_candidate_within(x, y, d, |j| {
-                if exceeded {
-                    return;
-                }
-                let dx = xs[j] - x;
-                let dy = ys[j] - y;
-                if dx * dx + dy * dy <= d2 {
-                    count += 1;
-                    if count > k {
-                        exceeded = true;
-                    }
-                }
-            });
-            Ok(!exceeded)
-        },
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use lts_table::table::table_of_floats;
-    use lts_table::ObjectPredicate;
+    use lts_table::{ObjectPredicate, RowCtx};
 
     fn pseudo(n: usize, seed: u64) -> (Vec<f64>, Vec<f64>) {
         let mut state = seed;
@@ -198,50 +162,24 @@ mod tests {
     }
 
     #[test]
-    fn sql_and_fast_predicates_agree() {
-        let (xs, ys) = pseudo(100, 77);
-        let t = Arc::new(table_of_floats(&[("x", &xs), ("y", &ys)]).unwrap());
-        for &(d, k) in &[(0.4f64, 2i64), (1.0, 5), (2.5, 20)] {
-            let sql = neighbors_sql_predicate(Arc::clone(&t), "x", "y", d, k);
-            let fast = neighbors_fast_predicate(&t, "x", "y", d, k).unwrap();
-            for i in 0..t.len() {
-                assert_eq!(
-                    sql.eval(&t, i).unwrap(),
-                    fast.eval(&t, i).unwrap(),
-                    "d={d}, k={k}, i={i}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn sql_batch_path_agrees_with_row_path() {
         // The batched oracle call goes through the vectorized engine;
-        // it must label exactly like row-at-a-time evaluation, for
-        // arbitrary index multisets.
+        // it must label exactly like the row-wise interpreter (the
+        // reference semantics), for arbitrary index multisets, and
+        // count what the radii method counts.
         let (xs, ys) = pseudo(80, 5);
         let t = Arc::new(table_of_floats(&[("x", &xs), ("y", &ys)]).unwrap());
-        let sql = neighbors_sql_predicate(Arc::clone(&t), "x", "y", 0.9, 4);
-        let idxs: Vec<usize> = (0..t.len()).chain([3, 3, 0]).collect();
-        let batch = sql.eval_batch(&t, &idxs).unwrap();
-        for (k, &i) in idxs.iter().enumerate() {
-            assert_eq!(batch[k], sql.eval(&t, i).unwrap(), "index {i}");
-        }
-    }
-
-    #[test]
-    fn fast_predicate_count_matches_exact() {
-        let (xs, ys) = pseudo(300, 13);
-        let t = Arc::new(table_of_floats(&[("x", &xs), ("y", &ys)]).unwrap());
-        let (d, k) = (0.8, 4i64);
-        let fast = neighbors_fast_predicate(&t, "x", "y", d, k).unwrap();
-        let mut count = 0;
-        for i in 0..t.len() {
-            if fast.eval(&t, i).unwrap() {
-                count += 1;
+        for &(d, k) in &[(0.4f64, 2i64), (0.9, 4), (2.5, 20)] {
+            let sql = neighbors_sql_predicate(Arc::clone(&t), "x", "y", d, k);
+            let idxs: Vec<usize> = (0..t.len()).chain([3, 3, 0]).collect();
+            let batch = sql.eval_batch(&t, &idxs).unwrap();
+            for (n, &i) in idxs.iter().enumerate() {
+                let row_wise = sql.expr().eval_bool(RowCtx::top(&t, i)).unwrap();
+                assert_eq!(batch[n], row_wise, "d={d}, k={k}, index {i}");
             }
+            let count = batch[..t.len()].iter().filter(|&&b| b).count();
+            assert_eq!(count, exact_neighbors_count(&xs, &ys, d, k as usize));
         }
-        assert_eq!(count, exact_neighbors_count(&xs, &ys, d, k as usize));
     }
 
     #[test]

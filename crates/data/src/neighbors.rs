@@ -213,11 +213,12 @@ mod tests {
         let t = neighbors_table(&small()).unwrap();
         let xs = t.floats("src_rate").unwrap();
         let ys = t.floats("dst_rate").unwrap();
-        let grid = lts_table::GridIndex::build(xs, ys, 24, 24).unwrap();
         let mut core = Vec::new();
         let mut fringe = Vec::new();
         for i in 0..t.len() {
-            let c = grid.count_within(xs[i], ys[i], 0.5);
+            let c = (0..t.len())
+                .filter(|&j| (xs[j] - xs[i]).hypot(ys[j] - ys[i]) <= 0.5)
+                .count();
             let r2 = xs[i] * xs[i] + ys[i] * ys[i];
             if r2 < 1.0 {
                 core.push(c);

@@ -8,12 +8,12 @@
 //! few-neighbors — so hitting a target like "XS ≈ 1%" is exact, not
 //! search-based.
 
-use crate::neighborhood::{knn_radii, neighbors_fast_predicate, neighbors_sql_predicate};
+use crate::neighborhood::{knn_radii, neighbors_sql_predicate, qualifies};
 use crate::neighbors::{neighbors_table, NeighborsConfig};
-use crate::skyband::{dominator_counts, skyband_fast_predicate, skyband_sql_predicate};
+use crate::skyband::{dominator_counts, skyband_sql_predicate};
 use crate::sports::{sports_table, SportsConfig};
 use lts_core::{CoreError, CoreResult, CountingProblem};
-use lts_table::{ObjectPredicate, Table};
+use lts_table::Table;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -120,53 +120,16 @@ pub struct Scenario {
     pub truth: usize,
     /// Achieved selectivity (`truth / N`).
     pub selectivity: f64,
-    /// Ready-to-run problem using the fast (compiled) predicate.
+    /// Ready-to-run problem whose oracle is the paper's SQL predicate
+    /// ([`skyband_sql_predicate`] / [`neighbors_sql_predicate`]): the
+    /// condition the service parses and runs, through the same subquery
+    /// kernel.
     pub problem: CountingProblem,
     /// The shared object table.
     pub table: Arc<Table>,
 }
 
 impl Scenario {
-    /// The same problem with the faithful SQL-expression predicate: the
-    /// condition the service parses and runs, through the same
-    /// subquery kernel (used by the Figure-3 overhead experiment and
-    /// the coverage audit). On a 2-vCPU host a census over 8 000 rows
-    /// costs about what the compiled skyband closure costs at level XS
-    /// and 4–20× less at S–XXL, and 2–10× more than the few-neighbours
-    /// grid closure.
-    ///
-    /// # Errors
-    ///
-    /// Propagates problem construction errors.
-    pub fn sql_problem(&self) -> CoreResult<CountingProblem> {
-        let (x_col, y_col) = self.query_columns();
-        let predicate: Arc<dyn ObjectPredicate> = match self.param {
-            QueryParam::K(k) => Arc::new(skyband_sql_predicate(
-                Arc::clone(&self.table),
-                x_col,
-                y_col,
-                k as i64,
-            )),
-            QueryParam::D(d) => Arc::new(neighbors_sql_predicate(
-                Arc::clone(&self.table),
-                x_col,
-                y_col,
-                d,
-                NEIGHBORS_K as i64,
-            )),
-        };
-        CountingProblem::new(Arc::clone(&self.table), predicate, &[x_col, y_col])
-    }
-
-    /// The two attribute columns the query references (also the feature
-    /// columns).
-    pub fn query_columns(&self) -> (&'static str, &'static str) {
-        match self.dataset {
-            DatasetKind::Sports => ("strikeouts", "wins"),
-            DatasetKind::Neighbors => ("src_rate", "dst_rate"),
-        }
-    }
-
     /// Scenario descriptor like `Sports/M (k=87, truth=13744, 29.2%)`.
     pub fn describe(&self) -> String {
         let param = match self.param {
@@ -220,12 +183,12 @@ pub fn sports_scenario(rows: usize, level: SelectivityLevel, seed: u64) -> CoreR
     let k = dom[want - 1] + 1;
     let truth = dom.iter().filter(|&&c| c < k).count();
 
-    let predicate: Arc<dyn ObjectPredicate> = Arc::new(skyband_fast_predicate(
-        &table,
+    let predicate = Arc::new(skyband_sql_predicate(
+        Arc::clone(&table),
         "strikeouts",
         "wins",
         k as i64,
-    )?);
+    ));
     let problem = CountingProblem::new(Arc::clone(&table), predicate, &["strikeouts", "wins"])?;
     Ok(Scenario {
         dataset: DatasetKind::Sports,
@@ -264,15 +227,15 @@ pub fn neighbors_scenario(rows: usize, level: SelectivityLevel, seed: u64) -> Co
     let idx = (((1.0 - target) * rows as f64).round() as usize).min(rows - 1);
     // Nudge just below the boundary radius so the boundary point counts.
     let d = radii[idx] * (1.0 - 1e-12);
-    let truth = radii.iter().filter(|&&r| r > d).count();
+    let truth = radii.iter().filter(|&&r| qualifies(r, d)).count();
 
-    let predicate: Arc<dyn ObjectPredicate> = Arc::new(neighbors_fast_predicate(
-        &table,
+    let predicate = Arc::new(neighbors_sql_predicate(
+        Arc::clone(&table),
         "src_rate",
         "dst_rate",
         d,
         NEIGHBORS_K as i64,
-    )?);
+    ));
     let problem = CountingProblem::new(Arc::clone(&table), predicate, &["src_rate", "dst_rate"])?;
     Ok(Scenario {
         dataset: DatasetKind::Neighbors,
@@ -323,22 +286,26 @@ mod tests {
     }
 
     #[test]
-    fn sql_problem_agrees_with_fast_problem() {
-        let sc = sports_scenario(400, SelectivityLevel::M, 9).unwrap();
-        let sql = sc.sql_problem().unwrap();
-        assert_eq!(sql.exact_count().unwrap(), sc.truth);
-        let sc = neighbors_scenario(300, SelectivityLevel::S, 9).unwrap();
-        let sql = sc.sql_problem().unwrap();
-        assert_eq!(sql.exact_count().unwrap(), sc.truth);
-    }
-
-    #[test]
     fn an_empty_scenario_is_an_error_and_a_single_row_is_not() {
         for level in [SelectivityLevel::XS, SelectivityLevel::XXL] {
             assert!(sports_scenario(0, level, 3).is_err());
             assert!(neighbors_scenario(0, level, 3).is_err());
             assert_eq!(sports_scenario(1, level, 3).unwrap().table.len(), 1);
             assert_eq!(neighbors_scenario(1, level, 3).unwrap().table.len(), 1);
+        }
+        // Up to NEIGHBORS_K rows every k-NN radius is infinite and every
+        // row qualifies; the truth is what the predicate counts there
+        // and one row past it.
+        for rows in [1, 5, NEIGHBORS_K, NEIGHBORS_K + 1] {
+            for level in SelectivityLevel::ALL {
+                for sc in [
+                    sports_scenario(rows, level, 3).unwrap(),
+                    neighbors_scenario(rows, level, 3).unwrap(),
+                ] {
+                    let census = sc.problem.exact_count().unwrap();
+                    assert_eq!(sc.truth, census, "{} over {rows} rows", sc.describe());
+                }
+            }
         }
     }
 

@@ -1,25 +1,20 @@
 //! The k-skyband query (paper Example 2).
 //!
 //! `q(o)` tests whether fewer than `k` points dominate `o`
-//! (dominate = ≥ in both coordinates, > in at least one). Two predicate
-//! forms are provided:
-//!
-//! * [`skyband_sql_predicate`] — the literal correlated aggregate
-//!   subquery from the paper, as the [`Expr`] the condition parser
-//!   builds from that text (row-wise `eval` is the faithful
-//!   interpreted nested loop; batched `eval_batch` binds the
-//!   subquery once and scans it per object in tiles that stop at `k`
-//!   dominators, through `lts_table::vector`);
-//! * [`skyband_fast_predicate`] — a compiled closure with early exit at
-//!   `k` dominators (semantically identical, used where experiment
-//!   throughput matters).
+//! (dominate = ≥ in both coordinates, > in at least one).
+//! [`skyband_sql_predicate`] is the literal correlated aggregate
+//! subquery from the paper, as the [`Expr`] the condition parser builds
+//! from that text — the one oracle for this query: scenarios, examples
+//! and the service all label through it, and `ExprPredicate` runs it
+//! through the bound subquery kernel of `lts_table::vector`, which
+//! scans per object in tiles that stop at `k` dominators.
 //!
 //! [`dominator_counts`] computes every point's exact dominator count in
 //! `O(N log N)` with an x-sweep over a Fenwick tree of y-ranks — the
 //! "specialized algorithm" the paper notes a generic system lacks; we
 //! use it for ground truth and selectivity calibration only.
 
-use lts_table::{Expr, ExprPredicate, FnPredicate, Table, TableResult};
+use lts_table::{Expr, ExprPredicate, Table};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -143,43 +138,11 @@ pub fn skyband_sql_predicate(table: Arc<Table>, x_col: &str, y_col: &str, k: i64
     ExprPredicate::new("skyband", dominators.lt(Expr::lit(k as f64)))
 }
 
-/// Compiled-equivalent predicate: scans the coordinate slices directly
-/// with early exit once `k` dominators are found.
-///
-/// # Errors
-///
-/// Returns an error if the named columns are missing or non-float.
-pub fn skyband_fast_predicate(
-    table: &Arc<Table>,
-    x_col: &str,
-    y_col: &str,
-    k: i64,
-) -> TableResult<FnPredicate<impl Fn(&Table, usize) -> TableResult<bool> + Send + Sync>> {
-    let xs: Vec<f64> = table.floats(x_col)?.to_vec();
-    let ys: Vec<f64> = table.floats(y_col)?.to_vec();
-    let k = k.max(0) as usize;
-    // The closure captures the coordinate slices; the object table passed
-    // at eval time is the same table, so only the row index matters.
-    Ok(FnPredicate::new("skyband-fast", move |_t: &Table, i| {
-        let (x, y) = (xs[i], ys[i]);
-        let mut dom = 0usize;
-        for (&xj, &yj) in xs.iter().zip(&ys) {
-            if xj >= x && yj >= y && (xj > x || yj > y) {
-                dom += 1;
-                if dom >= k {
-                    return Ok(false);
-                }
-            }
-        }
-        Ok(dom < k)
-    }))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use lts_table::table::table_of_floats;
-    use lts_table::ObjectPredicate;
+    use lts_table::{ObjectPredicate, RowCtx};
 
     fn brute_dominators(xs: &[f64], ys: &[f64]) -> Vec<usize> {
         (0..xs.len())
@@ -237,39 +200,6 @@ mod tests {
     }
 
     #[test]
-    fn sql_and_fast_predicates_agree() {
-        let (xs, ys) = pseudo(120, 9, 30);
-        let t = Arc::new(table_of_floats(&[("x", &xs), ("y", &ys)]).unwrap());
-        for k in [1i64, 3, 10] {
-            let sql = skyband_sql_predicate(Arc::clone(&t), "x", "y", k);
-            let fast = skyband_fast_predicate(&t, "x", "y", k).unwrap();
-            for i in 0..t.len() {
-                assert_eq!(
-                    sql.eval(&t, i).unwrap(),
-                    fast.eval(&t, i).unwrap(),
-                    "k={k}, i={i}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn fast_predicate_matches_sweep_truth() {
-        let (xs, ys) = pseudo(150, 5, 40);
-        let t = Arc::new(table_of_floats(&[("x", &xs), ("y", &ys)]).unwrap());
-        let k = 4i64;
-        let fast = skyband_fast_predicate(&t, "x", "y", k).unwrap();
-        let truth = exact_skyband_count(&xs, &ys, k as usize);
-        let mut count = 0;
-        for i in 0..t.len() {
-            if fast.eval(&t, i).unwrap() {
-                count += 1;
-            }
-        }
-        assert_eq!(count, truth);
-    }
-
-    #[test]
     fn empty_input() {
         assert!(dominator_counts(&[], &[]).is_empty());
         assert_eq!(exact_skyband_count(&[], &[], 3), 0);
@@ -278,18 +208,20 @@ mod tests {
     #[test]
     fn sql_batch_path_agrees_with_row_path_and_truth() {
         // The batched oracle call goes through the vectorized engine;
-        // it must label exactly like row-at-a-time evaluation and match
-        // the Fenwick-sweep ground truth.
+        // it must label exactly like the row-wise interpreter (the
+        // reference semantics) and match the Fenwick-sweep ground truth.
         let (xs, ys) = pseudo(90, 3, 25);
         let t = Arc::new(table_of_floats(&[("x", &xs), ("y", &ys)]).unwrap());
-        let k = 3i64;
-        let sql = skyband_sql_predicate(Arc::clone(&t), "x", "y", k);
-        let all: Vec<usize> = (0..t.len()).collect();
-        let batch = sql.eval_batch(&t, &all).unwrap();
-        for (i, &label) in batch.iter().enumerate() {
-            assert_eq!(label, sql.eval(&t, i).unwrap(), "i={i}");
+        for k in [1i64, 3, 10] {
+            let sql = skyband_sql_predicate(Arc::clone(&t), "x", "y", k);
+            let all: Vec<usize> = (0..t.len()).collect();
+            let batch = sql.eval_batch(&t, &all).unwrap();
+            for (i, &label) in batch.iter().enumerate() {
+                let row_wise = sql.expr().eval_bool(RowCtx::top(&t, i)).unwrap();
+                assert_eq!(label, row_wise, "k={k}, i={i}");
+            }
+            let count = batch.iter().filter(|&&b| b).count();
+            assert_eq!(count, exact_skyband_count(&xs, &ys, k as usize), "k={k}");
         }
-        let count = batch.iter().filter(|&&b| b).count();
-        assert_eq!(count, exact_skyband_count(&xs, &ys, k as usize));
     }
 }

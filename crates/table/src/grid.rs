@@ -1,30 +1,18 @@
-//! A 2-d uniform grid index.
-//!
-//! Two uses in this workspace:
-//!
-//! 1. **Surrogate stratification** for the SSP baseline (paper §3.1): the
-//!    paper grids the 2-d attribute space into the desired number of
-//!    strata; [`GridIndex::assignments`] yields the stratum id per row.
-//! 2. **Fast exact ground truth** for the few-neighbors query:
-//!    [`GridIndex::for_each_candidate_within`] visits only rows in grid
-//!    cells that intersect a query disk, so computing the true count for
-//!    calibration does not need a quadratic scan.
+//! A 2-d uniform grid index: the surrogate stratification of the SSP
+//! baseline (paper §3.1). The paper grids the 2-d attribute space into
+//! the desired number of strata; [`GridIndex::assignments`] yields the
+//! stratum id per row.
 
 use crate::error::{TableError, TableResult};
 
-/// A uniform grid over the bounding box of a 2-d point set.
+/// A uniform grid over the bounding box of a 2-d point set, kept as
+/// the cell each point falls in.
 #[derive(Debug, Clone)]
 pub struct GridIndex {
     nx: usize,
     ny: usize,
-    min_x: f64,
-    min_y: f64,
-    inv_wx: f64,
-    inv_wy: f64,
-    /// Row ids per cell, row-major (`cy * nx + cx`).
-    cells: Vec<Vec<u32>>,
-    xs: Vec<f64>,
-    ys: Vec<f64>,
+    /// Cell id per indexed row, row-major (`cy * nx + cx`).
+    assignments: Vec<usize>,
 }
 
 impl GridIndex {
@@ -58,29 +46,23 @@ impl GridIndex {
             max_y = max_y.max(y);
         }
         // Degenerate extents still get a valid 1-wide bucket.
-        let wx = ((max_x - min_x) / nx as f64).max(f64::MIN_POSITIVE);
-        let wy = ((max_y - min_y) / ny as f64).max(f64::MIN_POSITIVE);
-        let mut grid = Self {
+        let inv_wx = 1.0 / ((max_x - min_x) / nx as f64).max(f64::MIN_POSITIVE);
+        let inv_wy = 1.0 / ((max_y - min_y) / ny as f64).max(f64::MIN_POSITIVE);
+        // Points on the upper edges clamp into the last cell.
+        let assignments = xs
+            .iter()
+            .zip(ys)
+            .map(|(&x, &y)| {
+                let cx = (((x - min_x) * inv_wx) as usize).min(nx - 1);
+                let cy = (((y - min_y) * inv_wy) as usize).min(ny - 1);
+                cy * nx + cx
+            })
+            .collect();
+        Ok(Self {
             nx,
             ny,
-            min_x,
-            min_y,
-            inv_wx: 1.0 / wx,
-            inv_wy: 1.0 / wy,
-            cells: vec![Vec::new(); nx * ny],
-            xs: xs.to_vec(),
-            ys: ys.to_vec(),
-        };
-        for i in 0..xs.len() {
-            let (cx, cy) = grid.cell_coords(xs[i], ys[i]);
-            grid.cells[cy * nx + cx].push(u32::try_from(i).expect("row count fits u32"));
-        }
-        Ok(grid)
-    }
-
-    /// Grid dimensions `(nx, ny)`.
-    pub fn dims(&self) -> (usize, usize) {
-        (self.nx, self.ny)
+            assignments,
+        })
     }
 
     /// Total number of cells.
@@ -88,76 +70,15 @@ impl GridIndex {
         self.nx * self.ny
     }
 
-    /// Cell coordinates for a point (clamped to the grid).
-    pub fn cell_coords(&self, x: f64, y: f64) -> (usize, usize) {
-        let cx = (((x - self.min_x) * self.inv_wx) as usize).min(self.nx - 1);
-        let cy = (((y - self.min_y) * self.inv_wy) as usize).min(self.ny - 1);
-        (cx, cy)
-    }
-
-    /// Flat cell id (`cy * nx + cx`) for a point.
-    pub fn cell_id(&self, x: f64, y: f64) -> usize {
-        let (cx, cy) = self.cell_coords(x, y);
-        cy * self.nx + cx
-    }
-
     /// Cell (stratum) id per indexed row — the SSP surrogate strata.
-    pub fn assignments(&self) -> Vec<usize> {
-        let mut out = vec![0usize; self.xs.len()];
-        for (cell, rows) in self.cells.iter().enumerate() {
-            for &r in rows {
-                out[r as usize] = cell;
-            }
-        }
-        out
-    }
-
-    /// Visit every indexed row whose cell intersects the disk of radius
-    /// `d` around `(x, y)`. Visited rows are *candidates*: the caller
-    /// must apply the exact distance test.
-    pub fn for_each_candidate_within(&self, x: f64, y: f64, d: f64, mut visit: impl FnMut(usize)) {
-        let d = d.max(0.0);
-        let (cx0, cy0) = self.cell_coords(x - d, y - d);
-        let (cx1, cy1) = self.cell_coords(x + d, y + d);
-        for cy in cy0..=cy1 {
-            for cx in cx0..=cx1 {
-                for &r in &self.cells[cy * self.nx + cx] {
-                    visit(r as usize);
-                }
-            }
-        }
-    }
-
-    /// Exact count of indexed points within Euclidean distance `d` of
-    /// `(x, y)` (including any point identical to the query point).
-    pub fn count_within(&self, x: f64, y: f64, d: f64) -> usize {
-        let d2 = d * d;
-        let mut count = 0;
-        self.for_each_candidate_within(x, y, d, |i| {
-            let dx = self.xs[i] - x;
-            let dy = self.ys[i] - y;
-            if dx * dx + dy * dy <= d2 {
-                count += 1;
-            }
-        });
-        count
+    pub fn assignments(&self) -> &[usize] {
+        &self.assignments
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn brute_count(xs: &[f64], ys: &[f64], x: f64, y: f64, d: f64) -> usize {
-        xs.iter()
-            .zip(ys)
-            .filter(|&(&px, &py)| {
-                let dx = px - x;
-                let dy = py - y;
-                dx * dx + dy * dy <= d * d
-            })
-            .count()
-    }
 
     #[test]
     fn assignments_cover_all_rows() {
@@ -172,40 +93,12 @@ mod tests {
     }
 
     #[test]
-    fn count_within_matches_brute_force() {
-        // Deterministic pseudo-random points.
-        let mut xs = Vec::new();
-        let mut ys = Vec::new();
-        let mut state = 42u64;
-        let mut next = || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 11) as f64 / (1u64 << 53) as f64
-        };
-        for _ in 0..300 {
-            xs.push(next() * 10.0);
-            ys.push(next() * 10.0);
-        }
-        let g = GridIndex::build(&xs, &ys, 8, 8).unwrap();
-        for i in (0..300).step_by(17) {
-            for &d in &[0.1, 0.5, 2.0, 20.0] {
-                assert_eq!(
-                    g.count_within(xs[i], ys[i], d),
-                    brute_count(&xs, &ys, xs[i], ys[i], d),
-                    "point {i}, d {d}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn degenerate_extent_is_fine() {
         let xs = [1.0, 1.0, 1.0];
         let ys = [2.0, 2.0, 2.0];
         let g = GridIndex::build(&xs, &ys, 3, 3).unwrap();
-        assert_eq!(g.count_within(1.0, 2.0, 0.0), 3);
         let a = g.assignments();
+        assert_eq!(a.len(), 3);
         assert!(a.iter().all(|&c| c == a[0]));
     }
 
@@ -218,12 +111,12 @@ mod tests {
 
     #[test]
     fn cell_ids_are_stable_and_clamped() {
-        let xs = [0.0, 10.0];
-        let ys = [0.0, 10.0];
+        let xs = [0.0, 10.0, 4.9];
+        let ys = [0.0, 10.0, 5.1];
         let g = GridIndex::build(&xs, &ys, 4, 4).unwrap();
-        // Outside points clamp to edge cells.
-        assert_eq!(g.cell_id(-5.0, -5.0), 0);
-        assert_eq!(g.cell_id(100.0, 100.0), g.num_cells() - 1);
-        assert_eq!(g.dims(), (4, 4));
+        assert_eq!(g.num_cells(), 16);
+        // The maximum lands in the last cell, not past it; (4.9, 5.1)
+        // is cell (1, 2) of cells 2.5 wide.
+        assert_eq!(g.assignments(), &[0, 15, 2 * 4 + 1]);
     }
 }

@@ -30,8 +30,7 @@
 //!   number and wall time of expensive `q` evaluations — the budget
 //!   currency of every estimator in the paper,
 //! * a 2-d [`grid::GridIndex`] used for surrogate-attribute
-//!   stratification (the paper's SSP baseline) and for fast exact ground
-//!   truth,
+//!   stratification (the paper's SSP baseline),
 //! * a SQL-ish condition [`parser`] (the paper's textual predicate form,
 //!   correlated subqueries included) with a round-trippable `Display`.
 

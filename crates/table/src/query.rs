@@ -13,7 +13,7 @@
 //!   tree the condition parser builds from that text.
 
 use crate::error::TableResult;
-use crate::expr::{Expr, RowCtx};
+use crate::expr::Expr;
 use crate::predicate::ObjectPredicate;
 use crate::table::{Table, TableBuilder};
 use crate::value::Value;
@@ -85,8 +85,13 @@ impl ExprPredicate {
 }
 
 impl ObjectPredicate for ExprPredicate {
+    /// One object through the batch kernel below: a correlated
+    /// subquery is bound once and scanned by the tiled (or kd-zone)
+    /// kernel, not by the interpreter's nested loop. The interpreter,
+    /// [`Expr::eval_bool`], stays the reference semantics the agreement
+    /// tests hold this kernel to.
     fn eval(&self, objects: &Table, idx: usize) -> TableResult<bool> {
-        self.expr.eval_bool(RowCtx::top(objects, idx))
+        Ok(self.eval_batch(objects, &[idx])?[0])
     }
     /// Batched evaluation through the vectorized engine
     /// ([`crate::vector`]) and the scan driver
@@ -94,7 +99,7 @@ impl ObjectPredicate for ExprPredicate {
     /// into contiguous chunks scanned by parallel workers (contiguous
     /// runs — e.g. a full-population scan — borrow column sub-slices
     /// zero-copy) and merged back in order. Result- and error-identical
-    /// to the per-row default at every thread count.
+    /// to the row-wise interpreter at every thread count.
     fn eval_batch(&self, objects: &Table, idxs: &[usize]) -> TableResult<Vec<bool>> {
         crate::partition::par_eval_bool_ids(&self.expr, objects, idxs)
     }
@@ -106,7 +111,7 @@ impl ObjectPredicate for ExprPredicate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::{BinaryOp, CmpOp};
+    use crate::expr::{BinaryOp, CmpOp, RowCtx};
     use crate::schema::Schema;
     use crate::table::table_of_floats;
     use crate::value::DataType;
@@ -203,7 +208,10 @@ mod tests {
                 ),
             ] {
                 let p = ExprPredicate::new("ge-count", expr);
-                let row_wise: Vec<bool> = all.iter().map(|&i| p.eval(&d, i).unwrap()).collect();
+                let row_wise: Vec<bool> = all
+                    .iter()
+                    .map(|&i| p.expr().eval_bool(RowCtx::top(&d, i)).unwrap())
+                    .collect();
                 assert_eq!(p.eval_batch(&d, &all).unwrap(), row_wise, "{cmp:?}");
             }
         }

@@ -1,7 +1,7 @@
 //! Property-based tests for the table engine.
 
 use lts_table::table::table_of_floats;
-use lts_table::{distinct_project, Expr, GridIndex, RowCtx, Value};
+use lts_table::{distinct_project, Expr, RowCtx, Value};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -66,29 +66,6 @@ proptest! {
         prop_assert!(once.len() <= t.len());
         let twice = distinct_project(&once, &["x"], None).unwrap();
         prop_assert_eq!(once.len(), twice.len());
-    }
-
-    /// Grid count_within is exact against a brute-force scan.
-    #[test]
-    fn grid_count_matches_brute(
-        pts in proptest::collection::vec((0.0f64..10.0, 0.0f64..10.0), 1..80),
-        d in 0.0f64..5.0,
-    ) {
-        let xs: Vec<f64> = pts.iter().map(|p| p.0).collect();
-        let ys: Vec<f64> = pts.iter().map(|p| p.1).collect();
-        let g = GridIndex::build(&xs, &ys, 5, 5).unwrap();
-        for i in (0..pts.len()).step_by(7) {
-            let want = xs
-                .iter()
-                .zip(&ys)
-                .filter(|&(&x, &y)| {
-                    let dx = x - xs[i];
-                    let dy = y - ys[i];
-                    dx * dx + dy * dy <= d * d
-                })
-                .count();
-            prop_assert_eq!(g.count_within(xs[i], ys[i], d), want);
-        }
     }
 
     /// Batched predicate evaluation agrees with per-row evaluation for

@@ -66,9 +66,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .collect();
     counts.sort_unstable();
     let k = counts[(0.4 * n as f64) as usize] as i64;
-    let q = lts_data::neighborhood::neighbors_fast_predicate(&table, "x", "y", d, k)?;
+    let q = lts_data::neighborhood::neighbors_sql_predicate(Arc::clone(&table), "x", "y", d, k);
     let problem = CountingProblem::new(Arc::clone(&table), Arc::new(q), &["x", "y"])?;
-    let truth: Vec<bool> = (0..n).map(|i| problem.label(i).unwrap()).collect();
+    let truth = problem.label_batch(&(0..n).collect::<Vec<_>>())?;
 
     // Initial training set: 5% SRS (the paper starts from 2 500 of 50k).
     let features: &Matrix = problem.features();

@@ -39,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("Q2 object set: {} distinct (x, y) groups", objects.len());
 
     // Q3: the per-object predicate as a correlated aggregate subquery
-    // (dominator count < 40), evaluated by nested-loop scan of D.
+    // (dominator count < 40); each evaluation is a scan of D.
     let dominate = Expr::col("x")
         .ge(Expr::outer("x"))
         .and(Expr::col("y").ge(Expr::outer("y")))

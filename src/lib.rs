@@ -46,8 +46,9 @@
 //! let table = Arc::new(lts_table::table_of_floats(&[("x", &xs), ("y", &ys)])?);
 //!
 //! // The expensive predicate q (the paper's Example 1): "at most 12
-//! // points within distance 0.5". Honest evaluation scans neighbours.
-//! let q = lts_data::neighborhood::neighbors_fast_predicate(&table, "x", "y", 0.5, 12)?;
+//! // points within distance 0.5", as the paper's correlated COUNT(*)
+//! // subquery. Honest evaluation scans neighbours.
+//! let q = lts_data::neighborhood::neighbors_sql_predicate(Arc::clone(&table), "x", "y", 0.5, 12);
 //! let problem = CountingProblem::new(Arc::clone(&table), Arc::new(q), &["x", "y"])?;
 //!
 //! // Ground truth for reference (normally too expensive to compute).

@@ -73,13 +73,13 @@ fn audit(parallel: bool) -> (String, bool) {
         sports_scenario(ROWS, SelectivityLevel::M, 1).unwrap(),
         neighbors_scenario(ROWS, SelectivityLevel::M, 1).unwrap(),
     ] {
-        let problem = scenario.sql_problem().unwrap();
+        let problem = &scenario.problem;
         let truth = scenario.truth as f64;
         for budget in BUDGETS {
             for (route, estimator) in &routes {
                 let replicate = |seed: u64| {
                     let mut rng = StdRng::seed_from_u64(seed);
-                    let report = estimator.estimate(&problem, budget, &mut rng).unwrap();
+                    let report = estimator.estimate(problem, budget, &mut rng).unwrap();
                     outcome(&report, truth)
                 };
                 let outcomes: Vec<Outcome> = if parallel {

@@ -91,7 +91,7 @@ fn theta_l_filter_restricts_the_object_set() {
 /// builds the tree the service's parser builds from the condition text
 /// a client sends (the `(SELECT COUNT(*) FROM …) < k` form of
 /// `bench_suite`'s op lists), so the census labels of every scenario's
-/// `sql_problem` are the service's labels.
+/// `problem` are the service's labels.
 #[test]
 fn paper_predicates_are_the_served_queries() {
     let same_query = |a: &Expr, b: &Expr| canonical(&normalize(a)) == canonical(&normalize(b));
