@@ -1,7 +1,8 @@
-//! Planned-estimation determinism sweep, isolated in its **own test
-//! binary** because it mutates the process-wide `RAYON_NUM_THREADS`
-//! (sharing a binary with other tests would race, and would silently
-//! defeat a pinned-thread CI leg).
+//! Planned-estimation determinism sweep. Each thread-count leg installs
+//! a rayon pool of 1, 5 or the default number of workers
+//! (`ThreadPool::install`) and checks that the pool holds on the leg's
+//! thread and on a parallel map's workers: the process-wide count is
+//! read once, so `RAYON_NUM_THREADS` cannot make a leg.
 //!
 //! Contracts pinned here, for partition counts {1, 3, 8}:
 //!
@@ -17,7 +18,29 @@
 
 use lts_core::{CountingProblem, Lss, PhysicalPlan};
 use lts_table::{decompose, table_of_floats, Expr, ExprPredicate, PartitionedTable, RowCtx};
+use rayon::prelude::*;
 use std::sync::Arc;
+
+/// Panics unless the caller, and the workers of a parallel map it
+/// starts, work in a pool of `threads` workers.
+fn assert_in_pool(threads: usize) {
+    let here = (
+        rayon::current_num_threads(),
+        rayon::current_thread_index().is_some(),
+    );
+    let workers: Vec<_> = (0..threads)
+        .into_par_iter()
+        .map(|_| {
+            (
+                rayon::current_num_threads(),
+                rayon::current_thread_index().is_some(),
+            )
+        })
+        .collect();
+    for seen in std::iter::once(here).chain(workers) {
+        assert_eq!(seen, (threads, true), "the leg does not run in its pool");
+    }
+}
 
 /// A decomposable conjunctive query over a 900-row table: a cheap
 /// prefilter on `y` plus a correlated-subquery residual on `x`.
@@ -63,37 +86,36 @@ fn planned_estimates_identical_across_threads_partitions_and_serial() {
     let monolithic = problem.exact_count().unwrap();
     assert_eq!(serial_count, monolithic);
 
-    let incoming = std::env::var("RAYON_NUM_THREADS").ok();
     let mut runs: Vec<(usize, u64, u64, u64, u64, u64)> = Vec::new();
-    for threads in ["1", "5", ""] {
-        // The rayon shim reads the var per call, so each leg genuinely
-        // runs at the requested worker count.
-        if threads.is_empty() {
-            std::env::remove_var("RAYON_NUM_THREADS");
-        } else {
-            std::env::set_var("RAYON_NUM_THREADS", threads);
-        }
-        for parts in [1usize, 3, 8] {
-            let pt = PartitionedTable::new(Arc::clone(&table), parts);
-            let plan = PhysicalPlan::build(&problem, &pt, &prefilter).unwrap();
-            assert_eq!(
-                plan.survivors(),
-                serial_survivors.len(),
-                "threads={threads:?} parts={parts}: selection diverged from serial"
-            );
-            assert_eq!(plan.exact_count().unwrap(), monolithic);
-            let restricted = plan.restricted().expect("rows survive");
-            let warm = lss.prepare(restricted, budget, seed).unwrap();
-            let r = lss.estimate_prepared(restricted, &warm, seed).unwrap();
-            runs.push((
-                plan.survivors(),
-                warm.digest(),
-                r.estimate.count.to_bits(),
-                r.estimate.std_error.to_bits(),
-                r.estimate.interval.lo.to_bits(),
-                r.estimate.interval.hi.to_bits(),
-            ));
-        }
+    for threads in [1, 5, 0] {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap();
+        pool.install(|| {
+            assert_in_pool(pool.current_num_threads());
+            for parts in [1usize, 3, 8] {
+                let pt = PartitionedTable::new(Arc::clone(&table), parts);
+                let plan = PhysicalPlan::build(&problem, &pt, &prefilter).unwrap();
+                assert_eq!(
+                    plan.survivors(),
+                    serial_survivors.len(),
+                    "threads={threads} parts={parts}: selection diverged from serial"
+                );
+                assert_eq!(plan.exact_count().unwrap(), monolithic);
+                let restricted = plan.restricted().expect("rows survive");
+                let warm = lss.prepare(restricted, budget, seed).unwrap();
+                let r = lss.estimate_prepared(restricted, &warm, seed).unwrap();
+                runs.push((
+                    plan.survivors(),
+                    warm.digest(),
+                    r.estimate.count.to_bits(),
+                    r.estimate.std_error.to_bits(),
+                    r.estimate.interval.lo.to_bits(),
+                    r.estimate.interval.hi.to_bits(),
+                ));
+            }
+        });
     }
     // All nine legs — including the 1-worker forced-serial one — must
     // agree bit-for-bit.
@@ -104,8 +126,4 @@ fn planned_estimates_identical_across_threads_partitions_and_serial() {
     // its interval covers the true count in this pinned configuration.
     let est = f64::from_bits(runs[0].2);
     assert!(est >= 0.0 && est <= serial_survivors.len() as f64);
-    match incoming {
-        Some(v) => std::env::set_var("RAYON_NUM_THREADS", v),
-        None => std::env::remove_var("RAYON_NUM_THREADS"),
-    }
 }

@@ -6,11 +6,25 @@ use rand::RngExt as _;
 /// Standard normal variate (Box–Muller; one value per call, simple and
 /// adequate for data generation).
 pub fn randn<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+    let (u1, u2) = box_muller_uniforms(rng);
+    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+}
+
+/// Take the draws of one [`randn`] call without computing the variate:
+/// the stream moves exactly as it would, and no `ln`, `sqrt` or `cos`
+/// is paid.
+pub(crate) fn skip_randn<R: Rng + ?Sized>(rng: &mut R) {
+    box_muller_uniforms(rng);
+}
+
+/// The uniform pair a Box–Muller variate is made of, drawn in pairs until
+/// `u1 > f64::MIN_POSITIVE`.
+fn box_muller_uniforms<R: Rng + ?Sized>(rng: &mut R) -> (f64, f64) {
     loop {
         let u1: f64 = rng.random::<f64>();
         let u2: f64 = rng.random::<f64>();
         if u1 > f64::MIN_POSITIVE {
-            return (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
+            return (u1, u2);
         }
     }
 }

@@ -5,12 +5,24 @@
 //! producing a realistic 2-d dominance structure for the k-skyband query
 //! over `(strikeouts, wins)`: many dominated journeyman seasons, a thin
 //! Pareto frontier of star seasons.
+//!
+//! No served query reads `walks`, `hits`, `losses` or `era`, so they are
+//! one deferred block ([`Table::deferred`]), made on the first read of
+//! any of them. Until then a table holds `5·8·N` bytes of columns
+//! (`player_id`, `year`, `ipouts`, `strikeouts`, `wins`) instead of
+//! `9·8·N`. The four columns' normals are drawn in the middle of each
+//! season, so the eager loop still takes their draws from the stream —
+//! the same uniforms, the same Box–Muller rejection rule
+//! (`gen::skip_randn`) — and skips only the `ln`, `sqrt` and `cos`. The
+//! block replays the loop from the seed, computing them, so its bits are
+//! exactly those of drawing it eagerly (`tests/generated_bits.rs` pins
+//! them).
 
-use lts_table::{Column, Schema, Table, TableResult};
+use lts_table::{Column, DataType, Schema, Table, TableResult};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::gen::{heavy_tail, randn, randn_with};
+use crate::gen::{heavy_tail, randn, randn_with, skip_randn};
 
 /// Configuration for the Sports generator.
 #[derive(Debug, Clone, Copy)]
@@ -33,24 +45,68 @@ impl Default for SportsConfig {
 /// Generate the synthetic Sports table.
 ///
 /// Columns: `player_id`, `year`, `ipouts` (innings-pitched outs),
-/// `strikeouts`, `walks`, `hits`, `wins`, `losses`, `era`.
+/// `strikeouts`, `walks`, `hits`, `wins`, `losses`, `era`; `walks`,
+/// `hits`, `losses` and `era` are deferred (made on first read).
 ///
 /// # Errors
 ///
 /// Propagates table-construction errors (none expected in practice).
 pub fn sports_table(config: &SportsConfig) -> TableResult<Table> {
+    let config = *config;
+    let [player_id, year, ipouts, strikeouts, wins] = seasons(&config, false).0;
+    let float = |name| (name, DataType::Float);
+    let schema = Schema::from_pairs(&[
+        ("player_id", DataType::Int),
+        ("year", DataType::Int),
+        float("ipouts"),
+        float("strikeouts"),
+        float("walks"),
+        float("hits"),
+        float("wins"),
+        float("losses"),
+        float("era"),
+    ])?;
+    let columns = vec![
+        Some(player_id),
+        Some(year),
+        Some(ipouts),
+        Some(strikeouts),
+        None,
+        None,
+        Some(wins),
+        None,
+        None,
+    ];
+    Table::deferred(schema, columns, move |_| seasons(&config, true).1.into())
+}
+
+/// Run the season loop from the seed: the stored columns `player_id`,
+/// `year`, `ipouts`, `strikeouts`, `wins`, and — when `deferred` — the
+/// deferred ones `walks`, `hits`, `losses`, `era` (schema order both);
+/// otherwise their draws are only skipped, and those four are empty.
+fn seasons(config: &SportsConfig, deferred: bool) -> ([Column; 5], [Column; 4]) {
     let mut rng = StdRng::seed_from_u64(config.seed);
     let n = config.rows.max(1);
+    // A deferred column's normal: drawn, or its draws taken and skipped.
+    let normal = |rng: &mut StdRng| {
+        if deferred {
+            randn(rng)
+        } else {
+            skip_randn(rng);
+            0.0
+        }
+    };
+    let m = if deferred { n } else { 0 };
 
     let mut player_id = Vec::with_capacity(n);
     let mut year = Vec::with_capacity(n);
     let mut ipouts = Vec::with_capacity(n);
     let mut strikeouts = Vec::with_capacity(n);
-    let mut walks = Vec::with_capacity(n);
-    let mut hits = Vec::with_capacity(n);
+    let mut walks = Vec::with_capacity(m);
+    let mut hits = Vec::with_capacity(m);
     let mut wins = Vec::with_capacity(n);
-    let mut losses = Vec::with_capacity(n);
-    let mut era = Vec::with_capacity(n);
+    let mut losses = Vec::with_capacity(m);
+    let mut era = Vec::with_capacity(m);
 
     let mut pid: i64 = 0;
     let mut produced = 0usize;
@@ -79,18 +135,16 @@ pub fn sports_table(config: &SportsConfig) -> TableResult<Table> {
             // K/9 baseline 5.5, skill worth ~1.7 K/9 per σ.
             let k9 = (5.5 + 1.7 * s + 0.8 * randn(&mut rng)).clamp(0.5, 15.0);
             let so = (innings * k9 / 9.0).round().max(0.0);
-            let bb9 = (3.4 - 0.6 * s + 0.7 * randn(&mut rng)).clamp(0.4, 9.0);
-            let bb = (innings * bb9 / 9.0).round().max(0.0);
-            let h9 = (9.2 - 1.1 * s + 0.8 * randn(&mut rng)).clamp(3.0, 15.0);
-            let h = (innings * h9 / 9.0).round().max(0.0);
-            let era_v = (4.3 - 0.9 * s + 0.55 * randn(&mut rng)).clamp(0.4, 15.0);
+            let bb9 = (3.4 - 0.6 * s + 0.7 * normal(&mut rng)).clamp(0.4, 9.0);
+            let h9 = (9.2 - 1.1 * s + 0.8 * normal(&mut rng)).clamp(3.0, 15.0);
+            let era_v = (4.3 - 0.9 * s + 0.55 * normal(&mut rng)).clamp(0.4, 15.0);
             // Wins scale with innings and skill; relievers win little.
             let win_rate = (0.55 + 0.12 * s).clamp(0.1, 0.85);
             let decisions = innings / 9.0 * 0.75;
             let w = (decisions * win_rate + 0.8 * randn(&mut rng))
                 .round()
                 .clamp(0.0, 27.0);
-            let l = (decisions * (1.0 - win_rate) + 0.8 * randn(&mut rng))
+            let l = (decisions * (1.0 - win_rate) + 0.8 * normal(&mut rng))
                 .round()
                 .clamp(0.0, 25.0);
 
@@ -98,40 +152,25 @@ pub fn sports_table(config: &SportsConfig) -> TableResult<Table> {
             year.push(1990 + (season as i64 + pid) % 30);
             ipouts.push(ip.round());
             strikeouts.push(so);
-            walks.push(bb);
-            hits.push(h);
             wins.push(w);
-            losses.push(l);
-            era.push(era_v);
+            if deferred {
+                walks.push((innings * bb9 / 9.0).round().max(0.0));
+                hits.push((innings * h9 / 9.0).round().max(0.0));
+                losses.push(l);
+                era.push(era_v);
+            }
             produced += 1;
         }
     }
 
-    let schema = Schema::from_pairs(&[
-        ("player_id", lts_table::DataType::Int),
-        ("year", lts_table::DataType::Int),
-        ("ipouts", lts_table::DataType::Float),
-        ("strikeouts", lts_table::DataType::Float),
-        ("walks", lts_table::DataType::Float),
-        ("hits", lts_table::DataType::Float),
-        ("wins", lts_table::DataType::Float),
-        ("losses", lts_table::DataType::Float),
-        ("era", lts_table::DataType::Float),
-    ])?;
-    Table::new(
-        schema,
-        vec![
-            Column::Int(player_id),
-            Column::Int(year),
-            Column::Float(ipouts),
-            Column::Float(strikeouts),
-            Column::Float(walks),
-            Column::Float(hits),
-            Column::Float(wins),
-            Column::Float(losses),
-            Column::Float(era),
-        ],
-    )
+    let stored = [
+        Column::Int(player_id),
+        Column::Int(year),
+        Column::Float(ipouts),
+        Column::Float(strikeouts),
+        Column::Float(wins),
+    ];
+    (stored, [walks, hits, losses, era].map(Column::Float))
 }
 
 // `rng.random` comes from RngExt.

@@ -89,14 +89,15 @@ fn scenario_construction_makes_no_surplus_column_copies() {
     });
     assert_eq!(neighbors.table.len(), ROWS);
 
-    // Inventory (sports): 9 generator columns + dominator-count
-    // structures (y-rank copy, duplicate map, sweep order, counts) +
-    // 2 predicate captures + 2 feature-column materializations +
-    // the row-major feature matrix = 20 measured. The pre-audit path
+    // Inventory (sports): 5 generator columns (`walks`, `hits`,
+    // `losses` and `era` are deferred and never read here) + 6 of
+    // dominator-count work (y-rank copy, the duplicate map's growth
+    // steps, sweep order, counts) + 2 feature-column materializations +
+    // the row-major feature matrix = 14 measured. The pre-audit path
     // made 3 more (2 calibration column copies + 1 sort copy), so the
     // ceiling is exact: one new copy trips it.
     assert!(
-        sports_allocs <= 20,
+        sports_allocs <= 14,
         "sports scenario made {sports_allocs} column-sized allocations — \
          a full-column copy crept back into the construction path"
     );

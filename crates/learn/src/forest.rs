@@ -17,16 +17,21 @@
 //! narrows a box of codes per feature and adds each leaf's `p` to every
 //! cell of its box (the inner run is one slice add); a tree's boxes
 //! partition the grid, so each cell sums `0.0 + p₁ + … + p_n` in the walk's
-//! order, and is divided once by `n`. A row then costs `d` binary searches
-//! and one load.
+//! order, and is divided once by `n`. A leaf with `p = 0` is not painted:
+//! every `p` is ≥ 0, so every partial sum is ≥ +0.0, and `x + 0.0 == x`
+//! bit for bit for such `x`. A row then costs `d` binary searches and one
+//! load.
 //!
 //! **The cap**, [`MAX_TABLE_CELLS`] = 2¹⁸ cells (2 MiB): painting costs
-//! ≈ 0.5 ns per (tree, cell), 12–16 ms for 100 trees at the cap, which a
-//! continuous 2-feature forest reaches at a few hundred training rows
-//! (≈ 270 with 5 % label noise). Its trees grow in 3–6 ms, so there a
-//! build costs 2–4× the trees — and a quarter of one walked scoring pass
-//! over 8 000 objects (≈ 50 ms), which a cold prepare makes. The served
-//! forests cut 75–350 cells (sports) and 8 000–24 000 (neighbours).
+//! ≈ 0.5 ns per (tree, cell under a positive leaf), at most 12–16 ms for
+//! 100 trees at the cap, which a continuous 2-feature forest reaches at a
+//! few hundred training rows (≈ 270 with 5 % label noise). Its trees grow
+//! in 3–6 ms, so there a build costs up to 2–4× the trees — and a quarter
+//! of one walked scoring pass over 8 000 objects (≈ 50 ms), which a cold
+//! prepare makes. The served forests cut 75–350 cells (sports) and
+//! 8 000–24 000 (neighbours), much of a neighbours grid under `p = 0`
+//! leaves: its build costs 0.7–1.1 ms (`classifiers` bench,
+//! `forest_service/table_build`, one thread, 2 vCPUs).
 //! Above the cap the forest walks its trees per row: the only other
 //! kernel, chosen by the cell count alone, and the tests' oracle.
 
@@ -172,6 +177,8 @@ impl ScoreTable {
     /// being the box that reaches `node`.
     fn paint(&mut self, nodes: &[Node], node: usize, lo: &mut [usize], hi: &mut [usize]) {
         match nodes[node] {
+            // A `p = 0` leaf adds nothing: every partial sum is ≥ +0.0.
+            Node::Leaf { p: 0.0 } => {}
             Node::Leaf { p } => add_box(&mut self.cells, &self.thresholds, lo, hi, p),
             Node::Split {
                 feat,

@@ -23,14 +23,18 @@
 //! * a **neighbors** dataset keeps its three read columns (`3·8·N`) and
 //!   no padding through everything the benchmark does with it, restore
 //!   included; the first query that names a padding column makes all 39
-//!   of them, once.
+//!   of them, once. A **sports** dataset keeps its five read columns
+//!   (`5·8·N`) through the same session; the first query that names
+//!   `walks`, `hits`, `losses` or `era` makes those four, once.
 //!
 //! The tests take one lock: the allocator counts the whole process, so
 //! nothing else may run beside the measured sections.
 
 use lts_core::{features_from_columns, restrict_problem, CountingProblem, PhysicalPlan};
 use lts_data::{neighbors_scenario, sports_scenario, QueryParam, SelectivityLevel};
-use lts_serve::{DatasetSpec, Request, Service, ServiceConfig, Target, MAX_REGISTER_ROWS};
+use lts_serve::{
+    DatasetSpec, Request, Response, Service, ServiceConfig, Target, MAX_REGISTER_ROWS,
+};
 use lts_table::{decompose, parse_condition, ExprPredicate, PartitionedTable, TableRegistry};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -268,6 +272,26 @@ fn a_distinct_query_retains_its_delta_not_a_copy_of_the_table() {
     assert_eq!(fresh.zone_bytes(), 0);
 }
 
+/// Run one request on `dataset`, which must succeed.
+fn served(
+    service: &mut Service,
+    dataset: &str,
+    id: u64,
+    condition: String,
+    budget: usize,
+    fresh: bool,
+) -> Response {
+    let response = service.run(Request {
+        id,
+        dataset: dataset.into(),
+        condition,
+        target: Target::Budget(budget),
+        fresh,
+    });
+    assert!(response.ok, "{:?}", response.error);
+    response
+}
+
 /// Bytes of a neighbors table's read columns: `src_rate`, `dst_rate`,
 /// `label`.
 const fn read_columns(rows: usize) -> usize {
@@ -323,16 +347,8 @@ fn neighbors_padding_is_made_only_by_a_query_that_names_it() {
              AND (src_rate > o.src_rate OR dst_rate > o.dst_rate)) < {k}"
         )
     };
-    let run = |service: &mut Service, id: u64, condition: String, budget: usize, fresh: bool| {
-        let response = service.run(Request {
-            id,
-            dataset: "n".into(),
-            condition,
-            target: Target::Budget(budget),
-            fresh,
-        });
-        assert!(response.ok, "{:?}", response.error);
-        response
+    let run = |service: &mut Service, id, condition, budget, fresh| {
+        served(service, "n", id, condition, budget, fresh)
     };
 
     // Monolithic ops at the benchmark's budgets, each resumed fresh.
@@ -407,4 +423,109 @@ fn neighbors_padding_is_made_only_by_a_query_that_names_it() {
     );
     assert!(live_bytes().saturating_sub(before) < 39 * 8 * N);
     assert_eq!(table.column_bytes(), 42 * 8 * N);
+}
+
+/// Bytes of a sports table's read columns: `player_id`, `year`,
+/// `ipouts`, `strikeouts`, `wins`.
+const fn sports_read_columns(rows: usize) -> usize {
+    5 * 8 * rows
+}
+
+/// The eager table's response to `era < 3.5 AND <skyband at k>` (id 900,
+/// budget 200, seed-1 sports at 8 000 rows), wall time masked.
+const ERA_LINE: &str = concat!(
+    r#"{"id": 900, "ok": true, "served": "cold", "route": "lss", "fingerprint": "e90baeeabf445d1b", "#,
+    r#""estimate": 826, "std_error": 57.18179727366805, "lo": 709.3769555712412, "#,
+    r#""hi": 942.6230444287587, "level": 0.95, "evals": 200, "budget": 200, "#,
+    r#""model_version": "8ae0710c357a527a", "table_version": 0, "wall_micros": 0, "#,
+    r#""plan": {"kind": "prefilter_estimate", "prefilter": "(era < 3.5)", "residual": "#,
+    r#""((SELECT Count(*) FROM [player_id:Int,year:Int,ipouts:Float,strikeouts:Float,"#,
+    r#"walks:Float,hits:Float,wins:Float,losses:Float,era:Float;rows=8000] WHERE "#,
+    r#"((((o.strikeouts < strikeouts) OR (o.wins < wins)) AND (o.strikeouts <= strikeouts)) "#,
+    r#"AND (o.wins <= wins))) < 2061.0)", "population": 8000, "survivors": 1960, "#,
+    r#""selectivity": 0.245}}"#,
+);
+
+#[test]
+fn sports_unread_columns_are_made_only_by_a_query_that_names_them() {
+    let _serial = serial();
+    let spec = DatasetSpec {
+        kind: "sports".into(),
+        rows: N,
+        level: "M".into(),
+        seed: 1,
+    };
+    let mut service = Service::new(ServiceConfig::default());
+    service.register_generated("s", &spec).unwrap();
+    let table = Arc::clone(service.dataset_table("s").unwrap());
+    assert_eq!(table.column_bytes(), sports_read_columns(N));
+    // The benchmark's `k`, calibrated on its own copy of the table.
+    let scenario = sports_scenario(N, SelectivityLevel::M, 1).unwrap();
+    let QueryParam::K(k) = scenario.param else {
+        panic!("sports calibrates k")
+    };
+    assert_eq!(scenario.table.column_bytes(), sports_read_columns(N));
+    let run = |service: &mut Service, id, condition, budget, fresh| {
+        served(service, "s", id, condition, budget, fresh)
+    };
+
+    // Monolithic ops at the benchmark's budgets, each resumed fresh.
+    for (i, budget) in [200, 250, 300].into_iter().enumerate() {
+        let id = 10 * (i + 1) as u64;
+        let cold = run(&mut service, id, skyband(k + i), budget, false);
+        assert_eq!((cold.served, cold.plan.is_none()), ("cold", true));
+        assert_eq!(
+            run(&mut service, id + 1, skyband(k + i), budget, true).served,
+            "warm"
+        );
+    }
+    // A planned op: a cheap conjunct on a read column.
+    let mut xs = table.floats("strikeouts").unwrap().to_vec();
+    xs.sort_by(f64::total_cmp);
+    let planned = format!("strikeouts > {} AND {}", xs[N * 4 / 5], skyband(k + 3));
+    let response = run(&mut service, 100, planned, 200, false);
+    assert_eq!(
+        response.plan.expect("it decomposes").kind,
+        "prefilter_estimate"
+    );
+    assert_eq!(table.column_bytes(), sports_read_columns(N));
+
+    // Save and restore: the restored dataset is generated without them too.
+    let dir = std::env::temp_dir().join(format!("lts_footprint_s_{}", std::process::id()));
+    lts_serve::state::save(&service, &dir).unwrap();
+    let mut restored = Service::new(ServiceConfig::default());
+    let summary = lts_serve::state::load(&mut restored, &dir).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert_eq!(summary.map(|s| (s.datasets, s.models)), Some((1, 4)));
+    assert_eq!(
+        run(&mut restored, 200, skyband(k), 200, true).served,
+        "warm"
+    );
+    let again = restored.dataset_table("s").unwrap();
+    assert_eq!(again.column_bytes(), sports_read_columns(N));
+    drop(restored);
+
+    // A query naming `era` makes the four columns once, and answers as
+    // the eagerly generated table did.
+    let before = live_bytes();
+    let era = run(
+        &mut service,
+        900,
+        format!("era < 3.5 AND {}", skyband(k)),
+        200,
+        false,
+    );
+    assert_eq!(table.column_bytes(), 9 * 8 * N);
+    assert!(live_bytes() - before >= 4 * 8 * N);
+    assert_eq!(era.to_json(true), ERA_LINE);
+    let before = live_bytes();
+    run(
+        &mut service,
+        901,
+        format!("era < 3.0 AND {}", skyband(k)),
+        200,
+        false,
+    );
+    assert!(live_bytes().saturating_sub(before) < 4 * 8 * N);
+    assert_eq!(table.column_bytes(), 9 * 8 * N);
 }

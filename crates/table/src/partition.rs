@@ -179,7 +179,8 @@ fn subquery_rows(expr: &Expr) -> usize {
 
 /// Scanned inner rows (`ids × inner rows`) a worker must be handed
 /// before a subquery batch is split. A scoped-thread spawn costs
-/// ≈ 45 µs here (`rayon.par_call_us`), and since the bound kernel counts
+/// ≈ 45–65 µs on 2 vCPUs (`rayon.par_call_us`, a two-worker map, traced
+/// runs of all four workloads), and since the bound kernel counts
 /// whole kd-zones from their boxes (`bound`, rule 6) an object of the
 /// service's shapes costs 1–2 µs over 8 000 inner rows, not the 13 µs
 /// of a full tile scan. Median µs per evaluation on a 2-vCPU host,
