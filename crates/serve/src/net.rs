@@ -8,7 +8,7 @@
 //! # Architecture (std-only, thread-per-connection over one dispatcher)
 //!
 //! ```text
-//!             accept loop (non-blocking poll; closes on shutdown)
+//!        accept loop (blocking; shutdown wakes it by self-connect)
 //!                  │ ≤ max_connections, else refusal line + close
 //!                  ▼
 //!   per-conn reader thread ──lines──► bounded admission channel
@@ -46,7 +46,13 @@
 //!   complete and their responses are flushed; admitted-but-unexecuted
 //!   requests receive a `shutting_down` error; new submissions are
 //!   refused with the same error; the listener closes; writer threads
-//!   flush and FIN.
+//!   flush and FIN. Nothing polls: the accept loops block in `accept`
+//!   and the dispatcher in `recv`, and the one call that flips the
+//!   shutdown flag wakes each — a connection to every listener of its
+//!   own, a message down the admission channel.
+//! * **A refused thread** (the OS out of threads or memory) refuses
+//!   that one connection with an error line; the accept loop keeps
+//!   accepting.
 //!
 //! Malformed input (oversized line, invalid UTF-8, half-written final
 //! frame) yields a structured JSON error — or a clean close at EOF —
@@ -58,9 +64,9 @@ use crate::service::{Service, ServiceConfig};
 use lts_obs::Observability;
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender};
+use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -259,6 +265,12 @@ struct Shared {
     shutting_down: AtomicBool,
     conns: Mutex<HashMap<u64, Arc<ConnShared>>>,
     next_conn_id: AtomicU64,
+    /// The admission channel's sending end, for the one wake-up
+    /// (`None`) that shutdown sends the dispatcher.
+    wake: SyncSender<Option<Job>>,
+    /// Every bound listener (requests, scrapes): shutdown connects to
+    /// each once to wake its blocked `accept`.
+    listeners: Vec<SocketAddr>,
 }
 
 impl Shared {
@@ -266,8 +278,18 @@ impl Shared {
         self.shutting_down.load(Ordering::SeqCst)
     }
 
+    /// Flip the shutdown flag (the first call only) and wake every
+    /// thread blocked waiting for work, so that it sees the flag.
     fn begin_shutdown(&self) {
-        self.shutting_down.store(true, Ordering::SeqCst);
+        if self.shutting_down.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        // A full channel needs no wake-up: the dispatcher's next job
+        // comes after the flag.
+        let _ = self.wake.try_send(None);
+        for &addr in &self.listeners {
+            let _ = TcpStream::connect_timeout(&reachable(addr), Duration::from_millis(100));
+        }
     }
 
     fn remove_conn(&self, id: u64) {
@@ -291,6 +313,18 @@ impl Shared {
             conn.queue.close();
         }
     }
+}
+
+/// The address a listener bound at `addr` is reached at: an unspecified
+/// IP (every interface) maps to loopback.
+fn reachable(mut addr: SocketAddr) -> SocketAddr {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
 }
 
 // ------------------------------------------------------------ the server
@@ -318,7 +352,6 @@ impl NetServer {
     pub fn bind<A: ToSocketAddrs>(addr: A, config: NetConfig) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         // NetConfig is no longer Copy (it may carry a state path);
         // capture what the channels and the dispatcher need before the
         // config moves into the shared registry.
@@ -331,50 +364,52 @@ impl NetServer {
         // without ever entering the dispatch queue.
         let obs = Observability::default();
         let metrics_listener = match &config.metrics_addr {
-            Some(addr) => {
-                let l = TcpListener::bind(addr.as_str())?;
-                l.set_nonblocking(true)?;
-                Some(l)
-            }
+            Some(addr) => Some(TcpListener::bind(addr.as_str())?),
             None => None,
         };
         let metrics_addr = match &metrics_listener {
             Some(l) => Some(l.local_addr()?),
             None => None,
         };
+        let (tx, rx) = std::sync::mpsc::sync_channel::<Option<Job>>(admission);
         let shared = Arc::new(Shared {
             config,
             shutting_down: AtomicBool::new(false),
             conns: Mutex::new(HashMap::new()),
             next_conn_id: AtomicU64::new(0),
+            wake: tx.clone(),
+            listeners: std::iter::once(addr).chain(metrics_addr).collect(),
         });
-        let (tx, rx) = std::sync::mpsc::sync_channel::<Job>(admission);
-        let accept = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || accept_loop(listener, &shared, &tx))
+        // Dropped by an early return below, the server shuts down the
+        // threads it has started.
+        let mut server = Self {
+            addr,
+            metrics_addr,
+            obs: obs.clone(),
+            shared: Arc::clone(&shared),
+            accept: None,
+            dispatch: None,
+            metrics: None,
         };
-        let dispatch = {
+        server.dispatch = Some({
             let shared = Arc::clone(&shared);
             let obs = obs.clone();
             std::thread::Builder::new()
                 .name("lts-dispatch".into())
                 .stack_size(DISPATCH_STACK_BYTES)
                 .spawn(move || dispatch_loop(service_config, state_dir, obs, &rx, &shared))?
-        };
-        let metrics = metrics_listener.map(|l| {
-            let shared = Arc::clone(&shared);
-            let obs = obs.clone();
-            std::thread::spawn(move || metrics_loop(l, &obs, deterministic, &shared))
         });
-        Ok(Self {
-            addr,
-            metrics_addr,
-            obs,
-            shared,
-            accept: Some(accept),
-            dispatch: Some(dispatch),
-            metrics,
-        })
+        server.accept = Some({
+            let shared = Arc::clone(&shared);
+            std::thread::Builder::new().spawn(move || accept_loop(listener, &shared, &tx))?
+        });
+        if let Some(l) = metrics_listener {
+            server.metrics = Some(
+                std::thread::Builder::new()
+                    .spawn(move || metrics_loop(l, &obs, deterministic, &shared))?,
+            );
+        }
+        Ok(server)
     }
 
     /// The bound listener address.
@@ -432,13 +467,15 @@ impl Drop for NetServer {
     }
 }
 
-fn accept_loop(listener: TcpListener, shared: &Arc<Shared>, tx: &SyncSender<Job>) {
-    while !shared.is_shutting_down() {
-        match listener.accept() {
-            Ok((stream, _peer)) => spawn_connection(stream, shared, tx),
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
+fn accept_loop(listener: TcpListener, shared: &Arc<Shared>, tx: &SyncSender<Option<Job>>) {
+    for stream in listener.incoming() {
+        // Checked after every accept: shutdown's self-connect lands here.
+        if shared.is_shutting_down() {
+            break;
+        }
+        match stream {
+            Ok(stream) => spawn_connection(stream, shared, tx),
+            // EMFILE and the like: back off rather than spin.
             Err(_) => std::thread::sleep(Duration::from_millis(10)),
         }
     }
@@ -446,25 +483,25 @@ fn accept_loop(listener: TcpListener, shared: &Arc<Shared>, tx: &SyncSender<Job>
     // are accepted once shutdown begins.
 }
 
-fn spawn_connection(stream: TcpStream, shared: &Arc<Shared>, tx: &SyncSender<Job>) {
-    // The listener is non-blocking; connection sockets must not be.
-    let _ = stream.set_nonblocking(false);
+/// Refuse a connection: one error line saying why, then close.
+fn refuse(mut stream: &TcpStream, why: &str) {
+    let _ = writeln!(
+        stream,
+        "{}",
+        json_err(&format!("connection refused: {why}"))
+    );
+    let _ = stream.shutdown(Shutdown::Both);
+}
+
+fn spawn_connection(stream: TcpStream, shared: &Arc<Shared>, tx: &SyncSender<Option<Job>>) {
     let _ = stream.set_nodelay(true);
     let at_capacity = {
         let conns = shared.conns.lock().expect("conn registry poisoned");
         conns.len() >= shared.config.max_connections
     };
     if at_capacity {
-        let mut s = stream;
-        let _ = writeln!(
-            s,
-            "{}",
-            json_err(&format!(
-                "connection refused: at capacity ({})",
-                shared.config.max_connections
-            ))
-        );
-        let _ = s.shutdown(Shutdown::Both);
+        let why = format!("at capacity ({})", shared.config.max_connections);
+        refuse(&stream, &why);
         return;
     }
     let id = shared.next_conn_id.fetch_add(1, Ordering::SeqCst);
@@ -481,15 +518,22 @@ fn spawn_connection(stream: TcpStream, shared: &Arc<Shared>, tx: &SyncSender<Job
         .lock()
         .expect("conn registry poisoned")
         .insert(id, Arc::clone(&conn));
-    {
+    let writer = {
         let conn = Arc::clone(&conn);
-        std::thread::spawn(move || writer_loop(&conn));
-    }
-    {
+        std::thread::Builder::new().spawn(move || writer_loop(&conn))
+    };
+    let reader = writer.and_then(|_| {
         let conn = Arc::clone(&conn);
         let shared = Arc::clone(shared);
         let tx = tx.clone();
-        std::thread::spawn(move || reader_loop(&conn, &shared, &tx));
+        std::thread::Builder::new().spawn(move || reader_loop(&conn, &shared, &tx))
+    });
+    if let Err(e) = reader {
+        // The OS refused a thread: this connection goes, the listener
+        // stays. Closing the queue ends a writer already started.
+        shared.remove_conn(id);
+        refuse(&conn.stream, &format!("no thread to serve it ({e})"));
+        conn.queue.close();
     }
 }
 
@@ -588,7 +632,7 @@ fn read_line_limited<R: BufRead>(
 
 /// Submit a job for this connection, keeping the pending count
 /// accurate. Returns `false` when the dispatcher is gone (shutdown).
-fn submit(conn: &Arc<ConnShared>, tx: &SyncSender<Job>, kind: JobKind) -> bool {
+fn submit(conn: &Arc<ConnShared>, tx: &SyncSender<Option<Job>>, kind: JobKind) -> bool {
     conn.pending.fetch_add(1, Ordering::SeqCst);
     let job = Job {
         conn: Arc::clone(conn),
@@ -596,14 +640,14 @@ fn submit(conn: &Arc<ConnShared>, tx: &SyncSender<Job>, kind: JobKind) -> bool {
     };
     // Blocking send: a full admission channel stalls this reader (and
     // therefore this client) only — per-client backpressure.
-    if tx.send(job).is_ok() {
+    if tx.send(Some(job)).is_ok() {
         return true;
     }
     conn.pending.fetch_sub(1, Ordering::SeqCst);
     false
 }
 
-fn reader_loop(conn: &Arc<ConnShared>, shared: &Arc<Shared>, tx: &SyncSender<Job>) {
+fn reader_loop(conn: &Arc<ConnShared>, shared: &Arc<Shared>, tx: &SyncSender<Option<Job>>) {
     let reader = match conn.stream.try_clone() {
         Ok(s) => s,
         Err(_) => {
@@ -670,7 +714,7 @@ fn dispatch_loop(
     service_config: ServiceConfig,
     state_dir: Option<std::path::PathBuf>,
     obs: Observability,
-    rx: &Receiver<Job>,
+    rx: &Receiver<Option<Job>>,
     shared: &Arc<Shared>,
 ) {
     let mut service = Service::with_observability(service_config, obs.clone());
@@ -692,21 +736,13 @@ fn dispatch_loop(
             }
         }
     }
-    loop {
-        let job = match rx.recv_timeout(Duration::from_millis(20)) {
-            Ok(job) => job,
-            Err(RecvTimeoutError::Timeout) => {
-                if shared.is_shutting_down() {
-                    break;
-                }
-                continue;
-            }
-            Err(RecvTimeoutError::Disconnected) => break,
-        };
+    // Blocks until a job or shutdown's wake-up (`None`) arrives.
+    while let Ok(Some(job)) = rx.recv() {
         if shared.is_shutting_down() {
-            // Admitted into the queue, never executed: refuse.
+            // Admitted into the queue, never executed: refuse it, and
+            // the rest in the drain below.
             settle(&job.conn, Some(shutting_down_line()), shared);
-            continue;
+            break;
         }
         match job.kind {
             JobKind::Immediate(reply) => settle(&job.conn, Some(reply), shared),
@@ -735,7 +771,9 @@ fn dispatch_loop(
     // Shutdown drain: everything still queued was admitted but never
     // executed — give each a structured refusal, in FIFO order.
     while let Ok(job) = rx.try_recv() {
-        settle(&job.conn, Some(shutting_down_line()), shared);
+        if let Some(job) = job {
+            settle(&job.conn, Some(shutting_down_line()), shared);
+        }
     }
     // Snapshot after the drain, while the service is quiescent. The
     // write is atomic (temp + rename): a failure here leaves the
@@ -755,14 +793,16 @@ fn dispatch_loop(
 /// registry — this path never enters the admission channel or the
 /// dispatcher, so a stalled scraper cannot wedge request serving.
 fn metrics_loop(listener: TcpListener, obs: &Observability, deterministic: bool, shared: &Shared) {
-    while !shared.is_shutting_down() {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
+    for stream in listener.incoming() {
+        if shared.is_shutting_down() {
+            break;
+        }
+        match stream {
+            Ok(stream) => {
                 let obs = obs.clone();
-                std::thread::spawn(move || serve_scrape(stream, &obs, deterministic));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
+                // A refused thread drops (closes) this one scrape.
+                let _ = std::thread::Builder::new()
+                    .spawn(move || serve_scrape(stream, &obs, deterministic));
             }
             Err(_) => std::thread::sleep(Duration::from_millis(10)),
         }

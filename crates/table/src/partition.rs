@@ -178,9 +178,14 @@ fn subquery_rows(expr: &Expr) -> usize {
 }
 
 /// Scanned inner rows (`ids × inner rows`) a worker must be handed
-/// before a subquery batch is split. A scoped-thread spawn costs
-/// ≈ 45–65 µs on 2 vCPUs (`rayon.par_call_us`, a two-worker map, traced
-/// runs of all four workloads), and since the bound kernel counts
+/// before a subquery batch is split. What a two-item map costs over its
+/// items, in place (after 2 ms of serial work, 150 µs items, wall less
+/// the longer item, 2 vCPUs): 160–280 µs median, 0.4–0.9 ms p90 and
+/// ≈ 4 ms p99 when every map spawned scoped threads (`rayon.par_call_us`,
+/// a tight loop, read 45–65 µs); 50–56 µs median, 80–105 µs p90 and
+/// 160 µs p99 — the caller running both items — on the persistent pool
+/// (`rayon.par_call_us` ≈ 1 µs). The constant was set against the
+/// former and is not re-tuned here. Since the bound kernel counts
 /// whole kd-zones from their boxes (`bound`, rule 6) an object of the
 /// service's shapes costs 1–2 µs over 8 000 inner rows, not the 13 µs
 /// of a full tile scan. Median µs per evaluation on a 2-vCPU host,
@@ -197,7 +202,7 @@ fn subquery_rows(expr: &Expr) -> usize {
 ///
 /// A split pays only on a free core, and costs up to a third on a busy
 /// one below a few hundred objects. So a worker gets 2²⁰ rows: 131
-/// objects at 8 000 rows, ≈ 250 µs, five spawn costs. The service's
+/// objects at 8 000 rows, ≈ 250 µs, five former spawn costs. The service's
 /// 35–150-object batches stay inline; a census splits; a filter the
 /// zones cannot serve (≈ 1.6 ns per row) hands each worker ≈ 1.7 ms.
 const MIN_SUBQUERY_ROWS_PER_WORKER: usize = 1 << 20;
