@@ -107,10 +107,10 @@ fn bench_algorithms(c: &mut Criterion) {
 
 /// What the service's LSS hands the design on an 8 000-row dataset:
 /// pilots at random positions of the score order, `H = 4`, `m⊔ = 5`,
-/// and `N⊔` one above the stage-2 budget. `(m, stage 2)` = (65, 35) and
-/// (98, 52) are the service's split of a 200- and a 300-label budget
-/// (`bench_suite`'s requests); (450, 242) is the same split of about
-/// 1 400 labels. Two label shapes, because the DP's cost is the share of
+/// and `N⊔` one above the stage-2 budget. `(m, stage 2)` = (45, 105)
+/// and (68, 157) are `Lss::default()`'s split of a 200- and a 300-label
+/// budget (`bench_suite`'s requests); (450, 1 050) is the same split of
+/// 2 000 labels. Two label shapes, because the DP's cost is the share of
 /// class pairs that are *not* unanimous: `sigmoid` (midpoint 0.6, slope
 /// 12 — a weak proxy, the neighbours queries) and `sharp` (a step at
 /// 0.85 of the pilots behind a 3-pilot mixed band — what the sports
@@ -119,7 +119,7 @@ fn bench_service_shapes(c: &mut Criterion) {
     let mut group = c.benchmark_group("strata_service");
     group.sample_size(10);
     let n = 8_000usize;
-    for &(m, stage2) in &[(65usize, 35usize), (98, 52), (450, 242)] {
+    for &(m, stage2) in &[(45usize, 105usize), (68, 157), (450, 1_050)] {
         let mut unit = unit_rng(11);
         let mut positions = std::collections::BTreeSet::new();
         while positions.len() < m {

@@ -1,8 +1,9 @@
-//! The forest score table on the service's own forests: the serve
-//! profile's 100-tree proxy, trained on both generated 8 000-row datasets
-//! at budgets 200 / 250 / 300 and seeds 1 / 7, scores the population by
-//! table — never by walking its trees — and `ScoredPopulation::score_rest`
-//! equals the walk bit for bit. A regression to the walk fails here, not
+//! The forest score table on the service's own forests: the 100-tree
+//! proxy of `Lss::default()` (the configuration the service runs),
+//! trained on both generated 8 000-row datasets at budgets 200 / 250 /
+//! 300 and seeds 1 / 7, scores the population by table — never by
+//! walking its trees — and `ScoredPopulation::score_rest` equals the
+//! walk bit for bit. A regression to the walk fails here, not
 //! only in the benchmark.
 
 use lts_core::warm::train_proxy;
@@ -11,16 +12,6 @@ use lts_data::{neighbors_scenario, sports_scenario, SelectivityLevel};
 use lts_learn::{Classifier, RandomForest};
 
 const ROWS: usize = 8_000;
-
-/// `lts_serve::serve_lss_profile` (that crate builds on this one).
-fn serve_profile() -> Lss {
-    Lss {
-        train_frac: 0.5,
-        pilot_frac: 0.65,
-        min_pilots_per_stratum: 3,
-        ..Lss::default()
-    }
-}
 
 /// The node walk summed in tree order.
 fn walk(forest: &RandomForest, row: &[f64]) -> f64 {
@@ -32,7 +23,7 @@ fn walk(forest: &RandomForest, row: &[f64]) -> f64 {
 }
 
 fn check(problem: &CountingProblem, name: &str, seed: u64) {
-    let lss = serve_profile();
+    let lss = Lss::default();
     assert_eq!(
         lss.learn.spec,
         ClassifierSpec::RandomForest { n_trees: 100 }

@@ -22,9 +22,8 @@
 //! canonical query either comes straight from its cached answer (zero
 //! oracle evaluations) or — when a fresh, independent estimate is
 //! requested — **warm-starts** from its warm state and spends only
-//! the stage-2 share of the budget (≥ 5× fewer oracle evaluations at
-//! the same designed CI width under the serve profile). Every response
-//! is bit-replayable: see the determinism contract in [`service`].
+//! the stage-2 share of the budget. Every response is bit-replayable:
+//! see the determinism contract in [`service`].
 
 #![warn(missing_docs)]
 
@@ -46,8 +45,8 @@ pub use planner::{BudgetPlanner, QueryRoute, Route, Target};
 pub use protocol::{handle_line, LineOutcome, SessionState};
 pub use repl::{run_repl, ReplOptions};
 pub use service::{
-    serve_lss_profile, Answer, DatasetSpec, PlanSummary, Request, Response, ResultKey, Service,
-    ServiceConfig, ServiceStats, MAX_REGISTER_ROWS,
+    Answer, DatasetSpec, PlanSummary, Request, Response, ResultKey, Service, ServiceConfig,
+    ServiceStats, MAX_REGISTER_ROWS,
 };
 pub use state::{RestoreSummary, StateError, STATE_FILE};
 pub use store::{EstimatorTag, StoreExportEntry};

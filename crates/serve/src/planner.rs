@@ -14,9 +14,7 @@
 //!   halfwidth of every estimator in the suite (the learned estimators
 //!   only tighten it), so a budget sized by the closed-form SRS bound
 //!   is sufficient for the requested width, whichever estimator the
-//!   service executes. After a run, [`BudgetPlanner::refine`] shrinks
-//!   the budget toward the cheapest one the *achieved* width justifies
-//!   (variance ∝ 1/n).
+//!   service executes.
 //!
 //! The closed form (Wald with finite-population correction, `p = ½`):
 //! `w = z·N/(2√n) · √((N−n)/(N−1))`, solved for `n`:
@@ -223,35 +221,6 @@ impl BudgetPlanner {
             Route::Estimate { budget } => QueryRoute::PrefilterEstimate { budget },
         })
     }
-
-    /// Shrink (or grow) a budget toward the cheapest one the *achieved*
-    /// halfwidth justifies: sampling error scales as `1/√n`, so meeting
-    /// `target_halfwidth` needs roughly
-    /// `n · (achieved / target)²` labels. Clamped to
-    /// `[min_budget, n_objects]`; routes to exact past the census
-    /// threshold.
-    pub fn refine(
-        &self,
-        previous_budget: usize,
-        achieved_halfwidth: f64,
-        target_halfwidth: f64,
-        n_objects: usize,
-    ) -> Route {
-        let well_formed = |w: f64| w.is_finite() && w > 0.0;
-        if !well_formed(achieved_halfwidth) || !well_formed(target_halfwidth) {
-            return Route::Estimate {
-                budget: previous_budget,
-            };
-        }
-        let ratio = achieved_halfwidth / target_halfwidth;
-        let budget = ((previous_budget as f64) * ratio * ratio).ceil() as usize;
-        let budget = budget.clamp(self.min_budget, n_objects);
-        if (budget as f64) >= self.exact_fraction * n_objects as f64 {
-            Route::Exact
-        } else {
-            Route::Estimate { budget }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -326,23 +295,6 @@ mod tests {
             other => panic!("{other:?}"),
         }
         assert_eq!(p.plan(10_000, Target::Budget(9_000)).unwrap(), Route::Exact);
-    }
-
-    #[test]
-    fn refine_scales_quadratically() {
-        let p = BudgetPlanner::default();
-        // Achieved twice the target width → ~4× the budget.
-        match p.refine(200, 100.0, 50.0, 100_000) {
-            Route::Estimate { budget } => assert_eq!(budget, 800),
-            other => panic!("{other:?}"),
-        }
-        // Achieved half the target → can shed ~¾ of the budget.
-        match p.refine(200, 50.0, 100.0, 100_000) {
-            Route::Estimate { budget } => assert_eq!(budget, p.min_budget.max(50)),
-            other => panic!("{other:?}"),
-        }
-        // Absurd tightening escalates to the census.
-        assert_eq!(p.refine(400, 500.0, 1.0, 1_000), Route::Exact);
     }
 
     #[test]

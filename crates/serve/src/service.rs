@@ -5,8 +5,8 @@
 //! [`Service::run_batch`] is a pipeline of typed stages (functions and
 //! hand-off types in `service/stages.rs`, rendering in
 //! `service/render.rs`, counters in `service/metrics.rs`). Each `▼`
-//! names the value handed on; `←` marks the ROADMAP item that hangs at
-//! that boundary next:
+//! names the value handed on; `←` cites, by title, the ROADMAP item
+//! that hangs at that boundary next:
 //!
 //! ```text
 //! Request
@@ -15,16 +15,16 @@
 //!   │ plan      observed selectivity, memoized PhysicalPlan, BudgetPlanner; owns the state identity
 //!   ▼ Planned   Task::Exact { plan } | Resume { key: StateKey }
 //!   │ admit     sequential — queue bound; then by (id, pos): cached-answer probe,
-//!   │           in-batch coalescing, warm-state probe, seeds  ← 2(d) probe on the reader thread
+//!   │           in-batch coalescing, warm-state probe, seeds  ← "Perf leads": hits answered on the reader thread
 //!   ├─► Outcome::Refused | Hit | Follower ──────────────┐
 //!   ▼ WorkItem                                          │
 //!   │ prepare   wave 1, parallel — absent states into their entries;
-//!   │           unpreparable ⇒ Task::Srs                 │  ← 4(a) catch_unwind per closure
+//!   │           unpreparable ⇒ Task::Srs                 │  ← "Contain faults": catch_unwind per closure
 //!   │ execute   wave 2, parallel — run the Task ─► Answer │
 //!   ▼ Outcome::Executed                                 │
 //!   │ seal  ◄───────────────────────────────────────────┘
 //!   │           sequential, the one place a Response is built, booked
-//!   │           (one book: the registry), cached, its span closed  ← 5(a) a timed span per stage
+//!   │           (one book: the registry), cached, its span closed  ← "One source of per-stage truth": a timed span per stage
 //!   ▼ Response
 //!   │ render    Response::to_json
 //!   ▼ JSON line
@@ -102,22 +102,6 @@ use stages::StateKey;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// The serve-tuned LSS profile: budget deliberately shifted into the
-/// *reusable* phases (training 50%, pilot 65% of the sampling half), so
-/// a warm start — which replays only stage 2 — spends ≥ 5× fewer
-/// oracle evaluations than its cold start at the same designed CI
-/// width. One-shot library use keeps `Lss::default()`; a service
-/// amortizes the reusable phases across every repeat, which is the
-/// paper's economic argument for learning to sample at all.
-pub fn serve_lss_profile() -> Lss {
-    Lss {
-        train_frac: 0.5,
-        pilot_frac: 0.65,
-        min_pilots_per_stratum: 3,
-        ..Lss::default()
-    }
-}
-
 /// Service configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct ServiceConfig {
@@ -128,7 +112,8 @@ pub struct ServiceConfig {
     pub queue_capacity: usize,
     /// The admission planner.
     pub planner: BudgetPlanner,
-    /// LSS profile for learned estimates (see [`serve_lss_profile`]).
+    /// LSS configuration for learned estimates: `Lss::default()`, the
+    /// one the library, the repro figures and the coverage audit run.
     pub lss: Lss,
     /// Echo each response's trace span as a `"trace"` field on the
     /// response JSON. Off by default, so existing response lines stay
@@ -143,7 +128,7 @@ impl Default for ServiceConfig {
             seed: 0x5345_5256_4531,
             queue_capacity: 64,
             planner: BudgetPlanner::default(),
-            lss: serve_lss_profile(),
+            lss: Lss::default(),
             trace: false,
         }
     }
@@ -797,6 +782,14 @@ mod tests {
     fn sports(rows: usize) -> Arc<Table> {
         let level = lts_data::SelectivityLevel::M;
         lts_data::sports_scenario(rows, level, 3).unwrap().table
+    }
+
+    #[test]
+    fn the_service_runs_the_librarys_lss() {
+        assert_eq!(
+            ServiceConfig::default().lss.profile_digest(),
+            Lss::default().profile_digest()
+        );
     }
 
     #[test]

@@ -28,9 +28,9 @@
 //! * **Verified load**: the file ends in a `checksum` trailer (FNV-1a
 //!   over everything before it — a torn-write detector, not a MAC). A
 //!   torn tail, flipped byte, or version-mismatched header (a
-//!   `lts-state/v1` or `v2` file of an earlier build included) yields a
-//!   structured [`StateError`], and so does a well-sealed file whose
-//!   numbers do not describe a state of the problem they name; the
+//!   `lts-state/v1`, `v2` or `v3` file of an earlier build included)
+//!   yields a structured [`StateError`], and so does a well-sealed file
+//!   whose numbers do not describe a state of the problem they name; the
 //!   caller ([`crate::net`]'s dispatcher) logs it and starts cold —
 //!   never a panic, never silently wrong counts.
 //! * **Missing file is not an error**: first boot returns `Ok(None)`.
@@ -46,7 +46,7 @@ use std::path::{Path, PathBuf};
 
 /// Snapshot file name inside the `--state-dir` directory.
 pub const STATE_FILE: &str = "state.lts";
-const HEADER: &str = "lts-state/v3";
+const HEADER: &str = "lts-state/v4";
 
 /// Errors loading or saving a state snapshot.
 #[derive(Debug)]
@@ -388,7 +388,7 @@ mod tests {
     fn empty_service_snapshot_parses() {
         let svc = Service::new(crate::service::ServiceConfig::default());
         let body = render_snapshot(&svc);
-        assert!(body.starts_with("lts-state/v3\n"));
+        assert!(body.starts_with("lts-state/v4\n"));
         let text = format!("{body}checksum\t{:016x}\n", fnv1a(body.as_bytes()));
         let parsed = parse_snapshot(&text).unwrap();
         assert!(parsed.datasets.is_empty());
@@ -399,12 +399,12 @@ mod tests {
     fn structural_corruption_is_structured() {
         // No trailing newline.
         assert!(matches!(
-            parse_snapshot("lts-state/v3"),
+            parse_snapshot("lts-state/v4"),
             Err(StateError::Corrupt { .. })
         ));
         // Missing checksum trailer.
         assert!(matches!(
-            parse_snapshot("lts-state/v3\ndataset\tx\n"),
+            parse_snapshot("lts-state/v4\ndataset\tx\n"),
             Err(StateError::Corrupt { .. })
         ));
         // Version-mismatched header (checksum valid for the body).
@@ -415,9 +415,9 @@ mod tests {
             Err(StateError::BadVersion { found }) if found == "lts-state/v9"
         ));
         // Flipped byte under a stale checksum.
-        let body = "lts-state/v3\n";
+        let body = "lts-state/v4\n";
         let mut text = format!("{body}checksum\t{:016x}\n", fnv1a(body.as_bytes()));
-        text = text.replacen("v3", "v4", 1);
+        text = text.replacen("v4", "v5", 1);
         assert!(matches!(
             parse_snapshot(&text),
             Err(StateError::ChecksumMismatch)
@@ -429,7 +429,7 @@ mod tests {
         // `lws`: no served route since the service prepares LSS only.
         for route in ["bogus", "lws"] {
             let body = format!(
-                "lts-state/v3\ncache\td\tq\t10\t0\t{z}\t{z}\t{z}\t{z}\t{z}\t5\t0\t{route}\n",
+                "lts-state/v4\ncache\td\tq\t10\t0\t{z}\t{z}\t{z}\t{z}\t{z}\t5\t0\t{route}\n",
                 z = f64_hex(0.0)
             );
             let text = format!("{body}checksum\t{:016x}\n", fnv1a(body.as_bytes()));

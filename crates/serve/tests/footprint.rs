@@ -238,10 +238,11 @@ fn a_distinct_query_retains_its_delta_not_a_copy_of_the_table() {
         }
 
         // What the service runs on a restricted problem — prepare and
-        // resume under its profile — keeps nothing once the state goes:
-        // no path forces `features()`, whose rows this would see.
+        // resume under its LSS configuration — keeps nothing once the
+        // state goes: no path forces `features()`, whose rows this would
+        // see.
         let rows = 8 * FEATURES.len() * restricted.n();
-        let lss = lts_serve::serve_lss_profile();
+        let lss = ServiceConfig::default().lss;
         let before = live_bytes();
         let warm = lss.prepare(restricted, 150, 7).unwrap();
         lss.estimate_prepared(restricted, &warm, 8).unwrap();
@@ -302,9 +303,9 @@ const fn read_columns(rows: usize) -> usize {
 /// 200, seed-1 neighbors at 8 000 rows), wall time masked.
 const F05_LINE: &str = concat!(
     r#"{"id": 900, "ok": true, "served": "cold", "route": "lss", "fingerprint": "d9978989d70470a8", "#,
-    r#""estimate": 405.35, "std_error": 96.26797918382606, "lo": 209.01016199717844, "#,
-    r#""hi": 601.6898380028215, "level": 0.95, "evals": 200, "budget": 200, "#,
-    r#""model_version": "d9df87ef56fd7c3c", "table_version": 0, "wall_micros": 0, "#,
+    r#""estimate": 370.4783281733746, "std_error": 37.473603834732145, "lo": 296.1407784539408, "#,
+    r#""hi": 444.81587789280843, "level": 0.95, "evals": 200, "budget": 200, "#,
+    r#""model_version": "bf72f3da461708ba", "table_version": 0, "wall_micros": 0, "#,
     r#""plan": {"kind": "prefilter_estimate", "prefilter": "(1.0 < f05)", "residual": "#,
     r#""((SELECT Count(*) FROM [src_rate:Float,dst_rate:Float,f02:Float,f03:Float,f04:Float,"#,
     r#"f05:Float,f06:Float,f07:Float,f08:Float,f09:Float,f10:Float,f11:Float,f12:Float,f13:Float,"#,
@@ -435,9 +436,9 @@ const fn sports_read_columns(rows: usize) -> usize {
 /// budget 200, seed-1 sports at 8 000 rows), wall time masked.
 const ERA_LINE: &str = concat!(
     r#"{"id": 900, "ok": true, "served": "cold", "route": "lss", "fingerprint": "e90baeeabf445d1b", "#,
-    r#""estimate": 826, "std_error": 57.18179727366805, "lo": 709.3769555712412, "#,
-    r#""hi": 942.6230444287587, "level": 0.95, "evals": 200, "budget": 200, "#,
-    r#""model_version": "8ae0710c357a527a", "table_version": 0, "wall_micros": 0, "#,
+    r#""estimate": 869.6857142857143, "std_error": 28.858975587144265, "lo": 812.4372696999576, "#,
+    r#""hi": 926.9341588714709, "level": 0.95, "evals": 200, "budget": 200, "#,
+    r#""model_version": "836ff5fcdd0298d5", "table_version": 0, "wall_micros": 0, "#,
     r#""plan": {"kind": "prefilter_estimate", "prefilter": "(era < 3.5)", "residual": "#,
     r#""((SELECT Count(*) FROM [player_id:Int,year:Int,ipouts:Float,strikeouts:Float,"#,
     r#"walks:Float,hits:Float,wins:Float,losses:Float,era:Float;rows=8000] WHERE "#,

@@ -1,4 +1,4 @@
-//! The `lts-store/v2` / `lts-state/v3` codec: a warm state written down
+//! The `lts-store/v2` / `lts-state/v4` codec: a warm state written down
 //! and decoded is the state that was written.
 //!
 //! * **Round trip** — for the two served shapes (`lss`, `lss+pf`) on
@@ -14,8 +14,8 @@
 use lts_core::{CountingProblem, EstimateReport, LssWarm, PhysicalPlan};
 use lts_data::{neighbors_scenario, sports_scenario, QueryParam, SelectivityLevel};
 use lts_serve::{
-    serve_lss_profile, state, store, BudgetPlanner, DatasetSpec, EstimatorTag, Request, Service,
-    ServiceConfig, StoreExportEntry, Target,
+    state, store, BudgetPlanner, DatasetSpec, EstimatorTag, Request, Service, ServiceConfig,
+    StoreExportEntry, Target,
 };
 use lts_table::{
     decompose, parse_condition, ExprPredicate, PartitionedTable, Table, TableRegistry,
@@ -89,7 +89,7 @@ fn every_served_shape_round_trips_through_the_export() {
         v.sort_by(f64::total_cmp);
         v[v.len() / 2]
     };
-    let lss = serve_lss_profile();
+    let lss = ServiceConfig::default().lss;
     for (name, table, cols, subquery) in [
         ("sports", &sports.table, ["strikeouts", "wins"], skyband(k)),
         (
@@ -201,7 +201,7 @@ fn the_snapshot_format_is_pinned_byte_for_byte() {
     let _ = std::fs::remove_dir_all(&dir);
     let path = state::save(&golden_service(), &dir).unwrap();
     let got = std::fs::read_to_string(path).unwrap();
-    let golden = include_str!("data/state_v3.golden");
+    let golden = include_str!("data/state_v4.golden");
     for (i, (g, w)) in golden.lines().zip(got.lines()).enumerate() {
         assert_eq!(g, w, "snapshot diverges from the golden at line {}", i + 1);
     }

@@ -1,4 +1,4 @@
-//! Seeded fuzz of the `lts-state/v3` framing: whatever a snapshot file
+//! Seeded fuzz of the `lts-state/v4` framing: whatever a snapshot file
 //! holds, `state::load` returns `Ok` or a [`StateError`] — never a
 //! panic — and an unmutated snapshot round-trips byte for byte.
 //!

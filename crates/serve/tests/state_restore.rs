@@ -220,11 +220,16 @@ fn corrupt_snapshots_error_structurally_and_cold_start_cleanly() {
     let good = fs::read_to_string(&path).unwrap();
 
     // (a) Version-mismatched snapshot, valid checksum: the previous
-    // formats (there is no `v1` or `v2` reader — a `v2` file caches
-    // intervals of an older estimator, so it cold-starts once) and a
-    // future one.
-    for header in ["lts-state/v1", "lts-state/v2", "lts-state/v4"] {
-        fs::write(&path, resealed(&good.replacen("lts-state/v3", header, 1))).unwrap();
+    // formats (there is no `v1`, `v2` or `v3` reader — a `v2` file caches
+    // intervals of an older estimator and a `v3` file answers of an older
+    // LSS configuration, so each cold-starts once) and a future one.
+    for header in [
+        "lts-state/v1",
+        "lts-state/v2",
+        "lts-state/v3",
+        "lts-state/v5",
+    ] {
+        fs::write(&path, resealed(&good.replacen("lts-state/v4", header, 1))).unwrap();
         let mut svc = Service::new(ServiceConfig::default());
         assert!(matches!(
             state::load(&mut svc, &dir),
@@ -323,7 +328,7 @@ fn corrupt_snapshots_error_structurally_and_cold_start_cleanly() {
     let mut other = Service::new(ServiceConfig {
         lss: lts_core::Lss {
             n_strata: 5,
-            ..lts_serve::serve_lss_profile()
+            ..lts_core::Lss::default()
         },
         ..ServiceConfig::default()
     });
@@ -490,7 +495,7 @@ fn tcp_server_cold_starts_over_a_snapshot_it_refuses() {
         with_state_fields(&good, |f| f[11] = "9,9,9".into()),
         legacy_lss_at_4(&good),
         broken,
-        resealed(&good.replacen("lts-state/v3", "lts-state/v2", 1)),
+        resealed(&good.replacen("lts-state/v4", "lts-state/v3", 1)),
     ] {
         fs::write(&path, snapshot).unwrap();
         let config = NetConfig {

@@ -153,8 +153,8 @@ proptest! {
 /// band) to blurry (a sigmoid), plus labels alternating in runs of 2 and
 /// of 3 pilots, whose strata repeat the same few `s²` and so tie in `A`
 /// over many predecessors: ties for the warm start's first-minimum rule
-/// to break (a tie kept by the later row fails both profiles).
-fn check_service_shapes(min_pilots: usize, m: usize, stage2: usize) {
+/// to break (a tie kept by the later row fails here).
+fn check_service_shapes(m: usize, stage2: usize) {
     let n = 8_000usize;
     let mut state = 11u64;
     let mut unit = move || {
@@ -189,14 +189,14 @@ fn check_service_shapes(min_pilots: usize, m: usize, stage2: usize) {
         n_strata: 4,
         budget: stage2,
         min_stratum_size: stage2 + 1,
-        min_pilots_per_stratum: min_pilots,
+        min_pilots_per_stratum: 5,
         epsilon: 1.0,
     };
     for (name, labels) in shapes {
         let entries = positions.iter().copied().zip(labels).collect();
         let pilot = PilotIndex::new(n, entries).unwrap();
         let selection = TSelection::default();
-        let case = format!("m⊔ = {min_pilots}, m = {m}, {name}");
+        let case = format!("m = {m}, {name}");
         assert_same_design(
             &dynpgm(&pilot, &params, selection),
             &dynpgm_oracle::dynpgm(&pilot, &params, selection),
@@ -211,22 +211,13 @@ fn check_service_shapes(min_pilots: usize, m: usize, stage2: usize) {
 }
 
 /// The proptest's `n < 1 600`, `m < 64` never reaches the service's
-/// sizes: here the pilots of a 200- and a 300-label budget (`m` = 65 /
-/// 98, stage 2 = 35 / 52) under `Lss::default()`'s `m⊔ = 5`.
+/// sizes: here the pilots of a 200-, 250- and 300-label budget under
+/// `Lss::default()` (`m` = 45 / 56 / 68, stage 2 = 105 / 131 / 157,
+/// `m⊔ = 5`), the configuration the service runs.
 #[test]
 fn dynpgm_matches_triple_loop_oracle_at_service_size() {
-    for (m, stage2) in [(65, 35), (98, 52)] {
-        check_service_shapes(5, m, stage2);
-    }
-}
-
-/// What `serve_lss_profile` designs over: `m⊔ = 3` and the pilots of a
-/// 200-, 250- and 300-label budget (`m` = 65 / 81 / 97, stage 2 = 35 /
-/// 44 / 53).
-#[test]
-fn dynpgm_matches_triple_loop_oracle_at_served_profile() {
-    for (m, stage2) in [(65, 35), (81, 44), (97, 53)] {
-        check_service_shapes(3, m, stage2);
+    for (m, stage2) in [(45, 105), (56, 131), (68, 157)] {
+        check_service_shapes(m, stage2);
     }
 }
 

@@ -7,10 +7,9 @@
 //! routes to the exact census when sampling cannot win). LSS then
 //! *forecasts* its interval halfwidth from the stage-1 design before
 //! any stage-2 label is drawn (Eq. 4, the paper's concluding sketch),
-//! and the realized interval is printed next to it. A second pass
-//! shows `refine`: shrinking the budget to what the achieved width
-//! actually justifies. The sequential LWS variant closes with the
-//! complementary trick: stop early once the running interval is tight.
+//! and the realized interval is printed next to it. The sequential LWS
+//! variant closes with the complementary trick: stop early once the
+//! running interval is tight.
 //!
 //! ```sh
 //! cargo run --release --example budget_planning
@@ -26,18 +25,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let truth = scenario.truth as f64;
     println!("{} (truth = {truth})\n", scenario.describe());
 
-    // One planner for the library and the service alike.
+    // One planner and one LSS configuration for the library and the
+    // service alike.
     let planner = BudgetPlanner::default();
-    let lss = Lss {
-        min_pilots_per_stratum: 3,
-        ..Lss::default()
-    };
+    let lss = Lss::default();
 
     println!(
         "{:>8} | {:>6} | {:>17} | {:>9} | {:>18}",
         "target ±", "budget", "forecast ±halfwid", "estimate", "realized 95% CI"
     );
-    let mut refine_input = None;
     for rel in [0.10f64, 0.05, 0.025, 0.0125] {
         let target_counts = rel * n as f64;
         match planner.plan(n, Target::AbsWidth(target_counts))? {
@@ -58,24 +54,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     r.estimate.interval.lo,
                     r.estimate.interval.hi,
                 );
-                let achieved = (r.estimate.interval.hi - r.estimate.interval.lo) / 2.0;
-                refine_input = Some((budget, achieved, target_counts));
             }
-        }
-    }
-
-    // The planner sizes budgets by the distribution-free SRS bound;
-    // LSS usually lands far inside the target. `refine` turns the
-    // surplus into savings on the next ask of the same query.
-    if let Some((budget, achieved, target)) = refine_input {
-        match planner.refine(budget, achieved, target, n) {
-            Route::Estimate { budget: cheaper } => {
-                println!(
-                    "\nrefine: achieved ±{achieved:.0} at budget {budget} → \
-                     next ask of this query needs only ~{cheaper} labels"
-                );
-            }
-            Route::Exact => println!("\nrefine: target needs a census"),
         }
     }
 

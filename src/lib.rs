@@ -122,8 +122,8 @@ pub mod prelude {
     pub use lts_obs::{MetricsRegistry, Observability, Trace, TraceEvent};
     pub use lts_sampling::CountEstimate;
     pub use lts_serve::{
-        serve_lss_profile, BudgetPlanner, NetConfig, NetServer, Request, Response, Route, Service,
-        ServiceConfig, Target,
+        BudgetPlanner, NetConfig, NetServer, Request, Response, Route, Service, ServiceConfig,
+        Target,
     };
     pub use lts_stats::{ConfidenceInterval, IntervalKind};
     pub use lts_strata::{Allocation, DesignAlgorithm, TSelection};

@@ -276,8 +276,8 @@ fn lws_interval_covers_end_to_end() {
 
 /// A separable count through the service: the ten objects with the
 /// largest `f05` are exactly the ones with fewer than ten rows above
-/// them, so a proxy on `f05` separates the classes and the serve
-/// profile's strata come back unanimous. Unanimous draws must still
+/// them, so a proxy on `f05` separates the classes and the served
+/// strata come back unanimous. Unanimous draws must still
 /// leave a variance: no reply may be a zero-width interval, and at
 /// least 18 of 20 fresh ids must cover.
 #[test]

@@ -4,15 +4,16 @@
 //! Cells: the sports skyband and the few-neighbours query at level M
 //! over 8 000 rows, labeling budgets 200 and 1 000, R = 400 seeds, the
 //! oracle being the SQL-form correlated subquery (the bound kernel).
-//! Routes: the service's LSS profile (`serve_lss_profile`), the
-//! library's `Lss::default()` and SRS, each run one-shot. Per cell it
+//! Routes: `Lss::default()` — the `lss` row, which is also the route
+//! the service runs (`ServiceConfig::default().lss`) — and SRS, each
+//! run one-shot. Per cell it
 //! prints the coverage with its band (nominal ± 3σ of a binomial over
 //! R replicates), the share of zero-width intervals, and the misses:
 //! `lo-miss` when the truth lies below the interval, `hi-miss` above.
 //!
 //! It asserts two things only: SRS covers inside its band, and the table
 //! is deterministic — the same computed across workers and on one
-//! thread. The LSS routes' deficit is what it measures, not what it
+//! thread. The LSS route's deficit is what it measures, not what it
 //! fails on.
 //!
 //! Slow (≈ 10⁴ estimates): `cargo test --release --test coverage_audit
@@ -59,8 +60,7 @@ fn share(outcomes: &[Outcome], pick: impl Fn(&Outcome) -> bool) -> f64 {
 fn audit(parallel: bool) -> (String, bool) {
     let band = 3.0 * (LEVEL * (1.0 - LEVEL) / REPLICATES as f64).sqrt();
     let (lo_band, hi_band) = (LEVEL - band, LEVEL + band);
-    let routes: [(&str, Box<dyn CountEstimator>); 3] = [
-        ("serve-lss", Box::new(serve_lss_profile())),
+    let routes: [(&str, Box<dyn CountEstimator>); 2] = [
         ("lss", Box::new(Lss::default())),
         ("srs", Box::new(Srs::default())),
     ];
