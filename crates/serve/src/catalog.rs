@@ -36,8 +36,8 @@ pub(crate) struct QueryDecomposition {
 pub(crate) struct WarmState {
     /// The resumable state.
     pub(crate) state: LssWarm,
-    /// The raw condition text of the request that prepared it (a store
-    /// export writes it down and a restore re-parses it; the canonical
+    /// The raw condition text of the request that prepared it (a state
+    /// snapshot writes it down and a restore re-parses it; the canonical
     /// string is not a parser input).
     pub(crate) raw_condition: String,
 }

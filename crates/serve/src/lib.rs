@@ -11,11 +11,11 @@
 //! |---|---|---|
 //! | canonical fingerprints | [`mod@fingerprint`] | equivalent requests hit the same entry |
 //! | query table | `catalog` | per dataset version, one entry per distinct query — its problem (meter + features), memoized plan, warm estimator states (ordering + pilot + design, `lts_core::warm`) and cached answers — plus observed prefilter selectivities; dropped whole when the version moves |
-//! | `lts-store/v2` codec | [`store`] | warm states written down as plain data and decoded at restore |
 //! | [`BudgetPlanner`] | [`planner`] | admission control: census for small `N`, else the cheapest budget meeting the requested CI width; routes decomposed queries among census / prefilter + residual / monolithic plans |
 //! | [`Service`] | [`service`] | bounded queue, parallel execution waves, deterministic per-request seed streams |
 //! | protocol | [`mod@protocol`] | the line-in/JSON-out command grammar, shared by every front-end |
 //! | REPL | [`repl`] | the `lts-serve` binary's stdin/stdout front-end |
+//! | snapshot codec | [`state`] | datasets, warm states and cached answers written down as plain data and decoded at restore |
 //! | [`NetServer`] | [`net`] | the `lts-served` binary's multi-client TCP front-end: bounded admission, per-client backpressure, graceful shutdown |
 //!
 //! A **cold** request pays for everything; a repeat of the same
@@ -36,7 +36,6 @@ pub mod protocol;
 pub mod repl;
 pub mod service;
 pub mod state;
-pub mod store;
 
 pub use error::{ServeError, ServeResult};
 pub use fingerprint::{canonical, fingerprint, normalize};
@@ -49,6 +48,5 @@ pub use service::{
     ServiceStats, MAX_REGISTER_ROWS,
 };
 pub use state::{RestoreSummary, StateError, STATE_FILE};
-pub use store::{EstimatorTag, StoreExportEntry};
 
 pub use lts_obs::{MetricsRegistry, MetricsSnapshot, Observability, SlowLog, Trace, TraceRing};

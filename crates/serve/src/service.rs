@@ -30,9 +30,9 @@
 //!   ▼ JSON line
 //! ```
 //!
-//! `explain` is resolve ∘ plan ∘ render, and `import_store` is resolve ∘
-//! (plan state) ∘ decode (`LssWarm::from_parts`), over the same
-//! functions.
+//! `explain` is resolve ∘ plan ∘ render, and a snapshot's warm state is
+//! restored as resolve ∘ (plan state) ∘ decode (`LssWarm::from_parts`,
+//! in `Service::restore_warm`), over the same functions.
 //!
 //! # What a dataset owns
 //!
@@ -91,8 +91,8 @@ mod stages;
 use crate::catalog::{Derived, QueryEntry, WarmState};
 use crate::error::{ServeError, ServeResult};
 use crate::planner::{BudgetPlanner, Target};
-use crate::store::{self, EstimatorTag, StoreExportEntry};
-use lts_core::{features_from_columns, Lss, LssParts, LssWarm};
+use crate::state::WarmLine;
+use lts_core::{features_from_columns, Lss, LssWarm};
 use lts_data::{neighbors::NeighborsConfig, sports::SportsConfig};
 use lts_learn::Matrix;
 use lts_obs::{Observability, Trace};
@@ -469,7 +469,7 @@ impl Service {
     /// The generator recipes of every re-generatable dataset, with the
     /// current table version — the dataset section of a state snapshot.
     /// Sorted by name for stable output.
-    pub fn dataset_specs(&self) -> Vec<(String, DatasetSpec, u64)> {
+    pub(crate) fn dataset_specs(&self) -> Vec<(String, DatasetSpec, u64)> {
         let mut out: Vec<(String, DatasetSpec, u64)> = self
             .datasets
             .iter()
@@ -485,7 +485,7 @@ impl Service {
 
     /// Every cached answer with the table version it answers for,
     /// sorted by key — the cache section of a state snapshot.
-    pub fn cache_entries(&self) -> Vec<(ResultKey, u64, Answer)> {
+    pub(crate) fn cache_entries(&self) -> Vec<(ResultKey, u64, Answer)> {
         let mut out = Vec::new();
         for (dataset, ds) in &self.datasets {
             for (canonical, entry) in &ds.derived.queries {
@@ -507,7 +507,12 @@ impl Service {
     /// answer for an unregistered dataset, or for a version other than
     /// the dataset's current one, answers nothing this service can be
     /// asked: it is dropped. Returns whether the answer was kept.
-    pub fn restore_cached(&mut self, key: ResultKey, answer: Answer, table_version: u64) -> bool {
+    pub(crate) fn restore_cached(
+        &mut self,
+        key: ResultKey,
+        answer: Answer,
+        table_version: u64,
+    ) -> bool {
         match self.datasets.get_mut(&key.dataset) {
             Some(ds) if ds.table.version() == table_version => {
                 let entry = ds.derived.queries.entry(key.canonical).or_default();
@@ -693,85 +698,71 @@ impl Service {
         ))
     }
 
-    /// Render every warm state as a portable export (plain data; see
-    /// [`store::export`]).
-    pub fn export_store(&self) -> String {
-        let mut entries = Vec::new();
+    /// Every warm state as the snapshot writes it down (see
+    /// `crate::state`), in no particular order.
+    pub(crate) fn warm_lines(&self) -> Vec<WarmLine> {
+        let mut out = Vec::new();
         for (dataset, ds) in &self.datasets {
             for entry in ds.derived.queries.values() {
                 for (&(prefiltered, budget), warm) in &entry.states {
-                    entries.push(StoreExportEntry {
+                    out.push(WarmLine {
                         dataset: dataset.clone(),
                         condition: warm.raw_condition.clone(),
                         budget,
                         table_version: ds.table.version(),
-                        estimator: EstimatorTag { prefiltered },
-                        states: vec![warm.state.to_parts()],
+                        prefiltered,
+                        parts: warm.state.to_parts(),
                     });
                 }
             }
         }
-        store::export(&entries)
+        out
     }
 
-    /// Rebuild warm states from a store export: each entry's problem is
-    /// resolved — a `+pf` entry is re-decomposed and its restricted
-    /// residual problem rebuilt by the zero-oracle prefilter scan, which
-    /// is deterministic, so the state meets the population it was
-    /// prepared over — and its one state is **decoded and checked**
+    /// Rebuild one warm state a snapshot wrote down: its problem is
+    /// resolved — a `+pf` state's query is re-decomposed and its
+    /// restricted residual problem rebuilt by the zero-oracle prefilter
+    /// scan, which is deterministic, so the state meets the population
+    /// it was prepared over — and the state is **decoded and checked**
     /// ([`LssWarm::from_parts`]): nothing is fitted, scored, sorted or
-    /// designed, and the oracle is not called. Entries for unknown
-    /// datasets or mismatched table versions are skipped. Returns the
-    /// number of states restored.
+    /// designed, and the oracle is not called. A state for an unknown
+    /// dataset or another table version is skipped. Returns whether the
+    /// state was restored.
     ///
     /// # Errors
     ///
-    /// Returns an error for a malformed export, a state that fails a
-    /// check against its problem or this service's LSS profile, or a
-    /// `+pf` entry whose query does not decompose.
-    pub fn import_store(&mut self, text: &str) -> ServeResult<usize> {
-        let entries =
-            store::parse_export(text).map_err(|message| ServeError::Invalid { message })?;
-        let mut restored = 0usize;
-        for entry in entries {
-            if self.dataset_version(&entry.dataset) != Some(entry.table_version) {
-                continue;
-            }
-            let resolved = self.resolve(entry.dataset.clone(), &entry.condition)?;
-            let invalid = |why: &str| ServeError::Invalid {
-                message: format!(
-                    "prefiltered store entry for `{}` but {why}",
-                    entry.condition
-                ),
-            };
-            let restricted = if entry.estimator.prefiltered {
-                let decomp = resolved
-                    .decomposition
-                    .clone()
-                    .ok_or_else(|| invalid("the query does not decompose"))?;
-                let plan = self.plan_state(&resolved, &decomp)?;
-                let restricted = plan.restricted().cloned();
-                Some(restricted.ok_or_else(|| invalid("the prefilter keeps no rows"))?)
-            } else {
-                None
-            };
-            let (problem, key) = resolved.warm_identity(restricted.as_ref(), entry.budget);
-            let [parts] = <[LssParts; 1]>::try_from(entry.states).map_err(|states| {
-                let message = format!("{} states for one store entry", states.len());
-                ServeError::Invalid { message }
-            })?;
-            let state = LssWarm::from_parts(parts, entry.budget, &problem, &self.config.lss)?;
-            let raw_condition = entry.condition;
-            self.insert_warm(
-                &key,
-                WarmState {
-                    state,
-                    raw_condition,
-                },
-            );
-            restored += 1;
+    /// Returns an error for a state that fails a check against its
+    /// problem or this service's LSS profile, or a `+pf` state whose
+    /// query does not decompose.
+    pub(crate) fn restore_warm(&mut self, line: WarmLine) -> ServeResult<bool> {
+        if self.dataset_version(&line.dataset) != Some(line.table_version) {
+            return Ok(false);
         }
-        Ok(restored)
+        let resolved = self.resolve(line.dataset.clone(), &line.condition)?;
+        let invalid = |why: &str| ServeError::Invalid {
+            message: format!("prefiltered store entry for `{}` but {why}", line.condition),
+        };
+        let restricted = if line.prefiltered {
+            let decomp = resolved
+                .decomposition
+                .clone()
+                .ok_or_else(|| invalid("the query does not decompose"))?;
+            let plan = self.plan_state(&resolved, &decomp)?;
+            let restricted = plan.restricted().cloned();
+            Some(restricted.ok_or_else(|| invalid("the prefilter keeps no rows"))?)
+        } else {
+            None
+        };
+        let (problem, key) = resolved.warm_identity(restricted.as_ref(), line.budget);
+        let state = LssWarm::from_parts(line.parts, line.budget, &problem, &self.config.lss)?;
+        self.insert_warm(
+            &key,
+            WarmState {
+                state,
+                raw_condition: line.condition,
+            },
+        );
+        Ok(true)
     }
 }
 

@@ -147,7 +147,7 @@ pub(super) struct Admitted {
     id: u64,
     fresh: bool,
     /// The condition text as sent (a prepared state records it, so a
-    /// store export can be re-parsed).
+    /// state snapshot can be re-parsed).
     raw: String,
     fingerprint: u64,
     table_version: u64,

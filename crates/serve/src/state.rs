@@ -10,12 +10,14 @@
 //!   table version of every re-generatable dataset. Restore re-runs the
 //!   generator (same rows/seed ⇒ same bytes) and sets the version to
 //!   the recorded lineage in one step.
-//! * **store lines** — the warm states' portable export (see
-//!   [`crate::store`]): per warm state, the ordering, the labelled
-//!   pilot, the cuts and the training labels a resume reads. Restore
-//!   resolves each entry's problem and **decodes** — no fit, no scoring
-//!   pass, no sort, no design run, zero oracle evaluations — and checks
-//!   what it decoded against the problem (`LssWarm::from_parts`).
+//! * **store lines** — the warm states as plain data: per state a
+//!   `store entry` line naming its query (dataset, budget, table
+//!   version, tag `lss` or `lss+pf` — prepared over prefilter survivors
+//!   — raw condition) and, right after it, a `store state` line: an
+//!   [`LssParts`]. Restore resolves each entry's problem and **decodes**
+//!   — no fit, no scoring pass, no sort, no design run, zero oracle
+//!   evaluations — and checks the state against the problem
+//!   (`LssWarm::from_parts`).
 //! * **cache lines** — finished estimates with every `f64` spelled as
 //!   its IEEE-754 bit pattern in hex, so a restored cached response is
 //!   byte-identical to the one served before the restart.
@@ -37,8 +39,7 @@
 
 use crate::error::ServeError;
 use crate::service::{Answer, DatasetSpec, ResultKey, Service};
-use crate::store::{dec_text, enc_text};
-use lts_core::fnv1a;
+use lts_core::{fnv1a, LssParts};
 use std::fmt;
 use std::fmt::Write as _;
 use std::fs;
@@ -47,6 +48,9 @@ use std::path::{Path, PathBuf};
 /// Snapshot file name inside the `--state-dir` directory.
 pub const STATE_FILE: &str = "state.lts";
 const HEADER: &str = "lts-state/v4";
+/// A fixed line before the warm states that load skips: the header of
+/// the format they were once embedded in, kept so v4 bytes do not move.
+const WARM_HEADER: &str = "lts-store/v2";
 
 /// Errors loading or saving a state snapshot.
 #[derive(Debug)]
@@ -145,9 +149,123 @@ fn f64_from_hex(s: &str) -> Option<f64> {
     u64::from_str_radix(s, 16).ok().map(f64::from_bits)
 }
 
+/// Percent-encode the characters that would break the line format.
+fn enc_text(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '%' => out.push_str("%25"),
+            '\t' => out.push_str("%09"),
+            '\n' => out.push_str("%0a"),
+            '\r' => out.push_str("%0d"),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
+fn dec_text(s: &str) -> Option<String> {
+    let mut out = String::with_capacity(s.len());
+    let mut chars = s.chars();
+    while let Some(c) = chars.next() {
+        if c != '%' {
+            out.push(c);
+            continue;
+        }
+        let (a, b) = (chars.next()?, chars.next()?);
+        let byte = u8::from_str_radix(&format!("{a}{b}"), 16).ok()?;
+        out.push(char::from(byte));
+    }
+    Some(out)
+}
+
+/// `3,1,4` — the id lists of a `state` line.
+fn enc_ids(ids: &[usize]) -> String {
+    let mut out = String::with_capacity(6 * ids.len());
+    for id in ids {
+        let _ = write!(out, "{id},");
+    }
+    out.pop(); // the last comma
+    out
+}
+
+fn dec_ids(s: &str) -> Option<Vec<usize>> {
+    if s.is_empty() {
+        return Some(Vec::new());
+    }
+    s.split(',').map(|id| id.parse().ok()).collect()
+}
+
+/// `0110` — the label lists of a `state` line.
+fn enc_labels(labels: &[bool]) -> String {
+    labels.iter().map(|&l| if l { '1' } else { '0' }).collect()
+}
+
+fn dec_labels(s: &str) -> Option<Vec<bool>> {
+    s.chars()
+        .map(|c| match c {
+            '0' => Some(false),
+            '1' => Some(true),
+            _ => None,
+        })
+        .collect()
+}
+
+/// One warm state as the snapshot writes it down: a `store entry` line
+/// and the `store state` line after it.
+pub(crate) struct WarmLine {
+    /// Dataset name.
+    pub(crate) dataset: String,
+    /// Raw condition text (parser input).
+    pub(crate) condition: String,
+    /// Budget the state was prepared under.
+    pub(crate) budget: usize,
+    /// Table version the state was prepared against.
+    pub(crate) table_version: u64,
+    /// Prepared over prefilter survivors (tag `lss+pf`, else `lss`):
+    /// restore re-decomposes the condition to rebuild that population.
+    pub(crate) prefiltered: bool,
+    /// The state's plain data.
+    pub(crate) parts: LssParts,
+}
+
+/// A warm state's two lines.
+fn render_warm(w: &WarmLine) -> String {
+    let p = &w.parts;
+    let mut block = format!(
+        "store\tentry\t{}\t{}\t{}\t{}\t{}\n",
+        enc_text(&w.dataset),
+        w.budget,
+        w.table_version,
+        if w.prefiltered { "lss+pf" } else { "lss" },
+        enc_text(&w.condition),
+    );
+    let _ = write!(
+        block,
+        "store\tstate\t{:016x}\t{}\t{}\t{:016x}\t{}\t{}\t{}\t{}\t{}\t{}",
+        p.profile,
+        p.model_seed,
+        p.prepare_evals,
+        p.estimated_variance.to_bits(),
+        enc_ids(&p.labeled),
+        enc_labels(&p.labels),
+        enc_ids(&p.order),
+        enc_ids(&p.pilot_positions),
+        enc_labels(&p.pilot_labels),
+        enc_ids(&p.cuts),
+    );
+    for note in &p.design_notes {
+        block.push('\t');
+        block.push_str(&enc_text(note));
+    }
+    block.push('\n');
+    block
+}
+
 /// Render the snapshot body (header through the last data line; the
-/// checksum trailer is appended by [`save`]).
-pub fn render_snapshot(service: &Service) -> String {
+/// checksum trailer is appended by [`save`]). Warm states are sorted
+/// by their rendered lines, for stable diffs.
+fn render_snapshot(service: &Service) -> String {
     let mut out = String::from(HEADER);
     out.push('\n');
     for (name, spec, version) in service.dataset_specs() {
@@ -161,11 +279,10 @@ pub fn render_snapshot(service: &Service) -> String {
             spec.seed,
         );
     }
-    for line in service.export_store().lines() {
-        out.push_str("store\t");
-        out.push_str(line);
-        out.push('\n');
-    }
+    let _ = writeln!(out, "store\t{WARM_HEADER}");
+    let mut warm: Vec<String> = service.warm_lines().iter().map(render_warm).collect();
+    warm.sort();
+    out.extend(warm);
     for (key, table_version, a) in service.cache_entries() {
         let _ = writeln!(
             out,
@@ -205,15 +322,10 @@ pub fn save(service: &Service, dir: &Path) -> Result<PathBuf, StateError> {
     Ok(path)
 }
 
-struct DatasetLine {
-    name: String,
-    spec: DatasetSpec,
-    version: u64,
-}
-
 struct Parsed {
-    datasets: Vec<DatasetLine>,
-    store_text: String,
+    /// `(name, recipe, table version)`.
+    datasets: Vec<(String, DatasetSpec, u64)>,
+    warm: Vec<WarmLine>,
     /// `(key, answer, table version)`, as [`Service::restore_cached`]
     /// takes them.
     caches: Vec<(ResultKey, Answer, u64)>,
@@ -250,10 +362,11 @@ fn parse_snapshot(text: &str) -> Result<Parsed, StateError> {
     }
     let mut parsed = Parsed {
         datasets: Vec::new(),
-        store_text: String::new(),
+        warm: Vec::new(),
         caches: Vec::new(),
     };
-    for (no, line) in lines.enumerate() {
+    let mut lines = lines.enumerate();
+    while let Some((no, line)) = lines.next() {
         let bad = |what: &str| corrupt(format!("line {}: {what}", no + 2));
         let (tag, rest) = line
             .split_once('\t')
@@ -264,23 +377,67 @@ fn parse_snapshot(text: &str) -> Result<Parsed, StateError> {
                 if f.len() != 6 {
                     return Err(bad("dataset line needs 6 fields"));
                 }
-                parsed.datasets.push(DatasetLine {
-                    name: dec_text(f[0]).ok_or_else(|| bad("bad dataset name encoding"))?,
-                    spec: DatasetSpec {
+                parsed.datasets.push((
+                    dec_text(f[0]).ok_or_else(|| bad("bad dataset name encoding"))?,
+                    DatasetSpec {
                         kind: dec_text(f[1]).ok_or_else(|| bad("bad kind encoding"))?,
                         rows: f[2].parse().map_err(|_| bad("bad rows"))?,
                         level: dec_text(f[3]).ok_or_else(|| bad("bad level encoding"))?,
                         seed: f[4].parse().map_err(|_| bad("bad seed"))?,
                     },
                     // `u64::MAX` has no successor for the next invalidation.
-                    version: (f[5].parse().ok().filter(|&v| v != u64::MAX))
+                    (f[5].parse().ok().filter(|&v| v != u64::MAX))
                         .ok_or_else(|| bad("bad version"))?,
+                ));
+            }
+            "store" if rest == WARM_HEADER => {}
+            "store" if rest.starts_with("entry\t") => {
+                // A warm state is an entry line and the state line after it.
+                let e: Vec<&str> = rest.split('\t').collect();
+                let state = lines
+                    .next()
+                    .and_then(|(_, l)| l.strip_prefix("store\tstate\t"));
+                let state = state.ok_or_else(|| bad("store entry with no state line after it"))?;
+                let f: Vec<&str> = state.split('\t').collect();
+                if e.len() != 6 || f.len() < 10 {
+                    return Err(bad("a store entry needs 6 fields and its state ≥ 11"));
+                }
+                let bad_state = |what: &str| corrupt(format!("line {}: {what}", no + 3));
+                let hex =
+                    |s: &str, what: &str| u64::from_str_radix(s, 16).map_err(|_| bad_state(what));
+                let ids = |s: &str, what: &str| dec_ids(s).ok_or_else(|| bad_state(what));
+                let labels = |s: &str, what: &str| dec_labels(s).ok_or_else(|| bad_state(what));
+                parsed.warm.push(WarmLine {
+                    dataset: dec_text(e[1]).ok_or_else(|| bad("bad dataset encoding"))?,
+                    budget: e[2].parse().map_err(|_| bad("bad budget"))?,
+                    table_version: e[3].parse().map_err(|_| bad("bad version"))?,
+                    prefiltered: match e[4] {
+                        "lss" => false,
+                        "lss+pf" => true,
+                        tag => return Err(bad(&format!("unknown estimator tag `{tag}`"))),
+                    },
+                    condition: dec_text(e[5]).ok_or_else(|| bad("bad condition encoding"))?,
+                    parts: LssParts {
+                        profile: hex(f[0], "bad profile digest")?,
+                        model_seed: f[1].parse().map_err(|_| bad_state("bad model seed"))?,
+                        prepare_evals: f[2].parse().map_err(|_| bad_state("bad prepare evals"))?,
+                        estimated_variance: f64::from_bits(hex(f[3], "bad variance bits")?),
+                        labeled: ids(f[4], "bad training ids")?,
+                        labels: labels(f[5], "bad training labels")?,
+                        order: ids(f[6], "bad ordering")?,
+                        pilot_positions: ids(f[7], "bad pilot positions")?,
+                        pilot_labels: labels(f[8], "bad pilot labels")?,
+                        cuts: ids(f[9], "bad cuts")?,
+                        design_notes: (f[10..].iter())
+                            .map(|n| dec_text(n).ok_or_else(|| bad_state("bad note encoding")))
+                            .collect::<Result<_, _>>()?,
+                    },
                 });
             }
-            "store" => {
-                parsed.store_text.push_str(rest);
-                parsed.store_text.push('\n');
+            "store" if rest.starts_with("state\t") => {
+                return Err(bad("store state with no entry line right before it"))
             }
+            "store" => return Err(bad("unknown store line")),
             "cache" => {
                 let f: Vec<&str> = rest.split('\t').collect();
                 if f.len() != 12 {
@@ -315,7 +472,7 @@ fn parse_snapshot(text: &str) -> Result<Parsed, StateError> {
 /// (restoring their version lineage), decode the warm states (zero
 /// oracle evaluations, nothing re-trained), and re-insert cached
 /// answers bit-exactly — each only for a registered dataset at its
-/// restored version, as the store import does. `Ok(None)` when no
+/// restored version. `Ok(None)` when no
 /// snapshot exists (first boot).
 ///
 /// On `Err` the service may hold partial restored state; the caller
@@ -343,21 +500,18 @@ pub fn load(service: &mut Service, dir: &Path) -> Result<Option<RestoreSummary>,
     // Datasets first: registering resets derived state, and the version
     // must match the recorded lineage before store/cache lines (which
     // carry table versions) are replayed.
-    for d in &parsed.datasets {
+    for (name, spec, version) in &parsed.datasets {
         service
-            .register_generated(&d.name, &d.spec)
+            .register_generated(name, spec)
             .map_err(restore_err)?;
         service
-            .advance_version(&d.name, d.version)
+            .advance_version(name, *version)
             .map_err(restore_err)?;
     }
-    let models = if parsed.store_text.is_empty() {
-        0
-    } else {
-        service
-            .import_store(&parsed.store_text)
-            .map_err(restore_err)?
-    };
+    let mut models = 0;
+    for warm in parsed.warm {
+        models += usize::from(service.restore_warm(warm).map_err(restore_err)?);
+    }
     let mut cached = 0;
     for (key, answer, table_version) in parsed.caches {
         cached += usize::from(service.restore_cached(key, answer, table_version));
@@ -382,6 +536,159 @@ mod tests {
         let nan = f64_from_hex(&f64_hex(f64::NAN)).unwrap();
         assert!(nan.is_nan());
         assert!(f64_from_hex("xyz").is_none());
+    }
+
+    /// The warm states of a sealed `lts-state/v4` file holding `lines`.
+    fn warm(lines: &str) -> Result<Vec<WarmLine>, StateError> {
+        let body = format!("{HEADER}\nstore\t{WARM_HEADER}\n{lines}");
+        let text = format!("{body}checksum\t{:016x}\n", fnv1a(body.as_bytes()));
+        parse_snapshot(&text).map(|parsed| parsed.warm)
+    }
+
+    /// Assert `warm(lines)` is [`StateError::Corrupt`] and says `says`.
+    fn refusal(lines: &str, says: &str) {
+        match warm(lines) {
+            Err(StateError::Corrupt { message }) => assert!(message.contains(says), "{message}"),
+            other => panic!("{lines:?}: {:?}", other.map(|w| w.len())),
+        }
+    }
+
+    #[test]
+    fn text_encoding_roundtrips() {
+        for s in ["plain", "with\ttab", "pct % and\nnewline", ""] {
+            assert_eq!(dec_text(&enc_text(s)).as_deref(), Some(s));
+        }
+        assert!(dec_text("%zz").is_none());
+    }
+
+    #[test]
+    fn warm_lines_parse_every_field() {
+        let lines = warm(
+            "store\tentry\tds\t200\t0\tlss+pf\t(x%20%3c%201)\n\
+             store\tstate\t00000000000000ff\t7\t12\t7ff8000000000000\t3,9\t10\t9,3,4\t0,2\t01\t1\tsome%09note\n\
+             store\tentry\tds\t100\t2\tlss\tx\n\
+             store\tstate\t00000000000000ff\t8\t0\t0000000000000000\t\t\t\t\t\t\n",
+        );
+        let [w, empty] = <[WarmLine; 2]>::try_from(lines.unwrap()).ok().unwrap();
+        assert_eq!(
+            (w.dataset.as_str(), w.budget, w.table_version),
+            ("ds", 200, 0)
+        );
+        // %20/%3c decode as space and '<'.
+        assert_eq!((w.condition.as_str(), w.prefiltered), ("(x < 1)", true));
+        let p = &w.parts;
+        assert_eq!((p.profile, p.model_seed, p.prepare_evals), (0xff, 7, 12));
+        assert!(p.estimated_variance.is_nan());
+        assert_eq!((&p.labeled, &p.labels), (&vec![3, 9], &vec![true, false]));
+        assert_eq!((&p.order, &p.cuts), (&vec![9, 3, 4], &vec![1]));
+        assert_eq!(p.pilot_positions, vec![0, 2]);
+        assert_eq!(p.pilot_labels, vec![false, true]);
+        assert_eq!(p.design_notes, vec!["some\tnote".to_string()]);
+        assert_eq!(
+            (empty.budget, empty.table_version, empty.prefiltered),
+            (100, 2, false)
+        );
+        assert!(empty.parts.labeled.is_empty() && empty.parts.order.is_empty());
+        assert!(empty.parts.cuts.is_empty() && empty.parts.design_notes.is_empty());
+    }
+
+    const ENTRY: &str = "store\tentry\td\t1\t3\tlss\tc\n";
+    const STATE: &str = "store\tstate\t0\t1\t2\t0\t3\t1\t4,5\t0\t1\t1\n";
+
+    /// Assert `ENTRY` re-tagged `tag` is refused as an unknown tag.
+    fn tag_refusal(tag: &str) {
+        let retagged = ENTRY.replace("\tlss\t", &format!("\t{tag}\t"));
+        refusal(
+            &format!("{retagged}{STATE}"),
+            &format!("unknown estimator tag `{tag}`"),
+        );
+    }
+
+    #[test]
+    fn malformed_warm_lines_are_corrupt() {
+        assert_eq!(warm(&format!("{ENTRY}{STATE}")).unwrap().len(), 1);
+        assert!(warm("").unwrap().is_empty());
+        // The fixed line carries nothing; the previous format's header
+        // is not it.
+        let again = format!("{ENTRY}{STATE}store\t{WARM_HEADER}\n");
+        assert_eq!(warm(&again).unwrap().len(), 1);
+        refusal("store\tlts-store/v1\n", "unknown store line");
+        refusal(
+            &format!("store\tentry\tonly-two\n{STATE}"),
+            "needs 6 fields",
+        );
+        // One state line right after each entry: none before the first,
+        // none missing, no second.
+        refusal(STATE, "no entry line right before it");
+        refusal(
+            &format!("{ENTRY}{STATE}{STATE}"),
+            "no entry line right before it",
+        );
+        refusal(ENTRY, "no state line after it");
+        refusal(&format!("{ENTRY}{ENTRY}{STATE}"), "no state line after it");
+        for (good, broken, says) in [
+            ("4,5", "4,x", "bad ordering"),
+            ("\t1\t4", "\t2\t4", "bad training labels"),
+            ("state\t0", "state\tg", "bad profile digest"),
+        ] {
+            refusal(&format!("{ENTRY}{}", STATE.replacen(good, broken, 1)), says);
+        }
+    }
+
+    #[test]
+    fn estimator_tags_parse_exactly_lss_and_lss_pf() {
+        for (tag, prefiltered) in [("lss", false), ("lss+pf", true)] {
+            let retagged = ENTRY.replace("\tlss\t", &format!("\t{tag}\t"));
+            let [w] = <[WarmLine; 1]>::try_from(warm(&format!("{retagged}{STATE}")).unwrap())
+                .ok()
+                .unwrap();
+            assert_eq!(w.prefiltered, prefiltered, "`{tag}`");
+            // Rendering writes the tag it read.
+            assert!(render_warm(&w).starts_with(&retagged), "`{tag}`");
+        }
+        for tag in ["lss@4+pf", "lss@", "lss4", "LSS", ""] {
+            tag_refusal(tag);
+        }
+    }
+
+    #[test]
+    fn malformed_tags_refuse_the_whole_snapshot() {
+        // `lws` tags parse nowhere: the service prepares LSS only. Nor
+        // does a shard count (`lss@k`): this build reads no sharded state.
+        for tag in [
+            "lss@4", "lss@0", "lss@x", "nope@4", "lss+pf@4", "lws", "lws@4",
+        ] {
+            tag_refusal(tag);
+        }
+        // A real service's snapshot with its warm state re-tagged
+        // `lss@4` is refused whole; the snapshot as rendered parses.
+        let xs: Vec<f64> = (0..2_000).map(f64::from).collect();
+        let table = lts_table::table_of_floats(&[("x", &xs)]).unwrap();
+        let mut svc = Service::new(crate::service::ServiceConfig::default());
+        svc.register_dataset("d", std::sync::Arc::new(table), &["x"])
+            .unwrap();
+        let cold = svc.run(crate::Request {
+            id: 1,
+            dataset: "d".into(),
+            condition: "x < 800".into(),
+            target: crate::Target::Budget(300),
+            fresh: false,
+        });
+        assert_eq!((cold.served, cold.route), ("cold", "lss"));
+        let seal = |body: &str| format!("{body}checksum\t{:016x}\n", fnv1a(body.as_bytes()));
+        let body = render_snapshot(&svc);
+        let retagged = body.replacen("\tlss\t", "\tlss@4\t", 1);
+        assert_ne!(retagged, body);
+        match parse_snapshot(&seal(&retagged)) {
+            Err(StateError::Corrupt { message }) => {
+                assert!(
+                    message.contains("unknown estimator tag `lss@4`"),
+                    "{message}"
+                );
+            }
+            other => panic!("{:?}", other.map(|p| p.warm.len())),
+        }
+        assert_eq!(parse_snapshot(&seal(&body)).unwrap().warm.len(), 1);
     }
 
     #[test]

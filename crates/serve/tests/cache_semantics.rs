@@ -14,14 +14,22 @@
 //!   per-request response.
 
 use lts_core::Lss;
-use lts_serve::{Request, Response, Service, ServiceConfig, Target};
+use lts_serve::{state, Request, Response, Service, ServiceConfig, Target};
 use lts_table::table_of_floats;
+use std::path::PathBuf;
 use std::sync::Arc;
 
 fn linear_table(n: usize) -> Arc<lts_table::Table> {
     let xs: Vec<f64> = (0..n).map(|i| i as f64).collect();
     let ys: Vec<f64> = (0..n).map(|i| ((i * 37) % n) as f64).collect();
     Arc::new(table_of_floats(&[("x", &xs), ("y", &ys)]).unwrap())
+}
+
+fn temp_dir(tag: &str) -> PathBuf {
+    let dir =
+        std::env::temp_dir().join(format!("lts_cache_semantics_{tag}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
 }
 
 fn service(n: usize) -> Service {
@@ -236,15 +244,18 @@ fn store_export_restores_warm_states_without_oracle_work() {
     let mut a = service(1_000);
     let cold = a.run(req(1, "x < 350", 200, false));
     assert_eq!(cold.served, "cold");
-    let export = a.export_store();
-    assert!(export.contains("entry\t"));
+    let dir = temp_dir("plain");
+    let snapshot = std::fs::read_to_string(state::save(&a, &dir).unwrap()).unwrap();
+    assert!(snapshot.contains("\nstore\tentry\t"));
 
     // A fresh service restores the state: zero oracle evals, and the
     // restored model answers warm with the exact same model version.
     let mut b = service(1_000);
-    let restored = b.import_store(&export).unwrap();
-    assert_eq!(restored, 1);
+    let restored = state::load(&mut b, &dir).unwrap().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(restored.models, 1);
     assert_eq!(b.store_len(), 1);
+    assert_eq!(b.stats().oracle_evals, 0);
     let warm = b.run(req(2, "x < 350", 200, true));
     assert_eq!(warm.served, "warm");
     assert_eq!(warm.model_version, cold.model_version);
@@ -315,17 +326,20 @@ fn prefiltered_warm_states_export_and_restore() {
     let cold = a.run(req(1, DECOMPOSABLE, 200, false));
     assert_eq!(cold.served, "cold");
     assert_eq!(cold.route, "lss");
-    let export = a.export_store();
+    let dir = temp_dir("prefiltered");
+    let snapshot = std::fs::read_to_string(state::save(&a, &dir).unwrap()).unwrap();
     assert!(
-        export.contains("\tlss+pf\t"),
-        "restricted state exports with the +pf tag:\n{export}"
+        snapshot.contains("\tlss+pf\t"),
+        "restricted state saves with the +pf tag:\n{snapshot}"
     );
 
     // A fresh service restores the restricted state (re-decomposes,
-    // re-scans, replays prepare with known labels — zero oracle work)
-    // and resumes it warm with the exact same model version.
+    // re-scans, decodes — zero oracle work) and resumes it warm with
+    // the exact same model version.
     let mut b = service(1_000);
-    assert_eq!(b.import_store(&export).unwrap(), 1);
+    assert_eq!(state::load(&mut b, &dir).unwrap().unwrap().models, 1);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(b.stats().oracle_evals, 0);
     let warm = b.run(req(2, DECOMPOSABLE, 200, true));
     assert_eq!(warm.served, "warm");
     assert_eq!(warm.model_version, cold.model_version);

@@ -3,10 +3,12 @@
 //! panic — and an unmutated snapshot round-trips byte for byte.
 //!
 //! The cases are std-only and fixed-seed, so every run replays the same
-//! ≈ 200 files: a real snapshot (a monolithic and a `+pf` warm state,
+//! ≈ 230 files: a real snapshot (a monolithic and a `+pf` warm state,
 //! their cached answers) truncated at every line boundary, raw and
 //! re-sealed; one byte flipped and the checksum re-sealed; one ordering
-//! entry rewritten and re-sealed.
+//! entry rewritten and re-sealed; and the warm-state lines' grammar
+//! broken and re-sealed — an entry re-tagged with a tag this build does
+//! not read, a `state` line dropped or doubled, an `entry` line doubled.
 
 use lts_serve::state;
 use lts_serve::{DatasetSpec, Request, Service, ServiceConfig, StateError, Target};
@@ -175,6 +177,46 @@ fn mutated_snapshots_load_or_error_and_never_panic() {
         // population: never a restored state.
         assert!(to == id.to_string() || result.is_err(), "{case} restored");
         tally(result);
+    }
+
+    // The warm-state lines' grammar, re-sealed: every entry re-tagged
+    // with a tag this build does not read, and a `state` line dropped or
+    // doubled, an `entry` line doubled.
+    let entries: Vec<usize> = (0..lines.len())
+        .filter(|&i| lines[i].starts_with("store\tentry\t"))
+        .collect();
+    let refuse = |text: String, case: &str| {
+        let result = load(&dir, sealed(&text).as_bytes(), case);
+        assert!(result.is_err(), "{case} restored");
+        result
+    };
+    for &line in &entries {
+        let fields: Vec<&str> = lines[line].split('\t').collect();
+        for tag in [
+            "lss@4", "lss@0", "lss@x", "nope@4", "lss+pf@4", "lws", "lws@4", "LSS", "",
+        ] {
+            let mut edited: Vec<String> = lines.iter().map(|l| format!("{l}\n")).collect();
+            let mut retagged = fields.clone();
+            retagged[5] = tag;
+            edited[line] = format!("{}\n", retagged.join("\t"));
+            let case = format!("line {line} tagged `{tag}`");
+            tally(refuse(edited.concat(), &case));
+        }
+    }
+    for (kind, at) in
+        (entries.iter().map(|&i| ("entry", i))).chain(states.iter().map(|&i| ("state", i)))
+    {
+        let mut edited: Vec<String> = lines.iter().map(|l| format!("{l}\n")).collect();
+        edited.insert(at, edited[at].clone());
+        tally(refuse(
+            edited.concat(),
+            &format!("{kind} line {at} doubled"),
+        ));
+        if kind == "state" {
+            let mut edited: Vec<String> = lines.iter().map(|l| format!("{l}\n")).collect();
+            edited.remove(at);
+            tally(refuse(edited.concat(), &format!("state line {at} dropped")));
+        }
     }
 
     assert!(cases >= 200, "{cases} cases");

@@ -305,13 +305,6 @@ fn corrupt_snapshots_error_structurally_and_cold_start_cleanly() {
             "another profile's digest",
             Box::new(|f| f[2] = format!("{:016x}", 7)),
         ),
-        (
-            "a second state under one entry",
-            Box::new(|f| {
-                let again = f[1..].join("\t");
-                f.push(format!("\nstore\tstate\t{again}"));
-            }),
-        ),
     ];
     for (what, edit) in &cases {
         fs::write(&path, with_state_fields(&good, edit)).unwrap();
@@ -336,15 +329,34 @@ fn corrupt_snapshots_error_structurally_and_cold_start_cleanly() {
         state::load(&mut other, &dir),
         Err(StateError::Restore { message }) if message.contains("different LSS profile")
     ));
-    // (e) A sharded entry of an earlier build: `lss@k` is no tag this
-    // build reads, so the restore is refused whole and starts cold.
-    let legacy = legacy_lss_at_4(&good);
-    fs::write(&path, &legacy).unwrap();
-    let mut svc = Service::new(ServiceConfig::default());
-    assert!(matches!(
-        state::load(&mut svc, &dir),
-        Err(StateError::Restore { message }) if message.contains("unknown estimator tag `lss@4`")
-    ));
+    // (e) Malformed warm-state lines are refused by the parse, before
+    // any dataset is registered: a sharded entry of an earlier build
+    // (`lss@k` is no tag this build reads) and a second state under one
+    // entry.
+    let second_state = with_state_fields(&good, |f| {
+        let again = f[1..].join("\t");
+        f.push(format!("\nstore\tstate\t{again}"));
+    });
+    for (file, message) in [
+        (legacy_lss_at_4(&good), "unknown estimator tag `lss@4`"),
+        (
+            second_state,
+            "store state with no entry line right before it",
+        ),
+    ] {
+        fs::write(&path, &file).unwrap();
+        let mut svc = Service::new(ServiceConfig::default());
+        let refused = state::load(&mut svc, &dir);
+        assert!(
+            matches!(&refused, Err(StateError::Corrupt { message: m }) if m.contains(message)),
+            "{message}: {refused:?}"
+        );
+        assert_eq!(
+            svc.dataset_len("s"),
+            None,
+            "{message}: the service is untouched"
+        );
+    }
     // A version with no successor is refused before anything is built.
     let maxed = good.replacen("\tM\t3\t0\n", &format!("\tM\t3\t{}\n", u64::MAX), 1);
     assert_ne!(maxed, good);
