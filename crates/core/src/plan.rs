@@ -10,11 +10,14 @@
 //!    ([`PartitionedTable::par_eval_bool`]) — zero oracle cost — and
 //!    yields the surviving row ids in ascending order, bit-identical at
 //!    every partition and thread count.
-//! 2. **Restriction** ([`restrict_problem`]): the residual becomes a
+//! 2. **Restriction** ([`restrict_problem`],
+//!    [`PhysicalPlan::over_survivors`]): the residual becomes a
 //!    [`CountingProblem`] over just the survivors — a sub-population
-//!    view sharing the parent's table and feature matrix and owning
-//!    only the survivor id list (`u32`, read by its feature view and its
-//!    predicate alike): every evaluation goes to the
+//!    view sharing the parent's table and feature matrix and the
+//!    survivor id list (`u32`, read by its feature view and its
+//!    predicate alike, and by every other plan handed the same list —
+//!    the selection depends on the prefilter alone, so queries that
+//!    share one can share one scan): every evaluation goes to the
 //!    **parent** problem's metered predicate at the *global* row id, so
 //!    predicates that capture per-row state keyed by global id stay
 //!    correct and the parent's meter keeps pricing the oracle.
@@ -65,6 +68,18 @@ impl PrefilterSelection {
             self.survivors.len() as f64 / self.population as f64
         }
     }
+
+    /// The survivors as one shared `u32` id list — what
+    /// [`PhysicalPlan::over_survivors`] restricts to, and what a caller
+    /// keeps to plan every query with this prefilter without scanning
+    /// again.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error for an id that does not fit in 32 bits.
+    pub fn ids(&self) -> CoreResult<Arc<[u32]>> {
+        shared_ids(&self.survivors)
+    }
 }
 
 /// Number of top-level AND conjuncts in an expression (1 when it does
@@ -79,10 +94,10 @@ fn conjunct_count(e: &Expr) -> u64 {
 /// Run `prefilter` as one vectorized partition-parallel scan and
 /// collect the surviving row ids (ascending — bit-identical at every
 /// partition and thread count, per [`lts_table::partition`]'s
-/// determinism contract), reporting the selection onto the calling
-/// thread's trace collector, if any. Population/survivor/conjunct
-/// counts are pure functions of table content and the prefilter
-/// expression, so these fields are asserted in trace goldens.
+/// determinism contract). The scan emits no trace event: the
+/// `prefilter` event belongs to the plan built over the survivors
+/// ([`PhysicalPlan::over_survivors`]), so a plan that shares an earlier
+/// scan's survivors reports exactly what a scanning one does.
 ///
 /// # Errors
 ///
@@ -99,17 +114,18 @@ pub fn select_prefilter(
         .enumerate()
         .filter_map(|(i, keep)| keep.then_some(i))
         .collect();
-    if lts_obs::trace::collecting() {
-        lts_obs::trace::emit(lts_obs::TraceEvent::Prefilter {
-            conjuncts: conjunct_count(prefilter),
-            population: population as u64,
-            survivors: survivors.len() as u64,
-        });
-    }
     Ok(PrefilterSelection {
         survivors,
         population,
     })
+}
+
+/// Narrow survivor ids to the shared `u32` list a restriction reads.
+fn shared_ids(survivors: &[usize]) -> CoreResult<Arc<[u32]>> {
+    let ids = narrow_ids(survivors).map_err(|id| CoreError::InvalidConfig {
+        message: format!("survivor id {id} does not fit in 32 bits"),
+    })?;
+    Ok(Arc::from(ids))
 }
 
 /// Restrict `parent` to the given surviving global row ids: the
@@ -139,15 +155,12 @@ pub fn restrict_problem(
                 .into(),
         });
     }
-    let ids = narrow_ids(survivors).map_err(|id| CoreError::InvalidConfig {
-        message: format!("survivor id {id} does not fit in 32 bits"),
-    })?;
-    parent.sub_population(Arc::from(ids), "|prefiltered")
+    parent.sub_population(shared_ids(survivors)?, "|prefiltered")
 }
 
-/// A fully materialized plan: the prefilter scan's survivor count and
-/// (when any rows survive) the restricted residual problem, which owns
-/// the survivor id list.
+/// A fully materialized plan: the prefilter's survivor count and (when
+/// any rows survive) the restricted residual problem, which reads the
+/// survivor id list it was built over without copying it.
 pub struct PhysicalPlan {
     population: usize,
     survivors: usize,
@@ -156,9 +169,9 @@ pub struct PhysicalPlan {
 
 impl PhysicalPlan {
     /// Build the plan: run the exact `prefilter` scan (the
-    /// `exact_prefilter` of [`fn@lts_table::decompose`]) and restrict the
-    /// problem to the survivors. `table` must partition the same object
-    /// table `problem` counts over.
+    /// `exact_prefilter` of [`fn@lts_table::decompose`]) and plan over
+    /// its survivors ([`PhysicalPlan::over_survivors`]). `table` must
+    /// partition the same object table `problem` counts over.
     ///
     /// # Errors
     ///
@@ -178,15 +191,46 @@ impl PhysicalPlan {
                 ),
             });
         }
-        let survivors = select_prefilter(table, prefilter)?.survivors;
-        let restricted = if survivors.is_empty() {
+        let survivors = select_prefilter(table, prefilter)?.ids()?;
+        Self::over_survivors(problem, prefilter, survivors)
+    }
+
+    /// Plan over `survivors`, the ascending ids [`select_prefilter`]
+    /// kept of `problem`'s population under `prefilter`, shared rather
+    /// than copied: the restricted problem's predicate and feature view
+    /// both read this one list, so plans of every query with the same
+    /// prefilter can share one scan's survivors. Reports the selection
+    /// onto the calling thread's trace collector, if any — conjunct,
+    /// population and survivor counts, pure functions of table content
+    /// and the prefilter expression whether the ids were scanned for
+    /// this plan or shared, so these fields are asserted in trace
+    /// goldens.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error for an id outside `problem`'s population.
+    pub fn over_survivors(
+        problem: &CountingProblem,
+        prefilter: &Expr,
+        survivors: Arc<[u32]>,
+    ) -> CoreResult<Self> {
+        let population = problem.n();
+        if lts_obs::trace::collecting() {
+            lts_obs::trace::emit(lts_obs::TraceEvent::Prefilter {
+                conjuncts: conjunct_count(prefilter),
+                population: population as u64,
+                survivors: survivors.len() as u64,
+            });
+        }
+        let count = survivors.len();
+        let restricted = if count == 0 {
             None
         } else {
-            Some(Arc::new(restrict_problem(problem, &survivors)?))
+            Some(Arc::new(problem.sub_population(survivors, "|prefiltered")?))
         };
         Ok(Self {
-            population: problem.n(),
-            survivors: survivors.len(),
+            population,
+            survivors: count,
             restricted,
         })
     }
@@ -310,6 +354,33 @@ mod tests {
         assert_eq!(plan.survivors(), 24);
         assert!((plan.selectivity() - 24.0 / 64.0).abs() < 1e-12);
         assert_eq!(plan.exact_count().unwrap(), problem.exact_count().unwrap());
+    }
+
+    #[test]
+    fn plans_over_one_shared_selection_copy_no_ids_and_trace_alike() {
+        let (problem, pt, expr) = scenario();
+        let prefilter = decompose(&expr).exact_prefilter.unwrap();
+        let (built, scanned) =
+            lts_obs::trace::collect(|| PhysicalPlan::build(&problem, &pt, &prefilter).unwrap());
+        let ids = select_prefilter(&pt, &prefilter).unwrap().ids().unwrap();
+        let (shared, reused) = lts_obs::trace::collect(|| {
+            let plan = |_| PhysicalPlan::over_survivors(&problem, &prefilter, Arc::clone(&ids));
+            [plan(0).unwrap(), plan(1).unwrap()]
+        });
+        // Each plan reports the selection once, as the scanning build did.
+        assert_eq!(scanned.len(), 1);
+        assert_eq!(reused, [scanned.clone(), scanned].concat());
+        for plan in &shared {
+            assert_eq!(plan.survivors(), built.survivors());
+            assert_eq!(plan.selectivity().to_bits(), built.selectivity().to_bits());
+            assert_eq!(plan.exact_count().unwrap(), built.exact_count().unwrap());
+            let view = plan.restricted().unwrap().feature_view();
+            assert!(Arc::ptr_eq(view.ids().unwrap(), &ids));
+        }
+        // The caller's list, and a predicate and a view per plan.
+        assert_eq!(Arc::strong_count(&ids), 5);
+        let stray = Arc::from([0, 64]);
+        assert!(PhysicalPlan::over_survivors(&problem, &prefilter, stray).is_err());
     }
 
     #[test]

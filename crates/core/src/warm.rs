@@ -318,7 +318,10 @@ pub struct LssParts {
 }
 
 impl LssWarm {
-    /// The state as plain data (see [`LssParts`]).
+    /// The state as plain data (see [`LssParts`]): a copy, the ordering
+    /// widened to `usize`. A reader that only renders the state reads
+    /// the borrowing accessors ([`LssWarm::order`] and its neighbours)
+    /// instead.
     pub fn to_parts(&self) -> LssParts {
         LssParts {
             profile: self.profile,
@@ -466,6 +469,32 @@ impl LssWarm {
             bytes.extend_from_slice(&(c as u64).to_le_bytes());
         }
         fnv1a(&bytes)
+    }
+
+    /// [`Lss::profile_digest`] of the profile the state was prepared
+    /// under.
+    pub fn profile(&self) -> u64 {
+        self.profile
+    }
+
+    /// The score ordering, position → object id.
+    pub fn order(&self) -> &[u32] {
+        &self.order
+    }
+
+    /// Pilot positions within the ordering (ascending).
+    pub fn pilot_positions(&self) -> &[usize] {
+        &self.pilot_positions
+    }
+
+    /// Labels aligned with [`LssWarm::pilot_positions`].
+    pub fn pilot_labels(&self) -> &[bool] {
+        &self.pilot_labels
+    }
+
+    /// The stratification's cut points.
+    pub fn cuts(&self) -> &[usize] {
+        &self.stratification.cuts
     }
 
     /// The design-time quality forecast requires a resume (it depends

@@ -8,9 +8,12 @@
 //! compact id responses carry). The entry holds every artifact a repeat
 //! reuses: one problem (one metered predicate over the dataset's one
 //! feature matrix), the query's conjunctive decomposition, the memoized
-//! [`PhysicalPlan`], its warm states and its finished answers. Nothing
-//! in it carries a table version: an entry only ever exists for the
-//! version its dataset is at.
+//! [`PhysicalPlan`], its warm states and its finished answers. The
+//! prefilter selections those plans restrict to are kept beside the
+//! entries, one per canonical prefilter, since the object set a cheap
+//! conjunct selects depends on that conjunct alone. Nothing here
+//! carries a table version: an entry only ever exists for the version
+//! its dataset is at.
 
 use crate::service::Answer;
 use lts_core::{CountingProblem, LssWarm, PhysicalPlan};
@@ -52,8 +55,9 @@ pub(crate) struct QueryEntry {
     /// `resolve`; `None` only on an entry a snapshot restore made to
     /// hold cached answers.
     pub(crate) problem: Option<(Arc<CountingProblem>, Option<Arc<QueryDecomposition>>)>,
-    /// Memoized physical plan (prefilter scan + restricted problem),
-    /// built by the first planned execution.
+    /// Memoized physical plan (survivor count + restricted problem over
+    /// its prefilter's shared selection, [`Derived::selections`]), built
+    /// by the first planned execution.
     pub(crate) plan: Option<Arc<PhysicalPlan>>,
     /// Warm states by `(prefiltered, budget)`: a prefiltered state was
     /// prepared over the prefilter's survivors, a monolithic one over
@@ -68,11 +72,14 @@ pub(crate) struct QueryEntry {
 pub(crate) struct Derived {
     /// One entry per canonical query.
     pub(crate) queries: HashMap<String, QueryEntry>,
-    /// Observed prefilter selectivity `M/N` by canonical prefilter,
-    /// recorded by every prefilter scan: a later query sharing the
-    /// prefilter routes monolithically without re-scanning when it is
-    /// already known to be unselective.
-    pub(crate) selectivity: HashMap<String, f64>,
+    /// One selection per canonical prefilter: the ascending survivor ids
+    /// of its one scan over this version (`4·M` bytes). Every query plan
+    /// with that prefilter restricts to this list, so the scan runs once
+    /// and no plan holds a copy; its length over `N` is the observed
+    /// selectivity `M/N`: a later query sharing the prefilter routes
+    /// monolithically without planning when it is already known to be
+    /// unselective.
+    pub(crate) selections: HashMap<String, Arc<[u32]>>,
 }
 
 #[cfg(test)]
@@ -145,8 +152,8 @@ mod tests {
             )
         };
         let (unknown, half) = ("null".to_string(), "0.5".to_string());
-        // The first plan scans; the next reads the recorded selectivity
-        // and the memoized plan.
+        // The first plan scans; the next reads the selection's
+        // selectivity and the memoized plan.
         assert_eq!(selectivities(&mut s), (unknown.clone(), half.clone()));
         assert_eq!(selectivities(&mut s), (half.clone(), half.clone()));
         // A new version forgets both, and scans again.

@@ -29,6 +29,12 @@ pub enum ServeError {
         /// Description.
         message: String,
     },
+    /// The request's work panicked (in a predicate, say); the service
+    /// answered it with this error and went on.
+    Panicked {
+        /// The panic's message.
+        message: String,
+    },
 }
 
 impl fmt::Display for ServeError {
@@ -42,6 +48,9 @@ impl fmt::Display for ServeError {
                 write!(f, "request rejected: queue capacity {capacity} exceeded")
             }
             ServeError::Invalid { message } => write!(f, "invalid request: {message}"),
+            ServeError::Panicked { message } => {
+                write!(f, "request aborted: it panicked: {message}")
+            }
         }
     }
 }

@@ -10,7 +10,7 @@
 //! | Piece | Module | Job |
 //! |---|---|---|
 //! | canonical fingerprints | [`mod@fingerprint`] | equivalent requests hit the same entry |
-//! | query table | `catalog` | per dataset version, one entry per distinct query — its problem (meter + features), memoized plan, warm estimator states (ordering + pilot + design, `lts_core::warm`) and cached answers — plus observed prefilter selectivities; dropped whole when the version moves |
+//! | query table | `catalog` | per dataset version, one entry per distinct query — its problem (meter + features), memoized plan, warm estimator states (ordering + pilot + design, `lts_core::warm`) and cached answers — plus one shared survivor list per canonical prefilter (its length the observed selectivity); dropped whole when the version moves |
 //! | [`BudgetPlanner`] | [`planner`] | admission control: census for small `N`, else the cheapest budget meeting the requested CI width; routes decomposed queries among census / prefilter + residual / monolithic plans |
 //! | [`Service`] | [`service`] | bounded queue, parallel execution waves, deterministic per-request seed streams |
 //! | protocol | [`mod@protocol`] | the line-in/JSON-out command grammar, shared by every front-end |

@@ -30,8 +30,9 @@
 //! budget is sized for the *restricted* population `M` — width targets
 //! keep their full-population meaning (±1% of `N` stays ±1% of `N`),
 //! which is why shrinking the population shrinks the budget so
-//! sharply. The service records each prefilter scan's selectivity per
-//! canonical prefilter and reuses it on the next plan.
+//! sharply. The service keeps each prefilter scan's survivors per
+//! canonical prefilter, and reuses them and their selectivity on the
+//! next plan.
 
 use lts_core::CoreResult;
 

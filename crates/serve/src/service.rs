@@ -12,15 +12,16 @@
 //! Request
 //!   │ resolve   parse, canonical, fingerprint, the query's entry
 //!   ▼ Resolved
-//!   │ plan      observed selectivity, memoized PhysicalPlan, BudgetPlanner; owns the state identity
+//!   │ plan      shared prefilter selection, memoized PhysicalPlan, BudgetPlanner; owns the state identity
 //!   ▼ Planned   Task::Exact { plan } | Resume { key: StateKey }
 //!   │ admit     sequential — queue bound; then by (id, pos): cached-answer probe,
 //!   │           in-batch coalescing, warm-state probe, seeds  ← "Perf leads": hits answered on the reader thread
 //!   ├─► Outcome::Refused | Hit | Follower ──────────────┐
 //!   ▼ WorkItem                                          │
 //!   │ prepare   wave 1, parallel — absent states into their entries;
-//!   │           unpreparable ⇒ Task::Srs                 │  ← "Contain faults": catch_unwind per closure
+//!   │           unpreparable ⇒ Task::Srs; panic ⇒ error   │
 //!   │ execute   wave 2, parallel — run the Task ─► Answer │
+//!   │           (each item under catch_unwind)            │
 //!   ▼ Outcome::Executed                                 │
 //!   │ seal  ◄───────────────────────────────────────────┘
 //!   │           sequential, the one place a Response is built, booked
@@ -39,7 +40,8 @@
 //! Everything derived from a dataset version lives in that dataset's
 //! state (`crate::catalog`): one entry per canonical query — problem,
 //! decomposition, memoized plan, warm states by (prefiltered, budget),
-//! cached answers by budget — and the observed prefilter selectivities.
+//! cached answers by budget — and one survivor-id selection per
+//! canonical prefilter, which every plan with that prefilter shares.
 //! [`Service::advance_version`] replaces all of it in one assignment,
 //! so no entry stores or checks a table version, and a cached answer
 //! stays servable until its dataset's version moves.
@@ -48,14 +50,16 @@
 //!
 //! A conjunctive query that splits into a subquery-free prefilter and
 //! an oracle-bearing residual (`lts_table::decompose`) is planned in
-//! two stages: the prefilter runs as a vectorized exact scan and the
-//! survivors become a restricted problem (one memoized
-//! `lts_core::PhysicalPlan` per query entry), and the planner then
-//! chooses — census, exact residual census over the survivors, restricted
-//! estimate, or fall back to the monolithic plan when the prefilter is
-//! unselective ([`BudgetPlanner::choose`]). Every scan records its
-//! selectivity under the canonical prefilter, so a prefilter already
-//! known to be unselective routes monolithically without re-scanning.
+//! two stages: the prefilter runs as a vectorized exact scan — once per
+//! canonical prefilter and dataset version, its survivor ids kept as
+//! one shared list — and the survivors become a restricted problem
+//! (one memoized `lts_core::PhysicalPlan` per query entry, reading the
+//! shared list), and the planner then chooses — census, exact residual
+//! census over the survivors, restricted estimate, or fall back to the
+//! monolithic plan when the prefilter is unselective
+//! ([`BudgetPlanner::choose`]). The selection's `M/N` is the recorded
+//! selectivity, so a prefilter already known to be unselective routes
+//! monolithically without planning.
 //! A restricted warm state sits in the full query's entry but takes its
 //! seed from the **residual** canonical scoped by the **prefilter**
 //! canonical; answers are cached under the full canonical, so
@@ -92,7 +96,7 @@ use crate::catalog::{Derived, QueryEntry, WarmState};
 use crate::error::{ServeError, ServeResult};
 use crate::planner::{BudgetPlanner, Target};
 use crate::state::WarmLine;
-use lts_core::{features_from_columns, Lss, LssWarm};
+use lts_core::{features_from_columns, Lss, LssParts, LssWarm};
 use lts_data::{neighbors::NeighborsConfig, sports::SportsConfig};
 use lts_learn::Matrix;
 use lts_obs::{Observability, Trace};
@@ -524,8 +528,8 @@ impl Service {
     }
 
     /// Bump a dataset's version and drop every artifact derived from it
-    /// (query problems and plans, warm states, cached answers, observed
-    /// selectivities). Use after mutating the backing data out-of-band.
+    /// (query problems and plans, warm states, cached answers, prefilter
+    /// selections). Use after mutating the backing data out-of-band.
     ///
     /// # Errors
     ///
@@ -629,14 +633,12 @@ impl Service {
     }
 
     /// The observed selectivity of a canonical prefilter over a
-    /// dataset's current version.
+    /// dataset's current version: its selection's `M/N`, the same `f64`
+    /// as a plan's [`lts_core::PhysicalPlan::selectivity`].
     fn selectivity(&self, dataset: &str, prefilter: &str) -> Option<f64> {
-        self.datasets
-            .get(dataset)?
-            .derived
-            .selectivity
-            .get(prefilter)
-            .copied()
+        let ds = self.datasets.get(dataset)?;
+        let survivors = ds.derived.selections.get(prefilter)?;
+        Some(survivors.len() as f64 / ds.table.len() as f64)
     }
 
     /// Serve one request (a batch of one).
@@ -672,8 +674,9 @@ impl Service {
     /// line describing the chosen physical plan — route kind, planned
     /// budget, decomposition parts with their own fingerprints, and
     /// predicted (recorded before planning) vs observed (post-scan)
-    /// selectivity. Planning side effects are real (the prefilter scan
-    /// runs and is memoized; its selectivity is recorded) but no oracle
+    /// selectivity. Planning side effects are real (the plan is memoized,
+    /// over the prefilter's selection, scanned first if no query has
+    /// planned that prefilter yet) but no oracle
     /// evaluation is spent and the service counters do not move.
     ///
     /// # Errors
@@ -700,7 +703,7 @@ impl Service {
 
     /// Every warm state as the snapshot writes it down (see
     /// `crate::state`), in no particular order.
-    pub(crate) fn warm_lines(&self) -> Vec<WarmLine> {
+    pub(crate) fn warm_lines(&self) -> Vec<WarmLine<&LssWarm>> {
         let mut out = Vec::new();
         for (dataset, ds) in &self.datasets {
             for entry in ds.derived.queries.values() {
@@ -711,7 +714,7 @@ impl Service {
                         budget,
                         table_version: ds.table.version(),
                         prefiltered,
-                        parts: warm.state.to_parts(),
+                        state: &warm.state,
                     });
                 }
             }
@@ -734,7 +737,7 @@ impl Service {
     /// Returns an error for a state that fails a check against its
     /// problem or this service's LSS profile, or a `+pf` state whose
     /// query does not decompose.
-    pub(crate) fn restore_warm(&mut self, line: WarmLine) -> ServeResult<bool> {
+    pub(crate) fn restore_warm(&mut self, line: WarmLine<LssParts>) -> ServeResult<bool> {
         if self.dataset_version(&line.dataset) != Some(line.table_version) {
             return Ok(false);
         }
@@ -754,7 +757,7 @@ impl Service {
             None
         };
         let (problem, key) = resolved.warm_identity(restricted.as_ref(), line.budget);
-        let state = LssWarm::from_parts(line.parts, line.budget, &problem, &self.config.lss)?;
+        let state = LssWarm::from_parts(line.state, line.budget, &problem, &self.config.lss)?;
         self.insert_warm(
             &key,
             WarmState {

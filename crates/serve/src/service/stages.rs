@@ -8,7 +8,9 @@ use crate::catalog::{QueryDecomposition, WarmState};
 use crate::error::{ServeError, ServeResult};
 use crate::fingerprint;
 use crate::planner::{QueryRoute, Route, Target};
-use lts_core::{fnv1a, mix_seed, CountEstimator, CountingProblem, Lss, PhysicalPlan, Srs};
+use lts_core::{
+    fnv1a, mix_seed, select_prefilter, CountEstimator, CountingProblem, Lss, PhysicalPlan, Srs,
+};
 use lts_obs::{SlowEntry, Trace, TraceEvent};
 use lts_stats::IntervalKind;
 use lts_table::{decompose, parse_condition, DecomposedQuery, ExprPredicate, ObjectPredicate};
@@ -169,6 +171,9 @@ pub(super) struct WorkItem {
     /// Wall micros and trace events of the wave-1 prepare this request
     /// claimed, once it succeeded.
     prepared: Option<(u64, Vec<TraceEvent>)>,
+    /// The panic message of the wave-1 prepare of the state this
+    /// request resumes: wave 2 answers it with that error.
+    panicked: Option<String>,
 }
 
 /// What became of one request: everything `seal` needs to answer it.
@@ -201,6 +206,18 @@ fn traced<T>(tracing: bool, f: impl FnOnce() -> T) -> (T, Vec<TraceEvent>) {
     } else {
         (f(), Vec::new())
     }
+}
+
+/// Run `f`, containing a panic: its message comes back as the error, so
+/// one request's panicking work (a user-defined predicate, say) fails
+/// that request ([`ServeError::Panicked`]) and the batch goes on.
+/// Whatever `f` was building is dropped in the unwind.
+fn contained<T>(f: impl FnOnce() -> T) -> Result<T, String> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).map_err(|payload| {
+        (payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "a panic without a message".into())
+    })
 }
 
 fn micros_since(start: Instant) -> u64 {
@@ -266,11 +283,12 @@ impl Service {
         })
     }
 
-    /// Run (or reuse) the exact prefilter scan of a decomposed query:
-    /// survivors and the restricted residual problem come from one
-    /// [`PhysicalPlan`] memoized in the query's entry, so repeat
-    /// requests never re-scan, and the scan's selectivity is recorded
-    /// for every query sharing the prefilter.
+    /// The memoized physical plan of a decomposed query, built on its
+    /// first call over the prefilter's selection: the dataset version
+    /// keeps one per canonical prefilter, so the exact scan runs only
+    /// for a prefilter no query has planned yet, and each plan's
+    /// restricted problem shares the survivor ids instead of copying
+    /// them. The selection's length is the recorded selectivity.
     pub(super) fn plan_state(
         &mut self,
         resolved: &Resolved,
@@ -285,15 +303,21 @@ impl Service {
         if let Some(plan) = memo.and_then(|e| e.plan.clone()) {
             return Ok(plan);
         }
-        let plan = Arc::new(PhysicalPlan::build(
-            &resolved.problem,
-            &ds.table,
-            &decomp.prefilter,
-        )?);
+        let selections = &mut ds.derived.selections;
+        let survivors = match selections.get(&decomp.prefilter_canonical) {
+            Some(survivors) => Arc::clone(survivors),
+            None => {
+                let survivors = select_prefilter(&ds.table, &decomp.prefilter)?.ids()?;
+                let key = decomp.prefilter_canonical.clone();
+                selections.insert(key, Arc::clone(&survivors));
+                survivors
+            }
+        };
+        let plan = PhysicalPlan::over_survivors(&resolved.problem, &decomp.prefilter, survivors);
+        let plan = Arc::new(plan?);
         if let Some(entry) = ds.derived.queries.get_mut(&resolved.canonical) {
             entry.plan = Some(Arc::clone(&plan));
         }
-        (ds.derived.selectivity).insert(decomp.prefilter_canonical.clone(), plan.selectivity());
         Ok(plan)
     }
 
@@ -455,6 +479,7 @@ impl Service {
                 seed,
                 cold,
                 prepared: None,
+                panicked: None,
             });
         }
         (answered, work, followers)
@@ -464,7 +489,8 @@ impl Service {
     /// under a seed derived from its identity and inserted into its
     /// query's entry; the claimant keeps the prepare's wall time and
     /// events. A state that cannot be prepared demotes every request
-    /// resuming it to SRS.
+    /// resuming it to SRS; a prepare that panics is dropped, and every
+    /// request resuming its state is answered with the panic's error.
     pub(super) fn prepare(&mut self, work: &mut [WorkItem]) {
         let (lss, service_seed, tracing) =
             (self.config.lss, self.config.seed, self.obs.is_enabled());
@@ -483,31 +509,41 @@ impl Service {
                 let start = Instant::now();
                 let (warm, events) = traced(tracing, || {
                     let prepare_seed = mix_seed(service_seed, key.id);
-                    (lss.prepare(&adm.planned.problem, key.budget, prepare_seed)).map(|state| {
-                        WarmState {
-                            state,
-                            raw_condition: adm.raw.clone(),
-                        }
+                    contained(|| {
+                        (lss.prepare(&adm.planned.problem, key.budget, prepare_seed)).map(|state| {
+                            WarmState {
+                                state,
+                                raw_condition: adm.raw.clone(),
+                            }
+                        })
                     })
                 });
                 (i, key.clone(), warm, micros_since(start), events)
             })
             .collect();
-        let mut unpreparable: HashSet<StateKey> = HashSet::new();
+        // Keys whose prepare failed, with the panic's message if it
+        // panicked.
+        let mut unpreparable: HashMap<StateKey, Option<String>> = HashMap::new();
         for (i, key, warm, wall_micros, events) in prepared {
             match warm {
-                Ok(warm) => {
+                Ok(Ok(warm)) => {
                     self.insert_warm(&key, warm);
                     work[i].prepared = Some((wall_micros, events));
                 }
-                Err(_) => {
-                    unpreparable.insert(key);
+                Ok(Err(_)) => {
+                    unpreparable.insert(key, None);
+                }
+                Err(message) => {
+                    unpreparable.insert(key, Some(message));
                 }
             }
         }
         for item in work.iter_mut() {
-            if matches!(&item.adm.planned.task, Task::Resume { key } if unpreparable.contains(key))
-            {
+            let Task::Resume { key } = &item.adm.planned.task else {
+                continue;
+            };
+            if let Some(panicked) = unpreparable.get(key) {
+                item.panicked = panicked.clone();
                 item.adm.planned.task = Task::Srs;
                 item.cold = true;
             }
@@ -515,14 +551,20 @@ impl Service {
     }
 
     /// **execute** — wave 2, parallel: every work item runs its task
-    /// against the (now immutable) warm states.
+    /// against the (now immutable) warm states. A task that panics is
+    /// answered with the panic's error, as is one whose prepare did.
     pub(super) fn execute(&self, work: Vec<WorkItem>) -> Vec<Outcome> {
         let (lss, tracing) = (self.config.lss, self.obs.is_enabled());
         work.into_par_iter()
             .map(|item| {
                 let ((result, wall_micros), events) = traced(tracing, || {
                     let start = Instant::now();
-                    let result = item.run(self, lss);
+                    let result = match item.panicked.clone() {
+                        Some(message) => Err(message),
+                        None => contained(|| item.run(self, lss)),
+                    };
+                    let result =
+                        result.unwrap_or_else(|message| Err(ServeError::Panicked { message }));
                     (result, micros_since(start))
                 });
                 Outcome::Executed {

@@ -39,7 +39,7 @@
 
 use crate::error::ServeError;
 use crate::service::{Answer, DatasetSpec, ResultKey, Service};
-use lts_core::{fnv1a, LssParts};
+use lts_core::{fnv1a, LssParts, LssWarm};
 use std::fmt;
 use std::fmt::Write as _;
 use std::fs;
@@ -179,14 +179,13 @@ fn dec_text(s: &str) -> Option<String> {
     Some(out)
 }
 
-/// `3,1,4` — the id lists of a `state` line.
-fn enc_ids(ids: &[usize]) -> String {
-    let mut out = String::with_capacity(6 * ids.len());
-    for id in ids {
-        let _ = write!(out, "{id},");
+/// `\t3,1,4` — an id list of a `state` line, appended with its tab.
+fn push_ids(out: &mut String, ids: &[impl std::fmt::Display]) {
+    out.push('\t');
+    for (i, id) in ids.iter().enumerate() {
+        let sep = if i == 0 { "" } else { "," };
+        let _ = write!(out, "{sep}{id}");
     }
-    out.pop(); // the last comma
-    out
 }
 
 fn dec_ids(s: &str) -> Option<Vec<usize>> {
@@ -196,9 +195,10 @@ fn dec_ids(s: &str) -> Option<Vec<usize>> {
     s.split(',').map(|id| id.parse().ok()).collect()
 }
 
-/// `0110` — the label lists of a `state` line.
-fn enc_labels(labels: &[bool]) -> String {
-    labels.iter().map(|&l| if l { '1' } else { '0' }).collect()
+/// `\t0110` — a label list of a `state` line, appended with its tab.
+fn push_labels(out: &mut String, labels: &[bool]) {
+    out.push('\t');
+    out.extend(labels.iter().map(|&l| if l { '1' } else { '0' }));
 }
 
 fn dec_labels(s: &str) -> Option<Vec<bool>> {
@@ -212,8 +212,10 @@ fn dec_labels(s: &str) -> Option<Vec<bool>> {
 }
 
 /// One warm state as the snapshot writes it down: a `store entry` line
-/// and the `store state` line after it.
-pub(crate) struct WarmLine {
+/// and the `store state` line after it. `S` is the state: borrowed from
+/// its query entry when saved, its plain data ([`LssParts`]) when
+/// parsed.
+pub(crate) struct WarmLine<S> {
     /// Dataset name.
     pub(crate) dataset: String,
     /// Raw condition text (parser input).
@@ -225,36 +227,42 @@ pub(crate) struct WarmLine {
     /// Prepared over prefilter survivors (tag `lss+pf`, else `lss`):
     /// restore re-decomposes the condition to rebuild that population.
     pub(crate) prefiltered: bool,
-    /// The state's plain data.
-    pub(crate) parts: LssParts,
+    /// The state.
+    pub(crate) state: S,
 }
 
-/// A warm state's two lines.
-fn render_warm(w: &WarmLine) -> String {
-    let p = &w.parts;
-    let mut block = format!(
+/// A warm state's `store entry` line.
+fn entry_line<S>(w: &WarmLine<S>) -> String {
+    format!(
         "store\tentry\t{}\t{}\t{}\t{}\t{}\n",
         enc_text(&w.dataset),
         w.budget,
         w.table_version,
         if w.prefiltered { "lss+pf" } else { "lss" },
         enc_text(&w.condition),
-    );
+    )
+}
+
+/// A warm state's two lines, rendered from the state itself: nothing
+/// of it is copied first.
+fn render_warm(w: &WarmLine<&LssWarm>) -> String {
+    let s = w.state;
+    let mut block = entry_line(w);
     let _ = write!(
         block,
-        "store\tstate\t{:016x}\t{}\t{}\t{:016x}\t{}\t{}\t{}\t{}\t{}\t{}",
-        p.profile,
-        p.model_seed,
-        p.prepare_evals,
-        p.estimated_variance.to_bits(),
-        enc_ids(&p.labeled),
-        enc_labels(&p.labels),
-        enc_ids(&p.order),
-        enc_ids(&p.pilot_positions),
-        enc_labels(&p.pilot_labels),
-        enc_ids(&p.cuts),
+        "store\tstate\t{:016x}\t{}\t{}\t{:016x}",
+        s.profile(),
+        s.proxy.model_seed,
+        s.prepare_evals,
+        s.estimated_variance().to_bits(),
     );
-    for note in &p.design_notes {
+    push_ids(&mut block, &s.proxy.labeled);
+    push_labels(&mut block, &s.proxy.labels);
+    push_ids(&mut block, s.order());
+    push_ids(&mut block, s.pilot_positions());
+    push_labels(&mut block, s.pilot_labels());
+    push_ids(&mut block, s.cuts());
+    for note in &s.design_notes {
         block.push('\t');
         block.push_str(&enc_text(note));
     }
@@ -263,8 +271,8 @@ fn render_warm(w: &WarmLine) -> String {
 }
 
 /// Render the snapshot body (header through the last data line; the
-/// checksum trailer is appended by [`save`]). Warm states are sorted
-/// by their rendered lines, for stable diffs.
+/// checksum trailer is pushed onto it by [`save`]). Warm states are
+/// sorted by their rendered lines, for stable diffs.
 fn render_snapshot(service: &Service) -> String {
     let mut out = String::from(HEADER);
     out.push('\n');
@@ -312,8 +320,9 @@ fn render_snapshot(service: &Service) -> String {
 /// Returns [`StateError::Io`] on filesystem failure; the previous
 /// snapshot (if any) is left intact in that case.
 pub fn save(service: &Service, dir: &Path) -> Result<PathBuf, StateError> {
-    let body = render_snapshot(service);
-    let text = format!("{body}checksum\t{:016x}\n", fnv1a(body.as_bytes()));
+    let mut text = render_snapshot(service);
+    let checksum = fnv1a(text.as_bytes());
+    let _ = writeln!(text, "checksum\t{checksum:016x}");
     fs::create_dir_all(dir).map_err(io_err(dir))?;
     let tmp = dir.join(format!("{STATE_FILE}.tmp"));
     let path = dir.join(STATE_FILE);
@@ -325,7 +334,7 @@ pub fn save(service: &Service, dir: &Path) -> Result<PathBuf, StateError> {
 struct Parsed {
     /// `(name, recipe, table version)`.
     datasets: Vec<(String, DatasetSpec, u64)>,
-    warm: Vec<WarmLine>,
+    warm: Vec<WarmLine<LssParts>>,
     /// `(key, answer, table version)`, as [`Service::restore_cached`]
     /// takes them.
     caches: Vec<(ResultKey, Answer, u64)>,
@@ -417,7 +426,7 @@ fn parse_snapshot(text: &str) -> Result<Parsed, StateError> {
                         tag => return Err(bad(&format!("unknown estimator tag `{tag}`"))),
                     },
                     condition: dec_text(e[5]).ok_or_else(|| bad("bad condition encoding"))?,
-                    parts: LssParts {
+                    state: LssParts {
                         profile: hex(f[0], "bad profile digest")?,
                         model_seed: f[1].parse().map_err(|_| bad_state("bad model seed"))?,
                         prepare_evals: f[2].parse().map_err(|_| bad_state("bad prepare evals"))?,
@@ -539,7 +548,7 @@ mod tests {
     }
 
     /// The warm states of a sealed `lts-state/v4` file holding `lines`.
-    fn warm(lines: &str) -> Result<Vec<WarmLine>, StateError> {
+    fn warm(lines: &str) -> Result<Vec<WarmLine<LssParts>>, StateError> {
         let body = format!("{HEADER}\nstore\t{WARM_HEADER}\n{lines}");
         let text = format!("{body}checksum\t{:016x}\n", fnv1a(body.as_bytes()));
         parse_snapshot(&text).map(|parsed| parsed.warm)
@@ -569,14 +578,16 @@ mod tests {
              store\tentry\tds\t100\t2\tlss\tx\n\
              store\tstate\t00000000000000ff\t8\t0\t0000000000000000\t\t\t\t\t\t\n",
         );
-        let [w, empty] = <[WarmLine; 2]>::try_from(lines.unwrap()).ok().unwrap();
+        let [w, empty] = <[WarmLine<LssParts>; 2]>::try_from(lines.unwrap())
+            .ok()
+            .unwrap();
         assert_eq!(
             (w.dataset.as_str(), w.budget, w.table_version),
             ("ds", 200, 0)
         );
         // %20/%3c decode as space and '<'.
         assert_eq!((w.condition.as_str(), w.prefiltered), ("(x < 1)", true));
-        let p = &w.parts;
+        let p = &w.state;
         assert_eq!((p.profile, p.model_seed, p.prepare_evals), (0xff, 7, 12));
         assert!(p.estimated_variance.is_nan());
         assert_eq!((&p.labeled, &p.labels), (&vec![3, 9], &vec![true, false]));
@@ -588,8 +599,8 @@ mod tests {
             (empty.budget, empty.table_version, empty.prefiltered),
             (100, 2, false)
         );
-        assert!(empty.parts.labeled.is_empty() && empty.parts.order.is_empty());
-        assert!(empty.parts.cuts.is_empty() && empty.parts.design_notes.is_empty());
+        assert!(empty.state.labeled.is_empty() && empty.state.order.is_empty());
+        assert!(empty.state.cuts.is_empty() && empty.state.design_notes.is_empty());
     }
 
     const ENTRY: &str = "store\tentry\td\t1\t3\tlss\tc\n";
@@ -639,12 +650,13 @@ mod tests {
     fn estimator_tags_parse_exactly_lss_and_lss_pf() {
         for (tag, prefiltered) in [("lss", false), ("lss+pf", true)] {
             let retagged = ENTRY.replace("\tlss\t", &format!("\t{tag}\t"));
-            let [w] = <[WarmLine; 1]>::try_from(warm(&format!("{retagged}{STATE}")).unwrap())
-                .ok()
-                .unwrap();
+            let [w] =
+                <[WarmLine<LssParts>; 1]>::try_from(warm(&format!("{retagged}{STATE}")).unwrap())
+                    .ok()
+                    .unwrap();
             assert_eq!(w.prefiltered, prefiltered, "`{tag}`");
             // Rendering writes the tag it read.
-            assert!(render_warm(&w).starts_with(&retagged), "`{tag}`");
+            assert_eq!(entry_line(&w), retagged, "`{tag}`");
         }
         for tag in ["lss@4+pf", "lss@", "lss4", "LSS", ""] {
             tag_refusal(tag);

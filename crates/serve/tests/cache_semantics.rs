@@ -11,9 +11,13 @@
 //! * a planned prefilter spends ≥ 3× fewer oracle evaluations than the
 //!   monolithic plan at the same requested CI width;
 //! * shuffled arrival order and worker interleaving never change any
-//!   per-request response.
+//!   per-request response — nor which of the queries sharing one
+//!   prefilter scans it first, spans included;
+//! * a new dataset version scans each prefilter again, over its own
+//!   content.
 
 use lts_core::Lss;
+use lts_obs::TraceEvent;
 use lts_serve::{state, Request, Response, Service, ServiceConfig, Target};
 use lts_table::table_of_floats;
 use std::path::PathBuf;
@@ -464,6 +468,96 @@ fn planned_prefilter_spends_3x_fewer_evals_than_monolithic_at_equal_width() {
         planned.evals,
         mono.evals
     );
+}
+
+/// A service echoing each response's span.
+fn traced_service(table: Arc<lts_table::Table>) -> Service {
+    let config = ServiceConfig {
+        trace: true,
+        ..ServiceConfig::default()
+    };
+    let mut s = Service::new(config);
+    s.register_dataset("d", table, &["x", "y"]).unwrap();
+    s
+}
+
+/// Three queries over one prefilter (`x < 300`): two estimates and a
+/// census over its survivors.
+const SHARING: [(&str, usize); 3] = [
+    (
+        "x < 300 AND (SELECT COUNT(*) FROM d WHERE y < o.y) > 500",
+        100,
+    ),
+    (
+        "(SELECT COUNT(*) FROM d WHERE y < o.x) > 200 AND x < 300",
+        100,
+    ),
+    (
+        "x < 300 AND (SELECT COUNT(*) FROM d WHERE x < o.y) > 400",
+        200,
+    ),
+];
+
+/// The `prefilter` events of a traced response.
+fn prefilter_events(r: &Response) -> Vec<TraceEvent> {
+    let events = &r.trace.as_ref().expect("a traced response").events;
+    let scans = events
+        .iter()
+        .filter(|e| matches!(e, TraceEvent::Prefilter { .. }));
+    scans.cloned().collect()
+}
+
+#[test]
+fn queries_sharing_a_prefilter_answer_alike_whichever_arrives_first() {
+    let lines = |order: &[usize]| {
+        let mut s = traced_service(linear_table(1_000));
+        let mut lines = vec![String::new(); SHARING.len()];
+        for &k in order {
+            let (condition, budget) = SHARING[k];
+            let response = s.run(req(k as u64, condition, budget, false));
+            assert!(response.ok, "{:?}", response.error);
+            assert_eq!(prefilter_events(&response).len(), 1);
+            lines[k] = response.to_json(true);
+        }
+        lines
+    };
+    let first = lines(&[0, 1, 2]);
+    assert!(
+        first[2].contains("\"kind\": \"exact_prefilter\""),
+        "{}",
+        first[2]
+    );
+    for order in [[1, 0, 2], [2, 1, 0], [1, 2, 0]] {
+        assert_eq!(lines(&order), first, "order {order:?}");
+    }
+}
+
+#[test]
+fn a_new_version_scans_each_prefilter_again() {
+    let shifted = |by: usize| {
+        let xs: Vec<f64> = (0..1_000).map(|i| (i + by) as f64).collect();
+        let ys: Vec<f64> = (0..1_000).map(|i| ((i * 37) % 1_000) as f64).collect();
+        Arc::new(table_of_floats(&[("x", &xs), ("y", &ys)]).unwrap())
+    };
+    let (a, b) = (SHARING[0].0, SHARING[1].0);
+    // The survivors and the span event a fresh service reports for `b`.
+    let fresh = |table| {
+        let response = traced_service(table).run(req(2, b, 100, false));
+        let survivors = response.plan.as_ref().and_then(|p| p.survivors);
+        (survivors, prefilter_events(&response))
+    };
+    let mut s = traced_service(shifted(0));
+    assert!(s.run(req(1, a, 100, false)).ok);
+    s.invalidate("d").unwrap();
+    let again = s.run(req(2, b, 100, false));
+    let survivors = again.plan.as_ref().and_then(|p| p.survivors);
+    assert_eq!((survivors, prefilter_events(&again)), fresh(shifted(0)));
+    // New content under the name: its own selection, not the old one.
+    s.register_dataset("d", shifted(100), &["x", "y"]).unwrap();
+    let moved = s.run(req(2, b, 100, false));
+    let survivors = moved.plan.as_ref().and_then(|p| p.survivors);
+    assert_eq!(survivors, Some(200));
+    assert_eq!((survivors, prefilter_events(&moved)), fresh(shifted(100)));
 }
 
 #[test]

@@ -4,13 +4,17 @@
 //! With `N` rows, `M` prefilter survivors and `d` feature columns
 //! (ARCHITECTURE.md, "What a distinct query retains"):
 //!
-//! * a **planned** query keeps its survivor id list (`4·M`: `u32` ids,
-//!   one list that the restricted problem's predicate and its feature
-//!   view share) and the warm state's score ordering (`4` per ordered
-//!   survivor) — `8·M` plus a fixed part (parsed predicate, training
-//!   and pilot labels, cuts, cache entry: `O(budget)` and a few KiB).
-//!   It keeps no feature rows: the view reads the dataset's one matrix
-//!   through the id list, and no served path forces
+//! * a **planned** query keeps the warm state's score ordering (`4` per
+//!   ordered survivor, `4·M`) plus a fixed part (parsed predicate,
+//!   training and pilot labels, cuts, cache entry: `O(budget)` and a few
+//!   KiB). Its survivor id list is not its own: the dataset version
+//!   keeps one per distinct prefilter (`4·M`: `u32` ids), which every
+//!   plan with that prefilter shares — its restricted problem's
+//!   predicate and feature view both read it. So `K` planned queries
+//!   over one prefilter cost `K·(4·M + fixed) + 4·M`, and a planned
+//!   query with a prefilter of its own at most `8·M + fixed`. It keeps
+//!   no feature rows: the view reads the dataset's one matrix through
+//!   the id list, and no served path forces
 //!   `CountingProblem::features`, which would gather `8·d·M` bytes;
 //! * a **monolithic** query keeps the ordering over the population
 //!   (`4·N`) plus the same fixed part — no feature matrix of its own;
@@ -92,8 +96,12 @@ const FEATURES: [&str; 2] = ["strikeouts", "wins"];
 const FIXED_PER_QUERY: usize = 10 * 1024;
 /// The budgets the bounds are held at.
 const BUDGETS: [usize; 2] = [150, 250];
-/// A `u32` survivor id and a `u32` ordering entry.
+/// A `u32` ordering entry, and at most one `u32` survivor id of a
+/// selection first scanned for this query.
 const PER_SURVIVOR: usize = 8;
+/// The `u32` ordering of a planned warm state, per survivor: all a
+/// query adds over a prefilter already scanned.
+const PER_SHARED_SURVIVOR: usize = 4;
 /// The `u32` ordering of a monolithic warm state.
 const PER_ROW_MONOLITHIC: usize = 4;
 /// The zone index: the two filter columns clustered (`16·N`) plus one
@@ -271,6 +279,44 @@ fn a_distinct_query_retains_its_delta_not_a_copy_of_the_table() {
     );
     assert!(before - LIVE_BYTES.load(Ordering::Relaxed) >= zones);
     assert_eq!(fresh.zone_bytes(), 0);
+}
+
+#[test]
+fn planned_queries_over_one_prefilter_share_its_survivors() {
+    let _serial = serial();
+    let table = sports_scenario(N, SelectivityLevel::M, 3).unwrap().table;
+    let mut sorted = table.floats("strikeouts").unwrap().to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let prefilter = format!("strikeouts > {}", sorted[(0.7 * N as f64) as usize]);
+    let mut service = Service::new(ServiceConfig::default());
+    service
+        .register_dataset("s", Arc::clone(&table), &FEATURES)
+        .unwrap();
+    // The first query scans the prefilter (and builds the zone index).
+    let first = service.run(request(0, format!("{prefilter} AND {}", skyband(10)), 150));
+    let plan = first.plan.expect("the query decomposes");
+    let survivors = plan.survivors.expect("a prefilter route reports survivors");
+    assert!((2_300..2_500).contains(&survivors), "M = {survivors}");
+
+    const K: usize = 20;
+    let before = live_bytes();
+    for i in 0..K {
+        let condition = format!("{prefilter} AND {}", skyband(13 + 3 * i));
+        let response = service.run(request(1 + i as u64, condition, 150));
+        assert!(response.ok && response.served == "cold", "{response:?}");
+        let plan = response.plan.expect("the query decomposes");
+        assert_eq!(plan.kind, "prefilter_estimate");
+        assert_eq!(plan.survivors, Some(survivors));
+    }
+    let grown = live_bytes() - before;
+    // A survivor list of each query's own (`8·M + 6 KB` a query) does
+    // not fit.
+    let bound = K * (PER_SHARED_SURVIVOR * survivors + FIXED_PER_QUERY);
+    assert!(
+        grown < bound,
+        "{K} planned queries over one scanned prefilter of {survivors} survivors retain \
+         {grown} B ≥ {bound} B"
+    );
 }
 
 /// Run one request on `dataset`, which must succeed.
