@@ -324,9 +324,8 @@ pub(crate) fn stage2_estimate(
     rng: &mut StdRng,
 ) -> CoreResult<(lts_sampling::CountEstimate, QualityForecast)> {
     let (order, pilot_positions) = (&warm.order, &warm.pilot_positions);
-    let objects_at = |positions: &[usize]| -> Vec<usize> {
-        positions.iter().map(|&p| order[p] as usize).collect()
-    };
+    let objects_at =
+        |positions: &[usize]| -> Vec<usize> { positions.iter().map(|&p| order.get(p)).collect() };
     let (stratification, stage2_budget) = (&warm.stratification, warm.split.stage2);
     let n_rest = order.len();
     let sizes = stratification.stratum_sizes(n_rest);

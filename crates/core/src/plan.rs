@@ -160,7 +160,8 @@ pub fn restrict_problem(
 
 /// A fully materialized plan: the prefilter's survivor count and (when
 /// any rows survive) the restricted residual problem, which reads the
-/// survivor id list it was built over without copying it.
+/// survivor id list it was built over without copying it — or, built
+/// by [`PhysicalPlan::count_only`], the count alone.
 pub struct PhysicalPlan {
     population: usize,
     survivors: usize,
@@ -214,25 +215,33 @@ impl PhysicalPlan {
         prefilter: &Expr,
         survivors: Arc<[u32]>,
     ) -> CoreResult<Self> {
+        let mut plan = Self::count_only(problem, prefilter, survivors.len());
+        if !survivors.is_empty() {
+            let restricted = problem.sub_population(survivors, "|prefiltered")?;
+            plan.restricted = Some(Arc::new(restricted));
+        }
+        Ok(plan)
+    }
+
+    /// A plan that keeps only the survivor count `survivors`, reported
+    /// as [`PhysicalPlan::over_survivors`] reports it: for a prefilter
+    /// too unselective to restrict to, whose queries count over the
+    /// whole population, so no id of it is kept. Its
+    /// [`PhysicalPlan::restricted`] is `None`.
+    pub fn count_only(problem: &CountingProblem, prefilter: &Expr, survivors: usize) -> Self {
         let population = problem.n();
         if lts_obs::trace::collecting() {
             lts_obs::trace::emit(lts_obs::TraceEvent::Prefilter {
                 conjuncts: conjunct_count(prefilter),
                 population: population as u64,
-                survivors: survivors.len() as u64,
+                survivors: survivors as u64,
             });
         }
-        let count = survivors.len();
-        let restricted = if count == 0 {
-            None
-        } else {
-            Some(Arc::new(problem.sub_population(survivors, "|prefiltered")?))
-        };
-        Ok(Self {
+        Self {
             population,
-            survivors: count,
-            restricted,
-        })
+            survivors,
+            restricted: None,
+        }
     }
 
     /// Prefilter survivor count `M`.
@@ -246,7 +255,7 @@ impl PhysicalPlan {
     }
 
     /// The restricted residual problem (`None` when no rows survived
-    /// the prefilter).
+    /// the prefilter, or for a [`PhysicalPlan::count_only`] plan).
     pub fn restricted(&self) -> Option<&Arc<CountingProblem>> {
         self.restricted.as_ref()
     }
@@ -258,9 +267,16 @@ impl PhysicalPlan {
     ///
     /// # Errors
     ///
-    /// Propagates predicate evaluation errors.
+    /// Propagates predicate evaluation errors; a count-only plan with
+    /// survivors has no problem to count over.
     pub fn exact_count(&self) -> CoreResult<usize> {
-        self.restricted.as_ref().map_or(Ok(0), |r| r.exact_count())
+        match &self.restricted {
+            Some(r) => r.exact_count(),
+            None if self.survivors == 0 => Ok(0),
+            None => Err(CoreError::InvalidConfig {
+                message: "a count-only plan keeps no survivors to count over".into(),
+            }),
+        }
     }
 }
 
@@ -381,6 +397,21 @@ mod tests {
         assert_eq!(Arc::strong_count(&ids), 5);
         let stray = Arc::from([0, 64]);
         assert!(PhysicalPlan::over_survivors(&problem, &prefilter, stray).is_err());
+    }
+
+    #[test]
+    fn a_count_only_plan_reports_its_selection_and_counts_nothing() {
+        let (problem, pt, expr) = scenario();
+        let prefilter = decompose(&expr).exact_prefilter.unwrap();
+        let (built, scanned) =
+            lts_obs::trace::collect(|| PhysicalPlan::build(&problem, &pt, &prefilter).unwrap());
+        let (plan, counted) = lts_obs::trace::collect(|| {
+            PhysicalPlan::count_only(&problem, &prefilter, built.survivors())
+        });
+        assert_eq!(counted, scanned);
+        assert_eq!(plan.selectivity().to_bits(), built.selectivity().to_bits());
+        assert!(plan.restricted().is_none());
+        assert!(plan.exact_count().is_err());
     }
 
     #[test]

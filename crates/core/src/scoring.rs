@@ -41,7 +41,7 @@
 //! default thread count.
 
 use crate::error::{CoreError, CoreResult};
-use crate::problem::{narrow_ids, CountingProblem};
+use crate::problem::CountingProblem;
 use lts_learn::Classifier;
 use lts_strata::PilotIndex;
 use lts_table::partition::partition_bounds;
@@ -259,18 +259,6 @@ impl OrderedPopulation {
     /// Scores in order (ascending by the composite key).
     pub fn sorted_scores(&self) -> &[f64] {
         &self.sorted_scores
-    }
-
-    /// Keep the ordering as `u32` ids, drop the scores: all a warm
-    /// state resumes from.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for an id that does not fit in 32 bits.
-    pub fn into_order(self) -> CoreResult<Vec<u32>> {
-        narrow_ids(&self.order).map_err(|id| CoreError::InvalidConfig {
-            message: format!("ordered id {id} does not fit in 32 bits"),
-        })
     }
 
     /// Object id at a position of the ordering.

@@ -45,7 +45,7 @@ use crate::error::{CoreError, CoreResult};
 use crate::estimators::lss::{stage2_estimate, LssBudgetSplit};
 use crate::estimators::{check_budget, CountEstimator, Lss, PilotSource};
 use crate::learnphase::{run_learn_phase, LearnPhaseConfig};
-use crate::problem::{narrow_ids, CountingProblem, Labeler};
+use crate::problem::{CountingProblem, Labeler};
 use crate::report::{EstimateReport, Phase, PhaseTimer};
 use crate::scoring::ScoredPopulation;
 use crate::spec::ClassifierSpec;
@@ -257,15 +257,76 @@ impl<'p, 'r> Run<'p, 'r> {
     }
 }
 
+/// An id list bit-packed at one width — the bits of its largest id, so
+/// `⌈log₂ N′⌉` for an ordering of `0..N′` (one bit at `N′ = 1`): entry
+/// `i` is the `width` bits from bit `i·width` of `words`, low bits
+/// first, spilling into the next word when it straddles one.
+pub(crate) struct PackedIds {
+    words: Box<[u64]>,
+    width: u32,
+    len: usize,
+}
+
+impl PackedIds {
+    /// Pack `ids` at the width of the largest. Returns that id when it
+    /// does not fit in 32 bits.
+    pub(crate) fn pack(ids: &[usize]) -> Result<Self, usize> {
+        let max = ids.iter().copied().max().unwrap_or(0);
+        let width = u32::try_from(max).map_err(|_| max)?;
+        let width = (u32::BITS - width.leading_zeros()).max(1);
+        let w = width as usize;
+        let mut words = vec![0u64; (ids.len() * w).div_ceil(64)];
+        for (i, &id) in ids.iter().enumerate() {
+            let (word, shift) = (i * w / 64, i * w % 64);
+            words[word] |= (id as u64) << shift;
+            if shift + w > 64 {
+                words[word + 1] |= (id as u64) >> (64 - shift);
+            }
+        }
+        Ok(Self {
+            words: words.into_boxed_slice(),
+            width,
+            len: ids.len(),
+        })
+    }
+
+    /// The id at position `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `i` is not below [`PackedIds::len`].
+    pub(crate) fn get(&self, i: usize) -> usize {
+        assert!(i < self.len, "position {i} of {} packed ids", self.len);
+        let w = self.width as usize;
+        let (word, shift) = (i * w / 64, i * w % 64);
+        let mut bits = self.words[word] >> shift;
+        if shift + w > 64 {
+            bits |= self.words[word + 1] << (64 - shift);
+        }
+        (bits & ((1 << w) - 1)) as usize
+    }
+
+    /// Number of ids.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// The ids, in order.
+    pub(crate) fn iter(&self) -> impl ExactSizeIterator<Item = usize> + '_ {
+        (0..self.len).map(|i| self.get(i))
+    }
+}
+
 /// The reusable state of an LSS run: the proxy's record, score
 /// ordering, labeled design pilot, and the optimized stratification.
 pub struct LssWarm {
     /// The record of the phase-1 proxy (the model itself is dropped
     /// once the population is scored).
     pub proxy: ModelSnapshot,
-    /// The score ordering, position → object id, 4 bytes an object.
-    /// The sorted scores are read once, by the design, and not retained.
-    pub(crate) order: Vec<u32>,
+    /// The score ordering, position → object id, packed at
+    /// `⌈log₂ N′⌉` bits an object. The sorted scores are read once, by
+    /// the design, and not retained.
+    pub(crate) order: PackedIds,
     /// Pilot positions within the ordering (ascending).
     pub(crate) pilot_positions: Vec<usize>,
     /// Pilot labels aligned with `pilot_positions`.
@@ -319,7 +380,7 @@ pub struct LssParts {
 
 impl LssWarm {
     /// The state as plain data (see [`LssParts`]): a copy, the ordering
-    /// widened to `usize`. A reader that only renders the state reads
+    /// unpacked to `usize`. A reader that only renders the state reads
     /// the borrowing accessors ([`LssWarm::order`] and its neighbours)
     /// instead.
     pub fn to_parts(&self) -> LssParts {
@@ -328,7 +389,7 @@ impl LssWarm {
             model_seed: self.proxy.model_seed,
             labeled: self.proxy.labeled.clone(),
             labels: self.proxy.labels.clone(),
-            order: self.order.iter().map(|&i| i as usize).collect(),
+            order: self.order.iter().collect(),
             pilot_positions: self.pilot_positions.clone(),
             pilot_labels: self.pilot_labels.clone(),
             cuts: self.stratification.cuts.clone(),
@@ -415,8 +476,8 @@ impl LssWarm {
         if !ascending(cuts) || cuts.first() == Some(&0) || !inside(cuts) {
             return bad("cuts are not strictly ascending inside the ordering".into());
         }
-        // Every id is below `N` now; narrowing is still checked.
-        let Ok(order) = narrow_ids(order) else {
+        // Every id is below `N` now; packing is still checked.
+        let Ok(order) = PackedIds::pack(order) else {
             return bad(format!(
                 "the ordering's ids do not fit in 32 bits (N = {n})"
             ));
@@ -449,7 +510,7 @@ impl LssWarm {
     pub fn known_labels(&self) -> Vec<(usize, bool)> {
         let mut pairs = self.proxy.known_labels();
         for (&pos, &label) in self.pilot_positions.iter().zip(&self.pilot_labels) {
-            pairs.push((self.order[pos] as usize, label));
+            pairs.push((self.order.get(pos), label));
         }
         pairs.sort_unstable();
         pairs.dedup();
@@ -478,8 +539,8 @@ impl LssWarm {
     }
 
     /// The score ordering, position → object id.
-    pub fn order(&self) -> &[u32] {
-        &self.order
+    pub fn order(&self) -> impl ExactSizeIterator<Item = usize> + '_ {
+        self.order.iter()
     }
 
     /// Pilot positions within the ordering (ascending).
@@ -661,9 +722,12 @@ impl Lss {
         let (pilot_positions, pilot_labels): (Vec<usize>, Vec<bool>) =
             sorted_entries.into_iter().unzip();
 
+        let order = PackedIds::pack(ordered.order()).map_err(|id| CoreError::InvalidConfig {
+            message: format!("ordered id {id} does not fit in 32 bits"),
+        })?;
         Ok(LssWarm {
             proxy,
-            order: ordered.into_order()?,
+            order,
             pilot_positions,
             pilot_labels,
             stratification,
@@ -876,6 +940,46 @@ mod tests {
         let mut other = base.clone();
         other.model_seed = 6;
         assert_ne!(base.digest(), other.digest());
+    }
+
+    #[test]
+    fn packed_ids_round_trip_at_every_width() {
+        // A well-spread stream of ids below `2^width`, with the largest
+        // one and zero planted: 97 entries straddle word boundaries at
+        // every width that does not divide 64.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for width in 1..=32u32 {
+            let top = (1usize << width) - 1;
+            let mut ids: Vec<usize> = (0..97)
+                .map(|_| {
+                    x = mix_seed(x, u64::from(width));
+                    (x as usize) & top
+                })
+                .collect();
+            (ids[3], ids[50]) = (top, 0);
+            let packed = PackedIds::pack(&ids).unwrap();
+            assert_eq!(packed.width, width);
+            assert_eq!(packed.words.len(), (97 * width as usize).div_ceil(64));
+            assert_eq!(packed.len(), ids.len());
+            assert!(packed.iter().eq(ids.iter().copied()), "width {width}");
+            for (i, &id) in ids.iter().enumerate().rev() {
+                assert_eq!(packed.get(i), id, "width {width}, position {i}");
+            }
+        }
+        for one in [0, 1, u32::MAX as usize] {
+            let packed = PackedIds::pack(&[one]).unwrap();
+            assert_eq!((packed.len(), packed.get(0)), (1, one));
+        }
+        assert_eq!(PackedIds::pack(&[u32::MAX as usize]).unwrap().width, 32);
+        assert_eq!(PackedIds::pack(&[]).unwrap().iter().len(), 0);
+        let past = 1usize << 32;
+        assert!(matches!(PackedIds::pack(&[5, past, 7]), Err(id) if id == past));
+    }
+
+    #[test]
+    #[should_panic(expected = "position 3 of 3 packed ids")]
+    fn packed_ids_refuse_a_position_past_the_end() {
+        PackedIds::pack(&[1, 2, 3]).unwrap().get(3);
     }
 
     #[test]

@@ -56,13 +56,15 @@ pub(crate) struct QueryEntry {
     /// hold cached answers.
     pub(crate) problem: Option<(Arc<CountingProblem>, Option<Arc<QueryDecomposition>>)>,
     /// Memoized physical plan (survivor count + restricted problem over
-    /// its prefilter's shared selection, [`Derived::selections`]), built
-    /// by the first planned execution.
+    /// its prefilter's shared selection, [`Derived::selections`]; the
+    /// count alone for an unselective prefilter), built by the first
+    /// planned execution.
     pub(crate) plan: Option<Arc<PhysicalPlan>>,
     /// Warm states by `(prefiltered, budget)`: a prefiltered state was
     /// prepared over the prefilter's survivors, a monolithic one over
-    /// the whole population.
-    pub(crate) states: HashMap<(bool, usize), WarmState>,
+    /// the whole population. Boxed: the smallest table keeps four
+    /// buckets inline, and most entries hold one state.
+    pub(crate) states: HashMap<(bool, usize), Box<WarmState>>,
     /// Finished answers by planned budget (0 for the exact route).
     pub(crate) answers: HashMap<usize, Answer>,
 }
@@ -72,14 +74,35 @@ pub(crate) struct QueryEntry {
 pub(crate) struct Derived {
     /// One entry per canonical query.
     pub(crate) queries: HashMap<String, QueryEntry>,
-    /// One selection per canonical prefilter: the ascending survivor ids
-    /// of its one scan over this version (`4·M` bytes). Every query plan
-    /// with that prefilter restricts to this list, so the scan runs once
-    /// and no plan holds a copy; its length over `N` is the observed
+    /// One selection per canonical prefilter, what its one scan over
+    /// this version left. Its survivor count over `N` is the observed
     /// selectivity `M/N`: a later query sharing the prefilter routes
     /// monolithically without planning when it is already known to be
     /// unselective.
-    pub(crate) selections: HashMap<String, Arc<[u32]>>,
+    pub(crate) selections: HashMap<String, Selection>,
+}
+
+/// What the scan of one canonical prefilter leaves for a dataset version.
+#[derive(Clone)]
+pub(crate) enum Selection {
+    /// A selective prefilter's ascending survivor ids (`4·M` bytes).
+    /// Every query plan with the prefilter restricts to this list, so
+    /// the scan runs once and no plan holds a copy.
+    Ids(Arc<[u32]>),
+    /// An unselective prefilter's survivor count
+    /// (`M ≥ monolithic_selectivity·N`): every query with it counts over
+    /// the whole population, so none of its ids is kept.
+    Count(usize),
+}
+
+impl Selection {
+    /// The survivor count `M`.
+    pub(crate) fn survivors(&self) -> usize {
+        match self {
+            Selection::Ids(ids) => ids.len(),
+            Selection::Count(m) => *m,
+        }
+    }
 }
 
 #[cfg(test)]

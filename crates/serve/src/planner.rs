@@ -186,6 +186,12 @@ impl BudgetPlanner {
         Ok(Route::Estimate { budget })
     }
 
+    /// Whether a prefilter keeping `survivors` of `n_objects` is too
+    /// unselective to plan over: its queries route monolithically.
+    pub(crate) fn unselective(&self, survivors: usize, n_objects: usize) -> bool {
+        survivors as f64 >= self.monolithic_selectivity * n_objects as f64
+    }
+
     /// Route a decomposed request given the observed prefilter
     /// survivor count `M` (`survivors = None` means the query did not
     /// decompose). Width targets keep their full-population meaning:
@@ -207,7 +213,7 @@ impl BudgetPlanner {
         let Some(m) = survivors else {
             return Ok(QueryRoute::Monolithic(self.plan(n_objects, target)?));
         };
-        if m as f64 >= self.monolithic_selectivity * n_objects as f64 {
+        if self.unselective(m, n_objects) {
             return Ok(QueryRoute::Monolithic(self.plan(n_objects, target)?));
         }
         if m == 0 {

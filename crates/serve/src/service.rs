@@ -96,7 +96,7 @@ use crate::catalog::{Derived, QueryEntry, WarmState};
 use crate::error::{ServeError, ServeResult};
 use crate::planner::{BudgetPlanner, Target};
 use crate::state::WarmLine;
-use lts_core::{features_from_columns, Lss, LssParts, LssWarm};
+use lts_core::{features_from_columns, restrict_problem, select_prefilter, Lss, LssParts, LssWarm};
 use lts_data::{neighbors::NeighborsConfig, sports::SportsConfig};
 use lts_learn::Matrix;
 use lts_obs::{Observability, Trace};
@@ -622,13 +622,15 @@ impl Service {
     /// The warm state at `key`, once prepared or decoded.
     fn warm(&self, key: &StateKey) -> Option<&WarmState> {
         let entry = self.query(&key.dataset, &key.canonical)?;
-        entry.states.get(&(key.prefiltered, key.budget))
+        let slot = (key.prefiltered, key.budget);
+        entry.states.get(&slot).map(Box::as_ref)
     }
 
     /// Keep a prepared or decoded warm state in its query's entry.
     fn insert_warm(&mut self, key: &StateKey, warm: WarmState) {
         if let Some(entry) = self.query_mut(&key.dataset, &key.canonical) {
-            entry.states.insert((key.prefiltered, key.budget), warm);
+            let slot = (key.prefiltered, key.budget);
+            entry.states.insert(slot, Box::new(warm));
         }
     }
 
@@ -637,8 +639,8 @@ impl Service {
     /// as a plan's [`lts_core::PhysicalPlan::selectivity`].
     fn selectivity(&self, dataset: &str, prefilter: &str) -> Option<f64> {
         let ds = self.datasets.get(dataset)?;
-        let survivors = ds.derived.selections.get(prefilter)?;
-        Some(survivors.len() as f64 / ds.table.len() as f64)
+        let selection = ds.derived.selections.get(prefilter)?;
+        Some(selection.survivors() as f64 / ds.table.len() as f64)
     }
 
     /// Serve one request (a batch of one).
@@ -681,8 +683,9 @@ impl Service {
     ///
     /// # Errors
     ///
-    /// Returns an error for unknown datasets, parse failures, or
-    /// malformed targets.
+    /// Returns an error for unknown datasets, parse failures, malformed
+    /// targets, or a panic while planning ([`ServeError::Panicked`]: the
+    /// prefilter scan reads columns a dataset may make on first read).
     pub fn explain(
         &mut self,
         dataset: &str,
@@ -692,7 +695,7 @@ impl Service {
         let resolved = self.resolve(dataset.to_string(), condition)?;
         let predicted = (resolved.decomposition.as_ref())
             .and_then(|d| self.selectivity(dataset, &d.prefilter_canonical));
-        let planned = self.plan(&resolved, target)?;
+        let planned = stages::guarded(|| self.plan(&resolved, target))?;
         let observed = (self.query(dataset, &resolved.canonical))
             .and_then(|e| e.plan.as_deref())
             .map(|p| (p.survivors(), p.selectivity()));
@@ -751,8 +754,19 @@ impl Service {
                 .clone()
                 .ok_or_else(|| invalid("the query does not decompose"))?;
             let plan = self.plan_state(&resolved, &decomp)?;
-            let restricted = plan.restricted().cloned();
-            Some(restricted.ok_or_else(|| invalid("the prefilter keeps no rows"))?)
+            Some(match plan.restricted() {
+                Some(restricted) => Arc::clone(restricted),
+                None if plan.survivors() == 0 => {
+                    return Err(invalid("the prefilter keeps no rows"))
+                }
+                // Unselective to this service's planner, so no ids were
+                // kept: the state's own scan, dropped with the check.
+                None => {
+                    let table = &self.datasets[&line.dataset].table;
+                    let survivors = select_prefilter(table, &decomp.prefilter)?.survivors;
+                    Arc::new(restrict_problem(&resolved.problem, &survivors)?)
+                }
+            })
         } else {
             None
         };

@@ -4,7 +4,7 @@
 //! looks anything up by position.
 
 use super::{Answer, PlanSummary, Request, Response, ResultKey, Service};
-use crate::catalog::{QueryDecomposition, WarmState};
+use crate::catalog::{QueryDecomposition, Selection, WarmState};
 use crate::error::{ServeError, ServeResult};
 use crate::fingerprint;
 use crate::planner::{QueryRoute, Route, Target};
@@ -220,6 +220,12 @@ fn contained<T>(f: impl FnOnce() -> T) -> Result<T, String> {
     })
 }
 
+/// [`contained`] for a fallible step: a panic is its
+/// [`ServeError::Panicked`].
+pub(super) fn guarded<T>(f: impl FnOnce() -> ServeResult<T>) -> ServeResult<T> {
+    contained(f).unwrap_or_else(|message| Err(ServeError::Panicked { message }))
+}
+
 fn micros_since(start: Instant) -> u64 {
     u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX)
 }
@@ -288,12 +294,14 @@ impl Service {
     /// keeps one per canonical prefilter, so the exact scan runs only
     /// for a prefilter no query has planned yet, and each plan's
     /// restricted problem shares the survivor ids instead of copying
-    /// them. The selection's length is the recorded selectivity.
+    /// them. An unselective prefilter keeps its survivor count alone,
+    /// and its plans are count-only: its queries route monolithically.
     pub(super) fn plan_state(
         &mut self,
         resolved: &Resolved,
         decomp: &QueryDecomposition,
     ) -> ServeResult<Arc<PhysicalPlan>> {
+        let planner = self.config.planner;
         let ds = (self.datasets.get_mut(&resolved.dataset)).ok_or_else(|| {
             ServeError::UnknownDataset {
                 name: resolved.dataset.clone(),
@@ -304,17 +312,26 @@ impl Service {
             return Ok(plan);
         }
         let selections = &mut ds.derived.selections;
-        let survivors = match selections.get(&decomp.prefilter_canonical) {
-            Some(survivors) => Arc::clone(survivors),
+        let selection = match selections.get(&decomp.prefilter_canonical) {
+            Some(selection) => selection.clone(),
             None => {
-                let survivors = select_prefilter(&ds.table, &decomp.prefilter)?.ids()?;
+                let scanned = select_prefilter(&ds.table, &decomp.prefilter)?;
+                let m = scanned.survivors.len();
+                let selection = if planner.unselective(m, scanned.population) {
+                    Selection::Count(m)
+                } else {
+                    Selection::Ids(scanned.ids()?)
+                };
                 let key = decomp.prefilter_canonical.clone();
-                selections.insert(key, Arc::clone(&survivors));
-                survivors
+                selections.insert(key, selection.clone());
+                selection
             }
         };
-        let plan = PhysicalPlan::over_survivors(&resolved.problem, &decomp.prefilter, survivors);
-        let plan = Arc::new(plan?);
+        let (problem, prefilter) = (&resolved.problem, &decomp.prefilter);
+        let plan = Arc::new(match selection {
+            Selection::Ids(ids) => PhysicalPlan::over_survivors(problem, prefilter, ids)?,
+            Selection::Count(m) => PhysicalPlan::count_only(problem, prefilter, m),
+        });
         if let Some(entry) = ds.derived.queries.get_mut(&resolved.canonical) {
             entry.plan = Some(Arc::clone(&plan));
         }
@@ -398,11 +415,14 @@ impl Service {
             return Err(ServeError::Overloaded { capacity });
         }
         // Under a collector, so planning-time emissions (the prefilter
-        // scan) land in this request's span.
+        // scan) land in this request's span; and contained, since the
+        // scan reads columns a dataset may make on first read.
         let (planned, events) = traced(self.obs.is_enabled(), || {
-            let resolved = self.resolve(req.dataset, &req.condition)?;
-            let planned = self.plan(&resolved, req.target)?;
-            Ok::<_, ServeError>((resolved, planned))
+            guarded(|| {
+                let resolved = self.resolve(req.dataset, &req.condition)?;
+                let planned = self.plan(&resolved, req.target)?;
+                Ok((resolved, planned))
+            })
         });
         let (resolved, planned) = planned?;
         Ok(Admitted {
@@ -560,11 +580,9 @@ impl Service {
                 let ((result, wall_micros), events) = traced(tracing, || {
                     let start = Instant::now();
                     let result = match item.panicked.clone() {
-                        Some(message) => Err(message),
-                        None => contained(|| item.run(self, lss)),
+                        Some(message) => Err(ServeError::Panicked { message }),
+                        None => guarded(|| item.run(self, lss)),
                     };
-                    let result =
-                        result.unwrap_or_else(|message| Err(ServeError::Panicked { message }));
                     (result, micros_since(start))
                 });
                 Outcome::Executed {

@@ -180,9 +180,9 @@ fn dec_text(s: &str) -> Option<String> {
 }
 
 /// `\t3,1,4` — an id list of a `state` line, appended with its tab.
-fn push_ids(out: &mut String, ids: &[impl std::fmt::Display]) {
+fn push_ids(out: &mut String, ids: impl IntoIterator<Item = impl std::fmt::Display>) {
     out.push('\t');
-    for (i, id) in ids.iter().enumerate() {
+    for (i, id) in ids.into_iter().enumerate() {
         let sep = if i == 0 { "" } else { "," };
         let _ = write!(out, "{sep}{id}");
     }

@@ -4,11 +4,12 @@
 //!
 //! The panic comes from a column the dataset makes on first read
 //! (`Table::deferred`) with a producer that panics — what a panicking
-//! user-defined function does to a predicate. Only the residual
-//! subquery names the column, so the panic happens inside the two
-//! parallel waves: a prepare (wave 1) or an exact census (wave 2), the
-//! census in pool items when the batch of objects splits across
-//! workers.
+//! user-defined function does to a predicate. Where a residual subquery
+//! names the column, the panic happens inside the two parallel waves: a
+//! prepare (wave 1) or an exact census (wave 2), the census in pool
+//! items when the batch of objects splits across workers. Where a
+//! prefilter names it, the panic happens in sequential admission: the
+//! scan that plans the query, which `explain` runs too.
 
 use lts_serve::{Request, Response, Service, ServiceConfig, Target};
 use lts_table::{Column, DataType, Field, Schema, Table};
@@ -24,6 +25,8 @@ const BAD: [&str; 2] = [
     "(SELECT COUNT(*) FROM d WHERE z < o.x) > 3",
     "x < 1000 AND (SELECT COUNT(*) FROM d WHERE z < o.x) > 3",
 ];
+/// A planned query whose prefilter reads it.
+const BAD_PREFILTER: &str = "z < 5 AND (SELECT COUNT(*) FROM d WHERE x < o.y) > 300";
 /// Monolithic and planned queries that never read it.
 const GOOD: [&str; 2] = [
     "(SELECT COUNT(*) FROM d WHERE x < o.y) > 300",
@@ -140,4 +143,33 @@ fn a_census_that_panics_in_pool_items_is_contained() {
         assert_eq!(rayon::current_num_threads(), 2);
         census(&mut service());
     });
+}
+
+#[test]
+fn a_prefilter_scan_that_panics_at_admission_is_contained() {
+    let mut s = service();
+    let good = || vec![request(1, GOOD[0], 150), request(3, GOOD[1], 150)];
+    let mut batch = good();
+    batch.insert(1, request(2, BAD_PREFILTER, 150));
+    let responses = s.run_batch(batch);
+    assert_contained(&responses[1]);
+    let served: Vec<String> = [0, 2].map(|i| responses[i].to_json(true)).into();
+    assert_eq!(served, alone(good()));
+    assert_eq!(s.stats().errors, 1);
+    // `explain` plans the query too: an error, not a panic.
+    let error = s.explain("d", BAD_PREFILTER, Target::Budget(150));
+    let error = error.expect_err("the scan panics").to_string();
+    assert!(
+        error.contains("panicked") && error.contains(PANIC),
+        "{error}"
+    );
+    // The repeat panics again, and the next request is served.
+    assert_contained(&s.run(request(4, BAD_PREFILTER, 150)));
+    let response = s.run(request(5, GOOD[0], 200));
+    assert!(response.ok, "{response:?}");
+    assert_eq!(
+        response.to_json(true),
+        alone(vec![request(5, GOOD[0], 200)])[0]
+    );
+    assert_eq!(s.stats().errors, 2);
 }

@@ -4,20 +4,24 @@
 //! With `N` rows, `M` prefilter survivors and `d` feature columns
 //! (ARCHITECTURE.md, "What a distinct query retains"):
 //!
-//! * a **planned** query keeps the warm state's score ordering (`4` per
-//!   ordered survivor, `4·M`) plus a fixed part (parsed predicate,
-//!   training and pilot labels, cuts, cache entry: `O(budget)` and a few
-//!   KiB). Its survivor id list is not its own: the dataset version
-//!   keeps one per distinct prefilter (`4·M`: `u32` ids), which every
-//!   plan with that prefilter shares — its restricted problem's
-//!   predicate and feature view both read it. So `K` planned queries
-//!   over one prefilter cost `K·(4·M + fixed) + 4·M`, and a planned
-//!   query with a prefilter of its own at most `8·M + fixed`. It keeps
-//!   no feature rows: the view reads the dataset's one matrix through
-//!   the id list, and no served path forces
+//! * a **planned** query keeps the warm state's score ordering,
+//!   bit-packed at `⌈log₂ M⌉` bits a survivor (`⌈log₂ M⌉·M/8` bytes),
+//!   plus a fixed part (parsed predicate, training and pilot labels,
+//!   cuts, cache entry: `O(budget)` and a few KiB). Its survivor id
+//!   list is not its own: the dataset version keeps one per distinct
+//!   selective prefilter (`4·M`: `u32` ids), which every plan with that
+//!   prefilter shares — its restricted problem's predicate and feature
+//!   view both read it. So `K` planned queries over one prefilter cost
+//!   `K·(⌈log₂ M⌉·M/8 + fixed) + 4·M`, and a planned query with a
+//!   prefilter of its own at most `⌈log₂ M⌉·M/8 + 4·M + fixed`. It
+//!   keeps no feature rows: the view reads the dataset's one matrix
+//!   through the id list, and no served path forces
 //!   `CountingProblem::features`, which would gather `8·d·M` bytes;
 //! * a **monolithic** query keeps the ordering over the population
-//!   (`4·N`) plus the same fixed part — no feature matrix of its own;
+//!   (`⌈log₂ N⌉·N/8`) plus the same fixed part — no feature matrix of
+//!   its own — and so does a query whose prefilter is too unselective
+//!   to plan over: the dataset version keeps that prefilter's survivor
+//!   count, not its ids;
 //! * **no** query keeps its classifier: the fixed part has no room for
 //!   a forest, at either budget measured;
 //! * the dataset version keeps **one** zone index, whatever the number
@@ -89,21 +93,28 @@ const N: usize = 8_000;
 const FEATURES: [&str; 2] = ["strikeouts", "wins"];
 /// Fixed part of one distinct query: everything that does not grow with
 /// `N` or `M` — parsed predicate, training and pilot ids + labels, cuts,
-/// catalog / store / cache entries. Measured 5.5–6.5 KB per query at a
-/// 150-label budget and 6.1–8.0 KB at 250; the slack absorbs hash-map
-/// growth steps. A retained proxy does not fit: the 100-tree forest
-/// over 75 labels alone is ≈ 43 KiB, and larger at 250.
+/// catalog / store / cache entries (a warm state boxed in its entry).
+/// Measured 3.9 KB per monolithic query and 5.0 KB per planned query
+/// over a shared prefilter at a 150-label budget, 4.7 KB per
+/// monolithic query at 250; the slack absorbs hash-map growth steps. A
+/// retained proxy does not fit: the 100-tree forest over 75 labels
+/// alone is ≈ 43 KiB, and larger at 250.
 const FIXED_PER_QUERY: usize = 10 * 1024;
 /// The budgets the bounds are held at.
 const BUDGETS: [usize; 2] = [150, 250];
-/// A `u32` ordering entry, and at most one `u32` survivor id of a
-/// selection first scanned for this query.
-const PER_SURVIVOR: usize = 8;
-/// The `u32` ordering of a planned warm state, per survivor: all a
-/// query adds over a prefilter already scanned.
-const PER_SHARED_SURVIVOR: usize = 4;
-/// The `u32` ordering of a monolithic warm state.
-const PER_ROW_MONOLITHIC: usize = 4;
+/// A `u32` survivor id of a selection, at most one per survivor for a
+/// prefilter first scanned by this query.
+const PER_SELECTED: usize = 4;
+
+/// The packed ordering of a warm state over `n` objects: `⌈log₂ n⌉`
+/// bits an object, in whole 64-bit words — all a planned query adds
+/// over a prefilter already scanned, and all a monolithic one adds
+/// over its fixed part.
+fn ordering_bytes(n: usize) -> usize {
+    let width = usize::BITS - n.saturating_sub(1).max(1).leading_zeros();
+    (n * width as usize).div_ceil(64) * 8
+}
+
 /// The zone index: the two filter columns clustered (`16·N`) plus one
 /// 56-byte kd node per at least 64 rows.
 const ZONES_PER_ROW: usize = 17;
@@ -155,7 +166,7 @@ fn a_distinct_query_retains_its_delta_not_a_copy_of_the_table() {
     for (round, budget) in BUDGETS.into_iter().enumerate() {
         // 40 distinct planned queries.
         let before = LIVE_BYTES.load(Ordering::Relaxed);
-        let mut survivors = 0usize;
+        let (mut survivors, mut orderings) = (0usize, 0usize);
         for i in 0..40usize {
             let keep = [0.30, 0.20, 0.12][i % 3];
             let k = 10 + 3 * i + round;
@@ -164,10 +175,11 @@ fn a_distinct_query_retains_its_delta_not_a_copy_of_the_table() {
             assert!(response.ok, "{:?}", response.error);
             let plan = response.plan.expect("the query decomposes");
             assert_eq!(plan.kind, "prefilter_estimate");
-            survivors += plan.survivors.expect("a prefilter route reports survivors");
+            let m = plan.survivors.expect("a prefilter route reports survivors");
+            (survivors, orderings) = (survivors + m, orderings + ordering_bytes(m));
         }
         let grown = LIVE_BYTES.load(Ordering::Relaxed) - before;
-        let bound = 40 * FIXED_PER_QUERY + PER_SURVIVOR * survivors;
+        let bound = 40 * FIXED_PER_QUERY + orderings + PER_SELECTED * survivors;
         assert!(
             grown <= bound,
             "budget {budget}: 40 planned queries over {survivors} survivors retain \
@@ -194,7 +206,7 @@ fn a_distinct_query_retains_its_delta_not_a_copy_of_the_table() {
             assert!(response.plan.is_none());
         }
         let grown = LIVE_BYTES.load(Ordering::Relaxed) - before;
-        let bound = 20 * (FIXED_PER_QUERY + PER_ROW_MONOLITHIC * N);
+        let bound = 20 * (FIXED_PER_QUERY + ordering_bytes(N));
         assert!(
             grown <= bound,
             "budget {budget}: 20 monolithic queries retain {grown} B > {bound} B"
@@ -203,8 +215,8 @@ fn a_distinct_query_retains_its_delta_not_a_copy_of_the_table() {
         // (8·d·N) or a zone index beside each ordering: the table still
         // holds the one it built.
         assert!(bound < 20 * 8 * (N - budget));
-        assert!(bound < 20 * (PER_ROW_MONOLITHIC + 8 * FEATURES.len()) * N);
-        assert!(bound < 20 * (PER_ROW_MONOLITHIC * N + zones));
+        assert!(bound < 20 * (ordering_bytes(N) + 8 * FEATURES.len() * N));
+        assert!(bound < 20 * (ordering_bytes(N) + zones));
         assert_eq!(table.zone_bytes(), zones);
     }
 
@@ -309,14 +321,52 @@ fn planned_queries_over_one_prefilter_share_its_survivors() {
         assert_eq!(plan.survivors, Some(survivors));
     }
     let grown = live_bytes() - before;
-    // A survivor list of each query's own (`8·M + 6 KB` a query) does
-    // not fit.
-    let bound = K * (PER_SHARED_SURVIVOR * survivors + FIXED_PER_QUERY);
+    // A survivor list of each query's own (`4·M` more a query) does not
+    // fit, nor a `u32` ordering.
+    let bound = K * (ordering_bytes(survivors) + FIXED_PER_QUERY);
     assert!(
         grown < bound,
         "{K} planned queries over one scanned prefilter of {survivors} survivors retain \
          {grown} B ≥ {bound} B"
     );
+}
+
+#[test]
+fn an_unselective_prefilter_keeps_its_count_not_its_ids() {
+    let _serial = serial();
+    let table = sports_scenario(N, SelectivityLevel::M, 3).unwrap().table;
+    let mut sorted = table.floats("strikeouts").unwrap().to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let prefilter = format!("strikeouts > {}", sorted[N / 10]);
+    let mut service = Service::new(ServiceConfig::default());
+    service
+        .register_dataset("s", Arc::clone(&table), &FEATURES)
+        .unwrap();
+    // The first query builds the zone index.
+    assert!(service.run(request(0, skyband(5), 150)).ok);
+    let retained = |service: &mut Service, id, condition| {
+        let before = live_bytes();
+        let response = service.run(request(id, condition, 150));
+        assert!(response.ok && response.served == "cold", "{response:?}");
+        (live_bytes() - before, response)
+    };
+    let (twin, _) = retained(&mut service, 1, skyband(10));
+    // A 90 % prefilter routes monolithically: its scan leaves the
+    // survivor count, not `4·M` bytes of ids nobody reads.
+    let condition = format!("{prefilter} AND {}", skyband(13));
+    let (grown, response) = retained(&mut service, 2, condition);
+    let plan = response.plan.expect("the query decomposes");
+    assert_eq!((plan.kind, plan.survivors), ("monolithic", None));
+    assert!(
+        grown <= twin + FIXED_PER_QUERY,
+        "a 90 % prefilter query retains {grown} B, its monolithic twin {twin} B"
+    );
+    // The count is what `explain` reports as observed.
+    let condition = format!("{prefilter} AND {}", skyband(13));
+    let line = service
+        .explain("s", &condition, Target::Budget(150))
+        .unwrap();
+    assert!(!line.contains("\"observed_selectivity\": null"), "{line}");
 }
 
 /// Run one request on `dataset`, which must succeed.
