@@ -3,7 +3,7 @@
 //! * **A1 — pilot handling**: exact-remainder (decision 2) vs the
 //!   paper's textbook composition;
 //! * **A2 — DynPgm T-selection** (decision 3): pruned vs full grid vs a
-//!   single unconstrained pass, quality and design time;
+//!   single unconstrained pass, quality only;
 //! * **A3 — boundary granularity ε** (decision 5): finer candidate
 //!   ladders vs quality;
 //! * **A4 — sequential LWS** (future-work extension): budget saved by
@@ -52,8 +52,7 @@ pub fn run(cfg: &RunConfig) -> CoreResult<()> {
         }
     }
 
-    // A2: T-selection (quality side; the time side lives in the
-    // `strata_algorithms` criterion bench).
+    // A2: T-selection.
     for (label, t) in [
         ("A2 T=unconstrained", TSelection::Unconstrained),
         ("A2 T=pruned(6)", TSelection::Pruned(6)),
@@ -148,7 +147,6 @@ evals (see `evals` column) at a modest IQR cost; A5 reuse should match or beat \
 fresh at equal budget (free design labels) while staying unbiased; A6 variants \
 should agree in the median (both unbiased), with design-dependent IQRs."
     );
-    println!("   A2 time ablation: cargo bench -p lts-bench strata_algorithms");
     table
         .write_csv(&cfg.out_dir, "ablations")
         .map_err(|e| lts_core::CoreError::InvalidConfig {

@@ -7,8 +7,8 @@
 //! execution-mode caveats) is documented in `docs/benchmarks.md` at
 //! the repository root.
 //!
-//! The JSON is hand-formatted (the workspace's serde is a no-op shim;
-//! the schema here is flat enough that formatting beats a dependency).
+//! The JSON is hand-formatted through `lts_obs::json_{escape,num}`: the
+//! schema here is flat enough that formatting beats a dependency.
 
 use crate::harness::Cell;
 use lts_obs::{json_escape as esc, json_num as num};

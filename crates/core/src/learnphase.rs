@@ -10,10 +10,9 @@ use lts_learn::{select_uncertain, Classifier};
 use lts_sampling::sample_without_replacement;
 use rand::rngs::StdRng;
 use rand::RngExt as _;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the learning phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LearnPhaseConfig {
     /// Which classifier to train.
     pub spec: ClassifierSpec,

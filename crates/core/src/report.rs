@@ -1,7 +1,6 @@
 //! Estimate reports and phase timings.
 
 use lts_sampling::CountEstimate;
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// Wall-time breakdown of one estimation run, matching the paper's
@@ -14,7 +13,7 @@ use std::time::Duration;
 /// (P1 sample design: pilot indexing, variance estimates, strata
 /// layout, allocation), and `phase2` (P2 overhead: scoring the
 /// population, ordering, and the sampling machinery).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseTimings {
     /// P1 Learning overhead (classifier fitting).
     pub learn: Duration,
@@ -56,7 +55,7 @@ impl PhaseTimings {
 /// within-stratum deviations and the chosen allocation *before any
 /// stage-2 label is drawn*. A user can inspect the forecast and abort
 /// or re-budget a run whose design cannot reach the accuracy they need.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct QualityForecast {
     /// Predicted standard error of the final count estimate.
     pub predicted_se: f64,
@@ -67,7 +66,7 @@ pub struct QualityForecast {
 }
 
 /// The result of one estimation run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EstimateReport {
     /// The count estimate with its interval.
     pub estimate: CountEstimate,

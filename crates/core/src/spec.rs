@@ -5,10 +5,9 @@ use lts_learn::{
     Classifier, ClassifierKind, GaussianNb, Gbm, GbmConfig, Knn, Logistic, Mlp, RandomForest,
     RandomScores,
 };
-use serde::{Deserialize, Serialize};
 
 /// A buildable classifier description.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ClassifierSpec {
     /// k-nearest neighbours.
     Knn {

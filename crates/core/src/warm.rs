@@ -558,10 +558,7 @@ impl LssWarm {
         &self.stratification.cuts
     }
 
-    /// The design-time quality forecast requires a resume (it depends
-    /// only on cached pilot data, so it is deterministic per state);
-    /// expose the stratification's estimated variance for planners that
-    /// want the raw objective instead.
+    /// The design objective at the state's cuts (NaN for fixed layouts).
     pub fn estimated_variance(&self) -> f64 {
         self.stratification.estimated_variance
     }

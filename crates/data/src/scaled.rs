@@ -12,7 +12,6 @@ use crate::scenario::{
     neighbors_scenario, sports_scenario, DatasetKind, Scenario, SelectivityLevel,
 };
 use lts_core::{mix_seed, CoreResult};
-use serde::{Deserialize, Serialize};
 
 /// Base row count the tiers multiply (the repo's quick-test scale).
 pub const SCALED_BASE_ROWS: usize = 800;
@@ -21,7 +20,7 @@ pub const SCALED_BASE_ROWS: usize = 800;
 const SALT_SCALED: u64 = 0x5343_414C_4544; // "SCALED"
 
 /// Row-count multipliers over [`SCALED_BASE_ROWS`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScaledTier {
     /// 10× the base (8 000 rows).
     X10,

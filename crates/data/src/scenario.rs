@@ -14,11 +14,10 @@ use crate::skyband::{dominator_counts, skyband_sql_predicate};
 use crate::sports::{sports_table, SportsConfig};
 use lts_core::{CoreError, CoreResult, CountingProblem};
 use lts_table::Table;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// The two evaluation datasets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DatasetKind {
     /// MLB-pitching-like; k-skyband query (paper "Type 1 - Sports").
     Sports,
@@ -37,7 +36,7 @@ impl DatasetKind {
 }
 
 /// The paper's six selectivity settings (Table 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SelectivityLevel {
     /// ≈ 1–2% of objects qualify.
     XS,
@@ -96,7 +95,7 @@ impl SelectivityLevel {
 }
 
 /// The calibrated query parameter.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum QueryParam {
     /// Skyband threshold `k` ("dominated by fewer than k").
     K(usize),

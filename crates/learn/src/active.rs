@@ -4,16 +4,16 @@
 //! those with the smallest `|g(o) − 0.5|` ("closest to the toss-up").
 //! As the paper recommends, candidates are drawn from a random pool
 //! rather than scoring the entire population, and a **single**
-//! augment-and-retrain step is the practical default.
+//! augment-and-retrain step is the practical default. The loop itself
+//! runs in `lts_core::learnphase::run_learn_phase`; this module holds
+//! the selection rule and the step configuration.
 
 use crate::classifier::Classifier;
-use crate::error::{LearnError, LearnResult};
+use crate::error::LearnResult;
 use crate::matrix::Matrix;
-use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Configuration for one uncertainty-sampling augmentation step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AugmentConfig {
     /// Number of augmentation steps (paper recommends 1).
     pub steps: usize,
@@ -68,82 +68,10 @@ pub fn select_uncertain(
     Ok(scored.into_iter().map(|(_, i)| i).collect())
 }
 
-/// Draw a pool of unlabeled candidates, pick the most uncertain, label
-/// them with `label_fn`, and retrain — repeated `config.steps` times.
-///
-/// `labeled` holds indices already labeled (they are excluded from the
-/// pool and extended in place with the new picks). `labels` is extended
-/// in lockstep. Returns the number of labels spent.
-///
-/// # Errors
-///
-/// Propagates classifier and labeling errors.
-#[allow(clippy::too_many_arguments)]
-pub fn augment_training<R, F>(
-    rng: &mut R,
-    model: &mut dyn Classifier,
-    features: &Matrix,
-    labeled: &mut Vec<usize>,
-    labels: &mut Vec<bool>,
-    config: AugmentConfig,
-    mut label_fn: F,
-) -> LearnResult<usize>
-where
-    R: Rng + ?Sized,
-    F: FnMut(usize) -> LearnResult<bool>,
-{
-    if labeled.len() != labels.len() {
-        return Err(LearnError::LengthMismatch {
-            rows: labeled.len(),
-            labels: labels.len(),
-        });
-    }
-    let n = features.rows();
-    let mut spent = 0usize;
-    for _ in 0..config.steps {
-        // Build the unlabeled pool.
-        let mut in_labeled = vec![false; n];
-        for &i in labeled.iter() {
-            in_labeled[i] = true;
-        }
-        let mut pool: Vec<usize> = (0..n).filter(|&i| !in_labeled[i]).collect();
-        if pool.is_empty() {
-            break;
-        }
-        // Subsample the pool (paper: "a large enough number of objects").
-        if config.pool_size > 0 && pool.len() > config.pool_size {
-            // Partial Fisher–Yates.
-            for i in 0..config.pool_size {
-                let j = rng.random_range(i..pool.len());
-                pool.swap(i, j);
-            }
-            pool.truncate(config.pool_size);
-        }
-        let picks = select_uncertain(model, features, &pool, config.per_step)?;
-        if picks.is_empty() {
-            break;
-        }
-        for &i in &picks {
-            labeled.push(i);
-            labels.push(label_fn(i)?);
-            spent += 1;
-        }
-        // Retrain on the augmented training set.
-        let x = features.gather(labeled);
-        model.fit(&x, labels)?;
-    }
-    Ok(spent)
-}
-
-// `Rng::random_range` comes from `RngExt` in rand 0.10.
-use rand::RngExt as _;
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::knn::Knn;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn line_features(n: usize) -> Matrix {
         Matrix::from_rows(
@@ -169,83 +97,6 @@ mod tests {
         // Picks should cluster near the decision boundary at 50.
         let near = picks.iter().filter(|&&i| (30..70).contains(&i)).count();
         assert!(near >= 7, "picks {picks:?} not near boundary");
-    }
-
-    #[test]
-    fn augmentation_improves_boundary_accuracy() {
-        // Reproduces Figure 1's mechanism on a 1-d problem.
-        let features = line_features(400);
-        let truth = |i: usize| i >= 200;
-        let mut model = Knn::new(5).unwrap();
-        let mut rng = StdRng::seed_from_u64(10);
-        let mut labeled: Vec<usize> = (0..400).step_by(40).collect(); // coarse init
-        let mut labels: Vec<bool> = labeled.iter().map(|&i| truth(i)).collect();
-        model.fit(&features.gather(&labeled), &labels).unwrap();
-        let boundary_err_before: usize = (180..220)
-            .filter(|&i| model.predict(features.row(i)).unwrap() != truth(i))
-            .count();
-        let spent = augment_training(
-            &mut rng,
-            &mut model,
-            &features,
-            &mut labeled,
-            &mut labels,
-            AugmentConfig {
-                steps: 2,
-                per_step: 20,
-                pool_size: 0,
-            },
-            |i| Ok(truth(i)),
-        )
-        .unwrap();
-        assert_eq!(spent, 40);
-        let boundary_err_after: usize = (180..220)
-            .filter(|&i| model.predict(features.row(i)).unwrap() != truth(i))
-            .count();
-        assert!(
-            boundary_err_after <= boundary_err_before,
-            "boundary errors {boundary_err_before} -> {boundary_err_after}"
-        );
-    }
-
-    #[test]
-    fn pool_exhaustion_stops_gracefully() {
-        let features = line_features(10);
-        let mut model = Knn::new(3).unwrap();
-        let mut labeled: Vec<usize> = (0..10).collect(); // everything labeled
-        let mut labels: Vec<bool> = (0..10).map(|i| i >= 5).collect();
-        model.fit(&features.gather(&labeled), &labels).unwrap();
-        let mut rng = StdRng::seed_from_u64(0);
-        let spent = augment_training(
-            &mut rng,
-            &mut model,
-            &features,
-            &mut labeled,
-            &mut labels,
-            AugmentConfig::default(),
-            |_| Ok(true),
-        )
-        .unwrap();
-        assert_eq!(spent, 0);
-    }
-
-    #[test]
-    fn mismatched_bookkeeping_rejected() {
-        let features = line_features(10);
-        let mut model = Knn::new(3).unwrap();
-        let mut labeled = vec![0usize, 1];
-        let mut labels = vec![true];
-        let mut rng = StdRng::seed_from_u64(0);
-        assert!(augment_training(
-            &mut rng,
-            &mut model,
-            &features,
-            &mut labeled,
-            &mut labels,
-            AugmentConfig::default(),
-            |_| Ok(true),
-        )
-        .is_err());
     }
 
     #[test]

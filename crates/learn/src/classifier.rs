@@ -2,7 +2,6 @@
 
 use crate::error::LearnResult;
 use crate::matrix::Matrix;
-use serde::{Deserialize, Serialize};
 
 /// A binary classifier with a confidence score `g : O → [0, 1]`.
 ///
@@ -72,7 +71,7 @@ pub trait Classifier: Send + Sync {
 
 /// Enum of the classifier families evaluated in the paper, used by the
 /// reproduction harness to parameterize experiments (Figures 6–7).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ClassifierKind {
     /// k-nearest neighbours.
     Knn,

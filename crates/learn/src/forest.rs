@@ -30,8 +30,8 @@
 //! of one walked scoring pass over 8 000 objects (≈ 50 ms), which a cold
 //! prepare makes. The served forests cut 75–350 cells (sports) and
 //! 8 000–24 000 (neighbours), much of a neighbours grid under `p = 0`
-//! leaves: its build costs 0.7–1.1 ms (`classifiers` bench,
-//! `forest_service/table_build`, one thread, 2 vCPUs).
+//! leaves: its build costs 0.7–1.1 ms (one thread, 2 vCPUs), inside
+//! what `bench_suite`'s `learn.fit_us` times.
 //! Above the cap the forest walks its trees per row: the only other
 //! kernel, chosen by the cell count alone, and the tests' oracle.
 
@@ -41,10 +41,9 @@ use crate::matrix::Matrix;
 use crate::tree::{DecisionTree, Grower, Node, TreeConfig};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Random-forest hyperparameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ForestConfig {
     /// Number of trees (paper default: 100).
     pub n_trees: usize,

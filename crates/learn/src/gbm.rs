@@ -15,10 +15,9 @@
 use crate::classifier::{validate_training, Classifier};
 use crate::error::{LearnError, LearnResult};
 use crate::matrix::Matrix;
-use serde::{Deserialize, Serialize};
 
 /// Gradient-boosting hyperparameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GbmConfig {
     /// Number of boosting rounds.
     pub n_rounds: usize,

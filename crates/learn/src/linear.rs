@@ -9,10 +9,9 @@ use crate::classifier::{validate_training, Classifier};
 use crate::error::{LearnError, LearnResult};
 use crate::matrix::Matrix;
 use crate::scaler::StandardScaler;
-use serde::{Deserialize, Serialize};
 
 /// Logistic-regression hyperparameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LogisticConfig {
     /// Gradient-descent iterations.
     pub iterations: usize,

@@ -1,10 +1,9 @@
 //! A minimal dense row-major matrix of `f64` features.
 
 use crate::error::{LearnError, LearnResult};
-use serde::{Deserialize, Serialize};
 
 /// Dense row-major matrix: `rows × cols` feature values.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     data: Vec<f64>,
     rows: usize,

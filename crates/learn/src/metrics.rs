@@ -1,13 +1,12 @@
-//! Classification metrics: confusion matrix, rates, accuracy, AUC.
+//! Classification metrics: confusion matrix, rates, accuracy.
 //!
 //! The true/false-positive rates feed QLAC's adjusted count (Eq. 2);
-//! accuracy and AUC quantify "classifier quality" for Figures 6–7.
+//! accuracy quantifies "classifier quality" for Figures 6–7.
 
 use crate::error::{LearnError, LearnResult};
-use serde::{Deserialize, Serialize};
 
 /// A binary confusion matrix.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ConfusionMatrix {
     /// True positives.
     pub tp: usize,
@@ -115,76 +114,6 @@ pub fn accuracy(predicted: &[bool], actual: &[bool]) -> LearnResult<f64> {
     Ok(confusion(predicted, actual)?.accuracy())
 }
 
-/// Area under the ROC curve from scores and labels (rank statistic /
-/// Mann–Whitney with midrank tie handling).
-///
-/// # Errors
-///
-/// Returns an error on length mismatch or when one class is absent.
-pub fn auc(scores: &[f64], actual: &[bool]) -> LearnResult<f64> {
-    if scores.len() != actual.len() {
-        return Err(LearnError::LengthMismatch {
-            rows: scores.len(),
-            labels: actual.len(),
-        });
-    }
-    let pos = actual.iter().filter(|&&a| a).count();
-    let neg = actual.len() - pos;
-    if pos == 0 || neg == 0 {
-        return Err(LearnError::InvalidParameter {
-            name: "actual",
-            message: "AUC needs both classes present".into(),
-        });
-    }
-    // Midrank computation.
-    let mut order: Vec<usize> = (0..scores.len()).collect();
-    order.sort_by(|&a, &b| scores[a].total_cmp(&scores[b]));
-    let mut rank_sum_pos = 0.0;
-    let mut i = 0;
-    while i < order.len() {
-        let mut j = i;
-        while j + 1 < order.len() && scores[order[j + 1]] == scores[order[i]] {
-            j += 1;
-        }
-        let midrank = (i + j) as f64 / 2.0 + 1.0;
-        for &idx in &order[i..=j] {
-            if actual[idx] {
-                rank_sum_pos += midrank;
-            }
-        }
-        i = j + 1;
-    }
-    let pos_f = pos as f64;
-    let neg_f = neg as f64;
-    Ok((rank_sum_pos - pos_f * (pos_f + 1.0) / 2.0) / (pos_f * neg_f))
-}
-
-/// Brier score (mean squared error of scores against 0/1 labels).
-///
-/// # Errors
-///
-/// Returns an error on empty input or length mismatch.
-pub fn brier(scores: &[f64], actual: &[bool]) -> LearnResult<f64> {
-    if scores.is_empty() {
-        return Err(LearnError::EmptyTrainingSet);
-    }
-    if scores.len() != actual.len() {
-        return Err(LearnError::LengthMismatch {
-            rows: scores.len(),
-            labels: actual.len(),
-        });
-    }
-    Ok(scores
-        .iter()
-        .zip(actual)
-        .map(|(&s, &a)| {
-            let t = if a { 1.0 } else { 0.0 };
-            (s - t) * (s - t)
-        })
-        .sum::<f64>()
-        / scores.len() as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,30 +150,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.tp, 1);
         assert_eq!(a.fn_, 1);
-    }
-
-    #[test]
-    fn auc_perfect_and_random() {
-        let labels = [false, false, true, true];
-        assert!((auc(&[0.1, 0.2, 0.8, 0.9], &labels).unwrap() - 1.0).abs() < 1e-12);
-        assert!((auc(&[0.9, 0.8, 0.2, 0.1], &labels).unwrap() - 0.0).abs() < 1e-12);
-        // Constant scores → AUC 0.5 via midranks.
-        assert!((auc(&[0.5, 0.5, 0.5, 0.5], &labels).unwrap() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn auc_needs_both_classes() {
-        assert!(auc(&[0.5, 0.6], &[true, true]).is_err());
-        assert!(auc(&[0.5], &[true, false]).is_err());
-    }
-
-    #[test]
-    fn brier_bounds() {
-        let perfect = brier(&[0.0, 1.0], &[false, true]).unwrap();
-        assert!(perfect.abs() < 1e-12);
-        let worst = brier(&[1.0, 0.0], &[false, true]).unwrap();
-        assert!((worst - 1.0).abs() < 1e-12);
-        assert!(brier(&[], &[]).is_err());
     }
 
     #[test]

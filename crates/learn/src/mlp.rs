@@ -14,10 +14,9 @@ use crate::matrix::Matrix;
 use crate::scaler::StandardScaler;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// MLP hyperparameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MlpConfig {
     /// First hidden layer width (paper: 5).
     pub hidden1: usize,

@@ -9,10 +9,9 @@
 use crate::classifier::{validate_training, Classifier};
 use crate::error::{LearnError, LearnResult};
 use crate::matrix::Matrix;
-use serde::{Deserialize, Serialize};
 
 /// Gaussian-NB hyperparameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GaussianNbConfig {
     /// Portion of the largest per-feature variance added to every
     /// variance for numerical stability (sklearn's `var_smoothing`).

@@ -2,11 +2,10 @@
 
 use crate::error::{LearnError, LearnResult};
 use crate::matrix::Matrix;
-use serde::{Deserialize, Serialize};
 
 /// Per-column standardizer: `x' = (x − μ) / σ` with `σ = 1` for constant
 /// columns.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct StandardScaler {
     means: Vec<f64>,
     stds: Vec<f64>,

@@ -26,10 +26,9 @@ use crate::matrix::Matrix;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Decision-tree hyperparameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TreeConfig {
     /// Maximum tree depth.
     pub max_depth: usize,

@@ -1,7 +1,6 @@
 //! The common estimate type returned by all samplers.
 
 use lts_stats::ConfidenceInterval;
-use serde::{Deserialize, Serialize};
 
 /// A count estimate with its uncertainty.
 ///
@@ -9,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// a point estimate of `C(O, q)`, a standard error in count units, and a
 /// confidence interval (whose construction — Wald, Wilson, or t — depends
 /// on the estimator).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CountEstimate {
     /// Point estimate of the count.
     pub count: f64,

@@ -8,10 +8,9 @@
 use crate::error::{StatsError, StatsResult};
 use crate::normal::z_critical;
 use crate::student::t_critical;
-use serde::{Deserialize, Serialize};
 
 /// A two-sided confidence interval.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConfidenceInterval {
     /// Lower bound.
     pub lo: f64,
@@ -68,7 +67,7 @@ impl ConfidenceInterval {
 }
 
 /// Which proportion-interval construction to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IntervalKind {
     /// Wald (normal approximation) interval — the paper's default.
     #[default]

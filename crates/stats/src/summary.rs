@@ -7,13 +7,12 @@
 //! estimators themselves.
 
 use crate::error::{StatsError, StatsResult};
-use serde::{Deserialize, Serialize};
 
 /// Streaming mean/variance accumulator (Welford's algorithm).
 ///
 /// Numerically stable for long streams; used wherever an estimator needs
 /// running moments (e.g. the Des Raj ordered estimates).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RunningStats {
     n: u64,
     mean: f64,
@@ -176,7 +175,7 @@ pub fn iqr(xs: &[f64]) -> StatsResult<f64> {
 
 /// A five-number-plus summary of a sample: the per-cell statistic the
 /// reproduction harness prints for every figure.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Number of observations.
     pub n: usize,

@@ -2,10 +2,9 @@
 
 use crate::error::{StrataError, StrataResult};
 use crate::pilot::PilotIndex;
-use serde::{Deserialize, Serialize};
 
 /// Second-stage allocation rule the design optimizes for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Allocation {
     /// Neyman allocation `n_h ∝ N_h s_h` (objective (5)).
     #[default]
@@ -15,7 +14,7 @@ pub enum Allocation {
 }
 
 /// Which design algorithm to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DesignAlgorithm {
     /// DirSol — (almost) exact, `H = 3` only.
     DirSol,
@@ -30,7 +29,7 @@ pub enum DesignAlgorithm {
 }
 
 /// Parameters shared by every design algorithm.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DesignParams {
     /// Number of strata `H`.
     pub n_strata: usize,
@@ -136,7 +135,7 @@ impl DesignParams {
 /// A stratification: `H − 1` strictly increasing cut points in `(0, N)`;
 /// stratum `h` covers object positions `[cuts[h−1], cuts[h])` with
 /// `cuts[−1] = 0` and `cuts[H−1] = N` implied.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Stratification {
     /// Cut points (exclusive ends of strata 1..H−1).
     pub cuts: Vec<usize>,

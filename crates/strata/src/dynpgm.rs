@@ -75,10 +75,9 @@
 use crate::design::{DesignParams, Stratification};
 use crate::error::{StrataError, StrataResult};
 use crate::pilot::PilotIndex;
-use serde::{Deserialize, Serialize};
 
 /// How many auxiliary-sum bounds `t` DynPgm tries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TSelection {
     /// The paper's full grid `T = {2^i : 0 ≤ i ≤ ⌈log₂(mHN)⌉}` plus an
     /// unconstrained pass — required for the Theorem 3 guarantee.

@@ -2,7 +2,6 @@
 
 use crate::error::{TableError, TableResult};
 use crate::value::{DataType, Value};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// A single typed column of values.
@@ -10,7 +9,7 @@ use std::sync::Arc;
 /// Columns are dense (non-nullable): `Value::Null` only arises during
 /// expression evaluation (e.g. division by zero), never in storage. This
 /// matches the synthetic workloads of the paper and keeps scans branch-free.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Column {
     /// Boolean column.
     Bool(Vec<bool>),

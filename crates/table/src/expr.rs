@@ -47,13 +47,12 @@
 use crate::error::{TableError, TableResult};
 use crate::table::Table;
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 use std::sync::Arc;
 
 /// Binary operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BinaryOp {
     /// Addition.
     Add,
@@ -72,7 +71,7 @@ pub enum BinaryOp {
 }
 
 /// Comparison operators with SQL numeric coercion.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CmpOp {
     /// `=`
     Eq,
@@ -115,7 +114,7 @@ impl CmpOp {
 }
 
 /// Unary operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UnaryOp {
     /// Logical NOT (SQL three-valued).
     Not,
@@ -124,7 +123,7 @@ pub enum UnaryOp {
 }
 
 /// Scalar functions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Func {
     /// `SQRT(x)`
     Sqrt,
@@ -135,7 +134,7 @@ pub enum Func {
 }
 
 /// Aggregate functions for subqueries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AggFunc {
     /// `COUNT(*)` over rows passing the filter.
     Count,

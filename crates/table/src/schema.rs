@@ -2,11 +2,10 @@
 
 use crate::error::{TableError, TableResult};
 use crate::value::DataType;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A named, typed column descriptor.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Field {
     /// Column name.
     pub name: String,
@@ -25,10 +24,9 @@ impl Field {
 }
 
 /// An ordered collection of fields with a name → index map.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Schema {
     fields: Vec<Field>,
-    #[serde(skip)]
     by_name: HashMap<String, usize>,
 }
 
@@ -110,16 +108,6 @@ impl Schema {
                 len: self.fields.len(),
             })
     }
-
-    /// Rebuild the internal name map (needed after deserialization).
-    pub fn rebuild_index(&mut self) {
-        self.by_name = self
-            .fields
-            .iter()
-            .enumerate()
-            .map(|(i, f)| (f.name.clone(), i))
-            .collect();
-    }
 }
 
 #[cfg(test)]
@@ -146,8 +134,7 @@ mod tests {
     #[test]
     fn equality_ignores_index_map() {
         let a = Schema::from_pairs(&[("a", DataType::Int)]).unwrap();
-        let mut b = Schema::from_pairs(&[("a", DataType::Int)]).unwrap();
-        b.rebuild_index();
+        let b = Schema::from_pairs(&[("a", DataType::Int)]).unwrap();
         assert_eq!(a, b);
     }
 

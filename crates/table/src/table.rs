@@ -5,25 +5,22 @@ use crate::error::{TableError, TableResult};
 use crate::schema::{Field, Schema};
 use crate::value::{DataType, Value};
 use crate::zones::{ZoneCell, ZoneIndex};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
 /// An immutable-after-build, columnar, in-memory table. A column is
 /// stored, or belongs to the table's deferred block ([`Table::deferred`]):
 /// made on its first read and kept from then on.
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct Table {
     schema: Schema,
     columns: Vec<Slot>,
     len: usize,
     /// The producer of the deferred columns and, once run, what it made:
-    /// shared by clones, skipped by serde.
-    #[serde(skip)]
+    /// shared by clones.
     deferred: Option<Arc<Deferred>>,
     /// Derived from the columns on demand: shared by clones, skipped by
-    /// equality and serde.
-    #[serde(skip)]
+    /// equality.
     zones: ZoneCell,
 }
 

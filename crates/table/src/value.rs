@@ -1,12 +1,11 @@
 //! Scalar values and data types.
 
 use crate::error::{TableError, TableResult};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
 /// The type of a column or scalar value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DataType {
     /// Boolean.
     Bool,
@@ -34,7 +33,7 @@ impl fmt::Display for DataType {
 /// `Null` propagates through arithmetic and comparisons the SQL way
 /// (any operation with `Null` yields `Null`; predicates treat `Null`
 /// as false).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum Value {
     /// SQL NULL.
     Null,

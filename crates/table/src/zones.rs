@@ -6,7 +6,7 @@
 //! The index is built once, on the first bind that can use it, and lives
 //! inside the [`Table`](crate::table::Table) ([`ZoneCell`]): shared by
 //! every clone and every query over that table version, dropped with it,
-//! ignored by `PartialEq` and serde. A table holds at most one index —
+//! ignored by `PartialEq`. A table holds at most one index —
 //! the first columns asked for keep it — so its memory is bounded at one
 //! per table: `8` bytes per row and column for the clustered copies plus
 //! one [`Zone`] per node.

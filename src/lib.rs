@@ -88,8 +88,7 @@
 //! | [`lts_obs`] | the observability layer: metrics registry, per-phase eval attribution, deterministic per-request trace spans, Prometheus exposition |
 //!
 //! (`lts-bench`, not re-exported here, holds a repro binary per paper
-//! table/figure plus criterion benches and `repro_fig2`'s
-//! `BENCH_fig2.json`.)
+//! table/figure and `repro_fig2`'s `BENCH_fig2.json`.)
 //!
 //! See `ARCHITECTURE.md` for the crate dataflow, the labeling pipeline,
 //! and implementation decisions; `docs/benchmarks.md` for the perf
