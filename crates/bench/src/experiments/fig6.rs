@@ -35,9 +35,7 @@ pub fn run(cfg: &RunConfig) -> CoreResult<()> {
                     },
                     ..Lss::default()
                 };
-                if let Some(cell) =
-                    try_cell(&scenario, &est, spec.kind().label(), &column, budget, cfg)
-                {
+                if let Some(cell) = try_cell(&scenario, &est, spec.label(), &column, budget, cfg) {
                     table.row(cell_row(&cell));
                 }
             }

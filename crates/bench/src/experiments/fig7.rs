@@ -33,12 +33,12 @@ pub fn run(cfg: &RunConfig) -> CoreResult<()> {
                     model_seed: cfg.seed,
                 };
                 let cc = Qlcc { learn };
-                let label = format!("QLCC/{}", spec.kind().label());
+                let label = format!("QLCC/{}", spec.label());
                 if let Some(cell) = try_cell(&scenario, &cc, &label, &column, budget, cfg) {
                     table.row(cell_row(&cell));
                 }
                 let ac = Qlac { learn, folds: 5 };
-                let label = format!("QLAC/{}", spec.kind().label());
+                let label = format!("QLAC/{}", spec.label());
                 if let Some(cell) = try_cell(&scenario, &ac, &label, &column, budget, cfg) {
                     table.row(cell_row(&cell));
                 }

@@ -9,12 +9,12 @@
 
 use super::{check_budget, CountEstimator};
 use crate::error::{CoreError, CoreResult};
-use crate::learnphase::{run_learn_phase, LearnPhaseConfig};
+use crate::learnphase::{learn_then_score, LearnPhaseConfig};
 use crate::problem::{CountingProblem, Labeler};
 use crate::report::{EstimateReport, Phase, PhaseTimer};
 use crate::scoring::ScoredPopulation;
 use crate::warm::observed_phase;
-use lts_sampling::{weighted_sample_es, DesRaj};
+use lts_sampling::{weighted_sample_es, CountEstimate, DesRaj};
 use rand::rngs::StdRng;
 
 /// Learned weighted sampling.
@@ -79,6 +79,61 @@ impl Lws {
         }
         Ok((train_budget, sample_budget))
     }
+
+    /// The one-shot body LWS shares with [`super::LwsHt`] and
+    /// [`super::LwsSequential`]: validate, split the budget, run the
+    /// shared phase 1, then `phase2` — the variant's draw over the
+    /// scored rest with the sampling budget — under
+    /// [`lts_obs::Phase::Stage2`]. The report adds `S_L`'s exact
+    /// positives to the phase-2 estimate and carries its notes.
+    pub(crate) fn run(
+        &self,
+        name: &'static str,
+        problem: &CountingProblem,
+        budget: usize,
+        rng: &mut StdRng,
+        phase2: impl FnOnce(
+            &ScoredPopulation,
+            usize,
+            &mut Labeler<'_>,
+            &mut StdRng,
+        ) -> CoreResult<(CountEstimate, Vec<String>)>,
+    ) -> CoreResult<EstimateReport> {
+        check_budget(problem, budget)?;
+        self.validate()?;
+        let (train_budget, sample_budget) = self.budget_split(budget)?;
+        let mut timer = PhaseTimer::new();
+        let mut labeler = Labeler::new(problem);
+        let (lm, scored) = learn_then_score(
+            problem,
+            &mut labeler,
+            train_budget,
+            &self.learn,
+            rng,
+            &mut timer,
+        )?;
+        if scored.len() < sample_budget {
+            return Err(CoreError::BudgetTooSmall {
+                budget,
+                required: lm.labeled.len() + sample_budget,
+                reason: "sampling budget exceeds remaining objects".into(),
+            });
+        }
+        let (estimate, notes) = observed_phase(lts_obs::Phase::Stage2, || {
+            timer.phase(Phase::Phase2, || {
+                phase2(&scored, sample_budget, &mut labeler, rng)
+            })
+        })?;
+        Ok(EstimateReport {
+            estimate: estimate.shifted(lm.positives() as f64),
+            has_interval: true,
+            evals: labeler.unique_evals(),
+            timings: timer.finish(),
+            estimator: name.into(),
+            notes,
+            forecast: None,
+        })
+    }
 }
 
 /// Train → score the rest → PPS phase 2, over one labeler and the
@@ -94,52 +149,19 @@ impl CountEstimator for Lws {
         budget: usize,
         rng: &mut StdRng,
     ) -> CoreResult<EstimateReport> {
-        check_budget(problem, budget)?;
-        self.validate()?;
-        let (train_budget, sample_budget) = self.budget_split(budget)?;
-        let mut timer = PhaseTimer::new();
-        let mut labeler = Labeler::new(problem);
-        let lm = timer.phase(Phase::Learn, || {
-            observed_phase(lts_obs::Phase::Train, || {
-                run_learn_phase(problem, &mut labeler, train_budget, &self.learn, rng)
-            })
-        })?;
-        let scored = timer.phase(Phase::Phase2, || {
-            observed_phase(lts_obs::Phase::Score, || {
-                ScoredPopulation::score_rest(problem, lm.model.as_ref(), &lm.labeled)
-            })
-        })?;
-        if scored.len() < sample_budget {
-            return Err(CoreError::BudgetTooSmall {
-                budget,
-                required: lm.labeled.len() + sample_budget,
-                reason: "sampling budget exceeds remaining objects".into(),
-            });
-        }
         // Weight the rest by `max(g, ε)`, draw PPS without replacement,
         // label the draws as one batched oracle call, and replay them
         // through Des Raj in draw order.
-        let estimate = observed_phase(lts_obs::Phase::Stage2, || {
-            timer.phase(Phase::Phase2, || -> CoreResult<_> {
-                let weights = scored.weights(self.epsilon);
-                let draws = weighted_sample_es(rng, &weights, sample_budget)?;
-                let objs: Vec<usize> = draws.iter().map(|d| scored.members()[d.index]).collect();
-                let labels = labeler.label_batch(&objs)?;
-                let mut desraj = DesRaj::new(scored.len())?;
-                for (d, label) in draws.iter().zip(labels) {
-                    desraj.push(label, d.initial_probability)?;
-                }
-                Ok(desraj.count_estimate(problem.level())?)
-            })
-        })?;
-        Ok(EstimateReport {
-            estimate: estimate.shifted(lm.positives() as f64),
-            has_interval: true,
-            evals: labeler.unique_evals(),
-            timings: timer.finish(),
-            estimator: self.name().into(),
-            notes: Vec::new(),
-            forecast: None,
+        self.run(self.name(), problem, budget, rng, |rest, n, oracle, rng| {
+            let weights = rest.weights(self.epsilon);
+            let draws = weighted_sample_es(rng, &weights, n)?;
+            let objs: Vec<usize> = draws.iter().map(|d| rest.members()[d.index]).collect();
+            let labels = oracle.label_batch(&objs)?;
+            let mut desraj = DesRaj::new(rest.len())?;
+            for (d, label) in draws.iter().zip(labels) {
+                desraj.push(label, d.initial_probability)?;
+            }
+            Ok((desraj.count_estimate(problem.level())?, Vec::new()))
         })
     }
 }

@@ -16,35 +16,19 @@
 //! textbook. The point estimate, however, avoids Des Raj's
 //! order-dependence entirely.
 
-use super::{check_budget, CountEstimator};
-use crate::error::{CoreError, CoreResult};
-use crate::learnphase::{run_learn_phase, LearnPhaseConfig};
-use crate::problem::{CountingProblem, Labeler};
-use crate::report::{EstimateReport, Phase, PhaseTimer};
-use crate::scoring::ScoredPopulation;
+use super::{CountEstimator, Lws};
+use crate::error::CoreResult;
+use crate::problem::CountingProblem;
+use crate::report::EstimateReport;
 use lts_sampling::{horvitz_thompson_count, systematic_pps_sample};
 use rand::rngs::StdRng;
 
 /// Learned weighted sampling with a Horvitz–Thompson estimator.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct LwsHt {
-    /// Learning-phase configuration.
-    pub learn: LearnPhaseConfig,
-    /// Fraction of the budget spent on classifier training (paper
-    /// default 25%).
-    pub train_frac: f64,
-    /// Probability floor ε: sampling weight is `max(g(o), ε)`.
-    pub epsilon: f64,
-}
-
-impl Default for LwsHt {
-    fn default() -> Self {
-        Self {
-            learn: LearnPhaseConfig::default(),
-            train_frac: 0.25,
-            epsilon: 0.05,
-        }
-    }
+    /// LWS's learning phase, training fraction and ε floor; only the
+    /// phase-2 design and estimator differ.
+    pub lws: Lws,
 }
 
 impl CountEstimator for LwsHt {
@@ -58,73 +42,19 @@ impl CountEstimator for LwsHt {
         budget: usize,
         rng: &mut StdRng,
     ) -> CoreResult<EstimateReport> {
-        check_budget(problem, budget)?;
-        if !(0.0..1.0).contains(&self.train_frac) || self.train_frac <= 0.0 {
-            return Err(CoreError::InvalidConfig {
-                message: format!("train_frac must be in (0, 1), got {}", self.train_frac),
-            });
-        }
-        if !(self.epsilon > 0.0 && self.epsilon <= 1.0) {
-            return Err(CoreError::InvalidConfig {
-                message: format!("epsilon must be in (0, 1], got {}", self.epsilon),
-            });
-        }
-        if budget < 4 {
-            return Err(CoreError::BudgetTooSmall {
-                budget,
-                required: 4,
-                reason: "LWS-HT needs ≥ 2 training and ≥ 2 sampling-phase labels".into(),
-            });
-        }
-        let train_budget = ((budget as f64 * self.train_frac).round() as usize).clamp(2, budget);
-        let sample_budget = budget - train_budget;
-        if sample_budget < 2 {
-            return Err(CoreError::BudgetTooSmall {
-                budget,
-                required: train_budget + 2,
-                reason: "LWS-HT needs at least 2 sampling-phase labels".into(),
-            });
-        }
-
-        let mut timer = PhaseTimer::new();
-        let mut labeler = Labeler::new(problem);
-
-        let lm = timer.phase(Phase::Learn, || {
-            run_learn_phase(problem, &mut labeler, train_budget, &self.learn, rng)
-        })?;
-
-        let estimate = timer.phase(Phase::Phase2, || -> CoreResult<_> {
-            // Shared scoring pipeline: partition-parallel batch scores
-            // over O \ S_L, then the ε-floored PPS weights.
-            let scored = ScoredPopulation::score_rest(problem, lm.model.as_ref(), &lm.labeled)?;
-            if scored.len() < sample_budget {
-                return Err(CoreError::BudgetTooSmall {
-                    budget,
-                    required: lm.labeled.len() + sample_budget,
-                    reason: "sampling budget exceeds remaining objects".into(),
-                });
-            }
-            let weights = scored.weights(self.epsilon);
-            let draws = systematic_pps_sample(rng, &weights, sample_budget)?;
+        let lws = &self.lws;
+        lws.run(self.name(), problem, budget, rng, |rest, n, oracle, rng| {
+            let weights = rest.weights(lws.epsilon);
+            let draws = systematic_pps_sample(rng, &weights, n)?;
             // One batched oracle call for the whole systematic sample.
-            let objs: Vec<usize> = draws.iter().map(|d| scored.members()[d.index]).collect();
-            let labels = labeler.label_batch(&objs)?;
+            let objs: Vec<usize> = draws.iter().map(|d| rest.members()[d.index]).collect();
+            let labels = oracle.label_batch(&objs)?;
             let pairs: Vec<(f64, bool)> = draws
                 .iter()
                 .zip(labels)
                 .map(|(d, label)| (d.initial_probability, label))
                 .collect();
-            Ok(horvitz_thompson_count(&pairs, problem.level())?)
-        })?;
-
-        Ok(EstimateReport {
-            estimate: estimate.shifted(lm.positives() as f64),
-            has_interval: true,
-            evals: labeler.unique_evals(),
-            timings: timer.finish(),
-            estimator: self.name().into(),
-            notes: Vec::new(),
-            forecast: None,
+            Ok((horvitz_thompson_count(&pairs, problem.level())?, Vec::new()))
         })
     }
 }
@@ -132,17 +62,20 @@ impl CountEstimator for LwsHt {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::learnphase::LearnPhaseConfig;
     use crate::problem::tests_support::{line_problem, noisy_problem, ramp_problem};
     use crate::spec::ClassifierSpec;
     use rand::SeedableRng;
 
     fn ht_knn() -> LwsHt {
         LwsHt {
-            learn: LearnPhaseConfig {
-                spec: ClassifierSpec::Knn { k: 3 },
-                ..LearnPhaseConfig::default()
+            lws: Lws {
+                learn: LearnPhaseConfig {
+                    spec: ClassifierSpec::Knn { k: 3 },
+                    ..LearnPhaseConfig::default()
+                },
+                ..Lws::default()
             },
-            ..LwsHt::default()
         }
     }
 
@@ -197,16 +130,18 @@ mod tests {
     fn validation() {
         let problem = line_problem(100, 0.5);
         let mut rng = StdRng::seed_from_u64(1);
-        let bad = LwsHt {
-            train_frac: 0.0,
-            ..ht_knn()
-        };
-        assert!(bad.estimate(&problem, 50, &mut rng).is_err());
-        let bad = LwsHt {
-            epsilon: 0.0,
-            ..ht_knn()
-        };
-        assert!(bad.estimate(&problem, 50, &mut rng).is_err());
+        for lws in [
+            Lws {
+                train_frac: 0.0,
+                ..ht_knn().lws
+            },
+            Lws {
+                epsilon: 0.0,
+                ..ht_knn().lws
+            },
+        ] {
+            assert!(LwsHt { lws }.estimate(&problem, 50, &mut rng).is_err());
+        }
         assert!(ht_knn().estimate(&problem, 3, &mut rng).is_err());
         assert!(ht_knn().estimate(&problem, 101, &mut rng).is_err());
     }

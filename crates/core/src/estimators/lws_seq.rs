@@ -8,24 +8,19 @@
 //! the running confidence interval is narrower than a target relative
 //! half-width, spending less of the budget on easy instances.
 
-use super::{check_budget, CountEstimator};
+use super::{check_budget, CountEstimator, Lws};
 use crate::error::{CoreError, CoreResult};
-use crate::learnphase::{run_learn_phase, LearnPhaseConfig};
-use crate::problem::{CountingProblem, Labeler};
-use crate::report::{EstimateReport, Phase, PhaseTimer};
-use crate::scoring::ScoredPopulation;
+use crate::problem::CountingProblem;
+use crate::report::EstimateReport;
 use lts_sampling::{weighted_sample_es, DesRaj};
 use rand::rngs::StdRng;
 
 /// LWS with early stopping on the running Des Raj interval.
 #[derive(Debug, Clone, Copy)]
 pub struct LwsSequential {
-    /// Learning-phase configuration.
-    pub learn: LearnPhaseConfig,
-    /// Fraction of the budget for classifier training.
-    pub train_frac: f64,
-    /// Probability floor ε for the sampling weights.
-    pub epsilon: f64,
+    /// LWS's learning phase, training fraction and ε floor; the
+    /// sampling budget is the most the walk may draw.
+    pub lws: Lws,
     /// Stop when the CI half-width falls below this fraction of the
     /// current count estimate (e.g. `0.1` = ±10%).
     pub target_relative_halfwidth: f64,
@@ -37,9 +32,7 @@ pub struct LwsSequential {
 impl Default for LwsSequential {
     fn default() -> Self {
         Self {
-            learn: LearnPhaseConfig::default(),
-            train_frac: 0.25,
-            epsilon: 0.05,
+            lws: Lws::default(),
             target_relative_halfwidth: 0.10,
             min_draws: 30,
         }
@@ -57,115 +50,73 @@ impl CountEstimator for LwsSequential {
         budget: usize,
         rng: &mut StdRng,
     ) -> CoreResult<EstimateReport> {
+        // The budget is checked before the target, as LWS checks it
+        // before its own configuration.
         check_budget(problem, budget)?;
         if self.target_relative_halfwidth.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
             return Err(CoreError::InvalidConfig {
                 message: "target_relative_halfwidth must be positive".into(),
             });
         }
-        if !(0.0..1.0).contains(&self.train_frac) || self.train_frac <= 0.0 {
-            return Err(CoreError::InvalidConfig {
-                message: format!("train_frac must be in (0, 1), got {}", self.train_frac),
-            });
-        }
-        if !(self.epsilon > 0.0 && self.epsilon <= 1.0) {
-            return Err(CoreError::InvalidConfig {
-                message: format!("epsilon must be in (0, 1], got {}", self.epsilon),
-            });
-        }
-        if budget < 4 {
-            return Err(CoreError::BudgetTooSmall {
-                budget,
-                required: 4,
-                reason: "sequential LWS needs ≥ 2 training and ≥ 2 sampling-phase labels".into(),
-            });
-        }
-        let train_budget = ((budget as f64 * self.train_frac).round() as usize).clamp(2, budget);
-        let max_draws = budget - train_budget;
-        if max_draws < 2 {
-            return Err(CoreError::BudgetTooSmall {
-                budget,
-                required: train_budget + 2,
-                reason: "sequential LWS needs at least 2 sampling-phase labels".into(),
-            });
-        }
-
-        let mut timer = PhaseTimer::new();
-        let mut labeler = Labeler::new(problem);
-        let mut notes = Vec::new();
-
-        let lm = timer.phase(Phase::Learn, || {
-            run_learn_phase(problem, &mut labeler, train_budget, &self.learn, rng)
-        })?;
-
-        let estimate = timer.phase(Phase::Phase2, || -> CoreResult<_> {
-            // Shared scoring pipeline over O \ S_L, then ε-floored
-            // weights for the sequential PPS walk.
-            let scored = ScoredPopulation::score_rest(problem, lm.model.as_ref(), &lm.labeled)?;
-            let draws_wanted = max_draws.min(scored.len());
-            let weights = scored.weights(self.epsilon);
-            // Draw the full plan up front (cheap); label lazily until
-            // the stopping rule fires. The stopping rule cannot fire
-            // before `min_draws`, so that prefix is labeled as one
-            // batched oracle call; past it the walk stays one-at-a-time
-            // because each label feeds the next stopping decision.
-            let plan = weighted_sample_es(rng, &weights, draws_wanted)?;
-            let prefix = self.min_draws.max(2).min(plan.len());
-            let prefix_objs: Vec<usize> = plan[..prefix]
-                .iter()
-                .map(|d| scored.members()[d.index])
-                .collect();
-            labeler.label_batch(&prefix_objs)?;
-            let mut desraj = DesRaj::new(scored.len())?;
-            let mut used = 0usize;
-            for d in &plan {
-                let label = labeler.label(scored.members()[d.index])?;
-                desraj.push(label, d.initial_probability)?;
-                used += 1;
-                if used >= self.min_draws.max(2) {
-                    let est = desraj.count_estimate(problem.level())?;
-                    let half = 0.5 * est.interval.width();
-                    let denom = est.count.abs().max(1.0);
-                    if half / denom <= self.target_relative_halfwidth {
-                        notes.push(format!(
-                            "stopped early after {used}/{draws_wanted} draws (±{:.1}% reached)",
-                            half / denom * 100.0
-                        ));
-                        break;
+        self.lws
+            .run(self.name(), problem, budget, rng, |rest, n, oracle, rng| {
+                let weights = rest.weights(self.lws.epsilon);
+                // Draw the full plan of `n` up front (cheap); label lazily
+                // until the stopping rule fires. The stopping rule cannot
+                // fire before `min_draws`, so that prefix is labeled as one
+                // batched oracle call; past it the walk stays one-at-a-time
+                // because each label feeds the next stopping decision.
+                let plan = weighted_sample_es(rng, &weights, n)?;
+                let prefix = self.min_draws.max(2).min(plan.len());
+                let prefix_objs: Vec<usize> = plan[..prefix]
+                    .iter()
+                    .map(|d| rest.members()[d.index])
+                    .collect();
+                oracle.label_batch(&prefix_objs)?;
+                let mut desraj = DesRaj::new(rest.len())?;
+                let mut notes = Vec::new();
+                let mut used = 0usize;
+                for d in &plan {
+                    let label = oracle.label(rest.members()[d.index])?;
+                    desraj.push(label, d.initial_probability)?;
+                    used += 1;
+                    if used >= self.min_draws.max(2) {
+                        let est = desraj.count_estimate(problem.level())?;
+                        let half = 0.5 * est.interval.width();
+                        let denom = est.count.abs().max(1.0);
+                        if half / denom <= self.target_relative_halfwidth {
+                            notes.push(format!(
+                                "stopped early after {used}/{n} draws (±{:.1}% reached)",
+                                half / denom * 100.0
+                            ));
+                            break;
+                        }
                     }
                 }
-            }
-            Ok(desraj.count_estimate(problem.level())?)
-        })?;
-
-        Ok(EstimateReport {
-            estimate: estimate.shifted(lm.positives() as f64),
-            has_interval: true,
-            evals: labeler.unique_evals(),
-            timings: timer.finish(),
-            estimator: self.name().into(),
-            notes,
-            forecast: None,
-        })
+                Ok((desraj.count_estimate(problem.level())?, notes))
+            })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::learnphase::LearnPhaseConfig;
     use crate::problem::tests_support::{line_problem, noisy_problem};
     use crate::spec::ClassifierSpec;
     use rand::SeedableRng;
 
     fn seq_knn(target: f64) -> LwsSequential {
         LwsSequential {
-            learn: LearnPhaseConfig {
-                spec: ClassifierSpec::Knn { k: 3 },
-                ..LearnPhaseConfig::default()
+            lws: Lws {
+                learn: LearnPhaseConfig {
+                    spec: ClassifierSpec::Knn { k: 3 },
+                    ..LearnPhaseConfig::default()
+                },
+                ..Lws::default()
             },
             target_relative_halfwidth: target,
             min_draws: 10,
-            ..LwsSequential::default()
         }
     }
 

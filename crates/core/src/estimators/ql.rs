@@ -12,10 +12,9 @@
 
 use super::{check_budget, CountEstimator};
 use crate::error::CoreResult;
-use crate::learnphase::{run_learn_phase, LearnPhaseConfig};
+use crate::learnphase::{learn_then_score, LearnPhaseConfig};
 use crate::problem::{CountingProblem, Labeler};
 use crate::report::{EstimateReport, Phase, PhaseTimer};
-use crate::scoring::ScoredPopulation;
 use lts_learn::cross_validated_rates;
 use lts_sampling::CountEstimate;
 use rand::rngs::StdRng;
@@ -70,22 +69,15 @@ fn run_ql(
     check_budget(problem, budget)?;
     let mut timer = PhaseTimer::new();
     let mut labeler = Labeler::new(problem);
-    let lm = timer.phase(Phase::Learn, || {
-        run_learn_phase(problem, &mut labeler, budget, learn, rng)
-    })?;
-    let observed = timer.phase(Phase::Phase2, || -> CoreResult<usize> {
-        // Shared scoring pipeline over the test set O \ S; "predicted
-        // positive" is score ≥ 0.5, exactly the per-row `predict`.
-        let scored = ScoredPopulation::score_rest(problem, lm.model.as_ref(), &lm.labeled)?;
-        Ok(scored.count_at_least(0.5))
-    })?;
-    let rest_len = problem.n() - lm.labeled.len();
+    let (lm, scored) = learn_then_score(problem, &mut labeler, budget, learn, rng, &mut timer)?;
     Ok(QlRun {
         train_positives: lm.positives(),
         labeled: lm.labeled,
         labels: lm.labels,
-        observed,
-        rest_len,
+        // "Predicted positive" over the test set O \ S is score ≥ 0.5,
+        // exactly the per-row `predict`.
+        observed: scored.count_at_least(0.5),
+        rest_len: scored.len(),
         timer,
         evals: labeler.unique_evals(),
     })

@@ -28,10 +28,11 @@ use std::time::Duration;
 /// How [`run_trials_with`] schedules its independent trials.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TrialExecution {
-    /// One trial at a time on the calling thread. Use this for
-    /// uncontended wall-time measurements (e.g. the Figure 3 overhead
-    /// analysis), where concurrent trials competing for cores would
-    /// stretch every duration.
+    /// One trial at a time on the calling thread: the reference the
+    /// parallel path must match bit for bit, and the schedule for
+    /// uncontended wall-time measurements, where concurrent trials
+    /// competing for cores would stretch every duration. (Figure 3
+    /// times its runs in a loop of its own, not through this runner.)
     Sequential,
     /// Trials fan out across threads (the default). Estimates, evals,
     /// coverage, and RMSE are bit-identical to `Sequential`. Per-phase

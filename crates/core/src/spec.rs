@@ -2,8 +2,7 @@
 //! classifier families the paper evaluates (Figures 6–7).
 
 use lts_learn::{
-    Classifier, ClassifierKind, GaussianNb, Gbm, GbmConfig, Knn, Logistic, Mlp, RandomForest,
-    RandomScores,
+    Classifier, GaussianNb, Gbm, GbmConfig, Knn, Logistic, Mlp, RandomForest, RandomScores,
 };
 
 /// A buildable classifier description.
@@ -67,16 +66,16 @@ impl ClassifierSpec {
         }
     }
 
-    /// The family tag.
-    pub fn kind(&self) -> ClassifierKind {
+    /// The family's display label, as the paper's figures name it.
+    pub fn label(&self) -> &'static str {
         match self {
-            ClassifierSpec::Knn { .. } => ClassifierKind::Knn,
-            ClassifierSpec::RandomForest { .. } => ClassifierKind::RandomForest,
-            ClassifierSpec::Mlp { .. } => ClassifierKind::Mlp,
-            ClassifierSpec::Logistic => ClassifierKind::Logistic,
-            ClassifierSpec::NaiveBayes => ClassifierKind::NaiveBayes,
-            ClassifierSpec::Gbm { .. } => ClassifierKind::Gbm,
-            ClassifierSpec::Random => ClassifierKind::Random,
+            ClassifierSpec::Knn { .. } => "KNN",
+            ClassifierSpec::RandomForest { .. } => "RF",
+            ClassifierSpec::Mlp { .. } => "NN",
+            ClassifierSpec::Logistic => "LOGIT",
+            ClassifierSpec::NaiveBayes => "GNB",
+            ClassifierSpec::Gbm { .. } => "GBM",
+            ClassifierSpec::Random => "Random",
         }
     }
 
@@ -129,20 +128,15 @@ mod tests {
 
     #[test]
     fn kinds_and_lineup() {
-        assert_eq!(
-            ClassifierSpec::default().kind(),
-            ClassifierKind::RandomForest
-        );
+        assert_eq!(ClassifierSpec::default().label(), "RF");
         let lineup = ClassifierSpec::paper_lineup();
-        assert_eq!(lineup.len(), 4);
-        assert_eq!(lineup[3].kind(), ClassifierKind::Random);
+        let labels: Vec<&str> = lineup.iter().map(ClassifierSpec::label).collect();
+        assert_eq!(labels, ["KNN", "NN", "RF", "Random"]);
         let extended = ClassifierSpec::extended_lineup();
-        assert_eq!(extended.len(), 7);
-        assert_eq!(extended[4].kind(), ClassifierKind::NaiveBayes);
-        assert_eq!(extended[5].kind(), ClassifierKind::Gbm);
+        let labels: Vec<&str> = extended.iter().map(ClassifierSpec::label).collect();
         assert_eq!(
-            extended.last().unwrap().kind(),
-            ClassifierKind::Random,
+            labels,
+            ["KNN", "NN", "RF", "LOGIT", "GNB", "GBM", "Random"],
             "Random stays last as the worst-case anchor"
         );
     }

@@ -1,17 +1,23 @@
-//! One-shot `Lss::estimate` / `Lws::estimate` pinned to the bit.
+//! One-shot estimates of every learned estimator pinned to the bit.
 //!
-//! The one-shot path is `prepare ∘ resume` over the caller's single
-//! RNG stream; these constants were captured from the hand-written
-//! one-shot bodies it replaced (commit `fcd18de`), so the test passes
-//! on both sides of that refactor and fails if the composition ever
-//! consumes the stream differently. The LSS `std_error` / `lo` / `hi`
-//! bits were re-captured once when a unanimous stratum's variance
-//! became Jeffreys-smoothed; counts and evals kept their bits.
+//! The LSS / LWS one-shot path is `prepare ∘ resume` over the caller's
+//! single RNG stream; those constants were captured from the
+//! hand-written one-shot bodies it replaced (commit `fcd18de`), so the
+//! test passes on both sides of that refactor and fails if the
+//! composition ever consumes the stream differently. The LSS
+//! `std_error` / `lo` / `hi` bits were re-captured once when a
+//! unanimous stratum's variance became Jeffreys-smoothed; counts and
+//! evals kept their bits. The LWS-HT, LWS-seq, QLCC and QLAC rows were
+//! captured from their own train-then-score bodies, before the five
+//! estimators came to share one phase 1.
 
 mod common;
 
 use common::band_problem;
-use lts_core::{CountEstimator, Lss, LssLayout, Lws, PilotHandling, PilotSource};
+use lts_core::{
+    CountEstimator, Lss, LssLayout, Lws, LwsHt, LwsSequential, PilotHandling, PilotSource, Qlac,
+    Qlcc,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -50,11 +56,35 @@ const LWS_DEFAULT: [Pin; 3] = [
     (0x4071ad6271412f5c, 0x402446a22282774e, 0x40706bf5c0287e66, 0x4072eecf2259e052, 150),
     (0x4071b69ae8933947, 0x40226bd3e1d1b9f8, 0x4070929516ffc57e, 0x4072daa0ba26ad10, 150),
 ];
+#[rustfmt::skip]
+const LWS_HT_DEFAULT: [Pin; 3] = [
+    (0x406fd3d69dc1014a, 0x4034bc60046978f0, 0x406abf4f732b35ae, 0x4072742ee42b6673, 150),
+    (0x407092500184ff40, 0x4035c451ced3f31a, 0x406bcf6e8d0e4aa4, 0x40733ce8bc82d92f, 150),
+    (0x40712ab5f76cee62, 0x40389ad2ea24b119, 0x406c4e3cf5528848, 0x40742e4d743098a0, 150),
+];
+#[rustfmt::skip]
+const LWS_SEQ_DEFAULT: [Pin; 3] = [
+    (0x4070576a28bf9075, 0x402873da65df5c41, 0x406da712334d05b5, 0x4071db4b37d89e0f, 144),
+    (0x4071d2713d632dad, 0x402a9f17e05a4732, 0x4070291bca77d4ea, 0x40737bc6b04e866f, 104),
+    (0x4072da2fcb1a6c60, 0x402b3bec1436179f, 0x40711c96568c1350, 0x407497c93fa8c56f, 68),
+];
+#[rustfmt::skip]
+const QLCC_DEFAULT: [Pin; 3] = [
+    (0x4070600000000000, 0x0000000000000000, 0x4070600000000000, 0x4070600000000000, 150),
+    (0x4071300000000000, 0x0000000000000000, 0x4071300000000000, 0x4071300000000000, 150),
+    (0x4070a00000000000, 0x0000000000000000, 0x4070a00000000000, 0x4070a00000000000, 150),
+];
+#[rustfmt::skip]
+const QLAC_DEFAULT: [Pin; 3] = [
+    (0x4070a93ce1a2447c, 0x0000000000000000, 0x4070a93ce1a2447c, 0x4070a93ce1a2447c, 150),
+    (0x407021122792aa1f, 0x0000000000000000, 0x407021122792aa1f, 0x407021122792aa1f, 150),
+    (0x406f9b96ac536cdd, 0x0000000000000000, 0x406f9b96ac536cdd, 0x406f9b96ac536cdd, 150),
+];
 
 #[test]
 fn one_shot_estimates_match_the_pinned_bits() {
     let problem = band_problem(600, 17);
-    let cases: [(&str, Box<dyn CountEstimator>, [Pin; 3]); 5] = [
+    let cases: [(&str, Box<dyn CountEstimator>, [Pin; 3]); 9] = [
         ("LSS default", Box::new(Lss::default()), LSS_DEFAULT),
         (
             "LSS ReuseLearning",
@@ -81,6 +111,14 @@ fn one_shot_estimates_match_the_pinned_bits() {
             LSS_FIXED_WIDTH,
         ),
         ("LWS default", Box::new(Lws::default()), LWS_DEFAULT),
+        ("LWS-HT default", Box::new(LwsHt::default()), LWS_HT_DEFAULT),
+        (
+            "LWS-seq default",
+            Box::new(LwsSequential::default()),
+            LWS_SEQ_DEFAULT,
+        ),
+        ("QLCC default", Box::new(Qlcc::default()), QLCC_DEFAULT),
+        ("QLAC default", Box::new(Qlac::default()), QLAC_DEFAULT),
     ];
     for (name, est, pins) in &cases {
         for (&seed, pin) in SEEDS.iter().zip(pins) {

@@ -69,53 +69,6 @@ pub trait Classifier: Send + Sync {
     fn name(&self) -> &'static str;
 }
 
-/// Enum of the classifier families evaluated in the paper, used by the
-/// reproduction harness to parameterize experiments (Figures 6–7).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ClassifierKind {
-    /// k-nearest neighbours.
-    Knn,
-    /// Random forest (100 estimators).
-    RandomForest,
-    /// Two-layer neural network (5, 2).
-    Mlp,
-    /// Logistic regression.
-    Logistic,
-    /// Gaussian Naive Bayes.
-    NaiveBayes,
-    /// Gradient-boosted trees.
-    Gbm,
-    /// Adversarial random scores.
-    Random,
-}
-
-impl ClassifierKind {
-    /// All kinds in the order figures present them (the paper's four
-    /// first, then this reproduction's extras).
-    pub const ALL: [ClassifierKind; 7] = [
-        ClassifierKind::Knn,
-        ClassifierKind::Mlp,
-        ClassifierKind::RandomForest,
-        ClassifierKind::Logistic,
-        ClassifierKind::NaiveBayes,
-        ClassifierKind::Gbm,
-        ClassifierKind::Random,
-    ];
-
-    /// Display label matching the paper's figures.
-    pub fn label(&self) -> &'static str {
-        match self {
-            ClassifierKind::Knn => "KNN",
-            ClassifierKind::RandomForest => "RF",
-            ClassifierKind::Mlp => "NN",
-            ClassifierKind::Logistic => "LOGIT",
-            ClassifierKind::NaiveBayes => "GNB",
-            ClassifierKind::Gbm => "GBM",
-            ClassifierKind::Random => "Random",
-        }
-    }
-}
-
 /// Validate a (features, labels) pair before fitting.
 ///
 /// # Errors
@@ -163,12 +116,5 @@ mod tests {
         assert!(validate_training(&Matrix::empty(2), &[]).is_err());
         let bad = Matrix::from_rows(&[vec![f64::INFINITY]]).unwrap();
         assert!(validate_training(&bad, &[true]).is_err());
-    }
-
-    #[test]
-    fn kind_labels() {
-        assert_eq!(ClassifierKind::RandomForest.label(), "RF");
-        assert_eq!(ClassifierKind::Gbm.label(), "GBM");
-        assert_eq!(ClassifierKind::ALL.len(), 7);
     }
 }

@@ -45,7 +45,7 @@ pub mod scaler;
 pub mod tree;
 
 pub use active::{select_uncertain, AugmentConfig};
-pub use classifier::{Classifier, ClassifierKind};
+pub use classifier::Classifier;
 pub use cv::{cross_validated_rates, k_fold_indices, CvRates};
 pub use dummy::{ConstantScore, RandomScores};
 pub use error::{LearnError, LearnResult};

@@ -173,7 +173,7 @@ pub struct PlanSummary {
     /// Prefilter survivor count `M` — reported only on prefilter
     /// routes. Monolithic routes report `None` whether or not a scan
     /// ran, so the response never depends on which request arrived
-    /// first (a recorded selectivity skips the scan).
+    /// first (a later one plans over the recorded selection).
     pub survivors: Option<usize>,
     /// Observed selectivity `M/N`, under the same rule as `survivors`.
     pub selectivity: Option<f64>,
@@ -636,7 +636,8 @@ impl Service {
 
     /// The observed selectivity of a canonical prefilter over a
     /// dataset's current version: its selection's `M/N`, the same `f64`
-    /// as a plan's [`lts_core::PhysicalPlan::selectivity`].
+    /// as a plan's [`lts_core::PhysicalPlan::selectivity`]. Only
+    /// `explain` reads it, as the selectivity predicted before planning.
     fn selectivity(&self, dataset: &str, prefilter: &str) -> Option<f64> {
         let ds = self.datasets.get(dataset)?;
         let selection = ds.derived.selections.get(prefilter)?;

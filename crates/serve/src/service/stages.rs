@@ -341,11 +341,10 @@ impl Service {
     /// **plan** — turn a resolved query and its target into a physical
     /// plan: monolithic for queries that do not decompose (or when the
     /// planner disables decomposition), otherwise the route chosen by
-    /// [`crate::BudgetPlanner::choose`] over the observed survivor
-    /// count. A prefilter whose recorded selectivity already exceeds
-    /// the monolithic threshold skips the scan — provably the same
-    /// route the scan would pick, since the record replays the exact
-    /// `M/N` observed at this table version.
+    /// [`crate::BudgetPlanner::choose`] over the survivor count of the
+    /// query's memoized plan ([`Service::plan_state`]). Every query that
+    /// decomposes plans there, so each one's span carries its
+    /// prefilter event whichever query scanned the prefilter first.
     pub(super) fn plan(&mut self, resolved: &Resolved, target: Target) -> ServeResult<Planned> {
         let planner = self.config.planner;
         let n = resolved.problem.n();
@@ -378,10 +377,6 @@ impl Service {
             };
             Planned::monolithic(resolved, route, summary(kind, None))
         };
-        let predicted = self.selectivity(&resolved.dataset, &decomp.prefilter_canonical);
-        if predicted.is_some_and(|p| p >= planner.monolithic_selectivity) {
-            return Ok(mono(planner.plan(n, target)?));
-        }
         let plan = self.plan_state(resolved, decomp)?;
         Ok(match planner.choose(n, Some(plan.survivors()), target)? {
             QueryRoute::Monolithic(route) => mono(route),

@@ -507,29 +507,49 @@ fn prefilter_events(r: &Response) -> Vec<TraceEvent> {
     scans.cloned().collect()
 }
 
+/// Two queries over one unselective prefilter (`x < 700` keeps 70 %
+/// of the rows): both route monolithically.
+const UNSELECTIVE: [(&str, usize); 2] = [
+    (
+        "x < 700 AND (SELECT COUNT(*) FROM d WHERE y < o.y) > 500",
+        100,
+    ),
+    (
+        "(SELECT COUNT(*) FROM d WHERE y < o.x) > 200 AND x < 700",
+        100,
+    ),
+];
+
 #[test]
 fn queries_sharing_a_prefilter_answer_alike_whichever_arrives_first() {
-    let lines = |order: &[usize]| {
+    let lines = |set: &[(&str, usize)], order: &[usize]| {
         let mut s = traced_service(linear_table(1_000));
-        let mut lines = vec![String::new(); SHARING.len()];
+        let mut lines = vec![String::new(); set.len()];
         for &k in order {
-            let (condition, budget) = SHARING[k];
+            let (condition, budget) = set[k];
             let response = s.run(req(k as u64, condition, budget, false));
             assert!(response.ok, "{:?}", response.error);
-            assert_eq!(prefilter_events(&response).len(), 1);
+            assert_eq!(prefilter_events(&response).len(), 1, "order {order:?}");
             lines[k] = response.to_json(true);
         }
         lines
     };
-    let first = lines(&[0, 1, 2]);
+    let first = lines(&SHARING, &[0, 1, 2]);
     assert!(
         first[2].contains("\"kind\": \"exact_prefilter\""),
         "{}",
         first[2]
     );
     for order in [[1, 0, 2], [2, 1, 0], [1, 2, 0]] {
-        assert_eq!(lines(&order), first, "order {order:?}");
+        assert_eq!(lines(&SHARING, &order), first, "order {order:?}");
     }
+    let first = lines(&UNSELECTIVE, &[0, 1]);
+    assert!(
+        first[1].contains("\"kind\": \"monolithic\""),
+        "{}",
+        first[1]
+    );
+    assert_eq!(lines(&UNSELECTIVE, &[1, 0]), first);
 }
 
 #[test]

@@ -18,11 +18,9 @@
 //! * [`bruteforce`] — exact enumeration over all cut positions, the
 //!   reference oracle the property tests compare against.
 //!
-//! The shared vocabulary lives in [`pilot`] (the prefix-sum index `Γ` and
-//! the `O(N log m)` bucket pass that locates pilot positions without
-//! sorting the population — §4.2.1, pinned to its argsort reference,
-//! ties included, by unit and property tests) and [`objective`]
-//! (equations (5) and (6)).
+//! The shared vocabulary lives in [`pilot`] (the prefix-sum index `Γ`
+//! over the pilots' positions in the score order, §4.2.1) and
+//! [`objective`] (equations (5) and (6)).
 
 #![warn(missing_docs)]
 
@@ -44,4 +42,4 @@ pub use error::{StrataError, StrataResult};
 pub use fixed::{fixed_height_cuts, fixed_width_cuts};
 pub use logbdr::logbdr;
 pub use objective::{evaluate_cuts, neyman_variance, proportional_variance, StratumStat};
-pub use pilot::{pilot_positions_argsort, pilot_positions_bucket, PilotIndex};
+pub use pilot::PilotIndex;

@@ -124,66 +124,6 @@ impl PilotIndex {
     }
 }
 
-/// Composite ordering key: `(score, object id)`. Ids break ties so the
-/// population order is total and pilot positions are unambiguous.
-#[inline]
-fn key_less(a: (f64, usize), b: (f64, usize)) -> bool {
-    match a.0.total_cmp(&b.0) {
-        std::cmp::Ordering::Less => true,
-        std::cmp::Ordering::Greater => false,
-        std::cmp::Ordering::Equal => a.1 < b.1,
-    }
-}
-
-/// Pilot positions by full argsort of the population — the `O(N log N)`
-/// reference implementation.
-///
-/// `scores[i]` is the classifier score of object `i`; `pilot_ids` are the
-/// object ids of the pilots. Returns the 0-based positions of the pilots
-/// within the `(score, id)`-ordered population, sorted ascending.
-pub fn pilot_positions_argsort(scores: &[f64], pilot_ids: &[usize]) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..scores.len()).collect();
-    order.sort_by(|&a, &b| scores[a].total_cmp(&scores[b]).then(a.cmp(&b)));
-    let mut rank = vec![0usize; scores.len()];
-    for (pos, &id) in order.iter().enumerate() {
-        rank[id] = pos;
-    }
-    let mut positions: Vec<usize> = pilot_ids.iter().map(|&id| rank[id]).collect();
-    positions.sort_unstable();
-    positions
-}
-
-/// Pilot positions by the paper's bucket pass — `O(N log m)`, no
-/// population sort.
-///
-/// The `m` pilot keys split the key space into `m + 1` buckets; one pass
-/// over the population counts objects per bucket; prefix sums yield each
-/// pilot's position.
-pub fn pilot_positions_bucket(scores: &[f64], pilot_ids: &[usize]) -> Vec<usize> {
-    let m = pilot_ids.len();
-    // Sorted pilot keys.
-    let mut pkeys: Vec<(f64, usize)> = pilot_ids.iter().map(|&id| (scores[id], id)).collect();
-    pkeys.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-    // cnt[r] = number of objects whose key has exactly r pilot keys <= it.
-    let mut cnt = vec![0usize; m + 1];
-    for (id, &s) in scores.iter().enumerate() {
-        let key = (s, id);
-        // partition_point: first pilot key that is NOT <= key.
-        let r = pkeys.partition_point(|&pk| !key_less(key, pk));
-        cnt[r] += 1;
-    }
-    // Objects with r(o) <= k are exactly those ordered strictly before
-    // pilot k (pilot_j for j < k has r = j+1 <= k; pilot_k itself has
-    // r = k+1). So pilot k's 0-based position is Σ_{r=0..=k} cnt[r].
-    let mut positions = Vec::with_capacity(m);
-    let mut below = 0usize;
-    for &c in cnt.iter().take(m) {
-        below += c;
-        positions.push(below);
-    }
-    positions
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -237,36 +177,5 @@ mod tests {
         assert!(PilotIndex::new(10, vec![]).is_err());
         assert!(PilotIndex::new(10, vec![(10, true)]).is_err()); // out of range
         assert!(PilotIndex::new(10, vec![(3, true), (3, false)]).is_err()); // dup
-    }
-
-    #[test]
-    fn bucket_positions_match_argsort() {
-        // Deterministic pseudo-random scores with ties.
-        let mut state = 77u64;
-        let mut next = || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((state >> 11) % 50) as f64 / 50.0 // only 50 distinct values → ties
-        };
-        let scores: Vec<f64> = (0..500).map(|_| next()).collect();
-        let pilot_ids: Vec<usize> = (0..500).step_by(7).collect();
-        let a = pilot_positions_argsort(&scores, &pilot_ids);
-        let b = pilot_positions_bucket(&scores, &pilot_ids);
-        assert_eq!(a, b);
-        // Positions are distinct and within range.
-        for w in a.windows(2) {
-            assert!(w[0] < w[1]);
-        }
-        assert!(*a.last().unwrap() < 500);
-    }
-
-    #[test]
-    fn bucket_positions_distinct_scores() {
-        let scores: Vec<f64> = (0..100).map(|i| f64::from(i) * 0.37 % 7.0).collect();
-        let pilot_ids = vec![3usize, 50, 99, 0];
-        let a = pilot_positions_argsort(&scores, &pilot_ids);
-        let b = pilot_positions_bucket(&scores, &pilot_ids);
-        assert_eq!(a, b);
     }
 }

@@ -3,9 +3,8 @@
 mod dynpgm_oracle;
 
 use lts_strata::{
-    dynpgm, dynpgmp, evaluate_cuts, fixed_height_cuts, pilot_positions_argsort,
-    pilot_positions_bucket, Allocation, DesignParams, PilotIndex, StrataResult, Stratification,
-    TSelection,
+    dynpgm, dynpgmp, evaluate_cuts, fixed_height_cuts, Allocation, DesignParams, PilotIndex,
+    StrataResult, Stratification, TSelection,
 };
 use proptest::prelude::*;
 
@@ -224,33 +223,27 @@ fn dynpgm_matches_triple_loop_oracle_at_service_size() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The bucket pass and the argsort oracle agree, including with
-    /// heavy score ties (duplicate scores: only up to 6 distinct
-    /// values).
-    #[test]
-    fn bucket_positions_match_argsort(
-        scores in proptest::collection::vec(0u8..6, 10..200),
-        pick_every in 2usize..7,
-    ) {
-        let scores: Vec<f64> = scores.into_iter().map(|s| f64::from(s) / 6.0).collect();
-        let pilot_ids: Vec<usize> = (0..scores.len()).step_by(pick_every).collect();
-        prop_assume!(!pilot_ids.is_empty());
-        let a = pilot_positions_argsort(&scores, &pilot_ids);
-        let b = pilot_positions_bucket(&scores, &pilot_ids);
-        prop_assert_eq!(&a, &b);
-    }
-
-    /// Positions are strictly increasing and within range.
+    /// A pilot index holds its positions strictly increasing and
+    /// within range, whatever order its entries arrive in.
     #[test]
     fn positions_strictly_increasing(
-        scores in proptest::collection::vec(0.0f64..1.0, 10..100),
+        picks in proptest::collection::vec(0usize..100, 1..40),
     ) {
-        let pilot_ids: Vec<usize> = (0..scores.len()).step_by(3).collect();
-        let pos = pilot_positions_bucket(&scores, &pilot_ids);
+        // Distinct positions, in the order they were drawn.
+        let mut seen = [false; 100];
+        let entries: Vec<(usize, bool)> = picks
+            .iter()
+            .filter(|&&p| !std::mem::replace(&mut seen[p], true))
+            .map(|&p| (p, p % 3 == 0))
+            .collect();
+        let m = entries.len();
+        let pilot = PilotIndex::new(100, entries).unwrap();
+        let pos = pilot.positions();
+        prop_assert_eq!(pos.len(), m);
         for w in pos.windows(2) {
             prop_assert!(w[0] < w[1]);
         }
-        prop_assert!(*pos.last().unwrap() < scores.len());
+        prop_assert!(*pos.last().unwrap() < 100);
     }
 
     /// `evaluate_cuts` of the fixed-height layout is finite whenever the

@@ -172,14 +172,19 @@ fn no_estimator_exceeds_budget_under_batching() {
         (
             "LWS-HT",
             Box::new(LwsHt {
-                learn,
-                ..LwsHt::default()
+                lws: Lws {
+                    learn,
+                    ..Lws::default()
+                },
             }),
         ),
         (
             "LWS-SEQ",
             Box::new(LwsSequential {
-                learn,
+                lws: Lws {
+                    learn,
+                    ..Lws::default()
+                },
                 ..LwsSequential::default()
             }),
         ),

@@ -28,8 +28,10 @@ fn estimators() -> Vec<(&'static str, Box<dyn CountEstimator>)> {
         (
             "LWS-HT",
             Box::new(LwsHt {
-                learn,
-                ..LwsHt::default()
+                lws: Lws {
+                    learn,
+                    ..Lws::default()
+                },
             }),
         ),
         (
