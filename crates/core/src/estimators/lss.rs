@@ -27,7 +27,9 @@ use crate::learnphase::LearnPhaseConfig;
 use crate::problem::Labeler;
 use crate::report::QualityForecast;
 use crate::warm::{fnv1a, LssWarm};
-use lts_sampling::{allocate, draw_stratified, stratified_count_estimate, StratumSample};
+use lts_sampling::{
+    allocate, sample_without_replacement, stratified_count_estimate, StratumSample,
+};
 use lts_strata::{
     design, fixed_height_cuts, fixed_width_cuts, Allocation, DesignAlgorithm, DesignParams,
     PilotIndex, Stratification, TSelection,
@@ -309,6 +311,24 @@ impl Lss {
     }
 }
 
+/// The `i`-th position from `start` on that is not in `marked`
+/// (ascending, all at or after `start`): the entry `i` of the list
+/// `(start..).filter(|p| !marked.contains(p))`, found by a binary search
+/// over `marked`, each of whose entries has `marked[j] − start − j`
+/// unmarked positions before it.
+pub(crate) fn nth_unmarked(marked: &[usize], start: usize, i: usize) -> usize {
+    let (mut lo, mut hi) = (0, marked.len());
+    while lo < hi {
+        let mid = (lo + hi) / 2;
+        if marked[mid] - start - mid <= i {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    start + i + lo
+}
+
 /// LSS stage 2: allocate the stage-2 budget over the state's designed
 /// strata from the pilot variances, draw, label, run the stratified
 /// estimator, and add the exactly-known positives. Returns the estimate
@@ -337,20 +357,16 @@ pub(crate) fn stage2_estimate(
         pilot_in[stratification.stratum_of(pos)].push(pos);
     }
 
-    // Remaining members (positions) per stratum.
-    let mut remainder: Vec<Vec<usize>> = Vec::with_capacity(n_strata_eff);
-    {
-        let mut pilot_set = vec![false; n_rest];
-        for &pos in pilot_positions {
-            pilot_set[pos] = true;
-        }
-        let mut start = 0usize;
-        for &size in &sizes {
-            let end = start + size;
-            remainder.push((start..end).filter(|&p| !pilot_set[p]).collect());
-            start = end;
-        }
-    }
+    // Per stratum, where it starts and how many of its positions the
+    // pilot leaves to draw from.
+    let starts: Vec<usize> = (sizes.iter())
+        .scan(0, |start, &size| {
+            Some(std::mem::replace(start, *start + size))
+        })
+        .collect();
+    let available: Vec<usize> = (sizes.iter().zip(&pilot_in))
+        .map(|(&size, pilots)| size - pilots.len())
+        .collect();
 
     // Allocation weights from pilot s_h (Neyman) or sizes
     // (proportional).
@@ -368,7 +384,6 @@ pub(crate) fn stage2_estimate(
         // must not starve a stratum of stage-2 samples.
         s_hats.push(sample.s_for_allocation());
     }
-    let available: Vec<usize> = remainder.iter().map(Vec::len).collect();
     let weights: Vec<f64> = match lss.allocation {
         Allocation::Neyman => sizes
             .iter()
@@ -408,13 +423,19 @@ pub(crate) fn stage2_estimate(
         }
     };
 
-    let draws = draw_stratified(rng, &remainder, &alloc)?;
+    // The draws `draw_stratified` makes over each stratum's remainder
+    // list, without the list: index `i` of a stratum's remainder is its
+    // `i`-th position the pilot does not hold.
     let mut samples = Vec::with_capacity(n_strata_eff);
     let mut pilot_positives = 0usize;
-    for (s, drawn) in draws.iter().enumerate() {
+    for s in 0..n_strata_eff {
+        let drawn: Vec<usize> = (sample_without_replacement(rng, alloc[s], available[s])?)
+            .into_iter()
+            .map(|i| nth_unmarked(&pilot_in[s], starts[s], i))
+            .collect();
         // One batched oracle call per stratum's stage-2 draw;
         // the pilot recount below hits only cached labels.
-        let drawn_objs = objects_at(drawn);
+        let drawn_objs = objects_at(&drawn);
         let positives = labeler.count_positives(&drawn_objs)?;
         let pilot_objs = objects_at(&pilot_in[s]);
         pilot_positives += labeler.count_positives(&pilot_objs)?;
@@ -457,6 +478,27 @@ mod tests {
             },
             min_pilots_per_stratum: 2,
             ..Lss::default()
+        }
+    }
+
+    #[test]
+    fn nth_unmarked_is_the_filtered_lists_entry() {
+        for (start, marked) in [
+            (0, vec![]),
+            (0, vec![0, 1, 2]),
+            (5, vec![5, 7, 8, 12]),
+            (3, vec![4, 9, 10, 11, 20]),
+        ] {
+            let list: Vec<usize> = (start..start + 30)
+                .filter(|p| !marked.contains(p))
+                .collect();
+            for (i, &want) in list.iter().enumerate() {
+                assert_eq!(
+                    nth_unmarked(&marked, start, i),
+                    want,
+                    "{start} {marked:?} {i}"
+                );
+            }
         }
     }
 

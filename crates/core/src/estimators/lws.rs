@@ -155,7 +155,10 @@ impl CountEstimator for Lws {
         self.run(self.name(), problem, budget, rng, |rest, n, oracle, rng| {
             let weights = rest.weights(self.epsilon);
             let draws = weighted_sample_es(rng, &weights, n)?;
-            let objs: Vec<usize> = draws.iter().map(|d| rest.members()[d.index]).collect();
+            let objs: Vec<usize> = draws
+                .iter()
+                .map(|d| rest.members()[d.index] as usize)
+                .collect();
             let labels = oracle.label_batch(&objs)?;
             let mut desraj = DesRaj::new(rest.len())?;
             for (d, label) in draws.iter().zip(labels) {

@@ -47,7 +47,10 @@ impl CountEstimator for LwsHt {
             let weights = rest.weights(lws.epsilon);
             let draws = systematic_pps_sample(rng, &weights, n)?;
             // One batched oracle call for the whole systematic sample.
-            let objs: Vec<usize> = draws.iter().map(|d| rest.members()[d.index]).collect();
+            let objs: Vec<usize> = draws
+                .iter()
+                .map(|d| rest.members()[d.index] as usize)
+                .collect();
             let labels = oracle.label_batch(&objs)?;
             let pairs: Vec<(f64, bool)> = draws
                 .iter()

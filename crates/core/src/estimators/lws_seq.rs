@@ -70,14 +70,14 @@ impl CountEstimator for LwsSequential {
                 let prefix = self.min_draws.max(2).min(plan.len());
                 let prefix_objs: Vec<usize> = plan[..prefix]
                     .iter()
-                    .map(|d| rest.members()[d.index])
+                    .map(|d| rest.members()[d.index] as usize)
                     .collect();
                 oracle.label_batch(&prefix_objs)?;
                 let mut desraj = DesRaj::new(rest.len())?;
                 let mut notes = Vec::new();
                 let mut used = 0usize;
                 for d in &plan {
-                    let label = oracle.label(rest.members()[d.index])?;
+                    let label = oracle.label(rest.members()[d.index] as usize)?;
                     desraj.push(label, d.initial_probability)?;
                     used += 1;
                     if used >= self.min_draws.max(2) {

@@ -24,7 +24,7 @@ pub struct Ssp {
     /// removal).
     pub grid: (usize, usize),
     /// Which two feature columns to grid (indices into the problem's
-    /// feature matrix).
+    /// feature columns).
     pub feature_dims: (usize, usize),
     /// Minimum samples per (non-empty) stratum.
     pub min_per_stratum: usize,

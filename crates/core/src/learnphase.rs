@@ -86,15 +86,16 @@ pub fn run_learn_phase(
     }
 
     // Split the budget between the initial SRS and augmentation steps.
-    let (mut initial, augment) = match config.augment {
+    // The initial SRS keeps at least 2 labels, and the two parts spend
+    // exactly the training budget.
+    let (initial, augment) = match config.augment {
         Some(a) if a.steps > 0 && a.per_step > 0 => {
             let want = a.steps * a.per_step;
-            let reserved = want.min(train_budget / 2);
+            let reserved = want.min(train_budget / 2).min(train_budget - 2);
             (train_budget - reserved, Some((a, reserved)))
         }
         _ => (train_budget, None),
     };
-    initial = initial.max(2);
 
     let mut labeled = sample_without_replacement(rng, initial, n)?;
     // One batched oracle call for the whole initial training sample.

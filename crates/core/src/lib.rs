@@ -46,7 +46,7 @@ pub use estimators::{
     CountEstimator, Lss, LssLayout, Lws, LwsHt, LwsSequential, PilotHandling, PilotSource, Qlac,
     Qlcc, Srs, Ssn, Ssp,
 };
-pub use feature::{features_from_columns, FeatureView};
+pub use feature::FeatureView;
 pub use learnphase::{LearnPhaseConfig, LearnedModel};
 pub use plan::{restrict_problem, select_prefilter, PhysicalPlan, PrefilterSelection};
 pub use problem::{CountingProblem, Labeler};
@@ -54,4 +54,4 @@ pub use report::{EstimateReport, PhaseTimings, QualityForecast};
 pub use runner::{run_trials, run_trials_with, TrialExecution, TrialStats};
 pub use scoring::{feature_column, surrogate_grid_strata, OrderedPopulation, ScoredPopulation};
 pub use spec::ClassifierSpec;
-pub use warm::{fnv1a, mix_seed, LssParts, LssWarm, ModelSnapshot, TrainedProxy};
+pub use warm::{fnv1a, fnv1a_extend, mix_seed, LssParts, LssWarm, ModelSnapshot, TrainedProxy};

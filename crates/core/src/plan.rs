@@ -13,7 +13,7 @@
 //! 2. **Restriction** ([`restrict_problem`],
 //!    [`PhysicalPlan::over_survivors`]): the residual becomes a
 //!    [`CountingProblem`] over just the survivors — a sub-population
-//!    view sharing the parent's table and feature matrix and the
+//!    view sharing the parent's table (its feature columns too) and the
 //!    survivor id list (`u32`, read by its feature view and its
 //!    predicate alike, and by every other plan handed the same list —
 //!    the selection depends on the prefilter alone, so queries that
@@ -129,7 +129,7 @@ fn shared_ids(survivors: &[usize]) -> CoreResult<Arc<[u32]>> {
 }
 
 /// Restrict `parent` to the given surviving global row ids: the
-/// parent's table and feature matrix (shared, not copied), one `u32` id
+/// parent's table and feature columns (shared, not copied), one `u32` id
 /// list that the delegating predicate (global ids through the parent
 /// meter) and the feature view both read, and the parent's confidence
 /// level.

@@ -1,9 +1,9 @@
 //! The counting problem and the budget-tracking labeler.
 
 use crate::error::{CoreError, CoreResult};
-use crate::feature::{features_from_columns, FeatureView};
+use crate::feature::FeatureView;
 use lts_learn::Matrix;
-use lts_table::{Metered, ObjectPredicate, PredicateStats, Table, TableError, TableResult};
+use lts_table::{Column, Metered, ObjectPredicate, PredicateStats, Table, TableError, TableResult};
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
@@ -12,18 +12,19 @@ use std::sync::{Arc, OnceLock};
 /// expensive predicate `q` (paper Q3) behind a metering wrapper. The two
 /// coincide for a whole-table problem; a sub-population
 /// ([`crate::plan::restrict_problem`]) shares its parent's table and
-/// feature matrix and owns only its `u32` id list, which its predicate
-/// and its feature view share.
+/// feature columns and owns only its `u32` id list, which its predicate
+/// and its feature view share. The features are the table's own
+/// columns: no problem keeps a copy of them.
 pub struct CountingProblem {
     objects: Arc<Table>,
     predicate: Arc<Metered<Arc<dyn ObjectPredicate>>>,
-    /// The dataset's feature matrix, shared by every problem over it.
-    features: Arc<Matrix>,
-    /// Local row `i` is row `rows[i]` of `features`; `None` for a
-    /// whole-table problem.
+    /// Schema indices of the feature columns in `objects`, shared by a
+    /// problem's sub-populations.
+    features: Arc<[usize]>,
+    /// Local row `i` is table row `rows[i]`; `None` for a whole-table
+    /// problem.
     rows: Option<Arc<[u32]>>,
-    /// A sub-population's [`CountingProblem::features`], gathered on
-    /// first call.
+    /// [`CountingProblem::features`], gathered on first call.
     gathered: OnceLock<Matrix>,
     level: f64,
 }
@@ -39,54 +40,51 @@ pub(crate) fn narrow_ids(ids: &[usize]) -> Result<Vec<u32>, usize> {
 }
 
 impl CountingProblem {
-    /// Build a problem, extracting features from the named columns (the
-    /// paper's "attributes referenced in q" heuristic).
+    /// Build a problem whose features are the named columns of
+    /// `objects` (the paper's "attributes referenced in q" heuristic),
+    /// read in place: ints and bools convert to floats on read.
     ///
     /// # Errors
     ///
-    /// Returns an error for unknown/non-numeric feature columns or an
-    /// empty object set.
+    /// Returns an error for an empty column list, unknown or non-numeric
+    /// feature columns, or an empty object set.
     pub fn new(
         objects: Arc<Table>,
         predicate: Arc<dyn ObjectPredicate>,
         feature_columns: &[&str],
     ) -> CoreResult<Self> {
-        let features = features_from_columns(&objects, feature_columns)?;
-        Self::with_features(objects, predicate, features)
-    }
-
-    /// Build a problem from a pre-computed feature matrix — owned, or an
-    /// `Arc` shared by every problem over the same table.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the matrix row count differs from the object
-    /// count or the object set is empty.
-    pub fn with_features(
-        objects: Arc<Table>,
-        predicate: Arc<dyn ObjectPredicate>,
-        features: impl Into<Arc<Matrix>>,
-    ) -> CoreResult<Self> {
-        let (n, features) = (objects.len(), features.into());
-        if n == 0 {
+        if feature_columns.is_empty() {
             return Err(CoreError::InvalidConfig {
-                message: "object set is empty".into(),
+                message: "feature column list is empty".into(),
             });
         }
-        if features.rows() != n {
+        let features = (feature_columns.iter())
+            .map(|name| {
+                let index = objects.schema().index_of(name)?;
+                match objects.column(index)? {
+                    Column::Str(_) => Err(TableError::TypeMismatch {
+                        expected: "numeric column",
+                        found: "str".into(),
+                    }),
+                    _ => Ok(index),
+                }
+            })
+            .collect::<TableResult<Arc<[usize]>>>()?;
+        if objects.is_empty() {
             return Err(CoreError::InvalidConfig {
-                message: format!("feature rows ({}) != objects ({n})", features.rows()),
+                message: "object set is empty".into(),
             });
         }
         Ok(Self::over(objects, predicate, features, None))
     }
 
     /// A problem whose predicate evaluates against `objects` and whose
-    /// rows are `features`, read through `rows` when given.
+    /// feature rows are its `features` columns, read through `rows` when
+    /// given.
     fn over(
         objects: Arc<Table>,
         predicate: Arc<dyn ObjectPredicate>,
-        features: Arc<Matrix>,
+        features: Arc<[usize]>,
         rows: Option<Arc<[u32]>>,
     ) -> Self {
         Self {
@@ -124,10 +122,10 @@ impl CountingProblem {
 
     /// The sub-population of this problem whose local row `i` is row
     /// `ids[i]` of this one (`ids` non-empty): it shares this problem's
-    /// table and feature matrix, and its predicate is a
+    /// table and feature columns, and its predicate is a
     /// [`SubPopulation`] that labels through **this** problem's metered
     /// predicate, named `<q>` + `suffix`. Its feature view reads the
-    /// matrix through `ids` — the same list the predicate holds — or,
+    /// columns through `ids` — the same list the predicate holds — or,
     /// when this problem is itself a sub-population, through `ids`
     /// composed with this problem's own list. The confidence level
     /// carries over.
@@ -141,7 +139,7 @@ impl CountingProblem {
         ids: Arc<[u32]>,
         suffix: &str,
     ) -> CoreResult<CountingProblem> {
-        // The views index the matrix with these: reject a bad one here.
+        // The views index the columns with these: reject a bad one here.
         let len = self.n();
         if let Some(&index) = ids.iter().find(|&&i| i as usize >= len) {
             let index = index as usize;
@@ -161,24 +159,24 @@ impl CountingProblem {
     }
 
     /// The per-object feature rows, as every reader in this crate sees
-    /// them: the dataset's matrix, through the id list of a
+    /// them: the table's feature columns, through the id list of a
     /// sub-population.
     pub fn feature_view(&self) -> FeatureView<'_> {
-        FeatureView::new(&self.features, self.rows.as_ref())
+        FeatureView::new(&self.objects, &self.features, self.rows.as_ref())
     }
 
-    /// Per-object features as one matrix. A whole-table problem returns
-    /// the dataset's; a sub-population gathers its rows on the first
-    /// call and keeps them — `8·d` bytes per member, which is why no
-    /// estimator or served path calls this (they read
-    /// [`CountingProblem::feature_view`]).
+    /// Per-object features as one matrix, gathered on the first call and
+    /// kept — `8·d` bytes per object, which is why no estimator or served
+    /// path calls this (they read [`CountingProblem::feature_view`]).
     pub fn features(&self) -> &Matrix {
-        match &self.rows {
-            None => &self.features,
-            Some(rows) => self
-                .gathered
-                .get_or_init(|| self.features.gather_iter(rows.iter().map(|&i| i as usize))),
-        }
+        self.gathered
+            .get_or_init(|| self.feature_view().gather_all())
+    }
+
+    /// Whether [`CountingProblem::features`] has been called, and the
+    /// problem so holds a gathered copy of its feature rows.
+    pub fn has_gathered_features(&self) -> bool {
+        self.gathered.get().is_some()
     }
 
     /// Evaluate `q` on one object (metered).
@@ -543,10 +541,9 @@ mod tests {
     fn with_level_and_validation() {
         let p = problem().with_level(0.9);
         assert_eq!(p.level(), 0.9);
-        let t = Arc::new(table_of_floats(&[("v", &[1.0])]).unwrap());
+        let t = Arc::new(table_of_floats(&[("v", &[])]).unwrap());
         let pred: Arc<dyn ObjectPredicate> =
             Arc::new(FnPredicate::new("any", |_: &Table, _| Ok(true)));
-        let bad_features = Matrix::from_rows(&[vec![1.0], vec![2.0]]).unwrap();
-        assert!(CountingProblem::with_features(t, pred, bad_features).is_err());
+        assert!(CountingProblem::new(t, pred, &["v"]).is_err());
     }
 }

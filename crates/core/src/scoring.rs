@@ -68,10 +68,11 @@ const GATHER_ROWS: usize = 1024;
 
 /// A population subset scored by a proxy classifier `g`.
 ///
-/// `members` are ascending object ids; `scores[k] = g(members[k])`.
+/// `members` are ascending object ids, `u32` as every id list a problem
+/// keeps; `scores[k] = g(members[k])`.
 #[derive(Debug, Clone)]
 pub struct ScoredPopulation {
-    members: Vec<usize>,
+    members: Vec<u32>,
     scores: Vec<f64>,
 }
 
@@ -87,7 +88,7 @@ impl ScoredPopulation {
     pub fn score_members(
         problem: &CountingProblem,
         model: &dyn Classifier,
-        members: Vec<usize>,
+        members: Vec<u32>,
     ) -> CoreResult<Self> {
         let parts = auto_partitions(members.len());
         Self::score_members_partitioned(problem, model, members, parts)
@@ -104,11 +105,13 @@ impl ScoredPopulation {
     pub fn score_members_partitioned(
         problem: &CountingProblem,
         model: &dyn Classifier,
-        members: Vec<usize>,
+        members: Vec<u32>,
         n_partitions: usize,
     ) -> CoreResult<Self> {
         let n = problem.n();
-        if members.windows(2).any(|w| w[0] >= w[1]) || members.last().is_some_and(|&m| m >= n) {
+        if members.windows(2).any(|w| w[0] >= w[1])
+            || members.last().is_some_and(|&m| m as usize >= n)
+        {
             return Err(CoreError::InvalidConfig {
                 message: "scored members must be strictly ascending object ids".into(),
             });
@@ -125,7 +128,7 @@ impl ScoredPopulation {
             .map(|(lo, hi)| {
                 let mut out = Vec::with_capacity(hi - lo);
                 for block in members[lo..hi].chunks(GATHER_ROWS) {
-                    out.extend(model.score_batch(&features.gather(block))?);
+                    out.extend(model.score_batch(&features.gather_members(block))?);
                 }
                 Ok(out)
             })
@@ -143,7 +146,7 @@ impl ScoredPopulation {
     ///
     /// Propagates scoring failures.
     pub fn score_all(problem: &CountingProblem, model: &dyn Classifier) -> CoreResult<Self> {
-        Self::score_members(problem, model, (0..problem.n()).collect())
+        Self::score_rest(problem, model, &[])
     }
 
     /// Score `O \ exclude` (the "rest" population every phase-2 draw
@@ -167,7 +170,12 @@ impl ScoredPopulation {
             }
             excluded[i] = true;
         }
-        let members: Vec<usize> = (0..n).filter(|&i| !excluded[i]).collect();
+        let Ok(top) = u32::try_from(n) else {
+            return Err(CoreError::InvalidConfig {
+                message: format!("N = {n} does not fit 32-bit ids"),
+            });
+        };
+        let members: Vec<u32> = (0..top).filter(|&i| !excluded[i as usize]).collect();
         Self::score_members(problem, model, members)
     }
 
@@ -182,7 +190,7 @@ impl ScoredPopulation {
     }
 
     /// The member object ids (ascending).
-    pub fn members(&self) -> &[usize] {
+    pub fn members(&self) -> &[u32] {
         &self.members
     }
 
@@ -206,7 +214,14 @@ impl ScoredPopulation {
 
     /// Consume into the `(score, id)`-ordered population.
     pub fn into_ordered(self) -> OrderedPopulation {
-        OrderedPopulation::new(self)
+        OrderedPopulation::new(self, true)
+    }
+
+    /// [`ScoredPopulation::into_ordered`] keeping the sorted scores only
+    /// when `keep_scores` (the one reader is the fixed-width layout):
+    /// otherwise [`OrderedPopulation::sorted_scores`] is empty.
+    pub(crate) fn into_ordered_keeping(self, keep_scores: bool) -> OrderedPopulation {
+        OrderedPopulation::new(self, keep_scores)
     }
 }
 
@@ -220,26 +235,31 @@ impl ScoredPopulation {
 #[derive(Debug, Clone)]
 pub struct OrderedPopulation {
     /// position → object id.
-    order: Vec<usize>,
-    /// Scores sorted to match `order`.
+    order: Vec<u32>,
+    /// Scores sorted to match `order` (empty unless kept).
     sorted_scores: Vec<f64>,
 }
 
 impl OrderedPopulation {
-    fn new(sp: ScoredPopulation) -> Self {
-        // One `u128` per member: the score's bits, flipped so that
-        // unsigned order is `total_cmp` order, above the local index
-        // (`members` ascend, so index ties are id ties). Unique keys: an
-        // unstable sort gives the stable composite order.
-        let key = |(s, k): (&f64, u128)| {
-            let b = s.to_bits();
-            u128::from(b ^ ((b as i64 >> 63) as u64 | 1 << 63)) << 64 | k
+    /// Order `sp`'s members by `(score, id)`: a stable sort of the
+    /// ascending local indices by `total_cmp` of their scores, so ties
+    /// keep index order, which is id order (`members` ascend). A proxy's
+    /// scores tie heavily (a served forest gives 8 000 objects under a
+    /// hundred distinct scores), which a stable sort's runs take in
+    /// stride. The scores go once the order (and, when kept, the sorted
+    /// scores) exists.
+    fn new(sp: ScoredPopulation, keep_scores: bool) -> Self {
+        let ScoredPopulation { members, scores } = sp;
+        let mut order: Vec<u32> = (0..scores.len()).map(|k| k as u32).collect();
+        order.sort_by(|&a, &b| scores[a as usize].total_cmp(&scores[b as usize]));
+        let sorted_scores = match keep_scores {
+            true => order.iter().map(|&k| scores[k as usize]).collect(),
+            false => Vec::new(),
         };
-        let mut keys: Vec<u128> = sp.scores.iter().zip(0..).map(key).collect();
-        keys.sort_unstable();
-        let idx = keys.iter().map(|&key| key as u64 as usize);
-        let order: Vec<usize> = idx.clone().map(|k| sp.members[k]).collect();
-        let sorted_scores: Vec<f64> = idx.map(|k| sp.scores[k]).collect();
+        drop(scores);
+        for k in &mut order {
+            *k = members[*k as usize];
+        }
         Self {
             order,
             sorted_scores,
@@ -252,23 +272,29 @@ impl OrderedPopulation {
     }
 
     /// position → object id, for the whole ordering.
-    pub fn order(&self) -> &[usize] {
+    pub fn order(&self) -> &[u32] {
         &self.order
     }
 
-    /// Scores in order (ascending by the composite key).
+    /// Scores in order (ascending by the composite key); empty when the
+    /// ordering was built without them.
     pub fn sorted_scores(&self) -> &[f64] {
         &self.sorted_scores
     }
 
     /// Object id at a position of the ordering.
     pub fn object_at(&self, position: usize) -> usize {
-        self.order[position]
+        self.order[position] as usize
+    }
+
+    /// The ordering and the sorted scores, as owned buffers.
+    pub(crate) fn into_parts(self) -> (Vec<u32>, Vec<f64>) {
+        (self.order, self.sorted_scores)
     }
 
     /// Object ids for a batch of positions (aligned with `positions`).
     pub fn objects_at(&self, positions: &[usize]) -> Vec<usize> {
-        positions.iter().map(|&p| self.order[p]).collect()
+        positions.iter().map(|&p| self.object_at(p)).collect()
     }
 
     /// Positions (ascending) whose object is marked in `mask` (indexed
@@ -277,7 +303,7 @@ impl OrderedPopulation {
         self.order
             .iter()
             .enumerate()
-            .filter(|&(_, &obj)| mask[obj])
+            .filter(|&(_, &obj)| mask[obj as usize])
             .map(|(pos, _)| pos)
             .collect()
     }
@@ -294,8 +320,7 @@ impl OrderedPopulation {
 }
 
 /// Extract feature column `dim` from the problem's feature rows in one
-/// pass (strided over the row-major buffer, through a sub-population's
-/// ids).
+/// pass (the table's column, through a sub-population's ids).
 ///
 /// # Errors
 ///
@@ -310,7 +335,7 @@ pub fn feature_column(problem: &CountingProblem, dim: usize) -> CoreResult<Vec<f
             ),
         });
     }
-    Ok((0..features.rows()).map(|i| features.row(i)[dim]).collect())
+    Ok(features.column(dim))
 }
 
 /// Build the §3.1 surrogate-attribute strata: a `grid.0 × grid.1` grid
@@ -361,10 +386,14 @@ mod tests {
     fn scores_match_per_row_loop_at_every_partition_count() {
         let problem = line_problem(230, 0.4);
         let model = fitted_knn(&problem);
-        let members: Vec<usize> = (0..230).filter(|i| i % 3 != 0).collect();
+        let members: Vec<u32> = (0..230).filter(|i| i % 3 != 0).collect();
         let per_row: Vec<f64> = members
             .iter()
-            .map(|&i| model.score(problem.feature_view().row(i)).unwrap())
+            .map(|&i| {
+                model
+                    .score(&problem.feature_view().row(i as usize))
+                    .unwrap()
+            })
             .collect();
         for parts in [1usize, 2, 3, 8, 64, 500] {
             let sp = ScoredPopulation::score_members_partitioned(
@@ -386,7 +415,7 @@ mod tests {
         let exclude = vec![0usize, 10, 59];
         let sp = ScoredPopulation::score_rest(&problem, &model, &exclude).unwrap();
         assert_eq!(sp.len(), 57);
-        assert!(!exclude.iter().any(|e| sp.members().contains(e)));
+        assert!(!exclude.iter().any(|&e| sp.members().contains(&(e as u32))));
         // Out-of-range exclusions error instead of panicking.
         assert!(ScoredPopulation::score_rest(&problem, &model, &[60]).is_err());
         let all = ScoredPopulation::score_all(&problem, &model).unwrap();
@@ -419,7 +448,7 @@ mod tests {
         let ordered = ScoredPopulation::score_all(&problem, &model)
             .unwrap()
             .into_ordered();
-        let want: Vec<usize> = (0..50).collect();
+        let want: Vec<u32> = (0..50).collect();
         assert_eq!(ordered.order(), want.as_slice());
         assert_eq!(ordered.n(), 50);
         assert_eq!(ordered.object_at(7), 7);
@@ -444,10 +473,22 @@ mod tests {
         scores.extend((0..300).map(|i| f64::from(i * 37 % 11) / 10.0 - 0.3));
         let mut idx: Vec<usize> = (0..scores.len()).collect();
         idx.sort_by(|&a, &b| scores[a].total_cmp(&scores[b]).then(a.cmp(&b)));
-        let want: Vec<usize> = idx.iter().map(|&k| 3 * k + 1).collect();
-        let members = (0..scores.len()).map(|i| 3 * i + 1).collect();
-        let ordered = ScoredPopulation { members, scores }.into_ordered();
+        let want: Vec<u32> = idx.iter().map(|&k| 3 * k as u32 + 1).collect();
+        let want_scores: Vec<u64> = idx.iter().map(|&k| scores[k].to_bits()).collect();
+        let members = (0..scores.len() as u32).map(|i| 3 * i + 1).collect();
+        let scored = ScoredPopulation { members, scores };
+        let ordered = scored.clone().into_ordered();
         assert_eq!(ordered.order(), want.as_slice());
+        // The sorted scores read back from the keys, bit for bit.
+        let bits: Vec<u64> = ordered
+            .sorted_scores()
+            .iter()
+            .map(|s| s.to_bits())
+            .collect();
+        assert_eq!(bits, want_scores);
+        let lean = scored.into_ordered_keeping(false);
+        assert_eq!(lean.order(), want.as_slice());
+        assert!(lean.sorted_scores().is_empty());
     }
 
     #[test]
@@ -482,7 +523,7 @@ mod tests {
     fn member_validation() {
         let problem = line_problem(20, 0.5);
         let model = ConstantScore::new(0.5);
-        for bad in [vec![3usize, 3], vec![5, 2], vec![19, 20]] {
+        for bad in [vec![3u32, 3], vec![5, 2], vec![19, 20]] {
             assert!(
                 ScoredPopulation::score_members(&problem, &model, bad.clone()).is_err(),
                 "{bad:?} accepted"

@@ -42,8 +42,8 @@
 //! no fit, no scoring pass, no sort, no design run.
 
 use crate::error::{CoreError, CoreResult};
-use crate::estimators::lss::{stage2_estimate, LssBudgetSplit};
-use crate::estimators::{check_budget, CountEstimator, Lss, PilotSource};
+use crate::estimators::lss::{nth_unmarked, stage2_estimate, LssBudgetSplit};
+use crate::estimators::{check_budget, CountEstimator, Lss, LssLayout, PilotSource};
 use crate::learnphase::{run_learn_phase, LearnPhaseConfig};
 use crate::problem::{CountingProblem, Labeler};
 use crate::report::{EstimateReport, Phase, PhaseTimer};
@@ -106,7 +106,13 @@ pub fn mix_seed(a: u64, b: u64) -> u64 {
 
 /// FNV-1a over a byte slice — the workspace's cheap stable digest.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
+    fnv1a_extend(0xCBF2_9CE4_8422_2325, bytes)
+}
+
+/// Fold more bytes into an FNV-1a digest: `fnv1a_extend(fnv1a(a), b)`
+/// is `fnv1a` of `a` followed by `b`, so a stream can be digested as it
+/// is written.
+pub fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01B3);
@@ -268,19 +274,23 @@ pub(crate) struct PackedIds {
 }
 
 impl PackedIds {
-    /// Pack `ids` at the width of the largest. Returns that id when it
+    /// Pack `ids` at the width of the largest. Returns the first id that
     /// does not fit in 32 bits.
-    pub(crate) fn pack(ids: &[usize]) -> Result<Self, usize> {
-        let max = ids.iter().copied().max().unwrap_or(0);
-        let width = u32::try_from(max).map_err(|_| max)?;
-        let width = (u32::BITS - width.leading_zeros()).max(1);
+    pub(crate) fn pack<T: Copy + TryInto<u32>>(ids: &[T]) -> Result<Self, T> {
+        let narrow = |&id: &T| id.try_into().map_err(|_| id);
+        let max = ids
+            .iter()
+            .try_fold(0u32, |max, id| Ok(max.max(narrow(id)?)))?;
+        let width = (u32::BITS - max.leading_zeros()).max(1);
         let w = width as usize;
         let mut words = vec![0u64; (ids.len() * w).div_ceil(64)];
-        for (i, &id) in ids.iter().enumerate() {
+        for (i, id) in ids.iter().enumerate() {
+            // Every id was narrowed above.
+            let id = u64::from(narrow(id).unwrap_or(0));
             let (word, shift) = (i * w / 64, i * w % 64);
-            words[word] |= (id as u64) << shift;
+            words[word] |= id << shift;
             if shift + w > 64 {
-                words[word + 1] |= (id as u64) >> (64 - shift);
+                words[word + 1] |= id >> (64 - shift);
             }
         }
         Ok(Self {
@@ -646,7 +656,7 @@ impl Lss {
         // paper's description); with ReuseLearning it covers all of O so
         // the S_L labels can serve as design pilots at their own
         // positions. `train_positions` are the positions of S_L within
-        // the ordering (empty in Fresh mode).
+        // the ordering (ascending; empty in Fresh mode).
         let reuse = self.pilot_source == PilotSource::ReuseLearning;
         let (ordered, train_positions, proxy) = run.timer.phase(Phase::Phase2, || {
             let scored = observed_phase(lts_obs::Phase::Score, || {
@@ -660,12 +670,15 @@ impl Lss {
             // table) is dropped before the ordering allocates, and the
             // state keeps its record.
             let proxy = proxy.into_snapshot();
-            let ordered = scored.into_ordered();
-            let mut in_train = vec![false; problem.n()];
-            for &i in &proxy.labeled {
-                in_train[i] = true;
+            let ordered = scored.into_ordered_keeping(self.layout == LssLayout::FixedWidth);
+            let mut train_positions = Vec::new();
+            if reuse {
+                let mut in_train = vec![false; problem.n()];
+                for &i in &proxy.labeled {
+                    in_train[i] = true;
+                }
+                train_positions = ordered.positions_marked(&in_train);
             }
-            let train_positions = ordered.positions_marked(&in_train);
             CoreResult::Ok((ordered, train_positions, proxy))
         })?;
         let n_rest = ordered.n();
@@ -679,7 +692,7 @@ impl Lss {
         }
 
         let mut design_notes = Vec::new();
-        let (entries, stratification) = run.timer.phase(Phase::Design, || -> CoreResult<_> {
+        let (entries, order, stratification) = run.timer.phase(Phase::Design, || {
             // Draw SI uniformly over *positions* of the ordering
             // (equivalent to uniform over objects). The S_L positions
             // (reuse mode only) are excluded from the draw and injected
@@ -689,28 +702,30 @@ impl Lss {
                 if let Some(seed) = run.pilot_seed {
                     *run.rng = StdRng::seed_from_u64(seed);
                 }
-                let mut is_train = vec![false; n_rest];
-                for &pos in &train_positions {
-                    is_train[pos] = true;
-                }
-                let candidates: Vec<usize> = (0..n_rest).filter(|&p| !is_train[p]).collect();
-                let draws = sample_without_replacement(run.rng, split.pilot, candidates.len())?;
-                let mut positions: Vec<usize> = draws.into_iter().map(|i| candidates[i]).collect();
+                let draws = sample_without_replacement(run.rng, split.pilot, n_drawable)?;
+                let mut positions: Vec<usize> = (draws.into_iter())
+                    .map(|i| nth_unmarked(&train_positions, 0, i))
+                    .collect();
                 positions.extend_from_slice(&train_positions);
                 let labels = run.labeler.label_batch(&ordered.objects_at(&positions))?;
                 Ok(positions.into_iter().zip(labels).collect::<Vec<_>>())
             })?;
             let pilot = ordered.pilot_index(&entries)?;
+            // The ordering's last read was the pilot's objects: it is
+            // packed before the design allocates.
+            let (order, sorted_scores) = ordered.into_parts();
+            let packed = PackedIds::pack(&order).expect("a u32 id fits in 32 bits");
+            drop(order);
             let stratification = observed_phase(lts_obs::Phase::Design, || {
                 self.layout_cuts(
                     &pilot,
-                    ordered.sorted_scores(),
+                    &sorted_scores,
                     n_rest,
                     split.stage2,
                     &mut design_notes,
                 )
             })?;
-            Ok((entries, stratification))
+            CoreResult::Ok((entries, packed, stratification))
         })?;
 
         // Store the pilot sorted by position with aligned labels.
@@ -719,9 +734,6 @@ impl Lss {
         let (pilot_positions, pilot_labels): (Vec<usize>, Vec<bool>) =
             sorted_entries.into_iter().unzip();
 
-        let order = PackedIds::pack(ordered.order()).map_err(|id| CoreError::InvalidConfig {
-            message: format!("ordered id {id} does not fit in 32 bits"),
-        })?;
         Ok(LssWarm {
             proxy,
             order,
@@ -968,7 +980,7 @@ mod tests {
             assert_eq!((packed.len(), packed.get(0)), (1, one));
         }
         assert_eq!(PackedIds::pack(&[u32::MAX as usize]).unwrap().width, 32);
-        assert_eq!(PackedIds::pack(&[]).unwrap().iter().len(), 0);
+        assert_eq!(PackedIds::pack::<u32>(&[]).unwrap().iter().len(), 0);
         let past = 1usize << 32;
         assert!(matches!(PackedIds::pack(&[5, past, 7]), Err(id) if id == past));
     }

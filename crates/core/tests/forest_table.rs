@@ -47,7 +47,7 @@ fn check(problem: &CountingProblem, name: &str, seed: u64) {
             ScoredPopulation::score_rest(problem, proxy.model.as_ref(), &proxy.labeled).unwrap();
         assert_eq!(scored.len(), ROWS - train);
         for (&id, &score) in scored.members().iter().zip(scored.scores()) {
-            let want = walk(&forest, problem.features().row(id));
+            let want = walk(&forest, problem.features().row(id as usize));
             assert_eq!(
                 score.to_bits(),
                 want.to_bits(),

@@ -15,9 +15,10 @@ mod common;
 
 use common::band_problem;
 use lts_core::{
-    CountEstimator, Lss, LssLayout, Lws, LwsHt, LwsSequential, PilotHandling, PilotSource, Qlac,
-    Qlcc,
+    CountEstimator, LearnPhaseConfig, Lss, LssLayout, Lws, LwsHt, LwsSequential, PilotHandling,
+    PilotSource, Qlac, Qlcc,
 };
+use lts_learn::AugmentConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -134,5 +135,30 @@ fn one_shot_estimates_match_the_pinned_bits() {
             );
             assert_eq!(got, *pin, "{name}, seed {seed}");
         }
+    }
+}
+
+/// With augmentation on, a training budget of 2 is spent whole on the
+/// initial sample: the augmentation steps get no label of their own, so
+/// the estimator labels 2 objects, not 3. (Budgets of 3 and more split
+/// as before, as the pins above show.)
+#[test]
+fn augmentation_never_spends_past_a_budget_of_two() {
+    let problem = band_problem(600, 17);
+    let qlcc = Qlcc {
+        learn: LearnPhaseConfig {
+            augment: Some(AugmentConfig {
+                steps: 1,
+                per_step: 5,
+                pool_size: 50,
+            }),
+            ..LearnPhaseConfig::default()
+        },
+    };
+    for seed in SEEDS {
+        let r = qlcc
+            .estimate(&problem, 2, &mut StdRng::seed_from_u64(seed))
+            .unwrap();
+        assert_eq!(r.evals, 2, "seed {seed}");
     }
 }

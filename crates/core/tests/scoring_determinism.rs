@@ -29,7 +29,7 @@ fn fitted_forest(problem: &CountingProblem) -> RandomForest {
 fn scores_and_ordering_identical_across_partition_counts() {
     let problem = band_problem(700, 5);
     let model = fitted_forest(&problem);
-    let members: Vec<usize> = (0..700).collect();
+    let members: Vec<u32> = (0..700).collect();
     let reference =
         ScoredPopulation::score_members_partitioned(&problem, &model, members.clone(), 1).unwrap();
     let ref_ordered = reference.clone().into_ordered();
@@ -56,7 +56,7 @@ fn ordering_is_stable_sort_by_score_then_id() {
     let ordered = ScoredPopulation::score_all(&problem, &ConstantScore::new(0.5))
         .unwrap()
         .into_ordered();
-    let ids: Vec<usize> = (0..300).collect();
+    let ids: Vec<u32> = (0..300).collect();
     assert_eq!(ordered.order(), ids.as_slice());
 
     // Heavy ties: kNN scores take at most k+1 distinct values, so most

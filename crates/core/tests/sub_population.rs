@@ -1,7 +1,7 @@
 //! A sub-population (prefilter survivors) checks its local ids: one
 //! past its end is an error raised before the parent problem is
 //! touched — never a panic, never a neighbouring row's label. It reads
-//! the root's feature matrix through its id list, and what it reads —
+//! the root table's feature columns through its id list, and what it reads —
 //! and what LSS makes of it — is what an eager copy of its rows gave.
 
 mod common;
@@ -56,22 +56,22 @@ fn out_of_range_members_are_errors_at_construction_not_panics() {
     }
 }
 
-/// Sub-populations share their parent's table and feature matrix:
-/// nothing is copied but the id list.
+/// Sub-populations share their parent's table, whose columns their
+/// features are: nothing is copied but the id list.
 #[test]
 fn sub_populations_share_the_parents_table() {
     let problem = band_problem(200, 5);
     let survivors = restrict_problem(&problem, &[3, 10, 17, 40]).unwrap();
     assert!(Arc::ptr_eq(survivors.objects(), problem.objects()));
-    let matrix = problem.feature_view().matrix();
-    assert!(Arc::ptr_eq(survivors.feature_view().matrix(), matrix));
+    let table: &lts_table::Table = problem.objects();
+    assert!(std::ptr::eq(survivors.feature_view().table(), table));
     assert_eq!(survivors.n(), 4);
     assert_eq!(survivors.features().row(2), problem.features().row(17));
     // A restriction of a restriction still evaluates against the root,
     // and labels as the root does at the global id.
     let nested = restrict_problem(&survivors, &[1, 3]).unwrap();
     assert!(Arc::ptr_eq(nested.objects(), problem.objects()));
-    assert!(Arc::ptr_eq(nested.feature_view().matrix(), matrix));
+    assert!(std::ptr::eq(nested.feature_view().table(), table));
     assert_eq!(nested.n(), 2);
     for (local, global) in [(0, 10), (1, 40)] {
         assert_eq!(nested.features().row(local), problem.features().row(global));

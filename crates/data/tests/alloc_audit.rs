@@ -10,7 +10,7 @@
 //!
 //! The ceilings are intentionally tight — they sit just above the
 //! audited allocation inventory (generator columns, calibration work
-//! vectors, predicate captures, the feature matrix) and below
+//! vectors, predicate captures) and below
 //! "inventory + one more full-column copy".
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -92,23 +92,25 @@ fn scenario_construction_makes_no_surplus_column_copies() {
     // Inventory (sports): 5 generator columns (`walks`, `hits`,
     // `losses` and `era` are deferred and never read here) + 6 of
     // dominator-count work (y-rank copy, the duplicate map's growth
-    // steps, sweep order, counts) + 2 feature-column materializations +
-    // the row-major feature matrix = 14 measured. The pre-audit path
-    // made 3 more (2 calibration column copies + 1 sort copy), so the
-    // ceiling is exact: one new copy trips it.
+    // steps, sweep order, counts) = 11 measured; the problem reads its
+    // feature columns in place (the copying build made 3 more: 2
+    // column materializations + the row-major feature matrix). The
+    // pre-audit path made 3 more again (2 calibration column copies + 1
+    // sort copy), so the ceiling is exact: one new copy trips it.
     assert!(
-        sports_allocs <= 14,
+        sports_allocs <= 11,
         "sports scenario made {sports_allocs} column-sized allocations — \
          a full-column copy crept back into the construction path"
     );
 
-    // Inventory (neighbors): 2 informative columns + labels + kNN-radius
-    // work + grid index + 2 predicate captures + features = 15
-    // measured; the 39 padding columns are deferred and never read
-    // here. The pre-audit path made 4 more (2 informative-column clones
-    // + 2 calibration column copies); exact ceiling again.
+    // Inventory (neighbors): informative columns, labels, kNN-radius
+    // work, grid index and predicate captures = 7 measured; the 39
+    // padding columns are deferred and never read here, and the feature
+    // columns are read in place (the copying build made 3 more). The
+    // pre-audit path made 4 more (2 informative-column clones + 2
+    // calibration column copies); exact ceiling again.
     assert!(
-        neighbors_allocs <= 15,
+        neighbors_allocs <= 7,
         "neighbors scenario made {neighbors_allocs} column-sized allocations — \
          a full-column copy crept back into the construction path"
     );

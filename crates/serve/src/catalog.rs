@@ -6,8 +6,8 @@
 //! and equivalent requests resolve to one [`QueryEntry`], keyed by the
 //! **canonical string** (collision-proof; the 64-bit fingerprint is the
 //! compact id responses carry). The entry holds every artifact a repeat
-//! reuses: one problem (one metered predicate over the dataset's one
-//! feature matrix), the query's conjunctive decomposition, the memoized
+//! reuses: one problem (one metered predicate; its features read from
+//! the dataset's table), the query's conjunctive decomposition, the memoized
 //! [`PhysicalPlan`], its warm states and its finished answers. The
 //! prefilter selections those plans restrict to are kept beside the
 //! entries, one per canonical prefilter, since the object set a cheap
@@ -48,8 +48,8 @@ pub(crate) struct WarmState {
 /// One distinct canonical query of a dataset version.
 #[derive(Default)]
 pub(crate) struct QueryEntry {
-    /// The assembled problem — metered predicate and the dataset's
-    /// feature matrix, shared by every request that resolves here — and
+    /// The assembled problem — metered predicate and a feature view of
+    /// the dataset's table, shared by every request that resolves here — and
     /// the decomposition, present iff the query splits into both a cheap
     /// prefilter and an expensive residual. Built by the first
     /// `resolve`; `None` only on an entry a snapshot restore made to

@@ -96,9 +96,8 @@ use crate::catalog::{Derived, QueryEntry, WarmState};
 use crate::error::{ServeError, ServeResult};
 use crate::planner::{BudgetPlanner, Target};
 use crate::state::WarmLine;
-use lts_core::{features_from_columns, restrict_problem, select_prefilter, Lss, LssParts, LssWarm};
+use lts_core::{restrict_problem, select_prefilter, CoreError, Lss, LssParts, LssWarm};
 use lts_data::{neighbors::NeighborsConfig, sports::SportsConfig};
-use lts_learn::Matrix;
 use lts_obs::{Observability, Trace};
 use lts_table::{PartitionedTable, Table, TableRegistry};
 use metrics::ServeMetrics;
@@ -335,9 +334,9 @@ pub struct DatasetSpec {
 
 struct DatasetState {
     table: PartitionedTable,
-    /// The dataset's feature matrix, built once per registered version
-    /// and shared by every query problem over it.
-    features: Arc<Matrix>,
+    /// The feature columns every query problem over the dataset reads
+    /// in place.
+    features: Vec<String>,
     registry: TableRegistry,
     /// Present for datasets registered through a generator recipe;
     /// `None` for tables handed in directly (those cannot be
@@ -385,8 +384,8 @@ impl Service {
     }
 
     /// Register (or replace) a dataset. Replacing bumps the version and
-    /// invalidates every derived artifact. The feature matrix every
-    /// query over the dataset shares is built here, once.
+    /// invalidates every derived artifact. Every query over the dataset
+    /// reads its features from the table's `feature_cols`, in place.
     ///
     /// # Errors
     ///
@@ -398,10 +397,14 @@ impl Service {
         table: Arc<Table>,
         feature_cols: &[&str],
     ) -> ServeResult<()> {
+        if feature_cols.is_empty() {
+            let message = "feature column list is empty".into();
+            return Err(CoreError::InvalidConfig { message }.into());
+        }
         for c in feature_cols {
             table.floats(c)?;
         }
-        let features = Arc::new(features_from_columns(&table, feature_cols)?);
+        let features = feature_cols.iter().map(|&c| c.to_string()).collect();
         // A replacement keeps the version lineage and bumps it once
         // (via the shared invalidation path below).
         let existing = self.datasets.get(name).map(|ds| ds.table.version());
@@ -852,19 +855,36 @@ mod tests {
     }
 
     #[test]
-    fn catalog_problems_share_the_datasets_feature_matrix() {
+    fn catalog_problems_read_the_datasets_columns() {
         let mut s = Service::new(ServiceConfig::default());
-        let table = sports(80);
+        let table = sports(600);
         let cols = ["strikeouts", "wins"];
         s.register_dataset("s", Arc::clone(&table), &cols).unwrap();
-        let a = s.resolve("s".into(), "strikeouts < 120").unwrap().problem;
+        let skyband = "(SELECT COUNT(*) FROM s WHERE strikeouts >= o.strikeouts \
+                       AND wins >= o.wins) < 9";
+        let a = s.resolve("s".into(), skyband).unwrap().problem;
         let b = s.resolve("s".into(), "wins > 4").unwrap().problem;
-        assert!(std::ptr::eq(a.features(), b.features()));
-        assert!(std::ptr::eq(a.features(), &*s.datasets["s"].features));
-        // Re-registering swaps the matrix; new entries see the new one.
-        s.register_dataset("s", table, &cols).unwrap();
+        let row = |name| table.floats(name).unwrap()[7];
+        for problem in [&a, &b] {
+            let view = problem.feature_view();
+            assert!(std::ptr::eq(view.table(), &*table));
+            assert_eq!(view.row(7), [row("strikeouts"), row("wins")]);
+        }
+        // The served path reads the view: answering leaves no gathered
+        // matrix behind in the problem.
+        let answered = s.run(crate::Request {
+            id: 1,
+            dataset: "s".into(),
+            condition: skyband.into(),
+            target: crate::Target::Budget(60),
+            fresh: false,
+        });
+        assert_eq!((answered.served, answered.route), ("cold", "lss"));
+        assert!(!a.has_gathered_features());
+        // Re-registering swaps the table; new entries read the new one.
+        let fresh = sports(600);
+        s.register_dataset("s", Arc::clone(&fresh), &cols).unwrap();
         let c = s.resolve("s".into(), "wins > 4").unwrap().problem;
-        assert!(!std::ptr::eq(a.features(), c.features()));
-        assert!(std::ptr::eq(c.features(), &*s.datasets["s"].features));
+        assert!(std::ptr::eq(c.feature_view().table(), &*fresh));
     }
 }

@@ -254,10 +254,9 @@ impl Service {
                 let table = Arc::clone(ds.table.table());
                 let predicate: Arc<dyn ObjectPredicate> =
                     Arc::new(ExprPredicate::new("q", expr.clone()));
-                let features = Arc::clone(&ds.features);
-                let problem = Arc::new(
-                    CountingProblem::with_features(table, predicate, features)?.with_level(level),
-                );
+                let features: Vec<&str> = ds.features.iter().map(String::as_str).collect();
+                let problem =
+                    Arc::new(CountingProblem::new(table, predicate, &features)?.with_level(level));
                 // Decompose the NORMALIZED expression, so commuted
                 // spellings of one query share one decomposition and
                 // the part canonicals are stable keys.

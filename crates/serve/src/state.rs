@@ -39,10 +39,11 @@
 
 use crate::error::ServeError;
 use crate::service::{Answer, DatasetSpec, ResultKey, Service};
-use lts_core::{fnv1a, LssParts, LssWarm};
+use lts_core::{fnv1a, fnv1a_extend, LssParts, LssWarm};
 use std::fmt;
 use std::fmt::Write as _;
 use std::fs;
+use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 /// Snapshot file name inside the `--state-dir` directory.
@@ -243,11 +244,10 @@ fn entry_line<S>(w: &WarmLine<S>) -> String {
     )
 }
 
-/// A warm state's two lines, rendered from the state itself: nothing
-/// of it is copied first.
-fn render_warm(w: &WarmLine<&LssWarm>) -> String {
+/// A warm state's `store state` line, appended to `block`, rendered
+/// from the state itself: nothing of it is copied first.
+fn render_state(w: &WarmLine<&LssWarm>, block: &mut String) {
     let s = w.state;
-    let mut block = entry_line(w);
     let _ = write!(
         block,
         "store\tstate\t{:016x}\t{}\t{}\t{:016x}",
@@ -256,28 +256,28 @@ fn render_warm(w: &WarmLine<&LssWarm>) -> String {
         s.prepare_evals,
         s.estimated_variance().to_bits(),
     );
-    push_ids(&mut block, &s.proxy.labeled);
-    push_labels(&mut block, &s.proxy.labels);
-    push_ids(&mut block, s.order());
-    push_ids(&mut block, s.pilot_positions());
-    push_labels(&mut block, s.pilot_labels());
-    push_ids(&mut block, s.cuts());
+    push_ids(block, &s.proxy.labeled);
+    push_labels(block, &s.proxy.labels);
+    push_ids(block, s.order());
+    push_ids(block, s.pilot_positions());
+    push_labels(block, s.pilot_labels());
+    push_ids(block, s.cuts());
     for note in &s.design_notes {
         block.push('\t');
         block.push_str(&enc_text(note));
     }
     block.push('\n');
-    block
 }
 
-/// Render the snapshot body (header through the last data line; the
-/// checksum trailer is pushed onto it by [`save`]). Warm states are
-/// sorted by their rendered lines, for stable diffs.
-fn render_snapshot(service: &Service) -> String {
-    let mut out = String::from(HEADER);
-    out.push('\n');
+/// Write the snapshot body (header through the last data line; the
+/// checksum trailer follows it in [`save`]). Warm states are sorted by
+/// their entry lines, which are unique and so order the two-line blocks
+/// as the blocks themselves would sort, for stable diffs; each block is
+/// rendered into one reused buffer and written out before the next.
+fn write_snapshot(service: &Service, out: &mut impl Write) -> io::Result<()> {
+    writeln!(out, "{HEADER}")?;
     for (name, spec, version) in service.dataset_specs() {
-        let _ = writeln!(
+        writeln!(
             out,
             "dataset\t{}\t{}\t{}\t{}\t{}\t{version}",
             enc_text(&name),
@@ -285,14 +285,22 @@ fn render_snapshot(service: &Service) -> String {
             spec.rows,
             enc_text(&spec.level),
             spec.seed,
-        );
+        )?;
     }
-    let _ = writeln!(out, "store\t{WARM_HEADER}");
-    let mut warm: Vec<String> = service.warm_lines().iter().map(render_warm).collect();
-    warm.sort();
-    out.extend(warm);
+    writeln!(out, "store\t{WARM_HEADER}")?;
+    let mut warm: Vec<_> = (service.warm_lines().into_iter())
+        .map(|w| (entry_line(&w), w))
+        .collect();
+    warm.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
+    let mut block = String::new();
+    for (entry, w) in &warm {
+        block.clear();
+        block.push_str(entry);
+        render_state(w, &mut block);
+        out.write_all(block.as_bytes())?;
+    }
     for (key, table_version, a) in service.cache_entries() {
-        let _ = writeln!(
+        writeln!(
             out,
             "cache\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
             enc_text(&key.dataset),
@@ -307,26 +315,54 @@ fn render_snapshot(service: &Service) -> String {
             a.evals,
             a.model_version,
             a.route,
-        );
+        )?;
     }
-    out
+    Ok(())
+}
+
+/// A writer that folds FNV-1a over every byte it passes on.
+struct Digesting<W> {
+    inner: W,
+    hash: u64,
+}
+
+impl<W: Write> Write for Digesting<W> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let n = self.inner.write(buf)?;
+        self.hash = fnv1a_extend(self.hash, &buf[..n]);
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.inner.flush()
+    }
 }
 
 /// Write the snapshot atomically: temp file first, then rename over
-/// [`STATE_FILE`]. Returns the final snapshot path.
+/// [`STATE_FILE`]. The body streams to the file through a digest, and
+/// the checksum trailer follows it. Returns the final snapshot path.
 ///
 /// # Errors
 ///
 /// Returns [`StateError::Io`] on filesystem failure; the previous
 /// snapshot (if any) is left intact in that case.
 pub fn save(service: &Service, dir: &Path) -> Result<PathBuf, StateError> {
-    let mut text = render_snapshot(service);
-    let checksum = fnv1a(text.as_bytes());
-    let _ = writeln!(text, "checksum\t{checksum:016x}");
     fs::create_dir_all(dir).map_err(io_err(dir))?;
     let tmp = dir.join(format!("{STATE_FILE}.tmp"));
     let path = dir.join(STATE_FILE);
-    fs::write(&tmp, text).map_err(io_err(&tmp))?;
+    let write = || -> io::Result<()> {
+        let file = BufWriter::new(fs::File::create(&tmp)?);
+        let mut out = Digesting {
+            inner: file,
+            hash: fnv1a(&[]),
+        };
+        write_snapshot(service, &mut out)?;
+        let Digesting { mut inner, hash } = out;
+        writeln!(inner, "checksum\t{hash:016x}")?;
+        inner.into_inner().map_err(io::IntoInnerError::into_error)?;
+        Ok(())
+    };
+    write().map_err(io_err(&tmp))?;
     fs::rename(&tmp, &path).map_err(io_err(&path))?;
     Ok(path)
 }
@@ -560,6 +596,13 @@ mod tests {
             Err(StateError::Corrupt { message }) => assert!(message.contains(says), "{message}"),
             other => panic!("{lines:?}: {:?}", other.map(|w| w.len())),
         }
+    }
+
+    /// The snapshot body as [`save`] writes it, in memory.
+    fn render_snapshot(service: &Service) -> String {
+        let mut body = Vec::new();
+        write_snapshot(service, &mut body).unwrap();
+        String::from_utf8(body).unwrap()
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!   view both read it. So `K` planned queries over one prefilter cost
 //!   `K·(⌈log₂ M⌉·M/8 + fixed) + 4·M`, and a planned query with a
 //!   prefilter of its own at most `⌈log₂ M⌉·M/8 + 4·M + fixed`. It
-//!   keeps no feature rows: the view reads the dataset's one matrix
+//!   keeps no feature rows: the view reads the table's feature columns
 //!   through the id list, and no served path forces
 //!   `CountingProblem::features`, which would gather `8·d·M` bytes;
 //! * a **monolithic** query keeps the ordering over the population
@@ -33,26 +33,36 @@
 //!   included; the first query that names a padding column makes all 39
 //!   of them, once. A **sports** dataset keeps its five read columns
 //!   (`5·8·N`) through the same session; the first query that names
-//!   `walks`, `hits`, `losses` or `era` makes those four, once.
+//!   `walks`, `hits`, `losses` or `era` makes those four, once;
+//! * registering a dataset keeps no copy of its feature columns, one
+//!   cold monolithic prepare at `N = 8 000` peaks at most 320 KiB above
+//!   the live bytes before it, and a warm resume allocates by its budget:
+//!   the same bytes at `N` = 2 000 and 32 000.
 //!
 //! The tests take one lock: the allocator counts the whole process, so
 //! nothing else may run beside the measured sections.
 
-use lts_core::{features_from_columns, restrict_problem, CountingProblem, PhysicalPlan};
+use lts_core::{restrict_problem, CountingProblem, PhysicalPlan};
 use lts_data::{neighbors_scenario, sports_scenario, QueryParam, SelectivityLevel};
 use lts_serve::{
     DatasetSpec, Request, Response, Service, ServiceConfig, Target, MAX_REGISTER_ROWS,
 };
-use lts_table::{decompose, parse_condition, ExprPredicate, PartitionedTable, TableRegistry};
+use lts_table::{
+    decompose, parse_condition, ExprPredicate, FnPredicate, PartitionedTable, Table, TableRegistry,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
+/// The most `LIVE_BYTES` has reached since [`reset_peak`].
+static PEAK_BYTES: AtomicUsize = AtomicUsize::new(0);
+/// Every byte ever allocated.
+static ALLOCATED_BYTES: AtomicUsize = AtomicUsize::new(0);
 
-/// The system allocator with a live-byte counter. `realloc` and
-/// `alloc_zeroed` keep their default bodies, which go through `alloc` /
-/// `dealloc` and are therefore counted.
+/// The system allocator with live, peak and cumulative byte counters.
+/// `realloc` and `alloc_zeroed` keep their default bodies, which go
+/// through `alloc` / `dealloc` and are therefore counted.
 struct CountingAllocator;
 
 // SAFETY: every call forwards to `System` with the caller's layout and
@@ -63,7 +73,9 @@ unsafe impl GlobalAlloc for CountingAllocator {
         // SAFETY: `layout` is the caller's, passed through.
         let p = unsafe { System.alloc(layout) };
         if !p.is_null() {
-            LIVE_BYTES.fetch_add(layout.size(), Ordering::Relaxed);
+            let live = LIVE_BYTES.fetch_add(layout.size(), Ordering::Relaxed) + layout.size();
+            PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
+            ALLOCATED_BYTES.fetch_add(layout.size(), Ordering::Relaxed);
         }
         p
     }
@@ -87,6 +99,21 @@ fn serial() -> MutexGuard<'static, ()> {
 
 fn live_bytes() -> usize {
     LIVE_BYTES.load(Ordering::Relaxed)
+}
+
+/// Start a new peak at the live bytes now; returns them.
+fn reset_peak() -> usize {
+    let live = live_bytes();
+    PEAK_BYTES.store(live, Ordering::Relaxed);
+    live
+}
+
+fn peak_bytes() -> usize {
+    PEAK_BYTES.load(Ordering::Relaxed)
+}
+
+fn allocated_bytes() -> usize {
+    ALLOCATED_BYTES.load(Ordering::Relaxed)
 }
 
 const N: usize = 8_000;
@@ -222,15 +249,13 @@ fn a_distinct_query_retains_its_delta_not_a_copy_of_the_table() {
 
     // The sharing behind the numbers: a plan's restricted problem, and
     // any restriction of it, evaluate against the parent's table, read
-    // the dataset's feature matrix and label as their parent does.
+    // their features from its columns and label as their parent does.
     {
         let registry = TableRegistry::new().register("s", Arc::clone(&table));
         let text = format!("strikeouts > {} AND {}", cut(0.2), skyband(20));
         let expr = parse_condition(&text, &registry).unwrap();
         let predicate = Arc::new(ExprPredicate::new("q", expr.clone()));
-        let matrix = Arc::new(features_from_columns(&table, &FEATURES).unwrap());
-        let problem =
-            CountingProblem::with_features(Arc::clone(&table), predicate, Arc::clone(&matrix));
+        let problem = CountingProblem::new(Arc::clone(&table), predicate, &FEATURES);
         let plan = PhysicalPlan::build(
             &problem.unwrap(),
             &PartitionedTable::auto(Arc::clone(&table)),
@@ -240,7 +265,7 @@ fn a_distinct_query_retains_its_delta_not_a_copy_of_the_table() {
         let restricted = plan.restricted().expect("rows survive");
         assert!(Arc::ptr_eq(restricted.objects(), &table));
         let view = restricted.feature_view();
-        assert!(Arc::ptr_eq(view.matrix(), &matrix));
+        assert!(std::ptr::eq(view.table(), &*table));
         // One id list, held by the view and by the predicate that labels
         // through it.
         let ids = view.ids().expect("a restriction reads through its ids");
@@ -249,7 +274,7 @@ fn a_distinct_query_retains_its_delta_not_a_copy_of_the_table() {
         let last = restricted.n() - 1;
         let nested = restrict_problem(restricted, &[0, last]).unwrap();
         assert!(Arc::ptr_eq(nested.objects(), &table));
-        assert!(Arc::ptr_eq(nested.feature_view().matrix(), &matrix));
+        assert!(std::ptr::eq(nested.feature_view().table(), &*table));
         for (local, parent) in [(0, 0), (1, last)] {
             assert_eq!(
                 nested.label(local).unwrap(),
@@ -268,11 +293,13 @@ fn a_distinct_query_retains_its_delta_not_a_copy_of_the_table() {
         lss.estimate_prepared(restricted, &warm, 8).unwrap();
         drop(warm);
         assert!(live_bytes().saturating_sub(before) < rows);
+        assert!(!restricted.has_gathered_features());
         let gathered = restricted.features();
-        assert_eq!(
-            *gathered,
-            matrix.gather(&ids.iter().map(|&i| i as usize).collect::<Vec<_>>())
-        );
+        let columns = FEATURES.map(|name| table.floats(name).unwrap());
+        for (local, &id) in ids.iter().enumerate() {
+            let want = columns.map(|column| column[id as usize]);
+            assert_eq!(gathered.row(local), want);
+        }
         assert!(live_bytes().saturating_sub(before) >= rows);
     }
 
@@ -483,8 +510,9 @@ fn neighbors_padding_is_made_only_by_a_query_that_names_it() {
     assert_eq!(again.column_bytes(), read_columns(N));
     drop(restored);
 
-    // The largest registration holds its three columns and the feature
-    // matrix (`16` bytes a row); 39 padding columns would not fit.
+    // The largest registration holds its three columns, which are its
+    // features too: neither a feature matrix (`16` bytes a row) nor 39
+    // padding columns fit.
     let before = live_bytes();
     service
         .register_generated("big", &spec(MAX_REGISTER_ROWS))
@@ -493,7 +521,7 @@ fn neighbors_padding_is_made_only_by_a_query_that_names_it() {
     let big = service.dataset_table("big").unwrap();
     assert_eq!(big.column_bytes(), read_columns(MAX_REGISTER_ROWS));
     assert!(
-        grown < 6 * 8 * MAX_REGISTER_ROWS,
+        grown < 4 * 8 * MAX_REGISTER_ROWS,
         "registration kept {grown} B"
     );
 
@@ -625,4 +653,73 @@ fn sports_unread_columns_are_made_only_by_a_query_that_names_them() {
     );
     assert!(live_bytes().saturating_sub(before) < 4 * 8 * N);
     assert_eq!(table.column_bytes(), 9 * 8 * N);
+}
+
+/// How far above the live bytes before it one cold monolithic prepare
+/// at `N = 8 000` may peak: its scored population and ordering at
+/// `u32` ids, and the design DP over the passes that can win.
+const PREPARE_PEAK: usize = 320 * 1024;
+
+#[test]
+fn registration_and_a_cold_prepare_stay_lean() {
+    let _serial = serial();
+    let table = sports_scenario(N, SelectivityLevel::M, 3).unwrap().table;
+    // Registering keeps no copy of the feature columns (`8·d·N`): every
+    // query reads the table's own.
+    let mut service = Service::new(ServiceConfig::default());
+    let before = live_bytes();
+    service
+        .register_dataset("s", Arc::clone(&table), &FEATURES)
+        .unwrap();
+    let grown = live_bytes() - before;
+    assert!(grown < 4 * 1024, "registration kept {grown} B");
+
+    let registry = TableRegistry::new().register("s", Arc::clone(&table));
+    let problem = |k: usize| {
+        let expr = parse_condition(&skyband(k), &registry).unwrap();
+        let predicate = Arc::new(ExprPredicate::new("q", expr));
+        CountingProblem::new(Arc::clone(&table), predicate, &FEATURES).unwrap()
+    };
+    let lss = ServiceConfig::default().lss;
+    // The first subquery builds the table's zone index, once.
+    lss.prepare(&problem(5), 150, 1).unwrap();
+    for (i, budget) in [150, 200, 250, 300].into_iter().enumerate() {
+        let problem = problem(11 + 3 * i);
+        let before = reset_peak();
+        let warm = lss.prepare(&problem, budget, 7 + i as u64).unwrap();
+        let peak = peak_bytes() - before;
+        assert!(
+            peak <= PREPARE_PEAK,
+            "budget {budget}: a cold prepare peaked {peak} B above its baseline"
+        );
+        drop(warm);
+    }
+}
+
+#[test]
+fn a_warm_resume_allocates_by_its_budget_not_by_n() {
+    let _serial = serial();
+    let lss = ServiceConfig::default().lss;
+    let per_resume = |n: usize| {
+        let table = sports_scenario(n, SelectivityLevel::M, 3).unwrap().table;
+        let mut sorted = table.floats("strikeouts").unwrap().to_vec();
+        sorted.sort_by(f64::total_cmp);
+        let cut = sorted[n / 3];
+        let predicate = Arc::new(FnPredicate::new("low", move |t: &Table, i| {
+            Ok(t.floats("strikeouts")?[i] < cut)
+        }));
+        let problem = CountingProblem::new(table, predicate, &FEATURES).unwrap();
+        let warm = lss.prepare(&problem, 200, 7).unwrap();
+        lss.estimate_prepared(&problem, &warm, 1).unwrap();
+        let before = allocated_bytes();
+        for seed in 2..12 {
+            lss.estimate_prepared(&problem, &warm, seed).unwrap();
+        }
+        (allocated_bytes() - before) / 10
+    };
+    let (small, large) = (per_resume(2_000), per_resume(32_000));
+    assert!(
+        10 * small.abs_diff(large) <= small.min(large),
+        "a warm resume allocates {small} B at N = 2 000 and {large} B at N = 32 000"
+    );
 }

@@ -32,7 +32,15 @@
 //!   final cell (in particular, level `H` only at `b = N`);
 //! * a finite bound `t ≥ ns_max` — an upper bound on every stratum's
 //!   `N_h·s_h` — repeats the unconstrained pass cell for cell and is
-//!   dropped; the surviving bounds `T'` advance **in lockstep**, row by
+//!   dropped. So is a finite `t < ns_min`, the least `N_h·s_h` of any
+//!   stratum over a **non-unanimous** class pair: such a pass admits
+//!   only unanimous strata, whose terms are zeros, so it is infeasible
+//!   or ends at exactly `+0.0`; when it is feasible the unconstrained
+//!   pass can take the same all-unanimous chain (each cell on it is at
+//!   most its predecessor's), so it ends at `≤ 0` and, coming first,
+//!   wins the strict `<` of the best-of loop. Neither drop changes the
+//!   cuts, the variance bits or infeasibility. The surviving bounds
+//!   `T'` advance **in lockstep**, row by
 //!   row, each over its own `A` / `X` / parent arrays, so what a
 //!   candidate takes from its stratum alone (`size²·s²/n`, `size·s²`,
 //!   `(2/n)·size·s`) is computed once per pair `(j, i)` and read by every
@@ -610,34 +618,49 @@ fn bound_grid(t_selection: TSelection, pilot: &PilotIndex, params: &DesignParams
     v
 }
 
-/// An upper bound on `fl(N_h·s_h)` over every stratum the DP can form:
-/// per class pair, the widest stratum (origin or first row of the left
-/// class, to the last row of the right class) times the pair's `s` —
-/// multiplication by `s ≥ 0` rounds monotonically in the size.
-fn ns_max(pilot: &PilotIndex, params: &DesignParams, rows: &Rows) -> f64 {
-    let mu = params.min_pilots_per_stratum;
-    let mut max = 0.0f64;
+/// `(ns_min, ns_max)`: bounds on `fl(N_h·s_h)` over the strata the DP
+/// can form. Per class pair, the widest stratum runs from the origin or
+/// the first row of the left class to the last row of the right class;
+/// the narrowest from the last row (or the origin) of the left class to
+/// the first row of the right one, and never below `N⊔` — multiplication
+/// by `s ≥ 0` rounds monotonically in the size. `ns_max` bounds every
+/// pair from above; `ns_min` bounds the non-unanimous pairs (`s² ≠ 0`,
+/// as the DP tells them apart) from below, `+∞` when there are none.
+fn ns_range(pilot: &PilotIndex, params: &DesignParams, rows: &Rows) -> (f64, f64) {
+    let (mu, nu) = (params.min_pilots_per_stratum, params.min_stratum_size);
+    let (mut min, mut max) = (f64::INFINITY, 0.0f64);
     for l_i in mu..=pilot.m() {
-        let b_hi = rows.b[rows.class_start[l_i + 1] - 1];
+        let (first_i, end_i) = (rows.class_start[l_i], rows.class_start[l_i + 1]);
         for l_j in 0..=l_i - mu {
+            let (first_j, end_j) = (rows.class_start[l_j], rows.class_start[l_j + 1]);
             // The origin (b = 0) shares pilot prefix 0 with class 0.
-            let b_lo = if l_j == 0 {
-                0
+            let b_lo = if l_j == 0 { 0 } else { rows.b[first_j] };
+            let b_last = if first_j < end_j {
+                rows.b[end_j - 1]
             } else {
-                rows.b[rows.class_start[l_j]]
+                0
             };
-            let s = std_dev(class_pair_s2(pilot, l_j, l_i));
-            max = max.max((b_hi - b_lo) as f64 * s);
+            let s2 = class_pair_s2(pilot, l_j, l_i);
+            let s = std_dev(s2);
+            max = max.max((rows.b[end_i - 1] - b_lo) as f64 * s);
+            if s2 != 0.0 {
+                let narrowest = (rows.b[first_i] - b_last).max(nu);
+                min = min.min(narrowest as f64 * s);
+            }
         }
     }
-    max
+    (min, max)
 }
 
-/// Drop the finite bounds that cannot bind: a pass under `t ≥ ns_max`
-/// never rejects a stratum, so it repeats the unconstrained pass cell
-/// for cell and the strict `<` of the best-of loop cannot select it.
-fn skip_repeated_passes(t_values: &mut Vec<f64>, ns_max: f64) {
-    t_values.retain(|&t| t.is_infinite() || t < ns_max);
+/// Drop the finite bounds whose pass cannot be selected: under
+/// `t ≥ ns_max` no stratum is rejected, so the pass repeats the
+/// unconstrained one cell for cell; under `t < ns_min` only unanimous
+/// strata pass, so it is infeasible or ends at `+0.0`, never below the
+/// unconstrained pass (module doc, "Cost"). Either way the strict `<`
+/// of the best-of loop, which sees the unconstrained pass first, cannot
+/// select it.
+fn skip_unselectable_passes(t_values: &mut Vec<f64>, (ns_min, ns_max): (f64, f64)) {
+    t_values.retain(|&t| t.is_infinite() || (ns_min <= t && t < ns_max));
 }
 
 /// Run DynPgm (Neyman-allocation objective, Eq. 5).
@@ -655,7 +678,7 @@ pub fn dynpgm(
     let rows = Rows::new(pilot, params.epsilon);
     let mut t_values = bound_grid(t_selection, pilot, params);
     if t_values.len() > 1 {
-        skip_repeated_passes(&mut t_values, ns_max(pilot, params, &rows));
+        skip_unselectable_passes(&mut t_values, ns_range(pilot, params, &rows));
     }
 
     let cost = Neyman {
@@ -692,6 +715,7 @@ mod tests {
     use crate::bruteforce::brute_force;
     use crate::design::Allocation;
     use crate::objective::evaluate_cuts;
+    use proptest::prelude::*;
 
     fn pilot_random(n_objects: usize, m: usize, seed: u64) -> PilotIndex {
         let mut state = seed;
@@ -820,12 +844,12 @@ mod tests {
         let pilot = pilot_random(300, 24, 21);
         let p = params(4);
         let rows = Rows::new(&pilot, p.epsilon);
-        let cap = ns_max(&pilot, &p, &rows);
+        let (_, cap) = ns_range(&pilot, &p, &rows);
         assert!(cap > 0.0 && cap.is_finite());
         let below = f64::from_bits(cap.to_bits() - 1);
 
         let mut t_values = vec![f64::INFINITY, below, cap, 2.0 * cap];
-        skip_repeated_passes(&mut t_values, cap);
+        skip_unselectable_passes(&mut t_values, (0.0, cap));
         assert_eq!(t_values, [f64::INFINITY, below]);
 
         // The skip is exact: a pass under t = ns_max is the
@@ -840,9 +864,79 @@ mod tests {
         // Every grid survives as its sub-ns_max prefix plus ∞.
         let mut grid = bound_grid(TSelection::Full, &pilot, &p);
         let full = grid.len();
-        skip_repeated_passes(&mut grid, cap);
+        skip_unselectable_passes(&mut grid, (0.0, cap));
         assert!(grid.len() < full);
         assert!(grid[0].is_infinite() && grid[1..].iter().all(|&t| t < cap));
+    }
+
+    /// The least `N_h·s_h` of a stratum the DP can form over a
+    /// non-unanimous pair — at least `N⊔` objects and `m⊔` pilots, from
+    /// the origin or a row to a row — by brute force over row pairs.
+    fn least_mixed_ns(pilot: &PilotIndex, p: &DesignParams, rows: &Rows) -> f64 {
+        let mut least = f64::INFINITY;
+        for b_j in std::iter::once(0).chain(rows.b.iter().copied()) {
+            for &b_i in rows
+                .b
+                .iter()
+                .filter(|&&b_i| b_i >= b_j + p.min_stratum_size)
+            {
+                let (l_j, l_i) = (pilot.pilots_below(b_j), pilot.pilots_below(b_i));
+                if l_i >= l_j + p.min_pilots_per_stratum {
+                    let s2 = class_pair_s2(pilot, l_j, l_i);
+                    if s2 != 0.0 {
+                        least = least.min((b_i - b_j) as f64 * std_dev(s2));
+                    }
+                }
+            }
+        }
+        least
+    }
+
+    #[test]
+    fn bounds_below_ns_min_are_skipped_and_only_those() {
+        // One step in the labels: four unanimous strata fit, so a pass
+        // that admits only those is feasible.
+        let (n, m) = (400, 24);
+        let entries = (0..m).map(|k| (k * n / m + 3, k >= m / 2)).collect();
+        let pilot = PilotIndex::new(n, entries).unwrap();
+        let p = params(4);
+        let rows = Rows::new(&pilot, p.epsilon);
+        let (floor, cap) = ns_range(&pilot, &p, &rows);
+        assert!(0.0 < floor && floor < cap, "{floor} {cap}");
+        let below = f64::from_bits(floor.to_bits() - 1);
+        let least = least_mixed_ns(&pilot, &p, &rows);
+        assert!(
+            floor <= least,
+            "ns_min {floor} above a formable stratum's {least}"
+        );
+
+        let mut t_values = vec![f64::INFINITY, 1.0, below, floor, cap];
+        skip_unselectable_passes(&mut t_values, (floor, cap));
+        assert_eq!(t_values, [f64::INFINITY, floor]);
+
+        // A pass under t < ns_min ends at exactly +0.0, and the
+        // unconstrained pass at or below it; at ns_min a non-unanimous
+        // stratum is admitted.
+        let cost = Neyman {
+            budget: p.budget as f64,
+        };
+        let pass = |t: f64| run_dp(&pilot, &p, &rows, &cost, &[t]);
+        let dropped = pass(below).expect("the unanimous chain is feasible");
+        assert_eq!(dropped.estimated_variance.to_bits(), 0.0f64.to_bits());
+        assert!(pass(f64::INFINITY).unwrap().estimated_variance <= 0.0);
+        assert_eq!(
+            run_dp(&pilot, &p, &rows, &cost, &[f64::INFINITY, below]),
+            pass(f64::INFINITY)
+        );
+
+        // All-unanimous labels: no finite bound survives.
+        let entries = (0..m).map(|k| (k * n / m, true)).collect();
+        let pilot = PilotIndex::new(n, entries).unwrap();
+        let rows = Rows::new(&pilot, p.epsilon);
+        assert_eq!(ns_range(&pilot, &p, &rows), (f64::INFINITY, 0.0));
+        let mut grid = bound_grid(TSelection::Full, &pilot, &p);
+        skip_unselectable_passes(&mut grid, ns_range(&pilot, &p, &rows));
+        assert_eq!(grid, [f64::INFINITY]);
     }
 
     #[test]
@@ -866,5 +960,82 @@ mod tests {
         let pilot = pilot_random(10, 4, 1);
         assert!(dynpgm(&pilot, &params(3), TSelection::default()).is_err());
         assert!(dynpgmp(&pilot, &params(3)).is_err());
+    }
+
+    /// A step at pilot `step` (none past `m`), blurred by flipping each
+    /// label with probability `noise`.
+    fn pilot_shaped(n: usize, m: usize, step: usize, noise: f64, seed: u64) -> PilotIndex {
+        let mut state = seed;
+        let mut unit = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let mut positions = std::collections::BTreeSet::new();
+        while positions.len() < m {
+            positions.insert((unit() * n as f64) as usize);
+        }
+        let entries = (positions.into_iter().enumerate())
+            .map(|(k, p)| (p, (k >= step) != (unit() < noise)))
+            .collect();
+        PilotIndex::new(n, entries).unwrap()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(192))]
+
+        /// Skipping the bounds that cannot be selected is exact: `dynpgm`
+        /// returns what one lockstep run over the whole grid returns —
+        /// cuts, variance bits, infeasibility — on all-unanimous, sharp
+        /// (a step) and noisy pilots, with `N⊔` above the stage-2 budget
+        /// (small budgets) and below it (large ones), under `Pruned(k)`
+        /// and `Full`. Budgets up to `1.2·N` with noisy pilots make a
+        /// bounded pass win in some cases, so a skip that drops a winner
+        /// fails here.
+        #[test]
+        fn dynpgm_pruned_matches_full_grid(
+            seed in any::<u64>(),
+            n in 100usize..8_000,
+            m in 8usize..70,
+            shape in 0usize..3,
+            noise in 0.0f64..0.5,
+            h in 2usize..8,
+            min_pilots in 2usize..5,
+            size_share in 0.0f64..0.5,
+            budget_share in 0.005f64..1.2,
+            epsilon in prop_oneof![Just(0.25f64), Just(0.5), Just(1.0), Just(2.0)],
+            selection in prop_oneof![
+                Just(TSelection::Full),
+                (1usize..10).prop_map(TSelection::Pruned),
+            ],
+        ) {
+            let step = match shape {
+                0 => m + 1,
+                _ => (seed % m as u64) as usize,
+            };
+            let noise = if shape == 2 { noise } else { 0.0 };
+            let pilot = pilot_shaped(n, m.min(n / 2), step, noise, seed);
+            let budget = 1 + (budget_share * n as f64) as usize;
+            let params = DesignParams {
+                n_strata: h,
+                budget,
+                min_stratum_size: 1 + (size_share * (n / h) as f64) as usize,
+                min_pilots_per_stratum: min_pilots,
+                epsilon,
+            };
+            let pruned = dynpgm(&pilot, &params, selection).ok();
+            let full = params.check_feasible(&pilot).ok().and_then(|()| {
+                let rows = Rows::new(&pilot, params.epsilon);
+                let (ns_min, _) = ns_range(&pilot, &params, &rows);
+                assert!(ns_min <= least_mixed_ns(&pilot, &params, &rows));
+                let cost = Neyman { budget: budget as f64 };
+                run_dp(&pilot, &params, &rows, &cost, &bound_grid(selection, &pilot, &params))
+            });
+            prop_assert_eq!(
+                pruned.as_ref().map(|s| (&s.cuts, s.estimated_variance.to_bits())),
+                full.as_ref().map(|s| (&s.cuts, s.estimated_variance.to_bits()))
+            );
+        }
     }
 }
