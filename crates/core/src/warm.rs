@@ -274,30 +274,25 @@ pub(crate) struct PackedIds {
 }
 
 impl PackedIds {
-    /// Pack `ids` at the width of the largest. Returns the first id that
-    /// does not fit in 32 bits.
-    pub(crate) fn pack<T: Copy + TryInto<u32>>(ids: &[T]) -> Result<Self, T> {
-        let narrow = |&id: &T| id.try_into().map_err(|_| id);
-        let max = ids
-            .iter()
-            .try_fold(0u32, |max, id| Ok(max.max(narrow(id)?)))?;
+    /// Pack `ids` at the width of the largest.
+    pub(crate) fn pack(ids: &[u32]) -> Self {
+        let max = ids.iter().copied().max().unwrap_or(0);
         let width = (u32::BITS - max.leading_zeros()).max(1);
         let w = width as usize;
         let mut words = vec![0u64; (ids.len() * w).div_ceil(64)];
-        for (i, id) in ids.iter().enumerate() {
-            // Every id was narrowed above.
-            let id = u64::from(narrow(id).unwrap_or(0));
+        for (i, &id) in ids.iter().enumerate() {
+            let id = u64::from(id);
             let (word, shift) = (i * w / 64, i * w % 64);
             words[word] |= id << shift;
             if shift + w > 64 {
                 words[word + 1] |= id >> (64 - shift);
             }
         }
-        Ok(Self {
+        Self {
             words: words.into_boxed_slice(),
             width,
             len: ids.len(),
-        })
+        }
     }
 
     /// The id at position `i`.
@@ -372,8 +367,9 @@ pub struct LssParts {
     pub labeled: Vec<usize>,
     /// Labels aligned with `labeled`.
     pub labels: Vec<bool>,
-    /// The score ordering, position → object id.
-    pub order: Vec<usize>,
+    /// The score ordering, position → object id, at the `u32` a state
+    /// packs its ids from: a decode never holds them wider.
+    pub order: Vec<u32>,
     /// Pilot positions within the ordering (ascending).
     pub pilot_positions: Vec<usize>,
     /// Labels aligned with `pilot_positions`.
@@ -390,7 +386,7 @@ pub struct LssParts {
 
 impl LssWarm {
     /// The state as plain data (see [`LssParts`]): a copy, the ordering
-    /// unpacked to `usize`. A reader that only renders the state reads
+    /// unpacked to `u32`. A reader that only renders the state reads
     /// the borrowing accessors ([`LssWarm::order`] and its neighbours)
     /// instead.
     pub fn to_parts(&self) -> LssParts {
@@ -399,7 +395,7 @@ impl LssWarm {
             model_seed: self.proxy.model_seed,
             labeled: self.proxy.labeled.clone(),
             labels: self.proxy.labels.clone(),
-            order: self.order.iter().collect(),
+            order: self.order.iter().map(|id| id as u32).collect(),
             pilot_positions: self.pilot_positions.clone(),
             pilot_labels: self.pilot_labels.clone(),
             cuts: self.stratification.cuts.clone(),
@@ -458,6 +454,7 @@ impl LssWarm {
         let mut seen = vec![false; n];
         let is_permutation = order.len() == covered
             && order.iter().all(|&i| {
+                let i = i as usize;
                 i < n
                     && (reuse || train_label[i].is_none())
                     && !std::mem::replace(&mut seen[i], true)
@@ -476,7 +473,7 @@ impl LssWarm {
             ));
         }
         if reuse {
-            let in_pilot = |&(&p, &l): &(&usize, &bool)| train_label[order[p]] == Some(l);
+            let in_pilot = |&(&p, &l): &(&usize, &bool)| train_label[order[p] as usize] == Some(l);
             let reused = pilot.iter().zip(&parts.pilot_labels).filter(in_pilot);
             if reused.count() != labeled.len() {
                 return bad("the reused training sample is not in the pilot as labelled".into());
@@ -486,12 +483,7 @@ impl LssWarm {
         if !ascending(cuts) || cuts.first() == Some(&0) || !inside(cuts) {
             return bad("cuts are not strictly ascending inside the ordering".into());
         }
-        // Every id is below `N` now; packing is still checked.
-        let Ok(order) = PackedIds::pack(order) else {
-            return bad(format!(
-                "the ordering's ids do not fit in 32 bits (N = {n})"
-            ));
-        };
+        let order = PackedIds::pack(order);
         Ok(LssWarm {
             proxy: ModelSnapshot {
                 spec: lss.learn.spec,
@@ -714,7 +706,7 @@ impl Lss {
             // The ordering's last read was the pilot's objects: it is
             // packed before the design allocates.
             let (order, sorted_scores) = ordered.into_parts();
-            let packed = PackedIds::pack(&order).expect("a u32 id fits in 32 bits");
+            let packed = PackedIds::pack(&order);
             drop(order);
             let stratification = observed_phase(lts_obs::Phase::Design, || {
                 self.layout_cuts(
@@ -958,37 +950,36 @@ mod tests {
         // every width that does not divide 64.
         let mut x = 0x9E37_79B9_7F4A_7C15u64;
         for width in 1..=32u32 {
-            let top = (1usize << width) - 1;
-            let mut ids: Vec<usize> = (0..97)
+            let top = u32::MAX >> (32 - width);
+            let mut ids: Vec<u32> = (0..97)
                 .map(|_| {
                     x = mix_seed(x, u64::from(width));
-                    (x as usize) & top
+                    x as u32 & top
                 })
                 .collect();
             (ids[3], ids[50]) = (top, 0);
-            let packed = PackedIds::pack(&ids).unwrap();
+            let packed = PackedIds::pack(&ids);
             assert_eq!(packed.width, width);
             assert_eq!(packed.words.len(), (97 * width as usize).div_ceil(64));
             assert_eq!(packed.len(), ids.len());
-            assert!(packed.iter().eq(ids.iter().copied()), "width {width}");
-            for (i, &id) in ids.iter().enumerate().rev() {
+            let wide = || ids.iter().map(|&id| id as usize);
+            assert!(packed.iter().eq(wide()), "width {width}");
+            for (i, id) in wide().enumerate().rev() {
                 assert_eq!(packed.get(i), id, "width {width}, position {i}");
             }
         }
-        for one in [0, 1, u32::MAX as usize] {
-            let packed = PackedIds::pack(&[one]).unwrap();
-            assert_eq!((packed.len(), packed.get(0)), (1, one));
+        for one in [0, 1, u32::MAX] {
+            let packed = PackedIds::pack(&[one]);
+            assert_eq!((packed.len(), packed.get(0)), (1, one as usize));
         }
-        assert_eq!(PackedIds::pack(&[u32::MAX as usize]).unwrap().width, 32);
-        assert_eq!(PackedIds::pack::<u32>(&[]).unwrap().iter().len(), 0);
-        let past = 1usize << 32;
-        assert!(matches!(PackedIds::pack(&[5, past, 7]), Err(id) if id == past));
+        assert_eq!(PackedIds::pack(&[u32::MAX]).width, 32);
+        assert_eq!(PackedIds::pack(&[]).iter().len(), 0);
     }
 
     #[test]
     #[should_panic(expected = "position 3 of 3 packed ids")]
     fn packed_ids_refuse_a_position_past_the_end() {
-        PackedIds::pack(&[1, 2, 3]).unwrap().get(3);
+        PackedIds::pack(&[1, 2, 3]).get(3);
     }
 
     #[test]

@@ -77,23 +77,19 @@ fn from_parts_round_trips_and_refuses_every_broken_invariant() {
         });
         if pilot_source == PilotSource::Fresh {
             refused("training id inside the ordering", &|p| {
-                p.order[0] = p.labeled[0]
+                p.order[0] = p.labeled[0] as u32
             });
         } else {
             refused("reused label contradicted in the pilot", &|p| {
-                let at = |pos: &usize| p.labeled.contains(&p.order[*pos]);
+                let at = |pos: &usize| p.labeled.contains(&(p.order[*pos] as usize));
                 let i = p.pilot_positions.iter().position(at).unwrap();
                 p.pilot_labels[i] ^= true;
             });
         }
-        // Ids are `u32` once decoded, and narrowed only after the
-        // permutation check: an id `2³²` past a real one would wrap onto
-        // it and make a valid permutation.
-        refused("ordered id + 2³²", &|p| p.order[0] += 1 << 32);
-        refused("ordered id 2³²", &|p| {
-            let at = p.order.iter().position(|&i| i == 0);
-            p.order[at.unwrap_or(0)] = 1 << 32;
-        });
+        // Ids are `u32` in the parts: one past 2³² never reaches
+        // `from_parts` (the snapshot decode refuses it), and the largest
+        // that does is checked against `N` like any other.
+        refused("ordered id u32::MAX", &|p| p.order[0] = u32::MAX);
         // A budget the state was not prepared under changes the split.
         assert!(LssWarm::from_parts(warm.to_parts(), 140, &problem, &lss).is_err());
         // Another population does not hold the ids.
@@ -103,9 +99,8 @@ fn from_parts_round_trips_and_refuses_every_broken_invariant() {
 }
 
 /// A state over a sub-population holds local ids below its `N′`: an
-/// ordering entry at `N′`, at an id plus `2³²` (which `as u32` would
-/// wrap back onto that id) or repeated is refused, and the unedited
-/// state decodes to the one prepared.
+/// ordering entry at `N′`, at `u32::MAX` or repeated is refused, and the
+/// unedited state decodes to the one prepared.
 #[test]
 fn a_restricted_states_ordering_is_checked_before_it_is_narrowed() {
     let problem = band_problem(600, 11);
@@ -119,8 +114,8 @@ fn a_restricted_states_ordering_is_checked_before_it_is_narrowed() {
     assert_eq!(back.to_parts().order, warm.to_parts().order);
     type Edit<'a> = &'a dyn Fn(&mut LssParts);
     let edits: [(&str, Edit); 3] = [
-        ("ordered id N′", &|p| p.order[0] = n_sub),
-        ("ordered id + 2³²", &|p| p.order[0] += 1 << 32),
+        ("ordered id N′", &|p| p.order[0] = n_sub as u32),
+        ("ordered id u32::MAX", &|p| p.order[0] = u32::MAX),
         ("duplicate id", &|p| p.order[1] = p.order[0]),
     ];
     for (what, edit) in edits {

@@ -34,7 +34,7 @@ pub enum TraceEvent {
         /// Serving route (`lss`, `lws`, `srs`, `exact`, …).
         route: &'static str,
         /// Plan kind (`monolithic`, `prefilter+estimate`, `census`, …).
-        kind: String,
+        kind: &'static str,
     },
     /// An exact prefilter scan: how many conjuncts were split off and
     /// how far they narrowed the population.
@@ -55,9 +55,10 @@ pub enum TraceEvent {
     Store {
         /// `cold-prepare`, `warm-resume`, or `unpreparable`.
         outcome: &'static str,
-        /// The store key hash (16 hex digits; deterministic), or empty
-        /// when the request had no store key (`unpreparable`).
-        key: String,
+        /// The store key hash (deterministic; rendered as 16 hex
+        /// digits), or `None` when the request had no store key
+        /// (`unpreparable`, rendered empty).
+        key: Option<u64>,
     },
     /// One preparation phase (train / score / pilot / design) with its
     /// exact oracle-eval attribution.
@@ -125,7 +126,7 @@ impl TraceEvent {
             TraceEvent::Store { outcome, key } => format!(
                 "{{\"event\": \"store\", \"outcome\": \"{}\", \"key\": \"{}\"}}",
                 json_escape(outcome),
-                json_escape(key)
+                key.map_or_else(String::new, |key| format!("{key:016x}"))
             ),
             TraceEvent::Phase {
                 phase,
@@ -156,13 +157,14 @@ impl TraceEvent {
     }
 }
 
-/// The complete span of one request: its id and ordered events.
+/// The complete span of one request: its id and ordered events, kept
+/// at their length (a ring of spans holds no spare slots).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Trace {
     /// The request id the span belongs to.
     pub id: u64,
     /// Ordered events, admission first, `served` last.
-    pub events: Vec<TraceEvent>,
+    pub events: Box<[TraceEvent]>,
 }
 
 impl Trace {
@@ -407,7 +409,7 @@ mod tests {
             events: vec![
                 TraceEvent::Route {
                     route: "lss",
-                    kind: "monolithic".into(),
+                    kind: "monolithic",
                 },
                 ev(42),
                 TraceEvent::Phase {
@@ -415,7 +417,8 @@ mod tests {
                     evals: 5,
                     wall_nanos: 3,
                 },
-            ],
+            ]
+            .into(),
         };
         let masked = t.to_json(true);
         assert_eq!(
@@ -435,24 +438,24 @@ mod tests {
         let ring = TraceRing::new(2);
         ring.push(Trace {
             id: 1,
-            events: vec![ev(1)],
+            events: [ev(1)].into(),
         });
         ring.push(Trace {
             id: 2,
-            events: vec![],
+            events: [].into(),
         });
         ring.push(Trace {
             id: 1,
-            events: vec![ev(9)],
+            events: [ev(9)].into(),
         });
         assert_eq!(ring.len(), 2); // id=1's first span evicted
-        assert_eq!(ring.get(1).unwrap().events, vec![ev(9)]);
-        assert_eq!(ring.get(2).unwrap().events, vec![]);
+        assert_eq!(*ring.get(1).unwrap().events, [ev(9)]);
+        assert!(ring.get(2).unwrap().events.is_empty());
         assert!(ring.get(3).is_none());
         let off = TraceRing::new(0);
         off.push(Trace {
             id: 1,
-            events: vec![],
+            events: [].into(),
         });
         assert!(off.is_empty());
     }

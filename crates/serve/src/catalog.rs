@@ -11,14 +11,16 @@
 //! [`PhysicalPlan`], its warm states and its finished answers. The
 //! prefilter selections those plans restrict to are kept beside the
 //! entries, one per canonical prefilter, since the object set a cheap
-//! conjunct selects depends on that conjunct alone. Nothing here
+//! conjunct selects depends on that conjunct alone; so are the subquery
+//! trees, one per distinct subquery as spelled, which the predicates of
+//! all the entries over it point at. Nothing here
 //! carries a table version: an entry only ever exists for the version
 //! its dataset is at.
 
 use crate::service::Answer;
 use lts_core::{CountingProblem, LssWarm, PhysicalPlan};
-use lts_table::Expr;
-use std::collections::HashMap;
+use lts_table::{AggSubquery, Expr};
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// A query's conjunctive split into a cheap exact prefilter and an
@@ -32,7 +34,55 @@ pub(crate) struct QueryDecomposition {
     /// Canonical form of the prefilter (selectivity and seed key).
     pub(crate) prefilter_canonical: String,
     /// Canonical form of the residual (a prefiltered state's seed key).
-    pub(crate) residual_canonical: String,
+    residual: Residual,
+}
+
+/// Where a decomposition keeps its residual canonical.
+#[derive(Debug, Clone)]
+enum Residual {
+    /// A byte range of the query's canonical string: a residual of one
+    /// conjunct renders inside the query's sorted `AND` chain, which is
+    /// every served planned query's shape.
+    Span(u32, u32),
+    /// A residual that is not a substring of the canonical (several
+    /// conjuncts the sort set apart).
+    Owned(Box<str>),
+}
+
+impl QueryDecomposition {
+    /// The decomposition of the query whose canonical string is
+    /// `canonical`.
+    pub(crate) fn new(
+        prefilter: Expr,
+        prefilter_canonical: String,
+        residual_canonical: String,
+        canonical: &str,
+    ) -> Self {
+        let span = canonical.find(&residual_canonical).and_then(|at| {
+            let end = u32::try_from(at + residual_canonical.len()).ok()?;
+            Some(Residual::Span(at as u32, end))
+        });
+        QueryDecomposition {
+            prefilter,
+            prefilter_canonical,
+            residual: span.unwrap_or_else(|| Residual::Owned(residual_canonical.into())),
+        }
+    }
+
+    /// The residual canonical, read from `canonical`, the canonical
+    /// string of the query this decomposes (any request resolved to its
+    /// entry carries it).
+    pub(crate) fn residual_canonical<'a>(&'a self, canonical: &'a str) -> &'a str {
+        match &self.residual {
+            Residual::Span(start, end) => &canonical[*start as usize..*end as usize],
+            Residual::Owned(residual) => residual,
+        }
+    }
+
+    #[cfg(test)]
+    pub(crate) fn residual_is_owned(&self) -> bool {
+        matches!(self.residual, Residual::Owned(_))
+    }
 }
 
 /// A warm estimator state and the condition text that prepared it.
@@ -43,6 +93,44 @@ pub(crate) struct WarmState {
     /// snapshot writes it down and a restore re-parses it; the canonical
     /// string is not a parser input).
     pub(crate) raw_condition: String,
+}
+
+/// A small map kept as a vector sorted by key, its values inline: an
+/// entry holds a state or an answer or two, where a hash map's smallest
+/// table keeps four buckets beside its hasher.
+pub(crate) struct Slots<K, V>(Vec<(K, V)>);
+
+impl<K, V> Default for Slots<K, V> {
+    fn default() -> Self {
+        Slots(Vec::new())
+    }
+}
+
+impl<K: Ord, V> Slots<K, V> {
+    pub(crate) fn get(&self, key: &K) -> Option<&V> {
+        let at = self.0.binary_search_by(|(k, _)| k.cmp(key)).ok()?;
+        Some(&self.0[at].1)
+    }
+
+    /// Insert or replace; a new key grows the vector by one slot.
+    pub(crate) fn insert(&mut self, key: K, value: V) {
+        match self.0.binary_search_by(|(k, _)| k.cmp(&key)) {
+            Ok(at) => self.0[at].1 = value,
+            Err(at) => {
+                self.0.reserve_exact(1);
+                self.0.insert(at, (key, value));
+            }
+        }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// The slots in key order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
+        self.0.iter().map(|(k, v)| (k, v))
+    }
 }
 
 /// One distinct canonical query of a dataset version.
@@ -62,11 +150,10 @@ pub(crate) struct QueryEntry {
     pub(crate) plan: Option<Arc<PhysicalPlan>>,
     /// Warm states by `(prefiltered, budget)`: a prefiltered state was
     /// prepared over the prefilter's survivors, a monolithic one over
-    /// the whole population. Boxed: the smallest table keeps four
-    /// buckets inline, and most entries hold one state.
-    pub(crate) states: HashMap<(bool, usize), Box<WarmState>>,
+    /// the whole population.
+    pub(crate) states: Slots<(bool, usize), WarmState>,
     /// Finished answers by planned budget (0 for the exact route).
-    pub(crate) answers: HashMap<usize, Answer>,
+    pub(crate) answers: Slots<usize, Answer>,
 }
 
 /// Everything derived from one dataset version.
@@ -80,6 +167,33 @@ pub(crate) struct Derived {
     /// monolithically without planning when it is already known to be
     /// unselective.
     pub(crate) selections: HashMap<String, Selection>,
+    /// One tree per distinct subquery, as spelled (`AggSubquery`'s
+    /// equality: its inner table by pointer, commuted operands apart,
+    /// since which error surfaces depends on the spelling): the
+    /// predicates of all the queries over it share it.
+    pub(crate) subqueries: HashSet<Arc<AggSubquery>>,
+}
+
+impl Derived {
+    /// Point every outermost subquery of `expr` at this version's tree
+    /// spelled alike, keeping the first of each.
+    pub(crate) fn intern(&mut self, expr: &mut Expr) {
+        match expr {
+            Expr::Subquery(sq) => match self.subqueries.get(sq) {
+                Some(shared) => *sq = Arc::clone(shared),
+                None => {
+                    self.subqueries.insert(Arc::clone(sq));
+                }
+            },
+            Expr::Unary(_, e) => self.intern(e),
+            Expr::Binary(_, l, r) => {
+                self.intern(l);
+                self.intern(r);
+            }
+            Expr::Call(_, args) => args.iter_mut().for_each(|a| self.intern(a)),
+            Expr::Literal(_) | Expr::Column(_) | Expr::Outer(_) => {}
+        }
+    }
 }
 
 /// What the scan of one canonical prefilter leaves for a dataset version.

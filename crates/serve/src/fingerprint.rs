@@ -28,6 +28,7 @@
 use lts_core::fnv1a;
 use lts_table::{BinaryOp, CmpOp, Expr};
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 /// Normalize an expression to its canonical structural form.
 pub fn normalize(expr: &Expr) -> Expr {
@@ -39,7 +40,7 @@ pub fn normalize(expr: &Expr) -> Expr {
             let mut sq = (**sq).clone();
             sq.filter = sq.filter.as_ref().map(normalize);
             sq.arg = sq.arg.as_ref().map(normalize);
-            Expr::Subquery(Box::new(sq))
+            Expr::Subquery(Arc::new(sq))
         }
         Expr::Binary(op, l, r) => {
             let (l, r) = (normalize(l), normalize(r));
@@ -174,7 +175,6 @@ pub fn fingerprint(dataset: &str, table_version: u64, canonical_expr: &str) -> u
 mod tests {
     use super::*;
     use lts_table::{table_of_floats, AggFunc};
-    use std::sync::Arc;
 
     fn col(n: &str) -> Expr {
         Expr::col(n)

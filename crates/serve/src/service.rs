@@ -40,8 +40,9 @@
 //! Everything derived from a dataset version lives in that dataset's
 //! state (`crate::catalog`): one entry per canonical query — problem,
 //! decomposition, memoized plan, warm states by (prefiltered, budget),
-//! cached answers by budget — and one survivor-id selection per
-//! canonical prefilter, which every plan with that prefilter shares.
+//! cached answers by budget — one survivor-id selection per canonical
+//! prefilter, which every plan with that prefilter shares, and one tree
+//! per distinct subquery, which every predicate spelling it shares.
 //! [`Service::advance_version`] replaces all of it in one assignment,
 //! so no entry stores or checks a table version, and a cached answer
 //! stays servable until its dataset's version moves.
@@ -496,7 +497,7 @@ impl Service {
         let mut out = Vec::new();
         for (dataset, ds) in &self.datasets {
             for (canonical, entry) in &ds.derived.queries {
-                for (&budget, &answer) in &entry.answers {
+                for (&budget, &answer) in entry.answers.iter() {
                     let key = ResultKey {
                         dataset: dataset.clone(),
                         canonical: canonical.clone(),
@@ -625,15 +626,13 @@ impl Service {
     /// The warm state at `key`, once prepared or decoded.
     fn warm(&self, key: &StateKey) -> Option<&WarmState> {
         let entry = self.query(&key.dataset, &key.canonical)?;
-        let slot = (key.prefiltered, key.budget);
-        entry.states.get(&slot).map(Box::as_ref)
+        entry.states.get(&(key.prefiltered, key.budget))
     }
 
     /// Keep a prepared or decoded warm state in its query's entry.
     fn insert_warm(&mut self, key: &StateKey, warm: WarmState) {
         if let Some(entry) = self.query_mut(&key.dataset, &key.canonical) {
-            let slot = (key.prefiltered, key.budget);
-            entry.states.insert(slot, Box::new(warm));
+            entry.states.insert((key.prefiltered, key.budget), warm);
         }
     }
 
@@ -714,7 +713,7 @@ impl Service {
         let mut out = Vec::new();
         for (dataset, ds) in &self.datasets {
             for entry in ds.derived.queries.values() {
-                for (&(prefiltered, budget), warm) in &entry.states {
+                for (&(prefiltered, budget), warm) in entry.states.iter() {
                     out.push(WarmLine {
                         dataset: dataset.clone(),
                         condition: warm.raw_condition.clone(),
@@ -790,6 +789,7 @@ impl Service {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lts_table::AggSubquery;
 
     fn sports(rows: usize) -> Arc<Table> {
         let level = lts_data::SelectivityLevel::M;
@@ -886,5 +886,82 @@ mod tests {
         s.register_dataset("s", Arc::clone(&fresh), &cols).unwrap();
         let c = s.resolve("s".into(), "wins > 4").unwrap().problem;
         assert!(std::ptr::eq(c.feature_view().table(), &*fresh));
+    }
+
+    /// The subquery trees a dataset's current version shares.
+    fn subquery_trees<'a>(s: &'a Service, dataset: &str) -> Vec<&'a Arc<AggSubquery>> {
+        s.datasets[dataset].derived.subqueries.iter().collect()
+    }
+
+    const DOMINATORS: &str = "strikeouts >= o.strikeouts AND wins >= o.wins";
+
+    fn count_below(filter: &str, k: usize) -> String {
+        format!("(SELECT COUNT(*) FROM s WHERE {filter}) < {k}")
+    }
+
+    #[test]
+    fn queries_over_one_subquery_share_its_tree() {
+        use lts_table::{parse_condition, Expr};
+        let mut s = Service::new(ServiceConfig::default());
+        s.register_dataset("s", sports(600), &["strikeouts", "wins"])
+            .unwrap();
+        for k in 0..20 {
+            s.resolve("s".into(), &count_below(DOMINATORS, 5 + k))
+                .unwrap();
+        }
+        let trees = subquery_trees(&s, "s");
+        assert_eq!(trees.len(), 1);
+        // The version's set and each of the 20 entries' predicates.
+        assert_eq!(Arc::strong_count(trees[0]), 21);
+        // A new parse of the shape is pointed at that tree.
+        let tree = Arc::clone(trees[0]);
+        let ds = s.datasets.get_mut("s").unwrap();
+        let mut expr = parse_condition(&count_below(DOMINATORS, 99), &ds.registry).unwrap();
+        ds.derived.intern(&mut expr);
+        let Expr::Binary(_, subquery, _) = &expr else {
+            panic!("a comparison")
+        };
+        let Expr::Subquery(parsed) = &**subquery else {
+            panic!("a subquery")
+        };
+        assert!(Arc::ptr_eq(parsed, &tree));
+        drop(expr);
+
+        // A commuted filter at a `k` already asked aliases that entry and
+        // interns nothing; at a new `k` its query keeps a tree of its own,
+        // spelled as it was sent.
+        let commuted = "wins >= o.wins AND strikeouts >= o.strikeouts";
+        s.resolve("s".into(), &count_below(commuted, 5)).unwrap();
+        assert_eq!(subquery_trees(&s, "s").len(), 1);
+        s.resolve("s".into(), &count_below(commuted, 40)).unwrap();
+        let trees = subquery_trees(&s, "s");
+        assert_eq!(trees.len(), 2);
+        assert!(trees.iter().any(|t| Arc::ptr_eq(t, &tree)));
+        assert!(!Arc::ptr_eq(trees[0], trees[1]));
+        // A new version starts its own set.
+        s.invalidate("s").unwrap();
+        assert!(subquery_trees(&s, "s").is_empty());
+        assert_eq!(Arc::strong_count(&tree), 1);
+    }
+
+    #[test]
+    fn a_residual_is_a_span_of_the_key_unless_the_prefilter_sorts_inside_it() {
+        let mut s = Service::new(ServiceConfig::default());
+        s.register_dataset("s", sports(600), &["strikeouts", "wins"])
+            .unwrap();
+        let sq = format!("(SELECT COUNT(*) FROM s WHERE {DOMINATORS})");
+        // The canonical chain sorts `((SELECT …` < `(60.0 < …` < `(7.0 < …`.
+        for (condition, owned) in [
+            (format!("strikeouts > 60 AND {sq} < 40"), false),
+            (format!("strikeouts > 60 AND {sq} < 40 AND 3 < {sq}"), false),
+            (format!("strikeouts > 60 AND {sq} < 40 AND 7 < {sq}"), true),
+        ] {
+            let resolved = s.resolve("s".into(), &condition).unwrap();
+            let d = resolved.decomposition.expect("it decomposes");
+            assert_eq!(d.residual_is_owned(), owned, "{condition}");
+            let residual = d.residual_canonical(&resolved.canonical);
+            assert!(residual.contains("< 40.0)"), "{residual}");
+            assert!(!residual.contains("(60.0 < strikeouts)"), "{residual}");
+        }
     }
 }

@@ -74,8 +74,8 @@ pub(super) fn explain_line(
     observed: Option<(usize, f64)>,
 ) -> String {
     let opt_num = |v: Option<f64>| v.map_or_else(|| "null".to_string(), num);
-    let opt_str = |v: Option<String>| match v {
-        Some(s) => format!("\"{}\"", esc(&s)),
+    let opt_str = |v: Option<&str>| match v {
+        Some(s) => format!("\"{}\"", esc(s)),
         None => "null".to_string(),
     };
     let part_fingerprint = |canonical: &str| {
@@ -99,10 +99,16 @@ pub(super) fn explain_line(
         planned.kind(),
         planned.budget,
         resolved.problem.n(),
-        opt_str(d.map(|d| d.prefilter_canonical.clone())),
-        opt_str(d.map(|d| d.residual_canonical.clone())),
-        opt_str(d.map(|d| part_fingerprint(&d.prefilter_canonical))),
-        opt_str(d.map(|d| part_fingerprint(&d.residual_canonical))),
+        opt_str(d.map(|d| d.prefilter_canonical.as_str())),
+        opt_str(d.map(|d| d.residual_canonical(&resolved.canonical))),
+        opt_str(
+            d.map(|d| part_fingerprint(&d.prefilter_canonical))
+                .as_deref()
+        ),
+        opt_str(
+            d.map(|d| part_fingerprint(d.residual_canonical(&resolved.canonical)))
+                .as_deref()
+        ),
         observed.map_or_else(|| "null".to_string(), |(m, _)| m.to_string()),
         opt_num(predicted),
         opt_num(observed.map(|(_, s)| s)),

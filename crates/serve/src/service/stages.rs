@@ -68,8 +68,8 @@ impl Resolved {
                     .decomposition
                     .as_ref()
                     .expect("a restricted population implies a decomposition");
-                let (residual, prefilter) = (&d.residual_canonical, &d.prefilter_canonical);
-                (restricted, residual.as_str(), prefilter.as_str())
+                let residual = d.residual_canonical(&self.canonical);
+                (restricted, residual, d.prefilter_canonical.as_str())
             }
         };
         let key = StateKey {
@@ -242,7 +242,7 @@ impl Service {
             return Err(ServeError::UnknownDataset { name: dataset });
         };
         let table_version = ds.table.version();
-        let expr = parse_condition(condition, &ds.registry).map_err(|e| ServeError::Parse {
+        let mut expr = parse_condition(condition, &ds.registry).map_err(|e| ServeError::Parse {
             message: e.to_string(),
         })?;
         let canonical = fingerprint::canonical(&expr);
@@ -251,12 +251,6 @@ impl Service {
         let (problem, decomposition) = match built {
             Some(built) => built,
             None => {
-                let table = Arc::clone(ds.table.table());
-                let predicate: Arc<dyn ObjectPredicate> =
-                    Arc::new(ExprPredicate::new("q", expr.clone()));
-                let features: Vec<&str> = ds.features.iter().map(String::as_str).collect();
-                let problem =
-                    Arc::new(CountingProblem::new(table, predicate, &features)?.with_level(level));
                 // Decompose the NORMALIZED expression, so commuted
                 // spellings of one query share one decomposition and
                 // the part canonicals are stable keys.
@@ -266,12 +260,23 @@ impl Service {
                     residual,
                 } = decompose(&normalized);
                 let decomposition = exact_prefilter.map(|prefilter| {
-                    Arc::new(QueryDecomposition {
-                        prefilter_canonical: fingerprint::canonical(&prefilter),
-                        residual_canonical: fingerprint::canonical(&residual),
+                    let prefilter_canonical = fingerprint::canonical(&prefilter);
+                    let residual_canonical = fingerprint::canonical(&residual);
+                    Arc::new(QueryDecomposition::new(
                         prefilter,
-                    })
+                        prefilter_canonical,
+                        residual_canonical,
+                        &canonical,
+                    ))
                 });
+                // The predicate evaluates the query as spelled, over the
+                // version's shared subquery trees.
+                ds.derived.intern(&mut expr);
+                let table = Arc::clone(ds.table.table());
+                let predicate: Arc<dyn ObjectPredicate> = Arc::new(ExprPredicate::new("q", expr));
+                let features: Vec<&str> = ds.features.iter().map(String::as_str).collect();
+                let problem =
+                    Arc::new(CountingProblem::new(table, predicate, &features)?.with_level(level));
                 let built = (problem, decomposition);
                 let entry = ds.derived.queries.entry(canonical.clone()).or_default();
                 entry.problem = Some(built.clone());
@@ -363,7 +368,7 @@ impl Service {
             Some(PlanSummary {
                 kind,
                 prefilter: decomp.prefilter_canonical.clone(),
-                residual: decomp.residual_canonical.clone(),
+                residual: decomp.residual_canonical(&resolved.canonical).to_string(),
                 population: n,
                 survivors: plan.map(PhysicalPlan::survivors),
                 selectivity: plan.map(PhysicalPlan::selectivity),
@@ -651,7 +656,7 @@ impl Service {
                 if tracing && !store.is_empty() {
                     tail.push(TraceEvent::Store {
                         outcome: store,
-                        key: store_key.map_or_else(String::new, |key| format!("{:016x}", key.id)),
+                        key: store_key.map(|key| key.id),
                     });
                     tail.extend(prepare_events);
                 }
@@ -689,10 +694,12 @@ impl Service {
         };
         self.metrics.book(&response, cache, store, saved);
         if tracing {
-            let mut events = vec![TraceEvent::Route {
+            // Sized up front: the span is kept at its length.
+            let mut events = Vec::with_capacity(adm.events.len() + tail.len() + 3);
+            events.push(TraceEvent::Route {
                 route: response.route,
-                kind: adm.planned.kind().to_string(),
-            }];
+                kind: adm.planned.kind(),
+            });
             events.extend(adm.events);
             events.push(TraceEvent::Cache { outcome: cache });
             events.extend(tail);
@@ -714,7 +721,7 @@ impl Service {
         self.metrics.attribute(response, &events);
         let trace = Trace {
             id: response.id,
-            events,
+            events: events.into_boxed_slice(),
         };
         if response.ok && response.evals > 0 {
             self.obs.slow.offer(SlowEntry {

@@ -189,7 +189,7 @@ fn push_ids(out: &mut String, ids: impl IntoIterator<Item = impl std::fmt::Displ
     }
 }
 
-fn dec_ids(s: &str) -> Option<Vec<usize>> {
+fn dec_ids<T: std::str::FromStr>(s: &str) -> Option<Vec<T>> {
     if s.is_empty() {
         return Some(Vec::new());
     }
@@ -469,7 +469,9 @@ fn parse_snapshot(text: &str) -> Result<Parsed, StateError> {
                         estimated_variance: f64::from_bits(hex(f[3], "bad variance bits")?),
                         labeled: ids(f[4], "bad training ids")?,
                         labels: labels(f[5], "bad training labels")?,
-                        order: ids(f[6], "bad ordering")?,
+                        // Straight to `u32`: a restore never holds a
+                        // wider copy of every ordering.
+                        order: dec_ids(f[6]).ok_or_else(|| bad_state("bad ordering"))?,
                         pilot_positions: ids(f[7], "bad pilot positions")?,
                         pilot_labels: labels(f[8], "bad pilot labels")?,
                         cuts: ids(f[9], "bad cuts")?,

@@ -6,8 +6,13 @@
 //!
 //! * a **planned** query keeps the warm state's score ordering,
 //!   bit-packed at `⌈log₂ M⌉` bits a survivor (`⌈log₂ M⌉·M/8` bytes),
-//!   plus a fixed part (parsed predicate, training and pilot labels,
-//!   cuts, cache entry: `O(budget)` and a few KiB). Its survivor id
+//!   plus a fixed part: the top of its parsed predicate (its subquery
+//!   tree is the dataset version's, shared by every query spelling it
+//!   alike), training and pilot labels, cuts, a decomposition whose
+//!   residual canonical is a span of the entry's key, the entry with its
+//!   warm state and answer inline, and its span in the trace ring —
+//!   `O(budget)`, measured 3.0 KB at budget 150 and 3.2 KB at 250,
+//!   held to 4 KiB. Its survivor id
 //!   list is not its own: the dataset version keeps one per distinct
 //!   selective prefilter (`4·M`: `u32` ids), which every plan with that
 //!   prefilter shares — its restricted problem's predicate and feature
@@ -18,7 +23,9 @@
 //!   through the id list, and no served path forces
 //!   `CountingProblem::features`, which would gather `8·d·M` bytes;
 //! * a **monolithic** query keeps the ordering over the population
-//!   (`⌈log₂ N⌉·N/8`) plus the same fixed part — no feature matrix of
+//!   (`⌈log₂ N⌉·N/8`) plus the same fixed part less the decomposition
+//!   and the restricted problem — 2.4 KB at budget 150 and 3.1 KB at
+//!   250, held to 3.5 KiB; no feature matrix of
 //!   its own — and so does a query whose prefilter is too unselective
 //!   to plan over: the dataset version keeps that prefilter's survivor
 //!   count, not its ids;
@@ -34,6 +41,8 @@
 //!   of them, once. A **sports** dataset keeps its five read columns
 //!   (`5·8·N`) through the same session; the first query that names
 //!   `walks`, `hits`, `losses` or `era` makes those four, once;
+//! * a span in the trace ring keeps its events at their length,
+//!   `size_of::<TraceEvent>()` bytes each (40 B, no heap string);
 //! * registering a dataset keeps no copy of its feature columns, one
 //!   cold monolithic prepare at `N = 8 000` peaks at most 320 KiB above
 //!   the live bytes before it, and a warm resume allocates by its budget:
@@ -44,8 +53,10 @@
 
 use lts_core::{restrict_problem, CountingProblem, PhysicalPlan};
 use lts_data::{neighbors_scenario, sports_scenario, QueryParam, SelectivityLevel};
+use lts_obs::TraceEvent;
 use lts_serve::{
-    DatasetSpec, Request, Response, Service, ServiceConfig, Target, MAX_REGISTER_ROWS,
+    DatasetSpec, Observability, Request, Response, Service, ServiceConfig, Target,
+    MAX_REGISTER_ROWS,
 };
 use lts_table::{
     decompose, parse_condition, ExprPredicate, FnPredicate, PartitionedTable, Table, TableRegistry,
@@ -118,15 +129,24 @@ fn allocated_bytes() -> usize {
 
 const N: usize = 8_000;
 const FEATURES: [&str; 2] = ["strikeouts", "wins"];
-/// Fixed part of one distinct query: everything that does not grow with
-/// `N` or `M` — parsed predicate, training and pilot ids + labels, cuts,
-/// catalog / store / cache entries (a warm state boxed in its entry).
-/// Measured 3.9 KB per monolithic query and 5.0 KB per planned query
-/// over a shared prefilter at a 150-label budget, 4.7 KB per
-/// monolithic query at 250; the slack absorbs hash-map growth steps. A
-/// retained proxy does not fit: the 100-tree forest over 75 labels
-/// alone is ≈ 43 KiB, and larger at 250.
-const FIXED_PER_QUERY: usize = 10 * 1024;
+/// Fixed part of one distinct planned query: everything that does not
+/// grow with `N` or `M` — the top of its parsed predicate (the subquery
+/// tree is the dataset version's, shared), training and pilot ids +
+/// labels, cuts, its decomposition (the residual canonical a span of
+/// its key), its restricted problem, its catalog entry with the warm
+/// state and answer inline, its span in the trace ring. Measured 3.0 KB
+/// over a shared prefilter at a 150-label budget and 3.2 KB at 250; the
+/// slack absorbs hash-map growth steps. An entry with a subquery tree
+/// of its own, a copied residual canonical, hash maps for one state and
+/// one answer and a span with spare slots (5.1 KB) does not fit, nor
+/// does a retained proxy: the 100-tree forest over 75 labels alone is
+/// ≈ 43 KiB, and larger at 250.
+const FIXED_PLANNED: usize = 4 * 1024;
+/// The fixed part of one distinct monolithic query: the same parts but
+/// a decomposition and a restricted problem. Measured 2.4 KB at a
+/// 150-label budget and 3.1 KB at 250; the per-entry copies above
+/// (3.9 / 4.8 KB) do not fit.
+const FIXED_MONOLITHIC: usize = 3 * 1024 + 512;
 /// The budgets the bounds are held at.
 const BUDGETS: [usize; 2] = [150, 250];
 /// A `u32` survivor id of a selection, at most one per survivor for a
@@ -206,7 +226,7 @@ fn a_distinct_query_retains_its_delta_not_a_copy_of_the_table() {
             (survivors, orderings) = (survivors + m, orderings + ordering_bytes(m));
         }
         let grown = LIVE_BYTES.load(Ordering::Relaxed) - before;
-        let bound = 40 * FIXED_PER_QUERY + orderings + PER_SELECTED * survivors;
+        let bound = 40 * FIXED_PLANNED + orderings + PER_SELECTED * survivors;
         assert!(
             grown <= bound,
             "budget {budget}: 40 planned queries over {survivors} survivors retain \
@@ -233,7 +253,7 @@ fn a_distinct_query_retains_its_delta_not_a_copy_of_the_table() {
             assert!(response.plan.is_none());
         }
         let grown = LIVE_BYTES.load(Ordering::Relaxed) - before;
-        let bound = 20 * (FIXED_PER_QUERY + ordering_bytes(N));
+        let bound = 20 * (FIXED_MONOLITHIC + ordering_bytes(N));
         assert!(
             grown <= bound,
             "budget {budget}: 20 monolithic queries retain {grown} B > {bound} B"
@@ -350,7 +370,7 @@ fn planned_queries_over_one_prefilter_share_its_survivors() {
     let grown = live_bytes() - before;
     // A survivor list of each query's own (`4·M` more a query) does not
     // fit, nor a `u32` ordering.
-    let bound = K * (ordering_bytes(survivors) + FIXED_PER_QUERY);
+    let bound = K * (ordering_bytes(survivors) + FIXED_PLANNED);
     assert!(
         grown < bound,
         "{K} planned queries over one scanned prefilter of {survivors} survivors retain \
@@ -385,7 +405,7 @@ fn an_unselective_prefilter_keeps_its_count_not_its_ids() {
     let plan = response.plan.expect("the query decomposes");
     assert_eq!((plan.kind, plan.survivors), ("monolithic", None));
     assert!(
-        grown <= twin + FIXED_PER_QUERY,
+        grown <= twin + FIXED_PLANNED,
         "a 90 % prefilter query retains {grown} B, its monolithic twin {twin} B"
     );
     // The count is what `explain` reports as observed.
@@ -722,4 +742,40 @@ fn a_warm_resume_allocates_by_its_budget_not_by_n() {
         10 * small.abs_diff(large) <= small.min(large),
         "a warm resume allocates {small} B at N = 2 000 and {large} B at N = 32 000"
     );
+}
+
+/// A span in the trace ring is kept at its length: a cache hit whose span
+/// evicts a cold request's frees the cold span's events and keeps its
+/// own, each `size_of::<TraceEvent>()` an event with no spare slot.
+#[test]
+fn a_retained_span_keeps_no_spare_slot() {
+    let _serial = serial();
+    let table = sports_scenario(2_000, SelectivityLevel::M, 3)
+        .unwrap()
+        .table;
+    // A ring of one span: each request's evicts the one before.
+    let obs = Observability::enabled(1, 0);
+    let mut service = Service::with_observability(ServiceConfig::default(), obs);
+    service.register_dataset("s", table, &FEATURES).unwrap();
+    let events = |service: &Service, id| {
+        let ring = &service.observability().ring;
+        ring.get(id).expect("the span is retained").events.len()
+    };
+    // A cold request and its hit first, so whatever a hit makes on
+    // first use exists before the measured one.
+    served(&mut service, "s", 1, skyband(5), 150, false);
+    served(&mut service, "s", 2, skyband(5), 150, false);
+    served(&mut service, "s", 3, skyband(8), 150, false);
+    let cold = events(&service, 3);
+    let before = live_bytes();
+    let hit = served(&mut service, "s", 4, skyband(8), 150, false);
+    let grown = live_bytes() as isize - before as isize;
+    assert_eq!(hit.served, "cached");
+    let hit = events(&service, 4);
+    assert!(
+        hit < cold,
+        "a hit's span has {hit} events, a cold one's {cold}"
+    );
+    let event = std::mem::size_of::<TraceEvent>() as isize;
+    assert_eq!(grown, (hit as isize - cold as isize) * event);
 }

@@ -10,7 +10,23 @@ use lts_serve::{NetConfig, NetServer, ReplOptions};
 use net_common::{field_u64, Client};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
+
+/// Held by every test of this binary while it binds a listener, and
+/// from a joined server's release of its port to the check that the
+/// port refuses connections: the tests run on parallel threads, and a
+/// bind to `127.0.0.1:0` beside the check could be handed the freed
+/// port and accept the connection the check expects refused.
+fn binds() -> MutexGuard<'static, ()> {
+    static BINDS: Mutex<()> = Mutex::new(());
+    BINDS.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn bind() -> NetServer {
+    let _binds = binds();
+    NetServer::bind("127.0.0.1:0", deterministic_config()).expect("bind")
+}
 
 fn deterministic_config() -> NetConfig {
     NetConfig {
@@ -23,7 +39,7 @@ fn deterministic_config() -> NetConfig {
 
 #[test]
 fn shutdown_mid_batch_drains_inflight_and_refuses_queued() {
-    let server = NetServer::bind("127.0.0.1:0", deterministic_config()).expect("bind");
+    let server = bind();
     let addr = server.local_addr();
 
     let mut a = Client::connect(addr);
@@ -81,6 +97,7 @@ fn shutdown_mid_batch_drains_inflight_and_refuses_queued() {
 
     // The server drains and joins without a wedged worker, and the
     // listener is closed: fresh connections are refused.
+    let _binds = binds();
     server.join();
     assert!(
         TcpStream::connect(addr).is_err(),
@@ -90,7 +107,7 @@ fn shutdown_mid_batch_drains_inflight_and_refuses_queued() {
 
 #[test]
 fn shutdown_via_server_handle_unblocks_idle_clients() {
-    let server = NetServer::bind("127.0.0.1:0", deterministic_config()).expect("bind");
+    let server = bind();
     let addr = server.local_addr();
     let mut c = Client::connect(addr);
     let resp = c.roundtrip("register sports s rows=400 level=M seed=3");
@@ -110,6 +127,8 @@ fn shutdown_via_server_handle_unblocks_idle_clients() {
 fn lts_served_binary_exits_zero_on_sigterm() {
     use std::process::{Command, Stdio};
 
+    // The child has bound once it prints its banner.
+    let binds = binds();
     let mut child = Command::new(env!("CARGO_BIN_EXE_lts-served"))
         .args(["--addr", "127.0.0.1:0", "--deterministic"])
         .stderr(Stdio::piped())
@@ -121,6 +140,7 @@ fn lts_served_binary_exits_zero_on_sigterm() {
         .next()
         .expect("server banner")
         .expect("read server banner");
+    drop(binds);
     let addr = banner
         .rsplit("listening on ")
         .next()

@@ -281,7 +281,6 @@ fn corrupt_snapshots_error_structurally_and_cold_start_cleanly() {
             Box::new(set(8, 0, train0)),
         ),
         ("ordered id ≥ N", Box::new(set(8, 0, 600))),
-        ("ordered id + 2³²", Box::new(set(8, 0, order0 + (1 << 32)))),
         ("pilot position out of range", Box::new(set(9, 0, 600))),
         (
             "descending cuts",
@@ -331,8 +330,9 @@ fn corrupt_snapshots_error_structurally_and_cold_start_cleanly() {
     ));
     // (e) Malformed warm-state lines are refused by the parse, before
     // any dataset is registered: a sharded entry of an earlier build
-    // (`lss@k` is no tag this build reads) and a second state under one
-    // entry.
+    // (`lss@k` is no tag this build reads), a second state under one
+    // entry, and an ordering id past `u32` (orderings decode straight to
+    // `u32`, so `order0 + 2³²` cannot wrap onto `order0`).
     let second_state = with_state_fields(&good, |f| {
         let again = f[1..].join("\t");
         f.push(format!("\nstore\tstate\t{again}"));
@@ -342,6 +342,10 @@ fn corrupt_snapshots_error_structurally_and_cold_start_cleanly() {
         (
             second_state,
             "store state with no entry line right before it",
+        ),
+        (
+            with_state_fields(&good, set(8, 0, order0 + (1 << 32))),
+            "bad ordering",
         ),
     ] {
         fs::write(&path, &file).unwrap();
@@ -380,10 +384,10 @@ fn corrupt_snapshots_error_structurally_and_cold_start_cleanly() {
 }
 
 /// A `+pf` state's ordering holds ids local to the survivors, below
-/// their count `N′`, and is held as `u32` once decoded: an entry at
-/// `N′`, at a real id plus `2³²` (which a wrapping narrow would take
-/// back onto that id) or repeated is a [`StateError`], never a restored
-/// state.
+/// their count `N′`, and is decoded straight to `u32`: an entry at `N′`
+/// or repeated is refused by the restore, one at a real id plus `2³²`
+/// (which a wrapping narrow would take back onto that id) by the parse
+/// — a [`StateError`] either way, never a restored state.
 #[test]
 fn a_prefiltered_states_ordering_is_checked_not_wrapped() {
     let dir = temp_dir("pf_ids");
@@ -409,8 +413,16 @@ fn a_prefiltered_states_ordering_is_checked_not_wrapped() {
         fs::write(&path, with_state_fields(&good, edit)).unwrap();
         let mut svc = Service::new(ServiceConfig::default());
         let refused = state::load(&mut svc, &dir);
+        let parsed = match &refused {
+            Err(StateError::Corrupt { message }) => message.contains("bad ordering"),
+            _ => false,
+        };
         assert!(
-            matches!(refused, Err(StateError::Restore { .. })),
+            if what.contains("2³²") {
+                parsed
+            } else {
+                matches!(refused, Err(StateError::Restore { .. }))
+            },
             "{what}: {refused:?}"
         );
     }

@@ -1252,7 +1252,7 @@ mod tests {
         let mut bound = BoundCount::bind(&sq, &outer).unwrap();
         assert!(!bound.proven);
         assert_eq!(bound.count(0, test.stop()), None);
-        let e = Expr::Subquery(Box::new(sq)).lt(Expr::lit(3.0));
+        let e = Expr::Subquery(Arc::new(sq)).lt(Expr::lit(3.0));
         let row_wise = e.eval(RowCtx::top(&outer, 0));
         assert!(matches!(
             row_wise,

@@ -49,6 +49,7 @@ use crate::table::Table;
 use crate::value::Value;
 use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// Binary operators.
@@ -151,6 +152,13 @@ pub enum AggFunc {
 /// A correlated scalar aggregate subquery:
 /// `(SELECT agg(arg) FROM table WHERE filter)`, where `filter`/`arg` may
 /// reference the outer row through [`Expr::Outer`].
+///
+/// Equality is identity of spelling: the same table (by pointer), the
+/// same aggregate, and filter and argument trees alike node for node —
+/// operand order kept, literals of one type with the same bits. Two
+/// equal subqueries evaluate alike on every row, errors included, so
+/// one tree can stand for both (the service keeps one per distinct
+/// subquery of a dataset version). `Hash` agrees with it.
 #[derive(Debug, Clone)]
 pub struct AggSubquery {
     /// The table scanned by the subquery.
@@ -178,8 +186,9 @@ pub enum Expr {
     Binary(BinaryOp, Box<Expr>, Box<Expr>),
     /// Scalar function call.
     Call(Func, Vec<Expr>),
-    /// Correlated scalar aggregate subquery.
-    Subquery(Box<AggSubquery>),
+    /// Correlated scalar aggregate subquery, shared: cloning an
+    /// expression copies the pointer, not the tree.
+    Subquery(Arc<AggSubquery>),
 }
 
 /// Evaluation context: the current row, plus (optionally) the outer row
@@ -305,7 +314,7 @@ impl Expr {
         func: AggFunc,
         arg: Option<Expr>,
     ) -> Expr {
-        Expr::Subquery(Box::new(AggSubquery {
+        Expr::Subquery(Arc::new(AggSubquery {
             table,
             filter,
             func,
@@ -575,6 +584,90 @@ fn eval_subquery(sq: &AggSubquery, ctx: RowCtx<'_>) -> TableResult<Value> {
             }
         }
     })
+}
+
+impl PartialEq for AggSubquery {
+    fn eq(&self, other: &Self) -> bool {
+        let same = |a: &Option<Expr>, b: &Option<Expr>| match (a, b) {
+            (Some(a), Some(b)) => spelled_alike(a, b),
+            (a, b) => a.is_none() && b.is_none(),
+        };
+        Arc::ptr_eq(&self.table, &other.table)
+            && self.func == other.func
+            && same(&self.filter, &other.filter)
+            && same(&self.arg, &other.arg)
+    }
+}
+
+impl Eq for AggSubquery {}
+
+impl Hash for AggSubquery {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        Arc::as_ptr(&self.table).hash(h);
+        std::mem::discriminant(&self.func).hash(h);
+        for e in self.filter.iter().chain(&self.arg) {
+            hash_spelling(e, h);
+        }
+    }
+}
+
+/// Whether two trees are spelled alike (see [`AggSubquery`]'s equality).
+fn spelled_alike(a: &Expr, b: &Expr) -> bool {
+    match (a, b) {
+        (Expr::Literal(x), Expr::Literal(y)) => match (x, y) {
+            (Value::Null, Value::Null) => true,
+            (Value::Bool(x), Value::Bool(y)) => x == y,
+            (Value::Int(x), Value::Int(y)) => x == y,
+            (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+            (Value::Str(x), Value::Str(y)) => x == y,
+            _ => false,
+        },
+        (Expr::Column(x), Expr::Column(y)) | (Expr::Outer(x), Expr::Outer(y)) => x == y,
+        (Expr::Unary(o, x), Expr::Unary(p, y)) => o == p && spelled_alike(x, y),
+        (Expr::Binary(o, xl, xr), Expr::Binary(p, yl, yr)) => {
+            o == p && spelled_alike(xl, yl) && spelled_alike(xr, yr)
+        }
+        (Expr::Call(f, xs), Expr::Call(g, ys)) => {
+            f == g && xs.len() == ys.len() && xs.iter().zip(ys).all(|(x, y)| spelled_alike(x, y))
+        }
+        (Expr::Subquery(x), Expr::Subquery(y)) => Arc::ptr_eq(x, y) || x == y,
+        _ => false,
+    }
+}
+
+/// Feed a tree's spelling to `h`: trees [`spelled_alike`] hash alike.
+fn hash_spelling<H: Hasher>(e: &Expr, h: &mut H) {
+    std::mem::discriminant(e).hash(h);
+    match e {
+        Expr::Literal(v) => {
+            std::mem::discriminant(v).hash(h);
+            match v {
+                Value::Null => {}
+                Value::Bool(x) => x.hash(h),
+                Value::Int(x) => x.hash(h),
+                Value::Float(x) => x.to_bits().hash(h),
+                Value::Str(x) => x.hash(h),
+            }
+        }
+        Expr::Column(name) | Expr::Outer(name) => name.hash(h),
+        Expr::Unary(op, x) => {
+            std::mem::discriminant(op).hash(h);
+            hash_spelling(x, h);
+        }
+        Expr::Binary(op, l, r) => {
+            std::mem::discriminant(op).hash(h);
+            if let BinaryOp::Cmp(c) = op {
+                std::mem::discriminant(c).hash(h);
+            }
+            hash_spelling(l, h);
+            hash_spelling(r, h);
+        }
+        Expr::Call(f, args) => {
+            std::mem::discriminant(f).hash(h);
+            args.iter().for_each(|a| hash_spelling(a, h));
+        }
+        Expr::Subquery(sq) => sq.hash(h),
+    }
 }
 
 impl fmt::Display for AggFunc {

@@ -668,7 +668,7 @@ impl Parser<'_> {
             None
         };
         self.grow(arg_height)?;
-        Ok(Expr::Subquery(Box::new(AggSubquery {
+        Ok(Expr::Subquery(Arc::new(AggSubquery {
             table,
             filter,
             func,
