@@ -4,6 +4,9 @@
 # crate's share, and bench_suite/src beside them. Counts every line of
 # every .rs file, comments and tests included — the same command each
 # CHANGES.md entry quotes: find crates/*/src -name '*.rs' | xargs cat | wc -l
+# Beside the total it prints the share of those lines inside top-level
+# #[cfg(test)] modules (from the attribute to the module's closing brace,
+# which rustfmt puts alone at column 0); the ceiling stays on the total.
 #
 # usage: ci/loc.sh [--max <n>]   (from anywhere inside the repository)
 # With --max, exits 1 when the crates/*/src total is above <n> — the
@@ -23,9 +26,17 @@ case "${1-}" in
 esac
 
 count() { find "$@" -name '*.rs' -print0 | xargs -0 cat | wc -l; }
+count_tests() {
+    find "$@" -name '*.rs' -print0 \
+        | xargs -0 awk 'FNR == 1 { t = 0 } /^#\[cfg\(test\)\]$/ { t = 1 } t { n++ } t && /^}$/ { t = 0 }
+                        END { print n + 0 }' \
+        | awk '{ s += $1 } END { print s + 0 }'
+}
 
 total=$(count crates/*/src)
-printf '%7d  crates/*/src\n' "$total"
+tests=$(count_tests crates/*/src)
+printf '%7d  crates/*/src  (%d in #[cfg(test)] modules, %s %%)\n' "$total" "$tests" \
+    "$(awk -v t="$tests" -v n="$total" 'BEGIN { printf "%.1f", n ? 100 * t / n : 0 }')"
 for src in crates/*/src; do
     printf '%7d    %s\n' "$(count "$src")" "$src"
 done

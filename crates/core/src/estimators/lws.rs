@@ -11,9 +11,9 @@ use super::{check_budget, CountEstimator};
 use crate::error::{CoreError, CoreResult};
 use crate::learnphase::{learn_then_score, LearnPhaseConfig};
 use crate::problem::{CountingProblem, Labeler};
-use crate::report::{EstimateReport, Phase, PhaseTimer};
+use crate::report::{EstimateReport, PhaseClock};
 use crate::scoring::ScoredPopulation;
-use crate::warm::observed_phase;
+use lts_obs::Phase;
 use lts_sampling::{weighted_sample_es, CountEstimate, DesRaj};
 use rand::rngs::StdRng;
 
@@ -102,7 +102,7 @@ impl Lws {
         check_budget(problem, budget)?;
         self.validate()?;
         let (train_budget, sample_budget) = self.budget_split(budget)?;
-        let mut timer = PhaseTimer::new();
+        let mut clock = PhaseClock::new();
         let mut labeler = Labeler::new(problem);
         let (lm, scored) = learn_then_score(
             problem,
@@ -110,7 +110,7 @@ impl Lws {
             train_budget,
             &self.learn,
             rng,
-            &mut timer,
+            &mut clock,
         )?;
         if scored.len() < sample_budget {
             return Err(CoreError::BudgetTooSmall {
@@ -119,16 +119,14 @@ impl Lws {
                 reason: "sampling budget exceeds remaining objects".into(),
             });
         }
-        let (estimate, notes) = observed_phase(lts_obs::Phase::Stage2, || {
-            timer.phase(Phase::Phase2, || {
-                phase2(&scored, sample_budget, &mut labeler, rng)
-            })
+        let (estimate, notes) = clock.phase(Phase::Stage2, || {
+            phase2(&scored, sample_budget, &mut labeler, rng)
         })?;
         Ok(EstimateReport {
             estimate: estimate.shifted(lm.positives() as f64),
             has_interval: true,
             evals: labeler.unique_evals(),
-            timings: timer.finish(),
+            timings: clock.finish(),
             estimator: name.into(),
             notes,
             forecast: None,

@@ -14,8 +14,9 @@ use super::{check_budget, CountEstimator};
 use crate::error::CoreResult;
 use crate::learnphase::{learn_then_score, LearnPhaseConfig};
 use crate::problem::{CountingProblem, Labeler};
-use crate::report::{EstimateReport, Phase, PhaseTimer};
+use crate::report::{EstimateReport, PhaseClock};
 use lts_learn::cross_validated_rates;
+use lts_obs::Phase;
 use lts_sampling::CountEstimate;
 use rand::rngs::StdRng;
 use rand::RngExt;
@@ -56,7 +57,7 @@ struct QlRun {
     train_positives: usize,
     observed: usize,
     rest_len: usize,
-    timer: PhaseTimer,
+    clock: PhaseClock,
     evals: usize,
 }
 
@@ -67,9 +68,9 @@ fn run_ql(
     rng: &mut StdRng,
 ) -> CoreResult<QlRun> {
     check_budget(problem, budget)?;
-    let mut timer = PhaseTimer::new();
+    let mut clock = PhaseClock::new();
     let mut labeler = Labeler::new(problem);
-    let (lm, scored) = learn_then_score(problem, &mut labeler, budget, learn, rng, &mut timer)?;
+    let (lm, scored) = learn_then_score(problem, &mut labeler, budget, learn, rng, &mut clock)?;
     Ok(QlRun {
         train_positives: lm.positives(),
         labeled: lm.labeled,
@@ -78,7 +79,7 @@ fn run_ql(
         // exactly the per-row `predict`.
         observed: scored.count_at_least(0.5),
         rest_len: scored.len(),
-        timer,
+        clock,
         evals: labeler.unique_evals(),
     })
 }
@@ -104,7 +105,7 @@ impl CountEstimator for Qlcc {
             estimate: CountEstimate::exact(count, problem.level()),
             has_interval: false,
             evals: run.evals,
-            timings: run.timer.finish(),
+            timings: run.clock.finish(),
             estimator: self.name().into(),
             notes: Vec::new(),
             forecast: None,
@@ -134,7 +135,7 @@ impl CountEstimator for Qlac {
         let folds = self.folds.clamp(2, run.labeled.len().max(2));
         let spec = self.learn.spec;
         let cv_seed = rng.random::<u64>();
-        let rates = run.timer.phase(Phase::Phase2, || {
+        let rates = run.clock.phase(Phase::Score, || {
             let x = problem.feature_view().gather(&run.labeled);
             cross_validated_rates(&x, &run.labels, folds, cv_seed, || spec.build(cv_seed))
         })?;
@@ -156,7 +157,7 @@ impl CountEstimator for Qlac {
             estimate: CountEstimate::exact(count, problem.level()),
             has_interval: false,
             evals: run.evals,
-            timings: run.timer.finish(),
+            timings: run.clock.finish(),
             estimator: self.name().into(),
             notes,
             forecast: None,

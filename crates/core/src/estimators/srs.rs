@@ -3,7 +3,8 @@
 use super::{check_budget, CountEstimator};
 use crate::error::CoreResult;
 use crate::problem::{CountingProblem, Labeler};
-use crate::report::{EstimateReport, Phase, PhaseTimer};
+use crate::report::{EstimateReport, PhaseClock};
+use lts_obs::Phase;
 use lts_sampling::{sample_without_replacement, srs_count_estimate};
 use lts_stats::IntervalKind;
 use rand::rngs::StdRng;
@@ -28,9 +29,9 @@ impl CountEstimator for Srs {
         rng: &mut StdRng,
     ) -> CoreResult<EstimateReport> {
         check_budget(problem, budget)?;
-        let mut timer = PhaseTimer::new();
+        let mut clock = PhaseClock::new();
         let mut labeler = Labeler::new(problem);
-        let estimate = timer.phase(Phase::Phase2, || -> CoreResult<_> {
+        let estimate = clock.phase(Phase::Stage2, || -> CoreResult<_> {
             let draws = sample_without_replacement(rng, budget, problem.n())?;
             let labels = labeler.label_batch(&draws)?;
             Ok(srs_count_estimate(
@@ -44,7 +45,7 @@ impl CountEstimator for Srs {
             estimate,
             has_interval: true,
             evals: labeler.unique_evals(),
-            timings: timer.finish(),
+            timings: clock.finish(),
             estimator: self.name().into(),
             notes: Vec::new(),
             forecast: None,

@@ -11,7 +11,8 @@
 use super::{check_budget, CountEstimator};
 use crate::error::{CoreError, CoreResult};
 use crate::problem::{CountingProblem, Labeler};
-use crate::report::{EstimateReport, Phase, PhaseTimer};
+use crate::report::{EstimateReport, PhaseClock};
+use lts_obs::Phase;
 use lts_sampling::{
     draw_stratified, neyman_allocation, sample_without_replacement, stratified_count_estimate,
     StratumSample,
@@ -60,7 +61,7 @@ impl CountEstimator for Ssn {
                 message: format!("pilot_frac must be in (0, 1), got {}", self.pilot_frac),
             });
         }
-        let mut timer = PhaseTimer::new();
+        let mut clock = PhaseClock::new();
         let mut labeler = Labeler::new(problem);
 
         // Reuse SSP's surrogate-grid construction (which itself runs
@@ -70,7 +71,7 @@ impl CountEstimator for Ssn {
             feature_dims: self.feature_dims,
             min_per_stratum: self.min_per_stratum,
         };
-        let strata = timer.phase(Phase::Design, || ssp.build_strata(problem))?;
+        let strata = clock.phase(Phase::Design, || ssp.build_strata(problem))?;
         let h = strata.len();
 
         let pilot_n = ((budget as f64 * self.pilot_frac).round() as usize).max(h.min(budget / 2));
@@ -90,7 +91,7 @@ impl CountEstimator for Ssn {
                 stratum_of[i] = s;
             }
         }
-        let (pilot_members, s_hats) = timer.phase(Phase::Design, || -> CoreResult<_> {
+        let (pilot_members, s_hats) = clock.phase(Phase::Pilot, || -> CoreResult<_> {
             let pilot = sample_without_replacement(rng, pilot_n, problem.n())?;
             let mut members: Vec<Vec<usize>> = vec![Vec::new(); h];
             for &i in &pilot {
@@ -117,11 +118,11 @@ impl CountEstimator for Ssn {
             .zip(&pilot_members)
             .map(|(m, p)| m.len() - p.len())
             .collect();
-        let alloc = timer.phase(Phase::Design, || {
+        let alloc = clock.phase(Phase::Design, || {
             neyman_allocation(&available, &s_hats, stage2_budget, self.min_per_stratum)
         })?;
 
-        let (estimate, pilot_positives) = timer.phase(Phase::Phase2, || -> CoreResult<_> {
+        let (estimate, pilot_positives) = clock.phase(Phase::Stage2, || -> CoreResult<_> {
             // Remaining members per stratum (excluding pilots).
             let mut remainder: Vec<Vec<usize>> = Vec::with_capacity(h);
             for (members, pilots) in strata.iter().zip(&pilot_members) {
@@ -158,7 +159,7 @@ impl CountEstimator for Ssn {
             estimate: estimate.shifted(pilot_positives as f64),
             has_interval: true,
             evals: labeler.unique_evals(),
-            timings: timer.finish(),
+            timings: clock.finish(),
             estimator: self.name().into(),
             notes: Vec::new(),
             forecast: None,

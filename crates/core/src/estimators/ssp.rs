@@ -8,8 +8,9 @@
 use super::{check_budget, CountEstimator};
 use crate::error::{CoreError, CoreResult};
 use crate::problem::{CountingProblem, Labeler};
-use crate::report::{EstimateReport, Phase, PhaseTimer};
+use crate::report::{EstimateReport, PhaseClock};
 use crate::scoring::surrogate_grid_strata;
+use lts_obs::Phase;
 use lts_sampling::{
     draw_stratified, proportional_allocation, stratified_count_estimate, StratumSample,
 };
@@ -73,10 +74,10 @@ impl CountEstimator for Ssp {
         rng: &mut StdRng,
     ) -> CoreResult<EstimateReport> {
         check_budget(problem, budget)?;
-        let mut timer = PhaseTimer::new();
+        let mut clock = PhaseClock::new();
         let mut labeler = Labeler::new(problem);
 
-        let strata = timer.phase(Phase::Design, || self.build_strata(problem))?;
+        let strata = clock.phase(Phase::Design, || self.build_strata(problem))?;
         if budget < strata.len() * self.min_per_stratum.max(1) {
             return Err(CoreError::BudgetTooSmall {
                 budget,
@@ -85,11 +86,11 @@ impl CountEstimator for Ssp {
             });
         }
         let sizes: Vec<usize> = strata.iter().map(Vec::len).collect();
-        let alloc = timer.phase(Phase::Design, || {
+        let alloc = clock.phase(Phase::Design, || {
             proportional_allocation(&sizes, budget, self.min_per_stratum)
         })?;
 
-        let estimate = timer.phase(Phase::Phase2, || -> CoreResult<_> {
+        let estimate = clock.phase(Phase::Stage2, || -> CoreResult<_> {
             let draws = draw_stratified(rng, &strata, &alloc)?;
             let mut samples = Vec::with_capacity(strata.len());
             for (members, drawn) in strata.iter().zip(&draws) {
@@ -107,7 +108,7 @@ impl CountEstimator for Ssp {
             estimate,
             has_interval: true,
             evals: labeler.unique_evals(),
-            timings: timer.finish(),
+            timings: clock.finish(),
             estimator: self.name().into(),
             notes: Vec::new(),
             forecast: None,

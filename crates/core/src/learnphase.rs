@@ -4,10 +4,9 @@
 
 use crate::error::{CoreError, CoreResult};
 use crate::problem::{CountingProblem, Labeler};
-use crate::report::{Phase, PhaseTimer};
+use crate::report::PhaseClock;
 use crate::scoring::ScoredPopulation;
 use crate::spec::ClassifierSpec;
-use crate::warm::observed_phase;
 use lts_learn::active::AugmentConfig;
 use lts_learn::{select_uncertain, Classifier};
 use lts_sampling::sample_without_replacement;
@@ -161,25 +160,20 @@ pub fn run_learn_phase(
 /// Phase 1 of QLCC, QLAC, LWS, LWS-HT and LWS-seq: the learning phase
 /// on `train_budget` labels under [`lts_obs::Phase::Train`], then the
 /// shared scoring pipeline over `O \ S_L` under
-/// [`lts_obs::Phase::Score`], timed on `timer` as learning and phase-2
-/// overhead.
+/// [`lts_obs::Phase::Score`], both on `clock`.
 pub(crate) fn learn_then_score(
     problem: &CountingProblem,
     labeler: &mut Labeler<'_>,
     train_budget: usize,
     config: &LearnPhaseConfig,
     rng: &mut StdRng,
-    timer: &mut PhaseTimer,
+    clock: &mut PhaseClock,
 ) -> CoreResult<(LearnedModel, ScoredPopulation)> {
-    let lm = timer.phase(Phase::Learn, || {
-        observed_phase(lts_obs::Phase::Train, || {
-            run_learn_phase(problem, labeler, train_budget, config, rng)
-        })
+    let lm = clock.phase(lts_obs::Phase::Train, || {
+        run_learn_phase(problem, labeler, train_budget, config, rng)
     })?;
-    let scored = timer.phase(Phase::Phase2, || {
-        observed_phase(lts_obs::Phase::Score, || {
-            ScoredPopulation::score_rest(problem, lm.model.as_ref(), &lm.labeled)
-        })
+    let scored = clock.phase(lts_obs::Phase::Score, || {
+        ScoredPopulation::score_rest(problem, lm.model.as_ref(), &lm.labeled)
     })?;
     Ok((lm, scored))
 }

@@ -84,7 +84,7 @@ impl PrefilterSelection {
 
 /// Number of top-level AND conjuncts in an expression (1 when it does
 /// not split).
-fn conjunct_count(e: &Expr) -> u64 {
+fn conjunct_count(e: &Expr) -> usize {
     match e {
         Expr::Binary(lts_table::BinaryOp::And, a, b) => conjunct_count(a) + conjunct_count(b),
         _ => 1,
@@ -94,10 +94,10 @@ fn conjunct_count(e: &Expr) -> u64 {
 /// Run `prefilter` as one vectorized partition-parallel scan and
 /// collect the surviving row ids (ascending — bit-identical at every
 /// partition and thread count, per [`lts_table::partition`]'s
-/// determinism contract). The scan emits no trace event: the
-/// `prefilter` event belongs to the plan built over the survivors
-/// ([`PhysicalPlan::over_survivors`]), so a plan that shares an earlier
-/// scan's survivors reports exactly what a scanning one does.
+/// determinism contract). Nothing here emits a trace event: a request
+/// that plans a decomposed query reports its plan's
+/// [`PhysicalPlan::conjuncts`], population and survivors, whether this
+/// scan ran for it or not.
 ///
 /// # Errors
 ///
@@ -163,6 +163,7 @@ pub fn restrict_problem(
 /// survivor id list it was built over without copying it — or, built
 /// by [`PhysicalPlan::count_only`], the count alone.
 pub struct PhysicalPlan {
+    conjuncts: usize,
     population: usize,
     survivors: usize,
     restricted: Option<Arc<CountingProblem>>,
@@ -200,12 +201,7 @@ impl PhysicalPlan {
     /// kept of `problem`'s population under `prefilter`, shared rather
     /// than copied: the restricted problem's predicate and feature view
     /// both read this one list, so plans of every query with the same
-    /// prefilter can share one scan's survivors. Reports the selection
-    /// onto the calling thread's trace collector, if any — conjunct,
-    /// population and survivor counts, pure functions of table content
-    /// and the prefilter expression whether the ids were scanned for
-    /// this plan or shared, so these fields are asserted in trace
-    /// goldens.
+    /// prefilter can share one scan's survivors.
     ///
     /// # Errors
     ///
@@ -223,25 +219,27 @@ impl PhysicalPlan {
         Ok(plan)
     }
 
-    /// A plan that keeps only the survivor count `survivors`, reported
-    /// as [`PhysicalPlan::over_survivors`] reports it: for a prefilter
-    /// too unselective to restrict to, whose queries count over the
-    /// whole population, so no id of it is kept. Its
+    /// A plan that keeps only the survivor count `survivors`: for a
+    /// prefilter too unselective to restrict to, whose queries count
+    /// over the whole population, so no id of it is kept. Its
     /// [`PhysicalPlan::restricted`] is `None`.
     pub fn count_only(problem: &CountingProblem, prefilter: &Expr, survivors: usize) -> Self {
-        let population = problem.n();
-        if lts_obs::trace::collecting() {
-            lts_obs::trace::emit(lts_obs::TraceEvent::Prefilter {
-                conjuncts: conjunct_count(prefilter),
-                population: population as u64,
-                survivors: survivors as u64,
-            });
-        }
         Self {
-            population,
+            conjuncts: conjunct_count(prefilter),
+            population: problem.n(),
             survivors,
             restricted: None,
         }
+    }
+
+    /// Number of top-level AND conjuncts in the prefilter.
+    pub fn conjuncts(&self) -> usize {
+        self.conjuncts
+    }
+
+    /// Population size `N` the prefilter was run over.
+    pub fn population(&self) -> usize {
+        self.population
     }
 
     /// Prefilter survivor count `M`.
@@ -302,6 +300,11 @@ mod tests {
             Arc::new(CountingProblem::new(Arc::clone(&table), predicate, &["x", "y"]).unwrap());
         let pt = PartitionedTable::new(table, 4);
         (problem, pt, expr)
+    }
+
+    /// What a request's `prefilter` trace event reports of a plan.
+    fn reported(plan: &PhysicalPlan) -> (usize, usize, usize) {
+        (plan.conjuncts(), plan.population(), plan.survivors())
     }
 
     #[test]
@@ -376,18 +379,13 @@ mod tests {
     fn plans_over_one_shared_selection_copy_no_ids_and_trace_alike() {
         let (problem, pt, expr) = scenario();
         let prefilter = decompose(&expr).exact_prefilter.unwrap();
-        let (built, scanned) =
-            lts_obs::trace::collect(|| PhysicalPlan::build(&problem, &pt, &prefilter).unwrap());
+        let built = PhysicalPlan::build(&problem, &pt, &prefilter).unwrap();
         let ids = select_prefilter(&pt, &prefilter).unwrap().ids().unwrap();
-        let (shared, reused) = lts_obs::trace::collect(|| {
-            let plan = |_| PhysicalPlan::over_survivors(&problem, &prefilter, Arc::clone(&ids));
-            [plan(0).unwrap(), plan(1).unwrap()]
-        });
-        // Each plan reports the selection once, as the scanning build did.
-        assert_eq!(scanned.len(), 1);
-        assert_eq!(reused, [scanned.clone(), scanned].concat());
+        let plan = |_| PhysicalPlan::over_survivors(&problem, &prefilter, Arc::clone(&ids));
+        let shared = [plan(0).unwrap(), plan(1).unwrap()];
+        // Each plan reports the selection as the scanning build does.
         for plan in &shared {
-            assert_eq!(plan.survivors(), built.survivors());
+            assert_eq!(reported(plan), reported(&built));
             assert_eq!(plan.selectivity().to_bits(), built.selectivity().to_bits());
             assert_eq!(plan.exact_count().unwrap(), built.exact_count().unwrap());
             let view = plan.restricted().unwrap().feature_view();
@@ -403,12 +401,10 @@ mod tests {
     fn a_count_only_plan_reports_its_selection_and_counts_nothing() {
         let (problem, pt, expr) = scenario();
         let prefilter = decompose(&expr).exact_prefilter.unwrap();
-        let (built, scanned) =
-            lts_obs::trace::collect(|| PhysicalPlan::build(&problem, &pt, &prefilter).unwrap());
-        let (plan, counted) = lts_obs::trace::collect(|| {
-            PhysicalPlan::count_only(&problem, &prefilter, built.survivors())
-        });
-        assert_eq!(counted, scanned);
+        let built = PhysicalPlan::build(&problem, &pt, &prefilter).unwrap();
+        let plan = PhysicalPlan::count_only(&problem, &prefilter, built.survivors());
+        assert_eq!(reported(&built), (1, 64, 24));
+        assert_eq!(reported(&plan), reported(&built));
         assert_eq!(plan.selectivity().to_bits(), built.selectivity().to_bits());
         assert!(plan.restricted().is_none());
         assert!(plan.exact_count().is_err());

@@ -1,7 +1,16 @@
-//! Estimate reports and phase timings.
+//! Estimate reports and the phase clock that times them.
+//!
+//! Every estimator runs its phases through one `PhaseClock`: each
+//! phase is tagged with an [`lts_obs::Phase`], which scopes the oracle
+//! evaluations made inside it (the service's per-phase eval counters and
+//! trace events) and picks the Figure-3 bucket its wall time lands in.
+//! Labeling time is read off the calling thread's labeling clock
+//! ([`lts_obs::phase::thread_label_nanos`]), so attribution stays exact
+//! per run even while other trials label concurrently on other threads.
 
+use lts_obs::{phase, trace, Phase, TraceEvent};
 use lts_sampling::CountEstimate;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Wall-time breakdown of one estimation run, matching the paper's
 /// Figure-3 phases.
@@ -93,44 +102,62 @@ impl EstimateReport {
     }
 }
 
-/// Incremental phase timer used by estimator implementations: tracks
-/// wall time per phase and attributes in-predicate time to `labeling`.
+/// The phase clock of one estimation run: wall time per Figure-3
+/// bucket, with labeling time credited to `labeling`.
 #[derive(Debug)]
-pub(crate) struct PhaseTimer {
-    start: std::time::Instant,
+pub(crate) struct PhaseClock {
+    start: Instant,
     timings: PhaseTimings,
 }
 
-impl PhaseTimer {
+impl PhaseClock {
     pub(crate) fn new() -> Self {
         Self {
-            start: std::time::Instant::now(),
+            start: Instant::now(),
             timings: PhaseTimings::default(),
         }
     }
 
-    /// Run `f` attributed to a phase; label time accumulated inside is
-    /// subtracted from the phase and credited to `labeling`.
-    ///
-    /// Label time is measured with the **thread-local** in-predicate
-    /// clock ([`lts_table::thread_labeling_nanos`]), not the problem's
-    /// shared meter — so attribution stays exact per run even when
-    /// other trials label concurrently on other threads (the parallel
-    /// trial runner).
-    pub(crate) fn phase<T>(&mut self, which: Phase, f: impl FnOnce() -> T) -> T {
-        let label_before = lts_table::thread_labeling_nanos();
-        let t0 = std::time::Instant::now();
+    /// Run `f` as phase `p`: its oracle evaluations are charged to `p`,
+    /// the labeling time the calling thread spent inside it to
+    /// `labeling`, and the rest of its wall time to `p`'s Figure-3
+    /// bucket (`Train` → learn; `Pilot`, `Design` → design; `Score`,
+    /// `Stage2` → phase 2). When a trace collector is installed and `f`
+    /// succeeds, the phase is reported as a `phase` event (`stage2`
+    /// for [`Phase::Stage2`]) carrying its exact eval count — the
+    /// labeler records once per batch on the calling thread — and its
+    /// wall time, confined to `wall_nanos` per the determinism contract.
+    pub(crate) fn phase<T, E>(
+        &mut self,
+        p: Phase,
+        f: impl FnOnce() -> Result<T, E>,
+    ) -> Result<T, E> {
+        let (evals_before, label_before) = (phase::thread_evals(), phase::thread_label_nanos());
+        let t0 = Instant::now();
+        let scope = phase::scope(p);
         let out = f();
+        drop(scope);
         let wall = t0.elapsed();
-        let label_delta = std::time::Duration::from_nanos(
-            lts_table::thread_labeling_nanos().saturating_sub(label_before),
-        );
-        let overhead = wall.saturating_sub(label_delta);
-        self.timings.labeling += label_delta;
-        match which {
-            Phase::Learn => self.timings.learn += overhead,
-            Phase::Design => self.timings.design += overhead,
-            Phase::Phase2 => self.timings.phase2 += overhead,
+        let labeling =
+            Duration::from_nanos(phase::thread_label_nanos().saturating_sub(label_before));
+        self.timings.labeling += labeling;
+        let overhead = wall.saturating_sub(labeling);
+        match p {
+            Phase::Train => self.timings.learn += overhead,
+            Phase::Pilot | Phase::Design => self.timings.design += overhead,
+            _ => self.timings.phase2 += overhead,
+        }
+        if out.is_ok() && trace::collecting() {
+            let evals = phase::delta(phase::thread_evals(), evals_before)[p as usize];
+            let wall_nanos = u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX);
+            trace::emit(match p {
+                Phase::Stage2 => TraceEvent::Stage2 { evals, wall_nanos },
+                _ => TraceEvent::Phase {
+                    phase: p.name(),
+                    evals,
+                    wall_nanos,
+                },
+            });
         }
         out
     }
@@ -139,14 +166,6 @@ impl PhaseTimer {
         self.timings.total = self.start.elapsed();
         self.timings
     }
-}
-
-/// Phases for [`PhaseTimer::phase`].
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Phase {
-    Learn,
-    Design,
-    Phase2,
 }
 
 #[cfg(test)]

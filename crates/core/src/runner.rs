@@ -11,7 +11,11 @@
 //! trial's randomness is fully determined by its seed and results are
 //! collected in trial order, the parallel path is **bit-identical** to
 //! [`TrialExecution::Sequential`] (asserted by
-//! `tests/scoring_thread_sweep.rs`).
+//! `tests/scoring_thread_sweep.rs`). Each trial's [`PhaseTimings`] come
+//! from its estimator's phase clock, which reads the eval and
+//! labeling-time counters of the thread the trial runs on
+//! ([`lts_obs::phase`]) — never the problem's shared meter — so trials
+//! labeling side by side do not charge each other's time.
 //!
 //! [`Labeler`]: crate::problem::Labeler
 
@@ -36,9 +40,9 @@ pub enum TrialExecution {
     Sequential,
     /// Trials fan out across threads (the default). Estimates, evals,
     /// coverage, and RMSE are bit-identical to `Sequential`. Per-phase
-    /// attribution stays exact too — labeling time is measured with a
-    /// thread-local in-predicate clock, not the shared meter — but the
-    /// *magnitudes* of timings can stretch under core contention.
+    /// attribution stays exact too (each trial's phase clock is its
+    /// thread's), but the *magnitudes* of timings can stretch under
+    /// core contention.
     #[default]
     Parallel,
 }

@@ -7,7 +7,7 @@
 //! its optimized stratification. This module splits [`Lss`] into an
 //! expensive, cacheable **prepare** phase and a cheap, repeatable
 //! **resume** phase, each written once as a body over a `Run` — the
-//! labeler, RNG stream and phase timer of one run:
+//! labeler, RNG stream and phase clock of one run:
 //!
 //! * [`Lss::prepare`] / [`Lss::prepare_with_known`] run phase 1 + the
 //!   design and return an [`LssWarm`];
@@ -46,10 +46,11 @@ use crate::estimators::lss::{nth_unmarked, stage2_estimate, LssBudgetSplit};
 use crate::estimators::{check_budget, CountEstimator, Lss, LssLayout, PilotSource};
 use crate::learnphase::{run_learn_phase, LearnPhaseConfig};
 use crate::problem::{CountingProblem, Labeler};
-use crate::report::{EstimateReport, Phase, PhaseTimer};
+use crate::report::{EstimateReport, PhaseClock};
 use crate::scoring::ScoredPopulation;
 use crate::spec::ClassifierSpec;
 use lts_learn::Classifier;
+use lts_obs::Phase;
 use lts_sampling::sample_without_replacement;
 use lts_strata::Stratification;
 use rand::rngs::StdRng;
@@ -60,39 +61,6 @@ use std::sync::Arc;
 const SALT_LEARN: u64 = 0x4C45_4152_4E01;
 const SALT_DESIGN: u64 = 0x4445_5349_474E;
 const SALT_SAMPLE: u64 = 0x5341_4D50_4C45;
-
-/// Run `f` with oracle evaluations attributed to observability phase
-/// `p`, and — when a trace collector is installed on this thread —
-/// emit the matching trace event carrying the *exact* eval delta (the
-/// labeler records once per batch on the calling thread) plus the
-/// span's wall time. Wall time stays confined to the event's
-/// `wall_nanos` field per the determinism contract; nothing is emitted
-/// on the error path.
-pub(crate) fn observed_phase<T, E>(
-    p: lts_obs::Phase,
-    f: impl FnOnce() -> Result<T, E>,
-) -> Result<T, E> {
-    let before = lts_obs::phase::thread_evals();
-    let t0 = std::time::Instant::now();
-    let scope = lts_obs::phase::scope(p);
-    let out = f();
-    drop(scope);
-    if out.is_ok() && lts_obs::trace::collecting() {
-        let evals = lts_obs::phase::delta(lts_obs::phase::thread_evals(), before)[p as usize];
-        let wall_nanos = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let event = if p == lts_obs::Phase::Stage2 {
-            lts_obs::TraceEvent::Stage2 { evals, wall_nanos }
-        } else {
-            lts_obs::TraceEvent::Phase {
-                phase: p.name(),
-                evals,
-                wall_nanos,
-            }
-        };
-        lts_obs::trace::emit(event);
-    }
-    out
-}
 
 /// Mix two 64-bit values into one seed (SplitMix64 finalizer over the
 /// xor): the deterministic derivation used for phase and per-request
@@ -235,7 +203,7 @@ impl ModelSnapshot {
 
 /// What one prepare or resume body runs over: the labeler (its cache
 /// carries labels from phase to phase), the RNG stream, and the phase
-/// timer. The one-shot path hands one `Run` from prepare to resume;
+/// clock. The one-shot path hands one `Run` from prepare to resume;
 /// each seeded entry point builds its own.
 struct Run<'p, 'r> {
     labeler: Labeler<'p>,
@@ -243,12 +211,12 @@ struct Run<'p, 'r> {
     /// Where the stream restarts before the stage-1 pilot draw (the
     /// seeded prepare's own design stream; `None` continues `rng`).
     pilot_seed: Option<u64>,
-    timer: PhaseTimer,
+    clock: PhaseClock,
 }
 
 impl<'p, 'r> Run<'p, 'r> {
     fn new(problem: &'p CountingProblem, rng: &'r mut StdRng, known: &[(usize, bool)]) -> Self {
-        let timer = PhaseTimer::new();
+        let clock = PhaseClock::new();
         let mut labeler = Labeler::new(problem);
         if !known.is_empty() {
             let (ids, labels): (Vec<usize>, Vec<bool>) = known.iter().copied().unzip();
@@ -258,7 +226,7 @@ impl<'p, 'r> Run<'p, 'r> {
             labeler,
             rng,
             pilot_seed: None,
-            timer,
+            clock,
         }
     }
 }
@@ -638,10 +606,8 @@ impl Lss {
         check_budget(problem, budget)?;
         self.validate()?;
         let split = self.budget_split(budget)?;
-        let proxy = run.timer.phase(Phase::Learn, || {
-            observed_phase(lts_obs::Phase::Train, || {
-                train_proxy_on(problem, &self.learn, split.train, &mut run.labeler, run.rng)
-            })
+        let proxy = run.clock.phase(Phase::Train, || {
+            train_proxy_on(problem, &self.learn, split.train, &mut run.labeler, run.rng)
         })?;
 
         // With PilotSource::Fresh the ordering covers O' = O \ S_L (the
@@ -650,14 +616,12 @@ impl Lss {
         // positions. `train_positions` are the positions of S_L within
         // the ordering (ascending; empty in Fresh mode).
         let reuse = self.pilot_source == PilotSource::ReuseLearning;
-        let (ordered, train_positions, proxy) = run.timer.phase(Phase::Phase2, || {
-            let scored = observed_phase(lts_obs::Phase::Score, || {
-                if reuse {
-                    ScoredPopulation::score_all(problem, proxy.model.as_ref())
-                } else {
-                    ScoredPopulation::score_rest(problem, proxy.model.as_ref(), &proxy.labeled)
-                }
-            })?;
+        let (ordered, train_positions, proxy) = run.clock.phase(Phase::Score, || {
+            let scored = if reuse {
+                ScoredPopulation::score_all(problem, proxy.model.as_ref())
+            } else {
+                ScoredPopulation::score_rest(problem, proxy.model.as_ref(), &proxy.labeled)
+            }?;
             // Scoring was the model's last use: it (and a forest's score
             // table) is dropped before the ordering allocates, and the
             // state keeps its record.
@@ -683,41 +647,38 @@ impl Lss {
             });
         }
 
-        let mut design_notes = Vec::new();
-        let (entries, order, stratification) = run.timer.phase(Phase::Design, || {
-            // Draw SI uniformly over *positions* of the ordering
-            // (equivalent to uniform over objects). The S_L positions
-            // (reuse mode only) are excluded from the draw and injected
-            // afterwards with their already-known labels, which the
-            // labeler has cached — they cost no extra q evaluations.
-            let entries = observed_phase(lts_obs::Phase::Pilot, || -> CoreResult<_> {
-                if let Some(seed) = run.pilot_seed {
-                    *run.rng = StdRng::seed_from_u64(seed);
-                }
-                let draws = sample_without_replacement(run.rng, split.pilot, n_drawable)?;
-                let mut positions: Vec<usize> = (draws.into_iter())
-                    .map(|i| nth_unmarked(&train_positions, 0, i))
-                    .collect();
-                positions.extend_from_slice(&train_positions);
-                let labels = run.labeler.label_batch(&ordered.objects_at(&positions))?;
-                Ok(positions.into_iter().zip(labels).collect::<Vec<_>>())
-            })?;
+        // Draw SI uniformly over *positions* of the ordering (equivalent
+        // to uniform over objects). The S_L positions (reuse mode only)
+        // are excluded from the draw and injected afterwards with their
+        // already-known labels, which the labeler has cached — they cost
+        // no extra q evaluations.
+        let (entries, pilot, order, sorted_scores) = run.clock.phase(Phase::Pilot, || {
+            if let Some(seed) = run.pilot_seed {
+                *run.rng = StdRng::seed_from_u64(seed);
+            }
+            let draws = sample_without_replacement(run.rng, split.pilot, n_drawable)?;
+            let mut positions: Vec<usize> = (draws.into_iter())
+                .map(|i| nth_unmarked(&train_positions, 0, i))
+                .collect();
+            positions.extend_from_slice(&train_positions);
+            let labels = run.labeler.label_batch(&ordered.objects_at(&positions))?;
+            let entries: Vec<_> = positions.into_iter().zip(labels).collect();
             let pilot = ordered.pilot_index(&entries)?;
             // The ordering's last read was the pilot's objects: it is
             // packed before the design allocates.
             let (order, sorted_scores) = ordered.into_parts();
             let packed = PackedIds::pack(&order);
-            drop(order);
-            let stratification = observed_phase(lts_obs::Phase::Design, || {
-                self.layout_cuts(
-                    &pilot,
-                    &sorted_scores,
-                    n_rest,
-                    split.stage2,
-                    &mut design_notes,
-                )
-            })?;
-            CoreResult::Ok((entries, packed, stratification))
+            CoreResult::Ok((entries, pilot, packed, sorted_scores))
+        })?;
+        let mut design_notes = Vec::new();
+        let stratification = run.clock.phase(Phase::Design, || {
+            self.layout_cuts(
+                &pilot,
+                &sorted_scores,
+                n_rest,
+                split.stage2,
+                &mut design_notes,
+            )
         })?;
 
         // Store the pilot sorted by position with aligned labels.
@@ -761,16 +722,14 @@ impl Lss {
                 ),
             });
         }
-        let (estimate, forecast) = observed_phase(lts_obs::Phase::Stage2, || {
-            run.timer.phase(Phase::Phase2, || {
-                stage2_estimate(self, warm, problem.level(), &mut run.labeler, run.rng)
-            })
+        let (estimate, forecast) = run.clock.phase(Phase::Stage2, || {
+            stage2_estimate(self, warm, problem.level(), &mut run.labeler, run.rng)
         })?;
         Ok(EstimateReport {
             estimate,
             has_interval: true,
             evals: run.labeler.unique_evals(),
-            timings: run.timer.finish(),
+            timings: run.clock.finish(),
             estimator: self.name().into(),
             notes: warm.design_notes.clone(),
             forecast: Some(forecast),

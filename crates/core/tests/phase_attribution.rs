@@ -1,12 +1,14 @@
-//! Where the learned estimators' oracle evaluations land: diffing
+//! Where every estimator's oracle evaluations land: diffing
 //! `lts_obs::phase::thread_evals()` around one `estimate`, every
-//! training label is charged to `Train`, every sampling label to
-//! `Stage2`, and none to `Other` (or any other phase).
+//! evaluation is charged to a named phase — training labels to `Train`,
+//! pilot labels to `Pilot`, sampling labels to `Stage2` — and none to
+//! `Other`; and the run's phase clock never books more time than the
+//! run took.
 
 mod common;
 
 use common::band_problem;
-use lts_core::{CountEstimator, Lws, LwsHt, LwsSequential, Qlac, Qlcc};
+use lts_core::{CountEstimator, Lss, Lws, LwsHt, LwsSequential, Qlac, Qlcc, Srs, Ssn, Ssp};
 use lts_obs::phase::{delta, thread_evals};
 use lts_obs::Phase;
 use rand::rngs::StdRng;
@@ -17,16 +19,33 @@ fn training_labels_land_under_train_and_sampling_labels_under_stage2() {
     let problem = band_problem(600, 17);
     let budget = 150;
     // LWS and its variants train on `train_frac` of the budget;
-    // quantification learning trains on all of it and samples nothing.
+    // quantification learning trains on all of it and samples nothing;
+    // LSS trains, then labels a pilot and a stage-2 draw; the
+    // stratified designs label a pilot (SSN) or nothing before their
+    // draw.
     let (lws_train, _) = Lws::default().budget_split(budget).unwrap();
-    let cases: [(Box<dyn CountEstimator>, usize); 5] = [
-        (Box::new(Lws::default()), lws_train),
-        (Box::new(LwsHt::default()), lws_train),
-        (Box::new(LwsSequential::default()), lws_train),
-        (Box::new(Qlcc::default()), budget),
-        (Box::new(Qlac::default()), budget),
+    let lss_train = Lss::default().budget_split(budget).unwrap().train;
+    let (learned, pilot, sampled) = (
+        &[Phase::Train, Phase::Stage2][..],
+        &[Phase::Pilot, Phase::Stage2][..],
+        &[Phase::Stage2][..],
+    );
+    let cases: [(Box<dyn CountEstimator>, usize, &[Phase]); 9] = [
+        (Box::new(Lws::default()), lws_train, learned),
+        (Box::new(LwsHt::default()), lws_train, learned),
+        (Box::new(LwsSequential::default()), lws_train, learned),
+        (Box::new(Qlcc::default()), budget, learned),
+        (Box::new(Qlac::default()), budget, learned),
+        (
+            Box::new(Lss::default()),
+            lss_train,
+            &[Phase::Train, Phase::Pilot, Phase::Stage2],
+        ),
+        (Box::new(Srs::default()), 0, sampled),
+        (Box::new(Ssp::default()), 0, sampled),
+        (Box::new(Ssn::default()), 0, pilot),
     ];
-    for (est, train) in &cases {
+    for (est, train, labeling) in &cases {
         for seed in [7, 23] {
             let before = thread_evals();
             let r = est
@@ -35,10 +54,17 @@ fn training_labels_land_under_train_and_sampling_labels_under_stage2() {
             let d = delta(thread_evals(), before);
             let name = est.name();
             assert_eq!(d[Phase::Train as usize], *train as u64, "{name}: {d:?}");
-            let sampled = (r.evals - train) as u64;
-            assert_eq!(d[Phase::Stage2 as usize], sampled, "{name}: {d:?}");
-            assert_eq!(d[Phase::Other as usize], 0, "{name}: {d:?}");
+            for p in Phase::all() {
+                if !labeling.contains(&p) {
+                    assert_eq!(d[p as usize], 0, "{name}: {} in {d:?}", p.name());
+                }
+            }
             assert_eq!(d.iter().sum::<u64>(), r.evals as u64, "{name}: {d:?}");
+            let t = r.timings;
+            assert!(
+                t.labeling + t.overhead() <= t.total,
+                "{name}: {t:?} books more than the run took"
+            );
         }
     }
 }

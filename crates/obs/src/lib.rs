@@ -13,13 +13,14 @@
 //! | Pillar | Module | Job |
 //! |---|---|---|
 //! | metrics registry | [`registry`] | named counters / gauges / fixed-bound histograms with atomic recording, a point-in-time [`MetricsSnapshot`], JSON + Prometheus text exposition |
-//! | phase attribution | [`phase`] | a scoped thread-local phase tag so the metered oracle can attribute every evaluation to train / score / pilot / design / stage-2 / exact |
+//! | phase attribution | [`phase`] | a scoped thread-local phase tag and labeling clock, so the metered oracle can attribute every evaluation — and the time it took — to train / score / pilot / design / stage-2 / exact |
 //! | trace spans | [`trace`] | typed per-request [`TraceEvent`]s gathered by a thread-local collector, a bounded [`TraceRing`] for `trace <id>` replay, and a deterministic top-K [`SlowLog`] |
 //!
 //! **Determinism contract.** Every *asserted* field of a trace or
-//! metric — event kinds, eval counts, routes, outcomes —
-//! must be a pure function of (seed, dataset version, canonical query,
-//! budget, request id). Wall-clock time is
+//! metric — event kinds, eval counts, routes, outcomes — must be a
+//! deterministic function of the request sequence; the pure ones
+//! ([`trace`] lists them) of the request alone: (seed, dataset version,
+//! canonical query, budget, request id). Wall-clock time is
 //! allowed, but only inside fields whose name contains `wall`
 //! (`wall_nanos`, `wall_micros`, …); every exposition function takes a
 //! `mask_wall` flag that zeroes exactly those fields, which is what CI

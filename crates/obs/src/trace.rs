@@ -2,19 +2,26 @@
 //!
 //! A [`Trace`] is the ordered list of typed [`TraceEvent`]s one
 //! request generated on its way through the service: the route the
-//! planner chose, the prefilter scan, each preparation phase
-//! (train / score / pilot / design), the stage-2 draw, cache and store
-//! outcomes. Events are gathered
-//! by a **thread-local collector** ([`collect`]): the service installs
-//! one around each unit of per-request work (sequential admission, a
-//! wave-1 prepare closure, a wave-2 execute closure), so emission
-//! sites deep in the pipeline ([`emit`]) need no plumbed-through
-//! handle and cost a thread-local branch when nothing is collecting.
+//! planner chose, the prefilter its plan applies, each preparation
+//! phase (train / score / pilot / design), the stage-2 draw, cache and
+//! store outcomes. The service builds the route, prefilter, cache,
+//! store and served events itself; the phase and stage-2 events are
+//! gathered by a **thread-local collector** ([`collect`]) that the
+//! service installs around each unit of estimation work (a wave-1
+//! prepare closure, a wave-2 execute closure), so the estimators'
+//! phase clock ([`emit`]) needs no plumbed-through handle and costs a
+//! thread-local branch when nothing is collecting.
 //!
-//! **Determinism contract.** Every asserted field of an event is a
-//! pure function of (seed, dataset version, canonical query, budget,
-//! request id). Wall-clock time lives only in fields named `wall_*`,
-//! which [`Trace::to_json`] zeroes under `mask_wall`.
+//! **Determinism contract.** Asserted fields are of two kinds.
+//! *Pure* fields — `route`, `plan`, the `prefilter` event, `estimate`,
+//! `lo`, `hi` — are pure functions of (seed, dataset version, canonical
+//! query, budget, request id), whatever ran before. *History* fields —
+//! `cache`, `store`, `served`, the `phase` / `stage2` events' evals and
+//! the response `evals` — depend on what ran before, by design (a
+//! repeat is a cache hit, a resume of another request's state skips
+//! its prepare), and are deterministic for a given request sequence.
+//! Wall-clock time lives only in fields named `wall_*`, which
+//! [`Trace::to_json`] zeroes under `mask_wall`.
 //!
 //! Completed traces land in a bounded [`TraceRing`] (replayed by the
 //! `trace <id>` protocol command) and feed a deterministic top-K

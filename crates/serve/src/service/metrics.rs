@@ -141,21 +141,21 @@ impl ServeMetrics {
     }
 
     /// Feed the per-phase partition of `oracle_evals_total` from a
-    /// sealed request's span.
+    /// sealed request's span. An SRS fallback's draw is its `stage2`
+    /// event, booked as `srs`.
     pub(super) fn attribute(&self, r: &Response, events: &[TraceEvent]) {
         for ev in events {
             match ev {
                 TraceEvent::Phase { phase, evals, .. } => self.add_phase_evals(phase, *evals),
+                TraceEvent::Stage2 { evals, .. } if r.route == "srs" => self.evals_srs.add(*evals),
                 TraceEvent::Stage2 { evals, .. } => self.evals_stage2.add(*evals),
                 _ => {}
             }
         }
-        // Exact scans and SRS fallbacks have no instrumented interior;
-        // their evals are attributed from the sealed response.
+        // An exact scan has no instrumented interior: its evals are
+        // attributed from the sealed response.
         if r.served == "exact" {
             self.evals_exact.add(r.evals as u64);
-        } else if r.route == "srs" {
-            self.evals_srs.add(r.evals as u64);
         }
     }
 

@@ -108,6 +108,10 @@ pub(super) struct Planned {
     pub(super) budget: usize,
     /// Plan echo for the response (`None` for undecomposed queries).
     pub(super) summary: Option<PlanSummary>,
+    /// The span's `prefilter` event: what the query's memoized
+    /// [`PhysicalPlan`] reports, for every request that plans a
+    /// decomposed query (`None` otherwise).
+    pub(super) prefilter: Option<TraceEvent>,
 }
 
 impl Planned {
@@ -118,6 +122,7 @@ impl Planned {
                 problem: Arc::clone(&resolved.problem),
                 budget: 0,
                 summary,
+                prefilter: None,
             },
             Route::Estimate { budget } => {
                 let (problem, key) = resolved.warm_identity(None, budget);
@@ -126,6 +131,7 @@ impl Planned {
                     problem,
                     budget,
                     summary,
+                    prefilter: None,
                 }
             }
         }
@@ -157,8 +163,6 @@ pub(super) struct Admitted {
     /// decomposed spelling aliases its monolithic twin.
     key: ResultKey,
     planned: Planned,
-    /// Events emitted while resolving and planning (the prefilter scan).
-    events: Vec<TraceEvent>,
 }
 
 /// A request the cache could not answer: the unit of waves 1 and 2.
@@ -346,9 +350,10 @@ impl Service {
     /// plan: monolithic for queries that do not decompose (or when the
     /// planner disables decomposition), otherwise the route chosen by
     /// [`crate::BudgetPlanner::choose`] over the survivor count of the
-    /// query's memoized plan ([`Service::plan_state`]). Every query that
-    /// decomposes plans there, so each one's span carries its
-    /// prefilter event whichever query scanned the prefilter first.
+    /// query's memoized plan ([`Service::plan_state`]). Every request
+    /// whose query decomposes plans there and carries that plan's
+    /// `prefilter` event, whichever request built the plan or scanned
+    /// the prefilter first: the event is a function of the request.
     pub(super) fn plan(&mut self, resolved: &Resolved, target: Target) -> ServeResult<Planned> {
         let planner = self.config.planner;
         let n = resolved.problem.n();
@@ -382,13 +387,22 @@ impl Service {
             Planned::monolithic(resolved, route, summary(kind, None))
         };
         let plan = self.plan_state(resolved, decomp)?;
+        let prefilter = Some(TraceEvent::Prefilter {
+            conjuncts: plan.conjuncts() as u64,
+            population: plan.population() as u64,
+            survivors: plan.survivors() as u64,
+        });
         Ok(match planner.choose(n, Some(plan.survivors()), target)? {
-            QueryRoute::Monolithic(route) => mono(route),
+            QueryRoute::Monolithic(route) => Planned {
+                prefilter,
+                ..mono(route)
+            },
             QueryRoute::PrefilterExact => Planned {
                 task: Task::Exact {
                     plan: Some(Arc::clone(&plan)),
                 },
                 summary: summary("exact_prefilter", Some(&plan)),
+                prefilter,
                 ..Planned::monolithic(resolved, Route::Exact, None)
             },
             QueryRoute::PrefilterEstimate { budget } => {
@@ -401,6 +415,7 @@ impl Service {
                     problem,
                     budget,
                     summary: summary("prefilter_estimate", Some(&plan)),
+                    prefilter,
                 }
             }
         })
@@ -413,17 +428,13 @@ impl Service {
         if pos >= capacity {
             return Err(ServeError::Overloaded { capacity });
         }
-        // Under a collector, so planning-time emissions (the prefilter
-        // scan) land in this request's span; and contained, since the
-        // scan reads columns a dataset may make on first read.
-        let (planned, events) = traced(self.obs.is_enabled(), || {
-            guarded(|| {
-                let resolved = self.resolve(req.dataset, &req.condition)?;
-                let planned = self.plan(&resolved, req.target)?;
-                Ok((resolved, planned))
-            })
-        });
-        let (resolved, planned) = planned?;
+        // Contained, since the prefilter scan reads columns a dataset
+        // may make on first read.
+        let (resolved, planned) = guarded(|| {
+            let resolved = self.resolve(req.dataset, &req.condition)?;
+            let planned = self.plan(&resolved, req.target)?;
+            Ok((resolved, planned))
+        })?;
         Ok(Admitted {
             pos,
             id: req.id,
@@ -437,7 +448,6 @@ impl Service {
                 budget: planned.budget,
             },
             planned,
-            events,
         })
     }
 
@@ -695,12 +705,14 @@ impl Service {
         self.metrics.book(&response, cache, store, saved);
         if tracing {
             // Sized up front: the span is kept at its length.
-            let mut events = Vec::with_capacity(adm.events.len() + tail.len() + 3);
-            events.push(TraceEvent::Route {
+            let route = TraceEvent::Route {
                 route: response.route,
                 kind: adm.planned.kind(),
-            });
-            events.extend(adm.events);
+            };
+            let prefilter = adm.planned.prefilter;
+            let mut events = Vec::with_capacity(usize::from(prefilter.is_some()) + tail.len() + 3);
+            events.push(route);
+            events.extend(prefilter);
             events.push(TraceEvent::Cache { outcome: cache });
             events.extend(tail);
             events.push(TraceEvent::Served {

@@ -58,7 +58,9 @@ const SPORTS_600: &str = "[player_id:Int,year:Int,ipouts:Float,strikeouts:Float,
 /// of the query's and the decomposition keeps its own string: its
 /// `explain` line, its response and its state id (the trace's store
 /// key, which seeds the prepare) are pinned as a build that kept every
-/// residual canonical as a string of its own wrote them.
+/// residual canonical as a string of its own wrote them. The response's
+/// span carries the plan's `prefilter` event although the `explain`
+/// built the plan.
 #[test]
 fn a_residual_the_prefilter_splits_answers_as_pinned() {
     let table = lts_data::sports_scenario(600, lts_data::SelectivityLevel::M, 3)
@@ -113,6 +115,7 @@ fn a_residual_the_prefilter_splits_answers_as_pinned() {
              \"population\": 600, \"survivors\": 262, \
              \"selectivity\": 0.43666666666666665}}, \"trace\": {{\"id\": 7, \"events\": [\
              {{\"event\": \"route\", \"route\": \"lss\", \"kind\": \"prefilter_estimate\"}}, \
+             {{\"event\": \"prefilter\", \"conjuncts\": 1, \"population\": 600, \"survivors\": 262}}, \
              {{\"event\": \"cache\", \"outcome\": \"miss\"}}, \
              {{\"event\": \"store\", \"outcome\": \"cold-prepare\", \"key\": \"21c5d3d1e172f013\"}}, \
              {}, {}, {}, {}, \

@@ -67,3 +67,46 @@ fn traced_session_matches_golden_transcript() {
     };
     check("trace_responses.golden", &run_script(config));
 }
+
+/// A request's span is a function of the request, not of what planned
+/// its query first: request 1 counts a decomposed query after nothing,
+/// after an `explain` of it, or after request 2 planned it at another
+/// budget, and `trace 1` must read the same each time — its
+/// `prefilter` event included, although in two of these sessions
+/// something else built the query's plan first.
+#[test]
+fn a_planned_requests_span_does_not_depend_on_arrival_order() {
+    let register = "register sports s rows=600 level=M seed=3";
+    let query = "strikeouts > 60 AND (SELECT COUNT(*) FROM s WHERE strikeouts >= o.strikeouts \
+                 AND wins >= o.wins) < 40";
+    let count = |id: u64, budget: usize| format!("count s budget={budget} id={id} :: {query}");
+    let explain = format!("explain s budget=60 :: {query}");
+    let span_of_request_1 = |lines: &[String]| {
+        let script = [&[register.to_string()], lines, &["trace 1".to_string()]]
+            .concat()
+            .join("\n");
+        let mut out = Vec::new();
+        let config = ServiceConfig {
+            trace: true,
+            ..ServiceConfig::default()
+        };
+        let opts = ReplOptions {
+            deterministic: true,
+        };
+        run_repl(config, opts, script.as_bytes(), &mut out).unwrap();
+        let out = String::from_utf8(out).unwrap();
+        out.lines().last().unwrap().to_string()
+    };
+    let count_first = span_of_request_1(&[count(1, 60)]);
+    assert!(
+        count_first.contains(r#"{"event": "prefilter", "conjuncts": 1, "population": 600"#),
+        "{count_first}"
+    );
+    for (order, lines) in [
+        ("explain first", vec![explain.clone(), count(1, 60)]),
+        ("budget 60, then 80", vec![count(1, 60), count(2, 80)]),
+        ("budget 80, then 60", vec![count(2, 80), count(1, 60)]),
+    ] {
+        assert_eq!(span_of_request_1(&lines), count_first, "{order}");
+    }
+}

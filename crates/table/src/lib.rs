@@ -60,7 +60,7 @@ pub use expr::{AggFunc, AggSubquery, BinaryOp, CmpOp, Expr, Func, RowCtx, UnaryO
 pub use grid::GridIndex;
 pub use parser::{parse_condition, TableRegistry};
 pub use partition::{par_eval_bool_ids, partition_bounds, PartitionedTable};
-pub use predicate::{thread_labeling_nanos, FnPredicate, Metered, ObjectPredicate, PredicateStats};
+pub use predicate::{FnPredicate, Metered, ObjectPredicate, PredicateStats};
 pub use query::{distinct_project, ExprPredicate};
 pub use schema::{Field, Schema};
 pub use storage::{

@@ -2,34 +2,18 @@
 //!
 //! The paper's cost model counts **evaluations of the expensive predicate
 //! `q`** — every estimator has a labeling budget denominated in such
-//! evaluations. [`Metered`] wraps any predicate and tracks the evaluation
-//! count and cumulative wall time, so experiments can verify that no
-//! estimator exceeds its budget and report overhead as a fraction of
-//! labeling cost (Figure 3).
+//! evaluations. [`Metered`] wraps any predicate and counts its
+//! evaluations and oracle calls, so experiments can verify that no
+//! estimator exceeds its budget; it also charges each batch's
+//! evaluations and wall time to the calling thread's phase clock
+//! ([`lts_obs::phase::record`]), which is how estimators report overhead
+//! as a fraction of labeling cost (Figure 3).
 
 use crate::error::TableResult;
 use crate::table::Table;
-use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-thread_local! {
-    static THREAD_LABEL_NANOS: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Nanoseconds the **current thread** has spent inside metered
-/// predicates (monotone, never reset).
-///
-/// Phase timers diff this around a closure to attribute labeling time
-/// to the work that ran *on this thread* — exact even when other
-/// threads label concurrently against the same shared [`Metered`]
-/// (whose global counters would cross-charge). A predicate that spawns
-/// its own worker threads internally under-reports here; the global
-/// [`Metered::stats`] elapsed time still captures it.
-pub fn thread_labeling_nanos() -> u64 {
-    THREAD_LABEL_NANOS.with(Cell::get)
-}
+use std::time::Instant;
 
 /// A Boolean predicate over rows of an object table: `q : O → {0, 1}`.
 pub trait ObjectPredicate: Send + Sync {
@@ -115,42 +99,15 @@ pub struct PredicateStats {
     /// of any size counts once; single-row `eval` counts once). The
     /// ratio `evals / calls` is the achieved batching factor.
     pub calls: u64,
-    /// Cumulative wall time spent inside `q`.
-    pub elapsed: Duration,
 }
 
-impl PredicateStats {
-    /// Mean time per evaluation (zero when no evaluations happened).
-    pub fn mean_eval_time(&self) -> Duration {
-        if self.evals == 0 {
-            Duration::ZERO
-        } else {
-            // Divide in nanosecond space: `Duration / u32` would clamp
-            // eval counts above u32::MAX and lose sub-divisor nanos.
-            let nanos = self.elapsed.as_nanos() / u128::from(self.evals);
-            Duration::from_nanos(u64::try_from(nanos).unwrap_or(u64::MAX))
-        }
-    }
-
-    /// Mean evaluations per oracle call (the batching factor; zero when
-    /// nothing ran).
-    pub fn batching_factor(&self) -> f64 {
-        if self.calls == 0 {
-            0.0
-        } else {
-            self.evals as f64 / self.calls as f64
-        }
-    }
-}
-
-/// Wraps a predicate and meters evaluation count + wall time.
+/// Wraps a predicate and meters its evaluations.
 ///
 /// Cheap to share: counters are atomics, so a single `Arc<Metered>` can
 /// be used across an entire estimation pipeline.
 pub struct Metered<P: ?Sized> {
     evals: AtomicU64,
     calls: AtomicU64,
-    nanos: AtomicU64,
     inner: P,
 }
 
@@ -160,7 +117,6 @@ impl<P: ObjectPredicate> Metered<P> {
         Self {
             evals: AtomicU64::new(0),
             calls: AtomicU64::new(0),
-            nanos: AtomicU64::new(0),
             inner,
         }
     }
@@ -177,7 +133,6 @@ impl<P: ObjectPredicate + ?Sized> Metered<P> {
         PredicateStats {
             evals: self.evals.load(Ordering::Relaxed),
             calls: self.calls.load(Ordering::Relaxed),
-            elapsed: Duration::from_nanos(self.nanos.load(Ordering::Relaxed)),
         }
     }
 
@@ -185,11 +140,28 @@ impl<P: ObjectPredicate + ?Sized> Metered<P> {
     pub fn reset(&self) {
         self.evals.store(0, Ordering::Relaxed);
         self.calls.store(0, Ordering::Relaxed);
-        self.nanos.store(0, Ordering::Relaxed);
     }
 
-    #[inline]
-    fn record(&self, evals: u64, dt: Duration, charge_thread: bool) {
+    /// Meter one evaluation or batch of `evals` made by `eval`, and
+    /// charge it to the calling thread's phase clock: its evaluations
+    /// to the phase in scope (train / pilot / stage-2 / …), its wall
+    /// time to the thread's labeling clock.
+    fn metered<T>(&self, evals: u64, eval: impl FnOnce() -> T) -> T {
+        let start = Instant::now();
+        let result = self.metered_nested(evals, eval);
+        let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        lts_obs::phase::record(evals, nanos);
+        result
+    }
+
+    /// Meter `evals` on this meter's counters only. An errored batch is
+    /// charged in full even though the inner implementation may have
+    /// stopped at the first failing row: the meter cannot observe how
+    /// far a batch got, and its budget-enforcement role prefers an
+    /// upper bound over under-counting. Estimation aborts on error, so
+    /// the overcharge never skews a completed run's statistics.
+    fn metered_nested<T>(&self, evals: u64, eval: impl FnOnce() -> T) -> T {
+        let result = eval();
         // One saturating RMW per counter: counts stay exact under
         // concurrent single-row and batch evaluations (each batch
         // contributes its length exactly once, atomically), and a
@@ -197,37 +169,14 @@ impl<P: ObjectPredicate + ?Sized> Metered<P> {
         // of silently wrapping to a tiny count (`fetch_add` wraps).
         saturating_fetch_add(&self.evals, evals);
         saturating_fetch_add(&self.calls, 1);
-        let nanos = u64::try_from(dt.as_nanos()).unwrap_or(u64::MAX);
-        saturating_fetch_add(&self.nanos, nanos);
-        if charge_thread {
-            THREAD_LABEL_NANOS.with(|c| c.set(c.get().saturating_add(nanos)));
-            // Attribute the batch to whatever pipeline phase is in scope
-            // on this thread (train / pilot / stage-2 / …). The labeler
-            // records once per batch on the calling thread, so the
-            // per-phase split is exact, not sampled.
-            lts_obs::phase::record_evals(evals);
-        }
-    }
-
-    /// Meter one evaluation or batch of `evals` made by `eval`.
-    fn metered<T>(&self, evals: u64, charge_thread: bool, eval: impl FnOnce() -> T) -> T {
-        let start = Instant::now();
-        let result = eval();
-        // An errored batch is charged in full even though the inner
-        // implementation may have stopped at the first failing row: the
-        // meter cannot observe how far a batch got, and its
-        // budget-enforcement role prefers an upper bound over
-        // under-counting. Estimation aborts on error, so the
-        // overcharge never skews a completed run's statistics.
-        self.record(evals, start.elapsed(), charge_thread);
         result
     }
 
     /// [`ObjectPredicate::eval_batch`] on behalf of another meter that
     /// charges the same evaluations — a sub-population labelling through
     /// its parent's predicate: this meter's counters count them, but the
-    /// thread's labeling clock ([`thread_labeling_nanos`]) and pipeline
-    /// phase are left to the caller's meter, so they are charged once.
+    /// thread's phase clock ([`lts_obs::phase::record`]) is left to the
+    /// caller's meter, so the batch is charged there once.
     ///
     /// # Errors
     ///
@@ -236,9 +185,7 @@ impl<P: ObjectPredicate + ?Sized> Metered<P> {
         if idxs.is_empty() {
             return Ok(Vec::new());
         }
-        self.metered(idxs.len() as u64, false, || {
-            self.inner.eval_batch(objects, idxs)
-        })
+        self.metered_nested(idxs.len() as u64, || self.inner.eval_batch(objects, idxs))
     }
 
     /// [`ObjectPredicate::eval`] on behalf of another meter, as
@@ -248,17 +195,16 @@ impl<P: ObjectPredicate + ?Sized> Metered<P> {
     ///
     /// Propagates the evaluation error.
     pub fn eval_nested(&self, objects: &Table, idx: usize) -> TableResult<bool> {
-        self.metered(1, false, || self.inner.eval(objects, idx))
+        self.metered_nested(1, || self.inner.eval(objects, idx))
     }
 
     /// Force the raw counters to specific values — a test hook for
     /// exercising the saturation path without performing ~2⁶⁴ real
     /// evaluations.
     #[cfg(test)]
-    fn force_counters(&self, evals: u64, calls: u64, nanos: u64) {
+    fn force_counters(&self, evals: u64, calls: u64) {
         self.evals.store(evals, Ordering::Relaxed);
         self.calls.store(calls, Ordering::Relaxed);
-        self.nanos.store(nanos, Ordering::Relaxed);
     }
 }
 
@@ -280,15 +226,13 @@ fn saturating_fetch_add(counter: &AtomicU64, delta: u64) -> u64 {
 
 impl<P: ObjectPredicate + ?Sized> ObjectPredicate for Metered<P> {
     fn eval(&self, objects: &Table, idx: usize) -> TableResult<bool> {
-        self.metered(1, true, || self.inner.eval(objects, idx))
+        self.metered(1, || self.inner.eval(objects, idx))
     }
     fn eval_batch(&self, objects: &Table, idxs: &[usize]) -> TableResult<Vec<bool>> {
         if idxs.is_empty() {
             return Ok(Vec::new());
         }
-        self.metered(idxs.len() as u64, true, || {
-            self.inner.eval_batch(objects, idxs)
-        })
+        self.metered(idxs.len() as u64, || self.inner.eval_batch(objects, idxs))
     }
     fn name(&self) -> &str {
         self.inner.name()
@@ -321,8 +265,7 @@ mod tests {
         let stats = p.stats();
         assert_eq!(stats.evals, 3);
         p.reset();
-        assert_eq!(p.stats().evals, 0);
-        assert_eq!(p.stats().elapsed, Duration::ZERO);
+        assert_eq!(p.stats(), PredicateStats { evals: 0, calls: 0 });
     }
 
     #[test]
@@ -335,37 +278,6 @@ mod tests {
         assert!(p2.eval(&t, 0).unwrap());
         assert!(p.eval(&t, 0).unwrap());
         assert_eq!(p.stats().evals, 2);
-    }
-
-    #[test]
-    fn mean_eval_time_handles_zero() {
-        let s = PredicateStats {
-            evals: 0,
-            calls: 0,
-            elapsed: Duration::ZERO,
-        };
-        assert_eq!(s.mean_eval_time(), Duration::ZERO);
-        assert_eq!(s.batching_factor(), 0.0);
-        let s = PredicateStats {
-            evals: 2,
-            calls: 1,
-            elapsed: Duration::from_nanos(100),
-        };
-        assert_eq!(s.mean_eval_time(), Duration::from_nanos(50));
-        assert_eq!(s.batching_factor(), 2.0);
-    }
-
-    #[test]
-    fn mean_eval_time_no_u32_clamp() {
-        // Eval counts above u32::MAX used to be clamped, inflating the
-        // mean; nanosecond arithmetic divides exactly.
-        let evals = u64::from(u32::MAX) + 5;
-        let s = PredicateStats {
-            evals,
-            calls: 1,
-            elapsed: Duration::from_nanos(evals * 3),
-        };
-        assert_eq!(s.mean_eval_time(), Duration::from_nanos(3));
     }
 
     #[test]
@@ -416,16 +328,11 @@ mod tests {
         let p = Metered::new(FnPredicate::new("any", |_: &Table, _| Ok(true)));
         // Counters one step from the ceiling: the next batch must pin
         // them at u64::MAX, not wrap to a tiny value.
-        p.force_counters(u64::MAX - 1, u64::MAX, u64::MAX - 1);
+        p.force_counters(u64::MAX - 1, u64::MAX);
         p.eval_batch(&t, &[0, 1, 2]).unwrap();
         let stats = p.stats();
         assert_eq!(stats.evals, u64::MAX, "evals must saturate");
         assert_eq!(stats.calls, u64::MAX, "calls must saturate");
-        assert_eq!(
-            stats.elapsed,
-            Duration::from_nanos(u64::MAX),
-            "nanos must saturate"
-        );
         // The saturated state is absorbing.
         p.eval(&t, 0).unwrap();
         assert_eq!(p.stats().evals, u64::MAX);
