@@ -7,8 +7,8 @@
 //! store outcomes. The service builds the route, prefilter, cache,
 //! store and served events itself; the phase and stage-2 events are
 //! gathered by a **thread-local collector** ([`collect`]) that the
-//! service installs around each unit of estimation work (a wave-1
-//! prepare closure, a wave-2 execute closure), so the estimators'
+//! service installs around each unit of estimation work (a request's
+//! prepare, its execution), so the estimators'
 //! phase clock ([`emit`]) needs no plumbed-through handle and costs a
 //! thread-local branch when nothing is collecting.
 //!
@@ -55,7 +55,7 @@ pub enum TraceEvent {
     },
     /// Result-cache outcome for this request.
     Cache {
-        /// `hit`, `miss`, `follower`, or `bypass-fresh`.
+        /// `hit`, `miss`, or `bypass-fresh`.
         outcome: &'static str,
     },
     /// Model-store outcome for this request.
@@ -86,7 +86,7 @@ pub enum TraceEvent {
     },
     /// Terminal event: how the request was served.
     Served {
-        /// `cold`, `warm`, `cached`, `coalesced`, `exact`, `fallback`, …
+        /// `cold`, `warm`, `cached`, `exact`, or `error`.
         served: &'static str,
         /// Total oracle evaluations billed to the response.
         evals: u64,

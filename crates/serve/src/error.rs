@@ -19,11 +19,6 @@ pub enum ServeError {
         /// Parser diagnostics.
         message: String,
     },
-    /// The request was rejected at admission (queue full).
-    Overloaded {
-        /// The service's queue capacity.
-        capacity: usize,
-    },
     /// Malformed request or configuration.
     Invalid {
         /// Description.
@@ -44,9 +39,6 @@ impl fmt::Display for ServeError {
             ServeError::Table(e) => write!(f, "table error: {e}"),
             ServeError::UnknownDataset { name } => write!(f, "unknown dataset `{name}`"),
             ServeError::Parse { message } => write!(f, "condition parse error: {message}"),
-            ServeError::Overloaded { capacity } => {
-                write!(f, "request rejected: queue capacity {capacity} exceeded")
-            }
             ServeError::Invalid { message } => write!(f, "invalid request: {message}"),
             ServeError::Panicked { message } => {
                 write!(f, "request aborted: it panicked: {message}")

@@ -12,7 +12,7 @@
 //! | canonical fingerprints | [`mod@fingerprint`] | equivalent requests hit the same entry |
 //! | query table | `catalog` | per dataset version, one entry per distinct query — its problem (meter + features), memoized plan, warm estimator states (ordering + pilot + design, `lts_core::warm`) and cached answers — plus one shared survivor list per canonical prefilter (its length the observed selectivity); dropped whole when the version moves |
 //! | [`BudgetPlanner`] | [`planner`] | admission control: census for small `N`, else the cheapest budget meeting the requested CI width; routes decomposed queries among census / prefilter + residual / monolithic plans |
-//! | [`Service`] | [`service`] | bounded queue, parallel execution waves, deterministic per-request seed streams |
+//! | [`Service`] | [`service`] | one request at a time through admit, prepare, execute and seal; deterministic per-request seed streams |
 //! | protocol | [`mod@protocol`] | the line-in/JSON-out command grammar, shared by every front-end |
 //! | REPL | [`repl`] | the `lts-serve` binary's stdin/stdout front-end |
 //! | snapshot codec | [`state`] | datasets, warm states and cached answers written down as plain data and decoded at restore |

@@ -99,14 +99,14 @@ fn target_option(tok: &str) -> Option<Result<Target, &'static str>> {
 
 fn stats_json(service: &Service) -> String {
     let s = service.stats();
+    // No request is refused at admission: `rejected` reads 0.
     format!(
-        "{{\"ok\": true, \"requests\": {}, \"rejected\": {}, \"errors\": {}, \
+        "{{\"ok\": true, \"requests\": {}, \"rejected\": 0, \"errors\": {}, \
          \"exact\": {}, \"cold\": {}, \"warm\": {}, \"cached\": {}, \
          \"oracle_evals\": {}, \"oracle_evals_cold\": {}, \"oracle_evals_warm\": {}, \
          \"oracle_evals_exact\": {}, \"oracle_evals_saved\": {}, \
          \"catalog\": {}, \"store\": {}, \"cache\": {}}}",
         s.requests,
-        s.rejected,
         s.errors,
         s.exact,
         s.cold,

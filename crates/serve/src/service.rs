@@ -2,11 +2,11 @@
 //!
 //! # Request path
 //!
-//! [`Service::run_batch`] is a pipeline of typed stages (functions and
-//! hand-off types in `service/stages.rs`, rendering in
-//! `service/render.rs`, counters in `service/metrics.rs`). Each `▼`
-//! names the value handed on; `←` cites, by title, the ROADMAP item
-//! that hangs at that boundary next:
+//! [`Service::run`] serves one request through a pipeline of typed
+//! stages (functions and hand-off types in `service/stages.rs`,
+//! rendering in `service/render.rs`, counters in `service/metrics.rs`).
+//! Each `▼` names the value handed on; `←` cites, by title, the ROADMAP
+//! item that hangs at that boundary next:
 //!
 //! ```text
 //! Request
@@ -14,22 +14,26 @@
 //!   ▼ Resolved
 //!   │ plan      shared prefilter selection, memoized PhysicalPlan, BudgetPlanner; owns the state identity
 //!   ▼ Planned   Task::Exact { plan } | Resume { key: StateKey }
-//!   │ admit     sequential — queue bound; then by (id, pos): cached-answer probe,
-//!   │           in-batch coalescing, warm-state probe, seeds  ← "Perf leads": hits answered on the reader thread
-//!   ├─► Outcome::Refused | Hit | Follower ──────────────┐
+//!   │ admit     resolve ∘ plan under catch_unwind; cached-answer probe,
+//!   │           warm-state probe, seed  ← "Perf leads": hits answered on the reader thread
+//!   ├─► Outcome::Refused | Hit ─────────────────────────┐
 //!   ▼ WorkItem                                          │
-//!   │ prepare   wave 1, parallel — absent states into their entries;
-//!   │           unpreparable ⇒ Task::Srs; panic ⇒ error   │
-//!   │ execute   wave 2, parallel — run the Task ─► Answer │
-//!   │           (each item under catch_unwind)            │
+//!   │ prepare   an absent state into its entry;         │
+//!   │           unpreparable ⇒ Task::Srs; panic ⇒ error │
+//!   │ execute   run the Task ─► Answer (under           │
+//!   │           catch_unwind)                           │
 //!   ▼ Outcome::Executed                                 │
 //!   │ seal  ◄───────────────────────────────────────────┘
-//!   │           sequential, the one place a Response is built, booked
-//!   │           (one book: the registry), cached, its span closed  ← "One source of per-stage truth": a timed span per stage
+//!   │           the one place a Response is built, booked (one book:
+//!   │           the registry), cached, its span closed  ← "One source of per-stage truth": a timed span per stage
 //!   ▼ Response
 //!   │ render    Response::to_json
 //!   ▼ JSON line
 //! ```
+//!
+//! Requests are served one at a time, in the order they are asked; the
+//! parallelism is inside one request (scoring, oracle batches, census
+//! splits over the rayon worker pool).
 //!
 //! `explain` is resolve ∘ plan ∘ render, and a snapshot's warm state is
 //! restored as resolve ∘ (plan state) ∘ decode (`LssWarm::from_parts`,
@@ -68,23 +72,29 @@
 //!
 //! # Determinism
 //!
-//! Every response is a pure function of `(service seed, dataset
-//! content + version, canonical query, planned budget, request id)` —
-//! *never* of worker interleaving or arrival order:
+//! A response carries two kinds of field (docs/observability.md, "The
+//! determinism contract"):
 //!
-//! * model/design states are prepared under a seed derived from the
-//!   **canonical query** (not the request that happened to arrive
-//!   first), so whichever request triggers preparation, the state is
-//!   bit-identical;
-//! * cacheable (non-`fresh`) estimates run under a seed derived from
-//!   the **cache key**, so the computed result is the same no matter
-//!   which request computes it;
-//! * `fresh` requests run under a seed derived from the **request id**
-//!   — re-submitting the same id replays bit-identically;
-//! * batches are admitted sequentially (the bounded queue) and heavy
-//!   work fans out over the rayon worker pool in two barriers
-//!   (prepare, then estimate), each a parallel map whose outputs are
-//!   position-stable.
+//! * **pure fields** — `route`, `plan`, the span's `prefilter` event,
+//!   `estimate`, `lo` and `hi` — are a pure function of `(service seed,
+//!   dataset content + version, canonical query, planned budget,
+//!   request id)`, never of worker count or of which requests ran
+//!   before:
+//!   * model/design states are prepared under a seed derived from the
+//!     **canonical query** (not the request that happened to arrive
+//!     first), so whichever request triggers preparation, the state is
+//!     bit-identical;
+//!   * cacheable (non-`fresh`) estimates run under a seed derived from
+//!     the **cache key**, so the computed result is the same no matter
+//!     which request computes it;
+//!   * `fresh` requests run under a seed derived from the **request
+//!     id** — re-submitting the same id replays bit-identically;
+//!   * a decomposed query's `prefilter` event is read off its memoized
+//!     plan by every request that plans it;
+//! * **history fields** — `served`, `evals`, the span's `cache` /
+//!   `store` events and its phase evals — depend on what ran before, by
+//!   design (a repeat is `cached`, a resume of another request's state
+//!   `warm`), and are deterministic for a given request sequence.
 //!
 //! The CI thread sweep (1 worker vs default) diffs whole response
 //! streams with wall times masked.
@@ -111,9 +121,6 @@ use std::sync::Arc;
 pub struct ServiceConfig {
     /// Root seed of every derived seed stream.
     pub seed: u64,
-    /// Bounded request queue: requests beyond this many per batch are
-    /// rejected at admission.
-    pub queue_capacity: usize,
     /// The admission planner.
     pub planner: BudgetPlanner,
     /// LSS configuration for learned estimates: `Lss::default()`, the
@@ -130,7 +137,6 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         Self {
             seed: 0x5345_5256_4531,
-            queue_capacity: 64,
             planner: BudgetPlanner::default(),
             lss: Lss::default(),
             trace: false,
@@ -193,8 +199,7 @@ pub struct Response {
     pub fingerprint: u64,
     /// Execution route: `exact`, `lss`, or `srs` (empty on errors).
     pub route: &'static str,
-    /// What served it: `cold`, `warm`, `cached`, `exact`, `error`, or
-    /// `rejected`.
+    /// What served it: `cold`, `warm`, `cached`, `exact`, or `error`.
     pub served: &'static str,
     /// Point estimate of the count.
     pub estimate: f64,
@@ -229,16 +234,12 @@ pub struct Response {
 }
 
 impl Response {
-    /// A refusal or failure: no estimate, every number zero.
+    /// A failure: no estimate, every number zero.
     fn failed(id: u64, err: &ServeError) -> Self {
         Response {
             id,
             error: Some(err.to_string()),
-            served: if matches!(err, ServeError::Overloaded { .. }) {
-                "rejected"
-            } else {
-                "error"
-            },
+            served: "error",
             ..Response::default()
         }
     }
@@ -285,8 +286,6 @@ pub struct ResultKey {
 pub struct ServiceStats {
     /// Requests admitted (including errors).
     pub requests: u64,
-    /// Requests rejected at the queue bound.
-    pub rejected: u64,
     /// Requests that failed (parse/plan/execution).
     pub errors: u64,
     /// Responses served by the exact census.
@@ -295,7 +294,7 @@ pub struct ServiceStats {
     pub cold: u64,
     /// Warm starts (resumed a stored state).
     pub warm: u64,
-    /// Result-cache hits (including in-batch coalescing).
+    /// Result-cache hits.
     pub cached: u64,
     /// Fresh oracle evaluations spent, total.
     pub oracle_evals: u64,
@@ -646,33 +645,15 @@ impl Service {
         Some(selection.survivors() as f64 / ds.table.len() as f64)
     }
 
-    /// Serve one request (a batch of one).
+    /// Serve one request through the stages of the module doc: admit
+    /// (resolve ∘ plan, then the cached-answer probe), prepare an absent
+    /// warm state, execute, seal.
     pub fn run(&mut self, request: Request) -> Response {
-        self.run_batch(vec![request]).pop().expect("one response")
-    }
-
-    /// Serve a batch through the stages of the module doc: sequential
-    /// admission (bounded queue, planning, cache consultation), two
-    /// parallel waves over the rayon worker pool — prepare missing warm
-    /// states, then execute the per-request work — and a sequential
-    /// seal. Responses align with the input order.
-    pub fn run_batch(&mut self, requests: Vec<Request>) -> Vec<Response> {
-        let mut responses: Vec<Option<Response>> = requests.iter().map(|_| None).collect();
-        let (answered, mut work, followers) = self.admit(requests);
-        self.prepare(&mut work);
-        let executed = self.execute(work);
-        // Hits, then executed requests, then the followers that copy
-        // them: the order spans enter the trace ring in.
-        for outcome in answered.into_iter().chain(executed).chain(followers) {
-            let (pos, response) = self.seal(outcome, &responses);
-            responses[pos] = Some(response);
-        }
+        let outcome = self.admit(request);
+        let response = self.seal(outcome);
         self.metrics
             .set_levels(self.store_len(), self.cache_len(), self.datasets.len());
-        responses
-            .into_iter()
-            .map(|r| r.expect("every position settled"))
-            .collect()
+        response
     }
 
     /// Resolve and plan a query **without executing it**: one JSON

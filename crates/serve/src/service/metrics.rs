@@ -43,6 +43,11 @@ macro_rules! serve_metrics {
 
         impl ServeMetrics {
             pub(super) fn new(registry: &MetricsRegistry) -> Self {
+                // No request is refused or coalesced: these keys stay
+                // in the exposition at 0 (work-priced admission's
+                // refusals are `requests_rejected`'s next writer).
+                registry.counter("requests_rejected");
+                registry.counter("served_followers");
                 Self {
                     registry: registry.clone(),
                     $($counter: registry.counter(stringify!($counter)),)*
@@ -57,8 +62,8 @@ macro_rules! serve_metrics {
 
 serve_metrics! {
     counters:
-        requests_total requests_rejected requests_errors
-        served_cached served_warm served_cold served_exact served_fallback served_followers
+        requests_total requests_errors
+        served_cached served_warm served_cold served_exact served_fallback
         oracle_evals_total oracle_evals_cold oracle_evals_warm oracle_evals_exact
         oracle_evals_saved_cache oracle_evals_saved_warm
         evals_train evals_score evals_pilot evals_design evals_stage2 evals_exact evals_srs
@@ -86,13 +91,9 @@ impl ServeMetrics {
     /// outcomes (the strings its span's `cache` / `store` events carry;
     /// empty when it never got that far) and `saved` the oracle
     /// evaluations the answer did not have to spend: the cached
-    /// computation's cost for a hit or follower, the skipped prepare
-    /// for a warm resume.
+    /// computation's cost for a hit, the skipped prepare for a warm
+    /// resume.
     pub(super) fn book(&self, r: &Response, cache: &str, store: &str, saved: u64) {
-        if r.served == "rejected" {
-            self.requests_rejected.inc();
-            return;
-        }
         self.requests_total.inc();
         let evals = r.evals as u64;
         match r.served {
@@ -121,17 +122,13 @@ impl ServeMetrics {
         }
         match cache {
             "hit" => self.cache_hits.inc(),
-            "follower" if r.ok => {
-                self.cache_misses.inc();
-                self.served_followers.inc();
-            }
-            "follower" | "miss" => self.cache_misses.inc(),
+            "miss" => self.cache_misses.inc(),
             _ => {}
         }
         if store == "cold-prepare" {
             self.store_prepares.inc();
         }
-        // Everything past the cache probe ran in wave 2; the histograms
+        // Everything past the cache probe was executed; the histograms
         // observe those requests only.
         if matches!(cache, "miss" | "bypass-fresh") {
             self.oracle_evals_total.add(evals);
@@ -170,7 +167,6 @@ impl ServeMetrics {
     pub(super) fn stats(&self) -> ServiceStats {
         ServiceStats {
             requests: self.requests_total.get(),
-            rejected: self.requests_rejected.get(),
             errors: self.requests_errors.get(),
             exact: self.served_exact.get(),
             cold: self.served_cold.get(),

@@ -1,7 +1,7 @@
 //! The stages of the request path and the typed values handed between
 //! them (diagram in the [`super`] module doc). Trace events travel *in*
-//! these values and each value owns the one before it, so `seal` never
-//! looks anything up by position.
+//! these values and each value owns the one before it, so `seal` looks
+//! nothing up.
 
 use super::{Answer, PlanSummary, Request, Response, ResultKey, Service};
 use crate::catalog::{QueryDecomposition, Selection, WarmState};
@@ -16,8 +16,6 @@ use lts_stats::IntervalKind;
 use lts_table::{decompose, parse_condition, DecomposedQuery, ExprPredicate, ObjectPredicate};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rayon::prelude::*;
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -83,7 +81,7 @@ impl Resolved {
     }
 }
 
-/// What wave 2 runs for one request.
+/// What execute runs for one request.
 pub(super) enum Task {
     /// Exact count: through `plan` when the prefilter route chose it
     /// (residual census over the survivors; zero oracle evaluations
@@ -149,9 +147,8 @@ impl Planned {
     }
 }
 
-/// One request past the queue bound, resolved and planned.
+/// One request, resolved and planned.
 pub(super) struct Admitted {
-    pos: usize,
     id: u64,
     fresh: bool,
     /// The condition text as sent (a prepared state records it, so a
@@ -165,40 +162,30 @@ pub(super) struct Admitted {
     planned: Planned,
 }
 
-/// A request the cache could not answer: the unit of waves 1 and 2.
+/// A request the cache could not answer: what prepare and execute run.
 pub(super) struct WorkItem {
     adm: Admitted,
     seed: u64,
-    /// This request pays for the state it resumes: it claimed the
-    /// prepare of an absent state, or fell back to SRS.
+    /// This request pays for the state it resumes: it prepared it, or
+    /// fell back to SRS.
     cold: bool,
-    /// Wall micros and trace events of the wave-1 prepare this request
-    /// claimed, once it succeeded.
-    prepared: Option<(u64, Vec<TraceEvent>)>,
-    /// The panic message of the wave-1 prepare of the state this
-    /// request resumes: wave 2 answers it with that error.
-    panicked: Option<String>,
+    /// Wall micros and trace events of a prepare that succeeded, then
+    /// of the execution.
+    wall_micros: u64,
+    events: Vec<TraceEvent>,
 }
 
 /// What became of one request: everything `seal` needs to answer it.
 pub(super) enum Outcome {
-    /// Refused at the queue bound, or failed to resolve or plan.
-    Refused {
-        pos: usize,
-        id: u64,
-        error: ServeError,
-    },
+    /// Failed to resolve or plan.
+    Refused { id: u64, error: ServeError },
     /// Answered from the query's cached answer; `answer.evals` is the
     /// saving.
     Hit { adm: Admitted, answer: Answer },
-    /// Coalesced onto the identical request sealed at position `leader`.
-    Follower { adm: Admitted, leader: usize },
-    /// Ran in wave 2.
+    /// Prepared if need be, and executed — or failed in its prepare.
     Executed {
         item: WorkItem,
         result: ServeResult<Answer>,
-        wall_micros: u64,
-        events: Vec<TraceEvent>,
     },
 }
 
@@ -214,7 +201,7 @@ fn traced<T>(tracing: bool, f: impl FnOnce() -> T) -> (T, Vec<TraceEvent>) {
 
 /// Run `f`, containing a panic: its message comes back as the error, so
 /// one request's panicking work (a user-defined predicate, say) fails
-/// that request ([`ServeError::Panicked`]) and the batch goes on.
+/// that request ([`ServeError::Panicked`]) and the service goes on.
 /// Whatever `f` was building is dropped in the unwind.
 fn contained<T>(f: impl FnOnce() -> T) -> Result<T, String> {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).map_err(|payload| {
@@ -421,23 +408,24 @@ impl Service {
         })
     }
 
-    /// The queue bound, then resolve ∘ plan, for the request at arrival
-    /// position `pos`.
-    fn plan_request(&mut self, pos: usize, req: Request) -> ServeResult<Admitted> {
-        let capacity = self.config.queue_capacity;
-        if pos >= capacity {
-            return Err(ServeError::Overloaded { capacity });
-        }
-        // Contained, since the prefilter scan reads columns a dataset
-        // may make on first read.
-        let (resolved, planned) = guarded(|| {
+    /// **admit** — resolve ∘ plan, contained, since the prefilter scan
+    /// reads columns a dataset may make on first read; then the
+    /// cached-answer probe. A request the cache cannot answer becomes a
+    /// work item with its seed, cold when its state is absent, and is
+    /// prepared and executed.
+    pub(super) fn admit(&mut self, req: Request) -> Outcome {
+        let id = req.id;
+        let planned = guarded(|| {
             let resolved = self.resolve(req.dataset, &req.condition)?;
             let planned = self.plan(&resolved, req.target)?;
             Ok((resolved, planned))
-        })?;
-        Ok(Admitted {
-            pos,
-            id: req.id,
+        });
+        let (resolved, planned) = match planned {
+            Ok(planned) => planned,
+            Err(error) => return Outcome::Refused { id, error },
+        };
+        let adm = Admitted {
+            id,
             fresh: req.fresh,
             raw: req.condition,
             fingerprint: resolved.fingerprint,
@@ -448,215 +436,117 @@ impl Service {
                 budget: planned.budget,
             },
             planned,
-        })
-    }
-
-    /// **admit** — sequential. Requests resolve and plan in arrival
-    /// order (the bounded queue refuses the overflow); then, in
-    /// `(id, pos)` order so that no verdict depends on arrival order,
-    /// each probes its query's cached answers, coalesces onto an identical
-    /// request of the batch, or becomes a work item with its seed —
-    /// the first to resume an absent state claims its prepare. Returns
-    /// the requests answered without work (refusals, then cache hits),
-    /// the work items, and the followers — each in that order.
-    pub(super) fn admit(
-        &mut self,
-        requests: Vec<Request>,
-    ) -> (Vec<Outcome>, Vec<WorkItem>, Vec<Outcome>) {
-        let (mut answered, mut work, mut followers) = (Vec::new(), Vec::new(), Vec::new());
-        let mut admitted = Vec::new();
-        for (pos, req) in requests.into_iter().enumerate() {
-            let id = req.id;
-            match self.plan_request(pos, req) {
-                Ok(adm) => admitted.push(adm),
-                Err(error) => answered.push(Outcome::Refused { pos, id, error }),
+        };
+        let seed = if adm.fresh {
+            mix_seed(self.config.seed, mix_seed(adm.id, 0x0046_5245_5348))
+        } else {
+            let key = &adm.key;
+            let cached = self.query(&key.dataset, &key.canonical);
+            if let Some(&answer) = cached.and_then(|e| e.answers.get(&key.budget)) {
+                return Outcome::Hit { adm, answer };
             }
-        }
-        admitted.sort_by_key(|a| (a.id, a.pos));
-        // Cacheable computations already claimed in this batch: cache
-        // key → position of the computing request.
-        let mut in_flight: HashMap<ResultKey, usize> = HashMap::new();
-        // Absent states an earlier request of this batch will prepare.
-        let mut claimed: HashSet<StateKey> = HashSet::new();
-        for adm in admitted {
-            if !adm.fresh {
-                let key = &adm.key;
-                let cached = self.query(&key.dataset, &key.canonical);
-                if let Some(&answer) = cached.and_then(|e| e.answers.get(&key.budget)) {
-                    answered.push(Outcome::Hit { adm, answer });
-                    continue;
-                }
-                // In-batch coalescing: identical cacheable requests are
-                // computed once (single-flight); the rest are "cached".
-                if let Some(&leader) = in_flight.get(&adm.key) {
-                    followers.push(Outcome::Follower { adm, leader });
-                    continue;
-                }
-                in_flight.insert(adm.key.clone(), adm.pos);
-            }
-            let cold = match &adm.planned.task {
-                Task::Resume { key } => self.warm(key).is_none() && claimed.insert(key.clone()),
-                _ => false,
-            };
-            let seed = if adm.fresh {
-                mix_seed(self.config.seed, mix_seed(adm.id, 0x0046_5245_5348))
-            } else {
-                mix_seed(self.config.seed, result_key_hash(&adm.key))
-            };
-            work.push(WorkItem {
-                adm,
-                seed,
-                cold,
-                prepared: None,
-                panicked: None,
-            });
-        }
-        (answered, work, followers)
-    }
-
-    /// **prepare** — wave 1, parallel: every claimed state is prepared
-    /// under a seed derived from its identity and inserted into its
-    /// query's entry; the claimant keeps the prepare's wall time and
-    /// events. A state that cannot be prepared demotes every request
-    /// resuming it to SRS; a prepare that panics is dropped, and every
-    /// request resuming its state is answered with the panic's error.
-    pub(super) fn prepare(&mut self, work: &mut [WorkItem]) {
-        let (lss, service_seed, tracing) =
-            (self.config.lss, self.config.seed, self.obs.is_enabled());
-        let claims: Vec<(usize, &StateKey)> = work
-            .iter()
-            .enumerate()
-            .filter_map(|(i, item)| match &item.adm.planned.task {
-                Task::Resume { key } if item.cold => Some((i, key)),
-                _ => None,
-            })
-            .collect();
-        let prepared: Vec<_> = claims
-            .into_par_iter()
-            .map(|(i, key)| {
-                let adm = &work[i].adm;
-                let start = Instant::now();
-                let (warm, events) = traced(tracing, || {
-                    let prepare_seed = mix_seed(service_seed, key.id);
-                    contained(|| {
-                        (lss.prepare(&adm.planned.problem, key.budget, prepare_seed)).map(|state| {
-                            WarmState {
-                                state,
-                                raw_condition: adm.raw.clone(),
-                            }
-                        })
-                    })
-                });
-                (i, key.clone(), warm, micros_since(start), events)
-            })
-            .collect();
-        // Keys whose prepare failed, with the panic's message if it
-        // panicked.
-        let mut unpreparable: HashMap<StateKey, Option<String>> = HashMap::new();
-        for (i, key, warm, wall_micros, events) in prepared {
-            match warm {
-                Ok(Ok(warm)) => {
-                    self.insert_warm(&key, warm);
-                    work[i].prepared = Some((wall_micros, events));
-                }
-                Ok(Err(_)) => {
-                    unpreparable.insert(key, None);
-                }
-                Err(message) => {
-                    unpreparable.insert(key, Some(message));
-                }
-            }
-        }
-        for item in work.iter_mut() {
-            let Task::Resume { key } = &item.adm.planned.task else {
-                continue;
-            };
-            if let Some(panicked) = unpreparable.get(key) {
-                item.panicked = panicked.clone();
-                item.adm.planned.task = Task::Srs;
-                item.cold = true;
-            }
+            mix_seed(self.config.seed, result_key_hash(key))
+        };
+        let cold = match &adm.planned.task {
+            Task::Resume { key } => self.warm(key).is_none(),
+            _ => false,
+        };
+        let mut item = WorkItem {
+            adm,
+            seed,
+            cold,
+            wall_micros: 0,
+            events: Vec::new(),
+        };
+        match self.prepare(&mut item) {
+            Ok(()) => self.execute(item),
+            Err(error) => Outcome::Executed {
+                item,
+                result: Err(error),
+            },
         }
     }
 
-    /// **execute** — wave 2, parallel: every work item runs its task
-    /// against the (now immutable) warm states. A task that panics is
-    /// answered with the panic's error, as is one whose prepare did.
-    pub(super) fn execute(&self, work: Vec<WorkItem>) -> Vec<Outcome> {
+    /// **prepare** — an absent state is prepared under a seed derived
+    /// from its identity and kept in its query's entry; the request
+    /// keeps the prepare's wall time and events. A state that cannot be
+    /// prepared demotes the request to SRS; a prepare that panics is
+    /// dropped, and its error is the request's answer.
+    fn prepare(&mut self, item: &mut WorkItem) -> ServeResult<()> {
+        let (Task::Resume { key }, true) = (&item.adm.planned.task, item.cold) else {
+            return Ok(());
+        };
         let (lss, tracing) = (self.config.lss, self.obs.is_enabled());
-        work.into_par_iter()
-            .map(|item| {
-                let ((result, wall_micros), events) = traced(tracing, || {
-                    let start = Instant::now();
-                    let result = match item.panicked.clone() {
-                        Some(message) => Err(ServeError::Panicked { message }),
-                        None => guarded(|| item.run(self, lss)),
-                    };
-                    (result, micros_since(start))
-                });
-                Outcome::Executed {
-                    item,
-                    result,
-                    wall_micros,
-                    events,
-                }
-            })
-            .collect()
+        let prepare_seed = mix_seed(self.config.seed, key.id);
+        let start = Instant::now();
+        let (warm, events) = traced(tracing, || {
+            contained(|| lss.prepare(&item.adm.planned.problem, key.budget, prepare_seed))
+        });
+        match warm {
+            Ok(Ok(state)) => {
+                let raw_condition = item.adm.raw.clone();
+                self.insert_warm(
+                    key,
+                    WarmState {
+                        state,
+                        raw_condition,
+                    },
+                );
+                (item.wall_micros, item.events) = (micros_since(start), events);
+                Ok(())
+            }
+            // Unpreparable (`Ok(Err)`: SRS answers) or panicked (`Err`).
+            failed => {
+                item.adm.planned.task = Task::Srs;
+                failed
+                    .map(drop)
+                    .map_err(|message| ServeError::Panicked { message })
+            }
+        }
     }
 
-    /// **seal** — sequential, the one place a response is built: turn
-    /// an outcome into its [`Response`], book it, cache a fresh
-    /// computation, and close the request's trace span. `sealed` holds
-    /// the responses sealed so far, by arrival position (a follower
-    /// copies its leader's). Returns the position the response answers.
-    pub(super) fn seal(
-        &mut self,
-        outcome: Outcome,
-        sealed: &[Option<Response>],
-    ) -> (usize, Response) {
+    /// **execute** — run the item's task against its warm state. A task
+    /// that panics is answered with the panic's error.
+    fn execute(&self, mut item: WorkItem) -> Outcome {
+        let (lss, tracing) = (self.config.lss, self.obs.is_enabled());
+        let ((result, wall_micros), events) = traced(tracing, || {
+            let start = Instant::now();
+            let result = guarded(|| item.run(self, lss));
+            (result, micros_since(start))
+        });
+        // The request charged a prepare's evals is charged its wall time
+        // too.
+        item.wall_micros = item.wall_micros.saturating_add(wall_micros);
+        item.events.extend(events);
+        Outcome::Executed { item, result }
+    }
+
+    /// **seal** — the one place a response is built: turn an outcome
+    /// into its [`Response`], book it, cache a fresh computation, and
+    /// close the request's trace span.
+    pub(super) fn seal(&mut self, outcome: Outcome) -> Response {
         let tracing = self.obs.is_enabled();
         // The span's events between the cache probe and `served`.
         let mut tail = Vec::new();
         let (adm, mut response, cache, store, saved) = match outcome {
-            Outcome::Refused { pos, id, error } => {
+            Outcome::Refused { id, error } => {
                 let response = Response::failed(id, &error);
                 self.metrics.book(&response, "", "", 0);
-                return (pos, response);
+                return response;
             }
             Outcome::Hit { adm, answer } => {
                 let free = Answer { evals: 0, ..answer };
                 let response = Response::answered(&adm, "cached", &free, 0);
                 (adm, response, "hit", "", answer.evals as u64)
             }
-            Outcome::Follower { adm, leader } => {
-                let leader = sealed[leader].clone().expect("leader position settled");
-                let saved = leader.evals as u64;
-                let response = Response {
-                    id: adm.id,
-                    served: if leader.ok { "cached" } else { leader.served },
-                    evals: 0,
-                    wall_micros: 0,
-                    trace: None,
-                    ..leader
-                };
-                (adm, response, "follower", "", saved)
-            }
-            Outcome::Executed {
-                item,
-                result,
-                wall_micros,
-                events,
-            } => {
+            Outcome::Executed { item, result } => {
                 let WorkItem {
                     adm,
                     cold,
-                    prepared,
+                    wall_micros,
+                    events,
                     ..
                 } = item;
-                let (prepare_micros, prepare_events) = prepared.unwrap_or_default();
-                // The request charged a prepare's evals is charged its
-                // wall time too.
-                let wall_micros = wall_micros.saturating_add(prepare_micros);
                 let (served, store, store_key) = match (&adm.planned.task, cold) {
                     (Task::Exact { .. }, _) => ("exact", "", None),
                     (Task::Srs, _) => ("cold", "unpreparable", None),
@@ -668,7 +558,6 @@ impl Service {
                         outcome: store,
                         key: store_key.map(|key| key.id),
                     });
-                    tail.extend(prepare_events);
                 }
                 tail.extend(events);
                 let mut saved = 0;
@@ -722,7 +611,7 @@ impl Service {
             });
             self.finish_span(&mut response, events);
         }
-        (adm.pos, response)
+        response
     }
 
     /// Close a request's trace span: feed the per-phase registry
@@ -824,7 +713,7 @@ impl WorkItem {
             }
             Task::Resume { key } => {
                 let warm = service.warm(key).ok_or_else(|| ServeError::Invalid {
-                    message: "warm state vanished between waves".into(),
+                    message: "warm state vanished before execution".into(),
                 })?;
                 let report = lss.estimate_prepared(problem, &warm.state, self.seed)?;
                 // The claimant of a fresh state is charged its prepare.

@@ -1,15 +1,14 @@
 //! A request whose work panics is answered with an error, and the
-//! service goes on: the other requests of its batch are answered as if
-//! it had not been there, and the next batch is served.
+//! service goes on: the requests after it are answered as if it had not
+//! been there.
 //!
 //! The panic comes from a column the dataset makes on first read
 //! (`Table::deferred`) with a producer that panics — what a panicking
 //! user-defined function does to a predicate. Where a residual subquery
-//! names the column, the panic happens inside the two parallel waves: a
-//! prepare (wave 1) or an exact census (wave 2), the census in pool
-//! items when the batch of objects splits across workers. Where a
-//! prefilter names it, the panic happens in sequential admission: the
-//! scan that plans the query, which `explain` runs too.
+//! names the column, the panic happens in a prepare or an exact census,
+//! the census in pool items when its objects split across workers.
+//! Where a prefilter names it, the panic happens at admission: the scan
+//! that plans the query, which `explain` runs too.
 
 use lts_serve::{Request, Response, Service, ServiceConfig, Target};
 use lts_table::{Column, DataType, Field, Schema, Table};
@@ -71,10 +70,30 @@ fn assert_contained(response: &Response) {
     );
 }
 
-/// What a fresh service answers for `requests` alone, wall time masked.
+/// What a fresh service answers for `requests` alone, in order, wall
+/// time masked.
 fn alone(requests: Vec<Request>) -> Vec<String> {
-    let responses = service().run_batch(requests);
-    responses.iter().map(|r| r.to_json(true)).collect()
+    let mut s = service();
+    requests
+        .into_iter()
+        .map(|r| s.run(r).to_json(true))
+        .collect()
+}
+
+/// What `s` answers for `requests`, in order: the answers of the
+/// requests `contained` names are checked and left out.
+fn served_around(s: &mut Service, requests: Vec<Request>, contained: &[u64]) -> Vec<String> {
+    let mut served = Vec::new();
+    for request in requests {
+        let id = request.id;
+        let response = s.run(request);
+        if contained.contains(&id) {
+            assert_contained(&response);
+        } else {
+            served.push(response.to_json(true));
+        }
+    }
+    served
 }
 
 #[test]
@@ -100,7 +119,7 @@ fn a_panicking_request_gets_an_error_and_the_next_is_served() {
 }
 
 #[test]
-fn a_batch_answers_its_other_requests_as_if_the_panicking_ones_were_absent() {
+fn requests_after_a_panicking_one_answer_as_if_it_were_absent() {
     let mut s = service();
     let good = || {
         vec![
@@ -109,18 +128,16 @@ fn a_batch_answers_its_other_requests_as_if_the_panicking_ones_were_absent() {
             request(5, GOOD[0], 200),
         ]
     };
-    let mut batch = good();
-    batch.insert(1, request(2, BAD[0], 150));
-    batch.push(request(4, BAD[1], 150));
-    let responses = s.run_batch(batch);
-    assert_contained(&responses[1]);
-    assert_contained(&responses[4]);
-    let served: Vec<String> = [0, 2, 3].map(|i| responses[i].to_json(true)).into();
-    assert_eq!(served, alone(good()));
+    let mut requests = good();
+    requests.insert(1, request(2, BAD[0], 150));
+    requests.push(request(4, BAD[1], 150));
+    assert_eq!(served_around(&mut s, requests, &[2, 4]), alone(good()));
     assert_eq!(s.stats().errors, 2);
-    // The pool serves the next batch, the repeats from cache.
-    let again = s.run_batch(good());
-    assert!(again.iter().all(|r| r.ok && r.served == "cached"));
+    // The repeats are served from cache.
+    for r in good() {
+        let again = s.run(r);
+        assert!(again.ok && again.served == "cached", "{again:?}");
+    }
 }
 
 #[test]
@@ -137,7 +154,7 @@ fn a_census_that_panics_in_pool_items_is_contained() {
     census(&mut service());
     // At two workers whatever the process default: the census's
     // objects split into two chunks, and the panic is raised in pool
-    // items and re-raised on the wave's item.
+    // items and re-raised on the request's thread.
     let pool = rayon::ThreadPoolBuilder::new().num_threads(2).build();
     pool.unwrap().install(|| {
         assert_eq!(rayon::current_num_threads(), 2);
@@ -149,12 +166,9 @@ fn a_census_that_panics_in_pool_items_is_contained() {
 fn a_prefilter_scan_that_panics_at_admission_is_contained() {
     let mut s = service();
     let good = || vec![request(1, GOOD[0], 150), request(3, GOOD[1], 150)];
-    let mut batch = good();
-    batch.insert(1, request(2, BAD_PREFILTER, 150));
-    let responses = s.run_batch(batch);
-    assert_contained(&responses[1]);
-    let served: Vec<String> = [0, 2].map(|i| responses[i].to_json(true)).into();
-    assert_eq!(served, alone(good()));
+    let mut requests = good();
+    requests.insert(1, request(2, BAD_PREFILTER, 150));
+    assert_eq!(served_around(&mut s, requests, &[2]), alone(good()));
     assert_eq!(s.stats().errors, 1);
     // `explain` plans the query too: an error, not a panic.
     let error = s.explain("d", BAD_PREFILTER, Target::Budget(150));

@@ -3,10 +3,10 @@
 //! are the independent view it must agree with. This battery pins the
 //! invariants between them:
 //!
-//! * folding the returned responses reproduces `stats()` exactly
-//!   (requests, rejections, errors, route counters, oracle evaluations
-//!   spent per route and saved by the cache), and the per-route eval
-//!   counters sum to `oracle_evals_total`;
+//! * folding the responses of a sequence of requests reproduces
+//!   `stats()` exactly (requests, errors, route counters, oracle
+//!   evaluations spent per route and saved by the cache), and the
+//!   per-route eval counters sum to `oracle_evals_total`;
 //! * the per-phase eval counters **partition** the total: every oracle
 //!   evaluation is attributed to exactly one of train / score / pilot
 //!   / design / stage2 / exact / srs;
@@ -78,10 +78,6 @@ fn phase_partition_total(s: &Service) -> u64 {
 fn fold(responses: &[Response]) -> ServiceStats {
     let mut st = ServiceStats::default();
     for r in responses {
-        if r.served == "rejected" {
-            st.rejected += 1;
-            continue;
-        }
         st.requests += 1;
         let evals = r.evals as u64;
         st.oracle_evals += evals;
@@ -122,7 +118,6 @@ fn folded_responses_equal_stats_and_phases_partition_the_total() {
     // profile can split 4 labels, so that state is unpreparable and
     // its requests fall back to SRS.
     let config = ServiceConfig {
-        queue_capacity: 3,
         planner: BudgetPlanner {
             min_budget: 1,
             ..BudgetPlanner::default()
@@ -130,27 +125,20 @@ fn folded_responses_equal_stats_and_phases_partition_the_total() {
         ..ServiceConfig::default()
     };
     let mut s = service_with(config, 5_000);
-    let mut responses = s.run_batch(vec![
-        req(1, "x < 2000", 300, false), // cold leader
-        req(2, "x < 2000", 300, false), // follower
-        req(3, "x < 2000", 300, false), // follower
-        req(4, "x < 2000", 300, false), // past the queue bound
-    ]);
-    responses.extend(s.run_batch(vec![
-        req(5, "x <", 300, false),        // parse error
-        req(6, "x < 2000", 300, true),    // fresh → warm resume
-        req(7, "y < 1000", 4_000, false), // budget ≥ N/2 → exact census
-    ]));
-    responses.extend(s.run_batch(vec![
-        req(8, "y < 1000", 4, false),   // unpreparable → SRS fallback
-        req(9, "x < 2000", 300, false), // cache hit
-    ]));
+    let responses: Vec<Response> = [
+        req(1, "x < 2000", 300, false),   // cold
+        req(2, "x <", 300, false),        // parse error
+        req(3, "x < 2000", 300, true),    // fresh → warm resume
+        req(4, "y < 1000", 4_000, false), // budget ≥ N/2 → exact census
+        req(5, "y < 1000", 4, false),     // unpreparable → SRS fallback
+        req(6, "x < 2000", 300, false),   // cache hit
+    ]
+    .into_iter()
+    .map(|r| s.run(r))
+    .collect();
     let served: Vec<&str> = responses.iter().map(|r| r.served).collect();
-    assert_eq!(
-        served,
-        ["cold", "cached", "cached", "rejected", "error", "warm", "exact", "cold", "cached"]
-    );
-    assert_eq!(responses[7].route, "srs");
+    assert_eq!(served, ["cold", "error", "warm", "exact", "cold", "cached"]);
+    assert_eq!(responses[4].route, "srs");
 
     // The responses alone reproduce the stats.
     let stats = s.stats();
@@ -167,16 +155,16 @@ fn folded_responses_equal_stats_and_phases_partition_the_total() {
     // nothing dropped.
     assert_eq!(phase_partition_total(&s), stats.oracle_evals);
     // The SRS bucket holds exactly the fallback's evals.
-    assert_eq!(counter(&s, "evals_srs"), responses[7].evals as u64);
+    assert_eq!(counter(&s, "evals_srs"), responses[4].evals as u64);
 
     // Store/cache counters line up with the routes and the stores.
     assert_eq!(counter(&s, "served_fallback"), 1);
     assert_eq!(counter(&s, "store_prepares"), stats.cold - 1);
     assert_eq!(counter(&s, "store_resumes"), stats.warm);
-    assert_eq!(
-        counter(&s, "cache_hits") + counter(&s, "served_followers"),
-        stats.cached
-    );
+    assert_eq!(counter(&s, "cache_hits"), stats.cached);
+    // Nothing refuses or coalesces a request; the keys read 0.
+    assert_eq!(counter(&s, "requests_rejected"), 0);
+    assert_eq!(counter(&s, "served_followers"), 0);
     assert_eq!(counter(&s, "store_entries"), s.store_len() as u64);
     assert_eq!(counter(&s, "cache_entries"), s.cache_len() as u64);
 }
@@ -187,14 +175,13 @@ fn stats_live_in_the_registry_disabled_is_zero_and_shared_is_summed() {
     let session = |s: &mut Service| -> Vec<String> {
         s.register_dataset("d", linear_table(5_000), &["x", "y"])
             .unwrap();
-        let batch = vec![
+        let requests = [
             req(1, "x < 2000", 300, false),
             req(2, "x < 2000", 300, false),
             req(3, "x < 2000", 300, true),
             req(4, "x <", 300, false),
         ];
-        let responses = s.run_batch(batch);
-        responses.iter().map(|r| r.to_json(true)).collect()
+        requests.map(|r| s.run(r).to_json(true)).into()
     };
 
     // Disabled: the same answers, and nothing counted.
@@ -235,12 +222,13 @@ fn every_traced_eval_is_charged_to_one_phase_once_on_every_route() {
     let mut s = service_with(config, 5_000);
     let dominated = "(SELECT COUNT(*) FROM d WHERE x >= o.x AND y >= o.y) < 500";
     let planned = format!("x > 3000 AND {dominated}");
-    let responses = s.run_batch(vec![
+    let responses = [
         req(1, &planned, 200, false),
         req(2, dominated, 200, false),
         req(3, &planned, 200, true),
         req(4, "x < 2000", 300, false),
-    ]);
+    ]
+    .map(|r| s.run(r));
     let kinds: Vec<(&str, Option<&str>)> = responses
         .iter()
         .map(|r| (r.served, r.plan.as_ref().map(|p| p.kind)))
