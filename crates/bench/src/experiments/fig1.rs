@@ -56,8 +56,7 @@ pub fn run(cfg: &RunConfig) -> CoreResult<()> {
         "boundary err%",
     ]);
     for step_no in 0..=2 {
-        // Evaluate — one vectorized batch score over the gathered
-        // evaluation rows instead of a per-row loop.
+        // Evaluate — one batch score over the gathered evaluation rows.
         let mut correct = 0usize;
         let mut uncertain = 0usize;
         let mut band_err = 0usize;
@@ -143,7 +142,7 @@ fn dump_heatmap(
         min_y = min_y.min(row[1]);
         max_y = max_y.max(row[1]);
     }
-    // Score the whole grid as one batch through the vectorized kernel.
+    // Score the whole grid as one batch.
     let mut grid_rows = Vec::with_capacity(GRID * GRID);
     for iy in 0..GRID {
         for ix in 0..GRID {

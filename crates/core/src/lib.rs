@@ -20,7 +20,7 @@
 //! uncertainty-sampling augmentation, §3.2) is shared by QL/LWS/LSS and
 //! lives in [`learnphase`], beside the one train-then-score phase 1
 //! QLCC, QLAC, LWS, LWS-HT and LWS-seq run. The proxy-scoring hot path every learned
-//! estimator then runs — features → vectorized batch score → stable
+//! estimator then runs — features → batch score → stable
 //! `(score, id)` order → design pilot — is the shared
 //! [`scoring`] pipeline ([`scoring::ScoredPopulation`]), scored
 //! partition-parallel and bit-identical at every partition and thread

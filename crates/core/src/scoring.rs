@@ -12,13 +12,12 @@
 //!   **partition-parallel**: the member list is split into contiguous
 //!   ranges by the same [`partition_bounds`] arithmetic that
 //!   `lts_table::partition::PartitionedTable` uses for row ranges, each
-//!   range is gathered and scored with the model's *vectorized*
-//!   [`Classifier::score_batch`], and per-partition score vectors are
-//!   concatenated **in partition order**. Because every `score_batch`
-//!   implementation is per-row pure and bit-identical to per-row
-//!   [`Classifier::score`], the result is independent of partition and
-//!   thread count — the same determinism contract as the partitioned
-//!   scan engine.
+//!   range is gathered and scored with [`Classifier::score_batch`], and
+//!   per-partition score vectors are concatenated **in partition
+//!   order**. Because `score_batch` is the trait's loop over per-row
+//!   [`Classifier::score`], per-row pure and bit-identical to it, the
+//!   result is independent of partition and thread count — the same
+//!   determinism contract as the partitioned scan engine.
 //! * [`OrderedPopulation`] — the `(score, id)` **stable total order**
 //!   over a scored population (LSS's ordering), with helpers to map
 //!   positions back to objects and to index the stage-1 design pilot

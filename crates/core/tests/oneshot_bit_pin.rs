@@ -9,14 +9,17 @@
 //! unanimous stratum's variance became Jeffreys-smoothed; counts and
 //! evals kept their bits. The LWS-HT, LWS-seq, QLCC and QLAC rows were
 //! captured from their own train-then-score bodies, before the five
-//! estimators came to share one phase 1.
+//! estimators came to share one phase 1. The non-forest LSS rows were
+//! captured while five learners still carried a hand-vectorized
+//! `score_batch` beside their per-row `score`, and hold after those
+//! overrides went.
 
 mod common;
 
 use common::band_problem;
 use lts_core::{
-    CountEstimator, LearnPhaseConfig, Lss, LssLayout, Lws, LwsHt, LwsSequential, PilotHandling,
-    PilotSource, Qlac, Qlcc,
+    ClassifierSpec, CountEstimator, CountingProblem, LearnPhaseConfig, Lss, LssLayout, Lws, LwsHt,
+    LwsSequential, PilotHandling, PilotSource, Qlac, Qlcc,
 };
 use lts_learn::AugmentConfig;
 use rand::rngs::StdRng;
@@ -82,6 +85,66 @@ const QLAC_DEFAULT: [Pin; 3] = [
     (0x406f9b96ac536cdd, 0x0000000000000000, 0x406f9b96ac536cdd, 0x406f9b96ac536cdd, 150),
 ];
 
+#[rustfmt::skip]
+const LSS_KNN: [Pin; 3] = [
+    (0x4071700000000000, 0x40286497a0102ecd, 0x406fd6560d5a9a3c, 0x4072f4d4f952b2e2, 150),
+    (0x4070df881a63881a, 0x402d8fdd1a5b79a4, 0x406e109b71fe3436, 0x4072b6c27bc7f619, 150),
+    (0x40731f684bda12f7, 0x4032aa41c6126959, 0x4070cc5a23de8bca, 0x4075727673d59a24, 150),
+];
+#[rustfmt::skip]
+const LSS_NN: [Pin; 3] = [
+    (0x407065febac261d3, 0x4029ef853f3b3b0d, 0x406d9124eccfeb46, 0x4072036aff1cce04, 150),
+    (0x4071415555555555, 0x4023738a8fbfaf22, 0x40700b45b688d512, 0x40727764f421d598, 150),
+    (0x4072d6eb3e45306e, 0x4027bf3424f259b9, 0x40715c629f017322, 0x40745173dd88edba, 150),
+];
+#[rustfmt::skip]
+const LSS_LOGIT: [Pin; 3] = [
+    (0x406fe00000000000, 0x4030e3b3a8c87efe, 0x406bab1ac1740ea3, 0x40720a729f45f8af, 150),
+    (0x4070bf3333333334, 0x4026ca107ca72934, 0x406ea7dc5de6d67e, 0x40722a783772fb28, 150),
+    (0x4072d6eb3e45306e, 0x4027bf3424f259b9, 0x40715c629f017322, 0x40745173dd88edba, 150),
+];
+#[rustfmt::skip]
+const LSS_GNB: [Pin; 3] = [
+    (0x406fe00000000000, 0x4030e3b3a8c87efe, 0x406bab1ac1740ea3, 0x40720a729f45f8af, 150),
+    (0x407092c4ec4ec4ec, 0x402fe4f8476241a3, 0x406d2cb8ecece53d, 0x40728f2d6227173b, 150),
+    (0x4072d6eb3e45306e, 0x4027bf3424f259b9, 0x40715c629f017322, 0x40745173dd88edba, 150),
+];
+#[rustfmt::skip]
+const LSS_GBM: [Pin; 3] = [
+    (0x4071300000000000, 0x4030be81aed5691c, 0x406e345e5feb6669, 0x407345d0d00a4ccb, 150),
+    (0x406e0dc71c71c71c, 0x4034365a9afa0455, 0x406905031a51880e, 0x40718b458f490315, 150),
+    (0x4071614c1bacf915, 0x403085b78cc422ea, 0x406ea51b92dee320, 0x4073700a6dea809a, 150),
+];
+#[rustfmt::skip]
+const LSS_RANDOM: [Pin; 3] = [
+    (0x406eb808dda52023, 0x403abd570d73d74a, 0x40680f1474e4e5e9, 0x4072b07ea332ad2e, 150),
+    (0x40710c2415748a7c, 0x403bf18adea51e8d, 0x406b229058004eec, 0x407486fffee8ed83, 150),
+    (0x4070a1edf83e7389, 0x403be833dfbb0cb5, 0x406a5077a2cbcf06, 0x40741ba01f16ff8f, 150),
+];
+#[rustfmt::skip]
+const LSS_KNN_AUGMENTED: [Pin; 3] = [
+    (0x4070d247ae147ae1, 0x40294c81ce01767f, 0x406e7e03cee02579, 0x4072658d74b8e306, 150),
+    (0x407038c8c8c8c8c8, 0x402c504127c49e9e, 0x406ceaea2ba782ee, 0x4071fc1c7bbdd01a, 150),
+    (0x4070fc953f39010a, 0x40327cc40c49ab8c, 0x406d5e62c2294460, 0x407349f91d5d5fe3, 150),
+];
+
+/// Run `est` once per seed at a budget of 150 and compare its bits.
+fn assert_pinned(problem: &CountingProblem, name: &str, est: &dyn CountEstimator, pins: &[Pin; 3]) {
+    for (&seed, pin) in SEEDS.iter().zip(pins) {
+        let r = est
+            .estimate(problem, 150, &mut StdRng::seed_from_u64(seed))
+            .unwrap();
+        let got: Pin = (
+            r.estimate.count.to_bits(),
+            r.estimate.std_error.to_bits(),
+            r.estimate.interval.lo.to_bits(),
+            r.estimate.interval.hi.to_bits(),
+            r.evals,
+        );
+        assert_eq!(got, *pin, "{name}, seed {seed}");
+    }
+}
+
 #[test]
 fn one_shot_estimates_match_the_pinned_bits() {
     let problem = band_problem(600, 17);
@@ -122,19 +185,47 @@ fn one_shot_estimates_match_the_pinned_bits() {
         ("QLAC default", Box::new(Qlac::default()), QLAC_DEFAULT),
     ];
     for (name, est, pins) in &cases {
-        for (&seed, pin) in SEEDS.iter().zip(pins) {
-            let r = est
-                .estimate(&problem, 150, &mut StdRng::seed_from_u64(seed))
-                .unwrap();
-            let got: Pin = (
-                r.estimate.count.to_bits(),
-                r.estimate.std_error.to_bits(),
-                r.estimate.interval.lo.to_bits(),
-                r.estimate.interval.hi.to_bits(),
-                r.evals,
-            );
-            assert_eq!(got, *pin, "{name}, seed {seed}");
-        }
+        assert_pinned(&problem, name, est.as_ref(), pins);
+    }
+}
+
+/// One-shot LSS with each learner the forest rows above leave out; the
+/// augmented row also scores the uncertainty-sampling pool through
+/// `select_uncertain`.
+#[test]
+fn non_forest_learners_match_the_pinned_bits() {
+    let problem = band_problem(600, 17);
+    let lss = |spec, augment| Lss {
+        learn: LearnPhaseConfig {
+            spec,
+            augment,
+            ..LearnPhaseConfig::default()
+        },
+        ..Lss::default()
+    };
+    let cases = [
+        ("LSS KNN", lss(ClassifierSpec::Knn { k: 5 }, None), LSS_KNN),
+        (
+            "LSS NN",
+            lss(ClassifierSpec::Mlp { epochs: 200 }, None),
+            LSS_NN,
+        ),
+        ("LSS LOGIT", lss(ClassifierSpec::Logistic, None), LSS_LOGIT),
+        ("LSS GNB", lss(ClassifierSpec::NaiveBayes, None), LSS_GNB),
+        (
+            "LSS GBM",
+            lss(ClassifierSpec::Gbm { n_rounds: 50 }, None),
+            LSS_GBM,
+        ),
+        ("LSS Random", lss(ClassifierSpec::Random, None), LSS_RANDOM),
+        (
+            "LSS KNN augmented",
+            lss(ClassifierSpec::Knn { k: 5 }, Some(AugmentConfig::default())),
+            LSS_KNN_AUGMENTED,
+        ),
+    ];
+    for (name, est, pins) in &cases {
+        assert_pinned(&problem, name, est, pins);
     }
 }
 

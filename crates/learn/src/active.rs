@@ -50,8 +50,6 @@ pub fn select_uncertain(
     candidates: &[usize],
     count: usize,
 ) -> LearnResult<Vec<usize>> {
-    // One vectorized batch score over the gathered candidate rows
-    // (bit-identical to scoring each row individually).
     let scores = model.score_batch(&features.gather(candidates))?;
     let mut scored: Vec<(f64, usize)> = scores
         .into_iter()

@@ -35,13 +35,10 @@ pub trait Classifier: Send + Sync {
         Ok(self.score(row)? >= 0.5)
     }
 
-    /// Scores for every row of a matrix.
-    ///
-    /// The default maps [`Classifier::score`] over the rows; the tree
-    /// and the forest (a table lookup) keep it, the other models
-    /// override it with a vectorized kernel (fused scaling, reused
-    /// buffers, per-tree accumulation, batched kd-tree queries). One
-    /// contract, enforced by `tests/score_batch_agreement.rs`:
+    /// Scores for every row of a matrix: [`Classifier::score`] mapped
+    /// over the rows in order. No model overrides it, so each model's
+    /// `score` is its only scoring code, and the contract callers build
+    /// on (checked by `tests/score_batch_agreement.rs`) follows:
     ///
     /// * **bit-identical** to the per-row path — same values (to the
     ///   bit, including NaN propagation) and same first error;
@@ -50,9 +47,8 @@ pub trait Classifier: Send + Sync {
     ///   concatenated in order equals the single batch (the property
     ///   the partition-parallel scoring pipeline in `lts-core` builds
     ///   on);
-    /// * an **empty matrix yields an empty vector** without touching
-    ///   the model (the default loop never calls `score`, so overrides
-    ///   must not error on empty input either — even unfitted).
+    /// * an **empty matrix yields an empty vector** without calling
+    ///   `score`, even on an unfitted model.
     ///
     /// # Errors
     ///

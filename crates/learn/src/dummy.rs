@@ -52,17 +52,6 @@ impl Classifier for RandomScores {
         Ok((h >> 11) as f64 / (1u64 << 53) as f64)
     }
 
-    /// Batch hashing with the fitted check hoisted out of the loop.
-    fn score_batch(&self, x: &Matrix) -> LearnResult<Vec<f64>> {
-        if x.is_empty() {
-            return Ok(Vec::new());
-        }
-        if !self.fitted {
-            return Err(LearnError::NotFitted);
-        }
-        x.iter_rows().map(|row| self.score(row)).collect()
-    }
-
     fn name(&self) -> &'static str {
         "random"
     }
@@ -91,10 +80,6 @@ impl Classifier for ConstantScore {
 
     fn score(&self, _row: &[f64]) -> LearnResult<f64> {
         Ok(self.value)
-    }
-
-    fn score_batch(&self, x: &Matrix) -> LearnResult<Vec<f64>> {
-        Ok(vec![self.value; x.rows()])
     }
 
     fn name(&self) -> &'static str {

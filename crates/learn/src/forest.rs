@@ -278,8 +278,6 @@ impl Classifier for RandomForest {
     }
 
     /// A table lookup, or under no table the walk summed in tree order.
-    /// `score_batch` is the trait's loop over this: a lookup leaves no
-    /// work to share across rows.
     fn score(&self, row: &[f64]) -> LearnResult<f64> {
         if self.trees.is_empty() {
             return Err(LearnError::NotFitted);

@@ -284,42 +284,6 @@ impl Classifier for Gbm {
         Ok(sigmoid(self.raw(row)))
     }
 
-    /// Batch scoring by per-tree accumulation over row blocks (each
-    /// regression tree stays cache-hot across a block). Rows accumulate
-    /// shrunken leaf values in boosting order, so the raw margin — and
-    /// the sigmoid of it — is bit-identical to the per-row path.
-    fn score_batch(&self, x: &Matrix) -> LearnResult<Vec<f64>> {
-        if x.is_empty() {
-            return Ok(Vec::new());
-        }
-        if !self.fitted {
-            return Err(LearnError::NotFitted);
-        }
-        if x.cols() != self.dims {
-            return Err(LearnError::DimensionMismatch {
-                expected: self.dims,
-                found: x.cols(),
-            });
-        }
-        const BLOCK: usize = 512;
-        let n = x.rows();
-        let mut acc = vec![0.0f64; n];
-        let mut start = 0usize;
-        while start < n {
-            let end = (start + BLOCK).min(n);
-            for tree in &self.trees {
-                for (i, slot) in (start..end).zip(&mut acc[start..end]) {
-                    *slot += self.config.learning_rate * tree.eval(x.row(i));
-                }
-            }
-            start = end;
-        }
-        Ok(acc
-            .into_iter()
-            .map(|sum| sigmoid(self.base_score + sum))
-            .collect())
-    }
-
     fn name(&self) -> &'static str {
         "gbm"
     }

@@ -79,39 +79,6 @@ impl Classifier for Knn {
         Ok(pos as f64 / nn.len() as f64)
     }
 
-    /// Batched kd-tree querying: validity and `k` resolved once, the
-    /// query row standardized into a reused buffer, then one pruned
-    /// tree query per row — the same query the per-row path runs, so
-    /// scores are bit-identical.
-    fn score_batch(&self, x: &Matrix) -> LearnResult<Vec<f64>> {
-        if x.is_empty() {
-            return Ok(Vec::new());
-        }
-        let (tree, scaler) = match (&self.tree, &self.scaler) {
-            (Some(t), Some(s)) => (t, s),
-            _ => return Err(LearnError::NotFitted),
-        };
-        if x.cols() != scaler.dims() {
-            return Err(LearnError::DimensionMismatch {
-                expected: scaler.dims(),
-                found: x.cols(),
-            });
-        }
-        let k = self.k.min(self.labels.len());
-        let mut out = Vec::with_capacity(x.rows());
-        let mut q = Vec::with_capacity(x.cols());
-        for row in x.iter_rows() {
-            scaler.transform_row_into(row, &mut q)?;
-            let nn = tree.knn(&q, k);
-            if nn.is_empty() {
-                return Err(LearnError::NotFitted);
-            }
-            let pos = nn.iter().filter(|&&(i, _)| self.labels[i]).count();
-            out.push(pos as f64 / nn.len() as f64);
-        }
-        Ok(out)
-    }
-
     fn name(&self) -> &'static str {
         "knn"
     }

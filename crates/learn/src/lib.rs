@@ -20,6 +20,10 @@
 //!   §5.4.4 (arbitrary scores, the worst case for LSS);
 //! * [`dummy::ConstantScore`] — degenerate edge-case classifier.
 //!
+//! Each model writes its scoring rule once, as the per-row
+//! [`Classifier::score`]; [`Classifier::score_batch`] is the trait's
+//! loop over it, which no model overrides.
+//!
 //! Supporting machinery: a minimal row-major [`matrix::Matrix`],
 //! [`scaler::StandardScaler`], classification [`metrics`], k-fold
 //! [`cv`] (the tpr/fpr estimation QLAC needs), and uncertainty-sampling

@@ -115,39 +115,6 @@ impl Classifier for Logistic {
         Ok(sigmoid(z))
     }
 
-    /// Vectorized batch scoring: one pass over the row-major buffer
-    /// with scaling fused into the dot product — per row, the exact
-    /// per-element operations of `transform_row` + dot + sigmoid, so
-    /// results are bit-identical to the per-row path.
-    fn score_batch(&self, x: &Matrix) -> LearnResult<Vec<f64>> {
-        if x.is_empty() {
-            return Ok(Vec::new());
-        }
-        if !self.fitted {
-            return Err(LearnError::NotFitted);
-        }
-        let scaler = self.scaler.as_ref().ok_or(LearnError::NotFitted)?;
-        if x.cols() != scaler.dims() {
-            return Err(LearnError::DimensionMismatch {
-                expected: scaler.dims(),
-                found: x.cols(),
-            });
-        }
-        let mut out = Vec::with_capacity(x.rows());
-        let mut xs = Vec::with_capacity(x.cols());
-        for row in x.iter_rows() {
-            scaler.transform_row_into(row, &mut xs)?;
-            let z = self
-                .weights
-                .iter()
-                .zip(&xs)
-                .map(|(&w, &x)| w * x)
-                .sum::<f64>();
-            out.push(sigmoid(self.bias + z));
-        }
-        Ok(out)
-    }
-
     fn name(&self) -> &'static str {
         "logit"
     }

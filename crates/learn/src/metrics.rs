@@ -29,14 +29,6 @@ impl ConfusionMatrix {
         }
     }
 
-    /// Merge another matrix into this one.
-    pub fn merge(&mut self, other: &ConfusionMatrix) {
-        self.tp += other.tp;
-        self.fp += other.fp;
-        self.tn += other.tn;
-        self.fn_ += other.fn_;
-    }
-
     /// Total observations.
     pub fn total(&self) -> usize {
         self.tp + self.fp + self.tn + self.fn_
@@ -69,16 +61,6 @@ impl ConfusionMatrix {
             None
         } else {
             Some(self.fp as f64 / neg as f64)
-        }
-    }
-
-    /// Precision; `None` when nothing was predicted positive.
-    pub fn precision(&self) -> Option<f64> {
-        let pred_pos = self.tp + self.fp;
-        if pred_pos == 0 {
-            None
-        } else {
-            Some(self.tp as f64 / pred_pos as f64)
         }
     }
 }
@@ -131,7 +113,6 @@ mod tests {
         assert!((m.accuracy() - 0.6).abs() < 1e-12);
         assert!((m.tpr().unwrap() - 2.0 / 3.0).abs() < 1e-12);
         assert!((m.fpr().unwrap() - 0.5).abs() < 1e-12);
-        assert!((m.precision().unwrap() - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
@@ -141,15 +122,6 @@ mod tests {
         assert!(m.fpr().is_some());
         let m = confusion(&[true, false], &[true, true]).unwrap();
         assert!(m.fpr().is_none());
-    }
-
-    #[test]
-    fn merge_adds() {
-        let mut a = confusion(&[true], &[true]).unwrap();
-        let b = confusion(&[false], &[true]).unwrap();
-        a.merge(&b);
-        assert_eq!(a.tp, 1);
-        assert_eq!(a.fn_, 1);
     }
 
     #[test]

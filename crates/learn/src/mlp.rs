@@ -284,45 +284,6 @@ impl Classifier for Mlp {
         Ok(p)
     }
 
-    /// Batch forward pass reusing one set of activation buffers for the
-    /// whole matrix (the per-row path allocates four vectors per row).
-    /// Layer arithmetic is element-for-element the per-row forward, so
-    /// scores are bit-identical.
-    fn score_batch(&self, x: &Matrix) -> LearnResult<Vec<f64>> {
-        if x.is_empty() {
-            return Ok(Vec::new());
-        }
-        if !self.fitted {
-            return Err(LearnError::NotFitted);
-        }
-        let scaler = self.scaler.as_ref().ok_or(LearnError::NotFitted)?;
-        if x.cols() != scaler.dims() {
-            return Err(LearnError::DimensionMismatch {
-                expected: scaler.dims(),
-                found: x.cols(),
-            });
-        }
-        let mut out = Vec::with_capacity(x.rows());
-        let mut xs = Vec::with_capacity(x.cols());
-        let mut a1 = Vec::with_capacity(self.l1.outputs);
-        let mut a2 = Vec::with_capacity(self.l2.outputs);
-        let mut z3 = Vec::with_capacity(1);
-        for row in x.iter_rows() {
-            scaler.transform_row_into(row, &mut xs)?;
-            self.l1.forward(&xs, &mut a1);
-            for v in &mut a1 {
-                *v = v.tanh();
-            }
-            self.l2.forward(&a1, &mut a2);
-            for v in &mut a2 {
-                *v = v.tanh();
-            }
-            self.l3.forward(&a2, &mut z3);
-            out.push(sigmoid(z3[0]));
-        }
-        Ok(out)
-    }
-
     fn name(&self) -> &'static str {
         "nn"
     }

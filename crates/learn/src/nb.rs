@@ -168,40 +168,6 @@ impl Classifier for GaussianNb {
         }
     }
 
-    /// Batch scoring: the per-row posterior arithmetic with the class
-    /// dispatch and validity checks hoisted out of the loop
-    /// (single-class models fill a constant without touching rows).
-    /// Bit-identical to the per-row path.
-    fn score_batch(&self, x: &Matrix) -> LearnResult<Vec<f64>> {
-        if x.is_empty() {
-            return Ok(Vec::new());
-        }
-        if !self.fitted {
-            return Err(LearnError::NotFitted);
-        }
-        if x.cols() != self.dims {
-            return Err(LearnError::DimensionMismatch {
-                expected: self.dims,
-                found: x.cols(),
-            });
-        }
-        match (&self.pos, &self.neg) {
-            (Some(p), Some(q)) => {
-                let mut out = Vec::with_capacity(x.rows());
-                for row in x.iter_rows() {
-                    let (lp, lq) = (p.log_joint(row), q.log_joint(row));
-                    let m = lp.max(lq);
-                    let (ep, eq) = ((lp - m).exp(), (lq - m).exp());
-                    out.push(ep / (ep + eq));
-                }
-                Ok(out)
-            }
-            (Some(_), None) => Ok(vec![1.0; x.rows()]),
-            (None, Some(_)) => Ok(vec![0.0; x.rows()]),
-            (None, None) => Err(LearnError::NotFitted),
-        }
-    }
-
     fn name(&self) -> &'static str {
         "gnb"
     }

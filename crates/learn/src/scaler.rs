@@ -52,11 +52,6 @@ impl StandardScaler {
         Ok(Self { means, stds })
     }
 
-    /// Number of features this scaler expects.
-    pub fn dims(&self) -> usize {
-        self.means.len()
-    }
-
     /// Standardize one row into a new vector.
     ///
     /// # Errors
@@ -74,30 +69,6 @@ impl StandardScaler {
             .zip(self.means.iter().zip(&self.stds))
             .map(|(&x, (&m, &s))| (x - m) / s)
             .collect())
-    }
-
-    /// Standardize one row into a reusable buffer — the allocation-free
-    /// variant batch scoring kernels loop over. Element-for-element the
-    /// same arithmetic as [`StandardScaler::transform_row`], so results
-    /// are bit-identical.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on dimension mismatch.
-    pub fn transform_row_into(&self, row: &[f64], out: &mut Vec<f64>) -> LearnResult<()> {
-        if row.len() != self.means.len() {
-            return Err(LearnError::DimensionMismatch {
-                expected: self.means.len(),
-                found: row.len(),
-            });
-        }
-        out.clear();
-        out.extend(
-            row.iter()
-                .zip(self.means.iter().zip(&self.stds))
-                .map(|(&x, (&m, &s))| (x - m) / s),
-        );
-        Ok(())
     }
 
     /// Standardize a whole matrix.
@@ -147,22 +118,9 @@ mod tests {
     }
 
     #[test]
-    fn transform_row_into_matches_transform_row() {
-        let x = Matrix::from_rows(&[vec![1.0, 10.0], vec![3.0, 30.0], vec![5.0, 50.0]]).unwrap();
-        let s = StandardScaler::fit(&x).unwrap();
-        let mut buf = Vec::new();
-        for row in x.iter_rows() {
-            s.transform_row_into(row, &mut buf).unwrap();
-            assert_eq!(buf, s.transform_row(row).unwrap());
-        }
-        assert!(s.transform_row_into(&[1.0], &mut buf).is_err());
-    }
-
-    #[test]
     fn dimension_checks() {
         let x = Matrix::from_rows(&[vec![1.0, 2.0]]).unwrap();
         let s = StandardScaler::fit(&x).unwrap();
-        assert_eq!(s.dims(), 2);
         assert!(s.transform_row(&[1.0]).is_err());
         let bad = Matrix::from_rows(&[vec![1.0]]).unwrap();
         assert!(s.transform(&bad).is_err());

@@ -1,7 +1,9 @@
-//! Property tests: every classifier's vectorized `score_batch` is
-//! **bit-identical** to mapping per-row `score` — over random matrices,
-//! NaN/extreme query features, arbitrary row splits (the per-row-purity
-//! property partition-parallel scoring relies on), and empty input.
+//! Property tests of the contract of the trait's provided
+//! `score_batch`, the per-row loop every classifier scores through:
+//! **bit-identical** to mapping per-row `score` (values and first
+//! error) over random matrices and NaN/extreme query features, equal
+//! under arbitrary row splits (the per-row-purity property
+//! partition-parallel scoring relies on), and empty on empty input.
 
 use lts_learn::{
     Classifier, ConstantScore, GaussianNb, Gbm, GbmConfig, Knn, Logistic, Matrix, Mlp,

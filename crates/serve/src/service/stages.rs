@@ -530,8 +530,17 @@ impl Service {
         let mut tail = Vec::new();
         let (adm, mut response, cache, store, saved) = match outcome {
             Outcome::Refused { id, error } => {
-                let response = Response::failed(id, &error);
+                let mut response = Response::failed(id, &error);
                 self.metrics.book(&response, "", "", 0);
+                if tracing {
+                    // Refused before the cache probe: no plan, no cache.
+                    let mut events = Vec::with_capacity(2);
+                    events.push(TraceEvent::Route {
+                        route: response.route,
+                        kind: "",
+                    });
+                    self.finish_span(&mut response, events);
+                }
                 return response;
             }
             Outcome::Hit { adm, answer } => {
@@ -593,7 +602,8 @@ impl Service {
         };
         self.metrics.book(&response, cache, store, saved);
         if tracing {
-            // Sized up front: the span is kept at its length.
+            // Sized up front, the `served` event `finish_span` appends
+            // included: the span is kept at its length.
             let route = TraceEvent::Route {
                 route: response.route,
                 kind: adm.planned.kind(),
@@ -604,21 +614,22 @@ impl Service {
             events.extend(prefilter);
             events.push(TraceEvent::Cache { outcome: cache });
             events.extend(tail);
-            events.push(TraceEvent::Served {
-                served: response.served,
-                evals: response.evals as u64,
-                wall_micros: response.wall_micros,
-            });
             self.finish_span(&mut response, events);
         }
         response
     }
 
-    /// Close a request's trace span: feed the per-phase registry
-    /// counters from its events, attach it to the response when
-    /// [`super::ServiceConfig::trace`] is on, offer the request to the
-    /// slow log, and retain the span in the trace ring.
-    fn finish_span(&self, response: &mut Response, events: Vec<TraceEvent>) {
+    /// Close a request's trace span: end it with the `Served` event,
+    /// feed the per-phase registry counters from its events, attach it
+    /// to the response when [`super::ServiceConfig::trace`] is on,
+    /// offer the request to the slow log, and retain the span in the
+    /// trace ring.
+    fn finish_span(&self, response: &mut Response, mut events: Vec<TraceEvent>) {
+        events.push(TraceEvent::Served {
+            served: response.served,
+            evals: response.evals as u64,
+            wall_micros: response.wall_micros,
+        });
         self.metrics.attribute(response, &events);
         let trace = Trace {
             id: response.id,

@@ -110,3 +110,34 @@ fn a_planned_requests_span_does_not_depend_on_arrival_order() {
         assert_eq!(span_of_request_1(&lines), count_first, "{order}");
     }
 }
+
+/// A request refused before the cache probe (here a query that does
+/// not parse) still closes a span, `route` (empty, as on the response)
+/// then `served` (`error`, no evals): the response carries it and
+/// `trace <id>` finds it in the ring.
+#[test]
+fn a_refused_request_closes_a_span() {
+    let script = "register sports s rows=200 level=M seed=3\n\
+                  count s budget=60 id=4 :: strikeouts <\n\
+                  trace 4";
+    let mut out = Vec::new();
+    let config = ServiceConfig {
+        trace: true,
+        ..ServiceConfig::default()
+    };
+    let opts = ReplOptions {
+        deterministic: true,
+    };
+    run_repl(config, opts, script.as_bytes(), &mut out).unwrap();
+    let out = String::from_utf8(out).unwrap();
+    let lines: Vec<&str> = out.lines().collect();
+    let span = r#"{"id": 4, "events": [{"event": "route", "route": "", "kind": ""}, {"event": "served", "served": "error", "evals": 0, "wall_micros": 0}]}"#;
+    assert_eq!(lines.len(), 3, "{out}");
+    assert!(lines[1].contains(r#""ok": false"#), "{}", lines[1]);
+    assert!(
+        lines[1].contains(&format!(r#""trace": {span}, "error": "#)),
+        "{}",
+        lines[1]
+    );
+    assert_eq!(lines[2], format!(r#"{{"ok": true, "trace": {span}}}"#));
+}

@@ -85,8 +85,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
         // Population-wide accuracy and the size of the uncertain band —
         // the quantities Figure 1's heat maps visualize. Scored through
-        // the shared pipeline (vectorized batch kernel), not a per-row
-        // score loop.
+        // the shared partition-parallel pipeline.
         let scores = ScoredPopulation::score_all(&problem, &model)?;
         let mut correct = 0usize;
         let mut uncertain = 0usize;
